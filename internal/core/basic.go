@@ -48,16 +48,15 @@ func (s *QuerySession) BasicQueryMetered(q EncryptedQuery, k int) (*MaskedResult
 	if err != nil {
 		return nil, nil, err
 	}
-	selected := make([]EncryptedRecord, len(cands))
 	ids := make([]uint64, len(cands))
 	for j, c := range cands {
-		selected[j] = c.Rec
 		ids[j] = c.ID
 	}
 
-	// Steps 4–6: masked reveal to Bob.
+	// Steps 4–6: masked reveal to Bob, attribute by attribute — SkNNb
+	// never extracts, so its records are the stored ciphertexts.
 	phase := time.Now()
-	res, err := s.reveal(selected)
+	res, err := s.reveal(candidateRecords(cands), perAttribute)
 	if err != nil {
 		return nil, nil, err
 	}

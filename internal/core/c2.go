@@ -134,9 +134,11 @@ func (c *CloudC2) handleRank(req *mpc.Message) (*mpc.Message, error) {
 }
 
 // handleReveal implements step 5 of Algorithm 5 (shared by both
-// protocols): decrypt each masked attribute γ_{j,h} and return the
-// plaintext γ′_{j,h}, which is uniformly random thanks to C1's masks and
-// destined for Bob. Payload: [γ…]; reply: [γ′…].
+// protocols): decrypt each masked value γ_{j,g} — one attribute of a
+// selected record under SkNNb, one row-packed chunk of its columns under
+// SkNNm — and return the plaintext γ′_{j,g}, which is uniformly random
+// thanks to C1's masks and destined for Bob. C2 cannot tell the two
+// kinds apart, nor needs to. Payload: [γ…]; reply: [γ′…].
 func (c *CloudC2) handleReveal(req *mpc.Message) (*mpc.Message, error) {
 	if len(req.Ints) == 0 {
 		return nil, fmt.Errorf("%w: empty reveal payload", ErrBadFrame)
@@ -153,7 +155,7 @@ func (c *CloudC2) handleReveal(req *mpc.Message) (*mpc.Message, error) {
 		}
 		out[i] = m
 	}
-	//sknnlint:allow partyflow -- Algorithm 5 step 5: the revealed γ′ are uniformly random because C1 added one-time masks r_{j,h} before sending; only Bob, who receives γ′ and the masks, can unmask the true attributes
+	//sknnlint:allow partyflow -- Algorithm 5 step 5: each revealed γ′ is uniformly random in ℤ_N because C1 added a one-time full-range mask r_{j,g} to the attribute or row-packed record chunk before sending; only Bob, who receives γ′ and the masks, can unmask the value and split a chunk into its columns
 	return &mpc.Message{Op: OpReveal, Ints: out}, nil
 }
 

@@ -3,11 +3,9 @@ package core
 import (
 	"context"
 	"crypto/rand"
-	"sync"
 	"testing"
 
 	"sknn/internal/dataset"
-	"sknn/internal/mpc"
 )
 
 // newFeatureSystem outsources rows with the first f columns as distance
@@ -23,27 +21,7 @@ func newFeatureSystem(t *testing.T, rows [][]uint64, f int) (*CloudC1, *Client) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2 := NewCloudC2(sk, nil)
-	c1Side, c2Side := mpc.ChanPipe()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := c2.Serve(c2Side); err != nil {
-			t.Errorf("C2: %v", err)
-		}
-	}()
-	c1, err := NewCloudC1(encTable, []mpc.Conn{c1Side}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if err := c1.Close(); err != nil {
-			t.Errorf("close: %v", err)
-		}
-		wg.Wait()
-	})
-	return c1, NewClient(&sk.PublicKey, nil)
+	return newSystemOver(t, sk, encTable, 1)
 }
 
 // TestFeatureColumnsIgnoreLabels builds a table whose label column would
@@ -68,7 +46,9 @@ func TestFeatureColumnsIgnoreLabels(t *testing.T) {
 		if mode == "basic" {
 			res, err = c1.BasicQuery(context.Background(), eq, 1)
 		} else {
-			l := dataset.DomainBits(4, 2)
+			// The attribute domain covers every column, labels included:
+			// SkNNm row-packs whole records into 2^(l/2)-wide slots.
+			l := dataset.DomainBits(9, 2)
 			res, err = c1.SecureQuery(context.Background(), eq, 1, l)
 		}
 		if err != nil {

@@ -1,0 +1,303 @@
+package core
+
+import (
+	"context"
+	"crypto/rand"
+	"errors"
+	"fmt"
+	"math/big"
+	"sort"
+	"testing"
+
+	"sknn/internal/dataset"
+	"sknn/internal/paillier"
+	"sknn/internal/plainknn"
+	"sknn/internal/smc"
+	"sknn/internal/testkit"
+)
+
+// This file pins the row-packed record path of SkNNm: which layout a
+// session chooses, that a packed query and a per-attribute one (packing
+// off, the c = 1 case of the same code) agree with the plaintext oracle
+// at the boundaries of the value domain and of the chunk capacity, and
+// that Bob rejects shares that do not fit the layout they declare.
+
+func TestRowLayoutFor(t *testing.T) {
+	cases := []struct {
+		keyBits, m, l int
+		packing       bool
+		want          RowLayout
+		chunks        int
+	}{
+		{512, 6, 12, true, RowLayout{Cols: 6, Bits: 6}, 1},    // bench/secure_scan
+		{512, 2, 14, true, RowLayout{Cols: 2, Bits: 7}, 1},    // bench/live_mixed
+		{512, 6, 12, false, RowLayout{Cols: 1, Bits: 6}, 6},   // packing off
+		{256, 20, 6, true, RowLayout{Cols: 20, Bits: 3}, 1},   // widest one-chunk record at 61 operand bits
+		{256, 21, 6, true, RowLayout{Cols: 20, Bits: 3}, 2},   // one column past it
+		{256, 3, 49, true, RowLayout{Cols: 2, Bits: 24}, 2},   // attrBits = 24
+		{256, 1, 6, true, RowLayout{Cols: 1, Bits: 3}, 1},     // m = 1
+		{256, 4, 200, true, RowLayout{Cols: 1, Bits: 100}, 4}, // a column wider than the operand
+		{128, 4, 6, true, RowLayout{Cols: 1, Bits: 3}, 4},     // key too small to pack an SM pair
+	}
+	for _, tc := range cases {
+		pk := &testkit.Key(tc.keyBits).PublicKey
+		got := rowLayoutFor(pk, tc.m, tc.l, tc.packing)
+		if got != tc.want || got.Chunks(tc.m) != tc.chunks {
+			t.Errorf("K=%d m=%d l=%d packing=%v: layout %+v in %d chunks, want %+v in %d",
+				tc.keyBits, tc.m, tc.l, tc.packing, got, got.Chunks(tc.m), tc.want, tc.chunks)
+		}
+		if got.Cols > 1 && got.Cols*got.Bits > smc.SMPackOperandBits(pk) {
+			t.Errorf("K=%d m=%d l=%d: a %d-bit chunk does not ride the packed SM uplink", tc.keyBits, tc.m, tc.l, got.Cols*got.Bits)
+		}
+	}
+}
+
+// rowSet canonicalizes result rows for multiset comparison.
+func rowSet(rows [][]uint64) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = fmt.Sprint(r)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// secureRowsWithLayout runs SkNNm with packing on or off and returns the
+// unmasked rows plus the layout the reveal used.
+func secureRowsWithLayout(t *testing.T, sk *paillier.PrivateKey, rows [][]uint64, f int, packing bool, q []uint64, k, l int) ([][]uint64, RowLayout) {
+	t.Helper()
+	encTable, err := EncryptTable(rand.Reader, &sk.PublicKey, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if encTable, err = encTable.WithFeatureColumns(f); err != nil {
+		t.Fatal(err)
+	}
+	c1, bob := newSystemOver(t, sk, encTable, 1)
+	c1.SetTuning(smc.Tuning{Packing: packing})
+	eq, err := bob.EncryptQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c1.SecureQuery(context.Background(), eq, k, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := bob.Unmask(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got, res.Layout
+}
+
+func TestRowPackedBoundaries(t *testing.T) {
+	wide := func(m int, fill uint64) []uint64 {
+		row := make([]uint64, m)
+		for j := range row {
+			row[j] = (fill + uint64(j)) % 4
+		}
+		return row
+	}
+	const max24 = 1<<24 - 1
+	cases := []struct {
+		name     string
+		keyBits  int
+		attrBits int
+		f        int // feature columns
+		rows     [][]uint64
+		q        []uint64
+		k        int
+		chunks   int // of the packed run
+	}{
+		{
+			name: "every column at the top of its domain", keyBits: 256, attrBits: 3, f: 2,
+			rows: [][]uint64{{7, 7, 7, 7}, {0, 0, 0, 0}, {7, 0, 7, 0}, {3, 4, 0, 7}},
+			q:    []uint64{7, 7}, k: 2, chunks: 1,
+		},
+		{
+			name: "m = 1", keyBits: 256, attrBits: 4, f: 1,
+			rows: [][]uint64{{15}, {0}, {9}, {8}},
+			q:    []uint64{9}, k: 2, chunks: 1,
+		},
+		{
+			name: "widest record in one chunk", keyBits: 256, attrBits: 2, f: 2,
+			rows: [][]uint64{wide(20, 3), wide(20, 0), wide(20, 1)},
+			q:    []uint64{1, 2}, k: 2, chunks: 1,
+		},
+		{
+			name: "one column past one chunk", keyBits: 256, attrBits: 2, f: 2,
+			rows: [][]uint64{wide(21, 3), wide(21, 0), wide(21, 1)},
+			q:    []uint64{1, 2}, k: 2, chunks: 2,
+		},
+		{
+			name: "attrBits = 24", keyBits: 256, attrBits: 24, f: 1,
+			rows: [][]uint64{{max24, max24, 0}, {0, 1, max24}, {max24 - 1, 0, max24}},
+			q:    []uint64{max24}, k: 2, chunks: 2,
+		},
+		{
+			name: "key too small to pack", keyBits: 128, attrBits: 2, f: 2,
+			rows: [][]uint64{{3, 3, 3}, {0, 1, 2}, {2, 2, 0}},
+			q:    []uint64{2, 3}, k: 2, chunks: 3,
+		},
+		{
+			name: "ties and k = n", keyBits: 256, attrBits: 3, f: 2,
+			rows: [][]uint64{{1, 1, 5}, {1, 1, 6}, {5, 5, 7}, {1, 1, 5}},
+			q:    []uint64{1, 1}, k: 4, chunks: 1,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tbl := &dataset.Table{Rows: tc.rows, AttrBits: tc.attrBits}
+			if err := tbl.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			sk := testkit.Key(tc.keyBits)
+			l := dataset.DomainBits(tc.attrBits, tc.f)
+			m := len(tc.rows[0])
+			want, err := plainknn.KDistances(featurePrefix(tc.rows, tc.f), tc.q, tc.k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, packing := range []bool{true, false} {
+				got, layout := secureRowsWithLayout(t, sk, tc.rows, tc.f, packing, tc.q, tc.k, l)
+				wantChunks := m
+				if packing {
+					wantChunks = tc.chunks
+				}
+				if layout.Chunks(m) != wantChunks {
+					t.Errorf("packing=%v: revealed %d shares per record (layout %+v), want %d",
+						packing, layout.Chunks(m), layout, wantChunks)
+				}
+				ds := distancesOf(t, featurePrefix(got, tc.f), tc.q)
+				if fmt.Sprint(ds) != fmt.Sprint(want) {
+					t.Errorf("packing=%v: distances %v, oracle %v", packing, ds, want)
+				}
+				// Whole rows, payload columns included, must be table rows:
+				// a shifted or truncated slot shows up here.
+				inTable := make(map[string]int)
+				for _, r := range rowSet(tc.rows) {
+					inTable[r]++
+				}
+				for _, r := range rowSet(got) {
+					if inTable[r]--; inTable[r] < 0 {
+						t.Errorf("packing=%v: returned row %s more often than the table holds it (got %v)", packing, r, got)
+					}
+				}
+			}
+		})
+	}
+}
+
+func featurePrefix(rows [][]uint64, f int) [][]uint64 {
+	out := make([][]uint64, len(rows))
+	for i, r := range rows {
+		out[i] = r[:f]
+	}
+	return out
+}
+
+// TestUnmaskRowLayouts: Bob splits slots exactly as the layout declares
+// and refuses, with ErrBadFrame, shares that do not fit it.
+func TestUnmaskRowLayouts(t *testing.T) {
+	pk := &testKey().PublicKey
+	bob := NewClient(pk, nil)
+	mask := big.NewInt(12345)
+	// share returns the pair (mask, masked) revealing v.
+	share := func(v *big.Int) (*big.Int, *big.Int) {
+		s := new(big.Int).Add(v, mask)
+		return mask, s.Mod(s, pk.N)
+	}
+	pack := func(bits int, cols ...uint64) *big.Int {
+		v := new(big.Int)
+		for j := len(cols) - 1; j >= 0; j-- {
+			v.Lsh(v, uint(bits)).Or(v, new(big.Int).SetUint64(cols[j]))
+		}
+		return v
+	}
+	result := func(m int, layout RowLayout, vals ...*big.Int) *MaskedResult {
+		res := &MaskedResult{K: 1, M: m, Layout: layout, n: pk.N, Masks: [][]*big.Int{nil}, Masked: [][]*big.Int{nil}}
+		for _, v := range vals {
+			r, s := share(v)
+			res.Masks[0] = append(res.Masks[0], r)
+			res.Masked[0] = append(res.Masked[0], s)
+		}
+		return res
+	}
+
+	// 5 columns in chunks of 3: [t0 t1 t2] [t3 t4].
+	got, err := bob.Unmask(result(5, RowLayout{Cols: 3, Bits: 4}, pack(4, 15, 0, 9), pack(4, 1, 15)))
+	if err != nil || fmt.Sprint(got) != "[[15 0 9 1 15]]" {
+		t.Fatalf("packed unmask = %v, %v", got, err)
+	}
+	// The per-attribute form through the pre-existing constructor.
+	r0, s0 := share(big.NewInt(7))
+	r1, s1 := share(new(big.Int).SetUint64(1 << 63))
+	per, err := RestoreMaskedResult(pk, 1, 2, [][]*big.Int{{r0, r1}}, [][]*big.Int{{s0, s1}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := bob.Unmask(per); err != nil || got[0][0] != 7 || got[0][1] != 1<<63 {
+		t.Fatalf("per-attribute unmask = %v, %v", got, err)
+	}
+
+	bad := []struct {
+		name string
+		res  *MaskedResult
+	}{
+		{"zero layout", result(2, RowLayout{}, big.NewInt(1), big.NewInt(2))},
+		{"more columns per chunk than columns", result(2, RowLayout{Cols: 3, Bits: 4}, big.NewInt(1))},
+		{"packed chunk without a slot width", result(2, RowLayout{Cols: 2}, big.NewInt(1))},
+		{"negative slot width", result(2, RowLayout{Cols: 1, Bits: -1}, big.NewInt(1), big.NewInt(2))},
+		{"row wider than the plaintext", result(4, RowLayout{Cols: 4, Bits: 64}, big.NewInt(1))},
+		{"too few shares", result(5, RowLayout{Cols: 3, Bits: 4}, pack(4, 1, 2, 3))},
+		{"per-attribute shares under a packed layout", result(3, RowLayout{Cols: 3, Bits: 4}, big.NewInt(1), big.NewInt(2), big.NewInt(3))},
+		{"bits beyond the chunk's slots", result(3, RowLayout{Cols: 3, Bits: 4}, pack(4, 1, 2, 3, 1))},
+		{"bits beyond a short last chunk", result(5, RowLayout{Cols: 3, Bits: 4}, pack(4, 1, 2, 3), pack(4, 1, 2, 3))},
+		{"mask and share swapped", func() *MaskedResult {
+			res := result(3, RowLayout{Cols: 3, Bits: 4}, pack(4, 1, 2, 3))
+			res.Masks, res.Masked = res.Masked, res.Masks
+			return res
+		}()},
+	}
+	for _, tc := range bad {
+		if _, err := bob.Unmask(tc.res); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s: err = %v, want ErrBadFrame", tc.name, err)
+		}
+	}
+	if _, err := RestoreMaskedRows(pk, 1, 4, RowLayout{Cols: 4, Bits: 64}, [][]*big.Int{{mask}}, [][]*big.Int{{mask}}, nil); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("RestoreMaskedRows with a row wider than the plaintext: err = %v, want ErrBadFrame", err)
+	}
+}
+
+// TestMergeRejectsForeignLayout: a candidate whose record is not in the
+// merge session's row layout — a shard with the other packing tuning —
+// is a typed error, never merged as if its chunks were columns.
+func TestMergeRejectsForeignLayout(t *testing.T) {
+	tbl, err := dataset.Generate(71, 6, 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := tbl.DomainBits()
+	c1, bob := newSystem(t, tbl, 1)
+	eq, err := bob.EncryptQuery([]uint64{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1.SetTuning(smc.Tuning{Packing: false})
+	cands, _, err := c1.TopK(context.Background(), eq, 2, l, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cands[0].Rec) != 3 {
+		t.Fatalf("per-attribute candidate carries %d ciphertexts, want 3", len(cands[0].Rec))
+	}
+	c1.SetTuning(smc.Tuning{Packing: true})
+	s, err := c1.NewSession(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.mergeCandidates(cands, 1, l, &SecureMetrics{}); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("merging per-attribute candidates on a packed session: err = %v, want ErrBadFrame", err)
+	}
+}

@@ -90,7 +90,11 @@ func (m *SecureMetrics) add(o *SecureMetrics) {
 // domainBits is l, the bit length of the squared-distance domain: all
 // |Q−tᵢ|² must be strictly below 2^l − 1 (the all-ones disqualification
 // sentinel of step 3(e)). dataset.DomainBits derives it — including the
-// sentinel headroom bit — from the attribute domain and dimension.
+// sentinel headroom bit — from the attribute domain and dimension. Every
+// column of every record, payload columns included, must be below
+// 2^(l/2): packed SSED slots the feature columns that wide and the row
+// layout (rowLayoutFor) every column. A table validated against the
+// attrBits that l was derived from satisfies both.
 func (s *QuerySession) SecureQuery(q EncryptedQuery, k, domainBits int) (*MaskedResult, error) {
 	res, _, err := s.SecureQueryMetered(q, k, domainBits)
 	return res, err
@@ -233,9 +237,10 @@ func (s *QuerySession) checkSecureArgs(q EncryptedQuery, k, domainBits int) erro
 	return nil
 }
 
-// attrPackBits is the slot payload width for packed SSED: half the
-// squared-distance domain, which always covers one attribute value and
-// its query difference (l ≥ 2b by dataset.DomainBits).
+// attrPackBits is the slot payload width for packed SSED and for
+// row-packed records: half the squared-distance domain, which always
+// covers one attribute value and its query difference (l ≥ 2b by
+// dataset.DomainBits).
 func attrPackBits(domainBits int) int {
 	if b := domainBits / 2; b > 1 {
 		return b
@@ -272,7 +277,7 @@ func (s *QuerySession) rankClusters(q EncryptedQuery, domainBits, target int, me
 	var bits [][]*paillier.Ciphertext
 	if !useValue {
 		bits = make([][]*paillier.Ciphertext, nc)
-		err = s.parallelOverRecords(nc, func(rq *smc.Requester, lo, hi int) error {
+		err = s.parallelOverRecords(nc, func(_ int, rq *smc.Requester, lo, hi int) error {
 			bs, err := rq.SBDBatch(ds[lo:hi], domainBits)
 			if err != nil {
 				return fmt.Errorf("core: centroid SBD chunk [%d,%d): %w", lo, hi, err)
@@ -365,39 +370,53 @@ func (s *QuerySession) rankClusters(q EncryptedQuery, domainBits, target int, me
 }
 
 // secureScan is the body of Algorithm 6 over the candidate records idx:
-// SSED + SBD over the candidates (candidateBits), the k selection
-// rounds (selectTopK), and the masked reveal. A full scan passes
-// idx = [0,n); the pruned path passes the probed clusters' members.
+// the scan and the k selection rounds (scanTopK), then the masked
+// reveal. A full scan passes idx = [0,n); the pruned path passes the
+// probed clusters' members.
 func (s *QuerySession) secureScan(q EncryptedQuery, k, domainBits int, idx []int, metrics *SecureMetrics) (*MaskedResult, error) {
-	n := len(idx)
-	if err := validateK(k, n); err != nil {
+	if err := validateK(k, len(idx)); err != nil {
 		return nil, err
 	}
-	records := make([][]*paillier.Ciphertext, n)
-	for i, id := range idx {
-		records[i] = s.tbl.records[id]
-	}
-	ds, bits, err := s.candidateBits(q, domainBits, idx, metrics)
+	cands, err := s.scanTopK(q, k, domainBits, idx, metrics)
 	if err != nil {
 		return nil, err
 	}
-	cands, err := s.selectTopK(bits, records, ds, k, domainBits, metrics)
-	if err != nil {
-		return nil, err
-	}
-	selected := make([]EncryptedRecord, len(cands))
-	for i, c := range cands {
-		selected[i] = c.Rec
-	}
-
 	// Steps 4–6 of Algorithm 5: masked reveal.
 	phase := time.Now()
-	res, err := s.reveal(selected)
+	res, err := s.reveal(candidateRecords(cands), s.rowLayout(domainBits))
 	if err != nil {
 		return nil, err
 	}
 	metrics.Reveal = time.Since(phase)
 	return res, nil
+}
+
+// scanTopK is what a standalone query and a shard-local scan share:
+// SSED + SBD over the candidates idx (candidateBits), their records in
+// the session's row layout, and the k selection rounds (selectTopK).
+func (s *QuerySession) scanTopK(q EncryptedQuery, k, domainBits int, idx []int, metrics *SecureMetrics) ([]Candidate, error) {
+	ds, bits, err := s.candidateBits(q, domainBits, idx, metrics)
+	if err != nil {
+		return nil, err
+	}
+	// Rows not yet rendered in the layout (the first query after they
+	// were stored) are packed here, on extraction's account.
+	phase := time.Now()
+	records, err := s.tbl.recordRows(s.rowLayout(domainBits), idx)
+	if err != nil {
+		return nil, err
+	}
+	metrics.Extract += time.Since(phase)
+	return s.selectTopK(bits, records, ds, k, domainBits, metrics)
+}
+
+// candidateRecords lists the candidates' records in rank order.
+func candidateRecords(cands []Candidate) []EncryptedRecord {
+	rows := make([]EncryptedRecord, len(cands))
+	for i, c := range cands {
+		rows[i] = c.Rec
+	}
+	return rows
 }
 
 // candidateBits is Stage 1 of Algorithm 6 over the candidate records
@@ -413,10 +432,7 @@ func (s *QuerySession) candidateBits(q EncryptedQuery, domainBits int, idx []int
 		return nil, nil, err
 	}
 	n := len(idx)
-	feat := make([][]*paillier.Ciphertext, n)
-	for i, id := range idx {
-		feat[i] = s.tbl.records[id][:s.featureM]
-	}
+	feat := s.tbl.featureRows(idx)
 
 	// Step 2a: E(dᵢ) for every candidate record.
 	phase := time.Now()
@@ -443,7 +459,7 @@ func (s *QuerySession) candidateBits(q EncryptedQuery, domainBits int, idx []int
 	}
 	phase = time.Now()
 	bits := make([][]*paillier.Ciphertext, n)
-	err = s.parallelOverRecords(n, func(rq *smc.Requester, lo, hi int) error {
+	err = s.parallelOverRecords(n, func(_ int, rq *smc.Requester, lo, hi int) error {
 		bs, err := rq.SBDBatch(ds[lo:hi], domainBits)
 		if err != nil {
 			return fmt.Errorf("core: SBD chunk [%d,%d): %w", lo, hi, err)
@@ -461,8 +477,10 @@ func (s *QuerySession) candidateBits(q EncryptedQuery, domainBits int, idx []int
 // selectTopK is the k-round selection loop of Algorithm 6 (steps 3(a)
 // through 3(e)) over pre-computed candidate distances: SMINn, blinded
 // min-select, oblivious record extraction, SBOR disqualification. It is
-// deliberately table-agnostic — candidates are (distance, record) pairs
-// — so the same engine selects from a shard's scanned records and, at
+// deliberately table-agnostic — candidates are (distance, record) pairs,
+// each record in the session's row layout (rowLayout: ⌈m/c⌉ chunks of c
+// slot-packed columns, or the m attribute ciphertexts when c = 1) — so
+// the same engine selects from a shard's scanned records and, at
 // the coordinator, from the s·k encrypted candidates the shards return:
 // the secure merge is exactly this loop over the gathered candidates.
 //
@@ -491,7 +509,8 @@ func (s *QuerySession) selectTopK(bits [][]*paillier.Ciphertext, records [][]*pa
 	if err := validateK(k, n); err != nil {
 		return nil, err
 	}
-	m := s.m
+	layout := s.rowLayout(domainBits)
+	chunks := layout.Chunks(s.m) // ciphertexts per record; callers hand records over in this layout
 	ds := make([]*paillier.Ciphertext, n)
 
 	selected := make([]Candidate, 0, k)
@@ -587,55 +606,37 @@ func (s *QuerySession) selectTopK(bits [][]*paillier.Ciphertext, records [][]*pa
 		}
 		metrics.Select += time.Since(phase)
 
-		// Step 3(d): oblivious extraction — E(t′ₛ,j) = Πᵢ SM(Vᵢ, E(t_{i,j})).
+		// Step 3(d): oblivious extraction — every chunk g of the winner is
+		// E(P′_g) = Πᵢ SM(Vᵢ, E(P_{i,g})): n·⌈m/c⌉ products where the
+		// paper's per-attribute form pays n·m. V is one-hot, so the sum is
+		// the winner's chunk bit for bit and its slots never carry. Vᵢ is
+		// a bit and a chunk holds c columns below 2^w, so the products ride
+		// the packed SM uplink under that bound.
 		phase = time.Now()
-		// Per-worker partial column products, combined at the end.
-		partials := make([][]*paillier.Ciphertext, len(s.rqs))
-		err = s.parallelOverRecords(n, func(rq *smc.Requester, lo, hi int) error {
-			sel := make([]*paillier.Ciphertext, 0, (hi-lo)*m)
-			rec := make([]*paillier.Ciphertext, 0, (hi-lo)*m)
+		// Per-worker partial chunk sums, combined at the end.
+		partials := make([]EncryptedRecord, len(s.rqs))
+		err = s.parallelOverRecords(n, func(w int, rq *smc.Requester, lo, hi int) error {
+			sel := make([]*paillier.Ciphertext, 0, (hi-lo)*chunks)
+			rec := make([]*paillier.Ciphertext, 0, (hi-lo)*chunks)
 			for i := lo; i < hi; i++ {
-				for j := 0; j < m; j++ {
+				for _, ct := range records[i] {
 					sel = append(sel, v[i])
-					rec = append(rec, records[i][j])
+					rec = append(rec, ct)
 				}
 			}
-			// Selectors are bits and record attributes come from uint64
-			// rows, so the products can ride the packed SM uplink
-			// unconditionally.
-			prods, err := rq.SMBatchBounded(sel, rec, 1, 64)
+			prods, err := rq.SMBatchBounded(sel, rec, 1, layout.Cols*layout.Bits)
 			if err != nil {
 				return fmt.Errorf("core: extract chunk [%d,%d): %w", lo, hi, err)
 			}
-			cols := make([]*paillier.Ciphertext, m)
-			for i := lo; i < hi; i++ {
-				row := prods[(i-lo)*m : (i-lo+1)*m]
-				for j := 0; j < m; j++ {
-					if cols[j] == nil {
-						cols[j] = row[j]
-					} else {
-						cols[j] = pk.Add(cols[j], row[j])
-					}
-				}
-			}
-			partials[s.workerIndex(rq)] = cols
+			partials[w] = sumRecords(pk, nil, prods, chunks)
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		record := make(EncryptedRecord, m)
-		for _, cols := range partials {
-			if cols == nil {
-				continue
-			}
-			for j := 0; j < m; j++ {
-				if record[j] == nil {
-					record[j] = cols[j]
-				} else {
-					record[j] = pk.Add(record[j], cols[j])
-				}
-			}
+		var record EncryptedRecord
+		for _, part := range partials {
+			record = sumRecords(pk, record, part, chunks)
 		}
 		selected = append(selected, Candidate{Dist: encMin, Rec: record})
 		metrics.Extract += time.Since(phase)
@@ -655,7 +656,7 @@ func (s *QuerySession) selectTopK(bits [][]*paillier.Ciphertext, records [][]*pa
 			// SM uplink under the domain bound.
 			sentinel := new(big.Int).Lsh(big.NewInt(1), uint(domainBits))
 			sentinel.Sub(sentinel, big.NewInt(1))
-			err = s.parallelOverRecords(n, func(rq *smc.Requester, lo, hi int) error {
+			err = s.parallelOverRecords(n, func(_ int, rq *smc.Requester, lo, hi int) error {
 				sel := make([]*paillier.Ciphertext, hi-lo)
 				gaps := make([]*paillier.Ciphertext, hi-lo)
 				for i := lo; i < hi; i++ {
@@ -677,7 +678,7 @@ func (s *QuerySession) selectTopK(bits [][]*paillier.Ciphertext, records [][]*pa
 			metrics.Exclude += time.Since(phase)
 			continue
 		}
-		err = s.parallelOverRecords(n, func(rq *smc.Requester, lo, hi int) error {
+		err = s.parallelOverRecords(n, func(_ int, rq *smc.Requester, lo, hi int) error {
 			sel := make([]*paillier.Ciphertext, 0, (hi-lo)*domainBits)
 			bts := make([]*paillier.Ciphertext, 0, (hi-lo)*domainBits)
 			for i := lo; i < hi; i++ {
@@ -743,17 +744,9 @@ func (s *QuerySession) TopK(q EncryptedQuery, k, domainBits, target int, secure 
 		idx = s.tbl.liveIdx
 		metrics.Candidates = len(idx)
 	}
-	records := make([][]*paillier.Ciphertext, len(idx))
-	for i, id := range idx {
-		records[i] = s.tbl.records[id]
-	}
-	ds, bits, err := s.candidateBits(q, domainBits, idx, metrics)
-	if err != nil {
-		return nil, nil, err
-	}
 	// Shard-local candidates ship their composed E(dmin) to the
 	// coordinator's merge — every selection round produces it for free.
-	cands, err := s.selectTopK(bits, records, ds, k, domainBits, metrics)
+	cands, err := s.scanTopK(q, k, domainBits, idx, metrics)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -773,15 +766,19 @@ func (s *QuerySession) TopK(q EncryptedQuery, k, domainBits, target int, secure 
 // values, so a fold's output can feed the next fold.
 func (s *QuerySession) mergeCandidates(cands []Candidate, k, domainBits int, metrics *SecureMetrics) ([]Candidate, error) {
 	n := len(cands)
+	chunks := s.rowLayout(domainBits).Chunks(s.m)
 	records := make([][]*paillier.Ciphertext, n)
 	ds := make([]*paillier.Ciphertext, n)
 	for i, cand := range cands {
 		if cand.Dist == nil {
 			return nil, fmt.Errorf("%w: merge candidate %d has no distance", ErrBadFrame, i)
 		}
-		if len(cand.Rec) != s.m {
-			return nil, fmt.Errorf("%w: merge candidate %d has %d attributes, want %d",
-				ErrBadFrame, i, len(cand.Rec), s.m)
+		// A shard running another row layout (its packing tuning differs
+		// from the merge pool's) cannot be merged: reject it here rather
+		// than read its chunks as differently packed columns.
+		if len(cand.Rec) != chunks {
+			return nil, fmt.Errorf("%w: merge candidate %d has %d record ciphertexts, want %d",
+				ErrBadFrame, i, len(cand.Rec), chunks)
 		}
 		records[i] = cand.Rec
 		ds[i] = cand.Dist
@@ -791,7 +788,7 @@ func (s *QuerySession) mergeCandidates(cands []Candidate, k, domainBits int, met
 	}
 	phase := time.Now()
 	bits := make([][]*paillier.Ciphertext, n)
-	err := s.parallelOverRecords(n, func(rq *smc.Requester, lo, hi int) error {
+	err := s.parallelOverRecords(n, func(_ int, rq *smc.Requester, lo, hi int) error {
 		bs, err := rq.SBDBatch(ds[lo:hi], domainBits)
 		if err != nil {
 			return fmt.Errorf("core: merge SBD chunk [%d,%d): %w", lo, hi, err)
@@ -806,26 +803,17 @@ func (s *QuerySession) mergeCandidates(cands []Candidate, k, domainBits int, met
 	return s.selectTopK(bits, records, ds, k, domainBits, metrics)
 }
 
-// workerIndex maps a requester back to its slot (for per-worker result
-// buffers).
-func (s *QuerySession) workerIndex(rq *smc.Requester) int {
-	for i, r := range s.rqs {
-		if r == rq {
-			return i
+// sumRecords adds, chunk by chunk, the records laid end to end in prods
+// (each chunks ciphertexts long) into acc, which may be nil.
+func sumRecords(pk *paillier.PublicKey, acc EncryptedRecord, prods []*paillier.Ciphertext, chunks int) EncryptedRecord {
+	for i, ct := range prods {
+		if g := i % chunks; len(acc) <= g {
+			acc = append(acc, ct)
+		} else {
+			acc[g] = pk.Add(acc[g], ct)
 		}
 	}
-	panic("core: requester not owned by this session")
-}
-
-// valueMinOK reports whether the value-domain tournament can run on this
-// session: packing is on and the key fits an (l+1)-bit slot codec (the
-// comparison decomposes t = 2^l + a − b, one bit wider than the domain).
-func (s *QuerySession) valueMinOK(domainBits int) bool {
-	if !s.packingOn() {
-		return false
-	}
-	_, err := paillier.NewPacking(s.pk, domainBits+1)
-	return err == nil
+	return acc
 }
 
 // sminnValue is the value-domain SMINn: the same ⌈log₂ n⌉-level

@@ -99,6 +99,32 @@ func (s *QuerySession) attach(conn mpc.Conn) {
 // for packed renderings of table rows.
 func (s *QuerySession) packingOn() bool { return s.pool.tuning.Packing }
 
+// valueMinOK reports whether the value-domain tournament can run on this
+// session: packing is on and the key fits an (l+1)-bit slot codec (the
+// comparison decomposes t = 2^l + a − b, one bit wider than the domain).
+func (s *QuerySession) valueMinOK(domainBits int) bool {
+	return s.primary().PacksValues(domainBits + 1)
+}
+
+// rowLayoutFor is the record layout SkNNm uses at domain size l for
+// m-column records under pk: with packing on, as many columns per chunk
+// — each attrPackBits(l) wide, the bound packed SSED already puts on the
+// feature columns, here required of every column — as one operand of the
+// packed SM uplink holds; per-attribute when packing is off or fewer
+// than two columns fit.
+func rowLayoutFor(pk *paillier.PublicKey, m, domainBits int, packing bool) RowLayout {
+	w := attrPackBits(domainBits)
+	if c := min(m, smc.SMPackOperandBits(pk)/w); packing && c > 1 {
+		return RowLayout{Cols: c, Bits: w}
+	}
+	return RowLayout{Cols: 1, Bits: w}
+}
+
+// rowLayout is rowLayoutFor this session's records and tuning.
+func (s *QuerySession) rowLayout(domainBits int) RowLayout {
+	return rowLayoutFor(s.pk, s.m, domainBits, s.packingOn())
+}
+
 // Close ends the session's logical streams and releases its links back
 // to the scheduler. It is idempotent and safe to call with the query
 // finished or failed; an in-flight query must not be Closed under.
@@ -150,11 +176,13 @@ func (s *QuerySession) chunks(n int) []chunk {
 }
 
 // parallelOverRecords runs fn once per chunk, each chunk on its own
-// worker requester, and returns the first error.
-func (s *QuerySession) parallelOverRecords(n int, fn func(rq *smc.Requester, lo, hi int) error) error {
+// worker w (an index into the session's requesters, for per-worker
+// result buffers) with that worker's requester, and returns the first
+// error.
+func (s *QuerySession) parallelOverRecords(n int, fn func(w int, rq *smc.Requester, lo, hi int) error) error {
 	cks := s.chunks(n)
 	if len(cks) == 1 {
-		return fn(s.rqs[cks[0].worker], cks[0].lo, cks[0].hi)
+		return fn(cks[0].worker, s.rqs[cks[0].worker], cks[0].lo, cks[0].hi)
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, len(cks))
@@ -162,7 +190,7 @@ func (s *QuerySession) parallelOverRecords(n int, fn func(rq *smc.Requester, lo,
 		wg.Add(1)
 		go func(i int, ck chunk) {
 			defer wg.Done()
-			errs[i] = fn(s.rqs[ck.worker], ck.lo, ck.hi)
+			errs[i] = fn(ck.worker, s.rqs[ck.worker], ck.lo, ck.hi)
 		}(i, ck)
 	}
 	wg.Wait()
@@ -182,7 +210,7 @@ func (s *QuerySession) parallelOverRecords(n int, fn func(rq *smc.Requester, lo,
 // the packed SSED uplink. Pass nil to stay on the classic path.
 func (s *QuerySession) distancesOf(q EncryptedQuery, rows [][]*paillier.Ciphertext, packed *smc.PackedRows) ([]*paillier.Ciphertext, error) {
 	out := make([]*paillier.Ciphertext, len(rows))
-	err := s.parallelOverRecords(len(rows), func(rq *smc.Requester, lo, hi int) error {
+	err := s.parallelOverRecords(len(rows), func(_ int, rq *smc.Requester, lo, hi int) error {
 		var ds []*paillier.Ciphertext
 		var err error
 		if packed != nil {
@@ -204,24 +232,25 @@ func (s *QuerySession) distancesOf(q EncryptedQuery, rows [][]*paillier.Cipherte
 }
 
 // reveal performs the masked result delivery shared by both protocols
-// (steps 4–6 of Algorithm 5): C1 masks each attribute of each selected
-// record with fresh randomness, C2 decrypts the masked values, and the
-// two shares travel to Bob.
-func (s *QuerySession) reveal(selected []EncryptedRecord) (*MaskedResult, error) {
+// (steps 4–6 of Algorithm 5): C1 masks every ciphertext of each selected
+// record — one per attribute, or one per row-packed chunk of layout —
+// with fresh full-range randomness, C2 decrypts the masked values, and
+// the two shares travel to Bob, who alone can tell the columns apart.
+func (s *QuerySession) reveal(selected []EncryptedRecord, layout RowLayout) (*MaskedResult, error) {
 	pk := s.pk
 	k := len(selected)
-	m := s.m
-	res := &MaskedResult{K: k, M: m, n: pk.N}
-	payload := make([]*big.Int, 0, k*m)
+	chunks := layout.Chunks(s.m)
+	res := &MaskedResult{K: k, M: s.m, Layout: layout, n: pk.N}
+	payload := make([]*big.Int, 0, k*chunks)
 	for j := 0; j < k; j++ {
-		maskRow := make([]*big.Int, m)
-		for h := 0; h < m; h++ {
+		maskRow := make([]*big.Int, 0, chunks)
+		for _, ct := range selected[j] {
 			r, err := pk.RandomZN(s.primary().Rand())
 			if err != nil {
 				return nil, fmt.Errorf("core: reveal mask: %w", err)
 			}
-			maskRow[h] = r
-			payload = append(payload, pk.AddPlain(selected[j][h], r).Raw())
+			maskRow = append(maskRow, r)
+			payload = append(payload, pk.AddPlain(ct, r).Raw())
 		}
 		res.Masks = append(res.Masks, maskRow)
 	}
@@ -229,11 +258,11 @@ func (s *QuerySession) reveal(selected []EncryptedRecord) (*MaskedResult, error)
 	if err != nil {
 		return nil, fmt.Errorf("core: reveal round trip: %w", err)
 	}
-	if len(resp.Ints) != k*m {
-		return nil, fmt.Errorf("%w: reveal reply has %d ints, want %d", ErrBadFrame, len(resp.Ints), k*m)
+	if len(resp.Ints) != k*chunks {
+		return nil, fmt.Errorf("%w: reveal reply has %d ints, want %d", ErrBadFrame, len(resp.Ints), k*chunks)
 	}
 	for j := 0; j < k; j++ {
-		res.Masked = append(res.Masked, resp.Ints[j*m:(j+1)*m])
+		res.Masked = append(res.Masked, resp.Ints[j*chunks:(j+1)*chunks])
 	}
 	return res, nil
 }

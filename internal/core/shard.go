@@ -14,8 +14,9 @@ import (
 )
 
 // Candidate is one entry of a shard-local top-k list, still fully
-// encrypted: the obliviously extracted record plus its composed
-// distance E(d) — the rank-round's E(dmin) for SkNNm, the scanned
+// encrypted: the obliviously extracted record — in the scanning
+// session's RowLayout, so usually one or two row-packed ciphertexts
+// rather than m — plus its composed distance E(d) — the rank-round's E(dmin) for SkNNm, the scanned
 // distance for SkNNb. Shipping candidates instead of results is what
 // makes the scatter-gather exact: the coordinator re-runs the selection
 // protocol over s·k candidates rather than trusting any shard-local
@@ -344,12 +345,8 @@ func (c *ShardedC1) SecureQueryMetered(ctx context.Context, q EncryptedQuery, k,
 	metrics.Exclude += mergeMetrics.Exclude
 	metrics.SMINCount += mergeMetrics.SMINCount
 
-	rows := make([]EncryptedRecord, len(selected))
-	for i, cand := range selected {
-		rows[i] = cand.Rec
-	}
 	phase := time.Now()
-	res, err := s.reveal(rows)
+	res, err := s.reveal(candidateRecords(selected), s.rowLayout(domainBits))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -397,13 +394,11 @@ func (c *ShardedC1) BasicQueryMetered(ctx context.Context, q EncryptedQuery, k i
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: merge: %w", err)
 	}
-	rows := make([]EncryptedRecord, len(selected))
 	ids := make([]uint64, len(selected))
 	for i, cand := range selected {
-		rows[i] = cand.Rec
 		ids[i] = cand.ID
 	}
-	res, err := s.reveal(rows)
+	res, err := s.reveal(candidateRecords(selected), perAttribute)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -26,9 +26,14 @@ import (
 //	                    attrBits, domainBits, replica]
 //	OpShardTopK   req: [k, l, target, secure, q₁…q_f]   (qᵢ encrypted)
 //	              rep: [n, count, sminCount, candidates, clustersProbed,
-//	                    totalNanos, then per candidate:
-//	                    secure → E(dmin), m record attributes
+//	                    totalNanos, cols, bits, then per candidate:
+//	                    secure → E(dmin), ⌈m/cols⌉ record chunks
 //	                    basic  → id, E(d), m record attributes]
+//
+// cols and bits declare the RowLayout the candidates' records are in
+// (1 and 0 on basic replies). The coordinator accepts only a layout the
+// table shape, the key and the domain size it asked for can produce —
+// anything else would let chunks be read as differently packed columns.
 //
 // Basic candidates carry their stable record id (SkNNb reveals access
 // patterns anyway; the id lets the coordinator name the merged results
@@ -36,9 +41,10 @@ import (
 // shard knows which record one holds — so no id travels. Secure
 // candidates carry the composed encrypted distance, not the l-ciphertext
 // bit vector the merge used to consume: the coordinator's value-domain
-// tournament compares composed values directly, shrinking the reply from
-// m+l to m+1 ciphertexts per candidate, and the serial-merge fallback
-// re-decomposes coordinator-side when it must.
+// tournament compares composed values directly, and the record travels
+// row-packed, shrinking the reply from m+l to ⌈m/cols⌉+1 ciphertexts per
+// candidate; the serial-merge fallback re-decomposes coordinator-side
+// when it must.
 
 // RemoteShard drives one shard worker over a connection. It implements
 // Shard; the static shape is cached from the dial-time hello and the
@@ -211,7 +217,7 @@ func (r *RemoteShard) TopK(ctx context.Context, q EncryptedQuery, k, domainBits,
 	if err := ctxErr(ctx); err != nil {
 		return nil, nil, err
 	}
-	liveN, cands, metrics, err := decodeTopKReply(r.pk, r.info.M, resp, k, secure)
+	liveN, cands, metrics, err := decodeTopKReply(r.pk, r.info.M, resp, k, domainBits, secure)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -223,12 +229,13 @@ func (r *RemoteShard) TopK(ctx context.Context, q EncryptedQuery, k, domainBits,
 
 // decodeTopKReply validates and unpacks a shard's top-k reply against
 // the query the coordinator actually sent: m is the shard's (already
-// bounded) record width, k the request parameter. The candidate count
-// is bounded by k before any arithmetic on it, so a lying reply fails
-// with ErrBadFrame instead of overflowing count*per or reaching a huge
-// make().
-func decodeTopKReply(pk *paillier.PublicKey, m int, resp *mpc.Message, k int, secure bool) (liveN int, cands []Candidate, metrics *SecureMetrics, err error) {
-	const head = 6
+// bounded) record width, k and domainBits the request parameters. The
+// candidate count is bounded by k and the declared row layout pinned to
+// one the request can produce before any arithmetic on them, so a lying
+// reply fails with ErrBadFrame instead of overflowing count*per, reaching
+// a huge make(), or shifting a column.
+func decodeTopKReply(pk *paillier.PublicKey, m int, resp *mpc.Message, k, domainBits int, secure bool) (liveN int, cands []Candidate, metrics *SecureMetrics, err error) {
+	const head = 8
 	if len(resp.Ints) < head {
 		return 0, nil, nil, fmt.Errorf("%w: shard top-k reply has %d ints", ErrBadFrame, len(resp.Ints))
 	}
@@ -245,9 +252,21 @@ func decodeTopKReply(pk *paillier.PublicKey, m int, resp *mpc.Message, k int, se
 		ClustersProbed: int(resp.Ints[4].Int64()),
 	}
 	metrics.Total = time.Duration(resp.Ints[5].Int64())
-	per := m + 2 // id + E(d) + record
+	layout := RowLayout{Cols: int(resp.Ints[6].Int64()), Bits: int(resp.Ints[7].Int64())}
 	if secure {
-		per = m + 1 // E(dmin) + record
+		// Either tuning of the shard is legal here; the merge then insists
+		// on the layout of its own.
+		if layout != rowLayoutFor(pk, m, domainBits, true) && layout != rowLayoutFor(pk, m, domainBits, false) {
+			return 0, nil, nil, fmt.Errorf("%w: shard top-k reply packs %d columns of %d bits, not a layout of %d-column records at l=%d",
+				ErrBadFrame, layout.Cols, layout.Bits, m, domainBits)
+		}
+	} else if layout != perAttribute {
+		return 0, nil, nil, fmt.Errorf("%w: basic shard top-k reply declares row layout %+v", ErrBadFrame, layout)
+	}
+	chunks := layout.Chunks(m)
+	per := chunks + 2 // id + E(d) + record
+	if secure {
+		per = chunks + 1 // E(dmin) + record
 	}
 	if count < 0 || count > k || len(resp.Ints) != head+count*per {
 		return 0, nil, nil, fmt.Errorf("%w: shard top-k reply: %d candidates but %d payload ints",
@@ -272,10 +291,10 @@ func decodeTopKReply(pk *paillier.PublicKey, m int, resp *mpc.Message, k int, se
 			}
 			pos++
 		}
-		rec := make(EncryptedRecord, m)
+		rec := make(EncryptedRecord, chunks)
 		for j := range rec {
 			if rec[j], err = pk.FromRaw(resp.Ints[pos]); err != nil {
-				return 0, nil, nil, fmt.Errorf("core: shard candidate %d attribute %d: %w", i, j, err)
+				return 0, nil, nil, fmt.Errorf("core: shard candidate %d record ciphertext %d: %w", i, j, err)
 			}
 			pos++
 		}
@@ -374,21 +393,23 @@ func (s *ShardServer) handleTopK(req *mpc.Message) (*mpc.Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	return encodeTopKReply(t.N(), t.M(), cands, metrics, secure), nil
+	layout := perAttribute
+	if secure {
+		layout = rowLayoutFor(t.PK(), t.M(), domainBits, s.c1.Tuning().Packing)
+	}
+	return encodeTopKReply(t.N(), layout, cands, metrics, secure), nil
 }
 
-// encodeTopKReply lays out a top-k reply frame: the metrics header
-// followed by each candidate's payload.
-func encodeTopKReply(liveN, m int, cands []Candidate, metrics *SecureMetrics, secure bool) *mpc.Message {
-	per := m + 2
-	if secure {
-		per = m + 1
-	}
-	out := make([]*big.Int, 0, 6+len(cands)*per)
+// encodeTopKReply lays out a top-k reply frame: the metrics header, the
+// row layout the candidates' records are in, then each candidate's
+// payload.
+func encodeTopKReply(liveN int, layout RowLayout, cands []Candidate, metrics *SecureMetrics, secure bool) *mpc.Message {
+	out := make([]*big.Int, 0, 8+len(cands)*3)
 	out = append(out,
 		big.NewInt(int64(liveN)), big.NewInt(int64(len(cands))),
 		big.NewInt(int64(metrics.SMINCount)), big.NewInt(int64(metrics.Candidates)),
-		big.NewInt(int64(metrics.ClustersProbed)), big.NewInt(metrics.Total.Nanoseconds()))
+		big.NewInt(int64(metrics.ClustersProbed)), big.NewInt(metrics.Total.Nanoseconds()),
+		big.NewInt(int64(layout.Cols)), big.NewInt(int64(layout.Bits)))
 	for _, c := range cands {
 		if secure {
 			out = append(out, c.Dist.Raw())

@@ -74,6 +74,16 @@ func TestDecodeHelloAccepts(t *testing.T) {
 	}
 }
 
+// topKHead builds a top-k reply header declaring count candidates in
+// the given row layout.
+func topKHead(count int64, layout RowLayout) []*big.Int {
+	return []*big.Int{
+		big.NewInt(10), big.NewInt(count), // liveN, count
+		big.NewInt(0), big.NewInt(0), big.NewInt(0), big.NewInt(0),
+		big.NewInt(int64(layout.Cols)), big.NewInt(int64(layout.Bits)),
+	}
+}
+
 // TestDecodeTopKReplyLyingCount: a reply claiming more candidates than
 // the k requested (or a payload length that disagrees with its own
 // count) must fail with ErrBadFrame before any candidate allocation.
@@ -82,38 +92,129 @@ func TestDecodeTopKReplyLyingCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	head := []*big.Int{
-		big.NewInt(10), big.NewInt(1 << 40), // liveN, lying count
-		big.NewInt(0), big.NewInt(0), big.NewInt(0), big.NewInt(0),
-	}
-	if _, _, _, err := decodeTopKReply(h.pk, h.info.M, &mpc.Message{Op: OpShardTopK, Ints: head}, 2, true); !errors.Is(err, ErrBadFrame) {
+	layout := rowLayoutFor(h.pk, h.info.M, 96, true)
+	head := topKHead(1<<40, layout) // lying count
+	if _, _, _, err := decodeTopKReply(h.pk, h.info.M, &mpc.Message{Op: OpShardTopK, Ints: head}, 2, 96, true); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("lying count: err = %v, want ErrBadFrame", err)
 	}
 	// Count within k but payload missing.
 	head[1] = big.NewInt(2)
-	if _, _, _, err := decodeTopKReply(h.pk, h.info.M, &mpc.Message{Op: OpShardTopK, Ints: head}, 2, true); !errors.Is(err, ErrBadFrame) {
+	if _, _, _, err := decodeTopKReply(h.pk, h.info.M, &mpc.Message{Op: OpShardTopK, Ints: head}, 2, 96, true); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("short payload: err = %v, want ErrBadFrame", err)
 	}
-	// Truncated header.
-	if _, _, _, err := decodeTopKReply(h.pk, h.info.M, &mpc.Message{Op: OpShardTopK, Ints: head[:3]}, 2, true); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("short header: err = %v, want ErrBadFrame", err)
+	// Truncated header (the pre-layout 6-field one included).
+	for _, n := range []int{3, 6} {
+		if _, _, _, err := decodeTopKReply(h.pk, h.info.M, &mpc.Message{Op: OpShardTopK, Ints: head[:n]}, 2, 96, true); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("%d-field header: err = %v, want ErrBadFrame", n, err)
+		}
 	}
 }
 
-// FuzzShardFrame drives the two shard-frame decoders with adversarial
-// Ints payloads assembled from raw fuzz bytes: neither may panic, and
-// whatever decodeHello accepts must satisfy the declared bounds.
-func FuzzShardFrame(f *testing.F) {
-	ok := helloReply(1, 3, 1000, 6, 2, 1, 32, 96)
-	seed := make([]byte, 0, 64)
-	for _, v := range ok.Ints {
-		b := v.Bytes()
-		seed = append(seed, byte(len(b)))
-		seed = append(seed, b...)
+// TestDecodeTopKReplyLayout: the declared row layout must be one the
+// table shape, the key and the requested domain size can produce —
+// packed or per-attribute — and the payload must hold exactly that many
+// chunks per candidate. Anything else is ErrBadFrame, never a candidate
+// whose chunks would be read as differently packed columns.
+func TestDecodeTopKReplyLayout(t *testing.T) {
+	h, err := decodeHello(helloReply(0, 1, 10, 4, 2, 0, 32, 96))
+	if err != nil {
+		t.Fatal(err)
 	}
-	f.Add(seed)
+	const m, l = 4, 96
+	packed, plain := rowLayoutFor(h.pk, m, l, true), rowLayoutFor(h.pk, m, l, false)
+	if packed.Cols != m || packed.Bits != l/2 || plain.Cols != 1 {
+		t.Fatalf("layouts under a 1025-bit key: packed %+v, per-attribute %+v", packed, plain)
+	}
+	ct := big.NewInt(7) // a canonical residue mod N²
+	reply := func(layout RowLayout, perCand int, secure bool) *mpc.Message {
+		ints := topKHead(2, layout)
+		for c := 0; c < 2; c++ {
+			if !secure {
+				ints = append(ints, big.NewInt(int64(c))) // id
+			}
+			for i := 0; i < perCand; i++ {
+				ints = append(ints, ct)
+			}
+		}
+		return &mpc.Message{Op: OpShardTopK, Ints: ints}
+	}
+	accept := []struct {
+		name   string
+		msg    *mpc.Message
+		secure bool
+		chunks int
+	}{
+		{"packed", reply(packed, 1+1, true), true, 1},
+		{"per-attribute secure", reply(plain, 1+m, true), true, m},
+		{"basic", reply(RowLayout{Cols: 1}, 1+m, false), false, m},
+	}
+	for _, tc := range accept {
+		_, cands, _, err := decodeTopKReply(h.pk, m, tc.msg, 2, l, tc.secure)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for i, c := range cands {
+			if len(c.Rec) != tc.chunks || c.Dist == nil {
+				t.Errorf("%s: candidate %d has %d record ciphertexts, want %d", tc.name, i, len(c.Rec), tc.chunks)
+			}
+		}
+	}
+	reject := []struct {
+		name   string
+		msg    *mpc.Message
+		secure bool
+	}{
+		{"zero cols", reply(RowLayout{Cols: 0, Bits: l / 2}, 2, true), true},
+		{"negative cols", reply(RowLayout{Cols: -1, Bits: l / 2}, 2, true), true},
+		{"cols over m", reply(RowLayout{Cols: m + 1, Bits: l / 2}, 2, true), true},
+		{"cols the key would not choose", reply(RowLayout{Cols: 2, Bits: l / 2}, 3, true), true},
+		{"slot width of another domain", reply(RowLayout{Cols: m, Bits: l/2 - 1}, 2, true), true},
+		{"huge slot width", reply(RowLayout{Cols: m, Bits: 1 << 40}, 2, true), true},
+		{"packed header, per-attribute payload", reply(packed, 1+m, true), true},
+		{"per-attribute header, packed payload", reply(plain, 2, true), true},
+		{"basic reply declaring a packed layout", reply(packed, 1+1, false), false},
+	}
+	for _, tc := range reject {
+		if _, _, _, err := decodeTopKReply(h.pk, m, tc.msg, 2, l, tc.secure); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s: err = %v, want ErrBadFrame", tc.name, err)
+		}
+	}
+}
+
+// fuzzInts flattens a frame payload into the length-prefixed bytes
+// FuzzShardFrame reassembles.
+func fuzzInts(ints []*big.Int) []byte {
+	var out []byte
+	for _, v := range ints {
+		b := v.Bytes()
+		out = append(out, byte(len(b)))
+		out = append(out, b...)
+	}
+	return out
+}
+
+// FuzzShardFrame drives the two shard-frame decoders with adversarial
+// Ints payloads assembled from raw fuzz bytes: neither may panic,
+// whatever decodeHello accepts must satisfy the declared bounds, and
+// whatever decodeTopKReply accepts must hold at most k candidates whose
+// records all have the chunk count of one legal row layout.
+func FuzzShardFrame(f *testing.F) {
+	f.Add(fuzzInts(helloReply(1, 3, 1000, 6, 2, 1, 32, 96).Ints))
 	f.Add([]byte{})
 	f.Add([]byte{9, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	// Top-k replies for the fixed shape below: a row-packed candidate, a
+	// per-attribute one, and headers lying about the layout.
+	fixed, err := decodeHello(helloReply(0, 1, 10, 6, 6, 0, 4, 12))
+	if err != nil {
+		f.Fatal(err)
+	}
+	const fm, fl, fk = 6, 12, 3
+	packed := rowLayoutFor(fixed.pk, fm, fl, true)
+	seven := big.NewInt(7)
+	f.Add(fuzzInts(append(topKHead(1, packed), seven, seven)))
+	f.Add(fuzzInts(append(topKHead(1, rowLayoutFor(fixed.pk, fm, fl, false)), seven, seven, seven, seven, seven, seven, seven)))
+	f.Add(fuzzInts(append(topKHead(1, RowLayout{Cols: 5, Bits: 6}), seven, seven, seven)))
+	f.Add(fuzzInts(append(topKHead(1, RowLayout{Cols: 6, Bits: 200}), seven, seven)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Reassemble data into a length-prefixed []*big.Int payload.
 		var ints []*big.Int
@@ -136,12 +237,20 @@ func FuzzShardFrame(f *testing.F) {
 				h.info.Count > maxShardCount || h.domainBits > maxShardDomainBits {
 				t.Fatalf("decodeHello accepted out-of-bounds shape: %+v", h.info)
 			}
-			// Feed the same adversarial ints through the reply decoder
-			// under the shape it just accepted.
-			reply := &mpc.Message{Op: OpShardTopK, Ints: ints}
-			_, cands, _, err := decodeTopKReply(h.pk, h.info.M, reply, 3, true)
-			if err == nil && len(cands) > 3 {
-				t.Fatalf("decodeTopKReply returned %d candidates for k=3", len(cands))
+		}
+		reply := &mpc.Message{Op: OpShardTopK, Ints: ints}
+		for _, secure := range []bool{true, false} {
+			_, cands, _, err := decodeTopKReply(fixed.pk, fm, reply, fk, fl, secure)
+			if err != nil {
+				continue
+			}
+			if len(cands) > fk {
+				t.Fatalf("decodeTopKReply returned %d candidates for k=%d", len(cands), fk)
+			}
+			for i, c := range cands {
+				if n := len(c.Rec); n != len(cands[0].Rec) || (n != fm && (!secure || n != packed.Chunks(fm))) {
+					t.Fatalf("candidate %d has %d record ciphertexts (secure=%v)", i, n, secure)
+				}
 			}
 		}
 	})

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"runtime"
 	"time"
+
+	"sknn/internal/paillier"
 )
 
 // This file is the pipelined gather of a sharded SkNNm query. The
@@ -72,8 +74,8 @@ func (c *ShardedC1) streamingMergeOK(domainBits int) bool {
 	if !c.streaming || len(c.shards) < 2 || !c.pool.tuning.Packing {
 		return false
 	}
-	s := &QuerySession{pool: c.pool, pk: c.pk}
-	return s.valueMinOK(domainBits)
+	_, err := paillier.NewPacking(c.pk, domainBits+1)
+	return err == nil
 }
 
 // secureQueryStreaming is SecureQueryMetered's pipelined gather.
@@ -247,12 +249,8 @@ func (c *ShardedC1) secureQueryStreaming(ctx context.Context, q EncryptedQuery, 
 	metrics.Exclude += mm.Exclude
 	metrics.SMINCount += mm.SMINCount
 
-	rows := make([]EncryptedRecord, len(selected))
-	for i, cand := range selected {
-		rows[i] = cand.Rec
-	}
 	phase := time.Now()
-	res, err := s.reveal(rows)
+	res, err := s.reveal(candidateRecords(selected), s.rowLayout(domainBits))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -45,6 +45,7 @@ type EncryptedTable struct {
 	inserted int               // guarded by mu; inserts since construction/last Compact (dirty tracking)
 	index    *clusterIndex     // guarded by mu; non-nil when a clustered layout is attached
 	cached   *tableView        // guarded by mu; memoized immutable view; nil after any mutation
+	packs    *rowPacks         // guarded by mu; packed renderings of records, by position; replaced by Compact
 }
 
 // clusterIndex is the partitioned layout behind the clustered secure
@@ -57,6 +58,75 @@ type EncryptedTable struct {
 type clusterIndex struct {
 	centroids []EncryptedRecord // c encrypted centroid vectors, featureM attributes each
 	members   [][]int           // cluster -> ascending record positions; a partition of [0,n)
+	packs     *rowPacks         // packed renderings of centroids; shared by every index over the same centroids
+}
+
+// rowPacks memoizes slot-packed renderings of stored rows (a table's
+// records or an index's centroids), one slice per codec in use, indexed
+// by stored position. The renderings are derived data: built by the
+// first query that needs a row, never persisted. They stay with their
+// row across mutations — between Compacts positions only grow by
+// appends, so the slices are simply extended on demand, and Compact
+// hands the surviving entries to a fresh memo under their new positions
+// — which makes the cost a mutation leaves to the next query O(1)
+// packings rather than a re-pack of the whole table. A view opened
+// before a Compact keeps the memo of the layout it pinned.
+type rowPacks struct {
+	mu   sync.Mutex
+	rows map[packKey][][]*paillier.Ciphertext // guarded by mu; position -> packed ciphertexts, nil until packed
+}
+
+// packKey names one rendering: the feature prefix under the SSED slot
+// codec for bits-wide payloads (cols = 0), or the whole record in the
+// headroom-free RowLayout{cols, bits}.
+type packKey struct{ bits, cols int }
+
+// get returns rendering key of the rows at positions idx, calling pack
+// for (and remembering) those not rendered yet. The lock is held across
+// the packing so concurrent sessions never pack a row twice.
+func (p *rowPacks) get(key packKey, idx []int, pack func(pos int) ([]*paillier.Ciphertext, error)) ([][]*paillier.Ciphertext, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.rows == nil {
+		p.rows = make(map[packKey][][]*paillier.Ciphertext)
+	}
+	memo := p.rows[key]
+	for _, pos := range idx {
+		if pos >= len(memo) {
+			memo = append(memo, make([][]*paillier.Ciphertext, pos+1-len(memo))...)
+		}
+	}
+	p.rows[key] = memo
+	out := make([][]*paillier.Ciphertext, len(idx))
+	for i, pos := range idx {
+		if memo[pos] == nil {
+			row, err := pack(pos)
+			if err != nil {
+				return nil, err
+			}
+			memo[pos] = row
+		}
+		out[i] = memo[pos]
+	}
+	return out, nil
+}
+
+// remapped carries the memo over a Compact that keeps n rows: remap[old]
+// is a row's new position, or −1 if it was dropped.
+func (p *rowPacks) remapped(remap []int, n int) *rowPacks {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	out := &rowPacks{rows: make(map[packKey][][]*paillier.Ciphertext, len(p.rows))}
+	for key, memo := range p.rows {
+		moved := make([][]*paillier.Ciphertext, n)
+		for old, row := range memo {
+			if remap[old] >= 0 {
+				moved[remap[old]] = row
+			}
+		}
+		out.rows[key] = moved
+	}
+	return out
 }
 
 // newTable wires the bookkeeping every construction path shares.
@@ -70,6 +140,7 @@ func newTable(pk *paillier.PublicKey, records []EncryptedRecord, m int) *Encrypt
 		byID:     make(map[uint64]int, len(records)),
 		dead:     make([]bool, len(records)),
 		nextID:   uint64(len(records)),
+		packs:    &rowPacks{},
 	}
 	for i := range records {
 		t.ids[i] = uint64(i)
@@ -141,6 +212,7 @@ func (t *EncryptedTable) derive() *EncryptedTable {
 		deadN:    t.deadN,
 		inserted: t.inserted,
 		index:    t.index,
+		packs:    &rowPacks{}, // not shared: a derived table may pick other feature columns
 	}
 	for id, pos := range t.byID {
 		d.byID[id] = pos
@@ -244,6 +316,7 @@ func (t *EncryptedTable) buildIndex(random io.Reader, centroids [][]uint64, memb
 	idx := &clusterIndex{
 		centroids: make([]EncryptedRecord, len(centroids)),
 		members:   make([][]int, len(members)),
+		packs:     &rowPacks{},
 	}
 	for j, cent := range centroids {
 		rec, err := t.pk.EncryptUint64Vector(random, cent)
@@ -376,12 +449,14 @@ func (t *EncryptedTable) Compact() int {
 	t.dead = make([]bool, len(records))
 	t.deadN = 0
 	t.inserted = 0
+	t.packs = t.packs.remapped(remap, len(records))
 	if t.index != nil {
 		// Replace the index wholesale (never edit shared slices in place:
 		// open query views still reference the old members).
 		idx := &clusterIndex{
 			centroids: t.index.centroids,
 			members:   make([][]int, len(t.index.members)),
+			packs:     t.index.packs,
 		}
 		for j, mem := range t.index.members {
 			kept := make([]int, 0, len(mem))
@@ -508,15 +583,10 @@ type tableView struct {
 	centroids []EncryptedRecord // nil when unclustered
 	members   [][]int           // positions incl tombstones; filter via dead
 
-	// Lazy slot-packed renderings of the feature prefixes, built on the
-	// first packed query and shared by every session holding this view
-	// (the view is memoized, so the Horner packing cost amortizes across
-	// queries until the next table mutation drops the view). Keyed by
-	// slot payload width because different domainBits yield different
-	// codecs.
-	packMu   sync.Mutex
-	packFeat map[int]*smc.PackedRows // guarded by packMu; all positions, row-indexed
-	packCent map[int]*smc.PackedRows // guarded by packMu
+	// The table's packed renderings as of this view's physical layout
+	// (see rowPacks); centPacks is nil when unclustered.
+	packs     *rowPacks
+	centPacks *rowPacks
 }
 
 // view returns the immutable snapshot of the current table state for
@@ -547,6 +617,7 @@ func (t *EncryptedTable) buildViewLocked() *tableView {
 		records:  t.records,
 		ids:      t.ids,
 		dead:     append([]bool(nil), t.dead...),
+		packs:    t.packs,
 	}
 	v.liveIdx = make([]int, 0, len(t.records)-t.deadN)
 	for i := range t.records {
@@ -557,6 +628,7 @@ func (t *EncryptedTable) buildViewLocked() *tableView {
 	if t.index != nil {
 		v.centroids = t.index.centroids
 		v.members = append([][]int(nil), t.index.members...)
+		v.centPacks = t.index.packs
 	}
 	return v
 }
@@ -605,54 +677,68 @@ func (v *tableView) featureRows(idx []int) [][]*paillier.Ciphertext {
 
 // packedFeatureRows returns the slot-packed rendering of the feature
 // prefixes of the records at the given positions, for valueBits-wide
-// slot payloads. The full-table packing is computed once per width and
-// cached on the view; subsets are cheap slice re-selections (rows pack
-// independently — slots combine a row's attributes, never rows). Returns
-// nil when the key is too small for packing; callers fall back to the
-// classic path.
+// slot payloads (rows pack independently — slots combine a row's
+// attributes, never rows). Returns nil when the key is too small for
+// packing; callers fall back to the classic path.
 func (v *tableView) packedFeatureRows(valueBits int, idx []int) *smc.PackedRows {
-	v.packMu.Lock()
-	defer v.packMu.Unlock()
-	if v.packFeat == nil {
-		v.packFeat = make(map[int]*smc.PackedRows)
-	}
-	full, ok := v.packFeat[valueBits]
-	if !ok {
-		all := make([]int, len(v.records))
-		for i := range all {
-			all[i] = i
-		}
-		full, _ = smc.PackRows(v.pk, valueBits, v.featureRows(all))
-		v.packFeat[valueBits] = full // nil on failure, cached to skip retries
-	}
-	if full == nil {
-		return nil
-	}
-	rows := make([][]*paillier.Ciphertext, len(idx))
-	for i, id := range idx {
-		rows[i] = full.Rows[id]
-	}
-	return &smc.PackedRows{Codec: full.Codec, Rows: rows}
+	return packedRows(v.pk, v.packs, valueBits, idx, func(pos int) []*paillier.Ciphertext {
+		return v.records[pos][:v.featureM]
+	})
 }
 
 // packedCentroids returns the slot-packed rendering of the cluster
-// centroids, cached per width like packedFeatureRows. Nil when
-// unclustered or when packing is unavailable.
+// centroids. Nil when unclustered or when packing is unavailable.
 func (v *tableView) packedCentroids(valueBits int) *smc.PackedRows {
 	if v.centroids == nil {
 		return nil
 	}
-	v.packMu.Lock()
-	defer v.packMu.Unlock()
-	if v.packCent == nil {
-		v.packCent = make(map[int]*smc.PackedRows)
+	all := make([]int, len(v.centroids))
+	for i := range all {
+		all[i] = i
 	}
-	packed, ok := v.packCent[valueBits]
-	if !ok {
-		packed, _ = smc.PackRows(v.pk, valueBits, v.centroids2D())
-		v.packCent[valueBits] = packed
+	return packedRows(v.pk, v.centPacks, valueBits, all, func(pos int) []*paillier.Ciphertext {
+		return v.centroids[pos]
+	})
+}
+
+// packedRows renders row(pos) for every position in idx under the SSED
+// slot codec for valueBits-wide payloads, through the memo.
+func packedRows(pk *paillier.PublicKey, packs *rowPacks, valueBits int, idx []int, row func(pos int) []*paillier.Ciphertext) *smc.PackedRows {
+	codec, err := paillier.NewPacking(pk, valueBits)
+	if err != nil {
+		return nil
 	}
-	return packed
+	rows, err := packs.get(packKey{bits: valueBits}, idx, func(pos int) ([]*paillier.Ciphertext, error) {
+		return smc.PackRow(codec, row(pos))
+	})
+	if err != nil {
+		return nil
+	}
+	return &smc.PackedRows{Codec: codec, Rows: rows}
+}
+
+// recordRows returns the records at the given positions in the given
+// layout: the stored attribute ciphertexts themselves when it is
+// per-attribute, otherwise each record's ⌈m/Cols⌉ row-packed chunks
+// E(t₁‖…‖t_c), built homomorphically from the stored ciphertexts on
+// first use and kept in the memo. Every column — payload columns
+// included — must be below 2^Bits for the slots to hold; see
+// QuerySession.SecureQuery.
+func (v *tableView) recordRows(layout RowLayout, idx []int) ([][]*paillier.Ciphertext, error) {
+	if layout.Cols == 1 {
+		rows := make([][]*paillier.Ciphertext, len(idx))
+		for i, pos := range idx {
+			rows[i] = v.records[pos]
+		}
+		return rows, nil
+	}
+	codec, err := paillier.NewRowPacking(v.pk, layout.Bits, layout.Cols)
+	if err != nil {
+		return nil, fmt.Errorf("core: row layout: %w", err)
+	}
+	return v.packs.get(packKey{bits: layout.Bits, cols: layout.Cols}, idx, func(pos int) ([]*paillier.Ciphertext, error) {
+		return smc.PackRow(codec, v.records[pos])
+	})
 }
 
 // TableSnapshot is the portable state of an EncryptedTable: everything
@@ -719,6 +805,7 @@ func RestoreTable(pk *paillier.PublicKey, snap *TableSnapshot) (*EncryptedTable,
 		byID:     make(map[uint64]int, n),
 		nextID:   snap.NextID,
 		dead:     snap.Dead,
+		packs:    &rowPacks{},
 	}
 	for i, rec := range snap.Records {
 		if len(rec) != snap.M {
@@ -775,7 +862,7 @@ func RestoreTable(pk *paillier.PublicKey, snap *TableSnapshot) (*EncryptedTable,
 				return nil, fmt.Errorf("core: snapshot record %d not in any cluster", i)
 			}
 		}
-		t.index = &clusterIndex{centroids: snap.Centroids, members: snap.Members}
+		t.index = &clusterIndex{centroids: snap.Centroids, members: snap.Members, packs: &rowPacks{}}
 	}
 	return t, nil
 }

@@ -3,7 +3,10 @@ package core
 import (
 	"crypto/rand"
 	"math/big"
+	"sync"
 	"testing"
+
+	"sknn/internal/paillier"
 )
 
 func TestEncryptTableShape(t *testing.T) {
@@ -222,6 +225,185 @@ func TestViewMemoization(t *testing.T) {
 	if v4 := tbl.view(); v4 != v3 {
 		t.Error("view not memoized after rebuild")
 	}
+}
+
+// TestPackedRenderingsSurviveMutation is the regression test for the
+// re-pack-everything-per-mutation bug: a row's packed renderings (the
+// SSED feature groups, the row-packed record, the centroids) are built
+// once and then travel with the row across Insert, Delete and any number
+// of Compacts, so the query after a mutation packs only what is new.
+// Identity of the returned ciphertexts is the witness — packing always
+// allocates.
+func TestPackedRenderingsSurviveMutation(t *testing.T) {
+	sk := testKey()
+	pk := &sk.PublicKey
+	rows := [][]uint64{{1, 1, 7}, {2, 2, 6}, {30, 30, 5}, {31, 31, 4}}
+	tbl, err := EncryptTable(rand.Reader, pk, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl, err = tbl.WithFeatureColumns(2); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err = tbl.WithClusterIndex(rand.Reader, [][]uint64{{1, 1}, {30, 30}}, [][]int{{0, 1}, {2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const l = 12
+	layout := rowLayoutFor(pk, 3, l, true)
+	if layout.Cols != 3 {
+		t.Fatalf("layout %+v, want one chunk of 3", layout)
+	}
+	type rendering struct{ feat, rec, cent []*paillier.Ciphertext }
+	render := func(v *tableView, idx []int) rendering {
+		t.Helper()
+		recs, err := v.recordRows(layout, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feats, cents := v.packedFeatureRows(attrPackBits(l), idx), v.packedCentroids(attrPackBits(l))
+		if feats == nil || cents == nil {
+			t.Fatal("256-bit key refused to pack")
+		}
+		var out rendering
+		for i := range idx {
+			out.feat = append(out.feat, feats.Rows[i][0])
+			out.rec = append(out.rec, recs[i][0])
+		}
+		for _, row := range cents.Rows {
+			out.cent = append(out.cent, row[0])
+		}
+		return out
+	}
+	same := func(what string, got, want []*paillier.Ciphertext) {
+		t.Helper()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: row %d was packed again", what, i)
+			}
+		}
+	}
+
+	v0 := tbl.view()
+	r0 := render(v0, []int{0, 1, 2, 3})
+	// The packed record decrypts to t₀ ‖ t₁ ‖ t₂, lowest column lowest.
+	if got, err := sk.Decrypt(r0.rec[2]); err != nil || got.Int64() != 30|30<<6|5<<12 {
+		t.Fatalf("row-packed record 2 decrypts to %v (%v)", got, err)
+	}
+
+	rec, err := pk.EncryptUint64Vector(rand.Reader, []uint64{29, 29, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tbl.Insert(rec, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Delete(1); err != nil {
+		t.Fatal(err)
+	}
+	v1 := tbl.view()
+	if v1 == v0 {
+		t.Fatal("mutation kept the memoized view")
+	}
+	r1 := render(v1, []int{0, 1, 2, 3, 4})
+	same("features after insert+delete", r1.feat, r0.feat)
+	same("records after insert+delete", r1.rec, r0.rec)
+	same("centroids after insert+delete", r1.cent, r0.cent)
+
+	// Compact drops position 1; survivors keep their renderings under the
+	// new positions, twice over (the memo is resized to the new table, not
+	// the old one), and a view pinned before the Compact still resolves
+	// its own positions.
+	if tbl.Compact() != 1 {
+		t.Fatal("Compact removed nothing")
+	}
+	if err := tbl.Delete(0); err != nil {
+		t.Fatal(err)
+	}
+	if tbl.Compact() != 1 {
+		t.Fatal("second Compact removed nothing")
+	}
+	r2 := render(tbl.view(), []int{0, 1, 2}) // old positions 2, 3, 4
+	same("features after two compacts", r2.feat, r1.feat[2:])
+	same("records after two compacts", r2.rec, r1.rec[2:])
+	same("centroids after two compacts", r2.cent, r0.cent)
+	same("pre-compact view", render(v1, []int{0, 2, 4}).rec, []*paillier.Ciphertext{r1.rec[0], r1.rec[2], r1.rec[4]})
+
+	// A rebuilt index has new centroids, hence new renderings.
+	if err := tbl.SetClusterIndex(rand.Reader, [][]uint64{{30, 30}}, [][]int{{0, 1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if r3 := render(tbl.view(), []int{0}); r3.cent[0] == r0.cent[0] || r3.cent[0] == r0.cent[1] {
+		t.Error("SetClusterIndex kept a stale packed centroid")
+	}
+}
+
+// TestPackedRenderingsConcurrentMutation renders rows from several
+// goroutines, each through the view it opened, while another inserts,
+// deletes and compacts: whatever layout a view pinned, every rendering
+// it gets is the packed form of the record at that position in it. Run
+// under -race.
+func TestPackedRenderingsConcurrentMutation(t *testing.T) {
+	sk := testKey()
+	pk := &sk.PublicKey
+	const l = 12 // 6-bit slots
+	value := func(id uint64) uint64 { return id % 64 }
+	row := func(id uint64) EncryptedRecord {
+		rec, err := pk.EncryptUint64Vector(rand.Reader, []uint64{value(id), value(id + 1)})
+		if err != nil {
+			t.Error(err)
+		}
+		return rec
+	}
+	tbl, err := NewEncryptedTable(pk, []EncryptedRecord{row(0), row(1), row(2), row(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout := rowLayoutFor(pk, 2, l, true)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				v := tbl.view()
+				recs, err := v.recordRows(layout, v.liveIdx)
+				feats := v.packedFeatureRows(attrPackBits(l), v.liveIdx)
+				if err != nil || feats == nil {
+					t.Errorf("rendering: %v", err)
+					return
+				}
+				for i, pos := range v.liveIdx {
+					id := v.ids[pos]
+					got, err := sk.Decrypt(recs[i][0])
+					if want := value(id) | value(id+1)<<6; err != nil || got.Uint64() != want {
+						t.Errorf("id %d at position %d renders as %v (%v), want %d", id, pos, got, err, want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for round := 0; round < 20; round++ {
+		id, err := tbl.Insert(row(uint64(4+round)), -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.Delete(id - 2); err != nil {
+			t.Fatal(err)
+		}
+		if round%3 == 2 {
+			tbl.Compact()
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 func TestSnapshotRestoreRejectsBadState(t *testing.T) {

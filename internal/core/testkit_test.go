@@ -29,6 +29,12 @@ func newSystem(t *testing.T, tbl *dataset.Table, workers int) (*CloudC1, *Client
 	if err != nil {
 		t.Fatal(err)
 	}
+	return newSystemOver(t, sk, encTable, workers)
+}
+
+// newSystemOver is newSystem for a table already encrypted under sk.
+func newSystemOver(t *testing.T, sk *paillier.PrivateKey, encTable *EncryptedTable, workers int) (*CloudC1, *Client) {
+	t.Helper()
 	c2 := NewCloudC2(sk, nil)
 	conns := make([]mpc.Conn, workers)
 	var wg sync.WaitGroup

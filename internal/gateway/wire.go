@@ -20,8 +20,9 @@ import (
 //	OpGateAuth   req: [HMAC-SHA256(token, nonce‖name)]
 //	             rep: [pkN, n, m, featureM]  (the tenant's table shape)
 //	OpGateQuery  req: [k, mode, E(q₁)…E(q_f)]   (mode 0 basic, 1 secure)
-//	             rep: [k, m, idFlag,
-//	                   k·m mask ints, k·m masked ints, idFlag·k ids]
+//	             rep: [k, m, idFlag, cols, bits,
+//	                   k·c mask ints, k·c masked ints, idFlag·k ids]
+//	                  (c = ⌈m/cols⌉ shares per record: core.RowLayout)
 //
 // The hello/auth pair is the tenant-level counterpart of mpc's
 // connection auth: the token proves the dialer may act as that tenant,
@@ -242,8 +243,13 @@ func encodeGateResult(res *core.MaskedResult) *mpc.Message {
 	if res.IDs != nil {
 		idFlag = 1
 	}
-	ints := make([]*big.Int, 0, 3+2*res.K*res.M+len(res.IDs))
-	ints = append(ints, big.NewInt(int64(res.K)), big.NewInt(int64(res.M)), big.NewInt(idFlag))
+	shares := 0 // per record and kind
+	if len(res.Masks) > 0 {
+		shares = len(res.Masks[0])
+	}
+	ints := make([]*big.Int, 0, gateResultHead+2*res.K*shares+len(res.IDs))
+	ints = append(ints, big.NewInt(int64(res.K)), big.NewInt(int64(res.M)), big.NewInt(idFlag),
+		big.NewInt(int64(res.Layout.Cols)), big.NewInt(int64(res.Layout.Bits)))
 	for _, row := range res.Masks {
 		ints = append(ints, row...)
 	}
@@ -256,16 +262,20 @@ func encodeGateResult(res *core.MaskedResult) *mpc.Message {
 	return &mpc.Message{Op: OpGateQuery, Ints: ints}
 }
 
+// gateResultHead is the result frame's header length: k, m, idFlag and
+// the row layout's cols and bits.
+const gateResultHead = 5
+
 // decodeGateResult validates and unpacks a query reply against the
 // request the client actually sent: at most k results of exactly m
-// attributes, every share a canonical residue mod the tenant's N. The
-// declared count is bounded before any allocation depends on it.
+// attributes in a row layout that fits m and the tenant's key, every
+// share a canonical residue mod the tenant's N. The declared count and
+// layout are bounded before any allocation depends on them.
 func decodeGateResult(pk *paillier.PublicKey, k, m int, resp *mpc.Message) (*core.MaskedResult, error) {
-	const head = 3
-	if len(resp.Ints) < head {
+	if len(resp.Ints) < gateResultHead {
 		return nil, fmt.Errorf("%w: result frame has %d ints", core.ErrBadFrame, len(resp.Ints))
 	}
-	for i := 0; i < head; i++ {
+	for i := 0; i < gateResultHead; i++ {
 		if resp.Ints[i] == nil || !resp.Ints[i].IsInt64() {
 			return nil, fmt.Errorf("%w: result header field %d", core.ErrBadFrame, i)
 		}
@@ -273,11 +283,13 @@ func decodeGateResult(pk *paillier.PublicKey, k, m int, resp *mpc.Message) (*cor
 	gotK := int(resp.Ints[0].Int64())
 	gotM := int(resp.Ints[1].Int64())
 	idFlag := resp.Ints[2].Int64()
-	if gotK < 1 || gotK > k || gotM != m || idFlag < 0 || idFlag > 1 {
-		return nil, fmt.Errorf("%w: result declares %d×%d (idFlag %d), asked k=%d m=%d",
-			core.ErrBadFrame, gotK, gotM, idFlag, k, m)
+	layout := core.RowLayout{Cols: int(resp.Ints[3].Int64()), Bits: int(resp.Ints[4].Int64())}
+	if gotK < 1 || gotK > k || gotM != m || idFlag < 0 || idFlag > 1 || layout.Cols < 1 || layout.Cols > m {
+		return nil, fmt.Errorf("%w: result declares %d×%d in chunks of %d columns (idFlag %d), asked k=%d m=%d",
+			core.ErrBadFrame, gotK, gotM, layout.Cols, idFlag, k, m)
 	}
-	want := head + 2*gotK*gotM + int(idFlag)*gotK
+	chunks := layout.Chunks(m)
+	want := gateResultHead + 2*gotK*chunks + int(idFlag)*gotK
 	if len(resp.Ints) != want {
 		return nil, fmt.Errorf("%w: result frame has %d ints, want %d", core.ErrBadFrame, len(resp.Ints), want)
 	}
@@ -288,11 +300,11 @@ func decodeGateResult(pk *paillier.PublicKey, k, m int, resp *mpc.Message) (*cor
 		}
 		return v, nil
 	}
-	pos := head
+	pos := gateResultHead
 	readRows := func() ([][]*big.Int, error) {
 		rows := make([][]*big.Int, gotK)
 		for j := range rows {
-			row := make([]*big.Int, gotM)
+			row := make([]*big.Int, chunks)
 			for h := range row {
 				v, err := share(pos)
 				if err != nil {
@@ -324,5 +336,6 @@ func decodeGateResult(pk *paillier.PublicKey, k, m int, resp *mpc.Message) (*cor
 			pos++
 		}
 	}
-	return core.RestoreMaskedResult(pk, gotK, gotM, masks, masked, ids)
+	// RestoreMaskedRows vets the slot width against the key.
+	return core.RestoreMaskedRows(pk, gotK, gotM, layout, masks, masked, ids)
 }

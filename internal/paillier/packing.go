@@ -21,14 +21,19 @@ import (
 // integer and mod-N views coincide, which is what makes per-slot
 // arithmetic on the single big integer exact.
 //
+// NewRowPacking builds the headroom-free variant (Width = ValueBits) for
+// values that are moved but never computed on in their slots.
+//
 // A Packing is immutable and safe for concurrent use.
 type Packing struct {
 	pk *PublicKey
 	// ValueBits is the maximum payload width of one slot.
 	ValueBits int
-	// Width is the slot stride: ValueBits + Headroom.
+	// Width is the slot stride: ValueBits + Headroom (ValueBits alone
+	// for a NewRowPacking codec).
 	Width int
-	// Slots is how many slots fit one plaintext: (Bits(N)−2) / Width.
+	// Slots is how many slots one plaintext carries: (Bits(N)−2) / Width,
+	// or the row length a NewRowPacking codec was built for.
 	Slots int
 
 	mask *big.Int // 2^Width − 1
@@ -62,9 +67,28 @@ func NewPacking(pk *PublicKey, valueBits int) (*Packing, error) {
 	if slots < 1 {
 		return nil, fmt.Errorf("%w: %d-bit slots in a %d-bit plaintext", ErrPackWidth, width, pk.Bits())
 	}
+	return newPacking(pk, valueBits, width, slots), nil
+}
+
+// NewRowPacking builds a headroom-free codec of exactly slots slots,
+// each valueBits wide, laid edge to edge. It is for values that are only
+// moved under encryption, never computed on slotwise: a record's columns
+// packed this way survive the one-hot selector sum Σᵢ Vᵢ·Pᵢ and a
+// full-range additive mask (removed mod N before Unpack) bit for bit, so
+// no slot needs spare capacity. Fails when the row does not fit the
+// plaintext space.
+func NewRowPacking(pk *PublicKey, valueBits, slots int) (*Packing, error) {
+	if valueBits < 1 || valueBits > maxPackValueBits || slots < 1 || slots > (pk.Bits()-2)/valueBits {
+		return nil, fmt.Errorf("%w: %d slots of %d bits in a %d-bit plaintext",
+			ErrPackWidth, slots, valueBits, pk.Bits())
+	}
+	return newPacking(pk, valueBits, valueBits, slots), nil
+}
+
+func newPacking(pk *PublicKey, valueBits, width, slots int) *Packing {
 	mask := new(big.Int).Lsh(one, uint(width))
 	mask.Sub(mask, one)
-	return &Packing{pk: pk, ValueBits: valueBits, Width: width, Slots: slots, mask: mask}, nil
+	return &Packing{pk: pk, ValueBits: valueBits, Width: width, Slots: slots, mask: mask}
 }
 
 // Groups reports how many packed plaintexts carry n values.

@@ -82,11 +82,7 @@ func TestDifferentialSSEDMany(t *testing.T) {
 	for i := range rows {
 		rows[i] = encVec(t, sk, rowsV[i]...)
 	}
-	packedRows, err := PackRows(rqP.PK(), attrBits, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dsP, err := rqP.SSEDManyPacked(q, rows, packedRows)
+	dsP, err := rqP.SSEDManyPacked(q, rows, packRows(t, rqP.PK(), attrBits, rows))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,35 +306,39 @@ func TestSSEDManyPackedFallsBackWithoutCache(t *testing.T) {
 	}
 }
 
-// TestPackRowsShape pins the cache builder's group math: n rows of m
-// attributes become n packed rows of ⌈m/Slots⌉ groups each.
-func TestPackRowsShape(t *testing.T) {
+// TestPackRowShape pins the row packer's group math: m attributes become
+// ⌈m/Slots⌉ groups under the SSED codec, and ⌈m/c⌉ chunks that decrypt
+// to t₁‖…‖t_c under a headroom-free row codec.
+func TestPackRowShape(t *testing.T) {
 	rq, sk := pair(t)
-	const n, m, attrBits = 4, 5, 8
-	rows := make([][]*paillier.Ciphertext, n)
-	for i := range rows {
-		vals := make([]int64, m)
-		for j := range vals {
-			vals[j] = int64(i*m + j)
-		}
-		rows[i] = encVec(t, sk, vals...)
-	}
-	packed, err := PackRows(rq.PK(), attrBits, rows)
+	const m, attrBits = 5, 8
+	vals := []int64{255, 0, 17, 255, 1}
+	row := encVec(t, sk, vals...)
+	codec, err := paillier.NewPacking(rq.PK(), attrBits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(packed.Rows) != n {
-		t.Fatalf("packed %d rows, want %d", len(packed.Rows), n)
+	groups, err := PackRow(codec, row)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wantGroups := packed.Codec.Groups(m)
-	for i, row := range packed.Rows {
-		if len(row) != wantGroups {
-			t.Errorf("row %d has %d groups, want %d", i, len(row), wantGroups)
+	if len(groups) != codec.Groups(m) {
+		t.Errorf("%d groups, want %d", len(groups), codec.Groups(m))
+	}
+	rowCodec, err := paillier.NewRowPacking(rq.PK(), attrBits, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks, err := PackRow(rowCodec, row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(chunks) != 2 {
+		t.Fatalf("%d chunks, want 2", len(chunks))
+	}
+	for g, want := range []int64{255 | 0<<8 | 17<<16, 255 | 1<<8} {
+		if got := dec(t, sk, chunks[g]); got != want {
+			t.Errorf("chunk %d = %#x, want %#x", g, got, want)
 		}
-	}
-	// Ragged inputs must be rejected, not mis-packed.
-	ragged := [][]*paillier.Ciphertext{encVec(t, sk, 1, 2), encVec(t, sk, 3)}
-	if _, err := PackRows(rq.PK(), attrBits, ragged); err == nil {
-		t.Error("ragged rows accepted")
 	}
 }

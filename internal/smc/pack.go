@@ -31,13 +31,26 @@ const smPackMaxAttrs = 1 << 10
 // before NewPacking runs.
 const packMaxValueBits = 512
 
+// SMPackOperandBits is the widest operand bound under which
+// SMBatchBounded still packs under pk: two slots of that width plus
+// headroom must share one plaintext. Not positive when the key is too
+// small to pack a pair at all.
+func SMPackOperandBits(pk *paillier.PublicKey) int {
+	return (pk.Bits()-2)/2 - paillier.PackHeadroom
+}
+
 // SMBatchBounded is SMBatch for inputs with known plaintext bounds:
 // aᵢ < 2^aBits and bᵢ < 2^bBits. With packing enabled the blinded pairs
 // ride the slot-packed uplink (OpSMPack) under short blinds; otherwise
 // it degrades to the classic SMBatch. The bounds are a caller contract —
 // correctness of the packed layout depends on them, and every call site
 // derives them from dataset validation (attribute domains) or from bit
-// arithmetic (values in {0,1}).
+// arithmetic (values in {0,1}). The bounds need not be alike: SkNNm's
+// record extraction multiplies a 1-bit selector into a whole row-packed
+// record of up to SMPackOperandBits bits. Both operands of a pair take a
+// slot of the wider bound, and the product h = (a+rₐ)(b+r_b) is reduced
+// mod N like the classic SM's, so only the slot fit — not the width of
+// the product — limits the operands.
 func (rq *Requester) SMBatchBounded(as, bs []*paillier.Ciphertext, aBits, bBits int) ([]*paillier.Ciphertext, error) {
 	if len(as) != len(bs) {
 		return nil, fmt.Errorf("%w: %d vs %d", ErrLengthMismatch, len(as), len(bs))
@@ -174,43 +187,19 @@ func (rp *Responder) packHeader(ints []*big.Int, what string) (int, *paillier.Pa
 }
 
 // PackedRows is a reusable slot-packed rendering of encrypted feature
-// rows: Rows[i] holds row i's Groups(m) packed ciphertexts under Codec.
-// Packing existing ciphertexts costs ~Width squarings per slot (Horner),
-// so callers cache PackedRows across queries (see core's table view).
+// rows: Rows[i] holds row i's Groups(m) packed ciphertexts under Codec
+// (see PackRow). Packing existing ciphertexts costs ~Width squarings per
+// slot (Horner), so callers keep each row's rendering across queries
+// (see core's table).
 type PackedRows struct {
 	Codec *paillier.Packing
 	Rows  [][]*paillier.Ciphertext
 }
 
-// PackRows packs each row of encrypted values (all below 2^valueBits)
-// into slot groups. Returns an error when the key is too small for even
-// one slot — callers then stay on the unpacked path.
-func PackRows(pk *paillier.PublicKey, valueBits int, rows [][]*paillier.Ciphertext) (*PackedRows, error) {
-	if len(rows) == 0 {
-		return nil, ErrEmptyInput
-	}
-	codec, err := paillier.NewPacking(pk, valueBits)
-	if err != nil {
-		return nil, err
-	}
-	m := len(rows[0])
-	out := &PackedRows{Codec: codec, Rows: make([][]*paillier.Ciphertext, len(rows))}
-	for i, row := range rows {
-		if len(row) != m {
-			return nil, fmt.Errorf("%w: row %d has %d attributes, want %d",
-				ErrLengthMismatch, i, len(row), m)
-		}
-		groups, err := packRow(codec, row)
-		if err != nil {
-			return nil, fmt.Errorf("smc: packing row %d: %w", i, err)
-		}
-		out.Rows[i] = groups
-	}
-	return out, nil
-}
-
-// packRow packs one row into its slot groups.
-func packRow(codec *paillier.Packing, row []*paillier.Ciphertext) ([]*paillier.Ciphertext, error) {
+// PackRow packs one row of encrypted values (all below 2^ValueBits)
+// into the codec's slot groups: Groups(len(row)) ciphertexts, Slots
+// values each.
+func PackRow(codec *paillier.Packing, row []*paillier.Ciphertext) ([]*paillier.Ciphertext, error) {
 	groups := make([]*paillier.Ciphertext, 0, codec.Groups(len(row)))
 	for lo := 0; lo < len(row); lo += codec.Slots {
 		hi := min(len(row), lo+codec.Slots)
@@ -262,7 +251,7 @@ func (rq *Requester) SSEDManyPacked(q []*paillier.Ciphertext, rows [][]*paillier
 	B := codec.ValueBits
 
 	// Pack the query once per group layout.
-	packedQ, err := packRow(codec, q)
+	packedQ, err := PackRow(codec, q)
 	if err != nil {
 		return nil, fmt.Errorf("smc: packing query: %w", err)
 	}

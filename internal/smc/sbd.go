@@ -88,7 +88,7 @@ func (rq *Requester) SBDBatch(zs []*paillier.Ciphertext, l int) ([][]*paillier.C
 // via the slot-packed rounds when the tuning and key size allow.
 func (rq *Requester) sbdOnce(zs []*paillier.Ciphertext, l int) ([][]*paillier.Ciphertext, error) {
 	if rq.tuning.Packing {
-		if codec, err := paillier.NewPacking(rq.pk, l); err == nil {
+		if codec, err := rq.packCodec(l); err == nil {
 			out, err := rq.sbdOncePacked(zs, l, codec)
 			if err == nil {
 				return out, nil

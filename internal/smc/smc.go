@@ -119,6 +119,17 @@ func (rq *Requester) packCodec(valueBits int) (*paillier.Packing, error) {
 	return c, nil
 }
 
+// PacksValues reports whether the requester runs the packed protocol
+// variants on valueBits-wide values: packing tuning on and a key that
+// fits the slot codec, which is built on first ask and kept.
+func (rq *Requester) PacksValues(valueBits int) bool {
+	if !rq.tuning.Packing {
+		return false
+	}
+	_, err := rq.packCodec(valueBits)
+	return err == nil
+}
+
 // NewRequester builds C1's context with the default tuning (packing on).
 // If random is nil, crypto/rand.Reader is used.
 func NewRequester(pk *paillier.PublicKey, conn mpc.Conn, random io.Reader) *Requester {

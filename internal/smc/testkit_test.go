@@ -97,3 +97,20 @@ func decBits(t testing.TB, sk *paillier.PrivateKey, bits []*paillier.Ciphertext)
 	}
 	return v
 }
+
+// packRows renders rows under the SSED slot codec for valueBits-wide
+// payloads, the way core's table memo does row by row.
+func packRows(t testing.TB, pk *paillier.PublicKey, valueBits int, rows [][]*paillier.Ciphertext) *PackedRows {
+	t.Helper()
+	codec, err := paillier.NewPacking(pk, valueBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := &PackedRows{Codec: codec, Rows: make([][]*paillier.Ciphertext, len(rows))}
+	for i, row := range rows {
+		if out.Rows[i], err = PackRow(codec, row); err != nil {
+			t.Fatalf("packing row %d: %v", i, err)
+		}
+	}
+	return out
+}
