@@ -6,7 +6,7 @@ GOVULNCHECK_VERSION := v1.1.3
 
 GOBIN := $(shell go env GOPATH)/bin
 
-.PHONY: all build test race lint sknnlint sknnlint-json lint-fixtures staticcheck govulncheck fuzz-smoke tools clean
+.PHONY: all build test race lint sknnlint sknnlint-json lint-fixtures staticcheck govulncheck fuzz-smoke bench-smoke tools clean
 
 all: build test lint
 
@@ -70,6 +70,16 @@ fuzz-smoke:
 	go test -fuzz=FuzzGateResult -fuzztime=20s ./internal/gateway
 	go test -fuzz=FuzzPackDecode -fuzztime=20s ./internal/paillier
 	go test -fuzz=FuzzFixedBaseExp -fuzztime=20s ./internal/paillier
+
+# bench-smoke runs two of the benchmark's workloads for 5 s each:
+# secure_scan (the facade, CRT tables built) and gateway_sharded (every
+# link TCP, the C2 built by core.NewCloudC2 with no tables — the path
+# PrivateKey.Encrypt carries). Every answer is checked against the
+# plaintext oracle and the cost-model checks gate the exit code; the
+# timings of a 5 s run are not for comparing.
+bench-smoke:
+	bash bench/run.sh --workload secure_scan --seconds 5
+	bash bench/run.sh --workload gateway_sharded --seconds 5
 
 clean:
 	go clean ./...

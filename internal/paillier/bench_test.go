@@ -3,6 +3,7 @@ package paillier
 import (
 	"crypto/rand"
 	"fmt"
+	"io"
 	"math/big"
 	"sync"
 	"testing"
@@ -117,6 +118,41 @@ func BenchmarkFixedBaseExp(b *testing.B) {
 			new(big.Int).Exp(hN, exps[i%len(exps)], pk.NSquared)
 		}
 	})
+}
+
+// BenchmarkNoncePower prices the one exponentiation an encryption
+// costs, by who computes it and whether tables were built: a party
+// without sk pays "public" (r^N mod N²) or "public-tables"; C2 pays
+// "private" in a daemon that built no tables and "private-tables" in
+// the facade. K = 512, the benchmark's key size.
+func BenchmarkNoncePower(b *testing.B) {
+	plain := benchKey(b, 512)
+	p, q := plain.Factors()
+	tabled := newPrivateKey(p, q)
+	if err := tabled.EnableFixedBase(rand.Reader); err != nil {
+		b.Fatal(err)
+	}
+	pubTabled := plain.PublicKey // copy: the table stays off the shared bench key
+	if err := pubTabled.EnableFixedBase(rand.Reader); err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		fn   func(io.Reader) (*big.Int, error)
+	}{
+		{"public", plain.PublicKey.noncePower},
+		{"public-tables", pubTabled.noncePower},
+		{"private", plain.noncePower},
+		{"private-tables", tabled.noncePower},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := bc.fn(rand.Reader); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func BenchmarkHomomorphicOps(b *testing.B) {

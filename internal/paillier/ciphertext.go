@@ -184,9 +184,25 @@ func (pk *PublicKey) Rerandomize(random io.Reader, a *Ciphertext) (*Ciphertext, 
 	if err != nil {
 		return nil, err
 	}
+	return pk.mulNoncePower(a, rn), nil
+}
+
+// Rerandomize on the private key draws the encryption of zero from the
+// private-key nonce kernel, like (*PrivateKey).Encrypt.
+func (sk *PrivateKey) Rerandomize(random io.Reader, a *Ciphertext) (*Ciphertext, error) {
+	rn, err := sk.noncePower(random)
+	if err != nil {
+		return nil, err
+	}
+	return sk.mulNoncePower(a, rn), nil
+}
+
+// mulNoncePower multiplies the fresh nonce power rn into a, reusing rn's
+// storage.
+func (pk *PublicKey) mulNoncePower(a *Ciphertext, rn *big.Int) *Ciphertext {
 	rn.Mul(rn, a.c)
 	rn.Mod(rn, pk.NSquared)
-	return &Ciphertext{c: rn}, nil
+	return &Ciphertext{c: rn}
 }
 
 // EncryptVector encrypts each component of v attribute-wise, the way the

@@ -95,8 +95,9 @@ func TestFBTableRejectsOutOfRange(t *testing.T) {
 }
 
 // TestFixedBasePowCRTMatchesDirect pins the CRT-split evaluation (tables
-// mod p² and q² plus recombination) against direct exponentiation of hN
-// mod N² — the correctness of every randomizer C2 emits.
+// mod p² and q², the exponent reduced mod p−1 and q−1, recombination)
+// against direct exponentiation of hN mod N², bit for bit — including
+// the exponents around p−1 and q−1 where the reduction wraps.
 func TestFixedBasePowCRTMatchesDirect(t *testing.T) {
 	sk := fbKey()
 	hN := sk.FixedBaseHN()
@@ -104,6 +105,9 @@ func TestFixedBasePowCRTMatchesDirect(t *testing.T) {
 		t.Fatal("fixed-base state missing on fbKey")
 	}
 	exps := []*big.Int{big.NewInt(0), big.NewInt(1), new(big.Int).Sub(sk.N, big.NewInt(1))}
+	for _, edge := range []*big.Int{sk.pMinus1, sk.qMinus1} {
+		exps = append(exps, new(big.Int).Sub(edge, one), edge, new(big.Int).Add(edge, one))
+	}
 	rng := mrand.New(mrand.NewSource(3))
 	for i := 0; i < 20; i++ {
 		exps = append(exps, new(big.Int).Rand(rng, sk.N))

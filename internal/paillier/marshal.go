@@ -64,6 +64,12 @@ func (sk *PrivateKey) UnmarshalBinary(data []byte) error {
 	if !w.P.ProbablyPrime(20) || !w.Q.ProbablyPrime(20) {
 		return fmt.Errorf("%w: factors are not prime", ErrMalformedGobRemote)
 	}
+	// GenerateKey's invariant, which decryption (N invertible mod λ) and
+	// the private nonce kernel's uniformity argument both need; a pair
+	// like p = 2q+1 is prime and distinct yet breaks it.
+	if !coprimeToTotient(w.P, w.Q) {
+		return fmt.Errorf("%w: gcd(pq, (p-1)(q-1)) is not 1", ErrMalformedGobRemote)
+	}
 	*sk = *newPrivateKey(w.P, w.Q)
 	return nil
 }

@@ -68,6 +68,7 @@ type PrivateKey struct {
 	hp       *big.Int // ( L_p(g^{p-1} mod p²) )⁻¹ mod p
 	hq       *big.Int // ( L_q(g^{q-1} mod q²) )⁻¹ mod q
 	qInvP    *big.Int // q⁻¹ mod p, for CRT recombination
+	q2InvP2  *big.Int // (q²)⁻¹ mod p², for CRT recombination mod N²
 }
 
 // Bits reports the bit length of the modulus N.
@@ -103,15 +104,19 @@ func GenerateKey(random io.Reader, bits int) (*PrivateKey, error) {
 		}
 		// gcd(N, (p-1)(q-1)) must be 1; with p, q of equal size and p≠q
 		// this always holds, but verify to be safe.
-		pm1 := new(big.Int).Sub(p, one)
-		qm1 := new(big.Int).Sub(q, one)
-		tot := new(big.Int).Mul(pm1, qm1)
-		if new(big.Int).GCD(nil, nil, n, tot).Cmp(one) != 0 {
+		if !coprimeToTotient(p, q) {
 			continue
 		}
 		keygenCalls.Add(1)
 		return newPrivateKey(p, q), nil
 	}
+}
+
+// coprimeToTotient reports whether gcd(pq, (p−1)(q−1)) = 1.
+func coprimeToTotient(p, q *big.Int) bool {
+	n := new(big.Int).Mul(p, q)
+	tot := new(big.Int).Mul(new(big.Int).Sub(p, one), new(big.Int).Sub(q, one))
+	return tot.GCD(nil, nil, n, tot).Cmp(one) == 0
 }
 
 // newPrivateKey assembles a private key (and its embedded public key) from
@@ -136,7 +141,18 @@ func newPrivateKey(p, q *big.Int) *PrivateKey {
 	gq := new(big.Int).Exp(g, priv.qMinus1, priv.qSquared)
 	priv.hq = new(big.Int).ModInverse(lFunc(gq, q), q)
 	priv.qInvP = new(big.Int).ModInverse(q, p)
+	priv.q2InvP2 = new(big.Int).ModInverse(priv.qSquared, priv.pSquared)
 	return priv
+}
+
+// crtSquares returns the x mod N² with x ≡ xp (mod p²) and x ≡ xq
+// (mod q²): x = xq + q²·((xp − xq)·(q²)⁻¹ mod p²).
+func (sk *PrivateKey) crtSquares(xp, xq *big.Int) *big.Int {
+	t := new(big.Int).Sub(xp, xq)
+	t.Mul(t, sk.q2InvP2)
+	t.Mod(t, sk.pSquared)
+	t.Mul(t, sk.qSquared)
+	return t.Add(t, xq)
 }
 
 // lFunc is Paillier's L function: L(x) = (x-1)/d for x ≡ 1 (mod d).
@@ -207,6 +223,21 @@ func (pk *PublicKey) Encrypt(random io.Reader, m *big.Int) (*Ciphertext, error) 
 		return nil, err
 	}
 	return pk.encryptWithNoncePower(m, rn), nil
+}
+
+// Encrypt on the private key is the same encryption with the nonce
+// power computed from the factorisation (see (*PrivateKey).noncePower):
+// identically distributed ciphertexts at about 0.4× the cost when no
+// fixed-base tables are enabled. It shadows the embedded public
+// method, so a party holding sk — C2 — takes it without asking; the
+// Encrypt* convenience wrappers and EncryptVector stay on the public
+// routine.
+func (sk *PrivateKey) Encrypt(random io.Reader, m *big.Int) (*Ciphertext, error) {
+	rn, err := sk.noncePower(random)
+	if err != nil {
+		return nil, err
+	}
+	return sk.encryptWithNoncePower(m, rn), nil
 }
 
 // EncryptInt64 is a convenience wrapper around Encrypt for small values.

@@ -1,0 +1,209 @@
+package paillier
+
+import (
+	"crypto/rand"
+	"errors"
+	"math/big"
+	"sync"
+	"testing"
+)
+
+// privateKeys returns the three shapes of key a C2 can hold: freshly
+// built without tables, with the CRT tables, and rebuilt from its
+// serialized form (what a daemon reads from a key file).
+func privateKeys(t *testing.T) map[string]*PrivateKey {
+	t.Helper()
+	data, err := fuzzPackKey().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reloaded := new(PrivateKey)
+	if err := reloaded.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*PrivateKey{"plain": testKey(), "tables": fbKey(), "reloaded": reloaded}
+}
+
+// TestPrivateEncryptRoundTrip drives sk.Encrypt and sk.Rerandomize —
+// the private-key nonce kernel — over the plaintexts where a wrong
+// nonce would show: 0 and 1 (the ciphertext is the nonce itself, or
+// nearly), N−1 and −1 (the top of Z_N, reached two ways), and a packed
+// plaintext with every slot full.
+func TestPrivateEncryptRoundTrip(t *testing.T) {
+	for name, sk := range privateKeys(t) {
+		codec, err := NewPacking(&sk.PublicKey, 13)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := make([]*big.Int, codec.Slots)
+		for i := range full {
+			full[i] = codec.mask
+		}
+		packed, err := codec.Pack(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nMinus1 := new(big.Int).Sub(sk.N, one)
+		for _, tc := range []struct{ m, want *big.Int }{
+			{big.NewInt(0), big.NewInt(0)},
+			{big.NewInt(1), big.NewInt(1)},
+			{nMinus1, nMinus1},
+			{big.NewInt(-1), nMinus1},
+			{packed, packed},
+		} {
+			ct, err := sk.Encrypt(rand.Reader, tc.m)
+			if err != nil {
+				t.Fatalf("%s: Encrypt(%v): %v", name, tc.m, err)
+			}
+			if got, err := sk.Decrypt(ct); err != nil || got.Cmp(tc.want) != 0 {
+				t.Errorf("%s: Decrypt(Encrypt(%v)) = %v, err %v", name, tc.m, got, err)
+			}
+			rr, err := sk.Rerandomize(rand.Reader, ct)
+			if err != nil {
+				t.Fatalf("%s: Rerandomize: %v", name, err)
+			}
+			if rr.Equal(ct) {
+				t.Errorf("%s: Rerandomize returned the identical element", name)
+			}
+			if got, err := sk.Decrypt(rr); err != nil || got.Cmp(tc.want) != 0 {
+				t.Errorf("%s: Decrypt(Rerandomize(E(%v))) = %v, err %v", name, tc.m, got, err)
+			}
+		}
+	}
+}
+
+// TestPrivateNonceIsNthResidue: every private nonce lies in the group
+// of N-th residues mod N² — the elements of order dividing φ(N) — and
+// is not the identity, so a private encryption hides its plaintext the
+// way r^N does.
+func TestPrivateNonceIsNthResidue(t *testing.T) {
+	for name, sk := range privateKeys(t) {
+		phi := new(big.Int).Mul(sk.pMinus1, sk.qMinus1)
+		for i := 0; i < 32; i++ {
+			rho, err := sk.noncePower(rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rho.Sign() <= 0 || rho.Cmp(sk.NSquared) >= 0 {
+				t.Fatalf("%s: nonce outside (0, N²)", name)
+			}
+			if rho.Cmp(one) == 0 {
+				t.Fatalf("%s: nonce is the identity", name)
+			}
+			if new(big.Int).Exp(rho, phi, sk.NSquared).Cmp(one) != 0 {
+				t.Fatalf("%s: nonce %v is not an N-th residue", name, rho)
+			}
+		}
+	}
+}
+
+// TestPrivateEncryptCountsOnce: the metering hook the snapshot and
+// cost-model tests lean on sees each private encryption exactly once,
+// and a rerandomization not at all.
+func TestPrivateEncryptCountsOnce(t *testing.T) {
+	for name, sk := range privateKeys(t) {
+		before := EncryptCalls()
+		ct, err := sk.Encrypt(rand.Reader, big.NewInt(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := EncryptCalls() - before; got != 1 {
+			t.Errorf("%s: one sk.Encrypt advanced EncryptCalls by %d", name, got)
+		}
+		if _, err := sk.Rerandomize(rand.Reader, ct); err != nil {
+			t.Fatal(err)
+		}
+		if got := EncryptCalls() - before; got != 1 {
+			t.Errorf("%s: sk.Rerandomize advanced EncryptCalls to %d", name, got)
+		}
+	}
+}
+
+// TestPrivateEncryptConcurrent shares one key across goroutines the way
+// C2's serve loops do; run under -race it proves the kernel touches no
+// shared mutable state.
+func TestPrivateEncryptConcurrent(t *testing.T) {
+	for name, sk := range privateKeys(t) {
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 16; i++ {
+					want := int64(g*100 + i)
+					ct, err := sk.Encrypt(rand.Reader, big.NewInt(want))
+					if err != nil {
+						t.Errorf("%s: Encrypt: %v", name, err)
+						return
+					}
+					rr, err := sk.Rerandomize(rand.Reader, ct)
+					if err != nil {
+						t.Errorf("%s: Rerandomize: %v", name, err)
+						return
+					}
+					if got, err := sk.Decrypt(rr); err != nil || got.Int64() != want {
+						t.Errorf("%s: round trip of %d = %v, err %v", name, want, got, err)
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
+}
+
+// TestPrivateEnableFixedBaseKeepsPublishedTable: a public table enabled
+// (and possibly copied to other parties) before the private key adds
+// its CRT half keeps its generator — sk.EnableFixedBase must not swap h
+// under holders of the old pointer.
+func TestPrivateEnableFixedBaseKeepsPublishedTable(t *testing.T) {
+	sk := fuzzPackKey()
+	if err := sk.PublicKey.EnableFixedBase(rand.Reader); err != nil {
+		t.Fatal(err)
+	}
+	published := sk.PublicKey // the copy another party holds
+	hN, tab := sk.fb.hN, sk.fb.tab
+	if err := sk.EnableFixedBase(rand.Reader); err != nil {
+		t.Fatal(err)
+	}
+	if sk.fb.crt == nil {
+		t.Fatal("CRT tables missing after sk.EnableFixedBase")
+	}
+	if sk.fb.hN != hN || sk.fb.tab != tab {
+		t.Error("sk.EnableFixedBase replaced the published generator or table")
+	}
+	if published.fb.crt != nil {
+		t.Error("sk.EnableFixedBase mutated the state a copied public key holds")
+	}
+	a := new(big.Int).Sub(sk.N, big.NewInt(3))
+	viaPub, _ := published.fb.pow(a)
+	viaCRT, _ := sk.fb.pow(a)
+	if viaPub.Cmp(viaCRT) != 0 {
+		t.Error("public and CRT tables disagree on hN^a")
+	}
+	before := sk.fb
+	if err := sk.EnableFixedBase(rand.Reader); err != nil || sk.fb != before {
+		t.Errorf("second sk.EnableFixedBase was not a no-op (err %v)", err)
+	}
+}
+
+// TestUnmarshalRejectsSharedFactorWithTotient: p = 2q+1 passes every
+// primality check but gives gcd(pq, (p−1)(q−1)) = q, for which neither
+// decryption nor the private nonce argument holds.
+func TestUnmarshalRejectsSharedFactorWithTotient(t *testing.T) {
+	q, _ := new(big.Int).SetString("1000000000000000000000000000000000009271", 10)
+	p := new(big.Int).Lsh(q, 1)
+	p.Add(p, one)
+	if !p.ProbablyPrime(20) || !q.ProbablyPrime(20) {
+		t.Fatal("test vector is not a safe-prime pair")
+	}
+	for _, w := range []wireEncoder{{p: p, q: q}, {p: q, q: p}} {
+		data, err := w.encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sk PrivateKey
+		if err := sk.UnmarshalBinary(data); !errors.Is(err, ErrMalformedGobRemote) {
+			t.Errorf("UnmarshalBinary(p=2q+1) error = %v, want ErrMalformedGobRemote", err)
+		}
+	}
+}

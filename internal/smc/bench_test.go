@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sknn/internal/paillier"
+	"sknn/internal/testkit"
 )
 
 // Benchmarks for the primitive layer, including two DESIGN.md §5
@@ -175,5 +176,33 @@ func BenchmarkSBORBatch(b *testing.B) {
 		if _, err := rq.SBORBatch(xs, ys); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkMSBOncePacked times one bit peel of the value-domain SMIN —
+// L rounds against a C2 that built no tables, as a daemon's does — at
+// the benchmark's shape: K = 512, L = 13 (l = 12 distance bits), and the
+// pair counts of a 32-record tournament's third and first levels.
+func BenchmarkMSBOncePacked(b *testing.B) {
+	const L = 13
+	sk := testkit.Key(512)
+	for _, pairs := range []int{4, 16} {
+		b.Run(fmt.Sprintf("pairs=%d", pairs), func(b *testing.B) {
+			rq := pairOn(b, sk)
+			codec, err := rq.packCodec(L)
+			if err != nil {
+				b.Fatal(err)
+			}
+			zs := make([]*paillier.Ciphertext, pairs)
+			for i := range zs {
+				zs[i] = enc(b, sk, int64(1<<(L-1)+37*i))
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := rq.msbOncePacked(zs, L, codec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

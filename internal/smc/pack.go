@@ -387,10 +387,9 @@ func (rp *Responder) handleSSEDPack(req *mpc.Message) (*mpc.Message, error) {
 // short Horner fold of the raw reply bits over the odd-blind slots.
 // That replaces the old C1-side halving — a re-pack of all corrected
 // bits plus a (2⁻¹ mod N)-power per group, the last full-range
-// exponentiation in packed SBD — with short exponentiations only,
-// mirroring msbOncePacked. Short blinds also mean z' + r never wraps,
-// so — unlike the unpacked path — the decomposition cannot fail
-// verification against an honest C2.
+// exponentiation in packed SBD — with short exponentiations only. Short
+// blinds also mean z' + r never wraps, so — unlike the unpacked path —
+// the decomposition cannot fail verification against an honest C2.
 func (rq *Requester) sbdOncePacked(zs []*paillier.Ciphertext, l int, codec *paillier.Packing) ([][]*paillier.Ciphertext, error) {
 	n := len(zs)
 	groups := codec.Groups(n)
@@ -565,20 +564,34 @@ func (rp *Responder) handleSBDPackLsb(req *mpc.Message) (*mpc.Message, error) {
 
 // msbOncePacked extracts E(bit L−1) of each value's L-bit decomposition
 // — the only bit the value-domain SMIN consumes — without ever halving
-// the remainders. sbdOncePacked divides every slot by two each round,
-// and that (N+1)/2 exponentiation per group per round is the last
-// full-range exponentiation left in the tournament. Here the remainder
-// keeps its scale and round j blinds bit j in place: the uplink adds
-// rᵢ·2^j with rᵢ ← shortBlind(L−j), so the slot's low j bits (already
-// peeled to zero) stay zero, bit j of the decrypted slot equals bit j
-// of the remainder XOR lsb(rᵢ), and C2 returns that bit per slot. C1
-// flips where rᵢ is odd and subtracts E(βⱼ)·2^j — a j-bit exponent —
-// from the packed remainder, so every exponentiation in the loop is
-// short. The shifted blind still fits a slot: rᵢ·2^j < 2^(L+σ) <
-// 2^Width. C2's view — slotwise short-blinded remainder windows and the
-// public round index — is the same leakage class as sbdOncePacked, and
-// like it the pass is exact against an honest C2 (no slot ever wraps).
+// the remainders and without an exponentiation on C1's side of the loop.
+// The remainder keeps its scale and round j blinds bit j in place: the
+// uplink adds rᵢ·2^j with rᵢ ← shortBlind(L−j), so the slot's low j bits
+// (already peeled to zero) stay zero and bit j of the decrypted slot is
+// yᵢ = βᵢ XOR lsb(rᵢ), βᵢ the remainder's bit j. The shifted blind still
+// fits a slot: rᵢ·2^j < 2^(L+σ) < 2^Width.
+//
+// In the peeling rounds j < L−1 C1 wants the bits only to clear them,
+// so C2 returns each where it belongs — Zᵢ = E(yᵢ·2^(s·Width+j)) for the
+// value in slot s of its group, the same single encryption as E(yᵢ) —
+// and C1 subtracts βᵢ·2^(s·Width+j), which is Zᵢ's plaintext where rᵢ
+// is even and 2^(s·Width+j) minus it where rᵢ is odd:
+//
+//	rem ← rem · Π_{rᵢ odd} Zᵢ · (Π_{rᵢ even} Zᵢ)⁻¹ · E(−Σ_{rᵢ odd} 2^(s·Width+j))
+//
+// a handful of modular products, one inversion and one closed-form
+// (1+mN) factor per group. Only the output round j = L−1 gets plain
+// E(yᵢ) back and flips the odd-blind ones. C2 tells the rounds apart by
+// the header it already receives (valueBits = L and shift = j), which is
+// why L must be the codec's ValueBits. C2's view — slotwise
+// short-blinded remainder windows and the public round index — is the
+// same leakage class as sbdOncePacked, C1 still sees nothing but fresh
+// ciphertexts, and like sbdOncePacked the pass is exact against an
+// honest C2 (no slot ever wraps).
 func (rq *Requester) msbOncePacked(zs []*paillier.Ciphertext, L int, codec *paillier.Packing) ([]*paillier.Ciphertext, error) {
+	if L != codec.ValueBits {
+		return nil, fmt.Errorf("smc: MSB extraction of %d bits under a %d-bit codec", L, codec.ValueBits)
+	}
 	n := len(zs)
 	groups := codec.Groups(n)
 	packedRem := make([]*paillier.Ciphertext, groups)
@@ -622,37 +635,46 @@ func (rq *Requester) msbOncePacked(zs []*paillier.Ciphertext, L int, codec *pail
 		if err != nil {
 			return nil, err
 		}
-		// Correct for odd blinds — bit j of the slot is flipped there —
-		// with the inversions batched.
-		var toFlip []*paillier.Ciphertext
-		for i := 0; i < n; i++ {
-			if rs[i].Bit(0) == 1 {
-				toFlip = append(toFlip, raw[i])
-			}
-		}
-		flipped := rq.pk.InvMany(toFlip)
-		bits := make([]*paillier.Ciphertext, n)
-		fi := 0
-		for i := 0; i < n; i++ {
-			if rs[i].Bit(0) == 1 {
-				bits[i] = rq.pk.AddPlain(flipped[fi], oneBig)
-				fi++
-			} else {
-				bits[i] = raw[i]
-			}
-		}
 		if j == L-1 {
-			return bits, nil
+			// The output bits: flipped where the blind was odd, with the
+			// inversions batched.
+			var toFlip []*paillier.Ciphertext
+			for i := 0; i < n; i++ {
+				if rs[i].Bit(0) == 1 {
+					toFlip = append(toFlip, raw[i])
+				}
+			}
+			flipped := rq.pk.InvMany(toFlip)
+			fi := 0
+			for i := 0; i < n; i++ {
+				if rs[i].Bit(0) == 1 {
+					raw[i] = rq.pk.AddPlain(flipped[fi], oneBig)
+					fi++
+				}
+			}
+			return raw, nil
 		}
-		shift := new(big.Int).Lsh(oneBig, uint(j))
 		for g := 0; g < groups; g++ {
 			lo := g * codec.Slots
 			hi := min(n, lo+codec.Slots)
-			packedBits, err := codec.PackCiphertexts(bits[lo:hi])
-			if err != nil {
-				return nil, fmt.Errorf("smc: MSB packing bits: %w", err)
+			var odd, even []*paillier.Ciphertext
+			oddPlaces := new(big.Int) // Σ over odd-blind slots of 2^(s·Width+j)
+			for i := lo; i < hi; i++ {
+				if rs[i].Bit(0) == 1 {
+					odd = append(odd, raw[i])
+					oddPlaces.SetBit(oddPlaces, (i-lo)*codec.Width+j, 1)
+				} else {
+					even = append(even, raw[i])
+				}
 			}
-			packedRem[g] = rq.pk.Add(packedRem[g], rq.pk.Inv(rq.pk.ScalarMul(packedBits, shift)))
+			rem := packedRem[g]
+			if len(odd) > 0 {
+				rem = rq.pk.AddPlain(rq.pk.Add(rem, rq.pk.Product(odd)), oddPlaces.Neg(oddPlaces))
+			}
+			if len(even) > 0 {
+				rem = rq.pk.Add(rem, rq.pk.Inv(rq.pk.Product(even)))
+			}
+			packedRem[g] = rem
 		}
 	}
 	return nil, fmt.Errorf("smc: MSB extraction of %d bits", L)
@@ -660,8 +682,11 @@ func (rq *Requester) msbOncePacked(zs []*paillier.Ciphertext, L int, codec *pail
 
 // handleSBDPackBit is C2's half of a shifted packed bit round: decrypt
 // each slot group once and return bit `shift` of every slot as an
-// individual fresh encryption. Frame: [count, valueBits, shift, group
-// ciphertexts].
+// individual fresh encryption — in place, E(bit·2^(s·Width+shift)) for
+// the value in slot s of its group, while shift < valueBits−1 (C1 only
+// clears those bits from its packed remainders), and as plain E(bit) in
+// the output round shift = valueBits−1. Frame: [count, valueBits, shift,
+// group ciphertexts].
 func (rp *Responder) handleSBDPackBit(req *mpc.Message) (*mpc.Message, error) {
 	count, codec, err := rp.packHeader(req.Ints, "SBD bit")
 	if err != nil {
@@ -679,6 +704,7 @@ func (rp *Responder) handleSBDPackBit(req *mpc.Message) (*mpc.Message, error) {
 		return nil, fmt.Errorf("%w: packed SBD bit payload of %d ints for %d values",
 			ErrBadFrame, len(req.Ints), count)
 	}
+	inPlace := shift < codec.ValueBits-1
 	out := make([]*big.Int, 0, count)
 	for g := 0; g < groups; g++ {
 		cnt := min(codec.Slots, count-g*codec.Slots)
@@ -690,8 +716,12 @@ func (rp *Responder) handleSBDPackBit(req *mpc.Message) (*mpc.Message, error) {
 		if err != nil {
 			return nil, fmt.Errorf("smc: packed SBD bit group %d: %w", g, err)
 		}
-		for _, y := range vals {
-			bit, err := rp.encrypt(new(big.Int).SetUint64(uint64(y.Bit(shift))))
+		for s, y := range vals {
+			m := new(big.Int).SetUint64(uint64(y.Bit(shift)))
+			if inPlace {
+				m.Lsh(m, uint(s*codec.Width+shift))
+			}
+			bit, err := rp.encrypt(m)
 			if err != nil {
 				return nil, fmt.Errorf("smc: packed SBD bit encrypt: %w", err)
 			}

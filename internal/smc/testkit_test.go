@@ -20,6 +20,13 @@ func testKey() *paillier.PrivateKey { return testkit.Key(256) }
 func pair(t testing.TB) (*Requester, *paillier.PrivateKey) {
 	t.Helper()
 	sk := testKey()
+	return pairOn(t, sk), sk
+}
+
+// pairOn is pair under a caller-chosen key (benchmarks run at the
+// benchmark's 512 bits).
+func pairOn(t testing.TB, sk *paillier.PrivateKey) *Requester {
+	t.Helper()
 	c1Conn, c2Conn := mpc.ChanPipe()
 	rp := NewResponder(sk, nil)
 	done := make(chan error, 1)
@@ -34,7 +41,7 @@ func pair(t testing.TB) (*Requester, *paillier.PrivateKey) {
 		c1Conn.Close()
 		c2Conn.Close()
 	})
-	return NewRequester(&sk.PublicKey, c1Conn, nil), sk
+	return NewRequester(&sk.PublicKey, c1Conn, nil)
 }
 
 // enc encrypts a small integer, failing the test on error.

@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"io"
+	"math/big"
 	"sync"
 	"testing"
 
@@ -231,6 +232,17 @@ func TestKeyRoundTrip(t *testing.T) {
 	}
 	if back.PublicKey.N.Cmp(sk.PublicKey.N) != 0 {
 		t.Fatal("key changed across round trip")
+	}
+	// The reloaded key encrypts from its factorisation — what a C2
+	// daemon does with the file — and the original key reads it.
+	for _, m := range []*big.Int{big.NewInt(0), big.NewInt(1), new(big.Int).Sub(sk.N, big.NewInt(1))} {
+		ct, err := back.Encrypt(rand.Reader, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := sk.Decrypt(ct); err != nil || got.Cmp(m) != 0 {
+			t.Fatalf("reloaded key's encryption of %v decrypts to %v (err %v)", m, got, err)
+		}
 	}
 
 	bad := append([]byte(nil), data...)

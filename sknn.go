@@ -311,6 +311,11 @@ func New(rows [][]uint64, attrBits int, cfg Config) (*System, error) {
 		}
 	}
 
+	// Tables first: the owner's n·m table encryptions (and the centroid
+	// encryptions of a clustered index) below ride them too.
+	if err := enableFixedBase(sk, cfg, random); err != nil {
+		return nil, err
+	}
 	encTable, err := core.EncryptTable(random, &sk.PublicKey, tbl.Rows)
 	if err != nil {
 		return nil, fmt.Errorf("sknn: outsourcing table: %w", err)
@@ -399,6 +404,20 @@ func wrapRandom(r io.Reader) io.Reader {
 	return &lockedReader{r: r}
 }
 
+// enableFixedBase builds the fixed-base nonce tables unless the
+// configuration turns them off. It must run before any party holds a
+// copy of the key: C2's CRT-split tables and the shared public-key table
+// both hang off unexported pointers set once here. Idempotent.
+func enableFixedBase(sk *paillier.PrivateKey, cfg Config, random io.Reader) error {
+	if cfg.DisableFixedBase {
+		return nil
+	}
+	if err := sk.EnableFixedBase(random); err != nil {
+		return fmt.Errorf("sknn: fixed-base tables: %w", err)
+	}
+	return nil
+}
+
 // assemble stands up the federated cloud around an already-encrypted
 // table: the shared back half of New (fresh encryption) and LoadTable
 // (snapshot reload — note no encryption happens here, which is what
@@ -425,13 +444,10 @@ func assemble(sk *paillier.PrivateKey, encTable *core.EncryptedTable, attrBits, 
 		compactAt:   cfg.CompactThreshold,
 		closeDone:   make(chan struct{}),
 	}
-	if !cfg.DisableFixedBase {
-		// Build the fixed-base nonce tables before any party holds a
-		// copy of the key: C2's CRT-split tables and the shared public-
-		// key table both hang off unexported pointers set once here.
-		if err := sk.EnableFixedBase(random); err != nil {
-			return nil, fmt.Errorf("sknn: fixed-base tables: %w", err)
-		}
+	// A no-op after New, which built the tables before encrypting; the
+	// LoadTable path builds them here.
+	if err := enableFixedBase(sk, cfg, random); err != nil {
+		return nil, err
 	}
 	tuning := smc.Tuning{Packing: !cfg.DisablePacking}
 	c2 := core.NewCloudC2(sk, random)
