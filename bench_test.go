@@ -15,6 +15,7 @@ package sknn
 // up to the paper's own (-scale paper).
 
 import (
+	"context"
 	"crypto/rand"
 	"fmt"
 	"sync"
@@ -197,11 +198,11 @@ func BenchmarkAblationSMINnShare(b *testing.B) {
 	var share float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, metrics, err := sys.QuerySecureMetered(q, 3)
+		res, err := sys.Query(context.Background(), q, WithK(3))
 		if err != nil {
 			b.Fatal(err)
 		}
-		share = metrics.SMINnShare()
+		share = res.Metrics.Secure.SMINnShare()
 	}
 	b.ReportMetric(100*share, "sminn-share-%")
 }

@@ -24,14 +24,13 @@ const cancelReturnBound = 5 * time.Second
 // hardware, so a cancel fired at tens of milliseconds always lands
 // mid-protocol. The clustered configs use a coverage factor that probes
 // every cluster, keeping pruned results oracle-exact.
-func newCancelSystem(t *testing.T, shards int, index IndexMode, serialMerge bool) (*System, *dataset.Table) {
+func newCancelSystem(t *testing.T, shards, replicas int, index IndexMode) (*System, *dataset.Table) {
 	t.Helper()
 	tbl, err := dataset.Generate(701, 48, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Key: facadeKey(), Workers: 2, Shards: shards, Index: index,
-		DisableStreamingMerge: serialMerge}
+	cfg := Config{Key: facadeKey(), Workers: 2, Shards: shards, Replicas: replicas, Index: index}
 	if index == IndexClustered {
 		cfg.Clusters = 4
 		cfg.Coverage = 100 // pool target ≥ n: probe everything, stay exact
@@ -92,26 +91,27 @@ func assertOracle(t *testing.T, sys *System, tbl *dataset.Table, q []uint64, k i
 
 // TestCancelMidProtocol is the acceptance matrix: a secure query
 // canceled mid-protocol — unsharded and 2-shard scatter-gather, in both
-// index modes — returns ErrCanceled promptly, releases its pooled
-// links, and leaves the System answering oracle-correct queries.
+// index modes, and one replicated partition — returns ErrCanceled
+// promptly, releases its pooled links, and leaves the System answering
+// oracle-correct queries.
 func TestCancelMidProtocol(t *testing.T) {
 	cases := []struct {
-		name        string
-		shards      int
-		index       IndexMode
-		serialMerge bool
+		name     string
+		shards   int
+		replicas int
+		index    IndexMode
 	}{
-		{"unsharded/full", 0, IndexNone, false},
-		{"unsharded/clustered", 0, IndexClustered, false},
-		{"sharded2/full", 2, IndexNone, false},
-		{"sharded2/clustered", 2, IndexClustered, false},
-		// The barrier-gather ablation: cancellation must behave
-		// identically with the streaming fold switched off.
-		{"sharded2/serialmerge", 2, IndexNone, true},
+		{"unsharded/full", 0, 0, IndexNone},
+		{"unsharded/clustered", 0, 0, IndexClustered},
+		{"sharded2/full", 2, 0, IndexNone},
+		{"sharded2/clustered", 2, 0, IndexClustered},
+		// One partition behind the coordinator: the gather that has
+		// nothing to merge must unwind a canceled scan like any other.
+		{"replicated1x2/full", 1, 2, IndexNone},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sys, tbl := newCancelSystem(t, tc.shards, tc.index, tc.serialMerge)
+			sys, tbl := newCancelSystem(t, tc.shards, tc.replicas, tc.index)
 			q, _ := dataset.GenerateQuery(702, 2, 4)
 
 			ctx, cancel := context.WithCancel(context.Background())
@@ -144,7 +144,7 @@ func TestCancelMidProtocol(t *testing.T) {
 // with context.DeadlineExceeded visible through the wrap, and the
 // System keeps working.
 func TestQueryDeadline(t *testing.T) {
-	sys, tbl := newCancelSystem(t, 0, IndexNone, false)
+	sys, tbl := newCancelSystem(t, 0, 0, IndexNone)
 	q, _ := dataset.GenerateQuery(703, 2, 4)
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
@@ -167,7 +167,7 @@ func TestQueryDeadline(t *testing.T) {
 // ErrCanceled (visible through the errors.Join), failed slots are nil,
 // and the System stays usable.
 func TestCancelBatch(t *testing.T) {
-	sys, tbl := newCancelSystem(t, 0, IndexNone, false)
+	sys, tbl := newCancelSystem(t, 0, 0, IndexNone)
 	queries := make([][]uint64, 4)
 	for i := range queries {
 		queries[i], _ = dataset.GenerateQuery(int64(710+i), 2, 4)

@@ -14,16 +14,11 @@
 //	sknnbench -fig 2a -scale medium     # closer to paper sizes
 //	sknnbench -fig 2d -scale paper      # the paper's exact parameters (hours!)
 //
-// Figures: 2a 2b 2c 2d 2e 2f 3 qps index shard stream pack gateway sminn bob comm baselines all
+// Figures: 2a 2b 2c 2d 2e 2f 3 sminn bob comm baselines all
 //
-// "qps" (multi-query throughput), "index" (clustered secure index vs
-// full scan: QPS, recall, SMIN reduction), "shard" (scatter-gather
-// SkNNm across S shard workers: per-shard scan cost, merge overhead,
-// recall), "pack" (2×2 ablation of ciphertext packing and fixed-base
-// exponentiation on a single SkNNm query), and "gateway" (2-tenant
-// serving tier over replicated shards: QPS under contention and
-// mid-run replica kill, sweeping R) are extensions beyond the paper's
-// evaluation.
+// Throughput, index, sharding and gateway measurements live in bench/
+// (bash bench/run.sh), the repo's one benchmark; this command keeps only
+// the paper's own figures.
 package main
 
 import (
@@ -34,14 +29,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"time"
 
 	"sknn"
 	"sknn/internal/benchkit"
 	"sknn/internal/dataset"
 	"sknn/internal/paillier"
-	"sknn/internal/plainknn"
 
 	"crypto/rand"
 )
@@ -160,9 +153,9 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sknnbench: ")
 	var (
-		figFlag     = flag.String("fig", "all", "figure to regenerate: 2a 2b 2c 2d 2e 2f 3 qps index shard stream pack gateway sminn bob comm baselines all")
+		figFlag     = flag.String("fig", "all", "figure to regenerate: 2a 2b 2c 2d 2e 2f 3 sminn bob comm baselines all")
 		scaleFlag   = flag.String("scale", "small", "sweep preset: small | medium | paper")
-		workersFlag = flag.Int("workers", 0, "override Figure 3 / QPS worker count (0 = min(6, NumCPU))")
+		workersFlag = flag.Int("workers", 0, "override Figure 3 worker count (0 = min(6, NumCPU))")
 		jsonFlag    = flag.String("json", "", "also write machine-readable BENCH_<fig>.json files into this directory")
 		timeoutFlag = flag.Duration("timeout", 0, "per-query deadline; 0 = none. A stuck point aborts within one protocol round instead of hanging the sweep")
 	)
@@ -191,18 +184,12 @@ func main() {
 		"2e":        b.fig2e,
 		"2f":        b.fig2f,
 		"3":         b.fig3,
-		"qps":       b.qps,
-		"index":     b.index,
-		"shard":     b.shard,
-		"stream":    b.stream,
-		"pack":      b.pack,
-		"gateway":   b.gatewayFig,
 		"sminn":     b.sminnShare,
 		"bob":       b.bobCost,
 		"comm":      b.comm,
 		"baselines": b.baselines,
 	}
-	order := []string{"2a", "2b", "2c", "2d", "2e", "2f", "3", "qps", "index", "shard", "stream", "pack", "gateway", "sminn", "bob", "comm", "baselines"}
+	order := []string{"2a", "2b", "2c", "2d", "2e", "2f", "3", "sminn", "bob", "comm", "baselines"}
 
 	if *figFlag == "all" {
 		for _, name := range order {
@@ -390,433 +377,6 @@ func (b *bench) fig3() error {
 	}
 	fmt.Printf("(paper: parallel ≈ serial/6 on 6 cores; here %d workers on %d CPUs)\n",
 		w, runtime.NumCPU())
-	return nil
-}
-
-// qps is an extension beyond the paper: aggregate throughput of the
-// concurrent multi-query engine. For each concurrency level the same
-// queries are answered twice over a pool of sc.workers connections —
-// serially through Query, then concurrently through QueryBatch — and
-// the figure reports queries per second. Near-linear batch scaling up
-// to the worker count (on a machine with that many cores) is the
-// target; the serial loop stays flat because each query monopolizes
-// the pool in turn.
-func (b *bench) qps() error {
-	n := b.sc.basicNs[len(b.sc.basicNs)-1]
-	const m, attrBits, k = 2, 4, 5
-	workers := b.sc.workers
-	fig := benchkit.NewFigure(
-		fmt.Sprintf("QPS: SkNNb multi-query throughput, n=%d, m=%d, K=512, workers=%d [scale=%s]",
-			n, m, workers, b.sc.name),
-		"concurrent queries", "QPS")
-	serial := fig.NewSeries("serial Query loop")
-	batch := fig.NewSeries("QueryBatch")
-
-	tbl, err := dataset.Generate(int64(n*31+m), n, m, attrBits)
-	if err != nil {
-		return err
-	}
-	sys, err := sknn.New(tbl.Rows, attrBits, sknn.Config{Key: b.key(512), Workers: workers})
-	if err != nil {
-		return err
-	}
-	defer sys.Close()
-	for _, c := range []int{1, 2, 4, 8} {
-		queries := make([][]uint64, c)
-		for i := range queries {
-			queries[i], err = dataset.GenerateQuery(int64(n*37+i), m, attrBits)
-			if err != nil {
-				return err
-			}
-		}
-		d, err := benchkit.Timed(func() error {
-			for _, q := range queries {
-				if err := runQuery(sys, q, k, sknn.ModeBasic); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		serial.Add(float64(c), float64(c)/d.Seconds())
-		d, err = benchkit.Timed(func() error {
-			ctx, cancel := queryCtx()
-			defer cancel()
-			_, err := sys.QueryBatch(ctx, queries, sknn.WithK(k), sknn.WithMode(sknn.ModeBasic))
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		batch.Add(float64(c), float64(c)/d.Seconds())
-	}
-	if err := b.emit(fig, "qps"); err != nil {
-		return err
-	}
-	fmt.Printf("(target: batch ≈ workers× serial at ≥workers concurrent queries, given as many cores; %d CPUs here)\n",
-		runtime.NumCPU())
-	return nil
-}
-
-// index is an extension beyond the paper: the clustered secure index
-// (Config.Index = IndexClustered) versus the paper-faithful full scan,
-// sweeping n and the cluster count c. Three quantities per point, each
-// its own series in BENCH_index.json: queries per second, recall
-// against the plaintext oracle (1.0 = exact), and the SMIN-invocation
-// reduction factor k·(n−1)/measured — the protocol's dominant cost
-// unit, so the reduction is the architecture's headline number. The
-// full-scan QPS series is measured only up to a per-scale n cap (a
-// full SkNNm scan at large n takes the minutes-to-hours the paper
-// reports; that cost is exactly why the index exists).
-func (b *bench) index() error {
-	const m, attrBits, k, blobs = 2, 6, 5, 16
-	type sweep struct {
-		ns          []int
-		cs          []int
-		fullScanMax int
-	}
-	sweeps := map[string]sweep{
-		"small":  {ns: []int{100, 400, 1000}, cs: []int{16, 32}, fullScanMax: 100},
-		"medium": {ns: []int{500, 1000, 2000}, cs: []int{16, 32, 64}, fullScanMax: 500},
-		"paper":  {ns: []int{2000, 4000}, cs: []int{32, 64}, fullScanMax: 2000},
-	}
-	sw := sweeps[b.sc.name]
-	fig := benchkit.NewFigure(
-		fmt.Sprintf("Index: SkNNm full scan vs clustered index, m=%d, k=%d, K=512 [scale=%s]",
-			m, k, b.sc.name),
-		"n", "QPS / recall / ×SMIN-reduction (per series)")
-	full := fig.NewSeries("full scan QPS")
-	qpsSeries := map[int]*benchkit.Series{}
-	recallSeries := map[int]*benchkit.Series{}
-	reductionSeries := map[int]*benchkit.Series{}
-	for _, c := range sw.cs {
-		qpsSeries[c] = fig.NewSeries(fmt.Sprintf("clustered c=%d QPS", c))
-		recallSeries[c] = fig.NewSeries(fmt.Sprintf("clustered c=%d recall", c))
-		reductionSeries[c] = fig.NewSeries(fmt.Sprintf("clustered c=%d SMIN-reduction", c))
-	}
-	for _, n := range sw.ns {
-		tbl, err := dataset.GenerateClustered(int64(n*41+7), n, m, attrBits, blobs)
-		if err != nil {
-			return err
-		}
-		q := tbl.Rows[n/3]
-		oracle, err := plainknn.KDistances(tbl.Rows, q, k)
-		if err != nil {
-			return err
-		}
-		if n <= sw.fullScanMax {
-			sys, err := sknn.New(tbl.Rows, attrBits, sknn.Config{Key: b.key(512)})
-			if err != nil {
-				return err
-			}
-			d, err := benchkit.Timed(func() error {
-				_, _, err := querySecureMetered(sys, q, k)
-				return err
-			})
-			sys.Close()
-			if err != nil {
-				return err
-			}
-			full.Add(float64(n), 1/d.Seconds())
-		}
-		for _, c := range sw.cs {
-			sys, err := sknn.New(tbl.Rows, attrBits, sknn.Config{
-				Key: b.key(512), Index: sknn.IndexClustered, Clusters: c,
-			})
-			if err != nil {
-				return err
-			}
-			var sm *sknn.SecureMetrics
-			var rows [][]uint64
-			d, err := benchkit.Timed(func() error {
-				var err error
-				rows, sm, err = querySecureMetered(sys, q, k)
-				return err
-			})
-			sys.Close()
-			if err != nil {
-				return err
-			}
-			qpsSeries[c].Add(float64(n), 1/d.Seconds())
-			recallSeries[c].Add(float64(n), recallOf(rows, q, oracle))
-			reductionSeries[c].Add(float64(n), float64(k*(n-1))/float64(sm.SMINCount))
-		}
-	}
-	if err := b.emit(fig, "index"); err != nil {
-		return err
-	}
-	fmt.Println("(clustered index: exact when the probed clusters hold the true neighbors;")
-	fmt.Println(" leaks which clusters each query touches to C1 — see README threat model)")
-	return nil
-}
-
-// recallOf is the fraction of the oracle's k-distance multiset the
-// returned rows cover.
-func recallOf(rows [][]uint64, q []uint64, oracle []uint64) float64 {
-	got := make([]uint64, 0, len(rows))
-	for _, row := range rows {
-		d, err := plainknn.SquaredDistance(row[:len(q)], q)
-		if err != nil {
-			continue
-		}
-		got = append(got, d)
-	}
-	sort.Slice(got, func(a, b int) bool { return got[a] < got[b] })
-	hits, i := 0, 0
-	for _, want := range oracle {
-		for i < len(got) && got[i] < want {
-			i++
-		}
-		if i < len(got) && got[i] == want {
-			hits++
-			i++
-		}
-	}
-	return float64(hits) / float64(len(oracle))
-}
-
-// shard is the PR 4 extension: the sharded scatter-gather SkNNm versus
-// the single engine, sweeping the shard count S ∈ {1, 2, 4, 8} at fixed
-// n. Five series per S:
-//
-//   - "SkNNm QPS": end-to-end queries per second;
-//   - "stage-1 per shard (s)": the mean per-shard SSED+SBD wall time —
-//     the data-parallel bulk the scatter divides. On a machine with ≥S
-//     cores this is the near-linear speedup axis; on fewer cores the
-//     shards time-slice one another and the series stays flat while
-//     "candidates per shard" still shows the exact-linear work split;
-//   - "candidates per shard": records each shard scans (n/S);
-//   - "merge (s)": the coordinator's secure SMINn merge over the s·k
-//     gathered candidates — the price of the gather, growing with S·k
-//     and independent of n;
-//   - "recall": against the plaintext oracle (exactness target: 1.0 at
-//     every S — the merge re-runs the selection protocol, it never
-//     approximates).
-func (b *bench) shard() error {
-	const m, attrBits, k = 2, 4, 3
-	ns := map[string]int{"small": 48, "medium": 120, "paper": 240}
-	n := ns[b.sc.name]
-	tbl, err := dataset.Generate(int64(n*43+5), n, m, attrBits)
-	if err != nil {
-		return err
-	}
-	q := tbl.Rows[n/3]
-	oracle, err := plainknn.KDistances(tbl.Rows, q, k)
-	if err != nil {
-		return err
-	}
-	fig := benchkit.NewFigure(
-		fmt.Sprintf("Shard: scatter-gather SkNNm, n=%d, m=%d, k=%d, K=512 [scale=%s]",
-			n, m, k, b.sc.name),
-		"shards", "QPS / s / candidates / recall (per series)")
-	qps := fig.NewSeries("SkNNm QPS")
-	stage1 := fig.NewSeries("stage-1 per shard (s)")
-	cands := fig.NewSeries("candidates per shard")
-	merge := fig.NewSeries("merge (s)")
-	recall := fig.NewSeries("recall")
-	for _, s := range []int{1, 2, 4, 8} {
-		sys, err := sknn.New(tbl.Rows, attrBits, sknn.Config{Key: b.key(512), Shards: s})
-		if err != nil {
-			return err
-		}
-		var sm *sknn.SecureMetrics
-		var rows [][]uint64
-		d, err := benchkit.Timed(func() error {
-			var err error
-			rows, sm, err = querySecureMetered(sys, q, k)
-			return err
-		})
-		sys.Close()
-		if err != nil {
-			return err
-		}
-		shards := sm.Shards
-		if shards == 0 {
-			shards = 1 // unsharded engine: the whole scan is "one shard"
-		}
-		qps.Add(float64(s), 1/d.Seconds())
-		stage1.Add(float64(s), benchkit.Seconds(sm.Distance+sm.BitDecom)/float64(shards))
-		cands.Add(float64(s), float64(sm.Candidates)/float64(shards))
-		merge.Add(float64(s), benchkit.Seconds(sm.Merge))
-		recall.Add(float64(s), recallOf(rows, q, oracle))
-	}
-	if err := b.emit(fig, "shard"); err != nil {
-		return err
-	}
-	fmt.Printf("(target: stage-1 per-shard time shrinks ~linearly in S on ≥S cores — %d CPUs here;\n", runtime.NumCPU())
-	fmt.Println(" candidates/shard shows the exact n/S work split either way; recall must be 1.0)")
-	return nil
-}
-
-// stream is the PR 9 figure: the pipelined streaming gather versus the
-// classic serial barrier merge, sweeping the shard count S ∈ {1, 2, 4, 8}
-// at fixed n with Workers=2 per pool so link lending engages. Both
-// variants run in the same process over the same table and query, so the
-// merge walls are directly comparable. Six series per S:
-//
-//   - "streaming QPS" / "serial QPS": end-to-end queries per second;
-//   - "streaming merge (s)" / "serial merge (s)": the coordinator's
-//     post-gather wall. Serial gathers behind a barrier and then runs
-//     the whole s·k-candidate tournament; streaming folds arrivals into
-//     an incremental tournament while slower shards are still scanning,
-//     so only the tail fold lands after the last arrival;
-//   - "streaming recall" / "serial recall": against the plaintext
-//     oracle — exactness target 1.0 in every cell (the fold is the same
-//     SMIN protocol as the serial merge, never an approximation).
-//
-// S=1 is the degeneration row: streamingMergeOK declines single-shard
-// topologies, so both variants take the serial path and should read
-// identically (modulo timer noise).
-func (b *bench) stream() error {
-	const m, attrBits, k, keyBits = 2, 4, 3, 512
-	ns := map[string]int{"small": 48, "medium": 120, "paper": 240}
-	n := ns[b.sc.name]
-	tbl, err := dataset.Generate(int64(n*61+7), n, m, attrBits)
-	if err != nil {
-		return err
-	}
-	q := tbl.Rows[n/3]
-	oracle, err := plainknn.KDistances(tbl.Rows, q, k)
-	if err != nil {
-		return err
-	}
-	fig := benchkit.NewFigure(
-		fmt.Sprintf("Stream: pipelined vs serial gather, SkNNm, n=%d, m=%d, k=%d, K=%d [scale=%s]",
-			n, m, k, keyBits, b.sc.name),
-		"shards", "QPS / s / recall (per series)")
-	qpsStream := fig.NewSeries("streaming QPS")
-	qpsSerial := fig.NewSeries("serial QPS")
-	mergeStream := fig.NewSeries("streaming merge (s)")
-	mergeSerial := fig.NewSeries("serial merge (s)")
-	recallStream := fig.NewSeries("streaming recall")
-	recallSerial := fig.NewSeries("serial recall")
-	var mergeAtMax [2]float64 // [streaming, serial] merge wall at the widest S
-	for _, s := range []int{1, 2, 4, 8} {
-		for _, serial := range []bool{false, true} {
-			sys, err := sknn.New(tbl.Rows, attrBits, sknn.Config{
-				Key: b.key(keyBits), Shards: s, Workers: 2,
-				DisableStreamingMerge: serial,
-			})
-			if err != nil {
-				return err
-			}
-			var sm *sknn.SecureMetrics
-			var rows [][]uint64
-			d, err := benchkit.Timed(func() error {
-				var err error
-				rows, sm, err = querySecureMetered(sys, q, k)
-				return err
-			})
-			sys.Close()
-			if err != nil {
-				return fmt.Errorf("S=%d serial=%v: %w", s, serial, err)
-			}
-			rec := recallOf(rows, q, oracle)
-			if serial {
-				qpsSerial.Add(float64(s), 1/d.Seconds())
-				mergeSerial.Add(float64(s), benchkit.Seconds(sm.Merge))
-				recallSerial.Add(float64(s), rec)
-			} else {
-				qpsStream.Add(float64(s), 1/d.Seconds())
-				mergeStream.Add(float64(s), benchkit.Seconds(sm.Merge))
-				recallStream.Add(float64(s), rec)
-			}
-			variant := "streaming"
-			if serial {
-				variant = "serial   "
-			}
-			fmt.Printf("  S=%d %s  %7.2fs query  scatter %6.3fs  merge %6.3fs (reveal %6.3fs)  recall %.2f\n",
-				s, variant, d.Seconds(), benchkit.Seconds(sm.Scatter), benchkit.Seconds(sm.Merge), benchkit.Seconds(sm.Reveal), rec)
-			if s == 8 {
-				if serial {
-					mergeAtMax[1] = benchkit.Seconds(sm.Merge)
-				} else {
-					mergeAtMax[0] = benchkit.Seconds(sm.Merge)
-				}
-			}
-		}
-	}
-	if err := b.emit(fig, "stream"); err != nil {
-		return err
-	}
-	fmt.Printf("(merge wall at S=8: streaming %.3fs vs serial %.3fs — %.1f×; target ≥2×, recall 1.0 every cell)\n",
-		mergeAtMax[0], mergeAtMax[1], mergeAtMax[1]/mergeAtMax[0])
-	return nil
-}
-
-// pack: 2×2 ablation of this repo's two protocol-level optimizations —
-// ciphertext packing (slotted uplinks + short statistical blinds) and
-// fixed-base exponentiation (windowed h^N randomizers, CRT-split at C2)
-// — on one SkNNm query. Both knobs off is the paper's wire format; both
-// on is the production default.
-func (b *bench) pack() error {
-	const m, attrBits, k, keyBits = 6, 4, 3, 512
-	ns := map[string]int{"small": 24, "medium": 64, "paper": 200}
-	n := ns[b.sc.name]
-	tbl, err := dataset.Generate(int64(n*53+9), n, m, attrBits)
-	if err != nil {
-		return err
-	}
-	q := tbl.Rows[n/3]
-	oracle, err := plainknn.KDistances(tbl.Rows, q, k)
-	if err != nil {
-		return err
-	}
-	fig := benchkit.NewFigure(
-		fmt.Sprintf("Pack: SkNNm ablation, n=%d, m=%d, k=%d, K=%d [scale=%s]",
-			n, m, k, keyBits, b.sc.name),
-		"variant (0=classic 1=pack 2=fixed-base 3=both)", "time (s) / QPS / recall (per series)")
-	secs := fig.NewSeries("query time (s)")
-	qps := fig.NewSeries("QPS")
-	recall := fig.NewSeries("recall")
-	// EnableFixedBase mutates the shared cached key and cannot be
-	// undone, so the fixed-base-off variants must run first.
-	variants := []struct {
-		name               string
-		disablePack, disFB bool
-	}{
-		{"classic (paper wire format)", true, true},
-		{"packing only", false, true},
-		{"fixed-base only", true, false},
-		{"packing + fixed-base (default)", false, false},
-	}
-	var classic, both float64
-	for i, v := range variants {
-		sys, err := sknn.New(tbl.Rows, attrBits, sknn.Config{
-			Key: b.key(keyBits), DisablePacking: v.disablePack, DisableFixedBase: v.disFB,
-		})
-		if err != nil {
-			return err
-		}
-		var rows [][]uint64
-		d, err := benchkit.Timed(func() error {
-			var err error
-			rows, _, err = querySecureMetered(sys, q, k)
-			return err
-		})
-		sys.Close()
-		if err != nil {
-			return fmt.Errorf("%s: %w", v.name, err)
-		}
-		x := float64(i)
-		secs.Add(x, d.Seconds())
-		qps.Add(x, 1/d.Seconds())
-		recall.Add(x, recallOf(rows, q, oracle))
-		fmt.Printf("  %-32s %8.2fs  recall %.2f\n", v.name, d.Seconds(), recallOf(rows, q, oracle))
-		switch {
-		case v.disablePack && v.disFB:
-			classic = d.Seconds()
-		case !v.disablePack && !v.disFB:
-			both = d.Seconds()
-		}
-	}
-	if err := b.emit(fig, "pack"); err != nil {
-		return err
-	}
-	fmt.Printf("(speedup packing+fixed-base over classic: %.1f×; recall must be 1.0 in every cell)\n",
-		classic/both)
 	return nil
 }
 

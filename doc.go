@@ -30,8 +30,7 @@
 // errors.Is(err, sknn.ErrCanceled) as well as errors.Is against the
 // context's own error. Bad requests fail fast with sknn.ErrBadQuery
 // before any Paillier work. See docs/API.md for the options
-// (WithK/WithMode/WithCoverage/WithWorkers/WithoutMetrics) and the
-// v1→v2 migration table.
+// (WithK/WithMode/WithCoverage/WithWorkers/WithoutMetrics).
 //
 // A System is safe for concurrent use. Each query runs in its own
 // protocol session multiplexed over the Config.Workers C1↔C2
@@ -91,6 +90,14 @@
 // query. ReplicaStats reports liveness and retry counters, and
 // GatewayBackend adapts the System to the multi-tenant serving tier in
 // internal/gateway (tenant auth, admission control, metrics, drain).
+//
+// There is one SkNNm engine and no Config field that selects another:
+// every query packs its uplinks, ranks in the value domain and carries
+// records row-packed, which bounds the squared-distance domain at
+// l ≤ K − 69 bits for a K-bit key (New and LoadTable refuse a wider one
+// with core.ErrDomainBits). The paper's own Algorithms 4 and 6, as
+// printed, live in internal/reference — the oracle the engine is tested
+// against, not a mode of it.
 //
 // For a real multi-machine deployment, use the building blocks directly
 // (internal/core, internal/mpc with the TCP transport) the way

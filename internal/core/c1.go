@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"sknn/internal/mpc"
-	"sknn/internal/smc"
 )
 
 // CloudC1 is the data cloud: it stores Alice's encrypted table and owns
@@ -48,13 +47,6 @@ func NewCloudC1(table *EncryptedTable, conns []mpc.Conn, random io.Reader) (*Clo
 
 // Table returns the outsourced encrypted table.
 func (c *CloudC1) Table() *EncryptedTable { return c.table }
-
-// SetTuning selects the smc protocol variant (packed vs classic) for
-// sessions opened after the call. Call at setup, before queries run.
-func (c *CloudC1) SetTuning(t smc.Tuning) { c.pool.tuning = t }
-
-// Tuning reports the protocol variant new sessions will run with.
-func (c *CloudC1) Tuning() smc.Tuning { return c.pool.tuning }
 
 // Workers reports the parallelism degree (number of C2 links).
 func (c *CloudC1) Workers() int { return c.pool.workers() }

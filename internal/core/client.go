@@ -48,8 +48,8 @@ func (c *Client) EncryptQuery(q []uint64) (EncryptedQuery, error) {
 // per ciphertext, slot-packed Bits apart with the lowest column in the
 // lowest slot (paillier.NewRowPacking), the last chunk holding what is
 // left. Cols = 1 is the per-attribute form, one ciphertext per column:
-// what SkNNb reveals, and what SkNNm falls back to when packing is off or
-// the key is too small to pack two columns.
+// what SkNNb reveals, and what SkNNm uses when the key is too small to
+// pack two columns.
 type RowLayout struct {
 	Cols int // columns per chunk, ≥ 1
 	Bits int // slot width: every column value is below 2^Bits

@@ -29,6 +29,7 @@ import (
 	"fmt"
 
 	"sknn/internal/mpc"
+	"sknn/internal/paillier"
 )
 
 // Opcodes 64+ belong to the protocol layer (mpc owns 0–15, smc 16–63).
@@ -75,6 +76,26 @@ func ctxErr(ctx context.Context) error {
 	}
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("%w: %w", ErrCanceled, err)
+	}
+	return nil
+}
+
+// CheckDomainBits reports whether SkNNm can run at squared-distance
+// domain size l under pk. The tournament compares two distances by the
+// top bit of t = 2^l + a − b, peeled inside one slot of the packed codec
+// (smc.SMINValuePairsBatch): l + 1 value bits plus paillier.PackHeadroom
+// = 66 spare ones (σ = 64 of statistical blinding and two carries), in a
+// plaintext that keeps its own two top bits clear — so a K-bit key
+// carries 1 ≤ l ≤ K − 69 (and l + 1 ≤ 512, the codec's cap). Anything
+// else is ErrDomainBits at every entry point; there is no slower path to
+// drop to.
+func CheckDomainBits(pk *paillier.PublicKey, l int) error {
+	if l < 1 {
+		return fmt.Errorf("%w: l=%d", ErrDomainBits, l)
+	}
+	if _, err := paillier.NewPacking(pk, l+1); err != nil {
+		return fmt.Errorf("%w: l=%d does not fit a %d-bit key (l ≤ K−69, at most 511)",
+			ErrDomainBits, l, pk.Bits())
 	}
 	return nil
 }

@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"sknn/internal/mpc"
-	"sknn/internal/smc"
 )
 
 // linkPool owns a set of multiplexed connections to C2 and schedules
@@ -21,10 +20,6 @@ import (
 // coordinator's merge run on the identical protocol engine.
 type linkPool struct {
 	random io.Reader
-	// tuning is the smc protocol variant every session's requesters run
-	// with. Set once at construction (or via setTuning before queries
-	// start); sessions copy it at attach time.
-	tuning smc.Tuning
 
 	mu        sync.Mutex
 	links     []*mpc.Multiplexer
@@ -44,7 +39,6 @@ func newLinkPool(conns []mpc.Conn, random io.Reader) (*linkPool, error) {
 	}
 	p := &linkPool{
 		random:    random,
-		tuning:    smc.DefaultTuning(),
 		links:     make([]*mpc.Multiplexer, len(conns)),
 		load:      make([]int, len(conns)),
 		lent:      make([]bool, len(conns)),

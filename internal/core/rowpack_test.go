@@ -17,34 +17,33 @@ import (
 )
 
 // This file pins the row-packed record path of SkNNm: which layout a
-// session chooses, that a packed query and a per-attribute one (packing
-// off, the c = 1 case of the same code) agree with the plaintext oracle
-// at the boundaries of the value domain and of the chunk capacity, and
-// that Bob rejects shares that do not fit the layout they declare.
+// session chooses, that a query agrees with the plaintext oracle at the
+// boundaries of the value domain and of the chunk capacity (the printed
+// protocol is compared on the same edges in internal/reference, which
+// imports this package), and that Bob rejects shares that do not fit the
+// layout they declare.
 
 func TestRowLayoutFor(t *testing.T) {
 	cases := []struct {
 		keyBits, m, l int
-		packing       bool
 		want          RowLayout
 		chunks        int
 	}{
-		{512, 6, 12, true, RowLayout{Cols: 6, Bits: 6}, 1},    // bench/secure_scan
-		{512, 2, 14, true, RowLayout{Cols: 2, Bits: 7}, 1},    // bench/live_mixed
-		{512, 6, 12, false, RowLayout{Cols: 1, Bits: 6}, 6},   // packing off
-		{256, 20, 6, true, RowLayout{Cols: 20, Bits: 3}, 1},   // widest one-chunk record at 61 operand bits
-		{256, 21, 6, true, RowLayout{Cols: 20, Bits: 3}, 2},   // one column past it
-		{256, 3, 49, true, RowLayout{Cols: 2, Bits: 24}, 2},   // attrBits = 24
-		{256, 1, 6, true, RowLayout{Cols: 1, Bits: 3}, 1},     // m = 1
-		{256, 4, 200, true, RowLayout{Cols: 1, Bits: 100}, 4}, // a column wider than the operand
-		{128, 4, 6, true, RowLayout{Cols: 1, Bits: 3}, 4},     // key too small to pack an SM pair
+		{512, 6, 12, RowLayout{Cols: 6, Bits: 6}, 1},   // bench/secure_scan
+		{512, 2, 14, RowLayout{Cols: 2, Bits: 7}, 1},   // bench/live_mixed
+		{256, 20, 6, RowLayout{Cols: 20, Bits: 3}, 1},  // widest one-chunk record at 61 operand bits
+		{256, 21, 6, RowLayout{Cols: 20, Bits: 3}, 2},  // one column past it
+		{256, 3, 49, RowLayout{Cols: 2, Bits: 24}, 2},  // attrBits = 24
+		{256, 1, 6, RowLayout{Cols: 1, Bits: 3}, 1},    // m = 1
+		{256, 4, 150, RowLayout{Cols: 1, Bits: 75}, 4}, // a column wider than the operand
+		{128, 4, 6, RowLayout{Cols: 1, Bits: 3}, 4},    // key too small to pack an SM pair
 	}
 	for _, tc := range cases {
 		pk := &testkit.Key(tc.keyBits).PublicKey
-		got := rowLayoutFor(pk, tc.m, tc.l, tc.packing)
+		got := rowLayoutFor(pk, tc.m, tc.l)
 		if got != tc.want || got.Chunks(tc.m) != tc.chunks {
-			t.Errorf("K=%d m=%d l=%d packing=%v: layout %+v in %d chunks, want %+v in %d",
-				tc.keyBits, tc.m, tc.l, tc.packing, got, got.Chunks(tc.m), tc.want, tc.chunks)
+			t.Errorf("K=%d m=%d l=%d: layout %+v in %d chunks, want %+v in %d",
+				tc.keyBits, tc.m, tc.l, got, got.Chunks(tc.m), tc.want, tc.chunks)
 		}
 		if got.Cols > 1 && got.Cols*got.Bits > smc.SMPackOperandBits(pk) {
 			t.Errorf("K=%d m=%d l=%d: a %d-bit chunk does not ride the packed SM uplink", tc.keyBits, tc.m, tc.l, got.Cols*got.Bits)
@@ -62,9 +61,9 @@ func rowSet(rows [][]uint64) []string {
 	return out
 }
 
-// secureRowsWithLayout runs SkNNm with packing on or off and returns the
-// unmasked rows plus the layout the reveal used.
-func secureRowsWithLayout(t *testing.T, sk *paillier.PrivateKey, rows [][]uint64, f int, packing bool, q []uint64, k, l int) ([][]uint64, RowLayout) {
+// secureRowsWithLayout runs SkNNm and returns the unmasked rows plus the
+// layout the reveal used.
+func secureRowsWithLayout(t *testing.T, sk *paillier.PrivateKey, rows [][]uint64, f int, q []uint64, k, l int) ([][]uint64, RowLayout) {
 	t.Helper()
 	encTable, err := EncryptTable(rand.Reader, &sk.PublicKey, rows)
 	if err != nil {
@@ -74,7 +73,6 @@ func secureRowsWithLayout(t *testing.T, sk *paillier.PrivateKey, rows [][]uint64
 		t.Fatal(err)
 	}
 	c1, bob := newSystemOver(t, sk, encTable, 1)
-	c1.SetTuning(smc.Tuning{Packing: packing})
 	eq, err := bob.EncryptQuery(q)
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +105,7 @@ func TestRowPackedBoundaries(t *testing.T) {
 		rows     [][]uint64
 		q        []uint64
 		k        int
-		chunks   int // of the packed run
+		chunks   int // ciphertexts per revealed record
 	}{
 		{
 			name: "every column at the top of its domain", keyBits: 256, attrBits: 3, f: 2,
@@ -158,30 +156,23 @@ func TestRowPackedBoundaries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, packing := range []bool{true, false} {
-				got, layout := secureRowsWithLayout(t, sk, tc.rows, tc.f, packing, tc.q, tc.k, l)
-				wantChunks := m
-				if packing {
-					wantChunks = tc.chunks
-				}
-				if layout.Chunks(m) != wantChunks {
-					t.Errorf("packing=%v: revealed %d shares per record (layout %+v), want %d",
-						packing, layout.Chunks(m), layout, wantChunks)
-				}
-				ds := distancesOf(t, featurePrefix(got, tc.f), tc.q)
-				if fmt.Sprint(ds) != fmt.Sprint(want) {
-					t.Errorf("packing=%v: distances %v, oracle %v", packing, ds, want)
-				}
-				// Whole rows, payload columns included, must be table rows:
-				// a shifted or truncated slot shows up here.
-				inTable := make(map[string]int)
-				for _, r := range rowSet(tc.rows) {
-					inTable[r]++
-				}
-				for _, r := range rowSet(got) {
-					if inTable[r]--; inTable[r] < 0 {
-						t.Errorf("packing=%v: returned row %s more often than the table holds it (got %v)", packing, r, got)
-					}
+			got, layout := secureRowsWithLayout(t, sk, tc.rows, tc.f, tc.q, tc.k, l)
+			if layout.Chunks(m) != tc.chunks {
+				t.Errorf("revealed %d shares per record (layout %+v), want %d", layout.Chunks(m), layout, tc.chunks)
+			}
+			ds := distancesOf(t, featurePrefix(got, tc.f), tc.q)
+			if fmt.Sprint(ds) != fmt.Sprint(want) {
+				t.Errorf("distances %v, oracle %v", ds, want)
+			}
+			// Whole rows, payload columns included, must be table rows:
+			// a shifted or truncated slot shows up here.
+			inTable := make(map[string]int)
+			for _, r := range rowSet(tc.rows) {
+				inTable[r]++
+			}
+			for _, r := range rowSet(got) {
+				if inTable[r]--; inTable[r] < 0 {
+					t.Errorf("returned row %s more often than the table holds it (got %v)", r, got)
 				}
 			}
 		})
@@ -270,7 +261,7 @@ func TestUnmaskRowLayouts(t *testing.T) {
 }
 
 // TestMergeRejectsForeignLayout: a candidate whose record is not in the
-// merge session's row layout — a shard with the other packing tuning —
+// merge session's row layout — what a remote shard's frame could carry —
 // is a typed error, never merged as if its chunks were columns.
 func TestMergeRejectsForeignLayout(t *testing.T) {
 	tbl, err := dataset.Generate(71, 6, 3, 3)
@@ -283,15 +274,17 @@ func TestMergeRejectsForeignLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1.SetTuning(smc.Tuning{Packing: false})
 	cands, _, err := c1.TopK(context.Background(), eq, 2, l, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cands[0].Rec) != 3 {
-		t.Fatalf("per-attribute candidate carries %d ciphertexts, want 3", len(cands[0].Rec))
+	if len(cands[0].Rec) != 1 {
+		t.Fatalf("row-packed candidate carries %d ciphertexts, want 1", len(cands[0].Rec))
 	}
-	c1.SetTuning(smc.Tuning{Packing: true})
+	// The same candidates with their records attribute by attribute.
+	for i := range cands {
+		cands[i].Rec = c1.Table().Record(i)
+	}
 	s, err := c1.NewSession(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)

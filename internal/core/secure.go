@@ -24,7 +24,7 @@ type SecureMetrics struct {
 	Total    time.Duration
 	Centroid time.Duration // clustered index only: oblivious cluster ranking
 	Distance time.Duration // SSED over the candidate records
-	BitDecom time.Duration // SBD of all candidate distances
+	BitDecom time.Duration // always zero: no candidate is decomposed outside SMINn (see candidateDistances)
 	SMINn    time.Duration // sum over the k SMINn invocations
 	Select   time.Duration // τ/β blinding + C2 one-hot (step 3(b)-(c))
 	Extract  time.Duration // oblivious record extraction (step 3(d))
@@ -94,7 +94,8 @@ func (m *SecureMetrics) add(o *SecureMetrics) {
 // column of every record, payload columns included, must be below
 // 2^(l/2): packed SSED slots the feature columns that wide and the row
 // layout (rowLayoutFor) every column. A table validated against the
-// attrBits that l was derived from satisfies both.
+// attrBits that l was derived from satisfies both. l itself must fit
+// the key (CheckDomainBits: l ≤ K − 69); anything wider is ErrDomainBits.
 func (s *QuerySession) SecureQuery(q EncryptedQuery, k, domainBits int) (*MaskedResult, error) {
 	res, _, err := s.SecureQueryMetered(q, k, domainBits)
 	return res, err
@@ -207,8 +208,8 @@ func (s *QuerySession) NearestCluster(q EncryptedQuery, domainBits int) (int, er
 	if err := s.checkQuery(q); err != nil {
 		return 0, err
 	}
-	if domainBits < 1 || domainBits > 512 {
-		return 0, fmt.Errorf("%w: l=%d", ErrDomainBits, domainBits)
+	if err := CheckDomainBits(s.pk, domainBits); err != nil {
+		return 0, err
 	}
 	// target=1 stops after the first cluster able to hold a record; the
 	// rank order makes chosen[0] the nearest centroid even when earlier
@@ -231,10 +232,7 @@ func (s *QuerySession) checkSecureArgs(q EncryptedQuery, k, domainBits int) erro
 	if err := validateK(k, s.tbl.N()); err != nil {
 		return err
 	}
-	if domainBits < 1 || domainBits > 512 {
-		return fmt.Errorf("%w: l=%d", ErrDomainBits, domainBits)
-	}
-	return nil
+	return CheckDomainBits(s.pk, domainBits)
 }
 
 // attrPackBits is the slot payload width for packed SSED and for
@@ -249,48 +247,22 @@ func attrPackBits(domainBits int) int {
 }
 
 // rankClusters is the clustered index's query-time phase: an oblivious
-// top-p selection over the encrypted centroids. Each round runs SMINn
-// over the still-live centroid distances, blinds and permutes the
-// differences exactly like step 3(b)-(c), and asks C2 for the argmin
-// *position* (OpMinIndex) instead of a one-hot vector; C1
+// top-p selection over the encrypted centroids. Each round runs the
+// value-domain SMINn over the still-live centroid distances, blinds and
+// permutes the differences exactly like step 3(b)-(c), and asks C2 for
+// the argmin *position* (OpMinIndex) instead of a one-hot vector; C1
 // inverse-permutes the position into a cluster id — the index's
 // documented leakage — removes that cluster from the live set in
-// plaintext (no SBOR needed once the winner is known), and repeats
-// until the chosen clusters hold at least target records.
+// plaintext (no disqualification needed once the winner is known), and
+// repeats until the chosen clusters hold at least target records.
 func (s *QuerySession) rankClusters(q EncryptedQuery, domainBits, target int, metrics *SecureMetrics) ([]int, error) {
 	pk := s.pk
-	cents := s.tbl.centroids2D()
-	nc := len(cents)
-
-	var packed *smc.PackedRows
-	if s.packingOn() {
-		packed = s.tbl.packedCentroids(attrPackBits(domainBits))
-	}
-	ds, err := s.distancesOf(q, cents, packed)
+	ds, err := s.distancesOf(q, s.tbl.centroids2D(), s.tbl.packedCentroids(attrPackBits(domainBits)))
 	if err != nil {
 		return nil, fmt.Errorf("core: centroid SSED: %w", err)
 	}
-	// The value-domain tournament ranks the composed distances directly,
-	// so the centroid bit decomposition — needed only as Algorithm 4
-	// input — is skipped entirely on packed sessions.
-	useValue := s.valueMinOK(domainBits)
-	var bits [][]*paillier.Ciphertext
-	if !useValue {
-		bits = make([][]*paillier.Ciphertext, nc)
-		err = s.parallelOverRecords(nc, func(_ int, rq *smc.Requester, lo, hi int) error {
-			bs, err := rq.SBDBatch(ds[lo:hi], domainBits)
-			if err != nil {
-				return fmt.Errorf("core: centroid SBD chunk [%d,%d): %w", lo, hi, err)
-			}
-			copy(bits[lo:hi], bs)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
 
-	live := make([]int, nc)
+	live := make([]int, len(ds))
 	for i := range live {
 		live[i] = i
 	}
@@ -304,27 +276,13 @@ func (s *QuerySession) rankClusters(q EncryptedQuery, domainBits, target int, me
 		if len(live) == 1 {
 			winner = live[0]
 		} else {
-			var encMin *paillier.Ciphertext
-			if useValue {
-				liveDs := make([]*paillier.Ciphertext, len(live))
-				for i, j := range live {
-					liveDs[i] = ds[j]
-				}
-				var err error
-				encMin, err = s.sminnValue(liveDs, domainBits)
-				if err != nil {
-					return nil, fmt.Errorf("core: centroid SMINn (round %d): %w", len(chosen)+1, err)
-				}
-			} else {
-				liveBits := make([][]*paillier.Ciphertext, len(live))
-				for i, j := range live {
-					liveBits[i] = bits[j]
-				}
-				minBits, err := s.sminnParallel(liveBits)
-				if err != nil {
-					return nil, fmt.Errorf("core: centroid SMINn (round %d): %w", len(chosen)+1, err)
-				}
-				encMin = smc.Recompose(pk, minBits)
+			liveDs := make([]*paillier.Ciphertext, len(live))
+			for i, j := range live {
+				liveDs[i] = ds[j]
+			}
+			encMin, err := s.sminnValue(liveDs, domainBits)
+			if err != nil {
+				return nil, fmt.Errorf("core: centroid SMINn (round %d): %w", len(chosen)+1, err)
 			}
 			metrics.SMINCount += len(live) - 1
 
@@ -392,10 +350,10 @@ func (s *QuerySession) secureScan(q EncryptedQuery, k, domainBits int, idx []int
 }
 
 // scanTopK is what a standalone query and a shard-local scan share:
-// SSED + SBD over the candidates idx (candidateBits), their records in
+// SSED over the candidates idx (candidateDistances), their records in
 // the session's row layout, and the k selection rounds (selectTopK).
 func (s *QuerySession) scanTopK(q EncryptedQuery, k, domainBits int, idx []int, metrics *SecureMetrics) ([]Candidate, error) {
-	ds, bits, err := s.candidateBits(q, domainBits, idx, metrics)
+	ds, err := s.candidateDistances(q, domainBits, idx, metrics)
 	if err != nil {
 		return nil, err
 	}
@@ -407,7 +365,7 @@ func (s *QuerySession) scanTopK(q EncryptedQuery, k, domainBits int, idx []int, 
 		return nil, err
 	}
 	metrics.Extract += time.Since(phase)
-	return s.selectTopK(bits, records, ds, k, domainBits, metrics)
+	return s.selectTopK(records, ds, k, domainBits, metrics)
 }
 
 // candidateRecords lists the candidates' records in rank order.
@@ -419,99 +377,64 @@ func candidateRecords(cands []Candidate) []EncryptedRecord {
 	return rows
 }
 
-// candidateBits is Stage 1 of Algorithm 6 over the candidate records
-// idx: SSED (step 2a) then SBD (step 2b) for every candidate, chunked
-// across the session's workers. This — not the k selection rounds — is
-// the data-parallel bulk a sharded deployment scatters. Both forms of
-// each distance are returned: E(dᵢ) seeds selectTopK's first round so
-// the local path never recomposes what SSED already produced.
-func (s *QuerySession) candidateBits(q EncryptedQuery, domainBits int, idx []int, metrics *SecureMetrics) ([]*paillier.Ciphertext, [][]*paillier.Ciphertext, error) {
+// candidateDistances is Stage 1 of Algorithm 6 over the candidate
+// records idx: SSED (step 2a) for every candidate, chunked across the
+// session's workers. This — not the k selection rounds — is the
+// data-parallel bulk a sharded deployment scatters. The paper's step 2b
+// (SBD of every distance) has no counterpart here: the tournament
+// compares composed values and the disqualification rewrites them in
+// place, so no candidate is ever bit-decomposed outside SMINn.
+func (s *QuerySession) candidateDistances(q EncryptedQuery, domainBits int, idx []int, metrics *SecureMetrics) ([]*paillier.Ciphertext, error) {
 	// Stage boundary: a canceled query stops before SSED rather than
 	// paying for a scan nobody will read.
 	if err := s.ctxErr(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	n := len(idx)
-	feat := s.tbl.featureRows(idx)
-
-	// Step 2a: E(dᵢ) for every candidate record.
 	phase := time.Now()
-	var packed *smc.PackedRows
-	if s.packingOn() {
-		packed = s.tbl.packedFeatureRows(attrPackBits(domainBits), idx)
-	}
-	ds, err := s.distancesOf(q, feat, packed)
+	ds, err := s.distancesOf(q, s.tbl.featureRows(idx), s.tbl.packedFeatureRows(attrPackBits(domainBits), idx))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	metrics.Distance = time.Since(phase)
 	if err := s.ctxErr(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-
-	// Step 2b: [dᵢ] — bit decomposition of every distance (chunked).
-	// Value-domain sessions never consume the candidate bit vectors: the
-	// tournament compares composed values and the disqualification
-	// rewrites them in place, so the whole SBD stage is skipped and the
-	// caller receives nil bits.
-	if s.valueMinOK(domainBits) {
-		return ds, nil, nil
-	}
-	phase = time.Now()
-	bits := make([][]*paillier.Ciphertext, n)
-	err = s.parallelOverRecords(n, func(_ int, rq *smc.Requester, lo, hi int) error {
-		bs, err := rq.SBDBatch(ds[lo:hi], domainBits)
-		if err != nil {
-			return fmt.Errorf("core: SBD chunk [%d,%d): %w", lo, hi, err)
-		}
-		copy(bits[lo:hi], bs)
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	metrics.BitDecom = time.Since(phase)
-	return ds, bits, nil
+	return ds, nil
 }
 
 // selectTopK is the k-round selection loop of Algorithm 6 (steps 3(a)
-// through 3(e)) over pre-computed candidate distances: SMINn, blinded
-// min-select, oblivious record extraction, SBOR disqualification. It is
-// deliberately table-agnostic — candidates are (distance, record) pairs,
-// each record in the session's row layout (rowLayout: ⌈m/c⌉ chunks of c
-// slot-packed columns, or the m attribute ciphertexts when c = 1) — so
-// the same engine selects from a shard's scanned records and, at
-// the coordinator, from the s·k encrypted candidates the shards return:
-// the secure merge is exactly this loop over the gathered candidates.
+// through 3(e)) over pre-computed candidate distances: value-domain
+// SMINn, blinded min-select, oblivious record extraction, SM
+// disqualification. It is deliberately table-agnostic — candidates are
+// (distance, record) pairs, each record in the session's row layout
+// (rowLayout: ⌈m/c⌉ chunks of c slot-packed columns, or the m attribute
+// ciphertexts when c = 1) — so the same engine selects from a shard's
+// scanned records and, at the coordinator, from the s·k encrypted
+// candidates the shards return: the secure merge is exactly this loop
+// over the gathered candidates.
 //
 // Every returned Candidate carries the round's E(dmin) alongside the
 // extracted record — the composed value each round produces anyway —
 // which is what lets a shard ship rank-ordered encrypted candidates
 // upward without ever decrypting a distance, and lets the coordinator
-// fold shard result sets into further selections. bits is mutated in
-// place (the disqualification of step 3(e)); pass a copy to keep the
-// originals. On value-domain sessions bits may be nil as long as seed
-// is provided — the selection never touches bit vectors then. seed,
-// when non-nil, is E(dᵢ) for every candidate (SSED's output, or a
-// gathered Candidate.Dist) and saves the first round's recompositions;
-// callers without composed distances pass nil and round 1 recomposes
-// from the bit vectors.
-func (s *QuerySession) selectTopK(bits [][]*paillier.Ciphertext, records [][]*paillier.Ciphertext, seed []*paillier.Ciphertext, k, domainBits int, metrics *SecureMetrics) ([]Candidate, error) {
+// fold shard result sets into further selections. dists is E(dᵢ) for
+// every candidate (SSED's output, or a gathered Candidate.Dist) and is
+// not modified.
+func (s *QuerySession) selectTopK(records [][]*paillier.Ciphertext, dists []*paillier.Ciphertext, k, domainBits int, metrics *SecureMetrics) ([]Candidate, error) {
 	pk := s.pk
 	n := len(records)
-	useValue := s.valueMinOK(domainBits)
-	if (!useValue || seed == nil) && len(bits) != n {
-		return nil, fmt.Errorf("core: %d candidate bit vectors, %d records", len(bits), n)
-	}
-	if seed != nil && len(seed) != n {
-		return nil, fmt.Errorf("core: %d candidate distances, %d records", len(seed), n)
+	if len(dists) != n {
+		return nil, fmt.Errorf("core: %d candidate distances, %d records", len(dists), n)
 	}
 	if err := validateK(k, n); err != nil {
 		return nil, err
 	}
 	layout := s.rowLayout(domainBits)
 	chunks := layout.Chunks(s.m) // ciphertexts per record; callers hand records over in this layout
+	// The round's composed distances E(dᵢ), carried from round to round:
+	// the disqualification below rewrites each winner in place.
 	ds := make([]*paillier.Ciphertext, n)
+	copy(ds, dists)
 
 	selected := make([]Candidate, 0, k)
 
@@ -522,49 +445,15 @@ func (s *QuerySession) selectTopK(bits [][]*paillier.Ciphertext, records [][]*pa
 		if err := s.ctxErr(); err != nil {
 			return nil, err
 		}
-		// Step 3(b) input: the round's composed distances E(dᵢ). Round 1
-		// reuses SSED's output when the caller seeded it (recomposing from
-		// the bit vectors otherwise); later rounds recompose from the
-		// SBOR-updated bits on classic sessions, while value-domain
-		// sessions carry ds forward — the disqualification below already
-		// rewrote the winner in place.
-		phase := time.Now()
-		if iter == 0 {
-			if seed != nil {
-				copy(ds, seed)
-			} else {
-				for i := 0; i < n; i++ {
-					ds[i] = smc.Recompose(pk, bits[i])
-				}
-			}
-		} else if !useValue {
-			for i := 0; i < n; i++ {
-				ds[i] = smc.Recompose(pk, bits[i])
-			}
-		}
-		metrics.Select += time.Since(phase)
 
-		// Step 3(a): E(dmin). Packed sessions run the value-domain
-		// tournament (smc.SMINnValues) over the composed distances;
-		// classic sessions run Algorithm 4 over the bit vectors and
-		// recompose the winner. Both shapes cost n−1 SMIN-equivalents,
-		// and both end the round holding the composed minimum — the
-		// form every consumer (the one-hot select here, a shard merge
-		// upstream) wants, so no winner is ever re-decomposed.
-		phase = time.Now()
-		var encMin *paillier.Ciphertext
-		var err error
-		if useValue {
-			encMin, err = s.sminnValue(ds, domainBits)
-			if err != nil {
-				return nil, fmt.Errorf("core: iteration %d SMINn: %w", iter+1, err)
-			}
-		} else {
-			minBits, err := s.sminnParallel(bits)
-			if err != nil {
-				return nil, fmt.Errorf("core: iteration %d SMINn: %w", iter+1, err)
-			}
-			encMin = smc.Recompose(pk, minBits)
+		// Step 3(a): E(dmin), by the value-domain tournament over the
+		// composed distances: n−1 SMIN-equivalents, ending the round
+		// holding the composed minimum — the form every consumer (the
+		// one-hot select here, a shard merge upstream) wants.
+		phase := time.Now()
+		encMin, err := s.sminnValue(ds, domainBits)
+		if err != nil {
+			return nil, fmt.Errorf("core: iteration %d SMINn: %w", iter+1, err)
 		}
 		metrics.SMINCount += n - 1
 		metrics.SMINn += time.Since(phase)
@@ -643,56 +532,30 @@ func (s *QuerySession) selectTopK(bits [][]*paillier.Ciphertext, records [][]*pa
 
 		// Step 3(e): oblivious disqualification, driving the winner's
 		// distance to the 2^l − 1 sentinel (strictly above any real
-		// distance thanks to the DomainBits headroom bit). Skipped after
-		// the final iteration (nothing consumes the update).
+		// distance thanks to the DomainBits headroom bit): dᵢ +=
+		// Vᵢ·(2^l−1−dᵢ) — n secure multiplications where the paper's bit
+		// form pays n·l SBORs. The gap 2^l−1−dᵢ is below 2^l, so the
+		// products ride the packed SM uplink under the domain bound.
+		// Skipped after the final iteration (nothing consumes the update).
 		if iter == k-1 {
 			break
 		}
 		phase = time.Now()
-		if useValue {
-			// Value-domain form: dᵢ += Vᵢ·(2^l−1−dᵢ) — n secure
-			// multiplications instead of the bit path's n·l SBORs. The
-			// gap 2^l−1−dᵢ is below 2^l, so the products ride the packed
-			// SM uplink under the domain bound.
-			sentinel := new(big.Int).Lsh(big.NewInt(1), uint(domainBits))
-			sentinel.Sub(sentinel, big.NewInt(1))
-			err = s.parallelOverRecords(n, func(_ int, rq *smc.Requester, lo, hi int) error {
-				sel := make([]*paillier.Ciphertext, hi-lo)
-				gaps := make([]*paillier.Ciphertext, hi-lo)
-				for i := lo; i < hi; i++ {
-					sel[i-lo] = v[i]
-					gaps[i-lo] = pk.AddPlain(pk.Neg(ds[i]), sentinel)
-				}
-				prods, err := rq.SMBatchBounded(sel, gaps, 1, domainBits)
-				if err != nil {
-					return fmt.Errorf("core: exclude chunk [%d,%d): %w", lo, hi, err)
-				}
-				for i := lo; i < hi; i++ {
-					ds[i] = pk.Add(ds[i], prods[i-lo])
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			metrics.Exclude += time.Since(phase)
-			continue
-		}
+		sentinel := new(big.Int).Lsh(big.NewInt(1), uint(domainBits))
+		sentinel.Sub(sentinel, big.NewInt(1))
 		err = s.parallelOverRecords(n, func(_ int, rq *smc.Requester, lo, hi int) error {
-			sel := make([]*paillier.Ciphertext, 0, (hi-lo)*domainBits)
-			bts := make([]*paillier.Ciphertext, 0, (hi-lo)*domainBits)
+			sel := make([]*paillier.Ciphertext, hi-lo)
+			gaps := make([]*paillier.Ciphertext, hi-lo)
 			for i := lo; i < hi; i++ {
-				for g := 0; g < domainBits; g++ {
-					sel = append(sel, v[i])
-					bts = append(bts, bits[i][g])
-				}
+				sel[i-lo] = v[i]
+				gaps[i-lo] = pk.AddPlain(pk.Neg(ds[i]), sentinel)
 			}
-			ors, err := rq.SBORBatch(sel, bts)
+			prods, err := rq.SMBatchBounded(sel, gaps, 1, domainBits)
 			if err != nil {
 				return fmt.Errorf("core: exclude chunk [%d,%d): %w", lo, hi, err)
 			}
 			for i := lo; i < hi; i++ {
-				copy(bits[i], ors[(i-lo)*domainBits:(i-lo+1)*domainBits])
+				ds[i] = pk.Add(ds[i], prods[i-lo])
 			}
 			return nil
 		})
@@ -726,8 +589,8 @@ func (s *QuerySession) TopK(q EncryptedQuery, k, domainBits, target int, secure 
 	if !secure {
 		return s.basicTopK(q, k)
 	}
-	if domainBits < 1 || domainBits > 512 {
-		return nil, nil, fmt.Errorf("%w: l=%d", ErrDomainBits, domainBits)
+	if err := CheckDomainBits(s.pk, domainBits); err != nil {
+		return nil, nil, err
 	}
 	metrics := &SecureMetrics{}
 	comm0 := s.CommStats()
@@ -757,13 +620,10 @@ func (s *QuerySession) TopK(q EncryptedQuery, k, domainBits, target int, secure 
 
 // mergeCandidates is the coordinator's secure merge: selectTopK — the
 // identical engine the shards ran — over gathered candidates' composed
-// distances. On value-domain sessions the gathered E(d) values feed the
-// tournament directly, so no bit decomposition happens at the merge
-// boundary at all; classic sessions (packing off, or a key too small
-// for the value codec) decompose the gathered distances first and run
-// the bit-vector engine — the differential oracle for the value path.
-// The returned candidates are rank-ordered and carry fresh E(dmin)
-// values, so a fold's output can feed the next fold.
+// distances, which feed the tournament directly, so no bit decomposition
+// happens at the merge boundary at all. The returned candidates are
+// rank-ordered and carry fresh E(dmin) values, so a fold's output can
+// feed the next fold.
 func (s *QuerySession) mergeCandidates(cands []Candidate, k, domainBits int, metrics *SecureMetrics) ([]Candidate, error) {
 	n := len(cands)
 	chunks := s.rowLayout(domainBits).Chunks(s.m)
@@ -773,9 +633,10 @@ func (s *QuerySession) mergeCandidates(cands []Candidate, k, domainBits int, met
 		if cand.Dist == nil {
 			return nil, fmt.Errorf("%w: merge candidate %d has no distance", ErrBadFrame, i)
 		}
-		// A shard running another row layout (its packing tuning differs
-		// from the merge pool's) cannot be merged: reject it here rather
-		// than read its chunks as differently packed columns.
+		// A remote shard's frame is outside input: a record in another row
+		// layout than this table shape, key and domain size produce cannot
+		// be merged — reject it here rather than read its chunks as
+		// differently packed columns.
 		if len(cand.Rec) != chunks {
 			return nil, fmt.Errorf("%w: merge candidate %d has %d record ciphertexts, want %d",
 				ErrBadFrame, i, len(cand.Rec), chunks)
@@ -783,24 +644,7 @@ func (s *QuerySession) mergeCandidates(cands []Candidate, k, domainBits int, met
 		records[i] = cand.Rec
 		ds[i] = cand.Dist
 	}
-	if s.valueMinOK(domainBits) {
-		return s.selectTopK(nil, records, ds, k, domainBits, metrics)
-	}
-	phase := time.Now()
-	bits := make([][]*paillier.Ciphertext, n)
-	err := s.parallelOverRecords(n, func(_ int, rq *smc.Requester, lo, hi int) error {
-		bs, err := rq.SBDBatch(ds[lo:hi], domainBits)
-		if err != nil {
-			return fmt.Errorf("core: merge SBD chunk [%d,%d): %w", lo, hi, err)
-		}
-		copy(bits[lo:hi], bs)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	metrics.BitDecom += time.Since(phase)
-	return s.selectTopK(bits, records, ds, k, domainBits, metrics)
+	return s.selectTopK(records, ds, k, domainBits, metrics)
 }
 
 // sumRecords adds, chunk by chunk, the records laid end to end in prods
@@ -816,10 +660,10 @@ func sumRecords(pk *paillier.PublicKey, acc EncryptedRecord, prods []*paillier.C
 	return acc
 }
 
-// sminnValue is the value-domain SMINn: the same ⌈log₂ n⌉-level
-// tournament shape as sminnParallel, over composed distances instead of
-// bit vectors, with each level's pairs spread across the session's
-// streams. Callers gate on valueMinOK.
+// sminnValue is SMINn over composed distances: the ⌈log₂ n⌉-level
+// tournament of Algorithm 4 with every level's pairs compared in the
+// value domain (smc.SMINValuePairsBatch) and spread across the session's
+// streams. l must satisfy CheckDomainBits; every entry point does.
 func (s *QuerySession) sminnValue(ds []*paillier.Ciphertext, l int) (*paillier.Ciphertext, error) {
 	if len(ds) == 0 {
 		return nil, fmt.Errorf("core: SMINn over empty set")
@@ -862,62 +706,6 @@ func (s *QuerySession) sminnValue(ds []*paillier.Ciphertext, l int) (*paillier.C
 		for _, err := range errs {
 			if err != nil {
 				return nil, err
-			}
-		}
-		live = next
-	}
-	return live[0], nil
-}
-
-// sminnParallel is SMINn (Algorithm 4) with each tournament level's
-// independent SMIN pairs spread across the session's streams. The
-// round structure — ⌈log₂ n⌉ levels, n−1 SMINs — is identical to
-// smc.SMINn; only the scheduling differs. With a single stream the
-// whole tournament runs through the round-batched form instead (two
-// frames per level rather than two per pair).
-func (s *QuerySession) sminnParallel(ds [][]*paillier.Ciphertext) ([]*paillier.Ciphertext, error) {
-	if len(ds) == 0 {
-		return nil, fmt.Errorf("core: SMINn over empty set")
-	}
-	if len(s.rqs) == 1 {
-		return s.rqs[0].SMINnBatched(ds)
-	}
-	live := make([][]*paillier.Ciphertext, len(ds))
-	copy(live, ds)
-	for len(live) > 1 {
-		pairs := len(live) / 2
-		next := make([][]*paillier.Ciphertext, (len(live)+1)/2)
-		if len(live)%2 == 1 {
-			next[pairs] = live[len(live)-1]
-		}
-		if pairs == 1 {
-			m, err := s.rqs[0].SMIN(live[0], live[1])
-			if err != nil {
-				return nil, err
-			}
-			next[0] = m
-		} else {
-			var wg sync.WaitGroup
-			errs := make([]error, len(s.rqs))
-			for w := range s.rqs {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for p := w; p < pairs; p += len(s.rqs) {
-						m, err := s.rqs[w].SMIN(live[2*p], live[2*p+1])
-						if err != nil {
-							errs[w] = err
-							return
-						}
-						next[p] = m
-					}
-				}(w)
-			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					return nil, err
-				}
 			}
 		}
 		live = next

@@ -88,41 +88,26 @@ func (s *QuerySession) ctxErr() error { return ctxErr(s.ctx) }
 
 // attach wires one opened logical stream into the session.
 func (s *QuerySession) attach(conn mpc.Conn) {
-	rq := smc.NewRequester(s.pk, conn, s.pool.random)
-	rq.SetTuning(s.pool.tuning)
 	s.conns = append(s.conns, conn)
-	s.rqs = append(s.rqs, rq)
-}
-
-// packingOn reports whether this session's requesters run the packed
-// protocol variants — the gate the query engine checks before paying
-// for packed renderings of table rows.
-func (s *QuerySession) packingOn() bool { return s.pool.tuning.Packing }
-
-// valueMinOK reports whether the value-domain tournament can run on this
-// session: packing is on and the key fits an (l+1)-bit slot codec (the
-// comparison decomposes t = 2^l + a − b, one bit wider than the domain).
-func (s *QuerySession) valueMinOK(domainBits int) bool {
-	return s.primary().PacksValues(domainBits + 1)
+	s.rqs = append(s.rqs, smc.NewRequester(s.pk, conn, s.pool.random))
 }
 
 // rowLayoutFor is the record layout SkNNm uses at domain size l for
-// m-column records under pk: with packing on, as many columns per chunk
-// — each attrPackBits(l) wide, the bound packed SSED already puts on the
+// m-column records under pk: as many columns per chunk — each
+// attrPackBits(l) wide, the bound packed SSED already puts on the
 // feature columns, here required of every column — as one operand of the
-// packed SM uplink holds; per-attribute when packing is off or fewer
-// than two columns fit.
-func rowLayoutFor(pk *paillier.PublicKey, m, domainBits int, packing bool) RowLayout {
+// packed SM uplink holds; per-attribute when fewer than two columns fit.
+func rowLayoutFor(pk *paillier.PublicKey, m, domainBits int) RowLayout {
 	w := attrPackBits(domainBits)
-	if c := min(m, smc.SMPackOperandBits(pk)/w); packing && c > 1 {
+	if c := min(m, smc.SMPackOperandBits(pk)/w); c > 1 {
 		return RowLayout{Cols: c, Bits: w}
 	}
 	return RowLayout{Cols: 1, Bits: w}
 }
 
-// rowLayout is rowLayoutFor this session's records and tuning.
+// rowLayout is rowLayoutFor this session's records.
 func (s *QuerySession) rowLayout(domainBits int) RowLayout {
-	return rowLayoutFor(s.pk, s.m, domainBits, s.packingOn())
+	return rowLayoutFor(s.pk, s.m, domainBits)
 }
 
 // Close ends the session's logical streams and releases its links back
@@ -207,7 +192,8 @@ func (s *QuerySession) parallelOverRecords(n int, fn func(w int, rq *smc.Request
 // the cluster centroids — chunked across the session's workers. packed,
 // when non-nil, is the slot-packed rendering of exactly the same rows
 // (usually a cached subset from the table view); the chunks then ride
-// the packed SSED uplink. Pass nil to stay on the classic path.
+// the packed SSED uplink. With nil — SkNNb, or a key too small for the
+// SSED slot codec — they take the classic one.
 func (s *QuerySession) distancesOf(q EncryptedQuery, rows [][]*paillier.Ciphertext, packed *smc.PackedRows) ([]*paillier.Ciphertext, error) {
 	out := make([]*paillier.Ciphertext, len(rows))
 	err := s.parallelOverRecords(len(rows), func(_ int, rq *smc.Requester, lo, hi int) error {

@@ -10,7 +10,6 @@ import (
 
 	"sknn/internal/mpc"
 	"sknn/internal/paillier"
-	"sknn/internal/smc"
 )
 
 // Candidate is one entry of a shard-local top-k list, still fully
@@ -100,9 +99,10 @@ var ErrShardTopology = fmt.Errorf("core: inconsistent shard topology")
 // id mod S) and a private link pool to C2, and the coordinator owns its
 // own link pool for the gather phase. A query scatters — every shard
 // runs the existing pruned or full secure scan over its partition,
-// producing an encrypted shard-local top-k — then gathers: a secure
-// SMINn-based merge over the s·k encrypted candidates (selectTopK, the
-// identical engine the shards ran) yields the exact global top-k.
+// producing an encrypted shard-local top-k — and gathers as the results
+// land (stream.go): a secure SMINn-based merge over the s·k encrypted
+// candidates (selectTopK, the identical engine the shards ran) yields
+// the exact global top-k.
 //
 // Leakage is the same class as a single-shard query: C2 additionally
 // sees that a merge round ranks s·k blinded values, and C1-side parties
@@ -116,28 +116,7 @@ type ShardedC1 struct {
 	pk     *paillier.PublicKey
 	m      int
 	featM  int
-	// streaming selects the pipelined gather (stream.go): shard results
-	// fold into the merge as they arrive instead of behind a barrier.
-	// On by default; SetStreaming(false) restores the serial merge — the
-	// differential oracle — and single-shard or packing-off deployments
-	// fall back to it automatically.
-	streaming bool
 }
-
-// SetTuning selects the smc protocol variant for the coordinator's own
-// merge sessions. Shard workers carry their own tuning (a LocalShard's
-// via its CloudC1; a remote shard's is server-side configuration).
-func (c *ShardedC1) SetTuning(t smc.Tuning) { c.pool.tuning = t }
-
-// SetStreaming toggles the pipelined streaming gather (on by default).
-// Call before queries start; the knob is not synchronized.
-func (c *ShardedC1) SetStreaming(on bool) { c.streaming = on }
-
-// Streaming reports whether the pipelined gather is enabled.
-func (c *ShardedC1) Streaming() bool { return c.streaming }
-
-// Tuning reports the merge sessions' protocol variant.
-func (c *ShardedC1) Tuning() smc.Tuning { return c.pool.tuning }
 
 // NewShardedC1 wires a coordinator over the given shard workers and its
 // own merge connections to C2. The shards must form one coherent
@@ -183,7 +162,7 @@ func NewShardedC1(shards []Shard, mergeConns []mpc.Conn, pk *paillier.PublicKey,
 	if err != nil {
 		return fail(err)
 	}
-	c := &ShardedC1{shards: ordered, pool: pool, pk: pk, m: m, featM: featM, streaming: true}
+	c := &ShardedC1{shards: ordered, pool: pool, pk: pk, m: m, featM: featM}
 	if err := pool.handshake(pk.N); err != nil {
 		for _, link := range pool.links {
 			link.Close()
@@ -229,15 +208,15 @@ func (c *ShardedC1) mergeSession(ctx context.Context) (*QuerySession, error) {
 	return openSession(ctx, c.pool, 0, nil, c.pk, c.m, c.featM)
 }
 
-// scatter fans the query out to every shard concurrently and returns
-// the gathered candidates plus the aggregated shard metrics. Every
-// shard is probed on every query — the scatter itself is
-// data-independent, so shard choice leaks nothing. All shard scans run
-// under one child context: the first failure (or the caller's own
-// cancellation) cancels every outstanding scan, so a doomed scatter
-// stops burning SMIN rounds on shards whose results will be discarded,
-// and the merge never starts.
-func (c *ShardedC1) scatter(ctx context.Context, q EncryptedQuery, k, domainBits, target int, secure bool, metrics *SecureMetrics) ([]Candidate, error) {
+// scatter is SkNNb's gather: it fans the query out to every shard
+// concurrently, waits for all of them, and returns the gathered
+// candidates plus the aggregated shard metrics (SkNNm streams instead,
+// see stream.go). Every shard is probed on every query — the scatter
+// itself is data-independent, so shard choice leaks nothing. All shard
+// scans run under one child context: the first failure (or the caller's
+// own cancellation) cancels every outstanding scan, and the merge never
+// starts.
+func (c *ShardedC1) scatter(ctx context.Context, q EncryptedQuery, k int, metrics *SecureMetrics) ([]Candidate, error) {
 	type shardOut struct {
 		cands []Candidate
 		sm    *SecureMetrics
@@ -252,7 +231,7 @@ func (c *ShardedC1) scatter(ctx context.Context, q EncryptedQuery, k, domainBits
 		wg.Add(1)
 		go func(i int, sh Shard) {
 			defer wg.Done()
-			cands, sm, err := sh.TopK(sctx, q, k, domainBits, target, secure)
+			cands, sm, err := sh.TopK(sctx, q, k, 0, 0, false)
 			outs[i] = shardOut{cands: cands, sm: sm, err: err}
 			if err != nil {
 				cancel() // one failed shard aborts the whole scatter
@@ -300,63 +279,6 @@ func (c *ShardedC1) SecureQuery(ctx context.Context, q EncryptedQuery, k, domain
 	return res, err
 }
 
-// SecureQueryMetered is SecureQuery plus the aggregated phase metrics:
-// per-shard counters summed, Scatter/Merge wall-clock split, and the
-// coordinator's merge traffic in Comm (on top of the shard scans').
-func (c *ShardedC1) SecureQueryMetered(ctx context.Context, q EncryptedQuery, k, domainBits, target int) (*MaskedResult, *SecureMetrics, error) {
-	if len(q) != c.featM {
-		return nil, nil, fmt.Errorf("%w: query has %d attributes, table has %d feature columns",
-			ErrDimension, len(q), c.featM)
-	}
-	if err := validateK(k, c.N()); err != nil {
-		return nil, nil, err
-	}
-	if domainBits < 1 || domainBits > 512 {
-		return nil, nil, fmt.Errorf("%w: l=%d", ErrDomainBits, domainBits)
-	}
-	if c.streamingMergeOK(domainBits) {
-		return c.secureQueryStreaming(ctx, q, k, domainBits, target)
-	}
-	metrics := &SecureMetrics{}
-	start := time.Now()
-	cands, err := c.scatter(ctx, q, k, domainBits, target, true, metrics)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Gather: the secure merge is mergeCandidates — selectTopK, the very
-	// engine each shard just ran — over the s·k candidates' composed
-	// distances, followed by the masked reveal.
-	mergeStart := time.Now()
-	s, err := c.mergeSession(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer s.Close()
-	mergeMetrics := &SecureMetrics{}
-	selected, err := s.mergeCandidates(cands, k, domainBits, mergeMetrics)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: merge: %w", err)
-	}
-	metrics.BitDecom += mergeMetrics.BitDecom
-	metrics.SMINn += mergeMetrics.SMINn
-	metrics.Select += mergeMetrics.Select
-	metrics.Extract += mergeMetrics.Extract
-	metrics.Exclude += mergeMetrics.Exclude
-	metrics.SMINCount += mergeMetrics.SMINCount
-
-	phase := time.Now()
-	res, err := s.reveal(candidateRecords(selected), s.rowLayout(domainBits))
-	if err != nil {
-		return nil, nil, err
-	}
-	metrics.Reveal = time.Since(phase)
-	metrics.Merge = time.Since(mergeStart)
-	metrics.Total = time.Since(start)
-	metrics.Comm = metrics.Comm.Add(s.CommStats())
-	return res, metrics, nil
-}
-
 // BasicQuery runs the scatter-gather SkNNb: shard-local scan-and-rank,
 // then one more rank round over the gathered s·k encrypted distances.
 // Same leakage class as single-shard SkNNb (C2 sees plaintext
@@ -380,7 +302,7 @@ func (c *ShardedC1) BasicQueryMetered(ctx context.Context, q EncryptedQuery, k i
 	}
 	metrics := &SecureMetrics{}
 	start := time.Now()
-	cands, err := c.scatter(ctx, q, k, 0, 0, false, metrics)
+	cands, err := c.scatter(ctx, q, k, metrics)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -31,8 +31,8 @@ import (
 //	                    basic  → id, E(d), m record attributes]
 //
 // cols and bits declare the RowLayout the candidates' records are in
-// (1 and 0 on basic replies). The coordinator accepts only a layout the
-// table shape, the key and the domain size it asked for can produce —
+// (1 and 0 on basic replies). The coordinator accepts only the layout the
+// table shape, the key and the domain size it asked for produce —
 // anything else would let chunks be read as differently packed columns.
 //
 // Basic candidates carry their stable record id (SkNNb reveals access
@@ -43,8 +43,7 @@ import (
 // bit vector the merge used to consume: the coordinator's value-domain
 // tournament compares composed values directly, and the record travels
 // row-packed, shrinking the reply from m+l to ⌈m/cols⌉+1 ciphertexts per
-// candidate; the serial-merge fallback re-decomposes coordinator-side
-// when it must.
+// candidate.
 
 // RemoteShard drives one shard worker over a connection. It implements
 // Shard; the static shape is cached from the dial-time hello and the
@@ -254,9 +253,7 @@ func decodeTopKReply(pk *paillier.PublicKey, m int, resp *mpc.Message, k, domain
 	metrics.Total = time.Duration(resp.Ints[5].Int64())
 	layout := RowLayout{Cols: int(resp.Ints[6].Int64()), Bits: int(resp.Ints[7].Int64())}
 	if secure {
-		// Either tuning of the shard is legal here; the merge then insists
-		// on the layout of its own.
-		if layout != rowLayoutFor(pk, m, domainBits, true) && layout != rowLayoutFor(pk, m, domainBits, false) {
+		if layout != rowLayoutFor(pk, m, domainBits) {
 			return 0, nil, nil, fmt.Errorf("%w: shard top-k reply packs %d columns of %d bits, not a layout of %d-column records at l=%d",
 				ErrBadFrame, layout.Cols, layout.Bits, m, domainBits)
 		}
@@ -395,7 +392,7 @@ func (s *ShardServer) handleTopK(req *mpc.Message) (*mpc.Message, error) {
 	}
 	layout := perAttribute
 	if secure {
-		layout = rowLayoutFor(t.PK(), t.M(), domainBits, s.c1.Tuning().Packing)
+		layout = rowLayoutFor(t.PK(), t.M(), domainBits)
 	}
 	return encodeTopKReply(t.N(), layout, cands, metrics, secure), nil
 }

@@ -92,7 +92,7 @@ func TestDecodeTopKReplyLyingCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	layout := rowLayoutFor(h.pk, h.info.M, 96, true)
+	layout := rowLayoutFor(h.pk, h.info.M, 96)
 	head := topKHead(1<<40, layout) // lying count
 	if _, _, _, err := decodeTopKReply(h.pk, h.info.M, &mpc.Message{Op: OpShardTopK, Ints: head}, 2, 96, true); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("lying count: err = %v, want ErrBadFrame", err)
@@ -110,20 +110,21 @@ func TestDecodeTopKReplyLyingCount(t *testing.T) {
 	}
 }
 
-// TestDecodeTopKReplyLayout: the declared row layout must be one the
-// table shape, the key and the requested domain size can produce —
-// packed or per-attribute — and the payload must hold exactly that many
-// chunks per candidate. Anything else is ErrBadFrame, never a candidate
-// whose chunks would be read as differently packed columns.
+// TestDecodeTopKReplyLayout: the declared row layout must be the one the
+// table shape, the key and the requested domain size produce, and the
+// payload must hold exactly that many chunks per candidate. Anything else
+// — the per-attribute layout under a key that packs included — is
+// ErrBadFrame, never a candidate whose chunks would be read as
+// differently packed columns.
 func TestDecodeTopKReplyLayout(t *testing.T) {
 	h, err := decodeHello(helloReply(0, 1, 10, 4, 2, 0, 32, 96))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const m, l = 4, 96
-	packed, plain := rowLayoutFor(h.pk, m, l, true), rowLayoutFor(h.pk, m, l, false)
-	if packed.Cols != m || packed.Bits != l/2 || plain.Cols != 1 {
-		t.Fatalf("layouts under a 1025-bit key: packed %+v, per-attribute %+v", packed, plain)
+	packed, plain := rowLayoutFor(h.pk, m, l), RowLayout{Cols: 1, Bits: l / 2}
+	if packed.Cols != m || packed.Bits != l/2 {
+		t.Fatalf("layout under a 1025-bit key: %+v", packed)
 	}
 	ct := big.NewInt(7) // a canonical residue mod N²
 	reply := func(layout RowLayout, perCand int, secure bool) *mpc.Message {
@@ -145,7 +146,6 @@ func TestDecodeTopKReplyLayout(t *testing.T) {
 		chunks int
 	}{
 		{"packed", reply(packed, 1+1, true), true, 1},
-		{"per-attribute secure", reply(plain, 1+m, true), true, m},
 		{"basic", reply(RowLayout{Cols: 1}, 1+m, false), false, m},
 	}
 	for _, tc := range accept {
@@ -172,6 +172,7 @@ func TestDecodeTopKReplyLayout(t *testing.T) {
 		{"huge slot width", reply(RowLayout{Cols: m, Bits: 1 << 40}, 2, true), true},
 		{"packed header, per-attribute payload", reply(packed, 1+m, true), true},
 		{"per-attribute header, packed payload", reply(plain, 2, true), true},
+		{"per-attribute layout under a key that packs", reply(plain, 1+m, true), true},
 		{"basic reply declaring a packed layout", reply(packed, 1+1, false), false},
 	}
 	for _, tc := range reject {
@@ -203,16 +204,17 @@ func FuzzShardFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{9, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	// Top-k replies for the fixed shape below: a row-packed candidate, a
-	// per-attribute one, and headers lying about the layout.
+	// per-attribute one (not this key's layout), and headers lying about
+	// the layout.
 	fixed, err := decodeHello(helloReply(0, 1, 10, 6, 6, 0, 4, 12))
 	if err != nil {
 		f.Fatal(err)
 	}
 	const fm, fl, fk = 6, 12, 3
-	packed := rowLayoutFor(fixed.pk, fm, fl, true)
+	packed := rowLayoutFor(fixed.pk, fm, fl)
 	seven := big.NewInt(7)
 	f.Add(fuzzInts(append(topKHead(1, packed), seven, seven)))
-	f.Add(fuzzInts(append(topKHead(1, rowLayoutFor(fixed.pk, fm, fl, false)), seven, seven, seven, seven, seven, seven, seven)))
+	f.Add(fuzzInts(append(topKHead(1, RowLayout{Cols: 1, Bits: fl / 2}), seven, seven, seven, seven, seven, seven, seven)))
 	f.Add(fuzzInts(append(topKHead(1, RowLayout{Cols: 5, Bits: 6}), seven, seven, seven)))
 	f.Add(fuzzInts(append(topKHead(1, RowLayout{Cols: 6, Bits: 200}), seven, seven)))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -248,7 +250,7 @@ func FuzzShardFrame(f *testing.F) {
 				t.Fatalf("decodeTopKReply returned %d candidates for k=%d", len(cands), fk)
 			}
 			for i, c := range cands {
-				if n := len(c.Rec); n != len(cands[0].Rec) || (n != fm && (!secure || n != packed.Chunks(fm))) {
+				if n := len(c.Rec); (secure && n != packed.Chunks(fm)) || (!secure && n != fm) {
 					t.Fatalf("candidate %d has %d record ciphertexts (secure=%v)", i, n, secure)
 				}
 			}

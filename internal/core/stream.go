@@ -6,29 +6,29 @@ import (
 	"fmt"
 	"runtime"
 	"time"
-
-	"sknn/internal/paillier"
 )
 
-// This file is the pipelined gather of a sharded SkNNm query. The
-// barrier scatter (shard.go) waits for every shard scan before the
-// merge starts, so the gather's wall clock is the slowest shard plus
-// the full merge. Here the shards deliver their encrypted top-k into a
-// channel the moment each scan completes, and the coordinator folds
-// arrivals into an incremental value-domain tournament while the
-// stragglers are still scanning: by the time the last shard lands, most
-// of the merge is already done and only one fold over ~2k candidates
-// remains.
+// This file is the gather of a sharded SkNNm query. The shards deliver
+// their encrypted top-k into a channel the moment each scan completes,
+// and the coordinator folds arrivals into an incremental value-domain
+// tournament while the stragglers are still scanning: by the time the
+// last shard lands, most of the merge is already done and only one fold
+// over ~2k candidates remains. (Waiting for every shard first would make
+// the gather's wall clock the slowest shard plus the full merge.)
 //
 // Two properties make the overlap exact rather than approximate. First,
 // every fold is the full selection protocol (mergeCandidates — the same
 // selectTopK engine the shards ran), so a fold's output is a
 // rank-ordered candidate set carrying fresh E(dmin) values that can
-// feed the next fold; the final result is therefore the identical
-// top-k multiset the serial merge produces, whatever the arrival order.
-// Second, each tournament level travels as a constant number of bulk
-// frames (smc.SMINValuePairsBatch: l+2 round trips however many pairs),
-// so merging s·k candidates costs O(log s) round trips, not O(s·k).
+// feed the next fold; the final result is therefore the same top-k
+// multiset whatever the arrival order. Second, each tournament level
+// travels as a constant number of bulk frames
+// (smc.SMINValuePairsBatch: l+2 round trips however many pairs), so
+// merging s·k candidates costs O(log s) round trips, not O(s·k).
+//
+// One shard is the degenerate case, not a different path: its single
+// rank-ordered k-set is already the answer, so no fold and no tail merge
+// run and the coordinator only reveals.
 //
 // Link lending rides on the same arrival signal: a local shard whose
 // scan just finished has an idle pool of C2 links, and the merge is
@@ -40,10 +40,10 @@ import (
 //
 // Leakage: completion order is data-dependent timing (a pruned shard
 // scan finishes earlier when its clusters prune harder), which both
-// clouds could already observe from the serial scatter's per-shard
-// traffic; the fold schedule reveals nothing beyond that order. Merge
-// frames carry composed blinded values, never candidate bit vectors.
-// See docs/PROTOCOLS.md.
+// clouds can observe from the per-shard traffic anyway; the fold
+// schedule reveals nothing beyond that order. Merge frames carry
+// composed blinded values, never candidate bit vectors. See
+// docs/PROTOCOLS.md.
 
 // shardArrival is one shard scan's result, delivered as it completes.
 // at is stamped at delivery, not at absorption: the coordinator may be
@@ -63,26 +63,23 @@ type loan struct {
 	idx  []int
 }
 
-// streamingMergeOK reports whether this query takes the pipelined
-// gather: the knob is on, there are at least two shards (one shard has
-// nothing to overlap), and the coordinator's merge sessions run the
-// value-domain tournament (packed tuning and a key that fits the
-// (l+1)-bit slot codec) — the incremental fold leans on composed
-// E(dmin) candidates, which is also what keeps bit vectors off the
-// OpShardTopK frames.
-func (c *ShardedC1) streamingMergeOK(domainBits int) bool {
-	if !c.streaming || len(c.shards) < 2 || !c.pool.tuning.Packing {
-		return false
+// SecureQueryMetered is SecureQuery plus the aggregated phase metrics:
+// per-shard counters summed, the coordinator's merge traffic in Comm (on
+// top of the shard scans'), and the wall clock split at the last shard
+// arrival — Scatter is start→last arrival (the folds running inside it
+// are free overlap), Merge is the tail the query still pays after the
+// slowest shard.
+func (c *ShardedC1) SecureQueryMetered(ctx context.Context, q EncryptedQuery, k, domainBits, target int) (*MaskedResult, *SecureMetrics, error) {
+	if len(q) != c.featM {
+		return nil, nil, fmt.Errorf("%w: query has %d attributes, table has %d feature columns",
+			ErrDimension, len(q), c.featM)
 	}
-	_, err := paillier.NewPacking(c.pk, domainBits+1)
-	return err == nil
-}
-
-// secureQueryStreaming is SecureQueryMetered's pipelined gather.
-// Metrics split the wall clock at the last shard arrival: Scatter is
-// start→last arrival (the folds running inside it are free overlap),
-// Merge is the tail the query still pays after the slowest shard.
-func (c *ShardedC1) secureQueryStreaming(ctx context.Context, q EncryptedQuery, k, domainBits, target int) (*MaskedResult, *SecureMetrics, error) {
+	if err := validateK(k, c.N()); err != nil {
+		return nil, nil, err
+	}
+	if err := CheckDomainBits(c.pk, domainBits); err != nil {
+		return nil, nil, err
+	}
 	metrics := &SecureMetrics{Shards: len(c.shards)}
 	start := time.Now()
 	sctx, cancel := context.WithCancel(ctx)
@@ -242,7 +239,6 @@ func (c *ShardedC1) secureQueryStreaming(ctx context.Context, q EncryptedQuery, 
 			return nil, nil, fmt.Errorf("core: merge: %w", err)
 		}
 	}
-	metrics.BitDecom += mm.BitDecom
 	metrics.SMINn += mm.SMINn
 	metrics.Select += mm.Select
 	metrics.Extract += mm.Extract

@@ -121,10 +121,12 @@ func sortedDistances(t *testing.T, rows [][]uint64, q []uint64) []uint64 {
 
 // TestStreamingVsSerialDifferential is the streaming gather's oracle:
 // over both coordinator↔shard topologies (in-process and wire), the
-// pipelined merge must return the identical top-k distance multiset as
-// the serial barrier merge, and both must match the plaintext oracle.
-// workers=2 gives every local shard pool a lendable link, so the
-// in-process run also covers the borrow/attach/reclaim cycle.
+// pipelined 3-shard merge must return the identical top-k distance
+// multiset as the serial scan of the whole table by one unsharded
+// CloudC1 — the same engine with no gather at all — and both must match
+// the plaintext oracle. workers=2 gives every local shard pool a lendable
+// link, so the in-process run also covers the borrow/attach/reclaim
+// cycle.
 func TestStreamingVsSerialDifferential(t *testing.T) {
 	const attrBits, m, n, k = 4, 2, 15, 4
 	tbl, err := dataset.Generate(811, n, m, attrBits)
@@ -132,44 +134,27 @@ func TestStreamingVsSerialDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := dataset.DomainBits(attrBits, m)
+	whole, bob := newSystem(t, tbl, 2)
 	for _, remote := range []bool{false, true} {
-		coord, bob := newShardedSystem(t, tbl, 3, 2, remote)
-		if !coord.Streaming() {
-			t.Fatal("streaming gather not on by default")
-		}
-		if !coord.streamingMergeOK(l) {
-			t.Fatalf("remote=%v: streaming merge not eligible at l=%d", remote, l)
-		}
+		coord, _ := newShardedSystem(t, tbl, 3, 2, remote)
 		for _, q := range [][]uint64{{7, 3}, {0, 14}} {
 			eq, err := bob.EncryptQuery(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var got [][]uint64
-			coord.SetStreaming(true)
 			res, sm, err := coord.SecureQueryMetered(context.Background(), eq, k, l, 0)
 			if err != nil {
 				t.Fatalf("remote=%v streaming: %v", remote, err)
 			}
-			if got, err = bob.Unmask(res); err != nil {
+			got, err := bob.Unmask(res)
+			if err != nil {
 				t.Fatal(err)
 			}
 			if sm.Shards != 3 || sm.Scatter <= 0 {
 				t.Errorf("streaming metrics missing scatter shape: %+v", sm)
 			}
-			coord.SetStreaming(false)
-			res, _, err = coord.SecureQueryMetered(context.Background(), eq, k, l, 0)
-			if err != nil {
-				t.Fatalf("remote=%v serial: %v", remote, err)
-			}
-			serialRows, err := bob.Unmask(res)
-			if err != nil {
-				t.Fatal(err)
-			}
-			coord.SetStreaming(true)
-
 			stream := sortedDistances(t, got, q)
-			serial := sortedDistances(t, serialRows, q)
+			serial := sortedDistances(t, runSecure(t, whole, bob, q, k, l), q)
 			for i := range stream {
 				if stream[i] != serial[i] {
 					t.Fatalf("remote=%v q=%v: streaming distances %v, serial %v", remote, q, stream, serial)
@@ -265,8 +250,9 @@ func TestStreamingMidStreamCancel(t *testing.T) {
 }
 
 // TestStreamingSingleShardFallsBack pins the S=1 degeneration: with one
-// shard there is nothing to overlap, so the eligibility gate routes the
-// query through the serial path and it still answers exactly.
+// shard there is nothing to overlap or merge, so the gather falls back to
+// the shard's own rank-ordered k-set — no fold, no tail merge, only the
+// reveal on the coordinator's links — and still answers exactly.
 func TestStreamingSingleShardFallsBack(t *testing.T) {
 	const attrBits, m, n, k = 4, 2, 9, 3
 	tbl, err := dataset.Generate(827, n, m, attrBits)
@@ -275,17 +261,20 @@ func TestStreamingSingleShardFallsBack(t *testing.T) {
 	}
 	l := dataset.DomainBits(attrBits, m)
 	coord, bob := newShardedSystem(t, tbl, 1, 1, false)
-	if coord.streamingMergeOK(l) {
-		t.Fatal("single-shard coordinator claims streaming eligibility")
-	}
 	q := []uint64{8, 2}
 	eq, err := bob.EncryptQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := coord.SecureQuery(context.Background(), eq, k, l, 0)
+	res, sm, err := coord.SecureQueryMetered(context.Background(), eq, k, l, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want := k * (n - 1); sm.SMINCount != want {
+		t.Errorf("SMINCount = %d, want the shard scan's k·(n−1) = %d and no merge on top", sm.SMINCount, want)
+	}
+	if rounds := coord.CommStats().Rounds; rounds != 2 {
+		t.Errorf("coordinator links carried %d rounds, want 2 (hello and reveal)", rounds)
 	}
 	rows, err := bob.Unmask(res)
 	if err != nil {

@@ -679,7 +679,8 @@ func (v *tableView) featureRows(idx []int) [][]*paillier.Ciphertext {
 // prefixes of the records at the given positions, for valueBits-wide
 // slot payloads (rows pack independently — slots combine a row's
 // attributes, never rows). Returns nil when the key is too small for
-// packing; callers fall back to the classic path.
+// the SSED slot codec; distancesOf then takes classic SSED, the path
+// SkNNb always takes.
 func (v *tableView) packedFeatureRows(valueBits int, idx []int) *smc.PackedRows {
 	return packedRows(v.pk, v.packs, valueBits, idx, func(pos int) []*paillier.Ciphertext {
 		return v.records[pos][:v.featureM]
@@ -687,7 +688,8 @@ func (v *tableView) packedFeatureRows(valueBits int, idx []int) *smc.PackedRows 
 }
 
 // packedCentroids returns the slot-packed rendering of the cluster
-// centroids. Nil when unclustered or when packing is unavailable.
+// centroids. Nil when unclustered or when the key is too small for the
+// SSED slot codec (classic SSED then, as for packedFeatureRows).
 func (v *tableView) packedCentroids(valueBits int) *smc.PackedRows {
 	if v.centroids == nil {
 		return nil

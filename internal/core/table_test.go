@@ -250,7 +250,7 @@ func TestPackedRenderingsSurviveMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	const l = 12
-	layout := rowLayoutFor(pk, 3, l, true)
+	layout := rowLayoutFor(pk, 3, l)
 	if layout.Cols != 3 {
 		t.Fatalf("layout %+v, want one chunk of 3", layout)
 	}
@@ -359,7 +359,7 @@ func TestPackedRenderingsConcurrentMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	layout := rowLayoutFor(pk, 2, l, true)
+	layout := rowLayoutFor(pk, 2, l)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {

@@ -46,8 +46,9 @@ var KnownRoles = map[string]bool{
 // contains both the Requester (C1 side) and Responder (C2 side) halves
 // of each primitive in one package and documents the split per type.
 var ScopedPackages = map[string]bool{
-	"sknn/internal/core":    true,
-	"sknn/internal/gateway": true,
+	"sknn/internal/core":      true,
+	"sknn/internal/gateway":   true,
+	"sknn/internal/reference": true,
 }
 
 // Manifest assigns each scoped non-test file its party role.
@@ -76,4 +77,9 @@ var Manifest = map[string]string{
 	"sknn/internal/gateway/metrics.go": RoleC1,
 	"sknn/internal/gateway/tenant.go":  RoleC1,
 	"sknn/internal/gateway/wire.go":    RoleC1,
+
+	// The paper's printed SkNNm plays C1 against core.CloudC2: like the
+	// engine it is the oracle for, it sees ciphertexts and blinded
+	// values only (its tests stand C2 up, and are exempt).
+	"sknn/internal/reference/reference.go": RoleC1,
 }

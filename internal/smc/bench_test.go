@@ -137,31 +137,6 @@ func BenchmarkSMIN(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSMINnTreeVsChain compares the tournament (Algorithm
-// 4) against a sequential fold over the same inputs.
-func BenchmarkAblationSMINnTreeVsChain(b *testing.B) {
-	const l, n = 6, 8
-	rq, sk := benchPair(b)
-	ds := make([][]*paillier.Ciphertext, n)
-	for i := range ds {
-		ds[i] = encBits(b, sk, uint64(60-i*7), l)
-	}
-	b.Run("tree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := rq.SMINn(ds); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("chain", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := rq.SMINnChain(ds); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 func BenchmarkSBORBatch(b *testing.B) {
 	const width = 32
 	rq, sk := benchPair(b)

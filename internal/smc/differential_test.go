@@ -162,34 +162,6 @@ func TestDifferentialSMIN(t *testing.T) {
 	}
 }
 
-func TestDifferentialSMINPairsBatch(t *testing.T) {
-	rqP, sk := pairWithTuning(t, true)
-	rqC, _ := pairWithTuning(t, false)
-	const l = 8
-	plain := [][2]uint64{{9, 4}, {100, 101}, {55, 55}, {0, 1}}
-	pairs := make([]SMINPair, len(plain))
-	for i, c := range plain {
-		pairs[i] = SMINPair{U: encBits(t, sk, c[0], l), V: encBits(t, sk, c[1], l)}
-	}
-	minsP, err := rqP.SMINPairsBatch(pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	minsC, err := rqC.SMINPairsBatch(pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range plain {
-		want := min(c[0], c[1])
-		if got := decBits(t, sk, minsP[i]); got != want {
-			t.Errorf("packed min[%d] = %d, want %d", i, got, want)
-		}
-		if got := decBits(t, sk, minsC[i]); got != want {
-			t.Errorf("classic min[%d] = %d, want %d", i, got, want)
-		}
-	}
-}
-
 // TestDifferentialSMINValuePairs checks the value-domain minimum — the
 // packed tournament's comparison — against both the plaintext min and
 // the classic bit-vector SMIN on the same inputs: the two protocols
@@ -204,16 +176,10 @@ func TestDifferentialSMINValuePairs(t *testing.T) {
 		{0, 0}, {1, 0}, {128, 127}, {255, 255},
 	}
 	pairs := make([]SMINValuePair, len(plain))
-	bitPairs := make([]SMINPair, len(plain))
 	for i, c := range plain {
 		pairs[i] = SMINValuePair{A: enc(t, sk, int64(c[0])), B: enc(t, sk, int64(c[1]))}
-		bitPairs[i] = SMINPair{U: encBits(t, sk, c[0], l), V: encBits(t, sk, c[1], l)}
 	}
 	minsV, err := rqP.SMINValuePairsBatch(pairs, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	minsB, err := rqC.SMINPairsBatch(bitPairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +188,11 @@ func TestDifferentialSMINValuePairs(t *testing.T) {
 		if got := dec(t, sk, minsV[i]); got != want {
 			t.Errorf("value min(%d,%d) = %d, want %d", c[0], c[1], got, want)
 		}
-		if got := int64(decBits(t, sk, minsB[i])); got != want {
+		minB, err := rqC.SMIN(encBits(t, sk, c[0], l), encBits(t, sk, c[1], l))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := int64(decBits(t, sk, minB)); got != want {
 			t.Errorf("bit min(%d,%d) = %d, want %d", c[0], c[1], got, want)
 		}
 	}

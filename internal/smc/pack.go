@@ -15,12 +15,13 @@ import (
 // instead of one per value. Every value C2 sees is still additively
 // blinded — with short σ-statistical blinds sized to the slot headroom
 // instead of full-width ones — so the leakage class is unchanged (see
-// docs/PROTOCOLS.md). The unpacked paths remain callable and serve as
-// the differential oracle; Requester.Tuning selects between them.
+// docs/PROTOCOLS.md). The unpacked paths remain callable — they are what
+// internal/reference runs and what the differential tests compare
+// against; Requester.Tuning selects between them.
 
-// smPackMaxCount mirrors handleSMINBatch's element bound: enough for
-// any real batch, small enough that a hostile header cannot drive
-// allocation.
+// smPackMaxCount bounds the element count a packed frame may declare:
+// enough for any real batch, small enough that a hostile header cannot
+// drive allocation.
 const smPackMaxCount = 1 << 22
 
 // smPackMaxAttrs bounds the record arity in a packed SSED frame,

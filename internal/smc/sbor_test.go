@@ -20,45 +20,6 @@ func TestSBORTruthTable(t *testing.T) {
 	}
 }
 
-func TestSBXORTruthTable(t *testing.T) {
-	rq, sk := pair(t)
-	for _, c := range []struct{ a, b, want int64 }{
-		{0, 0, 0}, {0, 1, 1}, {1, 0, 1}, {1, 1, 0},
-	} {
-		got, err := rq.SBXOR(enc(t, sk, c.a), enc(t, sk, c.b))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v := dec(t, sk, got); v != c.want {
-			t.Errorf("SBXOR(%d,%d) = %d, want %d", c.a, c.b, v, c.want)
-		}
-	}
-}
-
-func TestSBANDTruthTable(t *testing.T) {
-	rq, sk := pair(t)
-	for _, c := range []struct{ a, b, want int64 }{
-		{0, 0, 0}, {0, 1, 0}, {1, 0, 0}, {1, 1, 1},
-	} {
-		got, err := rq.SBAND(enc(t, sk, c.a), enc(t, sk, c.b))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v := dec(t, sk, got); v != c.want {
-			t.Errorf("SBAND(%d,%d) = %d, want %d", c.a, c.b, v, c.want)
-		}
-	}
-}
-
-func TestSBNOT(t *testing.T) {
-	rq, sk := pair(t)
-	for _, c := range []struct{ a, want int64 }{{0, 1}, {1, 0}} {
-		if v := dec(t, sk, rq.SBNOT(enc(t, sk, c.a))); v != c.want {
-			t.Errorf("SBNOT(%d) = %d, want %d", c.a, v, c.want)
-		}
-	}
-}
-
 func TestSBORBatchOneRound(t *testing.T) {
 	rq, sk := pair(t)
 	a := encVec(t, sk, 0, 0, 1, 1)

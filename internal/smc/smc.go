@@ -7,8 +7,12 @@
 //   - SSED   — Secure Squared Euclidean Distance (Algorithm 2)
 //   - SBD    — Secure Bit-Decomposition (Samanthula–Jiang, ASIACCS'13 [21])
 //   - SMIN   — Secure Minimum of two bit-decomposed values (Algorithm 3)
-//   - SMINn  — Secure Minimum of n values (Algorithm 4)
 //   - SBOR   — Secure Bit-OR (Section 3)
+//
+// plus the value-domain minimum the production engine runs its SMINn
+// tournament on (sminvalue.go). The paper's SMINn over bit vectors
+// (Algorithm 4) lives with the rest of the printed SkNNm in
+// internal/reference.
 //
 // C1's side of each primitive is a method on Requester; C2's side is a
 // stateless handler registered on an mpc.Mux by Responder. Each primitive
@@ -38,7 +42,7 @@ const (
 	OpSBDLsb    mpc.Op = 17 // batched encrypted-LSB extraction
 	OpSBDVerify mpc.Op = 18 // batched randomized zero test
 	OpSMIN      mpc.Op = 19 // SMIN step 2 (Γ′, L′ → M′, E(α))
-	// 20 is opSMINBatch (sminbatch.go).
+	// 20 is retired (the round-batched bit-vector SMIN); do not reuse.
 	OpSMPack     mpc.Op = 21 // slot-packed SM uplink (pack.go)
 	OpSBDPackLsb mpc.Op = 22 // slot-packed SBD LSB round (pack.go)
 	OpSSEDPack   mpc.Op = 23 // slot-packed SSED record distances (pack.go)
@@ -63,18 +67,17 @@ const sbdMaxRetries = 4
 
 // Tuning selects between the fast protocol variants — ciphertext
 // packing and short statistical blinds — and the classic one-ciphertext-
-// per-value presentation, which stays alive as the differential oracle.
-// Both variants speak to the same C2 handlers where possible; only the
-// slot-packed uplinks use dedicated opcodes.
+// per-value presentation of the paper. Production code never sets it:
+// internal/reference turns packing off to run the printed protocol, and
+// this package's differential tests flip it to compare the two
+// presentations of each primitive. Both speak to the same C2 handlers
+// where possible; only the slot-packed uplinks use dedicated opcodes.
 type Tuning struct {
 	// Packing enables slot-packed uplinks (SM, SSED, SBD) and the
 	// σ-statistical short blinds in SMIN. Off = the paper-faithful
 	// unpacked path.
 	Packing bool
 }
-
-// DefaultTuning is the production setting: packing on.
-func DefaultTuning() Tuning { return Tuning{Packing: true} }
 
 // statSecBits is σ, the statistical-hiding margin of the short additive
 // blinds: a bounded plaintext behind a (bound+σ)-bit blind is hidden to
@@ -119,17 +122,6 @@ func (rq *Requester) packCodec(valueBits int) (*paillier.Packing, error) {
 	return c, nil
 }
 
-// PacksValues reports whether the requester runs the packed protocol
-// variants on valueBits-wide values: packing tuning on and a key that
-// fits the slot codec, which is built on first ask and kept.
-func (rq *Requester) PacksValues(valueBits int) bool {
-	if !rq.tuning.Packing {
-		return false
-	}
-	_, err := rq.packCodec(valueBits)
-	return err == nil
-}
-
 // NewRequester builds C1's context with the default tuning (packing on).
 // If random is nil, crypto/rand.Reader is used.
 func NewRequester(pk *paillier.PublicKey, conn mpc.Conn, random io.Reader) *Requester {
@@ -140,7 +132,7 @@ func NewRequester(pk *paillier.PublicKey, conn mpc.Conn, random io.Reader) *Requ
 		pk:     pk,
 		conn:   conn,
 		rand:   random,
-		tuning: DefaultTuning(),
+		tuning: Tuning{Packing: true},
 		invTwo: new(big.Int).ModInverse(big.NewInt(2), pk.N),
 	}
 }
@@ -148,9 +140,6 @@ func NewRequester(pk *paillier.PublicKey, conn mpc.Conn, random io.Reader) *Requ
 // SetTuning switches the requester's protocol variant. Call before
 // driving primitives, not mid-protocol.
 func (rq *Requester) SetTuning(t Tuning) { rq.tuning = t }
-
-// Tuning reports the active protocol variant.
-func (rq *Requester) Tuning() Tuning { return rq.tuning }
 
 // shortBlind samples a statistical blind in [0, 2^(bits+σ)) for a
 // plaintext bounded by 2^bits.
@@ -278,7 +267,6 @@ func (rp *Responder) Register(mux *mpc.Mux) {
 	mux.Register(OpSBDLsb, mpc.HandlerFunc(rp.handleSBDLsb))
 	mux.Register(OpSBDVerify, mpc.HandlerFunc(rp.handleSBDVerify))
 	mux.Register(OpSMIN, mpc.HandlerFunc(rp.handleSMIN))
-	mux.Register(opSMINBatch, mpc.HandlerFunc(rp.handleSMINBatch))
 	mux.Register(OpSMPack, mpc.HandlerFunc(rp.handleSMPack))
 	mux.Register(OpSBDPackLsb, mpc.HandlerFunc(rp.handleSBDPackLsb))
 	mux.Register(OpSSEDPack, mpc.HandlerFunc(rp.handleSSEDPack))

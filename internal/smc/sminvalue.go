@@ -9,8 +9,8 @@ import (
 
 // This file holds the value-domain minimum: the same E(min) functionality
 // as SMIN/SMINn, but computed over composed distance values instead of bit
-// vectors. It is the packed sessions' fast path for the tournament of
-// Algorithm 6 step 3(a).
+// vectors. It is what the production engine runs the tournament of
+// Algorithm 6 step 3(a) on.
 //
 // The bit-vector SMIN (Algorithm 3) pays, per comparison, l full-range
 // multiplicative blinds at C1 (the Φ-masking of the L vector cannot use
@@ -37,8 +37,8 @@ import (
 // coin-masked comparison outcome: α stays encrypted end to end, so the
 // value path leaks strictly less to C2 than the bit path it replaces.
 // Like the other packed kernels it relies on a semi-honest C2 for
-// correctness (no recomposition verify); the classic bit path remains
-// the differential oracle.
+// correctness (no recomposition verify); the bit path (SMIN here, SMINn
+// in internal/reference) is the differential oracle.
 
 // SMINValuePair is one independent minimum instance over composed
 // values: A = E(a), B = E(b) with a, b < 2^l.
@@ -48,8 +48,8 @@ type SMINValuePair struct {
 
 // SMINValuePairsBatch computes E(min(aᵢ,bᵢ)) for every pair in l+2 round
 // trips total (l+1 shifted packed bit rounds plus one packed SM),
-// independent of the number of pairs. Requires packing-capable tuning and key; callers
-// gate on NewPacking(pk, l+1) succeeding.
+// independent of the number of pairs. Requires a key that fits an
+// (l+1)-bit slot; callers gate on NewPacking(pk, l+1) succeeding.
 func (rq *Requester) SMINValuePairsBatch(pairs []SMINValuePair, l int) ([]*paillier.Ciphertext, error) {
 	if len(pairs) == 0 {
 		return nil, ErrEmptyInput
@@ -103,8 +103,8 @@ func (rq *Requester) SMINValuePairsBatch(pairs []SMINValuePair, l int) ([]*paill
 }
 
 // SMINnValues folds n composed values to E(min) through a ⌈log₂ n⌉-level
-// tournament of SMINValuePairsBatch calls — the value-domain analogue of
-// SMINnBatched, with every level fused into a constant number of frames.
+// tournament of SMINValuePairsBatch calls, every level fused into a
+// constant number of frames.
 func (rq *Requester) SMINnValues(ds []*paillier.Ciphertext, l int) (*paillier.Ciphertext, error) {
 	if len(ds) == 0 {
 		return nil, ErrEmptyInput

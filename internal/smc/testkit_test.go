@@ -121,3 +121,12 @@ func packRows(t testing.TB, pk *paillier.PublicKey, valueBits int, rows [][]*pai
 	}
 	return out
 }
+
+// bigInts builds a frame payload from small integers.
+func bigInts(vals ...int64) []*big.Int {
+	out := make([]*big.Int, len(vals))
+	for i, v := range vals {
+		out[i] = big.NewInt(v)
+	}
+	return out
+}

@@ -3,27 +3,25 @@ package sknn
 import (
 	"bytes"
 	"context"
+	"crypto/rand"
+	"errors"
 	"fmt"
 	"sort"
 	"testing"
 
+	"sknn/internal/core"
 	"sknn/internal/dataset"
-	"sknn/internal/plainknn"
+	"sknn/internal/store"
 	"sknn/internal/testkit"
 )
 
-// This file is the end-to-end half of the packed-vs-unpacked conformance
-// suite (the protocol-level half lives in internal/smc): the same SkNNm
-// query runs once with the production tuning (packing + fixed-base, the
-// Config zero value: row-packed records through extraction, merge and
-// reveal) and once with both disabled (the classic wire format and the
-// per-attribute record layout, our differential oracle), across both
-// index modes and three topologies — unsharded, a 2-shard streaming
-// merge, and a replicated 2-shard system answering through failover.
-// The table carries a payload column so a shifted slot cannot hide. The
-// two paths must return the same top-k rows, and both must match the
-// plaintext oracle's k-distance multiset exactly — recall 1.0, not
-// approximate.
+// This file is the facade half of the reference boundary (the engine
+// half lives in internal/reference): the same SkNNm query is answered by
+// a System — the one production engine, in every topology the facade can
+// assemble — and by the paper's printed protocol, reference.SkNNm, which
+// shares no engine code with it. The two must return the same top-k rows,
+// and both must match the plaintext oracle's k-distance multiset exactly
+// — recall 1.0, not approximate.
 
 // sortedRows canonicalizes a result set for multiset comparison.
 func sortedRows(rows [][]uint64) []string {
@@ -35,16 +33,22 @@ func sortedRows(rows [][]uint64) []string {
 	return out
 }
 
+// TestDifferentialSecureQueryMatrix runs four topologies — unsharded, a
+// 2-shard streaming merge, a replicated 2-shard system answering through
+// failover, and one replicated partition (a coordinator with nothing to
+// merge) — in both index modes. The table carries a payload column so a
+// shifted slot cannot hide.
 func TestDifferentialSecureQueryMatrix(t *testing.T) {
 	const attrBits, k = 5, 3
 	topologies := []struct {
 		name     string
 		shards   int
-		replicas int // > 1: replica 1 of every shard is killed before the query
+		replicas int // > 1 with shards > 1: replica 1 of every shard is killed before the query
 	}{
 		{"unsharded", 0, 0},
 		{"sharded2", 2, 0},
 		{"sharded2-failover", 2, 2},
+		{"replicated1x2", 1, 2},
 	}
 	indexes := []struct {
 		name string
@@ -68,10 +72,8 @@ func TestDifferentialSecureQueryMatrix(t *testing.T) {
 	for i, row := range tbl.Rows {
 		features[i] = row[:2]
 	}
-	oracle, err := plainknn.KDistances(features, q, k)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := referenceRows(t, facadeKey(), tbl.Rows, attrBits, 2, q, k)
+	oracleCheck(t, features, ref, q, k)
 
 	for _, topo := range topologies {
 		for _, idx := range indexes {
@@ -84,85 +86,121 @@ func TestDifferentialSecureQueryMatrix(t *testing.T) {
 					cfg.Clusters = 4
 					cfg.Coverage = 8
 				}
-				classicCfg := cfg
-				classicCfg.DisablePacking = true
-				classicCfg.DisableFixedBase = true
-
-				run := func(c Config) [][]uint64 {
-					sys, err := New(tbl.Rows, attrBits, c)
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer sys.Close()
-					for shard := 0; topo.replicas > 1 && shard < topo.shards; shard++ {
-						if err := sys.CloseReplica(shard, 1); err != nil {
-							t.Fatal(err)
-						}
-					}
-					rows, err := queryRows(sys, q, k, ModeSecure)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return rows
+				sys, err := New(tbl.Rows, attrBits, cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
-				packed := run(cfg)
-				classic := run(classicCfg)
-
-				// Identical top-k between the two wire formats.
-				gp, gc := sortedRows(packed), sortedRows(classic)
-				for i := range gp {
-					if gp[i] != gc[i] {
-						t.Fatalf("packed top-k %v diverges from classic %v", gp, gc)
+				defer sys.Close()
+				for shard := 0; topo.replicas > 1 && topo.shards > 1 && shard < topo.shards; shard++ {
+					if err := sys.CloseReplica(shard, 1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				got, err := queryRows(sys, q, k, ModeSecure)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Identical top-k, payload included, between the engine and
+				// the printed protocol.
+				gp, gr := sortedRows(got), sortedRows(ref)
+				for i := range gr {
+					if i >= len(gp) || gp[i] != gr[i] {
+						t.Fatalf("top-k %v diverges from the reference's %v", gp, gr)
 					}
 				}
 				// Recall 1.0 against the plaintext oracle: the distance
 				// multiset must match exactly.
-				ds := make([]uint64, len(packed))
-				for i, row := range packed {
-					ds[i], err = plainknn.SquaredDistance(row[:len(q)], q)
-					if err != nil {
-						t.Fatal(err)
-					}
-				}
-				sort.Slice(ds, func(a, b int) bool { return ds[a] < ds[b] })
-				if len(ds) != len(oracle) {
-					t.Fatalf("got %d neighbors, want %d", len(ds), len(oracle))
-				}
-				for i := range oracle {
-					if ds[i] != oracle[i] {
-						t.Fatalf("distances = %v, oracle %v", ds, oracle)
-					}
-				}
+				oracleCheck(t, features, got, q, k)
 			})
 		}
 	}
 }
 
-// TestDifferentialConfigKnobs pins the Config wiring itself: the zero
-// value enables both optimizations, and each knob reaches the layer it
-// governs.
-func TestDifferentialConfigKnobs(t *testing.T) {
-	tbl, _ := dataset.Generate(511, 6, 2, 3)
-	on, err := New(tbl.Rows, 3, Config{Key: facadeKey()})
-	if err != nil {
-		t.Fatal(err)
+// TestDifferentialSecureQueryEdges takes the same three-way comparison to
+// the edges of the value domain, one row each, unsharded and through a
+// 2-shard merge (ties are broken at random on both sides, so these
+// compare distances, and whole rows against the table). The last rows pin
+// the domain bound: l = K − 69 is the widest distance domain a K-bit key
+// answers, and one bit more is ErrDomainBits from New and LoadTable
+// before any table is encrypted or any cloud stood up.
+func TestDifferentialSecureQueryEdges(t *testing.T) {
+	const max24 = 1<<24 - 1
+	cases := []struct {
+		name     string
+		keyBits  int
+		attrBits int
+		rows     [][]uint64
+		q        []uint64
+		k        int
+		wantErr  error
+	}{
+		{name: "k = n", keyBits: 256, attrBits: 3,
+			rows: [][]uint64{{1, 1}, {6, 2}, {5, 5}, {0, 7}}, q: []uint64{1, 1}, k: 4},
+		{name: "all-equal distances", keyBits: 256, attrBits: 3,
+			rows: [][]uint64{{1, 1}, {1, 3}, {3, 1}, {3, 3}}, q: []uint64{2, 2}, k: 2},
+		{name: "maximum attribute value", keyBits: 256, attrBits: 24,
+			rows: [][]uint64{{max24, max24}, {0, 0}, {max24, 0}, {max24 - 1, max24}}, q: []uint64{0, 0}, k: 3},
+		{name: "m = 1", keyBits: 256, attrBits: 4,
+			rows: [][]uint64{{15}, {0}, {9}, {8}}, q: []uint64{9}, k: 2},
+		// DomainBits(24, 1) = 49 = 118 − 69; DomainBits(24, 2) = 50.
+		{name: "l = K − 69", keyBits: 118, attrBits: 24,
+			rows: [][]uint64{{max24}, {0}, {9}, {max24 - 1}}, q: []uint64{max24}, k: 2},
+		{name: "l = K − 68", keyBits: 118, attrBits: 24,
+			rows: [][]uint64{{max24, 1}, {0, 2}, {9, 3}, {max24 - 1, 4}}, q: []uint64{max24, 0}, k: 2,
+			wantErr: core.ErrDomainBits},
 	}
-	defer on.Close()
-	if !on.sk.FixedBaseEnabled() {
-		t.Error("zero-value Config left fixed-base disabled")
-	}
-	if !on.c1.Tuning().Packing {
-		t.Error("zero-value Config left packing disabled")
-	}
-	off, err := New(tbl.Rows, 3, Config{
-		Key: facadeKey(), DisablePacking: true, DisableFixedBase: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer off.Close()
-	if off.c1.Tuning().Packing {
-		t.Error("DisablePacking did not reach the pool tuning")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sk := testkit.Key(tc.keyBits)
+			m := len(tc.rows[0])
+			if tc.wantErr != nil {
+				if _, err := New(tc.rows, tc.attrBits, Config{Key: sk}); !errors.Is(err, tc.wantErr) {
+					t.Errorf("New: err = %v, want %v", err, tc.wantErr)
+				}
+				// A snapshot some other writer produced at that l.
+				table, err := core.EncryptTable(rand.Reader, &sk.PublicKey, tc.rows)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := store.Write(&buf, &sk.PublicKey, table.Snapshot(), tc.attrBits, dataset.DomainBits(tc.attrBits, m)); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := LoadTable(&buf, sk, Config{}); !errors.Is(err, tc.wantErr) {
+					t.Errorf("LoadTable: err = %v, want %v", err, tc.wantErr)
+				}
+				return
+			}
+			inTable := make(map[string]bool)
+			for _, row := range tc.rows {
+				inTable[fmt.Sprint(row)] = true
+			}
+			check := func(who string, got [][]uint64) {
+				t.Helper()
+				oracleCheck(t, tc.rows, got, tc.q, tc.k)
+				for _, row := range got {
+					if !inTable[fmt.Sprint(row)] {
+						t.Errorf("%s returned %v, not a table row", who, row)
+					}
+				}
+			}
+			check("reference", referenceRows(t, sk, tc.rows, tc.attrBits, m, tc.q, tc.k))
+			for _, shards := range []int{0, 2} {
+				sys, err := New(tc.rows, tc.attrBits, Config{Key: sk, Shards: shards})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sys.sk.FixedBaseEnabled() {
+					t.Error("New left the key without fixed-base tables")
+				}
+				got, err := queryRows(sys, tc.q, tc.k, ModeSecure)
+				sys.Close()
+				if err != nil {
+					t.Fatalf("%d shards: %v", shards, err)
+				}
+				check(fmt.Sprintf("System over %d shards", shards), got)
+			}
+		})
 	}
 }
 

@@ -87,6 +87,9 @@ func LoadTable(r io.Reader, sk *paillier.PrivateKey, cfg Config) (*System, error
 		return nil, fmt.Errorf("sknn: snapshot domain size l=%d inconsistent with attrBits=%d, featureM=%d (want %d)",
 			snap.DomainBits, snap.AttrBits, snap.Table.FeatureM, want)
 	}
+	if err := core.CheckDomainBits(&sk.PublicKey, snap.DomainBits); err != nil {
+		return nil, fmt.Errorf("sknn: %w", err)
+	}
 	tbl, err := core.RestoreTable(&sk.PublicKey, snap.Table)
 	if err != nil {
 		return nil, fmt.Errorf("sknn: %w", err)

@@ -2,6 +2,7 @@ package sknn
 
 import (
 	"bytes"
+	"context"
 	"sort"
 	"sync"
 	"testing"
@@ -44,11 +45,12 @@ func TestShardedQueryMatchesOracle(t *testing.T) {
 					oracleCheck(t, tbl.Rows, got, q, k)
 				}
 			}
-			// Metered path reports the scatter-gather shape.
-			_, sm, err := sys.QuerySecureMetered(queries[0], k)
+			// The metrics report the scatter-gather shape.
+			res, err := sys.Query(context.Background(), queries[0], WithK(k))
 			if err != nil {
 				t.Fatal(err)
 			}
+			sm := res.Metrics.Secure
 			if sm.Shards != shards {
 				t.Errorf("SecureMetrics.Shards = %d, want %d", sm.Shards, shards)
 			}
@@ -337,9 +339,9 @@ func TestShardedSaveLoadEquality(t *testing.T) {
 	oracleCheck(t, tbl.Rows, got, q, k)
 }
 
-// TestShardedBatchMetered covers the QueryBatchMetered satellite on a
-// sharded system: per-query metrics arrive for every entry and carry
-// the scatter-gather counters.
+// TestShardedBatchMetered covers batch metrics on a sharded system:
+// per-query metrics arrive for every entry and carry the scatter-gather
+// counters.
 func TestShardedBatchMetered(t *testing.T) {
 	const attrBits, k = 4, 2
 	tbl, err := dataset.Generate(551, 12, 2, attrBits)
@@ -352,24 +354,25 @@ func TestShardedBatchMetered(t *testing.T) {
 	}
 	defer sys.Close()
 	queries := [][]uint64{{1, 2}, {9, 9}, {14, 0}}
-	rows, metrics, err := sys.QueryBatchMetered(queries, k, ModeSecure)
+	results, err := sys.QueryBatch(context.Background(), queries, WithK(k), WithMode(ModeSecure))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(queries) || len(metrics) != len(queries) {
-		t.Fatalf("batch returned %d rows, %d metrics", len(rows), len(metrics))
+	if len(results) != len(queries) {
+		t.Fatalf("batch returned %d results for %d queries", len(results), len(queries))
 	}
-	for i, qm := range metrics {
-		if qm == nil || qm.Secure == nil {
+	for i, res := range results {
+		if res == nil || res.Metrics == nil || res.Metrics.Secure == nil {
 			t.Fatalf("query %d missing secure metrics", i)
 		}
+		qm := res.Metrics
 		if qm.Secure.Shards != 2 {
 			t.Errorf("query %d Shards = %d, want 2", i, qm.Secure.Shards)
 		}
 		if qm.Secure.SMINCount == 0 || qm.Secure.Candidates == 0 {
 			t.Errorf("query %d counters empty: %+v", i, qm.Secure)
 		}
-		oracleCheck(t, tbl.Rows, rows[i], queries[i], k)
+		oracleCheck(t, tbl.Rows, res.Rows, queries[i], k)
 	}
 }
 
@@ -387,34 +390,34 @@ func TestBatchMeteredUnsharded(t *testing.T) {
 	}
 	defer sys.Close()
 	queries := [][]uint64{{3, 3}, {12, 1}}
-	_, bm, err := sys.QueryBatchMetered(queries, k, ModeBasic)
+	basic, err := sys.QueryBatch(context.Background(), queries, WithK(k), WithMode(ModeBasic))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, qm := range bm {
-		if qm == nil || qm.Basic == nil || qm.Basic.Total <= 0 {
-			t.Fatalf("basic query %d metrics missing: %+v", i, qm)
+	for i, res := range basic {
+		if res == nil || res.Metrics == nil || res.Metrics.Basic == nil || res.Metrics.Basic.Total <= 0 {
+			t.Fatalf("basic query %d metrics missing: %+v", i, res)
 		}
-		if qm.Secure != nil {
+		if res.Metrics.Secure != nil {
 			t.Errorf("basic query %d unexpectedly carries secure metrics", i)
 		}
 	}
-	_, smts, err := sys.QueryBatchMetered(queries, k, ModeSecure)
+	secure, err := sys.QueryBatch(context.Background(), queries, WithK(k), WithMode(ModeSecure))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, qm := range smts {
-		if qm == nil || qm.Secure == nil || qm.Secure.SMINCount == 0 {
-			t.Fatalf("secure query %d metrics missing: %+v", i, qm)
+	for i, res := range secure {
+		if res == nil || res.Metrics == nil || res.Metrics.Secure == nil || res.Metrics.Secure.SMINCount == 0 {
+			t.Fatalf("secure query %d metrics missing: %+v", i, res)
 		}
 	}
 }
 
 // TestShardedStreamingSerialDifferential pins the facade-level contract
-// of the pipelined gather: in both index modes, a sharded System with
-// the streaming merge (the default) returns the identical top-k
-// distance multiset as one with DisableStreamingMerge set, and both
-// match the plaintext oracle.
+// of the pipelined gather: in both index modes, a 3-shard System whose
+// merge session borrows its shards' links (Workers 2) returns the
+// identical top-k distance multiset as the paper's serial, single-link
+// protocol (reference.SkNNm), and both match the plaintext oracle.
 func TestShardedStreamingSerialDifferential(t *testing.T) {
 	const attrBits, k = 5, 3
 	tbl, err := dataset.GenerateClustered(571, 30, 2, attrBits, 3)
@@ -422,27 +425,23 @@ func TestShardedStreamingSerialDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := [][]uint64{tbl.Rows[2], {3, 28}}
+	serial := make([][][]uint64, len(queries))
+	for i, q := range queries {
+		serial[i] = referenceRows(t, facadeKey(), tbl.Rows, attrBits, 2, q, k)
+		oracleCheck(t, tbl.Rows, serial[i], q, k)
+	}
 	for _, index := range []IndexMode{IndexNone, IndexClustered} {
-		cfg := Config{Key: facadeKey(), Shards: 3, Workers: 2, Index: index, Clusters: 3, Coverage: 8}
-		streaming, err := New(tbl.Rows, attrBits, cfg)
+		streaming, err := New(tbl.Rows, attrBits, Config{
+			Key: facadeKey(), Shards: 3, Workers: 2, Index: index, Clusters: 3, Coverage: 8,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer streaming.Close()
-		cfg.DisableStreamingMerge = true
-		serial, err := New(tbl.Rows, attrBits, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer serial.Close()
-		for _, q := range queries {
+		for i, q := range queries {
 			got, err := queryRows(streaming, q, k, ModeSecure)
 			if err != nil {
 				t.Fatalf("index %v streaming: %v", index, err)
-			}
-			want, err := queryRows(serial, q, k, ModeSecure)
-			if err != nil {
-				t.Fatalf("index %v serial: %v", index, err)
 			}
 			ds := func(rows [][]uint64) []uint64 {
 				out := make([]uint64, len(rows))
@@ -455,7 +454,7 @@ func TestShardedStreamingSerialDifferential(t *testing.T) {
 				sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 				return out
 			}
-			sd, wd := ds(got), ds(want)
+			sd, wd := ds(got), ds(serial[i])
 			for i := range sd {
 				if sd[i] != wd[i] {
 					t.Fatalf("index %v q=%v: streaming distances %v, serial %v", index, q, sd, wd)

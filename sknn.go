@@ -12,7 +12,6 @@ import (
 	"sknn/internal/dataset"
 	"sknn/internal/mpc"
 	"sknn/internal/paillier"
-	"sknn/internal/smc"
 )
 
 // Mode selects which of the paper's two protocols answers a query.
@@ -180,26 +179,6 @@ type Config struct {
 	// recall on badly clusterable (e.g. uniform) data. Sharded, the
 	// floor applies per shard scan.
 	Coverage float64
-	// DisablePacking turns off the slot-packed protocol variants
-	// (ciphertext packing in SSED/SBD/SM uplinks plus short statistical
-	// blinds in SMIN) and runs the paper-faithful one-ciphertext-per-
-	// value presentation instead. The zero value — packing ON — is the
-	// production setting; the classic path exists as the differential
-	// oracle and for ablation benchmarks (cmd/sknnbench -fig pack).
-	DisablePacking bool
-	// DisableStreamingMerge turns off the pipelined scatter-gather on a
-	// sharded system: shard results then gather behind a barrier and
-	// merge serially, the paper-shaped topology that doubles as the
-	// differential oracle for the streaming fold (cmd/sknnbench -fig
-	// stream ablates it). Zero value — streaming ON — is the production
-	// setting; it only takes effect where the pipeline can run at all
-	// (≥2 shards, packing on), so setting this on an unsharded or
-	// packing-off deployment is a no-op.
-	DisableStreamingMerge bool
-	// DisableFixedBase skips building the fixed-base exponentiation
-	// tables that accelerate encryption-nonce generation (r^N = hN^a
-	// with hN precomputed; CRT-split on C2). Zero value = tables ON.
-	DisableFixedBase bool
 	// CompactThreshold is the dirty-fraction bound of the live table:
 	// when (tombstones + inserts since the last clean build) exceeds
 	// this fraction of stored records, the next Insert or Delete
@@ -311,22 +290,30 @@ func New(rows [][]uint64, attrBits int, cfg Config) (*System, error) {
 		}
 	}
 
+	// Refuse a domain the key cannot carry before paying for the table.
+	featureM := tbl.M()
+	if cfg.FeatureColumns > 0 {
+		featureM = cfg.FeatureColumns
+	}
+	domainBits := dataset.DomainBits(attrBits, featureM)
+	if err := core.CheckDomainBits(&sk.PublicKey, domainBits); err != nil {
+		return nil, fmt.Errorf("sknn: %w", err)
+	}
+
 	// Tables first: the owner's n·m table encryptions (and the centroid
 	// encryptions of a clustered index) below ride them too.
-	if err := enableFixedBase(sk, cfg, random); err != nil {
+	if err := enableFixedBase(sk, random); err != nil {
 		return nil, err
 	}
 	encTable, err := core.EncryptTable(random, &sk.PublicKey, tbl.Rows)
 	if err != nil {
 		return nil, fmt.Errorf("sknn: outsourcing table: %w", err)
 	}
-	featureM := tbl.M()
 	if cfg.FeatureColumns > 0 {
 		encTable, err = encTable.WithFeatureColumns(cfg.FeatureColumns)
 		if err != nil {
 			return nil, fmt.Errorf("sknn: %w", err)
 		}
-		featureM = cfg.FeatureColumns
 	}
 	if cfg.Index == IndexClustered {
 		// Alice-side partitioning: she still holds the plaintext here, so
@@ -354,7 +341,7 @@ func New(rows [][]uint64, attrBits int, cfg Config) (*System, error) {
 			return nil, fmt.Errorf("sknn: attaching cluster index: %w", err)
 		}
 	}
-	return assemble(sk, encTable, attrBits, dataset.DomainBits(attrBits, featureM), cfg, random)
+	return assemble(sk, encTable, attrBits, domainBits, cfg, random)
 }
 
 // normalizeConfig applies defaults and rejects invalid settings. Shared
@@ -404,14 +391,11 @@ func wrapRandom(r io.Reader) io.Reader {
 	return &lockedReader{r: r}
 }
 
-// enableFixedBase builds the fixed-base nonce tables unless the
-// configuration turns them off. It must run before any party holds a
-// copy of the key: C2's CRT-split tables and the shared public-key table
-// both hang off unexported pointers set once here. Idempotent.
-func enableFixedBase(sk *paillier.PrivateKey, cfg Config, random io.Reader) error {
-	if cfg.DisableFixedBase {
-		return nil
-	}
+// enableFixedBase builds the fixed-base nonce tables. It must run before
+// any party holds a copy of the key: C2's CRT-split tables and the shared
+// public-key table both hang off unexported pointers set once here.
+// Idempotent.
+func enableFixedBase(sk *paillier.PrivateKey, random io.Reader) error {
 	if err := sk.EnableFixedBase(random); err != nil {
 		return fmt.Errorf("sknn: fixed-base tables: %w", err)
 	}
@@ -446,10 +430,9 @@ func assemble(sk *paillier.PrivateKey, encTable *core.EncryptedTable, attrBits, 
 	}
 	// A no-op after New, which built the tables before encrypting; the
 	// LoadTable path builds them here.
-	if err := enableFixedBase(sk, cfg, random); err != nil {
+	if err := enableFixedBase(sk, random); err != nil {
 		return nil, err
 	}
-	tuning := smc.Tuning{Packing: !cfg.DisablePacking}
 	c2 := core.NewCloudC2(sk, random)
 	if cfg.UseNoncePool {
 		pool, err := paillier.NewRandomizerPool(&sk.PublicKey, random, 4096)
@@ -496,7 +479,6 @@ func assemble(sk *paillier.PrivateKey, encTable *core.EncryptedTable, attrBits, 
 		if err != nil {
 			return fail(fmt.Errorf("sknn: wiring clouds: %w", err))
 		}
-		sys.c1.SetTuning(tuning)
 		return sys, nil
 	}
 
@@ -520,7 +502,6 @@ func assemble(sk *paillier.PrivateKey, encTable *core.EncryptedTable, attrBits, 
 			if err != nil {
 				return fail(fmt.Errorf("sknn: wiring shard %d replica %d: %w", i, r, err))
 			}
-			c1.SetTuning(tuning)
 			sys.shards = append(sys.shards, c1)
 			group[r] = c1
 			members[r] = &core.LocalShard{C1: c1, Index: i, Count: cfg.Shards}
@@ -541,8 +522,6 @@ func assemble(sk *paillier.PrivateKey, encTable *core.EncryptedTable, attrBits, 
 	if err != nil {
 		return fail(fmt.Errorf("sknn: wiring coordinator: %w", err))
 	}
-	sys.coord.SetTuning(tuning)
-	sys.coord.SetStreaming(!cfg.DisableStreamingMerge)
 	return sys, nil
 }
 

@@ -1,6 +1,7 @@
 package sknn
 
 import (
+	"context"
 	"errors"
 	"sort"
 	"testing"
@@ -73,18 +74,18 @@ func TestSystemMeteredQueries(t *testing.T) {
 	tbl, _ := dataset.Generate(121, 6, 2, 3)
 	sys := newTestSystem(t, tbl.Rows, 3, 2)
 	q, _ := dataset.GenerateQuery(122, 2, 3)
-	_, bm, err := sys.QueryBasicMetered(q, 2)
+	res, err := sys.Query(context.Background(), q, WithK(2), WithMode(ModeBasic))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bm.Total <= 0 {
+	if bm := res.Metrics.Basic; bm == nil || bm.Total <= 0 {
 		t.Error("basic metrics empty")
 	}
-	_, sm, err := sys.QuerySecureMetered(q, 2)
+	res, err = sys.Query(context.Background(), q, WithK(2), WithMode(ModeSecure))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sm.Total <= 0 || sm.SMINn <= 0 {
+	if sm := res.Metrics.Secure; sm == nil || sm.Total <= 0 || sm.SMINn <= 0 {
 		t.Error("secure metrics empty")
 	}
 	if sys.CommStats().Rounds == 0 {
@@ -178,11 +179,11 @@ func TestSystemClose(t *testing.T) {
 	if _, err := queryRows(sys, q, 1, ModeBasic); !errors.Is(err, ErrClosed) {
 		t.Errorf("query after close = %v, want ErrClosed", err)
 	}
-	if _, _, err := sys.QueryBasicMetered(q, 1); !errors.Is(err, ErrClosed) {
-		t.Errorf("metered basic after close = %v", err)
+	if _, err := queryRows(sys, q, 1, ModeSecure); !errors.Is(err, ErrClosed) {
+		t.Errorf("secure query after close = %v, want ErrClosed", err)
 	}
-	if _, _, err := sys.QuerySecureMetered(q, 1); !errors.Is(err, ErrClosed) {
-		t.Errorf("metered secure after close = %v", err)
+	if _, err := queryBatchRows(sys, [][]uint64{q}, 1, ModeSecure); !errors.Is(err, ErrClosed) {
+		t.Errorf("batch after close = %v, want ErrClosed", err)
 	}
 }
 
@@ -253,10 +254,11 @@ func TestSystemClusteredIndexMatchesOracle(t *testing.T) {
 		}
 	}
 	// The metered path must agree and show the pruning.
-	_, metrics, err := sys.QuerySecureMetered(q, k)
+	res, err := sys.Query(context.Background(), q, WithK(k))
 	if err != nil {
 		t.Fatal(err)
 	}
+	metrics := res.Metrics.Secure
 	if metrics.Candidates >= tbl.N() || metrics.ClustersProbed == 0 {
 		t.Errorf("no pruning: %d candidates, %d clusters probed", metrics.Candidates, metrics.ClustersProbed)
 	}
