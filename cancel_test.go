@@ -90,7 +90,7 @@ func assertOracle(t *testing.T, sys *System, tbl *dataset.Table, q []uint64, k i
 }
 
 // TestCancelMidProtocol is the acceptance matrix: a secure query
-// canceled mid-protocol — unsharded and 2-shard scatter-gather, in both
+// canceled mid-protocol — one shard and 2-shard scatter-gather, in both
 // index modes, and one replicated partition — returns ErrCanceled
 // promptly, releases its pooled links, and leaves the System answering
 // oracle-correct queries.
@@ -276,7 +276,6 @@ func TestQueryValidation(t *testing.T) {
 		{"k beyond n", q, []QueryOption{WithK(sys.N() + 1)}},
 		{"dimension mismatch", []uint64{1}, nil},
 		{"negative coverage", q, []QueryOption{WithCoverage(-1)}},
-		{"negative workers", q, []QueryOption{WithWorkers(-1)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -298,8 +297,9 @@ func TestQueryValidation(t *testing.T) {
 }
 
 // TestResultIDs checks the basic-mode id channel: Result.IDs names the
-// returned rows (SkNNb reveals access patterns anyway) on both the
-// unsharded engine and the scatter-gather path, while SkNNm — whose
+// returned rows (SkNNb reveals access patterns anyway) with one shard —
+// whose ids come as C2 ranked them — and with two, through the second
+// rank round, while SkNNm — whose
 // point is hiding exactly this — returns none.
 func TestResultIDs(t *testing.T) {
 	for _, shards := range []int{0, 2} {

@@ -12,26 +12,24 @@ import (
 	"strings"
 	"time"
 
-	"sknn/internal/core"
 	"sknn/internal/gateway"
 	"sknn/internal/mpc"
-	"sknn/internal/plainknn"
-	"sknn/internal/store"
 )
 
 // The gateway subcommand stands up the multi-tenant serving tier in
-// front of whatever C1 topology each tenant runs — a single data cloud
-// over a snapshot, or a scatter-gather coordinator over dialed shard
-// workers (replicas grouped automatically by their announced shard
-// index). The query subcommand is the matching Bob-side client.
+// front of whatever C1 topology each tenant runs — the engine
+// buildEngine makes of a snapshot file or of dialed shard workers
+// (replicas grouped automatically by their announced shard index). The
+// query subcommand is the matching Bob-side client.
 
 // tenantSpec is one entry of the -tenants JSON file. Exactly one of
-// Table (a whole-table snapshot served by an in-process C1) and Shards
-// (worker addresses for a scatter-gather coordinator; list the same
-// shard's replicas as separate addresses and they are grouped by the
-// shard index each worker announces) must be set. The tenant's C2 and
-// shard dials authenticate with C2Token/ShardToken when those listeners
-// require one.
+// Table (a whole-table snapshot served by one in-process worker — the
+// one-shard case of the same coordinator) and Shards (worker addresses;
+// list the same shard's replicas as separate addresses and they are
+// grouped by the shard index each worker announces) must be set. The
+// tenant's C2 and shard dials authenticate with C2Token/ShardToken when
+// those listeners require one. The c1 and coord subcommands fill in the
+// same topology fields from their flags.
 type tenantSpec struct {
 	Name  string `json:"name"`
 	Token string `json:"token"`
@@ -93,24 +91,24 @@ func cmdGateway(args []string) {
 
 	g := gateway.NewGateway()
 	for _, ts := range spec.Tenants {
-		be, domainBits, desc, err := buildBackend(ts)
+		eng, err := buildEngine(ts)
 		if err != nil {
-			log.Fatal(err)
+			log.Fatalf("tenant %q: %v", ts.Name, err)
 		}
 		cfg := gateway.TenantConfig{
 			Name:        ts.Name,
 			Token:       ts.Token,
-			DomainBits:  domainBits,
+			DomainBits:  eng.domainBits,
 			Target:      ts.Target,
 			RateQPS:     ts.RateQPS,
 			Burst:       ts.Burst,
 			MaxInflight: ts.MaxInflight,
 			MaxQueue:    ts.MaxQueue,
 		}
-		if err := g.AddTenant(cfg, be); err != nil {
+		if err := g.AddTenant(cfg, gateway.NewCoordinatorBackend(eng.coord, eng.owned...)); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "tenant %q: %s\n", ts.Name, desc)
+		fmt.Fprintf(os.Stderr, "tenant %q: %s\n", ts.Name, eng.desc)
 	}
 
 	var msrv *http.Server
@@ -156,90 +154,6 @@ func cmdGateway(args []string) {
 		msrv.Close()
 	}
 	fmt.Fprintln(os.Stderr, "gateway drained")
-}
-
-// buildBackend stands up one tenant's query engine from its spec and
-// reports the distance-domain width its secure queries must use plus a
-// one-line description for the startup log.
-func buildBackend(ts tenantSpec) (gateway.Backend, int, string, error) {
-	if (ts.Table == "") == (len(ts.Shards) == 0) {
-		return nil, 0, "", fmt.Errorf(`tenant %q: exactly one of "table" and "shards" must be set`, ts.Name)
-	}
-	if ts.C2 == "" {
-		return nil, 0, "", fmt.Errorf(`tenant %q: missing "c2" address`, ts.Name)
-	}
-	workers := ts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-
-	if len(ts.Shards) > 0 {
-		flat := make([]core.Shard, 0, len(ts.Shards))
-		remotes := make([]*core.RemoteShard, 0, len(ts.Shards))
-		for _, addr := range ts.Shards {
-			addr = strings.TrimSpace(addr)
-			conn, err := mpc.DialAuth(addr, ts.ShardToken)
-			if err != nil {
-				return nil, 0, "", fmt.Errorf("tenant %q shard %s: %w", ts.Name, addr, err)
-			}
-			rs, err := core.DialShard(conn)
-			if err != nil {
-				return nil, 0, "", fmt.Errorf("tenant %q shard %s: %w", ts.Name, addr, err)
-			}
-			flat = append(flat, rs)
-			remotes = append(remotes, rs)
-		}
-		pk := remotes[0].PK()
-		l := remotes[0].DomainBits()
-		for i, rs := range remotes {
-			if rs.PK().N.Cmp(pk.N) != 0 {
-				return nil, 0, "", fmt.Errorf("tenant %q: worker %d serves a different public key", ts.Name, i)
-			}
-			if rs.DomainBits() != l {
-				return nil, 0, "", fmt.Errorf("tenant %q: worker %d disagrees on the distance domain (l=%d vs %d)", ts.Name, i, rs.DomainBits(), l)
-			}
-		}
-		// Workers announcing the same shard index become one replicated
-		// partition; the coordinator load-balances and fails over inside
-		// each group.
-		grouped, err := core.GroupReplicas(flat)
-		if err != nil {
-			return nil, 0, "", fmt.Errorf("tenant %q: %w", ts.Name, err)
-		}
-		mergeConns := make([]mpc.Conn, workers)
-		for i := range mergeConns {
-			if mergeConns[i], err = mpc.DialAuth(ts.C2, ts.C2Token); err != nil {
-				return nil, 0, "", fmt.Errorf("tenant %q C2 %s: %w", ts.Name, ts.C2, err)
-			}
-		}
-		coord, err := core.NewShardedC1(grouped, mergeConns, pk, nil)
-		if err != nil {
-			return nil, 0, "", fmt.Errorf("tenant %q: %w", ts.Name, err)
-		}
-		desc := fmt.Sprintf("%d workers → %d partitions, C2 at %s, n=%d", len(flat), len(grouped), ts.C2, coord.N())
-		return gateway.NewCoordinatorBackend(coord), l, desc, nil
-	}
-
-	snap, err := store.ReadFile(ts.Table)
-	if err != nil {
-		return nil, 0, "", fmt.Errorf("tenant %q: %w", ts.Name, err)
-	}
-	table, err := core.RestoreTable(snap.PK, snap.Table)
-	if err != nil {
-		return nil, 0, "", fmt.Errorf("tenant %q: %w", ts.Name, err)
-	}
-	conns := make([]mpc.Conn, workers)
-	for i := range conns {
-		if conns[i], err = mpc.DialAuth(ts.C2, ts.C2Token); err != nil {
-			return nil, 0, "", fmt.Errorf("tenant %q C2 %s: %w", ts.Name, ts.C2, err)
-		}
-	}
-	c1, err := core.NewCloudC1(table, conns, nil)
-	if err != nil {
-		return nil, 0, "", fmt.Errorf("tenant %q: %w", ts.Name, err)
-	}
-	desc := fmt.Sprintf("local table %s (n=%d, clustered=%v), C2 at %s", ts.Table, table.N(), table.Clustered(), ts.C2)
-	return gateway.NewSingleBackend(c1), snap.DomainBits, desc, nil
 }
 
 // cmdQuery is Bob at the edge: it authenticates to a gateway as one
@@ -298,10 +212,7 @@ func cmdQuery(args []string) {
 		if len(queries) > 1 {
 			fmt.Printf("query %d: %v\n", i+1, q)
 		}
-		for j, row := range rows {
-			d, _ := plainknn.SquaredDistance(row, q)
-			fmt.Printf("#%d dist²=%d %v\n", j+1, d, row)
-		}
+		printRows(rows, q)
 	}
 	elapsed := time.Since(start)
 	fmt.Fprintf(os.Stderr, "%d %s queries as tenant %q in %v (%.2f QPS)\n",

@@ -18,11 +18,13 @@
 //	sknnd c1 -table table.snap -connect host:7002 -q 1,2,3 -k 5 -mode secure [-workers 4]
 //	    The data cloud C1: holds the encrypted table, runs the protocol,
 //	    and (playing Bob as well, for CLI convenience) encrypts the query
-//	    and unmasks the result. Multiple queries — ';'-separated in -q or
-//	    one per line in -qfile — are answered concurrently, each in its
-//	    own session multiplexed over the -workers connections. A
-//	    clustered snapshot is queried through the partition-pruned SkNNm
-//	    variant (-coverage tunes the candidate pool).
+//	    and unmasks the result. It is the one-shard case of coord below —
+//	    the same engine over a single worker in this process. Multiple
+//	    queries — ';'-separated in -q or one per line in -qfile — are
+//	    answered concurrently, each in its own sessions multiplexed over
+//	    the -workers connections of each link pool. A clustered snapshot
+//	    is queried through the partition-pruned SkNNm variant (-coverage
+//	    tunes the candidate pool).
 //
 // Three more subcommands deploy the sharded scatter-gather topology —
 // S shard workers, one C2, one coordinator, all over TCP:
@@ -47,8 +49,8 @@
 //
 //	sknnd gateway -tenants gateway.json -listen :7100 [-metrics :7190] [-token T]
 //	    The serving front end: each tenant in the roster gets its own
-//	    backend (a snapshot-backed C1 or a coordinator over dialed,
-//	    possibly replicated shard workers), admission control, and
+//	    backend (the coordinator over a snapshot-backed worker or over
+//	    dialed, possibly replicated shard workers), admission control, and
 //	    Prometheus-text metrics. Shutdown drains: in-flight queries
 //	    finish, nothing new is admitted.
 //
@@ -80,7 +82,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"sknn/internal/cluster"
@@ -88,7 +89,6 @@ import (
 	"sknn/internal/dataset"
 	"sknn/internal/mpc"
 	"sknn/internal/paillier"
-	"sknn/internal/plainknn"
 	"sknn/internal/store"
 
 	"crypto/rand"
@@ -107,14 +107,12 @@ func main() {
 		cmdEncrypt(os.Args[2:])
 	case "c2":
 		cmdC2(os.Args[2:])
-	case "c1":
-		cmdC1(os.Args[2:])
+	case "c1", "coord":
+		cmdEngine(os.Args[1], os.Args[2:])
 	case "split":
 		cmdSplit(os.Args[2:])
 	case "shard":
 		cmdShard(os.Args[2:])
-	case "coord":
-		cmdCoord(os.Args[2:])
 	case "gateway":
 		cmdGateway(os.Args[2:])
 	case "query":
@@ -234,137 +232,50 @@ func cmdC2(args []string) {
 	fmt.Fprintln(os.Stderr, "C2 drained")
 }
 
-func cmdC1(args []string) {
-	fs := flag.NewFlagSet("c1", flag.ExitOnError)
-	tablePath := fs.String("table", "table.snap", "encrypted table snapshot file")
-	connect := fs.String("connect", "127.0.0.1:7002", "C2 address")
+// cmdEngine is the c1 and coord subcommands: the one query engine over
+// a worker in this process holding the whole snapshot (c1, the paper's
+// single data cloud) or over dialled shard workers (coord), answering a
+// batch of queries and — playing Bob for CLI convenience — unmasking the
+// results.
+func cmdEngine(sub string, args []string) {
+	fs := flag.NewFlagSet(sub, flag.ExitOnError)
+	var spec tenantSpec
+	var shardsStr string
+	concurrency := 0
+	if sub == "c1" {
+		fs.StringVar(&spec.Table, "table", "table.snap", "encrypted table snapshot file")
+		fs.IntVar(&concurrency, "concurrency", 0, "queries in flight at once (0 = all at once)")
+	} else {
+		fs.StringVar(&shardsStr, "shards", "", "comma-separated shard worker addresses (required)")
+		fs.StringVar(&spec.ShardToken, "shard-token", "", "pre-shared token the shard listeners require")
+	}
+	fs.StringVar(&spec.C2, "connect", "127.0.0.1:7002", "C2 address")
+	fs.StringVar(&spec.C2Token, "c2-token", "", "pre-shared token the C2 listener requires")
+	fs.IntVar(&spec.Workers, "workers", 1, "parallel connections to C2 per link pool this process owns (the coordinator's, and the table worker's under c1)")
 	queryStr := fs.String("q", "", "query attributes, comma-separated; separate multiple queries with ';'")
 	queryFile := fs.String("qfile", "", "file with one comma-separated query per line (alternative to -q)")
 	k := fs.Int("k", 5, "number of neighbors")
 	mode := fs.String("mode", "secure", `protocol: "basic" or "secure"`)
-	workers := fs.Int("workers", 1, "parallel connections to C2")
-	concurrency := fs.Int("concurrency", 0, "queries in flight at once (0 = all at once)")
-	coverage := fs.Float64("coverage", 4, "candidate-pool factor when the snapshot carries a cluster index")
-	timeout := fs.Duration("timeout", 0, "per-query deadline; 0 = none")
-	c2Token := fs.String("c2-token", "", "pre-shared token the C2 listener requires")
+	coverage := fs.Float64("coverage", 4, "per-shard candidate-pool factor on a clustered table")
+	timeout := fs.Duration("timeout", 0, "per-query deadline; 0 = none. Expiry cancels every outstanding shard scan")
 	fs.Parse(args)
 	queries, err := collectQueries(*queryStr, *queryFile)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if len(queries) == 0 {
+	if len(queries) == 0 || (sub == "coord" && shardsStr == "") {
 		fs.Usage()
 		os.Exit(2)
 	}
-
-	snap, err := store.ReadFile(*tablePath)
+	if shardsStr != "" {
+		spec.Shards = strings.Split(shardsStr, ",")
+	}
+	eng, err := buildEngine(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	pk := snap.PK
-	table, err := core.RestoreTable(pk, snap.Table)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	conns := make([]mpc.Conn, *workers)
-	for i := range conns {
-		conn, err := mpc.DialAuth(*connect, *c2Token)
-		if err != nil {
-			log.Fatal(err)
-		}
-		conns[i] = conn
-	}
-	c1, err := core.NewCloudC1(table, conns, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer c1.Close()
-	bob := core.NewClient(pk, nil)
-	l := snap.DomainBits
-	target := 0
-	if table.Clustered() {
-		target = core.CoverageTarget(*coverage, *k)
-		fmt.Fprintf(os.Stderr, "clustered snapshot: pruned SkNNm over %d clusters (pool ≥ %d)\n",
-			table.Clusters(), target)
-	}
-
-	// Answer all queries concurrently: each leases its own session from
-	// the pool, so they multiplex over the -workers connections. An
-	// operator interrupt cancels every in-flight round cleanly.
-	base, stop := signalContext()
-	defer stop()
-	inflight := *concurrency
-	if inflight <= 0 || inflight > len(queries) {
-		inflight = len(queries)
-	}
-	sem := make(chan struct{}, inflight)
-	rows := make([][][]uint64, len(queries))
-	errs := make([]error, len(queries))
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i, q := range queries {
-		wg.Add(1)
-		go func(i int, q []uint64) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			rows[i], errs[i] = runQuery(base, c1, bob, q, *k, *mode, l, target, *timeout)
-		}(i, q)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	for i, q := range queries {
-		if errs[i] != nil {
-			fatalQueryErr(i+1, q, errs[i])
-		}
-		if len(queries) > 1 {
-			fmt.Printf("query %d: %v\n", i+1, q)
-		}
-		for j, row := range rows[i] {
-			d, _ := plainknn.SquaredDistance(row, q)
-			fmt.Printf("#%d dist²=%d %v\n", j+1, d, row)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "%d %s queries in %v (%.2f QPS), traffic %s\n",
-		len(queries), *mode, elapsed.Round(1e6),
-		float64(len(queries))/elapsed.Seconds(), c1.CommStats())
-}
-
-// runQuery answers one query in its own pool session and unmasks it. A
-// positive target selects the partition-pruned SkNNm variant (the table
-// must carry a cluster index); a positive timeout bounds the protocol
-// run — the session aborts within one round of the deadline.
-func runQuery(base context.Context, c1 *core.CloudC1, bob *core.Client, q []uint64, k int, mode string, l, target int, timeout time.Duration) ([][]uint64, error) {
-	eq, err := bob.EncryptQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := queryContext(base, timeout)
-	defer cancel()
-	sess, err := c1.NewSession(ctx, 0)
-	if err != nil {
-		return nil, err
-	}
-	defer sess.Close()
-	var res *core.MaskedResult
-	switch mode {
-	case "basic":
-		res, err = sess.BasicQuery(eq, k)
-	case "secure":
-		if target > 0 {
-			res, err = sess.SecureQueryClustered(eq, k, l, target)
-		} else {
-			res, err = sess.SecureQuery(eq, k, l)
-		}
-	default:
-		return nil, fmt.Errorf("unknown -mode %q", mode)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return bob.Unmask(res)
+	defer eng.Close()
+	eng.runQueries(queries, *k, *mode, *coverage, concurrency, *timeout)
 }
 
 // queryContext arms a per-query deadline (0 = only the base context's
@@ -480,142 +391,6 @@ func cmdShard(args []string) {
 		}
 	})
 	fmt.Fprintf(os.Stderr, "shard %d/%d replica %d drained\n", snap.ShardIndex, snap.ShardCount, *replica)
-}
-
-// cmdCoord runs the scatter-gather coordinator: it dials every shard
-// worker and C2, fans each query out, merges the encrypted candidates
-// securely, and (playing Bob for CLI convenience) unmasks the results.
-func cmdCoord(args []string) {
-	fs := flag.NewFlagSet("coord", flag.ExitOnError)
-	shardsStr := fs.String("shards", "", "comma-separated shard worker addresses (required)")
-	connect := fs.String("connect", "127.0.0.1:7002", "C2 address (for the merge phase)")
-	queryStr := fs.String("q", "", "query attributes, comma-separated; separate multiple queries with ';'")
-	queryFile := fs.String("qfile", "", "file with one comma-separated query per line (alternative to -q)")
-	k := fs.Int("k", 5, "number of neighbors")
-	mode := fs.String("mode", "secure", `protocol: "basic" or "secure"`)
-	workers := fs.Int("workers", 1, "parallel merge connections to C2")
-	coverage := fs.Float64("coverage", 4, "per-shard candidate-pool factor on clustered shards")
-	timeout := fs.Duration("timeout", 0, "per-query deadline; 0 = none. Expiry cancels every outstanding shard scan")
-	c2Token := fs.String("c2-token", "", "pre-shared token the C2 listener requires")
-	shardToken := fs.String("shard-token", "", "pre-shared token the shard listeners require")
-	fs.Parse(args)
-	queries, err := collectQueries(*queryStr, *queryFile)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if *shardsStr == "" || len(queries) == 0 {
-		fs.Usage()
-		os.Exit(2)
-	}
-
-	var shards []core.Shard
-	var remotes []*core.RemoteShard
-	for _, addr := range strings.Split(*shardsStr, ",") {
-		conn, err := mpc.DialAuth(strings.TrimSpace(addr), *shardToken)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rs, err := core.DialShard(conn)
-		if err != nil {
-			log.Fatalf("shard %s: %v", addr, err)
-		}
-		shards = append(shards, rs)
-		remotes = append(remotes, rs)
-	}
-	pk := remotes[0].PK()
-	l := remotes[0].DomainBits()
-	clustered := false
-	for i, rs := range remotes {
-		if rs.PK().N.Cmp(pk.N) != 0 {
-			log.Fatalf("shard %d serves a different public key", i)
-		}
-		if rs.DomainBits() != l {
-			log.Fatalf("shard %d disagrees on the distance domain (l=%d vs %d)", i, rs.DomainBits(), l)
-		}
-		if rs.Info().Clustered {
-			clustered = true
-		}
-	}
-	// Workers announcing the same shard index fold into one replicated
-	// partition with coordinator-side load balancing and failover;
-	// unreplicated deployments pass through unchanged.
-	grouped, err := core.GroupReplicas(shards)
-	if err != nil {
-		log.Fatal(err)
-	}
-	mergeConns := make([]mpc.Conn, *workers)
-	for i := range mergeConns {
-		if mergeConns[i], err = mpc.DialAuth(*connect, *c2Token); err != nil {
-			log.Fatal(err)
-		}
-	}
-	coord, err := core.NewShardedC1(grouped, mergeConns, pk, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer coord.Close()
-	bob := core.NewClient(pk, nil)
-	target := 0
-	if clustered {
-		target = core.CoverageTarget(*coverage, *k)
-		fmt.Fprintf(os.Stderr, "clustered shards: per-shard pruned SkNNm (pool ≥ %d each)\n", target)
-	}
-
-	base, stop := signalContext()
-	defer stop()
-	start := time.Now()
-	rows := make([][][]uint64, len(queries))
-	errs := make([]error, len(queries))
-	var wg sync.WaitGroup
-	for i, q := range queries {
-		wg.Add(1)
-		go func(i int, q []uint64) {
-			defer wg.Done()
-			rows[i], errs[i] = runCoordQuery(base, coord, bob, q, *k, *mode, l, target, *timeout)
-		}(i, q)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for i, q := range queries {
-		if errs[i] != nil {
-			fatalQueryErr(i+1, q, errs[i])
-		}
-		if len(queries) > 1 {
-			fmt.Printf("query %d: %v\n", i+1, q)
-		}
-		for j, row := range rows[i] {
-			d, _ := plainknn.SquaredDistance(row, q)
-			fmt.Printf("#%d dist²=%d %v\n", j+1, d, row)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "%d %s queries over %d shards in %v (%.2f QPS), merge traffic %s\n",
-		len(queries), *mode, coord.Shards(), elapsed.Round(1e6),
-		float64(len(queries))/elapsed.Seconds(), coord.CommStats())
-}
-
-// runCoordQuery answers one query through the scatter-gather engine. A
-// positive timeout bounds the whole scatter+merge; expiry cancels every
-// outstanding shard scan.
-func runCoordQuery(base context.Context, coord *core.ShardedC1, bob *core.Client, q []uint64, k int, mode string, l, target int, timeout time.Duration) ([][]uint64, error) {
-	eq, err := bob.EncryptQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := queryContext(base, timeout)
-	defer cancel()
-	var res *core.MaskedResult
-	switch mode {
-	case "basic":
-		res, err = coord.BasicQuery(ctx, eq, k)
-	case "secure":
-		res, err = coord.SecureQuery(ctx, eq, k, l, target)
-	default:
-		return nil, fmt.Errorf("unknown -mode %q", mode)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return bob.Unmask(res)
 }
 
 // collectQueries merges the -q list and the -qfile lines.

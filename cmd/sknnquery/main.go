@@ -58,7 +58,7 @@ func main() {
 		coverage  = flag.Float64("coverage", 0, "candidate-pool factor for -index clustered (0 = default)")
 		keyBits   = flag.Int("keybits", 512, "Paillier key size (-data only)")
 		workers   = flag.Int("workers", 1, "parallel C1↔C2 connections per link pool")
-		shards    = flag.Int("shards", 0, "split the table across this many in-process shard workers (scatter-gather queries; 0 = unsharded)")
+		shards    = flag.Int("shards", 0, "split the table across this many in-process shard workers (0 or 1 = one worker holds the whole table)")
 		insertStr = flag.String("insert", "", "rows to insert before querying: 'a,b,c;d,e,f'")
 		deleteStr = flag.String("delete", "", "stable record ids to delete before querying: '0,5,9'")
 		savePath  = flag.String("save", "", "write the (possibly mutated) table snapshot here before exiting")
@@ -262,7 +262,7 @@ func runQuery(sys *sknn.System, q []uint64, k int, protocolMode sknn.Mode, verif
 		metrics := res.Metrics.Secure
 		fmt.Fprintf(os.Stderr, "done in %v (SMINn share %.0f%%, %d SMINs), traffic %s\n",
 			metrics.Total.Round(1e6), 100*metrics.SMINnShare(), metrics.SMINCount, metrics.Comm)
-		if metrics.Shards > 0 {
+		if metrics.Shards > 1 {
 			fmt.Fprintf(os.Stderr, "sharded: scattered to %d shards (%v), secure merge %v\n",
 				metrics.Shards, metrics.Scatter.Round(1e6), metrics.Merge.Round(1e6))
 		}

@@ -175,28 +175,6 @@ func TestQueryBatchValidation(t *testing.T) {
 	}
 }
 
-// TestPerQueryWorkersCap pins queries to one connection each and checks
-// correctness is unaffected.
-func TestPerQueryWorkersCap(t *testing.T) {
-	tbl, _ := dataset.Generate(391, 16, 2, 4)
-	sys, err := New(tbl.Rows, 4, Config{Key: facadeKey(), Workers: 3, PerQueryWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	queries := make([][]uint64, 6)
-	for i := range queries {
-		queries[i], _ = dataset.GenerateQuery(int64(395+i), 2, 4)
-	}
-	results, err := queryBatchRows(sys, queries, 2, ModeBasic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range queries {
-		assertBasicMatches(t, tbl.Rows, q, 2, results[i])
-	}
-}
-
 // TestCloseDrainsInflightQueries races Close against a wave of queries:
 // every query that got in before Close must complete with a correct
 // result (drained, not dropped), and every query after must see

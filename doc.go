@@ -30,20 +30,20 @@
 // errors.Is(err, sknn.ErrCanceled) as well as errors.Is against the
 // context's own error. Bad requests fail fast with sknn.ErrBadQuery
 // before any Paillier work. See docs/API.md for the options
-// (WithK/WithMode/WithCoverage/WithWorkers/WithoutMetrics).
+// (WithK/WithMode/WithCoverage/WithoutMetrics).
 //
 // A System is safe for concurrent use. Each query runs in its own
-// protocol session multiplexed over the Config.Workers C1↔C2
-// connections, so any number of Query calls may be in flight at once,
+// protocol sessions multiplexed over the Config.Workers C1↔C2
+// connections of each link pool, so any number of Query calls may be in
+// flight at once,
 // and QueryBatch answers a whole slice of queries concurrently:
 //
 //	results, err := sys.QueryBatch(ctx, queries, sknn.WithK(5), sknn.WithMode(sknn.ModeBasic))
 //
 // A lone query fans out across the idle connection pool (the paper's
-// Section 5.3 parallel variant); concurrent queries share the pool —
-// Config.PerQueryWorkers (or the per-query WithWorkers) tunes that
-// trade-off. Close drains in-flight queries before tearing the cloud
-// down.
+// Section 5.3 parallel variant); concurrent queries share it, the
+// scheduler narrowing each toward one connection as load grows. Close
+// drains in-flight queries before tearing the cloud down.
 //
 // SkNNm's O(k·n) SMIN cost can be cut below linear with the clustered
 // secure index: Config.Index = IndexClustered k-means-partitions the
@@ -71,13 +71,15 @@
 //	id, err := sys2.Insert(row)
 //	err = sys2.Delete(id)
 //
-// Config.Shards > 1 partitions the table across independent C1 shard
-// workers (record id mod S, pure ciphertext shuffling) and plans every
-// query as scatter-gather: each shard runs the existing pruned or full
-// secure scan over its partition producing an encrypted shard-local
-// top-k, and a coordinator merges the s·k candidates with the same
-// SMINn selection protocol the shards ran — the exact global top-k, at
-// the same leakage class as a single-shard query. Mutations route to
+// Every query runs as scatter-gather through one coordinator: each
+// shard worker runs the pruned or full scan over its partition
+// producing an encrypted shard-local top-k, and the coordinator merges
+// the s·k candidates with the same SMINn selection protocol the shards
+// ran and reveals the exact global top-k. By default one worker holds
+// the whole table — the paper's single C1, where the gather has nothing
+// to merge; Config.Shards > 1 partitions it across independent workers
+// (record id mod S, pure ciphertext shuffling), at the same leakage
+// class as a single-shard query. Mutations route to
 // the owning shard; SaveTable writes the merged whole table, and
 // LoadTable reshards it at any Config.Shards:
 //
@@ -91,7 +93,7 @@
 // GatewayBackend adapts the System to the multi-tenant serving tier in
 // internal/gateway (tenant auth, admission control, metrics, drain).
 //
-// There is one SkNNm engine and no Config field that selects another:
+// There is one query engine and no Config field that selects another:
 // every query packs its uplinks, ranks in the value domain and carries
 // records row-packed, which bounds the squared-distance domain at
 // l ≤ K − 69 bits for a K-bit key (New and LoadTable refuse a wider one
@@ -103,7 +105,8 @@
 // (internal/core, internal/mpc with the TCP transport) the way
 // cmd/sknnd does — its shard/coord subcommands run the same
 // scatter-gather across S shard processes, one C2, and a coordinator
-// over TCP; its gateway/query subcommands add the replicated,
+// over TCP (c1 is coord's one-shard case, worker and coordinator in one
+// process); its gateway/query subcommands add the replicated,
 // token-authenticated multi-tenant serving tier (see
 // docs/DEPLOYMENT.md).
 //

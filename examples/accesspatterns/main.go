@@ -1,5 +1,5 @@
 // Accesspatterns: a wire-level demonstration of the security difference
-// between the two protocols. We tap the C1↔C2 connection and inspect
+// between the two protocols. We tap C1's connections to C2 and inspect
 // every frame:
 //
 //   - under SkNNb, the rank reply (opcode 64) carries the top-k record
@@ -18,6 +18,7 @@ import (
 	"crypto/rand"
 	"fmt"
 	"log"
+	"sync"
 
 	"sknn/internal/core"
 	"sknn/internal/dataset"
@@ -52,28 +53,38 @@ func main() {
 	// count frames per opcode.
 	var leakedIndices [][]int64
 	opCount := map[mpc.Op]int{}
-	c1Side, c2Side := mpc.ChanPipe()
-	tapped := mpc.Tap(c1Side, func(dir mpc.Direction, m *mpc.Message) {
-		opCount[m.Op]++
-		if dir == mpc.DirRecv && m.Op == core.OpRank {
-			idx := make([]int64, len(m.Ints))
-			for i, v := range m.Ints {
-				idx[i] = v.Int64()
-			}
-			leakedIndices = append(leakedIndices, idx)
-		}
-	})
-
 	c2 := core.NewCloudC2(sk, nil)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if err := c2.Serve(c2Side); err != nil {
-			log.Printf("C2: %v", err)
-		}
-	}()
+	var done sync.WaitGroup
+	// tappedLink is one C1↔C2 link with the wiretap on C1's end. C1 has
+	// two: the link of the worker that holds the table and scans it, and
+	// the link of the coordinator every query enters through, which here
+	// has one shard to gather and so only reveals.
+	tappedLink := func() []mpc.Conn {
+		c1Side, c2Side := mpc.ChanPipe()
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			if err := c2.Serve(c2Side); err != nil {
+				log.Printf("C2: %v", err)
+			}
+		}()
+		return []mpc.Conn{mpc.Tap(c1Side, func(dir mpc.Direction, m *mpc.Message) {
+			opCount[m.Op]++
+			if dir == mpc.DirRecv && m.Op == core.OpRank {
+				idx := make([]int64, len(m.Ints))
+				for i, v := range m.Ints {
+					idx[i] = v.Int64()
+				}
+				leakedIndices = append(leakedIndices, idx)
+			}
+		})}
+	}
 
-	c1, err := core.NewCloudC1(encTable, []mpc.Conn{tapped}, nil)
+	worker, err := core.NewCloudC1(encTable, tappedLink(), nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	c1, err := core.NewShardedC1([]core.Shard{&core.LocalShard{C1: worker, Count: 1}}, tappedLink(), &sk.PublicKey, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -84,7 +95,7 @@ func main() {
 	}
 
 	// --- SkNNb ---
-	if _, err := c1.BasicQuery(context.Background(), eq, k); err != nil {
+	if _, _, err := c1.BasicQuery(context.Background(), eq, k); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("=== SkNNb (basic protocol) ===")
@@ -96,7 +107,7 @@ func main() {
 	// --- SkNNm ---
 	leakedIndices = nil
 	opCount = map[mpc.Op]int{}
-	if _, err := c1.SecureQuery(context.Background(), eq, k, tbl.DomainBits()); err != nil {
+	if _, _, err := c1.SecureQuery(context.Background(), eq, k, tbl.DomainBits(), 0); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\n=== SkNNm (fully secure protocol) ===")
@@ -109,7 +120,10 @@ func main() {
 	if err := c1.Close(); err != nil {
 		log.Fatal(err)
 	}
-	<-done
+	if err := worker.Close(); err != nil {
+		log.Fatal(err)
+	}
+	done.Wait()
 }
 
 func wantIdx(nbrs []plainknn.Neighbor) []int64 {

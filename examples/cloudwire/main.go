@@ -59,16 +59,27 @@ func main() {
 	}()
 	fmt.Printf("C2 (key cloud) listening on %s\n", ln.Addr())
 
-	// C1: the data cloud, holding the encrypted table, dials C2.
+	// C1: the data cloud dials C2 twice — one link for the worker that
+	// holds the encrypted table and scans it, one for the coordinator
+	// every query enters through (here with a single shard to gather, so
+	// it only reveals).
 	encTable, err := core.EncryptTable(rand.Reader, &sk.PublicKey, tbl.Rows)
 	if err != nil {
 		log.Fatal(err)
 	}
-	conn, err := mpc.Dial(ln.Addr().String())
+	dial := func() []mpc.Conn {
+		conn, err := mpc.Dial(ln.Addr().String())
+		if err != nil {
+			log.Fatal(err)
+		}
+		return []mpc.Conn{conn}
+	}
+	worker, err := core.NewCloudC1(encTable, dial(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	c1, err := core.NewCloudC1(encTable, []mpc.Conn{conn}, nil)
+	defer worker.Close()
+	c1, err := core.NewShardedC1([]core.Shard{&core.LocalShard{C1: worker, Count: 1}}, dial(), &sk.PublicKey, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,7 +92,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	res, bm, err := c1.BasicQueryMetered(context.Background(), eq, 3)
+	res, bm, err := c1.BasicQuery(context.Background(), eq, 3)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -92,7 +103,7 @@ func main() {
 	fmt.Printf("\nSkNNb over TCP: %v\n", rows)
 	fmt.Printf("  time %v, traffic %s\n", bm.Total.Round(1e6), bm.Comm)
 
-	res, sm, err := c1.SecureQueryMetered(context.Background(), eq, 2, tbl.DomainBits())
+	res, sm, err := c1.SecureQuery(context.Background(), eq, 2, tbl.DomainBits(), 0)
 	if err != nil {
 		log.Fatal(err)
 	}

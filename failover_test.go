@@ -155,8 +155,8 @@ func TestReplicaFailoverMidLoad(t *testing.T) {
 }
 
 // TestReplicatedUnshardedTopology exercises Replicas > 1 with Shards
-// unset: the facade must still stand up the coordinator path (a single
-// replicated partition) and answer exactly.
+// unset — a single replicated partition: the replicas share the one
+// table, and the system answers exactly before and after one is killed.
 func TestReplicatedUnshardedTopology(t *testing.T) {
 	const attrBits, k = 4, 2
 	tbl, err := dataset.Generate(601, 8, 2, attrBits)

@@ -10,10 +10,9 @@ import (
 
 // GatewayBackend adapts this in-process System to the serving tier's
 // Backend interface, so a gateway tenant can be served by a System
-// stood up in the same process (the sknnbench gateway figure and the
-// single-binary quickstart deployment both use this; distributed
-// deployments compose internal/gateway with dialed shard workers
-// instead).
+// stood up in the same process (the single-binary quickstart
+// deployment; distributed deployments compose internal/gateway with
+// dialed shard workers instead).
 //
 // The returned backend does not own the System: its Close is a no-op,
 // the System's own Close governs the lifecycle. This lets one System
@@ -22,8 +21,8 @@ func (s *System) GatewayBackend() gateway.Backend {
 	return &systemBackend{s: s}
 }
 
-// systemBackend routes gateway queries into the System's engine with
-// the same begin/end drain accounting as the public query surface.
+// systemBackend routes gateway queries into the System's coordinator
+// with the same begin/end drain accounting as the public query surface.
 type systemBackend struct {
 	s *System
 }
@@ -33,13 +32,7 @@ func (b *systemBackend) SecureQuery(ctx context.Context, q core.EncryptedQuery, 
 		return nil, nil, err
 	}
 	defer b.s.end()
-	if b.s.coord != nil {
-		return b.s.coord.SecureQueryMetered(ctx, q, k, domainBits, target)
-	}
-	if target > 0 && b.s.c1.Table().Clustered() {
-		return b.s.c1.SecureQueryClusteredMetered(ctx, q, k, domainBits, target)
-	}
-	return b.s.c1.SecureQueryMetered(ctx, q, k, domainBits)
+	return b.s.coord.SecureQuery(ctx, q, k, domainBits, target)
 }
 
 func (b *systemBackend) BasicQuery(ctx context.Context, q core.EncryptedQuery, k int) (*core.MaskedResult, error) {
@@ -47,10 +40,8 @@ func (b *systemBackend) BasicQuery(ctx context.Context, q core.EncryptedQuery, k
 		return nil, err
 	}
 	defer b.s.end()
-	if b.s.coord != nil {
-		return b.s.coord.BasicQuery(ctx, q, k)
-	}
-	return b.s.c1.BasicQuery(ctx, q, k)
+	res, _, err := b.s.coord.BasicQuery(ctx, q, k)
+	return res, err
 }
 
 func (b *systemBackend) N() int { return b.s.N() }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sknn/internal/mpc"
+	"sknn/internal/paillier"
 )
 
 // BasicMetrics breaks down one SkNNb run for the evaluation harness.
@@ -17,22 +18,9 @@ type BasicMetrics struct {
 	Comm     mpc.StatsSnapshot
 }
 
-// BasicQuery runs SkNNb (Algorithm 5): compute all encrypted distances,
-// let C2 decrypt and rank them, and reveal the top-k records to Bob via
-// masking.
-//
-// SkNNb is the efficiency baseline: it deliberately relaxes security —
-// C2 learns every plaintext distance, and both clouds learn which
-// records answer the query (data access patterns). Use SecureQuery for
-// the full guarantees.
-func (s *QuerySession) BasicQuery(q EncryptedQuery, k int) (*MaskedResult, error) {
-	res, _, err := s.BasicQueryMetered(q, k)
-	return res, err
-}
-
-// BasicQueryMetered is BasicQuery plus phase timings and traffic counts.
-// The Comm field covers this session's streams only, so concurrent
-// queries on other sessions never pollute the numbers.
+// BasicQueryMetered runs SkNNb over the session's table with no
+// coordinator: scan, rank, reveal, plus phase timings and this
+// session's traffic. Kept for bench/ only — see CloudC1.BasicQueryMetered.
 func (s *QuerySession) BasicQueryMetered(q EncryptedQuery, k int) (*MaskedResult, *BasicMetrics, error) {
 	if err := s.checkQuery(q); err != nil {
 		return nil, nil, err
@@ -95,8 +83,47 @@ func (s *QuerySession) basicScan(q EncryptedQuery, k int, metrics *BasicMetrics)
 		return nil, err
 	}
 
-	// Step 3: C2 decrypts and returns the top-k index list δ.
+	// Step 3: C2 decrypts and returns the top-k index list δ. Its indices
+	// address the candidate list it ranked, which maps back to record
+	// positions through the session view.
 	phase = time.Now()
+	order, err := s.rank(ds, k)
+	if err != nil {
+		return nil, err
+	}
+	selected := make([]Candidate, k)
+	for j, i := range order {
+		selected[j] = Candidate{Dist: ds[i], Rec: s.tbl.records[cands[i]], ID: s.tbl.ids[cands[i]]}
+	}
+	metrics.Rank = time.Since(phase)
+	return selected, nil
+}
+
+// basicTopK is TopK's SkNNb arm: the shard-local scan-and-rank without
+// the reveal. The timings land in the SecureMetrics shape the
+// coordinator aggregates (Distance, Select for C2's rank, and Total;
+// SkNNb has no SMINs).
+func (s *QuerySession) basicTopK(q EncryptedQuery, k int) ([]Candidate, *SecureMetrics, error) {
+	bm := &BasicMetrics{}
+	comm0 := s.CommStats()
+	start := time.Now()
+	cands, err := s.basicScan(q, k, bm)
+	if err != nil {
+		return nil, nil, err
+	}
+	metrics := &SecureMetrics{
+		Distance:   bm.Distance,
+		Select:     bm.Rank,
+		Candidates: s.tbl.N(),
+		Total:      time.Since(start),
+		Comm:       s.CommStats().Sub(comm0),
+	}
+	return cands, metrics, nil
+}
+
+// rank is step 3 of Algorithm 5: C2 decrypts the distances ds and names
+// the k smallest, returned as positions in ds, nearest first.
+func (s *QuerySession) rank(ds []*paillier.Ciphertext, k int) ([]int, error) {
 	payload := make([]*big.Int, 0, len(ds)+1)
 	payload = append(payload, big.NewInt(int64(k)))
 	for _, d := range ds {
@@ -109,41 +136,17 @@ func (s *QuerySession) basicScan(q EncryptedQuery, k int, metrics *BasicMetrics)
 	if len(resp.Ints) != k {
 		return nil, fmt.Errorf("%w: rank reply has %d indices, want %d", ErrBadFrame, len(resp.Ints), k)
 	}
-	selected := make([]Candidate, k)
+	order := make([]int, k)
 	for j, idx := range resp.Ints {
-		// C2's indices address the candidate list it ranked, which maps
-		// back to record positions through the session view.
-		if !idx.IsInt64() || idx.Int64() < 0 || idx.Int64() >= int64(len(cands)) {
+		if !idx.IsInt64() || idx.Int64() < 0 || idx.Int64() >= int64(len(ds)) {
 			return nil, fmt.Errorf("%w: rank index %v out of range", ErrBadFrame, idx)
 		}
-		i := int(idx.Int64())
-		selected[j] = Candidate{Dist: ds[i], Rec: s.tbl.records[cands[i]], ID: s.tbl.ids[cands[i]]}
+		order[j] = int(idx.Int64())
 	}
-	metrics.Rank = time.Since(phase)
-	return selected, nil
+	return order, nil
 }
 
-// basicTopK is TopK's SkNNb arm: the shard-local scan-and-rank without
-// the reveal. The timings land in the SecureMetrics shape the
-// coordinator aggregates (Distance and Total; SkNNb has no SMINs).
-func (s *QuerySession) basicTopK(q EncryptedQuery, k int) ([]Candidate, *SecureMetrics, error) {
-	bm := &BasicMetrics{}
-	comm0 := s.CommStats()
-	start := time.Now()
-	cands, err := s.basicScan(q, k, bm)
-	if err != nil {
-		return nil, nil, err
-	}
-	metrics := &SecureMetrics{
-		Distance:   bm.Distance,
-		Candidates: s.tbl.N(),
-		Total:      time.Since(start),
-		Comm:       s.CommStats().Sub(comm0),
-	}
-	return cands, metrics, nil
-}
-
-// rankCandidates is the coordinator's SkNNb merge: one more OpRank round
+// rankCandidates is the coordinator's SkNNb merge: one more rank round
 // over the gathered candidates' encrypted distances, selecting the
 // global top-k (returned as full candidates so the stable ids survive
 // the merge). Leakage class is unchanged from SkNNb itself — C2
@@ -155,27 +158,20 @@ func (s *QuerySession) rankCandidates(cands []Candidate, k int) ([]Candidate, er
 	if err := validateK(k, len(cands)); err != nil {
 		return nil, err
 	}
-	payload := make([]*big.Int, 0, len(cands)+1)
-	payload = append(payload, big.NewInt(int64(k)))
+	ds := make([]*paillier.Ciphertext, len(cands))
 	for i, c := range cands {
 		if c.Dist == nil {
 			return nil, fmt.Errorf("%w: candidate %d has no encrypted distance", ErrBadFrame, i)
 		}
-		payload = append(payload, c.Dist.Raw())
+		ds[i] = c.Dist
 	}
-	resp, err := mpc.RoundTrip(s.primary().Conn(), &mpc.Message{Op: OpRank, Ints: payload})
+	order, err := s.rank(ds, k)
 	if err != nil {
-		return nil, fmt.Errorf("core: merge rank round trip: %w", err)
-	}
-	if len(resp.Ints) != k {
-		return nil, fmt.Errorf("%w: merge rank reply has %d indices, want %d", ErrBadFrame, len(resp.Ints), k)
+		return nil, err
 	}
 	selected := make([]Candidate, k)
-	for j, idx := range resp.Ints {
-		if !idx.IsInt64() || idx.Int64() < 0 || idx.Int64() >= int64(len(cands)) {
-			return nil, fmt.Errorf("%w: merge rank index %v out of range", ErrBadFrame, idx)
-		}
-		selected[j] = cands[int(idx.Int64())]
+	for j, i := range order {
+		selected[j] = cands[i]
 	}
 	return selected, nil
 }

@@ -9,19 +9,17 @@ import (
 	"sknn/internal/mpc"
 )
 
-// CloudC1 is the data cloud: it stores Alice's encrypted table and owns
-// a pool of connections (links) to C2. Queries do not run on CloudC1
-// directly; each runs inside a QuerySession leased from the pool, so any
-// number of queries can be in flight at once. A session spanning w links
-// runs its per-record phases on w parallel workers (the paper's Section
-// 5.3 OpenMP parallelization, expressed as goroutines); the scheduler
+// CloudC1 is one worker of the data cloud: it stores one partition of
+// Alice's encrypted table — the whole table when there is one worker —
+// and owns a pool of connections (links) to C2. Queries enter through
+// the ShardedC1 coordinator (shard.go), which asks every worker for its
+// partition's encrypted top-k (TopK) and merges and reveals the result.
+// Each scan runs inside a QuerySession leased from the pool, so any
+// number can be in flight at once. A session spanning w links runs its
+// per-record phases on w parallel workers (the paper's Section 5.3
+// OpenMP parallelization, expressed as goroutines); the scheduler
 // multiplexes concurrent sessions over the links via tagged streams
 // (mpc.Multiplexer), so sharing a link never crosses replies.
-//
-// In a sharded deployment a CloudC1 is one shard worker: it owns one
-// partition of the table and its own link pool, and the ShardedC1
-// coordinator scatters per-shard top-k scans across workers before a
-// secure merge (see shard.go).
 type CloudC1 struct {
 	table *EncryptedTable
 	pool  *linkPool
@@ -83,13 +81,13 @@ func (s *QuerySession) checkQuery(q EncryptedQuery) error {
 	return nil
 }
 
-// BasicQuery runs SkNNb in a session leased for this one call.
-func (c *CloudC1) BasicQuery(ctx context.Context, q EncryptedQuery, k int) (*MaskedResult, error) {
-	res, _, err := c.BasicQueryMetered(ctx, q, k)
-	return res, err
-}
-
-// BasicQueryMetered is BasicQuery plus phase timings and traffic counts.
+// BasicQueryMetered runs SkNNb on this one worker in a session leased for
+// the call, with no coordinator. No query path of the product enters
+// here — they all go through ShardedC1.BasicQuery; it and the session
+// method under it survive solely because bench/workloads.go drives the
+// basic_tcp workload through them and bench/ cannot change in the same
+// PR as the engine. Move that workload onto the coordinator, then delete
+// both.
 func (c *CloudC1) BasicQueryMetered(ctx context.Context, q EncryptedQuery, k int) (*MaskedResult, *BasicMetrics, error) {
 	s, err := c.NewSession(ctx, 0)
 	if err != nil {
@@ -99,47 +97,11 @@ func (c *CloudC1) BasicQueryMetered(ctx context.Context, q EncryptedQuery, k int
 	return s.BasicQueryMetered(q, k)
 }
 
-// SecureQuery runs SkNNm in a session leased for this one call.
-func (c *CloudC1) SecureQuery(ctx context.Context, q EncryptedQuery, k, domainBits int) (*MaskedResult, error) {
-	res, _, err := c.SecureQueryMetered(ctx, q, k, domainBits)
-	return res, err
-}
-
-// SecureQueryMetered is SecureQuery plus phase timings and traffic counts.
-func (c *CloudC1) SecureQueryMetered(ctx context.Context, q EncryptedQuery, k, domainBits int) (*MaskedResult, *SecureMetrics, error) {
-	s, err := c.NewSession(ctx, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer s.Close()
-	return s.SecureQueryMetered(q, k, domainBits)
-}
-
-// SecureQueryClustered runs the partition-pruned SkNNm variant in a
-// session leased for this one call. The table must carry a cluster
-// index (EncryptedTable.WithClusterIndex); target is the minimum
-// candidate-pool size, see QuerySession.SecureQueryClustered.
-func (c *CloudC1) SecureQueryClustered(ctx context.Context, q EncryptedQuery, k, domainBits, target int) (*MaskedResult, error) {
-	res, _, err := c.SecureQueryClusteredMetered(ctx, q, k, domainBits, target)
-	return res, err
-}
-
-// SecureQueryClusteredMetered is SecureQueryClustered plus phase
-// timings, traffic counts, and pruning counters.
-func (c *CloudC1) SecureQueryClusteredMetered(ctx context.Context, q EncryptedQuery, k, domainBits, target int) (*MaskedResult, *SecureMetrics, error) {
-	s, err := c.NewSession(ctx, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer s.Close()
-	return s.SecureQueryClusteredMetered(q, k, domainBits, target)
-}
-
-// TopK runs the shard-local half of a scatter-gather query in a session
-// leased for this one call: the same scan a standalone query performs —
-// pruned when the table carries a cluster index and target > 0, full
-// otherwise — stopped before the masked reveal, so the encrypted top-k
-// candidates can travel to a coordinator for the secure merge. k is
+// TopK runs the worker's half of a query in a session leased for this
+// one call: the scan — pruned when the table carries a cluster index and
+// target > 0, full otherwise — stopped before the masked reveal, so the
+// encrypted top-k candidates can travel to the coordinator for the
+// secure merge. k is
 // clamped to the shard's live record count (a shard smaller than k
 // contributes everything it has). ctx cancels the scan between rounds —
 // the coordinator aborts every shard of a canceled scatter this way.

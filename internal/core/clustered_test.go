@@ -5,18 +5,16 @@ import (
 	"crypto/rand"
 	"errors"
 	"sort"
-	"sync"
 	"testing"
 
 	"sknn/internal/cluster"
 	"sknn/internal/dataset"
-	"sknn/internal/mpc"
 	"sknn/internal/plainknn"
 )
 
 // newClusteredSystem outsources tbl with a k-means cluster index of c
 // cells attached.
-func newClusteredSystem(t *testing.T, tbl *dataset.Table, c, workers int) (*CloudC1, *Client) {
+func newClusteredSystem(t *testing.T, tbl *dataset.Table, c, workers int) (*testCloud, *Client) {
 	t.Helper()
 	sk := testKey()
 	if err := tbl.Validate(); err != nil {
@@ -34,46 +32,18 @@ func newClusteredSystem(t *testing.T, tbl *dataset.Table, c, workers int) (*Clou
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2 := NewCloudC2(sk, nil)
-	conns := make([]mpc.Conn, workers)
-	serveErrs := make([]error, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		c1Side, c2Side := mpc.ChanPipe()
-		conns[i] = c1Side
-		wg.Add(1)
-		go func(conn mpc.Conn, i int) {
-			defer wg.Done()
-			serveErrs[i] = c2.ServeConcurrent(conn, 4)
-		}(c2Side, i)
-	}
-	c1, err := NewCloudC1(encTable, conns, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if err := c1.Close(); err != nil {
-			t.Errorf("closing C1: %v", err)
-		}
-		wg.Wait()
-		for _, err := range serveErrs {
-			if err != nil {
-				t.Errorf("C2 serve loop: %v", err)
-			}
-		}
-	})
-	return c1, NewClient(&sk.PublicKey, nil)
+	return newSystemOver(t, sk, encTable, workers)
 }
 
 // secureClusteredDistances runs the pruned protocol and returns the
 // sorted squared distances of the returned records plus the metrics.
-func secureClusteredDistances(t *testing.T, c1 *CloudC1, bob *Client, q []uint64, k, l, target int) ([]uint64, *SecureMetrics) {
+func secureClusteredDistances(t *testing.T, c1 *testCloud, bob *Client, q []uint64, k, l, target int) ([]uint64, *SecureMetrics) {
 	t.Helper()
 	eq, err := bob.EncryptQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, metrics, err := c1.SecureQueryClusteredMetered(context.Background(), eq, k, l, target)
+	res, metrics, err := c1.SecureQuery(context.Background(), eq, k, l, target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +114,24 @@ func TestSecureClusteredRequiresIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c1.SecureQueryClustered(context.Background(), eq, 2, tbl.DomainBits(), 4); !errors.Is(err, ErrNotClustered) {
+	// Routing a point to its nearest cluster needs centroids to rank.
+	sess, err := c1.C1.NewSession(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if _, err := sess.NearestCluster(eq, tbl.DomainBits()); !errors.Is(err, ErrNotClustered) {
 		t.Errorf("error = %v, want ErrNotClustered", err)
+	}
+	// A query has no such need: a candidate-pool target on a table
+	// without an index is a full scan, on one shard as on many.
+	_, metrics, err := c1.SecureQuery(context.Background(), eq, 2, tbl.DomainBits(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if metrics.Candidates != tbl.N() || metrics.ClustersProbed != 0 {
+		t.Errorf("scanned %d candidates in %d clusters, want a full scan of %d",
+			metrics.Candidates, metrics.ClustersProbed, tbl.N())
 	}
 }
 
@@ -224,7 +210,7 @@ func TestSecureScanCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := 3
-	_, metrics, err := c1.SecureQueryMetered(context.Background(), eq, k, tbl.DomainBits())
+	_, metrics, err := c1.SecureQuery(context.Background(), eq, k, tbl.DomainBits(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 
 // newFeatureSystem outsources rows with the first f columns as distance
 // features.
-func newFeatureSystem(t *testing.T, rows [][]uint64, f int) (*CloudC1, *Client) {
+func newFeatureSystem(t *testing.T, rows [][]uint64, f int) (*testCloud, *Client) {
 	t.Helper()
 	sk := testKey()
 	encTable, err := EncryptTable(rand.Reader, &sk.PublicKey, rows)
@@ -44,12 +44,12 @@ func TestFeatureColumnsIgnoreLabels(t *testing.T) {
 			t.Fatal(err)
 		}
 		if mode == "basic" {
-			res, err = c1.BasicQuery(context.Background(), eq, 1)
+			res, _, err = c1.BasicQuery(context.Background(), eq, 1)
 		} else {
 			// The attribute domain covers every column, labels included:
 			// SkNNm row-packs whole records into 2^(l/2)-wide slots.
 			l := dataset.DomainBits(9, 2)
-			res, err = c1.SecureQuery(context.Background(), eq, 1, l)
+			res, _, err = c1.SecureQuery(context.Background(), eq, 1, l, 0)
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
@@ -72,7 +72,7 @@ func TestFeatureColumnsQueryDimension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c1.BasicQuery(context.Background(), eq, 1); err == nil {
+	if _, _, err := c1.BasicQuery(context.Background(), eq, 1); err == nil {
 		t.Error("full-width query accepted against feature view")
 	}
 }

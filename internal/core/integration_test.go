@@ -148,8 +148,8 @@ func TestParallelBasicMatchesSerial(t *testing.T) {
 	q, _ := dataset.GenerateQuery(32, 3, 5)
 	serial, bobS := newSystem(t, tbl, 1)
 	parallel, bobP := newSystem(t, tbl, 4)
-	if parallel.Workers() != 4 {
-		t.Fatalf("workers = %d", parallel.Workers())
+	if parallel.C1.Workers() != 4 {
+		t.Fatalf("workers = %d", parallel.C1.Workers())
 	}
 	a := runBasic(t, serial, bobS, q, 5)
 	b := runBasic(t, parallel, bobP, q, 5)
@@ -175,11 +175,11 @@ func TestBasicMetrics(t *testing.T) {
 	q, _ := dataset.GenerateQuery(52, 3, 4)
 	c1, bob := newSystem(t, tbl, 1)
 	eq, _ := bob.EncryptQuery(q)
-	_, m, err := c1.BasicQueryMetered(context.Background(), eq, 2)
+	_, m, err := c1.BasicQuery(context.Background(), eq, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Total <= 0 || m.Distance <= 0 || m.Rank <= 0 || m.Reveal <= 0 {
+	if m.Total <= 0 || m.Distance <= 0 || m.Select <= 0 || m.Reveal <= 0 {
 		t.Errorf("phase timings not populated: %+v", m)
 	}
 	if m.Comm.Rounds < 3 { // SSED + rank + reveal at minimum
@@ -195,7 +195,7 @@ func TestSecureMetrics(t *testing.T) {
 	q, _ := dataset.GenerateQuery(62, 2, 3)
 	c1, bob := newSystem(t, tbl, 1)
 	eq, _ := bob.EncryptQuery(q)
-	_, m, err := c1.SecureQueryMetered(context.Background(), eq, 2, tbl.DomainBits())
+	_, m, err := c1.SecureQuery(context.Background(), eq, 2, tbl.DomainBits(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,17 +225,17 @@ func TestQueryValidation(t *testing.T) {
 	q, _ := dataset.GenerateQuery(72, 3, 4)
 	eq, _ := bob.EncryptQuery(q)
 
-	if _, err := c1.BasicQuery(context.Background(), eq, 0); err == nil {
+	if _, _, err := c1.BasicQuery(context.Background(), eq, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := c1.BasicQuery(context.Background(), eq, 6); err == nil {
+	if _, _, err := c1.BasicQuery(context.Background(), eq, 6); err == nil {
 		t.Error("k>n accepted")
 	}
-	if _, err := c1.SecureQuery(context.Background(), eq, 2, 0); err == nil {
+	if _, _, err := c1.SecureQuery(context.Background(), eq, 2, 0, 0); err == nil {
 		t.Error("l=0 accepted")
 	}
 	short := eq[:2]
-	if _, err := c1.BasicQuery(context.Background(), short, 1); err == nil {
+	if _, _, err := c1.BasicQuery(context.Background(), short, 1); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
 	if _, err := bob.EncryptQuery(nil); err == nil {

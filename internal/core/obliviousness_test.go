@@ -17,7 +17,7 @@ func secureComm(t *testing.T, tbl *dataset.Table, q []uint64, k int) mpc.StatsSn
 		t.Fatal(err)
 	}
 	before := c1.CommStats()
-	if _, err := c1.SecureQuery(context.Background(), eq, k, tbl.DomainBits()); err != nil {
+	if _, _, err := c1.SecureQuery(context.Background(), eq, k, tbl.DomainBits(), 0); err != nil {
 		t.Fatal(err)
 	}
 	return c1.CommStats().Sub(before)

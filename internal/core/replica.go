@@ -264,23 +264,17 @@ func GroupReplicas(workers []Shard) ([]Shard, error) {
 	return out, nil
 }
 
-// localLike reports whether a shard's scan burns this process's CPUs —
-// a LocalShard, or a replica set dispatching to local workers. The
-// streaming gather throttles such shards to GOMAXPROCS concurrent
-// scans; remote workers burn their own machine's CPUs and are never
-// throttled.
-func localLike(sh Shard) bool {
-	switch s := sh.(type) {
-	case *LocalShard:
-		return true
-	case *ReplicaSet:
-		for _, r := range s.replicas {
-			if localLike(r) {
-				return true
-			}
+// Local reports a replicated shard as scanning in this process when any
+// of its replicas does — the gather then throttles it like a LocalShard —
+// and never lends: which replica a scan ran on is decided per attempt,
+// and its siblings' pools belong to whatever scans they are serving.
+func (rs *ReplicaSet) Local() (*CloudC1, bool) {
+	for _, r := range rs.replicas {
+		if _, ok := r.Local(); ok {
+			return nil, true
 		}
 	}
-	return false
+	return nil, false
 }
 
 // ReplicaStats snapshots the failover state of every replicated shard

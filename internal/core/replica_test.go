@@ -25,6 +25,8 @@ type stubShard struct {
 
 func (s *stubShard) Info() ShardInfo { return s.info }
 
+func (s *stubShard) Local() (*CloudC1, bool) { return nil, false }
+
 func (s *stubShard) TopK(ctx context.Context, q EncryptedQuery, k, domainBits, target int, secure bool) ([]Candidate, *SecureMetrics, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -211,21 +213,44 @@ func TestGroupReplicas(t *testing.T) {
 	}
 }
 
+// TestLocalLike pins what each kind of shard tells the gather about
+// itself: whether to count it against the GOMAXPROCS scan cap, and whose
+// links to borrow.
 func TestLocalLike(t *testing.T) {
-	local := &LocalShard{}
-	remoteish := &stubShard{info: ShardInfo{Index: 0, Count: 1, N: 1, M: 2, FeatureM: 2}}
-	if !localLike(local) {
-		t.Error("LocalShard not localLike")
+	tbl, err := EncryptTable(rand.Reader, &testKey().PublicKey, [][]uint64{{1, 2}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if localLike(remoteish) {
-		t.Error("non-local shard reported localLike")
+	c1 := &CloudC1{table: tbl}
+	local := &LocalShard{C1: c1, Count: 1}
+	remoteish := &stubShard{info: ShardInfo{Index: 0, Count: 1, N: 1, M: 2, FeatureM: 2}}
+	wrapped := struct{ Shard }{local}
+	if lender, ok := local.Local(); !ok || lender != c1 {
+		t.Errorf("LocalShard.Local() = %p, %v, want its worker, true", lender, ok)
+	}
+	if lender, ok := wrapped.Local(); !ok || lender != c1 {
+		t.Errorf("wrapped LocalShard.Local() = %p, %v, want the wrapped worker, true", lender, ok)
+	}
+	if lender, ok := remoteish.Local(); ok || lender != nil {
+		t.Error("non-local shard reported local")
+	}
+	if lender, ok := (&RemoteShard{}).Local(); ok || lender != nil {
+		t.Error("RemoteShard reported local")
 	}
 	rs, err := NewReplicaSet([]Shard{remoteish, remoteish})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if localLike(rs) {
-		t.Error("remote replica set reported localLike")
+	if _, ok := rs.Local(); ok {
+		t.Error("remote replica set reported local")
+	}
+	remoteish.info = local.Info()
+	mixed, err := NewReplicaSet([]Shard{remoteish, local})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lender, ok := mixed.Local(); !ok || lender != nil {
+		t.Errorf("replica set with a local replica: Local() = %p, %v, want nil (lends nothing), true (throttled)", lender, ok)
 	}
 }
 
@@ -385,7 +410,7 @@ func runFailoverMidLoad(t *testing.T, remote bool) {
 				outs <- outcome{q: q, err: err}
 				return
 			}
-			res, sm, err := sys.coord.SecureQueryMetered(context.Background(), eq, k, l, 0)
+			res, sm, err := sys.coord.SecureQuery(context.Background(), eq, k, l, 0)
 			if err != nil {
 				outs <- outcome{q: q, err: err}
 				return
@@ -421,7 +446,7 @@ func runFailoverMidLoad(t *testing.T, remote bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, sm, err := sys.coord.SecureQueryMetered(context.Background(), eq, k, l, 0)
+	res, sm, err := sys.coord.SecureQuery(context.Background(), eq, k, l, 0)
 	if err != nil {
 		t.Fatalf("tail query after kill: %v", err)
 	}
@@ -451,7 +476,7 @@ func runFailoverMidLoad(t *testing.T, remote bool) {
 		t.Error("no query reported a failover in its metrics")
 	}
 	// Basic mode keeps working on the degraded sets too.
-	res, err = sys.coord.BasicQuery(context.Background(), eq, k)
+	res, _, err = sys.coord.BasicQuery(context.Background(), eq, k)
 	if err != nil {
 		t.Fatalf("basic query on degraded sets: %v", err)
 	}

@@ -77,7 +77,7 @@ func secureRowsWithLayout(t *testing.T, sk *paillier.PrivateKey, rows [][]uint64
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c1.SecureQuery(context.Background(), eq, k, l)
+	res, _, err := c1.SecureQuery(context.Background(), eq, k, l, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestMergeRejectsForeignLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands, _, err := c1.TopK(context.Background(), eq, 2, l, 0, true)
+	cands, _, err := c1.C1.TopK(context.Background(), eq, 2, l, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,9 +283,9 @@ func TestMergeRejectsForeignLayout(t *testing.T) {
 	}
 	// The same candidates with their records attribute by attribute.
 	for i := range cands {
-		cands[i].Rec = c1.Table().Record(i)
+		cands[i].Rec = c1.C1.Table().Record(i)
 	}
-	s, err := c1.NewSession(context.Background(), 0)
+	s, err := c1.C1.NewSession(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

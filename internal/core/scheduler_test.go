@@ -15,7 +15,7 @@ func TestSessionScheduler(t *testing.T) {
 	tbl, _ := dataset.Generate(501, 6, 2, 3)
 	c1, _ := newSystem(t, tbl, 4)
 
-	s1, err := c1.NewSession(context.Background(), 0)
+	s1, err := c1.C1.NewSession(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestSessionScheduler(t *testing.T) {
 	}
 	// One session is already open, so the next auto session gets an even
 	// share of the pool: 4/(1+1) = 2 links.
-	s2, err := c1.NewSession(context.Background(), 0)
+	s2, err := c1.C1.NewSession(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestSessionScheduler(t *testing.T) {
 		t.Errorf("busy-pool session spans %d links, want 2", s2.Workers())
 	}
 	// Two open sessions: the next narrows to 4/(2+1) = 1 link.
-	s2b, err := c1.NewSession(context.Background(), 0)
+	s2b, err := c1.C1.NewSession(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,14 +40,14 @@ func TestSessionScheduler(t *testing.T) {
 		t.Errorf("third session spans %d links, want 1", s2b.Workers())
 	}
 	s2b.Close()
-	s3, err := c1.NewSession(context.Background(), 2)
+	s3, err := c1.C1.NewSession(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s3.Workers() != 2 {
 		t.Errorf("explicit-width session spans %d links, want 2", s3.Workers())
 	}
-	s4, err := c1.NewSession(context.Background(), 99)
+	s4, err := c1.C1.NewSession(context.Background(), 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestSessionScheduler(t *testing.T) {
 func TestSessionReuse(t *testing.T) {
 	tbl, _ := dataset.Generate(511, 8, 2, 3)
 	c1, bob := newSystem(t, tbl, 2)
-	s, err := c1.NewSession(context.Background(), 2)
+	s, err := c1.C1.NewSession(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSessionReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		res, err := s.BasicQuery(eq, 3)
+		res, _, err := s.BasicQueryMetered(eq, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,21 +102,21 @@ func TestCloudClosedSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := c1.NewSession(context.Background(), 1)
+	s, err := c1.C1.NewSession(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	closeDone := make(chan error, 1)
 	queryDone := make(chan error, 1)
 	go func() {
-		res, err := s.BasicQuery(eq, 2)
+		res, _, err := s.BasicQueryMetered(eq, 2)
 		if err == nil {
 			_, err = bob.Unmask(res)
 		}
 		s.Close()
 		queryDone <- err
 	}()
-	go func() { closeDone <- c1.Close() }()
+	go func() { closeDone <- c1.C1.Close() }()
 
 	if err := <-queryDone; err != nil {
 		t.Errorf("in-flight query during Close: %v", err)
@@ -124,10 +124,10 @@ func TestCloudClosedSessions(t *testing.T) {
 	if err := <-closeDone; err != nil {
 		t.Errorf("Close: %v", err)
 	}
-	if _, err := c1.NewSession(context.Background(), 1); !errors.Is(err, ErrCloudClosed) {
+	if _, err := c1.C1.NewSession(context.Background(), 1); !errors.Is(err, ErrCloudClosed) {
 		t.Errorf("NewSession after Close = %v, want ErrCloudClosed", err)
 	}
-	if _, _, err := c1.BasicQueryMetered(context.Background(), eq, 1); !errors.Is(err, ErrCloudClosed) {
+	if _, _, err := c1.BasicQuery(context.Background(), eq, 1); !errors.Is(err, ErrCloudClosed) {
 		t.Errorf("query after Close = %v, want ErrCloudClosed", err)
 	}
 }

@@ -17,9 +17,10 @@ import (
 // lets the harness reproduce that number. Candidates/ClustersProbed/
 // SMINCount quantify what the clustered index saves: a full scan has
 // Candidates = n and SMINCount = k·(n−1), a pruned query proportionally
-// less. On a sharded system the counters aggregate over every shard's
-// scan plus the coordinator's merge, and Scatter/Merge split the wall
-// clock between the two phases.
+// less. The counters aggregate over every shard's scan plus the
+// coordinator's merge, and Scatter/Merge split the wall clock between
+// the two phases. SkNNb queries report in the same shape: Distance,
+// Select (C2's decrypt-and-rank) and Reveal are its three phases.
 type SecureMetrics struct {
 	Total    time.Duration
 	Centroid time.Duration // clustered index only: oblivious cluster ranking
@@ -44,10 +45,16 @@ type SecureMetrics struct {
 	// a full scan).
 	ClustersProbed int
 
-	// Sharded scatter-gather only (zero otherwise): how many shards the
-	// query scattered to, the wall time of the scatter phase (bounded by
-	// the slowest shard scan) and of the secure merge over the gathered
-	// s·k candidates.
+	// Set by the coordinator on every query: the wall time of the scatter
+	// phase (bounded by the slowest shard scan) and of what followed it —
+	// the secure merge over the gathered s·k candidates, when there is
+	// more than one shard, and the reveal; the two make up Total. Shards
+	// is how many partitions the query scattered across, and 0 — not 1 —
+	// when one worker holds the table whole: bench/ reads 0 as "the
+	// per-record phases above partition this query's wall clock", its
+	// tests pin that reading, and bench/ cannot change in the same PR as
+	// the engine. It becomes the plain shard count when that benchmark
+	// learns that every query has a Scatter and a Merge.
 	Shards  int
 	Scatter time.Duration
 	Merge   time.Duration
@@ -83,91 +90,11 @@ func (m *SecureMetrics) add(o *SecureMetrics) {
 	m.Failovers += o.Failovers
 }
 
-// SecureQuery runs SkNNm (Algorithm 6), the fully secure protocol: data
-// confidentiality, query privacy, and access-pattern hiding against both
-// clouds.
-//
-// domainBits is l, the bit length of the squared-distance domain: all
-// |Q−tᵢ|² must be strictly below 2^l − 1 (the all-ones disqualification
-// sentinel of step 3(e)). dataset.DomainBits derives it — including the
-// sentinel headroom bit — from the attribute domain and dimension. Every
-// column of every record, payload columns included, must be below
-// 2^(l/2): packed SSED slots the feature columns that wide and the row
-// layout (rowLayoutFor) every column. A table validated against the
-// attrBits that l was derived from satisfies both. l itself must fit
-// the key (CheckDomainBits: l ≤ K − 69); anything wider is ErrDomainBits.
-func (s *QuerySession) SecureQuery(q EncryptedQuery, k, domainBits int) (*MaskedResult, error) {
-	res, _, err := s.SecureQueryMetered(q, k, domainBits)
-	return res, err
-}
-
-// SecureQueryMetered is SecureQuery plus phase timings and traffic
-// counts, both scoped to this session's streams.
-func (s *QuerySession) SecureQueryMetered(q EncryptedQuery, k, domainBits int) (*MaskedResult, *SecureMetrics, error) {
-	if err := s.checkSecureArgs(q, k, domainBits); err != nil {
-		return nil, nil, err
-	}
-	// Full scan over the session view's live records; tombstoned rows
-	// are invisible to queries opened after their Delete.
-	idx := s.tbl.liveIdx
-	metrics := &SecureMetrics{Candidates: len(idx)}
-	comm0 := s.CommStats()
-	start := time.Now()
-
-	res, err := s.secureScan(q, k, domainBits, idx, metrics)
-	if err != nil {
-		return nil, nil, err
-	}
-	metrics.Total = time.Since(start)
-	metrics.Comm = s.CommStats().Sub(comm0)
-	return res, metrics, nil
-}
-
-// SecureQueryClustered runs the partition-pruned SkNNm variant over a
-// table with a cluster index: C1 obliviously ranks the encrypted
-// centroids with the same SSED+SBD+SMINn machinery, selects nearest
-// clusters until their members hold at least max(k, target) records,
-// and runs the unchanged per-record protocol over only those clusters'
-// records.
-//
-// This trades a documented leak for the pruning: C1 learns which
-// clusters (not which records) a query touches — the SVD-style
-// relaxation of access-pattern hiding. C2's view is unchanged.
-func (s *QuerySession) SecureQueryClustered(q EncryptedQuery, k, domainBits, target int) (*MaskedResult, error) {
-	res, _, err := s.SecureQueryClusteredMetered(q, k, domainBits, target)
-	return res, err
-}
-
-// SecureQueryClusteredMetered is SecureQueryClustered plus phase
-// timings, traffic counts, and pruning counters.
-func (s *QuerySession) SecureQueryClusteredMetered(q EncryptedQuery, k, domainBits, target int) (*MaskedResult, *SecureMetrics, error) {
-	if !s.tbl.Clustered() {
-		return nil, nil, ErrNotClustered
-	}
-	if err := s.checkSecureArgs(q, k, domainBits); err != nil {
-		return nil, nil, err
-	}
-	metrics := &SecureMetrics{}
-	comm0 := s.CommStats()
-	start := time.Now()
-
-	idx, err := s.prunedCandidates(q, k, domainBits, target, metrics)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	res, err := s.secureScan(q, k, domainBits, idx, metrics)
-	if err != nil {
-		return nil, nil, err
-	}
-	metrics.Total = time.Since(start)
-	metrics.Comm = s.CommStats().Sub(comm0)
-	return res, metrics, nil
-}
-
-// prunedCandidates is the query-time index phase shared by the local
-// pruned query and the shard-local pruned scan: rank the encrypted
-// centroids obliviously, then pool the probed clusters' live members.
+// prunedCandidates is the query-time index phase of a pruned scan: rank
+// the encrypted centroids obliviously with the same SSED + SMINn
+// machinery the records get, select nearest clusters until their
+// members hold at least max(k, target) records, and pool those
+// clusters' live members.
 func (s *QuerySession) prunedCandidates(q EncryptedQuery, k, domainBits, target int, metrics *SecureMetrics) ([]int, error) {
 	if target < k {
 		target = k
@@ -222,17 +149,6 @@ func (s *QuerySession) NearestCluster(q EncryptedQuery, domainBits int) (int, er
 		return 0, fmt.Errorf("core: cluster ranking chose nothing")
 	}
 	return chosen[0], nil
-}
-
-// checkSecureArgs is the shared validation of both SkNNm entry points.
-func (s *QuerySession) checkSecureArgs(q EncryptedQuery, k, domainBits int) error {
-	if err := s.checkQuery(q); err != nil {
-		return err
-	}
-	if err := validateK(k, s.tbl.N()); err != nil {
-		return err
-	}
-	return CheckDomainBits(s.pk, domainBits)
 }
 
 // attrPackBits is the slot payload width for packed SSED and for
@@ -327,31 +243,10 @@ func (s *QuerySession) rankClusters(q EncryptedQuery, domainBits, target int, me
 	return chosen, nil
 }
 
-// secureScan is the body of Algorithm 6 over the candidate records idx:
-// the scan and the k selection rounds (scanTopK), then the masked
-// reveal. A full scan passes idx = [0,n); the pruned path passes the
-// probed clusters' members.
-func (s *QuerySession) secureScan(q EncryptedQuery, k, domainBits int, idx []int, metrics *SecureMetrics) (*MaskedResult, error) {
-	if err := validateK(k, len(idx)); err != nil {
-		return nil, err
-	}
-	cands, err := s.scanTopK(q, k, domainBits, idx, metrics)
-	if err != nil {
-		return nil, err
-	}
-	// Steps 4–6 of Algorithm 5: masked reveal.
-	phase := time.Now()
-	res, err := s.reveal(candidateRecords(cands), s.rowLayout(domainBits))
-	if err != nil {
-		return nil, err
-	}
-	metrics.Reveal = time.Since(phase)
-	return res, nil
-}
-
-// scanTopK is what a standalone query and a shard-local scan share:
-// SSED over the candidates idx (candidateDistances), their records in
-// the session's row layout, and the k selection rounds (selectTopK).
+// scanTopK is the body of Algorithm 6 over the candidate records idx — a
+// full scan passes every live record, the pruned path the probed
+// clusters' members: SSED (candidateDistances), the records in the
+// session's row layout, and the k selection rounds (selectTopK).
 func (s *QuerySession) scanTopK(q EncryptedQuery, k, domainBits int, idx []int, metrics *SecureMetrics) ([]Candidate, error) {
 	ds, err := s.candidateDistances(q, domainBits, idx, metrics)
 	if err != nil {
@@ -568,10 +463,10 @@ func (s *QuerySession) selectTopK(records [][]*paillier.Ciphertext, dists []*pai
 	return selected, nil
 }
 
-// TopK is the shard-local half of a scatter-gather query: the same scan
-// a standalone query runs — pruned when the session's table carries a
-// cluster index and target > 0, full otherwise — stopped before the
-// masked reveal, returning the top-k candidates still encrypted
+// TopK is the worker's half of a query: the scan — pruned when the
+// session's table carries a cluster index and target > 0, full
+// otherwise — stopped before the masked reveal, which the coordinator
+// performs, returning the top-k candidates still encrypted
 // (rank-ordered E(dmin) plus the obliviously extracted record for
 // SkNNm; E(d) plus the record for SkNNb). k is clamped to the shard's
 // live record count: a shard smaller than k contributes everything it

@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"sknn/internal/mpc"
@@ -57,6 +55,12 @@ type ShardInfo struct {
 // mutation.
 type Shard interface {
 	Info() ShardInfo
+	// Local reports where the shard's scans run. ok means they burn this
+	// process's CPUs, so the gather admits at most GOMAXPROCS of them at
+	// once; lender, when non-nil, is the in-process worker whose idle C2
+	// links the merge may borrow once its scan has landed. A wrapper that
+	// embeds a Shard is treated exactly like the shard it wraps.
+	Local() (lender *CloudC1, ok bool)
 	// TopK honors ctx between protocol rounds: the coordinator cancels
 	// every outstanding shard scan the moment one shard fails or the
 	// query's own context is done.
@@ -83,6 +87,10 @@ func (s *LocalShard) Info() ShardInfo {
 	}
 }
 
+// Local reports the worker itself: its scans run here and its idle
+// links can be lent.
+func (s *LocalShard) Local() (*CloudC1, bool) { return s.C1, true }
+
 // TopK runs the shard-local scan in a session leased from the shard's
 // own link pool, bound to ctx.
 func (s *LocalShard) TopK(ctx context.Context, q EncryptedQuery, k, domainBits, target int, secure bool) ([]Candidate, *SecureMetrics, error) {
@@ -94,15 +102,17 @@ func (s *LocalShard) TopK(ctx context.Context, q EncryptedQuery, k, domainBits, 
 // disagreeing table shapes or keys).
 var ErrShardTopology = fmt.Errorf("core: inconsistent shard topology")
 
-// ShardedC1 is the scatter-gather coordinator of a sharded deployment:
-// S shard workers each own one partition of the encrypted table (record
-// id mod S) and a private link pool to C2, and the coordinator owns its
-// own link pool for the gather phase. A query scatters — every shard
-// runs the existing pruned or full secure scan over its partition,
-// producing an encrypted shard-local top-k — and gathers as the results
-// land (stream.go): a secure SMINn-based merge over the s·k encrypted
-// candidates (selectTopK, the identical engine the shards ran) yields
-// the exact global top-k.
+// ShardedC1 is the query engine: the scatter-gather coordinator every
+// query enters through, whatever the topology. S shard workers each own
+// one partition of the encrypted table (record id mod S) and a private
+// link pool to C2, and the coordinator owns its own link pool for the
+// gather phase. A query scatters — every shard runs the pruned or full
+// scan over its partition, producing an encrypted shard-local top-k —
+// and gathers as the results land (stream.go): a secure SMINn-based
+// merge over the s·k encrypted candidates (selectTopK, the identical
+// engine the shards ran) yields the exact global top-k. The paper's one
+// C1 is the S = 1 case: the single shard's rank-ordered k-set is already
+// the answer, so the coordinator merges nothing and only reveals.
 //
 // Leakage is the same class as a single-shard query: C2 additionally
 // sees that a merge round ranks s·k blinded values, and C1-side parties
@@ -175,6 +185,15 @@ func NewShardedC1(shards []Shard, mergeConns []mpc.Conn, pk *paillier.PublicKey,
 // Shards reports the partition width S.
 func (c *ShardedC1) Shards() int { return len(c.shards) }
 
+// partitions is what SecureMetrics.Shards reports: S, or 0 for a table
+// served whole (see the field's comment for why not 1).
+func (c *ShardedC1) partitions() int {
+	if len(c.shards) == 1 {
+		return 0
+	}
+	return len(c.shards)
+}
+
 // Shard returns worker i (owning record ids ≡ i mod S).
 func (c *ShardedC1) Shard(i int) Shard { return c.shards[i] }
 
@@ -209,100 +228,93 @@ func (c *ShardedC1) mergeSession(ctx context.Context) (*QuerySession, error) {
 }
 
 // scatter is SkNNb's gather: it fans the query out to every shard
-// concurrently, waits for all of them, and returns the gathered
-// candidates plus the aggregated shard metrics (SkNNm streams instead,
-// see stream.go). Every shard is probed on every query — the scatter
-// itself is data-independent, so shard choice leaks nothing. All shard
-// scans run under one child context: the first failure (or the caller's
-// own cancellation) cancels every outstanding scan, and the merge never
-// starts.
-func (c *ShardedC1) scatter(ctx context.Context, q EncryptedQuery, k int, metrics *SecureMetrics) ([]Candidate, error) {
-	type shardOut struct {
-		cands []Candidate
-		sm    *SecureMetrics
-		err   error
-	}
+// (launch), waits for all of them, and returns the gathered candidates
+// in shard order plus the aggregated shard metrics (SkNNm folds arrivals
+// as they land instead, see stream.go). Every shard is probed on every
+// query — the scatter itself is data-independent, so shard choice leaks
+// nothing. All shard scans run under one child context: the first
+// failure (or the caller's own cancellation) cancels every outstanding
+// scan, and the merge never starts.
+func (c *ShardedC1) scatter(ctx context.Context, q EncryptedQuery, k, n int, metrics *SecureMetrics) ([]Candidate, error) {
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	outs := make([]shardOut, len(c.shards))
 	start := time.Now()
-	var wg sync.WaitGroup
-	for i, sh := range c.shards {
-		wg.Add(1)
-		go func(i int, sh Shard) {
-			defer wg.Done()
-			cands, sm, err := sh.TopK(sctx, q, k, 0, 0, false)
-			outs[i] = shardOut{cands: cands, sm: sm, err: err}
-			if err != nil {
-				cancel() // one failed shard aborts the whole scatter
-			}
-		}(i, sh)
-	}
-	wg.Wait()
-	metrics.Scatter = time.Since(start)
-	metrics.Shards = len(c.shards)
-
-	var all []Candidate
+	arrivals := c.launch(sctx, cancel, q, k, 0, 0, false)
+	sets := make([][]Candidate, len(c.shards))
 	var firstErr error
-	for i, out := range outs {
-		if out.err != nil {
-			// Prefer a real shard failure over the knock-on ErrCanceled
-			// the surviving shards report after the scatter-wide cancel
-			// (when the caller itself canceled, every error is an
-			// ErrCanceled and the first one wins).
-			if firstErr == nil || (errors.Is(firstErr, ErrCanceled) && !errors.Is(out.err, ErrCanceled)) {
-				firstErr = fmt.Errorf("core: shard %d scan: %w", i, out.err)
-			}
+	for range c.shards {
+		arr := <-arrivals
+		if arr.err != nil {
+			firstErr = firstFailure(firstErr, fmt.Errorf("core: shard %d scan: %w", arr.index, arr.err))
 			continue
 		}
-		if out.sm != nil {
-			metrics.add(out.sm)
+		if arr.sm != nil {
+			metrics.add(arr.sm)
 		}
-		all = append(all, out.cands...)
+		sets[arr.index] = arr.cands
 	}
+	metrics.Scatter = time.Since(start)
+	metrics.Shards = c.partitions()
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	if err := validateK(k, len(all)); err != nil {
-		return nil, fmt.Errorf("core: %d candidates gathered from %d shards: %w", len(all), len(c.shards), err)
+	var all []Candidate
+	for _, set := range sets {
+		all = append(all, set...)
+	}
+	if err := c.checkGathered(k, len(all), n); err != nil {
+		return nil, err
 	}
 	return all, nil
 }
 
-// SecureQuery runs the scatter-gather SkNNm: shard-local secure scans,
-// then the secure top-k merge. target > 0 selects the pruned scan on
-// clustered shards (the per-shard candidate-pool floor); pass 0 for
-// full shard scans. Canceling ctx cancels every outstanding shard scan
-// and aborts the merge.
-func (c *ShardedC1) SecureQuery(ctx context.Context, q EncryptedQuery, k, domainBits, target int) (*MaskedResult, error) {
-	res, _, err := c.SecureQueryMetered(ctx, q, k, domainBits, target)
-	return res, err
-}
-
-// BasicQuery runs the scatter-gather SkNNb: shard-local scan-and-rank,
-// then one more rank round over the gathered s·k encrypted distances.
-// Same leakage class as single-shard SkNNb (C2 sees plaintext
-// distances, both clouds see access patterns). Canceling ctx cancels
-// every outstanding shard scan and aborts the merge.
-func (c *ShardedC1) BasicQuery(ctx context.Context, q EncryptedQuery, k int) (*MaskedResult, error) {
-	res, _, err := c.BasicQueryMetered(ctx, q, k)
-	return res, err
-}
-
-// BasicQueryMetered is BasicQuery plus aggregated metrics (in the
-// SecureMetrics shape the coordinator shares with SkNNm: Distance is
-// the summed shard SSED time, Scatter/Merge the wall-clock split).
-func (c *ShardedC1) BasicQueryMetered(ctx context.Context, q EncryptedQuery, k int) (*MaskedResult, *SecureMetrics, error) {
+// checkArgs is the validation both protocols share, run before any
+// shard is contacted. It returns the live record count it validated k
+// against — read once per query, since every shard is asked for it.
+func (c *ShardedC1) checkArgs(q EncryptedQuery, k int) (n int, err error) {
 	if len(q) != c.featM {
-		return nil, nil, fmt.Errorf("%w: query has %d attributes, table has %d feature columns",
+		return 0, fmt.Errorf("%w: query has %d attributes, table has %d feature columns",
 			ErrDimension, len(q), c.featM)
 	}
-	if err := validateK(k, c.N()); err != nil {
+	n = c.N()
+	return n, validateK(k, n)
+}
+
+// checkGathered refuses a gather that came back short of k: the shards
+// held n live records when the query was validated, so fewer than k
+// candidates means deletes landed between that check and the scans.
+func (c *ShardedC1) checkGathered(k, gathered, n int) error {
+	if err := validateK(k, gathered); err != nil {
+		return fmt.Errorf("core: %d candidates gathered from %d shards holding %d records: %w",
+			gathered, len(c.shards), n, err)
+	}
+	return nil
+}
+
+// BasicQuery runs SkNNb (Algorithm 5): every shard computes its encrypted
+// distances and lets C2 decrypt and rank them, one more rank round over
+// the gathered s·k encrypted distances picks the global top-k, and the
+// winners are revealed to Bob via masking, nearest first. A single
+// shard's k-set is already C2-ranked, so at S = 1 there is no second
+// rank round: C2 sees exactly the paper's protocol.
+//
+// SkNNb is the efficiency baseline: it deliberately relaxes security —
+// C2 learns every plaintext distance, and both clouds learn which
+// records answer the query (data access patterns). Use SecureQuery for
+// the full guarantees.
+//
+// The metrics come in the SecureMetrics shape the coordinator shares
+// with SkNNm: Distance is the summed shard SSED time, Select the time C2
+// spent ranking, Scatter/Merge the wall-clock split. Canceling ctx
+// cancels every outstanding shard scan and aborts the merge.
+func (c *ShardedC1) BasicQuery(ctx context.Context, q EncryptedQuery, k int) (*MaskedResult, *SecureMetrics, error) {
+	n, err := c.checkArgs(q, k)
+	if err != nil {
 		return nil, nil, err
 	}
 	metrics := &SecureMetrics{}
 	start := time.Now()
-	cands, err := c.scatter(ctx, q, k, metrics)
+	selected, err := c.scatter(ctx, q, k, n, metrics)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -312,19 +324,27 @@ func (c *ShardedC1) BasicQueryMetered(ctx context.Context, q EncryptedQuery, k i
 		return nil, nil, err
 	}
 	defer s.Close()
-	selected, err := s.rankCandidates(cands, k)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: merge: %w", err)
+	if len(c.shards) > 1 {
+		phase := time.Now()
+		selected, err = s.rankCandidates(selected, k)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: merge: %w", err)
+		}
+		metrics.Select += time.Since(phase)
 	}
 	ids := make([]uint64, len(selected))
 	for i, cand := range selected {
 		ids[i] = cand.ID
 	}
+	// Steps 4–6: masked reveal, attribute by attribute (SkNNb never
+	// extracts), carrying the stable ids SkNNb gives away anyway.
+	phase := time.Now()
 	res, err := s.reveal(candidateRecords(selected), perAttribute)
 	if err != nil {
 		return nil, nil, err
 	}
 	res.IDs = ids
+	metrics.Reveal = time.Since(phase)
 	metrics.Merge = time.Since(mergeStart)
 	metrics.Total = time.Since(start)
 	metrics.Comm = metrics.Comm.Add(s.CommStats())

@@ -148,7 +148,7 @@ func TestShardedSecureMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, metrics, err := coord.SecureQueryMetered(context.Background(), eq, k, l, 0)
+		res, metrics, err := coord.SecureQuery(context.Background(), eq, k, l, 0)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -189,7 +189,7 @@ func TestShardedSecureRemoteWire(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := coord.SecureQuery(context.Background(), eq, k, l, 0)
+		res, _, err := coord.SecureQuery(context.Background(), eq, k, l, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func TestShardedSecureRemoteWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := coord.BasicQuery(context.Background(), eq, k)
+	res, _, err := coord.BasicQuery(context.Background(), eq, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestShardedBasicMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := coord.BasicQuery(context.Background(), eq, k)
+		res, _, err := coord.BasicQuery(context.Background(), eq, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +271,7 @@ func TestShardedSmallShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := coord.SecureQuery(context.Background(), eq, k, l, 0)
+	res, _, err := coord.SecureQuery(context.Background(), eq, k, l, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestShardedSmallShards(t *testing.T) {
 	}
 	shardOracleCheck(t, tbl.Rows, rows, q, k)
 	// k above the whole table is still rejected.
-	if _, err := coord.SecureQuery(context.Background(), eq, n+1, l, 0); err == nil {
+	if _, _, err := coord.SecureQuery(context.Background(), eq, n+1, l, 0); err == nil {
 		t.Error("k > n accepted by sharded query")
 	}
 }
@@ -464,5 +464,142 @@ func TestInsertWithID(t *testing.T) {
 	}
 	if id != 10 {
 		t.Errorf("Insert assigned id %d, want 10", id)
+	}
+}
+
+// opTally counts the request frames one party sent C2, by opcode. The
+// tap sees a link's frames from the session goroutines and the
+// multiplexer's reader at once, hence the lock.
+type opTally struct {
+	mu  sync.Mutex
+	ops map[mpc.Op]int
+}
+
+func (o *opTally) tap(conn mpc.Conn) mpc.Conn {
+	return mpc.Tap(conn, func(dir mpc.Direction, m *mpc.Message) {
+		if dir != mpc.DirSend {
+			return
+		}
+		o.mu.Lock()
+		defer o.mu.Unlock()
+		if o.ops == nil {
+			o.ops = map[mpc.Op]int{}
+		}
+		o.ops[m.Op]++
+	})
+}
+
+// reset returns the tally so far and starts a new one.
+func (o *opTally) reset() map[mpc.Op]int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	ops := o.ops
+	o.ops = nil
+	return ops
+}
+
+// TestOneShardBasicIsThePapersProtocol pins SkNNb's one-shard
+// degeneration: through the coordinator a lone shard's query sends C2
+// exactly the requests and round trips the bare worker's own SkNNb
+// sends on the same table — in particular one OpRank, not a second one
+// over the already ranked k-set — and Bob gets the ids nearest first.
+func TestOneShardBasicIsThePapersProtocol(t *testing.T) {
+	const attrBits, m, n, k = 4, 2, 10, 3
+	sk := testKey()
+	tbl, err := dataset.Generate(881, n, m, attrBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encTable, err := EncryptTable(rand.Reader, &sk.PublicKey, tbl.Rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2 := NewCloudC2(sk, nil)
+	var tally opTally
+	var wg sync.WaitGroup
+	link := func() []mpc.Conn {
+		c1Side, c2Side := mpc.ChanPipe()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := c2.Serve(c2Side); err != nil {
+				t.Errorf("C2 serve loop: %v", err)
+			}
+		}()
+		return []mpc.Conn{tally.tap(c1Side)}
+	}
+	c1, err := NewCloudC1(encTable, link(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewShardedC1([]Shard{&LocalShard{C1: c1, Count: 1}}, link(), &sk.PublicKey, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		coord.Close()
+		c1.Close()
+		wg.Wait()
+	}()
+	bob := NewClient(&sk.PublicKey, nil)
+	q := []uint64{6, 11}
+	eq, err := bob.EncryptQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tally.reset() // the two hellos
+
+	_, bm, err := c1.BasicQueryMetered(context.Background(), eq, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := tally.reset()
+
+	res, sm, err := coord.BasicQuery(context.Background(), eq, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	through := tally.reset()
+
+	if bare[OpRank] != 1 || bare[OpReveal] != 1 {
+		t.Fatalf("bare SkNNb sent %d rank and %d reveal requests, want 1 and 1", bare[OpRank], bare[OpReveal])
+	}
+	if len(through) != len(bare) {
+		t.Errorf("requests through the coordinator %v, bare worker %v", through, bare)
+	}
+	for op, want := range bare {
+		if through[op] != want {
+			t.Errorf("op %d: %d requests through the coordinator, %d from the bare worker", op, through[op], want)
+		}
+	}
+	if sm.Comm.Rounds != bm.Comm.Rounds {
+		t.Errorf("%d round trips through the coordinator, %d from the bare worker", sm.Comm.Rounds, bm.Comm.Rounds)
+	}
+	if sm.Shards != 0 || sm.Distance <= 0 || sm.Select <= 0 || sm.Reveal <= 0 {
+		t.Errorf("coordinator metrics missing a phase: %+v", sm)
+	}
+
+	want, err := plainknn.KNN(tbl.Rows, q, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := bob.Unmask(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.IDs) != k {
+		t.Fatalf("%d ids, want %d", len(res.IDs), k)
+	}
+	for j, nb := range want {
+		d, err := plainknn.SquaredDistance(rows[j], q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d != nb.Dist {
+			t.Errorf("rank %d: dist² %d, oracle %d — not nearest first", j, d, nb.Dist)
+		}
+		if got := tbl.Rows[res.IDs[j]]; got[0] != rows[j][0] || got[1] != rows[j][1] {
+			t.Errorf("rank %d: id %d names row %v, revealed row is %v", j, res.IDs[j], got, rows[j])
+		}
 	}
 }

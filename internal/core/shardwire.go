@@ -179,6 +179,10 @@ func (r *RemoteShard) Info() ShardInfo {
 	return r.info
 }
 
+// Local reports a remote worker as neither: its scans burn its own
+// machine's CPUs and its C2 links terminate there.
+func (r *RemoteShard) Local() (*CloudC1, bool) { return nil, false }
+
 // Close closes the coordinator→shard connection.
 func (r *RemoteShard) Close() error { return r.conn.Close() }
 

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// This file is the gather of a sharded SkNNm query. The shards deliver
+// This file is SkNNm's entry point and its gather. The shards deliver
 // their encrypted top-k into a channel the moment each scan completes,
 // and the coordinator folds arrivals into an incremental value-domain
 // tournament while the stragglers are still scanning: by the time the
@@ -63,45 +63,26 @@ type loan struct {
 	idx  []int
 }
 
-// SecureQueryMetered is SecureQuery plus the aggregated phase metrics:
-// per-shard counters summed, the coordinator's merge traffic in Comm (on
-// top of the shard scans'), and the wall clock split at the last shard
-// arrival — Scatter is start→last arrival (the folds running inside it
-// are free overlap), Merge is the tail the query still pays after the
-// slowest shard.
-func (c *ShardedC1) SecureQueryMetered(ctx context.Context, q EncryptedQuery, k, domainBits, target int) (*MaskedResult, *SecureMetrics, error) {
-	if len(q) != c.featM {
-		return nil, nil, fmt.Errorf("%w: query has %d attributes, table has %d feature columns",
-			ErrDimension, len(q), c.featM)
-	}
-	if err := validateK(k, c.N()); err != nil {
-		return nil, nil, err
-	}
-	if err := CheckDomainBits(c.pk, domainBits); err != nil {
-		return nil, nil, err
-	}
-	metrics := &SecureMetrics{Shards: len(c.shards)}
-	start := time.Now()
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// The channel buffers every shard, so scan goroutines never block on
-	// delivery: even if the coordinator bails early, each sends its
-	// (likely canceled) result and exits.
-	//
-	// Local scans all burn this process's CPUs, so running more of them
-	// at once than there are cores adds no parallelism — round-robin
-	// time-slicing only synchronizes their completions into one burst at
-	// the end, the worst case for a pipeline that wants to fold early
-	// arrivals while stragglers scan. Capping in-flight local scans at
-	// GOMAXPROCS keeps the machine exactly as busy and staggers the
-	// arrivals. Remote shards burn the worker's CPUs, not ours, and are
-	// never throttled.
+// launch starts every shard's scan under sctx and returns the channel
+// the results arrive on, one per shard, each the moment its scan
+// completes; a failed scan cancels the rest. The channel buffers every
+// shard, so scan goroutines never block on delivery: even if the
+// coordinator bails early, each sends its (likely canceled) result and
+// exits.
+//
+// Local scans all burn this process's CPUs, so running more of them at
+// once than there are cores adds no parallelism — round-robin
+// time-slicing only synchronizes their completions into one burst at the
+// end, the worst case for a pipeline that wants to fold early arrivals
+// while stragglers scan. Capping in-flight local scans at GOMAXPROCS
+// keeps the machine exactly as busy and staggers the arrivals. Remote
+// shards burn the worker's CPUs, not ours, and are never throttled.
+func (c *ShardedC1) launch(sctx context.Context, cancel context.CancelFunc, q EncryptedQuery, k, domainBits, target int, secure bool) <-chan shardArrival {
 	arrivals := make(chan shardArrival, len(c.shards))
 	localSlots := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for i, sh := range c.shards {
 		go func(i int, sh Shard) {
-			if localLike(sh) {
+			if _, local := sh.Local(); local {
 				select {
 				case localSlots <- struct{}{}:
 					defer func() { <-localSlots }()
@@ -110,13 +91,69 @@ func (c *ShardedC1) SecureQueryMetered(ctx context.Context, q EncryptedQuery, k,
 					return
 				}
 			}
-			cands, sm, err := sh.TopK(sctx, q, k, domainBits, target, true)
+			cands, sm, err := sh.TopK(sctx, q, k, domainBits, target, secure)
 			if err != nil {
 				cancel() // one failed shard aborts the whole scatter
 			}
 			arrivals <- shardArrival{index: i, cands: cands, sm: sm, err: err, at: time.Now()}
 		}(i, sh)
 	}
+	return arrivals
+}
+
+// firstFailure keeps the error a failed query reports: a real failure
+// beats the knock-on ErrCanceled the surviving shards report after the
+// scatter-wide cancel (when the caller itself canceled, every error is
+// an ErrCanceled and the first one wins).
+func firstFailure(first, err error) error {
+	if first == nil || (errors.Is(first, ErrCanceled) && !errors.Is(err, ErrCanceled)) {
+		return err
+	}
+	return first
+}
+
+// SecureQuery runs SkNNm (Algorithm 6), the fully secure protocol: data
+// confidentiality, query privacy, and access-pattern hiding against both
+// clouds. Every shard runs the scan and the k selection rounds over its
+// partition — pruned to the nearest clusters' records when the shard is
+// clustered and target > 0 (the per-shard candidate-pool floor), full
+// otherwise — and the streaming merge below picks the global top-k,
+// which the coordinator reveals to Bob via masking.
+//
+// domainBits is l, the bit length of the squared-distance domain: all
+// |Q−tᵢ|² must be strictly below 2^l − 1 (the all-ones disqualification
+// sentinel of step 3(e)). dataset.DomainBits derives it — including the
+// sentinel headroom bit — from the attribute domain and dimension. Every
+// column of every record, payload columns included, must be below
+// 2^(l/2): packed SSED slots the feature columns that wide and the row
+// layout (rowLayoutFor) every column. A table validated against the
+// attrBits that l was derived from satisfies both. l itself must fit
+// the key (CheckDomainBits: l ≤ K − 69); anything wider is ErrDomainBits.
+//
+// The pruned scan trades a documented leak for its speed: C1 learns
+// which clusters (not which records) a query touches — the SVD-style
+// relaxation of access-pattern hiding. C2's view is unchanged.
+//
+// The metrics aggregate the query: per-shard counters summed, the
+// coordinator's merge traffic in Comm (on top of the shard scans'), and
+// the wall clock split at the last shard arrival — Scatter is start→last
+// arrival (the folds running inside it are free overlap), Merge is the
+// tail the query still pays after the slowest shard. Canceling ctx
+// cancels every outstanding shard scan and aborts the merge.
+func (c *ShardedC1) SecureQuery(ctx context.Context, q EncryptedQuery, k, domainBits, target int) (*MaskedResult, *SecureMetrics, error) {
+	n, err := c.checkArgs(q, k)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := CheckDomainBits(c.pk, domainBits); err != nil {
+		return nil, nil, err
+	}
+	metrics := &SecureMetrics{Shards: c.partitions()}
+	start := time.Now()
+	sctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+
+	arrivals := c.launch(sctx, cancel, q, k, domainBits, target, true)
 
 	// The merge session opens before the first arrival so fold one can
 	// start the instant the second shard lands. Unwind order matters:
@@ -142,13 +179,7 @@ func (c *ShardedC1) SecureQueryMetered(ctx context.Context, q EncryptedQuery, k,
 
 	absorb := func(arr shardArrival) {
 		if arr.err != nil {
-			// Prefer a real shard failure over the knock-on ErrCanceled
-			// the surviving shards report after the scatter-wide cancel
-			// (when the caller itself canceled, every error is an
-			// ErrCanceled and the first one wins).
-			if firstErr == nil || (errors.Is(firstErr, ErrCanceled) && !errors.Is(arr.err, ErrCanceled)) {
-				firstErr = fmt.Errorf("core: shard %d scan: %w", arr.index, arr.err)
-			}
+			firstErr = firstFailure(firstErr, fmt.Errorf("core: shard %d scan: %w", arr.index, arr.err))
 			return
 		}
 		if arr.at.After(lastArrival) {
@@ -161,9 +192,10 @@ func (c *ShardedC1) SecureQueryMetered(ctx context.Context, q EncryptedQuery, k,
 			pending = append(pending, arr.cands)
 			total += len(arr.cands)
 		}
-		if firstErr == nil {
-			if ls, ok := c.shards[arr.index].(*LocalShard); ok {
-				c.borrowFrom(s, ls, &loans)
+		// A lone shard leaves nothing to merge, so nothing to widen.
+		if firstErr == nil && len(c.shards) > 1 {
+			if lender, _ := c.shards[arr.index].Local(); lender != nil {
+				c.borrowFrom(s, lender.pool, &loans)
 			}
 		}
 	}
@@ -207,9 +239,7 @@ func (c *ShardedC1) SecureQueryMetered(ctx context.Context, q EncryptedQuery, k,
 			}
 			folded, err := s.mergeCandidates(union, kk, domainBits, mm)
 			if err != nil {
-				if firstErr == nil || (errors.Is(firstErr, ErrCanceled) && !errors.Is(err, ErrCanceled)) {
-					firstErr = fmt.Errorf("core: merge fold: %w", err)
-				}
+				firstErr = firstFailure(firstErr, fmt.Errorf("core: merge fold: %w", err))
 				cancel()
 				break
 			}
@@ -220,8 +250,8 @@ func (c *ShardedC1) SecureQueryMetered(ctx context.Context, q EncryptedQuery, k,
 		return nil, nil, firstErr
 	}
 	metrics.Scatter = lastArrival.Sub(start)
-	if err := validateK(k, total); err != nil {
-		return nil, nil, fmt.Errorf("core: %d candidates gathered from %d shards: %w", total, len(c.shards), err)
+	if err := c.checkGathered(k, total, n); err != nil {
+		return nil, nil, err
 	}
 
 	// Tail merge: one fold over whatever is still pending (at most the
@@ -239,11 +269,7 @@ func (c *ShardedC1) SecureQueryMetered(ctx context.Context, q EncryptedQuery, k,
 			return nil, nil, fmt.Errorf("core: merge: %w", err)
 		}
 	}
-	metrics.SMINn += mm.SMINn
-	metrics.Select += mm.Select
-	metrics.Extract += mm.Extract
-	metrics.Exclude += mm.Exclude
-	metrics.SMINCount += mm.SMINCount
+	metrics.add(mm)
 
 	phase := time.Now()
 	res, err := s.reveal(candidateRecords(selected), s.rowLayout(domainBits))
@@ -263,10 +289,10 @@ func (c *ShardedC1) SecureQueryMetered(ctx context.Context, q EncryptedQuery, k,
 // folds on the single merge goroutine, so attaching is race-free. Links
 // whose stream fails to open go straight back; the rest are owed to the
 // shard pool until the query's unwind reclaims them (after the session
-// closed their streams). Remote shards never reach here — their links
-// terminate on the worker, so there is nothing transferable.
-func (c *ShardedC1) borrowFrom(s *QuerySession, ls *LocalShard, loans *[]loan) {
-	pool := ls.C1.pool
+// closed their streams). Shards without a lender never reach here —
+// a remote worker's links terminate on its machine, so there is nothing
+// transferable.
+func (c *ShardedC1) borrowFrom(s *QuerySession, pool *linkPool, loans *[]loan) {
 	idx, links := pool.lend(pool.workers())
 	if len(idx) == 0 {
 		return

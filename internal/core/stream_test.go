@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -122,8 +123,8 @@ func sortedDistances(t *testing.T, rows [][]uint64, q []uint64) []uint64 {
 // TestStreamingVsSerialDifferential is the streaming gather's oracle:
 // over both coordinator↔shard topologies (in-process and wire), the
 // pipelined 3-shard merge must return the identical top-k distance
-// multiset as the serial scan of the whole table by one unsharded
-// CloudC1 — the same engine with no gather at all — and both must match
+// multiset as the serial scan of the whole table by a one-shard
+// coordinator — the same engine with nothing to gather — and both must match
 // the plaintext oracle. workers=2 gives every local shard pool a lendable
 // link, so the in-process run also covers the borrow/attach/reclaim
 // cycle.
@@ -142,7 +143,7 @@ func TestStreamingVsSerialDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, sm, err := coord.SecureQueryMetered(context.Background(), eq, k, l, 0)
+			res, sm, err := coord.SecureQuery(context.Background(), eq, k, l, 0)
 			if err != nil {
 				t.Fatalf("remote=%v streaming: %v", remote, err)
 			}
@@ -188,7 +189,7 @@ func TestStreamingDeadShard(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := coord.SecureQueryMetered(context.Background(), eq, k, l, 0)
+		_, _, err := coord.SecureQuery(context.Background(), eq, k, l, 0)
 		done <- err
 	}()
 	select {
@@ -230,7 +231,7 @@ func TestStreamingMidStreamCancel(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := coord.SecureQueryMetered(ctx, eq, k, l, 0)
+		_, _, err := coord.SecureQuery(ctx, eq, k, l, 0)
 		done <- err
 	}()
 	select {
@@ -266,7 +267,7 @@ func TestStreamingSingleShardFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, sm, err := coord.SecureQueryMetered(context.Background(), eq, k, l, 0)
+	res, sm, err := coord.SecureQuery(context.Background(), eq, k, l, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,6 +276,87 @@ func TestStreamingSingleShardFallsBack(t *testing.T) {
 	}
 	if rounds := coord.CommStats().Rounds; rounds != 2 {
 		t.Errorf("coordinator links carried %d rounds, want 2 (hello and reveal)", rounds)
+	}
+	rows, err := bob.Unmask(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardOracleCheck(t, tbl.Rows, rows, q, k)
+}
+
+// heldShard holds its scan back until released (or the query dies).
+type heldShard struct {
+	Shard
+	release <-chan struct{}
+}
+
+func (h *heldShard) TopK(ctx context.Context, q EncryptedQuery, k, domainBits, target int, secure bool) ([]Candidate, *SecureMetrics, error) {
+	select {
+	case <-h.release:
+	case <-ctx.Done():
+		return nil, nil, ctxErr(ctx)
+	}
+	return h.Shard.TopK(ctx, q, k, domainBits, target, secure)
+}
+
+// TestWrappedShardLendsLinks: a shard wrapped by embedding Shard — a
+// timing spy, a fault injector — is to the gather the shard it wraps.
+// Shard 1 starts scanning only once the merge session holds a link of
+// shard 0's pool, which can only happen if the coordinator saw through
+// shard 0's wrapper to its worker; afterwards every loan is back home.
+func TestWrappedShardLendsLinks(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("the held scan would occupy the only local scan slot")
+	}
+	const attrBits, m, n, k, workers = 4, 2, 12, 3, 2
+	tbl, err := dataset.Generate(831, n, m, attrBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := dataset.DomainBits(attrBits, m)
+	pools := make([]*linkPool, 2)
+	release := make(chan struct{})
+	coord, bob := newWrappedSharded(t, tbl, 2, workers, func(i int, s Shard) Shard {
+		lender, _ := s.Local()
+		pools[i] = lender.pool
+		if i == 0 {
+			return &gateShard{Shard: s}
+		}
+		return &heldShard{Shard: s, release: release}
+	})
+	home := func(p *linkPool) int {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.availLocked()
+	}
+	borrowed := make(chan bool, 1)
+	go func() {
+		defer close(release)
+		for deadline := time.Now().Add(time.Minute); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if home(pools[0]) < workers {
+				borrowed <- true
+				return
+			}
+		}
+		borrowed <- false
+	}()
+
+	q := []uint64{4, 13}
+	eq, err := bob.EncryptQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := coord.SecureQuery(context.Background(), eq, k, l, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !<-borrowed {
+		t.Error("the merge session never borrowed the wrapped shard's idle link")
+	}
+	for i, p := range pools {
+		if got := home(p); got != workers {
+			t.Errorf("shard %d pool has %d of %d links home after the query", i, got, workers)
+		}
 	}
 	rows, err := bob.Unmask(res)
 	if err != nil {
@@ -310,7 +392,7 @@ func TestStreamingConcurrentChurn(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			res, _, err := coord.SecureQueryMetered(context.Background(), eq, k, l, 0)
+			res, _, err := coord.SecureQuery(context.Background(), eq, k, l, 0)
 			if err != nil {
 				errs[i] = err
 				return

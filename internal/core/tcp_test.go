@@ -47,15 +47,22 @@ func TestProtocolsOverTCP(t *testing.T) {
 	}()
 
 	const workers = 2
-	conns := make([]mpc.Conn, workers)
-	for i := range conns {
-		conn, err := mpc.Dial(ln.Addr().String())
-		if err != nil {
-			t.Fatal(err)
+	dial := func() []mpc.Conn {
+		conns := make([]mpc.Conn, workers)
+		for i := range conns {
+			conn, err := mpc.Dial(ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			conns[i] = conn
 		}
-		conns[i] = conn
+		return conns
 	}
-	c1, err := NewCloudC1(encTable, conns, nil)
+	c1, err := NewCloudC1(encTable, dial(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewShardedC1([]Shard{&LocalShard{C1: c1, Count: 1}}, dial(), &sk.PublicKey, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +74,7 @@ func TestProtocolsOverTCP(t *testing.T) {
 	}
 
 	// SkNNb over the wire.
-	res, err := c1.BasicQuery(context.Background(), eq, 3)
+	res, _, err := coord.BasicQuery(context.Background(), eq, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +85,7 @@ func TestProtocolsOverTCP(t *testing.T) {
 	assertMatchesOracle(t, tbl, q, 3, rows)
 
 	// SkNNm over the wire.
-	res, err = c1.SecureQuery(context.Background(), eq, 2, tbl.DomainBits())
+	res, _, err = coord.SecureQuery(context.Background(), eq, 2, tbl.DomainBits(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +95,11 @@ func TestProtocolsOverTCP(t *testing.T) {
 	}
 	assertMatchesOracle(t, tbl, q, 2, rows)
 
-	if c1.CommStats().BytesSent == 0 {
+	if c1.CommStats().BytesSent == 0 || coord.CommStats().BytesSent == 0 {
 		t.Error("no TCP traffic accounted")
+	}
+	if err := coord.Close(); err != nil {
+		t.Fatal(err)
 	}
 	if err := c1.Close(); err != nil {
 		t.Fatal(err)

@@ -9,9 +9,10 @@ import (
 )
 
 // Backend is the query engine a tenant's frames execute against: a
-// sharded (possibly replicated) coordinator, a single in-process C1, or
-// a test stub. The gateway is deliberately indifferent to which — it
-// owns admission, auth, and metrics; the backend owns the protocol.
+// coordinator over however many (possibly replicated) shard workers the
+// tenant's table is spread across — one, for a table served whole — or a
+// test stub. The gateway is deliberately indifferent to which — it owns
+// admission, auth, and metrics; the backend owns the protocol.
 type Backend interface {
 	// SecureQuery runs SkNNm and returns the masked result plus its
 	// metrics (which carry the failover count on replicated backends).
@@ -27,26 +28,27 @@ type Backend interface {
 	Close() error
 }
 
-// coordinatorBackend adapts a scatter-gather coordinator (and whatever
-// extra resources it rides on — shard dials, serve loops) to Backend.
+// coordinatorBackend adapts a coordinator (and whatever extra resources
+// it rides on — its local worker, shard dials, serve loops) to Backend.
 type coordinatorBackend struct {
 	coord *core.ShardedC1
 	also  []io.Closer
 }
 
-// NewCoordinatorBackend wraps a sharded coordinator as a tenant
-// backend. extra closers (shard connections, dialed workers) are closed
-// after the coordinator on Close, in order.
+// NewCoordinatorBackend wraps a coordinator as a tenant backend. extra
+// closers (a local worker, shard connections) are closed after the
+// coordinator on Close, in order.
 func NewCoordinatorBackend(coord *core.ShardedC1, extra ...io.Closer) Backend {
 	return &coordinatorBackend{coord: coord, also: extra}
 }
 
 func (b *coordinatorBackend) SecureQuery(ctx context.Context, q core.EncryptedQuery, k, domainBits, target int) (*core.MaskedResult, *core.SecureMetrics, error) {
-	return b.coord.SecureQueryMetered(ctx, q, k, domainBits, target)
+	return b.coord.SecureQuery(ctx, q, k, domainBits, target)
 }
 
 func (b *coordinatorBackend) BasicQuery(ctx context.Context, q core.EncryptedQuery, k int) (*core.MaskedResult, error) {
-	return b.coord.BasicQuery(ctx, q, k)
+	res, _, err := b.coord.BasicQuery(ctx, q, k)
+	return res, err
 }
 
 func (b *coordinatorBackend) N() int                  { return b.coord.N() }
@@ -55,48 +57,6 @@ func (b *coordinatorBackend) PK() *paillier.PublicKey { return b.coord.PK() }
 
 func (b *coordinatorBackend) Close() error {
 	err := b.coord.Close()
-	for _, c := range b.also {
-		if cerr := c.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
-
-// singleBackend adapts one in-process CloudC1 — the unsharded
-// deployment — to Backend.
-type singleBackend struct {
-	c1   *core.CloudC1
-	also []io.Closer
-}
-
-// NewSingleBackend wraps a single data cloud as a tenant backend.
-func NewSingleBackend(c1 *core.CloudC1, extra ...io.Closer) Backend {
-	return &singleBackend{c1: c1, also: extra}
-}
-
-func (b *singleBackend) SecureQuery(ctx context.Context, q core.EncryptedQuery, k, domainBits, target int) (*core.MaskedResult, *core.SecureMetrics, error) {
-	if target > 0 && b.c1.Table().Clustered() {
-		return b.c1.SecureQueryClusteredMetered(ctx, q, k, domainBits, target)
-	}
-	return b.c1.SecureQueryMetered(ctx, q, k, domainBits)
-}
-
-func (b *singleBackend) BasicQuery(ctx context.Context, q core.EncryptedQuery, k int) (*core.MaskedResult, error) {
-	return b.c1.BasicQuery(ctx, q, k)
-}
-
-func (b *singleBackend) N() int { return b.c1.Table().N() }
-
-func (b *singleBackend) M() (int, int) {
-	t := b.c1.Table()
-	return t.M(), t.FeatureM()
-}
-
-func (b *singleBackend) PK() *paillier.PublicKey { return b.c1.Table().PK() }
-
-func (b *singleBackend) Close() error {
-	err := b.c1.Close()
 	for _, c := range b.also {
 		if cerr := c.Close(); err == nil {
 			err = cerr

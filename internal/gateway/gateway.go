@@ -1,6 +1,7 @@
 // Package gateway is sknnd's multi-tenant serving tier: one front end
 // multiplexing many tenants — each with its own table, key, backend
-// (single C1 or replicated scatter-gather coordinator), and quotas —
+// (a coordinator over one local worker or over dialed, possibly
+// replicated shard workers), and quotas —
 // behind a single listener. The gateway authenticates each connection
 // to a tenant (pre-shared token, challenge-response), admission-
 // controls queries (rate buckets shed immediately, inflight caps queue

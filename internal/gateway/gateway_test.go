@@ -554,7 +554,7 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestGatewayEndToEndCrypto runs the full stack once: two tenants with
-// their own keys, tables, and single-C1 backends behind one gateway,
+// their own keys, tables, and one-shard backends behind one gateway,
 // queried concurrently and checked against the plaintext oracle.
 func TestGatewayEndToEndCrypto(t *testing.T) {
 	const (
@@ -584,15 +584,22 @@ func TestGatewayEndToEndCrypto(t *testing.T) {
 			t.Fatal(err)
 		}
 		c2 := core.NewCloudC2(sk, nil)
-		c1Side, c2Side := mpc.ChanPipe()
-		wg.Add(1)
-		go func(conn mpc.Conn) {
-			defer wg.Done()
-			if err := c2.Serve(conn); err != nil {
-				t.Errorf("tenant %s C2 serve: %v", w.name, err)
-			}
-		}(c2Side)
-		c1, err := core.NewCloudC1(encTable, []mpc.Conn{c1Side}, nil)
+		link := func() []mpc.Conn {
+			c1Side, c2Side := mpc.ChanPipe()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := c2.Serve(c2Side); err != nil {
+					t.Errorf("tenant %s C2 serve: %v", w.name, err)
+				}
+			}()
+			return []mpc.Conn{c1Side}
+		}
+		c1, err := core.NewCloudC1(encTable, link(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coord, err := core.NewShardedC1([]core.Shard{&core.LocalShard{C1: c1, Count: 1}}, link(), &sk.PublicKey, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -600,7 +607,7 @@ func TestGatewayEndToEndCrypto(t *testing.T) {
 			Name: w.name, Token: w.token,
 			DomainBits: tbl.DomainBits(),
 			RateQPS:    1000, MaxInflight: 2, MaxQueue: 4,
-		}, NewSingleBackend(c1))
+		}, NewCoordinatorBackend(coord, c1))
 		if err != nil {
 			t.Fatal(err)
 		}

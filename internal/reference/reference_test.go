@@ -193,29 +193,26 @@ func TestSMINnPropertyMatchesMin(t *testing.T) {
 
 // --- SkNNm (Algorithm 6) against the production engine -------------------
 
-// engine runs one production SkNNm query over table: through a bare
-// CloudC1 (shards = 0) or a ShardedC1 over that many in-process shard
-// workers.
+// engine runs one production SkNNm query over table: through a
+// coordinator over that many in-process shard workers, one being the
+// paper's single C1 holding the table whole.
 func engine(t *testing.T, kc *keyCloud, table *core.EncryptedTable, shards int, q core.EncryptedQuery, k, l int) (*core.MaskedResult, error) {
 	t.Helper()
-	if shards == 0 {
-		c1, err := core.NewCloudC1(table, kc.conns(1), nil)
+	tables := []*core.EncryptedTable{table}
+	if shards > 1 {
+		parts, err := table.Snapshot().Split(shards)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer c1.Close()
-		return c1.SecureQuery(context.Background(), q, k, l)
-	}
-	parts, err := table.Snapshot().Split(shards)
-	if err != nil {
-		t.Fatal(err)
+		tables = make([]*core.EncryptedTable, shards)
+		for i, part := range parts {
+			if tables[i], err = core.RestoreTable(table.PK(), part); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	workers := make([]core.Shard, shards)
-	for i, part := range parts {
-		shardTable, err := core.RestoreTable(table.PK(), part)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, shardTable := range tables {
 		c1, err := core.NewCloudC1(shardTable, kc.conns(1), nil)
 		if err != nil {
 			t.Fatal(err)
@@ -228,7 +225,8 @@ func engine(t *testing.T, kc *keyCloud, table *core.EncryptedTable, shards int, 
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	return coord.SecureQuery(context.Background(), q, k, l, 0)
+	res, _, err := coord.SecureQuery(context.Background(), q, k, l, 0)
+	return res, err
 }
 
 // sortedDistances maps result rows to their sorted squared distances
@@ -247,8 +245,8 @@ func sortedDistances(t *testing.T, rows [][]uint64, q []uint64) []uint64 {
 }
 
 // TestSkNNmDifferential is the reference boundary: on every row of the
-// table the production engine — a bare CloudC1 and a 2-shard coordinator
-// — and the printed protocol answer the same encrypted table, and each
+// table the production engine — the coordinator over one shard and over
+// two — and the printed protocol answer the same encrypted table, and each
 // must return the plaintext oracle's k-distance multiset (ties are broken
 // at random on both sides, so rows are compared as distances) made of
 // whole table rows, payload columns included. The rows are the edges of
@@ -348,7 +346,7 @@ func TestSkNNmDifferential(t *testing.T) {
 				}
 			}
 
-			for _, shards := range []int{0, 2} {
+			for _, shards := range []int{1, 2} {
 				who := fmt.Sprintf("engine over %d shards", shards)
 				res, err := engine(t, kc, table, shards, eq, tc.k, l)
 				if tc.wantErr != nil {

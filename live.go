@@ -90,7 +90,7 @@ func (s *System) Insert(row []uint64) (uint64, error) {
 		}
 		// Mutations are not cancelable (a half-routed insert helps no
 		// one), so the routing session runs unbound.
-		sess, err := owner.NewSession(context.Background(), s.perQuery)
+		sess, err := owner.NewSession(context.Background(), 0)
 		if err != nil {
 			return 0, err
 		}
@@ -159,9 +159,6 @@ func (s *System) Compact() error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	var first error
-	if s.c1 != nil {
-		return s.compactShardLocked(s.c1)
-	}
 	// One pass per partition: replicas share the table, so compacting
 	// through any live replica compacts the whole group.
 	for i := range s.shardGroups {
@@ -290,13 +287,14 @@ func decryptSnapshotRows(sk *paillier.PrivateKey, snap *core.TableSnapshot, cols
 	return out, nil
 }
 
-// snapshot captures one consistent whole-table snapshot: the single
-// table's, or the shard snapshots merged back into canonical ascending-
-// id order. Mutations are serialized against the capture via writeMu on
-// the sharded path so the per-shard snapshots cohere.
+// snapshot captures one consistent whole-table snapshot: a lone
+// shard's as it stands, or the shard snapshots merged back into
+// canonical ascending-id order. Mutations are serialized against the
+// capture via writeMu when there are several so the per-shard snapshots
+// cohere.
 func (s *System) snapshot() (*core.TableSnapshot, error) {
-	if s.c1 != nil {
-		return s.c1.Table().Snapshot(), nil
+	if len(s.shardGroups) == 1 {
+		return s.shardGroups[0][0].Table().Snapshot(), nil
 	}
 	s.writeMu.Lock()
 	parts := make([]*core.TableSnapshot, len(s.shardGroups))

@@ -33,8 +33,8 @@ func sortedRows(rows [][]uint64) []string {
 	return out
 }
 
-// TestDifferentialSecureQueryMatrix runs four topologies — unsharded, a
-// 2-shard streaming merge, a replicated 2-shard system answering through
+// TestDifferentialSecureQueryMatrix runs four topologies — one shard
+// (S=1, R=1: the row still named unsharded), a 2-shard streaming merge, a replicated 2-shard system answering through
 // failover, and one replicated partition (a coordinator with nothing to
 // merge) — in both index modes. The table carries a payload column so a
 // shifted slot cannot hide.
@@ -117,8 +117,8 @@ func TestDifferentialSecureQueryMatrix(t *testing.T) {
 }
 
 // TestDifferentialSecureQueryEdges takes the same three-way comparison to
-// the edges of the value domain, one row each, unsharded and through a
-// 2-shard merge (ties are broken at random on both sides, so these
+// the edges of the value domain, one row each, on one shard and through
+// a 2-shard merge (ties are broken at random on both sides, so these
 // compare distances, and whole rows against the table). The last rows pin
 // the domain bound: l = K − 69 is the widest distance domain a K-bit key
 // answers, and one bit more is ErrDomainBits from New and LoadTable
@@ -204,12 +204,15 @@ func TestDifferentialSecureQueryEdges(t *testing.T) {
 	}
 }
 
-// TestSecureScanCostAtBenchShape holds the row-packed extraction's gain
-// in tier-1: at bench/'s secure_scan shape (n=8, m=6, attrBits=4, k=2,
-// one link, a 512-bit key) a query takes exactly 91 C1↔C2 round trips
-// and — one ciphertext per record through extraction and reveal instead
-// of six — moves strictly fewer bytes than the 76568 the per-attribute
-// layout did (bench/baseline/ledger.json, c2_bytes_per_query).
+// TestSecureScanCostAtBenchShape guards bench/'s two secure_scan
+// counters in tier-1: at that workload's shape (n=8, m=6, attrBits=4,
+// k=2, one link, a 512-bit key) a query takes exactly 91 C1↔C2 round
+// trips and moves the 52394 bytes the benchmark reports as
+// c2_bytes_per_query. The byte count is the integers on the wire at
+// their minimal lengths, so a query falls a few bytes short of its
+// nominal size — one for every ciphertext or masked value that happens to
+// start with a zero byte, a handful in some four hundred — hence the
+// window: one ciphertext more or fewer is 130 bytes and lands outside it.
 func TestSecureScanCostAtBenchShape(t *testing.T) {
 	const n, m, attrBits, k = 8, 6, 4, 2
 	tbl, err := dataset.Generate(1, n, m, attrBits)
@@ -234,8 +237,8 @@ func TestSecureScanCostAtBenchShape(t *testing.T) {
 	if comm.Rounds != 91 {
 		t.Errorf("query took %d round trips, want 91", comm.Rounds)
 	}
-	if moved := comm.BytesSent + comm.BytesReceived; moved >= 76568 {
-		t.Errorf("query moved %d bytes between the clouds, want fewer than the per-attribute layout's 76568", moved)
+	if moved := comm.BytesSent + comm.BytesReceived; moved < 52394-32 || moved > 52394+32 {
+		t.Errorf("query moved %d bytes between the clouds, want 52394 give or take leading zero bytes", moved)
 	}
 }
 

@@ -11,9 +11,8 @@ import (
 
 // This file is the v2 query surface: one context-aware, options-based
 // entry point per shape (Query for a single query, QueryBatch for a
-// slice), replacing the five positional-argument v1 variants. See
-// docs/API.md for the v1→v2 migration table; the v1 metered methods
-// survive as deprecated wrappers in deprecated.go.
+// slice). docs/API.md documents it, with a migration table from the
+// positional-argument v1 methods it replaced.
 
 // Typed query errors. ErrClosed (sknn.go) completes the set.
 var (
@@ -44,10 +43,9 @@ type Result struct {
 	// leakage; SkNNm hides exactly this information, so secure results
 	// carry no ids (the field is nil).
 	IDs []uint64
-	// Metrics is the mode-matched phase breakdown (Basic set for
-	// ModeBasic, Secure for ModeSecure; on a sharded system Secure also
-	// carries the coordinator aggregate for basic queries). Nil when the
-	// query ran WithoutMetrics.
+	// Metrics is the phase breakdown: Secure is the coordinator's
+	// aggregate in either mode, Basic additionally set for ModeBasic (see
+	// QueryMetrics). Nil when the query ran WithoutMetrics.
 	Metrics *QueryMetrics
 }
 
@@ -56,7 +54,6 @@ type queryOptions struct {
 	k        int
 	mode     Mode
 	coverage float64 // candidate-pool factor; 0 = the system's configured value
-	workers  int     // per-query link-span override; 0 = system default
 	metrics  bool
 }
 
@@ -78,26 +75,14 @@ func WithMode(m Mode) QueryOption { return func(o *queryOptions) { o.mode = m } 
 // on an IndexClustered system and is ignored (harmlessly) elsewhere.
 func WithCoverage(c float64) QueryOption { return func(o *queryOptions) { o.coverage = c } }
 
-// WithWorkers caps how many pooled C1↔C2 links this one query spans —
-// the per-query override of Config.PerQueryWorkers. 0 (the default)
-// lets the scheduler decide. Like PerQueryWorkers it governs the
-// unsharded engine; sharded queries open one auto-sized session per
-// shard pool.
-func WithWorkers(w int) QueryOption { return func(o *queryOptions) { o.workers = w } }
-
 // WithoutMetrics skips attaching the per-query phase breakdown to the
 // Result (Result.Metrics stays nil) — for hot paths that would only
 // throw it away.
 func WithoutMetrics() QueryOption { return func(o *queryOptions) { o.metrics = false } }
 
-// newQueryOptions resolves opts over the system defaults.
-func (s *System) newQueryOptions(opts []QueryOption) queryOptions {
-	o := queryOptions{
-		k:       1,
-		mode:    ModeSecure,
-		workers: s.perQuery,
-		metrics: true,
-	}
+// newQueryOptions resolves opts over the defaults.
+func newQueryOptions(opts []QueryOption) queryOptions {
+	o := queryOptions{k: 1, mode: ModeSecure, metrics: true}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -126,9 +111,6 @@ func (s *System) validateQuery(q []uint64, o *queryOptions) error {
 	}
 	if o.coverage < 0 {
 		return fmt.Errorf("%w: negative coverage factor %g", ErrBadQuery, o.coverage)
-	}
-	if o.workers < 0 {
-		return fmt.Errorf("%w: negative per-query workers %d", ErrBadQuery, o.workers)
 	}
 	return nil
 }
@@ -174,16 +156,16 @@ func (s *System) Query(ctx context.Context, q []uint64, opts ...QueryOption) (*R
 		return nil, err
 	}
 	defer s.end()
-	o := s.newQueryOptions(opts)
+	o := newQueryOptions(opts)
 	return s.run(ctx, q, &o)
 }
 
 // QueryBatch answers len(queries) k-nearest-neighbor queries
-// concurrently over the shared connection pool and returns the results
-// in query order. Each query runs in its own protocol session; with b
-// queries over w Workers the scheduler gives each session ⌊w/b⌋
-// connections (at least one), so batches trade single-query latency for
-// aggregate throughput — WithWorkers overrides that width per query.
+// concurrently over the shared connection pools and returns the results
+// in query order. Each query runs in its own protocol sessions, which
+// the scheduler narrows as the pools fill — toward one connection per
+// query — so batches trade single-query latency for aggregate
+// throughput.
 //
 // The context covers the whole batch: canceling it aborts every query
 // still running (each fails with ErrCanceled). On failure the result
@@ -201,15 +183,7 @@ func (s *System) QueryBatch(ctx context.Context, queries [][]uint64, opts ...Que
 		return nil, err
 	}
 	defer s.end()
-	o := s.newQueryOptions(opts)
-	if o.workers == 0 {
-		// Auto width: an even share of the pool per query, so batch
-		// throughput scales with concurrency instead of thrashing.
-		o.workers = s.Workers() / len(queries)
-		if o.workers < 1 {
-			o.workers = 1
-		}
-	}
+	o := newQueryOptions(opts)
 
 	// Bound in-flight sessions: more than 2× the pool size only piles
 	// queued frames onto the links without adding throughput.
@@ -245,8 +219,7 @@ func (s *System) QueryBatch(ctx context.Context, queries [][]uint64, opts ...Que
 }
 
 // run answers one query under an already-registered begin/end pair:
-// validate, encrypt, execute on the unsharded engine or the
-// scatter-gather coordinator, unmask.
+// validate, encrypt, execute on the coordinator, unmask.
 func (s *System) run(ctx context.Context, q []uint64, o *queryOptions) (*Result, error) {
 	if err := s.validateQuery(q, o); err != nil {
 		return nil, err
@@ -270,38 +243,19 @@ func (s *System) run(ctx context.Context, q []uint64, o *queryOptions) (*Result,
 
 	var (
 		res *core.MaskedResult
-		qm  = &QueryMetrics{}
+		sm  *SecureMetrics
 	)
-	if s.coord != nil {
-		var sm *SecureMetrics
-		if o.mode == ModeBasic {
-			res, sm, err = s.coord.BasicQueryMetered(ctx, eq, o.k)
-			if err == nil {
-				qm.Basic = &BasicMetrics{Total: sm.Total, Distance: sm.Distance, Comm: sm.Comm}
-			}
-		} else {
-			res, sm, err = s.coord.SecureQueryMetered(ctx, eq, o.k, s.domainBits, target)
-		}
-		qm.Secure = sm
+	if o.mode == ModeBasic {
+		res, sm, err = s.coord.BasicQuery(ctx, eq, o.k)
 	} else {
-		sess, serr := s.c1.NewSession(ctx, o.workers)
-		if serr != nil {
-			return nil, serr
-		}
-		defer sess.Close()
-		switch o.mode {
-		case ModeBasic:
-			res, qm.Basic, err = sess.BasicQueryMetered(eq, o.k)
-		case ModeSecure:
-			if s.index == IndexClustered {
-				res, qm.Secure, err = sess.SecureQueryClusteredMetered(eq, o.k, s.domainBits, target)
-			} else {
-				res, qm.Secure, err = sess.SecureQueryMetered(eq, o.k, s.domainBits)
-			}
-		}
+		res, sm, err = s.coord.SecureQuery(ctx, eq, o.k, s.domainBits, target)
 	}
 	if err != nil {
 		return nil, err
+	}
+	qm := &QueryMetrics{Secure: sm}
+	if o.mode == ModeBasic {
+		qm.Basic = &BasicMetrics{Total: sm.Total, Distance: sm.Distance, Rank: sm.Select, Reveal: sm.Reveal, Comm: sm.Comm}
 	}
 	rows, err := s.client.Unmask(res)
 	if err != nil {

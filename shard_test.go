@@ -15,7 +15,7 @@ import (
 // TestShardedQueryMatchesOracle is the facade acceptance for the
 // scatter-gather engine: in both index modes and both protocols, a
 // sharded System answers exactly the plaintext oracle (and therefore
-// exactly the unsharded System, which the rest of the suite pins to the
+// exactly the one-shard System, which the rest of the suite pins to the
 // same oracle).
 func TestShardedQueryMatchesOracle(t *testing.T) {
 	const attrBits, k = 5, 3
@@ -376,40 +376,67 @@ func TestShardedBatchMetered(t *testing.T) {
 	}
 }
 
-// TestBatchMeteredUnsharded covers the satellite on the single-engine
-// path for both modes (QueryBatch used to discard per-query metrics).
-func TestBatchMeteredUnsharded(t *testing.T) {
+// TestQueryMetricsOneRule pins the one rule Result.Metrics follows on
+// every topology, single query or batch: Secure is the coordinator's
+// aggregate in both modes — Shards the partition width, 0 for a table
+// served whole — and a basic query additionally carries SkNNb's own
+// phases, all of them timed.
+func TestQueryMetricsOneRule(t *testing.T) {
 	const attrBits, k = 4, 2
 	tbl, err := dataset.Generate(561, 10, 2, attrBits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := New(tbl.Rows, attrBits, Config{Key: facadeKey(), Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
 	queries := [][]uint64{{3, 3}, {12, 1}}
-	basic, err := sys.QueryBatch(context.Background(), queries, WithK(k), WithMode(ModeBasic))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range basic {
-		if res == nil || res.Metrics == nil || res.Metrics.Basic == nil || res.Metrics.Basic.Total <= 0 {
-			t.Fatalf("basic query %d metrics missing: %+v", i, res)
-		}
-		if res.Metrics.Secure != nil {
-			t.Errorf("basic query %d unexpectedly carries secure metrics", i)
-		}
-	}
-	secure, err := sys.QueryBatch(context.Background(), queries, WithK(k), WithMode(ModeSecure))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range secure {
-		if res == nil || res.Metrics == nil || res.Metrics.Secure == nil || res.Metrics.Secure.SMINCount == 0 {
-			t.Fatalf("secure query %d metrics missing: %+v", i, res)
-		}
+	for _, topo := range []struct {
+		name             string
+		shards, replicas int
+		partitions       int // what SecureMetrics.Shards reports
+	}{{"1x1", 1, 1, 0}, {"1x2", 1, 2, 0}, {"2x1", 2, 1, 2}} {
+		t.Run(topo.name, func(t *testing.T) {
+			sys, err := New(tbl.Rows, attrBits, Config{Key: facadeKey(), Workers: 2, Shards: topo.shards, Replicas: topo.replicas})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			for _, mode := range []Mode{ModeBasic, ModeSecure} {
+				single, err := sys.Query(context.Background(), queries[0], WithK(k), WithMode(mode))
+				if err != nil {
+					t.Fatal(err)
+				}
+				batch, err := sys.QueryBatch(context.Background(), queries, WithK(k), WithMode(mode))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, res := range append([]*Result{single}, batch...) {
+					if res == nil || res.Metrics == nil || res.Metrics.Secure == nil {
+						t.Fatalf("%v result %d: metrics missing: %+v", mode, i, res)
+					}
+					sm, bm := res.Metrics.Secure, res.Metrics.Basic
+					if sm.Shards != topo.partitions {
+						t.Errorf("%v result %d: Secure.Shards = %d, want %d", mode, i, sm.Shards, topo.partitions)
+					}
+					if sm.Total <= 0 || sm.Scatter <= 0 || sm.Merge <= 0 || sm.Reveal <= 0 || sm.Comm.Rounds == 0 {
+						t.Errorf("%v result %d: coordinator aggregate incomplete: %+v", mode, i, sm)
+					}
+					if mode == ModeSecure {
+						if bm != nil {
+							t.Errorf("secure result %d carries basic metrics", i)
+						}
+						if sm.SMINCount == 0 || sm.Candidates != tbl.N() {
+							t.Errorf("secure result %d: counters %+v", i, sm)
+						}
+						continue
+					}
+					if bm == nil || bm.Total <= 0 || bm.Distance <= 0 || bm.Rank <= 0 || bm.Reveal <= 0 {
+						t.Fatalf("basic result %d: phases not all timed: %+v", i, bm)
+					}
+					if bm.Comm != sm.Comm || bm.Total != sm.Total {
+						t.Errorf("basic result %d: Basic %+v not read off the aggregate %+v", i, bm, sm)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -86,11 +86,12 @@ type (
 )
 
 // QueryMetrics is the per-query phase breakdown attached to every
-// Result (unless the query ran WithoutMetrics). Basic is set for
-// ModeBasic queries, Secure for ModeSecure; on a sharded system Secure
-// is additionally set for ModeBasic, carrying the coordinator's
-// aggregate (scatter/merge split, summed shard counters, merge
-// traffic).
+// Result (unless the query ran WithoutMetrics), the same on every
+// topology. Secure is the coordinator's aggregate for the query in
+// either mode: scatter/merge split, summed shard counters and traffic,
+// the partition width (0 when the table is served whole). Basic is
+// additionally set for ModeBasic queries: SkNNb's own three phases read
+// off that aggregate.
 type QueryMetrics struct {
 	Basic  *BasicMetrics
 	Secure *SecureMetrics
@@ -106,22 +107,13 @@ type Config struct {
 	// 1024. Default 512.
 	KeyBits int
 	// Workers is the number of parallel C1↔C2 connections per link pool
-	// (the paper's Section 5.3 parallelization). Unsharded, this is the
-	// single pool all queries share; sharded, every shard worker gets
+	// (the paper's Section 5.3 parallelization): every shard worker gets
 	// its own pool of this width and the coordinator another for the
-	// merge phase. Default 1 (serial).
+	// merge and reveal. A query arriving on an idle pool spans every
+	// connection (lowest latency, the paper's parallel variant); queries
+	// arriving under concurrent load get an even share of it, so
+	// throughput scales with concurrency instead. Default 1 (serial).
 	Workers int
-	// PerQueryWorkers caps how many pooled connections a single query
-	// may span. 0 (the default) lets the scheduler decide: a query
-	// arriving on an idle system spans every connection (lowest
-	// latency, the paper's parallel variant), while queries arriving
-	// under concurrent load get an even share of the pool so throughput
-	// scales with concurrency instead. Set to 1 to always favor
-	// throughput, or to Workers to always favor latency. Applies to the
-	// unsharded engine only: sharded queries open one auto-sized
-	// session per shard pool (plus one on the coordinator's), so the
-	// scheduler's load-based split governs them throughout.
-	PerQueryWorkers int
 	// Shards splits the encrypted table into this many partitions, each
 	// owned by an independent C1 shard worker with its own link pool to
 	// C2, and plans every query as scatter (each shard runs the
@@ -129,7 +121,8 @@ type Config struct {
 	// an encrypted shard-local top-k) then gather (a secure SMINn-based
 	// merge over the s·k candidates yields the exact global top-k).
 	// Records are partitioned by stable id mod Shards; mutations route
-	// to the owning shard. 0 or 1 = unsharded. Requires Shards ≤ n.
+	// to the owning shard. 0 or 1 = one worker holds the whole table and
+	// the gather has nothing to merge. Requires Shards ≤ n.
 	Shards int
 	// Replicas runs every shard partition on R interchangeable workers
 	// sharing one ciphertext table, each with its own link pool to C2.
@@ -139,8 +132,7 @@ type Config struct {
 	// failed query (SecureMetrics.Failovers counts the requeues).
 	// Replication is free at the data layer: replicas serve the same
 	// Paillier ciphertexts, so R changes capacity and availability, not
-	// the security argument. 0 or 1 = unreplicated. Replicas > 1 routes
-	// through the scatter-gather coordinator even when Shards ≤ 1.
+	// the security argument. 0 or 1 = unreplicated.
 	Replicas int
 	// Random overrides the randomness source (default crypto/rand).
 	// Queries run concurrently, so the reader is shared across
@@ -219,19 +211,22 @@ func (l *lockedReader) Read(p []byte) (int, error) {
 //
 // A System is safe for concurrent use: any number of Query and
 // QueryBatch calls may be in flight at once. Each query runs in its own
-// session multiplexed over the Workers connections to C2, so concurrent
-// queries share the pool instead of serializing behind a global lock.
-// Every query takes a context.Context; canceling it aborts the query
-// within one protocol round and releases its pooled links (see Query).
+// sessions multiplexed over the Workers connections of each pool to C2,
+// so concurrent queries share the pools instead of serializing behind a
+// global lock. Every query takes a context.Context; canceling it aborts
+// the query within one protocol round and releases its pooled links (see
+// Query).
 //
-// With Config.Shards > 1 the table is partitioned across independent
-// shard workers and every query runs scatter-gather: shard-local secure
-// scans in parallel, then a secure merge at the coordinator. Results
-// are exactly the unsharded results in both index modes.
+// There is one engine on every topology: C1 is a coordinator over
+// Config.Shards workers (each replicated Config.Replicas times), and
+// every query runs scatter-gather — shard-local scans in parallel, then
+// a secure merge and the reveal at the coordinator. The paper's single
+// C1 is the default, one worker holding the whole table, where the
+// gather has nothing to merge. Results are the same on every topology
+// in both index modes.
 type System struct {
 	sk     *paillier.PrivateKey
-	c1     *core.CloudC1   // unsharded engine (nil when sharded)
-	coord  *core.ShardedC1 // sharded coordinator (nil when unsharded)
+	coord  *core.ShardedC1 // the engine every query enters through
 	shards []*core.CloudC1 // every shard worker behind coord, all replicas flat
 	// shardGroups is the S×R replica topology behind coord: shardGroups[i]
 	// holds shard i's replicas, which share one ciphertext table (a
@@ -245,7 +240,6 @@ type System struct {
 	attrBits    int // per-attribute domain, bounds Insert values
 	m           int
 	featureM    int // distance-relevant prefix; queries carry this many attributes
-	perQuery    int
 	index       IndexMode
 	cfgClusters int     // requested cluster count (0 = ⌈√n⌉), reused by Compact rebuilds
 	coverage    float64 // candidate-pool factor when index == IndexClustered
@@ -405,9 +399,10 @@ func enableFixedBase(sk *paillier.PrivateKey, random io.Reader) error {
 // assemble stands up the federated cloud around an already-encrypted
 // table: the shared back half of New (fresh encryption) and LoadTable
 // (snapshot reload — note no encryption happens here, which is what
-// keeps the load path encrypt-free). With cfg.Shards > 1 the table is
-// split by stable id mod Shards — pure ciphertext-pointer shuffling —
-// and a scatter-gather coordinator stood up over the shard workers.
+// keeps the load path encrypt-free). It always builds the same thing —
+// shard workers, replica sets when cfg.Replicas > 1, a coordinator over
+// them. One shard serves encTable as it stands; more split it by stable
+// id mod Shards, pure ciphertext-pointer shuffling.
 func assemble(sk *paillier.PrivateKey, encTable *core.EncryptedTable, attrBits, domainBits int, cfg Config, random io.Reader) (*System, error) {
 	index := IndexNone
 	if encTable.Clustered() {
@@ -421,7 +416,7 @@ func assemble(sk *paillier.PrivateKey, encTable *core.EncryptedTable, attrBits, 
 		attrBits:    attrBits,
 		m:           encTable.M(),
 		featureM:    encTable.FeatureM(),
-		perQuery:    cfg.PerQueryWorkers,
+		replicas:    cfg.Replicas,
 		index:       index,
 		cfgClusters: cfg.Clusters,
 		coverage:    cfg.Coverage,
@@ -472,29 +467,25 @@ func assemble(sk *paillier.PrivateKey, encTable *core.EncryptedTable, attrBits, 
 		return nil, err
 	}
 
-	sys.replicas = cfg.Replicas
-	if cfg.Shards <= 1 && cfg.Replicas <= 1 {
-		var err error
-		sys.c1, err = core.NewCloudC1(encTable, newConns(cfg.Workers), random)
+	// One table per shard, shared by all its replicas: a replica is an
+	// independent worker (own link pool to C2) over the same ciphertexts.
+	// A lone shard keeps encTable itself — no copy, and the packed
+	// renderings it has memoized stay warm.
+	tables := []*core.EncryptedTable{encTable}
+	if cfg.Shards > 1 {
+		parts, err := encTable.Snapshot().Split(cfg.Shards)
 		if err != nil {
-			return fail(fmt.Errorf("sknn: wiring clouds: %w", err))
+			return fail(fmt.Errorf("sknn: sharding table: %w", err))
 		}
-		return sys, nil
-	}
-
-	parts, err := encTable.Snapshot().Split(cfg.Shards)
-	if err != nil {
-		return fail(fmt.Errorf("sknn: sharding table: %w", err))
+		tables = make([]*core.EncryptedTable, cfg.Shards)
+		for i, part := range parts {
+			if tables[i], err = core.RestoreTable(&sk.PublicKey, part); err != nil {
+				return fail(fmt.Errorf("sknn: shard %d table: %w", i, err))
+			}
+		}
 	}
 	workers := make([]core.Shard, cfg.Shards)
-	for i, part := range parts {
-		// One restored table per shard, shared by all its replicas: a
-		// replica is an independent worker (own link pool to C2) over the
-		// same ciphertext snapshot.
-		shardTable, err := core.RestoreTable(&sk.PublicKey, part)
-		if err != nil {
-			return fail(fmt.Errorf("sknn: shard %d table: %w", i, err))
-		}
+	for i, shardTable := range tables {
 		group := make([]*core.CloudC1, cfg.Replicas)
 		members := make([]core.Shard, cfg.Replicas)
 		for r := 0; r < cfg.Replicas; r++ {
@@ -518,6 +509,7 @@ func assemble(sk *paillier.PrivateKey, encTable *core.EncryptedTable, attrBits, 
 			workers[i] = rs
 		}
 	}
+	var err error
 	sys.coord, err = core.NewShardedC1(workers, newConns(cfg.Workers), &sk.PublicKey, random)
 	if err != nil {
 		return fail(fmt.Errorf("sknn: wiring coordinator: %w", err))
@@ -525,13 +517,9 @@ func assemble(sk *paillier.PrivateKey, encTable *core.EncryptedTable, attrBits, 
 	return sys, nil
 }
 
-// tables lists the live table(s): one unsharded, or one per shard
-// partition (replicas of a shard share their table, so each partition
-// contributes exactly one).
+// tables lists the live tables, one per shard partition (replicas of a
+// shard share their table, so each partition contributes exactly one).
 func (s *System) tables() []*core.EncryptedTable {
-	if s.c1 != nil {
-		return []*core.EncryptedTable{s.c1.Table()}
-	}
 	out := make([]*core.EncryptedTable, len(s.shardGroups))
 	for i, group := range s.shardGroups {
 		out[i] = group[0].Table()
@@ -543,9 +531,6 @@ func (s *System) tables() []*core.EncryptedTable {
 // partition (id mod S). Replicas share the partition's table, so any
 // live one serves mutations and routing sessions equally.
 func (s *System) shardFor(id uint64) *core.CloudC1 {
-	if s.c1 != nil {
-		return s.c1
-	}
 	return s.liveReplica(int(id % uint64(len(s.shardGroups))))
 }
 
@@ -585,40 +570,19 @@ func (s *System) DomainBits() int { return s.domainBits }
 func (s *System) PublicKey() *paillier.PublicKey { return &s.sk.PublicKey }
 
 // Workers reports the configured parallelism per link pool.
-func (s *System) Workers() int {
-	if s.c1 != nil {
-		return s.c1.Workers()
-	}
-	return s.shards[0].Workers()
-}
+func (s *System) Workers() int { return s.shards[0].Workers() }
 
-// Shards reports the partition width: 1 unsharded, Config.Shards
-// otherwise.
-func (s *System) Shards() int {
-	if s.c1 != nil {
-		return 1
-	}
-	return len(s.shardGroups)
-}
+// Shards reports the partition width (1 when the table is served whole).
+func (s *System) Shards() int { return len(s.shardGroups) }
 
 // Replicas reports the replication factor per shard partition (1 when
 // unreplicated).
-func (s *System) Replicas() int {
-	if s.replicas < 1 {
-		return 1
-	}
-	return s.replicas
-}
+func (s *System) Replicas() int { return s.replicas }
 
 // ReplicaStats reports each replicated partition's health: per-replica
 // inflight/dead state plus the retry and failover counters. Empty when
 // the system is not replicated.
-func (s *System) ReplicaStats() []core.ReplicaStats {
-	if s.coord == nil {
-		return nil
-	}
-	return s.coord.ReplicaStats()
-}
+func (s *System) ReplicaStats() []core.ReplicaStats { return s.coord.ReplicaStats() }
 
 // CloseReplica takes one replica of one shard partition out of service:
 // its link pool drains and closes, so scans in flight on it finish and
@@ -628,7 +592,7 @@ func (s *System) ReplicaStats() []core.ReplicaStats {
 // the same replica twice is a no-op; closing on an unreplicated system
 // is an error.
 func (s *System) CloseReplica(shard, replica int) error {
-	if s.coord == nil || s.Replicas() < 2 {
+	if s.Replicas() < 2 {
 		return fmt.Errorf("sknn: CloseReplica on an unreplicated system")
 	}
 	if shard < 0 || shard >= len(s.shardGroups) || replica < 0 || replica >= s.Replicas() {
@@ -667,9 +631,6 @@ func (s *System) FeatureM() int { return s.featureM }
 // CommStats reports cumulative C1↔C2 traffic over every link pool
 // (shard workers and coordinator included).
 func (s *System) CommStats() mpc.StatsSnapshot {
-	if s.c1 != nil {
-		return s.c1.CommStats()
-	}
 	total := s.coord.CommStats()
 	for _, sh := range s.shards {
 		total = total.Add(sh.CommStats())
@@ -706,15 +667,7 @@ func (s *System) Close() error {
 	s.closed = true
 	s.mu.Unlock()
 	s.inflight.Wait()
-	var first error
-	if s.coord != nil {
-		first = s.coord.Close()
-	}
-	if s.c1 != nil {
-		if err := s.c1.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
+	first := s.coord.Close()
 	for _, sh := range s.shards {
 		if err := sh.Close(); err != nil && first == nil {
 			first = err
