@@ -67,6 +67,7 @@ fuzz-smoke:
 	go test -fuzz=FuzzKeyRead -fuzztime=15s ./internal/store
 	go test -fuzz=FuzzFrameDecode -fuzztime=20s ./internal/mpc
 	go test -fuzz=FuzzShardFrame -fuzztime=20s ./internal/core
+	go test -fuzz=FuzzResponderFrame -fuzztime=20s ./internal/smc
 	go test -fuzz=FuzzGateResult -fuzztime=20s ./internal/gateway
 	go test -fuzz=FuzzPackDecode -fuzztime=20s ./internal/paillier
 	go test -fuzz=FuzzFixedBaseExp -fuzztime=20s ./internal/paillier

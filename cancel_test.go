@@ -341,21 +341,3 @@ func TestResultIDs(t *testing.T) {
 		}
 	}
 }
-
-// TestWithoutMetrics checks the opt-out: the query runs, the breakdown
-// is simply not attached.
-func TestWithoutMetrics(t *testing.T) {
-	tbl, _ := dataset.Generate(761, 6, 2, 3)
-	sys := newTestSystem(t, tbl.Rows, 3, 1)
-	q, _ := dataset.GenerateQuery(762, 2, 3)
-	res, err := sys.Query(context.Background(), q, WithK(1), WithMode(ModeBasic), WithoutMetrics())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics != nil {
-		t.Error("WithoutMetrics still attached metrics")
-	}
-	if len(res.Rows) != 1 {
-		t.Errorf("got %d rows, want 1", len(res.Rows))
-	}
-}

@@ -101,11 +101,11 @@ func queryCtx() (context.Context, context.CancelFunc) {
 }
 
 // runQuery answers one throwaway benchmark query through the v2 API,
-// honoring -timeout and skipping the metrics the caller would discard.
+// honoring -timeout.
 func runQuery(sys *sknn.System, q []uint64, k int, mode sknn.Mode) error {
 	ctx, cancel := queryCtx()
 	defer cancel()
-	_, err := sys.Query(ctx, q, sknn.WithK(k), sknn.WithMode(mode), sknn.WithoutMetrics())
+	_, err := sys.Query(ctx, q, sknn.WithK(k), sknn.WithMode(mode))
 	return err
 }
 

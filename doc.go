@@ -30,7 +30,7 @@
 // errors.Is(err, sknn.ErrCanceled) as well as errors.Is against the
 // context's own error. Bad requests fail fast with sknn.ErrBadQuery
 // before any Paillier work. See docs/API.md for the options
-// (WithK/WithMode/WithCoverage/WithoutMetrics).
+// (WithK/WithMode/WithCoverage).
 //
 // A System is safe for concurrent use. Each query runs in its own
 // protocol sessions multiplexed over the Config.Workers C1↔C2

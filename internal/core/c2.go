@@ -21,7 +21,6 @@ type CloudC2 struct {
 	resp   *smc.Responder
 	sk     *paillier.PrivateKey
 	random io.Reader
-	pool   *paillier.RandomizerPool // optional precomputed-nonce pool
 }
 
 // NewCloudC2 builds the key cloud from Alice's secret key. If random is
@@ -31,22 +30,6 @@ func NewCloudC2(sk *paillier.PrivateKey, random io.Reader) *CloudC2 {
 		random = rand.Reader
 	}
 	return &CloudC2{resp: smc.NewResponder(sk, random), sk: sk, random: random}
-}
-
-// UsePool makes all of C2's reply encryptions draw nonces from a
-// precomputed-randomizer pool — the biggest single optimization for the
-// key cloud, quantified by BenchmarkAblationRandomizerPool.
-func (c *CloudC2) UsePool(pool *paillier.RandomizerPool) {
-	c.pool = pool
-	c.resp.UsePool(pool)
-}
-
-// encrypt produces a fresh encryption, via the pool when configured.
-func (c *CloudC2) encrypt(m *big.Int) (*paillier.Ciphertext, error) {
-	if c.pool != nil {
-		return c.pool.Encrypt(m)
-	}
-	return c.sk.Encrypt(c.random, m)
 }
 
 // Mux returns a dispatcher with both the smc primitive handlers and the
@@ -178,7 +161,7 @@ func (c *CloudC2) handleMinSelect(req *mpc.Message) (*mpc.Message, error) {
 		if i == chosen {
 			bit = 1
 		}
-		ct, err := c.encrypt(new(big.Int).SetUint64(bit))
+		ct, err := c.sk.Encrypt(c.random, new(big.Int).SetUint64(bit))
 		if err != nil {
 			return nil, fmt.Errorf("core: min-select encrypt U[%d]: %w", i, err)
 		}

@@ -4,10 +4,13 @@ import (
 	"crypto/rand"
 	"errors"
 	"math/big"
+	"reflect"
+	"strings"
 	"testing"
 
 	"sknn/internal/mpc"
 	"sknn/internal/paillier"
+	"sknn/internal/smc"
 )
 
 // handlerMux returns the C2 dispatch mux for direct handler-level tests.
@@ -192,5 +195,45 @@ func TestHandleRevealDecrypts(t *testing.T) {
 	}
 	if _, err := mux.Handle(&mpc.Message{Op: OpReveal, Ints: []*big.Int{big.NewInt(0)}}); err == nil {
 		t.Error("garbage reveal accepted")
+	}
+}
+
+// TestCloudC2OpcodeSet pins the key cloud's attack surface to the opcode
+// table in docs/PROTOCOLS.md: exactly these handlers are reachable by a
+// C1 peer, the retired opcodes 20 and 22 are not among them, and a frame
+// carrying one is answered with an OpError naming the unknown opcode
+// while the serve loop carries on.
+func TestCloudC2OpcodeSet(t *testing.T) {
+	sk := testKey()
+	c2 := NewCloudC2(sk, nil)
+	want := []mpc.Op{
+		mpc.OpPing,
+		smc.OpSM, smc.OpSBDLsb, smc.OpSBDVerify, smc.OpSMIN,
+		smc.OpSMPack, smc.OpSSEDPack, smc.OpSBDPackBit,
+		OpRank, OpReveal, OpMinSelect, OpHello, OpMinIndex,
+	}
+	if got := c2.Mux().Ops(); !reflect.DeepEqual(got, want) {
+		t.Errorf("C2 serves opcodes %v, want %v", got, want)
+	}
+
+	c1Side, c2Side := mpc.ChanPipe()
+	done := make(chan error, 1)
+	go func() { done <- c2.Serve(c2Side) }()
+	for _, retired := range []mpc.Op{20, 22} {
+		// The shape of the last frame opcode 22 carried: [count, valueBits, group].
+		_, err := mpc.RoundTrip(c1Side, &mpc.Message{Op: retired, Ints: []*big.Int{big.NewInt(1), big.NewInt(8), encRaw(t, sk, 3)}})
+		var remote *mpc.RemoteError
+		if !errors.As(err, &remote) || !strings.Contains(remote.Msg, mpc.ErrUnknownOp.Error()) {
+			t.Errorf("opcode %d answered %v, want a remote %q", retired, err, mpc.ErrUnknownOp)
+		}
+	}
+	if _, err := mpc.RoundTrip(c1Side, &mpc.Message{Op: mpc.OpPing}); err != nil {
+		t.Errorf("serve loop did not survive the retired opcodes: %v", err)
+	}
+	if err := mpc.SendClose(c1Side); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Errorf("C2 serve loop: %v", err)
 	}
 }

@@ -78,9 +78,6 @@ func openSession(ctx context.Context, pool *linkPool, width int, view *tableView
 	return s, nil
 }
 
-// Context returns the context the session was opened under.
-func (s *QuerySession) Context() context.Context { return s.ctx }
-
 // ctxErr reports the session's cancellation state — the between-rounds
 // check every protocol loop runs so a canceled query stops scheduling
 // new work instead of finishing the scan it started.

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"math/big"
 	"sync"
 
 	"sknn/internal/paillier"
@@ -168,26 +167,6 @@ func EncryptTable(random io.Reader, pk *paillier.PublicKey, rows [][]uint64) (*E
 			return nil, fmt.Errorf("core: encrypting row %d: %w", i, err)
 		}
 		records[i] = rec
-	}
-	return newTable(pk, records, m), nil
-}
-
-// NewEncryptedTable wraps already-encrypted records (e.g. loaded from
-// disk or received over the wire) after validating rectangularity.
-func NewEncryptedTable(pk *paillier.PublicKey, records []EncryptedRecord) (*EncryptedTable, error) {
-	if len(records) == 0 || len(records[0]) == 0 {
-		return nil, fmt.Errorf("core: empty table")
-	}
-	m := len(records[0])
-	for i, rec := range records {
-		if len(rec) != m {
-			return nil, fmt.Errorf("core: record %d has %d attributes, want %d", i, len(rec), m)
-		}
-		for j, ct := range rec {
-			if ct == nil {
-				return nil, fmt.Errorf("core: record %d attribute %d is nil", i, j)
-			}
-		}
 	}
 	return newTable(pk, records, m), nil
 }
@@ -867,39 +846,4 @@ func RestoreTable(pk *paillier.PublicKey, snap *TableSnapshot) (*EncryptedTable,
 		t.index = &clusterIndex{centroids: snap.Centroids, members: snap.Members, packs: &rowPacks{}}
 	}
 	return t, nil
-}
-
-// MarshalRecords serializes the table's stored ciphertexts as raw
-// big.Ints (row-major, tombstones included). Kept for the legacy gob
-// interchange; the snapshot format in internal/store is the durable
-// serialization and also carries ids, tombstones, and the index.
-func (t *EncryptedTable) MarshalRecords() [][]*big.Int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([][]*big.Int, len(t.records))
-	for i, rec := range t.records {
-		row := make([]*big.Int, len(rec))
-		for j, ct := range rec {
-			row[j] = ct.Raw()
-		}
-		out[i] = row
-	}
-	return out
-}
-
-// UnmarshalRecords reverses MarshalRecords, validating every element.
-func UnmarshalRecords(pk *paillier.PublicKey, rows [][]*big.Int) (*EncryptedTable, error) {
-	records := make([]EncryptedRecord, len(rows))
-	for i, row := range rows {
-		rec := make(EncryptedRecord, len(row))
-		for j, v := range row {
-			ct, err := pk.FromRaw(v)
-			if err != nil {
-				return nil, fmt.Errorf("core: row %d attr %d: %w", i, j, err)
-			}
-			rec[j] = ct
-		}
-		records[i] = rec
-	}
-	return NewEncryptedTable(pk, records)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"crypto/rand"
-	"math/big"
 	"sync"
 	"testing"
 
@@ -36,51 +35,6 @@ func TestEncryptTableValidation(t *testing.T) {
 	}
 	if _, err := EncryptTable(rand.Reader, &sk.PublicKey, [][]uint64{{1, 2}, {3}}); err == nil {
 		t.Error("ragged table accepted")
-	}
-}
-
-func TestNewEncryptedTableValidation(t *testing.T) {
-	sk := testKey()
-	pk := &sk.PublicKey
-	good, err := EncryptTable(rand.Reader, pk, [][]uint64{{1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewEncryptedTable(pk, nil); err == nil {
-		t.Error("nil records accepted")
-	}
-	ragged := []EncryptedRecord{good.Record(0), good.Record(0)[:1]}
-	if _, err := NewEncryptedTable(pk, ragged); err == nil {
-		t.Error("ragged records accepted")
-	}
-	withNil := []EncryptedRecord{{good.Record(0)[0], nil}}
-	if _, err := NewEncryptedTable(pk, withNil); err == nil {
-		t.Error("nil ciphertext accepted")
-	}
-}
-
-func TestTableMarshalRoundTrip(t *testing.T) {
-	sk := testKey()
-	rows := [][]uint64{{7, 8}, {9, 10}, {11, 12}}
-	tbl, err := EncryptTable(rand.Reader, &sk.PublicKey, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := tbl.MarshalRecords()
-	back, err := UnmarshalRecords(&sk.PublicKey, raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rows {
-		for j := range rows[i] {
-			m, err := sk.Decrypt(back.Record(i)[j])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if m.Uint64() != rows[i][j] {
-				t.Errorf("cell (%d,%d) = %v, want %d", i, j, m, rows[i][j])
-			}
-		}
 	}
 }
 
@@ -355,10 +309,7 @@ func TestPackedRenderingsConcurrentMutation(t *testing.T) {
 		}
 		return rec
 	}
-	tbl, err := NewEncryptedTable(pk, []EncryptedRecord{row(0), row(1), row(2), row(3)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := newTable(pk, []EncryptedRecord{row(0), row(1), row(2), row(3)}, 2)
 	layout := rowLayoutFor(pk, 2, l)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -436,18 +387,5 @@ func TestSnapshotRestoreRejectsBadState(t *testing.T) {
 	badPartition.Members = [][]int{{0}} // record 1 missing from the partition
 	if _, err := RestoreTable(&sk.PublicKey, badPartition); err == nil {
 		t.Error("incomplete cluster partition accepted")
-	}
-}
-
-func TestUnmarshalRecordsRejectsGarbage(t *testing.T) {
-	sk := testKey()
-	// Zero is outside the ciphertext group (0, N²).
-	bad := [][]*big.Int{{big.NewInt(0)}}
-	if _, err := UnmarshalRecords(&sk.PublicKey, bad); err == nil {
-		t.Error("invalid ciphertext accepted")
-	}
-	tooBig := [][]*big.Int{{new(big.Int).Set(sk.NSquared)}}
-	if _, err := UnmarshalRecords(&sk.PublicKey, tooBig); err == nil {
-		t.Error("out-of-group ciphertext accepted")
 	}
 }

@@ -12,7 +12,7 @@
 //
 // A file with role c1 or client must not reference key material at
 // all: the PrivateKey or smc Responder types, or any
-// Decrypt/DecryptVector/SK call. The manifest is checked both ways
+// Decrypt/DecryptSigned/SK call. The manifest is checked both ways
 // (missing file, stale entry), so the boundary declaration cannot rot.
 //
 // Taint flow. Within role-carrying files, a forward taint analysis
@@ -66,7 +66,6 @@ var pragmaRE = regexp.MustCompile(`^//sknnlint:role\s+(\S+)\s*$`)
 var decryptNames = map[string]bool{
 	"Decrypt":       true,
 	"DecryptSigned": true,
-	"DecryptVector": true,
 }
 
 // keyBan are the identifiers a c1/client-role file may not reference:

@@ -61,16 +61,6 @@ func (pk *PublicKey) FromRaw(v *big.Int) (*Ciphertext, error) {
 	return &Ciphertext{c: new(big.Int).Set(v)}, nil
 }
 
-// MustFromRaw is FromRaw for values already known to be valid (internal
-// composition of results of other homomorphic ops). It panics on nil.
-func (pk *PublicKey) MustFromRaw(v *big.Int) *Ciphertext {
-	ct, err := pk.FromRaw(v)
-	if err != nil {
-		panic(err)
-	}
-	return ct
-}
-
 // Add returns E(a+b mod N) = E(a)*E(b) mod N².
 func (pk *PublicKey) Add(a, b *Ciphertext) *Ciphertext {
 	c := new(big.Int).Mul(a.c, b.c)
@@ -205,38 +195,16 @@ func (pk *PublicKey) mulNoncePower(a *Ciphertext, rn *big.Int) *Ciphertext {
 	return &Ciphertext{c: rn}
 }
 
-// EncryptVector encrypts each component of v attribute-wise, the way the
-// data owner encrypts a record and Bob encrypts a query.
-func (pk *PublicKey) EncryptVector(random io.Reader, v []*big.Int) ([]*Ciphertext, error) {
+// EncryptUint64Vector encrypts each component of v attribute-wise, the
+// way the data owner encrypts a record and Bob encrypts a query.
+func (pk *PublicKey) EncryptUint64Vector(random io.Reader, v []uint64) ([]*Ciphertext, error) {
 	out := make([]*Ciphertext, len(v))
-	for i, m := range v {
-		ct, err := pk.Encrypt(random, m)
+	for i, x := range v {
+		ct, err := pk.Encrypt(random, new(big.Int).SetUint64(x))
 		if err != nil {
 			return nil, fmt.Errorf("paillier: encrypting component %d: %w", i, err)
 		}
 		out[i] = ct
-	}
-	return out, nil
-}
-
-// EncryptUint64Vector encrypts a vector of machine integers.
-func (pk *PublicKey) EncryptUint64Vector(random io.Reader, v []uint64) ([]*Ciphertext, error) {
-	bigs := make([]*big.Int, len(v))
-	for i, x := range v {
-		bigs[i] = new(big.Int).SetUint64(x)
-	}
-	return pk.EncryptVector(random, bigs)
-}
-
-// DecryptVector decrypts each component.
-func (sk *PrivateKey) DecryptVector(cts []*Ciphertext) ([]*big.Int, error) {
-	out := make([]*big.Int, len(cts))
-	for i, ct := range cts {
-		m, err := sk.Decrypt(ct)
-		if err != nil {
-			return nil, fmt.Errorf("paillier: decrypting component %d: %w", i, err)
-		}
-		out[i] = m
 	}
 	return out, nil
 }

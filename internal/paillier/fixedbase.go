@@ -151,11 +151,10 @@ func (fb *pkFixedBase) pow(a *big.Int) (*big.Int, bool) {
 }
 
 // EnableFixedBase installs the fixed-base randomizer state on the public
-// key: every subsequent Encrypt/Rerandomize (and any RandomizerPool fed
-// by this key) draws nonce powers as hN^a instead of computing r^N from
-// scratch. Call once at setup, before the key is shared across
-// goroutines; enabling is not synchronized. If random is nil, crypto/rand
-// is used. Calling again is a no-op.
+// key: every subsequent Encrypt/Rerandomize draws nonce powers as hN^a
+// instead of computing r^N from scratch. Call once at setup, before the
+// key is shared across goroutines; enabling is not synchronized. If
+// random is nil, crypto/rand is used. Calling again is a no-op.
 func (pk *PublicKey) EnableFixedBase(random io.Reader) error {
 	if pk.fb != nil {
 		return nil

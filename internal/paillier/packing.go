@@ -154,9 +154,9 @@ func (p *Packing) UnpackDecrypt(sk *PrivateKey, ct *Ciphertext, count int) ([]*b
 // packed ciphertext by Horner's rule: E(Σ xⱼ·2^(j·Width)) =
 // ((E(x_{s−1})^(2^W)·E(x_{s−2}))^(2^W)·…)·E(x₀). Cost is
 // (len−1)·Width squarings, so callers pack where the result is reused
-// (cached table rows, SBD remainders living across l rounds). Slot
-// values must be below 2^Width for the layout to hold — the caller's
-// invariant, untestable under encryption.
+// (cached table rows, the bit peel's remainders living across its
+// rounds). Slot values must be below 2^Width for the layout to hold —
+// the caller's invariant, untestable under encryption.
 func (p *Packing) PackCiphertexts(cts []*Ciphertext) (*Ciphertext, error) {
 	if len(cts) < 1 || len(cts) > p.Slots {
 		return nil, fmt.Errorf("%w: %d ciphertexts into %d slots", ErrPackCount, len(cts), p.Slots)
@@ -183,25 +183,4 @@ func (p *Packing) AddPacked(ct *Ciphertext, vals []*big.Int) (*Ciphertext, error
 		return nil, err
 	}
 	return p.pk.AddPlain(ct, m), nil
-}
-
-// SubPackedWithOffset computes, slotwise, aⱼ − bⱼ + offsetⱼ for packed
-// ciphertexts a and b and plaintext offsets: E(a)·Inv(E(b))·(1+mN) with
-// m the packed offsets. Offsets must make every result slot land in
-// [0, 2^Width) — the usual choice is 2^ValueBits + blindⱼ, which clears
-// the subtraction's borrow and hides the difference statistically.
-func (p *Packing) SubPackedWithOffset(a, b *Ciphertext, offsets []*big.Int) (*Ciphertext, error) {
-	m, err := p.Pack(offsets)
-	if err != nil {
-		return nil, err
-	}
-	return p.pk.AddPlain(p.pk.Add(a, p.pk.Inv(b)), m), nil
-}
-
-// ScalarMulPacked multiplies every slot by k: one ScalarMul on the
-// packed ciphertext. The caller guarantees each k·slot stays below
-// 2^Width (or, as in SBD's halving with k = 2⁻¹ mod N, that every slot
-// is even so the division is exact).
-func (p *Packing) ScalarMulPacked(ct *Ciphertext, k *big.Int) *Ciphertext {
-	return p.pk.ScalarMul(ct, k)
 }

@@ -230,8 +230,8 @@ func (pk *PublicKey) Encrypt(random io.Reader, m *big.Int) (*Ciphertext, error) 
 // identically distributed ciphertexts at about 0.4× the cost when no
 // fixed-base tables are enabled. It shadows the embedded public
 // method, so a party holding sk — C2 — takes it without asking; the
-// Encrypt* convenience wrappers and EncryptVector stay on the public
-// routine.
+// Encrypt* convenience wrappers and EncryptUint64Vector stay on the
+// public routine.
 func (sk *PrivateKey) Encrypt(random io.Reader, m *big.Int) (*Ciphertext, error) {
 	rn, err := sk.noncePower(random)
 	if err != nil {

@@ -9,10 +9,11 @@
 // this one over the same encrypted table and require the same neighbours
 // as the plaintext kNN.
 //
-// It is also the one place outside internal/smc's own tests that sets
-// smc.Tuning: NewRequester turns packing off, so every primitive below
+// Every primitive it calls is internal/smc's paper presentation — SSED,
+// SBD, SMIN, SM, SBOR on an ordinary smc.Requester — so every frame
 // speaks the paper's one-ciphertext-per-value wire format with
-// full-range blinds.
+// full-range blinds. The connection must be served by a core.CloudC2
+// holding the table key's secret half.
 //
 // Cost is the paper's, not the engine's: n SSEDs, n SBDs, and per
 // selected neighbour n−1 SMINs, n·m secure multiplications and n·l SBORs,
@@ -21,7 +22,6 @@ package reference
 
 import (
 	"fmt"
-	"io"
 	"math/big"
 
 	"sknn/internal/core"
@@ -29,16 +29,6 @@ import (
 	"sknn/internal/paillier"
 	"sknn/internal/smc"
 )
-
-// NewRequester is C1's context for the printed protocol: an
-// smc.Requester on conn with packing off. conn must be served by a
-// core.CloudC2 holding pk's secret key. If random is nil,
-// crypto/rand.Reader is used.
-func NewRequester(pk *paillier.PublicKey, conn mpc.Conn, random io.Reader) *smc.Requester {
-	rq := smc.NewRequester(pk, conn, random)
-	rq.SetTuning(smc.Tuning{Packing: false})
-	return rq
-}
 
 // SMINn computes [min(d₁,…,d_n)] from n bit-decomposed encrypted values
 // (Algorithm 4). It plays a binary tournament bottom-up: each iteration

@@ -61,7 +61,7 @@ func (kc *keyCloud) requester(pk *paillier.PublicKey) *smc.Requester {
 		}
 		conn.Close()
 	})
-	return NewRequester(pk, conn, nil)
+	return smc.NewRequester(pk, conn, nil)
 }
 
 // --- SMINn (Algorithm 4) ------------------------------------------------

@@ -8,26 +8,16 @@ import (
 	"sknn/internal/paillier"
 )
 
-// This file is the packed-vs-unpacked conformance suite: every protocol
-// with a packed uplink is run twice on the same inputs — tuning on
-// (packed groups, short blinds) and tuning off (one ciphertext per
-// value, full-range blinds) — and both decryptions are checked against
-// the plaintext oracle. The classic path is the differential oracle; a
-// slot-layout or blind-width bug shows up as a divergence here before it
-// ever reaches a query.
-
-// pairWithTuning returns a Requester with the given packing setting over
-// a live responder.
-func pairWithTuning(t *testing.T, packing bool) (*Requester, *paillier.PrivateKey) {
-	t.Helper()
-	rq, sk := pair(t)
-	rq.SetTuning(Tuning{Packing: packing})
-	return rq, sk
-}
+// This file is the kernel-vs-paper conformance suite: every production
+// kernel is run on the same requester and the same inputs as the paper
+// primitive it stands in for — packed groups and short blinds against
+// one ciphertext per value and full-range blinds — and both decryptions
+// are checked against the plaintext. The paper primitive is the
+// differential oracle; a slot-layout or blind-width bug shows up as a
+// divergence here before it ever reaches a query.
 
 func TestDifferentialSMBatchBounded(t *testing.T) {
-	rqP, sk := pairWithTuning(t, true)
-	rqC, _ := pairWithTuning(t, false)
+	rq, sk := pair(t)
 	rng := rand.New(rand.NewSource(11))
 	const n, bits = 9, 16
 	av := make([]int64, n)
@@ -40,11 +30,11 @@ func TestDifferentialSMBatchBounded(t *testing.T) {
 	as := encVec(t, sk, av...)
 	bs := encVec(t, sk, bv...)
 
-	packed, err := rqP.SMBatchBounded(as, bs, bits, bits)
+	packed, err := rq.SMBatchBounded(as, bs, bits, bits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	classic, err := rqC.SMBatchBounded(as, bs, bits, bits)
+	paper, err := rq.SMBatch(as, bs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,15 +43,17 @@ func TestDifferentialSMBatchBounded(t *testing.T) {
 		if got := dec(t, sk, packed[i]); got != want {
 			t.Errorf("packed product[%d] = %d, want %d", i, got, want)
 		}
-		if got := dec(t, sk, classic[i]); got != want {
-			t.Errorf("classic product[%d] = %d, want %d", i, got, want)
+		if got := dec(t, sk, paper[i]); got != want {
+			t.Errorf("paper product[%d] = %d, want %d", i, got, want)
 		}
+	}
+	if _, err := rq.SMBatchBounded(as, bs, 0, bits); err == nil {
+		t.Error("zero-bit operand bound accepted")
 	}
 }
 
 func TestDifferentialSSEDMany(t *testing.T) {
-	rqP, sk := pairWithTuning(t, true)
-	rqC, _ := pairWithTuning(t, false)
+	rq, sk := pair(t)
 	rng := rand.New(rand.NewSource(12))
 	const n, m, attrBits = 7, 3, 8
 	qv := make([]int64, m)
@@ -82,11 +74,11 @@ func TestDifferentialSSEDMany(t *testing.T) {
 	for i := range rows {
 		rows[i] = encVec(t, sk, rowsV[i]...)
 	}
-	dsP, err := rqP.SSEDManyPacked(q, rows, packRows(t, rqP.PK(), attrBits, rows))
+	dsP, err := rq.SSEDManyPacked(q, rows, packRows(t, rq.PK(), attrBits, rows))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dsC, err := rqC.SSEDMany(q, rows)
+	dsC, err := rq.SSEDMany(q, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,14 +92,13 @@ func TestDifferentialSSEDMany(t *testing.T) {
 			t.Errorf("packed distance[%d] = %d, want %d", i, got, want)
 		}
 		if got := dec(t, sk, dsC[i]); got != want {
-			t.Errorf("classic distance[%d] = %d, want %d", i, got, want)
+			t.Errorf("paper distance[%d] = %d, want %d", i, got, want)
 		}
 	}
 }
 
 func TestDifferentialSBDBatch(t *testing.T) {
-	rqP, sk := pairWithTuning(t, true)
-	rqC, _ := pairWithTuning(t, false)
+	rq, sk := pair(t)
 	rng := rand.New(rand.NewSource(13))
 	const l = 12
 	vals := []uint64{0, 1, (1 << l) - 1, uint64(rng.Int63n(1 << l)), uint64(rng.Int63n(1 << l))}
@@ -115,71 +106,60 @@ func TestDifferentialSBDBatch(t *testing.T) {
 	for i, v := range vals {
 		zs[i] = enc(t, sk, int64(v))
 	}
-	bitsP, err := rqP.SBDBatch(zs, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bitsC, err := rqC.SBDBatch(zs, l)
+	bits, err := rq.SBDBatch(zs, l)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range vals {
-		if got := decBits(t, sk, bitsP[i]); got != v {
-			t.Errorf("packed SBD[%d] = %d, want %d", i, got, v)
-		}
-		if got := decBits(t, sk, bitsC[i]); got != v {
-			t.Errorf("classic SBD[%d] = %d, want %d", i, got, v)
+		if got := decBits(t, sk, bits[i]); got != v {
+			t.Errorf("SBD[%d] = %d, want %d", i, got, v)
 		}
 	}
 }
 
-// TestDifferentialSMIN runs the full comparison protocol — whose packed
-// variant changes the blind widths, the product uplink, AND the λ
-// construction — under both tunings and against the plaintext min.
+// TestDifferentialSMIN runs the full comparison protocol against the
+// plaintext min at the operand corners.
 func TestDifferentialSMIN(t *testing.T) {
-	rqP, sk := pairWithTuning(t, true)
-	rqC, _ := pairWithTuning(t, false)
+	rq, sk := pair(t)
 	const l = 8
 	cases := [][2]uint64{{3, 200}, {200, 3}, {77, 77}, {0, 255}, {255, 254}}
 	for _, c := range cases {
 		u := encBits(t, sk, c[0], l)
 		v := encBits(t, sk, c[1], l)
 		want := min(c[0], c[1])
-		minP, err := rqP.SMIN(u, v)
+		got, err := rq.SMIN(u, v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := decBits(t, sk, minP); got != want {
-			t.Errorf("packed SMIN(%d,%d) = %d, want %d", c[0], c[1], got, want)
-		}
-		minC, err := rqC.SMIN(u, v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := decBits(t, sk, minC); got != want {
-			t.Errorf("classic SMIN(%d,%d) = %d, want %d", c[0], c[1], got, want)
+		if d := decBits(t, sk, got); d != want {
+			t.Errorf("SMIN(%d,%d) = %d, want %d", c[0], c[1], d, want)
 		}
 	}
 }
 
 // TestDifferentialSMINValuePairs checks the value-domain minimum — the
-// packed tournament's comparison — against both the plaintext min and
-// the classic bit-vector SMIN on the same inputs: the two protocols
-// must agree on every pair even though one consumes composed values and
-// the other bit vectors.
+// production tournament's comparison — against both the plaintext min
+// and the paper's pipeline on the same ciphertexts: SBD of each operand,
+// then the bit-vector SMIN. The two must agree on every pair even though
+// one consumes composed values and the other bit vectors.
 func TestDifferentialSMINValuePairs(t *testing.T) {
-	rqP, sk := pairWithTuning(t, true)
-	rqC, _ := pairWithTuning(t, false)
+	rq, sk := pair(t)
 	const l = 8
 	plain := [][2]uint64{
 		{3, 200}, {200, 3}, {77, 77}, {0, 255}, {255, 254},
 		{0, 0}, {1, 0}, {128, 127}, {255, 255},
 	}
 	pairs := make([]SMINValuePair, len(plain))
+	operands := make([]*paillier.Ciphertext, 0, 2*len(plain))
 	for i, c := range plain {
 		pairs[i] = SMINValuePair{A: enc(t, sk, int64(c[0])), B: enc(t, sk, int64(c[1]))}
+		operands = append(operands, pairs[i].A, pairs[i].B)
 	}
-	minsV, err := rqP.SMINValuePairsBatch(pairs, l)
+	minsV, err := rq.SMINValuePairsBatch(pairs, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits, err := rq.SBDBatch(operands, l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +168,7 @@ func TestDifferentialSMINValuePairs(t *testing.T) {
 		if got := dec(t, sk, minsV[i]); got != want {
 			t.Errorf("value min(%d,%d) = %d, want %d", c[0], c[1], got, want)
 		}
-		minB, err := rqC.SMIN(encBits(t, sk, c[0], l), encBits(t, sk, c[1], l))
+		minB, err := rq.SMIN(bits[2*i], bits[2*i+1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +179,7 @@ func TestDifferentialSMINValuePairs(t *testing.T) {
 }
 
 func TestSMINnValuesTournament(t *testing.T) {
-	rq, sk := pairWithTuning(t, true)
+	rq, sk := pair(t)
 	const l = 10
 	cases := [][]int64{
 		{42},                          // n = 1: no comparison at all
@@ -245,7 +225,7 @@ func TestHandleSBDPackBitValidation(t *testing.T) {
 }
 
 func TestSMINValuePairsValidation(t *testing.T) {
-	rq, sk := pairWithTuning(t, true)
+	rq, sk := pair(t)
 	if _, err := rq.SMINValuePairsBatch(nil, 8); err == nil {
 		t.Error("empty input accepted")
 	}
@@ -258,21 +238,6 @@ func TestSMINValuePairsValidation(t *testing.T) {
 	}
 	if _, err := rq.SMINnValues(nil, 8); err == nil {
 		t.Error("empty tournament accepted")
-	}
-}
-
-// TestSSEDManyPackedFallsBackWithoutCache: a nil packed-rows cache must
-// transparently use the classic wire format, not fail.
-func TestSSEDManyPackedFallsBackWithoutCache(t *testing.T) {
-	rq, sk := pairWithTuning(t, true)
-	q := encVec(t, sk, 0, 0)
-	rows := [][]*paillier.Ciphertext{encVec(t, sk, 3, 4)}
-	ds, err := rq.SSEDManyPacked(q, rows, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := dec(t, sk, ds[0]); got != 25 {
-		t.Errorf("distance = %d, want 25", got)
 	}
 }
 

@@ -30,23 +30,7 @@ func (c *corruptingMux) Handle(req *mpc.Message) (*mpc.Message, error) {
 func corruptedPair(t *testing.T, corrupt func(req, resp *mpc.Message) *mpc.Message) (*Requester, *paillier.PrivateKey) {
 	t.Helper()
 	sk := testKey()
-	c1Conn, c2Conn := mpc.ChanPipe()
-	mux := &corruptingMux{inner: NewResponder(sk, nil).Mux(), corrupt: corrupt}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := mpc.Serve(c2Conn, mux); err != nil {
-			t.Errorf("responder: %v", err)
-		}
-	}()
-	t.Cleanup(func() {
-		if err := mpc.SendClose(c1Conn); err != nil {
-			t.Errorf("close: %v", err)
-		}
-		wg.Wait()
-	})
-	return NewRequester(&sk.PublicKey, c1Conn, nil), sk
+	return servedBy(t, sk, &corruptingMux{inner: NewResponder(sk, nil).Mux(), corrupt: corrupt}), sk
 }
 
 // TestSBDRecoversFromCorruptedRound injects one wrong LSB reply: the
@@ -57,7 +41,7 @@ func TestSBDRecoversFromCorruptedRound(t *testing.T) {
 	var once sync.Once
 	sk := testKey()
 	rq, _ := corruptedPair(t, func(req, resp *mpc.Message) *mpc.Message {
-		if req.Op == OpSBDLsb || req.Op == OpSBDPackLsb {
+		if req.Op == OpSBDLsb {
 			once.Do(func() {
 				// Flip the first returned bit by homomorphically adding 1.
 				ct, err := sk.FromRaw(resp.Ints[0])
@@ -85,7 +69,7 @@ func TestSBDRecoversFromCorruptedRound(t *testing.T) {
 func TestSBDGivesUpAfterPersistentCorruption(t *testing.T) {
 	sk := testKey()
 	rq, _ := corruptedPair(t, func(req, resp *mpc.Message) *mpc.Message {
-		if req.Op == OpSBDLsb || req.Op == OpSBDPackLsb {
+		if req.Op == OpSBDLsb {
 			ct, err := sk.FromRaw(resp.Ints[0])
 			if err == nil {
 				resp.Ints[0] = sk.AddPlain(ct, big.NewInt(1)).Raw()
@@ -130,24 +114,25 @@ func TestRequesterRejectsInvalidCiphertext(t *testing.T) {
 	}
 }
 
+// malformedFrames are request frames C2 must refuse; they also seed
+// FuzzResponderFrame.
+var malformedFrames = []struct {
+	name string
+	msg  *mpc.Message
+}{
+	{"SM odd payload", &mpc.Message{Op: OpSM, Ints: []*big.Int{big.NewInt(1)}}},
+	{"SM empty", &mpc.Message{Op: OpSM}},
+	{"SM garbage ciphertext", &mpc.Message{Op: OpSM, Ints: []*big.Int{big.NewInt(0), big.NewInt(0)}}},
+	{"SBD empty", &mpc.Message{Op: OpSBDLsb}},
+	{"SBD verify empty", &mpc.Message{Op: OpSBDVerify}},
+	{"SMIN odd payload", &mpc.Message{Op: OpSMIN, Ints: []*big.Int{big.NewInt(1)}}},
+	{"SMIN empty", &mpc.Message{Op: OpSMIN}},
+}
+
 // TestResponderRejectsMalformedFrames drives C2's validation directly.
 func TestResponderRejectsMalformedFrames(t *testing.T) {
-	sk := testKey()
-	mux := NewResponder(sk, nil).Mux()
-
-	cases := []struct {
-		name string
-		msg  *mpc.Message
-	}{
-		{"SM odd payload", &mpc.Message{Op: OpSM, Ints: []*big.Int{big.NewInt(1)}}},
-		{"SM empty", &mpc.Message{Op: OpSM}},
-		{"SM garbage ciphertext", &mpc.Message{Op: OpSM, Ints: []*big.Int{big.NewInt(0), big.NewInt(0)}}},
-		{"SBD empty", &mpc.Message{Op: OpSBDLsb}},
-		{"SBD verify empty", &mpc.Message{Op: OpSBDVerify}},
-		{"SMIN odd payload", &mpc.Message{Op: OpSMIN, Ints: []*big.Int{big.NewInt(1)}}},
-		{"SMIN empty", &mpc.Message{Op: OpSMIN}},
-	}
-	for _, tc := range cases {
+	mux := NewResponder(testKey(), nil).Mux()
+	for _, tc := range malformedFrames {
 		if _, err := mux.Handle(tc.msg); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}

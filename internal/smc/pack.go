@@ -8,16 +8,16 @@ import (
 	"sknn/internal/paillier"
 )
 
-// This file holds the slot-packed protocol variants (see
-// paillier.Packing): the same two-party functionalities as sm.go,
-// ssed.go, and sbd.go, but with the C1→C2 uplink carrying many blinded
-// values per ciphertext, so C2 pays one decryption per slot group
-// instead of one per value. Every value C2 sees is still additively
-// blinded — with short σ-statistical blinds sized to the slot headroom
-// instead of full-width ones — so the leakage class is unchanged (see
-// docs/PROTOCOLS.md). The unpacked paths remain callable — they are what
-// internal/reference runs and what the differential tests compare
-// against; Requester.Tuning selects between them.
+// This file holds the slot-packed production kernels (see
+// paillier.Packing): the two-party functionalities of sm.go and ssed.go,
+// and the bit peel the value-domain minimum needs, with the C1→C2 uplink
+// carrying many blinded values per ciphertext, so C2 pays one decryption
+// per slot group instead of one per value. Every value C2 sees is still
+// additively blinded — with short σ-statistical blinds sized to the slot
+// headroom instead of full-width ones — so the leakage class is
+// unchanged (see docs/PROTOCOLS.md). The paper's unpacked protocols are
+// what internal/reference runs and what the differential tests compare
+// these kernels against.
 
 // smPackMaxCount bounds the element count a packed frame may declare:
 // enough for any real batch, small enough that a hostile header cannot
@@ -41,9 +41,9 @@ func SMPackOperandBits(pk *paillier.PublicKey) int {
 }
 
 // SMBatchBounded is SMBatch for inputs with known plaintext bounds:
-// aᵢ < 2^aBits and bᵢ < 2^bBits. With packing enabled the blinded pairs
-// ride the slot-packed uplink (OpSMPack) under short blinds; otherwise
-// it degrades to the classic SMBatch. The bounds are a caller contract —
+// aᵢ < 2^aBits and bᵢ < 2^bBits. The blinded pairs ride the slot-packed
+// uplink (OpSMPack) under short blinds; when the key cannot hold a pair
+// of slots that wide it runs SMBatch. The bounds are a caller contract —
 // correctness of the packed layout depends on them, and every call site
 // derives them from dataset validation (attribute domains) or from bit
 // arithmetic (values in {0,1}). The bounds need not be alike: SkNNm's
@@ -59,8 +59,8 @@ func (rq *Requester) SMBatchBounded(as, bs []*paillier.Ciphertext, aBits, bBits 
 	if len(as) == 0 {
 		return nil, ErrEmptyInput
 	}
-	if !rq.tuning.Packing || aBits < 1 || bBits < 1 {
-		return rq.SMBatch(as, bs)
+	if aBits < 1 || bBits < 1 {
+		return nil, fmt.Errorf("smc: SM operand bounds of %d and %d bits", aBits, bBits)
 	}
 	vb := aBits
 	if bBits > vb {
@@ -68,7 +68,7 @@ func (rq *Requester) SMBatchBounded(as, bs []*paillier.Ciphertext, aBits, bBits 
 	}
 	codec, err := rq.packCodec(vb)
 	if err != nil || codec.Slots < 2 {
-		// Key too small for even one packed pair: unpacked oracle path.
+		// No pair of slots this wide fits the key: the paper's SM.
 		return rq.SMBatch(as, bs)
 	}
 	n := len(as)
@@ -157,7 +157,7 @@ func (rp *Responder) handleSMPack(req *mpc.Message) (*mpc.Message, error) {
 		for t := 0; t < pairs; t++ {
 			h := new(big.Int).Mul(vals[2*t], vals[2*t+1])
 			h.Mod(h, rp.sk.N)
-			hEnc, err := rp.encrypt(h)
+			hEnc, err := rp.sk.Encrypt(rp.rand, h)
 			if err != nil {
 				return nil, fmt.Errorf("smc: packed SM encrypt: %w", err)
 			}
@@ -167,11 +167,16 @@ func (rp *Responder) handleSMPack(req *mpc.Message) (*mpc.Message, error) {
 	return &mpc.Message{Op: OpSMPack, Ints: out}, nil
 }
 
+// isHeaderInt reports whether a frame element can be read as one of the
+// packed frames' small header fields; an in-process peer can hand C2 a
+// nil element, which the wire codec cannot.
+func isHeaderInt(v *big.Int) bool { return v != nil && v.IsInt64() }
+
 // packHeader validates the common [count, valueBits, ...] header of the
 // packed frames and builds C2's view of the codec (identical to C1's:
 // both derive it from valueBits and the shared modulus).
 func (rp *Responder) packHeader(ints []*big.Int, what string) (int, *paillier.Packing, error) {
-	if len(ints) < 2 || !ints[0].IsInt64() || !ints[1].IsInt64() {
+	if len(ints) < 2 || !isHeaderInt(ints[0]) || !isHeaderInt(ints[1]) {
 		return 0, nil, fmt.Errorf("%w: packed %s header", ErrBadFrame, what)
 	}
 	count := int(ints[0].Int64())
@@ -223,12 +228,8 @@ func PackRow(codec *paillier.Packing, row []*paillier.Ciphertext) ([]*paillier.C
 //	E(Σdⱼ²) = E(Σyⱼ²) · Πⱼ (Inv(E(qⱼ))·E(tⱼ))^(2cⱼ) · E(−Σcⱼ²),  cⱼ = 2^B + rⱼ
 //
 // rows must carry values below 2^(packed.Codec.ValueBits) — the dataset
-// validation bound. Falls back to SSEDMany when packing is off or
-// packed is nil.
+// validation bound.
 func (rq *Requester) SSEDManyPacked(q []*paillier.Ciphertext, rows [][]*paillier.Ciphertext, packed *PackedRows) ([]*paillier.Ciphertext, error) {
-	if packed == nil || !rq.tuning.Packing {
-		return rq.SSEDMany(q, rows)
-	}
 	if len(rows) == 0 {
 		return nil, ErrEmptyInput
 	}
@@ -322,7 +323,7 @@ func (rq *Requester) SSEDManyPacked(q []*paillier.Ciphertext, rows [][]*paillier
 // slot groups, square and sum the blinded slot values, reply with one
 // encryption per record. Frame: [count, m, valueBits, count·groups cts].
 func (rp *Responder) handleSSEDPack(req *mpc.Message) (*mpc.Message, error) {
-	if len(req.Ints) < 3 || !req.Ints[0].IsInt64() || !req.Ints[1].IsInt64() || !req.Ints[2].IsInt64() {
+	if len(req.Ints) < 3 || !isHeaderInt(req.Ints[0]) || !isHeaderInt(req.Ints[1]) || !isHeaderInt(req.Ints[2]) {
 		return nil, fmt.Errorf("%w: packed SSED header", ErrBadFrame)
 	}
 	count := int(req.Ints[0].Int64())
@@ -360,207 +361,13 @@ func (rp *Responder) handleSSEDPack(req *mpc.Message) (*mpc.Message, error) {
 			}
 		}
 		total.Mod(total, rp.sk.N)
-		enc, err := rp.encrypt(total)
+		enc, err := rp.sk.Encrypt(rp.rand, total)
 		if err != nil {
 			return nil, fmt.Errorf("smc: packed SSED encrypt: %w", err)
 		}
 		out[i] = enc.Raw()
 	}
 	return &mpc.Message{Op: OpSSEDPack, Ints: out}, nil
-}
-
-// sbdOncePacked is one unverified SBD pass with the remainders held
-// packed: each of the l rounds sends ⌈n/Slots⌉ group ciphertexts (the
-// remainders under fresh short slot blinds) instead of n, and C2
-// decrypts per group and returns each slot's encrypted low bit
-// individually — the bits are the round's output and a slot-packed bit
-// would be homomorphically inaccessible to C1, so n ciphertexts per
-// round is the downlink floor for the decomposition itself. What does
-// ride packed is the halving: C2 appends, per group, one ciphertext
-// packing every slot's halved blinded value wᵢ = yᵢ >> 1, and C1
-// rebuilds the next remainder from it with plaintext constants it
-// already knows. With y = z' + r and b' = lsb(y):
-//
-//	r even:  (z' − lsb(z'))/2 = w − r/2
-//	r odd:   (z' − lsb(z'))/2 = w − (r+1)/2 + b'
-//
-// so the update is one packed AddPlain of the −⌈r/2⌉ constants plus a
-// short Horner fold of the raw reply bits over the odd-blind slots.
-// That replaces the old C1-side halving — a re-pack of all corrected
-// bits plus a (2⁻¹ mod N)-power per group, the last full-range
-// exponentiation in packed SBD — with short exponentiations only. Short
-// blinds also mean z' + r never wraps, so — unlike the unpacked path —
-// the decomposition cannot fail verification against an honest C2.
-func (rq *Requester) sbdOncePacked(zs []*paillier.Ciphertext, l int, codec *paillier.Packing) ([][]*paillier.Ciphertext, error) {
-	n := len(zs)
-	groups := codec.Groups(n)
-	packedRem := make([]*paillier.Ciphertext, groups)
-	for g := 0; g < groups; g++ {
-		lo := g * codec.Slots
-		hi := min(n, lo+codec.Slots)
-		ct, err := codec.PackCiphertexts(zs[lo:hi])
-		if err != nil {
-			return nil, fmt.Errorf("smc: SBD packing group %d: %w", g, err)
-		}
-		packedRem[g] = ct
-	}
-
-	lsbFirst := make([][]*paillier.Ciphertext, n)
-	for i := range lsbFirst {
-		lsbFirst[i] = make([]*paillier.Ciphertext, 0, l)
-	}
-	rs := make([]*big.Int, n)
-	for round := 0; round < l; round++ {
-		payload := make([]*big.Int, 0, 2+groups)
-		payload = append(payload, big.NewInt(int64(n)), big.NewInt(int64(l)))
-		for g := 0; g < groups; g++ {
-			lo := g * codec.Slots
-			hi := min(n, lo+codec.Slots)
-			blinds := make([]*big.Int, hi-lo)
-			for i := lo; i < hi; i++ {
-				r, err := rq.shortBlind(l)
-				if err != nil {
-					return nil, err
-				}
-				rs[i] = r
-				blinds[i-lo] = r
-			}
-			ct, err := codec.AddPacked(packedRem[g], blinds)
-			if err != nil {
-				return nil, fmt.Errorf("smc: SBD packed blind: %w", err)
-			}
-			payload = append(payload, ct.Raw())
-		}
-		reply, err := rq.roundTrip(OpSBDPackLsb, payload, n+groups)
-		if err != nil {
-			return nil, fmt.Errorf("smc: packed SBD round %d: %w", round, err)
-		}
-		cts, err := rq.rawCiphertexts(reply)
-		if err != nil {
-			return nil, err
-		}
-		lsbs, rems := cts[:n], cts[n:]
-		// Correct for odd blinds — lsb(z') = 1 − lsb(y) there — with the
-		// inversions batched.
-		var toFlip []*paillier.Ciphertext
-		for i := 0; i < n; i++ {
-			if rs[i].Bit(0) == 1 {
-				toFlip = append(toFlip, lsbs[i])
-			}
-		}
-		flipped := rq.pk.InvMany(toFlip)
-		bits := make([]*paillier.Ciphertext, n)
-		fi := 0
-		for i := 0; i < n; i++ {
-			if rs[i].Bit(0) == 1 {
-				bits[i] = rq.pk.AddPlain(flipped[fi], oneBig)
-				fi++
-			} else {
-				bits[i] = lsbs[i]
-			}
-			lsbFirst[i] = append(lsbFirst[i], bits[i])
-		}
-		if round == l-1 {
-			break // the last bits are out; no remainder to rebuild
-		}
-		for g := 0; g < groups; g++ {
-			lo := g * codec.Slots
-			hi := min(n, lo+codec.Slots)
-			// Packed constant −⌈rᵢ/2⌉ per slot, one cheap AddPlain (the
-			// closed-form (1+mN) multiply, no exponentiation).
-			negC := new(big.Int)
-			for i := hi - 1; i >= lo; i-- {
-				c := new(big.Int).Rsh(new(big.Int).Add(rs[i], oneBig), 1) // ⌈rᵢ/2⌉
-				negC.Lsh(negC, uint(codec.Width)).Add(negC, c)
-			}
-			next := rq.pk.AddPlain(rems[g], negC.Neg(negC))
-			// Fold the raw reply bits of the odd-blind slots back in at
-			// their slot offsets: Horner from the highest such slot down,
-			// every exponent a power of two below 2^(Slots·Width).
-			var acc *paillier.Ciphertext
-			prev := 0
-			for i := hi - 1; i >= lo; i-- {
-				if rs[i].Bit(0) == 0 {
-					continue
-				}
-				if acc == nil {
-					acc = lsbs[i]
-				} else {
-					gap := new(big.Int).Lsh(oneBig, uint((prev-i)*codec.Width))
-					acc = rq.pk.Add(rq.pk.ScalarMul(acc, gap), lsbs[i])
-				}
-				prev = i
-			}
-			if acc != nil {
-				if prev > lo {
-					gap := new(big.Int).Lsh(oneBig, uint((prev-lo)*codec.Width))
-					acc = rq.pk.ScalarMul(acc, gap)
-				}
-				next = rq.pk.Add(next, acc)
-			}
-			packedRem[g] = next
-		}
-	}
-
-	out := make([][]*paillier.Ciphertext, n)
-	for i := range lsbFirst {
-		msbFirst := make([]*paillier.Ciphertext, l)
-		for j := 0; j < l; j++ {
-			msbFirst[j] = lsbFirst[i][l-1-j]
-		}
-		out[i] = msbFirst
-	}
-	return out, nil
-}
-
-// handleSBDPackLsb is C2's half of a packed LSB round: decrypt each slot
-// group once, return each slot's low bit as an individual fresh
-// encryption, then append one ciphertext per group packing every slot's
-// halved value yᵢ >> 1 — the next-round remainder up to constants C1
-// knows, so C1's halving needs no full-range exponentiation. Frame:
-// [count, valueBits, group ciphertexts] → [count bit cts, group rem cts].
-func (rp *Responder) handleSBDPackLsb(req *mpc.Message) (*mpc.Message, error) {
-	count, codec, err := rp.packHeader(req.Ints, "SBD")
-	if err != nil {
-		return nil, err
-	}
-	groups := codec.Groups(count)
-	if len(req.Ints) != 2+groups {
-		return nil, fmt.Errorf("%w: packed SBD payload of %d ints for %d values",
-			ErrBadFrame, len(req.Ints), count)
-	}
-	out := make([]*big.Int, 0, count+groups)
-	halves := make([]*big.Int, 0, groups)
-	halved := make([]*big.Int, codec.Slots)
-	for g := 0; g < groups; g++ {
-		cnt := min(codec.Slots, count-g*codec.Slots)
-		ct, err := rp.sk.FromRaw(req.Ints[2+g])
-		if err != nil {
-			return nil, fmt.Errorf("smc: packed SBD group %d: %w", g, err)
-		}
-		vals, err := codec.UnpackDecrypt(rp.sk, ct, cnt)
-		if err != nil {
-			return nil, fmt.Errorf("smc: packed SBD group %d: %w", g, err)
-		}
-		for j, y := range vals {
-			bit, err := rp.encrypt(new(big.Int).SetUint64(uint64(y.Bit(0))))
-			if err != nil {
-				return nil, fmt.Errorf("smc: packed SBD encrypt lsb: %w", err)
-			}
-			out = append(out, bit.Raw())
-			halved[j] = new(big.Int).Rsh(y, 1)
-		}
-		packed, err := codec.Pack(halved[:cnt])
-		if err != nil {
-			return nil, fmt.Errorf("smc: packed SBD halves group %d: %w", g, err)
-		}
-		rem, err := rp.encrypt(packed)
-		if err != nil {
-			return nil, fmt.Errorf("smc: packed SBD encrypt halves: %w", err)
-		}
-		halves = append(halves, rem.Raw())
-	}
-	return &mpc.Message{Op: OpSBDPackLsb, Ints: append(out, halves...)}, nil
 }
 
 // msbOncePacked extracts E(bit L−1) of each value's L-bit decomposition
@@ -584,11 +391,12 @@ func (rp *Responder) handleSBDPackLsb(req *mpc.Message) (*mpc.Message, error) {
 // (1+mN) factor per group. Only the output round j = L−1 gets plain
 // E(yᵢ) back and flips the odd-blind ones. C2 tells the rounds apart by
 // the header it already receives (valueBits = L and shift = j), which is
-// why L must be the codec's ValueBits. C2's view — slotwise
-// short-blinded remainder windows and the public round index — is the
-// same leakage class as sbdOncePacked, C1 still sees nothing but fresh
-// ciphertexts, and like sbdOncePacked the pass is exact against an
-// honest C2 (no slot ever wraps).
+// why L must be the codec's ValueBits. C2's view is slotwise
+// short-blinded remainder windows and the public round index, C1 still
+// sees nothing but fresh ciphertexts, and — unlike SBD's full-range
+// blinds, which wrap mod N with probability ≈ 2^l/N — no slot ever
+// wraps, so the pass is exact against an honest C2 and needs no
+// verification round.
 func (rq *Requester) msbOncePacked(zs []*paillier.Ciphertext, L int, codec *paillier.Packing) ([]*paillier.Ciphertext, error) {
 	if L != codec.ValueBits {
 		return nil, fmt.Errorf("smc: MSB extraction of %d bits under a %d-bit codec", L, codec.ValueBits)
@@ -693,7 +501,7 @@ func (rp *Responder) handleSBDPackBit(req *mpc.Message) (*mpc.Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(req.Ints) < 3 || !req.Ints[2].IsInt64() {
+	if len(req.Ints) < 3 || !isHeaderInt(req.Ints[2]) {
 		return nil, fmt.Errorf("%w: packed SBD bit header", ErrBadFrame)
 	}
 	shift := int(req.Ints[2].Int64())
@@ -722,7 +530,7 @@ func (rp *Responder) handleSBDPackBit(req *mpc.Message) (*mpc.Message, error) {
 			if inPlace {
 				m.Lsh(m, uint(s*codec.Width+shift))
 			}
-			bit, err := rp.encrypt(m)
+			bit, err := rp.sk.Encrypt(rp.rand, m)
 			if err != nil {
 				return nil, fmt.Errorf("smc: packed SBD bit encrypt: %w", err)
 			}

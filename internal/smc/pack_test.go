@@ -196,7 +196,11 @@ func TestHandleSBDPackBitReplyPlacement(t *testing.T) {
 			t.Fatalf("shift %d: %d reply elements for %d values", shift, len(resp.Ints), n)
 		}
 		for i, raw := range resp.Ints {
-			got, err := sk.Decrypt(sk.MustFromRaw(raw))
+			ct, err := sk.FromRaw(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sk.Decrypt(ct)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -208,5 +212,64 @@ func TestHandleSBDPackBitReplyPlacement(t *testing.T) {
 				t.Errorf("shift %d, element %d = %v, want %v", shift, i, got, want)
 			}
 		}
+	}
+}
+
+// TestSSEDManyPackedBorrowStaysInSlot is the headroom regression, on the
+// kernel that relies on it: packed SSED subtracts record from query
+// slotwise, and a subtraction that borrows (qⱼ < tⱼ) must be absorbed
+// entirely by that slot's offset 2^B + rⱼ — the neighbour slots stay
+// bit-exact. Every blind is forced to its maximum 2^(B+σ) − 1, the
+// largest value the kernel ever adds to a slot; a headroom narrower than
+// that would let the borrow or the carry ripple into slot j+1. The
+// uplink is read off the wire and decrypted slot by slot.
+func TestSSEDManyPackedBorrowStaysInSlot(t *testing.T) {
+	rq, sk := pair(t)
+	const B = 8
+	qv := []int64{5, 255, 0}
+	tv := []int64{250, 0, 255} // slots 0 and 2 borrow
+	q := encVec(t, sk, qv...)
+	rows := [][]*paillier.Ciphertext{encVec(t, sk, tv...)}
+	packed := packRows(t, rq.PK(), B, rows)
+	if packed.Codec.Slots < len(qv) {
+		t.Fatalf("need %d slots for the neighbour check, have %d", len(qv), packed.Codec.Slots)
+	}
+
+	var uplink []*big.Int
+	rq.conn = mpc.Tap(rq.conn, func(dir mpc.Direction, m *mpc.Message) {
+		if dir == mpc.DirSend && m.Op == OpSSEDPack {
+			uplink = m.Ints
+		}
+	})
+	rq.rand = constReader(0xFF)
+	ds, err := rq.SSEDManyPacked(q, rows, packed)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if len(uplink) != 4 {
+		t.Fatalf("uplink of %d ints, want header of 3 and one group", len(uplink))
+	}
+	ct, err := sk.FromRaw(uplink[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots, err := packed.Codec.UnpackDecrypt(sk, ct, len(qv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxBlind := new(big.Int).Lsh(big.NewInt(1), B+statSecBits)
+	maxBlind.Sub(maxBlind, big.NewInt(1))
+	var wantDist int64
+	for j := range qv {
+		want := big.NewInt(qv[j] - tv[j] + 1<<B)
+		want.Add(want, maxBlind)
+		if slots[j].Cmp(want) != 0 {
+			t.Errorf("slot %d = %v, want %v (borrow crossed a slot boundary)", j, slots[j], want)
+		}
+		wantDist += (qv[j] - tv[j]) * (qv[j] - tv[j])
+	}
+	if got := dec(t, sk, ds[0]); got != wantDist {
+		t.Errorf("distance = %d, want %d", got, wantDist)
 	}
 }

@@ -84,23 +84,8 @@ func (rq *Requester) SBDBatch(zs []*paillier.Ciphertext, l int) ([][]*paillier.C
 	return bits, nil
 }
 
-// sbdOnce performs one unverified decomposition pass over all values,
-// via the slot-packed rounds when the tuning and key size allow.
+// sbdOnce performs one unverified decomposition pass over all values.
 func (rq *Requester) sbdOnce(zs []*paillier.Ciphertext, l int) ([][]*paillier.Ciphertext, error) {
-	if rq.tuning.Packing {
-		if codec, err := rq.packCodec(l); err == nil {
-			out, err := rq.sbdOncePacked(zs, l, codec)
-			if err == nil {
-				return out, nil
-			}
-			// A corrupted reply breaks the packed slot layout mid-pass
-			// (slot overflow surfaces as a remote unpack error rather
-			// than a wrong bit), so fall through to the classic pass,
-			// whose verify-and-retry loop owns corruption handling.
-			// Genuine transport failures repeat there and surface
-			// normally.
-		}
-	}
 	n := len(zs)
 	rem := make([]*paillier.Ciphertext, n)
 	copy(rem, zs)
@@ -216,7 +201,7 @@ func (rp *Responder) handleSBDLsb(req *mpc.Message) (*mpc.Message, error) {
 		if err != nil {
 			return nil, fmt.Errorf("smc: SBD decrypt Y[%d]: %w", i, err)
 		}
-		bit, err := rp.encrypt(new(big.Int).SetUint64(uint64(y.Bit(0))))
+		bit, err := rp.sk.Encrypt(rp.rand, new(big.Int).SetUint64(uint64(y.Bit(0))))
 		if err != nil {
 			return nil, fmt.Errorf("smc: SBD encrypt lsb[%d]: %w", i, err)
 		}

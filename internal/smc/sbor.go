@@ -25,7 +25,7 @@ func (rq *Requester) SBORBatch(o1s, o2s []*paillier.Ciphertext) ([]*paillier.Cip
 	if len(o1s) != len(o2s) {
 		return nil, fmt.Errorf("%w: %d vs %d", ErrLengthMismatch, len(o1s), len(o2s))
 	}
-	ands, err := rq.SMBatchBounded(o1s, o2s, 1, 1)
+	ands, err := rq.SMBatch(o1s, o2s)
 	if err != nil {
 		return nil, fmt.Errorf("smc: SBOR products: %w", err)
 	}

@@ -97,7 +97,7 @@ func (rp *Responder) handleSM(req *mpc.Message) (*mpc.Message, error) {
 		}
 		h := ha.Mul(ha, hb)
 		h.Mod(h, rp.sk.N)
-		hEnc, err := rp.encrypt(h)
+		hEnc, err := rp.sk.Encrypt(rp.rand, h)
 		if err != nil {
 			return nil, fmt.Errorf("smc: SM encrypt h[%d]: %w", i, err)
 		}

@@ -9,17 +9,22 @@
 //   - SMIN   — Secure Minimum of two bit-decomposed values (Algorithm 3)
 //   - SBOR   — Secure Bit-OR (Section 3)
 //
-// plus the value-domain minimum the production engine runs its SMINn
-// tournament on (sminvalue.go). The paper's SMINn over bit vectors
-// (Algorithm 4) lives with the rest of the printed SkNNm in
-// internal/reference.
+// as printed — one ciphertext per value, full-range blinds (sm.go,
+// ssed.go, sbd.go, smin.go, sbor.go). They are the oracle of this
+// package's differential tests and exactly what internal/reference, which
+// holds the paper's SMINn and SkNNm (Algorithms 4 and 6), runs. Each has
+// a batched variant that processes a whole vector per round trip; the
+// arithmetic is identical element-wise, only framing is shared.
 //
-// C1's side of each primitive is a method on Requester; C2's side is a
-// stateless handler registered on an mpc.Mux by Responder. Each primitive
-// also has a batched variant that processes a whole vector per round trip;
-// the arithmetic is identical element-wise, only framing is shared. The
-// SkNN protocols use the batched forms; the scalar forms exist for
-// fidelity with the paper's presentation and for tests.
+// Beside them sit the production kernels internal/core calls — the
+// slot-packed SM and SSED uplinks and the packed bit peel (pack.go) and
+// the value-domain minimum with its tournament (sminvalue.go). Nothing
+// switches between the two families: a kernel falls back to its paper
+// primitive only on something it observes (a key too small to pack, an
+// operand too wide for a slot pair).
+//
+// C1's side of each protocol is a method on Requester; C2's side is a
+// stateless handler registered on an mpc.Mux by Responder.
 //
 // Bit-vector convention: as in the paper, [z] = ⟨E(z₁),…,E(z_l)⟩ with
 // index 0 holding the MOST significant bit.
@@ -43,8 +48,8 @@ const (
 	OpSBDVerify mpc.Op = 18 // batched randomized zero test
 	OpSMIN      mpc.Op = 19 // SMIN step 2 (Γ′, L′ → M′, E(α))
 	// 20 is retired (the round-batched bit-vector SMIN); do not reuse.
-	OpSMPack     mpc.Op = 21 // slot-packed SM uplink (pack.go)
-	OpSBDPackLsb mpc.Op = 22 // slot-packed SBD LSB round (pack.go)
+	OpSMPack mpc.Op = 21 // slot-packed SM uplink (pack.go)
+	// 22 is retired (the slot-packed SBD LSB round); do not reuse.
 	OpSSEDPack   mpc.Op = 23 // slot-packed SSED record distances (pack.go)
 	OpSBDPackBit mpc.Op = 24 // slot-packed shifted bit round (pack.go)
 )
@@ -65,20 +70,6 @@ var oneBig = big.NewInt(1)
 // retry triggering at all in practice means a broken peer.
 const sbdMaxRetries = 4
 
-// Tuning selects between the fast protocol variants — ciphertext
-// packing and short statistical blinds — and the classic one-ciphertext-
-// per-value presentation of the paper. Production code never sets it:
-// internal/reference turns packing off to run the printed protocol, and
-// this package's differential tests flip it to compare the two
-// presentations of each primitive. Both speak to the same C2 handlers
-// where possible; only the slot-packed uplinks use dedicated opcodes.
-type Tuning struct {
-	// Packing enables slot-packed uplinks (SM, SSED, SBD) and the
-	// σ-statistical short blinds in SMIN. Off = the paper-faithful
-	// unpacked path.
-	Packing bool
-}
-
 // statSecBits is σ, the statistical-hiding margin of the short additive
 // blinds: a bounded plaintext behind a (bound+σ)-bit blind is hidden to
 // statistical distance 2^−σ. Matches paillier.PackHeadroom − 2 so a
@@ -89,10 +80,9 @@ const statSecBits = 64
 // C2, and a randomness source. A Requester drives primitives serially;
 // for parallel work open one Requester per worker connection.
 type Requester struct {
-	pk     *paillier.PublicKey
-	conn   mpc.Conn
-	rand   io.Reader
-	tuning Tuning
+	pk   *paillier.PublicKey
+	conn mpc.Conn
+	rand io.Reader
 
 	// invTwo caches 2⁻¹ mod N for SBD's halving step.
 	invTwo *big.Int
@@ -122,8 +112,8 @@ func (rq *Requester) packCodec(valueBits int) (*paillier.Packing, error) {
 	return c, nil
 }
 
-// NewRequester builds C1's context with the default tuning (packing on).
-// If random is nil, crypto/rand.Reader is used.
+// NewRequester builds C1's context. If random is nil, crypto/rand.Reader
+// is used.
 func NewRequester(pk *paillier.PublicKey, conn mpc.Conn, random io.Reader) *Requester {
 	if random == nil {
 		random = rand.Reader
@@ -132,14 +122,9 @@ func NewRequester(pk *paillier.PublicKey, conn mpc.Conn, random io.Reader) *Requ
 		pk:     pk,
 		conn:   conn,
 		rand:   random,
-		tuning: Tuning{Packing: true},
 		invTwo: new(big.Int).ModInverse(big.NewInt(2), pk.N),
 	}
 }
-
-// SetTuning switches the requester's protocol variant. Call before
-// driving primitives, not mid-protocol.
-func (rq *Requester) SetTuning(t Tuning) { rq.tuning = t }
 
 // shortBlind samples a statistical blind in [0, 2^(bits+σ)) for a
 // plaintext bounded by 2^bits.
@@ -150,21 +135,6 @@ func (rq *Requester) shortBlind(bits int) (*big.Int, error) {
 		return nil, fmt.Errorf("smc: short blind: %w", err)
 	}
 	return r, nil
-}
-
-// shortNonzero samples a nonzero exponent in [1, 2^σ). Used for SMIN's
-// H-chain factors rᵢ, which never reach C2 unblinded (every L ships
-// under a full-range multiplicative blind), so their only job is making
-// accidental Φᵢ = 0 collisions negligible — σ bits suffice and the
-// chain's per-bit exponentiation drops from full width to 64 bits.
-func (rq *Requester) shortNonzero() (*big.Int, error) {
-	bound := new(big.Int).Lsh(oneBig, statSecBits)
-	bound.Sub(bound, oneBig)
-	r, err := rand.Int(rq.rand, bound)
-	if err != nil {
-		return nil, fmt.Errorf("smc: short nonzero blind: %w", err)
-	}
-	return r.Add(r, oneBig), nil
 }
 
 // PK returns the public key the requester encrypts under.
@@ -179,11 +149,6 @@ func (rq *Requester) Rand() io.Reader { return rq.rand }
 // EncryptZero returns a fresh encryption of 0.
 func (rq *Requester) EncryptZero() (*paillier.Ciphertext, error) {
 	return rq.pk.EncryptInt64(rq.rand, 0)
-}
-
-// EncryptOne returns a fresh encryption of 1.
-func (rq *Requester) EncryptOne() (*paillier.Ciphertext, error) {
-	return rq.pk.EncryptInt64(rq.rand, 1)
 }
 
 // roundTrip performs one request/response exchange, validating the reply
@@ -219,7 +184,6 @@ func (rq *Requester) rawCiphertexts(vals []*big.Int) ([]*paillier.Ciphertext, er
 type Responder struct {
 	sk   *paillier.PrivateKey
 	rand io.Reader
-	pool *paillier.RandomizerPool // optional precomputed-nonce pool
 }
 
 // NewResponder builds C2's context. If random is nil, crypto/rand.Reader
@@ -235,29 +199,6 @@ func NewResponder(sk *paillier.PrivateKey, random io.Reader) *Responder {
 // (internal/core embeds Responder for SkNN-specific steps).
 func (rp *Responder) SK() *paillier.PrivateKey { return rp.sk }
 
-// UsePool makes the responder draw encryption nonces from a
-// precomputed-randomizer pool (see paillier.RandomizerPool). C2's
-// workload is dominated by fresh encryptions, so a warm pool removes
-// one modular exponentiation from every reply element. Pass nil to
-// return to inline nonce generation.
-func (rp *Responder) UsePool(pool *paillier.RandomizerPool) { rp.pool = pool }
-
-// encrypt produces a fresh encryption, via the pool when configured.
-func (rp *Responder) encrypt(m *big.Int) (*paillier.Ciphertext, error) {
-	if rp.pool != nil {
-		return rp.pool.Encrypt(m)
-	}
-	return rp.sk.Encrypt(rp.rand, m)
-}
-
-// rerandomize re-randomizes a ciphertext, via the pool when configured.
-func (rp *Responder) rerandomize(ct *paillier.Ciphertext) (*paillier.Ciphertext, error) {
-	if rp.pool != nil {
-		return rp.pool.Rerandomize(ct)
-	}
-	return rp.sk.Rerandomize(rp.rand, ct)
-}
-
 // Rand returns the responder's randomness source.
 func (rp *Responder) Rand() io.Reader { return rp.rand }
 
@@ -268,7 +209,6 @@ func (rp *Responder) Register(mux *mpc.Mux) {
 	mux.Register(OpSBDVerify, mpc.HandlerFunc(rp.handleSBDVerify))
 	mux.Register(OpSMIN, mpc.HandlerFunc(rp.handleSMIN))
 	mux.Register(OpSMPack, mpc.HandlerFunc(rp.handleSMPack))
-	mux.Register(OpSBDPackLsb, mpc.HandlerFunc(rp.handleSBDPackLsb))
 	mux.Register(OpSSEDPack, mpc.HandlerFunc(rp.handleSSEDPack))
 	mux.Register(OpSBDPackBit, mpc.HandlerFunc(rp.handleSBDPackBit))
 }

@@ -53,9 +53,8 @@ func (rq *Requester) SMIN(u, v []*paillier.Ciphertext) ([]*paillier.Ciphertext, 
 	}
 	fUGreaterV := coin.Int64() == 1
 
-	// E(uᵢ·vᵢ) for all i in one round; the operands are bits, so the
-	// products ride the packed SM uplink when tuning allows.
-	uv, err := rq.SMBatchBounded(u, v, 1, 1)
+	// E(uᵢ·vᵢ) for all i in one round.
+	uv, err := rq.SMBatch(u, v)
 	if err != nil {
 		return nil, fmt.Errorf("smc: SMIN bit products: %w", err)
 	}
@@ -77,23 +76,10 @@ func (rq *Requester) SMIN(u, v []*paillier.Ciphertext) ([]*paillier.Ciphertext, 
 			w = rq.pk.Sub(v[i], uv[i])
 			gammaRawDiff = rq.pk.Sub(u[i], v[i])
 		}
-		// The additive blind on Γ: full-range classically; with tuning
-		// on, a short blind offset by +1 so the blinded plaintext
-		// diff + r̂ stays small and non-negative for diff ∈ {−1,0,1}
-		// (σ-statistical hiding, and λ's exponent below turns short).
-		var rhat *big.Int
-		if rq.tuning.Packing {
-			r, err := rq.shortBlind(1)
-			if err != nil {
-				return nil, fmt.Errorf("smc: SMIN r̂: %w", err)
-			}
-			rhat = r.Add(r, oneBig)
-		} else {
-			r, err := rq.pk.RandomZN(rq.rand)
-			if err != nil {
-				return nil, fmt.Errorf("smc: SMIN r̂: %w", err)
-			}
-			rhat = r
+		// Γᵢ = E(±(vᵢ−uᵢ) + r̂ᵢ), r̂ᵢ uniform in Z_N.
+		rhat, err := rq.pk.RandomZN(rq.rand)
+		if err != nil {
+			return nil, fmt.Errorf("smc: SMIN r̂: %w", err)
 		}
 		rhats[i] = rhat
 		gamma[i] = rq.pk.AddPlain(gammaRawDiff, rhat)
@@ -101,12 +87,7 @@ func (rq *Requester) SMIN(u, v []*paillier.Ciphertext) ([]*paillier.Ciphertext, 
 		// Gᵢ = E(uᵢ⊕vᵢ) = E(uᵢ+vᵢ−2uᵢvᵢ)
 		g := rq.pk.Add(rq.pk.Add(u[i], v[i]), rq.pk.ScalarMulInt64(uv[i], -2))
 		// Hᵢ = H_{i−1}^{rᵢ}·Gᵢ with rᵢ random nonzero.
-		var ri *big.Int
-		if rq.tuning.Packing {
-			ri, err = rq.shortNonzero()
-		} else {
-			ri, err = rq.pk.RandomNonzeroZN(rq.rand)
-		}
+		ri, err := rq.pk.RandomNonzeroZN(rq.rand)
 		if err != nil {
 			return nil, fmt.Errorf("smc: SMIN rᵢ: %w", err)
 		}
@@ -156,7 +137,7 @@ func (rq *Requester) SMIN(u, v []*paillier.Ciphertext) ([]*paillier.Ciphertext, 
 
 	// Step 3: unpermute, unblind, and assemble the minimum's bits.
 	// λᵢ = M̃ᵢ · E(α)^(−r̂ᵢ) = M̃ᵢ · Inv(E(α))^(r̂ᵢ): one inversion shared
-	// across all bits, then positive exponents — short ones under tuning.
+	// across all bits, then positive exponents.
 	mTilde := applyPerm(pi1.Inverse(), mPrime)
 	aInv := rq.pk.Inv(encAlpha)
 	out := make([]*paillier.Ciphertext, l)
@@ -189,7 +170,7 @@ func (rp *Responder) handleSMIN(req *mpc.Message) (*mpc.Message, error) {
 		if err != nil {
 			return nil, fmt.Errorf("smc: SMIN decrypt L′[%d]: %w", i, err)
 		}
-		if m.Cmp(big.NewInt(1)) == 0 {
+		if m.Cmp(oneBig) == 0 {
 			alpha = 1
 			// Keep decrypting the rest: short-circuiting would make the
 			// responder's running time depend on the secret position.
@@ -204,13 +185,13 @@ func (rp *Responder) handleSMIN(req *mpc.Message) (*mpc.Message, error) {
 			return nil, fmt.Errorf("smc: SMIN Γ′[%d]: %w", i, err)
 		}
 		mp := rp.sk.ScalarMul(ct, alphaBig)
-		mp, err = rp.rerandomize(mp)
+		mp, err = rp.sk.Rerandomize(rp.rand, mp)
 		if err != nil {
 			return nil, fmt.Errorf("smc: SMIN rerandomize M′[%d]: %w", i, err)
 		}
 		out = append(out, mp.Raw())
 	}
-	encAlpha, err := rp.encrypt(alphaBig)
+	encAlpha, err := rp.sk.Encrypt(rp.rand, alphaBig)
 	if err != nil {
 		return nil, fmt.Errorf("smc: SMIN encrypt α: %w", err)
 	}

@@ -25,17 +25,17 @@ import (
 //	t = 2^l + a − b ∈ [1, 2^(l+1))   (a, b < 2^l)
 //
 // has its bit l — the MSB of the l+1-bit decomposition — equal to
-// [a ≥ b]. One packed SBD pass extracts E(α) = E([a ≥ b]) without either
-// party seeing t, and one packed secure multiplication selects the
-// minimum value:
+// [a ≥ b]. One packed bit peel (msbOncePacked) extracts E(α) = E([a ≥ b])
+// without either party seeing t, and one packed secure multiplication
+// selects the minimum value:
 //
 //	min(a,b) = a + α·(b − a + 2^l) − α·2^l
 //
-// Everything C2 sees is the packed SBD uplink (slotwise short-blinded
-// remainders, the leakage class of the existing packed SBD) and the
-// packed SM uplink. Unlike Algorithm 3, C2 never learns even the
-// coin-masked comparison outcome: α stays encrypted end to end, so the
-// value path leaks strictly less to C2 than the bit path it replaces.
+// Everything C2 sees is the peel's uplink (slotwise short-blinded
+// remainders) and the packed SM uplink. Unlike Algorithm 3, C2 never
+// learns even the coin-masked comparison outcome: α stays encrypted end
+// to end, so the value path leaks strictly less to C2 than the bit path
+// it replaces.
 // Like the other packed kernels it relies on a semi-honest C2 for
 // correctness (no recomposition verify); the bit path (SMIN here, SMINn
 // in internal/reference) is the differential oracle.

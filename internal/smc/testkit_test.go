@@ -27,10 +27,17 @@ func pair(t testing.TB) (*Requester, *paillier.PrivateKey) {
 // benchmark's 512 bits).
 func pairOn(t testing.TB, sk *paillier.PrivateKey) *Requester {
 	t.Helper()
+	return servedBy(t, sk, NewResponder(sk, nil).Mux())
+}
+
+// servedBy wires a Requester to handler — the genuine responder mux, or
+// a wrapper around it that counts or tampers — over an in-process pipe
+// and registers cleanup.
+func servedBy(t testing.TB, sk *paillier.PrivateKey, handler mpc.Handler) *Requester {
+	t.Helper()
 	c1Conn, c2Conn := mpc.ChanPipe()
-	rp := NewResponder(sk, nil)
 	done := make(chan error, 1)
-	go func() { done <- mpc.Serve(c2Conn, rp.Mux()) }()
+	go func() { done <- mpc.Serve(c2Conn, handler) }()
 	t.Cleanup(func() {
 		if err := mpc.SendClose(c1Conn); err != nil {
 			t.Errorf("close: %v", err)

@@ -45,7 +45,7 @@ type Result struct {
 	IDs []uint64
 	// Metrics is the phase breakdown: Secure is the coordinator's
 	// aggregate in either mode, Basic additionally set for ModeBasic (see
-	// QueryMetrics). Nil when the query ran WithoutMetrics.
+	// QueryMetrics).
 	Metrics *QueryMetrics
 }
 
@@ -54,7 +54,6 @@ type queryOptions struct {
 	k        int
 	mode     Mode
 	coverage float64 // candidate-pool factor; 0 = the system's configured value
-	metrics  bool
 }
 
 // QueryOption tunes one Query or QueryBatch call. Options apply to that
@@ -75,14 +74,9 @@ func WithMode(m Mode) QueryOption { return func(o *queryOptions) { o.mode = m } 
 // on an IndexClustered system and is ignored (harmlessly) elsewhere.
 func WithCoverage(c float64) QueryOption { return func(o *queryOptions) { o.coverage = c } }
 
-// WithoutMetrics skips attaching the per-query phase breakdown to the
-// Result (Result.Metrics stays nil) — for hot paths that would only
-// throw it away.
-func WithoutMetrics() QueryOption { return func(o *queryOptions) { o.metrics = false } }
-
 // newQueryOptions resolves opts over the defaults.
 func newQueryOptions(opts []QueryOption) queryOptions {
-	o := queryOptions{k: 1, mode: ModeSecure, metrics: true}
+	o := queryOptions{k: 1, mode: ModeSecure}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -261,9 +255,5 @@ func (s *System) run(ctx context.Context, q []uint64, o *queryOptions) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{Rows: rows, IDs: res.IDs}
-	if o.metrics {
-		out.Metrics = qm
-	}
-	return out, nil
+	return &Result{Rows: rows, IDs: res.IDs, Metrics: qm}, nil
 }

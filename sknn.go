@@ -86,12 +86,11 @@ type (
 )
 
 // QueryMetrics is the per-query phase breakdown attached to every
-// Result (unless the query ran WithoutMetrics), the same on every
-// topology. Secure is the coordinator's aggregate for the query in
-// either mode: scatter/merge split, summed shard counters and traffic,
-// the partition width (0 when the table is served whole). Basic is
-// additionally set for ModeBasic queries: SkNNb's own three phases read
-// off that aggregate.
+// Result, the same on every topology. Secure is the coordinator's
+// aggregate for the query in either mode: scatter/merge split, summed
+// shard counters and traffic, the partition width (0 when the table is
+// served whole). Basic is additionally set for ModeBasic queries: SkNNb's
+// own three phases read off that aggregate.
 type QueryMetrics struct {
 	Basic  *BasicMetrics
 	Secure *SecureMetrics
@@ -148,11 +147,6 @@ type Config struct {
 	// are features. This is the layout secure kNN classification uses
 	// (see examples/classifier).
 	FeatureColumns int
-	// UseNoncePool precomputes Paillier encryption nonces for C2 on
-	// background goroutines (paillier.RandomizerPool), trading idle CPU
-	// for much cheaper reply encryption. Off by default so benchmark
-	// numbers reflect the paper's unassisted protocol cost.
-	UseNoncePool bool
 	// Index selects SkNNm's scan strategy: IndexNone (default, paper-
 	// faithful full scan) or IndexClustered (partition-pruned; see the
 	// IndexMode docs for the leakage tradeoff). ModeBasic ignores the
@@ -257,7 +251,6 @@ type System struct {
 	closeErr  error          // valid once closeDone is closed
 	inflight  sync.WaitGroup // in-flight Query/QueryBatch/mutation calls
 	serveWG   sync.WaitGroup
-	pool      *paillier.RandomizerPool // non-nil when Config.UseNoncePool
 }
 
 // New builds a System over the given plaintext table: rows of uint64
@@ -429,15 +422,6 @@ func assemble(sk *paillier.PrivateKey, encTable *core.EncryptedTable, attrBits, 
 		return nil, err
 	}
 	c2 := core.NewCloudC2(sk, random)
-	if cfg.UseNoncePool {
-		pool, err := paillier.NewRandomizerPool(&sk.PublicKey, random, 4096)
-		if err != nil {
-			return nil, fmt.Errorf("sknn: nonce pool: %w", err)
-		}
-		pool.Start(2)
-		c2.UsePool(pool)
-		sys.pool = pool
-	}
 	// One in-process C2 serves every link — shard pools and the
 	// coordinator's merge pool alike (its handlers are stateless).
 	newConns := func(n int) []mpc.Conn {
@@ -461,9 +445,6 @@ func assemble(sk *paillier.PrivateKey, encTable *core.EncryptedTable, attrBits, 
 			sh.Close()
 		}
 		sys.serveWG.Wait()
-		if sys.pool != nil {
-			sys.pool.Close()
-		}
 		return nil, err
 	}
 
@@ -675,9 +656,6 @@ func (s *System) Close() error {
 	}
 	s.closeErr = first
 	s.serveWG.Wait()
-	if s.pool != nil {
-		s.pool.Close()
-	}
 	close(s.closeDone)
 	return s.closeErr
 }

@@ -187,31 +187,6 @@ func TestSystemClose(t *testing.T) {
 	}
 }
 
-func TestSystemNoncePool(t *testing.T) {
-	tbl, _ := dataset.Generate(171, 10, 2, 3)
-	q, _ := dataset.GenerateQuery(172, 2, 3)
-	sys, err := New(tbl.Rows, 3, Config{Key: facadeKey(), UseNoncePool: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	got, err := queryRows(sys, q, 2, ModeSecure)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := plainknn.KDistances(tbl.Rows, q, 2)
-	ds := make([]uint64, len(got))
-	for i, row := range got {
-		ds[i], _ = plainknn.SquaredDistance(row, q)
-	}
-	sort.Slice(ds, func(a, b int) bool { return ds[a] < ds[b] })
-	for i := range want {
-		if ds[i] != want[i] {
-			t.Fatalf("pooled system distances = %v, want %v", ds, want)
-		}
-	}
-}
-
 // queryDistances runs one query and returns the sorted squared
 // distances of the returned records to q (feature prefix fq).
 func queryDistances(t *testing.T, sys *System, q []uint64, k int, mode Mode) []uint64 {

@@ -10,6 +10,7 @@ import (
 	"sknn/internal/mpc"
 	"sknn/internal/paillier"
 	"sknn/internal/reference"
+	"sknn/internal/smc"
 )
 
 // queryRows drives the v2 Query API in the v1 call shape — rows only,
@@ -68,7 +69,7 @@ func referenceRows(t *testing.T, sk *paillier.PrivateKey, rows [][]uint64, attrB
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := reference.SkNNm(reference.NewRequester(pk, c1Side, nil), table.Snapshot().Records, eq, k, dataset.DomainBits(attrBits, f))
+	res, err := reference.SkNNm(smc.NewRequester(pk, c1Side, nil), table.Snapshot().Records, eq, k, dataset.DomainBits(attrBits, f))
 	if err != nil {
 		t.Fatalf("reference SkNNm: %v", err)
 	}
