@@ -173,8 +173,13 @@ func BenchmarkFig2f_Compare(b *testing.B) {
 	}
 }
 
-// --- Figure 3: serial vs parallel SkNNb -------------------------------
+// --- Figure 3: serial vs parallel ------------------------------------
 
+// The SkNNb rows vary the link count (Workers), which also multiplies
+// the frames. The SkNNm row holds it at one link, so what
+// `go test -bench Fig3 -cpu 1,2` shows for it is the in-party fan-out
+// alone (paillier.ForEach): the core speed-up the paper's Figure 3
+// plots, at the benchmark's secure_scan shape (n=8, m=6, l=12, k=2).
 func BenchmarkFig3_ParallelVsSerial(b *testing.B) {
 	for _, n := range []int{64, 128} {
 		for _, workers := range []int{1, 4} {
@@ -189,6 +194,9 @@ func BenchmarkFig3_ParallelVsSerial(b *testing.B) {
 			})
 		}
 	}
+	b.Run("SkNNm/n=8/workers=1", func(b *testing.B) {
+		benchSecure(b, 8, 6, 2, 12, 512)
+	})
 }
 
 // --- Section 5.2: SMINn share of SkNNm --------------------------------

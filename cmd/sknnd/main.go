@@ -251,7 +251,7 @@ func cmdEngine(sub string, args []string) {
 	}
 	fs.StringVar(&spec.C2, "connect", "127.0.0.1:7002", "C2 address")
 	fs.StringVar(&spec.C2Token, "c2-token", "", "pre-shared token the C2 listener requires")
-	fs.IntVar(&spec.Workers, "workers", 1, "parallel connections to C2 per link pool this process owns (the coordinator's, and the table worker's under c1)")
+	fs.IntVar(&spec.Workers, "workers", 1, "links: parallel connections to C2 per link pool this process owns (the coordinator's, and the table worker's under c1); cores are used regardless, up to GOMAXPROCS")
 	queryStr := fs.String("q", "", "query attributes, comma-separated; separate multiple queries with ';'")
 	queryFile := fs.String("qfile", "", "file with one comma-separated query per line (alternative to -q)")
 	k := fs.Int("k", 5, "number of neighbors")

@@ -94,16 +94,16 @@ func (c *CloudC2) handleRank(req *mpc.Message) (*mpc.Message, error) {
 		idx int
 	}
 	ds := make([]distIdx, n)
-	for i := 0; i < n; i++ {
-		ct, err := c.sk.FromRaw(req.Ints[i+1])
+	err := paillier.ForEach(n, func(i int) error {
+		d, err := c.decryptRaw(req.Ints[i+1])
 		if err != nil {
-			return nil, fmt.Errorf("core: rank distance %d: %w", i, err)
-		}
-		d, err := c.sk.Decrypt(ct)
-		if err != nil {
-			return nil, fmt.Errorf("core: rank decrypt %d: %w", i, err)
+			return fmt.Errorf("core: rank distance %d: %w", i, err)
 		}
 		ds[i] = distIdx{d: d, idx: i}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	// Stable sort keeps ties in record order, matching the sequential
 	// scan a plaintext kNN oracle performs.
@@ -127,16 +127,16 @@ func (c *CloudC2) handleReveal(req *mpc.Message) (*mpc.Message, error) {
 		return nil, fmt.Errorf("%w: empty reveal payload", ErrBadFrame)
 	}
 	out := make([]*big.Int, len(req.Ints))
-	for i, v := range req.Ints {
-		ct, err := c.sk.FromRaw(v)
+	err := paillier.ForEach(len(out), func(i int) error {
+		m, err := c.decryptRaw(req.Ints[i])
 		if err != nil {
-			return nil, fmt.Errorf("core: reveal γ[%d]: %w", i, err)
-		}
-		m, err := c.sk.Decrypt(ct)
-		if err != nil {
-			return nil, fmt.Errorf("core: reveal decrypt[%d]: %w", i, err)
+			return fmt.Errorf("core: reveal γ[%d]: %w", i, err)
 		}
 		out[i] = m
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	//sknnlint:allow partyflow -- Algorithm 5 step 5: each revealed γ′ is uniformly random in ℤ_N because C1 added a one-time full-range mask r_{j,g} to the attribute or row-packed record chunk before sending; only Bob, who receives γ′ and the masks, can unmask the value and split a chunk into its columns
 	return &mpc.Message{Op: OpReveal, Ints: out}, nil
@@ -155,16 +155,19 @@ func (c *CloudC2) handleMinSelect(req *mpc.Message) (*mpc.Message, error) {
 		return nil, err
 	}
 
+	// The tie-break above draws from the same reader as U's nonces, so
+	// these are a second fan-out, not tasks beside the decryptions.
+	bits := make([]*big.Int, n)
+	for i := range bits {
+		bits[i] = new(big.Int)
+	}
+	bits[chosen].SetInt64(1)
+	u, err := c.sk.EncryptMany(c.random, bits)
+	if err != nil {
+		return nil, fmt.Errorf("core: min-select encrypt U: %w", err)
+	}
 	out := make([]*big.Int, n)
-	for i := 0; i < n; i++ {
-		bit := uint64(0)
-		if i == chosen {
-			bit = 1
-		}
-		ct, err := c.sk.Encrypt(c.random, new(big.Int).SetUint64(bit))
-		if err != nil {
-			return nil, fmt.Errorf("core: min-select encrypt U[%d]: %w", i, err)
-		}
+	for i, ct := range u {
 		out[i] = ct.Raw()
 	}
 	return &mpc.Message{Op: OpMinSelect, Ints: out}, nil
@@ -188,6 +191,15 @@ func (c *CloudC2) handleMinIndex(req *mpc.Message) (*mpc.Message, error) {
 	return &mpc.Message{Op: OpMinIndex, Ints: []*big.Int{big.NewInt(int64(chosen))}}, nil
 }
 
+// decryptRaw validates and decrypts one payload element.
+func (c *CloudC2) decryptRaw(v *big.Int) (*big.Int, error) {
+	ct, err := c.sk.FromRaw(v)
+	if err != nil {
+		return nil, err
+	}
+	return c.sk.Decrypt(ct)
+}
+
 // argminOfBlinded decrypts a blinded-difference vector β (βᵢ =
 // rᵢ·(dmin−dᵢ), so exactly the minima decrypt to zero) and returns one
 // zero position chosen uniformly at random — the tie-break rule the
@@ -196,17 +208,21 @@ func (c *CloudC2) argminOfBlinded(ints []*big.Int) (int, error) {
 	if len(ints) == 0 {
 		return 0, fmt.Errorf("%w: empty min-select payload", ErrBadFrame)
 	}
+	isZero := make([]bool, len(ints))
+	err := paillier.ForEach(len(ints), func(i int) error {
+		m, err := c.decryptRaw(ints[i])
+		if err != nil {
+			return fmt.Errorf("core: min-select β[%d]: %w", i, err)
+		}
+		isZero[i] = m.Sign() == 0
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
 	var zeros []int
-	for i, v := range ints {
-		ct, err := c.sk.FromRaw(v)
-		if err != nil {
-			return 0, fmt.Errorf("core: min-select β[%d]: %w", i, err)
-		}
-		m, err := c.sk.Decrypt(ct)
-		if err != nil {
-			return 0, fmt.Errorf("core: min-select decrypt[%d]: %w", i, err)
-		}
-		if m.Sign() == 0 {
+	for i, z := range isZero {
+		if z {
 			zeros = append(zeros, i)
 		}
 	}

@@ -172,7 +172,6 @@ func attrPackBits(domainBits int) int {
 // plaintext (no disqualification needed once the winner is known), and
 // repeats until the chosen clusters hold at least target records.
 func (s *QuerySession) rankClusters(q EncryptedQuery, domainBits, target int, metrics *SecureMetrics) ([]int, error) {
-	pk := s.pk
 	ds, err := s.distancesOf(q, s.tbl.centroids2D(), s.tbl.packedCentroids(attrPackBits(domainBits)))
 	if err != nil {
 		return nil, fmt.Errorf("core: centroid SSED: %w", err)
@@ -206,15 +205,13 @@ func (s *QuerySession) rankClusters(q EncryptedQuery, domainBits, target int, me
 			if err != nil {
 				return nil, fmt.Errorf("core: centroid permutation: %w", err)
 			}
-			tauP := make([]*big.Int, len(live))
+			permuted := make([]*paillier.Ciphertext, len(live))
 			for i := range live {
-				src := live[perm[i]]
-				tau := pk.Sub(encMin, ds[src])
-				r, err := pk.RandomNonzeroZN(s.primary().Rand())
-				if err != nil {
-					return nil, fmt.Errorf("core: centroid blind: %w", err)
-				}
-				tauP[i] = pk.ScalarMul(tau, r).Raw()
+				permuted[i] = ds[live[perm[i]]]
+			}
+			tauP, err := s.blindDiffs(encMin, permuted)
+			if err != nil {
+				return nil, fmt.Errorf("core: centroid blind: %w", err)
 			}
 			resp, err := mpc.RoundTrip(s.primary().Conn(), &mpc.Message{Op: OpMinIndex, Ints: tauP})
 			if err != nil {
@@ -357,19 +354,17 @@ func (s *QuerySession) selectTopK(records [][]*paillier.Ciphertext, dists []*pai
 		// one-hot selector U. The permutation is fresh per iteration and
 		// lives only on this session.
 		phase = time.Now()
-		tauP := make([]*big.Int, n)
 		perm, err := smc.NewPermutation(s.primary().Rand(), n)
 		if err != nil {
 			return nil, fmt.Errorf("core: iteration %d permutation: %w", iter+1, err)
 		}
-		for i := 0; i < n; i++ {
-			src := perm[i]
-			tau := pk.Sub(encMin, ds[src])
-			r, err := pk.RandomNonzeroZN(s.primary().Rand())
-			if err != nil {
-				return nil, fmt.Errorf("core: iteration %d blind: %w", iter+1, err)
-			}
-			tauP[i] = pk.ScalarMul(tau, r).Raw()
+		permuted := make([]*paillier.Ciphertext, n)
+		for i := range permuted {
+			permuted[i] = ds[perm[i]]
+		}
+		tauP, err := s.blindDiffs(encMin, permuted)
+		if err != nil {
+			return nil, fmt.Errorf("core: iteration %d blind: %w", iter+1, err)
 		}
 		resp, err := mpc.RoundTrip(s.primary().Conn(), &mpc.Message{Op: OpMinSelect, Ints: tauP})
 		if err != nil {
@@ -540,6 +535,27 @@ func (s *QuerySession) mergeCandidates(cands []Candidate, k, domainBits int, met
 		ds[i] = cand.Dist
 	}
 	return s.selectTopK(records, ds, k, domainBits, metrics)
+}
+
+// blindDiffs is step 3(b) of Algorithm 6 over ds, which the caller has
+// already permuted: τᵢ = rᵢ·(dmin − dᵢ) for fresh nonzero rᵢ, as frame
+// elements. The blinds are drawn first, in order; the full-range
+// exponentiations, one per entry, then spread over idle cores.
+func (s *QuerySession) blindDiffs(encMin *paillier.Ciphertext, ds []*paillier.Ciphertext) ([]*big.Int, error) {
+	rs := make([]*big.Int, len(ds))
+	for i := range rs {
+		r, err := s.pk.RandomNonzeroZN(s.primary().Rand())
+		if err != nil {
+			return nil, err
+		}
+		rs[i] = r
+	}
+	taus := make([]*big.Int, len(ds))
+	_ = paillier.ForEach(len(ds), func(i int) error { // cannot fail
+		taus[i] = s.pk.ScalarMul(s.pk.Sub(encMin, ds[i]), rs[i]).Raw()
+		return nil
+	})
+	return taus, nil
 }
 
 // sumRecords adds, chunk by chunk, the records laid end to end in prods

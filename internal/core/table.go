@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"math/big"
 	"sync"
 
 	"sknn/internal/paillier"
@@ -80,9 +81,9 @@ type rowPacks struct {
 // headroom-free RowLayout{cols, bits}.
 type packKey struct{ bits, cols int }
 
-// get returns rendering key of the rows at positions idx, calling pack
-// for (and remembering) those not rendered yet. The lock is held across
-// the packing so concurrent sessions never pack a row twice.
+// get returns rendering key of the rows at the distinct positions idx,
+// calling pack for (and remembering) those not rendered yet. The lock is
+// held across the packing so concurrent sessions never pack a row twice.
 func (p *rowPacks) get(key packKey, idx []int, pack func(pos int) ([]*paillier.Ciphertext, error)) ([][]*paillier.Ciphertext, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -96,15 +97,27 @@ func (p *rowPacks) get(key packKey, idx []int, pack func(pos int) ([]*paillier.C
 		}
 	}
 	p.rows[key] = memo
+	var missing []int
+	for _, pos := range idx {
+		if memo[pos] == nil {
+			missing = append(missing, pos)
+		}
+	}
+	// Rows pack independently, ~Width squarings per slot each: the missing
+	// ones — the whole table on its first query — spread over idle cores.
+	err := paillier.ForEach(len(missing), func(i int) error {
+		row, err := pack(missing[i])
+		if err != nil {
+			return err
+		}
+		memo[missing[i]] = row
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	out := make([][]*paillier.Ciphertext, len(idx))
 	for i, pos := range idx {
-		if memo[pos] == nil {
-			row, err := pack(pos)
-			if err != nil {
-				return nil, err
-			}
-			memo[pos] = row
-		}
 		out[i] = memo[pos]
 	}
 	return out, nil
@@ -157,18 +170,38 @@ func EncryptTable(random io.Reader, pk *paillier.PublicKey, rows [][]uint64) (*E
 		return nil, fmt.Errorf("core: empty table")
 	}
 	m := len(rows[0])
-	records := make([]EncryptedRecord, len(rows))
 	for i, row := range rows {
 		if len(row) != m {
 			return nil, fmt.Errorf("core: row %d has %d attributes, want %d", i, len(row), m)
 		}
-		rec, err := pk.EncryptUint64Vector(random, row)
-		if err != nil {
-			return nil, fmt.Errorf("core: encrypting row %d: %w", i, err)
-		}
-		records[i] = rec
+	}
+	records, err := encryptRows(random, pk, rows, m)
+	if err != nil {
+		return nil, fmt.Errorf("core: encrypting table: %w", err)
 	}
 	return newTable(pk, records, m), nil
+}
+
+// encryptRows encrypts rows of m attributes each, attribute-wise, with
+// the randomness drawn in row-major order and the exponentiations spread
+// over idle cores (paillier.EncryptMany) — the owner's setup, unlike
+// Bob's single-core Client.
+func encryptRows(random io.Reader, pk *paillier.PublicKey, rows [][]uint64, m int) ([]EncryptedRecord, error) {
+	flat := make([]*big.Int, 0, len(rows)*m)
+	for _, row := range rows {
+		for _, x := range row {
+			flat = append(flat, new(big.Int).SetUint64(x))
+		}
+	}
+	cts, err := pk.EncryptMany(random, flat)
+	if err != nil {
+		return nil, err
+	}
+	records := make([]EncryptedRecord, len(rows))
+	for i := range records {
+		records[i] = cts[i*m : (i+1)*m : (i+1)*m]
+	}
+	return records, nil
 }
 
 // derive builds a construction-time variant of t sharing its ciphertexts.
@@ -292,17 +325,14 @@ func (t *EncryptedTable) buildIndex(random io.Reader, centroids [][]uint64, memb
 			return nil, fmt.Errorf("core: record %d not in any cluster", i)
 		}
 	}
+	encCentroids, err := encryptRows(random, t.pk, centroids, t.featureM)
+	if err != nil {
+		return nil, fmt.Errorf("core: encrypting centroids: %w", err)
+	}
 	idx := &clusterIndex{
-		centroids: make([]EncryptedRecord, len(centroids)),
+		centroids: encCentroids,
 		members:   make([][]int, len(members)),
 		packs:     &rowPacks{},
-	}
-	for j, cent := range centroids {
-		rec, err := t.pk.EncryptUint64Vector(random, cent)
-		if err != nil {
-			return nil, fmt.Errorf("core: encrypting centroid %d: %w", j, err)
-		}
-		idx.centroids[j] = rec
 	}
 	for j, mem := range members {
 		idx.members[j] = append([]int(nil), mem...)

@@ -246,15 +246,25 @@ func (g *Gateway) serveQueries(conn mpc.Conn, t *tenant) error {
 		if req.Op == mpc.OpClose {
 			return nil
 		}
+		// An admitted query stays in the inflight group until its reply is
+		// on the wire: Close waits for the group and then hangs up on every
+		// connection, so leaving earlier lets it cut off an answered query.
+		admitted := req.Op == OpGateQuery && g.admit()
 		var resp *mpc.Message
-		switch req.Op {
-		case OpGateQuery:
+		switch {
+		case admitted:
 			resp = g.runQuery(t, req)
+		case req.Op == OpGateQuery:
+			resp = &mpc.Message{Op: mpc.OpError, Err: "gateway: draining, query refused"}
 		default:
 			resp = &mpc.Message{Op: mpc.OpError, Err: fmt.Sprintf("unknown gateway op %d", req.Op)}
 		}
 		resp.Tag = req.Tag
-		if err := conn.Send(resp); err != nil {
+		err = conn.Send(resp)
+		if admitted {
+			g.inflight.Done()
+		}
+		if err != nil {
 			if errors.Is(err, mpc.ErrConnClosed) {
 				return nil
 			}
@@ -263,25 +273,27 @@ func (g *Gateway) serveQueries(conn mpc.Conn, t *tenant) error {
 	}
 }
 
-// runQuery admits and executes one query frame, returning the reply
-// frame (OpError on shed, refusal, or protocol failure — the serve
-// loop keeps the connection alive either way).
+// admit joins the inflight group unless the gateway is draining. Drain
+// gate and inflight accounting are one atomic step: Close waits for the
+// group, so a query must never join it after closed flips.
+func (g *Gateway) admit() bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.closed {
+		return false
+	}
+	g.inflight.Add(1)
+	return true
+}
+
+// runQuery meters and executes one query frame the drain gate has
+// admitted, returning the reply frame (OpError on shed, refusal, or
+// protocol failure — the serve loop keeps the connection alive either
+// way).
 func (g *Gateway) runQuery(t *tenant, req *mpc.Message) *mpc.Message {
 	oops := func(err error) *mpc.Message {
 		return &mpc.Message{Op: mpc.OpError, Err: err.Error()}
 	}
-	// Drain gate and inflight accounting are one atomic step: Close
-	// waits for the inflight group, so a query must never join it after
-	// closed flips.
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return oops(fmt.Errorf("gateway: draining, query refused"))
-	}
-	g.inflight.Add(1)
-	g.mu.Unlock()
-	defer g.inflight.Done()
-
 	name := t.cfg.Name
 	if !t.admitRate(time.Now()) {
 		g.metrics.shed(name, "rate")

@@ -517,6 +517,70 @@ func TestGatewayCloseDrains(t *testing.T) {
 	}
 }
 
+// heldSendConn delays every Send of a query reply until release closes,
+// announcing on sending that the reply is ready to go out: the window
+// between the backend answering and the client holding the answer.
+type heldSendConn struct {
+	mpc.Conn
+	sending chan struct{}
+	release chan struct{}
+}
+
+func (c *heldSendConn) Send(m *mpc.Message) error {
+	if m.Op == OpGateQuery {
+		c.sending <- struct{}{}
+		<-c.release
+	}
+	return c.Conn.Send(m)
+}
+
+// TestGatewayCloseWaitsForReplySend pins the drain contract at its
+// narrowest point: a query the backend has answered but whose reply is
+// not yet on the wire is still in flight, so Close may not hang up on it.
+func TestGatewayCloseWaitsForReplySend(t *testing.T) {
+	g, _, _ := newStubGateway(t, TenantConfig{Name: "alpha", Token: "s3cret"})
+	clientSide, serverSide := mpc.ChanPipe()
+	held := &heldSendConn{Conn: serverSide, sending: make(chan struct{}), release: make(chan struct{})}
+	served := make(chan error, 1)
+	go func() {
+		served <- g.HandleConn(held)
+	}()
+	tc, err := DialTenant(clientSide, "alpha", "s3cret")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	queryDone := make(chan error, 1)
+	go func() {
+		rows, _, err := tc.Query(context.Background(), []uint64{1, 2}, 1, true)
+		if err == nil && len(rows) != 1 {
+			err = fmt.Errorf("%d rows, want 1", len(rows))
+		}
+		queryDone <- err
+	}()
+	<-held.sending // the backend has answered; the reply is about to be sent
+
+	closeDone := make(chan error, 1)
+	go func() {
+		closeDone <- g.Close()
+	}()
+	select {
+	case err := <-closeDone:
+		t.Fatalf("Close returned %v before the answered query's reply was sent", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(held.release)
+	if err := <-queryDone; err != nil {
+		t.Fatalf("answered query lost to the drain: %v", err)
+	}
+	if err := <-closeDone; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("serve loop: %v", err)
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	g, _, _ := newStubGateway(t,
 		TenantConfig{Name: "alpha", Token: "a"},

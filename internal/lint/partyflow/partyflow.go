@@ -83,6 +83,10 @@ var sanitizers = map[string]bool{
 	"Encrypt":     true,
 	"encrypt":     true,
 	"EncryptList": true,
+	// The split encryption (paillier.Nonce): the message-dependent half,
+	// and the batch form that draws and raises its own nonces.
+	"EncryptWith": true,
+	"EncryptMany": true,
 	"Blind":       true,
 	"blind":       true,
 	"Mask":        true,

@@ -12,6 +12,16 @@ type PrivateKey struct{ N int }
 func (k *PrivateKey) Decrypt(c int) int { return c }
 func (k *PrivateKey) Encrypt(m int) int { return m }
 
+// Nonce stands in for paillier.Nonce, the message-independent half of an
+// encryption; EncryptWith and EncryptMany are the halves that touch the
+// message.
+type Nonce struct{}
+
+func (n *Nonce) Raise()                               {}
+func (k *PrivateKey) DrawNonces(count int) []*Nonce   { return make([]*Nonce, count) }
+func (k *PrivateKey) EncryptWith(n *Nonce, m int) int { return m }
+func (k *PrivateKey) EncryptMany(ms []int) []int      { return ms }
+
 // Message stands in for mpc.Message.
 type Message struct {
 	Op   int
@@ -49,6 +59,30 @@ func leakEncode(k *PrivateKey, c int) {
 func reencrypted(k *PrivateKey, c int) *Message {
 	d := k.Decrypt(c)
 	return &Message{Op: 1, Ints: []int{k.Encrypt(d)}}
+}
+
+// splitEncrypted launders through the split encryption: the nonce is
+// drawn and raised apart from the message, EncryptWith assembles.
+func splitEncrypted(k *PrivateKey, c int) *Message {
+	nc := k.DrawNonces(1)
+	d := k.Decrypt(c)
+	nc[0].Raise()
+	return &Message{Op: 1, Ints: []int{k.EncryptWith(nc[0], d)}}
+}
+
+// batchEncrypted launders a whole reply through EncryptMany.
+func batchEncrypted(k *PrivateKey, c int) *Message {
+	d := k.Decrypt(c)
+	return &Message{Op: 1, Ints: k.EncryptMany([]int{d, d + 1})}
+}
+
+// leakBesideNonce raises a nonce and then ships the plaintext anyway:
+// only the assembling call sanitizes, not having a nonce at hand.
+func leakBesideNonce(k *PrivateKey, c int) *Message {
+	nc := k.DrawNonces(1)
+	d := k.Decrypt(c)
+	nc[0].Raise()
+	return &Message{Op: 1, Ints: []int{d}} // want `reaches wire sink Message.Ints`
 }
 
 // blinded launders through the blinding sanitizer.

@@ -138,18 +138,20 @@ func BenchmarkNoncePower(b *testing.B) {
 	}
 	for _, bc := range []struct {
 		name string
-		fn   func(io.Reader) (*big.Int, error)
+		fn   func(io.Reader) (*Nonce, error)
 	}{
-		{"public", plain.PublicKey.noncePower},
-		{"public-tables", pubTabled.noncePower},
-		{"private", plain.noncePower},
-		{"private-tables", tabled.noncePower},
+		{"public", plain.PublicKey.drawNonce},
+		{"public-tables", pubTabled.drawNonce},
+		{"private", plain.drawNonce},
+		{"private-tables", tabled.drawNonce},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := bc.fn(rand.Reader); err != nil {
+				nc, err := bc.fn(rand.Reader)
+				if err != nil {
 					b.Fatal(err)
 				}
+				nc.Raise()
 			}
 		})
 	}

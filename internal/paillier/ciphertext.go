@@ -170,26 +170,29 @@ func (pk *PublicKey) Sub(a, b *Ciphertext) *Ciphertext {
 // Rerandomize multiplies in a fresh encryption of zero, producing a
 // ciphertext of the same plaintext that is statistically unlinkable to a.
 func (pk *PublicKey) Rerandomize(random io.Reader, a *Ciphertext) (*Ciphertext, error) {
-	rn, err := pk.noncePower(random)
+	nc, err := pk.drawNonce(random)
 	if err != nil {
 		return nil, err
 	}
-	return pk.mulNoncePower(a, rn), nil
+	return pk.RerandomizeWith(nc, a), nil
 }
 
 // Rerandomize on the private key draws the encryption of zero from the
 // private-key nonce kernel, like (*PrivateKey).Encrypt.
 func (sk *PrivateKey) Rerandomize(random io.Reader, a *Ciphertext) (*Ciphertext, error) {
-	rn, err := sk.noncePower(random)
+	nc, err := sk.drawNonce(random)
 	if err != nil {
 		return nil, err
 	}
-	return sk.mulNoncePower(a, rn), nil
+	return sk.RerandomizeWith(nc, a), nil
 }
 
-// mulNoncePower multiplies the fresh nonce power rn into a, reusing rn's
-// storage.
-func (pk *PublicKey) mulNoncePower(a *Ciphertext, rn *big.Int) *Ciphertext {
+// RerandomizeWith multiplies nc's nonce power into a: Rerandomize's
+// counterpart of EncryptWith. It consumes the nonce (its storage becomes
+// the result's).
+func (pk *PublicKey) RerandomizeWith(nc *Nonce, a *Ciphertext) *Ciphertext {
+	rn := nc.power()
+	nc.rho = nil // spent: rn becomes the ciphertext
 	rn.Mul(rn, a.c)
 	rn.Mod(rn, pk.NSquared)
 	return &Ciphertext{c: rn}

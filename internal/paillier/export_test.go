@@ -68,3 +68,7 @@ func (pk *PublicKey) FixedBasePow(a *big.Int) (*big.Int, bool) {
 	}
 	return pk.fb.pow(a)
 }
+
+// HelpersInFlight reports how many fan-out helper goroutines are alive
+// process-wide: the quantity ForEach's budget bounds.
+func HelpersInFlight() int { return int(helpers.Load()) }

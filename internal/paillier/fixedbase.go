@@ -29,7 +29,7 @@ import (
 // ones.
 //
 // A private key needs no table at all to beat the public r^N: see
-// (*PrivateKey).noncePower at the bottom of this file, the kernel every
+// (*PrivateKey).drawNonce at the bottom of this file, the kernel every
 // C2 reply encryption rides.
 
 // fbWindow is the window width in bits. 6 balances table size against
@@ -159,16 +159,16 @@ func (pk *PublicKey) EnableFixedBase(random io.Reader) error {
 	if pk.fb != nil {
 		return nil
 	}
-	fb, err := pk.buildFixedBase(random)
+	hN, err := pk.fixedBaseGenerator(random)
 	if err != nil {
 		return err
 	}
-	pk.fb = fb
+	pk.fb = &pkFixedBase{hN: hN, tab: newFBTable(hN, pk.NSquared, pk.N.BitLen())}
 	return nil
 }
 
-// buildFixedBase samples h and precomputes the public (mod N²) table.
-func (pk *PublicKey) buildFixedBase(random io.Reader) (*pkFixedBase, error) {
+// fixedBaseGenerator samples h and returns hN = h^N mod N².
+func (pk *PublicKey) fixedBaseGenerator(random io.Reader) (*big.Int, error) {
 	if random == nil {
 		random = rand.Reader
 	}
@@ -176,8 +176,7 @@ func (pk *PublicKey) buildFixedBase(random io.Reader) (*pkFixedBase, error) {
 	if err != nil {
 		return nil, fmt.Errorf("paillier: fixed-base generator: %w", err)
 	}
-	hN := new(big.Int).Exp(h, pk.N, pk.NSquared)
-	return &pkFixedBase{hN: hN, tab: newFBTable(hN, pk.NSquared, pk.N.BitLen())}, nil
+	return new(big.Int).Exp(h, pk.N, pk.NSquared), nil
 }
 
 // FixedBaseEnabled reports whether the fast randomizer path is active.
@@ -194,27 +193,103 @@ func (sk *PrivateKey) EnableFixedBase(random io.Reader) error {
 	if sk.fb != nil && sk.fb.crt != nil {
 		return nil
 	}
-	var fb *pkFixedBase
+	fb := &pkFixedBase{crt: &crtFB{sk: sk}}
 	if pub := sk.fb; pub != nil {
-		fb = &pkFixedBase{hN: pub.hN, tab: pub.tab}
+		fb.hN, fb.tab = pub.hN, pub.tab
 	} else {
 		var err error
-		if fb, err = sk.PublicKey.buildFixedBase(random); err != nil {
+		if fb.hN, err = sk.fixedBaseGenerator(random); err != nil {
 			return err
 		}
 	}
-	fb.crt = &crtFB{
-		sk:   sk,
-		tabP: newFBTable(fb.hN, sk.pSquared, sk.pMinus1.BitLen()),
-		tabQ: newFBTable(fb.hN, sk.qSquared, sk.qMinus1.BitLen()),
+	// The tables are independent of one another; the public one — twice
+	// the windows on full-width entries, two thirds of the work — leads so
+	// the caller takes it while a helper builds the two CRT halves.
+	builds := []func(){
+		func() { fb.tab = newFBTable(fb.hN, sk.NSquared, sk.N.BitLen()) },
+		func() { fb.crt.tabP = newFBTable(fb.hN, sk.pSquared, sk.pMinus1.BitLen()) },
+		func() { fb.crt.tabQ = newFBTable(fb.hN, sk.qSquared, sk.qMinus1.BitLen()) },
 	}
+	if fb.tab != nil {
+		builds = builds[1:]
+	}
+	_ = ForEach(len(builds), func(i int) error { // the builds cannot fail
+		builds[i]()
+		return nil
+	})
 	sk.fb = fb
 	return nil
 }
 
-// noncePower returns one fresh randomizer r^N mod N² — via the
-// fixed-base table when enabled, else by direct exponentiation.
-func (pk *PublicKey) noncePower(random io.Reader) (*big.Int, error) {
+// Nonce is the message-independent half of one encryption or
+// re-randomisation: the randomness, already drawn from the caller's
+// reader, and — once Raise has run — its power ρ = r^N mod N², a uniform
+// element of the group of N-th residues. Splitting the two lets a party
+// draw serially, so the reader is never shared, and pay the
+// exponentiation (all but a few multiplications of an encryption)
+// wherever a core is free: C2 raises a reply's nonces in the same
+// ForEach task list as the request's decryptions (RaiseAlongside). A
+// Nonce is used once, by one goroutine at a time.
+type Nonce struct {
+	raise func() *big.Int // the pending exponentiation; reads no randomness
+	rho   *big.Int        // its result, once raised
+}
+
+// Raise computes the nonce power. Calling it again is a no-op.
+func (nc *Nonce) Raise() {
+	if nc.rho == nil {
+		nc.rho, nc.raise = nc.raise(), nil
+	}
+}
+
+// power returns the raised nonce power, raising it now if nobody has.
+func (nc *Nonce) power() *big.Int {
+	nc.Raise()
+	return nc.rho
+}
+
+// RaiseAlongside runs fn(0), …, fn(n−1) and raises every nonce as one
+// ForEach task list: the shape of a C2 handler, whose n request
+// decryptions and len(nonces) reply nonce powers are independent of one
+// another. Errors and panics as ForEach.
+func RaiseAlongside(nonces []*Nonce, n int, fn func(i int) error) error {
+	return ForEach(n+len(nonces), func(t int) error {
+		if t < n {
+			return fn(t)
+		}
+		nonces[t-n].Raise()
+		return nil
+	})
+}
+
+// DrawNonces draws the randomness of count encryptions from random,
+// serially, in the order count Encrypt calls would — via the fixed-base
+// table when enabled (a fresh exponent a, ρ = hN^a), else a fresh unit r
+// (ρ = r^N). If random is nil, crypto/rand is used.
+func (pk *PublicKey) DrawNonces(random io.Reader, count int) ([]*Nonce, error) {
+	return drawNonces(count, random, pk.drawNonce)
+}
+
+// DrawNonces on the private key draws for the private-key randomizer
+// kernel (see drawNonce below), like (*PrivateKey).Encrypt.
+func (sk *PrivateKey) DrawNonces(random io.Reader, count int) ([]*Nonce, error) {
+	return drawNonces(count, random, sk.drawNonce)
+}
+
+func drawNonces(count int, random io.Reader, draw func(io.Reader) (*Nonce, error)) ([]*Nonce, error) {
+	out := make([]*Nonce, count)
+	for i := range out {
+		nc, err := draw(random)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = nc
+	}
+	return out, nil
+}
+
+// drawNonce draws one public-key nonce.
+func (pk *PublicKey) drawNonce(random io.Reader) (*Nonce, error) {
 	if random == nil {
 		random = rand.Reader
 	}
@@ -223,19 +298,22 @@ func (pk *PublicKey) noncePower(random io.Reader) (*big.Int, error) {
 		if err != nil {
 			return nil, fmt.Errorf("paillier: fixed-base exponent: %w", err)
 		}
-		if x, ok := fb.pow(a); ok {
-			return x, nil
-		}
+		return &Nonce{raise: func() *big.Int {
+			if x, ok := fb.pow(a); ok { // always: a < N is inside the tables' range
+				return x
+			}
+			return new(big.Int).Exp(fb.hN, a, pk.NSquared)
+		}}, nil
 	}
 	r, err := pk.randomUnit(random)
 	if err != nil {
 		return nil, err
 	}
-	return new(big.Int).Exp(r, pk.N, pk.NSquared), nil
+	return &Nonce{raise: func() *big.Int { return new(big.Int).Exp(r, pk.N, pk.NSquared) }}, nil
 }
 
-// noncePower is the private-key randomizer kernel, the one C2's reply
-// encryptions use. With tables it is the public routine (whose CRT walk
+// drawNonce on the private key is the randomizer kernel every C2 reply
+// encryption uses. With tables it is the public routine (whose CRT walk
 // the key's tables shorten); without, it uses the factorisation directly:
 //
 //	ρ = CRT(x_p^p mod p², x_q^q mod q²),  x_p ← [1,p), x_q ← [1,q)
@@ -248,9 +326,9 @@ func (pk *PublicKey) noncePower(random io.Reader) (*big.Int, error) {
 // — the distribution of r^N for uniform r ∈ ℤ*_N, with no
 // fixed-generator assumption — at two half-length exponents on
 // half-width moduli, the shape of Decrypt.
-func (sk *PrivateKey) noncePower(random io.Reader) (*big.Int, error) {
+func (sk *PrivateKey) drawNonce(random io.Reader) (*Nonce, error) {
 	if sk.fb != nil {
-		return sk.PublicKey.noncePower(random)
+		return sk.PublicKey.drawNonce(random)
 	}
 	if random == nil {
 		random = rand.Reader
@@ -263,7 +341,9 @@ func (sk *PrivateKey) noncePower(random io.Reader) (*big.Int, error) {
 	if err != nil {
 		return nil, fmt.Errorf("paillier: private nonce: %w", err)
 	}
-	xp.Exp(xp.Add(xp, one), sk.p, sk.pSquared)
-	xq.Exp(xq.Add(xq, one), sk.q, sk.qSquared)
-	return sk.crtSquares(xp, xq), nil
+	return &Nonce{raise: func() *big.Int {
+		xp.Exp(xp.Add(xp, one), sk.p, sk.pSquared)
+		xq.Exp(xq.Add(xq, one), sk.q, sk.qSquared)
+		return sk.crtSquares(xp, xq)
+	}}, nil
 }

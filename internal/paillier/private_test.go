@@ -80,10 +80,11 @@ func TestPrivateNonceIsNthResidue(t *testing.T) {
 	for name, sk := range privateKeys(t) {
 		phi := new(big.Int).Mul(sk.pMinus1, sk.qMinus1)
 		for i := 0; i < 32; i++ {
-			rho, err := sk.noncePower(rand.Reader)
+			nc, err := sk.drawNonce(rand.Reader)
 			if err != nil {
 				t.Fatal(err)
 			}
+			rho := nc.power()
 			if rho.Sign() <= 0 || rho.Cmp(sk.NSquared) >= 0 {
 				t.Fatalf("%s: nonce outside (0, N²)", name)
 			}

@@ -1,10 +1,13 @@
 package smc
 
 import (
+	"crypto/rand"
 	"errors"
 	"math/big"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"sknn/internal/mpc"
 	"sknn/internal/paillier"
@@ -136,6 +139,85 @@ func TestResponderRejectsMalformedFrames(t *testing.T) {
 		if _, err := mux.Handle(tc.msg); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+}
+
+// TestPackedFrameBadMiddleGroup: the packed handlers decrypt their slot
+// groups and raise the reply's nonces as one fan-out, so a frame whose
+// header checks out but whose middle group is outside the ciphertext
+// group, or decrypts to more slots than it declares, must still come
+// back as that group's error — with every helper goroutine gone by the
+// time the handler returns.
+func TestPackedFrameBadMiddleGroup(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	sk := testKey()
+	rp := NewResponder(sk, nil)
+	const vb = 8
+	codec, err := paillier.NewPacking(&sk.PublicKey, vb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// group encrypts a slot group of `slots` ones.
+	group := func(slots int) *big.Int {
+		ones := make([]*big.Int, slots)
+		for i := range ones {
+			ones[i] = big.NewInt(1)
+		}
+		ct, err := codec.PackEncrypt(rand.Reader, ones)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ct.Raw()
+	}
+	const groups = 5
+	frames := []struct {
+		name  string
+		op    mpc.Op
+		slots int // per group
+		head  []*big.Int
+	}{
+		{"SMPack", OpSMPack, 2 * (codec.Slots / 2), []*big.Int{big.NewInt(int64(groups * (codec.Slots / 2))), big.NewInt(vb)}},
+		{"SBDPackBit", OpSBDPackBit, codec.Slots, []*big.Int{big.NewInt(int64(groups * codec.Slots)), big.NewInt(vb), big.NewInt(3)}},
+	}
+	bad := []struct {
+		name string
+		v    *big.Int
+		want error
+	}{
+		{"outside the group", new(big.Int).Set(sk.NSquared), paillier.ErrInvalidCiphertext},
+		{"zero", new(big.Int), paillier.ErrInvalidCiphertext},
+	}
+	for _, fr := range frames {
+		for _, b := range bad {
+			ints := append([]*big.Int(nil), fr.head...)
+			for g := 0; g < groups; g++ {
+				if g == groups/2 {
+					ints = append(ints, b.v)
+				} else {
+					ints = append(ints, group(fr.slots))
+				}
+			}
+			before := runtime.NumGoroutine()
+			_, err := rp.Mux().Handle(&mpc.Message{Op: fr.op, Ints: ints})
+			if !errors.Is(err, b.want) {
+				t.Errorf("%s, middle group %s: got %v, want %v", fr.name, b.name, err, b.want)
+			}
+			// wg.Done runs a moment before a helper's goroutine is gone.
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				runtime.Gosched()
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Errorf("%s, middle group %s: %d goroutines before the frame, %d after", fr.name, b.name, before, after)
+			}
+		}
+	}
+	// A short last group that decrypts to more slots than the count
+	// leaves it is the codec's range error, found on whichever goroutine
+	// took that group.
+	ints := []*big.Int{big.NewInt(int64(codec.Slots + 1)), big.NewInt(vb), big.NewInt(0), group(codec.Slots), group(codec.Slots)}
+	if _, err := rp.Mux().Handle(&mpc.Message{Op: OpSBDPackBit, Ints: ints}); !errors.Is(err, paillier.ErrPackRange) {
+		t.Errorf("overfull last group: got %v, want %v", err, paillier.ErrPackRange)
 	}
 }
 

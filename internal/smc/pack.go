@@ -73,7 +73,6 @@ func (rq *Requester) SMBatchBounded(as, bs []*paillier.Ciphertext, aBits, bBits 
 	}
 	n := len(as)
 	pairsPerGroup := codec.Slots / 2
-	groups := (n + pairsPerGroup - 1) / pairsPerGroup
 
 	ras := make([]*big.Int, n)
 	rbs := make([]*big.Int, n)
@@ -91,15 +90,13 @@ func (rq *Requester) SMBatchBounded(as, bs []*paillier.Ciphertext, aBits, bBits 
 		blinded = append(blinded, rq.pk.AddPlain(as[i], ra), rq.pk.AddPlain(bs[i], rb))
 	}
 
-	payload := make([]*big.Int, 0, 2+groups)
+	packed, err := packRuns(codec, blinded, 2*pairsPerGroup)
+	if err != nil {
+		return nil, fmt.Errorf("smc: packed SM: %w", err)
+	}
+	payload := make([]*big.Int, 0, 2+len(packed))
 	payload = append(payload, big.NewInt(int64(n)), big.NewInt(int64(vb)))
-	for g := 0; g < groups; g++ {
-		lo := g * 2 * pairsPerGroup
-		hi := min(len(blinded), lo+2*pairsPerGroup)
-		ct, err := codec.PackCiphertexts(blinded[lo:hi])
-		if err != nil {
-			return nil, fmt.Errorf("smc: packed SM group %d: %w", g, err)
-		}
+	for _, ct := range packed {
 		payload = append(payload, ct.Raw())
 	}
 
@@ -117,13 +114,41 @@ func (rq *Requester) SMBatchBounded(as, bs []*paillier.Ciphertext, aBits, bBits 
 	invA := rq.pk.InvMany(as)
 	invB := rq.pk.InvMany(bs)
 	out := make([]*paillier.Ciphertext, n)
-	for i := 0; i < n; i++ {
+	_ = paillier.ForEach(n, func(i int) error { // two exponentiations per pair; cannot fail
 		s := rq.pk.Add(hs[i], rq.pk.ScalarMul(invA[i], rbs[i]))
 		s = rq.pk.Add(s, rq.pk.ScalarMul(invB[i], ras[i]))
 		cross := new(big.Int).Mul(ras[i], rbs[i])
 		out[i] = rq.pk.AddPlain(s, cross.Neg(cross))
-	}
+		return nil
+	})
 	return out, nil
+}
+
+// packRuns folds each consecutive run of per ciphertexts (the last may
+// be shorter) into one slot-packed ciphertext — (run−1)·Width squarings
+// apiece — the runs spread over idle cores.
+func packRuns(codec *paillier.Packing, cts []*paillier.Ciphertext, per int) ([]*paillier.Ciphertext, error) {
+	groups := make([]*paillier.Ciphertext, (len(cts)+per-1)/per)
+	err := paillier.ForEach(len(groups), func(g int) error {
+		lo := g * per
+		ct, err := codec.PackCiphertexts(cts[lo:min(len(cts), lo+per)])
+		if err != nil {
+			return fmt.Errorf("group %d: %w", g, err)
+		}
+		groups[g] = ct
+		return nil
+	})
+	return groups, err
+}
+
+// unpackGroup validates and decrypts one slot group of a packed frame
+// and splits it into count slot values.
+func (rp *Responder) unpackGroup(codec *paillier.Packing, raw *big.Int, count int) ([]*big.Int, error) {
+	ct, err := rp.sk.FromRaw(raw)
+	if err != nil {
+		return nil, err
+	}
+	return codec.UnpackDecrypt(rp.sk, ct, count)
 }
 
 // handleSMPack is C2's half of the packed SM uplink: decrypt each slot
@@ -143,28 +168,32 @@ func (rp *Responder) handleSMPack(req *mpc.Message) (*mpc.Message, error) {
 		return nil, fmt.Errorf("%w: packed SM payload of %d ints for %d pairs",
 			ErrBadFrame, len(req.Ints), count)
 	}
-	out := make([]*big.Int, 0, count)
-	for g := 0; g < groups; g++ {
-		pairs := min(pairsPerGroup, count-g*pairsPerGroup)
-		ct, err := rp.sk.FromRaw(req.Ints[2+g])
-		if err != nil {
-			return nil, fmt.Errorf("smc: packed SM group %d: %w", g, err)
-		}
-		vals, err := codec.UnpackDecrypt(rp.sk, ct, 2*pairs)
-		if err != nil {
-			return nil, fmt.Errorf("smc: packed SM group %d: %w", g, err)
-		}
-		for t := 0; t < pairs; t++ {
-			h := new(big.Int).Mul(vals[2*t], vals[2*t+1])
-			h.Mod(h, rp.sk.N)
-			hEnc, err := rp.sk.Encrypt(rp.rand, h)
-			if err != nil {
-				return nil, fmt.Errorf("smc: packed SM encrypt: %w", err)
-			}
-			out = append(out, hEnc.Raw())
-		}
+	// The reply's nonces are drawn here, serially; their powers and the
+	// group decryptions are one task list.
+	nonces, err := rp.sk.DrawNonces(rp.rand, count)
+	if err != nil {
+		return nil, fmt.Errorf("smc: packed SM encrypt: %w", err)
 	}
-	return &mpc.Message{Op: OpSMPack, Ints: out}, nil
+	vals := make([][]*big.Int, groups)
+	err = paillier.RaiseAlongside(nonces, groups, func(g int) error {
+		pairs := min(pairsPerGroup, count-g*pairsPerGroup)
+		v, err := rp.unpackGroup(codec, req.Ints[2+g], 2*pairs)
+		if err != nil {
+			return fmt.Errorf("smc: packed SM group %d: %w", g, err)
+		}
+		vals[g] = v
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	hs := make([]*big.Int, count)
+	for i := range hs {
+		v, t := vals[i/pairsPerGroup], i%pairsPerGroup
+		h := new(big.Int).Mul(v[2*t], v[2*t+1])
+		hs[i] = h.Mod(h, rp.sk.N)
+	}
+	return &mpc.Message{Op: OpSMPack, Ints: rp.encryptReply(nonces, hs)}, nil
 }
 
 // isHeaderInt reports whether a frame element can be read as one of the
@@ -206,16 +235,7 @@ type PackedRows struct {
 // into the codec's slot groups: Groups(len(row)) ciphertexts, Slots
 // values each.
 func PackRow(codec *paillier.Packing, row []*paillier.Ciphertext) ([]*paillier.Ciphertext, error) {
-	groups := make([]*paillier.Ciphertext, 0, codec.Groups(len(row)))
-	for lo := 0; lo < len(row); lo += codec.Slots {
-		hi := min(len(row), lo+codec.Slots)
-		ct, err := codec.PackCiphertexts(row[lo:hi])
-		if err != nil {
-			return nil, err
-		}
-		groups = append(groups, ct)
-	}
-	return groups, nil
+	return packRuns(codec, row, codec.Slots)
 }
 
 // SSEDManyPacked is SSEDMany over pre-packed record rows: one uplink
@@ -304,7 +324,7 @@ func (rq *Requester) SSEDManyPacked(q []*paillier.Ciphertext, rows [][]*paillier
 	}
 
 	out := make([]*paillier.Ciphertext, n)
-	for i := 0; i < n; i++ {
+	_ = paillier.ForEach(n, func(i int) error { // m exponentiations per record; cannot fail
 		acc := sums[i]
 		sumC2 := new(big.Int)
 		for j := 0; j < m; j++ {
@@ -315,7 +335,8 @@ func (rq *Requester) SSEDManyPacked(q []*paillier.Ciphertext, rows [][]*paillier
 			sumC2.Add(sumC2, new(big.Int).Mul(cs[i][j], cs[i][j]))
 		}
 		out[i] = rq.pk.AddPlain(acc, sumC2.Neg(sumC2))
-	}
+		return nil
+	})
 	return out, nil
 }
 
@@ -343,31 +364,30 @@ func (rp *Responder) handleSSEDPack(req *mpc.Message) (*mpc.Message, error) {
 			ErrBadFrame, len(req.Ints), count, groups)
 	}
 	body := req.Ints[3:]
-	out := make([]*big.Int, count)
-	for i := 0; i < count; i++ {
+	nonces, err := rp.sk.DrawNonces(rp.rand, count)
+	if err != nil {
+		return nil, fmt.Errorf("smc: packed SSED encrypt: %w", err)
+	}
+	totals := make([]*big.Int, count)
+	err = paillier.RaiseAlongside(nonces, count, func(i int) error {
 		total := new(big.Int)
 		for g := 0; g < groups; g++ {
 			cnt := min(codec.Slots, m-g*codec.Slots)
-			ct, err := rp.sk.FromRaw(body[i*groups+g])
+			vals, err := rp.unpackGroup(codec, body[i*groups+g], cnt)
 			if err != nil {
-				return nil, fmt.Errorf("smc: packed SSED record %d group %d: %w", i, g, err)
-			}
-			vals, err := codec.UnpackDecrypt(rp.sk, ct, cnt)
-			if err != nil {
-				return nil, fmt.Errorf("smc: packed SSED record %d group %d: %w", i, g, err)
+				return fmt.Errorf("smc: packed SSED record %d group %d: %w", i, g, err)
 			}
 			for _, y := range vals {
 				total.Add(total, new(big.Int).Mul(y, y))
 			}
 		}
-		total.Mod(total, rp.sk.N)
-		enc, err := rp.sk.Encrypt(rp.rand, total)
-		if err != nil {
-			return nil, fmt.Errorf("smc: packed SSED encrypt: %w", err)
-		}
-		out[i] = enc.Raw()
+		totals[i] = total.Mod(total, rp.sk.N)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return &mpc.Message{Op: OpSSEDPack, Ints: out}, nil
+	return &mpc.Message{Op: OpSSEDPack, Ints: rp.encryptReply(nonces, totals)}, nil
 }
 
 // msbOncePacked extracts E(bit L−1) of each value's L-bit decomposition
@@ -402,17 +422,11 @@ func (rq *Requester) msbOncePacked(zs []*paillier.Ciphertext, L int, codec *pail
 		return nil, fmt.Errorf("smc: MSB extraction of %d bits under a %d-bit codec", L, codec.ValueBits)
 	}
 	n := len(zs)
-	groups := codec.Groups(n)
-	packedRem := make([]*paillier.Ciphertext, groups)
-	for g := 0; g < groups; g++ {
-		lo := g * codec.Slots
-		hi := min(n, lo+codec.Slots)
-		ct, err := codec.PackCiphertexts(zs[lo:hi])
-		if err != nil {
-			return nil, fmt.Errorf("smc: MSB packing group %d: %w", g, err)
-		}
-		packedRem[g] = ct
+	packedRem, err := packRuns(codec, zs, codec.Slots)
+	if err != nil {
+		return nil, fmt.Errorf("smc: MSB packing: %w", err)
 	}
+	groups := len(packedRem)
 
 	rs := make([]*big.Int, n)
 	for j := 0; j < L; j++ {
@@ -514,28 +528,33 @@ func (rp *Responder) handleSBDPackBit(req *mpc.Message) (*mpc.Message, error) {
 			ErrBadFrame, len(req.Ints), count)
 	}
 	inPlace := shift < codec.ValueBits-1
-	out := make([]*big.Int, 0, count)
-	for g := 0; g < groups; g++ {
-		cnt := min(codec.Slots, count-g*codec.Slots)
-		ct, err := rp.sk.FromRaw(req.Ints[3+g])
-		if err != nil {
-			return nil, fmt.Errorf("smc: packed SBD bit group %d: %w", g, err)
-		}
-		vals, err := codec.UnpackDecrypt(rp.sk, ct, cnt)
-		if err != nil {
-			return nil, fmt.Errorf("smc: packed SBD bit group %d: %w", g, err)
-		}
-		for s, y := range vals {
-			m := new(big.Int).SetUint64(uint64(y.Bit(shift)))
-			if inPlace {
-				m.Lsh(m, uint(s*codec.Width+shift))
-			}
-			bit, err := rp.sk.Encrypt(rp.rand, m)
-			if err != nil {
-				return nil, fmt.Errorf("smc: packed SBD bit encrypt: %w", err)
-			}
-			out = append(out, bit.Raw())
-		}
+	// One group decryption and count reply encryptions per round: the
+	// nonce powers do not wait for the decryption.
+	nonces, err := rp.sk.DrawNonces(rp.rand, count)
+	if err != nil {
+		return nil, fmt.Errorf("smc: packed SBD bit encrypt: %w", err)
 	}
-	return &mpc.Message{Op: OpSBDPackBit, Ints: out}, nil
+	vals := make([][]*big.Int, groups)
+	err = paillier.RaiseAlongside(nonces, groups, func(g int) error {
+		cnt := min(codec.Slots, count-g*codec.Slots)
+		v, err := rp.unpackGroup(codec, req.Ints[3+g], cnt)
+		if err != nil {
+			return fmt.Errorf("smc: packed SBD bit group %d: %w", g, err)
+		}
+		vals[g] = v
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	bits := make([]*big.Int, count)
+	for i := range bits {
+		s := i % codec.Slots
+		m := new(big.Int).SetUint64(uint64(vals[i/codec.Slots][s].Bit(shift)))
+		if inPlace {
+			m.Lsh(m, uint(s*codec.Width+shift))
+		}
+		bits[i] = m
+	}
+	return &mpc.Message{Op: OpSBDPackBit, Ints: rp.encryptReply(nonces, bits)}, nil
 }

@@ -195,19 +195,24 @@ func (rp *Responder) handleSBDLsb(req *mpc.Message) (*mpc.Message, error) {
 	if len(req.Ints) == 0 {
 		return nil, fmt.Errorf("%w: empty SBD frame", ErrBadFrame)
 	}
-	out := make([]*big.Int, len(req.Ints))
-	for i, v := range req.Ints {
-		y, err := rp.decryptRaw(v)
-		if err != nil {
-			return nil, fmt.Errorf("smc: SBD decrypt Y[%d]: %w", i, err)
-		}
-		bit, err := rp.sk.Encrypt(rp.rand, new(big.Int).SetUint64(uint64(y.Bit(0))))
-		if err != nil {
-			return nil, fmt.Errorf("smc: SBD encrypt lsb[%d]: %w", i, err)
-		}
-		out[i] = bit.Raw()
+	n := len(req.Ints)
+	nonces, err := rp.sk.DrawNonces(rp.rand, n)
+	if err != nil {
+		return nil, fmt.Errorf("smc: SBD encrypt lsb: %w", err)
 	}
-	return &mpc.Message{Op: OpSBDLsb, Ints: out}, nil
+	lsbs := make([]*big.Int, n)
+	err = paillier.RaiseAlongside(nonces, n, func(i int) error {
+		y, err := rp.decryptRaw(req.Ints[i])
+		if err != nil {
+			return fmt.Errorf("smc: SBD decrypt Y[%d]: %w", i, err)
+		}
+		lsbs[i] = new(big.Int).SetUint64(uint64(y.Bit(0)))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &mpc.Message{Op: OpSBDLsb, Ints: rp.encryptReply(nonces, lsbs)}, nil
 }
 
 // handleSBDVerify is C2's half of the verification: report, per value,
@@ -217,16 +222,20 @@ func (rp *Responder) handleSBDVerify(req *mpc.Message) (*mpc.Message, error) {
 		return nil, fmt.Errorf("%w: empty SBD verify frame", ErrBadFrame)
 	}
 	out := make([]*big.Int, len(req.Ints))
-	for i, v := range req.Ints {
-		d, err := rp.decryptRaw(v)
+	err := paillier.ForEach(len(out), func(i int) error {
+		d, err := rp.decryptRaw(req.Ints[i])
 		if err != nil {
-			return nil, fmt.Errorf("smc: SBD verify decrypt[%d]: %w", i, err)
+			return fmt.Errorf("smc: SBD verify decrypt[%d]: %w", i, err)
 		}
 		if d.Sign() == 0 {
 			out[i] = big.NewInt(1)
 		} else {
 			out[i] = big.NewInt(0)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &mpc.Message{Op: OpSBDVerify, Ints: out}, nil
 }

@@ -85,23 +85,26 @@ func (rp *Responder) handleSM(req *mpc.Message) (*mpc.Message, error) {
 		return nil, fmt.Errorf("%w: SM payload of %d ints", ErrBadFrame, len(req.Ints))
 	}
 	n := len(req.Ints) / 2
-	out := make([]*big.Int, n)
-	for i := 0; i < n; i++ {
+	nonces, err := rp.sk.DrawNonces(rp.rand, n)
+	if err != nil {
+		return nil, fmt.Errorf("smc: SM encrypt: %w", err)
+	}
+	hs := make([]*big.Int, n)
+	err = paillier.RaiseAlongside(nonces, n, func(i int) error {
 		ha, err := rp.decryptRaw(req.Ints[2*i])
 		if err != nil {
-			return nil, fmt.Errorf("smc: SM decrypt a′[%d]: %w", i, err)
+			return fmt.Errorf("smc: SM decrypt a′[%d]: %w", i, err)
 		}
 		hb, err := rp.decryptRaw(req.Ints[2*i+1])
 		if err != nil {
-			return nil, fmt.Errorf("smc: SM decrypt b′[%d]: %w", i, err)
+			return fmt.Errorf("smc: SM decrypt b′[%d]: %w", i, err)
 		}
 		h := ha.Mul(ha, hb)
-		h.Mod(h, rp.sk.N)
-		hEnc, err := rp.sk.Encrypt(rp.rand, h)
-		if err != nil {
-			return nil, fmt.Errorf("smc: SM encrypt h[%d]: %w", i, err)
-		}
-		out[i] = hEnc.Raw()
+		hs[i] = h.Mod(h, rp.sk.N)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return &mpc.Message{Op: OpSM, Ints: out}, nil
+	return &mpc.Message{Op: OpSM, Ints: rp.encryptReply(nonces, hs)}, nil
 }

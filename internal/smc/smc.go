@@ -195,13 +195,6 @@ func NewResponder(sk *paillier.PrivateKey, random io.Reader) *Responder {
 	return &Responder{sk: sk, rand: random}
 }
 
-// SK exposes the private key to protocol-level responders built on top
-// (internal/core embeds Responder for SkNN-specific steps).
-func (rp *Responder) SK() *paillier.PrivateKey { return rp.sk }
-
-// Rand returns the responder's randomness source.
-func (rp *Responder) Rand() io.Reader { return rp.rand }
-
 // Register installs all smc handlers on mux.
 func (rp *Responder) Register(mux *mpc.Mux) {
 	mux.Register(OpSM, mpc.HandlerFunc(rp.handleSM))
@@ -218,6 +211,17 @@ func (rp *Responder) Mux() *mpc.Mux {
 	mux := mpc.NewMux()
 	rp.Register(mux)
 	return mux
+}
+
+// encryptReply assembles a reply of fresh encryptions, ms[i] under
+// nonces[i]: the cheap half left once a handler's fan-out has raised the
+// nonces beside its decryptions (paillier.RaiseAlongside).
+func (rp *Responder) encryptReply(nonces []*paillier.Nonce, ms []*big.Int) []*big.Int {
+	out := make([]*big.Int, len(ms))
+	for i, m := range ms {
+		out[i] = rp.sk.EncryptWith(nonces[i], m).Raw()
+	}
+	return out
 }
 
 // decryptRaw validates and decrypts one payload element.

@@ -163,38 +163,48 @@ func (rp *Responder) handleSMIN(req *mpc.Message) (*mpc.Message, error) {
 	gammaP := req.Ints[:l]
 	lvecP := req.Ints[l:]
 
-	// α ← 1 iff some decrypted L′ᵢ equals 1.
-	alpha := uint64(0)
-	for i, v := range lvecP {
-		m, err := rp.decryptRaw(v)
-		if err != nil {
-			return nil, fmt.Errorf("smc: SMIN decrypt L′[%d]: %w", i, err)
-		}
-		if m.Cmp(oneBig) == 0 {
-			alpha = 1
-			// Keep decrypting the rest: short-circuiting would make the
-			// responder's running time depend on the secret position.
-		}
-	}
-
-	alphaBig := new(big.Int).SetUint64(alpha)
-	out := make([]*big.Int, 0, l+1)
+	gammas := make([]*paillier.Ciphertext, l)
 	for i, v := range gammaP {
 		ct, err := rp.sk.FromRaw(v)
 		if err != nil {
 			return nil, fmt.Errorf("smc: SMIN Γ′[%d]: %w", i, err)
 		}
-		mp := rp.sk.ScalarMul(ct, alphaBig)
-		mp, err = rp.sk.Rerandomize(rp.rand, mp)
+		gammas[i] = ct
+	}
+	// l re-randomisations and E(α): their nonce powers ride beside the
+	// decryptions of L′.
+	nonces, err := rp.sk.DrawNonces(rp.rand, l+1)
+	if err != nil {
+		return nil, fmt.Errorf("smc: SMIN reply nonces: %w", err)
+	}
+	// α ← 1 iff some decrypted L′ᵢ equals 1. Every L′ᵢ is decrypted:
+	// short-circuiting would make the responder's running time depend on
+	// the secret position.
+	isOne := make([]bool, l)
+	err = paillier.RaiseAlongside(nonces, l, func(i int) error {
+		m, err := rp.decryptRaw(lvecP[i])
 		if err != nil {
-			return nil, fmt.Errorf("smc: SMIN rerandomize M′[%d]: %w", i, err)
+			return fmt.Errorf("smc: SMIN decrypt L′[%d]: %w", i, err)
 		}
+		isOne[i] = m.Cmp(oneBig) == 0
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	alpha := uint64(0)
+	for _, one := range isOne {
+		if one {
+			alpha = 1
+		}
+	}
+
+	alphaBig := new(big.Int).SetUint64(alpha)
+	out := make([]*big.Int, 0, l+1)
+	for i, ct := range gammas {
+		mp := rp.sk.RerandomizeWith(nonces[i], rp.sk.ScalarMul(ct, alphaBig))
 		out = append(out, mp.Raw())
 	}
-	encAlpha, err := rp.sk.Encrypt(rp.rand, alphaBig)
-	if err != nil {
-		return nil, fmt.Errorf("smc: SMIN encrypt α: %w", err)
-	}
-	out = append(out, encAlpha.Raw())
+	out = append(out, rp.sk.EncryptWith(nonces[l], alphaBig).Raw())
 	return &mpc.Message{Op: OpSMIN, Ints: out}, nil
 }

@@ -105,13 +105,17 @@ type Config struct {
 	// KeyBits is the Paillier modulus size; the paper evaluates 512 and
 	// 1024. Default 512.
 	KeyBits int
-	// Workers is the number of parallel C1↔C2 connections per link pool
-	// (the paper's Section 5.3 parallelization): every shard worker gets
-	// its own pool of this width and the coordinator another for the
-	// merge and reveal. A query arriving on an idle pool spans every
-	// connection (lowest latency, the paper's parallel variant); queries
-	// arriving under concurrent load get an even share of it, so
-	// throughput scales with concurrency instead. Default 1 (serial).
+	// Workers is the number of links — parallel C1↔C2 connections — per
+	// link pool (the link half of the paper's Section 5.3
+	// parallelization): every shard worker gets its own pool of this
+	// width and the coordinator another for the merge and reveal. A query
+	// arriving on an idle pool spans every link, one frame per link and
+	// phase where one link sends one; queries arriving under concurrent
+	// load get an even share of the links, so throughput scales with
+	// concurrency instead. Default 1. Links are not cores: on any number
+	// of links each party also spreads its batch computations over the
+	// idle cores of its process, which changes no frame and has no
+	// setting but GOMAXPROCS (docs/ARCHITECTURE.md "Concurrency model").
 	Workers int
 	// Shards splits the encrypted table into this many partitions, each
 	// owned by an independent C1 shard worker with its own link pool to
@@ -550,7 +554,7 @@ func (s *System) DomainBits() int { return s.domainBits }
 // additional data under the same system).
 func (s *System) PublicKey() *paillier.PublicKey { return &s.sk.PublicKey }
 
-// Workers reports the configured parallelism per link pool.
+// Workers reports the configured links per link pool.
 func (s *System) Workers() int { return s.shards[0].Workers() }
 
 // Shards reports the partition width (1 when the table is served whole).
