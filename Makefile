@@ -72,15 +72,18 @@ fuzz-smoke:
 	go test -fuzz=FuzzPackDecode -fuzztime=20s ./internal/paillier
 	go test -fuzz=FuzzFixedBaseExp -fuzztime=20s ./internal/paillier
 
-# bench-smoke runs two of the benchmark's workloads for 5 s each:
-# secure_scan (the facade, CRT tables built) and gateway_sharded (every
+# bench-smoke runs three of the benchmark's workloads for 5 s each:
+# secure_scan (the facade, CRT tables built), gateway_sharded (every
 # link TCP, the C2 built by core.NewCloudC2 with no tables — the path
-# PrivateKey.Encrypt carries). Every answer is checked against the
-# plaintext oracle and the cost-model checks gate the exit code; the
-# timings of a 5 s run are not for comparing.
+# PrivateKey.Encrypt carries) and basic_tcp (SkNNb's packed scan and
+# row-packed reveal over real TCP frames, with the core.smin_count == 0
+# bypass check). Every answer is checked against the plaintext oracle and
+# the cost-model checks gate the exit code; the timings of a 5 s run are
+# not for comparing.
 bench-smoke:
 	bash bench/run.sh --workload secure_scan --seconds 5
 	bash bench/run.sh --workload gateway_sharded --seconds 5
+	bash bench/run.sh --workload basic_tcp --seconds 5
 
 clean:
 	go clean ./...

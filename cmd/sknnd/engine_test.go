@@ -65,7 +65,7 @@ func serveC2(t *testing.T, sk *paillier.PrivateKey) string {
 
 // serveShard is `sknnd shard` over one partition, announcing domain
 // size l.
-func serveShard(t *testing.T, pk *paillier.PublicKey, part *core.TableSnapshot, c2Addr string, index, count, attrBits, l int) string {
+func serveShard(t *testing.T, pk *paillier.PublicKey, part *core.TableSnapshot, c2Addr string, index, count, l int) string {
 	t.Helper()
 	table, err := core.RestoreTable(pk, part)
 	if err != nil {
@@ -80,7 +80,7 @@ func serveShard(t *testing.T, pk *paillier.PublicKey, part *core.TableSnapshot, 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c1.Close() })
-	srv, err := core.NewShardServer(c1, index, count, attrBits, l)
+	srv, err := core.NewShardServer(c1, index, count, l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,8 +110,11 @@ func TestBuildEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if enc, err = enc.WithAttrBits(attrBits); err != nil {
+		t.Fatal(err)
+	}
 	snapPath := filepath.Join(t.TempDir(), "table.snap")
-	if err := store.WriteFile(snapPath, pk, enc.Snapshot(), attrBits, l); err != nil {
+	if err := store.WriteFile(snapPath, pk, enc.Snapshot(), l); err != nil {
 		t.Fatal(err)
 	}
 	parts, err := enc.Snapshot().Split(2)
@@ -120,8 +123,8 @@ func TestBuildEngine(t *testing.T) {
 	}
 	c2Addr := serveC2(t, sk)
 	shardAddrs := []string{
-		serveShard(t, pk, parts[0], c2Addr, 0, 2, attrBits, l),
-		serveShard(t, pk, parts[1], c2Addr, 1, 2, attrBits, l),
+		serveShard(t, pk, parts[0], c2Addr, 0, 2, l),
+		serveShard(t, pk, parts[1], c2Addr, 1, 2, l),
 	}
 
 	for _, tc := range []struct {
@@ -175,6 +178,27 @@ func TestBuildEngine(t *testing.T) {
 			if _, err := eng.query(context.Background(), bob, []uint64{1, 1}, k, "fast", 0, 0); err == nil {
 				t.Error("unknown mode accepted")
 			}
+			if tc.shards == 1 {
+				// The width came off the snapshot header, so SkNNb rode the
+				// packed kernels: a ciphertext up and one down per record, the
+				// n distances to rank, one row-packed share per neighbour each
+				// way — where the printed protocol moves 3·m ciphertexts per
+				// record before it ranks anything.
+				eq, err := bob.EncryptQuery([]uint64{3, 9})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, metrics, err := eng.coord.BasicQuery(context.Background(), eq, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctBytes := int64(2*pk.N.BitLen()/8 + 4) // length-prefixed
+				const framing = 256                     // ten frames' headers and their small integers
+				if moved := metrics.Comm.BytesSent + metrics.Comm.BytesReceived; res.Layout.Cols != m || moved > (3*n+2*k)*ctBytes+framing {
+					t.Errorf("SkNNb moved %d bytes in layout %+v, want at most %d ciphertexts of %d in chunks of %d columns",
+						moved, res.Layout, 3*n+2*k, ctBytes, m)
+				}
+			}
 		})
 	}
 
@@ -188,8 +212,8 @@ func TestBuildEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		foreignShard := serveShard(t, &other.PublicKey, foreignParts[1], serveC2(t, other), 1, 2, attrBits, l)
-		otherL := serveShard(t, pk, parts[1], c2Addr, 1, 2, attrBits, l+1)
+		foreignShard := serveShard(t, &other.PublicKey, foreignParts[1], serveC2(t, other), 1, 2, l)
+		otherL := serveShard(t, pk, parts[1], c2Addr, 1, 2, l+1)
 		for _, tc := range []struct {
 			name string
 			spec tenantSpec

@@ -178,6 +178,11 @@ func cmdEncrypt(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// -bits is the declared domain: it, not the widest value in the file,
+	// is the width the snapshot header carries.
+	if enc, err = enc.WithAttrBits(tbl.AttrBits); err != nil {
+		log.Fatal(err)
+	}
 	if *clusters > 0 {
 		// Owner-side partitioning: Alice still holds the plaintext here.
 		part, err := cluster.KMeans(tbl.Rows, *clusters, 1)
@@ -189,8 +194,7 @@ func cmdEncrypt(args []string) {
 			log.Fatal(err)
 		}
 	}
-	err = store.WriteFile(*out, &sk.PublicKey, enc.Snapshot(), tbl.AttrBits,
-		dataset.DomainBits(tbl.AttrBits, tbl.M()))
+	err = store.WriteFile(*out, &sk.PublicKey, enc.Snapshot(), dataset.DomainBits(tbl.AttrBits, tbl.M()))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -366,7 +370,7 @@ func cmdShard(args []string) {
 		log.Fatal(err)
 	}
 	defer c1.Close()
-	srv, err := core.NewShardServer(c1, snap.ShardIndex, snap.ShardCount, snap.AttrBits, snap.DomainBits)
+	srv, err := core.NewShardServer(c1, snap.ShardIndex, snap.ShardCount, snap.DomainBits)
 	if err != nil {
 		log.Fatal(err)
 	}

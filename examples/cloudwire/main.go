@@ -62,9 +62,16 @@ func main() {
 	// C1: the data cloud dials C2 twice — one link for the worker that
 	// holds the encrypted table and scans it, one for the coordinator
 	// every query enters through (here with a single shard to gather, so
-	// it only reveals).
+	// it only reveals). The table remembers how wide its attributes are —
+	// EncryptTable saw the plaintext, WithAttrBits widens that to the
+	// declared domain — which is what lets SkNNb below run on the packed
+	// kernels: one slot-packed ciphertext per record each way for the
+	// distances, one row-packed share per neighbour for the reveal.
 	encTable, err := core.EncryptTable(rand.Reader, &sk.PublicKey, tbl.Rows)
 	if err != nil {
+		log.Fatal(err)
+	}
+	if encTable, err = encTable.WithAttrBits(tbl.AttrBits); err != nil {
 		log.Fatal(err)
 	}
 	dial := func() []mpc.Conn {

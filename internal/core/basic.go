@@ -36,22 +36,11 @@ func (s *QuerySession) BasicQueryMetered(q EncryptedQuery, k int) (*MaskedResult
 	if err != nil {
 		return nil, nil, err
 	}
-	ids := make([]uint64, len(cands))
-	for j, c := range cands {
-		ids[j] = c.ID
-	}
-
-	// Steps 4–6: masked reveal to Bob, attribute by attribute — SkNNb
-	// never extracts, so its records are the stored ciphertexts.
 	phase := time.Now()
-	res, err := s.reveal(candidateRecords(cands), perAttribute)
+	res, err := s.revealBasic(cands)
 	if err != nil {
 		return nil, nil, err
 	}
-	// SkNNb already reveals access patterns to both clouds, so handing
-	// Bob the stable ids of his neighbors costs nothing extra; SkNNm
-	// deliberately cannot do this (ids are what it hides).
-	res.IDs = ids
 	metrics.Reveal = time.Since(phase)
 
 	metrics.Total = time.Since(start)
@@ -59,10 +48,28 @@ func (s *QuerySession) BasicQueryMetered(q EncryptedQuery, k int) (*MaskedResult
 	return res, metrics, nil
 }
 
+// revealBasic is steps 4–6 of Algorithm 5 for both SkNNb entry points:
+// the masked reveal of the winners, whose records basicScan left in the
+// layout of the table's attribute width. SkNNb already reveals access
+// patterns to both clouds, so naming Bob's neighbours by stable id costs
+// nothing extra; SkNNm cannot (ids are what it hides).
+func (s *QuerySession) revealBasic(cands []Candidate) (*MaskedResult, error) {
+	res, err := s.reveal(candidateRecords(cands), rowLayoutFor(s.pk, s.m, s.attrBits))
+	if err != nil {
+		return nil, err
+	}
+	res.IDs = make([]uint64, len(cands))
+	for j, c := range cands {
+		res.IDs[j] = c.ID
+	}
+	return res, nil
+}
+
 // basicScan is the body of Algorithm 5 before the reveal: SSED over the
-// live records (step 2), C2's decrypt-and-rank (step 3), and the
-// selection of the winning records — returned with their encrypted
-// distances so a shard can ship them to a coordinator for a rank merge.
+// live records (step 2) on the packed kernel, C2's decrypt-and-rank (step
+// 3), and the selection of the winning records — row-packed like the SSED
+// slots by the table's attribute width, and with their encrypted
+// distances, so a shard can ship them to a coordinator for a rank merge.
 func (s *QuerySession) basicScan(q EncryptedQuery, k int, metrics *BasicMetrics) ([]Candidate, error) {
 	// Round boundary: a canceled query never starts the scan.
 	if err := s.ctxErr(); err != nil {
@@ -74,7 +81,11 @@ func (s *QuerySession) basicScan(q EncryptedQuery, k int, metrics *BasicMetrics)
 
 	// Step 2: dᵢ = |Q−tᵢ|² under encryption.
 	phase := time.Now()
-	ds, err := s.distancesOf(q, s.tbl.featureRows(cands), nil)
+	packed, err := s.tbl.packedFeatureRows(s.attrBits, cands)
+	if err != nil {
+		return nil, err
+	}
+	ds, err := s.distancesOf(q, s.tbl.featureRows(cands), packed)
 	if err != nil {
 		return nil, err
 	}
@@ -91,9 +102,17 @@ func (s *QuerySession) basicScan(q EncryptedQuery, k int, metrics *BasicMetrics)
 	if err != nil {
 		return nil, err
 	}
+	winners := make([]int, k)
+	for j, i := range order {
+		winners[j] = cands[i]
+	}
+	records, err := s.tbl.recordRows(rowLayoutFor(s.pk, s.m, s.attrBits), winners)
+	if err != nil {
+		return nil, err
+	}
 	selected := make([]Candidate, k)
 	for j, i := range order {
-		selected[j] = Candidate{Dist: ds[i], Rec: s.tbl.records[cands[i]], ID: s.tbl.ids[cands[i]]}
+		selected[j] = Candidate{Dist: ds[i], Rec: records[j], ID: s.tbl.ids[winners[j]]}
 	}
 	metrics.Rank = time.Since(phase)
 	return selected, nil
@@ -122,7 +141,7 @@ func (s *QuerySession) basicTopK(q EncryptedQuery, k int) ([]Candidate, *SecureM
 }
 
 // rank is step 3 of Algorithm 5: C2 decrypts the distances ds and names
-// the k smallest, returned as positions in ds, nearest first.
+// the k smallest, returned as distinct positions in ds, nearest first.
 func (s *QuerySession) rank(ds []*paillier.Ciphertext, k int) ([]int, error) {
 	payload := make([]*big.Int, 0, len(ds)+1)
 	payload = append(payload, big.NewInt(int64(k)))
@@ -137,11 +156,13 @@ func (s *QuerySession) rank(ds []*paillier.Ciphertext, k int) ([]int, error) {
 		return nil, fmt.Errorf("%w: rank reply has %d indices, want %d", ErrBadFrame, len(resp.Ints), k)
 	}
 	order := make([]int, k)
+	named := make([]bool, len(ds))
 	for j, idx := range resp.Ints {
-		if !idx.IsInt64() || idx.Int64() < 0 || idx.Int64() >= int64(len(ds)) {
-			return nil, fmt.Errorf("%w: rank index %v out of range", ErrBadFrame, idx)
+		if !idx.IsInt64() || idx.Int64() < 0 || idx.Int64() >= int64(len(ds)) || named[idx.Int64()] {
+			return nil, fmt.Errorf("%w: rank index %v repeated or out of range", ErrBadFrame, idx)
 		}
 		order[j] = int(idx.Int64())
+		named[order[j]] = true
 	}
 	return order, nil
 }

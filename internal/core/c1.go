@@ -65,7 +65,8 @@ func (c *CloudC1) NewSession(ctx context.Context, width int) (*QuerySession, err
 	// Capture the table view outside the pool lock (view takes the
 	// table's own read lock); the session pins this state for its whole
 	// lifetime.
-	return newSession(ctx, c.pool, width, c.table.view())
+	v := c.table.view()
+	return openSession(ctx, c.pool, width, v, v.pk, v.m, v.featureM, v.attrBits)
 }
 
 // Close drains every in-flight session, then tears the link pool down.

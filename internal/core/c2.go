@@ -117,9 +117,9 @@ func (c *CloudC2) handleRank(req *mpc.Message) (*mpc.Message, error) {
 }
 
 // handleReveal implements step 5 of Algorithm 5 (shared by both
-// protocols): decrypt each masked value γ_{j,g} — one attribute of a
-// selected record under SkNNb, one row-packed chunk of its columns under
-// SkNNm — and return the plaintext γ′_{j,g}, which is uniformly random
+// protocols): decrypt each masked value γ_{j,g} — one row-packed chunk of
+// a selected record's columns, or one attribute of it where the key packs
+// none — and return the plaintext γ′_{j,g}, which is uniformly random
 // thanks to C1's masks and destined for Bob. C2 cannot tell the two
 // kinds apart, nor needs to. Payload: [γ…]; reply: [γ′…].
 func (c *CloudC2) handleReveal(req *mpc.Message) (*mpc.Message, error) {

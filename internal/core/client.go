@@ -31,7 +31,8 @@ func NewClient(pk *paillier.PublicKey, random io.Reader) *Client {
 // EncryptedQuery is E(Q) = ⟨E(q₁),…,E(q_m)⟩ as sent to C1.
 type EncryptedQuery []*paillier.Ciphertext
 
-// EncryptQuery encrypts Bob's query attribute-wise.
+// EncryptQuery encrypts Bob's query attribute-wise. Any uint64 is a valid
+// attribute: a table's width bounds its columns, not the query (BasicQuery).
 func (c *Client) EncryptQuery(q []uint64) (EncryptedQuery, error) {
 	if len(q) == 0 {
 		return nil, fmt.Errorf("core: empty query")
@@ -43,13 +44,13 @@ func (c *Client) EncryptQuery(q []uint64) (EncryptedQuery, error) {
 	return EncryptedQuery(cts), nil
 }
 
-// RowLayout says how a record's m columns ride ciphertexts from SkNNm's
-// extraction through the shard merge and the reveal to Bob: Cols columns
-// per ciphertext, slot-packed Bits apart with the lowest column in the
-// lowest slot (paillier.NewRowPacking), the last chunk holding what is
-// left. Cols = 1 is the per-attribute form, one ciphertext per column:
-// what SkNNb reveals, and what SkNNm uses when the key is too small to
-// pack two columns.
+// RowLayout says how a record's m columns ride ciphertexts from a shard's
+// scan — SkNNm's extraction, SkNNb's selection — through the merge and the
+// reveal to Bob: Cols columns per ciphertext, slot-packed Bits apart with
+// the lowest column in the lowest slot (paillier.NewRowPacking), the last
+// chunk holding what is left. Cols = 1 is the per-attribute form, one
+// ciphertext per column: what either protocol uses when the key is too
+// small to pack two columns.
 type RowLayout struct {
 	Cols int // columns per chunk, ≥ 1
 	Bits int // slot width: every column value is below 2^Bits
@@ -57,9 +58,6 @@ type RowLayout struct {
 
 // Chunks is how many ciphertexts carry a record of m columns.
 func (l RowLayout) Chunks(m int) int { return (m + l.Cols - 1) / l.Cols }
-
-// perAttribute is the layout of SkNNb results and of records as stored.
-var perAttribute = RowLayout{Cols: 1}
 
 // codec vets that l can describe records of m columns under pk and
 // returns the slot codec that splits one chunk — nil for the
@@ -101,7 +99,7 @@ type MaskedResult struct {
 // RestoreMaskedResult rebuilds a per-attribute MaskedResult (k×m shares)
 // from its transported shares; see RestoreMaskedRows.
 func RestoreMaskedResult(pk *paillier.PublicKey, k, m int, masks, masked [][]*big.Int, ids []uint64) (*MaskedResult, error) {
-	return RestoreMaskedRows(pk, k, m, perAttribute, masks, masked, ids)
+	return RestoreMaskedRows(pk, k, m, RowLayout{Cols: 1}, masks, masked, ids)
 }
 
 // RestoreMaskedRows rebuilds a MaskedResult from its transported

@@ -83,11 +83,11 @@ func NewReplicaSet(replicas []Shard) (*ReplicaSet, error) {
 	for i, r := range replicas[1:] {
 		info := r.Info()
 		if info.Index != first.Index || info.Count != first.Count ||
-			info.M != first.M || info.FeatureM != first.FeatureM ||
+			info.M != first.M || info.FeatureM != first.FeatureM || info.AttrBits != first.AttrBits ||
 			info.Clustered != first.Clustered {
-			return nil, fmt.Errorf("%w: replica %d serves shard %d/%d table %d/%d, replica 0 serves %d/%d table %d/%d",
-				ErrShardTopology, i+1, info.Index, info.Count, info.M, info.FeatureM,
-				first.Index, first.Count, first.M, first.FeatureM)
+			return nil, fmt.Errorf("%w: replica %d serves shard %d/%d table %d/%d/%d, replica 0 serves %d/%d table %d/%d/%d",
+				ErrShardTopology, i+1, info.Index, info.Count, info.M, info.FeatureM, info.AttrBits,
+				first.Index, first.Count, first.M, first.FeatureM, first.AttrBits)
 		}
 	}
 	return &ReplicaSet{

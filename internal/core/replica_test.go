@@ -314,7 +314,7 @@ func newReplicatedSystem(t *testing.T, tbl *dataset.Table, shards, replicas int,
 			}
 			c1s = append(c1s, c1)
 			if remote {
-				srv, err := NewShardServer(c1, i, shards, tbl.AttrBits, tbl.DomainBits())
+				srv, err := NewShardServer(c1, i, shards, tbl.DomainBits())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -40,7 +40,7 @@ func TestRowLayoutFor(t *testing.T) {
 	}
 	for _, tc := range cases {
 		pk := &testkit.Key(tc.keyBits).PublicKey
-		got := rowLayoutFor(pk, tc.m, tc.l)
+		got := rowLayoutFor(pk, tc.m, attrPackBits(tc.l))
 		if got != tc.want || got.Chunks(tc.m) != tc.chunks {
 			t.Errorf("K=%d m=%d l=%d: layout %+v in %d chunks, want %+v in %d",
 				tc.keyBits, tc.m, tc.l, got, got.Chunks(tc.m), tc.want, tc.chunks)
@@ -177,6 +177,144 @@ func TestRowPackedBoundaries(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestBasicPackedBoundaries is the same walk for SkNNb, whose slots are
+// sized by the table's declared attribute width instead of l: through
+// both entry points (the coordinator's BasicQuery and the bare worker's
+// BasicQueryMetered) the answer is the plaintext oracle's, made of whole
+// table rows named by their ids, in the layout the width and the key
+// produce — and the scan rode the packed SSED kernel wherever the key
+// has room for one slot.
+func TestBasicPackedBoundaries(t *testing.T) {
+	wide := func(m int, fill uint64) []uint64 {
+		row := make([]uint64, m)
+		for j := range row {
+			row[j] = (fill + uint64(j)) % 8
+		}
+		return row
+	}
+	const max64 = 1<<64 - 1
+	cases := []struct {
+		name     string
+		keyBits  int
+		attrBits int // declared; the rows may all be narrower
+		f        int
+		rows     [][]uint64
+		q        []uint64
+		k        int
+		chunks   int  // ciphertexts per revealed record
+		classic  bool // the key has no room for one SSED slot
+	}{
+		{name: "declared wider than any stored value", keyBits: 256, attrBits: 8, f: 2,
+			rows: [][]uint64{{1, 2, 3}, {3, 1, 0}, {2, 2, 2}, {0, 3, 1}},
+			q:    []uint64{2, 1}, k: 2, chunks: 1},
+		{name: "m = 1", keyBits: 256, attrBits: 4, f: 1,
+			rows: [][]uint64{{15}, {0}, {9}, {8}},
+			q:    []uint64{9}, k: 2, chunks: 1},
+		{name: "b = 1", keyBits: 256, attrBits: 1, f: 3,
+			rows: [][]uint64{{1, 1, 1}, {0, 0, 0}, {1, 0, 1}, {0, 1, 0}},
+			q:    []uint64{1, 1, 0}, k: 3, chunks: 1},
+		{name: "b = 64", keyBits: 512, attrBits: 64, f: 2,
+			rows: [][]uint64{{max64, 5, max64}, {max64 - 3, 9, 0}, {max64 - 100, 5, 7}, {max64 - 2, 2, max64 - 1}},
+			q:    []uint64{max64 - 1, 6}, k: 2, chunks: 2},
+		{name: "widest record in one chunk", keyBits: 256, attrBits: 3, f: 2,
+			rows: [][]uint64{wide(20, 7), wide(20, 0), wide(20, 1)},
+			q:    []uint64{1, 2}, k: 2, chunks: 1},
+		{name: "one column past one chunk", keyBits: 256, attrBits: 3, f: 2,
+			rows: [][]uint64{wide(21, 7), wide(21, 0), wide(21, 1)},
+			q:    []uint64{1, 2}, k: 2, chunks: 2},
+		{name: "payload columns wider than the features", keyBits: 256, attrBits: 20, f: 2,
+			rows: [][]uint64{{3, 3, 1<<20 - 1, 0}, {0, 1, 2, 1<<20 - 1}, {2, 2, 1 << 19, 1 << 19}},
+			q:    []uint64{2, 3}, k: 2, chunks: 2},
+		{name: "query far above the attribute domain", keyBits: 256, attrBits: 3, f: 2,
+			rows: [][]uint64{{7, 7}, {0, 0}, {7, 0}, {3, 4}},
+			q:    []uint64{1 << 30, 1 << 31}, k: 3, chunks: 1},
+		{name: "key packs SSED but no SM pair", keyBits: 128, attrBits: 2, f: 2,
+			rows: [][]uint64{{3, 3, 3}, {0, 1, 2}, {2, 2, 0}},
+			q:    []uint64{2, 3}, k: 2, chunks: 3},
+		{name: "key too small for one SSED slot", keyBits: 64, attrBits: 2, f: 2,
+			rows: [][]uint64{{3, 3, 3}, {0, 1, 2}, {2, 2, 0}},
+			q:    []uint64{2, 3}, k: 2, chunks: 3, classic: true},
+		{name: "ties and k = n", keyBits: 256, attrBits: 3, f: 2,
+			rows: [][]uint64{{1, 1, 5}, {1, 1, 6}, {5, 5, 7}, {1, 1, 5}},
+			q:    []uint64{1, 1}, k: 4, chunks: 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sk := testkit.Key(tc.keyBits)
+			m := len(tc.rows[0])
+			encTable, err := EncryptTable(rand.Reader, &sk.PublicKey, tc.rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if encTable, err = encTable.WithAttrBits(tc.attrBits); err != nil {
+				t.Fatal(err)
+			}
+			if encTable, err = encTable.WithFeatureColumns(tc.f); err != nil {
+				t.Fatal(err)
+			}
+			cloud, bob := newSystemOver(t, sk, encTable, 2)
+			eq, err := bob.EncryptQuery(tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := bigDistances(featurePrefix(tc.rows, tc.f), tc.q)[:tc.k]
+			check := func(who string, res *MaskedResult, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s: %v", who, err)
+				}
+				if res.Layout.Bits != tc.attrBits || res.Layout.Chunks(m) != tc.chunks {
+					t.Errorf("%s: revealed %d shares per record (layout %+v), want %d of %d-bit columns",
+						who, res.Layout.Chunks(m), res.Layout, tc.chunks, tc.attrBits)
+				}
+				got, err := bob.Unmask(res)
+				if err != nil {
+					t.Fatalf("%s: %v", who, err)
+				}
+				if ds := bigDistances(featurePrefix(got, tc.f), tc.q); fmt.Sprint(ds) != fmt.Sprint(want) {
+					t.Errorf("%s: distances %v, oracle %v", who, ds, want)
+				}
+				for j, row := range got {
+					if fmt.Sprint(row) != fmt.Sprint(tc.rows[res.IDs[j]]) {
+						t.Errorf("%s: result %d is %v, id %d names %v", who, j, row, res.IDs[j], tc.rows[res.IDs[j]])
+					}
+				}
+			}
+			res, _, err := cloud.BasicQuery(context.Background(), eq, tc.k)
+			check("coordinator", res, err)
+			res, _, err = cloud.C1.BasicQueryMetered(context.Background(), eq, tc.k)
+			check("bare worker", res, err)
+
+			packs := encTable.view().packs
+			packs.mu.Lock()
+			defer packs.mu.Unlock()
+			if packed := len(packs.rows[packKey{bits: tc.attrBits}]) > 0; packed == tc.classic {
+				t.Errorf("scan rode the packed SSED kernel: %v, want %v", packed, !tc.classic)
+			}
+		})
+	}
+}
+
+// bigDistances is the sorted squared distances of rows from q, computed
+// without overflow for attributes and queries up to 64 bits wide (where
+// plainknn's uint64 arithmetic does not reach).
+func bigDistances(rows [][]uint64, q []uint64) []string {
+	ds := make([]*big.Int, len(rows))
+	for i, row := range rows {
+		ds[i] = new(big.Int)
+		for j, x := range row {
+			d := new(big.Int).Sub(new(big.Int).SetUint64(x), new(big.Int).SetUint64(q[j]))
+			ds[i].Add(ds[i], d.Mul(d, d))
+		}
+	}
+	sort.Slice(ds, func(a, b int) bool { return ds[a].Cmp(ds[b]) < 0 })
+	out := make([]string, len(ds))
+	for i, d := range ds {
+		out[i] = d.String()
+	}
+	return out
 }
 
 func featurePrefix(rows [][]uint64, f int) [][]uint64 {

@@ -172,7 +172,11 @@ func attrPackBits(domainBits int) int {
 // plaintext (no disqualification needed once the winner is known), and
 // repeats until the chosen clusters hold at least target records.
 func (s *QuerySession) rankClusters(q EncryptedQuery, domainBits, target int, metrics *SecureMetrics) ([]int, error) {
-	ds, err := s.distancesOf(q, s.tbl.centroids2D(), s.tbl.packedCentroids(attrPackBits(domainBits)))
+	packed, err := s.tbl.packedCentroids(attrPackBits(domainBits))
+	if err != nil {
+		return nil, err
+	}
+	ds, err := s.distancesOf(q, s.tbl.centroids2D(), packed)
 	if err != nil {
 		return nil, fmt.Errorf("core: centroid SSED: %w", err)
 	}
@@ -283,7 +287,11 @@ func (s *QuerySession) candidateDistances(q EncryptedQuery, domainBits int, idx 
 		return nil, err
 	}
 	phase := time.Now()
-	ds, err := s.distancesOf(q, s.tbl.featureRows(idx), s.tbl.packedFeatureRows(attrPackBits(domainBits), idx))
+	packed, err := s.tbl.packedFeatureRows(attrPackBits(domainBits), idx)
+	if err != nil {
+		return nil, err
+	}
+	ds, err := s.distancesOf(q, s.tbl.featureRows(idx), packed)
 	if err != nil {
 		return nil, err
 	}

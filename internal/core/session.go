@@ -23,7 +23,7 @@ import (
 // consistent table no matter which Inserts, Deletes, or Compacts land
 // on the live table while it executes. A coordinator's merge session
 // has no table at all (tbl == nil): it operates on encrypted candidates
-// gathered from the shards, needing only the key and record arity.
+// gathered from the shards, needing only the key and the table shape.
 //
 // A session answers queries one at a time; run concurrent queries in
 // concurrent sessions. Close returns the leased capacity to the pool.
@@ -38,6 +38,7 @@ type QuerySession struct {
 	pk       *paillier.PublicKey
 	m        int              // record arity the session operates on
 	featureM int              // distance-relevant prefix
+	attrBits int              // the table's attribute width: sizes SkNNb's slots
 	tbl      *tableView       // table state observed at session open; nil for merge sessions
 	slots    []int            // leased link indices
 	conns    []mpc.Conn       // logical streams, one per slot
@@ -46,19 +47,13 @@ type QuerySession struct {
 	once sync.Once
 }
 
-// newSession leases width links from the pool and pins the given table
-// view (which also supplies the key and record arity).
-func newSession(ctx context.Context, pool *linkPool, width int, view *tableView) (*QuerySession, error) {
-	return openSession(ctx, pool, width, view, view.pk, view.m, view.featureM)
-}
-
 // openSession is the shared constructor behind table-backed sessions
-// (newSession) and the coordinator's table-less merge sessions
-// (ShardedC1.mergeSession): lease the slots, open one tagged stream per
-// slot — each bound to ctx — and attach a requester to each. view may
-// be nil — the selection engine then runs on caller-supplied candidates
-// only.
-func openSession(ctx context.Context, pool *linkPool, width int, view *tableView, pk *paillier.PublicKey, m, featureM int) (*QuerySession, error) {
+// (CloudC1.NewSession, which pins a view and takes the shape from it) and
+// the coordinator's table-less merge sessions (ShardedC1.mergeSession):
+// lease the slots, open one tagged stream per slot — each bound to ctx —
+// and attach a requester to each. view may be nil — the selection engine
+// then runs on caller-supplied candidates only.
+func openSession(ctx context.Context, pool *linkPool, width int, view *tableView, pk *paillier.PublicKey, m, featureM, attrBits int) (*QuerySession, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -66,7 +61,7 @@ func openSession(ctx context.Context, pool *linkPool, width int, view *tableView
 	if err != nil {
 		return nil, err
 	}
-	s := &QuerySession{pool: pool, ctx: ctx, pk: pk, m: m, featureM: featureM, tbl: view, slots: slots}
+	s := &QuerySession{pool: pool, ctx: ctx, pk: pk, m: m, featureM: featureM, attrBits: attrBits, tbl: view, slots: slots}
 	for _, i := range slots {
 		conn, err := pool.open(ctx, i)
 		if err != nil {
@@ -89,22 +84,22 @@ func (s *QuerySession) attach(conn mpc.Conn) {
 	s.rqs = append(s.rqs, smc.NewRequester(s.pk, conn, s.pool.random))
 }
 
-// rowLayoutFor is the record layout SkNNm uses at domain size l for
-// m-column records under pk: as many columns per chunk — each
-// attrPackBits(l) wide, the bound packed SSED already puts on the
-// feature columns, here required of every column — as one operand of the
-// packed SM uplink holds; per-attribute when fewer than two columns fit.
-func rowLayoutFor(pk *paillier.PublicKey, m, domainBits int) RowLayout {
-	w := attrPackBits(domainBits)
-	if c := min(m, smc.SMPackOperandBits(pk)/w); c > 1 {
-		return RowLayout{Cols: c, Bits: w}
+// rowLayoutFor is the layout m-column records under pk travel in when
+// every column is below 2^bits — the table's attribute width for SkNNb —
+// as many columns per chunk as one operand of the packed SM uplink holds
+// (SkNNm's extraction multiplies chunks; SkNNb's reveal keeps the rule);
+// per-attribute when fewer than two columns fit.
+func rowLayoutFor(pk *paillier.PublicKey, m, bits int) RowLayout {
+	if c := min(m, smc.SMPackOperandBits(pk)/bits); c > 1 {
+		return RowLayout{Cols: c, Bits: bits}
 	}
-	return RowLayout{Cols: 1, Bits: w}
+	return RowLayout{Cols: 1, Bits: bits}
 }
 
-// rowLayout is rowLayoutFor this session's records.
+// rowLayout is SkNNm's record layout at domain size l: every column held
+// to attrPackBits(l), the bound packed SSED puts on the feature columns.
 func (s *QuerySession) rowLayout(domainBits int) RowLayout {
-	return rowLayoutFor(s.pk, s.m, domainBits)
+	return rowLayoutFor(s.pk, s.m, attrPackBits(domainBits))
 }
 
 // Close ends the session's logical streams and releases its links back
@@ -189,8 +184,8 @@ func (s *QuerySession) parallelOverRecords(n int, fn func(w int, rq *smc.Request
 // the cluster centroids — chunked across the session's workers. packed,
 // when non-nil, is the slot-packed rendering of exactly the same rows
 // (usually a cached subset from the table view); the chunks then ride
-// the packed SSED uplink. With nil — SkNNb, or a key too small for the
-// SSED slot codec — they take the classic one.
+// the packed SSED uplink. With nil — a key too small for the SSED slot
+// codec — they take the classic one.
 func (s *QuerySession) distancesOf(q EncryptedQuery, rows [][]*paillier.Ciphertext, packed *smc.PackedRows) ([]*paillier.Ciphertext, error) {
 	out := make([]*paillier.Ciphertext, len(rows))
 	err := s.parallelOverRecords(len(rows), func(_ int, rq *smc.Requester, lo, hi int) error {

@@ -11,16 +11,14 @@ import (
 )
 
 // Candidate is one entry of a shard-local top-k list, still fully
-// encrypted: the obliviously extracted record — in the scanning
-// session's RowLayout, so usually one or two row-packed ciphertexts
-// rather than m — plus its composed distance E(d) — the rank-round's E(dmin) for SkNNm, the scanned
+// encrypted: the record — obliviously extracted for SkNNm, the stored one
+// for SkNNb, either way in the scanning session's RowLayout, so usually
+// one or two row-packed ciphertexts rather than m — plus its composed
+// distance E(d) — the rank-round's E(dmin) for SkNNm, the scanned
 // distance for SkNNb. Shipping candidates instead of results is what
 // makes the scatter-gather exact: the coordinator re-runs the selection
 // protocol over s·k candidates rather than trusting any shard-local
-// ordering. SkNNm candidates used to carry the [dmin] bit decomposition
-// for the coordinator's bit-vector merge; the value-domain merge
-// consumes composed values directly, so the l-ciphertext vector is gone
-// from the struct and from the OpShardTopK frame.
+// ordering.
 type Candidate struct {
 	Dist *paillier.Ciphertext // E(d), the candidate's composed distance
 	Rec  EncryptedRecord
@@ -40,6 +38,7 @@ type ShardInfo struct {
 	N         int // live records on this shard
 	M         int
 	FeatureM  int
+	AttrBits  int // the table's attribute width
 	Clustered bool
 	// Replica is this worker's ordinal within its shard's replica set —
 	// identification for operators and failover accounting only; replicas
@@ -83,6 +82,7 @@ func (s *LocalShard) Info() ShardInfo {
 		N:         t.N(),
 		M:         t.M(),
 		FeatureM:  t.FeatureM(),
+		AttrBits:  t.AttrBits(),
 		Clustered: t.Clustered(),
 	}
 }
@@ -121,11 +121,12 @@ var ErrShardTopology = fmt.Errorf("core: inconsistent shard topology")
 // clusters were probed. Nothing record-level is revealed; see
 // docs/PROTOCOLS.md.
 type ShardedC1 struct {
-	shards []Shard
-	pool   *linkPool
-	pk     *paillier.PublicKey
-	m      int
-	featM  int
+	shards   []Shard
+	pool     *linkPool
+	pk       *paillier.PublicKey
+	m        int
+	featM    int
+	attrBits int
 }
 
 // NewShardedC1 wires a coordinator over the given shard workers and its
@@ -145,7 +146,7 @@ func NewShardedC1(shards []Shard, mergeConns []mpc.Conn, pk *paillier.PublicKey,
 		return fail(fmt.Errorf("%w: no shards", ErrShardTopology))
 	}
 	seen := make([]bool, len(shards))
-	var m, featM int
+	var m, featM, attrBits int
 	for i, sh := range shards {
 		info := sh.Info()
 		if info.Count != len(shards) {
@@ -157,10 +158,10 @@ func NewShardedC1(shards []Shard, mergeConns []mpc.Conn, pk *paillier.PublicKey,
 		}
 		seen[info.Index] = true
 		if i == 0 {
-			m, featM = info.M, info.FeatureM
-		} else if info.M != m || info.FeatureM != featM {
-			return fail(fmt.Errorf("%w: shard %d table shape %d/%d, want %d/%d",
-				ErrShardTopology, i, info.M, info.FeatureM, m, featM))
+			m, featM, attrBits = info.M, info.FeatureM, info.AttrBits
+		} else if info.M != m || info.FeatureM != featM || info.AttrBits != attrBits {
+			return fail(fmt.Errorf("%w: shard %d table shape %d/%d of %d-bit attributes, want %d/%d of %d",
+				ErrShardTopology, i, info.M, info.FeatureM, info.AttrBits, m, featM, attrBits))
 		}
 	}
 	// Order the workers by shard index so shards[i] owns ids ≡ i mod S.
@@ -172,7 +173,7 @@ func NewShardedC1(shards []Shard, mergeConns []mpc.Conn, pk *paillier.PublicKey,
 	if err != nil {
 		return fail(err)
 	}
-	c := &ShardedC1{shards: ordered, pool: pool, pk: pk, m: m, featM: featM}
+	c := &ShardedC1{shards: ordered, pool: pool, pk: pk, m: m, featM: featM, attrBits: attrBits}
 	if err := pool.handshake(pk.N); err != nil {
 		for _, link := range pool.links {
 			link.Close()
@@ -222,9 +223,9 @@ func (c *ShardedC1) Close() error { return c.pool.Close() }
 
 // mergeSession leases a table-less session from the coordinator's pool:
 // the selection engine (selectTopK / rankCandidates / reveal) runs on
-// gathered candidates, needing only the key and record arity.
+// gathered candidates, needing only the key and the table shape.
 func (c *ShardedC1) mergeSession(ctx context.Context) (*QuerySession, error) {
-	return openSession(ctx, c.pool, 0, nil, c.pk, c.m, c.featM)
+	return openSession(ctx, c.pool, 0, nil, c.pk, c.m, c.featM, c.attrBits)
 }
 
 // scatter is SkNNb's gather: it fans the query out to every shard
@@ -291,12 +292,17 @@ func (c *ShardedC1) checkGathered(k, gathered, n int) error {
 	return nil
 }
 
-// BasicQuery runs SkNNb (Algorithm 5): every shard computes its encrypted
-// distances and lets C2 decrypt and rank them, one more rank round over
-// the gathered s·k encrypted distances picks the global top-k, and the
-// winners are revealed to Bob via masking, nearest first. A single
-// shard's k-set is already C2-ranked, so at S = 1 there is no second
-// rank round: C2 sees exactly the paper's protocol.
+// BasicQuery runs SkNNb (Algorithm 5) on the packed kernels: every shard
+// computes its encrypted distances — one slot-packed ciphertext per
+// record up, one down — and lets C2 decrypt and rank them, one more rank
+// round over the gathered s·k encrypted distances picks the global top-k,
+// and the winners are revealed to Bob via masking, nearest first, as
+// ⌈m/c⌉ row-packed shares each. A single shard's k-set is already
+// C2-ranked, so at S = 1 there is no second rank round. (The protocol as
+// printed is internal/reference.SkNNb.) The slots are sized by the table's
+// attribute width, which bounds the stored columns only: a query attribute
+// is any uint64 — below 2^(b+64) it cannot overflow a slot — though one far
+// above 2^b spends the statistical blind's margin, which is Bob's own.
 //
 // SkNNb is the efficiency baseline: it deliberately relaxes security —
 // C2 learns every plaintext distance, and both clouds learn which
@@ -332,18 +338,11 @@ func (c *ShardedC1) BasicQuery(ctx context.Context, q EncryptedQuery, k int) (*M
 		}
 		metrics.Select += time.Since(phase)
 	}
-	ids := make([]uint64, len(selected))
-	for i, cand := range selected {
-		ids[i] = cand.ID
-	}
-	// Steps 4–6: masked reveal, attribute by attribute (SkNNb never
-	// extracts), carrying the stable ids SkNNb gives away anyway.
 	phase := time.Now()
-	res, err := s.reveal(candidateRecords(selected), perAttribute)
+	res, err := s.revealBasic(selected)
 	if err != nil {
 		return nil, nil, err
 	}
-	res.IDs = ids
 	metrics.Reveal = time.Since(phase)
 	metrics.Merge = time.Since(mergeStart)
 	metrics.Total = time.Since(start)

@@ -60,7 +60,7 @@ func newShardedSystem(t *testing.T, tbl *dataset.Table, shards, workers int, rem
 			t.Fatalf("shard %d: %v", i, err)
 		}
 		if remote {
-			srv, err := NewShardServer(c1s[i], i, shards, tbl.AttrBits, tbl.DomainBits())
+			srv, err := NewShardServer(c1s[i], i, shards, tbl.DomainBits())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -498,12 +498,14 @@ func (o *opTally) reset() map[mpc.Op]int {
 	return ops
 }
 
-// TestOneShardBasicIsThePapersProtocol pins SkNNb's one-shard
-// degeneration: through the coordinator a lone shard's query sends C2
-// exactly the requests and round trips the bare worker's own SkNNb
-// sends on the same table — in particular one OpRank, not a second one
-// over the already ranked k-set — and Bob gets the ids nearest first.
-func TestOneShardBasicIsThePapersProtocol(t *testing.T) {
+// TestOneShardBasicAddsNoRankRound pins SkNNb's one-shard degeneration:
+// through the coordinator a lone shard's query sends C2 exactly the
+// requests and round trips the bare worker's own SkNNb sends on the same
+// table — in particular one OpRank, not a second one over the already
+// ranked k-set — and Bob gets the ids nearest first. (That C2 sees the
+// paper's protocol frame for frame is internal/reference.SkNNb's claim,
+// not the engine's: the engine's distances ride the packed SSED kernel.)
+func TestOneShardBasicAddsNoRankRound(t *testing.T) {
 	const attrBits, m, n, k = 4, 2, 10, 3
 	sk := testKey()
 	tbl, err := dataset.Generate(881, n, m, attrBits)

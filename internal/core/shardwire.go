@@ -28,22 +28,19 @@ import (
 //	              rep: [n, count, sminCount, candidates, clustersProbed,
 //	                    totalNanos, cols, bits, then per candidate:
 //	                    secure → E(dmin), ⌈m/cols⌉ record chunks
-//	                    basic  → id, E(d), m record attributes]
+//	                    basic  → id, E(d), ⌈m/cols⌉ record chunks]
 //
-// cols and bits declare the RowLayout the candidates' records are in
-// (1 and 0 on basic replies). The coordinator accepts only the layout the
-// table shape, the key and the domain size it asked for produce —
+// cols and bits declare the RowLayout the candidates' records are in.
+// The coordinator accepts only the layout the table shape, the key and
+// the slot width produce — the domain size it asked for on a secure
+// reply, the attribute width of the shard's hello on a basic one —
 // anything else would let chunks be read as differently packed columns.
 //
 // Basic candidates carry their stable record id (SkNNb reveals access
 // patterns anyway; the id lets the coordinator name the merged results
 // for Bob). Secure candidates are obliviously extracted — not even the
-// shard knows which record one holds — so no id travels. Secure
-// candidates carry the composed encrypted distance, not the l-ciphertext
-// bit vector the merge used to consume: the coordinator's value-domain
-// tournament compares composed values directly, and the record travels
-// row-packed, shrinking the reply from m+l to ⌈m/cols⌉+1 ciphertexts per
-// candidate.
+// shard knows which record one holds — so no id travels: ⌈m/cols⌉+1
+// ciphertexts per candidate, the composed distance and the record.
 
 // RemoteShard drives one shard worker over a connection. It implements
 // Shard; the static shape is cached from the dial-time hello and the
@@ -53,7 +50,6 @@ import (
 type RemoteShard struct {
 	conn       mpc.Conn
 	pk         *paillier.PublicKey
-	attrBits   int
 	domainBits int
 
 	mu   sync.Mutex
@@ -70,7 +66,7 @@ const (
 	maxShardN          = 1 << 40 // records per shard (matches store's maxN)
 	maxShardM          = 1 << 12 // attributes per record (matches store's maxM)
 	maxShardCount      = 1 << 16 // shards in a topology
-	maxShardAttrBits   = 1 << 10 // per-attribute domain bits
+	maxAttrBits        = 64      // a table's attribute width: columns are uint64
 	maxShardDomainBits = 1 << 10 // squared-distance domain bits
 	maxShardReplicas   = 1 << 8  // replicas of one shard
 )
@@ -79,12 +75,11 @@ const (
 type shardHello struct {
 	pk         *paillier.PublicKey
 	info       ShardInfo
-	attrBits   int
 	domainBits int
 }
 
 // encodeHello lays out the handshake reply frame.
-func encodeHello(pkN *big.Int, info ShardInfo, attrBits, domainBits int) *mpc.Message {
+func encodeHello(pkN *big.Int, info ShardInfo, domainBits int) *mpc.Message {
 	clustered := int64(0)
 	if info.Clustered {
 		clustered = 1
@@ -94,7 +89,7 @@ func encodeHello(pkN *big.Int, info ShardInfo, attrBits, domainBits int) *mpc.Me
 		big.NewInt(int64(info.Index)), big.NewInt(int64(info.Count)),
 		big.NewInt(int64(info.N)), big.NewInt(int64(info.M)),
 		big.NewInt(int64(info.FeatureM)), big.NewInt(clustered),
-		big.NewInt(int64(attrBits)), big.NewInt(int64(domainBits)),
+		big.NewInt(int64(info.AttrBits)), big.NewInt(int64(domainBits)),
 		big.NewInt(int64(info.Replica)),
 	}}
 }
@@ -125,9 +120,10 @@ func decodeHello(resp *mpc.Message) (shardHello, error) {
 		M:         vals[3],
 		FeatureM:  vals[4],
 		Clustered: vals[5] != 0,
+		AttrBits:  vals[6],
 		Replica:   vals[8],
 	}
-	h.attrBits, h.domainBits = vals[6], vals[7]
+	h.domainBits = vals[7]
 	info := h.info
 	if info.Count < 1 || info.Count > maxShardCount || info.Index < 0 || info.Index >= info.Count ||
 		info.M < 1 || info.M > maxShardM || info.FeatureM < 1 || info.FeatureM > info.M ||
@@ -135,10 +131,10 @@ func decodeHello(resp *mpc.Message) (shardHello, error) {
 		return h, fmt.Errorf("%w: shard hello describes index %d of %d, table %d/%d, n=%d",
 			ErrBadFrame, info.Index, info.Count, info.M, info.FeatureM, info.N)
 	}
-	if h.attrBits < 0 || h.attrBits > maxShardAttrBits ||
+	if info.AttrBits < 1 || info.AttrBits > maxAttrBits ||
 		h.domainBits < 0 || h.domainBits > maxShardDomainBits {
 		return h, fmt.Errorf("%w: shard hello declares attrBits=%d domainBits=%d",
-			ErrBadFrame, h.attrBits, h.domainBits)
+			ErrBadFrame, info.AttrBits, h.domainBits)
 	}
 	if info.Replica < 0 || info.Replica >= maxShardReplicas {
 		return h, fmt.Errorf("%w: shard hello declares replica %d", ErrBadFrame, info.Replica)
@@ -159,14 +155,11 @@ func DialShard(conn mpc.Conn) (*RemoteShard, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RemoteShard{conn: conn, pk: h.pk, info: h.info, attrBits: h.attrBits, domainBits: h.domainBits}, nil
+	return &RemoteShard{conn: conn, pk: h.pk, info: h.info, domainBits: h.domainBits}, nil
 }
 
 // PK returns the public key the shard's table is encrypted under.
 func (r *RemoteShard) PK() *paillier.PublicKey { return r.pk }
-
-// AttrBits reports the shard table's per-attribute domain size.
-func (r *RemoteShard) AttrBits() int { return r.attrBits }
 
 // DomainBits reports l, the squared-distance domain the shard's SkNNm
 // scans decompose to.
@@ -220,7 +213,7 @@ func (r *RemoteShard) TopK(ctx context.Context, q EncryptedQuery, k, domainBits,
 	if err := ctxErr(ctx); err != nil {
 		return nil, nil, err
 	}
-	liveN, cands, metrics, err := decodeTopKReply(r.pk, r.info.M, resp, k, domainBits, secure)
+	liveN, cands, metrics, err := decodeTopKReply(r.pk, r.info.M, resp, k, replyLayout(r.pk, r.info.M, r.info.AttrBits, domainBits, secure), secure)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -230,14 +223,25 @@ func (r *RemoteShard) TopK(ctx context.Context, q EncryptedQuery, k, domainBits,
 	return cands, metrics, nil
 }
 
+// replyLayout is the layout a top-k reply's records travel in: SkNNm's at
+// the requested domain size on a secure scan, else the one the shard
+// table's attribute width gives SkNNb.
+func replyLayout(pk *paillier.PublicKey, m, attrBits, domainBits int, secure bool) RowLayout {
+	if secure {
+		return rowLayoutFor(pk, m, attrPackBits(domainBits))
+	}
+	return rowLayoutFor(pk, m, attrBits)
+}
+
 // decodeTopKReply validates and unpacks a shard's top-k reply against
 // the query the coordinator actually sent: m is the shard's (already
-// bounded) record width, k and domainBits the request parameters. The
+// bounded) record width, k the request's, want the layout its records
+// must come back in. The
 // candidate count is bounded by k and the declared row layout pinned to
 // one the request can produce before any arithmetic on them, so a lying
 // reply fails with ErrBadFrame instead of overflowing count*per, reaching
 // a huge make(), or shifting a column.
-func decodeTopKReply(pk *paillier.PublicKey, m int, resp *mpc.Message, k, domainBits int, secure bool) (liveN int, cands []Candidate, metrics *SecureMetrics, err error) {
+func decodeTopKReply(pk *paillier.PublicKey, m int, resp *mpc.Message, k int, want RowLayout, secure bool) (liveN int, cands []Candidate, metrics *SecureMetrics, err error) {
 	const head = 8
 	if len(resp.Ints) < head {
 		return 0, nil, nil, fmt.Errorf("%w: shard top-k reply has %d ints", ErrBadFrame, len(resp.Ints))
@@ -256,13 +260,9 @@ func decodeTopKReply(pk *paillier.PublicKey, m int, resp *mpc.Message, k, domain
 	}
 	metrics.Total = time.Duration(resp.Ints[5].Int64())
 	layout := RowLayout{Cols: int(resp.Ints[6].Int64()), Bits: int(resp.Ints[7].Int64())}
-	if secure {
-		if layout != rowLayoutFor(pk, m, domainBits) {
-			return 0, nil, nil, fmt.Errorf("%w: shard top-k reply packs %d columns of %d bits, not a layout of %d-column records at l=%d",
-				ErrBadFrame, layout.Cols, layout.Bits, m, domainBits)
-		}
-	} else if layout != perAttribute {
-		return 0, nil, nil, fmt.Errorf("%w: basic shard top-k reply declares row layout %+v", ErrBadFrame, layout)
+	if layout != want {
+		return 0, nil, nil, fmt.Errorf("%w: shard top-k reply packs %d columns of %d bits, not %d of %d",
+			ErrBadFrame, layout.Cols, layout.Bits, want.Cols, want.Bits)
 	}
 	chunks := layout.Chunks(m)
 	per := chunks + 2 // id + E(d) + record
@@ -310,18 +310,18 @@ type ShardServer struct {
 	index      int
 	count      int
 	replica    int
-	attrBits   int
 	domainBits int
 }
 
 // NewShardServer wraps a shard worker's CloudC1 with its partition
 // lineage (records with id ≡ index mod count live here) and the domain
-// metadata the coordinator needs to plan queries.
-func NewShardServer(c1 *CloudC1, index, count, attrBits, domainBits int) (*ShardServer, error) {
+// size the coordinator needs to plan SkNNm queries; the attribute width
+// it announces is the table's own.
+func NewShardServer(c1 *CloudC1, index, count, domainBits int) (*ShardServer, error) {
 	if count < 1 || index < 0 || index >= count {
 		return nil, fmt.Errorf("%w: shard %d of %d", ErrShardTopology, index, count)
 	}
-	return &ShardServer{c1: c1, index: index, count: count, attrBits: attrBits, domainBits: domainBits}, nil
+	return &ShardServer{c1: c1, index: index, count: count, domainBits: domainBits}, nil
 }
 
 // SetReplica declares this worker's ordinal within its shard's replica
@@ -347,17 +347,15 @@ func (s *ShardServer) Mux() *mpc.Mux {
 // Serve answers coordinator frames on conn until the peer closes.
 func (s *ShardServer) Serve(conn mpc.Conn) error { return mpc.Serve(conn, s.Mux()) }
 
+// info is the worker's current shape, as an in-process shard reports it.
+func (s *ShardServer) info() ShardInfo {
+	info := (&LocalShard{C1: s.c1, Index: s.index, Count: s.count}).Info()
+	info.Replica = s.replica
+	return info
+}
+
 func (s *ShardServer) handleHello(*mpc.Message) (*mpc.Message, error) {
-	t := s.c1.Table()
-	return encodeHello(t.PK().N, ShardInfo{
-		Index:     s.index,
-		Count:     s.count,
-		N:         t.N(),
-		M:         t.M(),
-		FeatureM:  t.FeatureM(),
-		Clustered: t.Clustered(),
-		Replica:   s.replica,
-	}, s.attrBits, s.domainBits), nil
+	return encodeHello(s.c1.Table().PK().N, s.info(), s.domainBits), nil
 }
 
 func (s *ShardServer) handleTopK(req *mpc.Message) (*mpc.Message, error) {
@@ -394,11 +392,7 @@ func (s *ShardServer) handleTopK(req *mpc.Message) (*mpc.Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	layout := perAttribute
-	if secure {
-		layout = rowLayoutFor(t.PK(), t.M(), domainBits)
-	}
-	return encodeTopKReply(t.N(), layout, cands, metrics, secure), nil
+	return encodeTopKReply(t.N(), replyLayout(t.PK(), t.M(), t.AttrBits(), domainBits, secure), cands, metrics, secure), nil
 }
 
 // encodeTopKReply lays out a top-k reply frame: the metrics header, the

@@ -37,7 +37,8 @@ func TestDecodeHelloBounds(t *testing.T) {
 		{"huge M", helloReply(0, 1, 10, maxShardM+1, 2, 0, 32, 96)},
 		{"huge N", helloReply(0, 1, maxShardN+1, 4, 2, 0, 32, 96)},
 		{"huge count", helloReply(0, maxShardCount+1, 10, 4, 2, 0, 32, 96)},
-		{"huge attrBits", helloReply(0, 1, 10, 4, 2, 0, maxShardAttrBits+1, 96)},
+		{"huge attrBits", helloReply(0, 1, 10, 4, 2, 0, maxAttrBits+1, 96)},
+		{"zero attrBits", helloReply(0, 1, 10, 4, 2, 0, 0, 96)},
 		{"huge domainBits", helloReply(0, 1, 10, 4, 2, 0, 32, maxShardDomainBits+1)},
 		{"negative attrBits", helloReply(0, 1, 10, 4, 2, 0, -1, 96)},
 		{"negative domainBits", helloReply(0, 1, 10, 4, 2, 0, 32, -1)},
@@ -66,7 +67,7 @@ func TestDecodeHelloAccepts(t *testing.T) {
 	}
 	if h.info.Index != 1 || h.info.Count != 3 || h.info.N != 1000 ||
 		h.info.M != 6 || h.info.FeatureM != 2 || !h.info.Clustered ||
-		h.attrBits != 32 || h.domainBits != 96 || h.info.Replica != 2 {
+		h.info.AttrBits != 32 || h.domainBits != 96 || h.info.Replica != 2 {
 		t.Fatalf("decodeHello = %+v", h)
 	}
 	if h.pk == nil || h.pk.NSquared.BitLen() < 2048 {
@@ -92,39 +93,41 @@ func TestDecodeTopKReplyLyingCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	layout := rowLayoutFor(h.pk, h.info.M, 96)
+	layout := rowLayoutFor(h.pk, h.info.M, 48)
 	head := topKHead(1<<40, layout) // lying count
-	if _, _, _, err := decodeTopKReply(h.pk, h.info.M, &mpc.Message{Op: OpShardTopK, Ints: head}, 2, 96, true); !errors.Is(err, ErrBadFrame) {
+	if _, _, _, err := decodeTopKReply(h.pk, h.info.M, &mpc.Message{Op: OpShardTopK, Ints: head}, 2, layout, true); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("lying count: err = %v, want ErrBadFrame", err)
 	}
 	// Count within k but payload missing.
 	head[1] = big.NewInt(2)
-	if _, _, _, err := decodeTopKReply(h.pk, h.info.M, &mpc.Message{Op: OpShardTopK, Ints: head}, 2, 96, true); !errors.Is(err, ErrBadFrame) {
+	if _, _, _, err := decodeTopKReply(h.pk, h.info.M, &mpc.Message{Op: OpShardTopK, Ints: head}, 2, layout, true); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("short payload: err = %v, want ErrBadFrame", err)
 	}
 	// Truncated header (the pre-layout 6-field one included).
 	for _, n := range []int{3, 6} {
-		if _, _, _, err := decodeTopKReply(h.pk, h.info.M, &mpc.Message{Op: OpShardTopK, Ints: head[:n]}, 2, 96, true); !errors.Is(err, ErrBadFrame) {
+		if _, _, _, err := decodeTopKReply(h.pk, h.info.M, &mpc.Message{Op: OpShardTopK, Ints: head[:n]}, 2, layout, true); !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("%d-field header: err = %v, want ErrBadFrame", n, err)
 		}
 	}
 }
 
 // TestDecodeTopKReplyLayout: the declared row layout must be the one the
-// table shape, the key and the requested domain size produce, and the
-// payload must hold exactly that many chunks per candidate. Anything else
-// — the per-attribute layout under a key that packs included — is
-// ErrBadFrame, never a candidate whose chunks would be read as
-// differently packed columns.
+// table shape, the key and the slot width produce — the requested domain
+// size's on a secure reply, the hello's attribute width on a basic one —
+// and the payload must hold exactly that many chunks per candidate.
+// Anything else — the per-attribute layout under a key that packs
+// included — is ErrBadFrame, never a candidate whose chunks would be read
+// as differently packed columns.
 func TestDecodeTopKReplyLayout(t *testing.T) {
 	h, err := decodeHello(helloReply(0, 1, 10, 4, 2, 0, 32, 96))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const m, l = 4, 96
-	packed, plain := rowLayoutFor(h.pk, m, l), RowLayout{Cols: 1, Bits: l / 2}
-	if packed.Cols != m || packed.Bits != l/2 {
-		t.Fatalf("layout under a 1025-bit key: %+v", packed)
+	packed, plain := rowLayoutFor(h.pk, m, l/2), RowLayout{Cols: 1, Bits: l / 2}
+	basic := rowLayoutFor(h.pk, m, h.info.AttrBits)
+	if packed.Cols != m || packed.Bits != l/2 || basic.Cols != m || basic.Bits != 32 {
+		t.Fatalf("layouts under a 1025-bit key: %+v, %+v", packed, basic)
 	}
 	ct := big.NewInt(7) // a canonical residue mod N²
 	reply := func(layout RowLayout, perCand int, secure bool) *mpc.Message {
@@ -146,10 +149,10 @@ func TestDecodeTopKReplyLayout(t *testing.T) {
 		chunks int
 	}{
 		{"packed", reply(packed, 1+1, true), true, 1},
-		{"basic", reply(RowLayout{Cols: 1}, 1+m, false), false, m},
+		{"basic", reply(basic, 1+1, false), false, 1},
 	}
 	for _, tc := range accept {
-		_, cands, _, err := decodeTopKReply(h.pk, m, tc.msg, 2, l, tc.secure)
+		_, cands, _, err := decodeTopKReply(h.pk, m, tc.msg, 2, replyLayout(h.pk, m, h.info.AttrBits, l, tc.secure), tc.secure)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -173,10 +176,11 @@ func TestDecodeTopKReplyLayout(t *testing.T) {
 		{"packed header, per-attribute payload", reply(packed, 1+m, true), true},
 		{"per-attribute header, packed payload", reply(plain, 2, true), true},
 		{"per-attribute layout under a key that packs", reply(plain, 1+m, true), true},
-		{"basic reply declaring a packed layout", reply(packed, 1+1, false), false},
+		{"basic reply in the secure layout", reply(packed, 1+1, false), false},
+		{"basic reply per attribute under a key that packs", reply(RowLayout{Cols: 1}, 1+m, false), false},
 	}
 	for _, tc := range reject {
-		if _, _, _, err := decodeTopKReply(h.pk, m, tc.msg, 2, l, tc.secure); !errors.Is(err, ErrBadFrame) {
+		if _, _, _, err := decodeTopKReply(h.pk, m, tc.msg, 2, replyLayout(h.pk, m, h.info.AttrBits, l, tc.secure), tc.secure); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("%s: err = %v, want ErrBadFrame", tc.name, err)
 		}
 	}
@@ -211,7 +215,7 @@ func FuzzShardFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	const fm, fl, fk = 6, 12, 3
-	packed := rowLayoutFor(fixed.pk, fm, fl)
+	packed := rowLayoutFor(fixed.pk, fm, fl/2)
 	seven := big.NewInt(7)
 	f.Add(fuzzInts(append(topKHead(1, packed), seven, seven)))
 	f.Add(fuzzInts(append(topKHead(1, RowLayout{Cols: 1, Bits: fl / 2}), seven, seven, seven, seven, seven, seven, seven)))
@@ -242,7 +246,8 @@ func FuzzShardFrame(f *testing.F) {
 		}
 		reply := &mpc.Message{Op: OpShardTopK, Ints: ints}
 		for _, secure := range []bool{true, false} {
-			_, cands, _, err := decodeTopKReply(fixed.pk, fm, reply, fk, fl, secure)
+			want := replyLayout(fixed.pk, fm, fixed.info.AttrBits, fl, secure)
+			_, cands, _, err := decodeTopKReply(fixed.pk, fm, reply, fk, want, secure)
 			if err != nil {
 				continue
 			}
@@ -250,7 +255,7 @@ func FuzzShardFrame(f *testing.F) {
 				t.Fatalf("decodeTopKReply returned %d candidates for k=%d", len(cands), fk)
 			}
 			for i, c := range cands {
-				if n := len(c.Rec); (secure && n != packed.Chunks(fm)) || (!secure && n != fm) {
+				if n := len(c.Rec); n != want.Chunks(fm) {
 					t.Fatalf("candidate %d has %d record ciphertexts (secure=%v)", i, n, secure)
 				}
 			}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/big"
+	"math/bits"
 	"sync"
 
 	"sknn/internal/paillier"
@@ -30,10 +32,16 @@ type EncryptedRecord []*paillier.Ciphertext
 // along encrypted and are returned to Bob but never influence ranking.
 // This is the layout secure kNN *classification* needs (the paper's
 // Section 2.1 points at classification as a direct application).
+//
+// attrBits is the attribute width b: every column of every record,
+// stored now or inserted later, is below 2^b. It is public (snapshot
+// header, shard hello, every packed SSED frame) and sizes SkNNb's SSED
+// slots and reveal layout; WithAttrBits widens it, nothing narrows it.
 type EncryptedTable struct {
 	pk       *paillier.PublicKey
 	m        int
 	featureM int
+	attrBits int
 
 	mu       sync.RWMutex
 	records  []EncryptedRecord // guarded by mu
@@ -142,11 +150,12 @@ func (p *rowPacks) remapped(remap []int, n int) *rowPacks {
 }
 
 // newTable wires the bookkeeping every construction path shares.
-func newTable(pk *paillier.PublicKey, records []EncryptedRecord, m int) *EncryptedTable {
+func newTable(pk *paillier.PublicKey, records []EncryptedRecord, m, attrBits int) *EncryptedTable {
 	t := &EncryptedTable{
 		pk:       pk,
 		m:        m,
 		featureM: m,
+		attrBits: attrBits,
 		records:  records,
 		ids:      make([]uint64, len(records)),
 		byID:     make(map[uint64]int, len(records)),
@@ -164,22 +173,28 @@ func newTable(pk *paillier.PublicKey, records []EncryptedRecord, m int) *Encrypt
 // EncryptTable is Alice's one-time setup (Section 1.1): she encrypts her
 // n×m table attribute-wise under pk. Rows must be rectangular and each
 // attribute must fit the chosen domain: callers enforce value bounds via
-// dataset validation before encryption.
+// dataset validation before encryption. The table's attribute width is
+// that of the widest value encrypted here, the one place the plaintext
+// and the table meet; WithAttrBits declares a wider domain.
 func EncryptTable(random io.Reader, pk *paillier.PublicKey, rows [][]uint64) (*EncryptedTable, error) {
 	if len(rows) == 0 || len(rows[0]) == 0 {
 		return nil, fmt.Errorf("core: empty table")
 	}
 	m := len(rows[0])
+	width := 1
 	for i, row := range rows {
 		if len(row) != m {
 			return nil, fmt.Errorf("core: row %d has %d attributes, want %d", i, len(row), m)
+		}
+		for _, x := range row {
+			width = max(width, bits.Len64(x))
 		}
 	}
 	records, err := encryptRows(random, pk, rows, m)
 	if err != nil {
 		return nil, fmt.Errorf("core: encrypting table: %w", err)
 	}
-	return newTable(pk, records, m), nil
+	return newTable(pk, records, m, width), nil
 }
 
 // encryptRows encrypts rows of m attributes each, attribute-wise, with
@@ -216,6 +231,7 @@ func (t *EncryptedTable) derive() *EncryptedTable {
 		pk:       t.pk,
 		m:        t.m,
 		featureM: t.featureM,
+		attrBits: t.attrBits,
 		records:  t.records,
 		ids:      t.ids,
 		byID:     make(map[uint64]int, len(t.byID)),
@@ -248,6 +264,19 @@ func (t *EncryptedTable) WithFeatureColumns(f int) (*EncryptedTable, error) {
 	view.featureM = f
 	//sknnlint:allow lockguard -- view is construction-time fresh from derive: unpublished, so its mutex cannot be contended yet
 	view.index = nil
+	return view, nil
+}
+
+// WithAttrBits returns a view of the table declaring every column value,
+// stored or still to be inserted, below 2^bits: the owner's attribute
+// domain, no narrower than what the table already holds. The ciphertexts
+// are shared; like WithFeatureColumns it is a construction-time operation.
+func (t *EncryptedTable) WithAttrBits(bits int) (*EncryptedTable, error) {
+	if bits < t.attrBits || bits > maxAttrBits {
+		return nil, fmt.Errorf("core: attribute width %d out of range [%d,%d]", bits, t.attrBits, maxAttrBits)
+	}
+	view := t.derive()
+	view.attrBits = bits
 	return view, nil
 }
 
@@ -347,7 +376,9 @@ var (
 )
 
 // Insert appends an already-encrypted record (data-owner-side
-// encryption, C1-side append) and returns its stable id. For a clustered
+// encryption, C1-side append) and returns its stable id. Every attribute
+// encrypted into it must be below 2^AttrBits() — the table cannot check,
+// and a wider one corrupts the packed slots it lands in. For a clustered
 // table the caller must route the record to a cluster first — either
 // obliviously via QuerySession.NearestCluster or owner-side in
 // plaintext — and pass that cluster's id; unclustered tables take
@@ -550,6 +581,9 @@ func (t *EncryptedTable) M() int { return t.m }
 // FeatureM returns the number of leading attributes used for distance.
 func (t *EncryptedTable) FeatureM() int { return t.featureM }
 
+// AttrBits returns the attribute width b: every column is below 2^b.
+func (t *EncryptedTable) AttrBits() int { return t.attrBits }
+
 // PK returns the public key the table is encrypted under.
 func (t *EncryptedTable) PK() *paillier.PublicKey { return t.pk }
 
@@ -585,6 +619,7 @@ type tableView struct {
 	pk        *paillier.PublicKey
 	m         int
 	featureM  int
+	attrBits  int
 	records   []EncryptedRecord
 	ids       []uint64 // position -> stable record id
 	dead      []bool
@@ -623,6 +658,7 @@ func (t *EncryptedTable) buildViewLocked() *tableView {
 		pk:       t.pk,
 		m:        t.m,
 		featureM: t.featureM,
+		attrBits: t.attrBits,
 		records:  t.records,
 		ids:      t.ids,
 		dead:     append([]bool(nil), t.dead...),
@@ -688,9 +724,8 @@ func (v *tableView) featureRows(idx []int) [][]*paillier.Ciphertext {
 // prefixes of the records at the given positions, for valueBits-wide
 // slot payloads (rows pack independently — slots combine a row's
 // attributes, never rows). Returns nil when the key is too small for
-// the SSED slot codec; distancesOf then takes classic SSED, the path
-// SkNNb always takes.
-func (v *tableView) packedFeatureRows(valueBits int, idx []int) *smc.PackedRows {
+// the SSED slot codec; distancesOf then takes classic SSED.
+func (v *tableView) packedFeatureRows(valueBits int, idx []int) (*smc.PackedRows, error) {
 	return packedRows(v.pk, v.packs, valueBits, idx, func(pos int) []*paillier.Ciphertext {
 		return v.records[pos][:v.featureM]
 	})
@@ -699,9 +734,9 @@ func (v *tableView) packedFeatureRows(valueBits int, idx []int) *smc.PackedRows 
 // packedCentroids returns the slot-packed rendering of the cluster
 // centroids. Nil when unclustered or when the key is too small for the
 // SSED slot codec (classic SSED then, as for packedFeatureRows).
-func (v *tableView) packedCentroids(valueBits int) *smc.PackedRows {
+func (v *tableView) packedCentroids(valueBits int) (*smc.PackedRows, error) {
 	if v.centroids == nil {
-		return nil
+		return nil, nil
 	}
 	all := make([]int, len(v.centroids))
 	for i := range all {
@@ -713,19 +748,24 @@ func (v *tableView) packedCentroids(valueBits int) *smc.PackedRows {
 }
 
 // packedRows renders row(pos) for every position in idx under the SSED
-// slot codec for valueBits-wide payloads, through the memo.
-func packedRows(pk *paillier.PublicKey, packs *rowPacks, valueBits int, idx []int, row func(pos int) []*paillier.Ciphertext) *smc.PackedRows {
+// slot codec for valueBits-wide payloads, through the memo. Only a key
+// with no room for one such slot yields nil rows; a row that fails to
+// pack fails the query.
+func packedRows(pk *paillier.PublicKey, packs *rowPacks, valueBits int, idx []int, row func(pos int) []*paillier.Ciphertext) (*smc.PackedRows, error) {
 	codec, err := paillier.NewPacking(pk, valueBits)
+	if errors.Is(err, paillier.ErrPackWidth) {
+		return nil, nil
+	}
 	if err != nil {
-		return nil
+		return nil, fmt.Errorf("core: SSED slot codec: %w", err)
 	}
 	rows, err := packs.get(packKey{bits: valueBits}, idx, func(pos int) ([]*paillier.Ciphertext, error) {
 		return smc.PackRow(codec, row(pos))
 	})
 	if err != nil {
-		return nil
+		return nil, fmt.Errorf("core: packing rows for SSED: %w", err)
 	}
-	return &smc.PackedRows{Codec: codec, Rows: rows}
+	return &smc.PackedRows{Codec: codec, Rows: rows}, nil
 }
 
 // recordRows returns the records at the given positions in the given
@@ -759,6 +799,7 @@ func (v *tableView) recordRows(layout RowLayout, idx []int) ([][]*paillier.Ciphe
 // cluster index is attached.
 type TableSnapshot struct {
 	M, FeatureM int
+	AttrBits    int // attribute width: every column is below 2^AttrBits
 	NextID      uint64
 	Records     []EncryptedRecord
 	IDs         []uint64
@@ -777,6 +818,7 @@ func (t *EncryptedTable) Snapshot() *TableSnapshot {
 	s := &TableSnapshot{
 		M:        t.m,
 		FeatureM: t.featureM,
+		AttrBits: t.attrBits,
 		NextID:   t.nextID,
 		Records:  append([]EncryptedRecord(nil), t.records...),
 		IDs:      append([]uint64(nil), t.ids...),
@@ -807,10 +849,14 @@ func RestoreTable(pk *paillier.PublicKey, snap *TableSnapshot) (*EncryptedTable,
 	if snap.M < 1 || snap.FeatureM < 1 || snap.FeatureM > snap.M {
 		return nil, fmt.Errorf("core: snapshot feature columns %d of %d", snap.FeatureM, snap.M)
 	}
+	if snap.AttrBits < 1 || snap.AttrBits > maxAttrBits {
+		return nil, fmt.Errorf("core: snapshot attribute width %d out of range [1,%d]", snap.AttrBits, maxAttrBits)
+	}
 	t := &EncryptedTable{
 		pk:       pk,
 		m:        snap.M,
 		featureM: snap.FeatureM,
+		attrBits: snap.AttrBits,
 		records:  snap.Records,
 		ids:      snap.IDs,
 		byID:     make(map[uint64]int, n),

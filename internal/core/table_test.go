@@ -2,10 +2,13 @@ package core
 
 import (
 	"crypto/rand"
+	"errors"
 	"sync"
 	"testing"
 
 	"sknn/internal/paillier"
+	"sknn/internal/smc"
+	"sknn/internal/testkit"
 )
 
 func TestEncryptTableShape(t *testing.T) {
@@ -35,6 +38,131 @@ func TestEncryptTableValidation(t *testing.T) {
 	}
 	if _, err := EncryptTable(rand.Reader, &sk.PublicKey, [][]uint64{{1, 2}, {3}}); err == nil {
 		t.Error("ragged table accepted")
+	}
+}
+
+// TestAttrBitsTravels: the table's attribute width is what EncryptTable
+// saw, widens to a declared domain and never narrows, and goes wherever
+// the ciphertexts go — derived views, snapshots, splits and merges.
+func TestAttrBitsTravels(t *testing.T) {
+	pk := &testKey().PublicKey
+	for _, tc := range []struct {
+		rows [][]uint64
+		want int
+	}{
+		{[][]uint64{{0, 0}, {0, 0}}, 1},
+		{[][]uint64{{1, 0}, {0, 1}}, 1},
+		{[][]uint64{{3, 4}, {2, 1}}, 3},
+		{[][]uint64{{3, 1}, {2, 255}}, 8}, // a payload column counts
+		{[][]uint64{{1<<64 - 1}}, 64},
+	} {
+		tbl, err := EncryptTable(rand.Reader, pk, tc.rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tbl.AttrBits() != tc.want {
+			t.Errorf("EncryptTable(%v) is %d bits wide, want %d", tc.rows, tbl.AttrBits(), tc.want)
+		}
+	}
+
+	tbl, err := EncryptTable(rand.Reader, pk, [][]uint64{{3, 4}, {2, 1}, {5, 5}, {0, 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bits := range []int{2, 0, -1, maxAttrBits + 1} {
+		if _, err := tbl.WithAttrBits(bits); err == nil {
+			t.Errorf("a 3-bit table declared %d bits wide", bits)
+		}
+	}
+	if same, err := tbl.WithAttrBits(3); err != nil || same.AttrBits() != 3 {
+		t.Errorf("declaring the derived width: %v", err)
+	}
+	wide, err := tbl.WithAttrBits(12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl.AttrBits() != 3 || wide.AttrBits() != 12 {
+		t.Fatalf("widths %d and %d, want 3 and 12", tbl.AttrBits(), wide.AttrBits())
+	}
+	if _, err := wide.WithAttrBits(11); err == nil {
+		t.Error("a declared width narrowed")
+	}
+	feat, err := wide.WithFeatureColumns(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clustered, err := feat.WithClusterIndex(rand.Reader, [][]uint64{{2}, {5}}, [][]int{{0, 1}, {2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := clustered.Snapshot()
+	restored, err := RestoreTable(pk, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := snap.Split(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := MergeTableSnapshots(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for what, got := range map[string]int{
+		"feature view": feat.AttrBits(), "clustered view": clustered.AttrBits(), "its session view": clustered.view().attrBits,
+		"snapshot": snap.AttrBits, "restored table": restored.AttrBits(),
+		"shard 0": parts[0].AttrBits, "shard 1": parts[1].AttrBits, "merged snapshot": merged.AttrBits,
+	} {
+		if got != 12 {
+			t.Errorf("%s is %d bits wide, want 12", what, got)
+		}
+	}
+
+	parts[1].AttrBits = 11
+	if _, err := MergeTableSnapshots(parts); !errors.Is(err, ErrShardTopology) {
+		t.Errorf("merging shards of different widths: err = %v, want ErrShardTopology", err)
+	}
+	for _, bits := range []int{0, -3, maxAttrBits + 1} {
+		bad := tbl.Snapshot()
+		bad.AttrBits = bits
+		if _, err := RestoreTable(pk, bad); err == nil {
+			t.Errorf("restored a snapshot declaring %d-bit attributes", bits)
+		}
+	}
+}
+
+// TestPackedRowsFallsBackOnlyOnKeySize: a key with no room for one SSED
+// slot yields no packed rows and no error — the classic fallback — while
+// a row that fails to pack fails the query instead of quietly taking the
+// slow path, and stays unrendered in the memo for the next query to try.
+func TestPackedRowsFallsBackOnlyOnKeySize(t *testing.T) {
+	small := &testkit.Key(64).PublicKey
+	row, err := small.EncryptUint64Vector(rand.Reader, []uint64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := packedRows(small, &rowPacks{}, 4, []int{0}, func(int) []*paillier.Ciphertext { return row })
+	if rows != nil || err != nil {
+		t.Errorf("64-bit key, 4-bit values: rows %v, err %v; want neither", rows, err)
+	}
+
+	pk := &testKey().PublicKey
+	if row, err = pk.EncryptUint64Vector(rand.Reader, []uint64{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	packs := &rowPacks{}
+	broken := func(pos int) []*paillier.Ciphertext {
+		if pos == 1 {
+			return nil // PackRow refuses an empty row
+		}
+		return row
+	}
+	if rows, err = packedRows(pk, packs, 4, []int{0, 1, 2}, broken); !errors.Is(err, smc.ErrEmptyInput) || rows != nil {
+		t.Fatalf("a row that does not pack: rows %v, err %v; want smc.ErrEmptyInput", rows, err)
+	}
+	rows, err = packedRows(pk, packs, 4, []int{0, 1, 2}, func(int) []*paillier.Ciphertext { return row })
+	if err != nil || rows == nil || len(rows.Rows) != 3 || len(rows.Rows[1]) != 1 {
+		t.Fatalf("packing again after the failure: rows %+v, err %v", rows, err)
 	}
 }
 
@@ -204,7 +332,7 @@ func TestPackedRenderingsSurviveMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	const l = 12
-	layout := rowLayoutFor(pk, 3, l)
+	layout := rowLayoutFor(pk, 3, attrPackBits(l))
 	if layout.Cols != 3 {
 		t.Fatalf("layout %+v, want one chunk of 3", layout)
 	}
@@ -215,7 +343,14 @@ func TestPackedRenderingsSurviveMutation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		feats, cents := v.packedFeatureRows(attrPackBits(l), idx), v.packedCentroids(attrPackBits(l))
+		feats, err := v.packedFeatureRows(attrPackBits(l), idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cents, err := v.packedCentroids(attrPackBits(l))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if feats == nil || cents == nil {
 			t.Fatal("256-bit key refused to pack")
 		}
@@ -309,8 +444,8 @@ func TestPackedRenderingsConcurrentMutation(t *testing.T) {
 		}
 		return rec
 	}
-	tbl := newTable(pk, []EncryptedRecord{row(0), row(1), row(2), row(3)}, 2)
-	layout := rowLayoutFor(pk, 2, l)
+	tbl := newTable(pk, []EncryptedRecord{row(0), row(1), row(2), row(3)}, 2, 6)
+	layout := rowLayoutFor(pk, 2, attrPackBits(l))
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {
@@ -325,7 +460,11 @@ func TestPackedRenderingsConcurrentMutation(t *testing.T) {
 				}
 				v := tbl.view()
 				recs, err := v.recordRows(layout, v.liveIdx)
-				feats := v.packedFeatureRows(attrPackBits(l), v.liveIdx)
+				if err != nil {
+					t.Errorf("rendering: %v", err)
+					return
+				}
+				feats, err := v.packedFeatureRows(attrPackBits(l), v.liveIdx)
 				if err != nil || feats == nil {
 					t.Errorf("rendering: %v", err)
 					return

@@ -1,13 +1,13 @@
-// Package reference is the paper's fully secure protocol written once,
-// the way it is printed: SMINn (Algorithm 4) and SkNNm (Algorithm 6),
-// straight-line, over a single link, one primitive call per line of
-// pseudocode. It plays C1 against the same core.CloudC2 the production
+// Package reference is the paper's query protocols written once, the way
+// they are printed: SkNNb (Algorithm 5), SMINn (Algorithm 4) and SkNNm
+// (Algorithm 6), straight-line, over a single link, one primitive call
+// per line of pseudocode. It plays C1 against the same core.CloudC2 the production
 // engine talks to, and shares nothing else with that engine — no
-// sessions, no link pool, no value-domain tournament, no row packing, no
-// scatter-gather — which is what makes it an oracle: the differential
-// suites (this package's, and the facade's) run a production query and
-// this one over the same encrypted table and require the same neighbours
-// as the plaintext kNN.
+// sessions, no link pool, no packed SSED, no value-domain tournament, no
+// row packing, no scatter-gather — which is what makes it an oracle: the
+// differential suites (this package's, and the facade's) run a production
+// query and this one over the same encrypted table and require the same
+// neighbours as the plaintext kNN.
 //
 // Every primitive it calls is internal/smc's paper presentation — SSED,
 // SBD, SMIN, SM, SBOR on an ordinary smc.Requester — so every frame
@@ -15,9 +15,10 @@
 // full-range blinds. The connection must be served by a core.CloudC2
 // holding the table key's secret half.
 //
-// Cost is the paper's, not the engine's: n SSEDs, n SBDs, and per
-// selected neighbour n−1 SMINs, n·m secure multiplications and n·l SBORs,
-// each its own round trip. Keep n, k and l small.
+// Cost is the paper's, not the engine's: n SSEDs of m secure
+// multiplications each and, for SkNNm, n SBDs and per selected neighbour
+// n−1 SMINs, n·m secure multiplications and n·l SBORs, each its own round
+// trip. Keep n, k and l small.
 package reference
 
 import (
@@ -29,6 +30,70 @@ import (
 	"sknn/internal/paillier"
 	"sknn/internal/smc"
 )
+
+// checkArgs vets what both protocols take — a rectangular table, k within
+// it, a query no wider than a record — and returns the record arity m.
+func checkArgs(rows []core.EncryptedRecord, q core.EncryptedQuery, k int) (int, error) {
+	if k < 1 || k > len(rows) {
+		return 0, fmt.Errorf("%w: k=%d, n=%d", core.ErrBadK, k, len(rows))
+	}
+	m := len(rows[0])
+	if len(q) < 1 || len(q) > m {
+		return 0, fmt.Errorf("%w: query has %d attributes, records have %d", core.ErrDimension, len(q), m)
+	}
+	for i, row := range rows {
+		if len(row) != m {
+			return 0, fmt.Errorf("%w: record %d has %d attributes, record 0 has %d", core.ErrDimension, i, len(row), m)
+		}
+	}
+	return m, nil
+}
+
+// SkNNb is Algorithm 5 as printed, the paper's efficiency baseline: C2
+// learns every distance and both clouds learn which records answer the
+// query. rows is Alice's attribute-wise encrypted table E(T), q is Bob's
+// E(Q) — it ranks on the first len(q) columns of every record, the rest
+// ride along as payload — and k the number of neighbours. The result is
+// the pair of shares of steps 4–6, which Bob unmasks with
+// core.Client.Unmask, and names the winners by their position in rows.
+func SkNNb(rq *smc.Requester, rows []core.EncryptedRecord, q core.EncryptedQuery, k int) (*core.MaskedResult, error) {
+	if _, err := checkArgs(rows, q, k); err != nil {
+		return nil, err
+	}
+	n := len(rows)
+
+	// Step 2: E(dᵢ) ← SSED(E(Q), E(tᵢ)), record by record; C1 sends
+	// ⟨i, E(dᵢ)⟩ for every i to C2.
+	ranking := make([]*big.Int, 1, 1+n)
+	ranking[0] = big.NewInt(int64(k))
+	for i, row := range rows {
+		d, err := rq.SSED(q, row[:len(q)])
+		if err != nil {
+			return nil, fmt.Errorf("reference: SSED of record %d: %w", i, err)
+		}
+		ranking = append(ranking, d.Raw())
+	}
+
+	// Step 3: C2 decrypts the distances and answers δ = ⟨i₁,…,i_k⟩, the
+	// indices of the k smallest.
+	resp, err := mpc.RoundTrip(rq.Conn(), &mpc.Message{Op: core.OpRank, Ints: ranking})
+	if err != nil {
+		return nil, fmt.Errorf("reference: rank: %w", err)
+	}
+	if len(resp.Ints) != k {
+		return nil, fmt.Errorf("%w: rank reply has %d indices, want %d", core.ErrBadFrame, len(resp.Ints), k)
+	}
+	selected := make([]core.EncryptedRecord, k)
+	delta := make([]uint64, k)
+	for j, i := range resp.Ints {
+		if !i.IsUint64() || i.Uint64() >= uint64(n) {
+			return nil, fmt.Errorf("%w: rank index %v out of range", core.ErrBadFrame, i)
+		}
+		delta[j] = i.Uint64()
+		selected[j] = rows[delta[j]]
+	}
+	return reveal(rq, selected, delta)
+}
 
 // SMINn computes [min(d₁,…,d_n)] from n bit-decomposed encrypted values
 // (Algorithm 4). It plays a binary tournament bottom-up: each iteration
@@ -74,20 +139,12 @@ func SMINn(rq *smc.Requester, ds [][]*paillier.Ciphertext) ([]*paillier.Cipherte
 func SkNNm(rq *smc.Requester, rows []core.EncryptedRecord, q core.EncryptedQuery, k, l int) (*core.MaskedResult, error) {
 	pk := rq.PK()
 	n := len(rows)
-	if k < 1 || k > n {
-		return nil, fmt.Errorf("%w: k=%d, n=%d", core.ErrBadK, k, n)
+	m, err := checkArgs(rows, q, k)
+	if err != nil {
+		return nil, err
 	}
 	if l < 1 {
 		return nil, fmt.Errorf("%w: l=%d", core.ErrDomainBits, l)
-	}
-	m := len(rows[0])
-	if len(q) < 1 || len(q) > m {
-		return nil, fmt.Errorf("%w: query has %d attributes, records have %d", core.ErrDimension, len(q), m)
-	}
-	for i, row := range rows {
-		if len(row) != m {
-			return nil, fmt.Errorf("%w: record %d has %d attributes, record 0 has %d", core.ErrDimension, i, len(row), m)
-		}
 	}
 
 	// Step 2: E(dᵢ) ← SSED(E(Q), E(tᵢ)) and [dᵢ] ← SBD(E(dᵢ)), record by
@@ -169,8 +226,16 @@ func SkNNm(rq *smc.Requester, rows []core.EncryptedRecord, q core.EncryptedQuery
 		}
 	}
 
-	// Steps 4–6 of Algorithm 5: γ = E(t′) · E(r) to C2, γ′ = D(γ) and r to
-	// Bob.
+	return reveal(rq, selected, nil)
+}
+
+// reveal is steps 4–6 of Algorithm 5, which both protocols end on:
+// γ_{j,h} = E(t′_{j,h}) · E(r_{j,h}) to C2 for every attribute of every
+// selected record, γ′ = D(γ) and r to Bob. ids, when not nil, names the
+// records for Bob.
+func reveal(rq *smc.Requester, selected []core.EncryptedRecord, ids []uint64) (*core.MaskedResult, error) {
+	pk := rq.PK()
+	k, m := len(selected), len(selected[0])
 	masks := make([][]*big.Int, k)
 	gamma := make([]*big.Int, 0, k*m)
 	for i, record := range selected {
@@ -195,5 +260,5 @@ func SkNNm(rq *smc.Requester, rows []core.EncryptedRecord, q core.EncryptedQuery
 	for i := range masked {
 		masked[i] = resp.Ints[i*m : (i+1)*m]
 	}
-	return core.RestoreMaskedResult(pk, k, m, masks, masked, nil)
+	return core.RestoreMaskedResult(pk, k, m, masks, masked, ids)
 }

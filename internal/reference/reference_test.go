@@ -193,10 +193,12 @@ func TestSMINnPropertyMatchesMin(t *testing.T) {
 
 // --- SkNNm (Algorithm 6) against the production engine -------------------
 
-// engine runs one production SkNNm query over table: through a
-// coordinator over that many in-process shard workers, one being the
-// paper's single C1 holding the table whole.
-func engine(t *testing.T, kc *keyCloud, table *core.EncryptedTable, shards int, q core.EncryptedQuery, k, l int) (*core.MaskedResult, error) {
+// coordinator stands the production engine up over table: a coordinator
+// over that many shard workers, one being the paper's single C1 holding
+// the table whole. One shard serves table itself, so it sees later
+// mutations; more are restored from its split snapshot. Remote workers
+// sit behind the shard wire protocol instead of in-process calls.
+func coordinator(t *testing.T, kc *keyCloud, table *core.EncryptedTable, shards int, remote bool) *core.ShardedC1 {
 	t.Helper()
 	tables := []*core.EncryptedTable{table}
 	if shards > 1 {
@@ -217,15 +219,43 @@ func engine(t *testing.T, kc *keyCloud, table *core.EncryptedTable, shards int, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer c1.Close()
+		t.Cleanup(func() { c1.Close() })
 		workers[i] = &core.LocalShard{C1: c1, Index: i, Count: shards}
+		if !remote {
+			continue
+		}
+		srv, err := core.NewShardServer(c1, i, shards, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coordSide, shardSide := mpc.ChanPipe()
+		kc.wg.Add(1)
+		go func() {
+			defer kc.wg.Done()
+			if err := srv.Serve(shardSide); err != nil {
+				t.Errorf("shard serve loop: %v", err)
+			}
+		}()
+		rs, err := core.DialShard(coordSide)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { rs.Close() })
+		workers[i] = rs
 	}
 	coord, err := core.NewShardedC1(workers, kc.conns(1), table.PK(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coord.Close()
-	res, _, err := coord.SecureQuery(context.Background(), q, k, l, 0)
+	t.Cleanup(func() { coord.Close() })
+	return coord
+}
+
+// engine runs one production SkNNm query over table, through a
+// coordinator over that many in-process shard workers.
+func engine(t *testing.T, kc *keyCloud, table *core.EncryptedTable, shards int, q core.EncryptedQuery, k, l int) (*core.MaskedResult, error) {
+	t.Helper()
+	res, _, err := coordinator(t, kc, table, shards, false).SecureQuery(context.Background(), q, k, l, 0)
 	return res, err
 }
 
@@ -372,6 +402,144 @@ func TestSkNNmDifferential(t *testing.T) {
 	}
 }
 
+// TestSkNNbDifferential is the same boundary for the fast protocol: the
+// production SkNNb — packed SSED and a row-packed reveal, through the
+// coordinator over one shard and over two, in-process and behind the shard
+// wire — and Algorithm 5 as printed answer the same encrypted table, and
+// each must return the plaintext oracle's k-distance multiset made of
+// whole live rows, named by ids that are those rows'. The one-shard engine
+// serves the live table itself, so its packed renderings are warm when
+// the Insert (of the widest value the declared domain allows), the Delete
+// and the Compact land.
+func TestSkNNbDifferential(t *testing.T) {
+	cases := []struct {
+		name     string
+		keyBits  int
+		attrBits int
+		f        int
+		rows     [][]uint64
+		insert   []uint64
+		q        []uint64
+		k        int
+	}{
+		{name: "plain", keyBits: 256, attrBits: 5, f: 2,
+			rows:   [][]uint64{{1, 2}, {3, 4}, {5, 6}, {7, 8}, {2, 2}, {9, 1}, {0, 5}},
+			insert: []uint64{31, 31}, q: []uint64{2, 3}, k: 3},
+		{name: "payload wider than the features", keyBits: 256, attrBits: 12, f: 2,
+			rows:   [][]uint64{{7, 7, 4095}, {0, 0, 7}, {7, 0, 2048}, {3, 4, 1}, {1, 1, 0}},
+			insert: []uint64{6, 6, 4095}, q: []uint64{7, 7}, k: 2},
+		{name: "two chunks per record", keyBits: 256, attrBits: 24, f: 3,
+			rows:   [][]uint64{{1<<24 - 1, 0, 5}, {0, 0, 0}, {1 << 23, 1 << 23, 1 << 23}, {9, 9, 9}},
+			insert: []uint64{1<<24 - 1, 1<<24 - 1, 1<<24 - 1}, q: []uint64{1 << 23, 1 << 23, 0}, k: 3},
+		{name: "key too small for one SSED slot", keyBits: 64, attrBits: 4, f: 2,
+			rows:   [][]uint64{{1, 2}, {15, 15}, {4, 0}, {2, 2}, {8, 9}},
+			insert: []uint64{15, 0}, q: []uint64{2, 3}, k: 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sk := testkit.Key(tc.keyBits)
+			pk := &sk.PublicKey
+			table, err := core.EncryptTable(rand.Reader, pk, tc.rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if table, err = table.WithAttrBits(tc.attrBits); err != nil {
+				t.Fatal(err)
+			}
+			if table, err = table.WithFeatureColumns(tc.f); err != nil {
+				t.Fatal(err)
+			}
+			bob := core.NewClient(pk, nil)
+			eq, err := bob.EncryptQuery(tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kc := newKeyCloud(t, sk)
+			live := coordinator(t, kc, table, 1, false)
+			byID := make(map[uint64][]uint64) // the live plaintext, by stable id
+			for i, row := range tc.rows {
+				byID[uint64(i)] = row
+			}
+
+			check := func(who string, res *core.MaskedResult, id func(uint64) uint64) {
+				t.Helper()
+				rows, err := bob.Unmask(res)
+				if err != nil {
+					t.Fatalf("%s: %v", who, err)
+				}
+				features := make([][]uint64, 0, len(byID))
+				for _, row := range byID {
+					features = append(features, row[:tc.f])
+				}
+				oracle, err := plainknn.KDistances(features, tc.q, tc.k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := sortedDistances(t, rows, tc.q); fmt.Sprint(got) != fmt.Sprint(oracle) {
+					t.Errorf("%s: distances %v, oracle %v", who, got, oracle)
+				}
+				if len(res.IDs) != len(rows) {
+					t.Fatalf("%s: %d ids for %d rows", who, len(res.IDs), len(rows))
+				}
+				for j, row := range rows {
+					if want := byID[id(res.IDs[j])]; fmt.Sprint(row) != fmt.Sprint(want) {
+						t.Errorf("%s: result %d is %v, id %d names %v", who, j, row, res.IDs[j], want)
+					}
+				}
+			}
+			stage := func(stage string) {
+				t.Helper()
+				snap := table.Snapshot()
+				var liveRows []core.EncryptedRecord
+				var liveIDs []uint64
+				for i, rec := range snap.Records {
+					if !snap.Dead[i] {
+						liveRows, liveIDs = append(liveRows, rec), append(liveIDs, snap.IDs[i])
+					}
+				}
+				res, err := SkNNb(kc.requester(pk), liveRows, eq, tc.k)
+				if err != nil {
+					t.Fatalf("%s, reference: %v", stage, err)
+				}
+				check(stage+", reference", res, func(pos uint64) uint64 { return liveIDs[pos] })
+				engines := map[string]*core.ShardedC1{
+					"engine over the live table":  live,
+					"engine over 2 shards":        coordinator(t, kc, table, 2, false),
+					"engine over 2 remote shards": coordinator(t, kc, table, 2, true),
+				}
+				for who, coord := range engines {
+					res, _, err := coord.BasicQuery(context.Background(), eq, tc.k)
+					if err != nil {
+						t.Fatalf("%s, %s: %v", stage, who, err)
+					}
+					check(stage+", "+who, res, func(id uint64) uint64 { return id })
+				}
+			}
+
+			stage("as encrypted")
+			rec, err := pk.EncryptUint64Vector(rand.Reader, tc.insert)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id, err := table.Insert(rec, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			byID[id] = tc.insert
+			stage("after Insert")
+			if err := table.Delete(1); err != nil {
+				t.Fatal(err)
+			}
+			delete(byID, 1)
+			stage("after Delete")
+			if table.Compact() != 1 {
+				t.Fatal("Compact removed nothing")
+			}
+			stage("after Compact")
+		})
+	}
+}
+
 func TestSkNNmValidation(t *testing.T) {
 	sk := testkit.Key(256)
 	pk := &sk.PublicKey
@@ -398,6 +566,12 @@ func TestSkNNmValidation(t *testing.T) {
 	} {
 		if _, err := SkNNm(rq, rows, tc.q, tc.k, tc.l); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		if tc.want == core.ErrDomainBits {
+			continue
+		}
+		if _, err := SkNNb(rq, rows, tc.q, tc.k); !errors.Is(err, tc.want) {
+			t.Errorf("SkNNb, %s: err = %v, want %v", tc.name, err, tc.want)
 		}
 	}
 }

@@ -233,8 +233,11 @@ type PackedRows struct {
 
 // PackRow packs one row of encrypted values (all below 2^ValueBits)
 // into the codec's slot groups: Groups(len(row)) ciphertexts, Slots
-// values each.
+// values each. An empty row is an error, not an empty rendering.
 func PackRow(codec *paillier.Packing, row []*paillier.Ciphertext) ([]*paillier.Ciphertext, error) {
+	if len(row) == 0 {
+		return nil, ErrEmptyInput
+	}
 	return packRuns(codec, row, codec.Slots)
 }
 

@@ -39,7 +39,7 @@ func seedSnapshot(tb testing.TB, clustered, sharded bool) []byte {
 			tb.Fatal(err)
 		}
 	}
-	snap := &Snapshot{PK: &sk.PublicKey, AttrBits: 3, DomainBits: 8, Table: enc.Snapshot()}
+	snap := &Snapshot{PK: &sk.PublicKey, DomainBits: 8, Table: enc.Snapshot()}
 	if sharded {
 		parts, err := Split(snap, 2)
 		if err != nil {
@@ -228,7 +228,7 @@ func TestStoreSplitMerge(t *testing.T) {
 		if p.ShardIndex != i || p.ShardCount != 2 {
 			t.Fatalf("part %d lineage %d/%d", i, p.ShardIndex, p.ShardCount)
 		}
-		if p.AttrBits != snap.AttrBits || p.DomainBits != snap.DomainBits {
+		if p.Table.AttrBits != snap.Table.AttrBits || p.DomainBits != snap.DomainBits {
 			t.Fatalf("part %d domain metadata lost", i)
 		}
 		// Round-trip each shard file.

@@ -85,14 +85,14 @@ const (
 )
 
 // Snapshot is one parsed table file: the public key it is encrypted
-// under, the attribute/domain metadata queries need, and the full table
-// state ready for core.RestoreTable. A shard snapshot (written by
-// Split) additionally records its partition lineage: this file holds
-// the records with stable id ≡ ShardIndex mod ShardCount. ShardCount 0
-// means an unsharded (whole-table) snapshot.
+// under, the domain size SkNNm queries need, and the full table state
+// ready for core.RestoreTable — including the attribute width the header
+// records, which lives on Table.AttrBits and nowhere else. A shard
+// snapshot (written by Split) additionally records its partition lineage:
+// this file holds the records with stable id ≡ ShardIndex mod ShardCount.
+// ShardCount 0 means an unsharded (whole-table) snapshot.
 type Snapshot struct {
 	PK         *paillier.PublicKey
-	AttrBits   int // per-attribute domain size in bits
 	DomainBits int // l, the squared-distance domain for SkNNm's SBD
 	ShardIndex int // partition lineage; meaningful when ShardCount > 0
 	ShardCount int // 0 = whole table
@@ -119,10 +119,10 @@ func (s *Snapshot) VerifyKey(pk *paillier.PublicKey) error {
 }
 
 // Write serializes an unsharded table state to w in snapshot format
-// Version. attrBits and domainBits are the dataset metadata a loader
-// needs to validate inserts and run SkNNm without re-deriving them.
-func Write(w io.Writer, pk *paillier.PublicKey, tbl *core.TableSnapshot, attrBits, domainBits int) error {
-	return WriteSnapshot(w, &Snapshot{PK: pk, AttrBits: attrBits, DomainBits: domainBits, Table: tbl})
+// Version. tbl.AttrBits and domainBits are the dataset metadata a loader
+// needs to validate inserts and run queries without re-deriving them.
+func Write(w io.Writer, pk *paillier.PublicKey, tbl *core.TableSnapshot, domainBits int) error {
+	return WriteSnapshot(w, &Snapshot{PK: pk, DomainBits: domainBits, Table: tbl})
 }
 
 // WriteSnapshot serializes snap — including its shard lineage, when it
@@ -131,7 +131,7 @@ func WriteSnapshot(w io.Writer, snap *Snapshot) error {
 	if snap == nil {
 		return fmt.Errorf("%w: nil snapshot", ErrFormat)
 	}
-	pk, tbl, attrBits, domainBits := snap.PK, snap.Table, snap.AttrBits, snap.DomainBits
+	pk, tbl, domainBits := snap.PK, snap.Table, snap.DomainBits
 	if pk == nil || tbl == nil {
 		return fmt.Errorf("%w: nil key or table", ErrFormat)
 	}
@@ -143,6 +143,9 @@ func WriteSnapshot(w io.Writer, snap *Snapshot) error {
 	if n == 0 || len(tbl.IDs) != n || len(tbl.Dead) != n {
 		return fmt.Errorf("%w: inconsistent table snapshot (%d records, %d ids, %d dead)",
 			ErrFormat, n, len(tbl.IDs), len(tbl.Dead))
+	}
+	if tbl.AttrBits < 1 || tbl.AttrBits > 64 {
+		return fmt.Errorf("%w: attrBits=%d", ErrFormat, tbl.AttrBits)
 	}
 	bw := bufio.NewWriterSize(w, 1<<16)
 	h := crc32.New(crcTable)
@@ -160,7 +163,7 @@ func WriteSnapshot(w io.Writer, snap *Snapshot) error {
 	out.u16(flags)
 	out.u32(uint32(tbl.M))
 	out.u32(uint32(tbl.FeatureM))
-	out.u32(uint32(attrBits))
+	out.u32(uint32(tbl.AttrBits))
 	out.u32(uint32(domainBits))
 	out.u64(uint64(n))
 	out.u64(tbl.NextID)
@@ -321,6 +324,7 @@ func Read(r io.Reader) (*Snapshot, error) {
 	tbl := &core.TableSnapshot{
 		M:        m,
 		FeatureM: featureM,
+		AttrBits: attrBits,
 		NextID:   nextID,
 		IDs:      make([]uint64, 0, preallocN),
 		Dead:     make([]bool, 0, preallocN),
@@ -417,7 +421,7 @@ func Read(r io.Reader) (*Snapshot, error) {
 		return nil, ErrChecksum
 	}
 	return &Snapshot{
-		PK: pk, AttrBits: attrBits, DomainBits: domainBits,
+		PK: pk, DomainBits: domainBits,
 		ShardIndex: shardIndex, ShardCount: shardCount, Table: tbl,
 	}, nil
 }
@@ -439,7 +443,7 @@ func Split(snap *Snapshot, shards int) ([]*Snapshot, error) {
 	out := make([]*Snapshot, len(parts))
 	for i, p := range parts {
 		out[i] = &Snapshot{
-			PK: snap.PK, AttrBits: snap.AttrBits, DomainBits: snap.DomainBits,
+			PK: snap.PK, DomainBits: snap.DomainBits,
 			ShardIndex: i, ShardCount: shards, Table: p,
 		}
 	}
@@ -472,7 +476,7 @@ func Merge(parts []*Snapshot) (*Snapshot, error) {
 		if Fingerprint(p.PK) != fp {
 			return nil, fmt.Errorf("%w: shard %d under a different key", ErrKeyMismatch, p.ShardIndex)
 		}
-		if p.AttrBits != first.AttrBits || p.DomainBits != first.DomainBits {
+		if p.DomainBits != first.DomainBits {
 			return nil, fmt.Errorf("%w: shard %d domain metadata disagrees", ErrFormat, p.ShardIndex)
 		}
 		ordered[p.ShardIndex] = p.Table
@@ -481,7 +485,7 @@ func Merge(parts []*Snapshot) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Snapshot{PK: first.PK, AttrBits: first.AttrBits, DomainBits: first.DomainBits, Table: tbl}, nil
+	return &Snapshot{PK: first.PK, DomainBits: first.DomainBits, Table: tbl}, nil
 }
 
 // ShardPath is the conventional file name of shard i split from the
@@ -514,12 +518,12 @@ func SplitFile(path, base string, shards int) ([]string, error) {
 
 // WriteFile writes a snapshot to path (0644), fsync-free; callers that
 // need durability order their own syncs.
-func WriteFile(path string, pk *paillier.PublicKey, tbl *core.TableSnapshot, attrBits, domainBits int) error {
+func WriteFile(path string, pk *paillier.PublicKey, tbl *core.TableSnapshot, domainBits int) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := Write(f, pk, tbl, attrBits, domainBits); err != nil {
+	if err := Write(f, pk, tbl, domainBits); err != nil {
 		f.Close()
 		return err
 	}

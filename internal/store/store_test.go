@@ -63,7 +63,7 @@ func buildTable(t *testing.T, clustered, churned bool) *core.EncryptedTable {
 func encode(t *testing.T, tbl *core.EncryptedTable) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := Write(&buf, &testKey().PublicKey, tbl.Snapshot(), 6, 14); err != nil {
+	if err := Write(&buf, &testKey().PublicKey, tbl.Snapshot(), 14); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -82,8 +82,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if err := snap.VerifyKey(&testKey().PublicKey); err != nil {
 			t.Fatal(err)
 		}
-		if snap.AttrBits != 6 || snap.DomainBits != 14 {
-			t.Fatalf("meta = %d/%d, want 6/14", snap.AttrBits, snap.DomainBits)
+		// 6 bits is what EncryptTable derived from buildTable's widest value, 61.
+		if snap.Table.AttrBits != 6 || snap.DomainBits != 14 {
+			t.Fatalf("meta = %d/%d, want 6/14", snap.Table.AttrBits, snap.DomainBits)
 		}
 		back, err := core.RestoreTable(snap.PK, snap.Table)
 		if err != nil {
@@ -132,7 +133,7 @@ func TestSnapshotDecryptsToOriginal(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, &sk.PublicKey, tbl.Snapshot(), 4, 8); err != nil {
+	if err := Write(&buf, &sk.PublicKey, tbl.Snapshot(), 8); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := Read(&buf)
@@ -264,7 +265,7 @@ func TestKeyRoundTrip(t *testing.T) {
 func TestStreamingWriterFlushes(t *testing.T) {
 	tbl := buildTable(t, true, true)
 	var sink countingWriter
-	if err := Write(&sink, &testKey().PublicKey, tbl.Snapshot(), 6, 14); err != nil {
+	if err := Write(&sink, &testKey().PublicKey, tbl.Snapshot(), 14); err != nil {
 		t.Fatal(err)
 	}
 	if sink.n == 0 {

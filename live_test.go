@@ -344,14 +344,16 @@ func TestLoadTableErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	var badBits bytes.Buffer
-	if err := store.Write(&badBits, &facadeKey().PublicKey, snap.Table, 30, snap.DomainBits); err != nil {
+	wide := *snap.Table
+	wide.AttrBits = 30
+	if err := store.Write(&badBits, &facadeKey().PublicKey, &wide, snap.DomainBits); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadTable(&badBits, facadeKey(), Config{}); err == nil {
 		t.Error("attrBits=30 snapshot accepted (MaxAttrBits is 24)")
 	}
 	var badL bytes.Buffer
-	if err := store.Write(&badL, &facadeKey().PublicKey, snap.Table, snap.AttrBits, snap.DomainBits-1); err != nil {
+	if err := store.Write(&badL, &facadeKey().PublicKey, snap.Table, snap.DomainBits-1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadTable(&badL, facadeKey(), Config{}); err == nil {

@@ -7,10 +7,14 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
 
 	"sknn/internal/core"
 	"sknn/internal/dataset"
+	"sknn/internal/mpc"
+	"sknn/internal/paillier"
+	"sknn/internal/smc"
 	"sknn/internal/store"
 	"sknn/internal/testkit"
 )
@@ -37,7 +41,8 @@ func sortedRows(rows [][]uint64) []string {
 // (S=1, R=1: the row still named unsharded), a 2-shard streaming merge, a replicated 2-shard system answering through
 // failover, and one replicated partition (a coordinator with nothing to
 // merge) — in both index modes. The table carries a payload column so a
-// shifted slot cannot hide.
+// shifted slot cannot hide. SkNNb answers the same query on every one of
+// them and is held to the same oracle.
 func TestDifferentialSecureQueryMatrix(t *testing.T) {
 	const attrBits, k = 5, 3
 	topologies := []struct {
@@ -111,6 +116,17 @@ func TestDifferentialSecureQueryMatrix(t *testing.T) {
 				// Recall 1.0 against the plaintext oracle: the distance
 				// multiset must match exactly.
 				oracleCheck(t, features, got, q, k)
+
+				basic, err := sys.Query(context.Background(), q, WithK(k), WithMode(ModeBasic))
+				if err != nil {
+					t.Fatal(err)
+				}
+				oracleCheck(t, features, basic.Rows, q, k)
+				for j, row := range basic.Rows {
+					if want := tbl.Rows[basic.IDs[j]]; fmt.Sprint(row) != fmt.Sprint(want) {
+						t.Errorf("SkNNb result %d is %v, id %d names %v", j, row, basic.IDs[j], want)
+					}
+				}
 			})
 		}
 	}
@@ -162,8 +178,11 @@ func TestDifferentialSecureQueryEdges(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				if table, err = table.WithAttrBits(tc.attrBits); err != nil {
+					t.Fatal(err)
+				}
 				var buf bytes.Buffer
-				if err := store.Write(&buf, &sk.PublicKey, table.Snapshot(), tc.attrBits, dataset.DomainBits(tc.attrBits, m)); err != nil {
+				if err := store.Write(&buf, &sk.PublicKey, table.Snapshot(), dataset.DomainBits(tc.attrBits, m)); err != nil {
 					t.Fatal(err)
 				}
 				if _, err := LoadTable(&buf, sk, Config{}); !errors.Is(err, tc.wantErr) {
@@ -239,6 +258,199 @@ func TestSecureScanCostAtBenchShape(t *testing.T) {
 	}
 	if moved := comm.BytesSent + comm.BytesReceived; moved < 52394-32 || moved > 52394+32 {
 		t.Errorf("query moved %d bytes between the clouds, want 52394 give or take leading zero bytes", moved)
+	}
+}
+
+// TestBasicScanCostAtBenchShape is the same guard for bench/'s basic_tcp
+// counters: at that workload's shape (n=32, m=6, attrBits=8, k=5, two
+// links, a 512-bit key) SkNNb takes 4 round trips — the scan's two halves
+// on the two links, the rank, the reveal — and moves the 13843 bytes the
+// benchmark reports as c2_bytes_per_query. C2 decrypts one SSED slot
+// group per record, the n distances it ranks and one row-packed share per
+// neighbour; it encrypts one SSED reply per record, and C1 encrypts
+// nothing at all.
+func TestBasicScanCostAtBenchShape(t *testing.T) {
+	const n, m, attrBits, k = 32, 6, 8, 5
+	tbl, err := dataset.Generate(1, n, m, attrBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := dataset.GenerateQuery(2, m, attrBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk := testkit.Key(512)
+	pk := &sk.PublicKey
+	table, err := core.EncryptTable(rand.Reader, pk, tbl.Rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if table.AttrBits() != attrBits {
+		t.Fatalf("table derived %d-bit attributes from the bench rows, want %d", table.AttrBits(), attrBits)
+	}
+
+	// Every ciphertext C1 hands C2, by opcode, headers included.
+	var mu sync.Mutex
+	sent := map[mpc.Op]int{}
+	frames := map[mpc.Op]int{}
+	c2 := core.NewCloudC2(sk, nil)
+	var wg sync.WaitGroup
+	links := func() []mpc.Conn {
+		conns := make([]mpc.Conn, 2)
+		for i := range conns {
+			c1Side, c2Side := mpc.ChanPipe()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := c2.Serve(c2Side); err != nil {
+					t.Errorf("C2 serve loop: %v", err)
+				}
+			}()
+			conns[i] = mpc.Tap(c1Side, func(dir mpc.Direction, msg *mpc.Message) {
+				if dir == mpc.DirSend {
+					mu.Lock()
+					sent[msg.Op] += len(msg.Ints)
+					frames[msg.Op]++
+					mu.Unlock()
+				}
+			})
+		}
+		return conns
+	}
+	c1, err := core.NewCloudC1(table, links(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := core.NewShardedC1([]core.Shard{&core.LocalShard{C1: c1, Count: 1}}, links(), pk, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		coord.Close()
+		c1.Close()
+		wg.Wait()
+	}()
+	bob := core.NewClient(pk, nil)
+	eq, err := bob.EncryptQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	mu.Lock()
+	clear(sent) // the pools' handshakes
+	clear(frames)
+	mu.Unlock()
+	encrypts := paillier.EncryptCalls()
+	res, metrics, err := coord.BasicQuery(context.Background(), eq, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encrypts = paillier.EncryptCalls() - encrypts
+	rows, err := bob.Unmask(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracleCheck(t, tbl.Rows, rows, q, k)
+
+	if metrics.Comm.Rounds != 4 {
+		t.Errorf("query took %d round trips, want 4", metrics.Comm.Rounds)
+	}
+	if moved := metrics.Comm.BytesSent + metrics.Comm.BytesReceived; moved < 13843-32 || moved > 13843+32 {
+		t.Errorf("query moved %d bytes between the clouds, want 13843 give or take leading zero bytes", moved)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	chunks := res.Layout.Chunks(m)
+	if chunks != 1 {
+		t.Errorf("a neighbour is revealed as %d shares (layout %+v), want 1", chunks, res.Layout)
+	}
+	// An OpSSEDPack frame is [count, m, valueBits, one group per record];
+	// the OpRank frame is [k, n distances].
+	if got := sent[smc.OpSSEDPack] - 3*frames[smc.OpSSEDPack]; frames[smc.OpSSEDPack] != 2 || got != n {
+		t.Errorf("C2 decrypted %d SSED slot groups off %d frames, want %d off 2", got, frames[smc.OpSSEDPack], n)
+	}
+	if got := sent[core.OpRank] - 1; frames[core.OpRank] != 1 || got != n {
+		t.Errorf("C2 decrypted %d distances off %d rank frames, want %d off 1", got, frames[core.OpRank], n)
+	}
+	if got := sent[core.OpReveal]; frames[core.OpReveal] != 1 || got != k*chunks {
+		t.Errorf("C2 decrypted %d masked shares off %d reveal frames, want %d off 1", got, frames[core.OpReveal], k*chunks)
+	}
+	if len(frames) != 3 {
+		t.Errorf("C1 sent C2 requests %v, want only SSEDPack, Rank and Reveal", frames)
+	}
+	if encrypts != n {
+		t.Errorf("%d encryptions during the query, want %d: one SSED reply per record on C2, none on C1", encrypts, n)
+	}
+}
+
+// TestDeclaredWidthSizesTheSlots: a table whose initial rows all sit in
+// the lower half of the declared domain — so the width EncryptTable
+// derives is a bit short of it — then takes an Insert at 2^attrBits − 1.
+// Both protocols must still equal the oracle, warm renderings and all,
+// which they can only if the declared width sized the slots; and the
+// width must survive SaveTable → LoadTable, whatever the shard count on
+// either side.
+func TestDeclaredWidthSizesTheSlots(t *testing.T) {
+	const attrBits, k = 6, 3
+	top := uint64(1)<<attrBits - 1
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("%d shards", shards), func(t *testing.T) {
+			tbl, err := dataset.Generate(77, 8, 3, attrBits-1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := tbl.Rows
+			sys, err := New(rows, attrBits, Config{Key: facadeKey(), Shards: shards, FeatureColumns: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			q := []uint64{top - 1, top}
+			check := func(sys *System, step string) {
+				t.Helper()
+				for _, tb := range sys.tables() {
+					if tb.AttrBits() != attrBits {
+						t.Fatalf("%s: a table is %d bits wide, want the declared %d", step, tb.AttrBits(), attrBits)
+					}
+				}
+				for _, mode := range []Mode{ModeBasic, ModeSecure} {
+					got, err := queryRows(sys, q, k, mode)
+					if err != nil {
+						t.Fatalf("%s, mode %d: %v", step, mode, err)
+					}
+					features := make([][]uint64, len(rows))
+					known := make(map[string]bool, len(rows))
+					for i, row := range rows {
+						features[i] = row[:2]
+						known[fmt.Sprint(row)] = true
+					}
+					oracleCheck(t, features, got, q, k)
+					for _, row := range got {
+						if !known[fmt.Sprint(row)] {
+							t.Fatalf("%s, mode %d: returned %v, not a table row", step, mode, row)
+						}
+					}
+				}
+			}
+			check(sys, "as built")
+			for _, row := range [][]uint64{{top, top, top}, {top, 0, top - 1}} {
+				if _, err := sys.Insert(row); err != nil {
+					t.Fatal(err)
+				}
+				rows = append(rows, row)
+				check(sys, "after an insert at the top of the domain")
+			}
+			var buf bytes.Buffer
+			if err := sys.SaveTable(&buf); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := LoadTable(&buf, facadeKey(), Config{Shards: 3 - shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer loaded.Close()
+			check(loaded, "after reload")
+		})
 	}
 }
 

@@ -30,7 +30,7 @@ func (s *System) SaveTable(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := store.Write(w, &s.sk.PublicKey, snap, s.attrBits, s.domainBits); err != nil {
+	if err := store.Write(w, &s.sk.PublicKey, snap, s.domainBits); err != nil {
 		return fmt.Errorf("sknn: %w", err)
 	}
 	return nil
@@ -79,13 +79,14 @@ func LoadTable(r io.Reader, sk *paillier.PrivateKey, cfg Config) (*System, error
 	// and an understated l would re-expose the step 3(e) sentinel
 	// collision the headroom bit exists to prevent — a file that
 	// disagrees with DomainBits was not written by this engine.
-	if snap.AttrBits < 1 || snap.AttrBits > dataset.MaxAttrBits {
+	attrBits := snap.Table.AttrBits
+	if attrBits < 1 || attrBits > dataset.MaxAttrBits {
 		return nil, fmt.Errorf("sknn: snapshot attribute domain %d bits outside [1,%d]",
-			snap.AttrBits, dataset.MaxAttrBits)
+			attrBits, dataset.MaxAttrBits)
 	}
-	if want := dataset.DomainBits(snap.AttrBits, snap.Table.FeatureM); snap.DomainBits != want {
+	if want := dataset.DomainBits(attrBits, snap.Table.FeatureM); snap.DomainBits != want {
 		return nil, fmt.Errorf("sknn: snapshot domain size l=%d inconsistent with attrBits=%d, featureM=%d (want %d)",
-			snap.DomainBits, snap.AttrBits, snap.Table.FeatureM, want)
+			snap.DomainBits, attrBits, snap.Table.FeatureM, want)
 	}
 	if err := core.CheckDomainBits(&sk.PublicKey, snap.DomainBits); err != nil {
 		return nil, fmt.Errorf("sknn: %w", err)
@@ -97,5 +98,5 @@ func LoadTable(r io.Reader, sk *paillier.PrivateKey, cfg Config) (*System, error
 	if cfg.Index == IndexClustered && !tbl.Clustered() {
 		return nil, fmt.Errorf("sknn: snapshot has no cluster index (a loaded table cannot be clustered without plaintext)")
 	}
-	return assemble(sk, tbl, snap.AttrBits, snap.DomainBits, cfg, wrapRandom(cfg.Random))
+	return assemble(sk, tbl, snap.DomainBits, cfg, wrapRandom(cfg.Random))
 }

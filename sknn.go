@@ -300,6 +300,11 @@ func New(rows [][]uint64, attrBits int, cfg Config) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sknn: outsourcing table: %w", err)
 	}
+	// The declared domain, not the widest initial value, bounds what
+	// Insert may add later — and so sizes the table's packed slots.
+	if encTable, err = encTable.WithAttrBits(attrBits); err != nil {
+		return nil, fmt.Errorf("sknn: %w", err)
+	}
 	if cfg.FeatureColumns > 0 {
 		encTable, err = encTable.WithFeatureColumns(cfg.FeatureColumns)
 		if err != nil {
@@ -332,7 +337,7 @@ func New(rows [][]uint64, attrBits int, cfg Config) (*System, error) {
 			return nil, fmt.Errorf("sknn: attaching cluster index: %w", err)
 		}
 	}
-	return assemble(sk, encTable, attrBits, domainBits, cfg, random)
+	return assemble(sk, encTable, domainBits, cfg, random)
 }
 
 // normalizeConfig applies defaults and rejects invalid settings. Shared
@@ -400,7 +405,7 @@ func enableFixedBase(sk *paillier.PrivateKey, random io.Reader) error {
 // shard workers, replica sets when cfg.Replicas > 1, a coordinator over
 // them. One shard serves encTable as it stands; more split it by stable
 // id mod Shards, pure ciphertext-pointer shuffling.
-func assemble(sk *paillier.PrivateKey, encTable *core.EncryptedTable, attrBits, domainBits int, cfg Config, random io.Reader) (*System, error) {
+func assemble(sk *paillier.PrivateKey, encTable *core.EncryptedTable, domainBits int, cfg Config, random io.Reader) (*System, error) {
 	index := IndexNone
 	if encTable.Clustered() {
 		index = IndexClustered
@@ -410,7 +415,7 @@ func assemble(sk *paillier.PrivateKey, encTable *core.EncryptedTable, attrBits, 
 		client:      core.NewClient(&sk.PublicKey, random),
 		random:      random,
 		domainBits:  domainBits,
-		attrBits:    attrBits,
+		attrBits:    encTable.AttrBits(),
 		m:           encTable.M(),
 		featureM:    encTable.FeatureM(),
 		replicas:    cfg.Replicas,
