@@ -73,9 +73,9 @@ fuzz-smoke:
 	go test -fuzz=FuzzFixedBaseExp -fuzztime=20s ./internal/paillier
 
 # bench-smoke runs three of the benchmark's workloads for 5 s each:
-# secure_scan (the facade, CRT tables built), gateway_sharded (every
-# link TCP, the C2 built by core.NewCloudC2 with no tables — the path
-# PrivateKey.Encrypt carries) and basic_tcp (SkNNb's packed scan and
+# secure_scan (the facade), gateway_sharded (every link TCP, the parties
+# composed from internal/core as the daemons compose them — same nonce
+# kernel as the facade, built with each key) and basic_tcp (SkNNb's packed scan and
 # row-packed reveal over real TCP frames, with the core.smin_count == 0
 # bypass check). Every answer is checked against the plaintext oracle and
 # the cost-model checks gate the exit code; the timings of a 5 s run are

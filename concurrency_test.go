@@ -1,6 +1,7 @@
 package sknn
 
 import (
+	"crypto/rand"
 	"errors"
 	"fmt"
 	"sort"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"sknn/internal/dataset"
+	"sknn/internal/paillier"
 	"sknn/internal/plainknn"
 )
 
@@ -114,6 +116,49 @@ func TestConcurrentQueriesMatchOracle(t *testing.T) {
 		}
 		wg.Wait()
 	})
+}
+
+// TestConcurrentNewSharesKey stands four systems up at once on one
+// freshly generated key — New used to build nonce tables into the
+// caller's Config.Key, unsynchronised — and checks every system's answers
+// against the plaintext oracle. Under -race this is the proof that the
+// library only reads the key it is handed.
+func TestConcurrentNewSharesKey(t *testing.T) {
+	sk, err := paillier.GenerateKey(rand.Reader, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := dataset.Generate(341, 10, 2, 3)
+	q, _ := dataset.GenerateQuery(342, 2, 3)
+	const systems, k = 4, 2
+	basic, secure := make([][][]uint64, systems), make([][][]uint64, systems)
+	var wg sync.WaitGroup
+	for i := 0; i < systems; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sys, err := New(tbl.Rows, 3, Config{Key: sk, Shards: i % 2 * 2})
+			if err != nil {
+				t.Errorf("system %d: %v", i, err)
+				return
+			}
+			defer sys.Close()
+			if basic[i], err = queryRows(sys, q, k, ModeBasic); err != nil {
+				t.Errorf("system %d, basic: %v", i, err)
+			}
+			if secure[i], err = queryRows(sys, q, k, ModeSecure); err != nil {
+				t.Errorf("system %d, secure: %v", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for i := 0; i < systems; i++ {
+		assertBasicMatches(t, tbl.Rows, q, k, basic[i])
+		assertSecureMatches(t, tbl.Rows, q, k, secure[i])
+	}
 }
 
 // TestQueryBatchMatchesOracle checks the batch API in both modes.

@@ -102,10 +102,6 @@ func decodeHello(resp *mpc.Message) (shardHello, error) {
 	if len(resp.Ints) != 10 {
 		return h, fmt.Errorf("%w: shard hello reply has %d ints, want 10", ErrBadFrame, len(resp.Ints))
 	}
-	n := resp.Ints[0]
-	if n == nil || n.Sign() <= 0 || n.BitLen() < 64 {
-		return h, fmt.Errorf("%w: implausible shard public modulus", ErrBadFrame)
-	}
 	vals := make([]int, 9)
 	for i := 1; i < 10; i++ {
 		if resp.Ints[i] == nil || !resp.Ints[i].IsInt64() {
@@ -127,7 +123,7 @@ func decodeHello(resp *mpc.Message) (shardHello, error) {
 	info := h.info
 	if info.Count < 1 || info.Count > maxShardCount || info.Index < 0 || info.Index >= info.Count ||
 		info.M < 1 || info.M > maxShardM || info.FeatureM < 1 || info.FeatureM > info.M ||
-		info.N < 0 || info.N > maxShardN {
+		info.N < 0 || int64(info.N) > maxShardN {
 		return h, fmt.Errorf("%w: shard hello describes index %d of %d, table %d/%d, n=%d",
 			ErrBadFrame, info.Index, info.Count, info.M, info.FeatureM, info.N)
 	}
@@ -139,7 +135,13 @@ func decodeHello(resp *mpc.Message) (shardHello, error) {
 	if info.Replica < 0 || info.Replica >= maxShardReplicas {
 		return h, fmt.Errorf("%w: shard hello declares replica %d", ErrBadFrame, info.Replica)
 	}
-	h.pk = &paillier.PublicKey{N: n, NSquared: new(big.Int).Mul(n, n)}
+	// Last, once the cheap fields hold: the key's nonce kernel costs an
+	// exponentiation.
+	pk, err := paillier.NewPublicKey(resp.Ints[0])
+	if err != nil {
+		return h, fmt.Errorf("%w: implausible shard public modulus: %v", ErrBadFrame, err)
+	}
+	h.pk = pk
 	return h, nil
 }
 

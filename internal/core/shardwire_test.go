@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sknn/internal/mpc"
+	"sknn/internal/testkit"
 )
 
 // helloReply builds a hello frame with the given shape fields, using a
@@ -16,6 +17,11 @@ func helloReply(index, count, n, m, featureM, clustered, attrBits, domainBits in
 
 func helloReplyR(index, count, n, m, featureM, clustered, attrBits, domainBits, replica int64) *mpc.Message {
 	mod := new(big.Int).Lsh(big.NewInt(1), 1024)
+	mod.Add(mod, big.NewInt(1)) // odd, as every p·q is
+	return helloWithModulus(mod, index, count, n, m, featureM, clustered, attrBits, domainBits, replica)
+}
+
+func helloWithModulus(mod *big.Int, index, count, n, m, featureM, clustered, attrBits, domainBits, replica int64) *mpc.Message {
 	return &mpc.Message{Op: OpShardHello, Ints: []*big.Int{
 		mod,
 		big.NewInt(index), big.NewInt(count), big.NewInt(n), big.NewInt(m),
@@ -55,6 +61,17 @@ func TestDecodeHelloBounds(t *testing.T) {
 				t.Fatalf("decodeHello: err = %v, want ErrBadFrame", err)
 			}
 		})
+	}
+}
+
+// TestDecodeHelloHostileModulus: an otherwise valid hello carrying a
+// modulus no Paillier key has is ErrBadFrame at the handshake, not a key
+// whose arithmetic fails later.
+func TestDecodeHelloHostileModulus(t *testing.T) {
+	for name, mod := range testkit.HostileModuli() {
+		if _, err := decodeHello(helloWithModulus(mod, 0, 1, 10, 4, 2, 0, 32, 96, 0)); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("modulus %s: err = %v, want ErrBadFrame", name, err)
+		}
 	}
 }
 
@@ -207,6 +224,11 @@ func FuzzShardFrame(f *testing.F) {
 	f.Add(fuzzInts(helloReply(1, 3, 1000, 6, 2, 1, 32, 96).Ints))
 	f.Add([]byte{})
 	f.Add([]byte{9, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	for _, mod := range testkit.HostileModuli() {
+		if mod != nil && mod.Sign() >= 0 { // what the byte layout below can carry
+			f.Add(fuzzInts(helloWithModulus(mod, 1, 3, 1000, 6, 2, 1, 32, 96, 0).Ints))
+		}
+	}
 	// Top-k replies for the fixed shape below: a row-packed candidate, a
 	// per-attribute one (not this key's layout), and headers lying about
 	// the layout.
@@ -239,8 +261,9 @@ func FuzzShardFrame(f *testing.F) {
 		}
 		msg := &mpc.Message{Op: OpShardHello, Ints: ints}
 		if h, err := decodeHello(msg); err == nil {
-			if h.info.M < 1 || h.info.M > maxShardM || h.info.N > maxShardN ||
-				h.info.Count > maxShardCount || h.domainBits > maxShardDomainBits {
+			if h.info.M < 1 || h.info.M > maxShardM || int64(h.info.N) > maxShardN ||
+				h.info.Count > maxShardCount || h.domainBits > maxShardDomainBits ||
+				h.pk.N.Bit(0) == 0 || h.pk.N.BitLen() < 64 {
 				t.Fatalf("decodeHello accepted out-of-bounds shape: %+v", h.info)
 			}
 		}

@@ -105,6 +105,17 @@ func (g *gateShard) TopK(ctx context.Context, q EncryptedQuery, k, domainBits, t
 	return cands, sm, err
 }
 
+// Local: a parked gate burns none of this process's CPU, so launch must
+// not count it against the local-scan slots — at GOMAXPROCS=1 there is
+// one, and a gate that took it first would starve the shard the test is
+// waiting on (which goroutine starts first is the scheduler's choice).
+func (g *gateShard) Local() (*CloudC1, bool) {
+	if g.blockCtx {
+		return nil, false
+	}
+	return g.Shard.Local()
+}
+
 // sortedDistances maps unmasked result rows to their sorted squared
 // distances from q — the multiset two topologies must agree on.
 func sortedDistances(t *testing.T, rows [][]uint64, q []uint64) []uint64 {

@@ -165,10 +165,6 @@ func decodeGateWelcome(resp *mpc.Message) (gateWelcome, error) {
 	if len(resp.Ints) != 4 {
 		return w, fmt.Errorf("%w: gateway welcome has %d ints, want 4", core.ErrBadFrame, len(resp.Ints))
 	}
-	mod := resp.Ints[0]
-	if mod == nil || mod.Sign() <= 0 || mod.BitLen() < 64 {
-		return w, fmt.Errorf("%w: implausible tenant public modulus", core.ErrBadFrame)
-	}
 	for i := 1; i < 4; i++ {
 		if resp.Ints[i] == nil || !resp.Ints[i].IsInt64() {
 			return w, fmt.Errorf("%w: gateway welcome field %d", core.ErrBadFrame, i)
@@ -181,7 +177,13 @@ func decodeGateWelcome(resp *mpc.Message) (gateWelcome, error) {
 		return w, fmt.Errorf("%w: gateway welcome declares n=%d table %d/%d",
 			core.ErrBadFrame, w.n, w.m, w.featureM)
 	}
-	w.pk = &paillier.PublicKey{N: mod, NSquared: new(big.Int).Mul(mod, mod)}
+	// Last, once the cheap fields hold: the key's nonce kernel costs an
+	// exponentiation.
+	pk, err := paillier.NewPublicKey(resp.Ints[0])
+	if err != nil {
+		return w, fmt.Errorf("%w: implausible tenant public modulus: %v", core.ErrBadFrame, err)
+	}
+	w.pk = pk
 	return w, nil
 }
 

@@ -80,8 +80,30 @@ func TestGateResultLayouts(t *testing.T) {
 	}
 }
 
-// FuzzGateResult feeds the result decoder and Bob's unmasking arbitrary
-// frames: a typed error or rows of the welcomed shape, never a panic.
+// TestGateWelcomeModulus: a welcome round-trips the tenant's key, and an
+// otherwise valid one carrying a modulus no Paillier key has is
+// ErrBadFrame at the handshake.
+func TestGateWelcomeModulus(t *testing.T) {
+	pk := &testkit.Key(256).PublicKey
+	w, err := decodeGateWelcome(encodeGateWelcome(pk.N, 10, 5, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !w.pk.Equal(pk) || w.n != 10 || w.m != 5 || w.featureM != 3 {
+		t.Fatalf("welcome = %+v", w)
+	}
+	for name, mod := range testkit.HostileModuli() {
+		msg := encodeGateWelcome(pk.N, 10, 5, 3)
+		msg.Ints[0] = mod
+		if _, err := decodeGateWelcome(msg); !errors.Is(err, core.ErrBadFrame) {
+			t.Errorf("modulus %s: err = %v, want ErrBadFrame", name, err)
+		}
+	}
+}
+
+// FuzzGateResult feeds the welcome decoder, the result decoder and Bob's
+// unmasking arbitrary frames: a typed error, or a key of a legal modulus
+// and rows of the welcomed shape — never a panic.
 func FuzzGateResult(f *testing.F) {
 	pk := &testkit.Key(256).PublicKey
 	bob := core.NewClient(pk, nil)
@@ -100,6 +122,12 @@ func FuzzGateResult(f *testing.F) {
 	f.Add(flat(gateResult(1, m, core.RowLayout{Cols: 1}, 0, 0, 0, 0, 0, 15, 0, 9, 1, 15)))
 	f.Add(flat(gateResult(1, m, core.RowLayout{Cols: 4, Bits: 200}, 0, 0, 1, 1)))
 	f.Add([]byte{})
+	f.Add(flat(encodeGateWelcome(pk.N, 10, m, 3)))
+	for _, mod := range testkit.HostileModuli() {
+		if mod != nil && mod.Sign() >= 0 { // what the byte layout below can carry
+			f.Add(flat(encodeGateWelcome(mod, 10, m, 3)))
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ints []*big.Int
 		for len(data) > 0 && len(ints) < 64 {
@@ -114,6 +142,11 @@ func FuzzGateResult(f *testing.F) {
 			}
 			data = data[n:]
 			ints = append(ints, v)
+		}
+		if w, err := decodeGateWelcome(&mpc.Message{Op: OpGateAuth, Ints: ints}); err == nil {
+			if w.pk.N.Bit(0) == 0 || w.pk.N.BitLen() < 64 || w.m < 1 || w.m > maxGateM || w.featureM > w.m {
+				t.Fatalf("decodeGateWelcome accepted N of %d bits, table %d/%d", w.pk.N.BitLen(), w.m, w.featureM)
+			}
 		}
 		res, err := decodeGateResult(pk, k, m, &mpc.Message{Op: OpGateQuery, Ints: ints})
 		if err != nil {

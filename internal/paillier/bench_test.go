@@ -86,64 +86,43 @@ func BenchmarkAblationCRTDecrypt(b *testing.B) {
 	})
 }
 
-// BenchmarkFixedBaseExp measures the fixed-base window walk — the
-// Montgomery REDC hot loop — against direct big.Int.Exp of the same
-// base and exponent (the r^N cost the table replaces). The interesting
-// delta over time is table vs itself across commits: the REDC walk
-// removed the per-window division.
-func BenchmarkFixedBaseExp(b *testing.B) {
+// BenchmarkMontMul prices one product of the limb kernel at the two
+// widths a 512-bit key multiplies at: 8 limbs (mod p², q²) and 16 (mod
+// N²). A CRT nonce is about 2·127 of the former, a public one 255 of the
+// latter.
+func BenchmarkMontMul(b *testing.B) {
 	sk := benchKey(b, 512)
-	pk := sk.PublicKey // copy: the table stays off the shared bench key
-	if err := pk.EnableFixedBase(rand.Reader); err != nil {
-		b.Fatal(err)
-	}
-	exps := make([]*big.Int, 64)
-	for i := range exps {
-		e, err := rand.Int(rand.Reader, pk.N)
-		if err != nil {
-			b.Fatal(err)
-		}
-		exps[i] = e
-	}
-	b.Run("table", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, ok := pk.fb.tab.Exp(exps[i%len(exps)]); !ok {
-				b.Fatal("exponent out of range")
+	for _, mod := range []*big.Int{sk.pSquared, sk.NSquared} {
+		mm := newMontMod(mod)
+		n := len(mm.m)
+		b.Run(fmt.Sprintf("%dlimbs", n), func(b *testing.B) {
+			x, y := toLimbs(new(big.Int).Sub(mod, two), n), toLimbs(new(big.Int).Rsh(mod, 1), n)
+			z, t := make([]uint64, n), make([]uint64, n+1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mm.mul(z, x, y, t)
 			}
-		}
-	})
-	b.Run("bigint", func(b *testing.B) {
-		hN := pk.fb.hN
-		for i := 0; i < b.N; i++ {
-			new(big.Int).Exp(hN, exps[i%len(exps)], pk.NSquared)
-		}
-	})
+		})
+	}
 }
 
-// BenchmarkNoncePower prices the one exponentiation an encryption
-// costs, by who computes it and whether tables were built: a party
-// without sk pays "public" (r^N mod N²) or "public-tables"; C2 pays
-// "private" in a daemon that built no tables and "private-tables" in
-// the facade. K = 512, the benchmark's key size.
-func BenchmarkNoncePower(b *testing.B) {
-	plain := benchKey(b, 512)
-	p, q := plain.Factors()
-	tabled := newPrivateKey(p, q)
-	if err := tabled.EnableFixedBase(rand.Reader); err != nil {
-		b.Fatal(err)
-	}
-	pubTabled := plain.PublicKey // copy: the table stays off the shared bench key
-	if err := pubTabled.EnableFixedBase(rand.Reader); err != nil {
+// BenchmarkNonce prices the one exponentiation an encryption costs, by
+// who computes it: a party holding only N pays "public" (one comb mod
+// N²), a party holding sk — C2, and whoever encrypts through
+// &sk.PublicKey — pays "private" (two CRT combs). K = 512, the
+// benchmark's key size.
+func BenchmarkNonce(b *testing.B) {
+	sk := benchKey(b, 512)
+	pub, err := NewPublicKey(sk.N)
+	if err != nil {
 		b.Fatal(err)
 	}
 	for _, bc := range []struct {
 		name string
 		fn   func(io.Reader) (*Nonce, error)
 	}{
-		{"public", plain.PublicKey.drawNonce},
-		{"public-tables", pubTabled.drawNonce},
-		{"private", plain.drawNonce},
-		{"private-tables", tabled.drawNonce},
+		{"public", pub.drawNonce},
+		{"private", sk.drawNonce},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

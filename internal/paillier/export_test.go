@@ -31,7 +31,11 @@ func (sk *PrivateKey) DecryptNoCRT(ct *Ciphertext) (*big.Int, error) {
 // NewPrivateKeyFromPrimes builds a key from fixed primes so tests can be
 // fully deterministic.
 func NewPrivateKeyFromPrimes(p, q *big.Int) *PrivateKey {
-	return newPrivateKey(p, q)
+	sk, err := newPrivateKey(p, q)
+	if err != nil {
+		panic(err)
+	}
+	return sk
 }
 
 // Factors returns the prime factors for test assertions.
@@ -39,34 +43,58 @@ func (sk *PrivateKey) Factors() (p, q *big.Int) {
 	return new(big.Int).Set(sk.p), new(big.Int).Set(sk.q)
 }
 
-// FBTable wraps the unexported fixed-base window table so property and
-// fuzz tests can compare it against big.Int.Exp directly.
-type FBTable struct{ t *fbTable }
+// Comb wraps the unexported fixed-base comb so property and fuzz tests
+// can compare it against big.Int.Exp directly.
+type Comb struct{ c *comb }
 
-// NewTestFBTable builds a window table for the given base and modulus.
-func NewTestFBTable(base, mod *big.Int, maxExpBits int) *FBTable {
-	return &FBTable{t: newFBTable(base, mod, maxExpBits)}
+// NewTestComb builds a comb for the given base and odd modulus.
+func NewTestComb(base, mod *big.Int, maxExpBits int) *Comb {
+	return &Comb{c: newComb(base, mod, maxExpBits)}
 }
 
-// Exp evaluates base^e via the table; ok is false out of range.
-func (t *FBTable) Exp(e *big.Int) (*big.Int, bool) { return t.t.Exp(e) }
+// Exp evaluates base^e via the comb; it panics out of range.
+func (c *Comb) Exp(e *big.Int) *big.Int { return c.c.exp(e) }
 
-// FixedBaseHN returns h^N mod N² for cross-checks; nil when the
-// fixed-base state is not enabled.
-func (pk *PublicKey) FixedBaseHN() *big.Int {
-	if pk.fb == nil {
-		return nil
+// MontMul returns x·y mod m computed by the limb kernel: into Montgomery
+// form, one product, and out again. alias picks the destination: 0 a
+// fresh vector, 1 the first operand, 2 the second, 3 (x = y only) one
+// vector for both operands and the destination.
+func MontMul(m, x, y *big.Int, alias int) *big.Int {
+	mm := newMontMod(m)
+	n := len(mm.m)
+	t := make([]uint64, n+1)
+	xm, ym := mm.toMont(x), mm.toMont(y)
+	z := make([]uint64, n)
+	switch alias {
+	case 1:
+		z = xm
+	case 2:
+		z = ym
+	case 3:
+		z, ym = xm, xm
 	}
-	return new(big.Int).Set(pk.fb.hN)
+	mm.mul(z, xm, ym, t)
+	unit := make([]uint64, n)
+	unit[0] = 1
+	mm.mul(z, z, unit, t)
+	return fromLimbs(z)
 }
 
-// FixedBasePow evaluates the randomizer power hN^a through whichever
-// path is installed (CRT-split when enabled via the private key).
-func (pk *PublicKey) FixedBasePow(a *big.Int) (*big.Int, bool) {
-	if pk.fb == nil {
-		return nil, false
-	}
-	return pk.fb.pow(a)
+// FixedBasePow evaluates the randomizer power hN^a through the key's
+// nonce kernel (CRT-split on a key built from the factorisation).
+func (pk *PublicKey) FixedBasePow(a *big.Int) *big.Int { return pk.fb.pow(a) }
+
+// FullExpRaises reports how many nonce powers this process has computed
+// with a full-width big.Int.Exp: one per key constructed (its generator)
+// plus EncryptWithNonce's test vectors — never an encryption.
+func FullExpRaises() uint64 { return fullExpRaises.Load() }
+
+// WirePublicKey gob-encodes a public key with an arbitrary (possibly
+// hostile) modulus, for UnmarshalBinary's validation tests.
+func WirePublicKey(n *big.Int) ([]byte, error) {
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(wirePublicKey{N: n})
+	return buf.Bytes(), err
 }
 
 // HelpersInFlight reports how many fan-out helper goroutines are alive

@@ -7,223 +7,163 @@ import (
 	"math/big"
 )
 
-// This file implements fixed-base windowed exponentiation for the one
-// modular exponentiation left on the encryption hot path: the nonce
-// power r^N mod N². The base r varies per encryption, so the classic
-// trick is to fix it: sample one random unit h at setup, precompute
-// hN = h^N mod N², and draw each randomizer as hN^a for fresh a ∈ [0,N).
-// hN^a = h^(N·a) is a random element of the group of N-th residues —
-// the same set honest randomizers live in — so ciphertexts keep their
-// semantic-security argument under the standard fixed-generator
-// assumption (see docs/PROTOCOLS.md).
+// This file is the nonce kernel: the one modular exponentiation an
+// encryption costs, r^N mod N², for every party and every way a key
+// comes into being. The base r varies per encryption, so the classic
+// trick is to fix it: a key samples one random unit h when it is
+// constructed, precomputes hN = h^N mod N², and draws each randomizer as
+// hN^a for a fresh exponent a. hN^a = h^(N·a) is a random element of the
+// group of N-th residues — the set honest randomizers live in — so
+// ciphertexts keep their semantic-security argument under the standard
+// fixed-generator assumption (see docs/PROTOCOLS.md).
 //
-// With the base fixed, a window table tab[i][d] = base^(d·2^(w·i))
-// turns the exponentiation into one multiplication per non-zero window
-// of the exponent: ~⌈bits/w⌉ multiplications instead of ~1.5·bits for
-// square-and-multiply, a ~9× cut. When the table is built from the
-// private key, the evaluation runs CRT-split mod p² and q² (each
-// multiplication on half-width operands costs a quarter) and on the
-// exponent reduced mod p−1 and mod q−1 — hN mod p² is an N-th residue,
-// so its order divides p−1 — which halves the window count again: at a
-// 512-bit N, 2·43 half-width multiplications instead of 86 full-width
-// ones.
-//
-// A private key needs no table at all to beat the public r^N: see
-// (*PrivateKey).drawNonce at the bottom of this file, the kernel every
-// C2 reply encryption rides.
+// With the base fixed, hN^a is a Lim–Lee comb (CRYPTO '94): cut the
+// B-bit exponent into combTeeth blocks of s = ⌈B/combTeeth⌉ bits,
+// tabulate the 2^combTeeth − 1 products of the block bases hN^(2^(i·s)),
+// and read one bit of every block per step — s − 1 squarings and at most
+// s products on the limb-level Montgomery kernel of mont.go, against the
+// ~1.5·B of square-and-multiply. A key built from the factorisation runs
+// two combs, mod p² and mod q² (half the limbs, a quarter of the cost
+// per product), on exponents below p−1 and q−1 — hN mod p² is an N-th
+// residue, so its order divides p−1 — and recombines; a public-only key
+// runs one comb mod N².
 
-// fbWindow is the window width in bits. 6 balances table size against
-// the ~⌈bits/6⌉ multiplications per evaluation: ⌈bits/6⌉·63 entries of
-// 2·bits each for the public table (≈ 0.7 MB at a 512-bit N, 2.7 MB at
-// 1024), and half as much again for the two CRT tables together — each
-// has half the windows on half-width entries.
-const fbWindow = 6
+// combTeeth is the number of exponent blocks, one constant for every
+// key: 15 table entries per comb, ≈ 2 KiB per key at a 512-bit N.
+const combTeeth = 4
 
-// fbTable is a windowed fixed-base table for one (base, modulus) pair.
-// The entries are held in Montgomery representation so the per-window
-// multiply reduces by REDC instead of a full-width division; Exp
-// converts out once at the end. Immutable after construction.
-type fbTable struct {
-	mod        *big.Int
-	maxExpBits int
-	mont       *montCtx
-	tab        [][]*big.Int // tab[i][d-1] = Mont(base^(d·2^(fbWindow·i)) mod mod)
+// comb evaluates base^e mod m for one fixed base and every exponent
+// below 2^bits. Immutable after newComb; safe for concurrent use.
+type comb struct {
+	mod  *montMod
+	bits int      // exponents are below 2^bits
+	span int      // ⌈bits/combTeeth⌉: the block length, and the step count
+	tab  []uint64 // flat; entry d = ∏ base^(2^(i·span)) over the set bits i of d, Montgomery form
 }
 
-// newFBTable precomputes the window table for exponents below
-// 2^maxExpBits. The moduli here (N², p², q²) are always odd, so the
-// Montgomery context always exists.
-func newFBTable(base, mod *big.Int, maxExpBits int) *fbTable {
-	mc, ok := newMontCtx(mod)
-	if !ok {
-		panic("paillier: fixed-base modulus not odd")
-	}
-	numWin := (maxExpBits + fbWindow - 1) / fbWindow
-	t := &fbTable{mod: mod, maxExpBits: maxExpBits, mont: mc, tab: make([][]*big.Int, numWin)}
-	cur := mc.toMont(new(big.Int).Mod(base, mod)) // Mont(base^(2^(fbWindow·i)))
-	for i := 0; i < numWin; i++ {
-		row := make([]*big.Int, (1<<fbWindow)-1)
-		row[0] = new(big.Int).Set(cur)
-		for d := 2; d < 1<<fbWindow; d++ {
-			row[d-1] = mc.mul(row[d-2], cur)
+func newComb(base, mod *big.Int, bits int) *comb {
+	mm := newMontMod(mod)
+	n := len(mm.m)
+	c := &comb{mod: mm, bits: bits, span: (bits + combTeeth - 1) / combTeeth, tab: make([]uint64, (1<<combTeeth-1)*n)}
+	t := make([]uint64, n+1)
+	tooth := mm.toMont(base)
+	for i := 0; i < combTeeth; i++ {
+		// Entries 2^i … 2^(i+1)−1: tooth i alone, then times each entry
+		// below it.
+		copy(c.entry(1<<i), tooth)
+		for d := 1; d < 1<<i; d++ {
+			mm.mul(c.entry(1<<i|d), c.entry(d), tooth, t)
 		}
-		t.tab[i] = row
-		if i+1 < numWin {
-			cur = mc.mul(row[len(row)-1], cur) // cur^(2^fbWindow)
+		for s := 0; s < c.span && i+1 < combTeeth; s++ {
+			mm.mul(tooth, tooth, tooth, t)
 		}
 	}
-	return t
+	return c
 }
 
-// Exp returns base^e mod mod for 0 ≤ e < 2^maxExpBits; ok is false when
-// e is out of range (caller falls back to big.Int.Exp).
-func (t *fbTable) Exp(e *big.Int) (*big.Int, bool) {
-	if e.Sign() < 0 || e.BitLen() > t.maxExpBits {
-		return nil, false
+// entry returns table entry d, 1 ≤ d < 2^combTeeth.
+func (c *comb) entry(d int) []uint64 {
+	n := len(c.mod.m)
+	return c.tab[(d-1)*n : d*n]
+}
+
+// exp returns base^e mod m. An exponent outside [0, 2^bits) is a bug in
+// the caller: every draw of this package stays inside its comb's range.
+func (c *comb) exp(e *big.Int) *big.Int {
+	if e.Sign() < 0 || e.BitLen() > c.bits {
+		panic("paillier: comb exponent out of range")
 	}
-	// Two accumulators swap roles as Montgomery product destinations, so
-	// the whole walk reuses three buffers and allocates only at growth.
-	var acc, spare, scratch big.Int
-	have := false
-	bits := e.BitLen()
-	for i := 0; i*fbWindow < bits; i++ {
+	n := len(c.mod.m)
+	ew := toLimbs(e, (combTeeth*c.span+63)/64)
+	buf := make([]uint64, 3*n+1)
+	acc, unit, t := buf[:n], buf[n:2*n], buf[2*n:]
+	started := false
+	for k := c.span - 1; k >= 0; k-- {
+		if started {
+			c.mod.mul(acc, acc, acc, t)
+		}
 		d := 0
-		for j := fbWindow - 1; j >= 0; j-- {
-			d = d<<1 | int(e.Bit(i*fbWindow+j))
+		for i := combTeeth - 1; i >= 0; i-- {
+			pos := i*c.span + k
+			d = d<<1 | int(ew[pos>>6]>>(pos&63)&1)
 		}
-		if d == 0 {
-			continue
-		}
-		if !have {
-			acc.Set(t.tab[i][d-1])
-			have = true
-		} else {
-			t.mont.mulInto(&spare, &scratch, &acc, t.tab[i][d-1])
-			acc, spare = spare, acc
+		switch {
+		case d == 0:
+		case started:
+			c.mod.mul(acc, acc, c.entry(d), t)
+		default:
+			copy(acc, c.entry(d))
+			started = true
 		}
 	}
-	if !have { // e == 0
-		return big.NewInt(1), true
+	if !started { // e == 0
+		return big.NewInt(1)
 	}
-	t.mont.redcInto(&acc, &scratch)
-	return &acc, true
+	unit[0] = 1 // a product with the plain 1 leaves Montgomery form
+	c.mod.mul(acc, acc, unit, t)
+	return fromLimbs(acc)
 }
 
-// crtFB is the private-key half of the fixed-base state: tables for hN
-// mod p² and mod q², sized for exponents below p−1 and q−1, so each
-// randomizer is two short walks on half-width operands recombined by
-// the key.
-type crtFB struct {
-	sk         *PrivateKey
-	tabP, tabQ *fbTable
-}
-
-// pow evaluates hN^a mod N² for any a ≥ 0. hN mod p² lies in the
-// subgroup of N-th residues, whose order is p−1, so reducing a mod p−1
-// (and mod q−1 on the other side) changes nothing about the result —
-// bit for bit what big.Int.Exp(hN, a, N²) returns.
-func (c *crtFB) pow(a *big.Int) (*big.Int, bool) {
-	xp, ok := c.tabP.Exp(new(big.Int).Mod(a, c.sk.pMinus1))
-	if !ok {
-		return nil, false
-	}
-	xq, ok := c.tabQ.Exp(new(big.Int).Mod(a, c.sk.qMinus1))
-	if !ok {
-		return nil, false
-	}
-	return c.sk.crtSquares(xp, xq), true
-}
-
-// pkFixedBase is the optional fast-randomizer state hung off a
-// PublicKey. Immutable once published by EnableFixedBase.
+// pkFixedBase is a key's nonce kernel, built with the key by the only
+// constructors a key comes from (NewPublicKey, newPrivateKey) and
+// immutable from then on. Unexported, so serialized keys never carry it:
+// each process draws its own h.
 type pkFixedBase struct {
-	hN  *big.Int // h^N mod N²
-	tab *fbTable // base hN mod N²
-	crt *crtFB   // non-nil only when enabled through the private key
+	pub *comb     // hN mod N²: a public-only key
+	crt *crtCombs // a key built from the factorisation — also what its embedded PublicKey, and copies of it, encrypt through
 }
 
-// pow evaluates hN^a, CRT-split when the private-key tables exist.
-func (fb *pkFixedBase) pow(a *big.Int) (*big.Int, bool) {
-	if fb.crt != nil {
-		return fb.crt.pow(a)
-	}
-	return fb.tab.Exp(a)
+// crtCombs is the private-key half: combs for hN mod p² and mod q²,
+// sized for exponents below p−1 and q−1, so each randomizer is two short
+// walks on half-width limbs recombined mod N².
+type crtCombs struct {
+	p, q             *comb
+	pMinus1, qMinus1 *big.Int
+	q2InvP2          *big.Int // (q²)⁻¹ mod p²
 }
 
-// EnableFixedBase installs the fixed-base randomizer state on the public
-// key: every subsequent Encrypt/Rerandomize draws nonce powers as hN^a
-// instead of computing r^N from scratch. Call once at setup, before the
-// key is shared across goroutines; enabling is not synchronized. If
-// random is nil, crypto/rand is used. Calling again is a no-op.
-func (pk *PublicKey) EnableFixedBase(random io.Reader) error {
-	if pk.fb != nil {
-		return nil
-	}
-	hN, err := pk.fixedBaseGenerator(random)
-	if err != nil {
-		return err
-	}
-	pk.fb = &pkFixedBase{hN: hN, tab: newFBTable(hN, pk.NSquared, pk.N.BitLen())}
-	return nil
+// pow returns the x mod N² with x ≡ hN^ap (mod p²) and x ≡ hN^aq
+// (mod q²): x = xq + q²·((xp − xq)·(q²)⁻¹ mod p²).
+func (c *crtCombs) pow(ap, aq *big.Int) *big.Int {
+	xp, xq := c.p.exp(ap), c.q.exp(aq)
+	t := xp.Sub(xp, xq)
+	t.Mul(t, c.q2InvP2)
+	t.Mod(t, c.p.mod.big)
+	t.Mul(t, c.q.mod.big)
+	return t.Add(t, xq)
 }
 
-// fixedBaseGenerator samples h and returns hN = h^N mod N².
-func (pk *PublicKey) fixedBaseGenerator(random io.Reader) (*big.Int, error) {
-	if random == nil {
-		random = rand.Reader
+// pow evaluates hN^a for 0 ≤ a < N. With the factorisation a reduces mod
+// p−1 and mod q−1, which changes nothing about the result (the orders of
+// hN mod p² and mod q² divide them) — bit for bit hN^a mod N².
+func (fb *pkFixedBase) pow(a *big.Int) *big.Int {
+	if c := fb.crt; c != nil {
+		return c.pow(new(big.Int).Mod(a, c.pMinus1), new(big.Int).Mod(a, c.qMinus1))
 	}
-	h, err := pk.randomUnit(random)
+	return fb.pub.exp(a)
+}
+
+// fixedBaseGenerator samples h from crypto/rand — never from a caller's
+// reader, so seeded streams do not depend on how a key was obtained —
+// and returns hN = h^N mod N², the one full-width exponentiation a key
+// ever pays for its nonces.
+func (pk *PublicKey) fixedBaseGenerator() (*big.Int, error) {
+	h, err := pk.randomUnit(rand.Reader)
 	if err != nil {
 		return nil, fmt.Errorf("paillier: fixed-base generator: %w", err)
 	}
+	fullExpRaises.Add(1)
 	return new(big.Int).Exp(h, pk.N, pk.NSquared), nil
 }
 
-// FixedBaseEnabled reports whether the fast randomizer path is active.
-func (pk *PublicKey) FixedBaseEnabled() bool { return pk.fb != nil }
-
-// EnableFixedBase on the private key installs the same public state plus
-// the CRT-split tables mod p² and q². When the embedded public key
-// already carries a table (PublicKey.EnableFixedBase ran first, and the
-// key may have been copied to other parties since), its h is kept and
-// only the CRT half is added, so every holder keeps drawing from one
-// generator. Same setup-time, single-goroutine contract as the
-// PublicKey method; calling again is a no-op.
-func (sk *PrivateKey) EnableFixedBase(random io.Reader) error {
-	if sk.fb != nil && sk.fb.crt != nil {
-		return nil
-	}
-	fb := &pkFixedBase{crt: &crtFB{sk: sk}}
-	if pub := sk.fb; pub != nil {
-		fb.hN, fb.tab = pub.hN, pub.tab
-	} else {
-		var err error
-		if fb.hN, err = sk.fixedBaseGenerator(random); err != nil {
-			return err
-		}
-	}
-	// The tables are independent of one another; the public one — twice
-	// the windows on full-width entries, two thirds of the work — leads so
-	// the caller takes it while a helper builds the two CRT halves.
-	builds := []func(){
-		func() { fb.tab = newFBTable(fb.hN, sk.NSquared, sk.N.BitLen()) },
-		func() { fb.crt.tabP = newFBTable(fb.hN, sk.pSquared, sk.pMinus1.BitLen()) },
-		func() { fb.crt.tabQ = newFBTable(fb.hN, sk.qSquared, sk.qMinus1.BitLen()) },
-	}
-	if fb.tab != nil {
-		builds = builds[1:]
-	}
-	_ = ForEach(len(builds), func(i int) error { // the builds cannot fail
-		builds[i]()
-		return nil
-	})
-	sk.fb = fb
-	return nil
-}
+// EnableFixedBase does nothing: every key is born with its nonce kernel.
+// Kept only because bench/micro.go, which a product change may not edit,
+// still calls it (ROADMAP item 1's shim list).
+func (sk *PrivateKey) EnableFixedBase(io.Reader) error { return nil }
 
 // Nonce is the message-independent half of one encryption or
 // re-randomisation: the randomness, already drawn from the caller's
-// reader, and — once Raise has run — its power ρ = r^N mod N², a uniform
+// reader, and — once Raise has run — its power ρ = hN^a mod N², an
 // element of the group of N-th residues. Splitting the two lets a party
 // draw serially, so the reader is never shared, and pay the
 // exponentiation (all but a few multiplications of an encryption)
@@ -263,9 +203,8 @@ func RaiseAlongside(nonces []*Nonce, n int, fn func(i int) error) error {
 }
 
 // DrawNonces draws the randomness of count encryptions from random,
-// serially, in the order count Encrypt calls would — via the fixed-base
-// table when enabled (a fresh exponent a, ρ = hN^a), else a fresh unit r
-// (ρ = r^N). If random is nil, crypto/rand is used.
+// serially, in the order count Encrypt calls would: a fresh exponent a
+// each, ρ = hN^a. If random is nil, crypto/rand is used.
 func (pk *PublicKey) DrawNonces(random io.Reader, count int) ([]*Nonce, error) {
 	return drawNonces(count, random, pk.drawNonce)
 }
@@ -288,62 +227,39 @@ func drawNonces(count int, random io.Reader, draw func(io.Reader) (*Nonce, error
 	return out, nil
 }
 
-// drawNonce draws one public-key nonce.
+// drawNonce draws one public-key nonce: a fresh exponent a ← [0, N),
+// ρ = hN^a.
 func (pk *PublicKey) drawNonce(random io.Reader) (*Nonce, error) {
 	if random == nil {
 		random = rand.Reader
 	}
-	if fb := pk.fb; fb != nil {
-		a, err := rand.Int(random, pk.N)
-		if err != nil {
-			return nil, fmt.Errorf("paillier: fixed-base exponent: %w", err)
-		}
-		return &Nonce{raise: func() *big.Int {
-			if x, ok := fb.pow(a); ok { // always: a < N is inside the tables' range
-				return x
-			}
-			return new(big.Int).Exp(fb.hN, a, pk.NSquared)
-		}}, nil
-	}
-	r, err := pk.randomUnit(random)
+	a, err := rand.Int(random, pk.N)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("paillier: fixed-base exponent: %w", err)
 	}
-	return &Nonce{raise: func() *big.Int { return new(big.Int).Exp(r, pk.N, pk.NSquared) }}, nil
+	fb := pk.fb
+	return &Nonce{raise: func() *big.Int { return fb.pow(a) }}, nil
 }
 
 // drawNonce on the private key is the randomizer kernel every C2 reply
-// encryption uses. With tables it is the public routine (whose CRT walk
-// the key's tables shorten); without, it uses the factorisation directly:
-//
-//	ρ = CRT(x_p^p mod p², x_q^q mod q²),  x_p ← [1,p), x_q ← [1,q)
-//
-// x ↦ x^p mod p² maps [1,p) one-to-one onto the order-(p−1) subgroup of
-// ℤ*_{p²} (the kernel of y ↦ y^p is the elements ≡ 1 mod p, so equal
-// images force x ≡ x′ mod p), and that subgroup is exactly the N-th
-// residues mod p² because gcd(N, (p−1)(q−1)) = 1 makes y ↦ y^q a
-// permutation of ℤ*_{p²}. So ρ is uniform over the N-th residues mod N²
-// — the distribution of r^N for uniform r ∈ ℤ*_N, with no
-// fixed-generator assumption — at two half-length exponents on
-// half-width moduli, the shape of Decrypt.
+// encryption uses: the same two CRT combs, with the half-length
+// exponents drawn independently, a_p ← [0, p−1) and a_q ← [0, q−1),
+// instead of reduced from one a < N. ρ is then uniform over the product
+// of ⟨hN mod p²⟩ and ⟨hN mod q²⟩ — a subgroup of the N-th residues that
+// contains ⟨hN⟩ — so the fixed-generator assumption the public routine
+// rests on covers it.
 func (sk *PrivateKey) drawNonce(random io.Reader) (*Nonce, error) {
-	if sk.fb != nil {
-		return sk.PublicKey.drawNonce(random)
-	}
 	if random == nil {
 		random = rand.Reader
 	}
-	xp, err := rand.Int(random, sk.pMinus1)
+	c := sk.fb.crt
+	ap, err := rand.Int(random, c.pMinus1)
 	if err != nil {
 		return nil, fmt.Errorf("paillier: private nonce: %w", err)
 	}
-	xq, err := rand.Int(random, sk.qMinus1)
+	aq, err := rand.Int(random, c.qMinus1)
 	if err != nil {
 		return nil, fmt.Errorf("paillier: private nonce: %w", err)
 	}
-	return &Nonce{raise: func() *big.Int {
-		xp.Exp(xp.Add(xp, one), sk.p, sk.pSquared)
-		xq.Exp(xq.Add(xq, one), sk.q, sk.qSquared)
-		return sk.crtSquares(xp, xq)
-	}}, nil
+	return &Nonce{raise: func() *big.Int { return c.pow(ap, aq) }}, nil
 }

@@ -2,6 +2,7 @@ package paillier
 
 import (
 	"crypto/rand"
+	"fmt"
 	"math/big"
 	mrand "math/rand"
 	"sync"
@@ -10,65 +11,73 @@ import (
 )
 
 // fbKey is a process-wide deterministic 256-bit key (fixed primes, so no
-// keygen cost) with the CRT fixed-base state enabled at construction —
-// before it is shared, matching EnableFixedBase's setup-time contract.
-// testKey stays fixed-base-free so the two paths coexist in the suite.
-var fbKey = sync.OnceValue(func() *PrivateKey {
-	p, _ := new(big.Int).SetString("322675563644637075347871266145154846919", 10)
-	q, _ := new(big.Int).SetString("323776987140864129127030639610541904247", 10)
-	sk := NewPrivateKeyFromPrimes(p, q)
-	if err := sk.EnableFixedBase(rand.Reader); err != nil {
-		panic(err)
-	}
-	return sk
-})
+// keygen cost), next to testKey's freshly generated one.
+var fbKey = sync.OnceValue(fuzzPackKey)
 
-// TestFBTableMatchesBigExpEdges pins the window table against
-// big.Int.Exp on the exponents where windowing logic goes wrong first:
-// 0 (empty product), 1, N−1 (all windows live), and λ-sized exponents
-// (the widest value the decrypt path ever raises to).
+// mustPanic runs fn and reports whether it panicked.
+func mustPanic(fn func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	fn()
+	return false
+}
+
+// TestFBTableMatchesBigExpEdges pins the three combs of a key — public
+// mod N², CRT mod p² and q² — against big.Int.Exp at every key size
+// whose limb count or block length differs (K = 65 leaves p and q of
+// unequal, odd lengths), on the exponents where comb indexing goes wrong
+// first: 0 (empty product), 1, 2^B − 1 (every tooth live at every step),
+// and the group-order edges p−2, p−1 (hN mod p² has order dividing p−1,
+// so the answer is 1) and N−1.
 func TestFBTableMatchesBigExpEdges(t *testing.T) {
-	sk := fbKey()
-	mod := sk.NSquared
-	base := big.NewInt(3)
-	tab := NewTestFBTable(base, mod, sk.N.BitLen())
-
-	p, q := sk.Factors()
-	pm1 := new(big.Int).Sub(p, big.NewInt(1))
-	qm1 := new(big.Int).Sub(q, big.NewInt(1))
-	lambda := new(big.Int).Mul(pm1, qm1)
-	lambda.Div(lambda, new(big.Int).GCD(nil, nil, pm1, qm1))
-
-	edges := []*big.Int{
-		big.NewInt(0),
-		big.NewInt(1),
-		new(big.Int).Sub(sk.N, big.NewInt(1)),
-		lambda,
-	}
-	for _, e := range edges {
-		got, ok := tab.Exp(e)
-		if !ok {
-			t.Fatalf("Exp(%v) reported out of range", e)
-		}
-		want := new(big.Int).Exp(base, e, mod)
-		if got.Cmp(want) != 0 {
-			t.Errorf("Exp(%v) = %v, want %v", e, got, want)
-		}
+	for _, bits := range []int{64, 65, 128, 256, 512, 1024} {
+		t.Run(fmt.Sprintf("K=%d", bits), func(t *testing.T) {
+			t.Parallel()
+			sk, err := GenerateKey(rand.Reader, bits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pub, err := NewPublicKey(sk.N)
+			if err != nil {
+				t.Fatal(err)
+			}
+			crt := sk.fb.crt
+			for name, c := range map[string]*comb{"N²": pub.fb.pub, "p²": crt.p, "q²": crt.q} {
+				base, mod := c.exp(one), c.mod.big
+				top := new(big.Int).Lsh(one, uint(c.bits))
+				exps := []*big.Int{new(big.Int), one, top.Sub(top, one)}
+				for _, edge := range []*big.Int{crt.pMinus1, crt.qMinus1, sk.N} {
+					for _, e := range []*big.Int{new(big.Int).Sub(edge, one), edge} {
+						if e.BitLen() <= c.bits {
+							exps = append(exps, e)
+						}
+					}
+				}
+				for _, e := range exps {
+					if got, want := c.exp(e), new(big.Int).Exp(base, e, mod); got.Cmp(want) != 0 {
+						t.Errorf("comb mod %s: exp(%v) = %v, want %v", name, e, got, want)
+					}
+				}
+			}
+			if crt.p.exp(crt.pMinus1).Cmp(one) != 0 || crt.q.exp(crt.qMinus1).Cmp(one) != 0 {
+				t.Error("hN^(p−1) mod p² or hN^(q−1) mod q² is not 1")
+			}
+		})
 	}
 }
 
 // TestFBTableMatchesBigExpRandom sweeps random exponents up to the full
-// table width.
+// comb width, on a width that is not a multiple of combTeeth.
 func TestFBTableMatchesBigExpRandom(t *testing.T) {
 	sk := fbKey()
 	mod := sk.NSquared
 	base := big.NewInt(7)
-	tab := NewTestFBTable(base, mod, sk.N.BitLen())
+	bits := sk.N.BitLen() - 1
+	c := NewTestComb(base, mod, bits)
 	rng := mrand.New(mrand.NewSource(2))
+	bound := new(big.Int).Lsh(one, uint(bits))
 	f := func(seed int64) bool {
-		e := new(big.Int).Rand(rng, sk.N)
-		got, ok := tab.Exp(e)
-		return ok && got.Cmp(new(big.Int).Exp(base, e, mod)) == 0
+		e := new(big.Int).Rand(rng, bound)
+		return c.Exp(e).Cmp(new(big.Int).Exp(base, e, mod)) == 0
 	}
 	cfg := &quick.Config{MaxCount: 40, Rand: rng}
 	if err := quick.Check(f, cfg); err != nil {
@@ -76,34 +85,30 @@ func TestFBTableMatchesBigExpRandom(t *testing.T) {
 	}
 }
 
-// TestFBTableRejectsOutOfRange: negative or too-wide exponents must
-// report !ok so callers fall back to big.Int.Exp instead of silently
-// truncating.
+// TestFBTableRejectsOutOfRange: a negative or too-wide exponent is a
+// caller's bug and must panic instead of silently truncating; the widest
+// in-range one must evaluate.
 func TestFBTableRejectsOutOfRange(t *testing.T) {
-	tab := NewTestFBTable(big.NewInt(5), big.NewInt(1_000_003), 16)
-	if _, ok := tab.Exp(big.NewInt(-1)); ok {
+	c := NewTestComb(big.NewInt(5), big.NewInt(1_000_003), 17)
+	if !mustPanic(func() { c.Exp(big.NewInt(-1)) }) {
 		t.Error("negative exponent accepted")
 	}
-	if _, ok := tab.Exp(big.NewInt(1 << 16)); ok {
-		t.Error("17-bit exponent accepted by a 16-bit table")
+	if !mustPanic(func() { c.Exp(big.NewInt(1 << 17)) }) {
+		t.Error("18-bit exponent accepted by a 17-bit comb")
 	}
-	if got, ok := tab.Exp(big.NewInt(1<<16 - 1)); !ok {
-		t.Error("max in-range exponent rejected")
-	} else if want := new(big.Int).Exp(big.NewInt(5), big.NewInt(1<<16-1), big.NewInt(1_000_003)); got.Cmp(want) != 0 {
-		t.Errorf("Exp(2^16-1) = %v, want %v", got, want)
+	want := new(big.Int).Exp(big.NewInt(5), big.NewInt(1<<17-1), big.NewInt(1_000_003))
+	if got := c.Exp(big.NewInt(1<<17 - 1)); got.Cmp(want) != 0 {
+		t.Errorf("Exp(2^17-1) = %v, want %v", got, want)
 	}
 }
 
-// TestFixedBasePowCRTMatchesDirect pins the CRT-split evaluation (tables
+// TestFixedBasePowCRTMatchesDirect pins the CRT-split evaluation (combs
 // mod p² and q², the exponent reduced mod p−1 and q−1, recombination)
 // against direct exponentiation of hN mod N², bit for bit — including
 // the exponents around p−1 and q−1 where the reduction wraps.
 func TestFixedBasePowCRTMatchesDirect(t *testing.T) {
 	sk := fbKey()
-	hN := sk.FixedBaseHN()
-	if hN == nil {
-		t.Fatal("fixed-base state missing on fbKey")
-	}
+	hN := sk.FixedBasePow(one)
 	exps := []*big.Int{big.NewInt(0), big.NewInt(1), new(big.Int).Sub(sk.N, big.NewInt(1))}
 	for _, edge := range []*big.Int{sk.pMinus1, sk.qMinus1} {
 		exps = append(exps, new(big.Int).Sub(edge, one), edge, new(big.Int).Add(edge, one))
@@ -113,27 +118,16 @@ func TestFixedBasePowCRTMatchesDirect(t *testing.T) {
 		exps = append(exps, new(big.Int).Rand(rng, sk.N))
 	}
 	for _, a := range exps {
-		got, ok := sk.PublicKey.FixedBasePow(a)
-		if !ok {
-			t.Fatalf("FixedBasePow(%v) out of range", a)
-		}
-		want := new(big.Int).Exp(hN, a, sk.NSquared)
-		if got.Cmp(want) != 0 {
+		if sk.FixedBasePow(a).Cmp(new(big.Int).Exp(hN, a, sk.NSquared)) != 0 {
 			t.Errorf("CRT pow(%v) diverges from direct exponentiation", a)
 		}
 	}
 }
 
-// TestFixedBaseEncryptRoundTrip: with the table enabled, ciphertexts
-// still decrypt and rerandomize correctly, and enabling is idempotent.
+// TestFixedBaseEncryptRoundTrip: ciphertexts drawn from the combs
+// decrypt and rerandomize correctly.
 func TestFixedBaseEncryptRoundTrip(t *testing.T) {
 	sk := fbKey()
-	if !sk.FixedBaseEnabled() {
-		t.Fatal("FixedBaseEnabled() = false after EnableFixedBase")
-	}
-	if err := sk.EnableFixedBase(rand.Reader); err != nil {
-		t.Fatalf("re-enable: %v", err)
-	}
 	for _, m := range []int64{0, 1, 41, 1 << 40} {
 		ct, err := sk.Encrypt(rand.Reader, big.NewInt(m))
 		if err != nil {
@@ -156,55 +150,106 @@ func TestFixedBaseEncryptRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPublicKeyEnableFixedBase exercises the public-key-only variant (no
-// CRT tables): encryption through the plain mod-N² table must stay
-// decryptable by the untouched private key.
-func TestPublicKeyEnableFixedBase(t *testing.T) {
+// TestPublicOnlyAndPrivateKeysInteroperate: a public-only key (one comb
+// mod N², its own h) and the private key it was published from (two CRT
+// combs, another h) each draw from their own kernel, and each handles
+// the other's ciphertexts: the private key decrypts what the public one
+// encrypted, and either re-randomises the other's.
+func TestPublicOnlyAndPrivateKeysInteroperate(t *testing.T) {
 	sk := testKey()
-	pk := sk.PublicKey // copy; sk's own state stays fixed-base-free
-	if pk.FixedBaseEnabled() {
-		t.Fatal("copy inherited fixed-base state unexpectedly")
-	}
-	if err := pk.EnableFixedBase(rand.Reader); err != nil {
-		t.Fatal(err)
-	}
-	if !pk.FixedBaseEnabled() || sk.FixedBaseEnabled() {
-		t.Fatal("enable leaked between the copy and the original")
-	}
-	ct, err := pk.Encrypt(rand.Reader, big.NewInt(99))
+	data, err := sk.PublicKey.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := sk.Decrypt(ct); err != nil || got.Int64() != 99 {
-		t.Fatalf("decrypt = %v, err %v", got, err)
+	pk := new(PublicKey)
+	if err := pk.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	if pk.fb.pub == nil || pk.fb.crt != nil {
+		t.Fatal("a key decoded off the wire must carry the public comb alone")
+	}
+	if sk.fb.crt == nil || sk.fb.pub != nil {
+		t.Fatal("a private key must carry the CRT combs alone")
+	}
+	if copied := sk.PublicKey; copied.fb != sk.fb {
+		t.Fatal("a copy of sk.PublicKey must keep encrypting through sk's combs")
+	}
+	if pk.FixedBasePow(one).Cmp(sk.FixedBasePow(one)) == 0 {
+		t.Error("two keys constructed apart share one generator")
+	}
+	fromPub, err := pk.Encrypt(rand.Reader, big.NewInt(99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromPriv, err := sk.Encrypt(rand.Reader, big.NewInt(99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaPriv, err := sk.Rerandomize(rand.Reader, fromPub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaPub, err := pk.Rerandomize(rand.Reader, fromPriv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if viaPriv.Equal(fromPub) || viaPub.Equal(fromPriv) {
+		t.Error("rerandomize returned the identical ciphertext")
+	}
+	for name, ct := range map[string]*Ciphertext{
+		"public": fromPub, "private": fromPriv, "public→private": viaPriv, "private→public": viaPub,
+	} {
+		if got, err := sk.Decrypt(ct); err != nil || got.Int64() != 99 {
+			t.Errorf("%s: decrypt = %v, err %v", name, got, err)
+		}
 	}
 }
 
-// FuzzFixedBaseExp feeds arbitrary exponent bytes through the window
-// table and cross-checks big.Int.Exp: any in-range exponent must agree
-// exactly, any out-of-range one must report !ok, and nothing may panic.
+// TestRaisedNonceAllocs pins the allocations of one raised nonce on
+// either kernel. A comb walk makes six — the exponent's bytes and limbs,
+// one slab of limb scratch, the result's bytes, big.Int and words — and
+// the CRT kernel two walks, two reduced exponents and a recombination
+// whose big.Int products grow or not with the operands (19 to 22): a
+// count per walk, where one allocation per step would be 64 and up.
+func TestRaisedNonceAllocs(t *testing.T) {
+	sk := fbKey()
+	pub, err := NewPublicKey(sk.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := new(big.Int).Sub(sk.N, big.NewInt(5))
+	for _, tc := range []struct {
+		name string
+		pk   *PublicKey
+		max  float64
+	}{{"crt", &sk.PublicKey, 24}, {"public", pub, 8}} {
+		if got := testing.AllocsPerRun(50, func() { tc.pk.FixedBasePow(a) }); got > tc.max {
+			t.Errorf("%s: one nonce power allocates %v times, pinned at %v", tc.name, got, tc.max)
+		}
+	}
+}
+
+// FuzzFixedBaseExp feeds arbitrary exponent bytes through a comb and
+// cross-checks big.Int.Exp: any in-range exponent must agree exactly,
+// any out-of-range one must panic before touching the table.
 func FuzzFixedBaseExp(f *testing.F) {
 	mod, _ := new(big.Int).SetString("104476280815459414444157170371138662750017727", 10)
 	const maxBits = 96
-	tab := NewTestFBTable(big.NewInt(3), mod, maxBits)
+	c := NewTestComb(big.NewInt(3), mod, maxBits)
 	f.Add([]byte{})
 	f.Add([]byte{0x01})
 	f.Add(new(big.Int).Lsh(big.NewInt(1), maxBits-1).Bytes())
 	f.Add(new(big.Int).Lsh(big.NewInt(1), maxBits).Bytes())
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		e := new(big.Int).SetBytes(raw)
-		got, ok := tab.Exp(e)
 		if e.BitLen() > maxBits {
-			if ok {
-				t.Fatalf("%d-bit exponent accepted by a %d-bit table", e.BitLen(), maxBits)
+			if !mustPanic(func() { c.Exp(e) }) {
+				t.Fatalf("%d-bit exponent accepted by a %d-bit comb", e.BitLen(), maxBits)
 			}
 			return
 		}
-		if !ok {
-			t.Fatalf("in-range exponent (%d bits) rejected", e.BitLen())
-		}
-		if want := new(big.Int).Exp(big.NewInt(3), e, mod); got.Cmp(want) != 0 {
-			t.Fatalf("table Exp diverges from big.Int.Exp for e=%v", e)
+		if want := new(big.Int).Exp(big.NewInt(3), e, mod); c.Exp(e).Cmp(want) != 0 {
+			t.Fatalf("comb diverges from big.Int.Exp for e=%v", e)
 		}
 	})
 }

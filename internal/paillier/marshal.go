@@ -33,11 +33,11 @@ func (pk *PublicKey) UnmarshalBinary(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
 		return fmt.Errorf("paillier: decoding public key: %w", err)
 	}
-	if w.N == nil || w.N.Sign() <= 0 || w.N.BitLen() < 64 {
-		return ErrMalformedGobRemote
+	key, err := NewPublicKey(w.N)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrMalformedGobRemote, err)
 	}
-	pk.N = w.N
-	pk.NSquared = new(big.Int).Mul(w.N, w.N)
+	*pk = *key
 	return nil
 }
 
@@ -58,18 +58,23 @@ func (sk *PrivateKey) UnmarshalBinary(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
 		return fmt.Errorf("paillier: decoding private key: %w", err)
 	}
-	if w.P == nil || w.Q == nil || w.P.Sign() <= 0 || w.Q.Sign() <= 0 || w.P.Cmp(w.Q) == 0 {
+	if w.P == nil || w.Q == nil || w.P.Sign() <= 0 || w.Q.Sign() <= 0 || w.P.Cmp(w.Q) == 0 ||
+		w.P.Bit(0) == 0 || w.Q.Bit(0) == 0 { // 2 is prime, and no factor of an odd N
 		return ErrMalformedGobRemote
 	}
 	if !w.P.ProbablyPrime(20) || !w.Q.ProbablyPrime(20) {
 		return fmt.Errorf("%w: factors are not prime", ErrMalformedGobRemote)
 	}
 	// GenerateKey's invariant, which decryption (N invertible mod λ) and
-	// the private nonce kernel's uniformity argument both need; a pair
-	// like p = 2q+1 is prime and distinct yet breaks it.
+	// the nonce kernel (hN mod p² of order dividing p−1) both need; a
+	// pair like p = 2q+1 is prime and distinct yet breaks it.
 	if !coprimeToTotient(w.P, w.Q) {
 		return fmt.Errorf("%w: gcd(pq, (p-1)(q-1)) is not 1", ErrMalformedGobRemote)
 	}
-	*sk = *newPrivateKey(w.P, w.Q)
+	key, err := newPrivateKey(w.P, w.Q)
+	if err != nil {
+		return err
+	}
+	*sk = *key
 	return nil
 }

@@ -39,6 +39,7 @@ var (
 	ErrNilCiphertext      = errors.New("paillier: nil ciphertext")
 	ErrRandomnessExhaust  = errors.New("paillier: could not sample suitable randomness")
 	ErrMalformedGobRemote = errors.New("paillier: malformed serialized key")
+	ErrInvalidModulus     = errors.New("paillier: modulus must be odd and between 64 and 8192 bits")
 )
 
 // PublicKey holds the public parameters (N, g) with g fixed to N+1.
@@ -48,11 +49,34 @@ type PublicKey struct {
 	// NSquared caches N² since every ciphertext operation reduces mod N².
 	NSquared *big.Int
 
-	// fb is the optional fixed-base randomizer state (see fixedbase.go).
-	// nil unless EnableFixedBase ran; set once at setup before the key is
-	// shared, immutable afterwards. Unexported, so serialized keys never
-	// carry it — each process enables its own tables.
+	// fb is the nonce kernel every encryption under this key draws from
+	// (see fixedbase.go), built by the constructor and immutable — which
+	// is why a key comes from NewPublicKey, GenerateKey or an
+	// UnmarshalBinary, never from a struct literal.
 	fb *pkFixedBase
+}
+
+// maxModulusBits bounds what NewPublicKey will build a comb for: the
+// construction costs one exponentiation mod N², and N may have come off
+// a wire.
+const maxModulusBits = 8192
+
+// NewPublicKey builds the public key for modulus n, nonce kernel
+// included. It is the one place a modulus from outside — a key file, a
+// snapshot header, a gateway welcome, a shard hello — is validated: n
+// must be odd (Montgomery arithmetic needs it, and every p·q is) and of
+// 64 to 8192 bits, else ErrInvalidModulus.
+func NewPublicKey(n *big.Int) (*PublicKey, error) {
+	if n == nil || n.Sign() <= 0 || n.Bit(0) == 0 || n.BitLen() < 64 || n.BitLen() > maxModulusBits {
+		return nil, ErrInvalidModulus
+	}
+	pk := &PublicKey{N: n, NSquared: new(big.Int).Mul(n, n)}
+	hN, err := pk.fixedBaseGenerator()
+	if err != nil {
+		return nil, err
+	}
+	pk.fb = &pkFixedBase{pub: newComb(hN, pk.NSquared, n.BitLen())}
+	return pk, nil
 }
 
 // PrivateKey holds the factorization of N and the precomputed CRT values
@@ -68,7 +92,6 @@ type PrivateKey struct {
 	hp       *big.Int // ( L_p(g^{p-1} mod p²) )⁻¹ mod p
 	hq       *big.Int // ( L_q(g^{q-1} mod q²) )⁻¹ mod q
 	qInvP    *big.Int // q⁻¹ mod p, for CRT recombination
-	q2InvP2  *big.Int // (q²)⁻¹ mod p², for CRT recombination mod N²
 }
 
 // Bits reports the bit length of the modulus N.
@@ -108,7 +131,7 @@ func GenerateKey(random io.Reader, bits int) (*PrivateKey, error) {
 			continue
 		}
 		keygenCalls.Add(1)
-		return newPrivateKey(p, q), nil
+		return newPrivateKey(p, q)
 	}
 }
 
@@ -120,8 +143,9 @@ func coprimeToTotient(p, q *big.Int) bool {
 }
 
 // newPrivateKey assembles a private key (and its embedded public key) from
-// the prime factors, precomputing everything decryption needs.
-func newPrivateKey(p, q *big.Int) *PrivateKey {
+// the prime factors, precomputing everything decryption needs and the
+// two CRT combs every encryption under it draws from.
+func newPrivateKey(p, q *big.Int) (*PrivateKey, error) {
 	n := new(big.Int).Mul(p, q)
 	nSquared := new(big.Int).Mul(n, n)
 	priv := &PrivateKey{
@@ -141,18 +165,19 @@ func newPrivateKey(p, q *big.Int) *PrivateKey {
 	gq := new(big.Int).Exp(g, priv.qMinus1, priv.qSquared)
 	priv.hq = new(big.Int).ModInverse(lFunc(gq, q), q)
 	priv.qInvP = new(big.Int).ModInverse(q, p)
-	priv.q2InvP2 = new(big.Int).ModInverse(priv.qSquared, priv.pSquared)
-	return priv
-}
 
-// crtSquares returns the x mod N² with x ≡ xp (mod p²) and x ≡ xq
-// (mod q²): x = xq + q²·((xp − xq)·(q²)⁻¹ mod p²).
-func (sk *PrivateKey) crtSquares(xp, xq *big.Int) *big.Int {
-	t := new(big.Int).Sub(xp, xq)
-	t.Mul(t, sk.q2InvP2)
-	t.Mod(t, sk.pSquared)
-	t.Mul(t, sk.qSquared)
-	return t.Add(t, xq)
+	hN, err := priv.fixedBaseGenerator()
+	if err != nil {
+		return nil, err
+	}
+	priv.fb = &pkFixedBase{crt: &crtCombs{
+		p:       newComb(hN, priv.pSquared, priv.pMinus1.BitLen()),
+		q:       newComb(hN, priv.qSquared, priv.qMinus1.BitLen()),
+		pMinus1: priv.pMinus1,
+		qMinus1: priv.qMinus1,
+		q2InvP2: new(big.Int).ModInverse(priv.qSquared, priv.pSquared),
+	}}
+	return priv, nil
 }
 
 // lFunc is Paillier's L function: L(x) = (x-1)/d for x ≡ 1 (mod d).
@@ -214,9 +239,8 @@ func (pk *PublicKey) reduceMessage(m *big.Int) *big.Int {
 }
 
 // Encrypt encrypts m (reduced into Z_N, so negative values encode N-|m|)
-// under pk with fresh randomness: c = (1 + m*N) * r^N mod N². With
-// fixed-base precomputation enabled the nonce power comes from the
-// window tables instead of a full-width exponentiation.
+// under pk with fresh randomness: c = (1 + m*N) * ρ mod N², the nonce
+// power ρ = hN^a drawn from the key's comb (fixedbase.go).
 func (pk *PublicKey) Encrypt(random io.Reader, m *big.Int) (*Ciphertext, error) {
 	nc, err := pk.drawNonce(random)
 	if err != nil {
@@ -225,13 +249,12 @@ func (pk *PublicKey) Encrypt(random io.Reader, m *big.Int) (*Ciphertext, error) 
 	return pk.EncryptWith(nc, m), nil
 }
 
-// Encrypt on the private key is the same encryption with the nonce
-// power computed from the factorisation (see (*PrivateKey).drawNonce):
-// identically distributed ciphertexts at about 0.4× the cost when no
-// fixed-base tables are enabled. It shadows the embedded public
-// method, so a party holding sk — C2 — takes it without asking; the
-// Encrypt* convenience wrappers and EncryptUint64Vector stay on the
-// public routine.
+// Encrypt on the private key is the same encryption with the two
+// half-length nonce exponents drawn independently (see
+// (*PrivateKey).drawNonce). It shadows the embedded public method, so a
+// party holding sk — C2 — takes it without asking; the Encrypt*
+// convenience wrappers and EncryptUint64Vector stay on the public
+// routine, which reaches the same combs.
 func (sk *PrivateKey) Encrypt(random io.Reader, m *big.Int) (*Ciphertext, error) {
 	nc, err := sk.drawNonce(random)
 	if err != nil {
@@ -309,9 +332,15 @@ var keygenCalls atomic.Uint64
 // performed. Monotonic; compare deltas to assert caching behavior.
 func KeygenCalls() uint64 { return keygenCalls.Load() }
 
+// fullExpRaises counts the nonce powers computed by a full-width
+// big.Int.Exp: each key's generator and encryptWithNonce's test vectors.
+// Tests read it (export_test.go) to prove no encryption path adds to it.
+var fullExpRaises atomic.Uint64
+
 // encryptWithNonce computes (1+mN) * r^N mod N². Exposed only to tests
 // (deterministic vectors) via export_test.go.
 func (pk *PublicKey) encryptWithNonce(m, r *big.Int) *Ciphertext {
+	fullExpRaises.Add(1)
 	return pk.encryptWithNoncePower(m, new(big.Int).Exp(r, pk.N, pk.NSquared))
 }
 

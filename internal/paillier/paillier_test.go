@@ -2,6 +2,7 @@ package paillier
 
 import (
 	"crypto/rand"
+	"errors"
 	"math/big"
 	"sync"
 	"testing"
@@ -434,6 +435,60 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	data, _ := (&wireEncoder{p: big.NewInt(15), q: big.NewInt(17)}).encode()
 	if err := sk.UnmarshalBinary(data); err == nil {
 		t.Error("private key accepted composite factor")
+	}
+}
+
+// hostileModuli are the values every site that builds a key from an
+// outside modulus must refuse: absent, zero, negative, one bit short of
+// the minimum, and even — which Montgomery arithmetic cannot take and no
+// product of two odd primes is.
+func hostileModuli(n *big.Int) map[string]*big.Int {
+	even := new(big.Int).Lsh(one, 511)
+	return map[string]*big.Int{
+		"nil":      nil,
+		"zero":     new(big.Int),
+		"negative": new(big.Int).Neg(n),
+		"2^63":     new(big.Int).Lsh(one, 63),
+		"even":     even.Add(even, big.NewInt(6)),
+		"huge":     new(big.Int).Add(new(big.Int).Lsh(one, maxModulusBits), one),
+	}
+}
+
+// TestNewPublicKeyValidates: the one validation every outside modulus
+// passes through, and UnmarshalBinary's mapping of its verdict to
+// ErrMalformedGobRemote.
+func TestNewPublicKeyValidates(t *testing.T) {
+	sk := testKey()
+	for name, n := range hostileModuli(sk.N) {
+		if _, err := NewPublicKey(n); !errors.Is(err, ErrInvalidModulus) {
+			t.Errorf("NewPublicKey(%s) error = %v, want ErrInvalidModulus", name, err)
+		}
+		data, err := WirePublicKey(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pk := new(PublicKey)
+		if err := pk.UnmarshalBinary(data); !errors.Is(err, ErrMalformedGobRemote) {
+			t.Errorf("UnmarshalBinary(N = %s) error = %v, want ErrMalformedGobRemote", name, err)
+		}
+		if pk.N != nil || pk.fb != nil {
+			t.Errorf("UnmarshalBinary(N = %s) left a half-built key behind", name)
+		}
+	}
+	pk, err := NewPublicKey(sk.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pk.Equal(&sk.PublicKey) || pk.NSquared.Cmp(sk.NSquared) != 0 {
+		t.Error("NewPublicKey(N) is not the key of modulus N")
+	}
+	// 2 is prime: a factor pair with it gives an even N.
+	data, err := (&wireEncoder{p: big.NewInt(2), q: big.NewInt(13)}).encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := new(PrivateKey).UnmarshalBinary(data); !errors.Is(err, ErrMalformedGobRemote) {
+		t.Errorf("UnmarshalBinary(p = 2) error = %v, want ErrMalformedGobRemote", err)
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-// privateKeys returns the three shapes of key a C2 can hold: freshly
-// built without tables, with the CRT tables, and rebuilt from its
+// privateKeys returns a key from each way a C2 can come by one: freshly
+// generated, assembled from fixed primes, and rebuilt from its
 // serialized form (what a daemon reads from a key file).
 func privateKeys(t *testing.T) map[string]*PrivateKey {
 	t.Helper()
@@ -21,7 +21,7 @@ func privateKeys(t *testing.T) map[string]*PrivateKey {
 	if err := reloaded.UnmarshalBinary(data); err != nil {
 		t.Fatal(err)
 	}
-	return map[string]*PrivateKey{"plain": testKey(), "tables": fbKey(), "reloaded": reloaded}
+	return map[string]*PrivateKey{"generated": testKey(), "primes": fbKey(), "reloaded": reloaded}
 }
 
 // TestPrivateEncryptRoundTrip drives sk.Encrypt and sk.Rerandomize —
@@ -152,40 +152,26 @@ func TestPrivateEncryptConcurrent(t *testing.T) {
 	}
 }
 
-// TestPrivateEnableFixedBaseKeepsPublishedTable: a public table enabled
-// (and possibly copied to other parties) before the private key adds
-// its CRT half keeps its generator — sk.EnableFixedBase must not swap h
-// under holders of the old pointer.
-func TestPrivateEnableFixedBaseKeepsPublishedTable(t *testing.T) {
+// TestPrivateEnableFixedBaseIsNoOp: the method survives for bench/'s
+// sake only. It must leave the kernel the key was born with — the one
+// holders of a copied public key already encrypt through — pointer
+// identical, and read nothing from its reader.
+func TestPrivateEnableFixedBaseIsNoOp(t *testing.T) {
 	sk := fuzzPackKey()
-	if err := sk.PublicKey.EnableFixedBase(rand.Reader); err != nil {
-		t.Fatal(err)
-	}
 	published := sk.PublicKey // the copy another party holds
-	hN, tab := sk.fb.hN, sk.fb.tab
-	if err := sk.EnableFixedBase(rand.Reader); err != nil {
+	before, crt := sk.fb, sk.fb.crt
+	if err := sk.EnableFixedBase(failingReader{}); err != nil {
 		t.Fatal(err)
 	}
-	if sk.fb.crt == nil {
-		t.Fatal("CRT tables missing after sk.EnableFixedBase")
-	}
-	if sk.fb.hN != hN || sk.fb.tab != tab {
-		t.Error("sk.EnableFixedBase replaced the published generator or table")
-	}
-	if published.fb.crt != nil {
-		t.Error("sk.EnableFixedBase mutated the state a copied public key holds")
-	}
-	a := new(big.Int).Sub(sk.N, big.NewInt(3))
-	viaPub, _ := published.fb.pow(a)
-	viaCRT, _ := sk.fb.pow(a)
-	if viaPub.Cmp(viaCRT) != 0 {
-		t.Error("public and CRT tables disagree on hN^a")
-	}
-	before := sk.fb
-	if err := sk.EnableFixedBase(rand.Reader); err != nil || sk.fb != before {
-		t.Errorf("second sk.EnableFixedBase was not a no-op (err %v)", err)
+	if sk.fb != before || sk.fb.crt != crt || published.fb != before {
+		t.Error("sk.EnableFixedBase replaced the key's nonce kernel")
 	}
 }
+
+// failingReader fails the test's assumption that nobody reads it.
+type failingReader struct{}
+
+func (failingReader) Read([]byte) (int, error) { return 0, errors.New("reader was read") }
 
 // TestUnmarshalRejectsSharedFactorWithTotient: p = 2q+1 passes every
 // primality check but gives gcd(pq, (p−1)(q−1)) = q, for which neither

@@ -3,14 +3,17 @@ package store
 import (
 	"bytes"
 	"crypto/rand"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math/big"
 	"sync"
 	"testing"
 
 	"sknn/internal/core"
 	"sknn/internal/paillier"
+	"sknn/internal/testkit"
 )
 
 // fuzzKey is a small shared key for corpus construction.
@@ -75,6 +78,9 @@ func FuzzSnapshotRead(f *testing.F) {
 	flip[9] ^= 0xff
 	f.Add(flip)
 	f.Add([]byte("SKNNSNP\x00garbage"))
+	for _, modulus := range hostileModuli() {
+		f.Add(withModulus(plain, modulus))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := Read(bytes.NewReader(data))
@@ -181,6 +187,48 @@ func TestReadTruncatedModulusLength(t *testing.T) {
 	kcut := append(bytes.Clone(kb.Bytes()[:10]), 0xff)
 	if _, err := ReadKey(bytes.NewReader(kcut)); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("truncated key blob length: err = %v, want ErrTruncated", err)
+	}
+}
+
+// withModulus rewrites an unsharded snapshot's embedded key — modulus
+// length, modulus, and the fingerprint that must match it — leaving the
+// rest of the stream as it was.
+func withModulus(data, modulus []byte) []byte {
+	const header = 44 // through nextID, see TestReadTruncatedModulusLength
+	oldLen, w := binary.Uvarint(data[header:])
+	out := binary.AppendUvarint(bytes.Clone(data[:header]), uint64(len(modulus)))
+	out = append(out, modulus...)
+	fp := sha256.Sum256(new(big.Int).SetBytes(modulus).Bytes())
+	out = append(out, fp[:]...)
+	return append(out, data[header+w+int(oldLen)+len(fp):]...)
+}
+
+// hostileModuli are the embedded moduli Read must refuse although their
+// fingerprint matches, padded to the 8 bytes the length check asks for.
+// (The byte layout carries no nil and no sign, the other two of
+// testkit.HostileModuli.)
+func hostileModuli() map[string][]byte {
+	out := make(map[string][]byte)
+	for name, n := range testkit.HostileModuli() {
+		if n != nil && n.Sign() >= 0 {
+			out[name] = n.FillBytes(make([]byte, max(8, len(n.Bytes()))))
+		}
+	}
+	return out
+}
+
+// TestReadHostileModulus: a header whose key is self-consistent but is
+// no Paillier modulus fails as ErrFormat before any ciphertext is read;
+// the same rewrite with the real modulus still loads.
+func TestReadHostileModulus(t *testing.T) {
+	data := seedSnapshot(t, false, false)
+	if _, err := Read(bytes.NewReader(withModulus(data, fuzzKey().N.Bytes()))); err != nil {
+		t.Fatalf("rewriting the header with its own modulus: %v", err)
+	}
+	for name, modulus := range hostileModuli() {
+		if _, err := Read(bytes.NewReader(withModulus(data, modulus))); !errors.Is(err, ErrFormat) {
+			t.Errorf("modulus %s: err = %v, want ErrFormat", name, err)
+		}
 	}
 }
 

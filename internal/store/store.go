@@ -104,9 +104,9 @@ func (s *Snapshot) Sharded() bool { return s.ShardCount > 0 }
 
 // Fingerprint is the snapshot's key check value: SHA-256 over the
 // big-endian bytes of the public modulus N.
-func Fingerprint(pk *paillier.PublicKey) [32]byte {
-	return sha256.Sum256(pk.N.Bytes())
-}
+func Fingerprint(pk *paillier.PublicKey) [32]byte { return fingerprint(pk.N) }
+
+func fingerprint(n *big.Int) [32]byte { return sha256.Sum256(n.Bytes()) }
 
 // VerifyKey checks that the snapshot was written under the given public
 // key, returning ErrKeyMismatch (with both fingerprints) otherwise.
@@ -302,13 +302,15 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if in.err != nil {
 		return nil, in.fail("public key")
 	}
+	// The fingerprint first: it costs a hash, the key's nonce kernel an
+	// exponentiation.
 	N := new(big.Int).SetBytes(nBytes)
-	if N.Sign() <= 0 || N.BitLen() < 64 {
-		return nil, fmt.Errorf("%w: implausible public modulus", ErrFormat)
-	}
-	pk := &paillier.PublicKey{N: N, NSquared: new(big.Int).Mul(N, N)}
-	if Fingerprint(pk) != fp {
+	if fingerprint(N) != fp {
 		return nil, fmt.Errorf("%w: embedded key fingerprint does not match embedded key", ErrFormat)
+	}
+	pk, err := paillier.NewPublicKey(N)
+	if err != nil {
+		return nil, fmt.Errorf("%w: implausible public modulus: %v", ErrFormat, err)
 	}
 	// Each ciphertext lives in (0, N²): cap the length prefix we will
 	// allocate for.

@@ -14,6 +14,7 @@ package testkit
 import (
 	"crypto/rand"
 	"fmt"
+	"math/big"
 	"sync"
 
 	"sknn/internal/paillier"
@@ -43,4 +44,19 @@ func Key(bits int) *paillier.PrivateKey {
 	}
 	ringMu.Unlock()
 	return once()
+}
+
+// HostileModuli are the values every decoder that builds a key from an
+// outside modulus must refuse (paillier.NewPublicKey's checks): absent,
+// zero, negative, one bit short of the minimum, and even — which
+// Montgomery arithmetic cannot take and no product of two odd primes is.
+func HostileModuli() map[string]*big.Int {
+	even := new(big.Int).Lsh(big.NewInt(1), 511)
+	return map[string]*big.Int{
+		"nil":      nil,
+		"zero":     new(big.Int),
+		"negative": new(big.Int).Neg(Key(256).N),
+		"2^63":     new(big.Int).Lsh(big.NewInt(1), 63),
+		"even":     even.Add(even, big.NewInt(6)),
+	}
 }

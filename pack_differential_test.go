@@ -209,9 +209,6 @@ func TestDifferentialSecureQueryEdges(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !sys.sk.FixedBaseEnabled() {
-					t.Error("New left the key without fixed-base tables")
-				}
 				got, err := queryRows(sys, tc.q, tc.k, ModeSecure)
 				sys.Close()
 				if err != nil {

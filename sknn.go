@@ -143,7 +143,9 @@ type Config struct {
 	// at the cost of serializing draws from it.
 	Random io.Reader
 	// Key reuses an existing Paillier key instead of generating one —
-	// key generation dominates setup time, so benchmarks share keys.
+	// key generation dominates setup time, so benchmarks share keys. The
+	// library only reads it: a key is immutable from construction, so
+	// any number of systems may share one, stood up concurrently or not.
 	Key *paillier.PrivateKey
 	// FeatureColumns restricts distance computation to the first f
 	// attributes; trailing columns (class labels, identifiers) are
@@ -291,11 +293,6 @@ func New(rows [][]uint64, attrBits int, cfg Config) (*System, error) {
 		return nil, fmt.Errorf("sknn: %w", err)
 	}
 
-	// Tables first: the owner's n·m table encryptions (and the centroid
-	// encryptions of a clustered index) below ride them too.
-	if err := enableFixedBase(sk, random); err != nil {
-		return nil, err
-	}
 	encTable, err := core.EncryptTable(random, &sk.PublicKey, tbl.Rows)
 	if err != nil {
 		return nil, fmt.Errorf("sknn: outsourcing table: %w", err)
@@ -387,17 +384,6 @@ func wrapRandom(r io.Reader) io.Reader {
 	return &lockedReader{r: r}
 }
 
-// enableFixedBase builds the fixed-base nonce tables. It must run before
-// any party holds a copy of the key: C2's CRT-split tables and the shared
-// public-key table both hang off unexported pointers set once here.
-// Idempotent.
-func enableFixedBase(sk *paillier.PrivateKey, random io.Reader) error {
-	if err := sk.EnableFixedBase(random); err != nil {
-		return fmt.Errorf("sknn: fixed-base tables: %w", err)
-	}
-	return nil
-}
-
 // assemble stands up the federated cloud around an already-encrypted
 // table: the shared back half of New (fresh encryption) and LoadTable
 // (snapshot reload — note no encryption happens here, which is what
@@ -424,11 +410,6 @@ func assemble(sk *paillier.PrivateKey, encTable *core.EncryptedTable, domainBits
 		coverage:    cfg.Coverage,
 		compactAt:   cfg.CompactThreshold,
 		closeDone:   make(chan struct{}),
-	}
-	// A no-op after New, which built the tables before encrypting; the
-	// LoadTable path builds them here.
-	if err := enableFixedBase(sk, random); err != nil {
-		return nil, err
 	}
 	c2 := core.NewCloudC2(sk, random)
 	// One in-process C2 serves every link — shard pools and the
