@@ -1,6 +1,6 @@
 // Cloudwire: the federated cloud over real TCP sockets. C2 (the key
 // cloud) listens on a loopback port; C1 (the data cloud) dials it, runs
-// both protocols over gob-encoded frames, and reports the measured
+// both protocols over binary wire frames, and reports the measured
 // network traffic. This is the same wiring cmd/sknnd uses across
 // machines, compressed into one process for a runnable demo.
 //

@@ -11,7 +11,7 @@ import (
 )
 
 // TestProtocolsOverTCP runs both protocols through the real wire
-// transport (gob over loopback TCP) with multiple worker sessions — the
+// transport (binary frames over loopback TCP) with multiple worker sessions — the
 // deployment topology of cmd/sknnd, verified against the oracle.
 func TestProtocolsOverTCP(t *testing.T) {
 	sk := testKey()

@@ -1,8 +1,9 @@
 // Package mpc provides the two-party protocol runtime the SkNN protocols
 // run on: a typed message frame, transports (in-process channels for tests
-// and benchmarks, gob-over-TCP for real deployments), per-connection
-// traffic accounting, and a request/response dispatch loop for the party
-// holding the secret key (C2 in the paper).
+// and benchmarks, length-prefixed binary frames over TCP for real
+// deployments — frame.go), per-connection traffic accounting, and a
+// request/response dispatch loop for the party holding the secret key
+// (C2 in the paper).
 //
 // The paper's protocols are strictly client-driven: C1 (the data cloud)
 // initiates every exchange and C2 (the key cloud) only ever answers. That
@@ -66,8 +67,10 @@ func (m *Message) Clone() *Message {
 
 // wireSize estimates the serialized size of the message in bytes:
 // 2 bytes of opcode, a 4-byte vector length, and length-prefixed
-// big-endian integers. The gob transport is within a few percent of
-// this; the channel transport uses it directly for accounting.
+// big-endian integers. The wire transport (frame.go) is within a few
+// percent of this — it adds a version byte, an always-present tag and an
+// error length, about 4 % on a SkNNm query — and both transports use it
+// for accounting, so protocol byte counts do not depend on the link.
 func (m *Message) wireSize() int {
 	n := 2 + 4 + len(m.Err)
 	if m.Tag != 0 {

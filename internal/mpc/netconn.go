@@ -1,79 +1,23 @@
 package mpc
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
+	"time"
 )
 
-// Wire framing: each Message travels as a 4-byte big-endian payload
-// length followed by a self-contained gob encoding of the Message.
-//
-// The frame boundary is what makes the transport safe against a lying
-// peer: the header is validated against maxFrameBytes before any
-// payload allocation, and the payload buffer grows chunk by chunk as
-// bytes actually arrive, so a header promising gigabytes costs the
-// receiver nothing. Streaming gob (the previous transport) had neither
-// property — its internal length prefix let a hostile header drive an
-// allocation of up to 1 GiB before the first payload byte was read.
-// Self-contained frames are also independently decodable, which is what
-// makes FuzzFrameDecode possible.
+// writeStall bounds one frame's Write: a peer that stops reading costs
+// the link's senders this long, not forever.
+const writeStall = 30 * time.Second
 
-// maxFrameBytes caps a frame payload. The largest legitimate frames
-// carry O(k·m + domainBits) ciphertexts of ~256 bytes each; 16 MiB is
-// two orders of magnitude above that while still denying a liar any
-// meaningful allocation.
-const maxFrameBytes = 16 << 20
-
-// frameHeaderLen is the byte width of the length prefix.
-const frameHeaderLen = 4
-
-// Frame-boundary errors.
-var (
-	// ErrFrameTooBig reports a frame whose declared or encoded payload
-	// exceeds maxFrameBytes.
-	ErrFrameTooBig = errors.New("mpc: frame exceeds size cap")
-	// errEmptyFrame reports a zero-length frame, which no Message
-	// encodes to.
-	errEmptyFrame = errors.New("mpc: empty frame")
-)
-
-// encodeFrame serializes m into a complete frame: header plus payload.
-func encodeFrame(m *Message) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Write(make([]byte, frameHeaderLen))
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return nil, err
-	}
-	payload := buf.Len() - frameHeaderLen
-	if payload > maxFrameBytes {
-		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, payload)
-	}
-	frame := buf.Bytes()
-	binary.BigEndian.PutUint32(frame[:frameHeaderLen], uint32(payload))
-	return frame, nil
-}
-
-// decodeFrame deserializes one frame payload (header already stripped
-// and validated) into a Message.
-func decodeFrame(payload []byte) (*Message, error) {
-	if len(payload) == 0 {
-		return nil, errEmptyFrame
-	}
-	if len(payload) > maxFrameBytes {
-		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, len(payload))
-	}
-	var m Message
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&m); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
+// ErrPeerStalled reports a frame the peer did not read within writeStall.
+// The stream is closed: part of the frame may be on it.
+var ErrPeerStalled = errors.New("mpc: peer stopped reading")
 
 // readPayload reads exactly n bytes, growing the buffer in chunks so
 // the allocation is proportional to what the peer actually sends, not
@@ -92,12 +36,12 @@ func readPayload(r io.Reader, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// netConn is the wire transport: length-prefixed gob Message frames
-// over any io.ReadWriteCloser (in practice a *net.TCPConn). It is what
-// cmd/sknnd and the cloudwire example use to run C1 and C2 in separate
-// processes.
+// netConn is the wire transport: length-prefixed Message frames over any
+// io.ReadWriteCloser (in practice a *net.TCPConn) — every link between
+// two processes: C1↔C2, coordinator↔shard, client↔gateway.
 type netConn struct {
 	rwc   io.ReadWriteCloser
+	stall time.Duration // writeStall, shorter in tests
 	sendM sync.Mutex
 	recvM sync.Mutex
 	stats Stats
@@ -106,7 +50,7 @@ type netConn struct {
 // WrapNet turns a byte stream into a message Conn. The returned Conn owns
 // rwc and closes it on Close.
 func WrapNet(rwc io.ReadWriteCloser) Conn {
-	return &netConn{rwc: rwc}
+	return &netConn{rwc: rwc, stall: writeStall}
 }
 
 // Dial connects to a listening peer (C2's daemon) over TCP.
@@ -125,11 +69,15 @@ func (c *netConn) Send(m *Message) error {
 	}
 	c.sendM.Lock()
 	defer c.sendM.Unlock()
+	if d, ok := c.rwc.(interface{ SetWriteDeadline(time.Time) error }); ok { // every net.Conn
+		_ = d.SetWriteDeadline(time.Now().Add(c.stall)) // a dead stream fails the Write below
+	}
 	if _, err := c.rwc.Write(frame); err != nil {
-		if errors.Is(err, io.ErrClosedPipe) || errors.Is(err, net.ErrClosed) {
-			return ErrConnClosed
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			_ = c.rwc.Close() // part of the frame may be out: the stream is beyond repair
+			return fmt.Errorf("%w: %d-byte frame not taken in %v", ErrPeerStalled, len(frame), c.stall)
 		}
-		return err
+		return streamErr(err)
 	}
 	c.stats.addSend(m.wireSize())
 	return nil
@@ -140,7 +88,7 @@ func (c *netConn) Recv() (*Message, error) {
 	defer c.recvM.Unlock()
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(c.rwc, hdr[:]); err != nil {
-		return nil, recvErr(err)
+		return nil, streamErr(err)
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n == 0 || n > maxFrameBytes {
@@ -150,7 +98,7 @@ func (c *netConn) Recv() (*Message, error) {
 	}
 	payload, err := readPayload(c.rwc, int(n))
 	if err != nil {
-		return nil, recvErr(err)
+		return nil, streamErr(err)
 	}
 	m, err := decodeFrame(payload)
 	if err != nil {
@@ -160,8 +108,8 @@ func (c *netConn) Recv() (*Message, error) {
 	return m, nil
 }
 
-// recvErr folds the stream-teardown error family into ErrConnClosed.
-func recvErr(err error) error {
+// streamErr folds the stream-teardown error family into ErrConnClosed.
+func streamErr(err error) error {
 	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
 		errors.Is(err, io.ErrClosedPipe) || errors.Is(err, net.ErrClosed) {
 		return ErrConnClosed
