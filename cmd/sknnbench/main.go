@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 
@@ -81,11 +80,10 @@ var scales = map[string]scale{
 }
 
 // bench carries the shared state: one cached key per key size so keygen
-// is paid once, the chosen scale, and the optional JSON output dir.
+// is paid once, and the chosen scale.
 type bench struct {
-	sc      scale
-	keys    map[int]*paillier.PrivateKey
-	jsonDir string
+	sc   scale
+	keys map[int]*paillier.PrivateKey
 }
 
 // benchTimeout is the -timeout per-query deadline (0 = none), shared by
@@ -107,24 +105,6 @@ func runQuery(sys *sknn.System, q []uint64, k int, mode sknn.Mode) (*sknn.Result
 	return sys.Query(ctx, q, sknn.WithK(k), sknn.WithMode(mode))
 }
 
-// emit renders fig to stdout and, when -json is set, also writes
-// BENCH_<name>.json so later PRs can diff the perf trajectory without
-// scraping tables.
-func (b *bench) emit(fig *benchkit.Figure, name string) error {
-	if err := fig.Fprint(os.Stdout); err != nil {
-		return err
-	}
-	if b.jsonDir == "" {
-		return nil
-	}
-	path := filepath.Join(b.jsonDir, "BENCH_"+name+".json")
-	if err := fig.WriteJSON(path); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-	return nil
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sknnbench: ")
@@ -132,7 +112,6 @@ func main() {
 		figFlag     = flag.String("fig", "all", "figure to regenerate: 2a 2b 2c 2d 2e 2f 3 sminn bob comm baselines all")
 		scaleFlag   = flag.String("scale", "small", "sweep preset: small | medium | paper")
 		workersFlag = flag.Int("workers", 0, "override Figure 3 worker count (0 = min(6, NumCPU))")
-		jsonFlag    = flag.String("json", "", "also write machine-readable BENCH_<fig>.json files into this directory")
 		timeoutFlag = flag.Duration("timeout", 0, "per-query deadline; 0 = none. A stuck point aborts within one protocol round instead of hanging the sweep")
 	)
 	flag.Parse()
@@ -145,12 +124,7 @@ func main() {
 	if *workersFlag > 0 {
 		sc.workers = *workersFlag
 	}
-	if *jsonFlag != "" {
-		if err := os.MkdirAll(*jsonFlag, 0o755); err != nil {
-			log.Fatal(err)
-		}
-	}
-	b := &bench{sc: sc, keys: map[int]*paillier.PrivateKey{}, jsonDir: *jsonFlag}
+	b := &bench{sc: sc, keys: map[int]*paillier.PrivateKey{}}
 
 	figs := map[string]func() error{
 		"2a":        b.fig2a,
@@ -250,10 +224,10 @@ func (b *bench) secureMetrics(n, m, k, l, keyBits int) (*sknn.SecureMetrics, err
 	return res.Metrics.Secure, nil
 }
 
-func (b *bench) fig2a() error { return b.basicNMSweep("2a", "Fig 2(a): SkNNb, k=5, K=512", 512) }
-func (b *bench) fig2b() error { return b.basicNMSweep("2b", "Fig 2(b): SkNNb, k=5, K=1024", 1024) }
+func (b *bench) fig2a() error { return b.basicNMSweep("Fig 2(a): SkNNb, k=5, K=512", 512) }
+func (b *bench) fig2b() error { return b.basicNMSweep("Fig 2(b): SkNNb, k=5, K=1024", 1024) }
 
-func (b *bench) basicNMSweep(name, title string, keyBits int) error {
+func (b *bench) basicNMSweep(title string, keyBits int) error {
 	fig := benchkit.NewFigure(fmt.Sprintf("%s [scale=%s]", title, b.sc.name), "n", "time (s)")
 	for _, m := range b.sc.basicMs {
 		series := fig.NewSeries(fmt.Sprintf("m=%d", m))
@@ -265,7 +239,7 @@ func (b *bench) basicNMSweep(name, title string, keyBits int) error {
 			series.Add(float64(n), benchkit.Seconds(d))
 		}
 	}
-	return b.emit(fig, name)
+	return fig.Fprint(os.Stdout)
 }
 
 func (b *bench) fig2c() error {
@@ -283,13 +257,13 @@ func (b *bench) fig2c() error {
 			series.Add(float64(k), benchkit.Seconds(d))
 		}
 	}
-	return b.emit(fig, "2c")
+	return fig.Fprint(os.Stdout)
 }
 
-func (b *bench) fig2d() error { return b.secureKLSweep("2d", "Fig 2(d): SkNNm, m=6", 512) }
-func (b *bench) fig2e() error { return b.secureKLSweep("2e", "Fig 2(e): SkNNm, m=6", 1024) }
+func (b *bench) fig2d() error { return b.secureKLSweep("Fig 2(d): SkNNm, m=6", 512) }
+func (b *bench) fig2e() error { return b.secureKLSweep("Fig 2(e): SkNNm, m=6", 1024) }
 
-func (b *bench) secureKLSweep(name, title string, keyBits int) error {
+func (b *bench) secureKLSweep(title string, keyBits int) error {
 	fig := benchkit.NewFigure(
 		fmt.Sprintf("%s, n=%d, K=%d [scale=%s]", title, b.sc.secureN, keyBits, b.sc.name),
 		"k", "time (min)")
@@ -303,7 +277,7 @@ func (b *bench) secureKLSweep(name, title string, keyBits int) error {
 			series.Add(float64(k), benchkit.Minutes(m.Total))
 		}
 	}
-	return b.emit(fig, name)
+	return fig.Fprint(os.Stdout)
 }
 
 func (b *bench) fig2f() error {
@@ -325,7 +299,7 @@ func (b *bench) fig2f() error {
 		}
 		secureSeries.Add(float64(k), benchkit.Minutes(sm.Total))
 	}
-	return b.emit(fig, "2f")
+	return fig.Fprint(os.Stdout)
 }
 
 func (b *bench) fig3() error {
@@ -348,7 +322,7 @@ func (b *bench) fig3() error {
 		}
 		parallel.Add(float64(n), benchkit.Seconds(dp))
 	}
-	if err := b.emit(fig, "3"); err != nil {
+	if err := fig.Fprint(os.Stdout); err != nil {
 		return err
 	}
 	fmt.Printf("(paper: parallel ≈ serial/6 on 6 cores; here %d workers on %d CPUs)\n",
@@ -369,7 +343,7 @@ func (b *bench) sminnShare() error {
 		}
 		series.Add(float64(k), 100*m.SMINnShare())
 	}
-	if err := b.emit(fig, "sminn"); err != nil {
+	if err := fig.Fprint(os.Stdout); err != nil {
 		return err
 	}
 	fmt.Println("(paper: 69.7% at k=5, rising to ≥75% at k=25)")
@@ -405,7 +379,7 @@ func (b *bench) bobCost() error {
 		sys.Close()
 		series.Add(float64(keyBits), float64(perEncrypt.Microseconds())/1000)
 	}
-	if err := b.emit(fig, "bob"); err != nil {
+	if err := fig.Fprint(os.Stdout); err != nil {
 		return err
 	}
 	fmt.Println("(paper: 4 ms at K=512, 17 ms at K=1024)")

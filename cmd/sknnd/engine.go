@@ -45,21 +45,6 @@ func buildEngine(spec tenantSpec) (_ *engine, err error) {
 	if spec.C2 == "" {
 		return nil, fmt.Errorf(`missing "c2" address`)
 	}
-	workers := max(spec.Workers, 1)
-	dialC2 := func() ([]mpc.Conn, error) {
-		conns := make([]mpc.Conn, 0, workers)
-		for len(conns) < workers {
-			conn, err := mpc.DialAuth(spec.C2, spec.C2Token)
-			if err != nil {
-				for _, c := range conns {
-					c.Close()
-				}
-				return nil, fmt.Errorf("C2 %s: %w", spec.C2, err)
-			}
-			conns = append(conns, conn)
-		}
-		return conns, nil
-	}
 	e := &engine{}
 	defer func() {
 		if err != nil {
@@ -70,24 +55,16 @@ func buildEngine(spec tenantSpec) (_ *engine, err error) {
 	var shards []core.Shard
 	var pk *paillier.PublicKey
 	if spec.Table != "" {
-		snap, err := store.ReadFile(spec.Table)
-		if err != nil {
-			return nil, err
-		}
-		table, err := core.RestoreTable(snap.PK, snap.Table)
-		if err != nil {
-			return nil, err
-		}
-		conns, err := dialC2()
-		if err != nil {
-			return nil, err
-		}
-		c1, err := core.NewCloudC1(table, conns, nil) // owns conns even on failure
+		snap, c1, err := openWorker(spec.Table, spec.C2, spec.C2Token, spec.Workers)
 		if err != nil {
 			return nil, err
 		}
 		e.worker, e.owned = c1, []io.Closer{c1}
-		pk, e.domainBits, e.clustered = snap.PK, snap.DomainBits, table.Clustered()
+		if snap.Sharded() {
+			return nil, fmt.Errorf("%s is shard %d of %d, not a whole table; serve it with sknnd shard",
+				spec.Table, snap.ShardIndex, snap.ShardCount)
+		}
+		pk, e.domainBits, e.clustered = snap.PK, snap.DomainBits, c1.Table().Clustered()
 		shards = []core.Shard{&core.LocalShard{C1: c1, Count: 1}}
 		e.desc = fmt.Sprintf("local table %s (clustered=%v)", spec.Table, e.clustered)
 	} else {
@@ -124,7 +101,7 @@ func buildEngine(spec tenantSpec) (_ *engine, err error) {
 		}
 		e.desc = fmt.Sprintf("%d workers → %d partitions", len(flat), len(shards))
 	}
-	mergeConns, err := dialC2()
+	mergeConns, err := dialC2(spec.C2, spec.C2Token, spec.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -133,6 +110,47 @@ func buildEngine(spec tenantSpec) (_ *engine, err error) {
 	}
 	e.desc += fmt.Sprintf(", C2 at %s, n=%d", spec.C2, e.coord.N())
 	return e, nil
+}
+
+// openWorker stands up the C1 worker over the snapshot at path — read
+// through store.ReadFile, the one gate a snapshot passes before a C1
+// serves it — with workers links to C2. Whether the file must be a whole
+// table or a shard is the caller's check.
+func openWorker(path, c2, c2Token string, workers int) (*store.Snapshot, *core.CloudC1, error) {
+	snap, err := store.ReadFile(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	table, err := core.RestoreTable(snap.PK, snap.Table)
+	if err != nil {
+		return nil, nil, err
+	}
+	conns, err := dialC2(c2, c2Token, workers)
+	if err != nil {
+		return nil, nil, err
+	}
+	c1, err := core.NewCloudC1(table, conns, nil) // owns conns even on failure
+	if err != nil {
+		return nil, nil, err
+	}
+	return snap, c1, nil
+}
+
+// dialC2 opens max(workers, 1) connections to C2, closing them all if
+// any dial fails.
+func dialC2(addr, token string, workers int) ([]mpc.Conn, error) {
+	conns := make([]mpc.Conn, 0, max(workers, 1))
+	for len(conns) < cap(conns) {
+		conn, err := mpc.DialAuth(addr, token)
+		if err != nil {
+			for _, c := range conns {
+				c.Close()
+			}
+			return nil, fmt.Errorf("C2 %s: %w", addr, err)
+		}
+		conns = append(conns, conn)
+	}
+	return conns, nil
 }
 
 // Close tears the coordinator down, then what it ran on.

@@ -122,6 +122,16 @@ func TestBuildEngine(t *testing.T) {
 	if err := store.WriteFile(snapPath, pk, enc.Snapshot(), l); err != nil {
 		t.Fatal(err)
 	}
+	// The same table with l one bit short, and one shard of it alone: no
+	// C1 may serve either as a whole table.
+	understatedPath := filepath.Join(t.TempDir(), "understated.snap")
+	if err := store.WriteFile(understatedPath, pk, enc.Snapshot(), l-1); err != nil {
+		t.Fatal(err)
+	}
+	shardPaths, err := store.SplitFile(snapPath, filepath.Join(t.TempDir(), "table.snap"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	parts, err := enc.Snapshot().Split(2)
 	if err != nil {
 		t.Fatal(err)
@@ -280,6 +290,8 @@ func TestBuildEngine(t *testing.T) {
 			{"table and shards", tenantSpec{Table: snapPath, Shards: shardAddrs, C2: c2Addr}, "exactly one of"},
 			{"neither", tenantSpec{C2: c2Addr}, "exactly one of"},
 			{"no C2", tenantSpec{Table: snapPath}, `missing "c2" address`},
+			{"understated l", tenantSpec{Table: understatedPath, C2: c2Addr}, store.ErrFormat.Error()},
+			{"shard file as table", tenantSpec{Table: shardPaths[0], C2: c2Addr}, "not a whole table"},
 		} {
 			eng, err := buildEngine(tc.spec)
 			if err == nil {

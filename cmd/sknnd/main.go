@@ -6,9 +6,10 @@
 //	    Alice generates her Paillier key pair.
 //
 //	sknnd encrypt -key alice.key -data data.csv -bits 8 -out table.snap [-clusters 16]
-//	    Alice encrypts her table attribute-wise for outsourcing, writing
-//	    the internal/store snapshot format; -clusters attaches the
-//	    clustered secure index at outsourcing time.
+//	    Alice encrypts her table attribute-wise for outsourcing through
+//	    sknn.New and writes it with SaveTable, the internal/store snapshot
+//	    format; -clusters selects sknn.New's clustered secure index with
+//	    that many cells.
 //
 //	sknnd c2 -key alice.key -listen :7002 [-inflight 4]
 //	    The key cloud C2: holds the secret key, serves protocol requests.
@@ -84,10 +85,9 @@ import (
 	"strings"
 	"time"
 
-	"sknn/internal/cluster"
+	"sknn"
 	"sknn/internal/core"
 	"sknn/internal/dataset"
-	"sknn/internal/mpc"
 	"sknn/internal/paillier"
 	"sknn/internal/store"
 
@@ -174,32 +174,35 @@ func cmdEncrypt(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	enc, err := core.EncryptTable(rand.Reader, &sk.PublicKey, tbl.Rows)
+	if err := encrypt(sk, tbl, *out, *clusters); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Fprintf(os.Stderr, "encrypted %d×%d table to %s\n", tbl.N(), tbl.M(), *out)
+}
+
+// encrypt is Alice's one-time setup: sknn.New over tbl — which refuses a
+// key too small for the table's l before encrypting anything — then
+// SaveTable to out. tbl.AttrBits is the declared domain (-bits), not the
+// widest value in the file; clusters > 0 selects the clustered index.
+func encrypt(sk *paillier.PrivateKey, tbl *dataset.Table, out string, clusters int) error {
+	cfg := sknn.Config{Key: sk}
+	if clusters > 0 {
+		cfg.Index, cfg.Clusters = sknn.IndexClustered, clusters
+	}
+	sys, err := sknn.New(tbl.Rows, tbl.AttrBits, cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	// -bits is the declared domain: it, not the widest value in the file,
-	// is the width the snapshot header carries.
-	if enc, err = enc.WithAttrBits(tbl.AttrBits); err != nil {
-		log.Fatal(err)
-	}
-	if *clusters > 0 {
-		// Owner-side partitioning: Alice still holds the plaintext here.
-		part, err := cluster.KMeans(tbl.Rows, *clusters, 1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		enc, err = enc.WithClusterIndex(rand.Reader, part.Centroids, part.Members)
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-	err = store.WriteFile(*out, &sk.PublicKey, enc.Snapshot(), dataset.DomainBits(tbl.AttrBits, tbl.M()))
+	defer sys.Close()
+	f, err := os.Create(out)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "encrypted %d×%d table to %s (%d clusters)\n",
-		tbl.N(), tbl.M(), *out, enc.Clusters())
+	if err := sys.SaveTable(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func cmdC2(args []string) {
@@ -348,28 +351,14 @@ func cmdShard(args []string) {
 		fs.Usage()
 		os.Exit(2)
 	}
-	snap, err := store.ReadFile(*tablePath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if !snap.Sharded() {
-		log.Fatalf("%s is a whole-table snapshot; run sknnd split first (or serve it with sknnd c1)", *tablePath)
-	}
-	table, err := core.RestoreTable(snap.PK, snap.Table)
-	if err != nil {
-		log.Fatal(err)
-	}
-	conns := make([]mpc.Conn, *workers)
-	for i := range conns {
-		if conns[i], err = mpc.DialAuth(*connect, *c2Token); err != nil {
-			log.Fatal(err)
-		}
-	}
-	c1, err := core.NewCloudC1(table, conns, nil)
+	snap, c1, err := openWorker(*tablePath, *connect, *c2Token, *workers)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer c1.Close()
+	if !snap.Sharded() {
+		log.Fatalf("%s is a whole-table snapshot; run sknnd split first (or serve it with sknnd c1)", *tablePath)
+	}
 	srv, err := core.NewShardServer(c1, snap.ShardIndex, snap.ShardCount, snap.DomainBits)
 	if err != nil {
 		log.Fatal(err)
@@ -382,7 +371,7 @@ func cmdShard(args []string) {
 		log.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "shard %d/%d replica %d (%d records, index clustered=%v) serving on %s, C2 at %s\n",
-		snap.ShardIndex, snap.ShardCount, *replica, table.N(), table.Clustered(), ln.Addr(), *connect)
+		snap.ShardIndex, snap.ShardCount, *replica, c1.Table().N(), c1.Table().Clustered(), ln.Addr(), *connect)
 	serveUntilSignal(ln, *drain, nil, func(netConn net.Conn) {
 		defer netConn.Close()
 		conn, err := guard(netConn, *token, *rate, *burst)

@@ -1,20 +1,15 @@
 // Command sknngen generates synthetic datasets with the paper's
 // parameterization (Section 5: uniform attribute values, swept n and m)
-// and writes them either as plaintext CSV for sknnquery/sknnd, or —
-// with -out — as an already-encrypted table snapshot plus its key file,
-// so the expensive attribute-wise encryption happens exactly once and
-// every later sknnquery run starts from LoadTable instead of re-running
-// Alice's setup.
+// and writes them as plaintext CSV for sknnquery and sknnd. It only
+// generates data: Alice's encrypt-once setup is sknnd keygen + sknnd
+// encrypt (+ sknnd split for a sharded deployment).
 //
 // Usage:
 //
-//	sknngen -n 2000 -m 6 -bits 8 -seed 1 -o data.csv
-//	sknngen -n 2000 -m 6 -bits 8 -seed 1 -out table.snap [-keyout table.snap.key]
-//	        [-keybits 512] [-index clustered -clusters 0] [-blobs 8]
+//	sknngen -n 2000 -m 6 -bits 8 -seed 1 [-blobs 8] [-o data.csv]
 //
 // -blobs switches the generator to clustered Gaussian-ish data (the
-// workload a clustered index is built for); -index clustered attaches
-// the secure cluster index to the snapshot at outsourcing time.
+// workload a clustered index is built for).
 package main
 
 import (
@@ -23,48 +18,21 @@ import (
 	"log"
 	"os"
 
-	"sknn"
 	"sknn/internal/dataset"
-	"sknn/internal/paillier"
-	"sknn/internal/store"
-
-	"crypto/rand"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sknngen: ")
 	var (
-		n        = flag.Int("n", 2000, "number of records")
-		m        = flag.Int("m", 6, "number of attributes")
-		bits     = flag.Int("bits", 8, "attribute domain size in bits")
-		seed     = flag.Int64("seed", 1, "generator seed (deterministic output)")
-		blobs    = flag.Int("blobs", 0, "generate this many Gaussian-ish blobs instead of uniform data (0 = uniform)")
-		out      = flag.String("o", "", "CSV output file (default stdout when -out is not given)")
-		snapOut  = flag.String("out", "", "encrypted table snapshot output file (encrypt-once workflow)")
-		keyOut   = flag.String("keyout", "", "private key output file (default: <out>.key)")
-		keyBits  = flag.Int("keybits", 512, "Paillier key size for -out")
-		index    = flag.String("index", "none", `index to attach to the snapshot: "none" or "clustered"`)
-		clusters = flag.Int("clusters", 0, "cluster count for -index clustered (0 = ⌈√n⌉)")
-		shards   = flag.Int("shards", 0, "also split the snapshot into this many shard files <out>.s<i> (0 = none)")
+		n     = flag.Int("n", 2000, "number of records")
+		m     = flag.Int("m", 6, "number of attributes")
+		bits  = flag.Int("bits", 8, "attribute domain size in bits")
+		seed  = flag.Int64("seed", 1, "generator seed (deterministic output)")
+		blobs = flag.Int("blobs", 0, "generate this many Gaussian-ish blobs instead of uniform data (0 = uniform)")
+		out   = flag.String("o", "", "CSV output file (default stdout)")
 	)
 	flag.Parse()
-
-	var indexMode sknn.IndexMode
-	switch *index {
-	case "none":
-		indexMode = sknn.IndexNone
-	case "clustered":
-		indexMode = sknn.IndexClustered
-	default:
-		log.Fatalf(`unknown -index %q (want "none" or "clustered")`, *index)
-	}
-	if indexMode == sknn.IndexClustered && *snapOut == "" {
-		log.Fatal("-index clustered only applies to snapshot output (-out)")
-	}
-	if *shards < 0 || (*shards > 0 && *snapOut == "") {
-		log.Fatal("-shards only applies to snapshot output (-out)")
-	}
 
 	var (
 		tbl *dataset.Table
@@ -79,76 +47,23 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if *out != "" || *snapOut == "" {
-		w := os.Stdout
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer func() {
-				if err := f.Close(); err != nil {
-					log.Fatal(err)
-				}
-			}()
-			w = f
-		}
-		if err := tbl.WriteCSV(w); err != nil {
+	if *out == "" {
+		if err := tbl.WriteCSV(os.Stdout); err != nil {
 			log.Fatal(err)
 		}
-		if *out != "" {
-			fmt.Fprintf(os.Stderr, "wrote %d×%d table (attrbits=%d, l=%d) to %s\n",
-				tbl.N(), tbl.M(), tbl.AttrBits, tbl.DomainBits(), *out)
-		}
-	}
-
-	if *snapOut == "" {
 		return
 	}
-	keyPath := *keyOut
-	if keyPath == "" {
-		keyPath = *snapOut + ".key"
-	}
-	sk, err := paillier.GenerateKey(rand.Reader, *keyBits)
+	f, err := os.Create(*out)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "encrypting %d×%d table (K=%d bits, index %s)...\n",
-		tbl.N(), tbl.M(), *keyBits, indexMode)
-	sys, err := sknn.New(tbl.Rows, tbl.AttrBits, sknn.Config{
-		Key:      sk,
-		Index:    indexMode,
-		Clusters: *clusters,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer sys.Close()
-	f, err := os.Create(*snapOut)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := sys.SaveTable(f); err != nil {
+	if err := tbl.WriteCSV(f); err != nil {
 		f.Close()
 		log.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
-	if err := store.WriteKeyFile(keyPath, sk); err != nil {
-		log.Fatal(err)
-	}
-	fp := store.Fingerprint(&sk.PublicKey)
-	fmt.Fprintf(os.Stderr, "wrote snapshot %s (key fingerprint %x…) and key %s\n",
-		*snapOut, fp[:6], keyPath)
-
-	if *shards > 0 {
-		paths, err := store.SplitFile(*snapOut, *snapOut, *shards)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for i, path := range paths {
-			fmt.Fprintf(os.Stderr, "wrote shard %d/%d to %s\n", i, *shards, path)
-		}
-	}
+	fmt.Fprintf(os.Stderr, "wrote %d×%d table (attrbits=%d, l=%d) to %s\n",
+		tbl.N(), tbl.M(), tbl.AttrBits, tbl.DomainBits(), *out)
 }

@@ -5,12 +5,13 @@
 //	sknngen -n 200 -m 6 -bits 8 -o data.csv
 //	sknnquery -data data.csv -bits 8 -q 17,201,90,44,3,250 -k 5 -mode secure
 //
-//	sknngen -n 200 -m 6 -bits 8 -out t.snap -index clustered
+//	sknnd keygen -bits 512 -out t.snap.key
+//	sknnd encrypt -key t.snap.key -data data.csv -bits 8 -out t.snap -clusters 14
 //	sknnquery -table t.snap -q 17,201,90,44,3,250 -k 5
 //
 // -data re-runs Alice's setup (key generation + attribute-wise
-// encryption) every time; -table loads a snapshot written by sknngen
-// -out or a previous -save, skipping both — encrypt once, query many.
+// encryption) every time; -table loads a snapshot written by sknnd
+// encrypt or a previous -save, skipping both — encrypt once, query many.
 //
 // The table is live: -delete tombstones records by stable id and
 // -insert appends freshly encrypted rows (routed obliviously to their
@@ -47,7 +48,7 @@ func main() {
 	log.SetPrefix("sknnquery: ")
 	var (
 		dataPath  = flag.String("data", "", "CSV dataset (encrypts from scratch; mutually exclusive with -table)")
-		tablePath = flag.String("table", "", "encrypted table snapshot from sknngen -out or -save (skips re-encryption)")
+		tablePath = flag.String("table", "", "encrypted table snapshot from sknnd encrypt or -save (skips re-encryption)")
 		keyPath   = flag.String("key", "", "private key file for -table (default: <table>.key)")
 		bits      = flag.Int("bits", 8, "attribute domain size in bits (-data only; snapshots carry their own)")
 		queryStr  = flag.String("q", "", "comma-separated query attributes (optional when only mutating with -save)")
@@ -167,7 +168,7 @@ func main() {
 		if *index == "none" && sys.Index() == sknn.IndexClustered {
 			log.Fatal("-index none requested but the snapshot carries a cluster index; " +
 				"clustered snapshots are always queried pruned — re-encrypt from CSV " +
-				"(sknnquery -data, or sknngen -out without -index) for a full-scan table")
+				"(sknnquery -data, or sknnd encrypt without -clusters) for a full-scan table")
 		}
 		fmt.Fprintf(os.Stderr, "loaded %d×%d snapshot (no re-encryption, index %s)\n",
 			sys.N(), sys.M(), sys.Index())

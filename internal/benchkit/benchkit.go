@@ -5,10 +5,8 @@
 package benchkit
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -88,26 +86,6 @@ func (f *Figure) Fprint(w io.Writer) error {
 		fmt.Fprintln(tw)
 	}
 	return tw.Flush()
-}
-
-// jsonDoc is the machine-readable envelope WriteJSON emits. Schema 1:
-// {"schema":1,"generated":RFC3339,"figure":{Title,XLabel,YLabel,Series}}.
-type jsonDoc struct {
-	Schema    int     `json:"schema"`
-	Generated string  `json:"generated"`
-	Figure    *Figure `json:"figure"`
-}
-
-// WriteJSON writes the figure as a machine-readable JSON document so a
-// benchmark harness (or a later PR comparing perf trajectories) can
-// diff runs without scraping tables.
-func (f *Figure) WriteJSON(path string) error {
-	doc := jsonDoc{Schema: 1, Generated: time.Now().UTC().Format(time.RFC3339), Figure: f}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 func lookup(s *Series, x float64) (float64, bool) {

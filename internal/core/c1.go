@@ -52,21 +52,21 @@ func (c *CloudC1) Workers() int { return c.pool.workers() }
 // CommStats aggregates traffic over all links and their sessions.
 func (c *CloudC1) CommStats() mpc.StatsSnapshot { return c.pool.commStats() }
 
-// NewSession leases a QuerySession spanning width links, bound to ctx
-// for the session's whole lifetime (cancel the context to abort the
-// query it runs). width <= 0 asks the scheduler to decide: a session
-// opened on an idle pool spans every link (lowest single-query latency,
-// the paper's parallel variant), while sessions opened under concurrent
-// load get an even share of the pool, narrowing toward one link per
-// query so throughput scales with in-flight queries instead. Sessions
+// NewSession leases a QuerySession bound to ctx for the session's whole
+// lifetime (cancel the context to abort the query it runs). The
+// scheduler picks its links: a session opened on an idle pool spans
+// every link (lowest single-query latency, the paper's parallel
+// variant), while sessions opened under concurrent load get an even
+// share of the pool, narrowing toward one link per query so throughput
+// scales with in-flight queries instead. Sessions
 // placed on busy links interleave safely — streams are tagged — and the
 // session must be Closed to return its capacity.
-func (c *CloudC1) NewSession(ctx context.Context, width int) (*QuerySession, error) {
+func (c *CloudC1) NewSession(ctx context.Context) (*QuerySession, error) {
 	// Capture the table view outside the pool lock (view takes the
 	// table's own read lock); the session pins this state for its whole
 	// lifetime.
 	v := c.table.view()
-	return openSession(ctx, c.pool, width, v, v.pk, v.m, v.featureM, v.attrBits)
+	return openSession(ctx, c.pool, v, v.pk, v.m, v.featureM, v.attrBits)
 }
 
 // Close drains every in-flight session, then tears the link pool down.
@@ -90,7 +90,7 @@ func (s *QuerySession) checkQuery(q EncryptedQuery) error {
 // PR as the engine. Move that workload onto the coordinator, then delete
 // both.
 func (c *CloudC1) BasicQueryMetered(ctx context.Context, q EncryptedQuery, k int) (*MaskedResult, *BasicMetrics, error) {
-	s, err := c.NewSession(ctx, 0)
+	s, err := c.NewSession(ctx)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -107,7 +107,7 @@ func (c *CloudC1) BasicQueryMetered(ctx context.Context, q EncryptedQuery, k int
 // contributes everything it has). ctx cancels the scan between rounds —
 // the coordinator aborts every shard of a canceled scatter this way.
 func (c *CloudC1) TopK(ctx context.Context, q EncryptedQuery, k, domainBits, target int, secure bool) ([]Candidate, *SecureMetrics, error) {
-	s, err := c.NewSession(ctx, 0)
+	s, err := c.NewSession(ctx)
 	if err != nil {
 		return nil, nil, err
 	}

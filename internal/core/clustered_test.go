@@ -29,8 +29,7 @@ func newClusteredSystem(t *testing.T, tbl *dataset.Table, c, workers int) (*test
 	if err != nil {
 		t.Fatal(err)
 	}
-	encTable, err = encTable.WithClusterIndex(rand.Reader, part.Centroids, part.Members)
-	if err != nil {
+	if err := encTable.SetClusterIndex(rand.Reader, part.Centroids, part.Members); err != nil {
 		t.Fatal(err)
 	}
 	return newSystemOver(t, sk, encTable, workers)
@@ -94,9 +93,6 @@ func TestClusteredTableIndexValidation(t *testing.T) {
 	}
 	good := [][]int{{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}}
 	cents := [][]uint64{{1, 1}, {2, 2}}
-	if _, err := enc.WithClusterIndex(rand.Reader, cents, good); err != nil {
-		t.Fatalf("valid index rejected: %v", err)
-	}
 	cases := []struct {
 		name    string
 		cents   [][]uint64
@@ -111,17 +107,22 @@ func TestClusteredTableIndexValidation(t *testing.T) {
 		{"missing row", cents, [][]int{{0, 1, 2, 3}, {5, 6, 7, 8, 9}}},
 	}
 	for _, c := range cases {
-		if _, err := enc.WithClusterIndex(rand.Reader, c.cents, c.members); err == nil {
+		if err := enc.SetClusterIndex(rand.Reader, c.cents, c.members); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
-	// Feature-column views drop the index: centroids are sized to the
-	// feature prefix, so the index must be attached afterwards.
-	indexed, _ := enc.WithClusterIndex(rand.Reader, cents, good)
-	if !indexed.Clustered() || indexed.Clusters() != 2 {
+	if enc.Clustered() {
+		t.Fatal("a rejected index was attached")
+	}
+	if err := enc.SetClusterIndex(rand.Reader, cents, good); err != nil {
+		t.Fatalf("valid index rejected: %v", err)
+	}
+	if !enc.Clustered() || enc.Clusters() != 2 {
 		t.Fatal("index not attached")
 	}
-	view, err := indexed.WithFeatureColumns(1)
+	// Feature-column views drop the index: centroids are sized to the
+	// feature prefix, so the index must be attached afterwards.
+	view, err := enc.WithFeatureColumns(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestSecureClusteredRequiresIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Routing a point to its nearest cluster needs centroids to rank.
-	sess, err := c1.C1.NewSession(context.Background(), 0)
+	sess, err := c1.C1.NewSession(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

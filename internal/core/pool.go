@@ -81,16 +81,16 @@ func (p *linkPool) commStats() mpc.StatsSnapshot {
 	return total
 }
 
-// lease reserves width link slots (width <= 0 lets the scheduler decide:
-// a session opened on an idle pool spans every link, sessions opened
-// under concurrent load get an even share). The caller owes a release.
+// lease reserves link slots for one session: a session opened on an
+// idle pool spans every link, sessions opened under concurrent load get
+// an even share. The caller owes a release.
 //
 // Acquisition itself never blocks — the scheduler narrows the width
 // instead of queueing — but a query whose ctx is already done must not
 // take capacity at all: it gives up here with ErrCanceled before any
 // stream opens, so canceled queries release the pool to live ones
 // immediately.
-func (p *linkPool) lease(ctx context.Context, width int) ([]int, error) {
+func (p *linkPool) lease(ctx context.Context) ([]int, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
@@ -99,20 +99,10 @@ func (p *linkPool) lease(ctx context.Context, width int) ([]int, error) {
 	if p.closed {
 		return nil, ErrCloudClosed
 	}
-	w := len(p.links)
-	if width > 0 {
-		if width < w {
-			w = width
-		}
-	} else {
-		// Auto width: split the pool evenly over the sessions that would
-		// be open, so an idle pool gives one query full fan-out while
-		// arrivals under load narrow toward one link per query.
-		w = len(p.links) / (p.active + 1)
-	}
-	if w < 1 {
-		w = 1
-	}
+	// Split the pool evenly over the sessions that would be open, so an
+	// idle pool gives one query full fan-out while arrivals under load
+	// narrow toward one link per query.
+	w := max(len(p.links)/(p.active+1), 1)
 	slots := p.leastLoadedLocked(w)
 	for _, i := range slots {
 		p.load[i]++

@@ -421,9 +421,9 @@ func TestMergeRejectsForeignLayout(t *testing.T) {
 	}
 	// The same candidates with their records attribute by attribute.
 	for i := range cands {
-		cands[i].Rec = c1.C1.Table().Record(i)
+		cands[i].Rec = c1.C1.Table().records[i]
 	}
-	s, err := c1.C1.NewSession(context.Background(), 0)
+	s, err := c1.C1.NewSession(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

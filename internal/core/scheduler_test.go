@@ -9,13 +9,12 @@ import (
 )
 
 // TestSessionScheduler checks lease widths: idle pools give a query
-// every link, busy pools narrow sessions down to one link each, and an
-// explicit width wins over the heuristic.
+// every link, busy pools narrow sessions down to one link each.
 func TestSessionScheduler(t *testing.T) {
 	tbl, _ := dataset.Generate(501, 6, 2, 3)
 	c1, _ := newSystem(t, tbl, 4)
 
-	s1, err := c1.C1.NewSession(context.Background(), 0)
+	s1, err := c1.C1.NewSession(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +23,7 @@ func TestSessionScheduler(t *testing.T) {
 	}
 	// One session is already open, so the next auto session gets an even
 	// share of the pool: 4/(1+1) = 2 links.
-	s2, err := c1.C1.NewSession(context.Background(), 0)
+	s2, err := c1.C1.NewSession(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +31,7 @@ func TestSessionScheduler(t *testing.T) {
 		t.Errorf("busy-pool session spans %d links, want 2", s2.Workers())
 	}
 	// Two open sessions: the next narrows to 4/(2+1) = 1 link.
-	s2b, err := c1.C1.NewSession(context.Background(), 0)
+	s2b, err := c1.C1.NewSession(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,36 +39,34 @@ func TestSessionScheduler(t *testing.T) {
 		t.Errorf("third session spans %d links, want 1", s2b.Workers())
 	}
 	s2b.Close()
-	s3, err := c1.C1.NewSession(context.Background(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s3.Workers() != 2 {
-		t.Errorf("explicit-width session spans %d links, want 2", s3.Workers())
-	}
-	s4, err := c1.C1.NewSession(context.Background(), 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s4.Workers() != 4 {
-		t.Errorf("oversized width spans %d links, want 4 (clamped)", s4.Workers())
-	}
 	s1.Close()
 	s2.Close()
+	s2.Close() // idempotent
+	// Every session closed: the pool is idle again and the next session
+	// spans it whole.
+	s3, err := c1.C1.NewSession(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s3.Workers() != 4 {
+		t.Errorf("session on a drained pool spans %d links, want 4", s3.Workers())
+	}
 	s3.Close()
-	s4.Close()
-	s4.Close() // idempotent
 }
 
-// TestSessionReuse runs several queries through one explicit session.
+// TestSessionReuse runs several queries through one session spanning
+// both links of a 2-link pool.
 func TestSessionReuse(t *testing.T) {
 	tbl, _ := dataset.Generate(511, 8, 2, 3)
 	c1, bob := newSystem(t, tbl, 2)
-	s, err := c1.C1.NewSession(context.Background(), 2)
+	s, err := c1.C1.NewSession(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	if s.Workers() != 2 {
+		t.Fatalf("session spans %d links, want 2", s.Workers())
+	}
 	q, _ := dataset.GenerateQuery(512, 2, 3)
 	eq, err := bob.EncryptQuery(q)
 	if err != nil {
@@ -95,14 +92,14 @@ func TestSessionReuse(t *testing.T) {
 // that Close drains an in-flight session instead of cutting its link.
 func TestCloudClosedSessions(t *testing.T) {
 	tbl, _ := dataset.Generate(521, 8, 2, 3)
-	c1, bob := newSystem(t, tbl, 2)
+	c1, bob := newSystem(t, tbl, 1)
 	q, _ := dataset.GenerateQuery(522, 2, 3)
 	eq, err := bob.EncryptQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	s, err := c1.C1.NewSession(context.Background(), 1)
+	s, err := c1.C1.NewSession(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +121,7 @@ func TestCloudClosedSessions(t *testing.T) {
 	if err := <-closeDone; err != nil {
 		t.Errorf("Close: %v", err)
 	}
-	if _, err := c1.C1.NewSession(context.Background(), 1); !errors.Is(err, ErrCloudClosed) {
+	if _, err := c1.C1.NewSession(context.Background()); !errors.Is(err, ErrCloudClosed) {
 		t.Errorf("NewSession after Close = %v, want ErrCloudClosed", err)
 	}
 	if _, _, err := c1.BasicQuery(context.Background(), eq, 1); !errors.Is(err, ErrCloudClosed) {

@@ -157,7 +157,7 @@ func TestRankClustersKeepsPairMinima(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if enc, err = enc.WithClusterIndex(rand.Reader, cents, members); err != nil {
+	if err := enc.SetClusterIndex(rand.Reader, cents, members); err != nil {
 		t.Fatal(err)
 	}
 	c1, bob := newSystemOver(t, sk, enc, 1)
@@ -165,7 +165,7 @@ func TestRankClustersKeepsPairMinima(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := c1.C1.NewSession(context.Background(), 0)
+	s, err := c1.C1.NewSession(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

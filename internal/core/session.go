@@ -53,11 +53,11 @@ type QuerySession struct {
 // lease the slots, open one tagged stream per slot — each bound to ctx —
 // and attach a requester to each. view may be nil — the selection engine
 // then runs on caller-supplied candidates only.
-func openSession(ctx context.Context, pool *linkPool, width int, view *tableView, pk *paillier.PublicKey, m, featureM, attrBits int) (*QuerySession, error) {
+func openSession(ctx context.Context, pool *linkPool, view *tableView, pk *paillier.PublicKey, m, featureM, attrBits int) (*QuerySession, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	slots, err := pool.lease(ctx, width)
+	slots, err := pool.lease(ctx)
 	if err != nil {
 		return nil, err
 	}

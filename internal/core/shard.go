@@ -218,7 +218,7 @@ func (c *ShardedC1) Close() error { return c.pool.Close() }
 // the selection engine (selectTopK / rankCandidates / reveal) runs on
 // gathered candidates, needing only the key and the table shape.
 func (c *ShardedC1) mergeSession(ctx context.Context) (*QuerySession, error) {
-	return openSession(ctx, c.pool, 0, nil, c.pk, c.m, c.featM, c.attrBits)
+	return openSession(ctx, c.pool, nil, c.pk, c.m, c.featM, c.attrBits)
 }
 
 // gather is every query's path through the coordinator, SkNNm's and

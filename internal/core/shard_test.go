@@ -306,8 +306,7 @@ func TestSplitMergeRoundTrip(t *testing.T) {
 	for i := 0; i < 24; i++ {
 		members[i%3] = append(members[i%3], i)
 	}
-	encTable, err = encTable.WithClusterIndex(rand.Reader, centroids, members)
-	if err != nil {
+	if err := encTable.SetClusterIndex(rand.Reader, centroids, members); err != nil {
 		t.Fatal(err)
 	}
 	// A couple of tombstones so Dead flags travel too.

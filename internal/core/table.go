@@ -280,27 +280,12 @@ func (t *EncryptedTable) WithAttrBits(bits int) (*EncryptedTable, error) {
 	return view, nil
 }
 
-// WithClusterIndex attaches a partitioned layout to the table: the
-// plaintext centroids (one per cluster, featureM attributes each, as
-// produced by internal/cluster at outsourcing time where the data owner
+// SetClusterIndex attaches a partitioned layout to the table, replacing
+// any index it has: the plaintext centroids (one per cluster, featureM
+// attributes each, as produced by internal/cluster where the data owner
 // holds plaintext) are encrypted under the table's key, and members
-// records the partition of row positions. The receiver's records are
-// shared, not copied. Like WithFeatureColumns this is a
-// construction-time operation; to replace the index of a live table use
-// SetClusterIndex.
-func (t *EncryptedTable) WithClusterIndex(random io.Reader, centroids [][]uint64, members [][]int) (*EncryptedTable, error) {
-	idx, err := t.buildIndex(random, centroids, members)
-	if err != nil {
-		return nil, err
-	}
-	view := t.derive()
-	//sknnlint:allow lockguard -- view is construction-time fresh from derive: unpublished, so its mutex cannot be contended yet
-	view.index = idx
-	return view, nil
-}
-
-// SetClusterIndex replaces the table's cluster index in place — the
-// owner-side re-cluster step of Compact-style maintenance. The table
+// records the partition of row positions. The owner calls it at
+// outsourcing time and again in Compact-style maintenance. The table
 // must be tombstone-free (Compact first): membership positions are
 // validated against the current physical layout.
 func (t *EncryptedTable) SetClusterIndex(random io.Reader, centroids [][]uint64, members [][]int) error {
@@ -309,7 +294,7 @@ func (t *EncryptedTable) SetClusterIndex(random io.Reader, centroids [][]uint64,
 	if t.deadN != 0 {
 		return fmt.Errorf("core: cannot rebuild cluster index with %d tombstones (Compact first)", t.deadN)
 	}
-	idx, err := t.buildIndex(random, centroids, members)
+	idx, err := t.buildIndexLocked(random, centroids, members)
 	if err != nil {
 		return err
 	}
@@ -319,12 +304,9 @@ func (t *EncryptedTable) SetClusterIndex(random io.Reader, centroids [][]uint64,
 	return nil
 }
 
-// buildIndex validates the partition and encrypts the centroids. The
-// caller guarantees exclusive access to t: SetClusterIndex holds t.mu,
-// WithClusterIndex runs at construction time before t is published.
-//
-//sknnlint:allow lockguard -- caller guarantees exclusion: SetClusterIndex holds t.mu, WithClusterIndex is construction-time on an unpublished table
-func (t *EncryptedTable) buildIndex(random io.Reader, centroids [][]uint64, members [][]int) (*clusterIndex, error) {
+// buildIndexLocked validates the partition and encrypts the centroids.
+// Caller holds t.mu.
+func (t *EncryptedTable) buildIndexLocked(random io.Reader, centroids [][]uint64, members [][]int) (*clusterIndex, error) {
 	if len(centroids) == 0 || len(centroids) != len(members) {
 		return nil, fmt.Errorf("core: cluster index with %d centroids, %d member lists",
 			len(centroids), len(members))
@@ -542,27 +524,11 @@ func (t *EncryptedTable) Clusters() int {
 	return len(t.index.centroids)
 }
 
-// ClusterMembers returns a copy of cluster j's record positions,
-// including any tombstoned ones.
-func (t *EncryptedTable) ClusterMembers(j int) []int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return append([]int(nil), t.index.members[j]...)
-}
-
 // N returns the number of live (non-tombstoned) records.
 func (t *EncryptedTable) N() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return len(t.records) - t.deadN
-}
-
-// Stored returns the number of stored records including tombstones —
-// the table's physical size until the next Compact.
-func (t *EncryptedTable) Stored() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.records)
 }
 
 // NextID returns the stable-id high-water mark: the id the next
@@ -586,28 +552,6 @@ func (t *EncryptedTable) AttrBits() int { return t.attrBits }
 
 // PK returns the public key the table is encrypted under.
 func (t *EncryptedTable) PK() *paillier.PublicKey { return t.pk }
-
-// Record returns the record stored at position i (shared, read-only).
-// Positions are unstable across Compact; use ids for durable handles.
-func (t *EncryptedTable) Record(i int) EncryptedRecord {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.records[i]
-}
-
-// RecordID returns the stable id of the record at position i.
-func (t *EncryptedTable) RecordID(i int) uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.ids[i]
-}
-
-// IsDeleted reports whether the record at position i is tombstoned.
-func (t *EncryptedTable) IsDeleted(i int) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.dead[i]
-}
 
 // tableView is the immutable per-query snapshot of the table's state:
 // slice headers captured under the read lock, plus a copy of the dead

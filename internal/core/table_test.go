@@ -22,7 +22,7 @@ func TestEncryptTableShape(t *testing.T) {
 		t.Fatalf("shape = %dx%d", tbl.N(), tbl.M())
 	}
 	// Decrypting a cell recovers the plaintext.
-	m, err := sk.Decrypt(tbl.Record(1)[2])
+	m, err := sk.Decrypt(tbl.records[1][2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +91,10 @@ func TestAttrBitsTravels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clustered, err := feat.WithClusterIndex(rand.Reader, [][]uint64{{2}, {5}}, [][]int{{0, 1}, {2, 3}})
-	if err != nil {
+	if err := feat.SetClusterIndex(rand.Reader, [][]uint64{{2}, {5}}, [][]int{{0, 1}, {2, 3}}); err != nil {
 		t.Fatal(err)
 	}
-	snap := clustered.Snapshot()
+	snap := feat.Snapshot()
 	restored, err := RestoreTable(pk, snap)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +108,7 @@ func TestAttrBitsTravels(t *testing.T) {
 		t.Fatal(err)
 	}
 	for what, got := range map[string]int{
-		"feature view": feat.AttrBits(), "clustered view": clustered.AttrBits(), "its session view": clustered.view().attrBits,
+		"clustered feature view": feat.AttrBits(), "its session view": feat.view().attrBits,
 		"snapshot": snap.AttrBits, "restored table": restored.AttrBits(),
 		"shard 0": parts[0].AttrBits, "shard 1": parts[1].AttrBits, "merged snapshot": merged.AttrBits,
 	} {
@@ -181,14 +180,14 @@ func TestLiveTableBookkeeping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id != 3 || tbl.N() != 4 || tbl.Stored() != 4 {
-		t.Fatalf("after insert: id=%d N=%d Stored=%d", id, tbl.N(), tbl.Stored())
+	if id != 3 || tbl.N() != 4 || len(tbl.records) != 4 {
+		t.Fatalf("after insert: id=%d N=%d stored=%d", id, tbl.N(), len(tbl.records))
 	}
 	if err := tbl.Delete(1); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.N() != 3 || tbl.Stored() != 4 || !tbl.IsDeleted(1) {
-		t.Fatalf("after delete: N=%d Stored=%d dead(1)=%v", tbl.N(), tbl.Stored(), tbl.IsDeleted(1))
+	if tbl.N() != 3 || len(tbl.records) != 4 || !tbl.dead[1] {
+		t.Fatalf("after delete: N=%d stored=%d dead(1)=%v", tbl.N(), len(tbl.records), tbl.dead[1])
 	}
 	if err := tbl.Delete(1); err == nil {
 		t.Error("double delete accepted")
@@ -202,17 +201,17 @@ func TestLiveTableBookkeeping(t *testing.T) {
 	if removed := tbl.Compact(); removed != 1 {
 		t.Fatalf("Compact removed %d, want 1", removed)
 	}
-	if tbl.N() != 3 || tbl.Stored() != 3 || tbl.DirtyFraction() != 0 {
-		t.Fatalf("after compact: N=%d Stored=%d dirty=%v", tbl.N(), tbl.Stored(), tbl.DirtyFraction())
+	if tbl.N() != 3 || len(tbl.records) != 3 || tbl.DirtyFraction() != 0 {
+		t.Fatalf("after compact: N=%d stored=%d dirty=%v", tbl.N(), len(tbl.records), tbl.DirtyFraction())
 	}
 	// Ids survive compaction: positions renumber, handles do not.
 	wantIDs := []uint64{0, 2, 3}
 	wantVals := []uint64{1, 3, 4}
 	for i := range wantIDs {
-		if tbl.RecordID(i) != wantIDs[i] {
-			t.Errorf("position %d id = %d, want %d", i, tbl.RecordID(i), wantIDs[i])
+		if tbl.ids[i] != wantIDs[i] {
+			t.Errorf("position %d id = %d, want %d", i, tbl.ids[i], wantIDs[i])
 		}
-		v, err := sk.Decrypt(tbl.Record(i)[0])
+		v, err := sk.Decrypt(tbl.records[i][0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,9 +234,8 @@ func TestLiveTableClusteredMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err = tbl.WithClusterIndex(rand.Reader,
-		[][]uint64{{1, 1}, {30, 30}}, [][]int{{0, 1}, {2, 3}})
-	if err != nil {
+	if err := tbl.SetClusterIndex(rand.Reader,
+		[][]uint64{{1, 1}, {30, 30}}, [][]int{{0, 1}, {2, 3}}); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := sk.PublicKey.EncryptUint64Vector(rand.Reader, []uint64{29, 29})
@@ -254,7 +252,7 @@ func TestLiveTableClusteredMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tbl.ClusterMembers(1); len(got) != 3 || got[2] != 4 {
+	if got := tbl.index.members[1]; len(got) != 3 || got[2] != 4 {
 		t.Fatalf("cluster 1 members = %v, want [2 3 4]", got)
 	}
 	// Delete a member, Compact, and the membership lists renumber.
@@ -262,7 +260,7 @@ func TestLiveTableClusteredMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl.Compact()
-	if got := tbl.ClusterMembers(1); len(got) != 2 || got[0] != 2 || got[1] != 3 {
+	if got := tbl.index.members[1]; len(got) != 2 || got[0] != 2 || got[1] != 3 {
 		t.Fatalf("cluster 1 members after compact = %v, want [2 3]", got)
 	}
 	if tbl.N() != 4 {
@@ -327,8 +325,7 @@ func TestPackedRenderingsSurviveMutation(t *testing.T) {
 	if tbl, err = tbl.WithFeatureColumns(2); err != nil {
 		t.Fatal(err)
 	}
-	tbl, err = tbl.WithClusterIndex(rand.Reader, [][]uint64{{1, 1}, {30, 30}}, [][]int{{0, 1}, {2, 3}})
-	if err != nil {
+	if err := tbl.SetClusterIndex(rand.Reader, [][]uint64{{1, 1}, {30, 30}}, [][]int{{0, 1}, {2, 3}}); err != nil {
 		t.Fatal(err)
 	}
 	const l = 12
@@ -522,7 +519,7 @@ func TestSnapshotRestoreRejectsBadState(t *testing.T) {
 		t.Error("fully tombstoned snapshot accepted")
 	}
 	badPartition := tbl.Snapshot()
-	badPartition.Centroids = []EncryptedRecord{tbl.Record(0)}
+	badPartition.Centroids = []EncryptedRecord{tbl.records[0]}
 	badPartition.Members = [][]int{{0}} // record 1 missing from the partition
 	if _, err := RestoreTable(&sk.PublicKey, badPartition); err == nil {
 		t.Error("incomplete cluster partition accepted")

@@ -37,8 +37,7 @@ func seedSnapshot(tb testing.TB, clustered, sharded bool) []byte {
 		tb.Fatal(err)
 	}
 	if clustered {
-		enc, err = enc.WithClusterIndex(rand.Reader, [][]uint64{{2, 3}, {6, 3}}, [][]int{{0, 1}, {2, 3}})
-		if err != nil {
+		if err := enc.SetClusterIndex(rand.Reader, [][]uint64{{2, 3}, {6, 3}}, [][]int{{0, 1}, {2, 3}}); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -260,8 +259,9 @@ func TestReadV1Compat(t *testing.T) {
 }
 
 // TestStoreSplitMerge covers the store-level partition algebra: lineage
-// stamping, order-insensitive Merge, and the failure modes (wrong
-// count, duplicate, re-split).
+// stamping, shard files that round-trip and merge back (through
+// core.MergeTableSnapshots, in lineage order) to the whole table, and
+// the refusal to re-split a shard.
 func TestStoreSplitMerge(t *testing.T) {
 	data := seedSnapshot(t, true, false)
 	snap, err := Read(bytes.NewReader(data))
@@ -293,28 +293,26 @@ func TestStoreSplitMerge(t *testing.T) {
 		}
 		parts[i] = back
 	}
-	// Merge accepts shards in any order (lineage orders them).
-	merged, err := Merge([]*Snapshot{parts[1], parts[0]})
+	// Read back in the reverse order, the shards still merge by lineage.
+	tables := make([]*core.TableSnapshot, len(parts))
+	for _, p := range []*Snapshot{parts[1], parts[0]} {
+		tables[p.ShardIndex] = p.Table
+	}
+	merged, err := core.MergeTableSnapshots(tables)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if merged.Sharded() || len(merged.Table.Records) != len(snap.Table.Records) {
-		t.Fatalf("merged: sharded=%v, %d records", merged.Sharded(), len(merged.Table.Records))
+	if len(merged.Records) != len(snap.Table.Records) {
+		t.Fatalf("merged: %d records, want %d", len(merged.Records), len(snap.Table.Records))
 	}
-	for i := range merged.Table.IDs {
-		if merged.Table.IDs[i] != snap.Table.IDs[i] {
+	for i := range merged.IDs {
+		if merged.IDs[i] != snap.Table.IDs[i] {
 			t.Fatalf("merged id order diverged at %d", i)
 		}
 	}
 
 	if _, err := Split(parts[0], 2); err == nil {
 		t.Error("re-splitting a shard accepted")
-	}
-	if _, err := Merge([]*Snapshot{parts[0]}); err == nil {
-		t.Error("merge of 1 of 2 shards accepted")
-	}
-	if _, err := Merge([]*Snapshot{parts[0], parts[0]}); err == nil {
-		t.Error("merge of duplicate shards accepted")
 	}
 	if got := ShardPath("t.snap", 3); got != "t.snap.s3" {
 		t.Errorf("ShardPath = %q", got)

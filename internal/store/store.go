@@ -34,6 +34,7 @@ import (
 	"os"
 
 	"sknn/internal/core"
+	"sknn/internal/dataset"
 	"sknn/internal/paillier"
 )
 
@@ -236,7 +237,7 @@ func WriteSnapshot(w io.Writer, snap *Snapshot) error {
 }
 
 // Read parses one snapshot, validating the magic, version, checksum,
-// and structural invariants. The caller still owes a VerifyKey against
+// structural invariants, and the header's domain metadata. The caller still owes a VerifyKey against
 // the key it intends to use and a core.RestoreTable (which re-validates
 // the cluster partition) before querying.
 func Read(r io.Reader) (*Snapshot, error) {
@@ -275,8 +276,17 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if m < 1 || m > maxM || featureM < 1 || featureM > m {
 		return nil, fmt.Errorf("%w: %d attributes, %d feature columns", ErrFormat, m, featureM)
 	}
-	if attrBits < 1 || attrBits > 64 || domainBits < 1 || domainBits > 512 {
-		return nil, fmt.Errorf("%w: attrBits=%d domainBits=%d", ErrFormat, attrBits, domainBits)
+	// The engine's own header invariants: a wider attribute domain would
+	// overflow the Insert domain guard and the plaintext oracle, and an
+	// understated l would re-expose the step 3(e) sentinel collision the
+	// headroom bit of dataset.DomainBits exists to prevent. A file that
+	// breaks either was not written by this engine.
+	if attrBits < 1 || attrBits > dataset.MaxAttrBits {
+		return nil, fmt.Errorf("%w: attrBits=%d outside [1,%d]", ErrFormat, attrBits, dataset.MaxAttrBits)
+	}
+	if want := dataset.DomainBits(attrBits, featureM); domainBits != want {
+		return nil, fmt.Errorf("%w: domain size l=%d inconsistent with attrBits=%d, featureM=%d (want %d)",
+			ErrFormat, domainBits, attrBits, featureM, want)
 	}
 	if n64 < 1 || n64 > maxN {
 		return nil, fmt.Errorf("%w: %d records", ErrFormat, n64)
@@ -431,11 +441,11 @@ func Read(r io.Reader) (*Snapshot, error) {
 // Split partitions a whole-table snapshot into shards shard snapshots
 // (record id mod shards — see core.TableSnapshot.Split), stamping each
 // with its lineage. No re-encryption happens: ciphertexts are shared
-// with the input. Splitting an already-split shard is rejected —
-// re-Merge first, so lineage always describes one level of partition.
+// with the input. Splitting an already-split shard is rejected, so
+// lineage always describes one level of partition.
 func Split(snap *Snapshot, shards int) ([]*Snapshot, error) {
 	if snap.Sharded() {
-		return nil, fmt.Errorf("%w: splitting shard %d of %d (Merge first)",
+		return nil, fmt.Errorf("%w: splitting shard %d of %d",
 			ErrFormat, snap.ShardIndex, snap.ShardCount)
 	}
 	parts, err := snap.Table.Split(shards)
@@ -452,53 +462,14 @@ func Split(snap *Snapshot, shards int) ([]*Snapshot, error) {
 	return out, nil
 }
 
-// Merge reassembles the shards of one partition — in any order — into a
-// whole-table snapshot. It validates that the parts form exactly one
-// partition (same count, indices 0..S−1 once each, one key, matching
-// domain metadata) before handing the tables to
-// core.MergeTableSnapshots.
-func Merge(parts []*Snapshot) (*Snapshot, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("%w: merging zero shards", ErrFormat)
-	}
-	first := parts[0]
-	if !first.Sharded() && len(parts) == 1 {
-		return first, nil
-	}
-	fp := Fingerprint(first.PK)
-	ordered := make([]*core.TableSnapshot, len(parts))
-	for _, p := range parts {
-		if p.ShardCount != len(parts) {
-			return nil, fmt.Errorf("%w: shard says the partition has %d shards, got %d files",
-				ErrFormat, p.ShardCount, len(parts))
-		}
-		if p.ShardIndex < 0 || p.ShardIndex >= len(parts) || ordered[p.ShardIndex] != nil {
-			return nil, fmt.Errorf("%w: shard index %d duplicated or out of range", ErrFormat, p.ShardIndex)
-		}
-		if Fingerprint(p.PK) != fp {
-			return nil, fmt.Errorf("%w: shard %d under a different key", ErrKeyMismatch, p.ShardIndex)
-		}
-		if p.DomainBits != first.DomainBits {
-			return nil, fmt.Errorf("%w: shard %d domain metadata disagrees", ErrFormat, p.ShardIndex)
-		}
-		ordered[p.ShardIndex] = p.Table
-	}
-	tbl, err := core.MergeTableSnapshots(ordered)
-	if err != nil {
-		return nil, err
-	}
-	return &Snapshot{PK: first.PK, DomainBits: first.DomainBits, Table: tbl}, nil
-}
-
 // ShardPath is the conventional file name of shard i split from the
-// snapshot at path: "<path>.s<i>". sknngen, sknnd split, and the CI
-// smoke topology all agree on it.
+// snapshot at path: "<path>.s<i>". sknnd split and the CI smoke
+// topology agree on it.
 func ShardPath(path string, i int) string { return fmt.Sprintf("%s.s%d", path, i) }
 
 // SplitFile reads the whole-table snapshot at path, splits it into
 // shards partitions, writes each to ShardPath(base, i), and returns
-// the written paths — the one split-to-disk sequence sknngen -shards
-// and sknnd split share.
+// the written paths — the split-to-disk sequence behind sknnd split.
 func SplitFile(path, base string, shards int) ([]string, error) {
 	snap, err := ReadFile(path)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"sknn/internal/core"
+	"sknn/internal/dataset"
 	"sknn/internal/paillier"
 )
 
@@ -36,8 +37,7 @@ func buildTable(t *testing.T, clustered, churned bool) *core.EncryptedTable {
 	if clustered {
 		cents := [][]uint64{{3, 4}, {31, 32}, {60, 61}}
 		members := [][]int{{0, 1, 2}, {3, 4}, {5}}
-		tbl, err = tbl.WithClusterIndex(rand.Reader, cents, members)
-		if err != nil {
+		if err := tbl.SetClusterIndex(rand.Reader, cents, members); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -111,8 +111,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("index shape changed: %v/%d, want %v/%d",
 				back.Clustered(), back.Clusters(), tbl.Clustered(), tbl.Clusters())
 		}
-		for j := 0; j < tbl.Clusters(); j++ {
-			a, b := tbl.ClusterMembers(j), back.ClusterMembers(j)
+		for j := range want.Members {
+			a, b := want.Members[j], got.Members[j]
 			if len(a) != len(b) {
 				t.Fatalf("cluster %d has %d members, want %d", j, len(b), len(a))
 			}
@@ -133,7 +133,7 @@ func TestSnapshotDecryptsToOriginal(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, &sk.PublicKey, tbl.Snapshot(), 8); err != nil {
+	if err := Write(&buf, &sk.PublicKey, tbl.Snapshot(), dataset.DomainBits(tbl.AttrBits(), tbl.M())); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := Read(&buf)
@@ -200,6 +200,36 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestReadRefusesForeignDomain: Read admits only the domain metadata
+// this engine writes — an l below dataset.DomainBits(attrBits, featureM)
+// would let a real distance reach SkNNm's step 3(e) sentinel, and an
+// attribute domain beyond dataset.MaxAttrBits overflows the plaintext
+// distance bound. Both files are otherwise well formed.
+func TestReadRefusesForeignDomain(t *testing.T) {
+	pk := &testKey().PublicKey
+	snap := buildTable(t, false, false).Snapshot()
+	l := dataset.DomainBits(snap.AttrBits, snap.FeatureM)
+	read := func(tbl *core.TableSnapshot, domainBits int) error {
+		var buf bytes.Buffer
+		if err := Write(&buf, pk, tbl, domainBits); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Read(&buf)
+		return err
+	}
+	if err := read(snap, l); err != nil {
+		t.Fatalf("consistent header l=%d refused: %v", l, err)
+	}
+	if err := read(snap, l-1); !errors.Is(err, ErrFormat) {
+		t.Errorf("understated l=%d: err = %v, want ErrFormat", l-1, err)
+	}
+	wide := *snap
+	wide.AttrBits = 30
+	if err := read(&wide, dataset.DomainBits(30, wide.FeatureM)); !errors.Is(err, ErrFormat) {
+		t.Errorf("attrBits=30 > %d: err = %v, want ErrFormat", dataset.MaxAttrBits, err)
+	}
 }
 
 func TestSnapshotWrongKey(t *testing.T) {

@@ -91,7 +91,7 @@ func (s *System) Insert(row []uint64) (uint64, error) {
 		}
 		// Mutations are not cancelable (a half-routed insert helps no
 		// one), so the routing session runs unbound.
-		sess, err := owner.NewSession(context.Background(), 0)
+		sess, err := owner.NewSession(context.Background())
 		if err != nil {
 			return 0, err
 		}

@@ -335,10 +335,10 @@ func TestLoadTableErrors(t *testing.T) {
 		t.Errorf("truncated: err = %v, want store.ErrTruncated", err)
 	}
 
-	// Metadata the engine's invariants forbid: attrBits beyond
-	// dataset.MaxAttrBits (would overflow the Insert domain guard) and a
-	// domain size l that disagrees with DomainBits (would re-expose the
-	// step 3(e) sentinel collision).
+	// Metadata the engine's invariants forbid, refused by store.Read on
+	// the way in: attrBits beyond dataset.MaxAttrBits (would overflow the
+	// Insert domain guard) and a domain size l that disagrees with
+	// DomainBits (would re-expose the step 3(e) sentinel collision).
 	snap, err := store.Read(bytes.NewReader(snapshot))
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"sknn/internal/core"
-	"sknn/internal/dataset"
 	"sknn/internal/paillier"
 	"sknn/internal/store"
 )
@@ -67,26 +66,11 @@ func LoadTable(r io.Reader, sk *paillier.PrivateKey, cfg Config) (*System, error
 		return nil, fmt.Errorf("sknn: %w", err)
 	}
 	if snap.Sharded() {
-		return nil, fmt.Errorf("sknn: file is shard %d of %d, not a whole table — store.Merge the partition first (or serve it with sknnd shard)",
+		return nil, fmt.Errorf("sknn: file is shard %d of %d, not a whole table — load the unsplit snapshot (or serve the shard with sknnd shard)",
 			snap.ShardIndex, snap.ShardCount)
 	}
 	if err := snap.VerifyKey(&sk.PublicKey); err != nil {
 		return nil, fmt.Errorf("sknn: %w", err)
-	}
-	// store.Read validates format-level ranges; the engine's own
-	// invariants are enforced here. attrBits beyond dataset.MaxAttrBits
-	// would overflow the Insert domain guard and the plaintext oracle,
-	// and an understated l would re-expose the step 3(e) sentinel
-	// collision the headroom bit exists to prevent — a file that
-	// disagrees with DomainBits was not written by this engine.
-	attrBits := snap.Table.AttrBits
-	if attrBits < 1 || attrBits > dataset.MaxAttrBits {
-		return nil, fmt.Errorf("sknn: snapshot attribute domain %d bits outside [1,%d]",
-			attrBits, dataset.MaxAttrBits)
-	}
-	if want := dataset.DomainBits(attrBits, snap.Table.FeatureM); snap.DomainBits != want {
-		return nil, fmt.Errorf("sknn: snapshot domain size l=%d inconsistent with attrBits=%d, featureM=%d (want %d)",
-			snap.DomainBits, attrBits, snap.Table.FeatureM, want)
 	}
 	if err := core.CheckDomainBits(&sk.PublicKey, snap.DomainBits); err != nil {
 		return nil, fmt.Errorf("sknn: %w", err)

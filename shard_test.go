@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"sknn/internal/core"
 	"sknn/internal/dataset"
 	"sknn/internal/plainknn"
 	"sknn/internal/store"
@@ -152,7 +153,8 @@ func TestShardedMutationRouting(t *testing.T) {
 
 // TestShardedCompactionIsolation churns one residue class until its
 // shard compacts and checks the other shards' physical storage is
-// untouched (their Stored count still carries the original layout).
+// untouched (their stored record count still carries the original
+// layout).
 func TestShardedCompactionIsolation(t *testing.T) {
 	const attrBits, shards = 4, 2
 	tbl, err := dataset.Generate(521, 10, 2, attrBits)
@@ -165,17 +167,17 @@ func TestShardedCompactionIsolation(t *testing.T) {
 	}
 	defer sys.Close()
 
-	stored1 := sys.tables()[1].Stored()
+	stored1 := len(sys.tables()[1].Snapshot().Records)
 	// Delete even ids only: all churn lands on shard 0.
 	for _, id := range []uint64{0, 2, 4} {
 		if err := sys.Delete(id); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := sys.tables()[0].Stored(); got != 2 {
+	if got := len(sys.tables()[0].Snapshot().Records); got != 2 {
 		t.Errorf("shard 0 stored %d records after threshold compaction, want 2", got)
 	}
-	if got := sys.tables()[1].Stored(); got != stored1 {
+	if got := len(sys.tables()[1].Snapshot().Records); got != stored1 {
 		t.Errorf("shard 1 stored %d→%d though no mutation touched it", stored1, got)
 	}
 
@@ -319,12 +321,12 @@ func TestShardedSaveLoadEquality(t *testing.T) {
 	if _, err := LoadTable(&shardFile, facadeKey(), Config{}); err == nil {
 		t.Error("LoadTable accepted a shard file")
 	}
-	merged, err := store.Merge(parts)
+	merged, err := core.MergeTableSnapshots([]*core.TableSnapshot{parts[0].Table, parts[1].Table})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var mergedFile bytes.Buffer
-	if err := store.WriteSnapshot(&mergedFile, merged); err != nil {
+	if err := store.Write(&mergedFile, snap.PK, merged, snap.DomainBits); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadTable(&mergedFile, facadeKey(), Config{Coverage: 8})

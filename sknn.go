@@ -292,8 +292,8 @@ func New(rows [][]uint64, attrBits int, cfg Config) (*System, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sknn: clustering table: %w", err)
 		}
-		encTable, err = encTable.WithClusterIndex(rand.Reader, part.Centroids, part.Members)
-		if err != nil {
+		// encTable is fresh and unpublished: index it in place.
+		if err := encTable.SetClusterIndex(rand.Reader, part.Centroids, part.Members); err != nil {
 			return nil, fmt.Errorf("sknn: attaching cluster index: %w", err)
 		}
 	}
