@@ -20,10 +20,9 @@ import (
 // runs its full multi-second course ignoring the cancel.
 const cancelReturnBound = 5 * time.Second
 
-// newCancelSystem builds a 48-record system in the given topology. 48
-// records keeps one full SkNNm scan comfortably above a second on any
-// hardware, so a cancel fired at tens of milliseconds always lands
-// mid-protocol. The clustered configs use a coverage factor that probes
+// newCancelSystem builds a 48-record system in the given topology: a full
+// SkNNm scan of some hundred round trips, tens of milliseconds on a
+// laptop core. The clustered configs use a coverage factor that probes
 // every cluster, keeping pruned results oracle-exact.
 func newCancelSystem(t *testing.T, shards int, index IndexMode) (*System, *dataset.Table) {
 	t.Helper()
@@ -109,6 +108,12 @@ func TestCancelMidProtocol(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sys, tbl := newCancelSystem(t, tc.shards, tc.index)
 			q, _ := dataset.GenerateQuery(702, 2, 4)
+			// A warm query times the protocol on this host and engine; the
+			// cancel then fires a third of the way into an identical one,
+			// mid-protocol however fast either is.
+			start := time.Now()
+			assertOracle(t, sys, tbl, q, 2)
+			full := time.Since(start)
 
 			ctx, cancel := context.WithCancel(context.Background())
 			errCh := make(chan error, 1)
@@ -116,7 +121,7 @@ func TestCancelMidProtocol(t *testing.T) {
 				_, err := sys.Query(ctx, q, WithK(2))
 				errCh <- err
 			}()
-			time.Sleep(40 * time.Millisecond) // deep inside SSED/SBD/SMINn by now
+			time.Sleep(full / 3) // deep inside the tournament by now
 			canceledAt := time.Now()
 			cancel()
 			select {

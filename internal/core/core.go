@@ -86,9 +86,13 @@ func ctxErr(ctx context.Context) error {
 // (smc.SMINValuePairsBatch): l + 1 value bits plus paillier.PackHeadroom
 // = 66 spare ones (σ = 64 of statistical blinding and two carries), in a
 // plaintext that keeps its own two top bits clear — so a K-bit key
-// carries 1 ≤ l ≤ K − 69 (and l + 1 ≤ 512, the codec's cap). Anything
-// else is ErrDomainBits at every entry point; there is no slower path to
-// drop to.
+// carries 1 ≤ l ≤ K − 69 (and l + 1 ≤ 512, the codec's cap). The same
+// bound gives every selection round its operand slot: OpMinSelect packs
+// a record chunk or a gap below 2^max(c·w, l) one to a slot at least,
+// and c·w stays under half the plaintext (rowLayoutFor). A level of the
+// tournament is l + 1 round trips, the peel's, whose last also selects.
+// Anything else is ErrDomainBits at every entry point; there is no slower
+// path to drop to.
 func CheckDomainBits(pk *paillier.PublicKey, l int) error {
 	if l < 1 {
 		return fmt.Errorf("%w: l=%d", ErrDomainBits, l)

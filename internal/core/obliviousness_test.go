@@ -2,6 +2,9 @@ package core
 
 import (
 	"context"
+	"crypto/rand"
+	"fmt"
+	"sync"
 	"testing"
 
 	"sknn/internal/dataset"
@@ -67,5 +70,146 @@ func TestSkNNmCommGrowsWithParamsOnly(t *testing.T) {
 	c3 := secureComm(t, tbl, []uint64{1, 1}, 3)
 	if c3.Rounds <= c1.Rounds {
 		t.Errorf("rounds k=3 (%d) not greater than k=1 (%d)", c3.Rounds, c1.Rounds)
+	}
+}
+
+// transcriptCloud stands up a coordinator over `shards` local workers (one
+// worker holding the whole table when shards = 1), every C1↔C2 link tapped
+// at C2's end, and returns it with Bob and a function that hands back —
+// and then forgets — what each link carried since the last call: one
+// entry per frame, the opcode with its direction and element count.
+// Links are listed in construction order (each worker's, then the
+// coordinator's), so two clouds built alike can be compared link by link.
+func transcriptCloud(t *testing.T, tbl *dataset.Table, shards int) (*ShardedC1, *Client, func() [][]string) {
+	t.Helper()
+	sk := testKey()
+	encTable, err := EncryptTable(rand.Reader, &sk.PublicKey, tbl.Rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := encTable.Snapshot().Split(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2 := NewCloudC2(sk, nil)
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var links [][]string
+	link := func() []mpc.Conn {
+		c1Side, c2Side := mpc.ChanPipe()
+		mu.Lock()
+		id := len(links)
+		links = append(links, nil)
+		mu.Unlock()
+		tapped := mpc.Tap(c2Side, func(dir mpc.Direction, m *mpc.Message) {
+			mu.Lock()
+			defer mu.Unlock()
+			links[id] = append(links[id], fmt.Sprintf("%v op=%d ints=%d", dir, m.Op, len(m.Ints)))
+		})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := c2.Serve(tapped); err != nil {
+				t.Errorf("C2 serve loop: %v", err)
+			}
+		}()
+		return []mpc.Conn{c1Side}
+	}
+	var c1s []*CloudC1
+	var workers []Shard
+	for i, part := range parts {
+		shardTable, err := RestoreTable(&sk.PublicKey, part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c1, err := NewCloudC1(shardTable, link(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c1s = append(c1s, c1)
+		workers = append(workers, &LocalShard{C1: c1, Index: i, Count: shards})
+	}
+	coord, err := NewShardedC1(workers, link(), &sk.PublicKey, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		coord.Close()
+		for _, c1 := range c1s {
+			c1.Close()
+		}
+		wg.Wait()
+	})
+	take := func() [][]string {
+		mu.Lock()
+		defer mu.Unlock()
+		out := links
+		links = make([][]string, len(out))
+		return out
+	}
+	take() // the handshakes
+	return coord, NewClient(&sk.PublicKey, nil), take
+}
+
+// TestSkNNmTranscriptShapeIsDataIndependent pins the transcript itself,
+// not just its totals: on every C1↔C2 link, the sequence of frames —
+// opcode, direction and element count, round by round — is the same for
+// two tables and for queries at opposite corners of the domain. It covers
+// the shapes where the selection's bookkeeping branches: an odd n, whose
+// lone leaf rides every OpMinSelect like a paired one; k = n, which
+// drives pair minima to the sentinel; and a 2-shard merge over seeded
+// lists. An operand count or a frame that depended on the data — on which
+// leaf won, or on how its pair compared — would show up here.
+func TestSkNNmTranscriptShapeIsDataIndependent(t *testing.T) {
+	const m, bits = 2, 3
+	cases := []struct {
+		name      string
+		n, k, shr int
+	}{
+		{"odd n", 5, 2, 1},
+		{"k = n", 4, 4, 1},
+		{"2-shard merge", 7, 3, 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var want [][]string
+			for _, run := range []struct {
+				seed int64
+				q    []uint64
+			}{
+				{901, []uint64{0, 0}},
+				{901, []uint64{7, 7}},
+				{902, []uint64{3, 4}},
+			} {
+				tbl, err := dataset.Generate(run.seed, tc.n, m, bits)
+				if err != nil {
+					t.Fatal(err)
+				}
+				coord, bob, take := transcriptCloud(t, tbl, tc.shr)
+				eq, err := bob.EncryptQuery(run.q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, _, err := coord.SecureQuery(context.Background(), eq, tc.k, tbl.DomainBits(), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows, err := bob.Unmask(res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertMatchesOracle(t, tbl, run.q, tc.k, rows)
+				got := take()
+				if want == nil {
+					want = got
+					continue
+				}
+				for l := range want {
+					if fmt.Sprint(got[l]) != fmt.Sprint(want[l]) {
+						t.Errorf("table %d, query %v: link %d carried\n%v\nwant\n%v", run.seed, run.q, l, got[l], want[l])
+					}
+				}
+			}
+		})
 	}
 }

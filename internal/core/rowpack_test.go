@@ -36,7 +36,7 @@ func TestRowLayoutFor(t *testing.T) {
 		{256, 3, 49, RowLayout{Cols: 2, Bits: 24}, 2},  // attrBits = 24
 		{256, 1, 6, RowLayout{Cols: 1, Bits: 3}, 1},    // m = 1
 		{256, 4, 150, RowLayout{Cols: 1, Bits: 75}, 4}, // a column wider than the operand
-		{128, 4, 6, RowLayout{Cols: 1, Bits: 3}, 4},    // key too small to pack an SM pair
+		{128, 4, 6, RowLayout{Cols: 1, Bits: 3}, 4},    // key too small to pack two columns
 	}
 	for _, tc := range cases {
 		pk := &testkit.Key(tc.keyBits).PublicKey
@@ -46,7 +46,7 @@ func TestRowLayoutFor(t *testing.T) {
 				tc.keyBits, tc.m, tc.l, got, got.Chunks(tc.m), tc.want, tc.chunks)
 		}
 		if got.Cols > 1 && got.Cols*got.Bits > smc.SMPackOperandBits(pk) {
-			t.Errorf("K=%d m=%d l=%d: a %d-bit chunk does not ride the packed SM uplink", tc.keyBits, tc.m, tc.l, got.Cols*got.Bits)
+			t.Errorf("K=%d m=%d l=%d: a %d-bit chunk is wider than SMPackOperandBits", tc.keyBits, tc.m, tc.l, got.Cols*got.Bits)
 		}
 	}
 }

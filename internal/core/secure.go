@@ -26,9 +26,9 @@ type SecureMetrics struct {
 	Distance time.Duration // SSED over the candidate records
 	BitDecom time.Duration // always zero: no candidate is decomposed outside SMINn (see candidateDistances)
 	SMINn    time.Duration // sum over the k SMINn invocations
-	Select   time.Duration // τ/β blinding + C2 one-hot (step 3(b)-(c))
-	Extract  time.Duration // oblivious record extraction (step 3(d))
-	Exclude  time.Duration // SBOR disqualification (step 3(e))
+	Select   time.Duration // the OpMinSelect round: τ blinding, operand packing, C2's one-hot select and products (steps 3(b)–(e) on the wire)
+	Extract  time.Duration // C1 unblinding the extracted record (step 3(d)), plus rendering rows not yet in the row layout
+	Exclude  time.Duration // C1 unblinding the disqualification products (step 3(e))
 	Reveal   time.Duration // masked result delivery
 	Comm     mpc.StatsSnapshot
 
@@ -321,8 +321,8 @@ func (s *QuerySession) candidateDistances(q EncryptedQuery, domainBits int, idx 
 
 // selectTopK is the k-round selection loop of Algorithm 6 (steps 3(a)
 // through 3(e)) over pre-computed candidate distances: value-domain
-// SMINn, blinded min-select, oblivious record extraction, SM
-// disqualification. It is deliberately table-agnostic — candidates are
+// SMINn, then one OpMinSelect round that selects, extracts and
+// disqualifies. It is deliberately table-agnostic — candidates are
 // (distance, record) pairs, each record in the session's row layout
 // (rowLayout: ⌈m/c⌉ chunks of c slot-packed columns, or the m attribute
 // ciphertexts when c = 1) — so the same engine selects from a shard's
@@ -338,6 +338,13 @@ func (s *QuerySession) candidateDistances(q EncryptedQuery, domainBits int, idx 
 // every candidate (SSED's output, or a gathered Candidate.Dist) and is
 // not modified.
 //
+// Steps 3(b)–(e) are one round trip because every product they need has
+// the one-hot selector as a factor, and C2 holds that selector in the
+// clear the moment it picks it: C1 sends the other factors along with
+// the blinded differences, short-blinded and packed (smc.PackBlinded),
+// and C2 answers with the products (handleMinSelect). Nothing is
+// computed twice and no SM round remains.
+//
 // The tournament keeps its bottom level across rounds. Its units are
 // adjacent pairs of candidates, each holding E(min) of the pair's
 // current distances, plus a lone candidate where a run is odd. runs nil
@@ -345,13 +352,12 @@ func (s *QuerySession) candidateDistances(q EncryptedQuery, domainBits int, idx 
 // compares the pairs and keeps the minima. Otherwise runs are the
 // lengths of consecutive rank-ordered lists (a merge's shard results),
 // whose pairs are seeded without a comparison — the first entry is the
-// minimum. Every round's SMINn then runs over the units,
-// and the disqualification, which already multiplies Vᵢ into n gaps in
-// one frame, moves each pair's minimum to its runner-up in the same
-// frame: minₚ += (V₂ₚ + V₂ₚ₊₁)·(d₂ₚ + d₂ₚ₊₁ − 2·minₚ), the loser minus
-// the winner when the pair holds this round's pick and zero otherwise.
-// Which of two tied leaves went is OpMinSelect's uniform choice, and
-// either leaves the same minimum behind.
+// minimum. Every round's SMINn then runs over the units, and the
+// disqualification moves each pair's minimum to its runner-up: minₚ +=
+// (V₂ₚ + V₂ₚ₊₁)·(d₂ₚ + d₂ₚ₊₁ − 2·minₚ), the loser minus the winner when
+// the pair holds this round's pick and zero otherwise, as the sum of one
+// per-position product each. Which of two tied leaves went is
+// OpMinSelect's uniform choice, and either leaves the same minimum behind.
 func (s *QuerySession) selectTopK(records [][]*paillier.Ciphertext, dists []*paillier.Ciphertext, runs []int, k, domainBits int, metrics *SecureMetrics) ([]Candidate, error) {
 	pk := s.pk
 	n := len(records)
@@ -363,6 +369,9 @@ func (s *QuerySession) selectTopK(records [][]*paillier.Ciphertext, dists []*pai
 	}
 	layout := s.rowLayout(domainBits)
 	chunks := layout.Chunks(s.m) // ciphertexts per record; callers hand records over in this layout
+	// One slot width for every operand OpMinSelect carries: a record chunk
+	// is below 2^(Cols·Bits), a disqualification gap below 2^l.
+	valueBits := max(layout.Cols*layout.Bits, domainBits)
 	// The round's composed distances E(dᵢ), carried from round to round:
 	// the disqualification below rewrites each winner in place.
 	ds := make([]*paillier.Ciphertext, n)
@@ -403,130 +412,148 @@ func (s *QuerySession) selectTopK(records [][]*paillier.Ciphertext, dists []*pai
 		metrics.SMINCount += n - 1
 		metrics.SMINn += time.Since(phase)
 
-		// Step 3(b)-(c): τᵢ = E(rᵢ·(dmin−dᵢ)), permute, and ask C2 for the
-		// one-hot selector U. The permutation is fresh per iteration and
-		// lives only on this session.
+		// Steps 3(b)–(e) in one OpMinSelect round: τᵢ = E(rᵢ·(dmin−dᵢ)) under
+		// a fresh permutation (it lives only on this session), and per
+		// permuted position the record's chunks and — before every round
+		// but the last — its two disqualification gaps.
 		phase = time.Now()
+		each := 2
+		if iter == k-1 {
+			each = 0 // nothing consumes the update after the last pick
+		}
 		perm, err := smc.NewPermutation(s.primary().Rand(), n)
 		if err != nil {
 			return nil, fmt.Errorf("core: iteration %d permutation: %w", iter+1, err)
 		}
 		permuted := make([]*paillier.Ciphertext, n)
-		for i := range permuted {
-			permuted[i] = ds[perm[i]]
+		for j := range permuted {
+			permuted[j] = ds[perm[j]]
 		}
 		tauP, err := s.blindDiffs(encMin, permuted)
 		if err != nil {
 			return nil, fmt.Errorf("core: iteration %d blind: %w", iter+1, err)
 		}
-		resp, err := mpc.RoundTrip(s.primary().Conn(), &mpc.Message{Op: OpMinSelect, Ints: tauP})
+		groups, rhos, err := s.primary().PackBlinded(selectOperands(pk, records, ds, units, perm, each, domainBits), valueBits)
+		if err != nil {
+			return nil, fmt.Errorf("core: iteration %d operands: %w", iter+1, err)
+		}
+		payload := make([]*big.Int, 0, 4+n+len(groups))
+		payload = append(payload, big.NewInt(int64(n)), big.NewInt(int64(chunks)), big.NewInt(int64(each)), big.NewInt(int64(valueBits)))
+		payload = append(append(payload, tauP...), groups...)
+		resp, err := mpc.RoundTrip(s.primary().Conn(), &mpc.Message{Op: OpMinSelect, Ints: payload})
 		if err != nil {
 			return nil, fmt.Errorf("core: iteration %d min-select: %w", iter+1, err)
 		}
-		if len(resp.Ints) != n {
+		if want := n + chunks + n*each; len(resp.Ints) != want {
 			return nil, fmt.Errorf("%w: min-select reply has %d ints, want %d",
-				ErrBadFrame, len(resp.Ints), n)
+				ErrBadFrame, len(resp.Ints), want)
 		}
-		// V = π⁻¹(U).
-		v := make([]*paillier.Ciphertext, n)
-		for i := 0; i < n; i++ {
-			ct, err := pk.FromRaw(resp.Ints[i])
-			if err != nil {
-				return nil, fmt.Errorf("core: iteration %d U[%d]: %w", iter+1, i, err)
+		reply := make([]*paillier.Ciphertext, len(resp.Ints))
+		for i, raw := range resp.Ints {
+			if reply[i], err = pk.FromRaw(raw); err != nil {
+				return nil, fmt.Errorf("core: iteration %d min-select reply %d: %w", iter+1, i, err)
 			}
-			v[perm[i]] = ct
 		}
+		// U in permuted order, inverted once for every blind to strip:
+		// Uⱼ·(x + ρ) − ρ·Uⱼ = Uⱼ·x.
+		invU := pk.InvMany(reply[:n])
 		metrics.Select += time.Since(phase)
 
-		// Step 3(d): oblivious extraction — every chunk g of the winner is
-		// E(P′_g) = Πᵢ SM(Vᵢ, E(P_{i,g})): n·⌈m/c⌉ products where the
-		// paper's per-attribute form pays n·m. V is one-hot, so the sum is
-		// the winner's chunk bit for bit and its slots never carry. Vᵢ is
-		// a bit and a chunk holds c columns below 2^w, so the products ride
-		// the packed SM uplink under that bound.
+		// Step 3(d): the winner's chunks, E(x_{w,g} + ρ_{w,g}) from C2, less
+		// Σⱼ ρ_{j,g}·Uⱼ = ρ_{w,g} — V is one-hot, so the sum is the winner's
+		// chunk bit for bit and its slots never carry.
 		phase = time.Now()
-		// Per-worker partial chunk sums, combined at the end.
-		partials := make([]EncryptedRecord, len(s.rqs))
-		err = s.parallelOverRecords(n, func(w int, rq *smc.Requester, lo, hi int) error {
-			sel := make([]*paillier.Ciphertext, 0, (hi-lo)*chunks)
-			rec := make([]*paillier.Ciphertext, 0, (hi-lo)*chunks)
-			for i := lo; i < hi; i++ {
-				for _, ct := range records[i] {
-					sel = append(sel, v[i])
-					rec = append(rec, ct)
-				}
+		per := chunks + each
+		record := make(EncryptedRecord, chunks)
+		strip := stripBlinds(pk, invU, rhos, per, 0, chunks)
+		for g := range record {
+			terms := []*paillier.Ciphertext{reply[n+g]}
+			for j := 0; j < n; j++ {
+				terms = append(terms, strip[j*chunks+g])
 			}
-			prods, err := rq.SMBatchBounded(sel, rec, 1, layout.Cols*layout.Bits)
-			if err != nil {
-				return fmt.Errorf("core: extract chunk [%d,%d): %w", lo, hi, err)
-			}
-			partials[w] = sumRecords(pk, nil, prods, chunks)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		var record EncryptedRecord
-		for _, part := range partials {
-			record = sumRecords(pk, record, part, chunks)
+			record[g] = pk.Product(terms)
 		}
 		selected = append(selected, Candidate{Dist: encMin, Rec: record})
 		metrics.Extract += time.Since(phase)
+		if each == 0 {
+			break
+		}
 
 		// Step 3(e): oblivious disqualification, driving the winner's
 		// distance to the 2^l − 1 sentinel (strictly above any real
-		// distance thanks to the DomainBits headroom bit): dᵢ +=
-		// Vᵢ·(2^l−1−dᵢ) — n secure multiplications where the paper's bit
-		// form pays n·l SBORs — and, in the same frame, one product per
-		// pair unit moving its minimum to the runner-up (see above). Both
-		// gaps are below 2^l, so the products ride the packed SM uplink
-		// under the domain bound. A lone leaf is its own unit's minimum.
-		// Skipped after the final iteration (nothing consumes the update).
-		if iter == k-1 {
-			break
-		}
+		// distance thanks to the DomainBits headroom bit) — dᵢ +=
+		// Vᵢ·(2^l−1−dᵢ), n products where the paper's bit form pays n·l
+		// SBORs — and each pair unit's minimum to its runner-up (see
+		// above): the sum of its two leaves' unit-gap products. A lone leaf
+		// is its own unit's minimum.
 		phase = time.Now()
-		sentinel := new(big.Int).Lsh(big.NewInt(1), uint(domainBits))
-		sentinel.Sub(sentinel, big.NewInt(1))
-		err = s.parallelOverRecords(len(units), func(_ int, rq *smc.Requester, lo, hi int) error {
-			first, end := units[lo].a, units[hi-1].last()+1 // a chunk of units is a run of leaves
-			sel := make([]*paillier.Ciphertext, 0, end-first+hi-lo)
-			gaps := make([]*paillier.Ciphertext, 0, end-first+hi-lo)
-			for i := first; i < end; i++ {
-				sel = append(sel, v[i])
-				gaps = append(gaps, pk.AddPlain(pk.Neg(ds[i]), sentinel))
+		strip = stripBlinds(pk, invU, rhos, per, chunks, each)
+		gain := make([]*paillier.Ciphertext, n) // leaf i's unit-gap product Vᵢ·gap
+		for j, i := range perm {
+			prods := reply[n+chunks+j*each:]
+			ds[i] = pk.Add(ds[i], pk.Add(prods[0], strip[j*each]))
+			gain[i] = pk.Add(prods[1], strip[j*each+1])
+		}
+		for u := range units {
+			if units[u].b >= 0 {
+				units[u].min = pk.Product([]*paillier.Ciphertext{units[u].min, gain[units[u].a], gain[units[u].b]})
+			} else {
+				units[u].min = ds[units[u].a]
 			}
-			for _, u := range units[lo:hi] {
-				if u.b >= 0 {
-					sel = append(sel, pk.Add(v[u.a], v[u.b]))
-					gaps = append(gaps, pk.Sub(pk.Add(ds[u.a], ds[u.b]), pk.Add(u.min, u.min)))
-				}
-			}
-			prods, err := rq.SMBatchBounded(sel, gaps, 1, domainBits)
-			if err != nil {
-				return fmt.Errorf("core: exclude units [%d,%d): %w", lo, hi, err)
-			}
-			for i := first; i < end; i++ {
-				ds[i] = pk.Add(ds[i], prods[i-first])
-			}
-			p := end - first
-			for u := lo; u < hi; u++ {
-				if units[u].b >= 0 {
-					units[u].min = pk.Add(units[u].min, prods[p])
-					p++
-				} else {
-					units[u].min = ds[units[u].a]
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
 		metrics.Exclude += time.Since(phase)
 	}
 
 	return selected, nil
+}
+
+// selectOperands lists, per permuted position j = 0…n−1, the operands an
+// OpMinSelect round multiplies by Uⱼ: the record chunks of leaf
+// i = perm[j] and, when each = 2, its sentinel gap 2^l − 1 − dᵢ and its
+// unit's gap, d_a + d_b − 2·min for a pair and d_a − min = 0 for a lone
+// leaf. Every gap is below 2^l.
+func selectOperands(pk *paillier.PublicKey, records [][]*paillier.Ciphertext, ds []*paillier.Ciphertext, units []unit, perm []int, each, l int) []*paillier.Ciphertext {
+	n := len(ds)
+	var sentGap, unitGap []*paillier.Ciphertext
+	if each > 0 {
+		sentinel := new(big.Int).Lsh(big.NewInt(1), uint(l))
+		sentinel.Sub(sentinel, big.NewInt(1))
+		sentGap = pk.InvMany(ds)
+		for i, neg := range sentGap {
+			sentGap[i] = pk.AddPlain(neg, sentinel)
+		}
+		unitGap = make([]*paillier.Ciphertext, n)
+		for u, negMin := range pk.InvMany(unitMins(units)) {
+			a, b := units[u].a, units[u].b
+			gap := pk.Add(ds[a], negMin)
+			if b >= 0 {
+				gap = pk.Product([]*paillier.Ciphertext{gap, ds[b], negMin})
+				unitGap[b] = gap
+			}
+			unitGap[a] = gap
+		}
+	}
+	ops := make([]*paillier.Ciphertext, 0, n*(len(records[0])+each))
+	for _, i := range perm {
+		ops = append(ops, records[i]...)
+		if each > 0 {
+			ops = append(ops, sentGap[i], unitGap[i])
+		}
+	}
+	return ops
+}
+
+// stripBlinds returns Inv(Uⱼ)^ρ — E(−ρ·Uⱼ) — for every position j and
+// its operands lo … lo+count−1 of the per laid end to end, position by
+// position, the exponentiations spread over idle cores.
+func stripBlinds(pk *paillier.PublicKey, invU []*paillier.Ciphertext, rhos []*big.Int, per, lo, count int) []*paillier.Ciphertext {
+	out := make([]*paillier.Ciphertext, len(invU)*count)
+	_ = paillier.ForEach(len(out), func(t int) error { // cannot fail
+		j, e := t/count, t%count
+		out[t] = pk.ScalarMul(invU[j], rhos[j*per+lo+e])
+		return nil
+	})
+	return out
 }
 
 // TopK is the worker's half of a query: the scan — pruned when the
@@ -589,9 +616,9 @@ func (s *QuerySession) TopK(q EncryptedQuery, k, domainBits, target int, secure 
 // seeds its pairs from that order instead of comparing them. That trusts
 // the semi-honest shards the merge already trusts for their distances: a
 // list out of order gives a wrong answer or a failed min-select, and its
-// negative seeded gap still reaches C2 only under the σ-statistical
-// blind of the packed SM uplink. k is clamped to the candidates the lists
-// hold.
+// negative seeded gap still reaches C2 only as one more OpMinSelect
+// operand, packed under a σ-statistical blind. k is clamped to the
+// candidates the lists hold.
 func (s *QuerySession) mergeCandidates(lists [][]Candidate, k, domainBits int, metrics *SecureMetrics) ([]Candidate, error) {
 	chunks := s.rowLayout(domainBits).Chunks(s.m)
 	var records [][]*paillier.Ciphertext
@@ -640,28 +667,12 @@ func (s *QuerySession) blindDiffs(encMin *paillier.Ciphertext, ds []*paillier.Ci
 	return taus, nil
 }
 
-// sumRecords adds, chunk by chunk, the records laid end to end in prods
-// (each chunks ciphertexts long) into acc, which may be nil.
-func sumRecords(pk *paillier.PublicKey, acc EncryptedRecord, prods []*paillier.Ciphertext, chunks int) EncryptedRecord {
-	for i, ct := range prods {
-		if g := i % chunks; len(acc) <= g {
-			acc = append(acc, ct)
-		} else {
-			acc[g] = pk.Add(acc[g], ct)
-		}
-	}
-	return acc
-}
-
 // unit is one entry of the tournament's kept bottom level: leaves a and
 // b (b < 0 for a lone leaf) and min, E(min) of their current distances.
 type unit struct {
 	a, b int
 	min  *paillier.Ciphertext
 }
-
-// last is the unit's highest leaf.
-func (u unit) last() int { return max(u.a, u.b) }
 
 // comparedUnits pairs adjacent leaves of ds — an odd last one stands
 // alone — and compares every pair: the first level of ds's tournament,
@@ -729,7 +740,7 @@ func withoutLeaf(units []unit, i int, ds []*paillier.Ciphertext) []unit {
 
 // sminnLevel is one level of SMINn's tournament over composed distances:
 // live[2p] against live[2p+1] for every pair, compared in the value
-// domain (smc.SMINValuePairsBatch, l+2 round trips however many pairs)
+// domain (smc.SMINValuePairsBatch, l+1 round trips however many pairs)
 // and spread across the session's streams, and an odd last entry passed
 // up as it is. l must satisfy CheckDomainBits; every entry point does.
 func (s *QuerySession) sminnLevel(live []*paillier.Ciphertext, l int) ([]*paillier.Ciphertext, error) {
@@ -738,7 +749,7 @@ func (s *QuerySession) sminnLevel(live []*paillier.Ciphertext, l int) ([]*pailli
 	if len(live)%2 == 1 {
 		next[pairs] = live[len(live)-1]
 	}
-	err := s.parallelOverRecords(pairs, func(_ int, rq *smc.Requester, lo, hi int) error {
+	err := s.parallelOverRecords(pairs, func(rq *smc.Requester, lo, hi int) error {
 		batch := make([]smc.SMINValuePair, hi-lo)
 		for p := lo; p < hi; p++ {
 			batch[p-lo] = smc.SMINValuePair{A: live[2*p], B: live[2*p+1]}

@@ -15,11 +15,12 @@ import (
 func ceilLog2(x int) int { return bits.Len(uint(x - 1)) }
 
 // scanRounds is the engine's round count for a full scan of n candidates
-// on one link: 1 SSED + Σₜ [Lₜ·(l+2) + min-select + extraction + a
-// disqualification before every round but the last] + 1 reveal. A
-// tournament level is l+2 round trips (l+1 peel rounds and one packed
-// SM); the first round's tournament runs all ⌈log₂ n⌉ levels, later
-// ones start from the ⌈n/2⌉ pair minima it kept.
+// on one link: 1 SSED + Σₜ [Lₜ·(l+1) + 1 OpMinSelect] + 1 reveal. A
+// tournament level is l+1 round trips — the peel's rounds, the last of
+// which also selects each pair's minimum — and the select, extraction
+// and disqualification of a round share its one OpMinSelect frame; the
+// first round's tournament runs all ⌈log₂ n⌉ levels, later ones start
+// from the ⌈n/2⌉ pair minima it kept.
 func scanRounds(n, k, l int) int {
 	rounds := 1 + 1
 	for t := 1; t <= k; t++ {
@@ -27,10 +28,7 @@ func scanRounds(n, k, l int) int {
 		if t == 1 {
 			levels = ceilLog2(n)
 		}
-		rounds += levels*(l+2) + 2
-		if t < k {
-			rounds++
-		}
+		rounds += levels*(l+1) + 1
 	}
 	return rounds
 }
@@ -79,15 +77,14 @@ func TestSelectionCostModel(t *testing.T) {
 
 // mergeRounds is the coordinator's round count for one seeded merge over
 // rank-ordered lists of the given lengths: every round's tournament runs
-// over the Σ⌈rᵢ/2⌉ seeded units (no comparison builds them), then
-// min-select and extraction, and a disqualification before every round
-// but the last.
+// over the Σ⌈rᵢ/2⌉ seeded units (no comparison builds them), l+1 round
+// trips a level, then one OpMinSelect.
 func mergeRounds(lists []int, k, l int) int {
 	units := 0
 	for _, r := range lists {
 		units += (r + 1) / 2
 	}
-	return k*(ceilLog2(units)*(l+2)+2) + k - 1
+	return k * (ceilLog2(units)*(l+1) + 1)
 }
 
 // TestMergeCostModel pins the gather at S ∈ {3, 4}: however the shard
@@ -138,7 +135,7 @@ func TestMergeCostModel(t *testing.T) {
 // clusters compares over the four pair minima it kept from the first
 // ranking round, so rounds two and three run ⌈log₂ 4⌉ = 2 tournament
 // levels where the seven and six live centroids would take 3 — one level,
-// l + 2 round trips, fewer each — and still pick the nearest clusters in
+// l + 1 round trips, fewer each — and still pick the nearest clusters in
 // order.
 func TestRankClustersKeepsPairMinima(t *testing.T) {
 	const c = 8
@@ -182,9 +179,9 @@ func TestRankClustersKeepsPairMinima(t *testing.T) {
 		t.Errorf("chose clusters %v, want the three nearest in order, [7 6 5]", chosen)
 	}
 	// SSED, then per round its tournament levels and one min-index.
-	want := int64(1 + (3*(l+2) + 1) + 2*(2*(l+2)+1))
+	want := int64(1 + (3*(l+1) + 1) + 2*(2*(l+1)+1))
 	if got := s.CommStats().Sub(before).Rounds; got != want {
-		t.Errorf("ranking took %d round trips, want %d (all-leaves tournaments: %d)", got, want, want+int64(2*(l+2)))
+		t.Errorf("ranking took %d round trips, want %d (all-leaves tournaments: %d)", got, want, want+int64(2*(l+1)))
 	}
 	if wantSMIN := 7 + 6 + 5; metrics.SMINCount != wantSMIN {
 		t.Errorf("SMINCount = %d, want %d", metrics.SMINCount, wantSMIN)

@@ -81,9 +81,9 @@ func (s *QuerySession) ctxErr() error { return ctxErr(s.ctx) }
 
 // rowLayoutFor is the layout m-column records under pk travel in when
 // every column is below 2^bits — the table's attribute width for SkNNb —
-// as many columns per chunk as one operand of the packed SM uplink holds
-// (SkNNm's extraction multiplies chunks; SkNNb's reveal keeps the rule);
-// per-attribute when fewer than two columns fit.
+// as many columns per chunk as smc.SMPackOperandBits allows (SkNNm's
+// extraction multiplies chunks, one OpMinSelect slot each; SkNNb's reveal
+// keeps the rule); per-attribute when fewer than two columns fit.
 func rowLayoutFor(pk *paillier.PublicKey, m, bits int) RowLayout {
 	if c := min(m, smc.SMPackOperandBits(pk)/bits); c > 1 {
 		return RowLayout{Cols: c, Bits: bits}
@@ -148,13 +148,11 @@ func (s *QuerySession) chunks(n int) []chunk {
 }
 
 // parallelOverRecords runs fn once per chunk, each chunk on its own
-// worker w (an index into the session's requesters, for per-worker
-// result buffers) with that worker's requester, and returns the first
-// error.
-func (s *QuerySession) parallelOverRecords(n int, fn func(w int, rq *smc.Requester, lo, hi int) error) error {
+// worker's requester, and returns the first error.
+func (s *QuerySession) parallelOverRecords(n int, fn func(rq *smc.Requester, lo, hi int) error) error {
 	cks := s.chunks(n)
 	if len(cks) == 1 {
-		return fn(cks[0].worker, s.rqs[cks[0].worker], cks[0].lo, cks[0].hi)
+		return fn(s.rqs[cks[0].worker], cks[0].lo, cks[0].hi)
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, len(cks))
@@ -162,7 +160,7 @@ func (s *QuerySession) parallelOverRecords(n int, fn func(w int, rq *smc.Request
 		wg.Add(1)
 		go func(i int, ck chunk) {
 			defer wg.Done()
-			errs[i] = fn(ck.worker, s.rqs[ck.worker], ck.lo, ck.hi)
+			errs[i] = fn(s.rqs[ck.worker], ck.lo, ck.hi)
 		}(i, ck)
 	}
 	wg.Wait()
@@ -183,7 +181,7 @@ func (s *QuerySession) parallelOverRecords(n int, fn func(w int, rq *smc.Request
 // codec — they take the classic one.
 func (s *QuerySession) distancesOf(q EncryptedQuery, rows [][]*paillier.Ciphertext, packed *smc.PackedRows) ([]*paillier.Ciphertext, error) {
 	out := make([]*paillier.Ciphertext, len(rows))
-	err := s.parallelOverRecords(len(rows), func(_ int, rq *smc.Requester, lo, hi int) error {
+	err := s.parallelOverRecords(len(rows), func(rq *smc.Requester, lo, hi int) error {
 		var ds []*paillier.Ciphertext
 		var err error
 		if packed != nil {

@@ -155,7 +155,8 @@ func BenchmarkSBORBatch(b *testing.B) {
 }
 
 // BenchmarkMSBOncePacked times one bit peel of the value-domain SMIN —
-// L rounds against a C2 that built no tables, as a daemon's does — at
+// L rounds against a C2 that built no tables, as a daemon's does, the
+// last carrying one select operand per value — at
 // the benchmark's shape: K = 512, L = 13 (l = 12 distance bits), and the
 // pair counts of a 32-record tournament's third and first levels.
 func BenchmarkMSBOncePacked(b *testing.B) {
@@ -174,7 +175,7 @@ func BenchmarkMSBOncePacked(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := rq.msbOncePacked(zs, L, codec); err != nil {
+				if _, err := rq.msbOncePacked(zs, zs, L, codec); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -40,9 +40,6 @@ func TestFramesDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		name string
 		run  func(rq *Requester) ([]*paillier.Ciphertext, error)
 	}{
-		{"SMBatchBounded", func(rq *Requester) ([]*paillier.Ciphertext, error) {
-			return rq.SMBatchBounded(as, bs, l, l)
-		}},
 		{"SSEDManyPacked", func(rq *Requester) ([]*paillier.Ciphertext, error) {
 			return rq.SSEDManyPacked(q, rows, packed)
 		}},

@@ -1,6 +1,7 @@
 package smc
 
 import (
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -15,42 +16,6 @@ import (
 // are checked against the plaintext. The paper primitive is the
 // differential oracle; a slot-layout or blind-width bug shows up as a
 // divergence here before it ever reaches a query.
-
-func TestDifferentialSMBatchBounded(t *testing.T) {
-	rq, sk := pair(t)
-	rng := rand.New(rand.NewSource(11))
-	const n, bits = 9, 16
-	av := make([]int64, n)
-	bv := make([]int64, n)
-	for i := range av {
-		av[i] = rng.Int63n(1 << bits)
-		bv[i] = rng.Int63n(1 << bits)
-	}
-	av[0], bv[0] = 0, (1<<bits)-1 // zero × max edge
-	as := encVec(t, sk, av...)
-	bs := encVec(t, sk, bv...)
-
-	packed, err := rq.SMBatchBounded(as, bs, bits, bits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	paper, err := rq.SMBatch(as, bs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range av {
-		want := av[i] * bv[i]
-		if got := dec(t, sk, packed[i]); got != want {
-			t.Errorf("packed product[%d] = %d, want %d", i, got, want)
-		}
-		if got := dec(t, sk, paper[i]); got != want {
-			t.Errorf("paper product[%d] = %d, want %d", i, got, want)
-		}
-	}
-	if _, err := rq.SMBatchBounded(as, bs, 0, bits); err == nil {
-		t.Error("zero-bit operand bound accepted")
-	}
-}
 
 func TestDifferentialSSEDMany(t *testing.T) {
 	rq, sk := pair(t)
@@ -208,18 +173,32 @@ func TestSMINnValuesTournament(t *testing.T) {
 func TestHandleSBDPackBitValidation(t *testing.T) {
 	sk := testKey()
 	mux := NewResponder(sk, nil).Mux()
-	bad := []*mpc.Message{
-		{Op: OpSBDPackBit},
-		{Op: OpSBDPackBit, Ints: bigInts(1)},
-		{Op: OpSBDPackBit, Ints: bigInts(1, 8)},        // missing shift
-		{Op: OpSBDPackBit, Ints: bigInts(1, 8, -1, 1)}, // negative shift
-		{Op: OpSBDPackBit, Ints: bigInts(1, 8, 8, 1)},  // shift ≥ valueBits
-		{Op: OpSBDPackBit, Ints: bigInts(1, 8, 0)},     // missing group ct
-		{Op: OpSBDPackBit, Ints: bigInts(1, 8, 0, 0)},  // invalid ciphertext
+	group := enc(t, sk, 1).Raw()
+	bad := []struct {
+		name string
+		ints []*big.Int
+	}{
+		{"empty", nil},
+		{"count only", bigInts(1)},
+		{"missing shift", bigInts(1, 8)},
+		{"negative shift", append(bigInts(1, 8, -1), group)},
+		{"shift ≥ valueBits", append(bigInts(1, 8, 8), group)},
+		{"missing group", bigInts(1, 8, 0)},
+		{"invalid ciphertext", bigInts(1, 8, 0, 0)},
+		{"operand group before the output round", append(bigInts(1, 8, 6), group, group)},
+		{"output round without its operand group", append(bigInts(1, 8, 7), group)},
+		{"output round with an extra group", append(bigInts(1, 8, 7), group, group, group)},
+		{"invalid operand group", append(bigInts(1, 8, 7), group, big.NewInt(0))},
 	}
-	for i, msg := range bad {
-		if _, err := mux.Handle(msg); err == nil {
-			t.Errorf("frame %d accepted", i)
+	for _, tc := range bad {
+		if _, err := mux.Handle(&mpc.Message{Op: OpSBDPackBit, Ints: tc.ints}); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	// The well-formed shapes either side of the output round answer.
+	for _, ints := range [][]*big.Int{append(bigInts(1, 8, 6), group), append(bigInts(1, 8, 7), group, group)} {
+		if _, err := mux.Handle(&mpc.Message{Op: OpSBDPackBit, Ints: ints}); err != nil {
+			t.Errorf("shift %v: %v", ints[2], err)
 		}
 	}
 }

@@ -169,15 +169,17 @@ func TestPackedFrameBadMiddleGroup(t *testing.T) {
 		}
 		return ct.Raw()
 	}
-	const groups = 5
+	const groups = 6
 	frames := []struct {
 		name  string
 		op    mpc.Op
 		slots int // per group
 		head  []*big.Int
 	}{
-		{"SMPack", OpSMPack, 2 * (codec.Slots / 2), []*big.Int{big.NewInt(int64(groups * (codec.Slots / 2))), big.NewInt(vb)}},
 		{"SBDPackBit", OpSBDPackBit, codec.Slots, []*big.Int{big.NewInt(int64(groups * codec.Slots)), big.NewInt(vb), big.NewInt(3)}},
+		// The output round: half the groups are remainders, the middle one
+		// is the first operand group.
+		{"SBDPackBit output", OpSBDPackBit, codec.Slots, []*big.Int{big.NewInt(int64(groups / 2 * codec.Slots)), big.NewInt(vb), big.NewInt(vb - 1)}},
 	}
 	bad := []struct {
 		name string

@@ -88,13 +88,14 @@ func FuzzResponderFrame(f *testing.F) {
 	}
 	f.Add(uint16(OpSM), uint64(7), []byte{fuzzCiphertext, 6, fuzzCiphertext, 7})
 	f.Add(uint16(OpSMIN), uint64(0), []byte{fuzzCiphertext, 1, fuzzNil})
-	f.Add(uint16(OpSMPack), uint64(0), []byte{fuzzSmall, 1, fuzzSmall, 8, fuzzCiphertext, 3})
-	f.Add(uint16(OpSMPack), uint64(0), []byte{fuzzNil, fuzzSmall, 8, fuzzCiphertext, 3})
 	f.Add(uint16(OpSSEDPack), uint64(0), []byte{fuzzSmall, 1, fuzzSmall, 2, fuzzSmall, 8, fuzzCiphertext, 5})
 	f.Add(uint16(OpSSEDPack), uint64(0), []byte{fuzzBig, 9, 1, 0, 0, 0, 0, 0, 0, 0, 0, fuzzSmall, 2, fuzzSmall, 8})
 	f.Add(uint16(OpSBDPackBit), uint64(1), []byte{fuzzSmall, 1, fuzzSmall, 9, fuzzSmall, 8, fuzzCiphertext, 200})
 	f.Add(uint16(OpSBDPackBit), uint64(1), []byte{fuzzSmall, 1, fuzzSmall, 9, fuzzNil, fuzzCiphertext, 200})
-	f.Add(uint16(22), uint64(0), []byte{fuzzSmall, 1, fuzzSmall, 8, fuzzCiphertext, 3}) // retired opcode
+	f.Add(uint16(OpSBDPackBit), uint64(1), []byte{fuzzSmall, 1, fuzzSmall, 9, fuzzSmall, 8, fuzzCiphertext, 200, fuzzCiphertext, 9})
+	f.Add(uint16(OpSBDPackBit), uint64(1), []byte{fuzzSmall, 1, fuzzSmall, 9, fuzzSmall, 8, fuzzCiphertext, 200})
+	f.Add(uint16(22), uint64(0), []byte{fuzzSmall, 1, fuzzSmall, 8, fuzzCiphertext, 3})       // retired opcode
+	f.Add(uint16(OpSMPack), uint64(0), []byte{fuzzSmall, 1, fuzzSmall, 8, fuzzCiphertext, 3}) // retired opcode
 	f.Fuzz(func(t *testing.T, op uint16, tag uint64, data []byte) {
 		// One fixed randomness stream per execution, for the harness's
 		// ciphertexts and C2's nonces alike: the coverage an input reaches
@@ -114,8 +115,14 @@ func FuzzResponderFrame(f *testing.F) {
 			want /= 2
 		case OpSMIN:
 			want = want/2 + 1
-		case OpSMPack, OpSSEDPack, OpSBDPackBit:
+		case OpSSEDPack:
 			want = int(req.Ints[0].Int64()) // the header's count field
+		case OpSBDPackBit:
+			// count bits, and as many products in the output round.
+			want = int(req.Ints[0].Int64())
+			if req.Ints[2].Int64() == req.Ints[1].Int64()-1 {
+				want *= 2
+			}
 		default:
 			t.Fatalf("unregistered opcode %d answered", req.Op)
 		}

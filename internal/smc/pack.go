@@ -9,11 +9,12 @@ import (
 )
 
 // This file holds the slot-packed production kernels (see
-// paillier.Packing): the two-party functionalities of sm.go and ssed.go,
-// and the bit peel the value-domain minimum needs, with the C1→C2 uplink
-// carrying many blinded values per ciphertext, so C2 pays one decryption
-// per slot group instead of one per value. Every value C2 sees is still
-// additively blinded — with short σ-statistical blinds sized to the slot
+// paillier.Packing): the two-party functionality of ssed.go, the bit peel
+// the value-domain minimum needs, and the blinded operand uplink of the
+// frames in which C2 multiplies by a selector it already knows, with the
+// C1→C2 uplink carrying many blinded values per ciphertext, so C2 pays
+// one decryption per slot group instead of one per value. Every value C2
+// sees is still additively blinded — with short σ-statistical blinds sized to the slot
 // headroom instead of full-width ones — so the leakage class is
 // unchanged (see docs/PROTOCOLS.md). The paper's unpacked protocols are
 // what internal/reference runs and what the differential tests compare
@@ -32,96 +33,60 @@ const smPackMaxAttrs = 1 << 10
 // before NewPacking runs.
 const packMaxValueBits = 512
 
-// SMPackOperandBits is the widest operand bound under which
-// SMBatchBounded still packs under pk: two slots of that width plus
-// headroom must share one plaintext. Not positive when the key is too
-// small to pack a pair at all.
+// SMPackOperandBits is the widest row chunk core.RowLayout packs under
+// pk: two slots of that width plus headroom share one plaintext. It was
+// the operand bound of the packed SM pair that extraction once rode, and
+// it still sizes the layout — SkNNb's reveal and the shard wire keep
+// theirs; OpMinSelect carries a chunk in a single slot, so every chunk
+// this wide fits. Not positive when the key is too small to pack a pair
+// at all.
 func SMPackOperandBits(pk *paillier.PublicKey) int {
 	return (pk.Bits()-2)/2 - paillier.PackHeadroom
 }
 
-// SMBatchBounded is SMBatch for inputs with known plaintext bounds:
-// aᵢ < 2^aBits and bᵢ < 2^bBits. The blinded pairs ride the slot-packed
-// uplink (OpSMPack) under short blinds; when the key cannot hold a pair
-// of slots that wide it runs SMBatch. The bounds are a caller contract —
-// correctness of the packed layout depends on them, and every call site
-// derives them from dataset validation (attribute domains) or from bit
-// arithmetic (values in {0,1}). The bounds need not be alike: SkNNm's
-// record extraction multiplies a 1-bit selector into a whole row-packed
-// record of up to SMPackOperandBits bits. Both operands of a pair take a
-// slot of the wider bound, and the product h = (a+rₐ)(b+r_b) is reduced
-// mod N like the classic SM's, so only the slot fit — not the width of
-// the product — limits the operands.
-func (rq *Requester) SMBatchBounded(as, bs []*paillier.Ciphertext, aBits, bBits int) ([]*paillier.Ciphertext, error) {
-	if len(as) != len(bs) {
-		return nil, fmt.Errorf("%w: %d vs %d", ErrLengthMismatch, len(as), len(bs))
+// PackBlinded is the uplink of a frame in which C2 multiplies values by
+// a selector it already knows in the clear: every E(xᵢ), xᵢ < 2^valueBits,
+// gains a fresh short blind ρᵢ — C2 decrypts xᵢ + ρᵢ, σ-statistically
+// hidden — and the blinded values are packed in order, codec.Slots to a
+// group, one slot each. Every group is then re-randomized under a fresh
+// nonce: C2 can recover a ciphertext's nonce with the factorisation, and
+// a group folded from stored record ciphertexts would otherwise carry the
+// same nonce in every round and query, naming its record behind any
+// permutation. It returns the groups as frame elements and the blinds,
+// which the caller strips from C2's products as ρᵢ·E(selector).
+func (rq *Requester) PackBlinded(xs []*paillier.Ciphertext, valueBits int) ([]*big.Int, []*big.Int, error) {
+	codec, err := rq.packCodec(valueBits)
+	if err != nil {
+		return nil, nil, fmt.Errorf("smc: blinded operands: %w", err)
 	}
-	if len(as) == 0 {
-		return nil, ErrEmptyInput
-	}
-	if aBits < 1 || bBits < 1 {
-		return nil, fmt.Errorf("smc: SM operand bounds of %d and %d bits", aBits, bBits)
-	}
-	vb := aBits
-	if bBits > vb {
-		vb = bBits
-	}
-	codec, err := rq.packCodec(vb)
-	if err != nil || codec.Slots < 2 {
-		// No pair of slots this wide fits the key: the paper's SM.
-		return rq.SMBatch(as, bs)
-	}
-	n := len(as)
-	pairsPerGroup := codec.Slots / 2
-
-	ras := make([]*big.Int, n)
-	rbs := make([]*big.Int, n)
-	blinded := make([]*paillier.Ciphertext, 0, 2*n)
-	for i := 0; i < n; i++ {
-		ra, err := rq.shortBlind(aBits)
+	rhos := make([]*big.Int, len(xs))
+	blinded := make([]*paillier.Ciphertext, len(xs))
+	for i, x := range xs {
+		r, err := rq.shortBlind(valueBits)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		rb, err := rq.shortBlind(bBits)
+		rhos[i] = r
+		blinded[i] = rq.pk.AddPlain(x, r)
+	}
+	nonces, err := rq.pk.DrawNonces(rq.rand, codec.Groups(len(xs)))
+	if err != nil {
+		return nil, nil, fmt.Errorf("smc: blinded operands: %w", err)
+	}
+	groups := make([]*big.Int, len(nonces))
+	err = paillier.ForEach(len(groups), func(g int) error {
+		lo := g * codec.Slots
+		ct, err := codec.PackCiphertexts(blinded[lo:min(len(blinded), lo+codec.Slots)])
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("smc: blinded operands, group %d: %w", g, err)
 		}
-		ras[i], rbs[i] = ra, rb
-		blinded = append(blinded, rq.pk.AddPlain(as[i], ra), rq.pk.AddPlain(bs[i], rb))
-	}
-
-	packed, err := packRuns(codec, blinded, 2*pairsPerGroup)
-	if err != nil {
-		return nil, fmt.Errorf("smc: packed SM: %w", err)
-	}
-	payload := make([]*big.Int, 0, 2+len(packed))
-	payload = append(payload, big.NewInt(int64(n)), big.NewInt(int64(vb)))
-	for _, ct := range packed {
-		payload = append(payload, ct.Raw())
-	}
-
-	reply, err := rq.roundTrip(OpSMPack, payload, n)
-	if err != nil {
-		return nil, fmt.Errorf("smc: packed SM round trip: %w", err)
-	}
-	hs, err := rq.rawCiphertexts(reply)
-	if err != nil {
-		return nil, err
-	}
-
-	// Unblind with short positive exponents on the batch-inverted inputs:
-	// E(ab) = E(h) · Inv(a)^(r_b) · Inv(b)^(rₐ) · E(−rₐ·r_b).
-	invA := rq.pk.InvMany(as)
-	invB := rq.pk.InvMany(bs)
-	out := make([]*paillier.Ciphertext, n)
-	_ = paillier.ForEach(n, func(i int) error { // two exponentiations per pair; cannot fail
-		s := rq.pk.Add(hs[i], rq.pk.ScalarMul(invA[i], rbs[i]))
-		s = rq.pk.Add(s, rq.pk.ScalarMul(invB[i], ras[i]))
-		cross := new(big.Int).Mul(ras[i], rbs[i])
-		out[i] = rq.pk.AddPlain(s, cross.Neg(cross))
+		groups[g] = rq.pk.RerandomizeWith(nonces[g], ct).Raw()
 		return nil
 	})
-	return out, nil
+	if err != nil {
+		return nil, nil, err
+	}
+	return groups, rhos, nil
 }
 
 // packRuns folds each consecutive run of per ciphertexts (the last may
@@ -149,51 +114,6 @@ func (rp *Responder) unpackGroup(codec *paillier.Packing, raw *big.Int, count in
 		return nil, err
 	}
 	return codec.UnpackDecrypt(rp.sk, ct, count)
-}
-
-// handleSMPack is C2's half of the packed SM uplink: decrypt each slot
-// group once, multiply the blinded pairs, reply with one fresh
-// encryption per product. Frame: [count, valueBits, group ciphertexts].
-func (rp *Responder) handleSMPack(req *mpc.Message) (*mpc.Message, error) {
-	count, codec, err := rp.packHeader(req.Ints, "SM")
-	if err != nil {
-		return nil, err
-	}
-	pairsPerGroup := codec.Slots / 2
-	if pairsPerGroup < 1 {
-		return nil, fmt.Errorf("%w: packed SM width leaves no pair slot", ErrBadFrame)
-	}
-	groups := (count + pairsPerGroup - 1) / pairsPerGroup
-	if len(req.Ints) != 2+groups {
-		return nil, fmt.Errorf("%w: packed SM payload of %d ints for %d pairs",
-			ErrBadFrame, len(req.Ints), count)
-	}
-	// The reply's nonces are drawn here, serially; their powers and the
-	// group decryptions are one task list.
-	nonces, err := rp.sk.DrawNonces(rp.rand, count)
-	if err != nil {
-		return nil, fmt.Errorf("smc: packed SM encrypt: %w", err)
-	}
-	vals := make([][]*big.Int, groups)
-	err = paillier.RaiseAlongside(nonces, groups, func(g int) error {
-		pairs := min(pairsPerGroup, count-g*pairsPerGroup)
-		v, err := rp.unpackGroup(codec, req.Ints[2+g], 2*pairs)
-		if err != nil {
-			return fmt.Errorf("smc: packed SM group %d: %w", g, err)
-		}
-		vals[g] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	hs := make([]*big.Int, count)
-	for i := range hs {
-		v, t := vals[i/pairsPerGroup], i%pairsPerGroup
-		h := new(big.Int).Mul(v[2*t], v[2*t+1])
-		hs[i] = h.Mod(h, rp.sk.N)
-	}
-	return &mpc.Message{Op: OpSMPack, Ints: rp.encryptReply(nonces, hs)}, nil
 }
 
 // isHeaderInt reports whether a frame element can be read as one of the
@@ -393,14 +313,24 @@ func (rp *Responder) handleSSEDPack(req *mpc.Message) (*mpc.Message, error) {
 	return &mpc.Message{Op: OpSSEDPack, Ints: rp.encryptReply(nonces, totals)}, nil
 }
 
-// msbOncePacked extracts E(bit L−1) of each value's L-bit decomposition
-// — the only bit the value-domain SMIN consumes — without ever halving
-// the remainders and without an exponentiation on C1's side of the loop.
-// The remainder keeps its scale and round j blinds bit j in place: the
-// uplink adds rᵢ·2^j with rᵢ ← shortBlind(L−j), so the slot's low j bits
-// (already peeled to zero) stay zero and bit j of the decrypted slot is
-// yᵢ = βᵢ XOR lsb(rᵢ), βᵢ the remainder's bit j. The shifted blind still
-// fits a slot: rᵢ·2^j < 2^(L+σ) < 2^Width.
+// peeled is the bit peel's output on one value: Y = E(y) for the bit C2
+// read in the output round, y = msb XOR Flip with Flip the low bit of the
+// value's last peel blind, and YW = E(y·(x + Rho)) for the operand x the
+// round carried under the short blind Rho.
+type peeled struct {
+	Y, YW *paillier.Ciphertext
+	Flip  bool
+	Rho   *big.Int
+}
+
+// msbOncePacked extracts bit L−1 of each value's L-bit decomposition —
+// the only bit the value-domain SMIN consumes — without ever halving the
+// remainders and without an exponentiation on C1's side of the peeling
+// rounds. The remainder keeps its scale and round j blinds bit j in
+// place: the uplink adds rᵢ·2^j with rᵢ ← shortBlind(L−j), so the slot's
+// low j bits (already peeled to zero) stay zero and bit j of the
+// decrypted slot is yᵢ = βᵢ XOR lsb(rᵢ), βᵢ the remainder's bit j. The
+// shifted blind still fits a slot: rᵢ·2^j < 2^(L+σ) < 2^Width.
 //
 // In the peeling rounds j < L−1 C1 wants the bits only to clear them,
 // so C2 returns each where it belongs — Zᵢ = E(yᵢ·2^(s·Width+j)) for the
@@ -411,18 +341,25 @@ func (rp *Responder) handleSSEDPack(req *mpc.Message) (*mpc.Message, error) {
 //	rem ← rem · Π_{rᵢ odd} Zᵢ · (Π_{rᵢ even} Zᵢ)⁻¹ · E(−Σ_{rᵢ odd} 2^(s·Width+j))
 //
 // a handful of modular products, one inversion and one closed-form
-// (1+mN) factor per group. Only the output round j = L−1 gets plain
-// E(yᵢ) back and flips the odd-blind ones. C2 tells the rounds apart by
-// the header it already receives (valueBits = L and shift = j), which is
-// why L must be the codec's ValueBits. C2's view is slotwise
-// short-blinded remainder windows and the public round index, C1 still
-// sees nothing but fresh ciphertexts, and — unlike SBD's full-range
-// blinds, which wrap mod N with probability ≈ 2^l/N — no slot ever
-// wraps, so the pass is exact against an honest C2 and needs no
+// (1+mN) factor per group. The output round j = L−1 also carries one
+// operand xᵢ < 2^L per value, blinded and packed by PackBlinded: C2
+// already reads yᵢ there, so it returns E(yᵢ) and E(yᵢ·(xᵢ + ρᵢ)), and the
+// caller turns them into E(msbᵢ·xᵢ) with one short exponentiation —
+// the product that would otherwise cost a round of its own. C2 tells the
+// rounds apart by the header it already receives (valueBits = L and
+// shift = j), which is why L must be the codec's ValueBits. C2's view is
+// slotwise short-blinded remainder windows and operands, the public
+// round index, and in the output round the coin-masked bit yᵢ, as in
+// Algorithm 3; C1 sees nothing but fresh ciphertexts, and — unlike SBD's
+// full-range blinds, which wrap mod N with probability ≈ 2^l/N — no slot
+// ever wraps, so the pass is exact against an honest C2 and needs no
 // verification round.
-func (rq *Requester) msbOncePacked(zs []*paillier.Ciphertext, L int, codec *paillier.Packing) ([]*paillier.Ciphertext, error) {
+func (rq *Requester) msbOncePacked(zs, xs []*paillier.Ciphertext, L int, codec *paillier.Packing) ([]peeled, error) {
 	if L != codec.ValueBits {
 		return nil, fmt.Errorf("smc: MSB extraction of %d bits under a %d-bit codec", L, codec.ValueBits)
+	}
+	if len(xs) != len(zs) {
+		return nil, fmt.Errorf("%w: %d operands for %d values", ErrLengthMismatch, len(xs), len(zs))
 	}
 	n := len(zs)
 	packedRem, err := packRuns(codec, zs, codec.Slots)
@@ -433,7 +370,7 @@ func (rq *Requester) msbOncePacked(zs []*paillier.Ciphertext, L int, codec *pail
 
 	rs := make([]*big.Int, n)
 	for j := 0; j < L; j++ {
-		payload := make([]*big.Int, 0, 3+groups)
+		payload := make([]*big.Int, 0, 3+2*groups)
 		payload = append(payload, big.NewInt(int64(n)), big.NewInt(int64(L)), big.NewInt(int64(j)))
 		for g := 0; g < groups; g++ {
 			lo := g * codec.Slots
@@ -453,7 +390,17 @@ func (rq *Requester) msbOncePacked(zs []*paillier.Ciphertext, L int, codec *pail
 			}
 			payload = append(payload, ct.Raw())
 		}
-		reply, err := rq.roundTrip(OpSBDPackBit, payload, n)
+		want := n
+		var rhos []*big.Int
+		if j == L-1 {
+			var operands []*big.Int
+			if operands, rhos, err = rq.PackBlinded(xs, L); err != nil {
+				return nil, err
+			}
+			payload = append(payload, operands...)
+			want = 2 * n
+		}
+		reply, err := rq.roundTrip(OpSBDPackBit, payload, want)
 		if err != nil {
 			return nil, fmt.Errorf("smc: packed MSB round %d: %w", j, err)
 		}
@@ -462,23 +409,11 @@ func (rq *Requester) msbOncePacked(zs []*paillier.Ciphertext, L int, codec *pail
 			return nil, err
 		}
 		if j == L-1 {
-			// The output bits: flipped where the blind was odd, with the
-			// inversions batched.
-			var toFlip []*paillier.Ciphertext
-			for i := 0; i < n; i++ {
-				if rs[i].Bit(0) == 1 {
-					toFlip = append(toFlip, raw[i])
-				}
+			out := make([]peeled, n)
+			for i := range out {
+				out[i] = peeled{Y: raw[i], YW: raw[n+i], Flip: rs[i].Bit(0) == 1, Rho: rhos[i]}
 			}
-			flipped := rq.pk.InvMany(toFlip)
-			fi := 0
-			for i := 0; i < n; i++ {
-				if rs[i].Bit(0) == 1 {
-					raw[i] = rq.pk.AddPlain(flipped[fi], oneBig)
-					fi++
-				}
-			}
-			return raw, nil
+			return out, nil
 		}
 		for g := 0; g < groups; g++ {
 			lo := g * codec.Slots
@@ -511,8 +446,11 @@ func (rq *Requester) msbOncePacked(zs []*paillier.Ciphertext, L int, codec *pail
 // individual fresh encryption — in place, E(bit·2^(s·Width+shift)) for
 // the value in slot s of its group, while shift < valueBits−1 (C1 only
 // clears those bits from its packed remainders), and as plain E(bit) in
-// the output round shift = valueBits−1. Frame: [count, valueBits, shift,
-// group ciphertexts].
+// the output round shift = valueBits−1, which also carries one blinded
+// operand w per value, packed like the remainders, and answers E(bit·w)
+// for each after the bits. Frame: [count, valueBits, shift, group
+// ciphertexts], plus as many operand groups in the output round; reply:
+// count elements, 2·count in the output round.
 func (rp *Responder) handleSBDPackBit(req *mpc.Message) (*mpc.Message, error) {
 	count, codec, err := rp.packHeader(req.Ints, "SBD bit")
 	if err != nil {
@@ -525,21 +463,25 @@ func (rp *Responder) handleSBDPackBit(req *mpc.Message) (*mpc.Message, error) {
 	if shift < 0 || shift >= codec.ValueBits {
 		return nil, fmt.Errorf("%w: packed SBD bit shift=%d of %d", ErrBadFrame, shift, codec.ValueBits)
 	}
+	output := shift == codec.ValueBits-1
 	groups := codec.Groups(count)
-	if len(req.Ints) != 3+groups {
-		return nil, fmt.Errorf("%w: packed SBD bit payload of %d ints for %d values",
-			ErrBadFrame, len(req.Ints), count)
+	sets, replies := 1, count
+	if output {
+		sets, replies = 2, 2*count
 	}
-	inPlace := shift < codec.ValueBits-1
-	// One group decryption and count reply encryptions per round: the
-	// nonce powers do not wait for the decryption.
-	nonces, err := rp.sk.DrawNonces(rp.rand, count)
+	if len(req.Ints) != 3+sets*groups {
+		return nil, fmt.Errorf("%w: packed SBD bit payload of %d ints for %d values at shift %d",
+			ErrBadFrame, len(req.Ints), count, shift)
+	}
+	// One decryption per group and one reply encryption per element: the
+	// nonce powers do not wait for the decryptions.
+	nonces, err := rp.sk.DrawNonces(rp.rand, replies)
 	if err != nil {
 		return nil, fmt.Errorf("smc: packed SBD bit encrypt: %w", err)
 	}
-	vals := make([][]*big.Int, groups)
-	err = paillier.RaiseAlongside(nonces, groups, func(g int) error {
-		cnt := min(codec.Slots, count-g*codec.Slots)
+	vals := make([][]*big.Int, sets*groups)
+	err = paillier.RaiseAlongside(nonces, len(vals), func(g int) error {
+		cnt := min(codec.Slots, count-g%groups*codec.Slots)
 		v, err := rp.unpackGroup(codec, req.Ints[3+g], cnt)
 		if err != nil {
 			return fmt.Errorf("smc: packed SBD bit group %d: %w", g, err)
@@ -550,14 +492,16 @@ func (rp *Responder) handleSBDPackBit(req *mpc.Message) (*mpc.Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	bits := make([]*big.Int, count)
-	for i := range bits {
-		s := i % codec.Slots
-		m := new(big.Int).SetUint64(uint64(vals[i/codec.Slots][s].Bit(shift)))
-		if inPlace {
+	ms := make([]*big.Int, replies)
+	for i := 0; i < count; i++ {
+		g, s := i/codec.Slots, i%codec.Slots
+		m := new(big.Int).SetUint64(uint64(vals[g][s].Bit(shift)))
+		if output {
+			ms[count+i] = new(big.Int).Mul(m, vals[groups+g][s])
+		} else {
 			m.Lsh(m, uint(s*codec.Width+shift))
 		}
-		bits[i] = m
+		ms[i] = m
 	}
-	return &mpc.Message{Op: OpSBDPackBit, Ints: rp.encryptReply(nonces, bits)}, nil
+	return &mpc.Message{Op: OpSBDPackBit, Ints: rp.encryptReply(nonces, ms)}, nil
 }

@@ -2,6 +2,7 @@ package smc
 
 import (
 	"crypto/rand"
+	"errors"
 	"io"
 	"math/big"
 	mrand "math/rand"
@@ -10,51 +11,6 @@ import (
 	"sknn/internal/mpc"
 	"sknn/internal/paillier"
 )
-
-// TestSMBoundedSelectorTimesWideOperand is the extraction product: a
-// 1-bit selector against a row-packed operand as wide as still rides the
-// packed uplink, and one bit past it (which must fall back to the classic
-// SM, not mis-pack). Both must return the operand or zero exactly.
-func TestSMBoundedSelectorTimesWideOperand(t *testing.T) {
-	rq, sk := pair(t)
-	wide := SMPackOperandBits(rq.PK())
-	if wide < 2 {
-		t.Fatalf("test key packs no SM pair (%d operand bits)", wide)
-	}
-	tap := &opCounter{}
-	rq.conn = mpc.Tap(rq.conn, tap.observe)
-	for _, bits := range []int{wide, wide + 1} {
-		tap.sent = nil
-		operand := new(big.Int).Lsh(big.NewInt(1), uint(bits))
-		operand.Sub(operand, big.NewInt(1)) // all ones: every slot bit set
-		b, err := sk.Encrypt(rand.Reader, operand)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prods, err := rq.SMBatchBounded(
-			[]*paillier.Ciphertext{enc(t, sk, 1), enc(t, sk, 0), enc(t, sk, 1)},
-			[]*paillier.Ciphertext{b, b, b}, 1, bits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, want := range []*big.Int{operand, new(big.Int), operand} {
-			got, err := sk.Decrypt(prods[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Cmp(want) != 0 {
-				t.Errorf("%d-bit operand, product %d = %v, want %v", bits, i, got, want)
-			}
-		}
-		wantOp := OpSMPack
-		if bits > wide {
-			wantOp = OpSM
-		}
-		if tap.sent[wantOp] != 1 || len(tap.sent) != 1 {
-			t.Errorf("%d-bit operand sent ops %v, want one op %d", bits, tap.sent, wantOp)
-		}
-	}
-}
 
 // opCounter counts request frames by opcode.
 type opCounter struct{ sent map[mpc.Op]int }
@@ -81,12 +37,33 @@ func (c constReader) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// parityReader yields pseudo-random bytes but forces the low bit of the
+// last byte of every read: rand.Int draws each candidate in one read and
+// takes the value's low bit from that byte, so every short blind gets
+// that parity, while a draw below a bound that is not a power of two —
+// a nonce exponent — still finds a value under it, which the constant
+// bytes of constReader need not.
+type parityReader struct {
+	src    *mrand.Rand
+	parity byte
+}
+
+func (r parityReader) Read(p []byte) (int, error) {
+	r.src.Read(p)
+	if len(p) > 0 {
+		p[len(p)-1] = p[len(p)-1]&^1 | r.parity
+	}
+	return len(p), nil
+}
+
 // TestMSBOncePackedMatchesPlaintext drives the bit peel directly on the
 // t = 2^l + a − b values the value-domain SMIN feeds it, against the
 // plaintext MSB [a ≥ b]: with every blind even (the reply bits are
 // cleared by inversion only), every blind odd (by product and constant
 // only) and mixed, at pair counts on both sides of each group boundary,
-// over the corner pairs of the domain.
+// over the corner pairs of the domain. The output round's operand must
+// come back as E(y·(x + ρ)) for the bit y C2 read, so msb·x is one
+// exponentiation away.
 func TestMSBOncePackedMatchesPlaintext(t *testing.T) {
 	const l = 8
 	const top = 1<<l - 1
@@ -105,8 +82,8 @@ func TestMSBOncePackedMatchesPlaintext(t *testing.T) {
 		r      io.Reader
 		parity int // the lsb every blind must have; −1 = either
 	}{
-		{"even", constReader(0xAA), 0},
-		{"odd", constReader(0x55), 1},
+		{"even", parityReader{mrand.New(mrand.NewSource(3)), 0}, 0},
+		{"odd", parityReader{mrand.New(mrand.NewSource(4)), 1}, 1},
 		{"mixed", mrand.New(mrand.NewSource(5)), -1},
 	}
 	for _, bl := range blinds {
@@ -116,23 +93,38 @@ func TestMSBOncePackedMatchesPlaintext(t *testing.T) {
 		}
 		for _, n := range []int{1, s - 1, s, s + 1, 2*s + 1} {
 			zs := make([]*paillier.Ciphertext, n)
+			xs := make([]*paillier.Ciphertext, n)
 			want := make([]int64, n)
 			for i := range zs {
 				c := corners[(i+n)%len(corners)]
 				tv := int64(1<<l) + c[0] - c[1]
 				zs[i] = enc(t, sk, tv)
+				xs[i] = enc(t, sk, int64(1<<l)+c[1]-c[0])
 				want[i] = tv >> l
 			}
-			bits, err := rq.msbOncePacked(zs, l+1, codec)
+			outs, err := rq.msbOncePacked(zs, xs, l+1, codec)
 			if err != nil {
 				t.Fatalf("%s blinds, %d values: %v", bl.name, n, err)
 			}
-			if len(bits) != n {
-				t.Fatalf("%s blinds: %d bits for %d values", bl.name, len(bits), n)
+			if len(outs) != n {
+				t.Fatalf("%s blinds: %d outputs for %d values", bl.name, len(outs), n)
 			}
-			for i := range bits {
-				if got := dec(t, sk, bits[i]); got != want[i] {
-					t.Errorf("%s blinds, %d values: msb[%d] = %d, want %d", bl.name, n, i, got, want[i])
+			for i, o := range outs {
+				y := dec(t, sk, o.Y)
+				msb := y
+				if o.Flip {
+					msb = 1 - y
+				}
+				if msb != want[i] {
+					t.Errorf("%s blinds, %d values: msb[%d] = %d, want %d", bl.name, n, i, msb, want[i])
+				}
+				w := new(big.Int).Add(big.NewInt(dec(t, sk, xs[i])), o.Rho)
+				yw, err := sk.Decrypt(o.YW)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w.Mul(w, big.NewInt(y)); yw.Cmp(w) != 0 {
+					t.Errorf("%s blinds, %d values: y·w[%d] = %v, want %v", bl.name, n, i, yw, w)
 				}
 			}
 		}
@@ -142,7 +134,8 @@ func TestMSBOncePackedMatchesPlaintext(t *testing.T) {
 // TestMSBOncePackedRefusesForeignCodec: C2 tells peeling rounds from the
 // output round by the codec's ValueBits, so a peel of L bits under a
 // codec of another width would have its last reply mis-shifted; it must
-// be refused before any frame is sent.
+// be refused before any frame is sent, as must an operand list that does
+// not match the values.
 func TestMSBOncePackedRefusesForeignCodec(t *testing.T) {
 	rq, sk := pair(t)
 	tap := &opCounter{}
@@ -152,9 +145,12 @@ func TestMSBOncePackedRefusesForeignCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, L := range []int{8, 10} {
-		if _, err := rq.msbOncePacked(encVec(t, sk, 5), L, codec); err == nil {
+		if _, err := rq.msbOncePacked(encVec(t, sk, 5), encVec(t, sk, 1), L, codec); err == nil {
 			t.Errorf("L = %d accepted under a %d-bit codec", L, codec.ValueBits)
 		}
+	}
+	if _, err := rq.msbOncePacked(encVec(t, sk, 5), encVec(t, sk, 1, 2), 9, codec); !errors.Is(err, ErrLengthMismatch) {
+		t.Errorf("two operands for one value: err = %v, want ErrLengthMismatch", err)
 	}
 	if len(tap.sent) != 0 {
 		t.Errorf("refused peel still sent ops %v", tap.sent)
@@ -164,7 +160,8 @@ func TestMSBOncePackedRefusesForeignCodec(t *testing.T) {
 // TestHandleSBDPackBitReplyPlacement pins the wire semantics of the
 // shifted bit round: reply element i carries bit `shift` of its slot at
 // plaintext position (i mod Slots)·Width + shift while shift <
-// valueBits−1, and as a plain bit in the output round.
+// valueBits−1, and as a plain bit in the output round, which also takes
+// one operand per value and answers bit·operand after the bits.
 func TestHandleSBDPackBitReplyPlacement(t *testing.T) {
 	const vb = 9
 	sk := testKey()
@@ -175,25 +172,35 @@ func TestHandleSBDPackBitReplyPlacement(t *testing.T) {
 	}
 	n := codec.Slots + 1
 	vals := make([]*big.Int, n)
+	operands := make([]*big.Int, n)
 	for i := range vals {
-		vals[i] = big.NewInt(int64(0x155 >> (i % 2))) // alternating bit patterns
+		vals[i] = big.NewInt(int64(0x155 >> (i % 2)))                 // alternating bit patterns
+		operands[i] = new(big.Int).Lsh(big.NewInt(int64(i+1)), vb+40) // wider than the payload: blinded
 	}
-	req := []*big.Int{big.NewInt(int64(n)), big.NewInt(vb), nil}
-	for lo := 0; lo < n; lo += codec.Slots {
-		ct, err := codec.PackEncrypt(rand.Reader, vals[lo:min(n, lo+codec.Slots)])
-		if err != nil {
-			t.Fatal(err)
+	packed := func(vs []*big.Int) []*big.Int {
+		var out []*big.Int
+		for lo := 0; lo < n; lo += codec.Slots {
+			ct, err := codec.PackEncrypt(rand.Reader, vs[lo:min(n, lo+codec.Slots)])
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, ct.Raw())
 		}
-		req = append(req, ct.Raw())
+		return out
 	}
 	for _, shift := range []int{0, 3, vb - 2, vb - 1} {
-		req[2] = big.NewInt(int64(shift))
+		req := append([]*big.Int{big.NewInt(int64(n)), big.NewInt(vb), big.NewInt(int64(shift))}, packed(vals)...)
+		want := n
+		if shift == vb-1 {
+			req = append(req, packed(operands)...)
+			want = 2 * n
+		}
 		resp, err := mux.Handle(&mpc.Message{Op: OpSBDPackBit, Ints: req})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(resp.Ints) != n {
-			t.Fatalf("shift %d: %d reply elements for %d values", shift, len(resp.Ints), n)
+		if len(resp.Ints) != want {
+			t.Fatalf("shift %d: %d reply elements for %d values, want %d", shift, len(resp.Ints), n, want)
 		}
 		for i, raw := range resp.Ints {
 			ct, err := sk.FromRaw(raw)
@@ -204,13 +211,69 @@ func TestHandleSBDPackBitReplyPlacement(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := new(big.Int).SetUint64(uint64(vals[i].Bit(shift)))
-			if shift < vb-1 {
+			v := i % n
+			want := new(big.Int).SetUint64(uint64(vals[v].Bit(shift)))
+			switch {
+			case shift < vb-1:
 				want.Lsh(want, uint((i%codec.Slots)*codec.Width+shift))
+			case i >= n:
+				want.Mul(want, operands[v])
 			}
 			if got.Cmp(want) != 0 {
 				t.Errorf("shift %d, element %d = %v, want %v", shift, i, got, want)
 			}
+		}
+	}
+}
+
+// TestPackBlindedRerandomizesEveryGroup: each group of the blinded
+// operand uplink decrypts to its values plus their blinds, slot by slot,
+// and is not the ciphertext the Horner fold of those values yields — the
+// fold of stored ciphertexts has a nonce C2 could recover and recognize
+// in a later round — but a fresh re-randomization of it.
+func TestPackBlindedRerandomizesEveryGroup(t *testing.T) {
+	rq, sk := pair(t)
+	const vb = 30
+	codec, err := rq.packCodec(vb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 2*codec.Slots + 1
+	xs := make([]*paillier.Ciphertext, n)
+	for i := range xs {
+		xs[i] = enc(t, sk, int64(1<<vb-1-i))
+	}
+	groups, rhos, err := rq.PackBlinded(xs, vb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(groups) != codec.Groups(n) || len(rhos) != n {
+		t.Fatalf("%d groups and %d blinds for %d values, want %d and %d", len(groups), len(rhos), n, codec.Groups(n), n)
+	}
+	for g, raw := range groups {
+		lo, hi := g*codec.Slots, min(n, (g+1)*codec.Slots)
+		ct, err := sk.FromRaw(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slots, err := codec.UnpackDecrypt(sk, ct, hi-lo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blinded := make([]*paillier.Ciphertext, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			want := new(big.Int).Add(big.NewInt(dec(t, sk, xs[i])), rhos[i])
+			if slots[i-lo].Cmp(want) != 0 {
+				t.Errorf("group %d slot %d = %v, want %v", g, i-lo, slots[i-lo], want)
+			}
+			blinded = append(blinded, rq.pk.AddPlain(xs[i], rhos[i]))
+		}
+		fold, err := codec.PackCiphertexts(blinded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fold.Raw().Cmp(raw) == 0 {
+			t.Errorf("group %d went out as the bare fold of its values", g)
 		}
 	}
 }

@@ -17,11 +17,12 @@
 // arithmetic is identical element-wise, only framing is shared.
 //
 // Beside them sit the production kernels internal/core calls — the
-// slot-packed SM and SSED uplinks and the packed bit peel (pack.go) and
-// the value-domain minimum with its tournament (sminvalue.go). Nothing
-// switches between the two families: a kernel falls back to its paper
-// primitive only on something it observes (a key too small to pack, an
-// operand too wide for a slot pair).
+// slot-packed SSED uplink, the packed bit peel, the blinded operand
+// uplink of the frames in which C2 multiplies by a selector it knows
+// (pack.go) and the value-domain minimum with its tournament
+// (sminvalue.go). Nothing switches between the two families: a kernel
+// falls back to its paper primitive only on something it observes (a key
+// too small for one SSED slot).
 //
 // C1's side of each protocol is a method on Requester; C2's side is a
 // stateless handler registered on an mpc.Mux by Responder.
@@ -48,11 +49,17 @@ const (
 	OpSBDVerify mpc.Op = 18 // batched randomized zero test
 	OpSMIN      mpc.Op = 19 // SMIN step 2 (Γ′, L′ → M′, E(α))
 	// 20 is retired (the round-batched bit-vector SMIN); do not reuse.
-	OpSMPack mpc.Op = 21 // slot-packed SM uplink (pack.go)
+	// 21 is retired (the slot-packed SM uplink); do not reuse.
 	// 22 is retired (the slot-packed SBD LSB round); do not reuse.
 	OpSSEDPack   mpc.Op = 23 // slot-packed SSED record distances (pack.go)
 	OpSBDPackBit mpc.Op = 24 // slot-packed shifted bit round (pack.go)
 )
+
+// OpSMPack is retired opcode 21, the slot-packed SM uplink: nothing
+// sends or serves it, and a frame carrying it is answered as an unknown
+// opcode. The number stays declared — as a plain integer, not an mpc.Op
+// anything could dispatch — only because bench/ledger.go still names it.
+const OpSMPack = 21
 
 // Errors returned by the primitives.
 var (
@@ -88,10 +95,10 @@ type Requester struct {
 	invTwo *big.Int
 
 	// codecs caches the slot codec per value-bit width so the packed
-	// kernels called once per tournament level (SMINValuePairsBatch,
-	// SMBatchBounded) don't rebuild it each call. A Requester drives
-	// primitives serially — its documented contract — so the map needs
-	// no lock.
+	// kernels called once per tournament level or selection round
+	// (SMINValuePairsBatch, PackBlinded) don't rebuild it each call. A
+	// Requester drives primitives serially — its documented contract — so
+	// the map needs no lock.
 	codecs map[int]*paillier.Packing
 }
 
@@ -201,7 +208,6 @@ func (rp *Responder) Register(mux *mpc.Mux) {
 	mux.Register(OpSBDLsb, mpc.HandlerFunc(rp.handleSBDLsb))
 	mux.Register(OpSBDVerify, mpc.HandlerFunc(rp.handleSBDVerify))
 	mux.Register(OpSMIN, mpc.HandlerFunc(rp.handleSMIN))
-	mux.Register(OpSMPack, mpc.HandlerFunc(rp.handleSMPack))
 	mux.Register(OpSSEDPack, mpc.HandlerFunc(rp.handleSSEDPack))
 	mux.Register(OpSBDPackBit, mpc.HandlerFunc(rp.handleSBDPackBit))
 }

@@ -25,17 +25,24 @@ import (
 //	t = 2^l + a − b ∈ [1, 2^(l+1))   (a, b < 2^l)
 //
 // has its bit l — the MSB of the l+1-bit decomposition — equal to
-// [a ≥ b]. One packed bit peel (msbOncePacked) extracts E(α) = E([a ≥ b])
-// without either party seeing t, and one packed secure multiplication
-// selects the minimum value:
+// [a ≥ b]. One packed bit peel (msbOncePacked) extracts α = [a ≥ b]
+// without either party seeing t, and selects the minimum value
 //
-//	min(a,b) = a + α·(b − a + 2^l) − α·2^l
+//	min(a,b) = a + α·(b − a)
+//
+// in its own output round: C2 reads the coin-masked bit y = α XOR lsb(r)
+// there anyway, so the round also carries w = b − a + 2^l + ρ (offset
+// clear of the sign, ρ a short blind) and returns E(y) beside E(y·w). C1
+// recovers α·(b − a) from the two with one short exponentiation, so a
+// comparison costs the peel's l + 1 rounds and no secure multiplication
+// round after them.
 //
 // Everything C2 sees is the peel's uplink (slotwise short-blinded
-// remainders) and the packed SM uplink. Unlike Algorithm 3, C2 never
-// learns even the coin-masked comparison outcome: α stays encrypted end
-// to end, so the value path leaks strictly less to C2 than the bit path
-// it replaces.
+// remainders and operands) and, in the output round, y — α masked by a
+// fair coin only C1 knows, the same class as the coin-masked outcome
+// Algorithm 3's SMIN hands C2, and no more than it: C2 learns nothing
+// about α, and C1 never sees y. The bit-vector path's other costs —
+// the L vector and its full-range Φ-masks — have no counterpart.
 // Like the other packed kernels it relies on a semi-honest C2 for
 // correctness (no recomposition verify); the bit path (SMIN here, SMINn
 // in internal/reference) is the differential oracle.
@@ -46,10 +53,10 @@ type SMINValuePair struct {
 	A, B *paillier.Ciphertext
 }
 
-// SMINValuePairsBatch computes E(min(aᵢ,bᵢ)) for every pair in l+2 round
-// trips total (l+1 shifted packed bit rounds plus one packed SM),
-// independent of the number of pairs. Requires a key that fits an
-// (l+1)-bit slot; callers gate on NewPacking(pk, l+1) succeeding.
+// SMINValuePairsBatch computes E(min(aᵢ,bᵢ)) for every pair in l+1 round
+// trips total — the shifted packed bit rounds, the last of which also
+// selects — independent of the number of pairs. Requires a key that fits
+// an (l+1)-bit slot; callers gate on NewPacking(pk, l+1) succeeding.
 func (rq *Requester) SMINValuePairsBatch(pairs []SMINValuePair, l int) ([]*paillier.Ciphertext, error) {
 	if len(pairs) == 0 {
 		return nil, ErrEmptyInput
@@ -64,7 +71,7 @@ func (rq *Requester) SMINValuePairsBatch(pairs []SMINValuePair, l int) ([]*paill
 	n := len(pairs)
 	pow := new(big.Int).Lsh(oneBig, uint(l)) // 2^l
 
-	// t = 2^l + a − b and the selector operand b − a + 2^l, both in
+	// t = 2^l + a − b and the select operand b − a + 2^l, both in
 	// [1, 2^(l+1)).
 	ts := make([]*paillier.Ciphertext, n)
 	diffs := make([]*paillier.Ciphertext, n)
@@ -76,29 +83,39 @@ func (rq *Requester) SMINValuePairsBatch(pairs []SMINValuePair, l int) ([]*paill
 		diffs[i] = rq.pk.AddPlain(rq.pk.Sub(p.B, p.A), pow)
 	}
 
-	// E(α) = E([a ≥ b]): the MSB of t's l+1-bit decomposition, extracted
-	// by the shifted packed peel — exact against an honest C2 (short slot
-	// blinds never wrap, so no recomposition verify is needed) and free
-	// of full-range exponentiations.
-	alphas, err := rq.msbOncePacked(ts, l+1, codec)
+	// α = [a ≥ b], the MSB of t's l+1-bit decomposition, extracted by the
+	// shifted packed peel — exact against an honest C2 (short slot blinds
+	// never wrap, so no recomposition verify is needed) — whose output
+	// round returns E(y) and E(y·w) for y = α XOR flip, w = b − a + 2^l + ρ.
+	outs, err := rq.msbOncePacked(ts, diffs, l+1, codec)
 	if err != nil {
 		return nil, fmt.Errorf("smc: value SMIN bit extraction: %w", err)
 	}
 
-	// α·(b − a + 2^l) via the packed SM uplink; α is a bit and the
-	// operand is below 2^(l+1).
-	prods, err := rq.SMBatchBounded(alphas, diffs, 1, l+1)
-	if err != nil {
-		return nil, fmt.Errorf("smc: value SMIN select: %w", err)
+	// y·(b − a) = y·w − y·(ρ + 2^l), so with e = ρ + 2^l
+	//	flip = 0 (α = y):     min = a + y·(b−a) = a + y·w − e·y
+	//	flip = 1 (α = 1 − y): min = b − y·(b−a) = b − y·w + e·y
+	// — one short exponentiation per pair, the inversions batched.
+	toInvert := make([]*paillier.Ciphertext, n)
+	for i, o := range outs {
+		if o.Flip {
+			toInvert[i] = o.YW
+		} else {
+			toInvert[i] = o.Y
+		}
 	}
-
+	inv := rq.pk.InvMany(toInvert)
 	out := make([]*paillier.Ciphertext, n)
-	for i, p := range pairs {
-		// min = a + α(b−a+2^l) − α·2^l; the 2^l exponent is l+1 bits, so
-		// the correction is a cheap short exponentiation.
-		sel := rq.pk.Sub(prods[i], rq.pk.ScalarMul(alphas[i], pow))
-		out[i] = rq.pk.Add(p.A, sel)
-	}
+	_ = paillier.ForEach(n, func(i int) error { // cannot fail
+		o, p := outs[i], pairs[i]
+		e := new(big.Int).Add(o.Rho, pow)
+		if o.Flip {
+			out[i] = rq.pk.Add(rq.pk.Add(p.B, inv[i]), rq.pk.ScalarMul(o.Y, e))
+		} else {
+			out[i] = rq.pk.Add(rq.pk.Add(p.A, o.YW), rq.pk.ScalarMul(inv[i], e))
+		}
+		return nil
+	})
 	return out, nil
 }
 

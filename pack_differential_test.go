@@ -132,9 +132,9 @@ func TestDifferentialSecureQueryMatrix(t *testing.T) {
 // its second round without a comparison; k = n drives pair minima to the
 // sentinel; ties sit inside and across pairs; the 3-shard split of five
 // rows hands the merge lists shorter than k, and the 2-shard split an
-// odd-length one; K = 128 is both key-size fallbacks at once (one column
-// per record chunk, and the unpacked SM uplink for the disqualification
-// and pair products — at K = 64 SkNNm has no domain at all). The last
+// odd-length one; K = 128 is the key-size fallback (one column per
+// record chunk) and packs a single slot per OpMinSelect operand group —
+// at K = 64 SkNNm has no domain at all. The last
 // rows pin the domain bound: l = K − 69 is the widest distance domain a
 // K-bit key answers, and one bit more is ErrDomainBits from New and
 // LoadTable before any table is encrypted or any cloud stood up.
@@ -265,34 +265,36 @@ func benchShapeSystem(t *testing.T, shards int) (*System, func() *Result) {
 }
 
 // TestSecureScanCostAtBenchShape guards bench/'s two secure_scan
-// counters in tier-1: at that workload's shape a query takes exactly 77
-// C1↔C2 round trips — the engine's cost model, 1 SSED + (3 levels·14 +
-// select + extract + disqualify) + (2 levels·14 + select + extract) + 1
-// reveal: the second round's tournament starts from the 4 pair minima
-// the first kept (internal/core TestSelectionCostModel has the formula
-// over a grid) — and moves the 43086 bytes the benchmark reports as
-// c2_bytes_per_query. The byte count is the integers on the wire at
-// their minimal lengths, so a query falls a few bytes short of its
-// nominal size — one for every ciphertext or masked value that happens to
-// start with a zero byte, a handful in some four hundred — hence the
-// window: one ciphertext more or fewer is 130 bytes and lands outside it.
+// counters in tier-1: at that workload's shape a query takes exactly 69
+// C1↔C2 round trips — the engine's cost model, 1 SSED + (3 levels·13 +
+// one OpMinSelect) + (2 levels·13 + one OpMinSelect) + 1 reveal: a level
+// is the peel's 13 rounds, its last also selecting the pair minima, and
+// one OpMinSelect selects, extracts and disqualifies; the second round's
+// tournament starts from the 4 pair minima the first kept
+// (internal/core TestSelectionCostModel has the formula over a grid) —
+// and moves the 40710 bytes the benchmark reports as c2_bytes_per_query.
+// The byte count is the integers on the wire at their minimal lengths,
+// so a query falls a few bytes short of its nominal size — one for every
+// ciphertext or masked value that happens to start with a zero byte, a
+// handful in some four hundred — hence the window: one ciphertext more or
+// fewer is 130 bytes and lands outside it.
 func TestSecureScanCostAtBenchShape(t *testing.T) {
 	_, query := benchShapeSystem(t, 0)
 	comm := query().Metrics.Secure.Comm
-	if comm.Rounds != 77 {
-		t.Errorf("query took %d round trips, want 77", comm.Rounds)
+	if comm.Rounds != 69 {
+		t.Errorf("query took %d round trips, want 69", comm.Rounds)
 	}
-	if moved := comm.BytesSent + comm.BytesReceived; moved < 43086-32 || moved > 43086+32 {
-		t.Errorf("query moved %d bytes between the clouds, want 43086 give or take leading zero bytes", moved)
+	if moved := comm.BytesSent + comm.BytesReceived; moved < 40710-32 || moved > 40710+32 {
+		t.Errorf("query moved %d bytes between the clouds, want 40710 give or take leading zero bytes", moved)
 	}
 }
 
 // TestShardedScanCostAtBenchShape is the same guard for bench/'s
-// gateway_sharded rounds: the shape split over two shards takes 130
-// round trips. Each 4-record shard scans in 48 (1 SSED + (2·14 + 3) +
-// (1·14 + 2)), and the merge of their two rank-ordered pairs in 34: it
+// gateway_sharded rounds: the shape split over two shards takes 113
+// round trips. Each 4-record shard scans in 42 (1 SSED + (2·13 + 1) +
+// (1·13 + 1)), and the merge of their two rank-ordered pairs in 29: it
 // seeds both pairs from the shards' order and compares only their minima
-// — (1·14 + 3) + (1·14 + 2) + 1 reveal.
+// — (1·13 + 1) + (1·13 + 1) + 1 reveal.
 func TestShardedScanCostAtBenchShape(t *testing.T) {
 	sys, query := benchShapeSystem(t, 2)
 	shards := make([]mpc.StatsSnapshot, len(sys.shards))
@@ -300,16 +302,16 @@ func TestShardedScanCostAtBenchShape(t *testing.T) {
 		shards[i] = sh.CommStats()
 	}
 	merge := sys.coord.CommStats()
-	if got := query().Metrics.Secure.Comm.Rounds; got != 130 {
-		t.Errorf("query took %d round trips, want 130", got)
+	if got := query().Metrics.Secure.Comm.Rounds; got != 113 {
+		t.Errorf("query took %d round trips, want 113", got)
 	}
 	for i, sh := range sys.shards {
-		if got := sh.CommStats().Sub(shards[i]).Rounds; got != 48 {
-			t.Errorf("shard %d scanned in %d round trips, want 48", i, got)
+		if got := sh.CommStats().Sub(shards[i]).Rounds; got != 42 {
+			t.Errorf("shard %d scanned in %d round trips, want 42", i, got)
 		}
 	}
-	if got := sys.coord.CommStats().Sub(merge).Rounds; got != 34 {
-		t.Errorf("the merge and reveal took %d round trips, want 34", got)
+	if got := sys.coord.CommStats().Sub(merge).Rounds; got != 29 {
+		t.Errorf("the merge and reveal took %d round trips, want 29", got)
 	}
 }
 
