@@ -12,9 +12,11 @@ import (
 	"sknn/internal/smc"
 )
 
-// CloudC2 is the key cloud: it embeds the smc responder (SM, SBD, SMIN
-// steps, …) and adds the three protocol-level services of Algorithms 5
-// and 6. It is stateless across requests, so one CloudC2 can serve any
+// CloudC2 is the key cloud: it embeds the smc responder's packed kernels
+// (packed SSED, the bit peel) and adds the protocol-level services of
+// Algorithms 5 and 6. It serves exactly the frames the engine sends: the
+// paper's SM, SBD and SMIN handlers are internal/reference's key cloud's
+// alone. It is stateless across requests, so one CloudC2 can serve any
 // number of connections concurrently (the parallel variants rely on
 // this).
 type CloudC2 struct {
@@ -32,10 +34,11 @@ func NewCloudC2(sk *paillier.PrivateKey, random io.Reader) *CloudC2 {
 	return &CloudC2{resp: smc.NewResponder(sk, random), sk: sk, random: random}
 }
 
-// Mux returns a dispatcher with both the smc primitive handlers and the
-// protocol handlers registered.
+// Mux returns a dispatcher with the smc kernel handlers and the protocol
+// handlers registered.
 func (c *CloudC2) Mux() *mpc.Mux {
-	mux := c.resp.Mux()
+	mux := mpc.NewMux()
+	c.resp.RegisterKernels(mux)
 	mux.Register(OpRank, mpc.HandlerFunc(c.handleRank))
 	mux.Register(OpReveal, mpc.HandlerFunc(c.handleReveal))
 	mux.Register(OpMinSelect, mpc.HandlerFunc(c.handleMinSelect))

@@ -358,16 +358,16 @@ func TestHandleRevealDecrypts(t *testing.T) {
 }
 
 // TestCloudC2OpcodeSet pins the key cloud's attack surface to the opcode
-// table in docs/PROTOCOLS.md: exactly these handlers are reachable by a
-// C1 peer, the retired opcodes 20, 21 and 22 are not among them, and a
-// frame carrying one is answered with an OpError naming the unknown
-// opcode while the serve loop carries on.
+// table in docs/PROTOCOLS.md: exactly the handlers of the frames the
+// engine sends are reachable by a C1 peer. The paper primitives' opcodes
+// 16–19 (internal/reference's key cloud serves them) and the retired 20,
+// 21 and 22 are not among them, and a frame carrying one is answered with
+// an OpError naming the unknown opcode while the serve loop carries on.
 func TestCloudC2OpcodeSet(t *testing.T) {
 	sk := testKey()
 	c2 := NewCloudC2(sk, nil)
 	want := []mpc.Op{
 		mpc.OpPing,
-		smc.OpSM, smc.OpSBDLsb, smc.OpSBDVerify, smc.OpSMIN,
 		smc.OpSSEDPack, smc.OpSBDPackBit,
 		OpRank, OpReveal, OpMinSelect, OpHello, OpMinIndex,
 	}
@@ -378,16 +378,17 @@ func TestCloudC2OpcodeSet(t *testing.T) {
 	c1Side, c2Side := mpc.ChanPipe()
 	done := make(chan error, 1)
 	go func() { done <- c2.Serve(c2Side) }()
-	for _, retired := range []mpc.Op{20, 21, 22} {
+	refused := []mpc.Op{smc.OpSM, smc.OpSBDLsb, smc.OpSBDVerify, smc.OpSMIN, 20, 21, 22}
+	for _, op := range refused {
 		// The shape of the last frame opcodes 21 and 22 carried: [count, valueBits, group].
-		_, err := mpc.RoundTrip(c1Side, &mpc.Message{Op: retired, Ints: []*big.Int{big.NewInt(1), big.NewInt(8), encRaw(t, sk, 3)}})
+		_, err := mpc.RoundTrip(c1Side, &mpc.Message{Op: op, Ints: []*big.Int{big.NewInt(1), big.NewInt(8), encRaw(t, sk, 3)}})
 		var remote *mpc.RemoteError
 		if !errors.As(err, &remote) || !strings.Contains(remote.Msg, mpc.ErrUnknownOp.Error()) {
-			t.Errorf("opcode %d answered %v, want a remote %q", retired, err, mpc.ErrUnknownOp)
+			t.Errorf("opcode %d answered %v, want a remote %q", op, err, mpc.ErrUnknownOp)
 		}
 	}
 	if _, err := mpc.RoundTrip(c1Side, &mpc.Message{Op: mpc.OpPing}); err != nil {
-		t.Errorf("serve loop did not survive the retired opcodes: %v", err)
+		t.Errorf("serve loop did not survive the refused opcodes: %v", err)
 	}
 	if err := mpc.SendClose(c1Side); err != nil {
 		t.Fatal(err)
@@ -463,13 +464,15 @@ func encodeC2Fuzz(ints []*big.Int) []byte {
 
 // FuzzCloudC2Frame throws arbitrary frames at the key cloud's own
 // handlers — the protocol opcodes core.CloudC2.Mux() adds to the smc
-// responder's, which FuzzResponderFrame covers: whatever the payload,
-// Handle must not panic, and must return either an error or a reply to
-// the same opcode whose length the request alone determines and whose
-// elements are all present.
+// kernels', which FuzzResponderFrame covers: whatever the payload, Handle
+// must not panic, and must return either an error or a reply to the same
+// opcode whose length the request alone determines and whose elements
+// are all present. A frame carrying a paper primitive's opcode (16–19)
+// must fail as an unknown opcode.
 func FuzzCloudC2Frame(f *testing.F) {
 	sk := testKey()
-	ops := []mpc.Op{OpRank, OpReveal, OpMinSelect, OpHello, OpMinIndex}
+	paper := []mpc.Op{smc.OpSM, smc.OpSBDLsb, smc.OpSBDVerify, smc.OpSMIN}
+	ops := append([]mpc.Op{OpRank, OpReveal, OpMinSelect, OpHello, OpMinIndex}, paper...)
 	sel := func(op mpc.Op) uint8 {
 		for i, o := range ops {
 			if o == op {
@@ -494,6 +497,9 @@ func FuzzCloudC2Frame(f *testing.F) {
 	f.Add(sel(OpRank), []byte{c2FuzzNil, c2FuzzCiphertext, 9})
 	f.Add(sel(OpReveal), []byte{c2FuzzCiphertext, 9, c2FuzzNil})
 	f.Add(sel(OpHello), encodeC2Fuzz([]*big.Int{sk.N}))
+	for _, op := range paper {
+		f.Add(sel(op), []byte{c2FuzzCiphertext, 3, c2FuzzCiphertext, 5}) // SM's shape: two operands
+	}
 	f.Fuzz(func(t *testing.T, op uint8, data []byte) {
 		// One fixed randomness stream per execution, for the harness's
 		// ciphertexts and C2's nonces and tie-breaks alike: the coverage an
@@ -501,6 +507,13 @@ func FuzzCloudC2Frame(f *testing.F) {
 		random := mrand.New(mrand.NewSource(1))
 		req := &mpc.Message{Op: ops[int(op)%len(ops)], Ints: decodeC2Fuzz(t, sk, random, data)}
 		resp, err := NewCloudC2(sk, random).Mux().Handle(req)
+		switch req.Op {
+		case smc.OpSM, smc.OpSBDLsb, smc.OpSBDVerify, smc.OpSMIN:
+			if !errors.Is(err, mpc.ErrUnknownOp) {
+				t.Fatalf("paper opcode %d answered %v, %v; want %v", req.Op, resp, err, mpc.ErrUnknownOp)
+			}
+			return
+		}
 		if err != nil {
 			return
 		}

@@ -184,8 +184,7 @@ func TestRowPackedBoundaries(t *testing.T) {
 // both entry points (the coordinator's BasicQuery and the bare worker's
 // BasicQueryMetered) the answer is the plaintext oracle's, made of whole
 // table rows named by their ids, in the layout the width and the key
-// produce — and the scan rode the packed SSED kernel wherever the key
-// has room for one slot.
+// produce — and the scan rode the packed SSED kernel.
 func TestBasicPackedBoundaries(t *testing.T) {
 	wide := func(m int, fill uint64) []uint64 {
 		row := make([]uint64, m)
@@ -203,8 +202,7 @@ func TestBasicPackedBoundaries(t *testing.T) {
 		rows     [][]uint64
 		q        []uint64
 		k        int
-		chunks   int  // ciphertexts per revealed record
-		classic  bool // the key has no room for one SSED slot
+		chunks   int // ciphertexts per revealed record
 	}{
 		{name: "declared wider than any stored value", keyBits: 256, attrBits: 8, f: 2,
 			rows: [][]uint64{{1, 2, 3}, {3, 1, 0}, {2, 2, 2}, {0, 3, 1}},
@@ -233,9 +231,6 @@ func TestBasicPackedBoundaries(t *testing.T) {
 		{name: "key packs SSED but no SM pair", keyBits: 128, attrBits: 2, f: 2,
 			rows: [][]uint64{{3, 3, 3}, {0, 1, 2}, {2, 2, 0}},
 			q:    []uint64{2, 3}, k: 2, chunks: 3},
-		{name: "key too small for one SSED slot", keyBits: 64, attrBits: 2, f: 2,
-			rows: [][]uint64{{3, 3, 3}, {0, 1, 2}, {2, 2, 0}},
-			q:    []uint64{2, 3}, k: 2, chunks: 3, classic: true},
 		{name: "ties and k = n", keyBits: 256, attrBits: 3, f: 2,
 			rows: [][]uint64{{1, 1, 5}, {1, 1, 6}, {5, 5, 7}, {1, 1, 5}},
 			q:    []uint64{1, 1}, k: 4, chunks: 1},
@@ -290,8 +285,8 @@ func TestBasicPackedBoundaries(t *testing.T) {
 			packs := encTable.view().packs
 			packs.mu.Lock()
 			defer packs.mu.Unlock()
-			if packed := len(packs.rows[packKey{bits: tc.attrBits}]) > 0; packed == tc.classic {
-				t.Errorf("scan rode the packed SSED kernel: %v, want %v", packed, !tc.classic)
+			if len(packs.rows[packKey{bits: tc.attrBits}]) == 0 {
+				t.Error("scan did not ride the packed SSED kernel")
 			}
 		})
 	}

@@ -174,22 +174,14 @@ func (s *QuerySession) parallelOverRecords(n int, fn func(rq *smc.Requester, lo,
 
 // distancesOf computes E(|Q−rᵢ|²) for an arbitrary list of encrypted
 // feature vectors — the table's records, a candidate subset of them, or
-// the cluster centroids — chunked across the session's workers. packed,
-// when non-nil, is the slot-packed rendering of exactly the same rows
-// (usually a cached subset from the table view); the chunks then ride
-// the packed SSED uplink. With nil — a key too small for the SSED slot
-// codec — they take the classic one.
+// the cluster centroids — chunked across the session's workers, every
+// chunk on the packed SSED uplink. packed is the slot-packed rendering of
+// exactly the same rows (usually a cached subset from the table view).
 func (s *QuerySession) distancesOf(q EncryptedQuery, rows [][]*paillier.Ciphertext, packed *smc.PackedRows) ([]*paillier.Ciphertext, error) {
 	out := make([]*paillier.Ciphertext, len(rows))
 	err := s.parallelOverRecords(len(rows), func(rq *smc.Requester, lo, hi int) error {
-		var ds []*paillier.Ciphertext
-		var err error
-		if packed != nil {
-			sub := &smc.PackedRows{Codec: packed.Codec, Rows: packed.Rows[lo:hi]}
-			ds, err = rq.SSEDManyPacked(q, rows[lo:hi], sub)
-		} else {
-			ds, err = rq.SSEDMany(q, rows[lo:hi])
-		}
+		sub := &smc.PackedRows{Codec: packed.Codec, Rows: packed.Rows[lo:hi]}
+		ds, err := rq.SSEDManyPacked(q, rows[lo:hi], sub)
 		if err != nil {
 			return fmt.Errorf("core: SSED chunk [%d,%d): %w", lo, hi, err)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/big"
 	"testing"
 
@@ -189,7 +190,7 @@ func TestDecodeTopKReplyLayout(t *testing.T) {
 		{"cols over m", reply(RowLayout{Cols: m + 1, Bits: l / 2}, 2, true), true},
 		{"cols the key would not choose", reply(RowLayout{Cols: 2, Bits: l / 2}, 3, true), true},
 		{"slot width of another domain", reply(RowLayout{Cols: m, Bits: l/2 - 1}, 2, true), true},
-		{"huge slot width", reply(RowLayout{Cols: m, Bits: 1 << 40}, 2, true), true},
+		{"huge slot width", reply(RowLayout{Cols: m, Bits: math.MaxInt32}, 2, true), true},
 		{"packed header, per-attribute payload", reply(packed, 1+m, true), true},
 		{"per-attribute header, packed payload", reply(plain, 2, true), true},
 		{"per-attribute layout under a key that packs", reply(plain, 1+m, true), true},

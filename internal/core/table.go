@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math/big"
@@ -667,8 +666,7 @@ func (v *tableView) featureRows(idx []int) [][]*paillier.Ciphertext {
 // packedFeatureRows returns the slot-packed rendering of the feature
 // prefixes of the records at the given positions, for valueBits-wide
 // slot payloads (rows pack independently — slots combine a row's
-// attributes, never rows). Returns nil when the key is too small for
-// the SSED slot codec; distancesOf then takes classic SSED.
+// attributes, never rows).
 func (v *tableView) packedFeatureRows(valueBits int, idx []int) (*smc.PackedRows, error) {
 	return packedRows(v.pk, v.packs, valueBits, idx, func(pos int) []*paillier.Ciphertext {
 		return v.records[pos][:v.featureM]
@@ -676,12 +674,8 @@ func (v *tableView) packedFeatureRows(valueBits int, idx []int) (*smc.PackedRows
 }
 
 // packedCentroids returns the slot-packed rendering of the cluster
-// centroids. Nil when unclustered or when the key is too small for the
-// SSED slot codec (classic SSED then, as for packedFeatureRows).
+// centroids of a clustered view.
 func (v *tableView) packedCentroids(valueBits int) (*smc.PackedRows, error) {
-	if v.centroids == nil {
-		return nil, nil
-	}
 	all := make([]int, len(v.centroids))
 	for i := range all {
 		all[i] = i
@@ -692,14 +686,11 @@ func (v *tableView) packedCentroids(valueBits int) (*smc.PackedRows, error) {
 }
 
 // packedRows renders row(pos) for every position in idx under the SSED
-// slot codec for valueBits-wide payloads, through the memo. Only a key
-// with no room for one such slot yields nil rows; a row that fails to
-// pack fails the query.
+// slot codec for valueBits-wide payloads, through the memo. A key with no
+// room for one such slot, or a row that fails to pack, fails the query
+// (sknn.New and store.Read refuse the key already: CheckDomainBits).
 func packedRows(pk *paillier.PublicKey, packs *rowPacks, valueBits int, idx []int, row func(pos int) []*paillier.Ciphertext) (*smc.PackedRows, error) {
 	codec, err := paillier.NewPacking(pk, valueBits)
-	if errors.Is(err, paillier.ErrPackWidth) {
-		return nil, nil
-	}
 	if err != nil {
 		return nil, fmt.Errorf("core: SSED slot codec: %w", err)
 	}

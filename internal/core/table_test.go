@@ -8,7 +8,6 @@ import (
 
 	"sknn/internal/paillier"
 	"sknn/internal/smc"
-	"sknn/internal/testkit"
 )
 
 func TestEncryptTableShape(t *testing.T) {
@@ -130,23 +129,13 @@ func TestAttrBitsTravels(t *testing.T) {
 	}
 }
 
-// TestPackedRowsFallsBackOnlyOnKeySize: a key with no room for one SSED
-// slot yields no packed rows and no error — the classic fallback — while
-// a row that fails to pack fails the query instead of quietly taking the
-// slow path, and stays unrendered in the memo for the next query to try.
-func TestPackedRowsFallsBackOnlyOnKeySize(t *testing.T) {
-	small := &testkit.Key(64).PublicKey
-	row, err := small.EncryptUint64Vector(rand.Reader, []uint64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := packedRows(small, &rowPacks{}, 4, []int{0}, func(int) []*paillier.Ciphertext { return row })
-	if rows != nil || err != nil {
-		t.Errorf("64-bit key, 4-bit values: rows %v, err %v; want neither", rows, err)
-	}
-
+// TestPackedRowsFailOnUnpackableRow: a row that fails to pack fails the
+// query — there is no slower path to take — and stays unrendered in the
+// memo for the next query to try.
+func TestPackedRowsFailOnUnpackableRow(t *testing.T) {
 	pk := &testKey().PublicKey
-	if row, err = pk.EncryptUint64Vector(rand.Reader, []uint64{1, 2}); err != nil {
+	row, err := pk.EncryptUint64Vector(rand.Reader, []uint64{1, 2})
+	if err != nil {
 		t.Fatal(err)
 	}
 	packs := &rowPacks{}
@@ -156,7 +145,8 @@ func TestPackedRowsFallsBackOnlyOnKeySize(t *testing.T) {
 		}
 		return row
 	}
-	if rows, err = packedRows(pk, packs, 4, []int{0, 1, 2}, broken); !errors.Is(err, smc.ErrEmptyInput) || rows != nil {
+	rows, err := packedRows(pk, packs, 4, []int{0, 1, 2}, broken)
+	if !errors.Is(err, smc.ErrEmptyInput) || rows != nil {
 		t.Fatalf("a row that does not pack: rows %v, err %v; want smc.ErrEmptyInput", rows, err)
 	}
 	rows, err = packedRows(pk, packs, 4, []int{0, 1, 2}, func(int) []*paillier.Ciphertext { return row })
@@ -348,9 +338,6 @@ func TestPackedRenderingsSurviveMutation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if feats == nil || cents == nil {
-			t.Fatal("256-bit key refused to pack")
-		}
 		var out rendering
 		for i := range idx {
 			out.feat = append(out.feat, feats.Rows[i][0])
@@ -461,8 +448,7 @@ func TestPackedRenderingsConcurrentMutation(t *testing.T) {
 					t.Errorf("rendering: %v", err)
 					return
 				}
-				feats, err := v.packedFeatureRows(attrPackBits(l), v.liveIdx)
-				if err != nil || feats == nil {
+				if _, err := v.packedFeatureRows(attrPackBits(l), v.liveIdx); err != nil {
 					t.Errorf("rendering: %v", err)
 					return
 				}

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"errors"
+	"math"
 	"math/big"
 	"testing"
 
@@ -59,7 +60,7 @@ func TestGateResultLayouts(t *testing.T) {
 		"cols over m":                       gateResult(k, m, core.RowLayout{Cols: 6, Bits: 4}, 0, 0),
 		"packed without a slot width":       gateResult(k, m, core.RowLayout{Cols: 3}, 0, 0, 1, 1),
 		"row wider than the key":            gateResult(k, m, core.RowLayout{Cols: 5, Bits: 64}, 0, 1),
-		"huge slot width":                   gateResult(k, m, core.RowLayout{Cols: 5, Bits: 1 << 40}, 0, 1),
+		"huge slot width":                   gateResult(k, m, core.RowLayout{Cols: 5, Bits: math.MaxInt32}, 0, 1),
 		"negative slot width":               gateResult(k, m, core.RowLayout{Cols: 1, Bits: -1}, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5),
 		"per-attribute payload, packed hdr": gateResult(k, m, core.RowLayout{Cols: 3, Bits: 4}, 0, 0, 0, 0, 0, 15, 0, 9, 1, 15),
 		"packed payload, per-attribute hdr": gateResult(k, m, core.RowLayout{Cols: 1}, 0, 0, 0x90f, 0xf1),

@@ -77,8 +77,9 @@ var Manifest = map[string]string{
 	"sknn/internal/gateway/tenant.go":  RoleC1,
 	"sknn/internal/gateway/wire.go":    RoleC1,
 
-	// The paper's printed SkNNm plays C1 against core.CloudC2: like the
-	// engine it is the oracle for, it sees ciphertexts and blinded
-	// values only (its tests stand C2 up, and are exempt).
+	// The paper's printed SkNNm plays C1: like the engine it is the oracle
+	// for, it sees ciphertexts and blinded values only. Its key cloud is
+	// the deployed C2 plus the handlers of Algorithms 1–3.
+	"sknn/internal/reference/keycloud.go":  RoleC2,
 	"sknn/internal/reference/reference.go": RoleC1,
 }

@@ -1,0 +1,18 @@
+package reference
+
+import (
+	"sknn/internal/core"
+	"sknn/internal/mpc"
+	"sknn/internal/paillier"
+	"sknn/internal/smc"
+)
+
+// KeyCloud is C2 for the printed protocols: the deployed key cloud's
+// dispatcher (core.CloudC2.Mux) plus the handlers of the paper's SM, SBD
+// and SMIN (Algorithms 1–3), which no deployed C2 serves. It answers the
+// engine too, so one key cloud serves both sides of a differential test.
+func KeyCloud(sk *paillier.PrivateKey) *mpc.Mux {
+	mux := core.NewCloudC2(sk, nil).Mux()
+	smc.NewResponder(sk, nil).RegisterPaper(mux)
+	return mux
+}

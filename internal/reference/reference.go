@@ -1,19 +1,19 @@
 // Package reference is the paper's query protocols written once, the way
 // they are printed: SkNNb (Algorithm 5), SMINn (Algorithm 4) and SkNNm
 // (Algorithm 6), straight-line, over a single link, one primitive call
-// per line of pseudocode. It plays C1 against the same core.CloudC2 the production
-// engine talks to, and shares nothing else with that engine — no
-// sessions, no link pool, no packed SSED, no value-domain tournament, no
-// row packing, no scatter-gather — which is what makes it an oracle: the
-// differential suites (this package's, and the facade's) run a production
-// query and this one over the same encrypted table and require the same
-// neighbours as the plaintext kNN.
+// per line of pseudocode. It shares nothing with the production engine
+// but the key cloud's protocol handlers — no sessions, no link pool, no
+// packed SSED, no value-domain tournament, no row packing, no
+// scatter-gather — which is what makes it an oracle: the differential
+// suites (this package's, and the facade's) run a production query and
+// this one over the same encrypted table and require the same neighbours
+// as the plaintext kNN.
 //
 // Every primitive it calls is internal/smc's paper presentation — SSED,
 // SBD, SMIN, SM, SBOR on an ordinary smc.Requester — so every frame
 // speaks the paper's one-ciphertext-per-value wire format with
-// full-range blinds. The connection must be served by a core.CloudC2
-// holding the table key's secret half.
+// full-range blinds. The connection must be served by KeyCloud over the
+// table key's secret half: the deployed core.CloudC2 serves no such frame.
 //
 // Cost is the paper's, not the engine's: n SSEDs of m secure
 // multiplications each and, for SkNNm, n SBDs and per selected neighbour

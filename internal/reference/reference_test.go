@@ -20,16 +20,16 @@ import (
 	"sknn/internal/testkit"
 )
 
-// keyCloud is C2 for one test: a core.CloudC2 holding sk, serving every
-// link handed out by conns until the test ends.
+// keyCloud is C2 for one test: KeyCloud over sk, serving every link
+// handed out by conns until the test ends.
 type keyCloud struct {
-	t  *testing.T
-	c2 *core.CloudC2
-	wg sync.WaitGroup
+	t   *testing.T
+	mux *mpc.Mux
+	wg  sync.WaitGroup
 }
 
 func newKeyCloud(t *testing.T, sk *paillier.PrivateKey) *keyCloud {
-	kc := &keyCloud{t: t, c2: core.NewCloudC2(sk, nil)}
+	kc := &keyCloud{t: t, mux: KeyCloud(sk)}
 	t.Cleanup(kc.wg.Wait) // registered first, so it runs after every link's owner closed it
 	return kc
 }
@@ -44,7 +44,7 @@ func (kc *keyCloud) conns(n int) []mpc.Conn {
 		kc.wg.Add(1)
 		go func() {
 			defer kc.wg.Done()
-			if err := kc.c2.Serve(c2Side); err != nil {
+			if err := mpc.Serve(c2Side, kc.mux); err != nil {
 				kc.t.Errorf("C2 serve loop: %v", err)
 			}
 		}()
@@ -62,6 +62,19 @@ func (kc *keyCloud) requester(pk *paillier.PublicKey) *smc.Requester {
 		conn.Close()
 	})
 	return smc.NewRequester(pk, conn, nil)
+}
+
+// TestKeyCloudOpcodeSet pins the reference's key cloud to the deployed
+// one's opcodes plus the four of the paper's primitives — SM, SBD's LSB
+// and verify rounds, SMIN's second round (16–19) — which the deployed key
+// cloud answers as unknown (core: TestCloudC2OpcodeSet).
+func TestKeyCloudOpcodeSet(t *testing.T) {
+	sk := testkit.Key(256)
+	want := append(core.NewCloudC2(sk, nil).Mux().Ops(), smc.OpSM, smc.OpSBDLsb, smc.OpSBDVerify, smc.OpSMIN)
+	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	if got := KeyCloud(sk).Ops(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("reference key cloud serves opcodes %v, want %v", got, want)
+	}
 }
 
 // --- SMINn (Algorithm 4) ------------------------------------------------
@@ -431,9 +444,6 @@ func TestSkNNbDifferential(t *testing.T) {
 		{name: "two chunks per record", keyBits: 256, attrBits: 24, f: 3,
 			rows:   [][]uint64{{1<<24 - 1, 0, 5}, {0, 0, 0}, {1 << 23, 1 << 23, 1 << 23}, {9, 9, 9}},
 			insert: []uint64{1<<24 - 1, 1<<24 - 1, 1<<24 - 1}, q: []uint64{1 << 23, 1 << 23, 0}, k: 3},
-		{name: "key too small for one SSED slot", keyBits: 64, attrBits: 4, f: 2,
-			rows:   [][]uint64{{1, 2}, {15, 15}, {4, 0}, {2, 2}, {8, 9}},
-			insert: []uint64{15, 0}, q: []uint64{2, 3}, k: 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -161,9 +161,10 @@ func PackRow(codec *paillier.Packing, row []*paillier.Ciphertext) ([]*paillier.C
 	return packRuns(codec, row, codec.Slots)
 }
 
-// SSEDManyPacked is SSEDMany over pre-packed record rows: one uplink
-// ciphertext per record slot group (instead of m blinded pairs per
-// record) and one downlink ciphertext per record. C1 sends, per record,
+// SSEDManyPacked computes E(|Q−tᵢ|²) for one query against many
+// pre-packed record rows in one round trip: one uplink ciphertext per
+// record slot group (where SSED sends m blinded pairs per record) and one
+// downlink ciphertext per record. C1 sends, per record,
 // the slotwise value yⱼ = qⱼ − tⱼ + 2^B + rⱼ (offset clears the
 // subtraction's sign, short blind rⱼ hides the difference); C2 decrypts
 // once per group, returns E(Σⱼ yⱼ²); C1 strips the known cross terms:

@@ -12,20 +12,21 @@
 // as printed — one ciphertext per value, full-range blinds (sm.go,
 // ssed.go, sbd.go, smin.go, sbor.go). They are the oracle of this
 // package's differential tests and exactly what internal/reference, which
-// holds the paper's SMINn and SkNNm (Algorithms 4 and 6), runs. Each has
-// a batched variant that processes a whole vector per round trip; the
-// arithmetic is identical element-wise, only framing is shared.
+// holds the paper's SMINn and SkNNm (Algorithms 4 and 6), runs. SM, SBD
+// and SBOR have batched variants that process a whole vector per round
+// trip; the arithmetic is identical element-wise, only framing is shared.
 //
 // Beside them sit the production kernels internal/core calls — the
 // slot-packed SSED uplink, the packed bit peel, the blinded operand
 // uplink of the frames in which C2 multiplies by a selector it knows
 // (pack.go) and the value-domain minimum with its tournament
-// (sminvalue.go). Nothing switches between the two families: a kernel
-// falls back to its paper primitive only on something it observes (a key
-// too small for one SSED slot).
+// (sminvalue.go). Nothing switches between the two families, and no
+// kernel falls back to a paper primitive.
 //
 // C1's side of each protocol is a method on Requester; C2's side is a
-// stateless handler registered on an mpc.Mux by Responder.
+// stateless handler registered on an mpc.Mux by Responder, one
+// registration per family: the deployed key cloud serves the kernels
+// alone, internal/reference's serves both.
 //
 // Bit-vector convention: as in the paper, [z] = ⟨E(z₁),…,E(z_l)⟩ with
 // index 0 holding the MOST significant bit.
@@ -202,20 +203,29 @@ func NewResponder(sk *paillier.PrivateKey, random io.Reader) *Responder {
 	return &Responder{sk: sk, rand: random}
 }
 
-// Register installs all smc handlers on mux.
-func (rp *Responder) Register(mux *mpc.Mux) {
+// RegisterPaper installs the handlers of the paper's primitives as
+// printed (SM, SBD's two rounds, SMIN's second round) on mux. Only
+// internal/reference's key cloud serves them.
+func (rp *Responder) RegisterPaper(mux *mpc.Mux) {
 	mux.Register(OpSM, mpc.HandlerFunc(rp.handleSM))
 	mux.Register(OpSBDLsb, mpc.HandlerFunc(rp.handleSBDLsb))
 	mux.Register(OpSBDVerify, mpc.HandlerFunc(rp.handleSBDVerify))
 	mux.Register(OpSMIN, mpc.HandlerFunc(rp.handleSMIN))
+}
+
+// RegisterKernels installs the handlers of the packed kernels
+// internal/core sends (packed SSED, the bit peel) on mux.
+func (rp *Responder) RegisterKernels(mux *mpc.Mux) {
 	mux.Register(OpSSEDPack, mpc.HandlerFunc(rp.handleSSEDPack))
 	mux.Register(OpSBDPackBit, mpc.HandlerFunc(rp.handleSBDPackBit))
 }
 
-// Mux returns a fresh Mux with all smc handlers registered.
+// Mux returns a fresh Mux with all smc handlers, of both families,
+// registered.
 func (rp *Responder) Mux() *mpc.Mux {
 	mux := mpc.NewMux()
-	rp.Register(mux)
+	rp.RegisterPaper(mux)
+	rp.RegisterKernels(mux)
 	return mux
 }
 

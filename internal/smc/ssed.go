@@ -29,33 +29,3 @@ func (rq *Requester) SSED(x, y []*paillier.Ciphertext) (*paillier.Ciphertext, er
 	}
 	return rq.pk.Product(squares), nil
 }
-
-// SSEDMany computes E(|Q−tᵢ|²) for one query vector against many record
-// vectors in a single SM round trip (n·m multiplications in one frame).
-// This is the Stage-1 workload of both SkNN protocols, so collapsing it
-// to one round matters for the wire transport.
-func (rq *Requester) SSEDMany(q []*paillier.Ciphertext, records [][]*paillier.Ciphertext) ([]*paillier.Ciphertext, error) {
-	if len(records) == 0 {
-		return nil, ErrEmptyInput
-	}
-	m := len(q)
-	diffs := make([]*paillier.Ciphertext, 0, len(records)*m)
-	for i, rec := range records {
-		if len(rec) != m {
-			return nil, fmt.Errorf("%w: record %d has %d attributes, query has %d",
-				ErrLengthMismatch, i, len(rec), m)
-		}
-		for j := range rec {
-			diffs = append(diffs, rq.pk.Sub(q[j], rec[j]))
-		}
-	}
-	squares, err := rq.SMBatch(diffs, diffs)
-	if err != nil {
-		return nil, fmt.Errorf("smc: SSEDMany squaring: %w", err)
-	}
-	out := make([]*paillier.Ciphertext, len(records))
-	for i := range records {
-		out[i] = rq.pk.Product(squares[i*m : (i+1)*m])
-	}
-	return out, nil
-}

@@ -78,38 +78,22 @@ func TestSSEDValidation(t *testing.T) {
 	}
 }
 
-func TestSSEDMany(t *testing.T) {
-	rq, sk := pair(t)
-	q := encVec(t, sk, 0, 0)
-	plain := [][]int64{{3, 4}, {1, 1}, {0, 0}, {10, 0}}
-	records := make([][]*paillier.Ciphertext, len(plain))
-	for i, rec := range plain {
-		records[i] = encVec(t, sk, rec...)
-	}
-	rounds0 := rq.Conn().Stats().Rounds()
-	ds, err := rq.SSEDMany(q, records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := rq.Conn().Stats().Rounds() - rounds0; r != 1 {
-		t.Errorf("SSEDMany used %d rounds, want 1", r)
-	}
-	want := []int64{25, 2, 0, 100}
-	for i := range want {
-		if v := dec(t, sk, ds[i]); v != want[i] {
-			t.Errorf("distance[%d] = %d, want %d", i, v, want[i])
-		}
-	}
-}
-
+// TestSSEDManyValidation: the batched SSED, SSEDManyPacked, refuses an
+// empty batch, a record of another arity than the query, and a packed
+// rendering of other rows.
 func TestSSEDManyValidation(t *testing.T) {
 	rq, sk := pair(t)
 	q := encVec(t, sk, 1, 2)
-	if _, err := rq.SSEDMany(q, nil); !errors.Is(err, ErrEmptyInput) {
+	rows := [][]*paillier.Ciphertext{encVec(t, sk, 3, 4)}
+	packed := packRows(t, rq.PK(), 8, rows)
+	if _, err := rq.SSEDManyPacked(q, nil, packed); !errors.Is(err, ErrEmptyInput) {
 		t.Errorf("empty error = %v", err)
 	}
 	bad := [][]*paillier.Ciphertext{encVec(t, sk, 1)}
-	if _, err := rq.SSEDMany(q, bad); !errors.Is(err, ErrLengthMismatch) {
-		t.Errorf("mismatch error = %v", err)
+	if _, err := rq.SSEDManyPacked(q, bad, packRows(t, rq.PK(), 8, bad)); !errors.Is(err, ErrLengthMismatch) {
+		t.Errorf("arity mismatch error = %v", err)
+	}
+	if _, err := rq.SSEDManyPacked(q, append(rows, rows[0]), packed); !errors.Is(err, ErrLengthMismatch) {
+		t.Errorf("packed rows mismatch error = %v", err)
 	}
 }

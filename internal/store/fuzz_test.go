@@ -60,9 +60,9 @@ func seedSnapshot(tb testing.TB, clustered, sharded bool) []byte {
 // lineage, public key, tombstone bitmap, id list, ciphertext matrix,
 // cluster sections, CRC trailer — over mutated inputs. The invariants:
 // never panic, never allocate unboundedly off a lying header, and when
-// a parse succeeds, the snapshot must survive a write/read round trip
-// and core.RestoreTable's structural validation (i.e. nothing
-// half-parsed ever escapes).
+// a parse succeeds, its key carries its l (core.CheckDomainBits) and the
+// snapshot must survive a write/read round trip and core.RestoreTable's
+// structural validation (i.e. nothing half-parsed ever escapes).
 func FuzzSnapshotRead(f *testing.F) {
 	plain := seedSnapshot(f, false, false)
 	f.Add(plain)
@@ -80,11 +80,15 @@ func FuzzSnapshotRead(f *testing.F) {
 	for _, modulus := range hostileModuli() {
 		f.Add(withModulus(plain, modulus))
 	}
+	f.Add(withModulus(plain, testkit.Key(64).N.Bytes())) // a key too small for the header's l
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if err := core.CheckDomainBits(snap.PK, snap.DomainBits); err != nil {
+			t.Fatalf("accepted a snapshot whose key cannot carry its l: %v", err)
 		}
 		// A successful parse must be internally coherent enough to
 		// serialize again and reload identically.

@@ -237,9 +237,10 @@ func WriteSnapshot(w io.Writer, snap *Snapshot) error {
 }
 
 // Read parses one snapshot, validating the magic, version, checksum,
-// structural invariants, and the header's domain metadata. The caller still owes a VerifyKey against
-// the key it intends to use and a core.RestoreTable (which re-validates
-// the cluster partition) before querying.
+// structural invariants, the header's domain metadata, and that its key
+// carries its l (core.ErrDomainBits). The caller still owes a VerifyKey
+// against the key it intends to use and a core.RestoreTable (which
+// re-validates the cluster partition) before querying.
 func Read(r io.Reader) (*Snapshot, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	h := crc32.New(crcTable)
@@ -321,6 +322,9 @@ func Read(r io.Reader) (*Snapshot, error) {
 	pk, err := paillier.NewPublicKey(N)
 	if err != nil {
 		return nil, fmt.Errorf("%w: implausible public modulus: %v", ErrFormat, err)
+	}
+	if err := core.CheckDomainBits(pk, domainBits); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	// Each ciphertext lives in (0, N²): cap the length prefix we will
 	// allocate for.

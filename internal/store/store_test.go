@@ -12,6 +12,7 @@ import (
 	"sknn/internal/core"
 	"sknn/internal/dataset"
 	"sknn/internal/paillier"
+	"sknn/internal/testkit"
 )
 
 // testKey shares one small key across the suite (keygen dominates).
@@ -206,12 +207,14 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 // this engine writes — an l below dataset.DomainBits(attrBits, featureM)
 // would let a real distance reach SkNNm's step 3(e) sentinel, and an
 // attribute domain beyond dataset.MaxAttrBits overflows the plaintext
-// distance bound. Both files are otherwise well formed.
+// distance bound — and a key too small to carry its own l is refused as
+// core.ErrDomainBits, as sknn.New refuses it. The files are otherwise well
+// formed.
 func TestReadRefusesForeignDomain(t *testing.T) {
 	pk := &testKey().PublicKey
 	snap := buildTable(t, false, false).Snapshot()
 	l := dataset.DomainBits(snap.AttrBits, snap.FeatureM)
-	read := func(tbl *core.TableSnapshot, domainBits int) error {
+	read := func(pk *paillier.PublicKey, tbl *core.TableSnapshot, domainBits int) error {
 		var buf bytes.Buffer
 		if err := Write(&buf, pk, tbl, domainBits); err != nil {
 			t.Fatal(err)
@@ -219,16 +222,25 @@ func TestReadRefusesForeignDomain(t *testing.T) {
 		_, err := Read(&buf)
 		return err
 	}
-	if err := read(snap, l); err != nil {
+	if err := read(pk, snap, l); err != nil {
 		t.Fatalf("consistent header l=%d refused: %v", l, err)
 	}
-	if err := read(snap, l-1); !errors.Is(err, ErrFormat) {
+	if err := read(pk, snap, l-1); !errors.Is(err, ErrFormat) {
 		t.Errorf("understated l=%d: err = %v, want ErrFormat", l-1, err)
 	}
 	wide := *snap
 	wide.AttrBits = 30
-	if err := read(&wide, dataset.DomainBits(30, wide.FeatureM)); !errors.Is(err, ErrFormat) {
+	if err := read(pk, &wide, dataset.DomainBits(30, wide.FeatureM)); !errors.Is(err, ErrFormat) {
 		t.Errorf("attrBits=30 > %d: err = %v, want ErrFormat", dataset.MaxAttrBits, err)
+	}
+	small := &testkit.Key(64).PublicKey
+	tiny, err := core.EncryptTable(rand.Reader, small, [][]uint64{{1, 2}, {15, 0}, {4, 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l = dataset.DomainBits(4, 2)
+	if err := read(small, tiny.Snapshot(), l); !errors.Is(err, core.ErrDomainBits) {
+		t.Errorf("64-bit key, l=%d: err = %v, want core.ErrDomainBits", l, err)
 	}
 }
 

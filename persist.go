@@ -72,9 +72,6 @@ func LoadTable(r io.Reader, sk *paillier.PrivateKey, cfg Config) (*System, error
 	if err := snap.VerifyKey(&sk.PublicKey); err != nil {
 		return nil, fmt.Errorf("sknn: %w", err)
 	}
-	if err := core.CheckDomainBits(&sk.PublicKey, snap.DomainBits); err != nil {
-		return nil, fmt.Errorf("sknn: %w", err)
-	}
 	tbl, err := core.RestoreTable(&sk.PublicKey, snap.Table)
 	if err != nil {
 		return nil, fmt.Errorf("sknn: %w", err)

@@ -42,9 +42,9 @@ func queryBatchRows(s *System, queries [][]uint64, k int, mode Mode) ([][][]uint
 
 // referenceRows answers q with the paper's printed SkNNm
 // (internal/reference) over its own encryption of rows under sk, against
-// a key cloud of its own: the oracle that shares no engine code with the
-// System under test. f is the feature-column count; l follows from it
-// and attrBits the way New derives it.
+// a key cloud of its own (reference.KeyCloud): the oracle that shares no
+// engine code with the System under test. f is the feature-column count;
+// l follows from it and attrBits the way New derives it.
 func referenceRows(t *testing.T, sk *paillier.PrivateKey, rows [][]uint64, attrBits, f int, q []uint64, k int) [][]uint64 {
 	t.Helper()
 	pk := &sk.PublicKey
@@ -54,7 +54,7 @@ func referenceRows(t *testing.T, sk *paillier.PrivateKey, rows [][]uint64, attrB
 	}
 	c1Side, c2Side := mpc.ChanPipe()
 	served := make(chan error, 1)
-	go func() { served <- core.NewCloudC2(sk, nil).Serve(c2Side) }()
+	go func() { served <- mpc.Serve(c2Side, reference.KeyCloud(sk)) }()
 	defer func() {
 		if err := mpc.SendClose(c1Side); err != nil {
 			t.Errorf("closing reference link: %v", err)
