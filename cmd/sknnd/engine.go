@@ -168,7 +168,8 @@ func (e *engine) Close() error {
 }
 
 // query answers one query, playing Bob around the engine: encrypt,
-// run the protocol mode names, unmask. A positive target selects the
+// run the protocol mode names, unmask — and for SkNNm, whose answer is a
+// set, rank the rows nearest first. A positive target selects the
 // pruned scan on clustered shards; a positive timeout bounds the whole
 // scatter and merge — expiry cancels every outstanding shard scan within
 // one protocol round.
@@ -191,7 +192,14 @@ func (e *engine) query(base context.Context, bob *core.Client, q []uint64, k int
 	if err != nil {
 		return nil, err
 	}
-	return bob.Unmask(res)
+	rows, err := bob.Unmask(res)
+	if err != nil {
+		return nil, err
+	}
+	if mode == "secure" {
+		core.NearestFirst(q, rows)
+	}
+	return rows, nil
 }
 
 // runQueries is the batch subcommands' query loop: every query answered

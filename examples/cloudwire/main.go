@@ -118,6 +118,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// SkNNm returns its k nearest as a set: Bob ranks them himself.
+	core.NearestFirst(q, rows)
 	fmt.Printf("\nSkNNm over TCP: %v\n", rows)
 	fmt.Printf("  time %v, traffic %s (SMINn share %.0f%%)\n",
 		sm.Total.Round(1e6), sm.Comm, 100*sm.SMINnShare())

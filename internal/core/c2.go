@@ -15,10 +15,10 @@ import (
 // CloudC2 is the key cloud: it embeds the smc responder's packed kernels
 // (packed SSED, the bit peel) and adds the protocol-level services of
 // Algorithms 5 and 6. It serves exactly the frames the engine sends: the
-// paper's SM, SBD and SMIN handlers are internal/reference's key cloud's
-// alone. It is stateless across requests, so one CloudC2 can serve any
-// number of connections concurrently (the parallel variants rely on
-// this).
+// paper's SM, SBD and SMIN handlers and Algorithm 6's one-hot select are
+// internal/reference's key cloud's alone (RegisterPaper). It is
+// stateless across requests, so one CloudC2 can serve any number of
+// connections concurrently (the parallel variants rely on this).
 type CloudC2 struct {
 	resp   *smc.Responder
 	sk     *paillier.PrivateKey
@@ -41,10 +41,16 @@ func (c *CloudC2) Mux() *mpc.Mux {
 	c.resp.RegisterKernels(mux)
 	mux.Register(OpRank, mpc.HandlerFunc(c.handleRank))
 	mux.Register(OpReveal, mpc.HandlerFunc(c.handleReveal))
-	mux.Register(OpMinSelect, mpc.HandlerFunc(c.handleMinSelect))
 	mux.Register(OpMinIndex, mpc.HandlerFunc(c.handleMinIndex))
 	mux.Register(OpHello, mpc.HandlerFunc(c.handleHello))
 	return mux
+}
+
+// RegisterPaper installs the handler of Algorithm 6's step 3(c) as
+// printed (OpMinSelect) on mux. The engine selects with its network and
+// never sends it; only internal/reference's key cloud serves it.
+func (c *CloudC2) RegisterPaper(mux *mpc.Mux) {
+	mux.Register(OpMinSelect, mpc.HandlerFunc(c.handleMinSelect))
 }
 
 // handleHello verifies that C1's public modulus matches the key C2
@@ -145,148 +151,43 @@ func (c *CloudC2) handleReveal(req *mpc.Message) (*mpc.Message, error) {
 	return &mpc.Message{Op: OpReveal, Ints: out}, nil
 }
 
-// minSelectMaxOperands bounds the sums and each fields of an OpMinSelect
-// header — far above any record's chunk count — so n·(sums+each) cannot
-// overflow before the frame's length is checked against it.
-const minSelectMaxOperands = 1 << 16
-
-// minSelectFrame is a validated OpMinSelect request.
-type minSelectFrame struct {
-	n, sums, each int
-	codec         *paillier.Packing // nil when the frame carries no operands
-	betas, groups []*big.Int
-}
-
-// parseMinSelect validates an OpMinSelect payload: [n, sums, each,
-// valueBits, β₁…βₙ, ⌈n·(sums+each)/Slots⌉ operand groups], the codec
-// built from valueBits whenever there is an operand to unpack.
-func (c *CloudC2) parseMinSelect(ints []*big.Int) (*minSelectFrame, error) {
-	if len(ints) < 4 {
-		return nil, fmt.Errorf("%w: min-select header of %d ints", ErrBadFrame, len(ints))
-	}
-	var head [4]int
-	for i := range head {
-		if ints[i] == nil || !ints[i].IsInt64() {
-			return nil, fmt.Errorf("%w: min-select header", ErrBadFrame)
-		}
-		head[i] = int(ints[i].Int64())
-	}
-	n, sums, each, vb := head[0], head[1], head[2], head[3]
-	if n < 1 || n > len(ints)-4 || sums < 0 || sums > minSelectMaxOperands ||
-		each < 0 || each > minSelectMaxOperands || vb < 1 {
-		return nil, fmt.Errorf("%w: min-select header n=%d sums=%d each=%d valueBits=%d",
-			ErrBadFrame, n, sums, each, vb)
-	}
-	f := &minSelectFrame{n: n, sums: sums, each: each, betas: ints[4 : 4+n], groups: ints[4+n:]}
-	groups := 0
-	if ops := n * (sums + each); ops > 0 {
-		codec, err := paillier.NewPacking(&c.sk.PublicKey, vb)
-		if err != nil {
-			return nil, fmt.Errorf("%w: min-select operands: %v", ErrBadFrame, err)
-		}
-		f.codec, groups = codec, codec.Groups(ops)
-	}
-	if len(f.groups) != groups {
-		return nil, fmt.Errorf("%w: min-select carries %d operand groups for %d positions of %d+%d, want %d",
-			ErrBadFrame, len(f.groups), n, sums, each, groups)
-	}
-	return f, nil
-}
-
-// handleMinSelect is steps 3(b)–(e) of Algorithm 6 in one round. C2
-// decrypts the blinded, permuted distance differences β and picks the
-// position w of the one-hot U among its zeros — uniformly at random where
-// several tie, as the paper prescribes for step 3(c). With U known in the
-// clear, it also does the products the paper's steps 3(d) and 3(e) spend
-// SM rounds on: C1 sends, per position j, sums record chunks and each
-// per-position operands, every one short-blinded (y = x + ρ) and
-// slot-packed, and C2 returns U₁…Uₙ, then E(y_{w,g}) for each chunk g —
-// Σⱼ Uⱼ·y_{j,g}, the winner's chunk — then E(Uⱼ·y_{j,e}) for every
-// position and per-position operand, all fresh encryptions. C1 strips the
-// blinds with ρ·E(U). sums = each = 0 is step 3(c) as printed, the frame
-// internal/reference sends.
+// handleMinSelect is step 3(c) of Algorithm 6 as printed: C2 decrypts
+// the blinded, permuted distance differences β and answers the one-hot
+// U, E(1) at one of β's zeros — chosen uniformly at random where several
+// tie, as the paper prescribes — and E(0) elsewhere, all fresh
+// encryptions. Payload: [n, β₁…βₙ]; reply: U₁…Uₙ.
 func (c *CloudC2) handleMinSelect(req *mpc.Message) (*mpc.Message, error) {
-	f, err := c.parseMinSelect(req.Ints)
+	ints := req.Ints
+	if len(ints) < 2 || ints[0] == nil || !ints[0].IsInt64() || ints[0].Int64() != int64(len(ints)-1) {
+		return nil, fmt.Errorf("%w: min-select payload of %d ints", ErrBadFrame, len(ints))
+	}
+	w, err := c.argminOfBlinded(ints[1:])
 	if err != nil {
 		return nil, err
 	}
-	n, per := f.n, f.sums+f.each
-	nonces, err := c.sk.DrawNonces(c.random, n+f.sums+n*f.each)
+	nonces, err := c.sk.DrawNonces(c.random, len(ints)-1)
 	if err != nil {
 		return nil, fmt.Errorf("core: min-select encrypt: %w", err)
 	}
-	// β's and the operand groups' decryptions and the reply's nonce powers
-	// are one task list.
-	isZero := make([]bool, n)
-	vals := make([][]*big.Int, len(f.groups))
-	err = paillier.RaiseAlongside(nonces, n+len(f.groups), func(i int) error {
-		if i < n {
-			m, err := c.decryptRaw(f.betas[i])
-			if err != nil {
-				return fmt.Errorf("core: min-select β[%d]: %w", i, err)
-			}
-			isZero[i] = m.Sign() == 0
-			return nil
-		}
-		g := i - n
-		ct, err := c.sk.FromRaw(f.groups[g])
-		if err != nil {
-			return fmt.Errorf("core: min-select operand group %d: %w", g, err)
-		}
-		v, err := f.codec.UnpackDecrypt(c.sk, ct, min(f.codec.Slots, n*per-g*f.codec.Slots))
-		if err != nil {
-			return fmt.Errorf("core: min-select operand group %d: %w", g, err)
-		}
-		vals[g] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	w, err := c.pickZero(isZero)
-	if err != nil {
-		return nil, err
-	}
-
-	operand := func(j, e int) *big.Int {
-		i := j*per + e
-		return vals[i/f.codec.Slots][i%f.codec.Slots]
-	}
-	ms := make([]*big.Int, 0, len(nonces))
-	for j := 0; j < n; j++ {
+	out := make([]*big.Int, len(nonces))
+	for j := range out {
 		u := new(big.Int)
 		if j == w {
 			u.SetInt64(1)
 		}
-		ms = append(ms, u)
-	}
-	for g := 0; g < f.sums; g++ {
-		ms = append(ms, operand(w, g))
-	}
-	for j := 0; j < n; j++ {
-		for e := 0; e < f.each; e++ {
-			if j == w {
-				ms = append(ms, operand(w, f.sums+e))
-			} else {
-				ms = append(ms, new(big.Int))
-			}
-		}
-	}
-	out := make([]*big.Int, len(ms))
-	for i, m := range ms {
-		out[i] = c.sk.EncryptWith(nonces[i], m).Raw()
+		out[j] = c.sk.EncryptWith(nonces[j], u).Raw()
 	}
 	return &mpc.Message{Op: OpMinSelect, Ints: out}, nil
 }
 
-// handleMinIndex is the clustered-index variant of min-select: same
-// blinded, permuted payload, but the reply is the argmin *position in
+// handleMinIndex is the clustered-index variant of Algorithm 6's select:
+// the same blinded, permuted β, but the reply is the argmin *position in
 // the clear* instead of an encrypted one-hot vector. C1 inverse-permutes
 // the position to learn which cluster centroid is nearest — the
 // deliberate, documented leakage the clustered index trades for pruning
-// (C1 must know which clusters to scan). C2's view is unchanged from
-// min-select: a fresh uniform permutation per round means the position
-// it reports reveals nothing about which cluster it was. Payload:
+// (C1 must know which clusters to scan). C2's view is that of the
+// paper's step 3(c): a fresh uniform permutation per round means the
+// position it reports reveals nothing about which cluster it was. Payload:
 // [β₁,…,β_c]; reply: [i] (0-based position, plaintext).
 func (c *CloudC2) handleMinIndex(req *mpc.Message) (*mpc.Message, error) {
 	chosen, err := c.argminOfBlinded(req.Ints)
@@ -306,17 +207,19 @@ func (c *CloudC2) decryptRaw(v *big.Int) (*big.Int, error) {
 	return c.sk.Decrypt(ct)
 }
 
-// argminOfBlinded decrypts a blinded-difference vector β and returns one
-// of its zero positions (pickZero).
+// argminOfBlinded decrypts a blinded-difference vector β (βᵢ =
+// rᵢ·(dmin−dᵢ), so exactly the minima decrypt to zero) and returns one of
+// its zero positions, chosen uniformly at random among them — the
+// tie-break rule the paper prescribes for step 3(c).
 func (c *CloudC2) argminOfBlinded(ints []*big.Int) (int, error) {
 	if len(ints) == 0 {
-		return 0, fmt.Errorf("%w: empty min-index payload", ErrBadFrame)
+		return 0, fmt.Errorf("%w: empty β", ErrBadFrame)
 	}
 	isZero := make([]bool, len(ints))
 	err := paillier.ForEach(len(ints), func(i int) error {
 		m, err := c.decryptRaw(ints[i])
 		if err != nil {
-			return fmt.Errorf("core: min-index β[%d]: %w", i, err)
+			return fmt.Errorf("core: β[%d]: %w", i, err)
 		}
 		isZero[i] = m.Sign() == 0
 		return nil
@@ -324,14 +227,6 @@ func (c *CloudC2) argminOfBlinded(ints []*big.Int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return c.pickZero(isZero)
-}
-
-// pickZero returns one position of a decrypted blinded-difference vector
-// β (βᵢ = rᵢ·(dmin−dᵢ), so exactly the minima decrypt to zero) chosen
-// uniformly at random among its zeros — the tie-break rule the paper
-// prescribes for step 3(c).
-func (c *CloudC2) pickZero(isZero []bool) (int, error) {
 	var zeros []int
 	for i, z := range isZero {
 		if z {
@@ -343,7 +238,7 @@ func (c *CloudC2) pickZero(isZero []bool) (int, error) {
 	}
 	pickBig, err := rand.Int(c.random, big.NewInt(int64(len(zeros))))
 	if err != nil {
-		return 0, fmt.Errorf("core: min-select choice: %w", err)
+		return 0, fmt.Errorf("core: argmin choice: %w", err)
 	}
 	return zeros[pickBig.Int64()], nil
 }

@@ -68,14 +68,25 @@ func TestHandleRankValidation(t *testing.T) {
 	}
 }
 
-// selectOnly is an OpMinSelect payload that asks for the select
-// alone — step 3(c) as printed, the frame internal/reference sends.
+// paperMux returns C2's dispatch mux with the paper's one-hot select
+// registered beside the engine's handlers, as internal/reference's key
+// cloud has it.
+func paperMux(t *testing.T) (*mpc.Mux, *paillier.PrivateKey) {
+	t.Helper()
+	sk := testKey()
+	c2 := NewCloudC2(sk, nil)
+	mux := c2.Mux()
+	c2.RegisterPaper(mux)
+	return mux, sk
+}
+
+// selectOnly is an OpMinSelect payload, step 3(c) as printed: [n, β…].
 func selectOnly(betas ...*big.Int) []*big.Int {
-	return append([]*big.Int{big.NewInt(int64(len(betas))), big.NewInt(0), big.NewInt(0), big.NewInt(8)}, betas...)
+	return append([]*big.Int{big.NewInt(int64(len(betas)))}, betas...)
 }
 
 func TestHandleMinSelectOneHot(t *testing.T) {
-	mux, sk := handlerMux(t)
+	mux, sk := paperMux(t)
 	// β = [random, 0, random]: U must be one-hot at index 1.
 	payload := selectOnly(encRaw(t, sk, 831), encRaw(t, sk, 0), encRaw(t, sk, 17))
 	resp, err := mux.Handle(&mpc.Message{Op: OpMinSelect, Ints: payload})
@@ -104,77 +115,8 @@ func TestHandleMinSelectOneHot(t *testing.T) {
 	}
 }
 
-// TestHandleMinSelectMultipliesByU pins the fused round's reply: after
-// U, the winner's sums operands, then every position's each operands
-// times its Uⱼ — the operands laid position by position and packed across
-// group boundaries.
-func TestHandleMinSelectMultipliesByU(t *testing.T) {
-	mux, sk := handlerMux(t)
-	const n, sums, each, vb, w = 3, 2, 2, 10, 1
-	codec, err := paillier.NewPacking(&sk.PublicKey, vb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ys := make([]*big.Int, n*(sums+each)) // position-major, as C1 lays them out
-	for i := range ys {
-		ys[i] = new(big.Int).Lsh(big.NewInt(int64(i+1)), vb+30) // blinded: wider than the payload
-	}
-	payload := []*big.Int{big.NewInt(n), big.NewInt(sums), big.NewInt(each), big.NewInt(vb)}
-	for j := 0; j < n; j++ {
-		beta := int64(3 + j)
-		if j == w {
-			beta = 0
-		}
-		payload = append(payload, encRaw(t, sk, beta))
-	}
-	for lo := 0; lo < len(ys); lo += codec.Slots {
-		ct, err := codec.PackEncrypt(rand.Reader, ys[lo:min(len(ys), lo+codec.Slots)])
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload = append(payload, ct.Raw())
-	}
-	resp, err := mux.Handle(&mpc.Message{Op: OpMinSelect, Ints: payload})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []*big.Int
-	for j := 0; j < n; j++ {
-		want = append(want, big.NewInt(int64(boolInt(j == w))))
-	}
-	want = append(want, ys[w*(sums+each):w*(sums+each)+sums]...)
-	for j := 0; j < n; j++ {
-		for e := 0; e < each; e++ {
-			want = append(want, new(big.Int).Mul(ys[j*(sums+each)+sums+e], big.NewInt(int64(boolInt(j == w)))))
-		}
-	}
-	if len(resp.Ints) != len(want) {
-		t.Fatalf("%d reply elements, want %d", len(resp.Ints), len(want))
-	}
-	for i, raw := range resp.Ints {
-		ct, err := sk.FromRaw(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sk.Decrypt(ct)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Cmp(want[i]) != 0 {
-			t.Errorf("reply %d = %v, want %v", i, got, want[i])
-		}
-	}
-}
-
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 func TestHandleMinSelectTiesPickExactlyOne(t *testing.T) {
-	mux, sk := handlerMux(t)
+	mux, sk := paperMux(t)
 	// Two zeros: exactly one E(1) in the reply, at index 0 or 2.
 	sawIdx := map[int]bool{}
 	for trial := 0; trial < 12; trial++ {
@@ -208,7 +150,7 @@ func TestHandleMinSelectTiesPickExactlyOne(t *testing.T) {
 }
 
 func TestHandleMinSelectNoZero(t *testing.T) {
-	mux, sk := handlerMux(t)
+	mux, sk := paperMux(t)
 	payload := selectOnly(encRaw(t, sk, 5), encRaw(t, sk, 6))
 	_, err := mux.Handle(&mpc.Message{Op: OpMinSelect, Ints: payload})
 	if !errors.Is(err, ErrNoZeroInBeta) {
@@ -219,81 +161,38 @@ func TestHandleMinSelectNoZero(t *testing.T) {
 	}
 }
 
-// badMinSelectFrames are OpMinSelect requests C2 must refuse, each with the
-// error class it must refuse them with; they also seed FuzzCloudC2Frame.
-// The well-formed frame they vary is n = 2 positions of sums = 1 chunk
-// and each = 2 operands at valueBits = 8: six operands, three to a group
-// at K = 256, so two groups.
-func badMinSelectFrames(t testing.TB, sk *paillier.PrivateKey) []struct {
-	name string
-	ints []*big.Int
-	want error
-} {
-	ct := func(v *big.Int) *big.Int {
-		c, err := sk.Encrypt(rand.Reader, v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c.Raw()
-	}
-	head := func(vals ...int64) []*big.Int {
-		out := make([]*big.Int, len(vals))
-		for i, v := range vals {
-			out[i] = big.NewInt(v)
-		}
-		return out
-	}
-	zero, five, group := ct(big.NewInt(0)), ct(big.NewInt(5)), ct(big.NewInt(7))
-	// One slot is 8 + 66 bits wide: a plaintext past it overfills a group
-	// that declares a single value.
-	overfull := ct(new(big.Int).Lsh(big.NewInt(1), 8+paillier.PackHeadroom))
-	return []struct {
+// TestHandleMinSelectValidation drives the select's header and length
+// checks: every malformed frame is refused with its error class before
+// any reply is built, and the frame they vary is accepted.
+func TestHandleMinSelectValidation(t *testing.T) {
+	mux, sk := paperMux(t)
+	zero, five := encRaw(t, sk, 0), encRaw(t, sk, 5)
+	head := func(n int64, betas ...*big.Int) []*big.Int { return append([]*big.Int{big.NewInt(n)}, betas...) }
+	for _, tc := range []struct {
 		name string
 		ints []*big.Int
 		want error
 	}{
 		{"empty", nil, ErrBadFrame},
-		{"header only", head(2, 1, 2, 8), ErrBadFrame},
-		{"nil header field", []*big.Int{big.NewInt(2), nil, big.NewInt(2), big.NewInt(8), zero, five, group, group}, ErrBadFrame},
-		{"huge n", append(head(1<<40, 1, 2, 8), zero, five, group, group), ErrBadFrame},
-		{"n past the frame", append(head(9, 1, 2, 8), zero, five, group, group), ErrBadFrame},
-		{"no position", append(head(0, 1, 2, 8), group, group), ErrBadFrame},
-		{"negative sums", append(head(2, -1, 2, 8), zero, five, group, group), ErrBadFrame},
-		{"negative each", append(head(2, 1, -2, 8), zero, five, group, group), ErrBadFrame},
-		{"sums lies high", append(head(2, 4, 2, 8), zero, five, group, group), ErrBadFrame},
-		{"each lies high", append(head(2, 1, 5, 8), zero, five, group, group), ErrBadFrame},
-		{"each beyond any record", append(head(2, 1, 1<<20, 8), zero, five, group, group), ErrBadFrame},
-		{"valueBits zero", append(head(2, 1, 2, 0), zero, five, group, group), ErrBadFrame},
-		{"valueBits wider than a slot", append(head(2, 1, 2, 200), zero, five, group, group), ErrBadFrame},
-		{"valueBits past the codec", append(head(2, 1, 2, 1<<20), zero, five, group, group), ErrBadFrame},
-		{"missing group", append(head(2, 1, 2, 8), zero, five, group), ErrBadFrame},
-		{"extra group", append(head(2, 1, 2, 8), zero, five, group, group, group), ErrBadFrame},
-		{"groups without operands", append(head(2, 0, 0, 8), zero, five, group), ErrBadFrame},
-		{"invalid β", append(head(2, 1, 2, 8), big.NewInt(0), five, group, group), paillier.ErrInvalidCiphertext},
-		{"invalid group", append(head(2, 1, 2, 8), zero, five, group, big.NewInt(0)), paillier.ErrInvalidCiphertext},
-		{"overfull last group", append(head(2, 1, 1, 8), zero, five, group, overfull), paillier.ErrPackRange},
-		{"no zero in β", append(head(2, 1, 2, 8), five, five, group, group), ErrNoZeroInBeta},
-	}
-}
-
-// TestHandleMinSelectValidation drives the fused frame's header and
-// length checks: every malformed frame is refused with its error class
-// before any reply is built, and the frame they vary is accepted.
-func TestHandleMinSelectValidation(t *testing.T) {
-	mux, sk := handlerMux(t)
-	for _, tc := range badMinSelectFrames(t, sk) {
+		{"header only", head(0), ErrBadFrame},
+		{"nil header", append([]*big.Int{nil}, zero, five), ErrBadFrame},
+		{"huge n", head(1<<40, zero, five), ErrBadFrame},
+		{"n past the frame", head(3, zero, five), ErrBadFrame},
+		{"n short of the frame", head(1, zero, five), ErrBadFrame},
+		{"the engine's old fused header", append(head(2, big.NewInt(1), big.NewInt(2), big.NewInt(8)), zero, five), ErrBadFrame},
+		{"invalid β", head(2, big.NewInt(0), five), paillier.ErrInvalidCiphertext},
+		{"no zero in β", head(2, five, five), ErrNoZeroInBeta},
+	} {
 		if _, err := mux.Handle(&mpc.Message{Op: OpMinSelect, Ints: tc.ints}); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 	}
-	ok := []*big.Int{big.NewInt(2), big.NewInt(1), big.NewInt(2), big.NewInt(8),
-		encRaw(t, sk, 0), encRaw(t, sk, 5), encRaw(t, sk, 7), encRaw(t, sk, 7)}
-	resp, err := mux.Handle(&mpc.Message{Op: OpMinSelect, Ints: ok})
+	resp, err := mux.Handle(&mpc.Message{Op: OpMinSelect, Ints: head(2, five, zero)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Ints) != 2+1+2*2 {
-		t.Errorf("well-formed frame answered %d elements, want 7", len(resp.Ints))
+	if len(resp.Ints) != 2 {
+		t.Errorf("well-formed frame answered %d elements, want 2", len(resp.Ints))
 	}
 }
 
@@ -360,16 +259,17 @@ func TestHandleRevealDecrypts(t *testing.T) {
 // TestCloudC2OpcodeSet pins the key cloud's attack surface to the opcode
 // table in docs/PROTOCOLS.md: exactly the handlers of the frames the
 // engine sends are reachable by a C1 peer. The paper primitives' opcodes
-// 16–19 (internal/reference's key cloud serves them) and the retired 20,
-// 21 and 22 are not among them, and a frame carrying one is answered with
-// an OpError naming the unknown opcode while the serve loop carries on.
+// 16–19 and the paper's one-hot select 66 (internal/reference's key cloud
+// serves them) and the retired 20, 21 and 22 are not among them, and a
+// frame carrying one is answered with an OpError naming the unknown
+// opcode while the serve loop carries on.
 func TestCloudC2OpcodeSet(t *testing.T) {
 	sk := testKey()
 	c2 := NewCloudC2(sk, nil)
 	want := []mpc.Op{
 		mpc.OpPing,
 		smc.OpSSEDPack, smc.OpSBDPackBit,
-		OpRank, OpReveal, OpMinSelect, OpHello, OpMinIndex,
+		OpRank, OpReveal, OpHello, OpMinIndex,
 	}
 	if got := c2.Mux().Ops(); !reflect.DeepEqual(got, want) {
 		t.Errorf("C2 serves opcodes %v, want %v", got, want)
@@ -378,7 +278,7 @@ func TestCloudC2OpcodeSet(t *testing.T) {
 	c1Side, c2Side := mpc.ChanPipe()
 	done := make(chan error, 1)
 	go func() { done <- c2.Serve(c2Side) }()
-	refused := []mpc.Op{smc.OpSM, smc.OpSBDLsb, smc.OpSBDVerify, smc.OpSMIN, 20, 21, 22}
+	refused := []mpc.Op{smc.OpSM, smc.OpSBDLsb, smc.OpSBDVerify, smc.OpSMIN, 20, 21, 22, OpMinSelect}
 	for _, op := range refused {
 		// The shape of the last frame opcodes 21 and 22 carried: [count, valueBits, group].
 		_, err := mpc.RoundTrip(c1Side, &mpc.Message{Op: op, Ints: []*big.Int{big.NewInt(1), big.NewInt(8), encRaw(t, sk, 3)}})
@@ -464,15 +364,16 @@ func encodeC2Fuzz(ints []*big.Int) []byte {
 
 // FuzzCloudC2Frame throws arbitrary frames at the key cloud's own
 // handlers — the protocol opcodes core.CloudC2.Mux() adds to the smc
-// kernels', which FuzzResponderFrame covers: whatever the payload, Handle
-// must not panic, and must return either an error or a reply to the same
-// opcode whose length the request alone determines and whose elements
-// are all present. A frame carrying a paper primitive's opcode (16–19)
-// must fail as an unknown opcode.
+// kernels' — and at the bit peel's output round, whose header the
+// engine's selection network sizes: whatever the payload, Handle must not
+// panic, and must return either an error or a reply to the same opcode
+// whose length the request alone determines and whose elements are all
+// present. A frame carrying a paper primitive's opcode (16–19) or the
+// paper's one-hot select (66) must fail as an unknown opcode.
 func FuzzCloudC2Frame(f *testing.F) {
 	sk := testKey()
-	paper := []mpc.Op{smc.OpSM, smc.OpSBDLsb, smc.OpSBDVerify, smc.OpSMIN}
-	ops := append([]mpc.Op{OpRank, OpReveal, OpMinSelect, OpHello, OpMinIndex}, paper...)
+	paper := []mpc.Op{smc.OpSM, smc.OpSBDLsb, smc.OpSBDVerify, smc.OpSMIN, OpMinSelect}
+	ops := append([]mpc.Op{OpRank, OpReveal, OpHello, OpMinIndex, smc.OpSBDPackBit}, paper...)
 	sel := func(op mpc.Op) uint8 {
 		for i, o := range ops {
 			if o == op {
@@ -482,22 +383,57 @@ func FuzzCloudC2Frame(f *testing.F) {
 		f.Fatalf("opcode %d is not fuzzed", op)
 		return 0
 	}
-	for _, tc := range badMinSelectFrames(f, sk) {
-		f.Add(sel(OpMinSelect), encodeC2Fuzz(tc.ints))
+	// The bit peel's output round as the network sends it — [count,
+	// valueBits, shift = valueBits−1, per, opBits], the remainder groups,
+	// the operand groups — at count = 2 and valueBits = 9: well formed with
+	// one operand per value and with a record chunk beside it, then with
+	// per and opBits lying, missing or out of range.
+	pb := sel(smc.OpSBDPackBit)
+	out := func(per, opBits byte, groups ...byte) []byte {
+		b := []byte{c2FuzzSmall, 2, c2FuzzSmall, 9, c2FuzzSmall, 8, c2FuzzSmall, per, c2FuzzSmall, opBits}
+		for _, g := range groups {
+			b = append(b, c2FuzzCiphertext, g)
+		}
+		return b
 	}
+	for _, seed := range [][]byte{
+		out(1, 9, 200, 9),          // one operand per value: both fit one group each
+		out(2, 37, 200, 9, 4),      // distance and one record chunk per value
+		out(2, 9, 200, 9),          // per lies high: the operand groups run short
+		out(1, 9, 200, 9, 4),       // an operand group too many
+		out(1, 9, 200),             // no operand group at all
+		out(0, 9, 200, 9),          // no operand per value
+		out(0xff, 9, 200, 9),       // negative per
+		out(1, 0, 200, 9),          // opBits zero
+		out(1, 120, 200, 9),        // opBits wider than a slot
+		out(1, 0x80, 200, 9),       // negative opBits
+		out(3, 9, 200, 9, 4, 2),    // three operands a value, six in all
+		out(0x7f, 9, 200, 9, 4, 2), // per past the operands carried
+		{c2FuzzSmall, 2, c2FuzzSmall, 9, c2FuzzSmall, 8, c2FuzzNil, c2FuzzSmall, 9, c2FuzzCiphertext, 200, c2FuzzCiphertext, 9},
+		{c2FuzzSmall, 2, c2FuzzSmall, 9, c2FuzzSmall, 8, c2FuzzSmall, 1, c2FuzzNil, c2FuzzCiphertext, 200, c2FuzzCiphertext, 9},
+		{c2FuzzSmall, 2, c2FuzzSmall, 9, c2FuzzSmall, 8, c2FuzzBig, 4, 0x7f, 0xff, 0xff, 0xff, c2FuzzSmall, 9, c2FuzzCiphertext, 200},
+		{c2FuzzSmall, 2, c2FuzzSmall, 9, c2FuzzSmall, 8, c2FuzzCiphertext, 200, c2FuzzCiphertext, 9},            // the header without per and opBits
+		{c2FuzzSmall, 2, c2FuzzSmall, 9, c2FuzzSmall, 3, c2FuzzSmall, 1, c2FuzzSmall, 9, c2FuzzCiphertext, 200}, // operand header on a peeling round
+		{c2FuzzSmall, 2, c2FuzzSmall, 9, c2FuzzSmall, 3, c2FuzzCiphertext, 200},                                 // a peeling round
+	} {
+		f.Add(pb, seed)
+	}
+	// The paper's select, which only the reference's key cloud answers: as
+	// internal/reference sends it, with a tie, and in the engine's old
+	// fused shape.
 	ms := sel(OpMinSelect)
-	// n = 2, sums = 1, each = 2, valueBits = 8: β = E(0), E(5), two groups.
+	f.Add(ms, []byte{c2FuzzSmall, 3, c2FuzzCiphertext, 0, c2FuzzCiphertext, 4, c2FuzzCiphertext, 0})
 	f.Add(ms, []byte{c2FuzzSmall, 2, c2FuzzSmall, 1, c2FuzzSmall, 2, c2FuzzSmall, 8,
 		c2FuzzCiphertext, 0, c2FuzzCiphertext, 5, c2FuzzCiphertext, 7, c2FuzzCiphertext, 9})
-	// The select alone, as internal/reference sends it, with a tie.
-	f.Add(ms, []byte{c2FuzzSmall, 3, c2FuzzSmall, 0, c2FuzzSmall, 0, c2FuzzSmall, 12,
-		c2FuzzCiphertext, 0, c2FuzzCiphertext, 4, c2FuzzCiphertext, 0})
 	f.Add(sel(OpMinIndex), []byte{c2FuzzCiphertext, 3, c2FuzzCiphertext, 0})
+	f.Add(sel(OpMinIndex), []byte{c2FuzzCiphertext, 3, c2FuzzCiphertext, 5})
+	f.Add(sel(OpMinIndex), []byte{c2FuzzCiphertext, 0, c2FuzzNil, c2FuzzCiphertext, 0})
 	f.Add(sel(OpRank), []byte{c2FuzzSmall, 1, c2FuzzCiphertext, 9, c2FuzzCiphertext, 4})
 	f.Add(sel(OpRank), []byte{c2FuzzNil, c2FuzzCiphertext, 9})
 	f.Add(sel(OpReveal), []byte{c2FuzzCiphertext, 9, c2FuzzNil})
 	f.Add(sel(OpHello), encodeC2Fuzz([]*big.Int{sk.N}))
-	for _, op := range paper {
+	f.Add(sel(OpHello), []byte{c2FuzzSmall, 5}) // another key's modulus
+	for _, op := range paper[:4] {
 		f.Add(sel(op), []byte{c2FuzzCiphertext, 3, c2FuzzCiphertext, 5}) // SM's shape: two operands
 	}
 	f.Fuzz(func(t *testing.T, op uint8, data []byte) {
@@ -508,7 +444,7 @@ func FuzzCloudC2Frame(f *testing.F) {
 		req := &mpc.Message{Op: ops[int(op)%len(ops)], Ints: decodeC2Fuzz(t, sk, random, data)}
 		resp, err := NewCloudC2(sk, random).Mux().Handle(req)
 		switch req.Op {
-		case smc.OpSM, smc.OpSBDLsb, smc.OpSBDVerify, smc.OpSMIN:
+		case smc.OpSM, smc.OpSBDLsb, smc.OpSBDVerify, smc.OpSMIN, OpMinSelect:
 			if !errors.Is(err, mpc.ErrUnknownOp) {
 				t.Fatalf("paper opcode %d answered %v, %v; want %v", req.Op, resp, err, mpc.ErrUnknownOp)
 			}
@@ -523,9 +459,12 @@ func FuzzCloudC2Frame(f *testing.F) {
 			want = int(req.Ints[0].Int64()) // k
 		case OpReveal:
 			want = len(req.Ints)
-		case OpMinSelect:
-			n, sums, each := int(req.Ints[0].Int64()), int(req.Ints[1].Int64()), int(req.Ints[2].Int64())
-			want = n + sums + n*each
+		case smc.OpSBDPackBit:
+			// count bits, and per products a value in the output round.
+			want = int(req.Ints[0].Int64())
+			if req.Ints[2].Int64() == req.Ints[1].Int64()-1 {
+				want *= 1 + int(req.Ints[3].Int64())
+			}
 		case OpHello, OpMinIndex:
 			want = 1
 		}

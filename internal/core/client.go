@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"slices"
+	"sort"
 
 	"sknn/internal/paillier"
 )
@@ -163,4 +165,36 @@ func (c *Client) Unmask(res *MaskedResult) ([][]uint64, error) {
 		out[j] = row
 	}
 	return out, nil
+}
+
+// NearestFirst orders Bob's unmasked SkNNm rows nearest first, in place:
+// by squared distance to q over each row's first len(q) columns, equal
+// distances by the rows themselves, column by column, so rows at equal
+// distance come back in one canonical order. SkNNm's selection network
+// returns the k nearest as a set; Bob, who holds q and the plaintext
+// rows, ranks them himself at no cost to either cloud.
+func NearestFirst(q []uint64, rows [][]uint64) {
+	type ranked struct {
+		d   *big.Int
+		row []uint64
+	}
+	rs := make([]ranked, len(rows))
+	for i, row := range rows {
+		d := new(big.Int)
+		for j, a := range q {
+			diff := new(big.Int).SetUint64(row[j])
+			diff.Sub(diff, new(big.Int).SetUint64(a))
+			d.Add(d, diff.Mul(diff, diff))
+		}
+		rs[i] = ranked{d: d, row: row}
+	}
+	sort.SliceStable(rs, func(a, b int) bool {
+		if c := rs[a].d.Cmp(rs[b].d); c != 0 {
+			return c < 0
+		}
+		return slices.Compare(rs[a].row, rs[b].row) < 0
+	})
+	for i, r := range rs {
+		rows[i] = r.row
+	}
 }

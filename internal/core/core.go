@@ -38,7 +38,7 @@ import (
 const (
 	OpRank      mpc.Op = 64 // SkNNb: decrypt distances, return top-k index list δ
 	OpReveal    mpc.Op = 65 // both: decrypt masked result attributes γ → γ′
-	OpMinSelect mpc.Op = 66 // SkNNm: decrypt blinded β, return one-hot U
+	OpMinSelect mpc.Op = 66 // the paper's step 3(c), reference key cloud only: decrypt blinded β, return one-hot U
 	OpHello     mpc.Op = 67 // session handshake: verify both clouds share one key
 	OpMinIndex  mpc.Op = 68 // clustered index: decrypt blinded β, return argmin position in the clear
 
@@ -81,18 +81,18 @@ func ctxErr(ctx context.Context) error {
 }
 
 // CheckDomainBits reports whether SkNNm can run at squared-distance
-// domain size l under pk. The tournament compares two distances by the
-// top bit of t = 2^l + a − b, peeled inside one slot of the packed codec
-// (smc.SMINValuePairsBatch): l + 1 value bits plus paillier.PackHeadroom
-// = 66 spare ones (σ = 64 of statistical blinding and two carries), in a
-// plaintext that keeps its own two top bits clear — so a K-bit key
-// carries 1 ≤ l ≤ K − 69 (and l + 1 ≤ 512, the codec's cap). The same
-// bound gives every selection round its operand slot: OpMinSelect packs
-// a record chunk or a gap below 2^max(c·w, l) one to a slot at least,
-// and c·w stays under half the plaintext (rowLayoutFor). A level of the
-// tournament is l + 1 round trips, the peel's, whose last also selects.
-// Anything else is ErrDomainBits at every entry point; there is no slower
-// path to drop to.
+// domain size l under pk. A comparator of the selection network compares
+// two distances by the top bit of t = 2^l + a − b, peeled inside one slot
+// of the packed codec (smc.SMINValuePairsBatch): l + 1 value bits plus
+// paillier.PackHeadroom = 66 spare ones (σ = 64 of statistical blinding
+// and two carries), in a plaintext that keeps its own two top bits clear
+// — so a K-bit key carries 1 ≤ l ≤ K − 69 (and l + 1 ≤ 512, the codec's
+// cap). The same bound gives every comparator its operand slots: the
+// peel's output round packs a distance difference or a record chunk's
+// below 2^max(l+1, c·w+1), one to a slot at least, and c·w stays under
+// half the plaintext (rowLayoutFor). A layer of the network is l + 1
+// round trips, the peel's, whose last also selects. Anything else is
+// ErrDomainBits at every entry point; there is no slower path to drop to.
 func CheckDomainBits(pk *paillier.PublicKey, l int) error {
 	if l < 1 {
 		return fmt.Errorf("%w: l=%d", ErrDomainBits, l)

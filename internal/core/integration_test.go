@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"testing"
 
@@ -199,9 +200,14 @@ func TestSecureMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Total <= 0 || m.Distance <= 0 || m.SMINn <= 0 ||
-		m.Select <= 0 || m.Extract <= 0 || m.Exclude <= 0 || m.Reveal <= 0 {
+	if m.Total <= 0 || m.Distance <= 0 || m.SMINn <= 0 || m.Extract <= 0 || m.Reveal <= 0 {
 		t.Errorf("phase timings not populated: %+v", m)
+	}
+	// The selection network compares, selects and moves the records in
+	// one pass, all of it on SMINn's account: nothing is left to a
+	// separate select or disqualification phase.
+	if m.Select != 0 || m.Exclude != 0 {
+		t.Errorf("Select = %v, Exclude = %v on SkNNm, want 0", m.Select, m.Exclude)
 	}
 	// Default (packed) sessions run the value-domain tournament, which
 	// never bit-decomposes the candidates — the whole SBD stage is
@@ -251,5 +257,29 @@ func TestUnmaskValidation(t *testing.T) {
 	}
 	if _, err := bob.Unmask(&MaskedResult{K: 2, M: 1}); err == nil {
 		t.Error("inconsistent result accepted")
+	}
+}
+
+// TestNearestFirst pins Bob's ordering of an SkNNm answer: by squared
+// distance over the query's columns only — payload columns never rank —
+// equal distances by the rows themselves, whatever order the set came in,
+// and exact where the distance overflows 64 bits.
+func TestNearestFirst(t *testing.T) {
+	q := []uint64{2, 2}
+	want := [][]uint64{{2, 2, 9}, {1, 2, 0}, {2, 1, 5}, {2, 3, 0}, {0, 0, 1}, {0, 0, 7}}
+	for _, perm := range [][]int{{0, 1, 2, 3, 4, 5}, {5, 4, 3, 2, 1, 0}, {3, 5, 1, 4, 0, 2}} {
+		rows := make([][]uint64, len(want))
+		for i, p := range perm {
+			rows[i] = want[p]
+		}
+		NearestFirst(q, rows)
+		if fmt.Sprint(rows) != fmt.Sprint(want) {
+			t.Errorf("from order %v: %v, want %v", perm, rows, want)
+		}
+	}
+	far := [][]uint64{{0}, {1 << 40}, {1<<64 - 1}}
+	NearestFirst([]uint64{1<<64 - 1}, far)
+	if fmt.Sprint(far) != fmt.Sprint([][]uint64{{1<<64 - 1}, {1 << 40}, {0}}) {
+		t.Errorf("distances past 2^64 ranked %v", far)
 	}
 }

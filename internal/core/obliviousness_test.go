@@ -59,8 +59,9 @@ func TestSkNNmControlFlowIsDataIndependent(t *testing.T) {
 }
 
 // TestSkNNmCommGrowsWithParamsOnly sanity-checks the complexity model:
-// raising k strictly raises the round count (each iteration re-runs
-// SMINn + selection + exclusion), again independent of the data.
+// raising k strictly raises the round count (the network sorts chunks of
+// k′ = 4 before it merges, where k = 1 only merges), again independent
+// of the data.
 func TestSkNNmCommGrowsWithParamsOnly(t *testing.T) {
 	tbl, err := dataset.Generate(303, 6, 2, 3)
 	if err != nil {
@@ -155,11 +156,13 @@ func transcriptCloud(t *testing.T, tbl *dataset.Table, shards int) (*ShardedC1, 
 // not just its totals: on every C1↔C2 link, the sequence of frames —
 // opcode, direction and element count, round by round — is the same for
 // two tables and for queries at opposite corners of the domain. It covers
-// the shapes where the selection's bookkeeping branches: an odd n, whose
-// lone leaf rides every OpMinSelect like a paired one; k = n, which
-// drives pair minima to the sentinel; and a 2-shard merge over seeded
-// lists. An operand count or a frame that depended on the data — on which
-// leaf won, or on how its pair compared — would show up here.
+// the shapes where the selection network branches: an odd n, whose last
+// chunk is short and drops its gates onto missing wires; k = n, which
+// runs no gate at all; k = 3, where k′ = 4 > k and the root sorts and
+// drops a wire; and 2- and 3-shard merges, the latter over lists of
+// uneven length, one of them a shard smaller than k. An operand count or
+// a frame that depended on the data — on which record won a gate — would
+// show up here.
 func TestSkNNmTranscriptShapeIsDataIndependent(t *testing.T) {
 	const m, bits = 2, 3
 	cases := []struct {
@@ -168,7 +171,9 @@ func TestSkNNmTranscriptShapeIsDataIndependent(t *testing.T) {
 	}{
 		{"odd n", 5, 2, 1},
 		{"k = n", 4, 4, 1},
+		{"k = 3, the root sorts and drops", 7, 3, 1},
 		{"2-shard merge", 7, 3, 2},
+		{"3-shard merge, uneven lists", 7, 3, 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

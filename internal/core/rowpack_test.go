@@ -427,3 +427,59 @@ func TestMergeRejectsForeignLayout(t *testing.T) {
 		t.Fatalf("merging per-attribute candidates on a packed session: err = %v, want ErrBadFrame", err)
 	}
 }
+
+// TestNoGateRecordsAreRerandomized: with n ≤ k the selection network has
+// no gate, so no comparison refreshes the records on their way to the
+// reveal; selectTopK re-randomizes them instead. A stored ciphertext
+// must not reach C2, which could recover its nonce with the
+// factorisation and recognize the record in a later query. The
+// candidates still hold exactly the stored rows.
+func TestNoGateRecordsAreRerandomized(t *testing.T) {
+	tbl, err := dataset.Generate(37, 3, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1, bob := newSystem(t, tbl, 1)
+	eq, err := bob.EncryptQuery([]uint64{1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := c1.C1.NewSession(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	l := tbl.DomainBits()
+	cands, _, err := s.TopK(eq, 3, l, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := s.tbl.recordRows(s.rowLayout(l), s.tbl.liveIdx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk := testKey()
+	plain := func(rec []*paillier.Ciphertext) string {
+		var out []*big.Int
+		for _, ct := range rec {
+			m, err := sk.Decrypt(ct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, m)
+		}
+		return fmt.Sprint(out)
+	}
+	for i, cand := range cands {
+		if plain(cand.Rec) != plain(stored[i]) {
+			t.Errorf("candidate %d holds %s, stored row %s", i, plain(cand.Rec), plain(stored[i]))
+		}
+		for _, row := range stored {
+			for g, ct := range row {
+				if cand.Rec[g].Raw().Cmp(ct.Raw()) == 0 {
+					t.Errorf("candidate %d chunk %d is a stored ciphertext", i, g)
+				}
+			}
+		}
+	}
+}

@@ -25,22 +25,21 @@ type SecureMetrics struct {
 	Centroid time.Duration // clustered index only: oblivious cluster ranking
 	Distance time.Duration // SSED over the candidate records
 	BitDecom time.Duration // always zero: no candidate is decomposed outside SMINn (see candidateDistances)
-	SMINn    time.Duration // sum over the k SMINn invocations
-	Select   time.Duration // the OpMinSelect round: τ blinding, operand packing, C2's one-hot select and products (steps 3(b)–(e) on the wire)
-	Extract  time.Duration // C1 unblinding the extracted record (step 3(d)), plus rendering rows not yet in the row layout
-	Exclude  time.Duration // C1 unblinding the disqualification products (step 3(e))
+	SMINn    time.Duration // the selection network (Algorithm 6's step 3): every layer's comparisons, records riding them
+	Select   time.Duration // SkNNb only: C2's decrypt-and-rank; zero for SkNNm, whose network selects as it compares
+	Extract  time.Duration // rendering rows not yet in the row layout; the network moves the records themselves
+	Exclude  time.Duration // always zero: the network disqualifies nothing
 	Reveal   time.Duration // masked result delivery
 	Comm     mpc.StatsSnapshot
 
 	// SMINCount is the number of SMIN invocations Algorithm 6 spends on
 	// this query — the protocol's dominant cost unit — including any
 	// cluster-ranking tournaments and, on a sharded system, the
-	// coordinator's merge: n−1 per selection round over n candidates.
-	// It counts the paper's SMIN-equivalents, not the comparisons this
-	// engine ran: selection keeps its tournament's bottom level between
-	// rounds, so a full scan compares (n−1) + (k−1)·(⌈n/2⌉−1) pairs and
-	// a merge over u seeded units k·(u−1) (selectTopK). bench/ gates secure_scan
-	// on SMINCount == k·(n−1) and cannot change in the same PR as the
+	// coordinator's merge: n−1 per selection round over n candidates, so
+	// k·(n−1) per scan or merge. It counts the paper's SMIN-equivalents,
+	// not the comparisons this engine ran: one selection network
+	// (topKNetwork) replaces the k rounds. bench/ gates secure_scan on
+	// SMINCount == k·(n−1) and cannot change in the same PR as the
 	// engine; the field becomes the comparisons run when it can.
 	SMINCount int
 	// Candidates is how many records the per-record loop scanned: n for
@@ -178,9 +177,9 @@ func attrPackBits(domainBits int) int {
 // plaintext (no disqualification needed once the winner is known), and
 // repeats until the chosen clusters hold at least target records.
 //
-// Like selectTopK it keeps the tournament's bottom level: the first
-// round's pair minima are its units, and since the winner is public to
-// C1 the update is plaintext — the winner's pair becomes its partner
+// It keeps the tournament's bottom level: the first round's pair minima
+// are its units, and since the winner is public to C1 the update is
+// plaintext — the winner's pair becomes its partner
 // alone, E(d) as SSED produced it, and a lone winner's unit goes. Later
 // rounds compare over the units, one level fewer, for no new frame.
 func (s *QuerySession) rankClusters(q EncryptedQuery, domainBits, target int, metrics *SecureMetrics) ([]int, error) {
@@ -264,7 +263,7 @@ func (s *QuerySession) rankClusters(q EncryptedQuery, domainBits, target int, me
 // scanTopK is the body of Algorithm 6 over the candidate records idx — a
 // full scan passes every live record, the pruned path the probed
 // clusters' members: SSED (candidateDistances), the records in the
-// session's row layout, and the k selection rounds (selectTopK).
+// session's row layout, and the selection network (selectTopK).
 func (s *QuerySession) scanTopK(q EncryptedQuery, k, domainBits int, idx []int, metrics *SecureMetrics) ([]Candidate, error) {
 	ds, err := s.candidateDistances(q, domainBits, idx, metrics)
 	if err != nil {
@@ -278,10 +277,10 @@ func (s *QuerySession) scanTopK(q EncryptedQuery, k, domainBits int, idx []int, 
 		return nil, err
 	}
 	metrics.Extract += time.Since(phase)
-	return s.selectTopK(records, ds, nil, k, domainBits, metrics)
+	return s.selectTopK(records, ds, k, domainBits, metrics)
 }
 
-// candidateRecords lists the candidates' records in rank order.
+// candidateRecords lists the candidates' records.
 func candidateRecords(cands []Candidate) []EncryptedRecord {
 	rows := make([]EncryptedRecord, len(cands))
 	for i, c := range cands {
@@ -292,11 +291,10 @@ func candidateRecords(cands []Candidate) []EncryptedRecord {
 
 // candidateDistances is Stage 1 of Algorithm 6 over the candidate
 // records idx: SSED (step 2a) for every candidate, chunked across the
-// session's workers. This — not the k selection rounds — is the
-// data-parallel bulk a sharded deployment scatters. The paper's step 2b
-// (SBD of every distance) has no counterpart here: the tournament
-// compares composed values and the disqualification rewrites them in
-// place, so no candidate is ever bit-decomposed outside SMINn.
+// session's workers. This — not the selection — is the data-parallel
+// bulk a sharded deployment scatters. The paper's step 2b (SBD of every
+// distance) has no counterpart here: the network compares composed
+// values, so no candidate is ever bit-decomposed outside a comparison.
 func (s *QuerySession) candidateDistances(q EncryptedQuery, domainBits int, idx []int, metrics *SecureMetrics) ([]*paillier.Ciphertext, error) {
 	// Stage boundary: a canceled query stops before SSED rather than
 	// paying for a scan nobody will read.
@@ -319,47 +317,29 @@ func (s *QuerySession) candidateDistances(q EncryptedQuery, domainBits int, idx 
 	return ds, nil
 }
 
-// selectTopK is the k-round selection loop of Algorithm 6 (steps 3(a)
-// through 3(e)) over pre-computed candidate distances: value-domain
-// SMINn, then one OpMinSelect round that selects, extracts and
-// disqualifies. It is deliberately table-agnostic — candidates are
-// (distance, record) pairs, each record in the session's row layout
-// (rowLayout: ⌈m/c⌉ chunks of c slot-packed columns, or the m attribute
-// ciphertexts when c = 1) — so the same engine selects from a shard's
-// scanned records and, at the coordinator, from the s·k encrypted
-// candidates the shards return: the secure merge is exactly this loop
-// over the gathered candidates.
+// selectTopK is step 3 of Algorithm 6 over pre-computed candidate
+// distances, reshaped: where the paper runs SMINn, then extracts and
+// disqualifies the winner, k times in sequence, one data-independent
+// selection network (topKNetwork) leaves the k nearest on its first
+// wires. A gate is one value-domain comparison (smc.SMINValuePairsBatch)
+// whose output round also carries the two records' chunks, so the
+// minimum's record moves with its distance in the same round trips, and
+// a gate that keeps both outputs takes the maximum as a + b − min, and
+// its record likewise, for free. Every gate of a layer shares one peel,
+// l + 1 round trips, spread across the session's streams. It is
+// deliberately table-agnostic — candidates are (distance, record) pairs,
+// each record in the session's row layout (rowLayout: ⌈m/c⌉ chunks of c
+// slot-packed columns, or the m attribute ciphertexts when c = 1) — so
+// the same network selects from a shard's scanned records and, at the
+// coordinator, from the candidates the shards return.
 //
-// Every returned Candidate carries the round's E(dmin) alongside the
-// extracted record — the composed value each round produces anyway —
-// which is what lets a shard ship rank-ordered encrypted candidates
-// upward without ever decrypting a distance, and lets the coordinator
-// merge shard result sets in one more selection. dists is E(dᵢ) for
-// every candidate (SSED's output, or a gathered Candidate.Dist) and is
-// not modified.
-//
-// Steps 3(b)–(e) are one round trip because every product they need has
-// the one-hot selector as a factor, and C2 holds that selector in the
-// clear the moment it picks it: C1 sends the other factors along with
-// the blinded differences, short-blinded and packed (smc.PackBlinded),
-// and C2 answers with the products (handleMinSelect). Nothing is
-// computed twice and no SM round remains.
-//
-// The tournament keeps its bottom level across rounds. Its units are
-// adjacent pairs of candidates, each holding E(min) of the pair's
-// current distances, plus a lone candidate where a run is odd. runs nil
-// means the candidates come in no known order (a scan): the first round
-// compares the pairs and keeps the minima. Otherwise runs are the
-// lengths of consecutive rank-ordered lists (a merge's shard results),
-// whose pairs are seeded without a comparison — the first entry is the
-// minimum. Every round's SMINn then runs over the units, and the
-// disqualification moves each pair's minimum to its runner-up: minₚ +=
-// (V₂ₚ + V₂ₚ₊₁)·(d₂ₚ + d₂ₚ₊₁ − 2·minₚ), the loser minus the winner when
-// the pair holds this round's pick and zero otherwise, as the sum of one
-// per-position product each. Which of two tied leaves went is
-// OpMinSelect's uniform choice, and either leaves the same minimum behind.
-func (s *QuerySession) selectTopK(records [][]*paillier.Ciphertext, dists []*paillier.Ciphertext, runs []int, k, domainBits int, metrics *SecureMetrics) ([]Candidate, error) {
-	pk := s.pk
+// The k candidates come back as a set, in no order, each carrying its
+// composed E(d) — what lets a shard ship encrypted candidates upward
+// without ever decrypting a distance, and the coordinator merge them with
+// one more network. dists is E(dᵢ) for every candidate (SSED's output, or
+// a gathered Candidate.Dist). With n ≤ k no gate runs, and the records
+// are re-randomized instead, so that none reaches the reveal as stored.
+func (s *QuerySession) selectTopK(records [][]*paillier.Ciphertext, dists []*paillier.Ciphertext, k, domainBits int, metrics *SecureMetrics) ([]Candidate, error) {
 	n := len(records)
 	if len(dists) != n {
 		return nil, fmt.Errorf("core: %d candidate distances, %d records", len(dists), n)
@@ -367,201 +347,84 @@ func (s *QuerySession) selectTopK(records [][]*paillier.Ciphertext, dists []*pai
 	if err := validateK(k, n); err != nil {
 		return nil, err
 	}
-	layout := s.rowLayout(domainBits)
-	chunks := layout.Chunks(s.m) // ciphertexts per record; callers hand records over in this layout
-	// One slot width for every operand OpMinSelect carries: a record chunk
-	// is below 2^(Cols·Bits), a disqualification gap below 2^l.
-	valueBits := max(layout.Cols*layout.Bits, domainBits)
-	// The round's composed distances E(dᵢ), carried from round to round:
-	// the disqualification below rewrites each winner in place.
-	ds := make([]*paillier.Ciphertext, n)
-	copy(ds, dists)
-
-	// The kept bottom level: compared on a scan, seeded on a merge.
 	phase := time.Now()
-	var units []unit
-	if runs != nil {
-		units = seededUnits(runs, ds)
-	} else {
-		var err error
-		if units, err = s.comparedUnits(ds, domainBits); err != nil {
-			return nil, fmt.Errorf("core: iteration 1 SMINn: %w", err)
+	wires := make([]Candidate, n)
+	for i := range wires {
+		wires[i] = Candidate{Dist: dists[i], Rec: records[i]}
+	}
+	layers := topKNetwork(n, k)
+	if len(layers) == 0 {
+		for i := range wires {
+			rec, err := s.rerandomized(wires[i].Rec)
+			if err != nil {
+				return nil, err
+			}
+			wires[i].Rec = rec
 		}
 	}
-	metrics.SMINn += time.Since(phase)
-
-	selected := make([]Candidate, 0, k)
-
-	for iter := 0; iter < k; iter++ {
-		// Round boundary: a canceled query abandons the remaining
-		// selection rounds (the transport also enforces this mid-round,
-		// frame by frame).
+	layout := s.rowLayout(domainBits)
+	recBits := layout.Cols * layout.Bits // every chunk is below 2^recBits
+	for d, layer := range layers {
+		// Layer boundary: a canceled query abandons the rest of the network
+		// (the transport also enforces this mid-layer, frame by frame).
 		if err := s.ctxErr(); err != nil {
 			return nil, err
 		}
-
-		// Step 3(a): E(dmin), by the value-domain tournament over the
-		// units' minima, ending the round holding the composed minimum —
-		// the form every consumer (the one-hot select here, a shard merge
-		// upstream) wants. Counted as Algorithm 6's n−1 SMINs.
-		phase := time.Now()
-		encMin, err := s.sminnValue(unitMins(units), domainBits)
-		if err != nil {
-			return nil, fmt.Errorf("core: iteration %d SMINn: %w", iter+1, err)
+		if err := s.compareLayer(wires, layer, domainBits, recBits); err != nil {
+			return nil, fmt.Errorf("core: selection layer %d of %d: %w", d+1, len(layers), err)
 		}
-		metrics.SMINCount += n - 1
-		metrics.SMINn += time.Since(phase)
-
-		// Steps 3(b)–(e) in one OpMinSelect round: τᵢ = E(rᵢ·(dmin−dᵢ)) under
-		// a fresh permutation (it lives only on this session), and per
-		// permuted position the record's chunks and — before every round
-		// but the last — its two disqualification gaps.
-		phase = time.Now()
-		each := 2
-		if iter == k-1 {
-			each = 0 // nothing consumes the update after the last pick
-		}
-		perm, err := smc.NewPermutation(s.primary().Rand(), n)
-		if err != nil {
-			return nil, fmt.Errorf("core: iteration %d permutation: %w", iter+1, err)
-		}
-		permuted := make([]*paillier.Ciphertext, n)
-		for j := range permuted {
-			permuted[j] = ds[perm[j]]
-		}
-		tauP, err := s.blindDiffs(encMin, permuted)
-		if err != nil {
-			return nil, fmt.Errorf("core: iteration %d blind: %w", iter+1, err)
-		}
-		groups, rhos, err := s.primary().PackBlinded(selectOperands(pk, records, ds, units, perm, each, domainBits), valueBits)
-		if err != nil {
-			return nil, fmt.Errorf("core: iteration %d operands: %w", iter+1, err)
-		}
-		payload := make([]*big.Int, 0, 4+n+len(groups))
-		payload = append(payload, big.NewInt(int64(n)), big.NewInt(int64(chunks)), big.NewInt(int64(each)), big.NewInt(int64(valueBits)))
-		payload = append(append(payload, tauP...), groups...)
-		resp, err := mpc.RoundTrip(s.primary().Conn(), &mpc.Message{Op: OpMinSelect, Ints: payload})
-		if err != nil {
-			return nil, fmt.Errorf("core: iteration %d min-select: %w", iter+1, err)
-		}
-		if want := n + chunks + n*each; len(resp.Ints) != want {
-			return nil, fmt.Errorf("%w: min-select reply has %d ints, want %d",
-				ErrBadFrame, len(resp.Ints), want)
-		}
-		reply := make([]*paillier.Ciphertext, len(resp.Ints))
-		for i, raw := range resp.Ints {
-			if reply[i], err = pk.FromRaw(raw); err != nil {
-				return nil, fmt.Errorf("core: iteration %d min-select reply %d: %w", iter+1, i, err)
-			}
-		}
-		// U in permuted order, inverted once for every blind to strip:
-		// Uⱼ·(x + ρ) − ρ·Uⱼ = Uⱼ·x.
-		invU := pk.InvMany(reply[:n])
-		metrics.Select += time.Since(phase)
-
-		// Step 3(d): the winner's chunks, E(x_{w,g} + ρ_{w,g}) from C2, less
-		// Σⱼ ρ_{j,g}·Uⱼ = ρ_{w,g} — V is one-hot, so the sum is the winner's
-		// chunk bit for bit and its slots never carry.
-		phase = time.Now()
-		per := chunks + each
-		record := make(EncryptedRecord, chunks)
-		strip := stripBlinds(pk, invU, rhos, per, 0, chunks)
-		for g := range record {
-			terms := []*paillier.Ciphertext{reply[n+g]}
-			for j := 0; j < n; j++ {
-				terms = append(terms, strip[j*chunks+g])
-			}
-			record[g] = pk.Product(terms)
-		}
-		selected = append(selected, Candidate{Dist: encMin, Rec: record})
-		metrics.Extract += time.Since(phase)
-		if each == 0 {
-			break
-		}
-
-		// Step 3(e): oblivious disqualification, driving the winner's
-		// distance to the 2^l − 1 sentinel (strictly above any real
-		// distance thanks to the DomainBits headroom bit) — dᵢ +=
-		// Vᵢ·(2^l−1−dᵢ), n products where the paper's bit form pays n·l
-		// SBORs — and each pair unit's minimum to its runner-up (see
-		// above): the sum of its two leaves' unit-gap products. A lone leaf
-		// is its own unit's minimum.
-		phase = time.Now()
-		strip = stripBlinds(pk, invU, rhos, per, chunks, each)
-		gain := make([]*paillier.Ciphertext, n) // leaf i's unit-gap product Vᵢ·gap
-		for j, i := range perm {
-			prods := reply[n+chunks+j*each:]
-			ds[i] = pk.Add(ds[i], pk.Add(prods[0], strip[j*each]))
-			gain[i] = pk.Add(prods[1], strip[j*each+1])
-		}
-		for u := range units {
-			if units[u].b >= 0 {
-				units[u].min = pk.Product([]*paillier.Ciphertext{units[u].min, gain[units[u].a], gain[units[u].b]})
-			} else {
-				units[u].min = ds[units[u].a]
-			}
-		}
-		metrics.Exclude += time.Since(phase)
 	}
-
-	return selected, nil
+	metrics.SMINn += time.Since(phase)
+	metrics.SMINCount += k * (n - 1)
+	return wires[:k], nil
 }
 
-// selectOperands lists, per permuted position j = 0…n−1, the operands an
-// OpMinSelect round multiplies by Uⱼ: the record chunks of leaf
-// i = perm[j] and, when each = 2, its sentinel gap 2^l − 1 − dᵢ and its
-// unit's gap, d_a + d_b − 2·min for a pair and d_a − min = 0 for a lone
-// leaf. Every gap is below 2^l.
-func selectOperands(pk *paillier.PublicKey, records [][]*paillier.Ciphertext, ds []*paillier.Ciphertext, units []unit, perm []int, each, l int) []*paillier.Ciphertext {
-	n := len(ds)
-	var sentGap, unitGap []*paillier.Ciphertext
-	if each > 0 {
-		sentinel := new(big.Int).Lsh(big.NewInt(1), uint(l))
-		sentinel.Sub(sentinel, big.NewInt(1))
-		sentGap = pk.InvMany(ds)
-		for i, neg := range sentGap {
-			sentGap[i] = pk.AddPlain(neg, sentinel)
-		}
-		unitGap = make([]*paillier.Ciphertext, n)
-		for u, negMin := range pk.InvMany(unitMins(units)) {
-			a, b := units[u].a, units[u].b
-			gap := pk.Add(ds[a], negMin)
-			if b >= 0 {
-				gap = pk.Product([]*paillier.Ciphertext{gap, ds[b], negMin})
-				unitGap[b] = gap
+// compareLayer runs one layer of the selection network on wires in
+// place: every gate's minimum, record and all, onto its wire i, and the
+// maximum onto j where the gate keeps both.
+func (s *QuerySession) compareLayer(wires []Candidate, layer []comparator, l, recBits int) error {
+	pairs := make([]smc.SMINValuePair, len(layer))
+	for p, g := range layer {
+		a, b := wires[g.i], wires[g.j]
+		pairs[p] = smc.SMINValuePair{A: a.Dist, B: b.Dist, RecA: a.Rec, RecB: b.Rec}
+	}
+	mins, recs, err := s.compare(pairs, l, recBits)
+	if err != nil {
+		return err
+	}
+	pk := s.pk
+	for p, g := range layer {
+		pr := pairs[p]
+		if g.both {
+			maxRec := make(EncryptedRecord, len(recs[p]))
+			for c := range maxRec {
+				maxRec[c] = pk.Sub(pk.Add(pr.RecA[c], pr.RecB[c]), recs[p][c])
 			}
-			unitGap[a] = gap
+			wires[g.j] = Candidate{Dist: pk.Sub(pk.Add(pr.A, pr.B), mins[p]), Rec: maxRec}
 		}
+		wires[g.i] = Candidate{Dist: mins[p], Rec: recs[p]}
 	}
-	ops := make([]*paillier.Ciphertext, 0, n*(len(records[0])+each))
-	for _, i := range perm {
-		ops = append(ops, records[i]...)
-		if each > 0 {
-			ops = append(ops, sentGap[i], unitGap[i])
-		}
-	}
-	return ops
+	return nil
 }
 
-// stripBlinds returns Inv(Uⱼ)^ρ — E(−ρ·Uⱼ) — for every position j and
-// its operands lo … lo+count−1 of the per laid end to end, position by
-// position, the exponentiations spread over idle cores.
-func stripBlinds(pk *paillier.PublicKey, invU []*paillier.Ciphertext, rhos []*big.Int, per, lo, count int) []*paillier.Ciphertext {
-	out := make([]*paillier.Ciphertext, len(invU)*count)
-	_ = paillier.ForEach(len(out), func(t int) error { // cannot fail
-		j, e := t/count, t%count
-		out[t] = pk.ScalarMul(invU[j], rhos[j*per+lo+e])
-		return nil
-	})
-	return out
+// rerandomized returns fresh encryptions of rec's chunks.
+func (s *QuerySession) rerandomized(rec EncryptedRecord) (EncryptedRecord, error) {
+	out := make(EncryptedRecord, len(rec))
+	for c, ct := range rec {
+		var err error
+		if out[c], err = s.pk.Rerandomize(s.primary().Rand(), ct); err != nil {
+			return nil, fmt.Errorf("core: re-randomizing a record: %w", err)
+		}
+	}
+	return out, nil
 }
 
 // TopK is the worker's half of a query: the scan — pruned when the
 // session's table carries a cluster index and target > 0, full
 // otherwise — stopped before the masked reveal, which the coordinator
-// performs, returning the top-k candidates still encrypted
-// (rank-ordered E(dmin) plus the obliviously extracted record for
-// SkNNm; E(d) plus the record for SkNNb). k is clamped to the shard's
+// performs, returning the top-k candidates still encrypted (for SkNNm
+// an unordered set of E(d) and the record the network moved with it;
+// for SkNNb E(d) plus the record, nearest first). k is clamped to the shard's
 // live record count: a shard smaller than k contributes everything it
 // has, and an empty shard contributes nothing.
 func (s *QuerySession) TopK(q EncryptedQuery, k, domainBits, target int, secure bool) ([]Candidate, *SecureMetrics, error) {
@@ -595,8 +458,8 @@ func (s *QuerySession) TopK(q EncryptedQuery, k, domainBits, target int, secure 
 		idx = s.tbl.liveIdx
 		metrics.Candidates = len(idx)
 	}
-	// Shard-local candidates ship their composed E(dmin) to the
-	// coordinator's merge — every selection round produces it for free.
+	// Shard-local candidates ship their composed E(d) to the coordinator's
+	// merge — every gate of the network produces it for free.
 	cands, err := s.scanTopK(q, k, domainBits, idx, metrics)
 	if err != nil {
 		return nil, nil, err
@@ -607,25 +470,16 @@ func (s *QuerySession) TopK(q EncryptedQuery, k, domainBits, target int, secure 
 }
 
 // mergeCandidates is the coordinator's secure merge: selectTopK — the
-// identical engine the shards ran — over gathered candidates' composed
-// distances, which feed the tournament directly, so no bit decomposition
-// happens at the merge boundary at all. The returned candidates are
-// rank-ordered and carry fresh E(dmin) values.
-//
-// Each of lists is one shard's result, rank-ordered, and the tournament
-// seeds its pairs from that order instead of comparing them. That trusts
-// the semi-honest shards the merge already trusts for their distances: a
-// list out of order gives a wrong answer or a failed min-select, and its
-// negative seeded gap still reaches C2 only as one more OpMinSelect
-// operand, packed under a σ-statistical blind. k is clamped to the
+// identical network the shards ran — over the concatenation of the
+// shards' candidate sets, whose composed distances feed the gates
+// directly, so no bit decomposition happens at the merge boundary at all.
+// Nothing is assumed about the order within a set. k is clamped to the
 // candidates the lists hold.
 func (s *QuerySession) mergeCandidates(lists [][]Candidate, k, domainBits int, metrics *SecureMetrics) ([]Candidate, error) {
 	chunks := s.rowLayout(domainBits).Chunks(s.m)
 	var records [][]*paillier.Ciphertext
 	var ds []*paillier.Ciphertext
-	runs := make([]int, len(lists))
-	for j, list := range lists {
-		runs[j] = len(list)
+	for _, list := range lists {
 		for _, cand := range list {
 			i := len(ds)
 			if cand.Dist == nil {
@@ -643,11 +497,11 @@ func (s *QuerySession) mergeCandidates(lists [][]Candidate, k, domainBits int, m
 			ds = append(ds, cand.Dist)
 		}
 	}
-	return s.selectTopK(records, ds, runs, min(k, len(ds)), domainBits, metrics)
+	return s.selectTopK(records, ds, min(k, len(ds)), domainBits, metrics)
 }
 
-// blindDiffs is step 3(b) of Algorithm 6 over ds, which the caller has
-// already permuted: τᵢ = rᵢ·(dmin − dᵢ) for fresh nonzero rᵢ, as frame
+// blindDiffs is step 3(b) of Algorithm 6, as the cluster ranking runs it,
+// over ds, which the caller has already permuted: τᵢ = rᵢ·(dmin − dᵢ) for fresh nonzero rᵢ, as frame
 // elements. The blinds are drawn first, in order; the full-range
 // exponentiations, one per entry, then spread over idle cores.
 func (s *QuerySession) blindDiffs(encMin *paillier.Ciphertext, ds []*paillier.Ciphertext) ([]*big.Int, error) {
@@ -692,25 +546,6 @@ func (s *QuerySession) comparedUnits(ds []*paillier.Ciphertext, l int) ([]unit, 
 	return units, nil
 }
 
-// seededUnits pairs adjacent leaves inside each rank-ordered run of ds —
-// the runs cover ds end to end, and a run's odd last leaf stands alone —
-// with each pair's minimum its first leaf, so no comparison runs.
-func seededUnits(runs []int, ds []*paillier.Ciphertext) []unit {
-	var units []unit
-	lo := 0
-	for _, r := range runs {
-		for i := lo; i < lo+r; i += 2 {
-			u := unit{a: i, b: i + 1, min: ds[i]}
-			if i+1 == lo+r {
-				u.b = -1
-			}
-			units = append(units, u)
-		}
-		lo += r
-	}
-	return units
-}
-
 // unitMins lists the units' minima, the leaves of a round's SMINn.
 func unitMins(units []unit) []*paillier.Ciphertext {
 	mins := make([]*paillier.Ciphertext, len(units))
@@ -739,32 +574,44 @@ func withoutLeaf(units []unit, i int, ds []*paillier.Ciphertext) []unit {
 }
 
 // sminnLevel is one level of SMINn's tournament over composed distances:
-// live[2p] against live[2p+1] for every pair, compared in the value
-// domain (smc.SMINValuePairsBatch, l+1 round trips however many pairs)
-// and spread across the session's streams, and an odd last entry passed
-// up as it is. l must satisfy CheckDomainBits; every entry point does.
+// live[2p] against live[2p+1] for every pair, and an odd last entry
+// passed up as it is.
 func (s *QuerySession) sminnLevel(live []*paillier.Ciphertext, l int) ([]*paillier.Ciphertext, error) {
-	pairs := len(live) / 2
-	next := make([]*paillier.Ciphertext, (len(live)+1)/2)
-	if len(live)%2 == 1 {
-		next[pairs] = live[len(live)-1]
+	pairs := make([]smc.SMINValuePair, len(live)/2)
+	for p := range pairs {
+		pairs[p] = smc.SMINValuePair{A: live[2*p], B: live[2*p+1]}
 	}
-	err := s.parallelOverRecords(pairs, func(rq *smc.Requester, lo, hi int) error {
-		batch := make([]smc.SMINValuePair, hi-lo)
-		for p := lo; p < hi; p++ {
-			batch[p-lo] = smc.SMINValuePair{A: live[2*p], B: live[2*p+1]}
-		}
-		mins, err := rq.SMINValuePairsBatch(batch, l)
-		if err != nil {
-			return err
-		}
-		copy(next[lo:hi], mins)
-		return nil
-	})
+	mins, _, err := s.compare(pairs, l, 0)
 	if err != nil {
 		return nil, err
 	}
-	return next, nil
+	if len(live)%2 == 1 {
+		mins = append(mins, live[len(live)-1])
+	}
+	return mins, nil
+}
+
+// compare runs independent comparators in the value domain
+// (smc.SMINValuePairsBatch, l+1 round trips however many) spread across
+// the session's streams, returning each pair's minimum and, where the
+// pairs carry records of recBits-wide chunks, the minimum's record. l
+// must satisfy CheckDomainBits; every entry point does.
+func (s *QuerySession) compare(pairs []smc.SMINValuePair, l, recBits int) ([]*paillier.Ciphertext, [][]*paillier.Ciphertext, error) {
+	mins := make([]*paillier.Ciphertext, len(pairs))
+	recs := make([][]*paillier.Ciphertext, len(pairs))
+	err := s.parallelOverRecords(len(pairs), func(rq *smc.Requester, lo, hi int) error {
+		m, r, err := rq.SMINValuePairsBatch(pairs[lo:hi], l, recBits)
+		if err != nil {
+			return err
+		}
+		copy(mins[lo:hi], m)
+		copy(recs[lo:hi], r)
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return mins, recs, nil
 }
 
 // sminnValue is SMINn over composed distances: the ⌈log₂ n⌉-level

@@ -14,28 +14,21 @@ import (
 // ceilLog2 is ⌈log₂ x⌉ for x ≥ 1: the levels of a tournament over x.
 func ceilLog2(x int) int { return bits.Len(uint(x - 1)) }
 
-// scanRounds is the engine's round count for a full scan of n candidates
-// on one link: 1 SSED + Σₜ [Lₜ·(l+1) + 1 OpMinSelect] + 1 reveal. A
-// tournament level is l+1 round trips — the peel's rounds, the last of
-// which also selects each pair's minimum — and the select, extraction
-// and disqualification of a round share its one OpMinSelect frame; the
-// first round's tournament runs all ⌈log₂ n⌉ levels, later ones start
-// from the ⌈n/2⌉ pair minima it kept.
-func scanRounds(n, k, l int) int {
-	rounds := 1 + 1
-	for t := 1; t <= k; t++ {
-		levels := ceilLog2((n + 1) / 2)
-		if t == 1 {
-			levels = ceilLog2(n)
-		}
-		rounds += levels*(l+1) + 1
+// networkRounds is what the selection network costs over n candidates
+// on one link: D(n, k) layers of l+1 round trips each — the peel's
+// rounds, the last of which also selects every gate's minimum and moves
+// its records — and none at all when n ≤ k.
+func networkRounds(n, k, l int) int {
+	if n <= k {
+		return 0
 	}
-	return rounds
+	return networkDepth(n, k) * (l + 1)
 }
 
 // TestSelectionCostModel replaces magic round counts with the formula:
-// over a grid of n, k and l, a one-link full scan takes exactly
-// scanRounds(n, k, l) round trips and answers like the plaintext oracle.
+// over a grid of n, k and l, a one-link full scan takes exactly 1 SSED +
+// networkRounds(n, k, l) + 1 reveal round trips and answers like the
+// plaintext oracle.
 func TestSelectionCostModel(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 8, 9} {
 		tbl, err := dataset.Generate(int64(700+n), n, 2, 2) // DomainBits(2, 2) = 6
@@ -63,7 +56,7 @@ func TestSelectionCostModel(t *testing.T) {
 						t.Fatal(err)
 					}
 					assertMatchesOracle(t, tbl, q, k, rows)
-					if want := int64(scanRounds(n, k, l)); metrics.Comm.Rounds != want {
+					if want := int64(1 + networkRounds(n, k, l) + 1); metrics.Comm.Rounds != want {
 						t.Errorf("%d round trips, cost model says %d", metrics.Comm.Rounds, want)
 					}
 					if want := k * (n - 1); metrics.SMINCount != want {
@@ -75,22 +68,10 @@ func TestSelectionCostModel(t *testing.T) {
 	}
 }
 
-// mergeRounds is the coordinator's round count for one seeded merge over
-// rank-ordered lists of the given lengths: every round's tournament runs
-// over the Σ⌈rᵢ/2⌉ seeded units (no comparison builds them), l+1 round
-// trips a level, then one OpMinSelect.
-func mergeRounds(lists []int, k, l int) int {
-	units := 0
-	for _, r := range lists {
-		units += (r + 1) / 2
-	}
-	return k * (ceilLog2(units)*(l+1) + 1)
-}
-
 // TestMergeCostModel pins the gather at S ∈ {3, 4}: however the shard
-// scans interleave, the coordinator's links carry exactly one seeded
-// merge over the S lists of min(k, nᵢ) candidates plus the reveal, and
-// the answer is the plaintext oracle's.
+// scans interleave, the coordinator's links carry exactly one network
+// over the S lists of min(k, nᵢ) candidates, concatenated, plus the
+// reveal, and the answer is the plaintext oracle's.
 func TestMergeCostModel(t *testing.T) {
 	const attrBits, m, n = 2, 2, 10
 	tbl, err := dataset.Generate(751, n, m, attrBits)
@@ -105,9 +86,9 @@ func TestMergeCostModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, k := range []int{1, 3, 4} {
-			lists := make([]int, shards)
-			for i := range lists {
-				lists[i] = min(k, coord.Shard(i).Info().N)
+			gathered := 0
+			for i := 0; i < shards; i++ {
+				gathered += min(k, coord.Shard(i).Info().N)
 			}
 			for _, l := range []int{6, 12} {
 				t.Run(fmt.Sprintf("S=%d/k=%d/l=%d", shards, k, l), func(t *testing.T) {
@@ -121,9 +102,9 @@ func TestMergeCostModel(t *testing.T) {
 						t.Fatal(err)
 					}
 					assertMatchesOracle(t, tbl, q, k, rows)
-					want := int64(mergeRounds(lists, k, l) + 1)
+					want := int64(networkRounds(gathered, k, l) + 1)
 					if got := coord.CommStats().Sub(before).Rounds; got != want {
-						t.Errorf("coordinator ran %d round trips, cost model says %d (merge over %v, reveal)", got, want, lists)
+						t.Errorf("coordinator ran %d round trips, cost model says %d (merge over %d candidates, reveal)", got, want, gathered)
 					}
 				})
 			}
@@ -188,17 +169,16 @@ func TestRankClustersKeepsPairMinima(t *testing.T) {
 	}
 }
 
-// TestTournamentUnits pins the bottom-level bookkeeping: seeded pairs
-// stay inside their run with the first leaf as minimum, an odd run ends
-// in a lone leaf, and dropping a known winner leaves its partner alone or
-// removes a lone unit.
+// TestTournamentUnits pins the cluster ranking's bottom-level
+// bookkeeping: dropping a known winner leaves its partner alone, as its
+// unit's minimum, or removes a lone unit.
 func TestTournamentUnits(t *testing.T) {
 	ds := make([]*paillier.Ciphertext, 6)
 	for i := range ds {
 		ds[i] = new(paillier.Ciphertext)
 	}
 	// shape lists the units' leaves and checks each minimum is its first
-	// leaf's distance — seeded, or a lone leaf's own.
+	// leaf's distance — as built below, or a lone leaf's own.
 	shape := func(units []unit) string {
 		out := ""
 		for _, u := range units {
@@ -209,10 +189,7 @@ func TestTournamentUnits(t *testing.T) {
 		}
 		return out
 	}
-	units := seededUnits([]int{3, 1, 2}, ds)
-	if got, want := shape(units), "(0 1)(2 -1)(3 -1)(4 5)"; got != want {
-		t.Errorf("seeded units %s, want %s", got, want)
-	}
+	units := []unit{{a: 0, b: 1, min: ds[0]}, {a: 2, b: -1, min: ds[2]}, {a: 3, b: -1, min: ds[3]}, {a: 4, b: 5, min: ds[4]}}
 	units = withoutLeaf(units, 1, ds)
 	units = withoutLeaf(units, 3, ds)
 	if got, want := shape(units), "(0 -1)(2 -1)(4 5)"; got != want {

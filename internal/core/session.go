@@ -82,8 +82,8 @@ func (s *QuerySession) ctxErr() error { return ctxErr(s.ctx) }
 // rowLayoutFor is the layout m-column records under pk travel in when
 // every column is below 2^bits — the table's attribute width for SkNNb —
 // as many columns per chunk as smc.SMPackOperandBits allows (SkNNm's
-// extraction multiplies chunks, one OpMinSelect slot each; SkNNb's reveal
-// keeps the rule); per-attribute when fewer than two columns fit.
+// comparators carry chunk differences, one operand slot each; SkNNb's
+// reveal keeps the rule); per-attribute when fewer than two columns fit.
 func rowLayoutFor(pk *paillier.PublicKey, m, bits int) RowLayout {
 	if c := min(m, smc.SMPackOperandBits(pk)/bits); c > 1 {
 		return RowLayout{Cols: c, Bits: bits}

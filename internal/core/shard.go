@@ -13,14 +13,14 @@ import (
 )
 
 // Candidate is one entry of a shard-local top-k list, still fully
-// encrypted: the record — obliviously extracted for SkNNm, the stored one
-// for SkNNb, either way in the scanning session's RowLayout, so usually
-// one or two row-packed ciphertexts rather than m — plus its composed
-// distance E(d) — the rank-round's E(dmin) for SkNNm, the scanned
-// distance for SkNNb. Shipping candidates instead of results is what
-// makes the scatter-gather exact: the coordinator re-runs the selection
-// protocol over s·k candidates rather than trusting any shard-local
-// ordering.
+// encrypted: the record — moved obliviously through the selection network
+// for SkNNm, the stored one for SkNNb, either way in the scanning
+// session's RowLayout, so usually one or two row-packed ciphertexts
+// rather than m — plus its composed distance E(d), the one the network
+// moved with it for SkNNm, the scanned one for SkNNb. Shipping candidates
+// instead of results is what makes the scatter-gather exact: the
+// coordinator re-runs the selection protocol over s·k candidates rather
+// than trusting any shard-local ordering.
 type Candidate struct {
 	Dist *paillier.Ciphertext // E(d), the candidate's composed distance
 	Rec  EncryptedRecord
@@ -100,15 +100,14 @@ var ErrShardTopology = fmt.Errorf("core: inconsistent shard topology")
 // link pool to C2, and the coordinator owns its own link pool for the
 // gather phase. A query scatters — every shard runs the pruned or full
 // scan over its partition, producing an encrypted shard-local top-k —
-// and gathers once every shard has returned (gather): a secure
-// SMINn-based merge over the s·k encrypted candidates (selectTopK, the
-// identical engine the shards ran) yields the exact global top-k. The
-// paper's one C1 is the S = 1 case: the single shard's rank-ordered k-set
-// is already the answer, so the coordinator merges nothing and only
-// reveals.
+// and gathers once every shard has returned (gather): a secure merge
+// over the s·k encrypted candidates (selectTopK, the identical selection
+// network the shards ran) yields the exact global top-k. The paper's one
+// C1 is the S = 1 case: the single shard's k-set is already the answer,
+// so the coordinator merges nothing and only reveals.
 //
 // Leakage is the same class as a single-shard query: C2 additionally
-// sees that a merge round ranks s·k blinded values, and C1-side parties
+// sees that a merge network compares s·k blinded values, and C1-side parties
 // learn which shards were probed (all of them, every query — the
 // scatter is oblivious by uniformity) and, per clustered shard, which
 // clusters were probed. Nothing record-level is revealed; see
@@ -227,7 +226,7 @@ func (c *ShardedC1) mergeSession(ctx context.Context) (*QuerySession, error) {
 // itself is data-independent and shard choice leaks nothing.
 //
 // SkNNm merges the non-empty per-shard lists with mergeCandidates when
-// more than one remains; a lone rank-ordered k-set is already the answer.
+// more than one remains; a lone k-set is already the answer.
 // SkNNb ranks the lists' concatenation in one more OpRank round whenever
 // S > 1. Either way the merge's frames are a function of S and the list
 // lengths — public counts — not of which shard finished first.
@@ -369,17 +368,18 @@ func (c *ShardedC1) checkGathered(k, gathered, n int) error {
 
 // SecureQuery runs SkNNm (Algorithm 6), the fully secure protocol: data
 // confidentiality, query privacy, and access-pattern hiding against both
-// clouds. Every shard runs the scan and the k selection rounds over its
+// clouds. Every shard runs the scan and the selection network over its
 // partition — pruned to the nearest clusters' records when the shard is
 // clustered and target > 0 (the per-shard candidate-pool floor), full
 // otherwise — the coordinator's merge picks the global top-k from the
-// shards' rank-ordered lists, and the coordinator reveals it to Bob via
-// masking.
+// shards' k-sets, and the coordinator reveals it to Bob via masking, as
+// a set: Bob ranks the rows himself (NearestFirst).
 //
 // domainBits is l, the bit length of the squared-distance domain: all
-// |Q−tᵢ|² must be strictly below 2^l − 1 (the all-ones disqualification
-// sentinel of step 3(e)). dataset.DomainBits derives it — including the
-// sentinel headroom bit — from the attribute domain and dimension. Every
+// |Q−tᵢ|² must be below 2^l. dataset.DomainBits derives it from the
+// attribute domain and dimension, with one headroom bit more — the
+// all-ones disqualification sentinel of the paper's step 3(e), which
+// internal/reference still drives and the engine no longer needs. Every
 // column of every record, payload columns included, must be below
 // 2^(l/2): packed SSED slots the feature columns that wide and the row
 // layout (rowLayoutFor) every column. A table validated against the

@@ -27,7 +27,7 @@ import (
 //	OpShardTopK   req: [k, l, target, secure, q₁…q_f]   (qᵢ encrypted)
 //	              rep: [n, count, sminCount, candidates, clustersProbed,
 //	                    totalNanos, cols, bits, then per candidate:
-//	                    secure → E(dmin), ⌈m/cols⌉ record chunks
+//	                    secure → E(d), ⌈m/cols⌉ record chunks
 //	                    basic  → id, E(d), ⌈m/cols⌉ record chunks]
 //
 // cols and bits declare the RowLayout the candidates' records are in.
@@ -265,7 +265,7 @@ func decodeTopKReply(pk *paillier.PublicKey, m int, resp *mpc.Message, k int, wa
 	chunks := layout.Chunks(m)
 	per := chunks + 2 // id + E(d) + record
 	if secure {
-		per = chunks + 1 // E(dmin) + record
+		per = chunks + 1 // E(d) + record
 	}
 	if count < 0 || count > k || len(resp.Ints) != head+count*per {
 		return 0, nil, nil, fmt.Errorf("%w: shard top-k reply: %d candidates but %d payload ints",

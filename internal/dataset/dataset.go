@@ -84,13 +84,16 @@ func (t *Table) DomainBits() int {
 // DomainBits computes l = bitlen(m · (2^b − 1)²) + 1 for attribute
 // domain b and dimension m.
 //
-// The extra bit is load-bearing: SkNNm's step 3(e) disqualifies an
-// already-selected record by SBOR-ing its distance bits to all-ones,
-// i.e. to the sentinel value 2^l − 1. Every real distance must therefore
-// be *strictly below* the sentinel, not merely representable in l bits —
-// at l = bitlen(max distance) a record whose distance is exactly 2^l − 1
-// (reachable at attrBits=1, or m=3·b=1) collides with the sentinel and
-// can be spuriously re-selected or wrongly excluded.
+// The extra bit is load-bearing for SkNNm as the paper prints it
+// (internal/reference): step 3(e) disqualifies an already-selected record
+// by SBOR-ing its distance bits to all-ones, i.e. to the sentinel value
+// 2^l − 1. Every real distance must therefore be *strictly below* the
+// sentinel, not merely representable in l bits — at l = bitlen(max
+// distance) a record whose distance is exactly 2^l − 1 (reachable at
+// attrBits=1, or m=3·b=1) collides with the sentinel and can be
+// spuriously re-selected or wrongly excluded. The engine's selection
+// network disqualifies nothing and needs only distances below 2^l; the
+// bit stays because every snapshot records this l.
 func DomainBits(attrBits, m int) int {
 	maxAttr := uint64(1)<<attrBits - 1
 	maxSq := maxAttr * maxAttr

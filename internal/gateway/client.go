@@ -85,8 +85,9 @@ func (c *TenantClient) M() (m, featureM int) { return c.m, c.featM }
 
 // Query runs one k-NN query: encrypt locally, one round trip to the
 // gateway, unmask locally. secure selects SkNNm (oblivious) over SkNNb.
-// It returns the k records (m attributes each) and, for basic queries,
-// their record ids (nil under SkNNm, which hides them by design).
+// It returns the k records (m attributes each), nearest first, and, for
+// basic queries, their record ids (nil under SkNNm, which hides them by
+// design).
 func (c *TenantClient) Query(ctx context.Context, q []uint64, k int, secure bool) ([][]uint64, []uint64, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, nil, err
@@ -117,6 +118,9 @@ func (c *TenantClient) Query(ctx context.Context, q []uint64, k int, secure bool
 	rows, err := c.client.Unmask(res)
 	if err != nil {
 		return nil, nil, err
+	}
+	if secure {
+		core.NearestFirst(q, rows)
 	}
 	return rows, res.IDs, nil
 }

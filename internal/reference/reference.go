@@ -176,10 +176,8 @@ func SkNNm(rq *smc.Requester, rows []core.EncryptedRecord, q core.EncryptedQuery
 		if err != nil {
 			return nil, fmt.Errorf("reference: iteration %d permutation: %w", s, err)
 		}
-		// The frame's header asks for the select alone: no record chunk
-		// (sums = 0) and no per-position operand (each = 0) rides it.
-		beta := make([]*big.Int, 4, 4+n)
-		beta[0], beta[1], beta[2], beta[3] = big.NewInt(int64(n)), new(big.Int), new(big.Int), big.NewInt(int64(l))
+		beta := make([]*big.Int, 1, 1+n)
+		beta[0] = big.NewInt(int64(n))
 		for i := 0; i < n; i++ {
 			tau := pk.Sub(encMin, smc.Recompose(pk, bits[perm[i]]))
 			r, err := pk.RandomNonzeroZN(rq.Rand())

@@ -66,11 +66,12 @@ func (kc *keyCloud) requester(pk *paillier.PublicKey) *smc.Requester {
 
 // TestKeyCloudOpcodeSet pins the reference's key cloud to the deployed
 // one's opcodes plus the four of the paper's primitives — SM, SBD's LSB
-// and verify rounds, SMIN's second round (16–19) — which the deployed key
-// cloud answers as unknown (core: TestCloudC2OpcodeSet).
+// and verify rounds, SMIN's second round (16–19) — and Algorithm 6's
+// one-hot select (66), which the deployed key cloud answers as unknown
+// (core: TestCloudC2OpcodeSet).
 func TestKeyCloudOpcodeSet(t *testing.T) {
 	sk := testkit.Key(256)
-	want := append(core.NewCloudC2(sk, nil).Mux().Ops(), smc.OpSM, smc.OpSBDLsb, smc.OpSBDVerify, smc.OpSMIN)
+	want := append(core.NewCloudC2(sk, nil).Mux().Ops(), smc.OpSM, smc.OpSBDLsb, smc.OpSBDVerify, smc.OpSMIN, core.OpMinSelect)
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 	if got := KeyCloud(sk).Ops(); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("reference key cloud serves opcodes %v, want %v", got, want)

@@ -170,12 +170,14 @@ func BenchmarkMSBOncePacked(b *testing.B) {
 				b.Fatal(err)
 			}
 			zs := make([]*paillier.Ciphertext, pairs)
+			xs := make([][]*paillier.Ciphertext, pairs)
 			for i := range zs {
 				zs[i] = enc(b, sk, int64(1<<(L-1)+37*i))
+				xs[i] = zs[i : i+1]
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := rq.msbOncePacked(zs, zs, L, codec); err != nil {
+				if _, err := rq.msbOncePacked(zs, xs, L, L, codec); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -27,7 +27,9 @@ func TestFramesDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	for i := range as {
 		as[i] = enc(t, sk, int64(37*i+5)%(1<<l))
 		bs[i] = enc(t, sk, int64(101*i+9)%(1<<l))
-		pairs[i] = SMINValuePair{A: as[i], B: bs[i]}
+		// Each comparator carries a two-chunk record, as the engine's do.
+		pairs[i] = SMINValuePair{A: as[i], B: bs[i],
+			RecA: encVec(t, sk, int64(i), 255), RecB: encVec(t, sk, 255-int64(i), 0)}
 	}
 	q := encVec(t, sk, 3, 14, 7, 0, 9)
 	rows := make([][]*paillier.Ciphertext, 6)
@@ -44,7 +46,11 @@ func TestFramesDeterministicAcrossGOMAXPROCS(t *testing.T) {
 			return rq.SSEDManyPacked(q, rows, packed)
 		}},
 		{"SMINValuePairsBatch", func(rq *Requester) ([]*paillier.Ciphertext, error) {
-			return rq.SMINValuePairsBatch(pairs, l)
+			mins, recs, err := rq.SMINValuePairsBatch(pairs, l, 8)
+			for _, rec := range recs {
+				mins = append(mins, rec...)
+			}
+			return mins, err
 		}},
 	}
 	for _, k := range kernels {

@@ -121,7 +121,7 @@ func TestDifferentialSMINValuePairs(t *testing.T) {
 		pairs[i] = SMINValuePair{A: enc(t, sk, int64(c[0])), B: enc(t, sk, int64(c[1]))}
 		operands = append(operands, pairs[i].A, pairs[i].B)
 	}
-	minsV, err := rq.SMINValuePairsBatch(pairs, l)
+	minsV, _, err := rq.SMINValuePairsBatch(pairs, l, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,6 +140,100 @@ func TestDifferentialSMINValuePairs(t *testing.T) {
 		}
 		if got := int64(decBits(t, sk, minB)); got != want {
 			t.Errorf("bit min(%d,%d) = %d, want %d", c[0], c[1], got, want)
+		}
+	}
+}
+
+// TestDifferentialSMINValuePairsWithRecords runs the comparator the
+// engine's selection network is built from: each pair carries a record of
+// three chunks at the widest chunk the row layout packs,
+// SMPackOperandBits, and the kernel must return the paper SMIN's minimum
+// and, chunk for chunk, the record of the operand it picked — b's where
+// a ≥ b, a's otherwise — with equal distances (a = b, where only the
+// record tells the operands apart), all-max chunks against all-zero ones
+// and the domain's corners among the pairs.
+func TestDifferentialSMINValuePairsWithRecords(t *testing.T) {
+	rq, sk := pair(t)
+	const l, chunks = 8, 3
+	recBits := SMPackOperandBits(rq.PK())
+	top := new(big.Int).Lsh(big.NewInt(1), uint(recBits))
+	top.Sub(top, big.NewInt(1)) // an all-max chunk
+	rng := rand.New(rand.NewSource(14))
+	record := func(kind int) []*big.Int {
+		rec := make([]*big.Int, chunks)
+		for g := range rec {
+			switch kind {
+			case 0:
+				rec[g] = new(big.Int)
+			case 1:
+				rec[g] = new(big.Int).Set(top)
+			default:
+				rec[g] = new(big.Int).Rand(rng, top)
+			}
+		}
+		return rec
+	}
+	plain := []struct {
+		a, b   uint64
+		ka, kb int // record kinds: all-zero, all-max, random
+	}{
+		{77, 77, 1, 0}, {77, 77, 0, 1}, {0, 0, 2, 2}, {255, 255, 1, 1},
+		{3, 200, 1, 0}, {200, 3, 1, 0}, {0, 255, 0, 1}, {255, 254, 2, 1}, {128, 127, 2, 2},
+	}
+	pairs := make([]SMINValuePair, len(plain))
+	recsA := make([][]*big.Int, len(plain))
+	recsB := make([][]*big.Int, len(plain))
+	encRec := func(vals []*big.Int) []*paillier.Ciphertext {
+		out := make([]*paillier.Ciphertext, len(vals))
+		for g, v := range vals {
+			ct, err := sk.Encrypt(rng, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[g] = ct
+		}
+		return out
+	}
+	for i, c := range plain {
+		recsA[i], recsB[i] = record(c.ka), record(c.kb)
+		pairs[i] = SMINValuePair{A: enc(t, sk, int64(c.a)), B: enc(t, sk, int64(c.b)),
+			RecA: encRec(recsA[i]), RecB: encRec(recsB[i])}
+	}
+	mins, recs, err := rq.SMINValuePairsBatch(pairs, l, recBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mins) != len(plain) || len(recs) != len(plain) {
+		t.Fatalf("%d minima and %d records for %d pairs", len(mins), len(recs), len(plain))
+	}
+	for i, c := range plain {
+		bits, err := rq.SBDBatch([]*paillier.Ciphertext{pairs[i].A, pairs[i].B}, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		minB, err := rq.SMIN(bits[0], bits[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := int64(decBits(t, sk, minB))
+		if got := dec(t, sk, mins[i]); got != want || want != int64(min(c.a, c.b)) {
+			t.Errorf("pair %d: min(%d,%d) = %d, paper SMIN %d", i, c.a, c.b, got, want)
+		}
+		wantRec := recsA[i]
+		if c.a >= c.b {
+			wantRec = recsB[i]
+		}
+		if len(recs[i]) != chunks {
+			t.Fatalf("pair %d: %d record chunks, want %d", i, len(recs[i]), chunks)
+		}
+		for g, ct := range recs[i] {
+			got, err := sk.Decrypt(ct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Cmp(wantRec[g]) != 0 {
+				t.Errorf("pair %d (%d vs %d): record chunk %d = %v, want %v", i, c.a, c.b, g, got, wantRec[g])
+			}
 		}
 	}
 }
@@ -187,9 +281,19 @@ func TestHandleSBDPackBitValidation(t *testing.T) {
 		{"missing group", bigInts(1, 8, 0)},
 		{"invalid ciphertext", bigInts(1, 8, 0, 0)},
 		{"operand group before the output round", append(bigInts(1, 8, 6), group, group)},
-		{"output round without its operand group", append(bigInts(1, 8, 7), group)},
-		{"output round with an extra group", append(bigInts(1, 8, 7), group, group, group)},
-		{"invalid operand group", append(bigInts(1, 8, 7), group, big.NewInt(0))},
+		{"operand header before the output round", append(bigInts(1, 8, 6, 1, 8), group)},
+		{"output round without its operand header", append(bigInts(1, 8, 7), group, group)},
+		{"output round without its operand group", append(bigInts(1, 8, 7, 1, 8), group)},
+		{"output round with an extra group", append(bigInts(1, 8, 7, 1, 8), group, group, group)},
+		{"invalid operand group", append(bigInts(1, 8, 7, 1, 8), group, big.NewInt(0))},
+		{"no operand per value", append(bigInts(1, 8, 7, 0, 8), group)},
+		{"negative per", append(bigInts(1, 8, 7, -1, 8), group, group)},
+		{"per lies high", append(bigInts(1, 8, 7, 4, 8), group, group)},
+		{"per past the frame cap", append(bigInts(1, 8, 7, smPackMaxCount+1, 8), group, group)},
+		{"opBits zero", append(bigInts(1, 8, 7, 1, 0), group, group)},
+		{"opBits past the codec", append(bigInts(1, 8, 7, 1, packMaxValueBits+1), group, group)},
+		{"opBits wider than a slot", append(bigInts(1, 8, 7, 1, 200), group, group)},
+		{"nil per", append(append(bigInts(1, 8, 7), nil), append(bigInts(8), group, group)...)},
 	}
 	for _, tc := range bad {
 		if _, err := mux.Handle(&mpc.Message{Op: OpSBDPackBit, Ints: tc.ints}); err == nil {
@@ -197,7 +301,7 @@ func TestHandleSBDPackBitValidation(t *testing.T) {
 		}
 	}
 	// The well-formed shapes either side of the output round answer.
-	for _, ints := range [][]*big.Int{append(bigInts(1, 8, 6), group), append(bigInts(1, 8, 7), group, group)} {
+	for _, ints := range [][]*big.Int{append(bigInts(1, 8, 6), group), append(bigInts(1, 8, 7, 1, 8), group, group), append(bigInts(1, 8, 7, 2, 30), group, group)} {
 		if _, err := mux.Handle(&mpc.Message{Op: OpSBDPackBit, Ints: ints}); err != nil {
 			t.Errorf("shift %v: %v", ints[2], err)
 		}
@@ -206,15 +310,34 @@ func TestHandleSBDPackBitValidation(t *testing.T) {
 
 func TestSMINValuePairsValidation(t *testing.T) {
 	rq, sk := pair(t)
-	if _, err := rq.SMINValuePairsBatch(nil, 8); err == nil {
+	if _, _, err := rq.SMINValuePairsBatch(nil, 8, 0); err == nil {
 		t.Error("empty input accepted")
 	}
-	if _, err := rq.SMINValuePairsBatch([]SMINValuePair{{A: enc(t, sk, 1)}}, 8); err == nil {
+	if _, _, err := rq.SMINValuePairsBatch([]SMINValuePair{{A: enc(t, sk, 1)}}, 8, 0); err == nil {
 		t.Error("nil operand accepted")
 	}
-	if _, err := rq.SMINValuePairsBatch(
-		[]SMINValuePair{{A: enc(t, sk, 1), B: enc(t, sk, 2)}}, 0); err == nil {
+	if _, _, err := rq.SMINValuePairsBatch(
+		[]SMINValuePair{{A: enc(t, sk, 1), B: enc(t, sk, 2)}}, 0, 0); err == nil {
 		t.Error("l = 0 accepted")
+	}
+	rec := encVec(t, sk, 1, 2)
+	for name, pairs := range map[string][]SMINValuePair{
+		"ragged records": {
+			{A: enc(t, sk, 1), B: enc(t, sk, 2), RecA: rec, RecB: rec},
+			{A: enc(t, sk, 1), B: enc(t, sk, 2), RecA: rec[:1], RecB: rec[:1]},
+		},
+		"one-sided record": {{A: enc(t, sk, 1), B: enc(t, sk, 2), RecA: rec, RecB: rec[:1]}},
+		"nil record chunk": {{A: enc(t, sk, 1), B: enc(t, sk, 2), RecA: rec, RecB: []*paillier.Ciphertext{rec[0], nil}}},
+	} {
+		if _, _, err := rq.SMINValuePairsBatch(pairs, 8, 4); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	for _, recBits := range []int{0, 512} {
+		pairs := []SMINValuePair{{A: enc(t, sk, 1), B: enc(t, sk, 2), RecA: rec, RecB: rec}}
+		if _, _, err := rq.SMINValuePairsBatch(pairs, 8, recBits); err == nil {
+			t.Errorf("records of %d bits accepted", recBits)
+		}
 	}
 	if _, err := rq.SMINnValues(nil, 8); err == nil {
 		t.Error("empty tournament accepted")

@@ -177,9 +177,10 @@ func TestPackedFrameBadMiddleGroup(t *testing.T) {
 		head  []*big.Int
 	}{
 		{"SBDPackBit", OpSBDPackBit, codec.Slots, []*big.Int{big.NewInt(int64(groups * codec.Slots)), big.NewInt(vb), big.NewInt(3)}},
-		// The output round: half the groups are remainders, the middle one
-		// is the first operand group.
-		{"SBDPackBit output", OpSBDPackBit, codec.Slots, []*big.Int{big.NewInt(int64(groups / 2 * codec.Slots)), big.NewInt(vb), big.NewInt(vb - 1)}},
+		// The output round, one operand per value at the remainders' width:
+		// half the groups are remainders, the middle one is the first
+		// operand group.
+		{"SBDPackBit output", OpSBDPackBit, codec.Slots, []*big.Int{big.NewInt(int64(groups / 2 * codec.Slots)), big.NewInt(vb), big.NewInt(vb - 1), big.NewInt(1), big.NewInt(vb)}},
 	}
 	bad := []struct {
 		name string

@@ -90,10 +90,18 @@ func FuzzResponderFrame(f *testing.F) {
 	f.Add(uint16(OpSMIN), uint64(0), []byte{fuzzCiphertext, 1, fuzzNil})
 	f.Add(uint16(OpSSEDPack), uint64(0), []byte{fuzzSmall, 1, fuzzSmall, 2, fuzzSmall, 8, fuzzCiphertext, 5})
 	f.Add(uint16(OpSSEDPack), uint64(0), []byte{fuzzBig, 9, 1, 0, 0, 0, 0, 0, 0, 0, 0, fuzzSmall, 2, fuzzSmall, 8})
-	f.Add(uint16(OpSBDPackBit), uint64(1), []byte{fuzzSmall, 1, fuzzSmall, 9, fuzzSmall, 8, fuzzCiphertext, 200})
+	f.Add(uint16(OpSBDPackBit), uint64(1), []byte{fuzzSmall, 1, fuzzSmall, 9, fuzzSmall, 3, fuzzCiphertext, 200})
 	f.Add(uint16(OpSBDPackBit), uint64(1), []byte{fuzzSmall, 1, fuzzSmall, 9, fuzzNil, fuzzCiphertext, 200})
+	// The output round: [count, valueBits, shift, per, opBits], the
+	// remainder group, the operand groups — well formed, then with per and
+	// opBits lying.
+	f.Add(uint16(OpSBDPackBit), uint64(1), []byte{fuzzSmall, 1, fuzzSmall, 9, fuzzSmall, 8, fuzzSmall, 1, fuzzSmall, 9, fuzzCiphertext, 200, fuzzCiphertext, 9})
+	f.Add(uint16(OpSBDPackBit), uint64(1), []byte{fuzzSmall, 2, fuzzSmall, 9, fuzzSmall, 8, fuzzSmall, 2, fuzzSmall, 37, fuzzCiphertext, 200, fuzzCiphertext, 9, fuzzCiphertext, 4})
+	f.Add(uint16(OpSBDPackBit), uint64(1), []byte{fuzzSmall, 1, fuzzSmall, 9, fuzzSmall, 8, fuzzSmall, 5, fuzzSmall, 9, fuzzCiphertext, 200, fuzzCiphertext, 9})
+	f.Add(uint16(OpSBDPackBit), uint64(1), []byte{fuzzSmall, 1, fuzzSmall, 9, fuzzSmall, 8, fuzzSmall, 1, fuzzSmall, 120, fuzzCiphertext, 200, fuzzCiphertext, 9})
+	f.Add(uint16(OpSBDPackBit), uint64(1), []byte{fuzzSmall, 1, fuzzSmall, 9, fuzzSmall, 8, fuzzSmall, 0xff, fuzzSmall, 9, fuzzCiphertext, 200, fuzzCiphertext, 9})
+	f.Add(uint16(OpSBDPackBit), uint64(1), []byte{fuzzSmall, 1, fuzzSmall, 9, fuzzSmall, 8, fuzzBig, 4, 0x7f, 0xff, 0xff, 0xff, fuzzSmall, 9, fuzzCiphertext, 200})
 	f.Add(uint16(OpSBDPackBit), uint64(1), []byte{fuzzSmall, 1, fuzzSmall, 9, fuzzSmall, 8, fuzzCiphertext, 200, fuzzCiphertext, 9})
-	f.Add(uint16(OpSBDPackBit), uint64(1), []byte{fuzzSmall, 1, fuzzSmall, 9, fuzzSmall, 8, fuzzCiphertext, 200})
 	f.Add(uint16(22), uint64(0), []byte{fuzzSmall, 1, fuzzSmall, 8, fuzzCiphertext, 3})       // retired opcode
 	f.Add(uint16(OpSMPack), uint64(0), []byte{fuzzSmall, 1, fuzzSmall, 8, fuzzCiphertext, 3}) // retired opcode
 	f.Fuzz(func(t *testing.T, op uint16, tag uint64, data []byte) {
@@ -118,10 +126,10 @@ func FuzzResponderFrame(f *testing.F) {
 		case OpSSEDPack:
 			want = int(req.Ints[0].Int64()) // the header's count field
 		case OpSBDPackBit:
-			// count bits, and as many products in the output round.
+			// count bits, and per products a value in the output round.
 			want = int(req.Ints[0].Int64())
 			if req.Ints[2].Int64() == req.Ints[1].Int64()-1 {
-				want *= 2
+				want *= 1 + int(req.Ints[3].Int64())
 			}
 		default:
 			t.Fatalf("unregistered opcode %d answered", req.Op)

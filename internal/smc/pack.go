@@ -37,9 +37,9 @@ const packMaxValueBits = 512
 // pk: two slots of that width plus headroom share one plaintext. It was
 // the operand bound of the packed SM pair that extraction once rode, and
 // it still sizes the layout — SkNNb's reveal and the shard wire keep
-// theirs; OpMinSelect carries a chunk in a single slot, so every chunk
-// this wide fits. Not positive when the key is too small to pack a pair
-// at all.
+// theirs; the peel's output round carries a chunk difference, one bit
+// wider, in a single slot, so every chunk this wide fits. Not positive
+// when the key is too small to pack a pair at all.
 func SMPackOperandBits(pk *paillier.PublicKey) int {
 	return (pk.Bits()-2)/2 - paillier.PackHeadroom
 }
@@ -316,12 +316,13 @@ func (rp *Responder) handleSSEDPack(req *mpc.Message) (*mpc.Message, error) {
 
 // peeled is the bit peel's output on one value: Y = E(y) for the bit C2
 // read in the output round, y = msb XOR Flip with Flip the low bit of the
-// value's last peel blind, and YW = E(y·(x + Rho)) for the operand x the
-// round carried under the short blind Rho.
+// value's last peel blind, and YW[e] = E(y·(xₑ + Rho[e])) for each operand
+// xₑ the round carried for the value under the short blind Rho[e].
 type peeled struct {
-	Y, YW *paillier.Ciphertext
-	Flip  bool
-	Rho   *big.Int
+	Y    *paillier.Ciphertext
+	YW   []*paillier.Ciphertext
+	Flip bool
+	Rho  []*big.Int
 }
 
 // msbOncePacked extracts bit L−1 of each value's L-bit decomposition —
@@ -342,27 +343,36 @@ type peeled struct {
 //	rem ← rem · Π_{rᵢ odd} Zᵢ · (Π_{rᵢ even} Zᵢ)⁻¹ · E(−Σ_{rᵢ odd} 2^(s·Width+j))
 //
 // a handful of modular products, one inversion and one closed-form
-// (1+mN) factor per group. The output round j = L−1 also carries one
-// operand xᵢ < 2^L per value, blinded and packed by PackBlinded: C2
-// already reads yᵢ there, so it returns E(yᵢ) and E(yᵢ·(xᵢ + ρᵢ)), and the
-// caller turns them into E(msbᵢ·xᵢ) with one short exponentiation —
-// the product that would otherwise cost a round of its own. C2 tells the
-// rounds apart by the header it already receives (valueBits = L and
-// shift = j), which is why L must be the codec's ValueBits. C2's view is
-// slotwise short-blinded remainder windows and operands, the public
-// round index, and in the output round the coin-masked bit yᵢ, as in
-// Algorithm 3; C1 sees nothing but fresh ciphertexts, and — unlike SBD's
-// full-range blinds, which wrap mod N with probability ≈ 2^l/N — no slot
-// ever wraps, so the pass is exact against an honest C2 and needs no
-// verification round.
-func (rq *Requester) msbOncePacked(zs, xs []*paillier.Ciphertext, L int, codec *paillier.Packing) ([]peeled, error) {
+// (1+mN) factor per group. The output round j = L−1 also carries the
+// operands xs[i] of every value — as many per value, each below
+// 2^opBits — blinded and packed by PackBlinded: C2 already reads yᵢ
+// there, so it returns E(yᵢ) and E(yᵢ·(x + ρ)) for each operand x, and
+// the caller turns them into E(msbᵢ·x) with one short exponentiation
+// apiece — the products that would otherwise cost a round of their own.
+// C2 tells the rounds apart by the header it already receives
+// (valueBits = L and shift = j), which is why L must be the codec's
+// ValueBits; the output round's header adds the operand count per value
+// and opBits. C2's view is slotwise short-blinded remainder windows and
+// operands, the public round index, and in the output round the
+// coin-masked bit yᵢ, as in Algorithm 3; C1 sees nothing but fresh
+// ciphertexts, and — unlike SBD's full-range blinds, which wrap mod N
+// with probability ≈ 2^l/N — no slot ever wraps, so the pass is exact
+// against an honest C2 and needs no verification round.
+func (rq *Requester) msbOncePacked(zs []*paillier.Ciphertext, xs [][]*paillier.Ciphertext, opBits, L int, codec *paillier.Packing) ([]peeled, error) {
 	if L != codec.ValueBits {
 		return nil, fmt.Errorf("smc: MSB extraction of %d bits under a %d-bit codec", L, codec.ValueBits)
 	}
-	if len(xs) != len(zs) {
-		return nil, fmt.Errorf("%w: %d operands for %d values", ErrLengthMismatch, len(xs), len(zs))
+	if len(xs) != len(zs) || len(xs) == 0 || len(xs[0]) == 0 {
+		return nil, fmt.Errorf("%w: operands for %d values", ErrLengthMismatch, len(zs))
 	}
-	n := len(zs)
+	n, per := len(zs), len(xs[0])
+	flat := make([]*paillier.Ciphertext, 0, n*per)
+	for i, x := range xs {
+		if len(x) != per {
+			return nil, fmt.Errorf("%w: value %d carries %d operands, value 0 %d", ErrLengthMismatch, i, len(x), per)
+		}
+		flat = append(flat, x...)
+	}
 	packedRem, err := packRuns(codec, zs, codec.Slots)
 	if err != nil {
 		return nil, fmt.Errorf("smc: MSB packing: %w", err)
@@ -371,8 +381,12 @@ func (rq *Requester) msbOncePacked(zs, xs []*paillier.Ciphertext, L int, codec *
 
 	rs := make([]*big.Int, n)
 	for j := 0; j < L; j++ {
-		payload := make([]*big.Int, 0, 3+2*groups)
+		output := j == L-1
+		payload := make([]*big.Int, 0, 5+2*groups)
 		payload = append(payload, big.NewInt(int64(n)), big.NewInt(int64(L)), big.NewInt(int64(j)))
+		if output {
+			payload = append(payload, big.NewInt(int64(per)), big.NewInt(int64(opBits)))
+		}
 		for g := 0; g < groups; g++ {
 			lo := g * codec.Slots
 			hi := min(n, lo+codec.Slots)
@@ -393,13 +407,13 @@ func (rq *Requester) msbOncePacked(zs, xs []*paillier.Ciphertext, L int, codec *
 		}
 		want := n
 		var rhos []*big.Int
-		if j == L-1 {
+		if output {
 			var operands []*big.Int
-			if operands, rhos, err = rq.PackBlinded(xs, L); err != nil {
+			if operands, rhos, err = rq.PackBlinded(flat, opBits); err != nil {
 				return nil, err
 			}
 			payload = append(payload, operands...)
-			want = 2 * n
+			want += n * per
 		}
 		reply, err := rq.roundTrip(OpSBDPackBit, payload, want)
 		if err != nil {
@@ -409,10 +423,11 @@ func (rq *Requester) msbOncePacked(zs, xs []*paillier.Ciphertext, L int, codec *
 		if err != nil {
 			return nil, err
 		}
-		if j == L-1 {
+		if output {
 			out := make([]peeled, n)
 			for i := range out {
-				out[i] = peeled{Y: raw[i], YW: raw[n+i], Flip: rs[i].Bit(0) == 1, Rho: rhos[i]}
+				at := n + i*per
+				out[i] = peeled{Y: raw[i], YW: raw[at : at+per], Flip: rs[i].Bit(0) == 1, Rho: rhos[i*per : (i+1)*per]}
 			}
 			return out, nil
 		}
@@ -447,11 +462,12 @@ func (rq *Requester) msbOncePacked(zs, xs []*paillier.Ciphertext, L int, codec *
 // individual fresh encryption — in place, E(bit·2^(s·Width+shift)) for
 // the value in slot s of its group, while shift < valueBits−1 (C1 only
 // clears those bits from its packed remainders), and as plain E(bit) in
-// the output round shift = valueBits−1, which also carries one blinded
-// operand w per value, packed like the remainders, and answers E(bit·w)
-// for each after the bits. Frame: [count, valueBits, shift, group
-// ciphertexts], plus as many operand groups in the output round; reply:
-// count elements, 2·count in the output round.
+// the output round shift = valueBits−1, which also carries per blinded
+// operands w per value, packed at opBits, and answers E(bit·w) for each
+// after the bits, value by value. Frame: [count, valueBits, shift, group
+// ciphertexts], and in the output round [count, valueBits, shift, per,
+// opBits, group ciphertexts, operand groups]; reply: count elements,
+// count·(1 + per) in the output round.
 func (rp *Responder) handleSBDPackBit(req *mpc.Message) (*mpc.Message, error) {
 	count, codec, err := rp.packHeader(req.Ints, "SBD bit")
 	if err != nil {
@@ -465,25 +481,32 @@ func (rp *Responder) handleSBDPackBit(req *mpc.Message) (*mpc.Message, error) {
 		return nil, fmt.Errorf("%w: packed SBD bit shift=%d of %d", ErrBadFrame, shift, codec.ValueBits)
 	}
 	output := shift == codec.ValueBits-1
-	groups := codec.Groups(count)
-	sets, replies := 1, count
+	head, per, opGroups := 3, 0, 0
+	var opCodec *paillier.Packing
 	if output {
-		sets, replies = 2, 2*count
+		if per, opCodec, err = rp.operandHeader(req.Ints, count); err != nil {
+			return nil, err
+		}
+		head, opGroups = 5, opCodec.Groups(count*per)
 	}
-	if len(req.Ints) != 3+sets*groups {
+	groups := codec.Groups(count)
+	if len(req.Ints) != head+groups+opGroups {
 		return nil, fmt.Errorf("%w: packed SBD bit payload of %d ints for %d values at shift %d",
 			ErrBadFrame, len(req.Ints), count, shift)
 	}
 	// One decryption per group and one reply encryption per element: the
 	// nonce powers do not wait for the decryptions.
-	nonces, err := rp.sk.DrawNonces(rp.rand, replies)
+	nonces, err := rp.sk.DrawNonces(rp.rand, count*(1+per))
 	if err != nil {
 		return nil, fmt.Errorf("smc: packed SBD bit encrypt: %w", err)
 	}
-	vals := make([][]*big.Int, sets*groups)
+	vals := make([][]*big.Int, groups+opGroups)
 	err = paillier.RaiseAlongside(nonces, len(vals), func(g int) error {
-		cnt := min(codec.Slots, count-g%groups*codec.Slots)
-		v, err := rp.unpackGroup(codec, req.Ints[3+g], cnt)
+		c, cnt := codec, count-g*codec.Slots
+		if g >= groups {
+			c, cnt = opCodec, count*per-(g-groups)*opCodec.Slots
+		}
+		v, err := rp.unpackGroup(c, req.Ints[head+g], min(c.Slots, cnt))
 		if err != nil {
 			return fmt.Errorf("smc: packed SBD bit group %d: %w", g, err)
 		}
@@ -493,16 +516,36 @@ func (rp *Responder) handleSBDPackBit(req *mpc.Message) (*mpc.Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	ms := make([]*big.Int, replies)
+	ms := make([]*big.Int, len(nonces))
 	for i := 0; i < count; i++ {
 		g, s := i/codec.Slots, i%codec.Slots
 		m := new(big.Int).SetUint64(uint64(vals[g][s].Bit(shift)))
-		if output {
-			ms[count+i] = new(big.Int).Mul(m, vals[groups+g][s])
-		} else {
+		for e := i * per; e < (i+1)*per; e++ {
+			ms[count+e] = new(big.Int).Mul(m, vals[groups+e/opCodec.Slots][e%opCodec.Slots])
+		}
+		if !output {
 			m.Lsh(m, uint(s*codec.Width+shift))
 		}
 		ms[i] = m
 	}
 	return &mpc.Message{Op: OpSBDPackBit, Ints: rp.encryptReply(nonces, ms)}, nil
+}
+
+// operandHeader validates the output round's [per, opBits] header fields
+// — at least one operand per value, at most smPackMaxCount in the frame —
+// and builds the operand codec.
+func (rp *Responder) operandHeader(ints []*big.Int, count int) (int, *paillier.Packing, error) {
+	if len(ints) < 5 || !isHeaderInt(ints[3]) || !isHeaderInt(ints[4]) {
+		return 0, nil, fmt.Errorf("%w: packed SBD bit operand header", ErrBadFrame)
+	}
+	per, ob := ints[3].Int64(), ints[4].Int64()
+	if per < 1 || per > int64(smPackMaxCount/count) || ob < 1 || ob > packMaxValueBits {
+		return 0, nil, fmt.Errorf("%w: packed SBD bit operand header per=%d opBits=%d for %d values",
+			ErrBadFrame, per, ob, count)
+	}
+	codec, err := paillier.NewPacking(&rp.sk.PublicKey, int(ob))
+	if err != nil {
+		return 0, nil, fmt.Errorf("%w: packed SBD bit operands: %v", ErrBadFrame, err)
+	}
+	return int(per), codec, nil
 }

@@ -93,16 +93,16 @@ func TestMSBOncePackedMatchesPlaintext(t *testing.T) {
 		}
 		for _, n := range []int{1, s - 1, s, s + 1, 2*s + 1} {
 			zs := make([]*paillier.Ciphertext, n)
-			xs := make([]*paillier.Ciphertext, n)
+			xs := make([][]*paillier.Ciphertext, n)
 			want := make([]int64, n)
 			for i := range zs {
 				c := corners[(i+n)%len(corners)]
 				tv := int64(1<<l) + c[0] - c[1]
 				zs[i] = enc(t, sk, tv)
-				xs[i] = enc(t, sk, int64(1<<l)+c[1]-c[0])
+				xs[i] = encVec(t, sk, int64(1<<l)+c[1]-c[0])
 				want[i] = tv >> l
 			}
-			outs, err := rq.msbOncePacked(zs, xs, l+1, codec)
+			outs, err := rq.msbOncePacked(zs, xs, l+1, l+1, codec)
 			if err != nil {
 				t.Fatalf("%s blinds, %d values: %v", bl.name, n, err)
 			}
@@ -118,8 +118,8 @@ func TestMSBOncePackedMatchesPlaintext(t *testing.T) {
 				if msb != want[i] {
 					t.Errorf("%s blinds, %d values: msb[%d] = %d, want %d", bl.name, n, i, msb, want[i])
 				}
-				w := new(big.Int).Add(big.NewInt(dec(t, sk, xs[i])), o.Rho)
-				yw, err := sk.Decrypt(o.YW)
+				w := new(big.Int).Add(big.NewInt(dec(t, sk, xs[i][0])), o.Rho[0])
+				yw, err := sk.Decrypt(o.YW[0])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -144,13 +144,22 @@ func TestMSBOncePackedRefusesForeignCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	one := [][]*paillier.Ciphertext{encVec(t, sk, 1)}
 	for _, L := range []int{8, 10} {
-		if _, err := rq.msbOncePacked(encVec(t, sk, 5), encVec(t, sk, 1), L, codec); err == nil {
+		if _, err := rq.msbOncePacked(encVec(t, sk, 5), one, 9, L, codec); err == nil {
 			t.Errorf("L = %d accepted under a %d-bit codec", L, codec.ValueBits)
 		}
 	}
-	if _, err := rq.msbOncePacked(encVec(t, sk, 5), encVec(t, sk, 1, 2), 9, codec); !errors.Is(err, ErrLengthMismatch) {
-		t.Errorf("two operands for one value: err = %v, want ErrLengthMismatch", err)
+	for name, xs := range map[string][][]*paillier.Ciphertext{
+		"two values' operands for one value": {encVec(t, sk, 1), encVec(t, sk, 2)},
+		"no operand":                         {nil},
+	} {
+		if _, err := rq.msbOncePacked(encVec(t, sk, 5), xs, 9, 9, codec); !errors.Is(err, ErrLengthMismatch) {
+			t.Errorf("%s: err = %v, want ErrLengthMismatch", name, err)
+		}
+	}
+	if _, err := rq.msbOncePacked(encVec(t, sk, 5, 6), [][]*paillier.Ciphertext{encVec(t, sk, 1, 2), encVec(t, sk, 3)}, 9, 9, codec); !errors.Is(err, ErrLengthMismatch) {
+		t.Errorf("ragged operands: err = %v, want ErrLengthMismatch", err)
 	}
 	if len(tap.sent) != 0 {
 		t.Errorf("refused peel still sent ops %v", tap.sent)
@@ -161,26 +170,33 @@ func TestMSBOncePackedRefusesForeignCodec(t *testing.T) {
 // shifted bit round: reply element i carries bit `shift` of its slot at
 // plaintext position (i mod Slots)·Width + shift while shift <
 // valueBits−1, and as a plain bit in the output round, which also takes
-// one operand per value and answers bit·operand after the bits.
+// per operands per value, packed at their own opBits across group
+// boundaries, and answers bit·operand after the bits, value by value.
 func TestHandleSBDPackBitReplyPlacement(t *testing.T) {
-	const vb = 9
+	const vb, per, opBits = 9, 3, 40
 	sk := testKey()
 	mux := NewResponder(sk, nil).Mux()
 	codec, err := paillier.NewPacking(&sk.PublicKey, vb)
 	if err != nil {
 		t.Fatal(err)
 	}
+	opCodec, err := paillier.NewPacking(&sk.PublicKey, opBits)
+	if err != nil {
+		t.Fatal(err)
+	}
 	n := codec.Slots + 1
 	vals := make([]*big.Int, n)
-	operands := make([]*big.Int, n)
+	operands := make([]*big.Int, n*per)
 	for i := range vals {
-		vals[i] = big.NewInt(int64(0x155 >> (i % 2)))                 // alternating bit patterns
-		operands[i] = new(big.Int).Lsh(big.NewInt(int64(i+1)), vb+40) // wider than the payload: blinded
+		vals[i] = big.NewInt(int64(0x155 >> (i % 2))) // alternating bit patterns
 	}
-	packed := func(vs []*big.Int) []*big.Int {
+	for i := range operands {
+		operands[i] = new(big.Int).Lsh(big.NewInt(int64(i+1)), opBits+40) // wider than the payload: blinded
+	}
+	packed := func(c *paillier.Packing, vs []*big.Int) []*big.Int {
 		var out []*big.Int
-		for lo := 0; lo < n; lo += codec.Slots {
-			ct, err := codec.PackEncrypt(rand.Reader, vs[lo:min(n, lo+codec.Slots)])
+		for lo := 0; lo < len(vs); lo += c.Slots {
+			ct, err := c.PackEncrypt(rand.Reader, vs[lo:min(len(vs), lo+c.Slots)])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,11 +205,14 @@ func TestHandleSBDPackBitReplyPlacement(t *testing.T) {
 		return out
 	}
 	for _, shift := range []int{0, 3, vb - 2, vb - 1} {
-		req := append([]*big.Int{big.NewInt(int64(n)), big.NewInt(vb), big.NewInt(int64(shift))}, packed(vals)...)
+		req := []*big.Int{big.NewInt(int64(n)), big.NewInt(vb), big.NewInt(int64(shift))}
 		want := n
 		if shift == vb-1 {
-			req = append(req, packed(operands)...)
-			want = 2 * n
+			req = append(append(req, big.NewInt(per), big.NewInt(opBits)), packed(codec, vals)...)
+			req = append(req, packed(opCodec, operands)...)
+			want += n * per
+		} else {
+			req = append(req, packed(codec, vals)...)
 		}
 		resp, err := mux.Handle(&mpc.Message{Op: OpSBDPackBit, Ints: req})
 		if err != nil {
@@ -211,13 +230,16 @@ func TestHandleSBDPackBitReplyPlacement(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v := i % n
+			v := i
+			if i >= n {
+				v = (i - n) / per
+			}
 			want := new(big.Int).SetUint64(uint64(vals[v].Bit(shift)))
 			switch {
 			case shift < vb-1:
 				want.Lsh(want, uint((i%codec.Slots)*codec.Width+shift))
 			case i >= n:
-				want.Mul(want, operands[v])
+				want.Mul(want, operands[i-n])
 			}
 			if got.Cmp(want) != 0 {
 				t.Errorf("shift %d, element %d = %v, want %v", shift, i, got, want)

@@ -96,7 +96,7 @@ type Requester struct {
 	invTwo *big.Int
 
 	// codecs caches the slot codec per value-bit width so the packed
-	// kernels called once per tournament level or selection round
+	// kernels called once per network layer or tournament level
 	// (SMINValuePairsBatch, PackBlinded) don't rebuild it each call. A
 	// Requester drives primitives serially — its documented contract — so
 	// the map needs no lock.

@@ -9,8 +9,9 @@ import (
 
 // This file holds the value-domain minimum: the same E(min) functionality
 // as SMIN/SMINn, but computed over composed distance values instead of bit
-// vectors. It is what the production engine runs the tournament of
-// Algorithm 6 step 3(a) on.
+// vectors. Every comparator of the production engine's selection network
+// (Algorithm 6's step 3, reshaped) and its cluster-ranking tournament
+// runs on it.
 //
 // The bit-vector SMIN (Algorithm 3) pays, per comparison, l full-range
 // multiplicative blinds at C1 (the Φ-masking of the L vector cannot use
@@ -35,7 +36,11 @@ import (
 // clear of the sign, ρ a short blind) and returns E(y) beside E(y·w). C1
 // recovers α·(b − a) from the two with one short exponentiation, so a
 // comparison costs the peel's l + 1 rounds and no secure multiplication
-// round after them.
+// round after them. A record riding the comparison is selected the same
+// way, in the same round: each of its chunks is one more operand
+// w = rec_b − rec_a + 2^recBits + ρ, and rec_a + α·(rec_b − rec_a) is the
+// minimum's record — one comparator of the engine's selection network,
+// which also keeps max = a + b − min, linearly, where it needs it.
 //
 // Everything C2 sees is the peel's uplink (slotwise short-blinded
 // remainders and operands) and, in the output round, y — α masked by a
@@ -47,76 +52,111 @@ import (
 // correctness (no recomposition verify); the bit path (SMIN here, SMINn
 // in internal/reference) is the differential oracle.
 
-// SMINValuePair is one independent minimum instance over composed
-// values: A = E(a), B = E(b) with a, b < 2^l.
+// SMINValuePair is one comparator over composed values: A = E(a),
+// B = E(b) with a, b < 2^l, and the records RecA and RecB riding it —
+// equally many chunks, each below 2^recBits — or none.
 type SMINValuePair struct {
-	A, B *paillier.Ciphertext
+	A, B       *paillier.Ciphertext
+	RecA, RecB []*paillier.Ciphertext
 }
 
-// SMINValuePairsBatch computes E(min(aᵢ,bᵢ)) for every pair in l+1 round
-// trips total — the shifted packed bit rounds, the last of which also
-// selects — independent of the number of pairs. Requires a key that fits
-// an (l+1)-bit slot; callers gate on NewPacking(pk, l+1) succeeding.
-func (rq *Requester) SMINValuePairsBatch(pairs []SMINValuePair, l int) ([]*paillier.Ciphertext, error) {
+// SMINValuePairsBatch is the comparator kernel: E(min(aᵢ,bᵢ)) for every
+// pair, and the minimum's record — RecB where aᵢ ≥ bᵢ, RecA otherwise —
+// chunk by chunk (nil when the pairs carry none), in l+1 round trips
+// total, the shifted packed bit rounds, the last of which also selects,
+// independent of the number of pairs and of their chunks. Every pair
+// carries as many chunks as the first. Requires a key that fits an
+// (l+1)-bit slot; callers gate on NewPacking(pk, l+1) succeeding.
+func (rq *Requester) SMINValuePairsBatch(pairs []SMINValuePair, l, recBits int) ([]*paillier.Ciphertext, [][]*paillier.Ciphertext, error) {
 	if len(pairs) == 0 {
-		return nil, ErrEmptyInput
+		return nil, nil, ErrEmptyInput
 	}
-	if l < 1 || l+1 > packMaxValueBits {
-		return nil, fmt.Errorf("smc: value SMIN domain l=%d", l)
+	chunks := len(pairs[0].RecA)
+	opBits := l + 1
+	if chunks > 0 {
+		opBits = max(opBits, recBits+1)
+	}
+	if l < 1 || opBits > packMaxValueBits || (chunks > 0 && recBits < 1) {
+		return nil, nil, fmt.Errorf("smc: value SMIN domain l=%d, records of %d bits", l, recBits)
 	}
 	codec, err := rq.packCodec(l + 1)
 	if err != nil {
-		return nil, fmt.Errorf("smc: value SMIN codec: %w", err)
+		return nil, nil, fmt.Errorf("smc: value SMIN codec: %w", err)
 	}
 	n := len(pairs)
 	pow := new(big.Int).Lsh(oneBig, uint(l)) // 2^l
+	recPow := new(big.Int)                   // 2^recBits, where records ride
+	if chunks > 0 {
+		recPow.Lsh(oneBig, uint(recBits))
+	}
 
-	// t = 2^l + a − b and the select operand b − a + 2^l, both in
-	// [1, 2^(l+1)).
+	// t = 2^l + a − b, and the select operands b − a + 2^l, both in
+	// [1, 2^(l+1)), and rec_b − rec_a + 2^recBits per chunk.
 	ts := make([]*paillier.Ciphertext, n)
-	diffs := make([]*paillier.Ciphertext, n)
+	ops := make([][]*paillier.Ciphertext, n)
 	for i, p := range pairs {
-		if p.A == nil || p.B == nil {
-			return nil, fmt.Errorf("%w: value SMIN pair %d", ErrEmptyInput, i)
+		if p.A == nil || p.B == nil || len(p.RecA) != chunks || len(p.RecB) != chunks {
+			return nil, nil, fmt.Errorf("%w: value SMIN pair %d", ErrEmptyInput, i)
 		}
 		ts[i] = rq.pk.AddPlain(rq.pk.Sub(p.A, p.B), pow)
-		diffs[i] = rq.pk.AddPlain(rq.pk.Sub(p.B, p.A), pow)
+		ops[i] = append(make([]*paillier.Ciphertext, 0, 1+chunks), rq.pk.AddPlain(rq.pk.Sub(p.B, p.A), pow))
+		for g, a := range p.RecA {
+			if a == nil || p.RecB[g] == nil {
+				return nil, nil, fmt.Errorf("%w: value SMIN pair %d record chunk %d", ErrEmptyInput, i, g)
+			}
+			ops[i] = append(ops[i], rq.pk.AddPlain(rq.pk.Sub(p.RecB[g], a), recPow))
+		}
 	}
 
 	// α = [a ≥ b], the MSB of t's l+1-bit decomposition, extracted by the
 	// shifted packed peel — exact against an honest C2 (short slot blinds
 	// never wrap, so no recomposition verify is needed) — whose output
-	// round returns E(y) and E(y·w) for y = α XOR flip, w = b − a + 2^l + ρ.
-	outs, err := rq.msbOncePacked(ts, diffs, l+1, codec)
+	// round returns E(y) and E(y·w) for y = α XOR flip and every operand
+	// w = x_b − x_a + offset + ρ.
+	outs, err := rq.msbOncePacked(ts, ops, opBits, l+1, codec)
 	if err != nil {
-		return nil, fmt.Errorf("smc: value SMIN bit extraction: %w", err)
+		return nil, nil, fmt.Errorf("smc: value SMIN bit extraction: %w", err)
 	}
 
-	// y·(b − a) = y·w − y·(ρ + 2^l), so with e = ρ + 2^l
-	//	flip = 0 (α = y):     min = a + y·(b−a) = a + y·w − e·y
-	//	flip = 1 (α = 1 − y): min = b − y·(b−a) = b − y·w + e·y
-	// — one short exponentiation per pair, the inversions batched.
-	toInvert := make([]*paillier.Ciphertext, n)
+	// y·(x_b − x_a) = y·w − y·(ρ + offset), so with e = ρ + offset
+	//	flip = 0 (α = y):     x_min = x_a + y·w − e·y
+	//	flip = 1 (α = 1 − y): x_min = x_b − y·w + e·y
+	// — one short exponentiation per operand, the inversions batched.
+	var toInvert []*paillier.Ciphertext
+	at := make([]int, n) // where pair i's inversions start
 	for i, o := range outs {
+		at[i] = len(toInvert)
 		if o.Flip {
-			toInvert[i] = o.YW
+			toInvert = append(toInvert, o.YW...)
 		} else {
-			toInvert[i] = o.Y
+			toInvert = append(toInvert, o.Y)
 		}
 	}
 	inv := rq.pk.InvMany(toInvert)
-	out := make([]*paillier.Ciphertext, n)
+	mins := make([]*paillier.Ciphertext, n)
+	var recs [][]*paillier.Ciphertext
+	if chunks > 0 {
+		recs = make([][]*paillier.Ciphertext, n)
+	}
 	_ = paillier.ForEach(n, func(i int) error { // cannot fail
 		o, p := outs[i], pairs[i]
-		e := new(big.Int).Add(o.Rho, pow)
-		if o.Flip {
-			out[i] = rq.pk.Add(rq.pk.Add(p.B, inv[i]), rq.pk.ScalarMul(o.Y, e))
-		} else {
-			out[i] = rq.pk.Add(rq.pk.Add(p.A, o.YW), rq.pk.ScalarMul(inv[i], e))
+		pick := func(e int, a, b *paillier.Ciphertext, offset *big.Int) *paillier.Ciphertext {
+			exp := new(big.Int).Add(o.Rho[e], offset)
+			if o.Flip {
+				return rq.pk.Add(rq.pk.Add(b, inv[at[i]+e]), rq.pk.ScalarMul(o.Y, exp))
+			}
+			return rq.pk.Add(rq.pk.Add(a, o.YW[e]), rq.pk.ScalarMul(inv[at[i]], exp))
+		}
+		mins[i] = pick(0, p.A, p.B, pow)
+		if chunks > 0 {
+			recs[i] = make([]*paillier.Ciphertext, chunks)
+			for g := range recs[i] {
+				recs[i][g] = pick(1+g, p.RecA[g], p.RecB[g], recPow)
+			}
 		}
 		return nil
 	})
-	return out, nil
+	return mins, recs, nil
 }
 
 // SMINnValues folds n composed values to E(min) through a ⌈log₂ n⌉-level
@@ -133,7 +173,7 @@ func (rq *Requester) SMINnValues(ds []*paillier.Ciphertext, l int) (*paillier.Ci
 		for i := 0; i+1 < len(live); i += 2 {
 			pairs = append(pairs, SMINValuePair{A: live[i], B: live[i+1]})
 		}
-		mins, err := rq.SMINValuePairsBatch(pairs, l)
+		mins, _, err := rq.SMINValuePairsBatch(pairs, l, 0)
 		if err != nil {
 			return nil, fmt.Errorf("smc: SMINnValues level of %d: %w", len(live), err)
 		}

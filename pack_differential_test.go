@@ -124,20 +124,24 @@ func TestDifferentialSecureQueryMatrix(t *testing.T) {
 }
 
 // TestDifferentialSecureQueryEdges takes the same three-way comparison to
-// the edges of the value domain and of the selection's kept bottom
-// level, one row each, on one shard over one link and over two (the
-// tournament's pairs split across them) and through 2- and 3-shard
-// merges (ties are broken at random on both sides, so these compare
-// distances, and whole rows against the table). Odd n leaves a lone last leaf; n = 2, k = 2 runs
-// its second round without a comparison; k = n drives pair minima to the
-// sentinel; ties sit inside and across pairs; the 3-shard split of five
-// rows hands the merge lists shorter than k, and the 2-shard split an
-// odd-length one; K = 128 is the key-size fallback (one column per
-// record chunk) and packs a single slot per OpMinSelect operand group —
-// at K = 64 SkNNm has no domain at all. The last
-// rows pin the domain bound: l = K − 69 is the widest distance domain a
-// K-bit key answers, and one bit more is ErrDomainBits from New and
-// LoadTable before any table is encrypted or any cloud stood up.
+// the edges of the value domain and of the selection network, one row
+// each, on one shard over one link and over two (a layer's gates split
+// across them) and through 2- and 3-shard merges (ties are broken at
+// random on both sides, so these compare distances, and whole rows
+// against the table; the facade's rows must also come back nearest
+// first, in core.NearestFirst's canonical order). Odd n leaves a short
+// last chunk; n = 2, k = 2 and k = n run no gate at all; ties sit inside
+// and across gates and at the k-th boundary; k = 3 and k = 5 round up to
+// k′ = 4 and 8, so the root sorts and drops wires; deletes leave fewer
+// live records than the table was built with, and a k above them is
+// ErrBadQuery; the 3-shard split of five rows hands the merge lists
+// shorter than k, and the 2-shard split an odd-length one; K = 128 is the
+// key-size fallback (one column per record chunk) and packs a single
+// slot per operand group of the peel's output round — at K = 64 SkNNm
+// has no domain at all. The last rows pin the domain bound: l = K − 69 is
+// the widest distance domain a K-bit key answers, and one bit more is
+// ErrDomainBits from New and LoadTable before any table is encrypted or
+// any cloud stood up.
 func TestDifferentialSecureQueryEdges(t *testing.T) {
 	const max24 = 1<<24 - 1
 	cases := []struct {
@@ -147,6 +151,7 @@ func TestDifferentialSecureQueryEdges(t *testing.T) {
 		rows     [][]uint64
 		q        []uint64
 		k        int
+		deletes  []uint64 // record ids deleted before the query
 		wantErr  error
 	}{
 		{name: "k = n", keyBits: 256, attrBits: 3,
@@ -165,6 +170,16 @@ func TestDifferentialSecureQueryEdges(t *testing.T) {
 			rows: [][]uint64{{3, 1}, {0, 2}, {7, 7}, {1, 1}, {2, 6}}, q: []uint64{1, 1}, k: 5},
 		{name: "ties inside and across pairs", keyBits: 256, attrBits: 3,
 			rows: [][]uint64{{1, 2}, {2, 1}, {0, 1}, {6, 6}, {1, 0}, {3, 3}, {1, 2}}, q: []uint64{1, 1}, k: 5},
+		{name: "ties at the k-th boundary", keyBits: 256, attrBits: 3,
+			rows: [][]uint64{{2, 3}, {0, 0}, {2, 2}, {3, 2}, {1, 2}, {4, 4}}, q: []uint64{2, 2}, k: 2},
+		{name: "k = 3, ties at the k-th boundary", keyBits: 256, attrBits: 3,
+			rows: [][]uint64{{4, 2}, {2, 2}, {7, 7}, {2, 0}, {2, 3}, {0, 2}, {5, 2}}, q: []uint64{2, 2}, k: 3},
+		{name: "k = 5, k′ = 8", keyBits: 256, attrBits: 3,
+			rows: [][]uint64{{6, 1}, {0, 2}, {7, 7}, {1, 1}, {2, 6}, {3, 3}, {5, 0}, {1, 4}, {4, 4}}, q: []uint64{1, 1}, k: 5},
+		{name: "a shard smaller than k", keyBits: 256, attrBits: 3,
+			rows: [][]uint64{{3, 1}, {0, 2}, {7, 7}, {1, 1}}, q: []uint64{1, 1}, k: 2},
+		{name: "deletes: k = live n answers, k > live n is refused", keyBits: 256, attrBits: 3,
+			rows: [][]uint64{{3, 1}, {0, 2}, {7, 7}, {1, 1}, {2, 6}, {5, 5}}, q: []uint64{1, 1}, k: 4, deletes: []uint64{1, 4}},
 		{name: "K = 128", keyBits: 128, attrBits: 3,
 			rows: [][]uint64{{3, 1}, {0, 2}, {7, 7}, {1, 1}, {2, 6}}, q: []uint64{1, 1}, k: 3},
 		// DomainBits(24, 1) = 49 = 118 − 69; DomainBits(24, 2) = 50.
@@ -199,20 +214,28 @@ func TestDifferentialSecureQueryEdges(t *testing.T) {
 				}
 				return
 			}
+			deleted := make(map[uint64]bool)
+			for _, id := range tc.deletes {
+				deleted[id] = true
+			}
+			var live [][]uint64
 			inTable := make(map[string]bool)
-			for _, row := range tc.rows {
-				inTable[fmt.Sprint(row)] = true
+			for i, row := range tc.rows {
+				if !deleted[uint64(i)] {
+					live = append(live, row)
+					inTable[fmt.Sprint(row)] = true
+				}
 			}
 			check := func(who string, got [][]uint64) {
 				t.Helper()
-				oracleCheck(t, tc.rows, got, tc.q, tc.k)
+				oracleCheck(t, live, got, tc.q, tc.k)
 				for _, row := range got {
 					if !inTable[fmt.Sprint(row)] {
-						t.Errorf("%s returned %v, not a table row", who, row)
+						t.Errorf("%s returned %v, not a live table row", who, row)
 					}
 				}
 			}
-			check("reference", referenceRows(t, sk, tc.rows, tc.attrBits, m, tc.q, tc.k))
+			check("reference", referenceRows(t, sk, live, tc.attrBits, m, tc.q, tc.k))
 			for _, topo := range []struct{ shards, workers int }{{0, 1}, {0, 2}, {2, 1}, {3, 1}} {
 				if topo.shards > len(tc.rows) {
 					continue
@@ -222,12 +245,27 @@ func TestDifferentialSecureQueryEdges(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				for _, id := range tc.deletes {
+					if err := sys.Delete(id); err != nil {
+						t.Fatal(err)
+					}
+				}
 				got, err := queryRows(sys, tc.q, tc.k, ModeSecure)
+				if err == nil && len(tc.deletes) > 0 {
+					if _, over := queryRows(sys, tc.q, len(live)+1, ModeSecure); !errors.Is(over, ErrBadQuery) {
+						t.Errorf("%s: k = %d over %d live records: err = %v, want ErrBadQuery", who, len(live)+1, len(live), over)
+					}
+				}
 				sys.Close()
 				if err != nil {
 					t.Fatalf("%s: %v", who, err)
 				}
 				check(who, got)
+				ranked := append([][]uint64(nil), got...)
+				core.NearestFirst(tc.q, ranked)
+				if fmt.Sprint(got) != fmt.Sprint(ranked) {
+					t.Errorf("%s returned %v, not nearest first (%v)", who, got, ranked)
+				}
 			}
 		})
 	}
@@ -265,36 +303,33 @@ func benchShapeSystem(t *testing.T, shards int) (*System, func() *Result) {
 }
 
 // TestSecureScanCostAtBenchShape guards bench/'s two secure_scan
-// counters in tier-1: at that workload's shape a query takes exactly 69
-// C1↔C2 round trips — the engine's cost model, 1 SSED + (3 levels·13 +
-// one OpMinSelect) + (2 levels·13 + one OpMinSelect) + 1 reveal: a level
-// is the peel's 13 rounds, its last also selecting the pair minima, and
-// one OpMinSelect selects, extracts and disqualifies; the second round's
-// tournament starts from the 4 pair minima the first kept
-// (internal/core TestSelectionCostModel has the formula over a grid) —
-// and moves the 40710 bytes the benchmark reports as c2_bytes_per_query.
-// The byte count is the integers on the wire at their minimal lengths,
-// so a query falls a few bytes short of its nominal size — one for every
-// ciphertext or masked value that happens to start with a zero byte, a
-// handful in some four hundred — hence the window: one ciphertext more or
-// fewer is 130 bytes and lands outside it.
+// counters in tier-1: at that workload's shape a query takes exactly 54
+// C1↔C2 round trips — the engine's cost model, 1 SSED + D(8, 2) = 4
+// layers of the selection network · 13 + 1 reveal: a layer is the peel's
+// 13 rounds, its last also selecting every gate's minimum and moving its
+// record (internal/core TestSelectionCostModel has the formula over a
+// grid) — and moves the 36269 bytes the benchmark reports as
+// c2_bytes_per_query. The byte count is the integers on the wire at their
+// minimal lengths, so a query falls a few bytes short of its nominal size
+// — one for every ciphertext or masked value that happens to start with a
+// zero byte, a handful in some three hundred — hence the window: one
+// ciphertext more or fewer is 130 bytes and lands outside it.
 func TestSecureScanCostAtBenchShape(t *testing.T) {
 	_, query := benchShapeSystem(t, 0)
 	comm := query().Metrics.Secure.Comm
-	if comm.Rounds != 69 {
-		t.Errorf("query took %d round trips, want 69", comm.Rounds)
+	if comm.Rounds != 54 {
+		t.Errorf("query took %d round trips, want 54", comm.Rounds)
 	}
-	if moved := comm.BytesSent + comm.BytesReceived; moved < 40710-32 || moved > 40710+32 {
-		t.Errorf("query moved %d bytes between the clouds, want 40710 give or take leading zero bytes", moved)
+	if moved := comm.BytesSent + comm.BytesReceived; moved < 36269-32 || moved > 36269+32 {
+		t.Errorf("query moved %d bytes between the clouds, want 36269 give or take leading zero bytes", moved)
 	}
 }
 
 // TestShardedScanCostAtBenchShape is the same guard for bench/'s
-// gateway_sharded rounds: the shape split over two shards takes 113
-// round trips. Each 4-record shard scans in 42 (1 SSED + (2·13 + 1) +
-// (1·13 + 1)), and the merge of their two rank-ordered pairs in 29: it
-// seeds both pairs from the shards' order and compares only their minima
-// — (1·13 + 1) + (1·13 + 1) + 1 reveal.
+// gateway_sharded rounds: the shape split over two shards takes 81
+// round trips. Each 4-record shard scans in 27 (1 SSED + D(4, 2) = 2
+// layers · 13), and the merge of their two 2-candidate sets in 27 more:
+// the same two-layer network over the four, and the reveal.
 func TestShardedScanCostAtBenchShape(t *testing.T) {
 	sys, query := benchShapeSystem(t, 2)
 	shards := make([]mpc.StatsSnapshot, len(sys.shards))
@@ -302,16 +337,16 @@ func TestShardedScanCostAtBenchShape(t *testing.T) {
 		shards[i] = sh.CommStats()
 	}
 	merge := sys.coord.CommStats()
-	if got := query().Metrics.Secure.Comm.Rounds; got != 113 {
-		t.Errorf("query took %d round trips, want 113", got)
+	if got := query().Metrics.Secure.Comm.Rounds; got != 81 {
+		t.Errorf("query took %d round trips, want 81", got)
 	}
 	for i, sh := range sys.shards {
-		if got := sh.CommStats().Sub(shards[i]).Rounds; got != 42 {
-			t.Errorf("shard %d scanned in %d round trips, want 42", i, got)
+		if got := sh.CommStats().Sub(shards[i]).Rounds; got != 27 {
+			t.Errorf("shard %d scanned in %d round trips, want 27", i, got)
 		}
 	}
-	if got := sys.coord.CommStats().Sub(merge).Rounds; got != 29 {
-		t.Errorf("the merge and reveal took %d round trips, want 29", got)
+	if got := sys.coord.CommStats().Sub(merge).Rounds; got != 27 {
+		t.Errorf("the merge and reveal took %d round trips, want 27", got)
 	}
 }
 

@@ -32,8 +32,10 @@ var (
 )
 
 // Result is one answered query: the k nearest records (full attribute
-// rows, nearest first for SkNNb; SkNNm returns ties in random order by
-// design), plus bookkeeping the caller may want.
+// rows, nearest first in both modes — SkNNb's as C2 ranked them, equal
+// distances in record order; SkNNm's as Bob ranks the set the clouds
+// return, equal distances in row order, core.NearestFirst), plus
+// bookkeeping the caller may want.
 type Result struct {
 	// Rows are the k neighbor records, each a full attribute row.
 	Rows [][]uint64
@@ -254,6 +256,9 @@ func (s *System) run(ctx context.Context, q []uint64, o *queryOptions) (*Result,
 	rows, err := s.client.Unmask(res)
 	if err != nil {
 		return nil, err
+	}
+	if o.mode == ModeSecure {
+		core.NearestFirst(q, rows)
 	}
 	return &Result{Rows: rows, IDs: res.IDs, Metrics: qm}, nil
 }
