@@ -41,7 +41,6 @@ func (c *CloudC2) Mux() *mpc.Mux {
 	c.resp.RegisterKernels(mux)
 	mux.Register(OpRank, mpc.HandlerFunc(c.handleRank))
 	mux.Register(OpReveal, mpc.HandlerFunc(c.handleReveal))
-	mux.Register(OpMinIndex, mpc.HandlerFunc(c.handleMinIndex))
 	mux.Register(OpHello, mpc.HandlerFunc(c.handleHello))
 	return mux
 }
@@ -129,8 +128,10 @@ func (c *CloudC2) handleRank(req *mpc.Message) (*mpc.Message, error) {
 // protocols): decrypt each masked value γ_{j,g} — one row-packed chunk of
 // a selected record's columns, or one attribute of it where the key packs
 // none — and return the plaintext γ′_{j,g}, which is uniformly random
-// thanks to C1's masks and destined for Bob. C2 cannot tell the two
-// kinds apart, nor needs to. Payload: [γ…]; reply: [γ′…].
+// thanks to C1's masks and destined for Bob. The clustered index's
+// ranking sends the same frame with one element, a round's winning
+// cluster id under C1's mask, whose γ′ goes back to C1. C2 cannot tell
+// the kinds apart, nor needs to. Payload: [γ…]; reply: [γ′…].
 func (c *CloudC2) handleReveal(req *mpc.Message) (*mpc.Message, error) {
 	if len(req.Ints) == 0 {
 		return nil, fmt.Errorf("%w: empty reveal payload", ErrBadFrame)
@@ -147,7 +148,7 @@ func (c *CloudC2) handleReveal(req *mpc.Message) (*mpc.Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	//sknnlint:allow partyflow -- Algorithm 5 step 5: each revealed γ′ is uniformly random in ℤ_N because C1 added a one-time full-range mask r_{j,g} to the attribute or row-packed record chunk before sending; only Bob, who receives γ′ and the masks, can unmask the value and split a chunk into its columns
+	//sknnlint:allow partyflow -- Algorithm 5 step 5: each revealed γ′ is uniformly random in ℤ_N because C1 added a one-time full-range mask r_{j,g} to the attribute or row-packed record chunk before sending; only Bob, who receives γ′ and the masks, can unmask the value and split a chunk into its columns. The cluster ranking's reveal is the same frame over one masked cluster id, which C1 unmasks: the clustered index's documented leakage to C1 (docs/INVARIANTS.md), a uniform value to C2
 	return &mpc.Message{Op: OpReveal, Ints: out}, nil
 }
 
@@ -180,24 +181,6 @@ func (c *CloudC2) handleMinSelect(req *mpc.Message) (*mpc.Message, error) {
 	return &mpc.Message{Op: OpMinSelect, Ints: out}, nil
 }
 
-// handleMinIndex is the clustered-index variant of Algorithm 6's select:
-// the same blinded, permuted β, but the reply is the argmin *position in
-// the clear* instead of an encrypted one-hot vector. C1 inverse-permutes
-// the position to learn which cluster centroid is nearest — the
-// deliberate, documented leakage the clustered index trades for pruning
-// (C1 must know which clusters to scan). C2's view is that of the
-// paper's step 3(c): a fresh uniform permutation per round means the
-// position it reports reveals nothing about which cluster it was. Payload:
-// [β₁,…,β_c]; reply: [i] (0-based position, plaintext).
-func (c *CloudC2) handleMinIndex(req *mpc.Message) (*mpc.Message, error) {
-	chosen, err := c.argminOfBlinded(req.Ints)
-	if err != nil {
-		return nil, err
-	}
-	//sknnlint:allow partyflow -- the clustered index's documented trade (docs/INVARIANTS.md): C1 must learn which centroid is nearest to prune clusters, and C1's fresh per-round permutation makes the plaintext position meaningless to C2
-	return &mpc.Message{Op: OpMinIndex, Ints: []*big.Int{big.NewInt(int64(chosen))}}, nil
-}
-
 // decryptRaw validates and decrypts one payload element.
 func (c *CloudC2) decryptRaw(v *big.Int) (*big.Int, error) {
 	ct, err := c.sk.FromRaw(v)
@@ -210,7 +193,7 @@ func (c *CloudC2) decryptRaw(v *big.Int) (*big.Int, error) {
 // argminOfBlinded decrypts a blinded-difference vector β (βᵢ =
 // rᵢ·(dmin−dᵢ), so exactly the minima decrypt to zero) and returns one of
 // its zero positions, chosen uniformly at random among them — the
-// tie-break rule the paper prescribes for step 3(c).
+// tie-break rule the paper prescribes for step 3(c) (handleMinSelect).
 func (c *CloudC2) argminOfBlinded(ints []*big.Int) (int, error) {
 	if len(ints) == 0 {
 		return 0, fmt.Errorf("%w: empty β", ErrBadFrame)

@@ -260,16 +260,17 @@ func TestHandleRevealDecrypts(t *testing.T) {
 // table in docs/PROTOCOLS.md: exactly the handlers of the frames the
 // engine sends are reachable by a C1 peer. The paper primitives' opcodes
 // 16–19 and the paper's one-hot select 66 (internal/reference's key cloud
-// serves them) and the retired 20, 21 and 22 are not among them, and a
-// frame carrying one is answered with an OpError naming the unknown
-// opcode while the serve loop carries on.
+// serves them) and the retired 20, 21, 22 and 68 (the cluster ranking's
+// plaintext argmin, which decrypted β) are not among them, and a frame
+// carrying one is answered with an OpError naming the unknown opcode
+// while the serve loop carries on.
 func TestCloudC2OpcodeSet(t *testing.T) {
 	sk := testKey()
 	c2 := NewCloudC2(sk, nil)
 	want := []mpc.Op{
 		mpc.OpPing,
 		smc.OpSSEDPack, smc.OpSBDPackBit,
-		OpRank, OpReveal, OpHello, OpMinIndex,
+		OpRank, OpReveal, OpHello,
 	}
 	if got := c2.Mux().Ops(); !reflect.DeepEqual(got, want) {
 		t.Errorf("C2 serves opcodes %v, want %v", got, want)
@@ -278,7 +279,7 @@ func TestCloudC2OpcodeSet(t *testing.T) {
 	c1Side, c2Side := mpc.ChanPipe()
 	done := make(chan error, 1)
 	go func() { done <- c2.Serve(c2Side) }()
-	refused := []mpc.Op{smc.OpSM, smc.OpSBDLsb, smc.OpSBDVerify, smc.OpSMIN, 20, 21, 22, OpMinSelect}
+	refused := []mpc.Op{smc.OpSM, smc.OpSBDLsb, smc.OpSBDVerify, smc.OpSMIN, 20, 21, 22, OpMinSelect, 68}
 	for _, op := range refused {
 		// The shape of the last frame opcodes 21 and 22 carried: [count, valueBits, group].
 		_, err := mpc.RoundTrip(c1Side, &mpc.Message{Op: op, Ints: []*big.Int{big.NewInt(1), big.NewInt(8), encRaw(t, sk, 3)}})
@@ -368,12 +369,14 @@ func encodeC2Fuzz(ints []*big.Int) []byte {
 // engine's selection network sizes: whatever the payload, Handle must not
 // panic, and must return either an error or a reply to the same opcode
 // whose length the request alone determines and whose elements are all
-// present. A frame carrying a paper primitive's opcode (16–19) or the
-// paper's one-hot select (66) must fail as an unknown opcode.
+// present. A frame carrying a paper primitive's opcode (16–19), the
+// paper's one-hot select (66) or the retired cluster argmin (68) must
+// fail as an unknown opcode.
 func FuzzCloudC2Frame(f *testing.F) {
 	sk := testKey()
+	const retiredMinIndex mpc.Op = 68
 	paper := []mpc.Op{smc.OpSM, smc.OpSBDLsb, smc.OpSBDVerify, smc.OpSMIN, OpMinSelect}
-	ops := append([]mpc.Op{OpRank, OpReveal, OpHello, OpMinIndex, smc.OpSBDPackBit}, paper...)
+	ops := append([]mpc.Op{OpRank, OpReveal, OpHello, retiredMinIndex, smc.OpSBDPackBit}, paper...)
 	sel := func(op mpc.Op) uint8 {
 		for i, o := range ops {
 			if o == op {
@@ -425,9 +428,10 @@ func FuzzCloudC2Frame(f *testing.F) {
 	f.Add(ms, []byte{c2FuzzSmall, 3, c2FuzzCiphertext, 0, c2FuzzCiphertext, 4, c2FuzzCiphertext, 0})
 	f.Add(ms, []byte{c2FuzzSmall, 2, c2FuzzSmall, 1, c2FuzzSmall, 2, c2FuzzSmall, 8,
 		c2FuzzCiphertext, 0, c2FuzzCiphertext, 5, c2FuzzCiphertext, 7, c2FuzzCiphertext, 9})
-	f.Add(sel(OpMinIndex), []byte{c2FuzzCiphertext, 3, c2FuzzCiphertext, 0})
-	f.Add(sel(OpMinIndex), []byte{c2FuzzCiphertext, 3, c2FuzzCiphertext, 5})
-	f.Add(sel(OpMinIndex), []byte{c2FuzzCiphertext, 0, c2FuzzNil, c2FuzzCiphertext, 0})
+	// The retired cluster argmin's β frames: a zero, none, a nil element.
+	f.Add(sel(retiredMinIndex), []byte{c2FuzzCiphertext, 3, c2FuzzCiphertext, 0})
+	f.Add(sel(retiredMinIndex), []byte{c2FuzzCiphertext, 3, c2FuzzCiphertext, 5})
+	f.Add(sel(retiredMinIndex), []byte{c2FuzzCiphertext, 0, c2FuzzNil, c2FuzzCiphertext, 0})
 	f.Add(sel(OpRank), []byte{c2FuzzSmall, 1, c2FuzzCiphertext, 9, c2FuzzCiphertext, 4})
 	f.Add(sel(OpRank), []byte{c2FuzzNil, c2FuzzCiphertext, 9})
 	f.Add(sel(OpReveal), []byte{c2FuzzCiphertext, 9, c2FuzzNil})
@@ -444,9 +448,9 @@ func FuzzCloudC2Frame(f *testing.F) {
 		req := &mpc.Message{Op: ops[int(op)%len(ops)], Ints: decodeC2Fuzz(t, sk, random, data)}
 		resp, err := NewCloudC2(sk, random).Mux().Handle(req)
 		switch req.Op {
-		case smc.OpSM, smc.OpSBDLsb, smc.OpSBDVerify, smc.OpSMIN, OpMinSelect:
+		case smc.OpSM, smc.OpSBDLsb, smc.OpSBDVerify, smc.OpSMIN, OpMinSelect, retiredMinIndex:
 			if !errors.Is(err, mpc.ErrUnknownOp) {
-				t.Fatalf("paper opcode %d answered %v, %v; want %v", req.Op, resp, err, mpc.ErrUnknownOp)
+				t.Fatalf("unserved opcode %d answered %v, %v; want %v", req.Op, resp, err, mpc.ErrUnknownOp)
 			}
 			return
 		}
@@ -465,7 +469,7 @@ func FuzzCloudC2Frame(f *testing.F) {
 			if req.Ints[2].Int64() == req.Ints[1].Int64()-1 {
 				want *= 1 + int(req.Ints[3].Int64())
 			}
-		case OpHello, OpMinIndex:
+		case OpHello:
 			want = 1
 		}
 		if resp.Op != req.Op || len(resp.Ints) != want {

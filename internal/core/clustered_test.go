@@ -4,13 +4,18 @@ import (
 	"context"
 	"crypto/rand"
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"sknn/internal/cluster"
 	"sknn/internal/dataset"
+	"sknn/internal/mpc"
 	"sknn/internal/plainknn"
+	"sknn/internal/smc"
 )
 
 // newClusteredSystem outsources tbl with a k-means cluster index of c
@@ -284,4 +289,249 @@ func TestClusteredSMINReduction(t *testing.T) {
 	t.Logf("SMIN reduction: %d -> %d (%.1fx), %d candidates in %d clusters",
 		fullScan, metrics.SMINCount, float64(fullScan)/float64(metrics.SMINCount),
 		metrics.Candidates, metrics.ClustersProbed)
+}
+
+// rankingSystem outsources a table of two-column rows below 2^4 in which
+// cluster j has centroid cents[j] and sizes[j] members, each a row at
+// its centroid, then deletes every member of the clusters in hollow. It
+// returns the clusters' live sizes beside the system.
+func rankingSystem(t *testing.T, cents [][]uint64, sizes []int, hollow ...int) (*testCloud, *Client, []int) {
+	t.Helper()
+	var rows [][]uint64
+	members := make([][]int, len(cents))
+	for j, c := range cents {
+		for range sizes[j] {
+			members[j] = append(members[j], len(rows))
+			rows = append(rows, c)
+		}
+	}
+	sk := testKey()
+	enc, err := EncryptTable(rand.Reader, &sk.PublicKey, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.SetClusterIndex(rand.Reader, cents, members); err != nil {
+		t.Fatal(err)
+	}
+	live := slices.Clone(sizes)
+	for _, j := range hollow {
+		for _, i := range members[j] {
+			if err := enc.Delete(uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		live[j] = 0
+	}
+	c1, bob := newSystemOver(t, sk, enc, 1)
+	return c1, bob, live
+}
+
+// plainRanking is rankClusters' answer in the clear: the centroids by
+// squared distance to q, ties to the larger id — every gate of the
+// ranking's tournament hands a tie to its upper wire — taken until the
+// taken clusters' live members reach target.
+func plainRanking(t *testing.T, cents [][]uint64, live []int, q []uint64, target int) []int {
+	t.Helper()
+	ds := make([]uint64, len(cents))
+	order := make([]int, len(cents))
+	for j, c := range cents {
+		d, err := plainknn.SquaredDistance(c, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds[j], order[j] = d, j
+	}
+	sort.Slice(order, func(a, b int) bool {
+		if da, db := ds[order[a]], ds[order[b]]; da != db {
+			return da < db
+		}
+		return order[a] > order[b]
+	})
+	var chosen []int
+	for pool, i := 0, 0; pool < target && i < len(order); i++ {
+		chosen = append(chosen, order[i])
+		pool += live[order[i]]
+	}
+	return chosen
+}
+
+// TestRankClustersMatchesPlaintextOrder differentially checks the
+// oblivious centroid ranking against plainRanking over c ∈ {1, 2, 3, 5,
+// 8}: tied distances within a first-layer pair and across pairs,
+// clusters hollowed out by deletes, and a target no pool reaches, which
+// ranks every cluster.
+func TestRankClustersMatchesPlaintextOrder(t *testing.T) {
+	q := []uint64{0, 0}
+	// Squared distances 98, 1, 1, 18, 0, 72, 8, 0.
+	c8 := [][]uint64{{7, 7}, {1, 0}, {0, 1}, {3, 3}, {0, 0}, {6, 6}, {2, 2}, {0, 0}}
+	ones := []int{1, 1, 1, 1, 1, 1, 1, 1}
+	for _, tc := range []struct {
+		name   string
+		cents  [][]uint64
+		sizes  []int
+		hollow []int
+		target int
+	}{
+		{"c=1", [][]uint64{{3, 3}}, []int{2}, nil, 1},
+		{"c=2", [][]uint64{{4, 1}, {1, 1}}, []int{1, 1}, nil, 2},
+		{"c=2, tied", [][]uint64{{2, 1}, {1, 2}}, []int{1, 1}, nil, 1},
+		{"c=3, all tied, saturating target", [][]uint64{{2, 2}, {2, 2}, {2, 2}}, []int{1, 2, 1}, nil, 100},
+		{"c=5, ties and a hollow cluster", [][]uint64{{3, 0}, {1, 1}, {0, 3}, {1, 1}, {5, 5}}, []int{2, 1, 1, 2, 1}, []int{3}, 4},
+		{"c=8, hollow winners", c8, ones, []int{7, 4}, 3},
+		{"c=8, hollow winners, saturating target", c8, ones, []int{7, 4}, 100},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c1, bob, live := rankingSystem(t, tc.cents, tc.sizes, tc.hollow...)
+			eq, err := bob.EncryptQuery(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := c1.C1.NewSession(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			metrics := &SecureMetrics{}
+			got, err := s.rankClusters(eq, dataset.DomainBits(4, 2), tc.target, metrics)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := plainRanking(t, tc.cents, live, q, tc.target)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("ranked %v, plaintext order says %v", got, want)
+			}
+			wantSMIN := 0 // a round over r live centroids is r − 1 SMINs
+			for r := range want {
+				wantSMIN += len(tc.cents) - r - 1
+			}
+			if metrics.SMINCount != wantSMIN {
+				t.Errorf("SMINCount = %d, want %d", metrics.SMINCount, wantSMIN)
+			}
+		})
+	}
+}
+
+// TestNearestClusterIsOneRound: insert routing answers the nearest
+// centroid even when deletes have emptied its cluster — the answer the
+// ranking's first winner always was — after exactly one ranking round:
+// 1 SSED + ⌈log₂ c⌉·(l+1) + 1 reveal round trips.
+func TestNearestClusterIsOneRound(t *testing.T) {
+	for _, c := range []int{2, 5, 8} {
+		t.Run(fmt.Sprintf("c=%d", c), func(t *testing.T) {
+			cents := make([][]uint64, c)
+			sizes := make([]int, c)
+			for j := range cents {
+				cents[j] = []uint64{uint64(c - 1 - j), uint64(c - 1 - j)} // cluster c−1 is nearest the origin
+				sizes[j] = 2
+			}
+			c1, bob, _ := rankingSystem(t, cents, sizes, c-1)
+			eq, err := bob.EncryptQuery([]uint64{0, 0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := c1.C1.NewSession(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			l := dataset.DomainBits(4, 2)
+			before := s.CommStats()
+			got, err := s.NearestCluster(eq, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != c-1 {
+				t.Errorf("routed to cluster %d, want the nearest, %d", got, c-1)
+			}
+			if got, want := s.CommStats().Sub(before).Rounds, int64(1+ceilLog2(c)*(l+1)+1); got != want {
+				t.Errorf("routing took %d round trips, want %d", got, want)
+			}
+		})
+	}
+}
+
+// TestClusteredC2Surface: with the cluster index on, a pruned query and
+// an Insert's routing send C2 nothing after the handshake but packed
+// SSED, the bit peel and the reveal — no β frame, so no decrypted
+// distance difference, and with it no tie count, reaches C2.
+func TestClusteredC2Surface(t *testing.T) {
+	tbl, err := dataset.GenerateClustered(91, 48, 2, 6, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk := testKey()
+	part, err := cluster.KMeans(tbl.Rows, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := EncryptTable(rand.Reader, &sk.PublicKey, tbl.Rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.SetClusterIndex(rand.Reader, part.Centroids, part.Members); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	sent := map[mpc.Op]int{}
+	c1, bob := newObservedSystemOver(t, sk, enc, 1, func(dir mpc.Direction, m *mpc.Message) {
+		if dir == mpc.DirSend {
+			mu.Lock()
+			sent[m.Op]++
+			mu.Unlock()
+		}
+	})
+	mu.Lock()
+	clear(sent) // the handshakes
+	mu.Unlock()
+
+	q := tbl.Rows[5]
+	eq, err := bob.EncryptQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, metrics, err := c1.SecureQuery(context.Background(), eq, 2, tbl.DomainBits(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bob.Unmask(res); err != nil {
+		t.Fatal(err)
+	}
+	if metrics.ClustersProbed < 1 || metrics.ClustersProbed >= 4 {
+		t.Errorf("probed %d of 4 clusters, want a pruned query", metrics.ClustersProbed)
+	}
+	// An Insert as the facade runs it: route the owner's encrypted point,
+	// then append the record to the cluster it was routed to.
+	row := []uint64{3, 4}
+	route, err := bob.EncryptQuery(row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := c1.C1.NewSession(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := s.NearestCluster(route, tbl.DomainBits())
+	s.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := sk.PublicKey.EncryptUint64Vector(rand.Reader, row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := enc.Insert(rec, j); err != nil {
+		t.Fatal(err)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	for _, op := range []mpc.Op{smc.OpSSEDPack, smc.OpSBDPackBit, OpReveal} {
+		if sent[op] == 0 {
+			t.Errorf("C2 got no opcode-%d frame", op)
+		}
+		delete(sent, op)
+	}
+	if len(sent) != 0 {
+		t.Errorf("C2 also got frames %v (opcode: count), want only packed SSED, the peel and the reveal", sent)
+	}
 }

@@ -33,14 +33,14 @@ import (
 )
 
 // Opcodes 64+ belong to the protocol layer (mpc owns 0–15, smc 16–63).
-// 64–68 travel C1↔C2; 80+ travel coordinator↔shard (shardwire.go) and
-// never reach C2.
+// 64–67 travel C1↔C2 (68, the clustered index's plaintext argmin, is
+// retired: the cluster ranking reveals its winner's id through 65); 80+
+// travel coordinator↔shard (shardwire.go) and never reach C2.
 const (
 	OpRank      mpc.Op = 64 // SkNNb: decrypt distances, return top-k index list δ
-	OpReveal    mpc.Op = 65 // both: decrypt masked result attributes γ → γ′
+	OpReveal    mpc.Op = 65 // both: decrypt masked result attributes γ → γ′; the cluster ranking's masked winner id
 	OpMinSelect mpc.Op = 66 // the paper's step 3(c), reference key cloud only: decrypt blinded β, return one-hot U
 	OpHello     mpc.Op = 67 // session handshake: verify both clouds share one key
-	OpMinIndex  mpc.Op = 68 // clustered index: decrypt blinded β, return argmin position in the clear
 
 	OpShardHello mpc.Op = 80 // coordinator→shard: partition lineage + table shape
 	OpShardTopK  mpc.Op = 81 // coordinator→shard: scatter one shard-local top-k scan

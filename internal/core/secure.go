@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
+	"slices"
 	"sort"
 	"time"
 
@@ -124,15 +126,15 @@ func (s *QuerySession) prunedCandidates(q EncryptedQuery, k, domainBits, target 
 }
 
 // NearestCluster obliviously routes a point to its closest cluster:
-// the same SSED + SBD + SMINn centroid ranking a pruned query runs,
-// stopped after the first winner. It is the secure half of a clustered
-// Insert — the data owner encrypts the new record's feature vector like
-// a query, C1 and C2 rank the encrypted centroids, and only the winning
-// cluster id surfaces (to C1). That id is exactly the clustered index's
-// documented leakage class: C1 learns which cluster the new record
-// joins, never its attribute values. The plaintext alternative — the
-// owner retains the centroids and assigns locally — leaks nothing at
-// insert time but requires owner-side state; see docs/PROTOCOLS.md.
+// the same SSED and centroid ranking a pruned query runs, stopped after
+// the first winner. It is the secure half of a clustered Insert — the
+// data owner encrypts the new record's feature vector like a query, C1
+// and C2 rank the encrypted centroids, and only the winning cluster id
+// surfaces (to C1). That id is exactly the clustered index's documented
+// leakage class: C1 learns which cluster the new record joins, never its
+// attribute values. The plaintext alternative — the owner retains the
+// centroids and assigns locally — leaks nothing at insert time but
+// requires owner-side state; see docs/PROTOCOLS.md.
 func (s *QuerySession) NearestCluster(q EncryptedQuery, domainBits int) (int, error) {
 	if !s.tbl.Clustered() {
 		return 0, ErrNotClustered
@@ -143,17 +145,13 @@ func (s *QuerySession) NearestCluster(q EncryptedQuery, domainBits int) (int, er
 	if err := CheckDomainBits(s.pk, domainBits); err != nil {
 		return 0, err
 	}
-	// target=1 stops after the first cluster able to hold a record; the
-	// rank order makes chosen[0] the nearest centroid even when earlier
-	// winners were hollowed out by deletes.
-	chosen, err := s.rankClusters(q, domainBits, 1, &SecureMetrics{})
+	// The nearest centroid is the answer even when deletes have hollowed
+	// its cluster out: one ranking round, whatever its winner still holds.
+	r, err := s.rankingOf(q, domainBits, &SecureMetrics{})
 	if err != nil {
 		return 0, err
 	}
-	if len(chosen) == 0 {
-		return 0, fmt.Errorf("core: cluster ranking chose nothing")
-	}
-	return chosen[0], nil
+	return r.next()
 }
 
 // attrPackBits is the slot payload width for packed SSED and for
@@ -167,22 +165,58 @@ func attrPackBits(domainBits int) int {
 	return 1
 }
 
-// rankClusters is the clustered index's query-time phase: an oblivious
-// top-p selection over the encrypted centroids. Each round runs the
-// value-domain SMINn over the still-live centroid distances, blinds and
-// permutes the differences exactly like step 3(b)-(c), and asks C2 for
-// the argmin *position* (OpMinIndex) instead of a one-hot vector; C1
-// inverse-permutes the position into a cluster id — the index's
-// documented leakage — removes that cluster from the live set in
-// plaintext (no disqualification needed once the winner is known), and
-// repeats until the chosen clusters hold at least target records.
-//
-// It keeps the tournament's bottom level: the first round's pair minima
-// are its units, and since the winner is public to C1 the update is
-// plaintext — the winner's pair becomes its partner
-// alone, E(d) as SSED produced it, and a lone winner's unit goes. Later
-// rounds compare over the units, one level fewer, for no new frame.
+// rankClusters is the clustered index's query-time phase: the nearest
+// centroids, in rank order, until the chosen clusters hold at least
+// target live records or every cluster is chosen.
 func (s *QuerySession) rankClusters(q EncryptedQuery, domainBits, target int, metrics *SecureMetrics) ([]int, error) {
+	r, err := s.rankingOf(q, domainBits, metrics)
+	if err != nil {
+		return nil, err
+	}
+	var chosen []int
+	for pool := 0; pool < target && len(r.live) > 0; {
+		winner, err := r.next()
+		if err != nil {
+			return nil, err
+		}
+		chosen = append(chosen, winner)
+		// Only live members fill the candidate pool: a cluster hollowed
+		// out by deletes contributes what it actually still holds.
+		pool += len(s.tbl.liveMembers(winner))
+	}
+	return chosen, nil
+}
+
+// clusterRanking is an oblivious ranking of the encrypted centroids, one
+// winner a round. Every centroid is a wire of the selection network
+// carrying (E(dⱼ), E(j)): its SSED distance and its cluster id, a
+// one-chunk record. A round runs topKNetwork(·, 1) — a tournament — so
+// the winner's id rides to wire 0, and C1 learns it through the reveal:
+// masked by a fresh full-range value, it decrypts at C2 to a uniform one.
+// The id is the index's documented leakage; C2 sees coin-masked bits and
+// that one uniform value, no distance difference and no tie count.
+//
+// The first round's first layer — leaf 2p against 2p+1 — is kept as the
+// units, and every round compares over the units' wires,
+// topKNetwork(len(units), 1): on the first this is exactly
+// topKNetwork(c, 1)'s remaining layers, and since each winner is public
+// to C1, its unit is updated in plaintext (withoutLeaf), so later rounds
+// run one layer fewer for no new frame. A gate hands a tie to its upper
+// wire (smc.SMINValuePairsBatch returns B's record where a ≥ b), so of
+// centroids at equal distance the larger id ranks first.
+type clusterRanking struct {
+	s       *QuerySession
+	l       int
+	idBits  int         // every id is below 2^idBits: the record width
+	leaves  []Candidate // (E(dⱼ), E(j)) for every centroid j
+	live    []int       // the clusters not yet chosen
+	units   []unit      // nil until the first round compares
+	metrics *SecureMetrics
+}
+
+// rankingOf starts a ranking of the session's centroids against q: their
+// packed SSED distances, and their ids encrypted by C1.
+func (s *QuerySession) rankingOf(q EncryptedQuery, domainBits int, metrics *SecureMetrics) (*clusterRanking, error) {
 	packed, err := s.tbl.packedCentroids(attrPackBits(domainBits))
 	if err != nil {
 		return nil, err
@@ -191,73 +225,77 @@ func (s *QuerySession) rankClusters(q EncryptedQuery, domainBits, target int, me
 	if err != nil {
 		return nil, fmt.Errorf("core: centroid SSED: %w", err)
 	}
-
-	live := make([]int, len(ds))
-	for i := range live {
-		live[i] = i
+	c := len(ds)
+	ids := make([]*big.Int, c)
+	live := make([]int, c)
+	for j := range ids {
+		ids[j], live[j] = big.NewInt(int64(j)), j
 	}
-	var units []unit // nil until the first ranking round compares
-	var chosen []int
-	pool := 0
-	for pool < target && len(live) > 0 {
-		if err := s.ctxErr(); err != nil {
-			return nil, err
-		}
-		var winner int
-		if len(live) == 1 {
-			winner = live[0]
-		} else {
-			if units == nil {
-				// Every centroid is still live: the first round's bottom
-				// level is the units' seed.
-				if units, err = s.comparedUnits(ds, domainBits); err != nil {
-					return nil, fmt.Errorf("core: centroid SMINn (round 1): %w", err)
-				}
-			}
-			encMin, err := s.sminnValue(unitMins(units), domainBits)
-			if err != nil {
-				return nil, fmt.Errorf("core: centroid SMINn (round %d): %w", len(chosen)+1, err)
-			}
-			metrics.SMINCount += len(live) - 1
+	encIDs, err := s.pk.EncryptMany(s.primary().Rand(), ids)
+	if err != nil {
+		return nil, fmt.Errorf("core: encrypting cluster ids: %w", err)
+	}
+	leaves := make([]Candidate, c)
+	for j := range leaves {
+		leaves[j] = Candidate{Dist: ds[j], Rec: EncryptedRecord{encIDs[j]}}
+	}
+	idBits := max(1, bits.Len(uint(c-1)))
+	return &clusterRanking{s: s, l: domainBits, idBits: idBits, leaves: leaves, live: live, metrics: metrics}, nil
+}
 
-			perm, err := smc.NewPermutation(s.primary().Rand(), len(live))
-			if err != nil {
-				return nil, fmt.Errorf("core: centroid permutation: %w", err)
-			}
-			permuted := make([]*paillier.Ciphertext, len(live))
-			for i := range live {
-				permuted[i] = ds[live[perm[i]]]
-			}
-			tauP, err := s.blindDiffs(encMin, permuted)
-			if err != nil {
-				return nil, fmt.Errorf("core: centroid blind: %w", err)
-			}
-			resp, err := mpc.RoundTrip(s.primary().Conn(), &mpc.Message{Op: OpMinIndex, Ints: tauP})
-			if err != nil {
-				return nil, fmt.Errorf("core: centroid min-index: %w", err)
-			}
-			if len(resp.Ints) != 1 || !resp.Ints[0].IsInt64() {
-				return nil, fmt.Errorf("%w: min-index reply", ErrBadFrame)
-			}
-			pos := int(resp.Ints[0].Int64())
-			if pos < 0 || pos >= len(live) {
-				return nil, fmt.Errorf("%w: min-index position %d of %d", ErrBadFrame, pos, len(live))
-			}
-			winner = live[perm[pos]]
-			units = withoutLeaf(units, winner, ds)
+// next runs one ranking round and returns its winner, the nearest
+// centroid not yet chosen. A lone live centroid wins without a round.
+func (r *clusterRanking) next() (int, error) {
+	s := r.s
+	if err := s.ctxErr(); err != nil {
+		return 0, err
+	}
+	if len(r.live) == 1 {
+		winner := r.live[0]
+		r.live = nil
+		return winner, nil
+	}
+	round := len(r.leaves) - len(r.live) + 1
+	if r.units == nil {
+		wires := append([]Candidate(nil), r.leaves...)
+		first := topKNetwork(len(wires), 1)[0]
+		if err := s.runNetwork(wires, [][]comparator{first}, r.l, r.idBits); err != nil {
+			return 0, fmt.Errorf("core: centroid ranking (round 1): %w", err)
 		}
-		chosen = append(chosen, winner)
-		// Only live members fill the candidate pool: a cluster hollowed
-		// out by deletes contributes what it actually still holds.
-		pool += len(s.tbl.liveMembers(winner))
-		for i, j := range live {
-			if j == winner {
-				live = append(live[:i], live[i+1:]...)
-				break
-			}
+		for _, g := range first {
+			r.units = append(r.units, unit{a: g.i, b: g.j, min: wires[g.i]})
+		}
+		// An odd last leaf has no partner and stands alone.
+		if last := len(wires) - 1; last%2 == 0 {
+			r.units = append(r.units, unit{a: last, b: -1, min: wires[last]})
 		}
 	}
-	return chosen, nil
+	wires := make([]Candidate, len(r.units))
+	for i, u := range r.units {
+		wires[i] = u.min
+	}
+	if err := s.runNetwork(wires, topKNetwork(len(wires), 1), r.l, r.idBits); err != nil {
+		return 0, fmt.Errorf("core: centroid ranking (round %d): %w", round, err)
+	}
+	r.metrics.SMINCount += len(r.live) - 1
+
+	masks, revealed, err := s.maskedDecrypt(wires[0].Rec)
+	if err != nil {
+		return 0, fmt.Errorf("core: centroid ranking (round %d): %w", round, err)
+	}
+	id := new(big.Int).Sub(revealed[0], masks[0])
+	id.Mod(id, s.pk.N)
+	at := -1
+	if id.Cmp(big.NewInt(int64(len(r.leaves)))) < 0 {
+		at = slices.Index(r.live, int(id.Int64()))
+	}
+	if at < 0 {
+		return 0, fmt.Errorf("%w: round %d revealed no live cluster of %d", ErrBadFrame, round, len(r.leaves))
+	}
+	winner := r.live[at]
+	r.live = slices.Delete(r.live, at, at+1)
+	r.units = withoutLeaf(r.units, winner, r.leaves)
+	return winner, nil
 }
 
 // scanTopK is the body of Algorithm 6 over the candidate records idx — a
@@ -363,32 +401,56 @@ func (s *QuerySession) selectTopK(records [][]*paillier.Ciphertext, dists []*pai
 		}
 	}
 	layout := s.rowLayout(domainBits)
-	recBits := layout.Cols * layout.Bits // every chunk is below 2^recBits
-	for d, layer := range layers {
-		// Layer boundary: a canceled query abandons the rest of the network
-		// (the transport also enforces this mid-layer, frame by frame).
-		if err := s.ctxErr(); err != nil {
-			return nil, err
-		}
-		if err := s.compareLayer(wires, layer, domainBits, recBits); err != nil {
-			return nil, fmt.Errorf("core: selection layer %d of %d: %w", d+1, len(layers), err)
-		}
+	// Every chunk is below 2^(Cols·Bits).
+	if err := s.runNetwork(wires, layers, domainBits, layout.Cols*layout.Bits); err != nil {
+		return nil, err
 	}
 	metrics.SMINn += time.Since(phase)
 	metrics.SMINCount += k * (n - 1)
 	return wires[:k], nil
 }
 
+// runNetwork runs the selection network's layers over wires in place,
+// every wire's record recBits-wide chunks — the one loop through which
+// the engine compares anything: the scan's and merge's top-k and the
+// cluster ranking's tournaments.
+func (s *QuerySession) runNetwork(wires []Candidate, layers [][]comparator, l, recBits int) error {
+	for d, layer := range layers {
+		// Layer boundary: a canceled query abandons the rest of the network
+		// (the transport also enforces this mid-layer, frame by frame).
+		if err := s.ctxErr(); err != nil {
+			return err
+		}
+		if err := s.compareLayer(wires, layer, l, recBits); err != nil {
+			return fmt.Errorf("core: selection layer %d of %d: %w", d+1, len(layers), err)
+		}
+	}
+	return nil
+}
+
 // compareLayer runs one layer of the selection network on wires in
-// place: every gate's minimum, record and all, onto its wire i, and the
-// maximum onto j where the gate keeps both.
+// place: every gate one value-domain comparison
+// (smc.SMINValuePairsBatch, l+1 round trips however many), spread across
+// the session's streams, its minimum, record and all, onto its wire i,
+// and the maximum onto j where the gate keeps both. l must satisfy
+// CheckDomainBits; every entry point does.
 func (s *QuerySession) compareLayer(wires []Candidate, layer []comparator, l, recBits int) error {
 	pairs := make([]smc.SMINValuePair, len(layer))
 	for p, g := range layer {
 		a, b := wires[g.i], wires[g.j]
 		pairs[p] = smc.SMINValuePair{A: a.Dist, B: b.Dist, RecA: a.Rec, RecB: b.Rec}
 	}
-	mins, recs, err := s.compare(pairs, l, recBits)
+	mins := make([]*paillier.Ciphertext, len(pairs))
+	recs := make([][]*paillier.Ciphertext, len(pairs))
+	err := s.parallelOverRecords(len(pairs), func(rq *smc.Requester, lo, hi int) error {
+		m, r, err := rq.SMINValuePairsBatch(pairs[lo:hi], l, recBits)
+		if err != nil {
+			return err
+		}
+		copy(mins[lo:hi], m)
+		copy(recs[lo:hi], r)
+		return nil
+	})
 	if err != nil {
 		return err
 	}
@@ -500,65 +562,18 @@ func (s *QuerySession) mergeCandidates(lists [][]Candidate, k, domainBits int, m
 	return s.selectTopK(records, ds, min(k, len(ds)), domainBits, metrics)
 }
 
-// blindDiffs is step 3(b) of Algorithm 6, as the cluster ranking runs it,
-// over ds, which the caller has already permuted: τᵢ = rᵢ·(dmin − dᵢ) for fresh nonzero rᵢ, as frame
-// elements. The blinds are drawn first, in order; the full-range
-// exponentiations, one per entry, then spread over idle cores.
-func (s *QuerySession) blindDiffs(encMin *paillier.Ciphertext, ds []*paillier.Ciphertext) ([]*big.Int, error) {
-	rs := make([]*big.Int, len(ds))
-	for i := range rs {
-		r, err := s.pk.RandomNonzeroZN(s.primary().Rand())
-		if err != nil {
-			return nil, err
-		}
-		rs[i] = r
-	}
-	taus := make([]*big.Int, len(ds))
-	_ = paillier.ForEach(len(ds), func(i int) error { // cannot fail
-		taus[i] = s.pk.ScalarMul(s.pk.Sub(encMin, ds[i]), rs[i]).Raw()
-		return nil
-	})
-	return taus, nil
-}
-
-// unit is one entry of the tournament's kept bottom level: leaves a and
-// b (b < 0 for a lone leaf) and min, E(min) of their current distances.
+// unit is one gate of the cluster ranking's kept first layer: leaves a
+// and b (b < 0 for a lone leaf) and min, the wire it left — E(min) of
+// their current distances and the E(id) riding it.
 type unit struct {
 	a, b int
-	min  *paillier.Ciphertext
+	min  Candidate
 }
 
-// comparedUnits pairs adjacent leaves of ds — an odd last one stands
-// alone — and compares every pair: the first level of ds's tournament,
-// kept.
-func (s *QuerySession) comparedUnits(ds []*paillier.Ciphertext, l int) ([]unit, error) {
-	mins, err := s.sminnLevel(ds, l)
-	if err != nil {
-		return nil, err
-	}
-	units := make([]unit, len(mins))
-	for p, m := range mins {
-		units[p] = unit{a: 2 * p, b: 2*p + 1, min: m}
-	}
-	if len(ds)%2 == 1 {
-		units[len(units)-1].b = -1
-	}
-	return units, nil
-}
-
-// unitMins lists the units' minima, the leaves of a round's SMINn.
-func unitMins(units []unit) []*paillier.Ciphertext {
-	mins := make([]*paillier.Ciphertext, len(units))
-	for i, u := range units {
-		mins[i] = u.min
-	}
-	return mins
-}
-
-// withoutLeaf drops leaf i, a winner C1 knows in the clear (cluster
-// ranking), from its unit: a pair becomes its partner alone, whose
-// minimum is its own distance ds[partner], and a lone leaf's unit goes.
-func withoutLeaf(units []unit, i int, ds []*paillier.Ciphertext) []unit {
+// withoutLeaf drops leaf i, a winner C1 knows in the clear, from its
+// unit: a pair becomes its partner alone, whose wire is its own leaf —
+// E(d) as SSED produced it and its E(id) — and a lone leaf's unit goes.
+func withoutLeaf(units []unit, i int, leaves []Candidate) []unit {
 	for j, u := range units {
 		switch i {
 		case u.a, u.b:
@@ -566,65 +581,9 @@ func withoutLeaf(units []unit, i int, ds []*paillier.Ciphertext) []unit {
 				return append(units[:j], units[j+1:]...)
 			}
 			partner := u.a + u.b - i
-			units[j] = unit{a: partner, b: -1, min: ds[partner]}
+			units[j] = unit{a: partner, b: -1, min: leaves[partner]}
 			return units
 		}
 	}
 	return units
-}
-
-// sminnLevel is one level of SMINn's tournament over composed distances:
-// live[2p] against live[2p+1] for every pair, and an odd last entry
-// passed up as it is.
-func (s *QuerySession) sminnLevel(live []*paillier.Ciphertext, l int) ([]*paillier.Ciphertext, error) {
-	pairs := make([]smc.SMINValuePair, len(live)/2)
-	for p := range pairs {
-		pairs[p] = smc.SMINValuePair{A: live[2*p], B: live[2*p+1]}
-	}
-	mins, _, err := s.compare(pairs, l, 0)
-	if err != nil {
-		return nil, err
-	}
-	if len(live)%2 == 1 {
-		mins = append(mins, live[len(live)-1])
-	}
-	return mins, nil
-}
-
-// compare runs independent comparators in the value domain
-// (smc.SMINValuePairsBatch, l+1 round trips however many) spread across
-// the session's streams, returning each pair's minimum and, where the
-// pairs carry records of recBits-wide chunks, the minimum's record. l
-// must satisfy CheckDomainBits; every entry point does.
-func (s *QuerySession) compare(pairs []smc.SMINValuePair, l, recBits int) ([]*paillier.Ciphertext, [][]*paillier.Ciphertext, error) {
-	mins := make([]*paillier.Ciphertext, len(pairs))
-	recs := make([][]*paillier.Ciphertext, len(pairs))
-	err := s.parallelOverRecords(len(pairs), func(rq *smc.Requester, lo, hi int) error {
-		m, r, err := rq.SMINValuePairsBatch(pairs[lo:hi], l, recBits)
-		if err != nil {
-			return err
-		}
-		copy(mins[lo:hi], m)
-		copy(recs[lo:hi], r)
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return mins, recs, nil
-}
-
-// sminnValue is SMINn over composed distances: the ⌈log₂ n⌉-level
-// tournament of Algorithm 4, one sminnLevel per level.
-func (s *QuerySession) sminnValue(ds []*paillier.Ciphertext, l int) (*paillier.Ciphertext, error) {
-	if len(ds) == 0 {
-		return nil, fmt.Errorf("core: SMINn over empty set")
-	}
-	for len(ds) > 1 {
-		var err error
-		if ds, err = s.sminnLevel(ds, l); err != nil {
-			return nil, err
-		}
-	}
-	return ds[0], nil
 }

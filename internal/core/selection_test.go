@@ -169,30 +169,42 @@ func TestRankClustersKeepsPairMinima(t *testing.T) {
 	}
 }
 
-// TestTournamentUnits pins the cluster ranking's bottom-level
-// bookkeeping: dropping a known winner leaves its partner alone, as its
-// unit's minimum, or removes a lone unit.
+// TestTournamentUnits pins the cluster ranking's kept-layer bookkeeping:
+// dropping a known winner leaves its partner alone, its own leaf's wire
+// as the unit's, or removes a lone unit — and a unit's id record always
+// follows its minimum, the record of the leaf whose distance it holds.
 func TestTournamentUnits(t *testing.T) {
-	ds := make([]*paillier.Ciphertext, 6)
-	for i := range ds {
-		ds[i] = new(paillier.Ciphertext)
+	leaves := make([]Candidate, 6)
+	for i := range leaves {
+		leaves[i] = Candidate{Dist: new(paillier.Ciphertext), Rec: EncryptedRecord{new(paillier.Ciphertext)}}
 	}
-	// shape lists the units' leaves and checks each minimum is its first
-	// leaf's distance — as built below, or a lone leaf's own.
 	shape := func(units []unit) string {
 		out := ""
 		for _, u := range units {
-			if u.min != ds[u.a] {
-				t.Errorf("unit (%d %d) holds another leaf's distance", u.a, u.b)
+			held := -1 // the leaf whose distance the unit's wire holds
+			for x, leaf := range leaves {
+				if u.min.Dist == leaf.Dist {
+					held = x
+				}
+			}
+			if held != u.a && held != u.b {
+				t.Errorf("unit (%d %d) holds leaf %d's distance", u.a, u.b, held)
+			} else if len(u.min.Rec) != 1 || u.min.Rec[0] != leaves[held].Rec[0] {
+				t.Errorf("unit (%d %d) holds leaf %d's distance but not its id", u.a, u.b, held)
 			}
 			out += fmt.Sprintf("(%d %d)", u.a, u.b)
 		}
 		return out
 	}
-	units := []unit{{a: 0, b: 1, min: ds[0]}, {a: 2, b: -1, min: ds[2]}, {a: 3, b: -1, min: ds[3]}, {a: 4, b: 5, min: ds[4]}}
-	units = withoutLeaf(units, 1, ds)
-	units = withoutLeaf(units, 3, ds)
-	if got, want := shape(units), "(0 -1)(2 -1)(4 5)"; got != want {
-		t.Errorf("after dropping leaves 1 and 3: %s, want %s", got, want)
+	// Leaves 1 and 5 won their first-layer gates; 2 and 3 stand alone.
+	units := []unit{{a: 0, b: 1, min: leaves[1]}, {a: 2, b: -1, min: leaves[2]}, {a: 3, b: -1, min: leaves[3]}, {a: 4, b: 5, min: leaves[5]}}
+	if got, want := shape(units), "(0 1)(2 -1)(3 -1)(4 5)"; got != want {
+		t.Fatalf("units %s, want %s", got, want)
+	}
+	units = withoutLeaf(units, 1, leaves)
+	units = withoutLeaf(units, 3, leaves)
+	units = withoutLeaf(units, 4, leaves)
+	if got, want := shape(units), "(0 -1)(2 -1)(5 -1)"; got != want {
+		t.Errorf("after dropping leaves 1, 3 and 4: %s, want %s", got, want)
 	}
 }

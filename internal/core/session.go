@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"slices"
 	"sync"
 
 	"sknn/internal/mpc"
@@ -200,32 +201,46 @@ func (s *QuerySession) distancesOf(q EncryptedQuery, rows [][]*paillier.Cipherte
 // with fresh full-range randomness, C2 decrypts the masked values, and
 // the two shares travel to Bob, who alone can tell the columns apart.
 func (s *QuerySession) reveal(selected []EncryptedRecord, layout RowLayout) (*MaskedResult, error) {
-	pk := s.pk
 	k := len(selected)
 	chunks := layout.Chunks(s.m)
-	res := &MaskedResult{K: k, M: s.m, Layout: layout, n: pk.N}
-	payload := make([]*big.Int, 0, k*chunks)
+	cts := make([]*paillier.Ciphertext, 0, k*chunks)
+	for _, rec := range selected {
+		cts = append(cts, rec...)
+	}
+	if len(cts) != k*chunks {
+		return nil, fmt.Errorf("%w: %d record ciphertexts to reveal, want %d", ErrBadFrame, len(cts), k*chunks)
+	}
+	masks, masked, err := s.maskedDecrypt(cts)
+	if err != nil {
+		return nil, err
+	}
+	res := &MaskedResult{K: k, M: s.m, Layout: layout, n: s.pk.N}
 	for j := 0; j < k; j++ {
-		maskRow := make([]*big.Int, 0, chunks)
-		for _, ct := range selected[j] {
-			r, err := pk.RandomZN(s.primary().Rand())
-			if err != nil {
-				return nil, fmt.Errorf("core: reveal mask: %w", err)
-			}
-			maskRow = append(maskRow, r)
-			payload = append(payload, pk.AddPlain(ct, r).Raw())
+		res.Masks = append(res.Masks, masks[j*chunks:(j+1)*chunks])
+		res.Masked = append(res.Masked, masked[j*chunks:(j+1)*chunks])
+	}
+	return res, nil
+}
+
+// maskedDecrypt is the reveal's one round trip (OpReveal): C1 adds a
+// fresh full-range mask r to every ciphertext of cts, and C2 decrypts
+// each to x + r mod N — uniformly random to C2 — which only the holder
+// of the masks, Bob or, for a cluster id, C1, can unmask.
+func (s *QuerySession) maskedDecrypt(cts []*paillier.Ciphertext) (masks, masked []*big.Int, err error) {
+	masks = make([]*big.Int, len(cts))
+	payload := make([]*big.Int, len(cts))
+	for i, ct := range cts {
+		if masks[i], err = s.pk.RandomZN(s.primary().Rand()); err != nil {
+			return nil, nil, fmt.Errorf("core: reveal mask: %w", err)
 		}
-		res.Masks = append(res.Masks, maskRow)
+		payload[i] = s.pk.AddPlain(ct, masks[i]).Raw()
 	}
 	resp, err := mpc.RoundTrip(s.primary().Conn(), &mpc.Message{Op: OpReveal, Ints: payload})
 	if err != nil {
-		return nil, fmt.Errorf("core: reveal round trip: %w", err)
+		return nil, nil, fmt.Errorf("core: reveal round trip: %w", err)
 	}
-	if len(resp.Ints) != k*chunks {
-		return nil, fmt.Errorf("%w: reveal reply has %d ints, want %d", ErrBadFrame, len(resp.Ints), k*chunks)
+	if len(resp.Ints) != len(cts) || slices.Contains(resp.Ints, nil) {
+		return nil, nil, fmt.Errorf("%w: reveal reply of %d ints, want %d", ErrBadFrame, len(resp.Ints), len(cts))
 	}
-	for j := 0; j < k; j++ {
-		res.Masked = append(res.Masked, resp.Ints[j*chunks:(j+1)*chunks])
-	}
-	return res, nil
+	return masks, resp.Ints, nil
 }

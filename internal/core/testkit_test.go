@@ -50,6 +50,14 @@ func newSystem(t *testing.T, tbl *dataset.Table, workers int) (*testCloud, *Clie
 // newSystemOver is newSystem for a table already encrypted under sk.
 func newSystemOver(t *testing.T, sk *paillier.PrivateKey, encTable *EncryptedTable, workers int) (*testCloud, *Client) {
 	t.Helper()
+	return newObservedSystemOver(t, sk, encTable, workers, nil)
+}
+
+// newObservedSystemOver is newSystemOver with every C1↔C2 link, worker's
+// and coordinator's, tapped on C1's side by observe (mpc.Tap) unless it
+// is nil.
+func newObservedSystemOver(t *testing.T, sk *paillier.PrivateKey, encTable *EncryptedTable, workers int, observe func(mpc.Direction, *mpc.Message)) (*testCloud, *Client) {
+	t.Helper()
 	c2 := NewCloudC2(sk, nil)
 	var wg sync.WaitGroup
 	newConns := func() []mpc.Conn {
@@ -57,6 +65,9 @@ func newSystemOver(t *testing.T, sk *paillier.PrivateKey, encTable *EncryptedTab
 		for i := range conns {
 			c1Side, c2Side := mpc.ChanPipe()
 			conns[i] = c1Side
+			if observe != nil {
+				conns[i] = mpc.Tap(c1Side, observe)
+			}
 			wg.Add(1)
 			go func(conn mpc.Conn) {
 				defer wg.Done()
