@@ -20,15 +20,14 @@ import (
 // run: a coordinator over one local worker or over dialled shard
 // workers, with what a caller needs to put queries to it.
 type engine struct {
-	coord      *core.ShardedC1
+	// coord is the coordinator, with the in-process worker holding the
+	// table when it is local; its CommStats is what this process
+	// exchanges with C2.
+	coord      *core.Engine
+	dials      []io.Closer // the shard workers dialled, closed after coord
 	domainBits int
 	clustered  bool   // some shard carries a cluster index
 	desc       string // one line for the start-up log
-	// worker is the in-process worker holding the table (nil when the
-	// shards are dialled); owned is everything to close after the
-	// coordinator — the worker, or the shard dials.
-	worker *core.CloudC1
-	owned  []io.Closer
 }
 
 // buildEngine stands an engine up from the topology half of a tenant
@@ -45,78 +44,81 @@ func buildEngine(spec tenantSpec) (_ *engine, err error) {
 	if spec.C2 == "" {
 		return nil, fmt.Errorf(`missing "c2" address`)
 	}
+	pool := func() ([]mpc.Conn, error) { return dialC2(spec.C2, spec.C2Token, spec.Workers) }
+	if spec.Table != "" {
+		snap, table, err := openTable(spec.Table)
+		if err != nil {
+			return nil, err
+		}
+		if snap.Sharded() {
+			return nil, fmt.Errorf("%s is shard %d of %d, not a whole table; serve it with sknnd shard",
+				spec.Table, snap.ShardIndex, snap.ShardCount)
+		}
+		coord, err := core.NewEngine(table, 1, pool)
+		if err != nil {
+			return nil, err
+		}
+		return &engine{coord: coord, domainBits: snap.DomainBits, clustered: table.Clustered(),
+			desc: fmt.Sprintf("local table %s (clustered=%v), C2 at %s, n=%d", spec.Table, table.Clustered(), spec.C2, coord.N())}, nil
+	}
+
 	e := &engine{}
 	defer func() {
 		if err != nil {
 			e.Close()
 		}
 	}()
-
-	var shards []core.Shard
 	var pk *paillier.PublicKey
-	if spec.Table != "" {
-		snap, c1, err := openWorker(spec.Table, spec.C2, spec.C2Token, spec.Workers)
+	flat := make([]core.Shard, 0, len(spec.Shards))
+	for i, addr := range spec.Shards {
+		addr = strings.TrimSpace(addr)
+		conn, err := mpc.DialAuth(addr, spec.ShardToken)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("shard %s: %w", addr, err)
 		}
-		e.worker, e.owned = c1, []io.Closer{c1}
-		if snap.Sharded() {
-			return nil, fmt.Errorf("%s is shard %d of %d, not a whole table; serve it with sknnd shard",
-				spec.Table, snap.ShardIndex, snap.ShardCount)
+		rs, err := core.DialShard(conn)
+		if err != nil {
+			conn.Close()
+			return nil, fmt.Errorf("shard %s: %w", addr, err)
 		}
-		pk, e.domainBits, e.clustered = snap.PK, snap.DomainBits, c1.Table().Clustered()
-		shards = []core.Shard{&core.LocalShard{C1: c1, Count: 1}}
-		e.desc = fmt.Sprintf("local table %s (clustered=%v)", spec.Table, e.clustered)
-	} else {
-		flat := make([]core.Shard, 0, len(spec.Shards))
-		for i, addr := range spec.Shards {
-			addr = strings.TrimSpace(addr)
-			conn, err := mpc.DialAuth(addr, spec.ShardToken)
-			if err != nil {
-				return nil, fmt.Errorf("shard %s: %w", addr, err)
-			}
-			rs, err := core.DialShard(conn)
-			if err != nil {
-				conn.Close()
-				return nil, fmt.Errorf("shard %s: %w", addr, err)
-			}
-			e.owned = append(e.owned, rs)
-			if i == 0 {
-				pk, e.domainBits = rs.PK(), rs.DomainBits()
-			}
-			if rs.PK().N.Cmp(pk.N) != 0 {
-				return nil, fmt.Errorf("worker %d serves a different public key", i)
-			}
-			if rs.DomainBits() != e.domainBits {
-				return nil, fmt.Errorf("worker %d disagrees on the distance domain (l=%d vs %d)", i, rs.DomainBits(), e.domainBits)
-			}
-			e.clustered = e.clustered || rs.Info().Clustered
-			flat = append(flat, rs)
+		e.dials = append(e.dials, rs)
+		if i == 0 {
+			pk, e.domainBits = rs.PK(), rs.DomainBits()
 		}
-		// Workers announcing the same shard index fold into one replicated
-		// partition with coordinator-side load balancing and failover;
-		// unreplicated deployments pass through unchanged.
-		if shards, err = core.GroupReplicas(flat); err != nil {
-			return nil, err
+		if rs.PK().N.Cmp(pk.N) != 0 {
+			return nil, fmt.Errorf("worker %d serves a different public key", i)
 		}
-		e.desc = fmt.Sprintf("%d workers → %d partitions", len(flat), len(shards))
+		if rs.DomainBits() != e.domainBits {
+			return nil, fmt.Errorf("worker %d disagrees on the distance domain (l=%d vs %d)", i, rs.DomainBits(), e.domainBits)
+		}
+		e.clustered = e.clustered || rs.Info().Clustered
+		flat = append(flat, rs)
 	}
-	mergeConns, err := dialC2(spec.C2, spec.C2Token, spec.Workers)
+	// Workers announcing the same shard index fold into one replicated
+	// partition with coordinator-side load balancing and failover;
+	// unreplicated deployments pass through unchanged.
+	shards, err := core.GroupReplicas(flat)
 	if err != nil {
 		return nil, err
 	}
-	if e.coord, err = core.NewShardedC1(shards, mergeConns, pk, nil); err != nil { // owns mergeConns even on failure
+	mergeConns, err := pool()
+	if err != nil {
 		return nil, err
 	}
-	e.desc += fmt.Sprintf(", C2 at %s, n=%d", spec.C2, e.coord.N())
+	coord, err := core.NewShardedC1(shards, mergeConns, pk, nil) // owns mergeConns even on failure
+	if err != nil {
+		return nil, err
+	}
+	e.coord = &core.Engine{ShardedC1: coord}
+	e.desc = fmt.Sprintf("%d workers → %d partitions, C2 at %s, n=%d", len(flat), len(shards), spec.C2, coord.N())
 	return e, nil
 }
 
-// openWorker stands up the C1 worker over the snapshot at path — read
-// through store.ReadFile, the one gate a snapshot passes before a C1
-// serves it — with workers links to C2. Whether the file must be a whole
-// table or a shard is the caller's check.
-func openWorker(path, c2, c2Token string, workers int) (*store.Snapshot, *core.CloudC1, error) {
+// openTable reads the snapshot at path through store.ReadFile — the one
+// gate a snapshot passes before a C1 serves it — and restores its table.
+// Whether the file must be a whole table or a shard is the caller's
+// check.
+func openTable(path string) (*store.Snapshot, *core.EncryptedTable, error) {
 	snap, err := store.ReadFile(path)
 	if err != nil {
 		return nil, nil, err
@@ -125,15 +127,7 @@ func openWorker(path, c2, c2Token string, workers int) (*store.Snapshot, *core.C
 	if err != nil {
 		return nil, nil, err
 	}
-	conns, err := dialC2(c2, c2Token, workers)
-	if err != nil {
-		return nil, nil, err
-	}
-	c1, err := core.NewCloudC1(table, conns, nil) // owns conns even on failure
-	if err != nil {
-		return nil, nil, err
-	}
-	return snap, c1, nil
+	return snap, table, nil
 }
 
 // dialC2 opens max(workers, 1) connections to C2, closing them all if
@@ -159,7 +153,7 @@ func (e *engine) Close() error {
 	if e.coord != nil {
 		first = e.coord.Close()
 	}
-	for _, c := range e.owned {
+	for _, c := range e.dials {
 		if err := c.Close(); err != nil && first == nil {
 			first = err
 		}
@@ -249,9 +243,6 @@ func (e *engine) runQueries(queries [][]uint64, k int, mode string, coverage flo
 	// Traffic is what this process exchanged with C2: the merge and
 	// reveal, plus the scans when the worker is local.
 	traffic := e.coord.CommStats()
-	if e.worker != nil {
-		traffic = traffic.Add(e.worker.CommStats())
-	}
 	fmt.Fprintf(os.Stderr, "%d %s queries over %d shards in %v (%.2f QPS), traffic %s\n",
 		len(queries), mode, e.coord.Shards(), elapsed.Round(1e6),
 		float64(len(queries))/elapsed.Seconds(), traffic)

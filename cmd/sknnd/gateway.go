@@ -105,7 +105,9 @@ func cmdGateway(args []string) {
 			MaxInflight: ts.MaxInflight,
 			MaxQueue:    ts.MaxQueue,
 		}
-		if err := g.AddTenant(cfg, gateway.NewCoordinatorBackend(eng.coord, eng.owned...)); err != nil {
+		// The backend closes the coordinator, then eng: the local worker or
+		// the shard dials (its second Close of the coordinator is a no-op).
+		if err := g.AddTenant(cfg, gateway.NewCoordinatorBackend(eng.coord.ShardedC1, eng)); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "tenant %q: %s\n", ts.Name, eng.desc)

@@ -351,14 +351,22 @@ func cmdShard(args []string) {
 		fs.Usage()
 		os.Exit(2)
 	}
-	snap, c1, err := openWorker(*tablePath, *connect, *c2Token, *workers)
+	snap, table, err := openTable(*tablePath)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if !snap.Sharded() {
+		log.Fatalf("%s is a whole-table snapshot; run sknnd split first (or serve it with sknnd c1)", *tablePath)
+	}
+	conns, err := dialC2(*connect, *c2Token, *workers)
+	if err != nil {
+		log.Fatal(err)
+	}
+	c1, err := core.NewCloudC1(table, conns, nil) // owns conns even on failure
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer c1.Close()
-	if !snap.Sharded() {
-		log.Fatalf("%s is a whole-table snapshot; run sknnd split first (or serve it with sknnd c1)", *tablePath)
-	}
 	srv, err := core.NewShardServer(c1, snap.ShardIndex, snap.ShardCount, snap.DomainBits)
 	if err != nil {
 		log.Fatal(err)

@@ -55,11 +55,12 @@ func main() {
 	opCount := map[mpc.Op]int{}
 	c2 := core.NewCloudC2(sk, nil)
 	var done sync.WaitGroup
-	// tappedLink is one C1↔C2 link with the wiretap on C1's end. C1 has
-	// two: the link of the worker that holds the table and scans it, and
-	// the link of the coordinator every query enters through, which here
-	// has one shard to gather and so only reveals.
-	tappedLink := func() []mpc.Conn {
+	// tappedLink is one C1↔C2 link with the wiretap on C1's end.
+	// core.NewEngine asks for two: the link of the worker that holds the
+	// table and scans it, and the link of the coordinator every query
+	// enters through, which here has one shard to gather and so only
+	// reveals.
+	tappedLink := func() ([]mpc.Conn, error) {
 		c1Side, c2Side := mpc.ChanPipe()
 		done.Add(1)
 		go func() {
@@ -77,14 +78,10 @@ func main() {
 				}
 				leakedIndices = append(leakedIndices, idx)
 			}
-		})}
+		})}, nil
 	}
 
-	worker, err := core.NewCloudC1(encTable, tappedLink(), nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	c1, err := core.NewShardedC1([]core.Shard{&core.LocalShard{C1: worker, Count: 1}}, tappedLink(), &sk.PublicKey, nil)
+	c1, err := core.NewEngine(encTable, 1, tappedLink)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -118,9 +115,6 @@ func main() {
 	fmt.Println("the records answering the query are never identified on the wire.")
 
 	if err := c1.Close(); err != nil {
-		log.Fatal(err)
-	}
-	if err := worker.Close(); err != nil {
 		log.Fatal(err)
 	}
 	done.Wait()

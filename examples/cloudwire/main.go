@@ -59,14 +59,15 @@ func main() {
 	}()
 	fmt.Printf("C2 (key cloud) listening on %s\n", ln.Addr())
 
-	// C1: the data cloud dials C2 twice — one link for the worker that
-	// holds the encrypted table and scans it, one for the coordinator
-	// every query enters through (here with a single shard to gather, so
-	// it only reveals). The table remembers how wide its attributes are —
-	// EncryptTable saw the plaintext, WithAttrBits widens that to the
-	// declared domain — which is what lets SkNNb below run on the packed
-	// kernels: one slot-packed ciphertext per record each way for the
-	// distances, one row-packed share per neighbour for the reveal.
+	// C1: the data cloud, stood up by core.NewEngine as one worker that
+	// holds the encrypted table and scans it, and the coordinator every
+	// query enters through (here with a single shard to gather, so it
+	// only reveals). Each asks pool for its links, so C1 dials C2 once
+	// per link pool: twice. The table remembers how wide its attributes
+	// are — EncryptTable saw the plaintext, WithAttrBits widens that to
+	// the declared domain — which is what lets SkNNb below run on the
+	// packed kernels: one slot-packed ciphertext per record each way for
+	// the distances, one row-packed share per neighbour for the reveal.
 	encTable, err := core.EncryptTable(rand.Reader, &sk.PublicKey, tbl.Rows)
 	if err != nil {
 		log.Fatal(err)
@@ -74,19 +75,11 @@ func main() {
 	if encTable, err = encTable.WithAttrBits(tbl.AttrBits); err != nil {
 		log.Fatal(err)
 	}
-	dial := func() []mpc.Conn {
+	pool := func() ([]mpc.Conn, error) {
 		conn, err := mpc.Dial(ln.Addr().String())
-		if err != nil {
-			log.Fatal(err)
-		}
-		return []mpc.Conn{conn}
+		return []mpc.Conn{conn}, err
 	}
-	worker, err := core.NewCloudC1(encTable, dial(), nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer worker.Close()
-	c1, err := core.NewShardedC1([]core.Shard{&core.LocalShard{C1: worker, Count: 1}}, dial(), &sk.PublicKey, nil)
+	c1, err := core.NewEngine(encTable, 1, pool)
 	if err != nil {
 		log.Fatal(err)
 	}

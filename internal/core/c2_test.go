@@ -196,33 +196,6 @@ func TestHandleMinSelectValidation(t *testing.T) {
 	}
 }
 
-func TestHandshakeKeyMismatch(t *testing.T) {
-	// C1's table is encrypted under a different key than C2 holds: the
-	// hello handshake must fail at wiring time.
-	skA := testKey()
-	skB, err := paillier.GenerateKey(rand.Reader, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	encTable, err := EncryptTable(rand.Reader, &skB.PublicKey, [][]uint64{{1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2 := NewCloudC2(skA, nil)
-	c1Side, c2Side := mpc.ChanPipe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = c2.Serve(c2Side)
-	}()
-	_, err = NewCloudC1(encTable, []mpc.Conn{c1Side}, nil)
-	if err == nil {
-		t.Fatal("mismatched keys accepted at handshake")
-	}
-	mpc.SendClose(c1Side)
-	<-done
-}
-
 func TestHandleHelloValidation(t *testing.T) {
 	mux, sk := handlerMux(t)
 	if _, err := mux.Handle(&mpc.Message{Op: OpHello}); err == nil {

@@ -20,7 +20,7 @@ import (
 
 // newClusteredSystem outsources tbl with a k-means cluster index of c
 // cells attached.
-func newClusteredSystem(t *testing.T, tbl *dataset.Table, c, workers int) (*testCloud, *Client) {
+func newClusteredSystem(t *testing.T, tbl *dataset.Table, c, workers int) (*Engine, *Client) {
 	t.Helper()
 	sk := testKey()
 	if err := tbl.Validate(); err != nil {
@@ -42,7 +42,7 @@ func newClusteredSystem(t *testing.T, tbl *dataset.Table, c, workers int) (*test
 
 // secureClusteredDistances runs the pruned protocol and returns the
 // sorted squared distances of the returned records plus the metrics.
-func secureClusteredDistances(t *testing.T, c1 *testCloud, bob *Client, q []uint64, k, l, target int) ([]uint64, *SecureMetrics) {
+func secureClusteredDistances(t *testing.T, c1 *Engine, bob *Client, q []uint64, k, l, target int) ([]uint64, *SecureMetrics) {
 	t.Helper()
 	eq, err := bob.EncryptQuery(q)
 	if err != nil {
@@ -144,7 +144,7 @@ func TestSecureClusteredRequiresIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Routing a point to its nearest cluster needs centroids to rank.
-	sess, err := c1.C1.NewSession(context.Background())
+	sess, err := c1.Workers[0].NewSession(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestClusteredSMINReduction(t *testing.T) {
 // cluster j has centroid cents[j] and sizes[j] members, each a row at
 // its centroid, then deletes every member of the clusters in hollow. It
 // returns the clusters' live sizes beside the system.
-func rankingSystem(t *testing.T, cents [][]uint64, sizes []int, hollow ...int) (*testCloud, *Client, []int) {
+func rankingSystem(t *testing.T, cents [][]uint64, sizes []int, hollow ...int) (*Engine, *Client, []int) {
 	t.Helper()
 	var rows [][]uint64
 	members := make([][]int, len(cents))
@@ -386,7 +386,7 @@ func TestRankClustersMatchesPlaintextOrder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := c1.C1.NewSession(context.Background())
+			s, err := c1.Workers[0].NewSession(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -429,7 +429,7 @@ func TestNearestClusterIsOneRound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := c1.C1.NewSession(context.Background())
+			s, err := c1.Workers[0].NewSession(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -473,13 +473,17 @@ func TestClusteredC2Surface(t *testing.T) {
 	}
 	var mu sync.Mutex
 	sent := map[mpc.Op]int{}
-	c1, bob := newObservedSystemOver(t, sk, enc, 1, func(dir mpc.Direction, m *mpc.Message) {
-		if dir == mpc.DirSend {
-			mu.Lock()
-			sent[m.Op]++
-			mu.Unlock()
-		}
+	c2 := NewCloudC2(sk, nil)
+	c1 := newEngine(t, enc, 1, func() []mpc.Conn {
+		return []mpc.Conn{mpc.Tap(pipeTo(t, c2), func(dir mpc.Direction, m *mpc.Message) {
+			if dir == mpc.DirSend {
+				mu.Lock()
+				sent[m.Op]++
+				mu.Unlock()
+			}
+		})}
 	})
+	bob := NewClient(&sk.PublicKey, nil)
 	mu.Lock()
 	clear(sent) // the handshakes
 	mu.Unlock()
@@ -506,7 +510,7 @@ func TestClusteredC2Surface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := c1.C1.NewSession(context.Background())
+	s, err := c1.Workers[0].NewSession(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +523,7 @@ func TestClusteredC2Surface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := enc.Insert(rec, j); err != nil {
+	if err := enc.InsertWithID(enc.NextID(), rec, j); err != nil {
 		t.Fatal(err)
 	}
 

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 
+	"sknn/internal/dataset"
 	"sknn/internal/mpc"
 	"sknn/internal/paillier"
 )
@@ -102,6 +103,19 @@ func CheckDomainBits(pk *paillier.PublicKey, l int) error {
 			ErrDomainBits, l, pk.Bits())
 	}
 	return nil
+}
+
+// checkTableDomain is CheckDomainBits for a table of featureM feature
+// columns attrBits wide: l must also cover their squared-distance domain,
+// dataset.DomainBits(attrBits, featureM) — the l store.Read admits —
+// below which a comparator's top bit no longer orders two distances and
+// SkNNm would answer wrong. l arrives from outside (a tenant's config,
+// an OpShardTopK frame), so every entry point that takes it checks.
+func checkTableDomain(pk *paillier.PublicKey, l, attrBits, featureM int) error {
+	if least := dataset.DomainBits(attrBits, featureM); l < least {
+		return fmt.Errorf("%w: l=%d is below the table's domain, l=%d", ErrDomainBits, l, least)
+	}
+	return CheckDomainBits(pk, l)
 }
 
 func validateK(k, n int) error {

@@ -10,7 +10,7 @@ import (
 
 // newFeatureSystem outsources rows with the first f columns as distance
 // features.
-func newFeatureSystem(t *testing.T, rows [][]uint64, f int) (*testCloud, *Client) {
+func newFeatureSystem(t *testing.T, rows [][]uint64, f int) (*Engine, *Client) {
 	t.Helper()
 	sk := testKey()
 	encTable, err := EncryptTable(rand.Reader, &sk.PublicKey, rows)

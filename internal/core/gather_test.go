@@ -31,19 +31,10 @@ func newWrappedSharded(t *testing.T, tbl *dataset.Table, shards, workers int, wr
 		t.Fatal(err)
 	}
 	c2 := NewCloudC2(sk, nil)
-	var wg sync.WaitGroup
 	newConns := func(n int) []mpc.Conn {
 		conns := make([]mpc.Conn, n)
 		for i := range conns {
-			c1Side, c2Side := mpc.ChanPipe()
-			conns[i] = c1Side
-			wg.Add(1)
-			go func(conn mpc.Conn) {
-				defer wg.Done()
-				if err := c2.Serve(conn); err != nil {
-					t.Errorf("C2 serve loop: %v", err)
-				}
-			}(c2Side)
+			conns[i] = pipeTo(t, c2)
 		}
 		return conns
 	}
@@ -73,7 +64,6 @@ func newWrappedSharded(t *testing.T, tbl *dataset.Table, shards, workers int, wr
 				t.Errorf("closing shard: %v", err)
 			}
 		}
-		wg.Wait()
 	})
 	return coord, NewClient(&sk.PublicKey, nil)
 }

@@ -149,8 +149,8 @@ func TestParallelBasicMatchesSerial(t *testing.T) {
 	q, _ := dataset.GenerateQuery(32, 3, 5)
 	serial, bobS := newSystem(t, tbl, 1)
 	parallel, bobP := newSystem(t, tbl, 4)
-	if parallel.C1.Workers() != 4 {
-		t.Fatalf("workers = %d", parallel.C1.Workers())
+	if parallel.Workers[0].Workers() != 4 {
+		t.Fatalf("workers = %d", parallel.Workers[0].Workers())
 	}
 	a := runBasic(t, serial, bobS, q, 5)
 	b := runBasic(t, parallel, bobP, q, 5)

@@ -88,15 +88,12 @@ func transcriptCloud(t *testing.T, tbl *dataset.Table, shards int) (*ShardedC1, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts, err := encTable.Snapshot().Split(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
 	c2 := NewCloudC2(sk, nil)
 	var wg sync.WaitGroup
+	t.Cleanup(wg.Wait) // after the engine's own cleanup has closed every link
 	var mu sync.Mutex
 	var links [][]string
-	link := func() []mpc.Conn {
+	coord := newEngine(t, encTable, shards, func() []mpc.Conn {
 		c1Side, c2Side := mpc.ChanPipe()
 		mu.Lock()
 		id := len(links)
@@ -115,31 +112,6 @@ func transcriptCloud(t *testing.T, tbl *dataset.Table, shards int) (*ShardedC1, 
 			}
 		}()
 		return []mpc.Conn{c1Side}
-	}
-	var c1s []*CloudC1
-	var workers []Shard
-	for i, part := range parts {
-		shardTable, err := RestoreTable(&sk.PublicKey, part)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c1, err := NewCloudC1(shardTable, link(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c1s = append(c1s, c1)
-		workers = append(workers, &LocalShard{C1: c1, Index: i, Count: shards})
-	}
-	coord, err := NewShardedC1(workers, link(), &sk.PublicKey, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		coord.Close()
-		for _, c1 := range c1s {
-			c1.Close()
-		}
-		wg.Wait()
 	})
 	take := func() [][]string {
 		mu.Lock()
@@ -149,7 +121,7 @@ func transcriptCloud(t *testing.T, tbl *dataset.Table, shards int) (*ShardedC1, 
 		return out
 	}
 	take() // the handshakes
-	return coord, NewClient(&sk.PublicKey, nil), take
+	return coord.ShardedC1, NewClient(&sk.PublicKey, nil), take
 }
 
 // TestSkNNmTranscriptShapeIsDataIndependent pins the transcript itself,

@@ -242,15 +242,7 @@ func newReplicatedSystem(t *testing.T, tbl *dataset.Table, shards, replicas int,
 	newConns := func(n int) []mpc.Conn {
 		conns := make([]mpc.Conn, n)
 		for i := range conns {
-			c1Side, c2Side := mpc.ChanPipe()
-			conns[i] = c1Side
-			wg.Add(1)
-			go func(conn mpc.Conn) {
-				defer wg.Done()
-				if err := c2.Serve(conn); err != nil {
-					t.Errorf("C2 serve loop: %v", err)
-				}
-			}(c2Side)
+			conns[i] = pipeTo(t, c2)
 		}
 		return conns
 	}

@@ -279,7 +279,7 @@ func TestBasicPackedBoundaries(t *testing.T) {
 			}
 			res, _, err := cloud.BasicQuery(context.Background(), eq, tc.k)
 			check("coordinator", res, err)
-			res, _, err = cloud.C1.BasicQueryMetered(context.Background(), eq, tc.k)
+			res, _, err = cloud.Workers[0].BasicQueryMetered(context.Background(), eq, tc.k)
 			check("bare worker", res, err)
 
 			packs := encTable.view().packs
@@ -407,7 +407,7 @@ func TestMergeRejectsForeignLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands, _, err := c1.C1.TopK(context.Background(), eq, 2, l, 0, true)
+	cands, _, err := c1.Workers[0].TopK(context.Background(), eq, 2, l, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,9 +416,9 @@ func TestMergeRejectsForeignLayout(t *testing.T) {
 	}
 	// The same candidates with their records attribute by attribute.
 	for i := range cands {
-		cands[i].Rec = c1.C1.Table().records[i]
+		cands[i].Rec = c1.Workers[0].Table().records[i]
 	}
-	s, err := c1.C1.NewSession(context.Background())
+	s, err := c1.Workers[0].NewSession(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +444,7 @@ func TestNoGateRecordsAreRerandomized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := c1.C1.NewSession(context.Background())
+	s, err := c1.Workers[0].NewSession(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

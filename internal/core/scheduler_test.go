@@ -14,7 +14,7 @@ func TestSessionScheduler(t *testing.T) {
 	tbl, _ := dataset.Generate(501, 6, 2, 3)
 	c1, _ := newSystem(t, tbl, 4)
 
-	s1, err := c1.C1.NewSession(context.Background())
+	s1, err := c1.Workers[0].NewSession(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestSessionScheduler(t *testing.T) {
 	}
 	// One session is already open, so the next auto session gets an even
 	// share of the pool: 4/(1+1) = 2 links.
-	s2, err := c1.C1.NewSession(context.Background())
+	s2, err := c1.Workers[0].NewSession(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestSessionScheduler(t *testing.T) {
 		t.Errorf("busy-pool session spans %d links, want 2", s2.Workers())
 	}
 	// Two open sessions: the next narrows to 4/(2+1) = 1 link.
-	s2b, err := c1.C1.NewSession(context.Background())
+	s2b, err := c1.Workers[0].NewSession(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestSessionScheduler(t *testing.T) {
 	s2.Close() // idempotent
 	// Every session closed: the pool is idle again and the next session
 	// spans it whole.
-	s3, err := c1.C1.NewSession(context.Background())
+	s3, err := c1.Workers[0].NewSession(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestSessionScheduler(t *testing.T) {
 func TestSessionReuse(t *testing.T) {
 	tbl, _ := dataset.Generate(511, 8, 2, 3)
 	c1, bob := newSystem(t, tbl, 2)
-	s, err := c1.C1.NewSession(context.Background())
+	s, err := c1.Workers[0].NewSession(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestCloudClosedSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := c1.C1.NewSession(context.Background())
+	s, err := c1.Workers[0].NewSession(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestCloudClosedSessions(t *testing.T) {
 		s.Close()
 		queryDone <- err
 	}()
-	go func() { closeDone <- c1.C1.Close() }()
+	go func() { closeDone <- c1.Workers[0].Close() }()
 
 	if err := <-queryDone; err != nil {
 		t.Errorf("in-flight query during Close: %v", err)
@@ -121,7 +121,7 @@ func TestCloudClosedSessions(t *testing.T) {
 	if err := <-closeDone; err != nil {
 		t.Errorf("Close: %v", err)
 	}
-	if _, err := c1.C1.NewSession(context.Background()); !errors.Is(err, ErrCloudClosed) {
+	if _, err := c1.Workers[0].NewSession(context.Background()); !errors.Is(err, ErrCloudClosed) {
 		t.Errorf("NewSession after Close = %v, want ErrCloudClosed", err)
 	}
 	if _, _, err := c1.BasicQuery(context.Background(), eq, 1); !errors.Is(err, ErrCloudClosed) {

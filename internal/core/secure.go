@@ -142,7 +142,7 @@ func (s *QuerySession) NearestCluster(q EncryptedQuery, domainBits int) (int, er
 	if err := s.checkQuery(q); err != nil {
 		return 0, err
 	}
-	if err := CheckDomainBits(s.pk, domainBits); err != nil {
+	if err := checkTableDomain(s.pk, domainBits, s.attrBits, s.featureM); err != nil {
 		return 0, err
 	}
 	// The nearest centroid is the answer even when deletes have hollowed
@@ -502,7 +502,7 @@ func (s *QuerySession) TopK(q EncryptedQuery, k, domainBits, target int, secure 
 	if !secure {
 		return s.basicTopK(q, k)
 	}
-	if err := CheckDomainBits(s.pk, domainBits); err != nil {
+	if err := checkTableDomain(s.pk, domainBits, s.attrBits, s.featureM); err != nil {
 		return nil, nil, err
 	}
 	metrics := &SecureMetrics{}

@@ -143,7 +143,7 @@ func TestRankClustersKeepsPairMinima(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := c1.C1.NewSession(context.Background())
+	s, err := c1.Workers[0].NewSession(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

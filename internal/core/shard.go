@@ -240,7 +240,7 @@ func (c *ShardedC1) gather(ctx context.Context, q EncryptedQuery, k, domainBits,
 		return nil, nil, err
 	}
 	if secure {
-		if err := CheckDomainBits(c.pk, domainBits); err != nil {
+		if err := checkTableDomain(c.pk, domainBits, c.attrBits, c.featM); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"crypto/rand"
+	"errors"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -14,8 +16,9 @@ import (
 
 // newShardedSystem encrypts tbl, splits it into shards partitions, and
 // wires S shard workers plus a coordinator to one shared C2 — the
-// in-process mirror of the S×sknnd-shard topology. remote runs every
-// shard behind the coordinator↔shard wire protocol over channel pipes
+// in-process mirror of the S×sknnd-shard topology. remote puts a
+// coordinator of its own in front of the same workers, reaching every
+// shard over the coordinator↔shard wire protocol on channel pipes
 // instead of direct LocalShard calls.
 func newShardedSystem(t *testing.T, tbl *dataset.Table, shards, workers int, remote bool) (*ShardedC1, *Client) {
 	t.Helper()
@@ -27,61 +30,39 @@ func newShardedSystem(t *testing.T, tbl *dataset.Table, shards, workers int, rem
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts, err := encTable.Snapshot().Split(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
 	c2 := NewCloudC2(sk, nil)
-	var wg sync.WaitGroup
-	newConns := func(n int) []mpc.Conn {
-		conns := make([]mpc.Conn, n)
+	links := func() []mpc.Conn {
+		conns := make([]mpc.Conn, workers)
 		for i := range conns {
-			c1Side, c2Side := mpc.ChanPipe()
-			conns[i] = c1Side
-			wg.Add(1)
-			go func(conn mpc.Conn) {
-				defer wg.Done()
-				if err := c2.Serve(conn); err != nil {
-					t.Errorf("C2 serve loop: %v", err)
-				}
-			}(c2Side)
+			conns[i] = pipeTo(t, c2)
 		}
 		return conns
 	}
-	c1s := make([]*CloudC1, shards)
+	local := newEngine(t, encTable, shards, links)
+	bob := NewClient(&sk.PublicKey, nil)
+	if !remote {
+		return local.ShardedC1, bob
+	}
+	var wg sync.WaitGroup
 	workersList := make([]Shard, shards)
-	for i, part := range parts {
-		shardTable, err := RestoreTable(&sk.PublicKey, part)
+	for i, c1 := range local.Workers {
+		srv, err := NewShardServer(c1, i, shards, tbl.DomainBits())
 		if err != nil {
-			t.Fatalf("shard %d: %v", i, err)
+			t.Fatal(err)
 		}
-		c1s[i], err = NewCloudC1(shardTable, newConns(workers), nil)
-		if err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		if remote {
-			srv, err := NewShardServer(c1s[i], i, shards, tbl.DomainBits())
-			if err != nil {
-				t.Fatal(err)
+		coordSide, shardSide := mpc.ChanPipe()
+		wg.Add(1)
+		go func(conn mpc.Conn) {
+			defer wg.Done()
+			if err := srv.Serve(conn); err != nil {
+				t.Errorf("shard serve loop: %v", err)
 			}
-			coordSide, shardSide := mpc.ChanPipe()
-			wg.Add(1)
-			go func(conn mpc.Conn) {
-				defer wg.Done()
-				if err := srv.Serve(conn); err != nil {
-					t.Errorf("shard serve loop: %v", err)
-				}
-			}(shardSide)
-			rs, err := DialShard(coordSide)
-			if err != nil {
-				t.Fatal(err)
-			}
-			workersList[i] = rs
-		} else {
-			workersList[i] = &LocalShard{C1: c1s[i], Index: i, Count: shards}
+		}(shardSide)
+		if workersList[i], err = DialShard(coordSide); err != nil {
+			t.Fatal(err)
 		}
 	}
-	coord, err := NewShardedC1(workersList, newConns(workers), &sk.PublicKey, nil)
+	coord, err := NewShardedC1(workersList, links(), &sk.PublicKey, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,19 +70,12 @@ func newShardedSystem(t *testing.T, tbl *dataset.Table, shards, workers int, rem
 		if err := coord.Close(); err != nil {
 			t.Errorf("closing coordinator: %v", err)
 		}
-		if remote {
-			for _, w := range workersList {
-				w.(*RemoteShard).Close()
-			}
-		}
-		for _, c1 := range c1s {
-			if err := c1.Close(); err != nil {
-				t.Errorf("closing shard: %v", err)
-			}
+		for _, w := range workersList {
+			w.(*RemoteShard).Close()
 		}
 		wg.Wait()
 	})
-	return coord, NewClient(&sk.PublicKey, nil)
+	return coord, bob
 }
 
 // shardOracleCheck compares result rows against the plaintext oracle by
@@ -456,13 +430,12 @@ func TestInsertWithID(t *testing.T) {
 	if err := encTable.InsertWithID(9, rec, -1); err == nil {
 		t.Error("reused id accepted")
 	}
-	// Plain Insert continues from the advanced mark.
-	id, err := encTable.Insert(rec, -1)
-	if err != nil {
+	// At the advanced mark: accepted, and the mark moves on.
+	if err := encTable.InsertWithID(encTable.NextID(), rec, -1); err != nil {
 		t.Fatal(err)
 	}
-	if id != 10 {
-		t.Errorf("Insert assigned id %d, want 10", id)
+	if got := encTable.NextID(); got != 11 {
+		t.Errorf("NextID = %d after inserting at the mark, want 11", got)
 	}
 }
 
@@ -517,31 +490,8 @@ func TestOneShardBasicAddsNoRankRound(t *testing.T) {
 	}
 	c2 := NewCloudC2(sk, nil)
 	var tally opTally
-	var wg sync.WaitGroup
-	link := func() []mpc.Conn {
-		c1Side, c2Side := mpc.ChanPipe()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := c2.Serve(c2Side); err != nil {
-				t.Errorf("C2 serve loop: %v", err)
-			}
-		}()
-		return []mpc.Conn{tally.tap(c1Side)}
-	}
-	c1, err := NewCloudC1(encTable, link(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord, err := NewShardedC1([]Shard{&LocalShard{C1: c1, Count: 1}}, link(), &sk.PublicKey, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		coord.Close()
-		c1.Close()
-		wg.Wait()
-	}()
+	coord := newEngine(t, encTable, 1, func() []mpc.Conn { return []mpc.Conn{tally.tap(pipeTo(t, c2))} })
+	c1 := coord.Workers[0]
 	bob := NewClient(&sk.PublicKey, nil)
 	q := []uint64{6, 11}
 	eq, err := bob.EncryptQuery(q)
@@ -603,4 +553,48 @@ func TestOneShardBasicAddsNoRankRound(t *testing.T) {
 			t.Errorf("rank %d: id %d names row %v, revealed row is %v", j, res.IDs[j], got, rows[j])
 		}
 	}
+}
+
+// TestDomainBelowTableRefused pins l's lower bound. Below the table's
+// squared-distance domain, dataset.DomainBits(AttrBits, FeatureM) — the
+// l store.Read admits — a comparator's top bit no longer orders two
+// distances and SkNNm answers wrong, so every place l arrives from
+// outside refuses it with ErrDomainBits: the coordinator before it
+// scatters, a worker asked directly, in process or in an OpShardTopK
+// frame (whose refusal crosses the wire as text), and NearestCluster.
+func TestDomainBelowTableRefused(t *testing.T) {
+	tbl, err := dataset.Generate(7, 8, 6, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := tbl.DomainBits() - 1
+	refused := func(what string, err error, wire bool) {
+		if !errors.Is(err, ErrDomainBits) && !(wire && err != nil && strings.Contains(err.Error(), ErrDomainBits.Error())) {
+			t.Errorf("%s at l=%d: err = %v, want ErrDomainBits", what, short, err)
+		}
+	}
+	ctx, q := context.Background(), make([]uint64, 6)
+	for _, remote := range []bool{false, true} {
+		coord, bob := newShardedSystem(t, tbl, 2, 1, remote)
+		eq, err := bob.EncryptQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = coord.SecureQuery(ctx, eq, 2, short, 0)
+		refused("coordinator", err, false)
+		_, _, err = coord.Shard(0).TopK(ctx, eq, 2, short, 0, true)
+		refused("worker", err, remote)
+	}
+	c1, bob := newClusteredSystem(t, tbl, 3, 1)
+	eq, err := bob.EncryptQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := c1.Workers[0].NewSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	_, err = s.NearestCluster(eq, short)
+	refused("NearestCluster", err, false)
 }

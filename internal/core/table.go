@@ -356,30 +356,18 @@ var (
 	ErrNeedCluster  = fmt.Errorf("core: clustered table insert needs a cluster assignment")
 )
 
-// Insert appends an already-encrypted record (data-owner-side
-// encryption, C1-side append) and returns its stable id. Every attribute
-// encrypted into it must be below 2^AttrBits() — the table cannot check,
-// and a wider one corrupts the packed slots it lands in. For a clustered
-// table the caller must route the record to a cluster first — either
-// obliviously via QuerySession.NearestCluster or owner-side in
-// plaintext — and pass that cluster's id; unclustered tables take
-// cluster = -1. Queries in flight keep the view they opened with and do
-// not see the new record.
-func (t *EncryptedTable) Insert(rec EncryptedRecord, cluster int) (uint64, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	id := t.nextID
-	if err := t.insertLocked(id, rec, cluster); err != nil {
-		return 0, err
-	}
-	return id, nil
-}
-
-// InsertWithID is Insert with a caller-chosen stable id — the sharded
-// path, where the coordinator owns the global id sequence and routes
-// each record to shard id mod S. The id must be at or above the
-// table's high-water mark, so ids are never reused; the mark advances
-// to id+1.
+// InsertWithID appends an already-encrypted record (data-owner-side
+// encryption, C1-side append) under a caller-chosen stable id — the
+// owner of the id sequence routes each record to shard id mod S, and a
+// lone table takes NextID. The id must be at or above the table's
+// high-water mark, so ids are never reused; the mark advances to id+1.
+// Every attribute encrypted into the record must be below 2^AttrBits() —
+// the table cannot check, and a wider one corrupts the packed slots it
+// lands in. For a clustered table the caller must route the record to a
+// cluster first — either obliviously via QuerySession.NearestCluster or
+// owner-side in plaintext — and pass that cluster's id; unclustered
+// tables take cluster = -1. Queries in flight keep the view they opened
+// with and do not see the new record.
 func (t *EncryptedTable) InsertWithID(id uint64, rec EncryptedRecord, cluster int) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -530,8 +518,8 @@ func (t *EncryptedTable) N() int {
 	return len(t.records) - t.deadN
 }
 
-// NextID returns the stable-id high-water mark: the id the next
-// locally-assigned Insert would take. On a shard it is a global bound —
+// NextID returns the stable-id high-water mark: the lowest id
+// InsertWithID accepts. On a shard it is a global bound —
 // every shard starts from the whole table's mark and only the owning
 // shard advances past it — so max over shards recovers the sequence.
 func (t *EncryptedTable) NextID() uint64 {

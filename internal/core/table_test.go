@@ -166,8 +166,8 @@ func TestLiveTableBookkeeping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := tbl.Insert(rec, -1)
-	if err != nil {
+	id := tbl.NextID()
+	if err := tbl.InsertWithID(id, rec, -1); err != nil {
 		t.Fatal(err)
 	}
 	if id != 3 || tbl.N() != 4 || len(tbl.records) != 4 {
@@ -232,14 +232,14 @@ func TestLiveTableClusteredMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl.Insert(rec, -1); err == nil {
+	id := tbl.NextID()
+	if err := tbl.InsertWithID(id, rec, -1); err == nil {
 		t.Error("clustered insert without cluster assignment accepted")
 	}
-	if _, err := tbl.Insert(rec, 5); err == nil {
+	if err := tbl.InsertWithID(id, rec, 5); err == nil {
 		t.Error("clustered insert with out-of-range cluster accepted")
 	}
-	id, err := tbl.Insert(rec, 1)
-	if err != nil {
+	if err := tbl.InsertWithID(id, rec, 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := tbl.index.members[1]; len(got) != 3 || got[2] != 4 {
@@ -368,7 +368,7 @@ func TestPackedRenderingsSurviveMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl.Insert(rec, 1); err != nil {
+	if err := tbl.InsertWithID(tbl.NextID(), rec, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := tbl.Delete(1); err != nil {
@@ -464,8 +464,8 @@ func TestPackedRenderingsConcurrentMutation(t *testing.T) {
 		}()
 	}
 	for round := 0; round < 20; round++ {
-		id, err := tbl.Insert(row(uint64(4+round)), -1)
-		if err != nil {
+		id := tbl.NextID()
+		if err := tbl.InsertWithID(id, row(uint64(4+round)), -1); err != nil {
 			t.Fatal(err)
 		}
 		if err := tbl.Delete(id - 2); err != nil {

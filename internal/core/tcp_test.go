@@ -47,22 +47,17 @@ func TestProtocolsOverTCP(t *testing.T) {
 	}()
 
 	const workers = 2
-	dial := func() []mpc.Conn {
+	coord, err := NewEngine(encTable, 1, func() ([]mpc.Conn, error) {
 		conns := make([]mpc.Conn, workers)
 		for i := range conns {
 			conn, err := mpc.Dial(ln.Addr().String())
 			if err != nil {
-				t.Fatal(err)
+				return nil, err
 			}
 			conns[i] = conn
 		}
-		return conns
-	}
-	c1, err := NewCloudC1(encTable, dial(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord, err := NewShardedC1([]Shard{&LocalShard{C1: c1, Count: 1}}, dial(), &sk.PublicKey, nil)
+		return conns, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,13 +90,10 @@ func TestProtocolsOverTCP(t *testing.T) {
 	}
 	assertMatchesOracle(t, tbl, q, 2, rows)
 
-	if c1.CommStats().BytesSent == 0 || coord.CommStats().BytesSent == 0 {
+	if coord.Workers[0].CommStats().BytesSent == 0 || coord.ShardedC1.CommStats().BytesSent == 0 {
 		t.Error("no TCP traffic accounted")
 	}
 	if err := coord.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c1.Close(); err != nil {
 		t.Fatal(err)
 	}
 	ln.Close()

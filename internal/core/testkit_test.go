@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"crypto/rand"
-	"sync"
 	"testing"
 
 	"sknn/internal/dataset"
@@ -16,25 +15,12 @@ import (
 // cross-package keyring.
 func testKey() *paillier.PrivateKey { return testkit.Key(256) }
 
-// testCloud is the paper's deployment — one C1, one C2 — the way every
-// query reaches it: a one-shard coordinator over the worker holding the
-// table. The embedded coordinator answers queries; C1 is the worker,
-// for tests that inspect its table, sessions or scans.
-type testCloud struct {
-	*ShardedC1
-	C1 *CloudC1
-}
-
-// CommStats sums the worker's scan traffic and the coordinator's.
-func (c *testCloud) CommStats() mpc.StatsSnapshot {
-	return c.C1.CommStats().Add(c.ShardedC1.CommStats())
-}
-
-// newSystem outsources tbl to a fresh federated cloud with the given
-// number of C1↔C2 connections per link pool and returns the engine plus
-// Bob's client. All goroutines and connections are torn down via
-// t.Cleanup.
-func newSystem(t *testing.T, tbl *dataset.Table, workers int) (*testCloud, *Client) {
+// newSystem outsources tbl to a fresh federated cloud — the paper's
+// deployment, one C1 worker and one C2, behind the coordinator every
+// query enters through — with the given number of C1↔C2 connections per
+// link pool and returns the engine plus Bob's client. All goroutines
+// and connections are torn down via t.Cleanup.
+func newSystem(t *testing.T, tbl *dataset.Table, workers int) (*Engine, *Client) {
 	t.Helper()
 	sk := testKey()
 	if err := tbl.Validate(); err != nil {
@@ -48,58 +34,52 @@ func newSystem(t *testing.T, tbl *dataset.Table, workers int) (*testCloud, *Clie
 }
 
 // newSystemOver is newSystem for a table already encrypted under sk.
-func newSystemOver(t *testing.T, sk *paillier.PrivateKey, encTable *EncryptedTable, workers int) (*testCloud, *Client) {
-	t.Helper()
-	return newObservedSystemOver(t, sk, encTable, workers, nil)
-}
-
-// newObservedSystemOver is newSystemOver with every C1↔C2 link, worker's
-// and coordinator's, tapped on C1's side by observe (mpc.Tap) unless it
-// is nil.
-func newObservedSystemOver(t *testing.T, sk *paillier.PrivateKey, encTable *EncryptedTable, workers int, observe func(mpc.Direction, *mpc.Message)) (*testCloud, *Client) {
+func newSystemOver(t *testing.T, sk *paillier.PrivateKey, encTable *EncryptedTable, workers int) (*Engine, *Client) {
 	t.Helper()
 	c2 := NewCloudC2(sk, nil)
-	var wg sync.WaitGroup
-	newConns := func() []mpc.Conn {
+	return newEngine(t, encTable, 1, func() []mpc.Conn {
 		conns := make([]mpc.Conn, workers)
 		for i := range conns {
-			c1Side, c2Side := mpc.ChanPipe()
-			conns[i] = c1Side
-			if observe != nil {
-				conns[i] = mpc.Tap(c1Side, observe)
-			}
-			wg.Add(1)
-			go func(conn mpc.Conn) {
-				defer wg.Done()
-				if err := c2.Serve(conn); err != nil {
-					t.Errorf("C2 serve loop: %v", err)
-				}
-			}(c2Side)
+			conns[i] = pipeTo(t, c2)
 		}
 		return conns
-	}
-	c1, err := NewCloudC1(encTable, newConns(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord, err := NewShardedC1([]Shard{&LocalShard{C1: c1, Count: 1}}, newConns(), &sk.PublicKey, nil)
+	}), NewClient(&sk.PublicKey, nil)
+}
+
+// newEngine is NewEngine with every link pool from links, closed via
+// t.Cleanup.
+func newEngine(t *testing.T, encTable *EncryptedTable, shards int, links func() []mpc.Conn) *Engine {
+	t.Helper()
+	e, err := NewEngine(encTable, shards, func() ([]mpc.Conn, error) { return links(), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		if err := coord.Close(); err != nil {
-			t.Errorf("closing coordinator: %v", err)
+		if err := e.Close(); err != nil {
+			t.Errorf("closing engine: %v", err)
 		}
-		if err := c1.Close(); err != nil {
-			t.Errorf("closing C1: %v", err)
-		}
-		wg.Wait()
 	})
-	return &testCloud{ShardedC1: coord, C1: c1}, NewClient(&sk.PublicKey, nil)
+	return e
+}
+
+// pipeTo returns C1's end of a fresh in-process link to c2. The test
+// fails if c2's serve loop ends in an error, and ends only once it has
+// returned.
+func pipeTo(t *testing.T, c2 *CloudC2) mpc.Conn {
+	c1Side, c2Side := mpc.ChanPipe()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		if err := c2.Serve(c2Side); err != nil {
+			t.Errorf("C2 serve loop: %v", err)
+		}
+	}()
+	t.Cleanup(func() { <-served })
+	return c1Side
 }
 
 // runBasic executes SkNNb end-to-end and returns Bob's unmasked records.
-func runBasic(t *testing.T, c1 *testCloud, bob *Client, q []uint64, k int) [][]uint64 {
+func runBasic(t *testing.T, c1 *Engine, bob *Client, q []uint64, k int) [][]uint64 {
 	t.Helper()
 	eq, err := bob.EncryptQuery(q)
 	if err != nil {
@@ -117,7 +97,7 @@ func runBasic(t *testing.T, c1 *testCloud, bob *Client, q []uint64, k int) [][]u
 }
 
 // runSecure executes SkNNm end-to-end and returns Bob's unmasked records.
-func runSecure(t *testing.T, c1 *testCloud, bob *Client, q []uint64, k, l int) [][]uint64 {
+func runSecure(t *testing.T, c1 *Engine, bob *Client, q []uint64, k, l int) [][]uint64 {
 	t.Helper()
 	eq, err := bob.EncryptQuery(q)
 	if err != nil {

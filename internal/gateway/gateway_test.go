@@ -648,7 +648,7 @@ func TestGatewayEndToEndCrypto(t *testing.T) {
 			t.Fatal(err)
 		}
 		c2 := core.NewCloudC2(sk, nil)
-		link := func() []mpc.Conn {
+		eng, err := core.NewEngine(encTable, 1, func() ([]mpc.Conn, error) {
 			c1Side, c2Side := mpc.ChanPipe()
 			wg.Add(1)
 			go func() {
@@ -657,13 +657,8 @@ func TestGatewayEndToEndCrypto(t *testing.T) {
 					t.Errorf("tenant %s C2 serve: %v", w.name, err)
 				}
 			}()
-			return []mpc.Conn{c1Side}
-		}
-		c1, err := core.NewCloudC1(encTable, link(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		coord, err := core.NewShardedC1([]core.Shard{&core.LocalShard{C1: c1, Count: 1}}, link(), &sk.PublicKey, nil)
+			return []mpc.Conn{c1Side}, nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -671,7 +666,7 @@ func TestGatewayEndToEndCrypto(t *testing.T) {
 			Name: w.name, Token: w.token,
 			DomainBits: tbl.DomainBits(),
 			RateQPS:    1000, MaxInflight: 2, MaxQueue: 4,
-		}, NewCoordinatorBackend(coord, c1))
+		}, NewCoordinatorBackend(eng.ShardedC1, eng.Workers[0]))
 		if err != nil {
 			t.Fatal(err)
 		}

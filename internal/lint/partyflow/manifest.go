@@ -58,6 +58,7 @@ var Manifest = map[string]string{
 	"sknn/internal/core/c2.go":        RoleC2,
 	"sknn/internal/core/client.go":    RoleClient,
 	"sknn/internal/core/core.go":      RoleC1,
+	"sknn/internal/core/engine.go":    RoleC1,
 	"sknn/internal/core/network.go":   RoleC1,
 	"sknn/internal/core/pool.go":      RoleC1,
 	"sknn/internal/core/replica.go":   RoleC1,

@@ -209,35 +209,22 @@ func TestSMINnPropertyMatchesMin(t *testing.T) {
 
 // coordinator stands the production engine up over table: a coordinator
 // over that many shard workers, one being the paper's single C1 holding
-// the table whole. One shard serves table itself, so it sees later
-// mutations; more are restored from its split snapshot. Remote workers
-// sit behind the shard wire protocol instead of in-process calls.
+// the table whole (core.NewEngine). One shard serves table itself, so it
+// sees later mutations; more are restored from its split snapshot.
+// Remote puts a coordinator of its own in front of the same workers,
+// reaching them over the shard wire protocol instead of in-process calls.
 func coordinator(t *testing.T, kc *keyCloud, table *core.EncryptedTable, shards int, remote bool) *core.ShardedC1 {
 	t.Helper()
-	tables := []*core.EncryptedTable{table}
-	if shards > 1 {
-		parts, err := table.Snapshot().Split(shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tables = make([]*core.EncryptedTable, shards)
-		for i, part := range parts {
-			if tables[i], err = core.RestoreTable(table.PK(), part); err != nil {
-				t.Fatal(err)
-			}
-		}
+	eng, err := core.NewEngine(table, shards, func() ([]mpc.Conn, error) { return kc.conns(1), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	if !remote {
+		return eng.ShardedC1
 	}
 	workers := make([]core.Shard, shards)
-	for i, shardTable := range tables {
-		c1, err := core.NewCloudC1(shardTable, kc.conns(1), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c1.Close() })
-		workers[i] = &core.LocalShard{C1: c1, Index: i, Count: shards}
-		if !remote {
-			continue
-		}
+	for i, c1 := range eng.Workers {
 		srv, err := core.NewShardServer(c1, i, shards, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -532,8 +519,8 @@ func TestSkNNbDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			id, err := table.Insert(rec, -1)
-			if err != nil {
+			id := table.NextID()
+			if err := table.InsertWithID(id, rec, -1); err != nil {
 				t.Fatal(err)
 			}
 			byID[id] = tc.insert

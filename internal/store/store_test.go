@@ -51,7 +51,7 @@ func buildTable(t *testing.T, clustered, churned bool) *core.EncryptedTable {
 		if clustered {
 			clusterID = 1
 		}
-		if _, err := tbl.Insert(rec, clusterID); err != nil {
+		if err := tbl.InsertWithID(tbl.NextID(), rec, clusterID); err != nil {
 			t.Fatal(err)
 		}
 		if err := tbl.Delete(2); err != nil {

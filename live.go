@@ -58,8 +58,8 @@ func (s *System) Insert(row []uint64) (uint64, error) {
 		return 0, err
 	}
 	defer s.end()
-	if len(row) != s.m {
-		return 0, fmt.Errorf("sknn: inserting row with %d attributes, table has %d", len(row), s.m)
+	if len(row) != s.M() {
+		return 0, fmt.Errorf("sknn: inserting row with %d attributes, table has %d", len(row), s.M())
 	}
 	limit := uint64(1) << s.attrBits
 	for j, v := range row {
@@ -160,7 +160,7 @@ func (s *System) Compact() error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	var first error
-	for _, sh := range s.shards {
+	for _, sh := range s.eng.Workers {
 		if err := s.compactShardLocked(sh); err != nil && first == nil {
 			first = err
 		}
@@ -242,7 +242,7 @@ func (s *System) DecryptTable() ([][]uint64, error) {
 		return nil, err
 	}
 	defer s.end()
-	return s.decryptRows(s.m)
+	return s.decryptRows(s.M())
 }
 
 // decryptRows decrypts the first cols attributes of every live record,
@@ -292,12 +292,12 @@ func decryptSnapshotRows(sk *paillier.PrivateKey, snap *core.TableSnapshot, cols
 // capture via writeMu when there are several so the per-shard snapshots
 // cohere.
 func (s *System) snapshot() (*core.TableSnapshot, error) {
-	if len(s.shards) == 1 {
-		return s.shards[0].Table().Snapshot(), nil
+	if len(s.eng.Workers) == 1 {
+		return s.eng.Workers[0].Table().Snapshot(), nil
 	}
 	s.writeMu.Lock()
-	parts := make([]*core.TableSnapshot, len(s.shards))
-	for i, sh := range s.shards {
+	parts := make([]*core.TableSnapshot, len(s.eng.Workers))
+	for i, sh := range s.eng.Workers {
 		parts[i] = sh.Table().Snapshot()
 	}
 	s.writeMu.Unlock()

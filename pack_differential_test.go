@@ -332,20 +332,20 @@ func TestSecureScanCostAtBenchShape(t *testing.T) {
 // the same two-layer network over the four, and the reveal.
 func TestShardedScanCostAtBenchShape(t *testing.T) {
 	sys, query := benchShapeSystem(t, 2)
-	shards := make([]mpc.StatsSnapshot, len(sys.shards))
-	for i, sh := range sys.shards {
+	shards := make([]mpc.StatsSnapshot, len(sys.eng.Workers))
+	for i, sh := range sys.eng.Workers {
 		shards[i] = sh.CommStats()
 	}
-	merge := sys.coord.CommStats()
+	merge := sys.eng.ShardedC1.CommStats()
 	if got := query().Metrics.Secure.Comm.Rounds; got != 81 {
 		t.Errorf("query took %d round trips, want 81", got)
 	}
-	for i, sh := range sys.shards {
+	for i, sh := range sys.eng.Workers {
 		if got := sh.CommStats().Sub(shards[i]).Rounds; got != 27 {
 			t.Errorf("shard %d scanned in %d round trips, want 27", i, got)
 		}
 	}
-	if got := sys.coord.CommStats().Sub(merge).Rounds; got != 27 {
+	if got := sys.eng.ShardedC1.CommStats().Sub(merge).Rounds; got != 27 {
 		t.Errorf("the merge and reveal took %d round trips, want 27", got)
 	}
 }
@@ -384,7 +384,7 @@ func TestBasicScanCostAtBenchShape(t *testing.T) {
 	frames := map[mpc.Op]int{}
 	c2 := core.NewCloudC2(sk, nil)
 	var wg sync.WaitGroup
-	links := func() []mpc.Conn {
+	coord, err := core.NewEngine(table, 1, func() ([]mpc.Conn, error) {
 		conns := make([]mpc.Conn, 2)
 		for i := range conns {
 			c1Side, c2Side := mpc.ChanPipe()
@@ -404,19 +404,13 @@ func TestBasicScanCostAtBenchShape(t *testing.T) {
 				}
 			})
 		}
-		return conns
-	}
-	c1, err := core.NewCloudC1(table, links(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord, err := core.NewShardedC1([]core.Shard{&core.LocalShard{C1: c1, Count: 1}}, links(), pk, nil)
+		return conns, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
 		coord.Close()
-		c1.Close()
 		wg.Wait()
 	}()
 	bob := core.NewClient(pk, nil)

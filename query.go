@@ -101,9 +101,9 @@ func (s *System) validateQuery(q []uint64, o *queryOptions) error {
 	if n := s.N(); o.k > n {
 		return fmt.Errorf("%w: k=%d exceeds the %d live records", ErrBadQuery, o.k, n)
 	}
-	if len(q) != s.featureM {
+	if len(q) != s.FeatureM() {
 		return fmt.Errorf("%w: query has %d attributes, table has %d feature columns",
-			ErrBadQuery, len(q), s.featureM)
+			ErrBadQuery, len(q), s.FeatureM())
 	}
 	if !(o.coverage >= 0) {
 		return fmt.Errorf("%w: coverage factor %g, want ≥ 0", ErrBadQuery, o.coverage)
@@ -242,9 +242,9 @@ func (s *System) run(ctx context.Context, q []uint64, o *queryOptions) (*Result,
 		sm  *SecureMetrics
 	)
 	if o.mode == ModeBasic {
-		res, sm, err = s.coord.BasicQuery(ctx, eq, o.k)
+		res, sm, err = s.eng.BasicQuery(ctx, eq, o.k)
 	} else {
-		res, sm, err = s.coord.SecureQuery(ctx, eq, o.k, s.domainBits, target)
+		res, sm, err = s.eng.SecureQuery(ctx, eq, o.k, s.domainBits, target)
 	}
 	if err != nil {
 		return nil, err

@@ -177,8 +177,9 @@ var ErrClosed = errors.New("sknn: system closed")
 // System wires every party of the paper in one process: Alice encrypts
 // and outsources, C1 and C2 form the federated cloud (connected by
 // in-process pipes), and Bob issues queries. It is the quickstart
-// entry point; distributed deployments compose the internal packages
-// instead.
+// entry point. Its C1 is core.NewEngine's in-process shape, the one
+// sknnd c1 also serves with its links dialled to a C2 daemon; sknnd
+// coord instead wires a coordinator over shard workers it dials.
 //
 // A System is safe for concurrent use: any number of Query and
 // QueryBatch calls may be in flight at once. Each query runs in its own
@@ -198,13 +199,10 @@ var ErrClosed = errors.New("sknn: system closed")
 // dialled by a coordinator and grouped by core.GroupReplicas.
 type System struct {
 	sk          *paillier.PrivateKey
-	coord       *core.ShardedC1 // the engine every query enters through
-	shards      []*core.CloudC1 // the shard workers behind coord; shards[i] owns ids ≡ i mod S
+	eng         *core.Engine // the coordinator every query enters through, over Shards workers
 	client      *core.Client
 	domainBits  int
 	attrBits    int // per-attribute domain, bounds Insert values
-	m           int
-	featureM    int // distance-relevant prefix; queries carry this many attributes
 	index       IndexMode
 	cfgClusters int     // requested cluster count (0 = ⌈√n⌉), reused by Compact rebuilds
 	coverage    float64 // candidate-pool factor when index == IndexClustered
@@ -336,10 +334,10 @@ func normalizeConfig(cfg *Config) error {
 // assemble stands up the federated cloud around an already-encrypted
 // table: the shared back half of New (fresh encryption) and LoadTable
 // (snapshot reload — note no encryption happens here, which is what
-// keeps the load path encrypt-free). It always builds the same thing —
-// shard workers and a coordinator over them. One shard serves encTable
-// as it stands; more split it by stable id mod Shards, pure
-// ciphertext-pointer shuffling.
+// keeps the load path encrypt-free). core.NewEngine builds the one
+// shape — Shards workers and a coordinator over them — and one
+// in-process C2 serves every link of it, shard pools and the
+// coordinator's merge pool alike (its handlers are stateless).
 func assemble(sk *paillier.PrivateKey, encTable *core.EncryptedTable, domainBits int, cfg Config) (*System, error) {
 	index := IndexNone
 	if encTable.Clustered() {
@@ -350,8 +348,6 @@ func assemble(sk *paillier.PrivateKey, encTable *core.EncryptedTable, domainBits
 		client:      core.NewClient(&sk.PublicKey, nil),
 		domainBits:  domainBits,
 		attrBits:    encTable.AttrBits(),
-		m:           encTable.M(),
-		featureM:    encTable.FeatureM(),
 		index:       index,
 		cfgClusters: cfg.Clusters,
 		coverage:    cfg.Coverage,
@@ -359,10 +355,8 @@ func assemble(sk *paillier.PrivateKey, encTable *core.EncryptedTable, domainBits
 		closeDone:   make(chan struct{}),
 	}
 	c2 := core.NewCloudC2(sk, nil)
-	// One in-process C2 serves every link — shard pools and the
-	// coordinator's merge pool alike (its handlers are stateless).
-	newConns := func(n int) []mpc.Conn {
-		conns := make([]mpc.Conn, n)
+	pool := func() ([]mpc.Conn, error) {
+		conns := make([]mpc.Conn, cfg.Workers)
 		for i := range conns {
 			c1Side, c2Side := mpc.ChanPipe()
 			conns[i] = c1Side
@@ -375,53 +369,20 @@ func assemble(sk *paillier.PrivateKey, encTable *core.EncryptedTable, domainBits
 				_ = c2.ServeConcurrent(conn, c2ServeInflight)
 			}(c2Side)
 		}
-		return conns
-	}
-	fail := func(err error) (*System, error) {
-		for _, sh := range sys.shards {
-			sh.Close()
-		}
-		sys.serveWG.Wait()
-		return nil, err
-	}
-
-	// One table per shard, each served by an independent worker with its
-	// own link pool to C2. A lone shard keeps encTable itself — no copy,
-	// and the packed renderings it has memoized stay warm.
-	tables := []*core.EncryptedTable{encTable}
-	if cfg.Shards > 1 {
-		parts, err := encTable.Snapshot().Split(cfg.Shards)
-		if err != nil {
-			return fail(fmt.Errorf("sknn: sharding table: %w", err))
-		}
-		tables = make([]*core.EncryptedTable, cfg.Shards)
-		for i, part := range parts {
-			if tables[i], err = core.RestoreTable(&sk.PublicKey, part); err != nil {
-				return fail(fmt.Errorf("sknn: shard %d table: %w", i, err))
-			}
-		}
-	}
-	workers := make([]core.Shard, cfg.Shards)
-	for i, shardTable := range tables {
-		c1, err := core.NewCloudC1(shardTable, newConns(cfg.Workers), nil)
-		if err != nil {
-			return fail(fmt.Errorf("sknn: wiring shard %d: %w", i, err))
-		}
-		sys.shards = append(sys.shards, c1)
-		workers[i] = &core.LocalShard{C1: c1, Index: i, Count: cfg.Shards}
+		return conns, nil
 	}
 	var err error
-	sys.coord, err = core.NewShardedC1(workers, newConns(cfg.Workers), &sk.PublicKey, nil)
-	if err != nil {
-		return fail(fmt.Errorf("sknn: wiring coordinator: %w", err))
+	if sys.eng, err = core.NewEngine(encTable, cfg.Shards, pool); err != nil {
+		sys.serveWG.Wait() // NewEngine closed every link it was handed
+		return nil, fmt.Errorf("sknn: %w", err)
 	}
 	return sys, nil
 }
 
 // tables lists the live tables, one per shard.
 func (s *System) tables() []*core.EncryptedTable {
-	out := make([]*core.EncryptedTable, len(s.shards))
-	for i, sh := range s.shards {
+	out := make([]*core.EncryptedTable, len(s.eng.Workers))
+	for i, sh := range s.eng.Workers {
 		out[i] = sh.Table()
 	}
 	return out
@@ -430,22 +391,16 @@ func (s *System) tables() []*core.EncryptedTable {
 // shardFor routes a stable record id to the worker of its owning
 // partition (id mod S).
 func (s *System) shardFor(id uint64) *core.CloudC1 {
-	return s.shards[id%uint64(len(s.shards))]
+	return s.eng.Workers[id%uint64(len(s.eng.Workers))]
 }
 
 // N returns the number of live outsourced records: the initial table
 // plus Inserts, minus Deletes. Tombstoned rows awaiting Compact are not
 // counted.
-func (s *System) N() int {
-	n := 0
-	for _, t := range s.tables() {
-		n += t.N()
-	}
-	return n
-}
+func (s *System) N() int { return s.eng.N() }
 
 // M returns the number of attributes.
-func (s *System) M() int { return s.m }
+func (s *System) M() int { return s.eng.M() }
 
 // DomainBits returns l, the squared-distance domain size SkNNm uses.
 func (s *System) DomainBits() int { return s.domainBits }
@@ -455,10 +410,10 @@ func (s *System) DomainBits() int { return s.domainBits }
 func (s *System) PublicKey() *paillier.PublicKey { return &s.sk.PublicKey }
 
 // Workers reports the configured links per link pool.
-func (s *System) Workers() int { return s.shards[0].Workers() }
+func (s *System) Workers() int { return s.eng.Workers[0].Workers() }
 
 // Shards reports the partition width (1 when the table is served whole).
-func (s *System) Shards() int { return len(s.shards) }
+func (s *System) Shards() int { return s.eng.Shards() }
 
 // Index reports the configured SkNNm scan strategy.
 func (s *System) Index() IndexMode { return s.index }
@@ -477,17 +432,11 @@ func (s *System) Clusters() int {
 // FeatureM returns how many leading attributes participate in distance
 // computation — the dimension a query vector must have (equal to M
 // unless Config.FeatureColumns narrowed it).
-func (s *System) FeatureM() int { return s.featureM }
+func (s *System) FeatureM() int { return s.eng.FeatureM() }
 
 // CommStats reports cumulative C1↔C2 traffic over every link pool
 // (shard workers and coordinator included).
-func (s *System) CommStats() mpc.StatsSnapshot {
-	total := s.coord.CommStats()
-	for _, sh := range s.shards {
-		total = total.Add(sh.CommStats())
-	}
-	return total
-}
+func (s *System) CommStats() mpc.StatsSnapshot { return s.eng.CommStats() }
 
 // begin registers an in-flight query so Close can drain instead of
 // dropping it.
@@ -518,13 +467,7 @@ func (s *System) Close() error {
 	s.closed = true
 	s.mu.Unlock()
 	s.inflight.Wait()
-	first := s.coord.Close()
-	for _, sh := range s.shards {
-		if err := sh.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	s.closeErr = first
+	s.closeErr = s.eng.Close()
 	s.serveWG.Wait()
 	close(s.closeDone)
 	return s.closeErr
