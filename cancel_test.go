@@ -3,6 +3,7 @@ package sknn
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -295,6 +296,38 @@ func TestQueryValidation(t *testing.T) {
 	// A valid request still passes, proving validation is not overeager.
 	if _, err := sys.Query(ctx, q, WithK(1), WithMode(ModeBasic)); err != nil {
 		t.Fatalf("valid query rejected: %v", err)
+	}
+}
+
+// TestSecureQueryOutsideDomain: SkNNm's comparators hold |q−t|² below
+// 2^l only while every query attribute is inside the table's domain. At
+// b = 4, m = 2 (l = 10) the query (300, 2) used to come back with wrong
+// neighbours and a nil error; it is refused before any encryption.
+// SkNNb decrypts its distances and stays exact for any uint64, and the
+// domain's top value is still a valid SkNNm query.
+func TestSecureQueryOutsideDomain(t *testing.T) {
+	tbl, _ := dataset.Generate(743, 8, 2, 4)
+	sys := newTestSystem(t, tbl.Rows, 4, 1)
+	const k = 2
+	far := []uint64{300, 2}
+	enc0 := paillier.EncryptCalls()
+	_, err := sys.Query(context.Background(), far, WithK(k), WithMode(ModeSecure))
+	if !errors.Is(err, ErrBadQuery) || !errors.Is(err, dataset.ErrValueTooLarge) {
+		t.Fatalf("SkNNm query %v on a 4-bit table: err = %v, want ErrBadQuery wrapping ErrValueTooLarge", far, err)
+	}
+	if d := paillier.EncryptCalls() - enc0; d != 0 {
+		t.Errorf("refused query performed %d encryptions, want 0", d)
+	}
+	for _, c := range []struct {
+		q    []uint64
+		mode Mode
+	}{{far, ModeBasic}, {[]uint64{15, 15}, ModeSecure}} {
+		got := queryDistances(t, sys, c.q, k, c.mode)
+		want, _ := plainknn.KDistances(tbl.Rows, c.q, k)
+		sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("mode %v query %v: distances %v, oracle %v", c.mode, c.q, got, want)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sknn/internal/core"
+	"sknn/internal/dataset"
 	"sknn/internal/mpc"
 	"sknn/internal/paillier"
 	"sknn/internal/plainknn"
@@ -163,11 +164,18 @@ func (e *engine) Close() error {
 
 // query answers one query, playing Bob around the engine: encrypt,
 // run the protocol mode names, unmask — and for SkNNm, whose answer is a
-// set, rank the rows nearest first. A positive target selects the
+// set, rank the rows nearest first. An SkNNm query with an attribute
+// outside the table's domain is refused before encryption
+// (dataset.ErrValueTooLarge). A positive target selects the
 // pruned scan on clustered shards; a positive timeout bounds the whole
 // scatter and merge — expiry cancels every outstanding shard scan within
 // one protocol round.
 func (e *engine) query(base context.Context, bob *core.Client, q []uint64, k int, mode string, target int, timeout time.Duration) ([][]uint64, error) {
+	if mode == "secure" {
+		if err := dataset.CheckQuery(q, e.coord.AttrBits()); err != nil {
+			return nil, err
+		}
+	}
 	eq, err := bob.EncryptQuery(q)
 	if err != nil {
 		return nil, err

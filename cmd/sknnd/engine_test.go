@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"crypto/rand"
+	"errors"
 	"net"
 	"path/filepath"
 	"sort"
@@ -66,7 +67,7 @@ func serveC2(t *testing.T, sk *paillier.PrivateKey) string {
 // serveShard is `sknnd shard -replica replica` over one partition,
 // announcing domain size l. It returns the address to dial and the
 // worker, whose Close stops it answering scans.
-func serveShard(t *testing.T, pk *paillier.PublicKey, part *core.TableSnapshot, c2Addr string, index, count, replica, l int) (string, *core.CloudC1) {
+func serveShard(t *testing.T, pk *paillier.PublicKey, part *core.TableSnapshot, c2Addr string, index, count, l int) (string, *core.CloudC1) {
 	t.Helper()
 	table, err := core.RestoreTable(pk, part)
 	if err != nil {
@@ -85,12 +86,9 @@ func serveShard(t *testing.T, pk *paillier.PublicKey, part *core.TableSnapshot, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.SetReplica(replica); err != nil {
-		t.Fatal(err)
-	}
 	return listen(t, func(conn mpc.Conn) {
 		if err := srv.Serve(conn); err != nil {
-			t.Errorf("shard %d replica %d session: %v", index, replica, err)
+			t.Errorf("shard %d session: %v", index, err)
 		}
 	}), c1
 }
@@ -139,7 +137,7 @@ func TestBuildEngine(t *testing.T) {
 	c2Addr := serveC2(t, sk)
 	shardAddrs := make([]string, len(parts))
 	for i, part := range parts {
-		shardAddrs[i], _ = serveShard(t, pk, part, c2Addr, i, 2, 0, l)
+		shardAddrs[i], _ = serveShard(t, pk, part, c2Addr, i, 2, l)
 	}
 	// Two more workers per partition, listed replica by replica as an
 	// operator would: buildEngine groups them into two replica sets.
@@ -147,7 +145,7 @@ func TestBuildEngine(t *testing.T) {
 	var preferred *core.CloudC1 // replica 0 of shard 0: the balancer's first pick
 	for r := 0; r < 2; r++ {
 		for i, part := range parts {
-			addr, c1 := serveShard(t, pk, part, c2Addr, i, 2, r, l)
+			addr, c1 := serveShard(t, pk, part, c2Addr, i, 2, l)
 			replicaAddrs = append(replicaAddrs, addr)
 			if i == 0 && r == 0 {
 				preferred = c1
@@ -243,6 +241,16 @@ func TestBuildEngine(t *testing.T) {
 			if _, err := eng.query(context.Background(), bob, []uint64{1, 1}, k, "fast", 0, 0); err == nil {
 				t.Error("unknown mode accepted")
 			}
+			// 16 is outside the 4-bit domain: SkNNm refuses it before
+			// encrypting, SkNNb answers it exactly.
+			if _, err := eng.query(context.Background(), bob, []uint64{16, 1}, k, "secure", 0, 0); !errors.Is(err, dataset.ErrValueTooLarge) {
+				t.Errorf("out-of-domain secure query = %v, want ErrValueTooLarge", err)
+			}
+			rows, err := eng.query(context.Background(), bob, []uint64{16, 1}, k, "basic", 0, 0)
+			if err != nil {
+				t.Fatalf("out-of-domain basic query: %v", err)
+			}
+			checkRows(t, "basic", []uint64{16, 1}, rows)
 			if tc.shards == 1 {
 				// The width came off the snapshot header, so SkNNb rode the
 				// packed kernels: a ciphertext up and one down per record, the
@@ -277,8 +285,8 @@ func TestBuildEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		foreignShard, _ := serveShard(t, &other.PublicKey, foreignParts[1], serveC2(t, other), 1, 2, 0, l)
-		otherL, _ := serveShard(t, pk, parts[1], c2Addr, 1, 2, 0, l+1)
+		foreignShard, _ := serveShard(t, &other.PublicKey, foreignParts[1], serveC2(t, other), 1, 2, l)
+		otherL, _ := serveShard(t, pk, parts[1], c2Addr, 1, 2, l+1)
 		for _, tc := range []struct {
 			name string
 			spec tenantSpec

@@ -302,6 +302,8 @@ func fatalQueryErr(i int, q []uint64, err error) {
 		log.Fatalf("query %d %v aborted: core.ErrCanceled (context.DeadlineExceeded, -timeout elapsed)", i, q)
 	case errors.Is(err, core.ErrCanceled):
 		log.Fatalf("query %d %v aborted: core.ErrCanceled (%v)", i, q, err)
+	case errors.Is(err, dataset.ErrValueTooLarge):
+		log.Fatalf("query %d %v refused: dataset.ErrValueTooLarge (%v)", i, q, err)
 	default:
 		log.Fatalf("query %d %v: %v", i, q, err)
 	}
@@ -340,7 +342,6 @@ func cmdShard(args []string) {
 	connect := fs.String("connect", "127.0.0.1:7002", "C2 address")
 	listen := fs.String("listen", ":7101", "TCP listen address for coordinators")
 	workers := fs.Int("workers", 1, "parallel connections to C2")
-	replica := fs.Int("replica", 0, "this worker's ordinal within its shard's replica set")
 	token := fs.String("token", "", "pre-shared token coordinators must prove (empty = open listener)")
 	c2Token := fs.String("c2-token", "", "pre-shared token the C2 listener requires")
 	rate := fs.Float64("rate", 0, "per-connection frame rate limit, frames/sec (0 = unlimited)")
@@ -371,15 +372,12 @@ func cmdShard(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := srv.SetReplica(*replica); err != nil {
-		log.Fatal(err)
-	}
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "shard %d/%d replica %d (%d records, index clustered=%v) serving on %s, C2 at %s\n",
-		snap.ShardIndex, snap.ShardCount, *replica, c1.Table().N(), c1.Table().Clustered(), ln.Addr(), *connect)
+	fmt.Fprintf(os.Stderr, "shard %d/%d (%d records, index clustered=%v) serving on %s, C2 at %s\n",
+		snap.ShardIndex, snap.ShardCount, c1.Table().N(), c1.Table().Clustered(), ln.Addr(), *connect)
 	serveUntilSignal(ln, *drain, nil, func(netConn net.Conn) {
 		defer netConn.Close()
 		conn, err := guard(netConn, *token, *rate, *burst)
@@ -391,7 +389,7 @@ func cmdShard(args []string) {
 			log.Printf("coordinator session from %s: %v", netConn.RemoteAddr(), err)
 		}
 	})
-	fmt.Fprintf(os.Stderr, "shard %d/%d replica %d drained\n", snap.ShardIndex, snap.ShardCount, *replica)
+	fmt.Fprintf(os.Stderr, "shard %d/%d drained\n", snap.ShardIndex, snap.ShardCount)
 }
 
 // collectQueries merges the -q list and the -qfile lines.

@@ -146,9 +146,7 @@ func (rs *ReplicaSet) Info() ShardInfo {
 		}
 	}
 	rs.mu.Unlock()
-	info := rs.replicas[pick].Info()
-	info.Replica = pick
-	return info
+	return rs.replicas[pick].Info()
 }
 
 // pick reserves a scan slot on the least-loaded live replica and

@@ -268,9 +268,6 @@ func newReplicatedSystem(t *testing.T, tbl *dataset.Table, shards, replicas int,
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := srv.SetReplica(r); err != nil {
-					t.Fatal(err)
-				}
 				coordSide, shardSide := mpc.ChanPipe()
 				wg.Add(1)
 				go func(conn mpc.Conn) {
@@ -282,9 +279,6 @@ func newReplicatedSystem(t *testing.T, tbl *dataset.Table, shards, replicas int,
 				rsh, err := DialShard(coordSide)
 				if err != nil {
 					t.Fatal(err)
-				}
-				if rsh.Info().Replica != r {
-					t.Fatalf("hello announced replica %d, want %d", rsh.Info().Replica, r)
 				}
 				group[r] = rsh
 				kills[r] = func() { coordSide.Close() }

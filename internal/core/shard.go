@@ -42,10 +42,6 @@ type ShardInfo struct {
 	FeatureM  int
 	AttrBits  int // the table's attribute width
 	Clustered bool
-	// Replica is this worker's ordinal within its shard's replica set —
-	// identification for operators and failover accounting only; replicas
-	// of one shard serve the same snapshot and are interchangeable.
-	Replica int
 }
 
 // Shard is one partition worker the coordinator scatters to: a local
@@ -195,6 +191,10 @@ func (c *ShardedC1) M() int { return c.m }
 
 // FeatureM reports the feature-column count every shard agreed on.
 func (c *ShardedC1) FeatureM() int { return c.featM }
+
+// AttrBits reports the attribute width b every shard agreed on: every
+// column is below 2^b, and so must every SkNNm query attribute be.
+func (c *ShardedC1) AttrBits() int { return c.attrBits }
 
 // N sums the live records over every shard.
 func (c *ShardedC1) N() int {

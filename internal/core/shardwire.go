@@ -23,7 +23,7 @@ import (
 //
 //	OpShardHello  req: []
 //	              rep: [N, index, count, n, m, featureM, clustered,
-//	                    attrBits, domainBits, replica]
+//	                    attrBits, domainBits]
 //	OpShardTopK   req: [k, l, target, secure, q₁…q_f]   (qᵢ encrypted)
 //	              rep: [n, count, sminCount, candidates, clustersProbed,
 //	                    totalNanos, cols, bits, then per candidate:
@@ -90,7 +90,6 @@ func encodeHello(pkN *big.Int, info ShardInfo, domainBits int) *mpc.Message {
 		big.NewInt(int64(info.N)), big.NewInt(int64(info.M)),
 		big.NewInt(int64(info.FeatureM)), big.NewInt(clustered),
 		big.NewInt(int64(info.AttrBits)), big.NewInt(int64(domainBits)),
-		big.NewInt(int64(info.Replica)),
 	}}
 }
 
@@ -99,11 +98,11 @@ func encodeHello(pkN *big.Int, info ShardInfo, domainBits int) *mpc.Message {
 // the coordinator makes for this shard's candidates.
 func decodeHello(resp *mpc.Message) (shardHello, error) {
 	var h shardHello
-	if len(resp.Ints) != 10 {
-		return h, fmt.Errorf("%w: shard hello reply has %d ints, want 10", ErrBadFrame, len(resp.Ints))
+	if len(resp.Ints) != 9 {
+		return h, fmt.Errorf("%w: shard hello reply has %d ints, want 9", ErrBadFrame, len(resp.Ints))
 	}
-	vals := make([]int, 9)
-	for i := 1; i < 10; i++ {
+	vals := make([]int, 8)
+	for i := 1; i < 9; i++ {
 		if resp.Ints[i] == nil || !resp.Ints[i].IsInt64() {
 			return h, fmt.Errorf("%w: shard hello field %d", ErrBadFrame, i)
 		}
@@ -117,7 +116,6 @@ func decodeHello(resp *mpc.Message) (shardHello, error) {
 		FeatureM:  vals[4],
 		Clustered: vals[5] != 0,
 		AttrBits:  vals[6],
-		Replica:   vals[8],
 	}
 	h.domainBits = vals[7]
 	info := h.info
@@ -131,9 +129,6 @@ func decodeHello(resp *mpc.Message) (shardHello, error) {
 		h.domainBits < 0 || h.domainBits > maxShardDomainBits {
 		return h, fmt.Errorf("%w: shard hello declares attrBits=%d domainBits=%d",
 			ErrBadFrame, info.AttrBits, h.domainBits)
-	}
-	if info.Replica < 0 || info.Replica >= maxShardReplicas {
-		return h, fmt.Errorf("%w: shard hello declares replica %d", ErrBadFrame, info.Replica)
 	}
 	// Last, once the cheap fields hold: the key's nonce kernel costs an
 	// exponentiation.
@@ -307,7 +302,6 @@ type ShardServer struct {
 	c1         *CloudC1
 	index      int
 	count      int
-	replica    int
 	domainBits int
 }
 
@@ -322,18 +316,6 @@ func NewShardServer(c1 *CloudC1, index, count, domainBits int) (*ShardServer, er
 	return &ShardServer{c1: c1, index: index, count: count, domainBits: domainBits}, nil
 }
 
-// SetReplica declares this worker's ordinal within its shard's replica
-// set, announced in the hello so coordinators and operators can tell
-// interchangeable workers apart. Call before Serve; replica 0 is the
-// default.
-func (s *ShardServer) SetReplica(r int) error {
-	if r < 0 || r >= maxShardReplicas {
-		return fmt.Errorf("%w: replica %d", ErrShardTopology, r)
-	}
-	s.replica = r
-	return nil
-}
-
 // Mux returns the coordinator-facing dispatcher.
 func (s *ShardServer) Mux() *mpc.Mux {
 	mux := mpc.NewMux()
@@ -345,15 +327,11 @@ func (s *ShardServer) Mux() *mpc.Mux {
 // Serve answers coordinator frames on conn until the peer closes.
 func (s *ShardServer) Serve(conn mpc.Conn) error { return mpc.Serve(conn, s.Mux()) }
 
-// info is the worker's current shape, as an in-process shard reports it.
-func (s *ShardServer) info() ShardInfo {
-	info := (&LocalShard{C1: s.c1, Index: s.index, Count: s.count}).Info()
-	info.Replica = s.replica
-	return info
-}
-
+// handleHello announces the worker's current shape, as an in-process
+// shard reports it.
 func (s *ShardServer) handleHello(*mpc.Message) (*mpc.Message, error) {
-	return encodeHello(s.c1.Table().PK().N, s.info(), s.domainBits), nil
+	info := (&LocalShard{C1: s.c1, Index: s.index, Count: s.count}).Info()
+	return encodeHello(s.c1.Table().PK().N, info, s.domainBits), nil
 }
 
 func (s *ShardServer) handleTopK(req *mpc.Message) (*mpc.Message, error) {

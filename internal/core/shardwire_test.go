@@ -13,22 +13,17 @@ import (
 // helloReply builds a hello frame with the given shape fields, using a
 // plausible modulus.
 func helloReply(index, count, n, m, featureM, clustered, attrBits, domainBits int64) *mpc.Message {
-	return helloReplyR(index, count, n, m, featureM, clustered, attrBits, domainBits, 0)
-}
-
-func helloReplyR(index, count, n, m, featureM, clustered, attrBits, domainBits, replica int64) *mpc.Message {
 	mod := new(big.Int).Lsh(big.NewInt(1), 1024)
 	mod.Add(mod, big.NewInt(1)) // odd, as every p·q is
-	return helloWithModulus(mod, index, count, n, m, featureM, clustered, attrBits, domainBits, replica)
+	return helloWithModulus(mod, index, count, n, m, featureM, clustered, attrBits, domainBits)
 }
 
-func helloWithModulus(mod *big.Int, index, count, n, m, featureM, clustered, attrBits, domainBits, replica int64) *mpc.Message {
+func helloWithModulus(mod *big.Int, index, count, n, m, featureM, clustered, attrBits, domainBits int64) *mpc.Message {
 	return &mpc.Message{Op: OpShardHello, Ints: []*big.Int{
 		mod,
 		big.NewInt(index), big.NewInt(count), big.NewInt(n), big.NewInt(m),
 		big.NewInt(featureM), big.NewInt(clustered),
 		big.NewInt(attrBits), big.NewInt(domainBits),
-		big.NewInt(replica),
 	}}
 }
 
@@ -51,10 +46,8 @@ func TestDecodeHelloBounds(t *testing.T) {
 		{"negative domainBits", helloReply(0, 1, 10, 4, 2, 0, 32, -1)},
 		{"featureM over M", helloReply(0, 1, 10, 4, 5, 0, 32, 96)},
 		{"index out of range", helloReply(3, 2, 10, 4, 2, 0, 32, 96)},
-		{"negative replica", helloReplyR(0, 1, 10, 4, 2, 0, 32, 96, -1)},
-		{"huge replica", helloReplyR(0, 1, 10, 4, 2, 0, 32, 96, maxShardReplicas)},
-		{"nil field", &mpc.Message{Op: OpShardHello, Ints: make([]*big.Int, 10)}},
-		{"old 9-int frame", &mpc.Message{Op: OpShardHello, Ints: helloReply(0, 1, 10, 4, 2, 0, 32, 96).Ints[:9]}},
+		{"nil field", &mpc.Message{Op: OpShardHello, Ints: make([]*big.Int, 9)}},
+		{"replica-era 10-int frame", &mpc.Message{Op: OpShardHello, Ints: append(helloReply(0, 1, 10, 4, 2, 0, 32, 96).Ints, big.NewInt(0))}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -70,7 +63,7 @@ func TestDecodeHelloBounds(t *testing.T) {
 // whose arithmetic fails later.
 func TestDecodeHelloHostileModulus(t *testing.T) {
 	for name, mod := range testkit.HostileModuli() {
-		if _, err := decodeHello(helloWithModulus(mod, 0, 1, 10, 4, 2, 0, 32, 96, 0)); !errors.Is(err, ErrBadFrame) {
+		if _, err := decodeHello(helloWithModulus(mod, 0, 1, 10, 4, 2, 0, 32, 96)); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("modulus %s: err = %v, want ErrBadFrame", name, err)
 		}
 	}
@@ -79,13 +72,13 @@ func TestDecodeHelloHostileModulus(t *testing.T) {
 // TestDecodeHelloAccepts pins the valid path so the bounds stay bounds,
 // not rejections of legitimate shards.
 func TestDecodeHelloAccepts(t *testing.T) {
-	h, err := decodeHello(helloReplyR(1, 3, 1000, 6, 2, 1, 32, 96, 2))
+	h, err := decodeHello(helloReply(1, 3, 1000, 6, 2, 1, 32, 96))
 	if err != nil {
 		t.Fatalf("decodeHello: %v", err)
 	}
 	if h.info.Index != 1 || h.info.Count != 3 || h.info.N != 1000 ||
 		h.info.M != 6 || h.info.FeatureM != 2 || !h.info.Clustered ||
-		h.info.AttrBits != 32 || h.domainBits != 96 || h.info.Replica != 2 {
+		h.info.AttrBits != 32 || h.domainBits != 96 {
 		t.Fatalf("decodeHello = %+v", h)
 	}
 	if h.pk == nil || h.pk.NSquared.BitLen() < 2048 {
@@ -227,7 +220,7 @@ func FuzzShardFrame(f *testing.F) {
 	f.Add([]byte{9, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	for _, mod := range testkit.HostileModuli() {
 		if mod != nil && mod.Sign() >= 0 { // what the byte layout below can carry
-			f.Add(fuzzInts(helloWithModulus(mod, 1, 3, 1000, 6, 2, 1, 32, 96, 0).Ints))
+			f.Add(fuzzInts(helloWithModulus(mod, 1, 3, 1000, 6, 2, 1, 32, 96).Ints))
 		}
 	}
 	// Top-k replies for the fixed shape below: a row-packed candidate, a

@@ -74,6 +74,23 @@ func (t *Table) Validate() error {
 	return nil
 }
 
+// CheckQuery reports the first attribute of q at or above 2^attrBits as
+// ErrValueTooLarge. SkNNm needs every query attribute inside the table's
+// domain: its comparators hold a squared distance below 2^l only there.
+// SkNNb decrypts its distances and takes any uint64.
+func CheckQuery(q []uint64, attrBits int) error {
+	if attrBits >= 64 {
+		return nil
+	}
+	limit := uint64(1) << attrBits
+	for j, v := range q {
+		if v >= limit {
+			return fmt.Errorf("%w: query attribute %d value %d ≥ 2^%d", ErrValueTooLarge, j, v, attrBits)
+		}
+	}
+	return nil
+}
+
 // DomainBits returns l for the table: one more than the bit length of
 // the largest possible squared Euclidean distance, m·(2^b−1)², which is
 // what SkNNm's bit decomposition must accommodate.

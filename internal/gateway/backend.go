@@ -19,9 +19,11 @@ type Backend interface {
 	SecureQuery(ctx context.Context, q core.EncryptedQuery, k, domainBits, target int) (*core.MaskedResult, *core.SecureMetrics, error)
 	// BasicQuery runs SkNNb.
 	BasicQuery(ctx context.Context, q core.EncryptedQuery, k int) (*core.MaskedResult, error)
-	// N reports the live record count, M the table shape.
+	// N reports the live record count, M the table shape, AttrBits the
+	// attribute width b (every column is below 2^b).
 	N() int
 	M() (m, featureM int)
+	AttrBits() int
 	// PK is the public key the tenant's table is encrypted under.
 	PK() *paillier.PublicKey
 	// Close releases the backend's resources (link pools, shard dials).
@@ -53,6 +55,7 @@ func (b *coordinatorBackend) BasicQuery(ctx context.Context, q core.EncryptedQue
 
 func (b *coordinatorBackend) N() int                  { return b.coord.N() }
 func (b *coordinatorBackend) M() (int, int)           { return b.coord.M(), b.coord.FeatureM() }
+func (b *coordinatorBackend) AttrBits() int           { return b.coord.AttrBits() }
 func (b *coordinatorBackend) PK() *paillier.PublicKey { return b.coord.PK() }
 
 func (b *coordinatorBackend) Close() error {

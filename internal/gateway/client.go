@@ -6,8 +6,8 @@ import (
 	"sync"
 
 	"sknn/internal/core"
+	"sknn/internal/dataset"
 	"sknn/internal/mpc"
-	"sknn/internal/paillier"
 )
 
 // TenantClient is Bob's edge against the gateway: it runs the tenant
@@ -16,11 +16,8 @@ import (
 // sees plaintext. One client drives one connection serially; open more
 // clients for concurrency.
 type TenantClient struct {
-	client *core.Client
-	pk     *paillier.PublicKey
-	n      int
-	m      int
-	featM  int
+	gateWelcome // the tenant's key and table shape
+	client      *core.Client
 
 	mu   sync.Mutex
 	conn mpc.Conn // guarded by mu; one query frame in flight at a time
@@ -38,41 +35,28 @@ func ctxErr(ctx context.Context) error {
 	return nil
 }
 
-// DialTenant authenticates conn as the named tenant and returns a query
-// client bound to it. On any failure the connection is closed: a
-// half-authenticated connection is useless to the caller.
+// DialTenant authenticates conn as the named tenant — mpc's token
+// handshake with the name bound into the MAC, whose accept frame is the
+// welcome — and returns a query client bound to it. On any failure the
+// connection is closed: a half-authenticated connection is useless to
+// the caller.
 func DialTenant(conn mpc.Conn, name, token string) (*TenantClient, error) {
 	w, err := tenantHandshake(conn, name, token)
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
-	return &TenantClient{
-		client: core.NewClient(w.pk, nil),
-		pk:     w.pk,
-		n:      w.n, m: w.m, featM: w.featureM,
-		conn: conn,
-	}, nil
+	return &TenantClient{gateWelcome: w, client: core.NewClient(w.pk, nil), conn: conn}, nil
 }
 
-// tenantHandshake runs the hello/proof exchange and returns the decoded
-// welcome.
+// tenantHandshake runs the named handshake and decodes its welcome.
 func tenantHandshake(conn mpc.Conn, name, token string) (gateWelcome, error) {
-	var w gateWelcome
 	if !ValidTenantName(name) {
-		return w, fmt.Errorf("%w: invalid tenant name %q", ErrGateAuth, name)
+		return gateWelcome{}, fmt.Errorf("%w: invalid tenant name %q", ErrGateAuth, name)
 	}
-	challenge, err := mpc.RoundTrip(conn, encodeGateHello(name))
+	welcome, err := mpc.AuthClientNamed(conn, name, token)
 	if err != nil {
-		return w, fmt.Errorf("%w: hello: %w", ErrGateAuth, err)
-	}
-	nonce, err := decodeGateChallenge(challenge)
-	if err != nil {
-		return w, err
-	}
-	welcome, err := mpc.RoundTrip(conn, encodeGateProof(tenantMAC(token, nonce, name)))
-	if err != nil {
-		return w, fmt.Errorf("%w: proof: %w", ErrGateAuth, err)
+		return gateWelcome{}, fmt.Errorf("%w: %w", ErrGateAuth, err)
 	}
 	return decodeGateWelcome(welcome)
 }
@@ -81,23 +65,29 @@ func tenantHandshake(conn mpc.Conn, name, token string) (gateWelcome, error) {
 func (c *TenantClient) N() int { return c.n }
 
 // M reports the tenant table's total and feature attribute counts.
-func (c *TenantClient) M() (m, featureM int) { return c.m, c.featM }
+func (c *TenantClient) M() (m, featureM int) { return c.m, c.featureM }
 
 // Query runs one k-NN query: encrypt locally, one round trip to the
 // gateway, unmask locally. secure selects SkNNm (oblivious) over SkNNb.
 // It returns the k records (m attributes each), nearest first, and, for
 // basic queries, their record ids (nil under SkNNm, which hides them by
-// design).
+// design). An SkNNm query with an attribute outside the table's domain
+// is refused before encryption (dataset.ErrValueTooLarge).
 func (c *TenantClient) Query(ctx context.Context, q []uint64, k int, secure bool) ([][]uint64, []uint64, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, nil, err
 	}
-	if len(q) != c.featM {
+	if len(q) != c.featureM {
 		return nil, nil, fmt.Errorf("%w: query has %d attributes, table has %d",
-			core.ErrDimension, len(q), c.featM)
+			core.ErrDimension, len(q), c.featureM)
 	}
 	if k < 1 || k > maxGateK {
 		return nil, nil, fmt.Errorf("%w: k=%d (cap %d)", core.ErrBadK, k, maxGateK)
+	}
+	if secure {
+		if err := dataset.CheckQuery(q, c.attrBits); err != nil {
+			return nil, nil, err
+		}
 	}
 	eq, err := c.client.EncryptQuery(q)
 	if err != nil {

@@ -18,10 +18,9 @@ package gateway
 
 import (
 	"context"
-	"crypto/hmac"
-	"crypto/rand"
 	"errors"
 	"fmt"
+	"math/big"
 	"sync"
 	"time"
 
@@ -129,16 +128,6 @@ func (g *Gateway) Close() error {
 	return err
 }
 
-// refuse sends the uniform authentication refusal. The wording matches
-// mpc's transport-level refusal on purpose: a prober learns a token is
-// required, not which tenant exists or which step failed.
-func refuse(conn mpc.Conn) {
-	// Best-effort: the connection is being dropped either way.
-	if err := conn.Send(&mpc.Message{Op: mpc.OpError, Err: "connection refused: authentication required"}); err != nil && !errors.Is(err, mpc.ErrConnClosed) {
-		return
-	}
-}
-
 // HandleConn serves one client connection to completion: tenant
 // handshake, then a serial query loop until the peer closes, sends
 // OpClose, or fails authentication. It blocks; run it in the accept
@@ -150,7 +139,6 @@ func (g *Gateway) HandleConn(conn mpc.Conn) error {
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
-		refuse(conn)
 		return fmt.Errorf("gateway: closed")
 	}
 	g.conns[conn] = struct{}{}
@@ -170,63 +158,24 @@ func (g *Gateway) HandleConn(conn mpc.Conn) error {
 	return g.serveQueries(conn, t)
 }
 
-// authenticate runs the tenant handshake on a fresh connection and
-// returns the authenticated tenant. Every failure counts one auth
-// failure and sends the uniform refusal.
+// authenticate runs mpc's token handshake with the tenant's name bound
+// into the MAC and returns the authenticated tenant; its accept frame
+// is the welcome. Every failed handshake counts one auth failure.
 func (g *Gateway) authenticate(conn mpc.Conn) (*tenant, error) {
-	fail := func(cause error) (*tenant, error) {
+	var t *tenant
+	err := mpc.AuthServerNamed(conn, func(name string) (string, []*big.Int) {
+		g.mu.Lock()
+		t = g.tenants[name]
+		g.mu.Unlock()
+		if t == nil {
+			return "", nil
+		}
+		m, featureM := t.be.M()
+		return t.cfg.Token, encodeGateWelcome(t.be.PK().N, t.be.N(), m, featureM, t.be.AttrBits())
+	})
+	if err != nil {
 		g.metrics.authFailure()
-		refuse(conn)
-		return nil, fmt.Errorf("%w: %w", ErrGateAuth, cause)
-	}
-	hello, err := conn.Recv()
-	if err != nil {
-		return nil, fmt.Errorf("gateway: reading hello: %w", err)
-	}
-	if hello.Op != OpGateHello {
-		return fail(fmt.Errorf("first frame is op %d, want OpGateHello", hello.Op))
-	}
-	name, err := decodeGateHello(hello)
-	if err != nil {
-		return fail(err)
-	}
-	g.mu.Lock()
-	t := g.tenants[name]
-	g.mu.Unlock()
-	// Unknown tenants still get a challenge and a refusal after the
-	// proof, so a prober cannot enumerate tenant names by timing the
-	// refusal step.
-	nonce := make([]byte, gateNonceLen)
-	if _, err := rand.Read(nonce); err != nil {
-		return nil, fmt.Errorf("gateway: auth nonce: %w", err)
-	}
-	reply := encodeGateChallenge(nonce)
-	reply.Tag = hello.Tag
-	if err := conn.Send(reply); err != nil {
-		return nil, fmt.Errorf("gateway: sending challenge: %w", err)
-	}
-	proof, err := conn.Recv()
-	if err != nil {
-		return nil, fmt.Errorf("gateway: reading proof: %w", err)
-	}
-	if proof.Op != OpGateAuth {
-		return fail(fmt.Errorf("proof frame is op %d, want OpGateAuth", proof.Op))
-	}
-	mac, err := decodeGateProof(proof)
-	if err != nil {
-		return fail(err)
-	}
-	if t == nil {
-		return fail(fmt.Errorf("unknown tenant %q", name))
-	}
-	if !hmac.Equal(mac, tenantMAC(t.cfg.Token, nonce, name)) {
-		return fail(fmt.Errorf("wrong token for tenant %q", name))
-	}
-	m, featureM := t.be.M()
-	welcome := encodeGateWelcome(t.be.PK().N, t.be.N(), m, featureM)
-	welcome.Tag = proof.Tag
-	if err := conn.Send(welcome); err != nil {
-		return nil, fmt.Errorf("gateway: sending welcome: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrGateAuth, err)
 	}
 	return t, nil
 }

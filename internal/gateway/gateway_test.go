@@ -217,6 +217,8 @@ func (b *stubBackend) M() (int, int) {
 	return len(b.rows[0]), len(b.rows[0])
 }
 
+func (b *stubBackend) AttrBits() int { return 8 }
+
 func (b *stubBackend) PK() *paillier.PublicKey { return b.pk }
 
 func (b *stubBackend) Close() error {
@@ -364,6 +366,66 @@ func TestGatewayNonHelloFirstFrameRefused(t *testing.T) {
 	}
 }
 
+// tappedDial dials the gateway as name/token over a tapped pipe and
+// returns the frames the client side saw, as "send op/ints" and
+// "recv op/ints", with the dial's outcome.
+func tappedDial(t *testing.T, g *Gateway, name, token string) ([]string, *TenantClient, error) {
+	t.Helper()
+	clientSide, serverSide := mpc.ChanPipe()
+	go g.HandleConn(serverSide)
+	var mu sync.Mutex
+	var frames []string
+	tapped := mpc.Tap(clientSide, func(d mpc.Direction, m *mpc.Message) {
+		mu.Lock()
+		frames = append(frames, fmt.Sprintf("%v %d/%d", d, m.Op, len(m.Ints)))
+		mu.Unlock()
+	})
+	tc, err := DialTenant(tapped, name, token)
+	mu.Lock()
+	defer mu.Unlock()
+	return frames, tc, err
+}
+
+// TestDialTenantTwoRoundTrips: the tenant handshake is mpc's two round
+// trips, the welcome riding the accept frame.
+func TestDialTenantTwoRoundTrips(t *testing.T) {
+	g, _, _ := newStubGateway(t, TenantConfig{Name: "alpha", Token: "s3cret"})
+	frames, tc, err := tappedDial(t, g, "alpha", "s3cret")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tc.Close()
+	auth := int(mpc.OpAuth)
+	want := fmt.Sprint([]string{
+		fmt.Sprintf("send %d/1", auth), fmt.Sprintf("recv %d/1", auth),
+		fmt.Sprintf("send %d/1", auth), fmt.Sprintf("recv %d/5", auth),
+	})
+	if got := fmt.Sprint(frames); got != want {
+		t.Fatalf("DialTenant frames = %s, want %s", got, want)
+	}
+}
+
+// TestGatewayUnknownTenantChallenged: a tenant the gateway has never
+// heard of gets a challenge before its refusal — the same frames as a
+// known tenant with the wrong token, so a prober cannot enumerate names.
+func TestGatewayUnknownTenantChallenged(t *testing.T) {
+	g, _, _ := newStubGateway(t, TenantConfig{Name: "alpha", Token: "s3cret"})
+	auth, refusal := int(mpc.OpAuth), int(mpc.OpError)
+	want := fmt.Sprint([]string{
+		fmt.Sprintf("send %d/1", auth), fmt.Sprintf("recv %d/1", auth),
+		fmt.Sprintf("send %d/1", auth), fmt.Sprintf("recv %d/0", refusal),
+	})
+	for _, c := range []struct{ name, token string }{{"nosuch", "s3cret"}, {"alpha", "wrong"}} {
+		frames, _, err := tappedDial(t, g, c.name, c.token)
+		if !errors.Is(err, ErrGateAuth) {
+			t.Errorf("%s/%s: DialTenant = %v, want ErrGateAuth", c.name, c.token, err)
+		}
+		if got := fmt.Sprint(frames); got != want {
+			t.Errorf("%s/%s: frames = %s, want %s", c.name, c.token, got, want)
+		}
+	}
+}
+
 func TestGatewayRateShed(t *testing.T) {
 	g, _, _ := newStubGateway(t, TenantConfig{
 		Name: "alpha", Token: "s3cret",
@@ -450,6 +512,14 @@ func TestGatewayClientValidation(t *testing.T) {
 	}
 	if _, _, err := tc.Query(context.Background(), []uint64{1, 2}, 0, true); !errors.Is(err, core.ErrBadK) {
 		t.Fatalf("k=0 error = %v, want ErrBadK", err)
+	}
+	// The stub welcomes with 8-bit attributes: SkNNm refuses 256, SkNNb
+	// takes it.
+	if _, _, err := tc.Query(context.Background(), []uint64{256, 2}, 1, true); !errors.Is(err, dataset.ErrValueTooLarge) {
+		t.Fatalf("out-of-domain secure query error = %v, want ErrValueTooLarge", err)
+	}
+	if _, _, err := tc.Query(context.Background(), []uint64{256, 2}, 1, false); err != nil {
+		t.Fatalf("out-of-domain basic query: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -18,7 +18,7 @@ type Metrics struct {
 	mu       sync.Mutex
 	tenants  map[string]*tenantMetrics // guarded by mu
 	conns    int                       // guarded by mu; open client connections
-	authFail int                       // guarded by mu; refused tenant handshakes
+	authFail int                       // guarded by mu; failed tenant handshakes
 }
 
 // tenantMetrics is one tenant's slice of the registry. All fields are
@@ -201,7 +201,7 @@ func (m *Metrics) render() string {
 			fmt.Fprintf(&b, "sknn_gateway_inflight{tenant=%q} %d\n", r.name, r.tm.inflight)
 		}
 	})
-	series("Refused tenant handshakes.", "counter", "sknn_gateway_auth_failures_total", func() {
+	series("Failed tenant handshakes (refused, or abandoned mid-handshake).", "counter", "sknn_gateway_auth_failures_total", func() {
 		fmt.Fprintf(&b, "sknn_gateway_auth_failures_total %d\n", authFail)
 	})
 	series("Open client connections.", "gauge", "sknn_gateway_connections", func() {

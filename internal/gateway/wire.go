@@ -1,8 +1,6 @@
 package gateway
 
 import (
-	"crypto/hmac"
-	"crypto/sha256"
 	"fmt"
 	"math/big"
 
@@ -11,37 +9,29 @@ import (
 	"sknn/internal/paillier"
 )
 
-// The client↔gateway wire protocol. A tenant's Bob-side edge speaks
-// four frames, strictly client-first like every other exchange in this
-// stack:
+// The client↔gateway wire protocol: mpc's token handshake naming the
+// tenant (mpc/auth.go), whose accept frame is the welcome, then query
+// frames, strictly client-first like every other exchange in this stack:
 //
-//	OpGateHello  req: [name]                 (tenant name as UTF-8 bytes)
-//	             rep: [nonce]                (32 random bytes)
-//	OpGateAuth   req: [HMAC-SHA256(token, nonce‖name)]
-//	             rep: [pkN, n, m, featureM]  (the tenant's table shape)
+//	mpc.OpAuth   req: [name] → rep: [nonce]
+//	mpc.OpAuth   req: [HMAC-SHA256(token, nonce‖name)]
+//	             rep: [pkN, n, m, featureM, attrBits]   (the welcome)
 //	OpGateQuery  req: [k, mode, E(q₁)…E(q_f)]   (mode 0 basic, 1 secure)
 //	             rep: [k, m, idFlag, cols, bits,
 //	                   k·c mask ints, k·c masked ints, idFlag·k ids]
 //	                  (c = ⌈m/cols⌉ shares per record: core.RowLayout)
 //
-// The hello/auth pair is the tenant-level counterpart of mpc's
-// connection auth: the token proves the dialer may act as that tenant,
-// the MAC binds the proof to this connection's nonce AND the claimed
-// name (so a recorded proof replays against neither a fresh nonce nor a
-// sibling tenant). The query reply relays the masked-result shares —
-// each share alone is uniformly random, so the gateway-to-Bob hop
-// carries nothing the reveal step didn't already grant Bob. Query
-// ciphertexts and result shares are range-checked against the tenant's
-// key on both ends; every count that feeds an allocation is bounded
-// here first.
+// The query reply relays the masked-result shares — each share alone is
+// uniformly random, so the gateway-to-Bob hop carries nothing the
+// reveal step didn't already grant Bob. Query ciphertexts and result
+// shares are range-checked against the tenant's key on both ends; every
+// count that feeds an allocation is bounded here first.
 
 // Opcodes 96+ belong to the gateway tier (mpc owns 0–15, smc 16–63,
-// core 64–95). They travel client↔gateway only, never toward C2.
-const (
-	OpGateHello mpc.Op = 96 // tenant hello: claim a name, receive a nonce
-	OpGateAuth  mpc.Op = 97 // tenant proof: MAC over nonce‖name, receive table shape
-	OpGateQuery mpc.Op = 98 // one k-NN query under the authenticated tenant
-)
+// core 64–95). They travel client↔gateway only, never toward C2. 96 and
+// 97, the gateway's own tenant hello and proof before it used mpc's
+// handshake, are retired and never reused.
+const OpGateQuery mpc.Op = 98 // one k-NN query under the authenticated tenant
 
 // Bounds on what a frame may declare before it parameterizes an
 // allocation.
@@ -49,10 +39,10 @@ const (
 	maxTenantName = 64      // bytes of tenant name
 	maxGateK      = 4096    // neighbors per query
 	maxGateM      = 1 << 12 // attributes per record (mirrors core's shard cap)
-	gateNonceLen  = 32
+	maxGateBits   = 64      // attribute width: columns are uint64
 )
 
-// ErrGateAuth reports a refused tenant handshake. The refusal frame
+// ErrGateAuth reports a failed tenant handshake. The refusal frame
 // sent to the peer never says which step failed.
 var ErrGateAuth = fmt.Errorf("gateway: tenant authentication failed")
 
@@ -73,113 +63,50 @@ func ValidTenantName(name string) bool {
 	return true
 }
 
-// tenantMAC is the tenant-auth proof: HMAC-SHA256 keyed by the
-// tenant's token over nonce‖name.
-func tenantMAC(token string, nonce []byte, name string) []byte {
-	mac := hmac.New(sha256.New, []byte(token))
-	mac.Write(nonce)
-	mac.Write([]byte(name))
-	return mac.Sum(nil)
-}
-
-// fixedBytes rebuilds a fixed-width byte string from its wire integer
-// (big.Int drops leading zero bytes). Implausible values yield the
-// all-zero string, which fails closed against any real MAC or nonce.
-func fixedBytes(v *big.Int, width int) []byte {
-	out := make([]byte, width)
-	if v == nil || v.Sign() < 0 || v.BitLen() > 8*width {
-		return out
-	}
-	v.FillBytes(out)
-	return out
-}
-
-// encodeGateHello lays out the tenant hello request.
-func encodeGateHello(name string) *mpc.Message {
-	return &mpc.Message{Op: OpGateHello, Ints: []*big.Int{new(big.Int).SetBytes([]byte(name))}}
-}
-
-// decodeGateHello validates and unpacks a tenant hello.
-func decodeGateHello(req *mpc.Message) (string, error) {
-	if len(req.Ints) != 1 || req.Ints[0] == nil || req.Ints[0].Sign() < 0 ||
-		req.Ints[0].BitLen() > 8*maxTenantName {
-		return "", fmt.Errorf("%w: malformed hello frame", ErrGateAuth)
-	}
-	name := string(req.Ints[0].Bytes())
-	if !ValidTenantName(name) {
-		return "", fmt.Errorf("%w: malformed tenant name", ErrGateAuth)
-	}
-	return name, nil
-}
-
-// encodeGateChallenge lays out the hello reply carrying the nonce.
-func encodeGateChallenge(nonce []byte) *mpc.Message {
-	return &mpc.Message{Op: OpGateHello, Ints: []*big.Int{new(big.Int).SetBytes(nonce)}}
-}
-
-// decodeGateChallenge unpacks the nonce from a hello reply.
-func decodeGateChallenge(resp *mpc.Message) ([]byte, error) {
-	if len(resp.Ints) != 1 || resp.Ints[0] == nil || resp.Ints[0].Sign() < 0 ||
-		resp.Ints[0].BitLen() > 8*gateNonceLen {
-		return nil, fmt.Errorf("%w: malformed challenge frame", ErrGateAuth)
-	}
-	return fixedBytes(resp.Ints[0], gateNonceLen), nil
-}
-
-// encodeGateProof lays out the tenant's MAC proof.
-func encodeGateProof(mac []byte) *mpc.Message {
-	return &mpc.Message{Op: OpGateAuth, Ints: []*big.Int{new(big.Int).SetBytes(mac)}}
-}
-
-// decodeGateProof rebuilds the fixed-width MAC from a proof frame.
-func decodeGateProof(req *mpc.Message) ([]byte, error) {
-	if len(req.Ints) != 1 {
-		return nil, fmt.Errorf("%w: malformed proof frame", ErrGateAuth)
-	}
-	return fixedBytes(req.Ints[0], sha256.Size), nil
-}
-
-// encodeGateWelcome lays out the auth reply: the tenant's public key
-// and table shape, everything Bob's edge needs to encrypt queries and
-// unmask results.
-func encodeGateWelcome(pkN *big.Int, n, m, featureM int) *mpc.Message {
-	return &mpc.Message{Op: OpGateAuth, Ints: []*big.Int{
+// encodeGateWelcome lays out the handshake's accept payload: the
+// tenant's public key and table shape, everything Bob's edge needs to
+// encrypt and bound queries and unmask results.
+func encodeGateWelcome(pkN *big.Int, n, m, featureM, attrBits int) []*big.Int {
+	return []*big.Int{
 		new(big.Int).Set(pkN),
-		big.NewInt(int64(n)), big.NewInt(int64(m)), big.NewInt(int64(featureM)),
-	}}
+		big.NewInt(int64(n)), big.NewInt(int64(m)), big.NewInt(int64(featureM)), big.NewInt(int64(attrBits)),
+	}
 }
 
-// gateWelcome is the decoded auth reply.
+// gateWelcome is the decoded accept payload.
 type gateWelcome struct {
 	pk       *paillier.PublicKey
 	n        int
 	m        int
 	featureM int
+	attrBits int
 }
 
-// decodeGateWelcome validates and unpacks an auth reply. The shape
+// decodeGateWelcome validates and unpacks an accept payload. The shape
 // fields size the client's encrypt/unmask work, so they are bounded
 // like a shard hello's.
-func decodeGateWelcome(resp *mpc.Message) (gateWelcome, error) {
+func decodeGateWelcome(ints []*big.Int) (gateWelcome, error) {
 	var w gateWelcome
-	if len(resp.Ints) != 4 {
-		return w, fmt.Errorf("%w: gateway welcome has %d ints, want 4", core.ErrBadFrame, len(resp.Ints))
+	if len(ints) != 5 {
+		return w, fmt.Errorf("%w: gateway welcome has %d ints, want 5", core.ErrBadFrame, len(ints))
 	}
-	for i := 1; i < 4; i++ {
-		if resp.Ints[i] == nil || !resp.Ints[i].IsInt64() {
+	for i := 1; i < 5; i++ {
+		if ints[i] == nil || !ints[i].IsInt64() {
 			return w, fmt.Errorf("%w: gateway welcome field %d", core.ErrBadFrame, i)
 		}
 	}
-	w.n = int(resp.Ints[1].Int64())
-	w.m = int(resp.Ints[2].Int64())
-	w.featureM = int(resp.Ints[3].Int64())
-	if w.n < 0 || w.m < 1 || w.m > maxGateM || w.featureM < 1 || w.featureM > w.m {
-		return w, fmt.Errorf("%w: gateway welcome declares n=%d table %d/%d",
-			core.ErrBadFrame, w.n, w.m, w.featureM)
+	w.n = int(ints[1].Int64())
+	w.m = int(ints[2].Int64())
+	w.featureM = int(ints[3].Int64())
+	w.attrBits = int(ints[4].Int64())
+	if w.n < 0 || w.m < 1 || w.m > maxGateM || w.featureM < 1 || w.featureM > w.m ||
+		w.attrBits < 1 || w.attrBits > maxGateBits {
+		return w, fmt.Errorf("%w: gateway welcome declares n=%d table %d/%d of %d-bit attributes",
+			core.ErrBadFrame, w.n, w.m, w.featureM, w.attrBits)
 	}
 	// Last, once the cheap fields hold: the key's nonce kernel costs an
 	// exponentiation.
-	pk, err := paillier.NewPublicKey(resp.Ints[0])
+	pk, err := paillier.NewPublicKey(ints[0])
 	if err != nil {
 		return w, fmt.Errorf("%w: implausible tenant public modulus: %v", core.ErrBadFrame, err)
 	}

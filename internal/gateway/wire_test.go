@@ -81,23 +81,29 @@ func TestGateResultLayouts(t *testing.T) {
 	}
 }
 
-// TestGateWelcomeModulus: a welcome round-trips the tenant's key, and an
-// otherwise valid one carrying a modulus no Paillier key has is
-// ErrBadFrame at the handshake.
+// TestGateWelcomeModulus: a welcome round-trips the tenant's key and
+// table shape, and an otherwise valid one carrying a modulus no Paillier
+// key has, or an attribute width no table has, is ErrBadFrame at the
+// handshake.
 func TestGateWelcomeModulus(t *testing.T) {
 	pk := &testkit.Key(256).PublicKey
-	w, err := decodeGateWelcome(encodeGateWelcome(pk.N, 10, 5, 3))
+	w, err := decodeGateWelcome(encodeGateWelcome(pk.N, 10, 5, 3, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !w.pk.Equal(pk) || w.n != 10 || w.m != 5 || w.featureM != 3 {
+	if !w.pk.Equal(pk) || w.n != 10 || w.m != 5 || w.featureM != 3 || w.attrBits != 4 {
 		t.Fatalf("welcome = %+v", w)
 	}
 	for name, mod := range testkit.HostileModuli() {
-		msg := encodeGateWelcome(pk.N, 10, 5, 3)
-		msg.Ints[0] = mod
-		if _, err := decodeGateWelcome(msg); !errors.Is(err, core.ErrBadFrame) {
+		ints := encodeGateWelcome(pk.N, 10, 5, 3, 4)
+		ints[0] = mod
+		if _, err := decodeGateWelcome(ints); !errors.Is(err, core.ErrBadFrame) {
 			t.Errorf("modulus %s: err = %v, want ErrBadFrame", name, err)
+		}
+	}
+	for _, bits := range []int{0, -1, maxGateBits + 1} {
+		if _, err := decodeGateWelcome(encodeGateWelcome(pk.N, 10, 5, 3, bits)); !errors.Is(err, core.ErrBadFrame) {
+			t.Errorf("attribute width %d: err = %v, want ErrBadFrame", bits, err)
 		}
 	}
 }
@@ -123,10 +129,10 @@ func FuzzGateResult(f *testing.F) {
 	f.Add(flat(gateResult(1, m, core.RowLayout{Cols: 1}, 0, 0, 0, 0, 0, 15, 0, 9, 1, 15)))
 	f.Add(flat(gateResult(1, m, core.RowLayout{Cols: 4, Bits: 200}, 0, 0, 1, 1)))
 	f.Add([]byte{})
-	f.Add(flat(encodeGateWelcome(pk.N, 10, m, 3)))
+	f.Add(flat(&mpc.Message{Ints: encodeGateWelcome(pk.N, 10, m, 3, 4)}))
 	for _, mod := range testkit.HostileModuli() {
 		if mod != nil && mod.Sign() >= 0 { // what the byte layout below can carry
-			f.Add(flat(encodeGateWelcome(mod, 10, m, 3)))
+			f.Add(flat(&mpc.Message{Ints: encodeGateWelcome(mod, 10, m, 3, 4)}))
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -144,9 +150,11 @@ func FuzzGateResult(f *testing.F) {
 			data = data[n:]
 			ints = append(ints, v)
 		}
-		if w, err := decodeGateWelcome(&mpc.Message{Op: OpGateAuth, Ints: ints}); err == nil {
-			if w.pk.N.Bit(0) == 0 || w.pk.N.BitLen() < 64 || w.m < 1 || w.m > maxGateM || w.featureM > w.m {
-				t.Fatalf("decodeGateWelcome accepted N of %d bits, table %d/%d", w.pk.N.BitLen(), w.m, w.featureM)
+		if w, err := decodeGateWelcome(ints); err == nil {
+			if w.pk.N.Bit(0) == 0 || w.pk.N.BitLen() < 64 || w.m < 1 || w.m > maxGateM || w.featureM > w.m ||
+				w.attrBits < 1 || w.attrBits > maxGateBits {
+				t.Fatalf("decodeGateWelcome accepted N of %d bits, table %d/%d of %d-bit attributes",
+					w.pk.N.BitLen(), w.m, w.featureM, w.attrBits)
 			}
 		}
 		res, err := decodeGateResult(pk, k, m, &mpc.Message{Op: OpGateQuery, Ints: ints})

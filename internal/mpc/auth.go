@@ -19,10 +19,16 @@ import (
 // The handshake is two round trips, client-first like every other
 // exchange in this stack:
 //
-//	client → OpAuth []                  (hello: request a challenge)
+//	client → OpAuth [] or [name]        (hello: request a challenge)
 //	server → OpAuth [nonce]             (32 random bytes)
-//	client → OpAuth [HMAC-SHA256(token, nonce)]
-//	server → OpAuth []                  (accepted) or OpError (refused)
+//	client → OpAuth [HMAC-SHA256(token, nonce‖name)]
+//	server → OpAuth [payload…]          (accepted) or OpError (refused)
+//
+// C2, shard and gateway listeners run it unnamed: empty hello and
+// accept frame, a MAC over the nonce alone. The gateway runs it again
+// naming a tenant: the MAC binds the proof to the name too, and the
+// accept frame carries the tenant's welcome. An unknown name is
+// challenged like a known one and refused only after its proof.
 //
 // Properties and limits: the token never travels; a recorded transcript
 // cannot be replayed against a fresh nonce; the MAC is compared in
@@ -30,26 +36,29 @@ import (
 // after the handshake are not integrity-protected, so it defends the
 // ports (who may consume protocol service), not the links (run them
 // over a trusted network or a TLS tunnel; see docs/DEPLOYMENT.md).
-// An empty token on both sides disables the handshake entirely, which
-// is the pre-existing same-trust-domain deployment; the two sides must
-// agree, since an unauthenticated server treats OpAuth as an unknown
-// op and an authenticated one refuses any other first frame.
+// An empty token on both sides disables the unnamed handshake
+// entirely, which is the pre-existing same-trust-domain deployment; the
+// two sides must agree, since an unauthenticated server treats OpAuth as
+// an unknown op and an authenticated one refuses any other first frame.
 
 // OpAuth carries the connection-authentication handshake (see above).
 const OpAuth Op = 3
 
-// authNonceLen is the challenge size in bytes.
-const authNonceLen = 32
+const (
+	authNonceLen = 32 // challenge size in bytes
+	maxAuthName  = 64 // bytes of the name a hello may claim
+)
 
 // ErrAuth reports a failed connection authentication: a missing or
 // malformed handshake, or a MAC under the wrong token.
 var ErrAuth = errors.New("mpc: connection authentication failed")
 
 // authMAC computes the challenge response: HMAC-SHA256 keyed by the
-// token over the nonce.
-func authMAC(token string, nonce []byte) []byte {
+// token over nonce‖name (the nonce alone for an unnamed hello).
+func authMAC(token string, nonce []byte, name string) []byte {
 	mac := hmac.New(sha256.New, []byte(token))
 	mac.Write(nonce)
+	mac.Write([]byte(name))
 	return mac.Sum(nil)
 }
 
@@ -65,17 +74,30 @@ func macBytes(v *big.Int) []byte {
 }
 
 // AuthServer guards one accepted connection: it runs the responder half
-// of the token handshake and returns nil only for a peer that proved
-// knowledge of the token. Any other outcome — wrong first opcode, bad
-// MAC, transport failure — returns an error wrapping ErrAuth where the
-// peer is at fault; the caller must close the connection and serve
-// nothing. An empty token disables the handshake and accepts
-// immediately. The refusal frame names no cause beyond "refused", so a
-// prober learns nothing about which step failed.
+// of the unnamed token handshake and returns nil only for a peer that
+// proved knowledge of the token. Any other outcome — wrong first opcode,
+// a named hello, bad MAC, transport failure — returns an error wrapping
+// ErrAuth; the caller must close the connection and serve nothing. An
+// empty token disables the handshake and accepts immediately.
 func AuthServer(conn Conn, token string) error {
 	if token == "" {
 		return nil
 	}
+	return AuthServerNamed(conn, func(name string) (string, []*big.Int) {
+		if name != "" {
+			return "", nil
+		}
+		return token, nil
+	})
+}
+
+// AuthServerNamed is AuthServer for peers that claim a name. Once the
+// proof is in, lookup maps the name ("" for an unnamed hello) to the
+// token it must prove and the accept frame's payload; an empty token
+// authenticates nobody, so an unknown name is refused like a wrong
+// token. The refusal frame names no cause, so a prober learns nothing
+// about which step failed.
+func AuthServerNamed(conn Conn, lookup func(name string) (token string, accept []*big.Int)) error {
 	refuse := func(cause error) error {
 		// Best-effort notification; the connection is being dropped
 		// either way, so a failed send changes nothing.
@@ -90,6 +112,15 @@ func AuthServer(conn Conn, token string) error {
 	}
 	if hello.Op != OpAuth {
 		return refuse(fmt.Errorf("first frame is op %d, want OpAuth", hello.Op))
+	}
+	var name string
+	switch {
+	case len(hello.Ints) == 0:
+	case len(hello.Ints) == 1 && hello.Ints[0] != nil && hello.Ints[0].Sign() > 0 &&
+		hello.Ints[0].BitLen() <= 8*maxAuthName:
+		name = string(hello.Ints[0].Bytes())
+	default:
+		return refuse(errors.New("malformed hello frame"))
 	}
 	nonce := make([]byte, authNonceLen)
 	if _, err := rand.Read(nonce); err != nil {
@@ -106,39 +137,53 @@ func AuthServer(conn Conn, token string) error {
 	if proof.Op != OpAuth || len(proof.Ints) != 1 {
 		return refuse(errors.New("malformed proof frame"))
 	}
-	if !hmac.Equal(macBytes(proof.Ints[0]), authMAC(token, nonce)) {
-		return refuse(errors.New("wrong token"))
+	token, accept := lookup(name)
+	if token == "" || !hmac.Equal(macBytes(proof.Ints[0]), authMAC(token, nonce, name)) {
+		return refuse(fmt.Errorf("no token proved for name %q", name))
 	}
-	if err := conn.Send(&Message{Op: OpAuth, Tag: proof.Tag}); err != nil {
+	if err := conn.Send(&Message{Op: OpAuth, Tag: proof.Tag, Ints: accept}); err != nil {
 		return fmt.Errorf("%w: sending acceptance: %w", ErrAuth, err)
 	}
 	return nil
 }
 
-// AuthClient runs the initiator half of the token handshake on a fresh
-// connection. It must be the first exchange on the wire; an empty token
-// is a no-op (for talking to listeners that do not require one).
+// AuthClient runs the initiator half of the unnamed token handshake on
+// a fresh connection. It must be the first exchange on the wire; an
+// empty token is a no-op (for talking to listeners that do not require
+// one).
 func AuthClient(conn Conn, token string) error {
 	if token == "" {
 		return nil
 	}
-	challenge, err := RoundTrip(conn, &Message{Op: OpAuth})
+	_, err := AuthClientNamed(conn, "", token)
+	return err
+}
+
+// AuthClientNamed runs the initiator half of the handshake claiming
+// name ("" for none), whatever the token, and returns the accept frame's
+// payload. The name travels as an integer, so one over 64 bytes or with
+// a leading zero byte is refused.
+func AuthClientNamed(conn Conn, name, token string) ([]*big.Int, error) {
+	hello := &Message{Op: OpAuth}
+	if name != "" {
+		hello.Ints = []*big.Int{new(big.Int).SetBytes([]byte(name))}
+	}
+	challenge, err := RoundTrip(conn, hello)
 	if err != nil {
-		return fmt.Errorf("%w: requesting challenge: %w", ErrAuth, err)
+		return nil, fmt.Errorf("%w: requesting challenge: %w", ErrAuth, err)
 	}
-	if len(challenge.Ints) != 1 {
-		return fmt.Errorf("%w: malformed challenge frame", ErrAuth)
-	}
-	if challenge.Ints[0] == nil || challenge.Ints[0].Sign() < 0 || challenge.Ints[0].BitLen() > 8*authNonceLen {
-		return fmt.Errorf("%w: implausible challenge", ErrAuth)
+	if len(challenge.Ints) != 1 || challenge.Ints[0] == nil || challenge.Ints[0].Sign() < 0 ||
+		challenge.Ints[0].BitLen() > 8*authNonceLen {
+		return nil, fmt.Errorf("%w: malformed challenge frame", ErrAuth)
 	}
 	nonce := make([]byte, authNonceLen)
 	challenge.Ints[0].FillBytes(nonce)
-	proof := &Message{Op: OpAuth, Ints: []*big.Int{new(big.Int).SetBytes(authMAC(token, nonce))}}
-	if _, err := RoundTrip(conn, proof); err != nil {
-		return fmt.Errorf("%w: %w", ErrAuth, err)
+	proof := &Message{Op: OpAuth, Ints: []*big.Int{new(big.Int).SetBytes(authMAC(token, nonce, name))}}
+	accept, err := RoundTrip(conn, proof)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrAuth, err)
 	}
-	return nil
+	return accept.Ints, nil
 }
 
 // DialAuth dials a listening peer and authenticates with the token

@@ -1,9 +1,11 @@
 package mpc
 
 import (
+	"encoding/hex"
 	"errors"
 	"math/big"
 	"net"
+	"strings"
 	"testing"
 	"time"
 )
@@ -116,6 +118,106 @@ func TestAuthMACPadding(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// TestAuthMACGolden pins the MAC bytes: unnamed it is HMAC-SHA256(token,
+// nonce), the proof every C2, shard and gateway listener has always
+// checked; named it covers nonce‖name.
+func TestAuthMACGolden(t *testing.T) {
+	nonce := make([]byte, authNonceLen)
+	for i := range nonce {
+		nonce[i] = byte(i)
+	}
+	for _, c := range []struct{ name, want string }{
+		{"", "d02bd90acc833a23b104946538a0155a630ad99ff5a86a6a56f9335a9ce7c373"},
+		{"alpha", "2c2894cf388518008ab3d559d67eef8dee2135c53b471c3673a72d234e8b8650"},
+	} {
+		if got := hex.EncodeToString(authMAC("hunter2", nonce, c.name)); got != c.want {
+			t.Errorf("authMAC(hunter2, 00..1f, %q) = %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// namedServer runs AuthServerNamed over a ChanPipe against a lookup of
+// alpha and beta sharing one token, each welcomed with its own payload,
+// and returns the client end and the server's outcome.
+func namedServer(t *testing.T) (Conn, chan error) {
+	t.Helper()
+	a, b := ChanPipe()
+	t.Cleanup(func() { a.Close(); b.Close() })
+	done := make(chan error, 1)
+	go func() {
+		done <- AuthServerNamed(b, func(name string) (string, []*big.Int) {
+			switch name {
+			case "alpha":
+				return "shared", []*big.Int{big.NewInt(1)}
+			case "beta":
+				return "shared", []*big.Int{big.NewInt(2)}
+			case "blank":
+				return "", []*big.Int{big.NewInt(3)}
+			}
+			return "", nil
+		})
+	}()
+	return a, done
+}
+
+func TestAuthNamedAccepts(t *testing.T) {
+	a, done := namedServer(t)
+	accept, err := AuthClientNamed(a, "beta", "shared")
+	if err != nil || len(accept) != 1 || accept[0].Int64() != 2 {
+		t.Fatalf("beta's handshake = %v, %v; want the accept payload [2]", accept, err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("server = %v", err)
+	}
+}
+
+// TestAuthNameBoundIntoMAC: a proof computed for alpha, presented after
+// a hello naming beta under the same token, is refused.
+func TestAuthNameBoundIntoMAC(t *testing.T) {
+	a, done := namedServer(t)
+	challenge, err := RoundTrip(a, &Message{Op: OpAuth, Ints: []*big.Int{new(big.Int).SetBytes([]byte("beta"))}})
+	if err != nil || len(challenge.Ints) != 1 {
+		t.Fatalf("challenge = %v, %v", challenge, err)
+	}
+	nonce := make([]byte, authNonceLen)
+	challenge.Ints[0].FillBytes(nonce)
+	proof := &Message{Op: OpAuth, Ints: []*big.Int{new(big.Int).SetBytes(authMAC("shared", nonce, "alpha"))}}
+	var remote *RemoteError
+	if _, err := RoundTrip(a, proof); !errors.As(err, &remote) || !strings.Contains(err.Error(), "authentication required") {
+		t.Errorf("alpha's proof under beta's hello = %v, want the uniform refusal", err)
+	}
+	if err := <-done; !errors.Is(err, ErrAuth) {
+		t.Errorf("server = %v, want ErrAuth", err)
+	}
+}
+
+// TestAuthNamedRefusals: an unknown name, an empty token and a named
+// hello at an unnamed listener are each refused after the proof with
+// the uniform frame.
+func TestAuthNamedRefusals(t *testing.T) {
+	for _, c := range []struct{ name, token string }{{"nosuch", "shared"}, {"blank", ""}} {
+		a, done := namedServer(t)
+		if _, err := AuthClientNamed(a, c.name, c.token); !errors.Is(err, ErrAuth) ||
+			!strings.Contains(err.Error(), "authentication required") {
+			t.Errorf("%s: client = %v, want the uniform refusal", c.name, err)
+		}
+		if err := <-done; !errors.Is(err, ErrAuth) {
+			t.Errorf("%s: server = %v, want ErrAuth", c.name, err)
+		}
+	}
+	a, b := ChanPipe()
+	defer a.Close()
+	defer b.Close()
+	done := make(chan error, 1)
+	go func() { done <- AuthServer(b, "hunter2") }()
+	if _, err := AuthClientNamed(a, "alpha", "hunter2"); !errors.Is(err, ErrAuth) {
+		t.Errorf("named hello at an unnamed listener: client = %v, want ErrAuth", err)
+	}
+	if err := <-done; !errors.Is(err, ErrAuth) {
+		t.Errorf("named hello at an unnamed listener: server = %v, want ErrAuth", err)
 	}
 }
 

@@ -34,6 +34,7 @@ func (b *captureBackend) BasicQuery(_ context.Context, q core.EncryptedQuery, _ 
 }
 func (b *captureBackend) N() int                  { return 4 }
 func (b *captureBackend) M() (int, int)           { return 2, 2 }
+func (b *captureBackend) AttrBits() int           { return 8 }
 func (b *captureBackend) PK() *paillier.PublicKey { return b.pk }
 func (b *captureBackend) Close() error            { return nil }
 

@@ -94,7 +94,7 @@ const (
 // ShardCount 0 means an unsharded (whole-table) snapshot.
 type Snapshot struct {
 	PK         *paillier.PublicKey
-	DomainBits int // l, the squared-distance domain for SkNNm's SBD
+	DomainBits int // l, the squared-distance domain: SkNNm's comparators hold distances below 2^l
 	ShardIndex int // partition lineage; meaningful when ShardCount > 0
 	ShardCount int // 0 = whole table
 	Table      *core.TableSnapshot

@@ -18,7 +18,7 @@ import (
 //   - Insert: the data owner encrypts the new row under her key (C1
 //     never sees plaintext) and C1 appends it. On a clustered system the
 //     record is first routed to its nearest centroid with the same
-//     oblivious SSED+SBD+SMINn machinery a pruned query uses, so C1
+//     oblivious SSED and selection network a pruned query uses, so C1
 //     learns only which cluster the record joins — the index's existing
 //     leakage class, nothing new. (The alternative, owner-side plaintext
 //     assignment, trades that leak for owner-side centroid state; see
@@ -45,8 +45,9 @@ import (
 // stable id — the handle Delete takes. The initial table's rows hold
 // ids 0..n−1 in row order. Values must fit the attribute domain the
 // system was built with. On a clustered system the record is routed
-// obliviously to its nearest centroid, which costs one centroid-ranking
-// round (c−1 SMINs); unclustered inserts are pure appends. Sharded, the
+// obliviously to its nearest centroid, which costs one centroid
+// ranking (the selection network over the c centroids, k = 1);
+// unclustered inserts are pure appends. Sharded, the
 // id is drawn from the global sequence and the record lands on shard
 // id mod Shards, ranked against that shard's centroids only.
 //

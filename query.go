@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"sknn/internal/core"
+	"sknn/internal/dataset"
 )
 
 // This file is the v2 query surface: one context-aware, options-based
@@ -18,8 +19,10 @@ import (
 var (
 	// ErrBadQuery marks a request rejected by validation — unknown
 	// mode, k out of [1, N], a query whose dimension does not match the
-	// table's feature columns, or a malformed option value. Validation
-	// runs before any Paillier work, so a bad request costs nothing.
+	// table's feature columns, an SkNNm query with an attribute outside
+	// the table's domain (it also wraps dataset.ErrValueTooLarge), or a
+	// malformed option value. Validation runs before any Paillier work,
+	// so a bad request costs nothing.
 	ErrBadQuery = errors.New("sknn: invalid query")
 
 	// ErrCanceled marks a query aborted by its context (canceled or past
@@ -107,6 +110,11 @@ func (s *System) validateQuery(q []uint64, o *queryOptions) error {
 	}
 	if !(o.coverage >= 0) {
 		return fmt.Errorf("%w: coverage factor %g, want ≥ 0", ErrBadQuery, o.coverage)
+	}
+	if o.mode == ModeSecure {
+		if err := dataset.CheckQuery(q, s.attrBits); err != nil {
+			return fmt.Errorf("%w: %w", ErrBadQuery, err)
+		}
 	}
 	return nil
 }

@@ -120,8 +120,9 @@ type Config struct {
 	// owned by an independent C1 shard worker with its own link pool to
 	// C2, and plans every query as scatter (each shard runs the
 	// existing pruned or full secure scan over its partition, producing
-	// an encrypted shard-local top-k) then gather (a secure SMINn-based
-	// merge over the s·k candidates yields the exact global top-k).
+	// an encrypted shard-local top-k) then gather (a merge over the s·k
+	// candidates on the same selection network yields the exact global
+	// top-k).
 	// Records are partitioned by stable id mod Shards; mutations route
 	// to the owning shard. 0 or 1 = one worker holds the whole table and
 	// the gather has nothing to merge. Requires Shards ≤ n.
@@ -202,7 +203,7 @@ type System struct {
 	eng         *core.Engine // the coordinator every query enters through, over Shards workers
 	client      *core.Client
 	domainBits  int
-	attrBits    int // per-attribute domain, bounds Insert values
+	attrBits    int // per-attribute domain, bounds Insert values and SkNNm queries
 	index       IndexMode
 	cfgClusters int     // requested cluster count (0 = ⌈√n⌉), reused by Compact rebuilds
 	coverage    float64 // candidate-pool factor when index == IndexClustered
