@@ -16,9 +16,11 @@ import (
 // (packed SSED, the bit peel) and adds the protocol-level services of
 // Algorithms 5 and 6. It serves exactly the frames the engine sends: the
 // paper's SM, SBD and SMIN handlers and Algorithm 6's one-hot select are
-// internal/reference's key cloud's alone (RegisterPaper). It is
-// stateless across requests, so one CloudC2 can serve any number of
-// connections concurrently (the parallel variants rely on this).
+// internal/reference's key cloud's alone (RegisterPaper). It keeps no
+// protocol state between requests — only its responder's reserve of
+// reply nonces, its own randomness raised ahead of the requests — so one
+// CloudC2 can serve any number of connections concurrently (the parallel
+// variants rely on this).
 type CloudC2 struct {
 	resp   *smc.Responder
 	sk     *paillier.PrivateKey
@@ -45,10 +47,13 @@ func (c *CloudC2) Mux() *mpc.Mux {
 	return mux
 }
 
-// RegisterPaper installs the handler of Algorithm 6's step 3(c) as
-// printed (OpMinSelect) on mux. The engine selects with its network and
-// never sends it; only internal/reference's key cloud serves it.
+// RegisterPaper installs the handlers of the protocols as printed on
+// mux: its responder's SM, SBD and SMIN (smc.Responder.RegisterPaper)
+// and Algorithm 6's step 3(c) (OpMinSelect), all drawing their reply
+// nonces from the one reserve. The engine never sends them; only
+// internal/reference's key cloud serves them.
 func (c *CloudC2) RegisterPaper(mux *mpc.Mux) {
+	c.resp.RegisterPaper(mux)
 	mux.Register(OpMinSelect, mpc.HandlerFunc(c.handleMinSelect))
 }
 
@@ -74,8 +79,9 @@ func (c *CloudC2) Serve(conn mpc.Conn) error {
 // ServeConcurrent serves conn handling up to maxInflight interleaved
 // requests at once. Use it when the peer multiplexes several query
 // sessions over one link (mpc.Multiplexer): one session's heavyweight
-// step then no longer delays the others' replies. All handlers are
-// stateless, so concurrency needs no further coordination.
+// step then no longer delays the others' replies. The handlers share
+// nothing but the reply-nonce reserve, which is safe for concurrent use,
+// so concurrency needs no further coordination.
 func (c *CloudC2) ServeConcurrent(conn mpc.Conn, maxInflight int) error {
 	return mpc.ServeConcurrent(conn, c.Mux(), maxInflight)
 }
@@ -166,7 +172,7 @@ func (c *CloudC2) handleMinSelect(req *mpc.Message) (*mpc.Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	nonces, err := c.sk.DrawNonces(c.random, len(ints)-1)
+	nonces, err := c.resp.Nonces(len(ints) - 1)
 	if err != nil {
 		return nil, fmt.Errorf("core: min-select encrypt: %w", err)
 	}

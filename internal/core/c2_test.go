@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/rand"
 	"errors"
 	"io"
@@ -8,8 +9,10 @@ import (
 	mrand "math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"sknn/internal/dataset"
 	"sknn/internal/mpc"
 	"sknn/internal/paillier"
 	"sknn/internal/smc"
@@ -68,9 +71,9 @@ func TestHandleRankValidation(t *testing.T) {
 	}
 }
 
-// paperMux returns C2's dispatch mux with the paper's one-hot select
-// registered beside the engine's handlers, as internal/reference's key
-// cloud has it.
+// paperMux returns C2's dispatch mux with the printed protocols' handlers
+// — the paper's one-hot select among them — registered beside the
+// engine's, as internal/reference's key cloud has it.
 func paperMux(t *testing.T) (*mpc.Mux, *paillier.PrivateKey) {
 	t.Helper()
 	sk := testKey()
@@ -455,4 +458,83 @@ func FuzzCloudC2Frame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestReplyRandomizersNeverRepeat multiplexes two concurrent SkNNm
+// sessions over one link to one CloudC2 serving concurrently, taps every
+// frame C2 sends, and checks that no two reply ciphertexts share the
+// fingerprint c mod N = ρ^N mod N, which anyone can compute without the
+// key. Two replies under one nonce would share it: the check guards the
+// reply-nonce reserve against handing a nonce out twice across
+// concurrent handlers, and is the downlink half of an observer of the
+// randomizers C2 sees and sends.
+func TestReplyRandomizersNeverRepeat(t *testing.T) {
+	const n, m, attrBits, k = 8, 6, 4, 2
+	tbl, err := dataset.Generate(909, n, m, attrBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk := testKey()
+	encTable, err := EncryptTable(rand.Reader, &sk.PublicKey, tbl.Rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2 := NewCloudC2(sk, nil)
+	var mu sync.Mutex
+	var replies []*big.Int // every tapped reply element, under mu
+	engine := newEngine(t, encTable, 1, func() []mpc.Conn {
+		return []mpc.Conn{pipeServedBy(t, func(conn mpc.Conn) error {
+			tapped := mpc.Tap(conn, func(dir mpc.Direction, msg *mpc.Message) {
+				if dir != mpc.DirSend || (msg.Op != smc.OpSSEDPack && msg.Op != smc.OpSBDPackBit) {
+					return
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				replies = append(replies, msg.Ints...)
+			})
+			return c2.ServeConcurrent(tapped, 4)
+		})}
+	})
+	bob := NewClient(&sk.PublicKey, nil)
+	queries := [][]uint64{{3, 9, 0, 15, 7, 1}, {12, 2, 8, 4, 0, 11}}
+	var wg sync.WaitGroup
+	for _, q := range queries {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			eq, err := bob.EncryptQuery(q)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			res, _, err := engine.SecureQuery(context.Background(), eq, k, tbl.DomainBits(), 0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			rows, err := bob.Unmask(res)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			assertMatchesOracle(t, tbl, q, k, rows)
+		}()
+	}
+	wg.Wait()
+
+	l := tbl.DomainBits()
+	chunks := rowLayoutFor(&sk.PublicKey, m, attrPackBits(l)).Chunks(m)
+	mu.Lock()
+	defer mu.Unlock()
+	if want := len(queries) * replyEncryptions(n, k, l, chunks); len(replies) != want {
+		t.Fatalf("tapped %d reply ciphertexts, want %d", len(replies), want)
+	}
+	seen := make(map[string]int, len(replies))
+	for i, c := range replies {
+		fp := new(big.Int).Mod(c, sk.N).String()
+		if j, ok := seen[fp]; ok {
+			t.Fatalf("reply ciphertexts %d and %d share the fingerprint c mod N: one nonce, used twice", j, i)
+		}
+		seen[fp] = i
+	}
 }

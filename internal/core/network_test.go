@@ -93,3 +93,29 @@ func TestTopKNetworkDepthAtPaperScale(t *testing.T) {
 		t.Errorf("D(2000, 25) = %d layers (formula %d), want 51", got, networkDepth(2000, 25))
 	}
 }
+
+// gateCount is G(n, k) = Σ|layer|, the comparisons one scan's network
+// runs: each is one value in every peel round of its layer, so G prices
+// C2's work the way D(n, k) prices the round trips.
+func gateCount(n, k int) int {
+	g := 0
+	for _, layer := range topKNetwork(n, k) {
+		g += len(layer)
+	}
+	return g
+}
+
+// TestTopKNetworkGateCount pins G at the paper's SkNNm point and at the
+// benchmark's two scan shapes: secure_scan's n = 8 and a gateway
+// shard's n = 4, both at k = 2.
+func TestTopKNetworkGateCount(t *testing.T) {
+	for _, tc := range []struct{ n, k, want int }{
+		{2000, 25, 21920},
+		{8, 2, 12},
+		{4, 2, 4},
+	} {
+		if got := gateCount(tc.n, tc.k); got != tc.want {
+			t.Errorf("G(%d, %d) = %d gates, want %d", tc.n, tc.k, got, tc.want)
+		}
+	}
+}

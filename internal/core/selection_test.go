@@ -5,10 +5,13 @@ import (
 	"crypto/rand"
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 	"testing"
 
 	"sknn/internal/dataset"
+	"sknn/internal/mpc"
 	"sknn/internal/paillier"
+	"sknn/internal/smc"
 )
 
 // ceilLog2 is ⌈log₂ x⌉ for x ≥ 1: the levels of a tournament over x.
@@ -65,6 +68,58 @@ func TestSelectionCostModel(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// replyEncryptions is C2's counted cost of one SkNNm scan on one link:
+// n SSED distances, and per gate of the network l + 1 peel bits plus
+// per = 1 + chunks output-round products.
+func replyEncryptions(n, k, l, chunks int) int {
+	return n + gateCount(n, k)*(l+1+1+chunks)
+}
+
+// TestReplyEncryptionsPerScan pins C2's encryption work per SkNNm scan
+// on one link, counted by a handler wrapper at secure_scan's shape
+// (n = 8, m = 6, b = 4, k = 2, so l = 12 and a record is one chunk): one
+// SSED distance per record, then per gate one bit in each of the peel's
+// l + 1 rounds and per = 1 + chunks products in the output round — the
+// gap and the record chunks — so n + G·(l + 1 + per) = 8 + 12·15 = 188.
+// The reveal answers plaintexts.
+func TestReplyEncryptionsPerScan(t *testing.T) {
+	const n, m, attrBits, k = 8, 6, 4, 2
+	tbl, err := dataset.Generate(808, n, m, attrBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk := testKey()
+	encTable, err := EncryptTable(rand.Reader, &sk.PublicKey, tbl.Rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := NewCloudC2(sk, nil).Mux()
+	var encrypted atomic.Int64
+	counting := mpc.HandlerFunc(func(req *mpc.Message) (*mpc.Message, error) {
+		resp, err := mux.Handle(req)
+		if err == nil && (req.Op == smc.OpSSEDPack || req.Op == smc.OpSBDPackBit) {
+			encrypted.Add(int64(len(resp.Ints)))
+		}
+		return resp, err
+	})
+	engine := newEngine(t, encTable, 1, func() []mpc.Conn {
+		return []mpc.Conn{pipeServedBy(t, func(c mpc.Conn) error { return mpc.Serve(c, counting) })}
+	})
+	q := []uint64{3, 9, 0, 15, 7, 1}
+	rows := runSecure(t, engine, NewClient(&sk.PublicKey, nil), q, k, tbl.DomainBits())
+	assertMatchesOracle(t, tbl, q, k, rows)
+
+	l := tbl.DomainBits()
+	chunks := rowLayoutFor(&sk.PublicKey, m, attrPackBits(l)).Chunks(m)
+	want := replyEncryptions(n, k, l, chunks)
+	if got := encrypted.Load(); got != int64(want) {
+		t.Errorf("C2 encrypted %d replies, cost model n + G·(l+1+per) says %d", got, want)
+	}
+	if l != 12 || chunks != 1 || want != 188 {
+		t.Errorf("secure_scan's shape: l = %d, %d record chunks, %d reply encryptions; want 12, 1, 188", l, chunks, want)
 	}
 }
 

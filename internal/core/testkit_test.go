@@ -65,12 +65,16 @@ func newEngine(t *testing.T, encTable *EncryptedTable, shards int, links func() 
 // pipeTo returns C1's end of a fresh in-process link to c2. The test
 // fails if c2's serve loop ends in an error, and ends only once it has
 // returned.
-func pipeTo(t *testing.T, c2 *CloudC2) mpc.Conn {
+func pipeTo(t *testing.T, c2 *CloudC2) mpc.Conn { return pipeServedBy(t, c2.Serve) }
+
+// pipeServedBy is pipeTo with the caller's serve loop on C2's end: a
+// wrapped handler, a tapped conn, a concurrent loop.
+func pipeServedBy(t *testing.T, serve func(mpc.Conn) error) mpc.Conn {
 	c1Side, c2Side := mpc.ChanPipe()
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
-		if err := c2.Serve(c2Side); err != nil {
+		if err := serve(c2Side); err != nil {
 			t.Errorf("C2 serve loop: %v", err)
 		}
 	}()

@@ -15,6 +15,11 @@ import (
 // CPU work over idle cores inside one party and is orthogonal to the
 // link count (sknn.Config.Workers), which spreads a query over more
 // frames: here nothing about the wire changes.
+//
+// One goroutine runs outside this budget: a NonceReserve's raiser
+// (reserve.go), at most one per key cloud, which raises reply nonces
+// between requests. It takes no helper token on purpose — the tokens are
+// busy exactly when C2 is, which is when the raiser has nothing to do.
 
 // helpers counts the fan-out helper goroutines alive in this process,
 // across every concurrent ForEach: the budget all callers share.

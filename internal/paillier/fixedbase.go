@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"sync"
 )
 
 // This file is the nonce kernel: the one modular exponentiation an
@@ -167,19 +168,22 @@ func (sk *PrivateKey) EnableFixedBase(io.Reader) error { return nil }
 // element of the group of N-th residues. Splitting the two lets a party
 // draw serially, so the reader is never shared, and pay the
 // exponentiation (all but a few multiplications of an encryption)
-// wherever a core is free: C2 raises a reply's nonces in the same
-// ForEach task list as the request's decryptions (RaiseAlongside). A
-// Nonce is used once, by one goroutine at a time.
+// wherever a core is free: C2's NonceReserve raises its reply nonces
+// before the request arrives, and a handler raises whatever is left in
+// the same ForEach task list as the request's decryptions
+// (RaiseAlongside). A Nonce encrypts one message; Raise may run on
+// several goroutines at once — the reserve's raiser and the handler that
+// took the nonce — and computes the power once.
 type Nonce struct {
+	once  sync.Once
 	raise func() *big.Int // the pending exponentiation; reads no randomness
 	rho   *big.Int        // its result, once raised
 }
 
-// Raise computes the nonce power. Calling it again is a no-op.
+// Raise computes the nonce power. A call that finds another one under
+// way waits for its result; once raised, Raise is a no-op.
 func (nc *Nonce) Raise() {
-	if nc.rho == nil {
-		nc.rho, nc.raise = nc.raise(), nil
-	}
+	nc.once.Do(func() { nc.rho, nc.raise = nc.raise(), nil })
 }
 
 // power returns the raised nonce power, raising it now if nobody has.

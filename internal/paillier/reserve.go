@@ -1,0 +1,106 @@
+package paillier
+
+import (
+	"crypto/rand"
+	"io"
+	"sync"
+)
+
+// reserveDepth is how many drawn nonces a NonceReserve keeps queued once
+// a Take returns: ≈ 8 KiB of raised powers at a 512-bit N. One constant
+// for every key and every request; a request larger than the reserve
+// draws its shortfall inline.
+const reserveDepth = 64
+
+// NonceReserve is the key cloud's reply randomness, raised before the
+// request that needs it arrives. A nonce power does not depend on the
+// message it will encrypt (Paillier 1999 notes it can be computed ahead
+// of time), so C2 draws its next nonces as soon as it hands the current
+// ones out, and one goroutine raises them while the reply travels to C1
+// and the next request travels back.
+//
+// The reserve hands out its reader's nonce stream in order: Take(k₁),
+// Take(k₂), … return exactly the nonces DrawNonces(random, k₁+k₂+…)
+// would, whether or not they were raised yet, so a deterministic reader
+// yields the same ciphertexts with or without a reserve and at any
+// GOMAXPROCS. The reader is read only inside Take, under the reserve's
+// lock; the raiser reads no randomness.
+//
+// The raiser is one goroutine per reserve, outside ForEach's helper
+// budget — the helpers are busy exactly when C2 is, which is when the
+// raiser has nothing to do. It starts when a Take leaves unraised nonces
+// queued and exits as soon as none is left, so an idle reserve holds no
+// goroutine and needs no Close. Safe for concurrent use.
+type NonceReserve struct {
+	sk     *PrivateKey
+	random io.Reader
+
+	mu      sync.Mutex
+	queue   []*Nonce // guarded by mu; drawn and not yet handed out, in stream order
+	next    int      // guarded by mu; queue[next:] are the nonces the raiser has not started
+	raising bool     // guarded by mu; a raiser goroutine is running
+}
+
+// NewNonceReserve builds an empty reserve over sk's private-key nonce
+// kernel and random (crypto/rand if nil). Nothing is drawn before the
+// first Take.
+func NewNonceReserve(sk *PrivateKey, random io.Reader) *NonceReserve {
+	if random == nil {
+		random = rand.Reader
+	}
+	return &NonceReserve{sk: sk, random: random}
+}
+
+// Take returns the next count nonces of the reserve's stream: the queued
+// ones first, raised or not, then any shortfall drawn inline. It then
+// draws ahead until reserveDepth nonces are queued and, unless a raiser
+// is already running, starts one. A nonce the raiser is still working on
+// when it is handed out is not raised twice: Raise waits for the
+// raiser's result. A reader that fails during the draw-ahead leaves the
+// queue short, and the Take that needs the missing nonce reports the
+// error.
+func (r *NonceReserve) Take(count int) ([]*Nonce, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]*Nonce, count)
+	n := copy(out, r.queue)
+	r.queue = append(r.queue[:0], r.queue[n:]...)
+	r.next = max(r.next-n, 0)
+	for i := n; i < count; i++ {
+		nc, err := r.sk.drawNonce(r.random)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = nc
+	}
+	for len(r.queue) < reserveDepth {
+		nc, err := r.sk.drawNonce(r.random)
+		if err != nil {
+			break
+		}
+		r.queue = append(r.queue, nc)
+	}
+	if !r.raising && r.next < len(r.queue) {
+		r.raising = true
+		go r.raise()
+	}
+	return out, nil
+}
+
+// raise is the raiser goroutine's body: raise the queued nonces in
+// stream order, one at a time, and exit once every queued nonce has
+// been started.
+func (r *NonceReserve) raise() {
+	for {
+		r.mu.Lock()
+		if r.next == len(r.queue) {
+			r.raising = false
+			r.mu.Unlock()
+			return
+		}
+		nc := r.queue[r.next]
+		r.next++
+		r.mu.Unlock()
+		nc.Raise()
+	}
+}

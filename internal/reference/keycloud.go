@@ -4,7 +4,6 @@ import (
 	"sknn/internal/core"
 	"sknn/internal/mpc"
 	"sknn/internal/paillier"
-	"sknn/internal/smc"
 )
 
 // KeyCloud is C2 for the printed protocols: the deployed key cloud's
@@ -16,6 +15,5 @@ func KeyCloud(sk *paillier.PrivateKey) *mpc.Mux {
 	c2 := core.NewCloudC2(sk, nil)
 	mux := c2.Mux()
 	c2.RegisterPaper(mux)
-	smc.NewResponder(sk, nil).RegisterPaper(mux)
 	return mux
 }

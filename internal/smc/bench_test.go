@@ -155,10 +155,13 @@ func BenchmarkSBORBatch(b *testing.B) {
 }
 
 // BenchmarkMSBOncePacked times one bit peel of the value-domain SMIN —
-// L rounds against a C2 that built no tables, as a daemon's does, the
-// last carrying one select operand per value — at
-// the benchmark's shape: K = 512, L = 13 (l = 12 distance bits), and the
-// pair counts of a 32-record tournament's third and first levels.
+// L rounds, the last carrying one select operand per value, against a
+// C2 whose key has its nonce comb (every key does) and whose reply
+// nonces come from its reserve, raised between rounds as a daemon's are
+// — at the benchmark's shape: K = 512, L = 13 (l = 12 distance bits),
+// and the pair counts of a 32-record tournament's third and first
+// levels. Most of a peel's wall clock is C2's handler, so this is the
+// layer number behind C2's off-path nonce raising.
 func BenchmarkMSBOncePacked(b *testing.B) {
 	const L = 13
 	sk := testkit.Key(512)

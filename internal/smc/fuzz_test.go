@@ -81,8 +81,6 @@ func encodeFuzzInts(ints []*big.Int) []byte {
 // either an error or a reply to the same opcode whose length the request
 // alone determines and whose elements are all present.
 func FuzzResponderFrame(f *testing.F) {
-	rp := NewResponder(testKey(), nil)
-	mux := rp.Mux()
 	for _, tc := range malformedFrames {
 		f.Add(uint16(tc.msg.Op), uint64(0), encodeFuzzInts(tc.msg.Ints))
 	}
@@ -108,9 +106,10 @@ func FuzzResponderFrame(f *testing.F) {
 		// One fixed randomness stream per execution, for the harness's
 		// ciphertexts and C2's nonces alike: the coverage an input reaches
 		// must repeat, or the fuzzer spends its time minimizing flukes.
-		rp.rand = mrand.New(mrand.NewSource(1))
-		req := &mpc.Message{Op: mpc.Op(op), Tag: tag, Ints: decodeFuzzInts(t, rp, rp.rand, data)}
-		resp, err := mux.Handle(req)
+		random := mrand.New(mrand.NewSource(1))
+		rp := NewResponder(testKey(), random)
+		req := &mpc.Message{Op: mpc.Op(op), Tag: tag, Ints: decodeFuzzInts(t, rp, random, data)}
+		resp, err := rp.Mux().Handle(req)
 		if err != nil {
 			return
 		}

@@ -288,7 +288,7 @@ func (rp *Responder) handleSSEDPack(req *mpc.Message) (*mpc.Message, error) {
 			ErrBadFrame, len(req.Ints), count, groups)
 	}
 	body := req.Ints[3:]
-	nonces, err := rp.sk.DrawNonces(rp.rand, count)
+	nonces, err := rp.Nonces(count)
 	if err != nil {
 		return nil, fmt.Errorf("smc: packed SSED encrypt: %w", err)
 	}
@@ -496,7 +496,7 @@ func (rp *Responder) handleSBDPackBit(req *mpc.Message) (*mpc.Message, error) {
 	}
 	// One decryption per group and one reply encryption per element: the
 	// nonce powers do not wait for the decryptions.
-	nonces, err := rp.sk.DrawNonces(rp.rand, count*(1+per))
+	nonces, err := rp.Nonces(count * (1 + per))
 	if err != nil {
 		return nil, fmt.Errorf("smc: packed SBD bit encrypt: %w", err)
 	}

@@ -196,7 +196,7 @@ func (rp *Responder) handleSBDLsb(req *mpc.Message) (*mpc.Message, error) {
 		return nil, fmt.Errorf("%w: empty SBD frame", ErrBadFrame)
 	}
 	n := len(req.Ints)
-	nonces, err := rp.sk.DrawNonces(rp.rand, n)
+	nonces, err := rp.Nonces(n)
 	if err != nil {
 		return nil, fmt.Errorf("smc: SBD encrypt lsb: %w", err)
 	}

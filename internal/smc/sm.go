@@ -85,7 +85,7 @@ func (rp *Responder) handleSM(req *mpc.Message) (*mpc.Message, error) {
 		return nil, fmt.Errorf("%w: SM payload of %d ints", ErrBadFrame, len(req.Ints))
 	}
 	n := len(req.Ints) / 2
-	nonces, err := rp.sk.DrawNonces(rp.rand, n)
+	nonces, err := rp.Nonces(n)
 	if err != nil {
 		return nil, fmt.Errorf("smc: SM encrypt: %w", err)
 	}

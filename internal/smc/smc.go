@@ -24,9 +24,11 @@
 // kernel falls back to a paper primitive.
 //
 // C1's side of each protocol is a method on Requester; C2's side is a
-// stateless handler registered on an mpc.Mux by Responder, one
-// registration per family: the deployed key cloud serves the kernels
-// alone, internal/reference's serves both.
+// handler registered on an mpc.Mux by Responder, one registration per
+// family: the deployed key cloud serves the kernels alone,
+// internal/reference's serves both. The handlers keep no protocol state
+// between requests; their reply nonces come from the Responder's one
+// reserve (paillier.NonceReserve), raised before the request arrives.
 //
 // Bit-vector convention: as in the paper, [z] = ⟨E(z₁),…,E(z_l)⟩ with
 // index 0 holding the MOST significant bit.
@@ -186,21 +188,26 @@ func (rq *Requester) rawCiphertexts(vals []*big.Int) ([]*paillier.Ciphertext, er
 	return out, nil
 }
 
-// Responder is C2's execution context: the secret key and a randomness
-// source for re-randomizing replies. Responder is stateless across
-// requests and safe for concurrent serve loops.
+// Responder is C2's execution context: the secret key and the reserve
+// every reply encryption draws its nonce from. It keeps no protocol
+// state between requests — only that reserve of its own randomness,
+// raised ahead of the requests — and is safe for concurrent serve loops.
 type Responder struct {
-	sk   *paillier.PrivateKey
-	rand io.Reader
+	sk     *paillier.PrivateKey
+	nonces *paillier.NonceReserve
 }
 
-// NewResponder builds C2's context. If random is nil, crypto/rand.Reader
-// is used.
+// NewResponder builds C2's context, its reply nonces drawn from random
+// (crypto/rand.Reader if nil) in stream order.
 func NewResponder(sk *paillier.PrivateKey, random io.Reader) *Responder {
-	if random == nil {
-		random = rand.Reader
-	}
-	return &Responder{sk: sk, rand: random}
+	return &Responder{sk: sk, nonces: paillier.NewNonceReserve(sk, random)}
+}
+
+// Nonces hands out the next count reply nonces from the responder's
+// reserve, raised or still to be raised: the one draw behind every reply
+// encryption C2 makes, core's handlers included.
+func (rp *Responder) Nonces(count int) ([]*paillier.Nonce, error) {
+	return rp.nonces.Take(count)
 }
 
 // RegisterPaper installs the handlers of the paper's primitives as
@@ -230,8 +237,9 @@ func (rp *Responder) Mux() *mpc.Mux {
 }
 
 // encryptReply assembles a reply of fresh encryptions, ms[i] under
-// nonces[i]: the cheap half left once a handler's fan-out has raised the
-// nonces beside its decryptions (paillier.RaiseAlongside).
+// nonces[i]: the cheap half left once the reserve's raiser, or the
+// handler's fan-out beside its decryptions (paillier.RaiseAlongside), has
+// raised the nonces.
 func (rp *Responder) encryptReply(nonces []*paillier.Nonce, ms []*big.Int) []*big.Int {
 	out := make([]*big.Int, len(ms))
 	for i, m := range ms {

@@ -173,7 +173,7 @@ func (rp *Responder) handleSMIN(req *mpc.Message) (*mpc.Message, error) {
 	}
 	// l re-randomisations and E(α): their nonce powers ride beside the
 	// decryptions of L′.
-	nonces, err := rp.sk.DrawNonces(rp.rand, l+1)
+	nonces, err := rp.Nonces(l + 1)
 	if err != nil {
 		return nil, fmt.Errorf("smc: SMIN reply nonces: %w", err)
 	}
