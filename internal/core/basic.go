@@ -112,7 +112,7 @@ func (s *QuerySession) basicScan(q EncryptedQuery, k int, metrics *BasicMetrics)
 	}
 	selected := make([]Candidate, k)
 	for j, i := range order {
-		selected[j] = Candidate{Dist: ds[i], Rec: records[j], ID: s.tbl.ids[winners[j]]}
+		selected[j] = Candidate{Dist: ds[i], Rec: records[j], ID: s.tbl.IDs[winners[j]]}
 	}
 	metrics.Rank = time.Since(phase)
 	return selected, nil

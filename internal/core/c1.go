@@ -66,7 +66,7 @@ func (c *CloudC1) NewSession(ctx context.Context) (*QuerySession, error) {
 	// table's own read lock); the session pins this state for its whole
 	// lifetime.
 	v := c.table.view()
-	return openSession(ctx, c.pool, v, v.pk, v.m, v.featureM, v.attrBits)
+	return openSession(ctx, c.pool, v, v.pk, v.M, v.FeatureM, v.AttrBits)
 }
 
 // Close drains every in-flight session, then tears the link pool down.

@@ -110,6 +110,7 @@ func TestClusteredTableIndexValidation(t *testing.T) {
 		{"out of range", cents, [][]int{{0, 1, 2, 3, 4}, {5, 6, 7, 8, 10}}},
 		{"duplicate row", cents, [][]int{{0, 1, 2, 3, 4}, {4, 5, 6, 7, 8}}},
 		{"missing row", cents, [][]int{{0, 1, 2, 3}, {5, 6, 7, 8, 9}}},
+		{"descending members", cents, [][]int{{1, 0, 2, 3, 4}, {5, 6, 7, 8, 9}}},
 	}
 	for _, c := range cases {
 		if err := enc.SetClusterIndex(rand.Reader, c.cents, c.members); err == nil {

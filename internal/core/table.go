@@ -148,33 +148,13 @@ func (p *rowPacks) remapped(remap []int, n int) *rowPacks {
 	return out
 }
 
-// newTable wires the bookkeeping every construction path shares.
-func newTable(pk *paillier.PublicKey, records []EncryptedRecord, m, attrBits int) *EncryptedTable {
-	t := &EncryptedTable{
-		pk:       pk,
-		m:        m,
-		featureM: m,
-		attrBits: attrBits,
-		records:  records,
-		ids:      make([]uint64, len(records)),
-		byID:     make(map[uint64]int, len(records)),
-		dead:     make([]bool, len(records)),
-		nextID:   uint64(len(records)),
-		packs:    &rowPacks{},
-	}
-	for i := range records {
-		t.ids[i] = uint64(i)
-		t.byID[uint64(i)] = i
-	}
-	return t
-}
-
 // EncryptTable is Alice's one-time setup (Section 1.1): she encrypts her
-// n×m table attribute-wise under pk. Rows must be rectangular and each
-// attribute must fit the chosen domain: callers enforce value bounds via
-// dataset validation before encryption. The table's attribute width is
-// that of the widest value encrypted here, the one place the plaintext
-// and the table meet; WithAttrBits declares a wider domain.
+// n×m table attribute-wise under pk, and the rows take ids 0..n−1. Rows
+// must be rectangular and each attribute must fit the chosen domain:
+// callers enforce value bounds via dataset validation before encryption.
+// The table's attribute width is that of the widest value encrypted
+// here, the one place the plaintext and the table meet; WithAttrBits
+// declares a wider domain.
 func EncryptTable(random io.Reader, pk *paillier.PublicKey, rows [][]uint64) (*EncryptedTable, error) {
 	if len(rows) == 0 || len(rows[0]) == 0 {
 		return nil, fmt.Errorf("core: empty table")
@@ -193,7 +173,12 @@ func EncryptTable(random io.Reader, pk *paillier.PublicKey, rows [][]uint64) (*E
 	if err != nil {
 		return nil, fmt.Errorf("core: encrypting table: %w", err)
 	}
-	return newTable(pk, records, m, width), nil
+	ids := make([]uint64, len(rows))
+	for i := range ids {
+		ids[i] = uint64(i)
+	}
+	return RestoreTable(pk, &TableSnapshot{M: m, FeatureM: m, AttrBits: width, NextID: uint64(len(rows)),
+		Records: records, IDs: ids, Dead: make([]bool, len(rows))})
 }
 
 // encryptRows encrypts rows of m attributes each, attribute-wise, with
@@ -218,136 +203,124 @@ func encryptRows(random io.Reader, pk *paillier.PublicKey, rows [][]uint64, m in
 	return records, nil
 }
 
-// derive builds a construction-time variant of t sharing its ciphertexts.
-// Slices that later mutation writes *into* (dead, byID) are copied so the
-// derived table and the original cannot corrupt each other; append-only
-// slices (records, ids, members) are shared by header. Deriving from a
-// table is only defined before either table is mutated.
-//
-//sknnlint:allow lockguard -- construction-time by documented contract: derive runs before either table is published to a second goroutine, so no lock is needed (or possible: the result shares no mutex with t)
-func (t *EncryptedTable) derive() *EncryptedTable {
-	d := &EncryptedTable{
-		pk:       t.pk,
-		m:        t.m,
-		featureM: t.featureM,
-		attrBits: t.attrBits,
-		records:  t.records,
-		ids:      t.ids,
-		byID:     make(map[uint64]int, len(t.byID)),
-		nextID:   t.nextID,
-		dead:     append([]bool(nil), t.dead...),
-		deadN:    t.deadN,
-		inserted: t.inserted,
-		index:    t.index,
-		packs:    &rowPacks{}, // not shared: a derived table may pick other feature columns
-	}
-	for id, pos := range t.byID {
-		d.byID[id] = pos
-	}
-	return d
-}
-
-// WithFeatureColumns returns a view of the table whose first f columns
+// WithFeatureColumns returns a copy of the table whose first f columns
 // are the distance features; the remaining m−f columns are opaque
-// payload (labels, identifiers) still delivered with results. The
-// ciphertexts are shared with the receiver, not copied. Any attached
-// cluster index is dropped (its centroids are sized to the feature
-// prefix): attach the index after choosing feature columns. This is a
-// construction-time operation — derive views before mutating either
-// table, and keep mutating only one of them.
+// payload (labels, identifiers) still delivered with results. The copy
+// shares the receiver's ciphertexts and nothing else, so mutating
+// either table never shows in the other. Any attached cluster index is
+// dropped (its centroids are sized to the feature prefix): attach the
+// index after choosing feature columns.
 func (t *EncryptedTable) WithFeatureColumns(f int) (*EncryptedTable, error) {
 	if f < 1 || f > t.m {
 		return nil, fmt.Errorf("core: feature columns %d out of range [1,%d]", f, t.m)
 	}
-	view := t.derive()
-	view.featureM = f
-	//sknnlint:allow lockguard -- view is construction-time fresh from derive: unpublished, so its mutex cannot be contended yet
-	view.index = nil
-	return view, nil
+	s := t.Snapshot()
+	s.FeatureM, s.Centroids, s.Members = f, nil, nil
+	return RestoreTable(t.pk, s)
 }
 
-// WithAttrBits returns a view of the table declaring every column value,
+// WithAttrBits returns a copy of the table declaring every column value,
 // stored or still to be inserted, below 2^bits: the owner's attribute
-// domain, no narrower than what the table already holds. The ciphertexts
-// are shared; like WithFeatureColumns it is a construction-time operation.
+// domain, no narrower than what the table already holds. Like
+// WithFeatureColumns the copy shares only the ciphertexts.
 func (t *EncryptedTable) WithAttrBits(bits int) (*EncryptedTable, error) {
 	if bits < t.attrBits || bits > maxAttrBits {
 		return nil, fmt.Errorf("core: attribute width %d out of range [%d,%d]", bits, t.attrBits, maxAttrBits)
 	}
-	view := t.derive()
-	view.attrBits = bits
-	return view, nil
+	s := t.Snapshot()
+	s.AttrBits = bits
+	return RestoreTable(t.pk, s)
 }
 
 // SetClusterIndex attaches a partitioned layout to the table, replacing
 // any index it has: the plaintext centroids (one per cluster, featureM
 // attributes each, as produced by internal/cluster where the data owner
 // holds plaintext) are encrypted under the table's key, and members
-// records the partition of row positions. The owner calls it at
-// outsourcing time and again in Compact-style maintenance. The table
-// must be tombstone-free (Compact first): membership positions are
-// validated against the current physical layout.
+// records the partition of row positions, every cluster non-empty. The
+// owner calls it at outsourcing time and again in Compact-style
+// maintenance. The table must be tombstone-free (Compact first):
+// membership positions are validated against the current physical
+// layout.
 func (t *EncryptedTable) SetClusterIndex(random io.Reader, centroids [][]uint64, members [][]int) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.deadN != 0 {
 		return fmt.Errorf("core: cannot rebuild cluster index with %d tombstones (Compact first)", t.deadN)
 	}
-	idx, err := t.buildIndexLocked(random, centroids, members)
-	if err != nil {
-		return err
+	if err := checkPartition(len(centroids), members, len(t.records)); err != nil {
+		return fmt.Errorf("core: cluster index: %w", err)
 	}
-	t.invalidateViewLocked()
-	t.index = idx
-	t.inserted = 0
-	return nil
-}
-
-// buildIndexLocked validates the partition and encrypts the centroids.
-// Caller holds t.mu.
-func (t *EncryptedTable) buildIndexLocked(random io.Reader, centroids [][]uint64, members [][]int) (*clusterIndex, error) {
-	if len(centroids) == 0 || len(centroids) != len(members) {
-		return nil, fmt.Errorf("core: cluster index with %d centroids, %d member lists",
-			len(centroids), len(members))
-	}
-	n := len(t.records)
-	seen := make([]bool, n)
 	for j, mem := range members {
 		if len(mem) == 0 {
-			return nil, fmt.Errorf("core: cluster %d is empty", j)
+			return fmt.Errorf("core: cluster %d is empty", j)
 		}
 		if len(centroids[j]) != t.featureM {
-			return nil, fmt.Errorf("core: centroid %d has %d attributes, want %d feature columns",
+			return fmt.Errorf("core: centroid %d has %d attributes, want %d feature columns",
 				j, len(centroids[j]), t.featureM)
-		}
-		for _, i := range mem {
-			if i < 0 || i >= n {
-				return nil, fmt.Errorf("core: cluster %d member %d out of range [0,%d)", j, i, n)
-			}
-			if seen[i] {
-				return nil, fmt.Errorf("core: record %d in more than one cluster", i)
-			}
-			seen[i] = true
-		}
-	}
-	for i, ok := range seen {
-		if !ok {
-			return nil, fmt.Errorf("core: record %d not in any cluster", i)
 		}
 	}
 	encCentroids, err := encryptRows(random, t.pk, centroids, t.featureM)
 	if err != nil {
-		return nil, fmt.Errorf("core: encrypting centroids: %w", err)
+		return fmt.Errorf("core: encrypting centroids: %w", err)
 	}
-	idx := &clusterIndex{
-		centroids: encCentroids,
-		members:   make([][]int, len(members)),
-		packs:     &rowPacks{},
+	t.invalidateViewLocked()
+	t.index = &clusterIndex{centroids: encCentroids, members: cloneLists(members), packs: &rowPacks{}}
+	t.inserted = 0
+	return nil
+}
+
+// checkPartition validates the membership lists of an index over c
+// centroids and n stored records: one list per centroid, each strictly
+// ascending, together covering every position in [0,n) exactly once.
+func checkPartition(c int, members [][]int, n int) error {
+	if c == 0 || c != len(members) {
+		return fmt.Errorf("%d centroids, %d member lists", c, len(members))
 	}
+	seen := make([]bool, n)
 	for j, mem := range members {
-		idx.members[j] = append([]int(nil), mem...)
+		prev := -1
+		for _, i := range mem {
+			if i < 0 || i >= n {
+				return fmt.Errorf("cluster %d member %d out of range [0,%d)", j, i, n)
+			}
+			if i <= prev {
+				return fmt.Errorf("cluster %d members not strictly ascending", j)
+			}
+			if seen[i] {
+				return fmt.Errorf("record %d in more than one cluster", i)
+			}
+			seen[i], prev = true, i
+		}
 	}
-	return idx, nil
+	for i, ok := range seen {
+		if !ok {
+			return fmt.Errorf("record %d not in any cluster", i)
+		}
+	}
+	return nil
+}
+
+// checkRecord refuses a stored row — a record of m attributes, or a
+// centroid of m feature columns — that is not m ciphertexts.
+func checkRecord(rec EncryptedRecord, m int) error {
+	if len(rec) != m {
+		return fmt.Errorf("%d attributes, want %d", len(rec), m)
+	}
+	for j, ct := range rec {
+		if ct == nil {
+			return fmt.Errorf("attribute %d is nil", j)
+		}
+	}
+	return nil
+}
+
+// cloneLists copies membership lists, so no two owners share one.
+func cloneLists(lists [][]int) [][]int {
+	out := make([][]int, len(lists))
+	for j, l := range lists {
+		out[j] = append([]int(nil), l...)
+	}
+	return out
 }
 
 // Errors returned by the live-table mutation API.
@@ -380,13 +353,8 @@ func (t *EncryptedTable) InsertWithID(id uint64, rec EncryptedRecord, cluster in
 // insertLocked appends one record under the write lock, advancing the
 // id high-water mark past id.
 func (t *EncryptedTable) insertLocked(id uint64, rec EncryptedRecord, cluster int) error {
-	if len(rec) != t.m {
-		return fmt.Errorf("core: inserting record with %d attributes, want %d", len(rec), t.m)
-	}
-	for j, ct := range rec {
-		if ct == nil {
-			return fmt.Errorf("core: inserted record attribute %d is nil", j)
-		}
+	if err := checkRecord(rec, t.m); err != nil {
+		return fmt.Errorf("core: inserted record: %w", err)
 	}
 	if t.index != nil {
 		if cluster < 0 || cluster >= len(t.index.centroids) {
@@ -460,23 +428,16 @@ func (t *EncryptedTable) Compact() int {
 	t.inserted = 0
 	t.packs = t.packs.remapped(remap, len(records))
 	if t.index != nil {
-		// Replace the index wholesale (never edit shared slices in place:
-		// open query views still reference the old members).
-		idx := &clusterIndex{
-			centroids: t.index.centroids,
-			members:   make([][]int, len(t.index.members)),
-			packs:     t.index.packs,
-		}
+		// Open query views own copies of the lists: filter them in place.
 		for j, mem := range t.index.members {
-			kept := make([]int, 0, len(mem))
+			kept := mem[:0]
 			for _, i := range mem {
 				if remap[i] >= 0 {
 					kept = append(kept, remap[i])
 				}
 			}
-			idx.members[j] = kept
+			t.index.members[j] = kept
 		}
-		t.index = idx
 	}
 	return removed
 }
@@ -540,23 +501,16 @@ func (t *EncryptedTable) AttrBits() int { return t.attrBits }
 // PK returns the public key the table is encrypted under.
 func (t *EncryptedTable) PK() *paillier.PublicKey { return t.pk }
 
-// tableView is the immutable per-query snapshot of the table's state:
-// slice headers captured under the read lock, plus a copy of the dead
-// bitmap (the only state mutated in place). A QuerySession takes one at
-// open; every protocol phase reads the view, so a query observes a
-// single consistent table state no matter how many Inserts, Deletes, or
-// Compacts land while it runs.
+// tableView is the immutable per-query state of the table: its snapshot,
+// captured under the lock, plus the live positions and the pack memos of
+// that physical layout. A QuerySession takes one at open; every protocol
+// phase reads the view, so a query observes a single consistent table
+// state no matter how many Inserts, Deletes, or Compacts land while it
+// runs.
 type tableView struct {
-	pk        *paillier.PublicKey
-	m         int
-	featureM  int
-	attrBits  int
-	records   []EncryptedRecord
-	ids       []uint64 // position -> stable record id
-	dead      []bool
-	liveIdx   []int             // live positions, ascending
-	centroids []EncryptedRecord // nil when unclustered
-	members   [][]int           // positions incl tombstones; filter via dead
+	*TableSnapshot
+	pk      *paillier.PublicKey
+	liveIdx []int // live positions, ascending
 
 	// The table's packed renderings as of this view's physical layout
 	// (see rowPacks); centPacks is nil when unclustered.
@@ -585,25 +539,14 @@ func (t *EncryptedTable) view() *tableView {
 
 // buildViewLocked materializes the view. Caller holds t.mu (write).
 func (t *EncryptedTable) buildViewLocked() *tableView {
-	v := &tableView{
-		pk:       t.pk,
-		m:        t.m,
-		featureM: t.featureM,
-		attrBits: t.attrBits,
-		records:  t.records,
-		ids:      t.ids,
-		dead:     append([]bool(nil), t.dead...),
-		packs:    t.packs,
-	}
-	v.liveIdx = make([]int, 0, len(t.records)-t.deadN)
-	for i := range t.records {
-		if !t.dead[i] {
+	v := &tableView{TableSnapshot: t.snapshotLocked(), pk: t.pk, packs: t.packs}
+	v.liveIdx = make([]int, 0, len(v.Records)-t.deadN)
+	for i, dead := range v.Dead {
+		if !dead {
 			v.liveIdx = append(v.liveIdx, i)
 		}
 	}
 	if t.index != nil {
-		v.centroids = t.index.centroids
-		v.members = append([][]int(nil), t.index.members...)
 		v.centPacks = t.index.packs
 	}
 	return v
@@ -618,13 +561,13 @@ func (t *EncryptedTable) invalidateViewLocked() { t.cached = nil }
 func (v *tableView) N() int { return len(v.liveIdx) }
 
 // Clustered reports whether the view carries a cluster index.
-func (v *tableView) Clustered() bool { return v.centroids != nil }
+func (v *tableView) Clustered() bool { return v.Centroids != nil }
 
 // liveMembers returns cluster j's live record positions.
 func (v *tableView) liveMembers(j int) []int {
-	out := make([]int, 0, len(v.members[j]))
-	for _, i := range v.members[j] {
-		if !v.dead[i] {
+	out := make([]int, 0, len(v.Members[j]))
+	for _, i := range v.Members[j] {
+		if !v.Dead[i] {
 			out = append(out, i)
 		}
 	}
@@ -634,8 +577,8 @@ func (v *tableView) liveMembers(j int) []int {
 // centroids2D exposes the encrypted centroids in the [][]*Ciphertext
 // shape the smc batch calls expect.
 func (v *tableView) centroids2D() [][]*paillier.Ciphertext {
-	out := make([][]*paillier.Ciphertext, len(v.centroids))
-	for i, r := range v.centroids {
+	out := make([][]*paillier.Ciphertext, len(v.Centroids))
+	for i, r := range v.Centroids {
 		out[i] = r
 	}
 	return out
@@ -646,7 +589,7 @@ func (v *tableView) centroids2D() [][]*paillier.Ciphertext {
 func (v *tableView) featureRows(idx []int) [][]*paillier.Ciphertext {
 	out := make([][]*paillier.Ciphertext, len(idx))
 	for i, id := range idx {
-		out[i] = v.records[id][:v.featureM]
+		out[i] = v.Records[id][:v.FeatureM]
 	}
 	return out
 }
@@ -657,19 +600,19 @@ func (v *tableView) featureRows(idx []int) [][]*paillier.Ciphertext {
 // attributes, never rows).
 func (v *tableView) packedFeatureRows(valueBits int, idx []int) (*smc.PackedRows, error) {
 	return packedRows(v.pk, v.packs, valueBits, idx, func(pos int) []*paillier.Ciphertext {
-		return v.records[pos][:v.featureM]
+		return v.Records[pos][:v.FeatureM]
 	})
 }
 
 // packedCentroids returns the slot-packed rendering of the cluster
 // centroids of a clustered view.
 func (v *tableView) packedCentroids(valueBits int) (*smc.PackedRows, error) {
-	all := make([]int, len(v.centroids))
+	all := make([]int, len(v.Centroids))
 	for i := range all {
 		all[i] = i
 	}
 	return packedRows(v.pk, v.centPacks, valueBits, all, func(pos int) []*paillier.Ciphertext {
-		return v.centroids[pos]
+		return v.Centroids[pos]
 	})
 }
 
@@ -702,7 +645,7 @@ func (v *tableView) recordRows(layout RowLayout, idx []int) ([][]*paillier.Ciphe
 	if layout.Cols == 1 {
 		rows := make([][]*paillier.Ciphertext, len(idx))
 		for i, pos := range idx {
-			rows[i] = v.records[pos]
+			rows[i] = v.Records[pos]
 		}
 		return rows, nil
 	}
@@ -711,7 +654,7 @@ func (v *tableView) recordRows(layout RowLayout, idx []int) ([][]*paillier.Ciphe
 		return nil, fmt.Errorf("core: row layout: %w", err)
 	}
 	return v.packs.get(packKey{bits: layout.Bits, cols: layout.Cols}, idx, func(pos int) ([]*paillier.Ciphertext, error) {
-		return smc.PackRow(codec, v.records[pos])
+		return smc.PackRow(codec, v.Records[pos])
 	})
 }
 
@@ -738,6 +681,12 @@ type TableSnapshot struct {
 func (t *EncryptedTable) Snapshot() *TableSnapshot {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	return t.snapshotLocked()
+}
+
+// snapshotLocked is Snapshot's capture, shared with buildViewLocked.
+// Caller holds t.mu.
+func (t *EncryptedTable) snapshotLocked() *TableSnapshot {
 	s := &TableSnapshot{
 		M:        t.m,
 		FeatureM: t.featureM,
@@ -749,17 +698,17 @@ func (t *EncryptedTable) Snapshot() *TableSnapshot {
 	}
 	if t.index != nil {
 		s.Centroids = append([]EncryptedRecord(nil), t.index.centroids...)
-		s.Members = make([][]int, len(t.index.members))
-		for j, mem := range t.index.members {
-			s.Members[j] = append([]int(nil), mem...)
-		}
+		s.Members = cloneLists(t.index.members)
 	}
 	return s
 }
 
-// RestoreTable rebuilds an EncryptedTable from a snapshot (the load half
-// of internal/store). No encryption happens here — ciphertexts are
-// adopted as-is — which is what makes snapshot reload encrypt-free.
+// RestoreTable builds an EncryptedTable from a snapshot: the load half of
+// internal/store, and the one constructor every table — encrypted,
+// copied or loaded — comes out of. No encryption happens here —
+// ciphertexts are adopted as-is — which is what makes snapshot reload
+// encrypt-free. The table adopts the snapshot's slices too: restore a
+// snapshot once.
 func RestoreTable(pk *paillier.PublicKey, snap *TableSnapshot) (*EncryptedTable, error) {
 	if snap == nil || len(snap.Records) == 0 {
 		return nil, fmt.Errorf("core: empty snapshot")
@@ -788,13 +737,8 @@ func RestoreTable(pk *paillier.PublicKey, snap *TableSnapshot) (*EncryptedTable,
 		packs:    &rowPacks{},
 	}
 	for i, rec := range snap.Records {
-		if len(rec) != snap.M {
-			return nil, fmt.Errorf("core: snapshot record %d has %d attributes, want %d", i, len(rec), snap.M)
-		}
-		for j, ct := range rec {
-			if ct == nil {
-				return nil, fmt.Errorf("core: snapshot record %d attribute %d is nil", i, j)
-			}
+		if err := checkRecord(rec, snap.M); err != nil {
+			return nil, fmt.Errorf("core: snapshot record %d: %w", i, err)
 		}
 		id := snap.IDs[i]
 		if id >= snap.NextID {
@@ -812,34 +756,12 @@ func RestoreTable(pk *paillier.PublicKey, snap *TableSnapshot) (*EncryptedTable,
 		return nil, fmt.Errorf("core: snapshot has no live records")
 	}
 	if len(snap.Centroids) > 0 || len(snap.Members) > 0 {
-		if len(snap.Centroids) == 0 || len(snap.Centroids) != len(snap.Members) {
-			return nil, fmt.Errorf("core: snapshot index with %d centroids, %d member lists",
-				len(snap.Centroids), len(snap.Members))
+		if err := checkPartition(len(snap.Centroids), snap.Members, n); err != nil {
+			return nil, fmt.Errorf("core: snapshot index: %w", err)
 		}
-		seen := make([]bool, n)
 		for j, cent := range snap.Centroids {
-			if len(cent) != snap.FeatureM {
-				return nil, fmt.Errorf("core: snapshot centroid %d has %d attributes, want %d",
-					j, len(cent), snap.FeatureM)
-			}
-			for h, ct := range cent {
-				if ct == nil {
-					return nil, fmt.Errorf("core: snapshot centroid %d attribute %d is nil", j, h)
-				}
-			}
-			for _, i := range snap.Members[j] {
-				if i < 0 || i >= n {
-					return nil, fmt.Errorf("core: snapshot cluster %d member %d out of range [0,%d)", j, i, n)
-				}
-				if seen[i] {
-					return nil, fmt.Errorf("core: snapshot record %d in more than one cluster", i)
-				}
-				seen[i] = true
-			}
-		}
-		for i, ok := range seen {
-			if !ok {
-				return nil, fmt.Errorf("core: snapshot record %d not in any cluster", i)
+			if err := checkRecord(cent, snap.FeatureM); err != nil {
+				return nil, fmt.Errorf("core: snapshot centroid %d: %w", j, err)
 			}
 		}
 		t.index = &clusterIndex{centroids: snap.Centroids, members: snap.Members, packs: &rowPacks{}}

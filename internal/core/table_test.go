@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/rand"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -107,7 +108,7 @@ func TestAttrBitsTravels(t *testing.T) {
 		t.Fatal(err)
 	}
 	for what, got := range map[string]int{
-		"clustered feature view": feat.AttrBits(), "its session view": feat.view().attrBits,
+		"clustered feature view": feat.AttrBits(), "its session view": feat.view().AttrBits,
 		"snapshot": snap.AttrBits, "restored table": restored.AttrBits(),
 		"shard 0": parts[0].AttrBits, "shard 1": parts[1].AttrBits, "merged snapshot": merged.AttrBits,
 	} {
@@ -428,7 +429,12 @@ func TestPackedRenderingsConcurrentMutation(t *testing.T) {
 		}
 		return rec
 	}
-	tbl := newTable(pk, []EncryptedRecord{row(0), row(1), row(2), row(3)}, 2, 6)
+	tbl, err := RestoreTable(pk, &TableSnapshot{M: 2, FeatureM: 2, AttrBits: 6, NextID: 4,
+		Records: []EncryptedRecord{row(0), row(1), row(2), row(3)},
+		IDs:     []uint64{0, 1, 2, 3}, Dead: make([]bool, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	layout := rowLayoutFor(pk, 2, attrPackBits(l))
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -453,7 +459,7 @@ func TestPackedRenderingsConcurrentMutation(t *testing.T) {
 					return
 				}
 				for i, pos := range v.liveIdx {
-					id := v.ids[pos]
+					id := v.IDs[pos]
 					got, err := sk.Decrypt(recs[i][0])
 					if want := value(id) | value(id+1)<<6; err != nil || got.Uint64() != want {
 						t.Errorf("id %d at position %d renders as %v (%v), want %d", id, pos, got, err, want)
@@ -509,5 +515,80 @@ func TestSnapshotRestoreRejectsBadState(t *testing.T) {
 	badPartition.Members = [][]int{{0}} // record 1 missing from the partition
 	if _, err := RestoreTable(&sk.PublicKey, badPartition); err == nil {
 		t.Error("incomplete cluster partition accepted")
+	}
+	// store.WriteSnapshot refuses such lists, so the engine must too.
+	unordered := tbl.Snapshot()
+	unordered.Centroids = []EncryptedRecord{tbl.records[0]}
+	unordered.Members = [][]int{{1, 0}}
+	if _, err := RestoreTable(&sk.PublicKey, unordered); err == nil {
+		t.Error("descending member list accepted")
+	}
+}
+
+// TestCopiesShareOnlyCiphertexts: WithAttrBits and WithFeatureColumns
+// return tables that share their source's ciphertexts and nothing else.
+// Mutating a copy of a clustered table — inserting into one of its
+// clusters, deleting, compacting — leaves the source's records,
+// tombstones and member lists as they were, so the source still
+// snapshots and restores; and the other way round.
+func TestCopiesShareOnlyCiphertexts(t *testing.T) {
+	sk := testKey()
+	pk := &sk.PublicKey
+	src, err := EncryptTable(rand.Reader, pk, [][]uint64{{1, 1}, {2, 2}, {30, 30}, {31, 31}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.SetClusterIndex(rand.Reader, [][]uint64{{1, 1}, {30, 30}}, [][]int{{0, 1}, {2, 3}}); err != nil {
+		t.Fatal(err)
+	}
+	wide, err := src.WithAttrBits(12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feat, err := src.WithFeatureColumns(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := pk.EncryptUint64Vector(rand.Reader, []uint64{3, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wide.InsertWithID(wide.NextID(), rec, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := feat.InsertWithID(feat.NextID(), rec, -1); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*EncryptedTable{wide, feat} {
+		if err := c.Delete(1); err != nil {
+			t.Fatal(err)
+		}
+		c.Compact()
+	}
+
+	want := [][]int{{0, 1}, {2, 3}}
+	if got := src.Snapshot(); len(got.Records) != 4 || got.NextID != 4 || got.Dead[1] ||
+		fmt.Sprint(got.Members) != fmt.Sprint(want) {
+		t.Fatalf("source after mutating its copies: %d records, next id %d, dead %v, members %v; want 4, 4, none, %v",
+			len(got.Records), got.NextID, got.Dead, got.Members, want)
+	}
+	if _, err := RestoreTable(pk, src.Snapshot()); err != nil {
+		t.Fatalf("source no longer restores: %v", err)
+	}
+	if got := wide.Snapshot().Members; fmt.Sprint(got) != "[[0 3] [1 2]]" {
+		t.Errorf("copy's members after insert, delete and compact = %v, want [[0 3] [1 2]]", got)
+	}
+
+	if err := src.Delete(0); err != nil {
+		t.Fatal(err)
+	}
+	src.Compact()
+	for name, c := range map[string]*EncryptedTable{"WithAttrBits": wide, "WithFeatureColumns": feat} {
+		if c.N() != 4 {
+			t.Errorf("%s copy holds %d records after the source compacted, want 4", name, c.N())
+		}
+		if _, err := RestoreTable(pk, c.Snapshot()); err != nil {
+			t.Errorf("%s copy no longer restores: %v", name, err)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"math/big"
+	"slices"
 	"sync"
 	"testing"
 
@@ -62,7 +63,9 @@ func seedSnapshot(tb testing.TB, clustered, sharded bool) []byte {
 // never panic, never allocate unboundedly off a lying header, and when
 // a parse succeeds, its key carries its l (core.CheckDomainBits) and the
 // snapshot must survive a write/read round trip and core.RestoreTable's
-// structural validation (i.e. nothing half-parsed ever escapes).
+// structural validation (i.e. nothing half-parsed ever escapes); a table
+// RestoreTable accepts must save and read back with the same ids,
+// tombstones and member lists.
 func FuzzSnapshotRead(f *testing.F) {
 	plain := seedSnapshot(f, false, false)
 	f.Add(plain)
@@ -108,8 +111,27 @@ func FuzzSnapshotRead(f *testing.F) {
 		}
 		// The engine-level validator must accept or reject cleanly, not
 		// panic: Read's format checks are deliberately weaker than
-		// RestoreTable's structural ones.
-		_, _ = core.RestoreTable(snap.PK, snap.Table)
+		// RestoreTable's structural ones. A table it accepts must save and
+		// load back unchanged — the engine never serves what it cannot
+		// store.
+		tbl, err := core.RestoreTable(snap.PK, snap.Table)
+		if err != nil {
+			return
+		}
+		want := tbl.Snapshot()
+		var saved bytes.Buffer
+		if err := Write(&saved, snap.PK, want, snap.DomainBits); err != nil {
+			t.Fatalf("saving a restored table: %v", err)
+		}
+		back, err := Read(&saved)
+		if err != nil {
+			t.Fatalf("reloading a restored table: %v", err)
+		}
+		if !slices.Equal(back.Table.IDs, want.IDs) || !slices.Equal(back.Table.Dead, want.Dead) ||
+			!slices.EqualFunc(back.Table.Members, want.Members, slices.Equal[[]int]) {
+			t.Fatalf("restored table changed on save: ids %v/%v, dead %v/%v, members %v/%v",
+				back.Table.IDs, want.IDs, back.Table.Dead, want.Dead, back.Table.Members, want.Members)
+		}
 	})
 }
 

@@ -203,7 +203,7 @@ func (s *System) compactShardLocked(owner *core.CloudC1) error {
 	if !tbl.Clustered() {
 		return nil
 	}
-	rows, err := decryptTableRows(s.sk, tbl, tbl.FeatureM())
+	rows, err := decryptSnapshotRows(s.sk, tbl.Snapshot(), tbl.FeatureM())
 	if err != nil {
 		return fmt.Errorf("sknn: compact: %w", err)
 	}
@@ -243,24 +243,13 @@ func (s *System) DecryptTable() ([][]uint64, error) {
 		return nil, err
 	}
 	defer s.end()
-	return s.decryptRows(s.M())
-}
-
-// decryptRows decrypts the first cols attributes of every live record,
-// working from a consistent merged snapshot so concurrent mutation
-// cannot tear the result and sharding cannot change the order.
-func (s *System) decryptRows(cols int) ([][]uint64, error) {
+	// One consistent merged snapshot: concurrent mutation cannot tear the
+	// result and sharding cannot change the order.
 	snap, err := s.snapshot()
 	if err != nil {
 		return nil, err
 	}
-	return decryptSnapshotRows(s.sk, snap, cols)
-}
-
-// decryptTableRows decrypts one table's live feature rows from its own
-// snapshot (the shard-local re-cluster input).
-func decryptTableRows(sk *paillier.PrivateKey, tbl *core.EncryptedTable, cols int) ([][]uint64, error) {
-	return decryptSnapshotRows(sk, tbl.Snapshot(), cols)
+	return decryptSnapshotRows(s.sk, snap, s.M())
 }
 
 // decryptSnapshotRows decrypts the first cols attributes of a
