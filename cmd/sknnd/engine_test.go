@@ -58,7 +58,7 @@ func listen(t *testing.T, handle func(mpc.Conn)) string {
 func serveC2(t *testing.T, sk *paillier.PrivateKey) string {
 	c2 := core.NewCloudC2(sk, nil)
 	return listen(t, func(conn mpc.Conn) {
-		if err := c2.ServeConcurrent(conn, 4); err != nil {
+		if err := c2.Serve(conn); err != nil {
 			t.Errorf("C2 session: %v", err)
 		}
 	})

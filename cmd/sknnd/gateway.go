@@ -42,11 +42,6 @@ type tenantSpec struct {
 	C2Token string `json:"c2_token,omitempty"`
 	Workers int    `json:"workers,omitempty"`
 
-	// Target is the pruned-scan candidate floor on clustered tables
-	// (core.CoverageTarget(coverage, k) for the operator's chosen
-	// coverage and typical k); 0 scans fully.
-	Target int `json:"target,omitempty"`
-
 	// Admission quotas; zero values mean unlimited (see
 	// gateway.TenantConfig).
 	RateQPS     float64 `json:"rate_qps,omitempty"`
@@ -99,7 +94,6 @@ func cmdGateway(args []string) {
 			Name:        ts.Name,
 			Token:       ts.Token,
 			DomainBits:  eng.domainBits,
-			Target:      ts.Target,
 			RateQPS:     ts.RateQPS,
 			Burst:       ts.Burst,
 			MaxInflight: ts.MaxInflight,

@@ -11,10 +11,10 @@
 //	    format; -clusters selects sknn.New's clustered secure index with
 //	    that many cells.
 //
-//	sknnd c2 -key alice.key -listen :7002 [-inflight 4]
+//	sknnd c2 -key alice.key -listen :7002
 //	    The key cloud C2: holds the secret key, serves protocol requests.
 //	    Each connection's interleaved session frames are handled
-//	    concurrently (-inflight at a time).
+//	    concurrently.
 //
 //	sknnd c1 -table table.snap -connect host:7002 -q 1,2,3 -k 5 -mode secure [-workers 4]
 //	    The data cloud C1: holds the encrypted table, runs the protocol,
@@ -209,7 +209,6 @@ func cmdC2(args []string) {
 	fs := flag.NewFlagSet("c2", flag.ExitOnError)
 	keyPath := fs.String("key", "alice.key", "Alice's private key (entrusted to C2)")
 	listen := fs.String("listen", ":7002", "TCP listen address")
-	inflight := fs.Int("inflight", 4, "interleaved requests handled at once per connection")
 	token := fs.String("token", "", "pre-shared token clients must prove (empty = open listener)")
 	rate := fs.Float64("rate", 0, "per-connection frame rate limit, frames/sec (0 = unlimited)")
 	burst := fs.Int("burst", 0, "rate-limit burst (minimum 1 when -rate is set)")
@@ -222,7 +221,7 @@ func cmdC2(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "C2 (key cloud) serving on %s (%d in-flight requests/conn)\n", ln.Addr(), *inflight)
+	fmt.Fprintf(os.Stderr, "C2 (key cloud) serving on %s\n", ln.Addr())
 	serveUntilSignal(ln, *drain, nil, func(netConn net.Conn) {
 		defer netConn.Close()
 		conn, err := guard(netConn, *token, *rate, *burst)
@@ -231,8 +230,8 @@ func cmdC2(args []string) {
 			return
 		}
 		// Each accepted connection carries any number of multiplexed C1
-		// query sessions; serve their interleaved frames concurrently.
-		if err := c2.ServeConcurrent(conn, *inflight); err != nil {
+		// query sessions; Serve answers their frames concurrently.
+		if err := c2.Serve(conn); err != nil {
 			log.Printf("session from %s: %v", netConn.RemoteAddr(), err)
 		}
 	})

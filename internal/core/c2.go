@@ -71,19 +71,11 @@ func (c *CloudC2) handleHello(req *mpc.Message) (*mpc.Message, error) {
 	return &mpc.Message{Op: OpHello, Ints: []*big.Int{new(big.Int).Set(c.sk.N)}}, nil
 }
 
-// Serve runs the responder loop on conn until the peer closes.
+// Serve runs the responder loop on conn until the peer closes, up to
+// serveInflight requests at once: the handlers share nothing but the
+// reply-nonce reserve, which is safe for concurrent use.
 func (c *CloudC2) Serve(conn mpc.Conn) error {
-	return mpc.Serve(conn, c.Mux())
-}
-
-// ServeConcurrent serves conn handling up to maxInflight interleaved
-// requests at once. Use it when the peer multiplexes several query
-// sessions over one link (mpc.Multiplexer): one session's heavyweight
-// step then no longer delays the others' replies. The handlers share
-// nothing but the reply-nonce reserve, which is safe for concurrent use,
-// so concurrency needs no further coordination.
-func (c *CloudC2) ServeConcurrent(conn mpc.Conn, maxInflight int) error {
-	return mpc.ServeConcurrent(conn, c.Mux(), maxInflight)
+	return mpc.ServeConcurrent(conn, c.Mux(), serveInflight)
 }
 
 // handleRank implements step 3 of Algorithm 5 (SkNNb only): decrypt all

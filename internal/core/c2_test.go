@@ -492,7 +492,7 @@ func TestReplyRandomizersNeverRepeat(t *testing.T) {
 				defer mu.Unlock()
 				replies = append(replies, msg.Ints...)
 			})
-			return c2.ServeConcurrent(tapped, 4)
+			return c2.Serve(tapped)
 		})}
 	})
 	bob := NewClient(&sk.PublicKey, nil)

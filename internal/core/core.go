@@ -61,6 +61,10 @@ var (
 	ErrNotClustered  = errors.New("core: table has no cluster index")
 )
 
+// serveInflight is how many requests C2 and a shard worker answer at once
+// on one connection, whose peer multiplexes query sessions over it.
+const serveInflight = 4
+
 // ErrCanceled marks a query aborted by its context. It is the same
 // sentinel value the transport layer uses (mpc.ErrCanceled), so
 // errors.Is(err, ErrCanceled) holds no matter which layer noticed the

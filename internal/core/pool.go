@@ -156,9 +156,6 @@ func (p *linkPool) Close() error {
 	p.drain.Wait()
 	var first error
 	for _, link := range p.links {
-		if err := mpc.SendClose(link.Conn()); err != nil && first == nil {
-			first = err
-		}
 		if err := link.Close(); err != nil && first == nil {
 			first = err
 		}

@@ -13,7 +13,7 @@ import (
 
 // This file is the coordinator↔shard wire protocol: RemoteShard is the
 // coordinator's client half (a Shard implementation over an mpc.Conn),
-// ServeShard the worker's server half wrapped around its CloudC1. Both
+// ShardServer the worker's server half wrapped around its CloudC1. Both
 // ends exchange only what the coordinator is entitled to see — the
 // public key, partition lineage, live counts, and encrypted candidates
 // — so a shard worker's wire peer learns exactly what an in-process
@@ -44,16 +44,16 @@ import (
 
 // RemoteShard drives one shard worker over a connection. It implements
 // Shard; the static shape is cached from the dial-time hello and the
-// live count refreshed from every TopK reply, so Info stays cheap.
-// RoundTrips serialize on the connection: concurrent coordinator
-// queries queue per shard link.
+// live count refreshed from every TopK reply, so Info stays cheap. Each
+// TopK is its own tagged stream on the multiplexed link, so concurrent
+// coordinator queries share the connection without queueing on it.
 type RemoteShard struct {
-	conn       mpc.Conn
+	link       *mpc.Multiplexer
 	pk         *paillier.PublicKey
 	domainBits int
 
 	mu   sync.Mutex
-	info ShardInfo
+	info ShardInfo // guarded by mu
 }
 
 // Sanity caps on the shape a shard may declare about itself. The hello
@@ -143,6 +143,7 @@ func decodeHello(resp *mpc.Message) (shardHello, error) {
 // DialShard performs the hello handshake on conn and returns the
 // remote worker as a Shard plus the public key it serves under (the
 // coordinator, holding no table of its own, learns pk from its shards).
+// On failure the caller still owns conn.
 func DialShard(conn mpc.Conn) (*RemoteShard, error) {
 	resp, err := mpc.RoundTrip(conn, &mpc.Message{Op: OpShardHello})
 	if err != nil {
@@ -152,7 +153,7 @@ func DialShard(conn mpc.Conn) (*RemoteShard, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RemoteShard{conn: conn, pk: h.pk, info: h.info, domainBits: h.domainBits}, nil
+	return &RemoteShard{link: mpc.NewMultiplexer(conn), pk: h.pk, info: h.info, domainBits: h.domainBits}, nil
 }
 
 // PK returns the public key the shard's table is encrypted under.
@@ -169,23 +170,24 @@ func (r *RemoteShard) Info() ShardInfo {
 	return r.info
 }
 
-// Close closes the coordinator→shard connection.
-func (r *RemoteShard) Close() error { return r.conn.Close() }
+// Close tells the worker this coordinator is done and closes the link.
+func (r *RemoteShard) Close() error { return r.link.Close() }
 
 // TopK runs the shard-local scan remotely and decodes the encrypted
 // candidates. Ciphertexts are range-validated against the shard's key
 // on the way in, exactly like snapshot loading.
 //
-// Cancellation is coordinator-side: the scan travels as one frame, so a
-// ctx done before the round trip refuses to send, and a ctx done while
-// the frame is in flight lets the worker finish its scan (the wire
-// protocol has no abort frame) but discards the reply and returns
-// ErrCanceled — the coordinator moves on within one exchange either
-// way.
+// The scan travels as one frame on a stream bound to ctx: a ctx already
+// done sends nothing, and one done while the frame is in flight stops
+// the wait at once with ErrCanceled. The worker still finishes its scan
+// (the wire protocol has no abort frame); its late reply is dropped.
 func (r *RemoteShard) TopK(ctx context.Context, q EncryptedQuery, k, domainBits, target int, secure bool) ([]Candidate, *SecureMetrics, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, nil, err
+	info := r.Info()
+	conn, err := r.link.OpenContext(ctx)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: shard %d top-k: %w", info.Index, err)
 	}
+	defer conn.Close()
 	sec := int64(0)
 	if secure {
 		sec = 1
@@ -197,21 +199,18 @@ func (r *RemoteShard) TopK(ctx context.Context, q EncryptedQuery, k, domainBits,
 	for _, ct := range q {
 		payload = append(payload, ct.Raw())
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	resp, err := mpc.RoundTrip(r.conn, &mpc.Message{Op: OpShardTopK, Ints: payload})
+	resp, err := mpc.RoundTrip(conn, &mpc.Message{Op: OpShardTopK, Ints: payload})
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: shard %d top-k: %w", r.info.Index, err)
+		return nil, nil, fmt.Errorf("core: shard %d top-k: %w", info.Index, err)
 	}
-	if err := ctxErr(ctx); err != nil {
-		return nil, nil, err
-	}
-	liveN, cands, metrics, err := decodeTopKReply(r.pk, r.info.M, resp, k, replyLayout(r.pk, r.info.M, r.info.AttrBits, domainBits, secure), secure)
+	liveN, cands, metrics, err := decodeTopKReply(r.pk, info.M, resp, k, replyLayout(r.pk, info.M, info.AttrBits, domainBits, secure), secure)
 	if err != nil {
 		return nil, nil, err
 	}
 	if liveN >= 0 {
+		r.mu.Lock()
 		r.info.N = liveN
+		r.mu.Unlock()
 	}
 	return cands, metrics, nil
 }
@@ -324,8 +323,11 @@ func (s *ShardServer) Mux() *mpc.Mux {
 	return mux
 }
 
-// Serve answers coordinator frames on conn until the peer closes.
-func (s *ShardServer) Serve(conn mpc.Conn) error { return mpc.Serve(conn, s.Mux()) }
+// Serve answers coordinator frames on conn until the peer closes, up to
+// serveInflight of them at once.
+func (s *ShardServer) Serve(conn mpc.Conn) error {
+	return mpc.ServeConcurrent(conn, s.Mux(), serveInflight)
+}
 
 // handleHello announces the worker's current shape, as an in-process
 // shard reports it.
@@ -362,8 +364,8 @@ func (s *ShardServer) handleTopK(req *mpc.Message) (*mpc.Message, error) {
 	}
 	// The wire protocol has no abort frame, so a worker-side scan runs
 	// to completion once started; cancellation lives on the coordinator
-	// (RemoteShard discards the reply). Background keeps the worker's
-	// session unbound.
+	// (RemoteShard stops waiting and drops the reply). Background keeps
+	// the worker's session unbound.
 	cands, metrics, err := s.c1.TopK(context.Background(), q, k, domainBits, target, secure)
 	if err != nil {
 		return nil, err

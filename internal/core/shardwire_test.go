@@ -1,11 +1,16 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/big"
+	"sync"
 	"testing"
+	"time"
 
+	"sknn/internal/dataset"
 	"sknn/internal/mpc"
 	"sknn/internal/testkit"
 )
@@ -278,4 +283,136 @@ func FuzzShardFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRemoteShardTopKHonorsDeadline: a coordinator stops waiting for a
+// worker whose scan stalls once the query's deadline passes, with an
+// error that is both ErrCanceled and the context's own.
+func TestRemoteShardTopKHonorsDeadline(t *testing.T) {
+	pk := &testKey().PublicKey
+	release := make(chan struct{})
+	worker := mpc.NewMux()
+	worker.Register(OpShardHello, mpc.HandlerFunc(func(*mpc.Message) (*mpc.Message, error) {
+		return encodeHello(pk.N, ShardInfo{Count: 1, N: 4, M: 2, FeatureM: 2, AttrBits: 4}, 12), nil
+	}))
+	worker.Register(OpShardTopK, mpc.HandlerFunc(func(*mpc.Message) (*mpc.Message, error) {
+		<-release
+		return nil, errors.New("scan abandoned")
+	}))
+	coordSide, shardSide := mpc.ChanPipe()
+	served := make(chan error, 1)
+	go func() { served <- mpc.Serve(shardSide, worker) }()
+	rs, err := DialShard(coordSide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		close(release)
+		rs.Close()
+		<-served
+	}()
+	q, err := NewClient(pk, nil).EncryptQuery([]uint64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := rs.TopK(ctx, q, 1, 12, 0, true)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("TopK past its deadline = %v, want ErrCanceled wrapping context.DeadlineExceeded", err)
+		}
+	case <-time.After(1100 * time.Millisecond):
+		t.Fatal("TopK still waiting 1 s after its 100 ms deadline")
+	}
+}
+
+// heldTopKConn is a shard worker's end of the coordinator link that
+// announces every top-k request it receives and holds every top-k reply
+// until release closes.
+type heldTopKConn struct {
+	mpc.Conn
+	arrived chan struct{}
+	release chan struct{}
+}
+
+func (c *heldTopKConn) Recv() (*mpc.Message, error) {
+	m, err := c.Conn.Recv()
+	if err == nil && m.Op == OpShardTopK {
+		c.arrived <- struct{}{}
+	}
+	return m, err
+}
+
+func (c *heldTopKConn) Send(m *mpc.Message) error {
+	if m.Op == OpShardTopK {
+		<-c.release
+	}
+	return c.Conn.Send(m)
+}
+
+// TestRemoteShardConcurrentTopK: two queries scattered over one shard
+// link both reach the worker before either is answered — concurrent
+// coordinator queries share the link instead of queueing on it.
+func TestRemoteShardConcurrentTopK(t *testing.T) {
+	tbl, err := dataset.Generate(5, 6, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, bob := newSystem(t, tbl, 1)
+	srv, err := NewShardServer(eng.Workers[0], 0, 1, tbl.DomainBits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	coordSide, shardSide := mpc.ChanPipe()
+	held := &heldTopKConn{Conn: shardSide, arrived: make(chan struct{}, 2), release: make(chan struct{})}
+	release := sync.OnceFunc(func() { close(held.release) })
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(held) }()
+	rs, err := DialShard(coordSide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		release()
+		rs.Close()
+		if err := <-served; err != nil {
+			t.Errorf("shard serve loop: %v", err)
+		}
+	}()
+	q, err := bob.EncryptQuery([]uint64{3, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	results := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			cands, _, err := rs.TopK(context.Background(), q, 2, tbl.DomainBits(), 0, false)
+			if err == nil && len(cands) != 2 {
+				err = fmt.Errorf("%d candidates, want 2", len(cands))
+			}
+			results <- err
+		}()
+	}
+	timeout := time.After(5 * time.Second)
+	for i := 0; i < 2; i++ {
+		select {
+		case <-held.arrived:
+		case <-timeout:
+			t.Fatalf("%d of 2 concurrent scans reached the worker before either was answered", i)
+		}
+	}
+	release()
+	for i := 0; i < 2; i++ {
+		if err := <-results; err != nil {
+			t.Fatalf("concurrent TopK: %v", err)
+		}
+	}
 }

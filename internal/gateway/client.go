@@ -3,7 +3,6 @@ package gateway
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"sknn/internal/core"
 	"sknn/internal/dataset"
@@ -13,26 +12,13 @@ import (
 // TenantClient is Bob's edge against the gateway: it runs the tenant
 // handshake on dial, then encrypts queries and unmasks results locally
 // under the tenant's public key — the gateway relays shares, it never
-// sees plaintext. One client drives one connection serially; open more
-// clients for concurrency.
+// sees plaintext. Concurrent Query calls are safe, each on its own
+// stream of the multiplexed connection; the gateway answers them one at
+// a time per connection, so open more clients for concurrency.
 type TenantClient struct {
 	gateWelcome // the tenant's key and table shape
 	client      *core.Client
-
-	mu   sync.Mutex
-	conn mpc.Conn // guarded by mu; one query frame in flight at a time
-}
-
-// ctxErr converts a done context into the shared cancellation sentinel;
-// nil contexts never cancel.
-func ctxErr(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("%w: %w", core.ErrCanceled, err)
-	}
-	return nil
+	link        *mpc.Multiplexer
 }
 
 // DialTenant authenticates conn as the named tenant — mpc's token
@@ -46,7 +32,7 @@ func DialTenant(conn mpc.Conn, name, token string) (*TenantClient, error) {
 		conn.Close()
 		return nil, err
 	}
-	return &TenantClient{gateWelcome: w, client: core.NewClient(w.pk, nil), conn: conn}, nil
+	return &TenantClient{gateWelcome: w, client: core.NewClient(w.pk, nil), link: mpc.NewMultiplexer(conn)}, nil
 }
 
 // tenantHandshake runs the named handshake and decodes its welcome.
@@ -72,11 +58,14 @@ func (c *TenantClient) M() (m, featureM int) { return c.m, c.featureM }
 // It returns the k records (m attributes each), nearest first, and, for
 // basic queries, their record ids (nil under SkNNm, which hides them by
 // design). An SkNNm query with an attribute outside the table's domain
-// is refused before encryption (dataset.ErrValueTooLarge).
+// is refused before encryption (dataset.ErrValueTooLarge), and so is a
+// ctx already done; once ctx is done the wait ends with core.ErrCanceled.
 func (c *TenantClient) Query(ctx context.Context, q []uint64, k int, secure bool) ([][]uint64, []uint64, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, nil, err
+	conn, err := c.link.OpenContext(ctx)
+	if err != nil {
+		return nil, nil, fmt.Errorf("gateway: query: %w", err)
 	}
+	defer conn.Close()
 	if len(q) != c.featureM {
 		return nil, nil, fmt.Errorf("%w: query has %d attributes, table has %d",
 			core.ErrDimension, len(q), c.featureM)
@@ -93,11 +82,7 @@ func (c *TenantClient) Query(ctx context.Context, q []uint64, k int, secure bool
 	if err != nil {
 		return nil, nil, err
 	}
-	req := encodeGateQuery(k, secure, eq)
-
-	c.mu.Lock()
-	resp, err := mpc.RoundTrip(c.conn, req)
-	c.mu.Unlock()
+	resp, err := mpc.RoundTrip(conn, encodeGateQuery(k, secure, eq))
 	if err != nil {
 		return nil, nil, fmt.Errorf("gateway: query round trip: %w", err)
 	}
@@ -116,12 +101,4 @@ func (c *TenantClient) Query(ctx context.Context, q []uint64, k int, secure bool
 }
 
 // Close ends the session politely (OpClose) and closes the connection.
-func (c *TenantClient) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	err := mpc.SendClose(c.conn)
-	if cerr := c.conn.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
+func (c *TenantClient) Close() error { return c.link.Close() }

@@ -267,7 +267,9 @@ func (g *Gateway) runQuery(t *tenant, req *mpc.Message) *mpc.Message {
 	var res *core.MaskedResult
 	failovers := 0
 	if secure {
-		r, sm, qerr := t.be.SecureQuery(context.Background(), q, k, t.cfg.DomainBits, t.cfg.Target)
+		// Target 0: a tenant's query always scans fully, so a clustered
+		// table never shows which clusters a gateway query touched.
+		r, sm, qerr := t.be.SecureQuery(context.Background(), q, k, t.cfg.DomainBits, 0)
 		err = qerr
 		res = r
 		if sm != nil {

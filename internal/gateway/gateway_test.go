@@ -308,6 +308,25 @@ func TestGatewayQueryRoundTrip(t *testing.T) {
 		t.Fatalf("snapshot failovers = %d, want 2", snap.Failovers)
 	}
 
+	// One client, several queries at once: each rides its own stream.
+	const concurrent = 4
+	errs := make(chan error, concurrent)
+	for i := 1; i <= concurrent; i++ {
+		k := 1 + i%3
+		go func() {
+			rows, _, err := tc.Query(context.Background(), []uint64{1, 2}, k, true)
+			if err == nil && len(rows) != k {
+				err = fmt.Errorf("k=%d: %d rows", k, len(rows))
+			}
+			errs <- err
+		}()
+	}
+	for i := 0; i < concurrent; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("concurrent query: %v", err)
+		}
+	}
+
 	if err := tc.Close(); err != nil {
 		t.Fatalf("client close: %v", err)
 	}
@@ -503,7 +522,7 @@ func TestGatewayBackendErrorKeepsConnection(t *testing.T) {
 }
 
 func TestGatewayClientValidation(t *testing.T) {
-	g, _, _ := newStubGateway(t, TenantConfig{Name: "alpha", Token: "s3cret"})
+	g, backends, _ := newStubGateway(t, TenantConfig{Name: "alpha", Token: "s3cret"})
 	tc, _ := dialStub(t, g, "alpha", "s3cret")
 	defer tc.Close()
 
@@ -525,6 +544,34 @@ func TestGatewayClientValidation(t *testing.T) {
 	cancel()
 	if _, _, err := tc.Query(ctx, []uint64{1, 2}, 1, true); !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("canceled query error = %v, want ErrCanceled", err)
+	}
+
+	// A query whose deadline passes while the gateway holds it stops
+	// waiting; the gateway finishes it, and its late reply does not
+	// disturb the client's next query.
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
+	backends[0].gate = gate
+	ctx, cancel = context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := tc.Query(ctx, []uint64{1, 2}, 1, true)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, core.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("query past its deadline = %v, want ErrCanceled wrapping context.DeadlineExceeded", err)
+		}
+	case <-time.After(1100 * time.Millisecond):
+		t.Fatal("query still waiting 1 s after its 100 ms deadline")
+	}
+	release()
+	rows, _, err := tc.Query(context.Background(), []uint64{1, 2}, 1, true)
+	if err != nil || len(rows) != 1 || rows[0][0] != 11 {
+		t.Fatalf("query after a canceled one = %v, %v; want [[11 21]]", rows, err)
 	}
 }
 

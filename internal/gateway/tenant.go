@@ -20,9 +20,6 @@ type TenantConfig struct {
 	// DomainBits is l for the tenant's secure queries (the squared-
 	// distance domain; see dataset.DomainBits).
 	DomainBits int
-	// Target is the pruned-scan candidate floor for clustered tables
-	// (0 = full scans).
-	Target int
 
 	// RateQPS caps admitted queries per second (token bucket, shed on
 	// empty — a client over its rate gets an immediate refusal, not a

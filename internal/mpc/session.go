@@ -94,13 +94,17 @@ func (m *Multiplexer) Open() (Conn, error) {
 // is done, the stream's Send refuses to start another round and a
 // blocked Recv gives up waiting (the frame in flight still finishes on
 // the responder; its late reply is dropped when the stream closes). Both
-// return an error wrapping ErrCanceled and ctx.Err(). This is the
-// transport-level half of query cancellation — every protocol round
-// trip crosses a Send/Recv pair, so a canceled query aborts within one
-// round no matter which primitive it is inside.
+// return an error wrapping ErrCanceled and ctx.Err(), and so does
+// OpenContext itself on a ctx that is already done, opening nothing.
+// This is the transport-level half of query cancellation — every
+// protocol round trip crosses a Send/Recv pair, so a canceled query
+// aborts within one round no matter which primitive it is inside.
 func (m *Multiplexer) OpenContext(ctx context.Context) (Conn, error) {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	if err := ctxErr(ctx); err != nil {
+		return nil, err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -127,8 +131,8 @@ func (m *Multiplexer) drop(tag uint64) {
 	m.mu.Unlock()
 }
 
-// Conn exposes the underlying physical connection for link-level frames
-// (OpClose) and transport-level statistics.
+// Conn exposes the underlying physical connection for transport-level
+// statistics.
 func (m *Multiplexer) Conn() Conn { return m.conn }
 
 // Agg returns the cumulative traffic of every session ever opened on
@@ -136,10 +140,19 @@ func (m *Multiplexer) Conn() Conn { return m.conn }
 // physical transports cannot observe).
 func (m *Multiplexer) Agg() StatsSnapshot { return m.agg.Snapshot() }
 
-// Close tears down the link: the physical connection is closed and every
-// open session unblocks with ErrConnClosed.
+// Close hangs up: it tells the responder to stop serving (OpClose) if
+// no session is mid-Send, closes the physical connection, and every open
+// session unblocks with ErrConnClosed. A Send stuck on a peer that
+// stopped reading does not hold Close up; closing the link frees it.
 func (m *Multiplexer) Close() error {
-	err := m.conn.Close()
+	var err error
+	if m.sendMu.TryLock() {
+		err = SendClose(m.conn)
+		m.sendMu.Unlock()
+	}
+	if cerr := m.conn.Close(); err == nil {
+		err = cerr
+	}
 	m.fail(ErrConnClosed)
 	return err
 }
@@ -156,9 +169,9 @@ type sessionConn struct {
 	closed    chan struct{}
 }
 
-// ctxErr reports the stream's cancellation state as the typed error.
-func (s *sessionConn) ctxErr() error {
-	if err := s.ctx.Err(); err != nil {
+// ctxErr reports a context's cancellation state as the typed error.
+func ctxErr(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("%w: %w", ErrCanceled, err)
 	}
 	return nil
@@ -171,7 +184,7 @@ func (s *sessionConn) Send(msg *Message) error {
 	case <-s.mux.done:
 		return ErrConnClosed
 	case <-s.ctx.Done():
-		return s.ctxErr()
+		return ctxErr(s.ctx)
 	default:
 	}
 	msg.Tag = s.tag
@@ -203,7 +216,7 @@ func (s *sessionConn) Recv() (*Message, error) {
 	case <-s.ctx.Done():
 		// Give up waiting; the responder finishes the in-flight frame and
 		// its late reply is dropped once the stream closes.
-		return nil, s.ctxErr()
+		return nil, ctxErr(s.ctx)
 	case <-s.mux.done:
 		// Drain a reply that was routed before the link died.
 		select {

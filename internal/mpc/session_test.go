@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -175,9 +176,18 @@ func TestServeConcurrentErrorReplies(t *testing.T) {
 // link usable for the others.
 func TestMultiplexerClose(t *testing.T) {
 	a, b := ChanPipe()
-	go Serve(b, NewMux())
+	served := make(chan error, 1)
+	go func() { served <- Serve(b, NewMux()) }()
 
-	mux := NewMultiplexer(a)
+	var mu sync.Mutex
+	var lastSent Op
+	mux := NewMultiplexer(Tap(a, func(d Direction, m *Message) {
+		if d == DirSend {
+			mu.Lock()
+			lastSent = m.Op
+			mu.Unlock()
+		}
+	}))
 	s1, err := mux.Open()
 	if err != nil {
 		t.Fatal(err)
@@ -204,6 +214,14 @@ func TestMultiplexerClose(t *testing.T) {
 	if err := mux.Close(); err != nil {
 		t.Fatal(err)
 	}
+	mu.Lock()
+	if lastSent != OpClose {
+		t.Errorf("last frame before hanging up was op %d, want OpClose", lastSent)
+	}
+	mu.Unlock()
+	if err := <-served; err != nil {
+		t.Errorf("serve loop after the hang-up: %v", err)
+	}
 	if err := <-recvDone; !errors.Is(err, ErrConnClosed) {
 		t.Fatalf("blocked Recv after mux close = %v, want ErrConnClosed", err)
 	}
@@ -212,6 +230,43 @@ func TestMultiplexerClose(t *testing.T) {
 	}
 	if err := s2.Send(&Message{Op: OpPing}); !errors.Is(err, ErrConnClosed) {
 		t.Fatalf("Send after mux close = %v, want ErrConnClosed", err)
+	}
+}
+
+// TestMultiplexerCloseFreesStuckSend: a session Send blocked on a peer
+// that stopped reading neither holds Close up nor outlives it.
+func TestMultiplexerCloseFreesStuckSend(t *testing.T) {
+	a, b := net.Pipe() // synchronous: a Write waits for the peer's Read
+	defer b.Close()
+	mux := NewMultiplexer(WrapNet(a))
+	s, err := mux.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := make(chan error, 1)
+	go func() { sent <- s.Send(&Message{Op: OpPing}) }()
+	for deadline := time.Now().Add(time.Second); mux.sendMu.TryLock(); { // wait until the Send holds the link
+		mux.sendMu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatal("Send never took the link")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	closed := make(chan struct{})
+	go func() { mux.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("Close still blocked 1 s behind a stuck Send")
+	}
+	select {
+	case err := <-sent:
+		if !errors.Is(err, ErrConnClosed) {
+			t.Fatalf("stuck Send after Close = %v, want ErrConnClosed", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Send still blocked 1 s after Close")
 	}
 }
 
@@ -401,4 +456,27 @@ func TestOpenContextDeliversReadyReply(t *testing.T) {
 	conn.Close()
 	SendClose(mux.Conn())
 	mux.Close()
+}
+
+// TestOpenContextRefusesDoneContext: a stream is never opened for a
+// context that is already done, so a canceled query takes no tag and
+// sends nothing.
+func TestOpenContextRefusesDoneContext(t *testing.T) {
+	a, b := ChanPipe()
+	defer b.Close()
+	mux := NewMultiplexer(a)
+	defer mux.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	conn, err := mux.OpenContext(ctx)
+	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("OpenContext on a canceled context = %v, %v; want ErrCanceled wrapping context.Canceled", conn, err)
+	}
+	mux.mu.Lock()
+	open := len(mux.sessions)
+	mux.mu.Unlock()
+	if open != 0 {
+		t.Fatalf("%d sessions registered for a refused stream", open)
+	}
 }

@@ -95,10 +95,6 @@ type QueryMetrics struct {
 	Secure *SecureMetrics
 }
 
-// c2ServeInflight is how many interleaved requests each C2 serve loop
-// handles at once when query sessions share a link.
-const c2ServeInflight = 4
-
 // Config tunes System construction.
 type Config struct {
 	// KeyBits is the Paillier modulus size; the paper evaluates 512 and
@@ -364,10 +360,10 @@ func assemble(sk *paillier.PrivateKey, encTable *core.EncryptedTable, domainBits
 			sys.serveWG.Add(1)
 			go func(conn mpc.Conn) {
 				defer sys.serveWG.Done()
-				// ServeConcurrent returns nil on orderly shutdown; any other
-				// error is a protocol bug surfaced to the requester as a
-				// broken round trip, so it is not separately reported here.
-				_ = c2.ServeConcurrent(conn, c2ServeInflight)
+				// Serve returns nil on orderly shutdown; any other error is a
+				// protocol bug surfaced to the requester as a broken round
+				// trip, so it is not separately reported here.
+				_ = c2.Serve(conn)
 			}(c2Side)
 		}
 		return conns, nil
