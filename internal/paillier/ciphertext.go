@@ -85,6 +85,13 @@ func (pk *PublicKey) AddPlain(a *Ciphertext, m *big.Int) *Ciphertext {
 // plus a short exponentiation instead of a full-width one. The result is
 // a different group element than E(a)^{N-|k|} but encrypts the same
 // plaintext, which is all any protocol step relies on.
+//
+// ScalarMul stays on big.Int.Exp, whose assembly product is cheaper than
+// the pure-Go limb product of mont.go: with one base MultiScalarMul only
+// breaks even at a 70-bit exponent and is ≈ 1.4× slower at a full-width
+// one (K = 512, BenchmarkMultiScalarMul and a 512-bit exponent). It wins
+// on several bases, by sharing their squarings — use it for a product of
+// powers.
 func (pk *PublicKey) ScalarMul(a *Ciphertext, k *big.Int) *Ciphertext {
 	if k.Sign() < 0 {
 		abs := new(big.Int).Neg(k)

@@ -49,7 +49,7 @@ type Comb struct{ c *comb }
 
 // NewTestComb builds a comb for the given base and odd modulus.
 func NewTestComb(base, mod *big.Int, maxExpBits int) *Comb {
-	return &Comb{c: newComb(base, mod, maxExpBits)}
+	return &Comb{c: newComb(base, newMontMod(mod), maxExpBits)}
 }
 
 // Exp evaluates base^e via the comb; it panics out of range.
@@ -63,7 +63,7 @@ func MontMul(m, x, y *big.Int, alias int) *big.Int {
 	mm := newMontMod(m)
 	n := len(mm.m)
 	t := make([]uint64, n+1)
-	xm, ym := mm.toMont(x), mm.toMont(y)
+	xm, ym := mm.toMont(x, t), mm.toMont(y, t)
 	z := make([]uint64, n)
 	switch alias {
 	case 1:

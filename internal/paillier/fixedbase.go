@@ -42,12 +42,12 @@ type comb struct {
 	tab  []uint64 // flat; entry d = ∏ base^(2^(i·span)) over the set bits i of d, Montgomery form
 }
 
-func newComb(base, mod *big.Int, bits int) *comb {
-	mm := newMontMod(mod)
+// newComb tabulates base mod m on the prepared modulus mm.
+func newComb(base *big.Int, mm *montMod, bits int) *comb {
 	n := len(mm.m)
 	c := &comb{mod: mm, bits: bits, span: (bits + combTeeth - 1) / combTeeth, tab: make([]uint64, (1<<combTeeth-1)*n)}
 	t := make([]uint64, n+1)
-	tooth := mm.toMont(base)
+	tooth := mm.toMont(new(big.Int).Mod(base, mm.big), t)
 	for i := 0; i < combTeeth; i++ {
 		// Entries 2^i … 2^(i+1)−1: tooth i alone, then times each entry
 		// below it.

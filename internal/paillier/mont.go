@@ -6,11 +6,17 @@ import (
 	"math/bits"
 )
 
-// Limb-level Montgomery arithmetic: the one product the nonce kernel
-// (fixedbase.go) multiplies with. A residue is n little-endian 64-bit
-// limbs below the modulus, in Montgomery form x·R mod m with R = 2^(64n).
-// Plain math/bits — no assembly, no unsafe, no dependence on the width
-// of big.Word: values cross to and from big.Int as big-endian bytes.
+// Limb-level Montgomery arithmetic: the one product two kernels multiply
+// with — the nonce kernel (fixedbase.go) and the multi-exponentiation
+// (multiexp.go). A residue is n little-endian 64-bit limbs below the
+// modulus, in Montgomery form x·R mod m with R = 2^(64n). Plain
+// math/bits — no assembly, no unsafe, no dependence on the width of
+// big.Word: values cross to and from big.Int as big-endian bytes.
+//
+// A key's constructor (NewPublicKey, newPrivateKey) prepares its moduli
+// once: N² for every key — the public comb and MultiScalarMul share it —
+// and p², q² for the private combs. Preparing one is the only division;
+// a value enters Montgomery form by one product with R² mod m.
 
 // montMod is an odd modulus prepared for Montgomery products. Immutable
 // after newMontMod; safe for concurrent use.
@@ -18,6 +24,7 @@ type montMod struct {
 	big *big.Int // the modulus m
 	m   []uint64 // m as limbs
 	inv uint64   // −m⁻¹ mod 2^64
+	rr  []uint64 // R² mod m: a product with it puts a value into Montgomery form
 }
 
 // newMontMod prepares an odd modulus > 1. The moduli of this package
@@ -35,15 +42,18 @@ func newMontMod(mod *big.Int) *montMod {
 		inv *= 2 - mm.m[0]*inv
 	}
 	mm.inv = -inv
+	rr := new(big.Int).Lsh(one, uint(128*n))
+	mm.rr = toLimbs(rr.Mod(rr, mod), n)
 	return mm
 }
 
-// toMont returns x·R mod m as limbs: x in Montgomery form. Set-up only —
-// it divides.
-func (mm *montMod) toMont(x *big.Int) []uint64 {
-	n := len(mm.m)
-	xr := new(big.Int).Lsh(x, uint(64*n))
-	return toLimbs(xr.Mod(xr, mm.big), n)
+// toMont returns x·R mod m as limbs, x in Montgomery form, for
+// 0 ≤ x < m: one product with R², no division. t is scratch of n+1
+// limbs.
+func (mm *montMod) toMont(x *big.Int, t []uint64) []uint64 {
+	z := toLimbs(x, len(mm.m))
+	mm.mul(z, z, mm.rr, t)
+	return z
 }
 
 // toLimbs returns x, 0 ≤ x < 2^(64n), as n little-endian limbs.

@@ -50,10 +50,13 @@ type PublicKey struct {
 	NSquared *big.Int
 
 	// fb is the nonce kernel every encryption under this key draws from
-	// (see fixedbase.go), built by the constructor and immutable — which
-	// is why a key comes from NewPublicKey, GenerateKey or an
-	// UnmarshalBinary, never from a struct literal.
+	// (see fixedbase.go), and n2 is N² prepared for limb Montgomery
+	// products (mont.go), which MultiScalarMul runs on. Both are built by
+	// the constructor and immutable — which is why a key comes from
+	// NewPublicKey, GenerateKey or an UnmarshalBinary, never from a
+	// struct literal.
 	fb *pkFixedBase
+	n2 *montMod
 }
 
 // maxModulusBits bounds what NewPublicKey will build a comb for: the
@@ -70,12 +73,13 @@ func NewPublicKey(n *big.Int) (*PublicKey, error) {
 	if n == nil || n.Sign() <= 0 || n.Bit(0) == 0 || n.BitLen() < 64 || n.BitLen() > maxModulusBits {
 		return nil, ErrInvalidModulus
 	}
-	pk := &PublicKey{N: n, NSquared: new(big.Int).Mul(n, n)}
+	nSquared := new(big.Int).Mul(n, n)
+	pk := &PublicKey{N: n, NSquared: nSquared, n2: newMontMod(nSquared)}
 	hN, err := pk.fixedBaseGenerator()
 	if err != nil {
 		return nil, err
 	}
-	pk.fb = &pkFixedBase{pub: newComb(hN, pk.NSquared, n.BitLen())}
+	pk.fb = &pkFixedBase{pub: newComb(hN, pk.n2, n.BitLen())}
 	return pk, nil
 }
 
@@ -143,13 +147,15 @@ func coprimeToTotient(p, q *big.Int) bool {
 }
 
 // newPrivateKey assembles a private key (and its embedded public key) from
-// the prime factors, precomputing everything decryption needs and the
-// two CRT combs every encryption under it draws from.
+// the prime factors, precomputing everything decryption needs, the two
+// CRT combs every encryption under it draws from, and the same N²
+// Montgomery context a public-only key has: MultiScalarMul never uses
+// the factorisation.
 func newPrivateKey(p, q *big.Int) (*PrivateKey, error) {
 	n := new(big.Int).Mul(p, q)
 	nSquared := new(big.Int).Mul(n, n)
 	priv := &PrivateKey{
-		PublicKey: PublicKey{N: n, NSquared: nSquared},
+		PublicKey: PublicKey{N: n, NSquared: nSquared, n2: newMontMod(nSquared)},
 		p:         new(big.Int).Set(p),
 		q:         new(big.Int).Set(q),
 		pSquared:  new(big.Int).Mul(p, p),
@@ -171,8 +177,8 @@ func newPrivateKey(p, q *big.Int) (*PrivateKey, error) {
 		return nil, err
 	}
 	priv.fb = &pkFixedBase{crt: &crtCombs{
-		p:       newComb(hN, priv.pSquared, priv.pMinus1.BitLen()),
-		q:       newComb(hN, priv.qSquared, priv.qMinus1.BitLen()),
+		p:       newComb(hN, newMontMod(priv.pSquared), priv.pMinus1.BitLen()),
+		q:       newComb(hN, newMontMod(priv.qSquared), priv.qMinus1.BitLen()),
 		pMinus1: priv.pMinus1,
 		qMinus1: priv.qMinus1,
 		q2InvP2: new(big.Int).ModInverse(priv.qSquared, priv.pSquared),

@@ -187,3 +187,35 @@ func BenchmarkMSBOncePacked(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSSEDManyPacked times one packed SSED scan — the uplink, C2's
+// decryptions and reply encryptions, and C1's unblinding, one
+// multi-exponentiation per record — against an in-process C2 at the
+// benchmark's two shapes: basic_tcp's n = 32 records of m = 6 8-bit
+// attributes and secure_scan's n = 8 of m = 6 4-bit ones, K = 512.
+func BenchmarkSSEDManyPacked(b *testing.B) {
+	sk := testkit.Key(512)
+	for _, shape := range []struct{ n, m, bits int }{{32, 6, 8}, {8, 6, 4}} {
+		b.Run(fmt.Sprintf("n=%d,m=%d,b=%d", shape.n, shape.m, shape.bits), func(b *testing.B) {
+			rq := pairOn(b, sk)
+			q := make([]*paillier.Ciphertext, shape.m)
+			for j := range q {
+				q[j] = enc(b, sk, int64(j*5)%(1<<shape.bits))
+			}
+			rows := make([][]*paillier.Ciphertext, shape.n)
+			for i := range rows {
+				rows[i] = make([]*paillier.Ciphertext, shape.m)
+				for j := range rows[i] {
+					rows[i][j] = enc(b, sk, int64(i*7+j*3)%(1<<shape.bits))
+				}
+			}
+			packed := packRows(b, &sk.PublicKey, shape.bits, rows)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := rq.SSEDManyPacked(q, rows, packed); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

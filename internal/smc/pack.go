@@ -171,8 +171,10 @@ func PackRow(codec *paillier.Packing, row []*paillier.Ciphertext) ([]*paillier.C
 //
 //	E(Σdⱼ²) = E(Σyⱼ²) · Πⱼ (Inv(E(qⱼ))·E(tⱼ))^(2cⱼ) · E(−Σcⱼ²),  cⱼ = 2^B + rⱼ
 //
-// rows must carry values below 2^(packed.Codec.ValueBits) — the dataset
-// validation bound.
+// The product over j is one m-base multi-exponentiation per record
+// (paillier.MultiScalarMul) on exponents 2cⱼ < 2^(B+σ+2), one squaring
+// chain shared by the record's attributes. rows must carry values below
+// 2^(packed.Codec.ValueBits) — the dataset validation bound.
 func (rq *Requester) SSEDManyPacked(q []*paillier.Ciphertext, rows [][]*paillier.Ciphertext, packed *PackedRows) ([]*paillier.Ciphertext, error) {
 	if len(rows) == 0 {
 		return nil, ErrEmptyInput
@@ -248,16 +250,17 @@ func (rq *Requester) SSEDManyPacked(q []*paillier.Ciphertext, rows [][]*paillier
 	}
 
 	out := make([]*paillier.Ciphertext, n)
-	_ = paillier.ForEach(n, func(i int) error { // m exponentiations per record; cannot fail
-		acc := sums[i]
+	_ = paillier.ForEach(n, func(i int) error { // one multi-exponentiation per record; cannot fail
+		bases := make([]*paillier.Ciphertext, m)
+		exps := make([]*big.Int, m)
 		sumC2 := new(big.Int)
-		for j := 0; j < m; j++ {
-			c2 := new(big.Int).Lsh(cs[i][j], 1) // 2cⱼ
+		for j, c := range cs[i] {
 			// (Inv(E(qⱼ))·E(tⱼ))^(2cⱼ) = E(dⱼ)^(−2cⱼ), short exponent.
-			term := rq.pk.ScalarMul(rq.pk.Add(invQ[j], rows[i][j]), c2)
-			acc = rq.pk.Add(acc, term)
-			sumC2.Add(sumC2, new(big.Int).Mul(cs[i][j], cs[i][j]))
+			bases[j] = rq.pk.Add(invQ[j], rows[i][j])
+			exps[j] = new(big.Int).Lsh(c, 1)
+			sumC2.Add(sumC2, new(big.Int).Mul(c, c))
 		}
+		acc := rq.pk.Add(sums[i], rq.pk.MultiScalarMul(bases, exps))
 		out[i] = rq.pk.AddPlain(acc, sumC2.Neg(sumC2))
 		return nil
 	})

@@ -3,6 +3,7 @@ package smc
 import (
 	"crypto/rand"
 	"errors"
+	"fmt"
 	"io"
 	"math/big"
 	mrand "math/rand"
@@ -10,6 +11,7 @@ import (
 
 	"sknn/internal/mpc"
 	"sknn/internal/paillier"
+	"sknn/internal/testkit"
 )
 
 // opCounter counts request frames by opcode.
@@ -297,6 +299,88 @@ func TestPackBlindedRerandomizesEveryGroup(t *testing.T) {
 		if fold.Raw().Cmp(raw) == 0 {
 			t.Errorf("group %d went out as the bare fold of its values", g)
 		}
+	}
+}
+
+// TestSSEDManyPackedMatchesPerAttributeUnblind: C1 strips SSED's blinds
+// with one multi-exponentiation per record, and every distance it
+// returns is the group element the per-attribute loop it replaced —
+// one ScalarMul and one Add per attribute, copied here — computes from
+// the same C2 reply and the same blinds, so frames and results stay
+// bit-identical. The blinds are drawn again from the requester's seed in
+// the kernel's order; the reply is read off the wire. Both of the
+// benchmark's shapes, at its key size.
+func TestSSEDManyPackedMatchesPerAttributeUnblind(t *testing.T) {
+	sk := testkit.Key(512)
+	pk := &sk.PublicKey
+	for _, shape := range []struct{ n, m, b int }{{32, 6, 8}, {8, 6, 4}} {
+		t.Run(fmt.Sprintf("n=%d,m=%d,b=%d", shape.n, shape.m, shape.b), func(t *testing.T) {
+			rng := mrand.New(mrand.NewSource(int64(shape.n)))
+			vals := func() []int64 {
+				v := make([]int64, shape.m)
+				for j := range v {
+					v[j] = rng.Int63n(1 << shape.b)
+				}
+				return v
+			}
+			qv := vals()
+			q := encVec(t, sk, qv...)
+			rowsV := make([][]int64, shape.n)
+			rows := make([][]*paillier.Ciphertext, shape.n)
+			for i := range rows {
+				rowsV[i] = vals()
+				rows[i] = encVec(t, sk, rowsV[i]...)
+			}
+			packed := packRows(t, pk, shape.b, rows)
+
+			rq := pairOn(t, sk)
+			var reply []*big.Int
+			rq.conn = mpc.Tap(rq.conn, func(dir mpc.Direction, m *mpc.Message) {
+				if dir == mpc.DirRecv && m.Op == OpSSEDPack {
+					reply = m.Ints
+				}
+			})
+			const seed = 5
+			rq.rand = mrand.New(mrand.NewSource(seed))
+			got, err := rq.SSEDManyPacked(q, rows, packed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(reply) != shape.n {
+				t.Fatalf("reply of %d ints for %d records", len(reply), shape.n)
+			}
+
+			rq.rand = mrand.New(mrand.NewSource(seed))
+			invQ := pk.InvMany(q)
+			offset := new(big.Int).Lsh(big.NewInt(1), uint(shape.b))
+			for i, row := range rows {
+				acc, err := pk.FromRaw(reply[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				sumC2 := new(big.Int)
+				for j := range row {
+					r, err := rq.shortBlind(shape.b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					c := r.Add(r, offset)
+					term := pk.ScalarMul(pk.Add(invQ[j], row[j]), new(big.Int).Lsh(c, 1))
+					acc = pk.Add(acc, term)
+					sumC2.Add(sumC2, new(big.Int).Mul(c, c))
+				}
+				if want := pk.AddPlain(acc, sumC2.Neg(sumC2)); !got[i].Equal(want) {
+					t.Errorf("record %d: %v, want the per-attribute loop's %v", i, got[i], want)
+				}
+				var wantDist int64
+				for j := range qv {
+					wantDist += (qv[j] - rowsV[i][j]) * (qv[j] - rowsV[i][j])
+				}
+				if d := dec(t, sk, got[i]); d != wantDist {
+					t.Errorf("record %d: distance %d, want %d", i, d, wantDist)
+				}
+			}
+		})
 	}
 }
 

@@ -351,118 +351,143 @@ func TestShardedScanCostAtBenchShape(t *testing.T) {
 }
 
 // TestBasicScanCostAtBenchShape is the same guard for bench/'s basic_tcp
-// counters: at that workload's shape (n=32, m=6, attrBits=8, k=5, two
-// links, a 512-bit key) SkNNb takes 4 round trips — the scan's two halves
-// on the two links, the rank, the reveal — and moves the 13843 bytes the
-// benchmark reports as c2_bytes_per_query. C2 decrypts one SSED slot
-// group per record, the n distances it ranks and one row-packed share per
-// neighbour; it encrypts one SSED reply per record, and C1 encrypts
-// nothing at all.
+// counters, and SkNNb's counted cost as a formula: at bench/'s shape
+// (n=32, m=6, attrBits=8, k=5) and two others, over two links and a
+// 512-bit key, SkNNb takes 4 round trips — the scan's two halves on the
+// two links, the rank, the reveal — and at the bench shape moves the
+// 13843 bytes the benchmark reports as c2_bytes_per_query. C2 decrypts
+// n·⌈m/s⌉ + n + k·⌈m/c⌉ values: one SSED slot group of s attributes per
+// group of a record, the n distances it ranks and one row-packed share
+// of c columns per chunk of a neighbour. It encrypts one SSED reply per
+// record, and C1 encrypts nothing at all. Each opcode's uplink is pinned
+// by its integer count, frame headers included. C1's own arithmetic —
+// how it strips the SSED blinds — is not in these counts, which is why
+// they must not move when it changes.
 func TestBasicScanCostAtBenchShape(t *testing.T) {
-	const n, m, attrBits, k = 32, 6, 8, 5
-	tbl, err := dataset.Generate(1, n, m, attrBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := dataset.GenerateQuery(2, m, attrBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sk := testkit.Key(512)
-	pk := &sk.PublicKey
-	table, err := core.EncryptTable(rand.Reader, pk, tbl.Rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if table.AttrBits() != attrBits {
-		t.Fatalf("table derived %d-bit attributes from the bench rows, want %d", table.AttrBits(), attrBits)
-	}
+	for _, shape := range []struct {
+		n, m, attrBits, k int
+		bytes             int64 // c2_bytes_per_query; checked at bench/'s shape only
+	}{
+		{32, 6, 8, 5, 13843},
+		{7, 3, 4, 2, 0},
+		{20, 9, 6, 3, 0},
+	} {
+		n, m, attrBits, k := shape.n, shape.m, shape.attrBits, shape.k
+		t.Run(fmt.Sprintf("n=%d,m=%d,b=%d,k=%d", n, m, attrBits, k), func(t *testing.T) {
+			tbl, err := dataset.Generate(1, n, m, attrBits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, err := dataset.GenerateQuery(2, m, attrBits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sk := testkit.Key(512)
+			pk := &sk.PublicKey
+			table, err := core.EncryptTable(rand.Reader, pk, tbl.Rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if table.AttrBits() != attrBits {
+				t.Fatalf("table derived %d-bit attributes from the rows, want %d", table.AttrBits(), attrBits)
+			}
+			ssedCodec, err := paillier.NewPacking(pk, attrBits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			groups := ssedCodec.Groups(m) // ⌈m/s⌉
 
-	// Every ciphertext C1 hands C2, by opcode, headers included.
-	var mu sync.Mutex
-	sent := map[mpc.Op]int{}
-	frames := map[mpc.Op]int{}
-	c2 := core.NewCloudC2(sk, nil)
-	var wg sync.WaitGroup
-	coord, err := core.NewEngine(table, 1, func() ([]mpc.Conn, error) {
-		conns := make([]mpc.Conn, 2)
-		for i := range conns {
-			c1Side, c2Side := mpc.ChanPipe()
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := c2.Serve(c2Side); err != nil {
-					t.Errorf("C2 serve loop: %v", err)
+			// Every ciphertext C1 hands C2, by opcode, headers included.
+			var mu sync.Mutex
+			sent := map[mpc.Op]int{}
+			frames := map[mpc.Op]int{}
+			c2 := core.NewCloudC2(sk, nil)
+			var wg sync.WaitGroup
+			coord, err := core.NewEngine(table, 1, func() ([]mpc.Conn, error) {
+				conns := make([]mpc.Conn, 2)
+				for i := range conns {
+					c1Side, c2Side := mpc.ChanPipe()
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						if err := c2.Serve(c2Side); err != nil {
+							t.Errorf("C2 serve loop: %v", err)
+						}
+					}()
+					conns[i] = mpc.Tap(c1Side, func(dir mpc.Direction, msg *mpc.Message) {
+						if dir == mpc.DirSend {
+							mu.Lock()
+							sent[msg.Op] += len(msg.Ints)
+							frames[msg.Op]++
+							mu.Unlock()
+						}
+					})
 				}
-			}()
-			conns[i] = mpc.Tap(c1Side, func(dir mpc.Direction, msg *mpc.Message) {
-				if dir == mpc.DirSend {
-					mu.Lock()
-					sent[msg.Op] += len(msg.Ints)
-					frames[msg.Op]++
-					mu.Unlock()
-				}
+				return conns, nil
 			})
-		}
-		return conns, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		coord.Close()
-		wg.Wait()
-	}()
-	bob := core.NewClient(pk, nil)
-	eq, err := bob.EncryptQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				coord.Close()
+				wg.Wait()
+			}()
+			bob := core.NewClient(pk, nil)
+			eq, err := bob.EncryptQuery(q)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	mu.Lock()
-	clear(sent) // the pools' handshakes
-	clear(frames)
-	mu.Unlock()
-	encrypts := paillier.EncryptCalls()
-	res, metrics, err := coord.BasicQuery(context.Background(), eq, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	encrypts = paillier.EncryptCalls() - encrypts
-	rows, err := bob.Unmask(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracleCheck(t, tbl.Rows, rows, q, k)
+			mu.Lock()
+			clear(sent) // the pools' handshakes
+			clear(frames)
+			mu.Unlock()
+			encrypts := paillier.EncryptCalls()
+			res, metrics, err := coord.BasicQuery(context.Background(), eq, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			encrypts = paillier.EncryptCalls() - encrypts
+			rows, err := bob.Unmask(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracleCheck(t, tbl.Rows, rows, q, k)
 
-	if metrics.Comm.Rounds != 4 {
-		t.Errorf("query took %d round trips, want 4", metrics.Comm.Rounds)
-	}
-	if moved := metrics.Comm.BytesSent + metrics.Comm.BytesReceived; moved < 13843-32 || moved > 13843+32 {
-		t.Errorf("query moved %d bytes between the clouds, want 13843 give or take leading zero bytes", moved)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	chunks := res.Layout.Chunks(m)
-	if chunks != 1 {
-		t.Errorf("a neighbour is revealed as %d shares (layout %+v), want 1", chunks, res.Layout)
-	}
-	// An OpSSEDPack frame is [count, m, valueBits, one group per record];
-	// the OpRank frame is [k, n distances].
-	if got := sent[smc.OpSSEDPack] - 3*frames[smc.OpSSEDPack]; frames[smc.OpSSEDPack] != 2 || got != n {
-		t.Errorf("C2 decrypted %d SSED slot groups off %d frames, want %d off 2", got, frames[smc.OpSSEDPack], n)
-	}
-	if got := sent[core.OpRank] - 1; frames[core.OpRank] != 1 || got != n {
-		t.Errorf("C2 decrypted %d distances off %d rank frames, want %d off 1", got, frames[core.OpRank], n)
-	}
-	if got := sent[core.OpReveal]; frames[core.OpReveal] != 1 || got != k*chunks {
-		t.Errorf("C2 decrypted %d masked shares off %d reveal frames, want %d off 1", got, frames[core.OpReveal], k*chunks)
-	}
-	if len(frames) != 3 {
-		t.Errorf("C1 sent C2 requests %v, want only SSEDPack, Rank and Reveal", frames)
-	}
-	if encrypts != n {
-		t.Errorf("%d encryptions during the query, want %d: one SSED reply per record on C2, none on C1", encrypts, n)
+			if metrics.Comm.Rounds != 4 {
+				t.Errorf("query took %d round trips, want 4", metrics.Comm.Rounds)
+			}
+			if want := shape.bytes; want != 0 {
+				if moved := metrics.Comm.BytesSent + metrics.Comm.BytesReceived; moved < want-32 || moved > want+32 {
+					t.Errorf("query moved %d bytes between the clouds, want %d give or take leading zero bytes", moved, want)
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			chunks := res.Layout.Chunks(m) // ⌈m/c⌉
+			// An OpSSEDPack frame is [count, m, valueBits, groups per
+			// record]; the OpRank frame is [k, n distances]; the OpReveal
+			// frame is the k·⌈m/c⌉ masked shares.
+			if got, want := sent[smc.OpSSEDPack], 3*2+n*groups; frames[smc.OpSSEDPack] != 2 || got != want {
+				t.Errorf("SSED uplink of %d ints off %d frames, want %d off 2", got, frames[smc.OpSSEDPack], want)
+			}
+			if got := sent[core.OpRank]; frames[core.OpRank] != 1 || got != 1+n {
+				t.Errorf("rank uplink of %d ints off %d frames, want %d off 1", got, frames[core.OpRank], 1+n)
+			}
+			if got := sent[core.OpReveal]; frames[core.OpReveal] != 1 || got != k*chunks {
+				t.Errorf("reveal uplink of %d ints off %d frames, want %d off 1", got, frames[core.OpReveal], k*chunks)
+			}
+			if len(frames) != 3 {
+				t.Errorf("C1 sent C2 requests %v, want only SSEDPack, Rank and Reveal", frames)
+			}
+			decrypts := (sent[smc.OpSSEDPack] - 3*frames[smc.OpSSEDPack]) + (sent[core.OpRank] - 1) + sent[core.OpReveal]
+			if want := n*groups + n + k*chunks; decrypts != want {
+				t.Errorf("C2 decrypted %d values, want n·⌈m/s⌉ + n + k·⌈m/c⌉ = %d", decrypts, want)
+			}
+			if encrypts != uint64(n) {
+				t.Errorf("%d encryptions during the query, want %d: one SSED reply per record on C2, none on C1", encrypts, n)
+			}
+		})
 	}
 }
 
