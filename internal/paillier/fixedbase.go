@@ -18,54 +18,68 @@ import (
 // ciphertexts keep their semantic-security argument under the standard
 // fixed-generator assumption (see docs/PROTOCOLS.md).
 //
-// With the base fixed, hN^a is a Lim–Lee comb (CRYPTO '94): cut the
-// B-bit exponent into combTeeth blocks of s = ⌈B/combTeeth⌉ bits,
-// tabulate the 2^combTeeth − 1 products of the block bases hN^(2^(i·s)),
-// and read one bit of every block per step — s − 1 squarings and at most
-// s products on the limb-level Montgomery kernel of mont.go, against the
-// ~1.5·B of square-and-multiply. A key built from the factorisation runs
-// two combs, mod p² and mod q² (half the limbs, a quarter of the cost
-// per product), on exponents below p−1 and q−1 — hN mod p² is an N-th
-// residue, so its order divides p−1 — and recombines; a public-only key
-// runs one comb mod N².
+// With the base fixed, hN^a is a two-dimensional Lim–Lee comb (CRYPTO
+// '94): cut the B-bit exponent into combTeeth teeth, and each tooth into
+// combRows rows of b = ⌈⌈B/combTeeth⌉/combRows⌉ bits, so row j of tooth
+// i holds bits (i·combRows + j)·b … +b−1. Table j holds the
+// 2^combTeeth − 1 products of the bases hN^(2^((i·combRows + j)·b)) —
+// table 0 raised to 2^(j·b) — and one step reads bit k of every row:
+// b − 1 squarings and at most combRows·b products on the limb-level
+// Montgomery kernel of mont.go, against the ~1.5·B of square-and-
+// multiply. A key built from the factorisation runs two combs, mod p²
+// and mod q² (half the limbs, a quarter of the cost per product), on
+// exponents below p−1 and q−1 — hN mod p² is an N-th residue, so its
+// order divides p−1 — and recombines; a public-only key runs one comb
+// mod N².
 
-// combTeeth is the number of exponent blocks, one constant for every
-// key: 15 table entries per comb, ≈ 2 KiB per key at a 512-bit N.
-const combTeeth = 4
+// The comb's shape, one for every key: combRows tables of
+// 2^combTeeth − 1 entries, 30 per comb — ≈ 3.75 KiB mod N² and ≈ 1.9 KiB
+// mod p² or q² at a 512-bit N. A walk on a 256-bit exponent costs ≈ 91
+// products, against ≈ 123 for one table of 4 teeth. Wider shapes walk
+// faster still but double the table again, which every key pays for
+// resident (TestCombTableBudget).
+const (
+	combTeeth = 4
+	combRows  = 2
+)
 
 // comb evaluates base^e mod m for one fixed base and every exponent
 // below 2^bits. Immutable after newComb; safe for concurrent use.
 type comb struct {
 	mod  *montMod
 	bits int      // exponents are below 2^bits
-	span int      // ⌈bits/combTeeth⌉: the block length, and the step count
-	tab  []uint64 // flat; entry d = ∏ base^(2^(i·span)) over the set bits i of d, Montgomery form
+	span int      // b: the row length, and the step count
+	tab  []uint64 // flat, table by table; entry d of table j = ∏ base^(2^((i·combRows+j)·span)) over the set bits i of d, Montgomery form
 }
 
 // newComb tabulates base mod m on the prepared modulus mm.
 func newComb(base *big.Int, mm *montMod, bits int) *comb {
 	n := len(mm.m)
-	c := &comb{mod: mm, bits: bits, span: (bits + combTeeth - 1) / combTeeth, tab: make([]uint64, (1<<combTeeth-1)*n)}
+	span := ((bits+combTeeth-1)/combTeeth + combRows - 1) / combRows
+	c := &comb{mod: mm, bits: bits, span: span, tab: make([]uint64, combRows*(1<<combTeeth-1)*n)}
 	t := make([]uint64, n+1)
-	tooth := mm.toMont(new(big.Int).Mod(base, mm.big), t)
-	for i := 0; i < combTeeth; i++ {
-		// Entries 2^i … 2^(i+1)−1: tooth i alone, then times each entry
+	row := mm.toMont(new(big.Int).Mod(base, mm.big), t)
+	for r := 0; r < combTeeth*combRows; r++ {
+		// row = base^(2^(r·span)): tooth i of table j. Entries 2^i …
+		// 2^(i+1)−1 of table j: the tooth alone, then times each entry
 		// below it.
-		copy(c.entry(1<<i), tooth)
+		i, j := r/combRows, r%combRows
+		copy(c.entry(j, 1<<i), row)
 		for d := 1; d < 1<<i; d++ {
-			mm.mul(c.entry(1<<i|d), c.entry(d), tooth, t)
+			mm.mul(c.entry(j, 1<<i|d), c.entry(j, d), row, t)
 		}
-		for s := 0; s < c.span && i+1 < combTeeth; s++ {
-			mm.mul(tooth, tooth, tooth, t)
+		for s := 0; s < span && r+1 < combTeeth*combRows; s++ {
+			mm.mul(row, row, row, t)
 		}
 	}
 	return c
 }
 
-// entry returns table entry d, 1 ≤ d < 2^combTeeth.
-func (c *comb) entry(d int) []uint64 {
+// entry returns entry d of table j, 1 ≤ d < 2^combTeeth.
+func (c *comb) entry(j, d int) []uint64 {
 	n := len(c.mod.m)
-	return c.tab[(d-1)*n : d*n]
+	k := j*(1<<combTeeth-1) + d
+	return c.tab[(k-1)*n : k*n]
 }
 
 // exp returns base^e mod m. An exponent outside [0, 2^bits) is a bug in
@@ -75,7 +89,7 @@ func (c *comb) exp(e *big.Int) *big.Int {
 		panic("paillier: comb exponent out of range")
 	}
 	n := len(c.mod.m)
-	ew := toLimbs(e, (combTeeth*c.span+63)/64)
+	ew := toLimbs(e, (combTeeth*combRows*c.span+63)/64)
 	buf := make([]uint64, 3*n+1)
 	acc, unit, t := buf[:n], buf[n:2*n], buf[2*n:]
 	started := false
@@ -83,18 +97,20 @@ func (c *comb) exp(e *big.Int) *big.Int {
 		if started {
 			c.mod.mul(acc, acc, acc, t)
 		}
-		d := 0
-		for i := combTeeth - 1; i >= 0; i-- {
-			pos := i*c.span + k
-			d = d<<1 | int(ew[pos>>6]>>(pos&63)&1)
-		}
-		switch {
-		case d == 0:
-		case started:
-			c.mod.mul(acc, acc, c.entry(d), t)
-		default:
-			copy(acc, c.entry(d))
-			started = true
+		for j := 0; j < combRows; j++ {
+			d := 0
+			for i := combTeeth - 1; i >= 0; i-- {
+				pos := (i*combRows+j)*c.span + k
+				d = d<<1 | int(ew[pos>>6]>>(pos&63)&1)
+			}
+			switch {
+			case d == 0:
+			case started:
+				c.mod.mul(acc, acc, c.entry(j, d), t)
+			default:
+				copy(acc, c.entry(j, d))
+				started = true
+			}
 		}
 	}
 	if !started { // e == 0

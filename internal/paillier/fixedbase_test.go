@@ -102,6 +102,95 @@ func TestFBTableRejectsOutOfRange(t *testing.T) {
 	}
 }
 
+// TestCombIndexing walks the comb's layout bit by bit against
+// big.Int.Exp: every single-bit exponent 2^i, i < B, then the exponents
+// whose set bits fill exactly one tooth (combRows·b bits from
+// i·combRows·b) and exactly one row (b bits from (i·combRows + j)·b),
+// with b = ⌈⌈B/combTeeth⌉/combRows⌉ and bits at or past B left out. A
+// table built for the wrong tooth or row, or a walk that reads a row
+// one bit off, fails here on the exponent that isolates it. It runs on
+// test combs of one bit, of combTeeth·combRows bits and one either side,
+// and of 97 bits (a short top row), and on the three combs of keys whose
+// limb counts and row lengths differ (K = 65: p and q of unequal, odd
+// lengths).
+func TestCombIndexing(t *testing.T) {
+	mod, _ := new(big.Int).SetString("104476280815459414444157170371138662750017727", 10)
+	hv := combTeeth * combRows
+	for _, bits := range []int{1, hv - 1, hv, hv + 1, 97} {
+		checkCombIndexing(t, fmt.Sprintf("B=%d", bits), NewTestComb(big.NewInt(3), mod, bits).c)
+	}
+	for _, bits := range []int{64, 65, 512} {
+		sk, err := GenerateKey(rand.Reader, bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pub, err := NewPublicKey(sk.N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, c := range map[string]*comb{"N²": pub.fb.pub, "p²": sk.fb.crt.p, "q²": sk.fb.crt.q} {
+			checkCombIndexing(t, fmt.Sprintf("K=%d mod %s", bits, name), c)
+		}
+	}
+}
+
+func checkCombIndexing(t *testing.T, name string, c *comb) {
+	t.Helper()
+	base, mod := c.exp(one), c.mod.big
+	b := ((c.bits+combTeeth-1)/combTeeth + combRows - 1) / combRows
+	var exps []*big.Int
+	for i := 0; i < c.bits; i++ {
+		exps = append(exps, new(big.Int).Lsh(one, uint(i)))
+	}
+	// fill sets bits lo … hi−1 below the comb's width; nil if none is.
+	fill := func(lo, hi int) *big.Int {
+		hi = min(hi, c.bits)
+		if lo >= hi {
+			return nil
+		}
+		e := new(big.Int).Lsh(one, uint(hi-lo))
+		return e.Lsh(e.Sub(e, one), uint(lo))
+	}
+	for i := 0; i < combTeeth; i++ {
+		exps = append(exps, fill(i*combRows*b, (i+1)*combRows*b))
+		for j := 0; j < combRows; j++ {
+			exps = append(exps, fill((i*combRows+j)*b, (i*combRows+j+1)*b))
+		}
+	}
+	for _, e := range exps {
+		if e == nil {
+			continue
+		}
+		if got, want := c.exp(e), new(big.Int).Exp(base, e, mod); got.Cmp(want) != 0 {
+			t.Errorf("%s (B=%d): exp(%#x) = %v, want %v", name, c.bits, e, got, want)
+		}
+	}
+}
+
+// TestCombTableBudget pins every comb at 2·(2^4 − 1) table entries or
+// fewer, on a K = 512 private key (mod p² and q²) and its NewPublicKey
+// copy (mod N²). The table is resident for the key's life, and more
+// entries are paid per key: at gateway_sharded's shape each entry costs
+// 384 B (one private key's p² and q² combs plus two tenant clients'
+// public combs), against BENCHMARK.json's 8 % bound on heap_mb. A wider
+// shape needs heap_mb measured, not just this number raised.
+func TestCombTableBudget(t *testing.T) {
+	const budget = 2 * (1<<4 - 1)
+	sk, err := GenerateKey(rand.Reader, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, err := NewPublicKey(sk.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]*comb{"N²": pub.fb.pub, "p²": sk.fb.crt.p, "q²": sk.fb.crt.q} {
+		if entries := len(c.tab) / len(c.mod.m); entries > budget {
+			t.Errorf("comb mod %s holds %d table entries, budget %d", name, entries, budget)
+		}
+	}
+}
+
 // TestFixedBasePowCRTMatchesDirect pins the CRT-split evaluation (combs
 // mod p² and q², the exponent reduced mod p−1 and q−1, recombination)
 // against direct exponentiation of hN mod N², bit for bit — including
@@ -234,7 +323,7 @@ func TestRaisedNonceAllocs(t *testing.T) {
 // any out-of-range one must panic before touching the table.
 func FuzzFixedBaseExp(f *testing.F) {
 	mod, _ := new(big.Int).SetString("104476280815459414444157170371138662750017727", 10)
-	const maxBits = 96
+	const maxBits = 97 // not a multiple of combTeeth·combRows: the top row is short
 	c := NewTestComb(big.NewInt(3), mod, maxBits)
 	f.Add([]byte{})
 	f.Add([]byte{0x01})
