@@ -58,6 +58,7 @@ fuzz-smoke:
 	go test -fuzz=FuzzSnapshotRead -fuzztime=30s ./internal/store
 	go test -fuzz=FuzzKeyRead -fuzztime=15s ./internal/store
 	go test -fuzz=FuzzFrameDecode -fuzztime=20s ./internal/mpc
+	go test -fuzz=FuzzFields -fuzztime=20s ./internal/mpc
 	go test -fuzz=FuzzShardFrame -fuzztime=20s ./internal/core
 	go test -fuzz=FuzzCloudC2Frame -fuzztime=20s ./internal/core
 	go test -fuzz=FuzzResponderFrame -fuzztime=20s ./internal/smc

@@ -152,17 +152,17 @@ func (s *QuerySession) rank(ds []*paillier.Ciphertext, k int) ([]int, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: rank round trip: %w", err)
 	}
-	if len(resp.Ints) != k {
-		return nil, fmt.Errorf("%w: rank reply has %d indices, want %d", ErrBadFrame, len(resp.Ints), k)
-	}
+	f := mpc.ReadFields(resp.Ints)
 	order := make([]int, k)
-	named := make([]bool, len(ds))
-	for j, idx := range resp.Ints {
-		if !idx.IsInt64() || idx.Int64() < 0 || idx.Int64() >= int64(len(ds)) || named[idx.Int64()] {
-			return nil, fmt.Errorf("%w: rank index %v repeated or out of range", ErrBadFrame, idx)
+	named := make(map[int]bool, k)
+	for j := range order {
+		if order[j] = f.Int(0, len(ds)-1); named[order[j]] && f.Err() == nil {
+			return nil, fmt.Errorf("%w: rank index %d repeated", ErrBadFrame, order[j])
 		}
-		order[j] = int(idx.Int64())
 		named[order[j]] = true
+	}
+	if err := f.Done(); err != nil {
+		return nil, fmt.Errorf("core: rank reply: %w", err)
 	}
 	return order, nil
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"crypto/rand"
 	"fmt"
 	"io"
+	"math"
 	"math/big"
 	"sort"
 
@@ -84,14 +86,12 @@ func (c *CloudC2) Serve(conn mpc.Conn) error {
 // patterns to C2 — the reason SkNNm exists. Payload: [k, E(d₁),…,E(d_n)];
 // reply: [i₁,…,i_k] (0-based, plaintext).
 func (c *CloudC2) handleRank(req *mpc.Message) (*mpc.Message, error) {
-	if len(req.Ints) < 2 {
-		return nil, fmt.Errorf("%w: rank payload of %d ints", ErrBadFrame, len(req.Ints))
+	f := mpc.ReadFields(req.Ints)
+	k, dists := f.Int(math.MinInt, math.MaxInt), f.Rest()
+	n := len(dists)
+	if n == 0 { // no k, or no distance to rank
+		return nil, fmt.Errorf("core: rank payload of %d ints: %w", len(req.Ints), cmp.Or(f.Err(), ErrBadFrame))
 	}
-	if req.Ints[0] == nil || !req.Ints[0].IsInt64() {
-		return nil, fmt.Errorf("%w: bad k", ErrBadFrame)
-	}
-	k := int(req.Ints[0].Int64())
-	n := len(req.Ints) - 1
 	if err := validateK(k, n); err != nil {
 		return nil, err
 	}
@@ -101,7 +101,7 @@ func (c *CloudC2) handleRank(req *mpc.Message) (*mpc.Message, error) {
 	}
 	ds := make([]distIdx, n)
 	err := paillier.ForEach(n, func(i int) error {
-		d, err := c.decryptRaw(req.Ints[i+1])
+		d, err := c.decryptRaw(dists[i])
 		if err != nil {
 			return fmt.Errorf("core: rank distance %d: %w", i, err)
 		}
@@ -156,15 +156,15 @@ func (c *CloudC2) handleReveal(req *mpc.Message) (*mpc.Message, error) {
 // tie, as the paper prescribes — and E(0) elsewhere, all fresh
 // encryptions. Payload: [n, β₁…βₙ]; reply: U₁…Uₙ.
 func (c *CloudC2) handleMinSelect(req *mpc.Message) (*mpc.Message, error) {
-	ints := req.Ints
-	if len(ints) < 2 || ints[0] == nil || !ints[0].IsInt64() || ints[0].Int64() != int64(len(ints)-1) {
-		return nil, fmt.Errorf("%w: min-select payload of %d ints", ErrBadFrame, len(ints))
+	f, n := mpc.ReadFields(req.Ints), len(req.Ints)-1
+	if f.Int(n, n); f.Err() != nil { // the header restates β's length
+		return nil, fmt.Errorf("core: min-select: %w", f.Err())
 	}
-	w, err := c.argminOfBlinded(ints[1:])
+	w, err := c.argminOfBlinded(f.Rest())
 	if err != nil {
 		return nil, err
 	}
-	nonces, err := c.resp.Nonces(len(ints) - 1)
+	nonces, err := c.resp.Nonces(n)
 	if err != nil {
 		return nil, fmt.Errorf("core: min-select encrypt: %w", err)
 	}

@@ -53,7 +53,7 @@ var (
 	ErrDimension     = errors.New("core: query/record dimension mismatch")
 	ErrKeyMismatch   = errors.New("core: ciphertext under a different public key")
 	ErrNoZeroInBeta  = errors.New("core: no minimum found in blinded distance vector")
-	ErrBadFrame      = errors.New("core: malformed protocol frame")
+	ErrBadFrame      = mpc.ErrBadFrame // the transport's sentinel: one class for every malformed frame
 	ErrNoConnections = errors.New("core: CloudC1 needs at least one connection")
 	ErrCloudClosed   = errors.New("core: cloud closed")
 	ErrDomainBits    = errors.New("core: domain size l out of range")

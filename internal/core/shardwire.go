@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/big"
 	"sync"
 	"time"
@@ -98,41 +99,22 @@ func encodeHello(pkN *big.Int, info ShardInfo, domainBits int) *mpc.Message {
 // the coordinator makes for this shard's candidates.
 func decodeHello(resp *mpc.Message) (shardHello, error) {
 	var h shardHello
-	if len(resp.Ints) != 9 {
-		return h, fmt.Errorf("%w: shard hello reply has %d ints, want 9", ErrBadFrame, len(resp.Ints))
-	}
-	vals := make([]int, 8)
-	for i := 1; i < 9; i++ {
-		if resp.Ints[i] == nil || !resp.Ints[i].IsInt64() {
-			return h, fmt.Errorf("%w: shard hello field %d", ErrBadFrame, i)
-		}
-		vals[i-1] = int(resp.Ints[i].Int64())
-	}
-	h.info = ShardInfo{
-		Index:     vals[0],
-		Count:     vals[1],
-		N:         vals[2],
-		M:         vals[3],
-		FeatureM:  vals[4],
-		Clustered: vals[5] != 0,
-		AttrBits:  vals[6],
-	}
-	h.domainBits = vals[7]
-	info := h.info
-	if info.Count < 1 || info.Count > maxShardCount || info.Index < 0 || info.Index >= info.Count ||
-		info.M < 1 || info.M > maxShardM || info.FeatureM < 1 || info.FeatureM > info.M ||
-		info.N < 0 || int64(info.N) > maxShardN {
-		return h, fmt.Errorf("%w: shard hello describes index %d of %d, table %d/%d, n=%d",
-			ErrBadFrame, info.Index, info.Count, info.M, info.FeatureM, info.N)
-	}
-	if info.AttrBits < 1 || info.AttrBits > maxAttrBits ||
-		h.domainBits < 0 || h.domainBits > maxShardDomainBits {
-		return h, fmt.Errorf("%w: shard hello declares attrBits=%d domainBits=%d",
-			ErrBadFrame, info.AttrBits, h.domainBits)
+	f := mpc.ReadFields(resp.Ints)
+	modulus := f.Big()
+	info := ShardInfo{Index: f.Int(0, maxShardCount-1)}
+	info.Count = f.Int(info.Index+1, maxShardCount)
+	info.N = f.Int(0, min(maxShardN, math.MaxInt))
+	info.M = f.Int(1, maxShardM)
+	info.FeatureM = f.Int(1, info.M)
+	info.Clustered = f.Int(0, 1) == 1
+	info.AttrBits = f.Int(1, maxAttrBits)
+	h.info, h.domainBits = info, f.Int(0, maxShardDomainBits)
+	if err := f.Done(); err != nil {
+		return h, fmt.Errorf("core: shard hello: %w", err)
 	}
 	// Last, once the cheap fields hold: the key's nonce kernel costs an
 	// exponentiation.
-	pk, err := paillier.NewPublicKey(resp.Ints[0])
+	pk, err := paillier.NewPublicKey(modulus)
 	if err != nil {
 		return h, fmt.Errorf("%w: implausible shard public modulus: %v", ErrBadFrame, err)
 	}
@@ -188,18 +170,7 @@ func (r *RemoteShard) TopK(ctx context.Context, q EncryptedQuery, k, domainBits,
 		return nil, nil, fmt.Errorf("core: shard %d top-k: %w", info.Index, err)
 	}
 	defer conn.Close()
-	sec := int64(0)
-	if secure {
-		sec = 1
-	}
-	payload := make([]*big.Int, 0, 4+len(q))
-	payload = append(payload,
-		big.NewInt(int64(k)), big.NewInt(int64(domainBits)),
-		big.NewInt(int64(target)), big.NewInt(sec))
-	for _, ct := range q {
-		payload = append(payload, ct.Raw())
-	}
-	resp, err := mpc.RoundTrip(conn, &mpc.Message{Op: OpShardTopK, Ints: payload})
+	resp, err := mpc.RoundTrip(conn, encodeTopKRequest(q, k, domainBits, target, secure))
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: shard %d top-k: %w", info.Index, err)
 	}
@@ -207,11 +178,9 @@ func (r *RemoteShard) TopK(ctx context.Context, q EncryptedQuery, k, domainBits,
 	if err != nil {
 		return nil, nil, err
 	}
-	if liveN >= 0 {
-		r.mu.Lock()
-		r.info.N = liveN
-		r.mu.Unlock()
-	}
+	r.mu.Lock()
+	r.info.N = liveN
+	r.mu.Unlock()
 	return cands, metrics, nil
 }
 
@@ -228,70 +197,41 @@ func replyLayout(pk *paillier.PublicKey, m, attrBits, domainBits int, secure boo
 // decodeTopKReply validates and unpacks a shard's top-k reply against
 // the query the coordinator actually sent: m is the shard's (already
 // bounded) record width, k the request's, want the layout its records
-// must come back in. The
-// candidate count is bounded by k and the declared row layout pinned to
-// one the request can produce before any arithmetic on them, so a lying
-// reply fails with ErrBadFrame instead of overflowing count*per, reaching
-// a huge make(), or shifting a column.
+// must come back in. The candidate count is bounded by k and the
+// declared row layout pinned to one the request can produce before
+// either sizes anything, so a lying reply fails with ErrBadFrame instead
+// of reaching a huge make() or shifting a column.
 func decodeTopKReply(pk *paillier.PublicKey, m int, resp *mpc.Message, k int, want RowLayout, secure bool) (liveN int, cands []Candidate, metrics *SecureMetrics, err error) {
-	const head = 8
-	if len(resp.Ints) < head {
-		return 0, nil, nil, fmt.Errorf("%w: shard top-k reply has %d ints", ErrBadFrame, len(resp.Ints))
-	}
-	for i := 0; i < head; i++ {
-		if resp.Ints[i] == nil || !resp.Ints[i].IsInt64() {
-			return 0, nil, nil, fmt.Errorf("%w: shard top-k header field %d", ErrBadFrame, i)
-		}
-	}
-	liveN = int(resp.Ints[0].Int64())
-	count := int(resp.Ints[1].Int64())
+	f := mpc.ReadFields(resp.Ints)
+	liveN = f.Int(0, min(maxShardN, math.MaxInt))
+	count := f.Int(0, k)
 	metrics = &SecureMetrics{
-		SMINCount:      int(resp.Ints[2].Int64()),
-		Candidates:     int(resp.Ints[3].Int64()),
-		ClustersProbed: int(resp.Ints[4].Int64()),
+		SMINCount:      f.Int(0, math.MaxInt),
+		Candidates:     f.Int(0, math.MaxInt),
+		ClustersProbed: f.Int(0, math.MaxInt),
+		Total:          time.Duration(f.Int64(0, math.MaxInt64)),
 	}
-	metrics.Total = time.Duration(resp.Ints[5].Int64())
-	layout := RowLayout{Cols: int(resp.Ints[6].Int64()), Bits: int(resp.Ints[7].Int64())}
+	layout := RowLayout{Cols: f.Int(1, m), Bits: f.Int(1, math.MaxInt)}
+	if err := f.Err(); err != nil {
+		return 0, nil, nil, fmt.Errorf("core: shard top-k reply: %w", err)
+	}
 	if layout != want {
 		return 0, nil, nil, fmt.Errorf("%w: shard top-k reply packs %d columns of %d bits, not %d of %d",
 			ErrBadFrame, layout.Cols, layout.Bits, want.Cols, want.Bits)
 	}
-	chunks := layout.Chunks(m)
-	per := chunks + 2 // id + E(d) + record
-	if secure {
-		per = chunks + 1 // E(d) + record
-	}
-	if count < 0 || count > k || len(resp.Ints) != head+count*per {
-		return 0, nil, nil, fmt.Errorf("%w: shard top-k reply: %d candidates but %d payload ints",
-			ErrBadFrame, count, len(resp.Ints)-head)
-	}
 	cands = make([]Candidate, count)
-	pos := head
-	for i := range cands {
-		if secure {
-			if cands[i].Dist, err = pk.FromRaw(resp.Ints[pos]); err != nil {
-				return 0, nil, nil, fmt.Errorf("core: shard candidate %d distance: %w", i, err)
-			}
-			pos++
-		} else {
-			if resp.Ints[pos] == nil || !resp.Ints[pos].IsUint64() {
-				return 0, nil, nil, fmt.Errorf("%w: shard candidate %d record id", ErrBadFrame, i)
-			}
-			cands[i].ID = resp.Ints[pos].Uint64()
-			pos++
-			if cands[i].Dist, err = pk.FromRaw(resp.Ints[pos]); err != nil {
-				return 0, nil, nil, fmt.Errorf("core: shard candidate %d distance: %w", i, err)
-			}
-			pos++
+	for i := 0; i < count && f.Err() == nil; i++ { // a short frame allocates no further
+		if !secure {
+			cands[i].ID = f.Uint64()
 		}
-		rec := make(EncryptedRecord, chunks)
-		for j := range rec {
-			if rec[j], err = pk.FromRaw(resp.Ints[pos]); err != nil {
-				return 0, nil, nil, fmt.Errorf("core: shard candidate %d record ciphertext %d: %w", i, j, err)
-			}
-			pos++
+		cands[i].Dist = mpc.Read(f, pk.FromRaw)
+		cands[i].Rec = make(EncryptedRecord, layout.Chunks(m))
+		for j := range cands[i].Rec {
+			cands[i].Rec[j] = mpc.Read(f, pk.FromRaw)
 		}
-		cands[i].Rec = rec
+	}
+	if err := f.Done(); err != nil {
+		return 0, nil, nil, fmt.Errorf("core: shard top-k candidates: %w", err)
 	}
 	return liveN, cands, metrics, nil
 }
@@ -338,29 +278,9 @@ func (s *ShardServer) handleHello(*mpc.Message) (*mpc.Message, error) {
 
 func (s *ShardServer) handleTopK(req *mpc.Message) (*mpc.Message, error) {
 	t := s.c1.Table()
-	featM := t.FeatureM()
-	if len(req.Ints) != 4+featM {
-		return nil, fmt.Errorf("%w: shard top-k request has %d ints, want %d",
-			ErrBadFrame, len(req.Ints), 4+featM)
-	}
-	for i := 0; i < 4; i++ {
-		if !req.Ints[i].IsInt64() {
-			return nil, fmt.Errorf("%w: shard top-k header field %d", ErrBadFrame, i)
-		}
-	}
-	k := int(req.Ints[0].Int64())
-	domainBits := int(req.Ints[1].Int64())
-	target := int(req.Ints[2].Int64())
-	secure := req.Ints[3].Int64() != 0
-	if k < 1 {
-		return nil, fmt.Errorf("%w: k=%d", ErrBadK, k)
-	}
-	q := make(EncryptedQuery, featM)
-	var err error
-	for i := range q {
-		if q[i], err = t.PK().FromRaw(req.Ints[4+i]); err != nil {
-			return nil, fmt.Errorf("core: shard top-k query attribute %d: %w", i, err)
-		}
+	q, k, domainBits, target, secure, err := decodeTopKRequest(t.PK(), t.FeatureM(), req)
+	if err != nil {
+		return nil, err
 	}
 	// The wire protocol has no abort frame, so a worker-side scan runs
 	// to completion once started; cancellation lives on the coordinator
@@ -371,6 +291,39 @@ func (s *ShardServer) handleTopK(req *mpc.Message) (*mpc.Message, error) {
 		return nil, err
 	}
 	return encodeTopKReply(t.N(), replyLayout(t.PK(), t.M(), t.AttrBits(), domainBits, secure), cands, metrics, secure), nil
+}
+
+// encodeTopKRequest lays out a top-k request frame.
+func encodeTopKRequest(q EncryptedQuery, k, domainBits, target int, secure bool) *mpc.Message {
+	sec := int64(0)
+	if secure {
+		sec = 1
+	}
+	ints := append(make([]*big.Int, 0, 4+len(q)),
+		big.NewInt(int64(k)), big.NewInt(int64(domainBits)), big.NewInt(int64(target)), big.NewInt(sec))
+	for _, ct := range q {
+		ints = append(ints, ct.Raw())
+	}
+	return &mpc.Message{Op: OpShardTopK, Ints: ints}
+}
+
+// decodeTopKRequest validates and unpacks a top-k request against the
+// worker's table: k ≥ 1, refused before the rest is read as ErrBadK and
+// ErrBadFrame both, then exactly featureM query ciphertexts under its key.
+func decodeTopKRequest(pk *paillier.PublicKey, featureM int, req *mpc.Message) (q EncryptedQuery, k, domainBits, target int, secure bool, err error) {
+	f := mpc.ReadFields(req.Ints)
+	if k = f.Int(math.MinInt, math.MaxInt); f.Err() == nil && k < 1 {
+		return nil, 0, 0, 0, false, fmt.Errorf("%w: %w: k=%d", ErrBadFrame, ErrBadK, k)
+	}
+	domainBits, target, secure = f.Int(math.MinInt, math.MaxInt), f.Int(math.MinInt, math.MaxInt), f.Int(0, 1) == 1
+	q = make(EncryptedQuery, featureM)
+	for i := range q {
+		q[i] = mpc.Read(f, pk.FromRaw)
+	}
+	if err := f.Done(); err != nil {
+		return nil, 0, 0, 0, false, fmt.Errorf("core: shard top-k request: %w", err)
+	}
+	return q, k, domainBits, target, secure, nil
 }
 
 // encodeTopKReply lays out a top-k reply frame: the metrics header, the

@@ -202,6 +202,67 @@ func TestDecodeTopKReplyLayout(t *testing.T) {
 	}
 }
 
+// TestShardTopKRequestValidation sends top-k requests straight to a
+// worker's dispatcher, as an in-process coordinator link carries them:
+// a nil header element, a missing or trailing query attribute and a
+// header value past int64 are ErrBadFrame, a k below 1 is ErrBadK, and
+// no frame panics the worker.
+func TestShardTopKRequestValidation(t *testing.T) {
+	tbl, err := dataset.Generate(5, 6, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, bob := newSystem(t, tbl, 1)
+	srv, err := NewShardServer(eng.Workers[0], 0, 1, tbl.DomainBits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := bob.EncryptQuery([]uint64{3, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// request is a well-formed basic top-2 request with edit applied.
+	request := func(edit func([]*big.Int) []*big.Int) *mpc.Message {
+		return &mpc.Message{Op: OpShardTopK, Ints: edit(encodeTopKRequest(q, 2, tbl.DomainBits(), 0, false).Ints)}
+	}
+	handle := func(msg *mpc.Message) (err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("worker panicked: %v", p)
+			}
+		}()
+		_, err = srv.Mux().Handle(msg)
+		return err
+	}
+	set := func(i int, v *big.Int) func([]*big.Int) []*big.Int {
+		return func(ints []*big.Int) []*big.Int { ints[i] = v; return ints }
+	}
+	if err := handle(request(func(ints []*big.Int) []*big.Int { return ints })); err != nil {
+		t.Fatalf("well-formed request: %v", err)
+	}
+	type refusal struct {
+		name string
+		edit func([]*big.Int) []*big.Int
+		want error
+	}
+	cases := []refusal{
+		{"query attribute missing", func(ints []*big.Int) []*big.Int { return ints[:len(ints)-1] }, ErrBadFrame},
+		{"query attribute trailing", func(ints []*big.Int) []*big.Int { return append(ints, ints[len(ints)-1]) }, ErrBadFrame},
+		{"k zero", set(0, big.NewInt(0)), ErrBadK},
+		{"k negative", set(0, big.NewInt(-3)), ErrBadK},
+	}
+	for i, field := range []string{"k", "domainBits", "target", "secure"} {
+		cases = append(cases,
+			refusal{"nil " + field, set(i, nil), ErrBadFrame},
+			refusal{field + " past int64", set(i, new(big.Int).Lsh(big.NewInt(1), 70)), ErrBadFrame})
+	}
+	for _, tc := range cases {
+		if err := handle(request(tc.edit)); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
 // fuzzInts flattens a frame payload into the length-prefixed bytes
 // FuzzShardFrame reassembles.
 func fuzzInts(ints []*big.Int) []byte {
@@ -214,11 +275,13 @@ func fuzzInts(ints []*big.Int) []byte {
 	return out
 }
 
-// FuzzShardFrame drives the two shard-frame decoders with adversarial
-// Ints payloads assembled from raw fuzz bytes: neither may panic,
-// whatever decodeHello accepts must satisfy the declared bounds, and
-// whatever decodeTopKReply accepts must hold at most k candidates whose
-// records all have the chunk count of one legal row layout.
+// FuzzShardFrame drives the three shard-frame decoders with adversarial
+// Ints payloads assembled from raw fuzz bytes: none may panic, whatever
+// decodeHello accepts must satisfy the declared bounds, whatever
+// decodeTopKReply accepts must hold at most k candidates whose records
+// all have the chunk count of one legal row layout, and whatever
+// decodeTopKRequest accepts must ask for k ≥ 1 over exactly the
+// table's query attributes.
 func FuzzShardFrame(f *testing.F) {
 	f.Add(fuzzInts(helloReply(1, 3, 1000, 6, 2, 1, 32, 96).Ints))
 	f.Add([]byte{})
@@ -242,6 +305,18 @@ func FuzzShardFrame(f *testing.F) {
 	f.Add(fuzzInts(append(topKHead(1, RowLayout{Cols: 1, Bits: fl / 2}), seven, seven, seven, seven, seven, seven, seven)))
 	f.Add(fuzzInts(append(topKHead(1, RowLayout{Cols: 5, Bits: 6}), seven, seven, seven)))
 	f.Add(fuzzInts(append(topKHead(1, RowLayout{Cols: 6, Bits: 200}), seven, seven)))
+	// Top-k requests against the same shape: well formed, and with the
+	// header lying.
+	sevens := make(EncryptedQuery, fm)
+	for i := range sevens {
+		if sevens[i], err = fixed.pk.FromRaw(seven); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(fuzzInts(encodeTopKRequest(sevens, fk, fl, 0, true).Ints))
+	f.Add(fuzzInts(encodeTopKRequest(sevens[:fm-1], fk, fl, 0, false).Ints))
+	f.Add(fuzzInts(encodeTopKRequest(sevens, 0, fl, 0, true).Ints))
+	f.Add(fuzzInts(append(encodeTopKRequest(sevens, fk, fl, 0, true).Ints[:3], big.NewInt(2))))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Reassemble data into a length-prefixed []*big.Int payload.
 		var ints []*big.Int
@@ -265,6 +340,9 @@ func FuzzShardFrame(f *testing.F) {
 				h.pk.N.Bit(0) == 0 || h.pk.N.BitLen() < 64 {
 				t.Fatalf("decodeHello accepted out-of-bounds shape: %+v", h.info)
 			}
+		}
+		if q, k, _, _, _, err := decodeTopKRequest(fixed.pk, fm, &mpc.Message{Op: OpShardTopK, Ints: ints}); err == nil && (k < 1 || len(q) != fm) {
+			t.Fatalf("decodeTopKRequest accepted k=%d over %d query attributes, want %d", k, len(q), fm)
 		}
 		reply := &mpc.Message{Op: OpShardTopK, Ints: ints}
 		for _, secure := range []bool{true, false} {

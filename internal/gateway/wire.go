@@ -1,7 +1,9 @@
 package gateway
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/big"
 
 	"sknn/internal/core"
@@ -87,26 +89,18 @@ type gateWelcome struct {
 // like a shard hello's.
 func decodeGateWelcome(ints []*big.Int) (gateWelcome, error) {
 	var w gateWelcome
-	if len(ints) != 5 {
-		return w, fmt.Errorf("%w: gateway welcome has %d ints, want 5", core.ErrBadFrame, len(ints))
-	}
-	for i := 1; i < 5; i++ {
-		if ints[i] == nil || !ints[i].IsInt64() {
-			return w, fmt.Errorf("%w: gateway welcome field %d", core.ErrBadFrame, i)
-		}
-	}
-	w.n = int(ints[1].Int64())
-	w.m = int(ints[2].Int64())
-	w.featureM = int(ints[3].Int64())
-	w.attrBits = int(ints[4].Int64())
-	if w.n < 0 || w.m < 1 || w.m > maxGateM || w.featureM < 1 || w.featureM > w.m ||
-		w.attrBits < 1 || w.attrBits > maxGateBits {
-		return w, fmt.Errorf("%w: gateway welcome declares n=%d table %d/%d of %d-bit attributes",
-			core.ErrBadFrame, w.n, w.m, w.featureM, w.attrBits)
+	f := mpc.ReadFields(ints)
+	modulus := f.Big()
+	w.n = f.Int(0, math.MaxInt)
+	w.m = f.Int(1, maxGateM)
+	w.featureM = f.Int(1, w.m)
+	w.attrBits = f.Int(1, maxGateBits)
+	if err := f.Done(); err != nil {
+		return w, fmt.Errorf("gateway: welcome: %w", err)
 	}
 	// Last, once the cheap fields hold: the key's nonce kernel costs an
 	// exponentiation.
-	pk, err := paillier.NewPublicKey(ints[0])
+	pk, err := paillier.NewPublicKey(modulus)
 	if err != nil {
 		return w, fmt.Errorf("%w: implausible tenant public modulus: %v", core.ErrBadFrame, err)
 	}
@@ -135,34 +129,23 @@ func encodeGateQuery(k int, secure bool, q core.EncryptedQuery) *mpc.Message {
 }
 
 // decodeGateQuery validates and unpacks a query request against the
-// tenant's table shape: exactly featureM ciphertexts under the
-// tenant's key, k within the global cap (the backend still validates
-// it against the live record count).
+// tenant's table shape: k within the global cap (the backend still checks
+// it against the live count), refused before the rest is read as ErrBadK
+// and ErrBadFrame both, then exactly featureM ciphertexts under its key.
 func decodeGateQuery(pk *paillier.PublicKey, featureM int, req *mpc.Message) (k int, secure bool, q core.EncryptedQuery, err error) {
-	if len(req.Ints) != 2+featureM {
-		return 0, false, nil, fmt.Errorf("%w: query frame has %d ints, want %d",
-			core.ErrBadFrame, len(req.Ints), 2+featureM)
+	f := mpc.ReadFields(req.Ints)
+	if k = f.Int(math.MinInt, math.MaxInt); f.Err() == nil && (k < 1 || k > maxGateK) {
+		return 0, false, nil, fmt.Errorf("%w: %w: k=%d (cap %d)", core.ErrBadFrame, core.ErrBadK, k, maxGateK)
 	}
-	for i := 0; i < 2; i++ {
-		if req.Ints[i] == nil || !req.Ints[i].IsInt64() {
-			return 0, false, nil, fmt.Errorf("%w: query header field %d", core.ErrBadFrame, i)
-		}
-	}
-	k = int(req.Ints[0].Int64())
-	mode := req.Ints[1].Int64()
-	if k < 1 || k > maxGateK {
-		return 0, false, nil, fmt.Errorf("%w: k=%d (cap %d)", core.ErrBadK, k, maxGateK)
-	}
-	if mode != modeBasic && mode != modeSecure {
-		return 0, false, nil, fmt.Errorf("%w: unknown query mode %d", core.ErrBadFrame, mode)
-	}
+	secure = f.Int(modeBasic, modeSecure) == modeSecure
 	q = make(core.EncryptedQuery, featureM)
 	for i := range q {
-		if q[i], err = pk.FromRaw(req.Ints[2+i]); err != nil {
-			return 0, false, nil, fmt.Errorf("gateway: query attribute %d: %w", i, err)
-		}
+		q[i] = mpc.Read(f, pk.FromRaw)
 	}
-	return k, mode == modeSecure, q, nil
+	if err := f.Done(); err != nil {
+		return 0, false, nil, fmt.Errorf("gateway: query: %w", err)
+	}
+	return k, secure, q, nil
 }
 
 // encodeGateResult lays out a query reply from the masked-result
@@ -201,69 +184,35 @@ const gateResultHead = 5
 // share a canonical residue mod the tenant's N. The declared count and
 // layout are bounded before any allocation depends on them.
 func decodeGateResult(pk *paillier.PublicKey, k, m int, resp *mpc.Message) (*core.MaskedResult, error) {
-	if len(resp.Ints) < gateResultHead {
-		return nil, fmt.Errorf("%w: result frame has %d ints", core.ErrBadFrame, len(resp.Ints))
-	}
-	for i := 0; i < gateResultHead; i++ {
-		if resp.Ints[i] == nil || !resp.Ints[i].IsInt64() {
-			return nil, fmt.Errorf("%w: result header field %d", core.ErrBadFrame, i)
-		}
-	}
-	gotK := int(resp.Ints[0].Int64())
-	gotM := int(resp.Ints[1].Int64())
-	idFlag := resp.Ints[2].Int64()
-	layout := core.RowLayout{Cols: int(resp.Ints[3].Int64()), Bits: int(resp.Ints[4].Int64())}
-	if gotK < 1 || gotK > k || gotM != m || idFlag < 0 || idFlag > 1 || layout.Cols < 1 || layout.Cols > m {
-		return nil, fmt.Errorf("%w: result declares %d×%d in chunks of %d columns (idFlag %d), asked k=%d m=%d",
-			core.ErrBadFrame, gotK, gotM, layout.Cols, idFlag, k, m)
-	}
-	chunks := layout.Chunks(m)
-	want := gateResultHead + 2*gotK*chunks + int(idFlag)*gotK
-	if len(resp.Ints) != want {
-		return nil, fmt.Errorf("%w: result frame has %d ints, want %d", core.ErrBadFrame, len(resp.Ints), want)
-	}
-	share := func(pos int) (*big.Int, error) {
-		v := resp.Ints[pos]
+	f := mpc.ReadFields(resp.Ints)
+	gotK, gotM, idFlag := f.Int(1, k), f.Int(m, m), f.Int(0, 1)
+	layout := core.RowLayout{Cols: f.Int(1, m), Bits: f.Int(math.MinInt, math.MaxInt)}
+	share := func(v *big.Int) (*big.Int, error) {
 		if v == nil || v.Sign() < 0 || v.Cmp(pk.N) >= 0 {
-			return nil, fmt.Errorf("%w: result share %d out of range", core.ErrBadFrame, pos)
+			return nil, errors.New("share outside [0, N)")
 		}
 		return v, nil
 	}
-	pos := gateResultHead
-	readRows := func() ([][]*big.Int, error) {
-		rows := make([][]*big.Int, gotK)
-		for j := range rows {
-			row := make([]*big.Int, chunks)
-			for h := range row {
-				v, err := share(pos)
-				if err != nil {
-					return nil, err
-				}
-				row[h] = v
-				pos++
+	rows := func() [][]*big.Int {
+		out := make([][]*big.Int, gotK)
+		for j := 0; j < gotK && f.Err() == nil; j++ { // no Chunks of a failed header; a short frame allocates no further
+			out[j] = make([]*big.Int, layout.Chunks(m))
+			for h := range out[j] {
+				out[j][h] = mpc.Read(f, share)
 			}
-			rows[j] = row
 		}
-		return rows, nil
+		return out
 	}
-	masks, err := readRows()
-	if err != nil {
-		return nil, err
-	}
-	masked, err := readRows()
-	if err != nil {
-		return nil, err
-	}
+	masks, masked := rows(), rows()
 	var ids []uint64
 	if idFlag == 1 {
 		ids = make([]uint64, gotK)
 		for j := range ids {
-			if resp.Ints[pos] == nil || !resp.Ints[pos].IsUint64() {
-				return nil, fmt.Errorf("%w: result id %d", core.ErrBadFrame, j)
-			}
-			ids[j] = resp.Ints[pos].Uint64()
-			pos++
+			ids[j] = f.Uint64()
 		}
+	}
+	if err := f.Done(); err != nil {
+		return nil, fmt.Errorf("gateway: query result: %w", err)
 	}
 	// RestoreMaskedRows vets the slot width against the key.
 	return core.RestoreMaskedRows(pk, gotK, gotM, layout, masks, masked, ids)

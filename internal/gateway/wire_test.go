@@ -108,9 +108,11 @@ func TestGateWelcomeModulus(t *testing.T) {
 	}
 }
 
-// FuzzGateResult feeds the welcome decoder, the result decoder and Bob's
-// unmasking arbitrary frames: a typed error, or a key of a legal modulus
-// and rows of the welcomed shape — never a panic.
+// FuzzGateResult feeds the welcome decoder, the query decoder, the
+// result decoder and Bob's unmasking arbitrary frames: a typed error, or
+// a key of a legal modulus, a query of k in [1, maxGateK] over the
+// tenant's query attributes, and rows of the welcomed shape — never a
+// panic.
 func FuzzGateResult(f *testing.F) {
 	pk := &testkit.Key(256).PublicKey
 	bob := core.NewClient(pk, nil)
@@ -135,6 +137,16 @@ func FuzzGateResult(f *testing.F) {
 			f.Add(flat(&mpc.Message{Ints: encodeGateWelcome(mod, 10, m, 3, 4)}))
 		}
 	}
+	// Query requests over the tenant's three query attributes: well
+	// formed, k past the cap, an attribute short.
+	const featureM = 3
+	q, err := bob.EncryptQuery([]uint64{1, 2, 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(flat(encodeGateQuery(k, true, q)))
+	f.Add(flat(encodeGateQuery(maxGateK+1, false, q)))
+	f.Add(flat(encodeGateQuery(k, false, q[:featureM-1])))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ints []*big.Int
 		for len(data) > 0 && len(ints) < 64 {
@@ -156,6 +168,10 @@ func FuzzGateResult(f *testing.F) {
 				t.Fatalf("decodeGateWelcome accepted N of %d bits, table %d/%d of %d-bit attributes",
 					w.pk.N.BitLen(), w.m, w.featureM, w.attrBits)
 			}
+		}
+		if gotK, _, gotQ, err := decodeGateQuery(pk, featureM, &mpc.Message{Op: OpGateQuery, Ints: ints}); err == nil &&
+			(gotK < 1 || gotK > maxGateK || len(gotQ) != featureM) {
+			t.Fatalf("decodeGateQuery accepted k=%d over %d query attributes, want %d", gotK, len(gotQ), featureM)
 		}
 		res, err := decodeGateResult(pk, k, m, &mpc.Message{Op: OpGateQuery, Ints: ints})
 		if err != nil {

@@ -44,7 +44,9 @@ var (
 	// build's version byte — a peer on another wire format (the gob
 	// frames of earlier builds land here). Upgrade both ends together.
 	ErrWireVersion = errors.New("mpc: unknown wire format version")
-	errBadFrame    = errors.New("mpc: malformed frame")
+	// ErrBadFrame reports a payload the codec cannot decode, or integers
+	// a decoder refuses through Fields; core and smc export this value.
+	ErrBadFrame = errors.New("mpc: malformed frame")
 )
 
 // encodeFrame serializes m into a complete frame, header plus payload,
@@ -92,39 +94,39 @@ func decodeFrame(p []byte) (*Message, error) {
 	case len(p) > 0 && p[0] != wireVersion:
 		return nil, fmt.Errorf("%w: first byte %#02x, want %#02x", ErrWireVersion, p[0], wireVersion)
 	case len(p) < fixedLen:
-		return nil, fmt.Errorf("%w: %d-byte payload", errBadFrame, len(p))
+		return nil, fmt.Errorf("%w: %d-byte payload", ErrBadFrame, len(p))
 	}
 	be := binary.BigEndian
 	m := &Message{Op: Op(be.Uint16(p[1:])), Tag: be.Uint64(p[3:])}
 	errLen := be.Uint32(p[11:])
 	p = p[15:] // at least the 4 bytes of count remain
 	if errLen > uint32(len(p)-4) {
-		return nil, fmt.Errorf("%w: err of %d bytes, %d remain", errBadFrame, errLen, len(p)-4)
+		return nil, fmt.Errorf("%w: err of %d bytes, %d remain", ErrBadFrame, errLen, len(p)-4)
 	}
 	m.Err, p = string(p[:errLen]), p[errLen:]
 	count := be.Uint32(p)
 	p = p[4:]
 	if count > uint32(len(p)/4) { // every integer costs at least its length field
-		return nil, fmt.Errorf("%w: %d integers in %d bytes", errBadFrame, count, len(p))
+		return nil, fmt.Errorf("%w: %d integers in %d bytes", ErrBadFrame, count, len(p))
 	}
 	words, q := 0, p
 	for i := uint32(0); i < count; i++ {
 		if len(q) < 4 {
-			return nil, fmt.Errorf("%w: integer %d of %d missing", errBadFrame, i, count)
+			return nil, fmt.Errorf("%w: integer %d of %d missing", ErrBadFrame, i, count)
 		}
 		hdr := be.Uint32(q)
 		n := hdr &^ signBit
 		q = q[4:]
 		if n > uint32(len(q)) {
-			return nil, fmt.Errorf("%w: integer %d of %d bytes, %d remain", errBadFrame, i, n, len(q))
+			return nil, fmt.Errorf("%w: integer %d of %d bytes, %d remain", ErrBadFrame, i, n, len(q))
 		}
 		if n == 0 && hdr != 0 || n > 0 && q[0] == 0 { // negative zero, leading zero byte
-			return nil, fmt.Errorf("%w: integer %d is not canonical", errBadFrame, i)
+			return nil, fmt.Errorf("%w: integer %d is not canonical", ErrBadFrame, i)
 		}
 		words, q = words+(int(n)+wordBytes-1)/wordBytes, q[n:]
 	}
 	if len(q) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", errBadFrame, len(q))
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadFrame, len(q))
 	}
 	if count == 0 {
 		return m, nil

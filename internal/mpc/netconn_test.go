@@ -268,7 +268,7 @@ func TestDecodeFrameTruncated(t *testing.T) {
 // a count of 2³²−1 would otherwise be a 100 GiB make.
 func TestDecodeFrameHostile(t *testing.T) {
 	for _, h := range hostileFrames(t) {
-		want := errBadFrame
+		want := ErrBadFrame
 		if h.name == "gob frame" {
 			want = ErrWireVersion
 		}

@@ -116,31 +116,6 @@ func (rp *Responder) unpackGroup(codec *paillier.Packing, raw *big.Int, count in
 	return codec.UnpackDecrypt(rp.sk, ct, count)
 }
 
-// isHeaderInt reports whether a frame element can be read as one of the
-// packed frames' small header fields; an in-process peer can hand C2 a
-// nil element, which the wire codec cannot.
-func isHeaderInt(v *big.Int) bool { return v != nil && v.IsInt64() }
-
-// packHeader validates the common [count, valueBits, ...] header of the
-// packed frames and builds C2's view of the codec (identical to C1's:
-// both derive it from valueBits and the shared modulus).
-func (rp *Responder) packHeader(ints []*big.Int, what string) (int, *paillier.Packing, error) {
-	if len(ints) < 2 || !isHeaderInt(ints[0]) || !isHeaderInt(ints[1]) {
-		return 0, nil, fmt.Errorf("%w: packed %s header", ErrBadFrame, what)
-	}
-	count := int(ints[0].Int64())
-	vb := int(ints[1].Int64())
-	if count < 1 || count > smPackMaxCount || vb < 1 || vb > packMaxValueBits {
-		return 0, nil, fmt.Errorf("%w: packed %s header count=%d valueBits=%d",
-			ErrBadFrame, what, count, vb)
-	}
-	codec, err := paillier.NewPacking(&rp.sk.PublicKey, vb)
-	if err != nil {
-		return 0, nil, fmt.Errorf("%w: packed %s: %v", ErrBadFrame, what, err)
-	}
-	return count, codec, nil
-}
-
 // PackedRows is a reusable slot-packed rendering of encrypted feature
 // rows: Rows[i] holds row i's Groups(m) packed ciphertexts under Codec
 // (see PackRow). Packing existing ciphertexts costs ~Width squarings per
@@ -271,26 +246,21 @@ func (rq *Requester) SSEDManyPacked(q []*paillier.Ciphertext, rows [][]*paillier
 // slot groups, square and sum the blinded slot values, reply with one
 // encryption per record. Frame: [count, m, valueBits, count·groups cts].
 func (rp *Responder) handleSSEDPack(req *mpc.Message) (*mpc.Message, error) {
-	if len(req.Ints) < 3 || !isHeaderInt(req.Ints[0]) || !isHeaderInt(req.Ints[1]) || !isHeaderInt(req.Ints[2]) {
-		return nil, fmt.Errorf("%w: packed SSED header", ErrBadFrame)
-	}
-	count := int(req.Ints[0].Int64())
-	m := int(req.Ints[1].Int64())
-	vb := int(req.Ints[2].Int64())
-	if count < 1 || count > smPackMaxCount || m < 1 || m > smPackMaxAttrs || vb < 1 || vb > packMaxValueBits {
-		return nil, fmt.Errorf("%w: packed SSED header count=%d m=%d valueBits=%d",
-			ErrBadFrame, count, m, vb)
+	f := mpc.ReadFields(req.Ints)
+	count, m, vb := f.Int(1, smPackMaxCount), f.Int(1, smPackMaxAttrs), f.Int(1, packMaxValueBits)
+	body := f.Rest()
+	if err := f.Err(); err != nil {
+		return nil, fmt.Errorf("smc: packed SSED header: %w", err)
 	}
 	codec, err := paillier.NewPacking(&rp.sk.PublicKey, vb)
 	if err != nil {
 		return nil, fmt.Errorf("%w: packed SSED: %v", ErrBadFrame, err)
 	}
 	groups := codec.Groups(m)
-	if len(req.Ints) != 3+count*groups {
+	if len(body) != count*groups {
 		return nil, fmt.Errorf("%w: packed SSED payload of %d ints for %d records of %d groups",
 			ErrBadFrame, len(req.Ints), count, groups)
 	}
-	body := req.Ints[3:]
 	nonces, err := rp.Nonces(count)
 	if err != nil {
 		return nil, fmt.Errorf("smc: packed SSED encrypt: %w", err)
@@ -472,28 +442,32 @@ func (rq *Requester) msbOncePacked(zs []*paillier.Ciphertext, xs [][]*paillier.C
 // opBits, group ciphertexts, operand groups]; reply: count elements,
 // count·(1 + per) in the output round.
 func (rp *Responder) handleSBDPackBit(req *mpc.Message) (*mpc.Message, error) {
-	count, codec, err := rp.packHeader(req.Ints, "SBD bit")
+	f := mpc.ReadFields(req.Ints)
+	count, vb := f.Int(1, smPackMaxCount), f.Int(1, packMaxValueBits)
+	shift := f.Int(0, vb-1)
+	// The output round adds [per, opBits]: at least one operand per value,
+	// at most smPackMaxCount in the frame.
+	output, per, ob := f.Err() == nil && shift == vb-1, 0, 0
+	if output {
+		per, ob = f.Int(1, smPackMaxCount/count), f.Int(1, packMaxValueBits)
+	}
+	body := f.Rest()
+	if err := f.Err(); err != nil {
+		return nil, fmt.Errorf("smc: packed SBD bit header: %w", err)
+	}
+	codec, err := paillier.NewPacking(&rp.sk.PublicKey, vb)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: packed SBD bit: %v", ErrBadFrame, err)
 	}
-	if len(req.Ints) < 3 || !isHeaderInt(req.Ints[2]) {
-		return nil, fmt.Errorf("%w: packed SBD bit header", ErrBadFrame)
-	}
-	shift := int(req.Ints[2].Int64())
-	if shift < 0 || shift >= codec.ValueBits {
-		return nil, fmt.Errorf("%w: packed SBD bit shift=%d of %d", ErrBadFrame, shift, codec.ValueBits)
-	}
-	output := shift == codec.ValueBits-1
-	head, per, opGroups := 3, 0, 0
+	groups, opGroups := codec.Groups(count), 0
 	var opCodec *paillier.Packing
 	if output {
-		if per, opCodec, err = rp.operandHeader(req.Ints, count); err != nil {
-			return nil, err
+		if opCodec, err = paillier.NewPacking(&rp.sk.PublicKey, ob); err != nil {
+			return nil, fmt.Errorf("%w: packed SBD bit operands: %v", ErrBadFrame, err)
 		}
-		head, opGroups = 5, opCodec.Groups(count*per)
+		opGroups = opCodec.Groups(count * per)
 	}
-	groups := codec.Groups(count)
-	if len(req.Ints) != head+groups+opGroups {
+	if len(body) != groups+opGroups {
 		return nil, fmt.Errorf("%w: packed SBD bit payload of %d ints for %d values at shift %d",
 			ErrBadFrame, len(req.Ints), count, shift)
 	}
@@ -509,7 +483,7 @@ func (rp *Responder) handleSBDPackBit(req *mpc.Message) (*mpc.Message, error) {
 		if g >= groups {
 			c, cnt = opCodec, count*per-(g-groups)*opCodec.Slots
 		}
-		v, err := rp.unpackGroup(c, req.Ints[head+g], min(c.Slots, cnt))
+		v, err := rp.unpackGroup(c, body[g], min(c.Slots, cnt))
 		if err != nil {
 			return fmt.Errorf("smc: packed SBD bit group %d: %w", g, err)
 		}
@@ -532,23 +506,4 @@ func (rp *Responder) handleSBDPackBit(req *mpc.Message) (*mpc.Message, error) {
 		ms[i] = m
 	}
 	return &mpc.Message{Op: OpSBDPackBit, Ints: rp.encryptReply(nonces, ms)}, nil
-}
-
-// operandHeader validates the output round's [per, opBits] header fields
-// — at least one operand per value, at most smPackMaxCount in the frame —
-// and builds the operand codec.
-func (rp *Responder) operandHeader(ints []*big.Int, count int) (int, *paillier.Packing, error) {
-	if len(ints) < 5 || !isHeaderInt(ints[3]) || !isHeaderInt(ints[4]) {
-		return 0, nil, fmt.Errorf("%w: packed SBD bit operand header", ErrBadFrame)
-	}
-	per, ob := ints[3].Int64(), ints[4].Int64()
-	if per < 1 || per > int64(smPackMaxCount/count) || ob < 1 || ob > packMaxValueBits {
-		return 0, nil, fmt.Errorf("%w: packed SBD bit operand header per=%d opBits=%d for %d values",
-			ErrBadFrame, per, ob, count)
-	}
-	codec, err := paillier.NewPacking(&rp.sk.PublicKey, int(ob))
-	if err != nil {
-		return 0, nil, fmt.Errorf("%w: packed SBD bit operands: %v", ErrBadFrame, err)
-	}
-	return int(per), codec, nil
 }

@@ -68,7 +68,7 @@ const OpSMPack = 21
 var (
 	ErrLengthMismatch = errors.New("smc: input vector lengths differ")
 	ErrEmptyInput     = errors.New("smc: empty input")
-	ErrBadFrame       = errors.New("smc: malformed protocol frame")
+	ErrBadFrame       = mpc.ErrBadFrame // the transport's sentinel: one class for every malformed frame
 	ErrSBDVerify      = errors.New("smc: bit decomposition failed verification after retries")
 )
 
