@@ -62,6 +62,7 @@ fuzz-smoke:
 	go test -fuzz=FuzzShardFrame -fuzztime=20s ./internal/core
 	go test -fuzz=FuzzCloudC2Frame -fuzztime=20s ./internal/core
 	go test -fuzz=FuzzResponderFrame -fuzztime=20s ./internal/smc
+	go test -fuzz=FuzzRequesterReply -fuzztime=20s ./internal/smc
 	go test -fuzz=FuzzGateResult -fuzztime=20s ./internal/gateway
 	go test -fuzz=FuzzPackDecode -fuzztime=20s ./internal/paillier
 	go test -fuzz=FuzzDecodeCandidates -fuzztime=15s ./internal/svdknn

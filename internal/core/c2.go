@@ -1,8 +1,6 @@
 package core
 
 import (
-	"cmp"
-	"crypto/rand"
 	"fmt"
 	"io"
 	"math"
@@ -18,24 +16,20 @@ import (
 // (packed SSED, the bit peel) and adds the protocol-level services of
 // Algorithms 5 and 6. It serves exactly the frames the engine sends: the
 // paper's SM, SBD and SMIN handlers and Algorithm 6's one-hot select are
-// internal/reference's key cloud's alone (RegisterPaper). It keeps no
-// protocol state between requests — only its responder's reserve of
-// reply nonces, its own randomness raised ahead of the requests — so one
-// CloudC2 can serve any number of connections concurrently (the parallel
-// variants rely on this).
+// internal/reference's key cloud's alone. It keeps no protocol state
+// between requests — only its responder's reserve of reply nonces, its
+// own randomness raised ahead of the requests — so one CloudC2 can serve
+// any number of connections concurrently (the parallel variants rely on
+// this).
 type CloudC2 struct {
-	resp   *smc.Responder
-	sk     *paillier.PrivateKey
-	random io.Reader
+	resp *smc.Responder
+	sk   *paillier.PrivateKey
 }
 
-// NewCloudC2 builds the key cloud from Alice's secret key. If random is
-// nil, crypto/rand.Reader is used.
+// NewCloudC2 builds the key cloud from Alice's secret key, its reply
+// nonces drawn from random (crypto/rand.Reader if nil).
 func NewCloudC2(sk *paillier.PrivateKey, random io.Reader) *CloudC2 {
-	if random == nil {
-		random = rand.Reader
-	}
-	return &CloudC2{resp: smc.NewResponder(sk, random), sk: sk, random: random}
+	return &CloudC2{resp: smc.NewResponder(sk, random), sk: sk}
 }
 
 // Mux returns a dispatcher with the smc kernel handlers and the protocol
@@ -49,25 +43,17 @@ func (c *CloudC2) Mux() *mpc.Mux {
 	return mux
 }
 
-// RegisterPaper installs the handlers of the protocols as printed on
-// mux: its responder's SM, SBD and SMIN (smc.Responder.RegisterPaper)
-// and Algorithm 6's step 3(c) (OpMinSelect), all drawing their reply
-// nonces from the one reserve. The engine never sends them; only
-// internal/reference's key cloud serves them.
-func (c *CloudC2) RegisterPaper(mux *mpc.Mux) {
-	c.resp.RegisterPaper(mux)
-	mux.Register(OpMinSelect, mpc.HandlerFunc(c.handleMinSelect))
-}
-
 // handleHello verifies that C1's public modulus matches the key C2
 // holds, so a mis-deployed session (wrong key file, stale table) fails
 // immediately instead of producing garbage ciphertext arithmetic deep
 // inside a query. Payload: [N]; reply: [N] echoed on success.
 func (c *CloudC2) handleHello(req *mpc.Message) (*mpc.Message, error) {
-	if len(req.Ints) != 1 || req.Ints[0] == nil {
-		return nil, fmt.Errorf("%w: hello payload", ErrBadFrame)
+	f := mpc.ReadFields(req.Ints)
+	n := f.Big()
+	if err := f.Done(); err != nil {
+		return nil, fmt.Errorf("core: hello: %w", err)
 	}
-	if req.Ints[0].Cmp(c.sk.N) != 0 {
+	if n.Cmp(c.sk.N) != 0 {
 		return nil, ErrHello
 	}
 	return &mpc.Message{Op: OpHello, Ints: []*big.Int{new(big.Int).Set(c.sk.N)}}, nil
@@ -87,10 +73,14 @@ func (c *CloudC2) Serve(conn mpc.Conn) error {
 // reply: [i₁,…,i_k] (0-based, plaintext).
 func (c *CloudC2) handleRank(req *mpc.Message) (*mpc.Message, error) {
 	f := mpc.ReadFields(req.Ints)
-	k, dists := f.Int(math.MinInt, math.MaxInt), f.Rest()
+	k := f.Int(math.MinInt, math.MaxInt)
+	dists := mpc.ReadRest(f, c.sk.FromRaw)
+	if err := f.Err(); err != nil {
+		return nil, fmt.Errorf("core: rank payload: %w", err)
+	}
 	n := len(dists)
-	if n == 0 { // no k, or no distance to rank
-		return nil, fmt.Errorf("core: rank payload of %d ints: %w", len(req.Ints), cmp.Or(f.Err(), ErrBadFrame))
+	if n == 0 {
+		return nil, fmt.Errorf("%w: rank payload without distances", ErrBadFrame)
 	}
 	if err := validateK(k, n); err != nil {
 		return nil, err
@@ -101,7 +91,7 @@ func (c *CloudC2) handleRank(req *mpc.Message) (*mpc.Message, error) {
 	}
 	ds := make([]distIdx, n)
 	err := paillier.ForEach(n, func(i int) error {
-		d, err := c.decryptRaw(dists[i])
+		d, err := c.sk.Decrypt(dists[i])
 		if err != nil {
 			return fmt.Errorf("core: rank distance %d: %w", i, err)
 		}
@@ -131,12 +121,17 @@ func (c *CloudC2) handleRank(req *mpc.Message) (*mpc.Message, error) {
 // cluster id under C1's mask, whose γ′ goes back to C1. C2 cannot tell
 // the kinds apart, nor needs to. Payload: [γ…]; reply: [γ′…].
 func (c *CloudC2) handleReveal(req *mpc.Message) (*mpc.Message, error) {
-	if len(req.Ints) == 0 {
+	f := mpc.ReadFields(req.Ints)
+	gammas := mpc.ReadRest(f, c.sk.FromRaw)
+	if err := f.Err(); err != nil {
+		return nil, fmt.Errorf("core: reveal payload: %w", err)
+	}
+	if len(gammas) == 0 {
 		return nil, fmt.Errorf("%w: empty reveal payload", ErrBadFrame)
 	}
-	out := make([]*big.Int, len(req.Ints))
+	out := make([]*big.Int, len(gammas))
 	err := paillier.ForEach(len(out), func(i int) error {
-		m, err := c.decryptRaw(req.Ints[i])
+		m, err := c.sk.Decrypt(gammas[i])
 		if err != nil {
 			return fmt.Errorf("core: reveal γ[%d]: %w", i, err)
 		}
@@ -148,78 +143,4 @@ func (c *CloudC2) handleReveal(req *mpc.Message) (*mpc.Message, error) {
 	}
 	//sknnlint:allow partyflow -- Algorithm 5 step 5: each revealed γ′ is uniformly random in ℤ_N because C1 added a one-time full-range mask r_{j,g} to the attribute or row-packed record chunk before sending; only Bob, who receives γ′ and the masks, can unmask the value and split a chunk into its columns. The cluster ranking's reveal is the same frame over one masked cluster id, which C1 unmasks: the clustered index's documented leakage to C1 (docs/INVARIANTS.md), a uniform value to C2
 	return &mpc.Message{Op: OpReveal, Ints: out}, nil
-}
-
-// handleMinSelect is step 3(c) of Algorithm 6 as printed: C2 decrypts
-// the blinded, permuted distance differences β and answers the one-hot
-// U, E(1) at one of β's zeros — chosen uniformly at random where several
-// tie, as the paper prescribes — and E(0) elsewhere, all fresh
-// encryptions. Payload: [n, β₁…βₙ]; reply: U₁…Uₙ.
-func (c *CloudC2) handleMinSelect(req *mpc.Message) (*mpc.Message, error) {
-	f, n := mpc.ReadFields(req.Ints), len(req.Ints)-1
-	if f.Int(n, n); f.Err() != nil { // the header restates β's length
-		return nil, fmt.Errorf("core: min-select: %w", f.Err())
-	}
-	w, err := c.argminOfBlinded(f.Rest())
-	if err != nil {
-		return nil, err
-	}
-	nonces, err := c.resp.Nonces(n)
-	if err != nil {
-		return nil, fmt.Errorf("core: min-select encrypt: %w", err)
-	}
-	out := make([]*big.Int, len(nonces))
-	for j := range out {
-		u := new(big.Int)
-		if j == w {
-			u.SetInt64(1)
-		}
-		out[j] = c.sk.EncryptWith(nonces[j], u).Raw()
-	}
-	return &mpc.Message{Op: OpMinSelect, Ints: out}, nil
-}
-
-// decryptRaw validates and decrypts one payload element.
-func (c *CloudC2) decryptRaw(v *big.Int) (*big.Int, error) {
-	ct, err := c.sk.FromRaw(v)
-	if err != nil {
-		return nil, err
-	}
-	return c.sk.Decrypt(ct)
-}
-
-// argminOfBlinded decrypts a blinded-difference vector β (βᵢ =
-// rᵢ·(dmin−dᵢ), so exactly the minima decrypt to zero) and returns one of
-// its zero positions, chosen uniformly at random among them — the
-// tie-break rule the paper prescribes for step 3(c) (handleMinSelect).
-func (c *CloudC2) argminOfBlinded(ints []*big.Int) (int, error) {
-	if len(ints) == 0 {
-		return 0, fmt.Errorf("%w: empty β", ErrBadFrame)
-	}
-	isZero := make([]bool, len(ints))
-	err := paillier.ForEach(len(ints), func(i int) error {
-		m, err := c.decryptRaw(ints[i])
-		if err != nil {
-			return fmt.Errorf("core: β[%d]: %w", i, err)
-		}
-		isZero[i] = m.Sign() == 0
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	var zeros []int
-	for i, z := range isZero {
-		if z {
-			zeros = append(zeros, i)
-		}
-	}
-	if len(zeros) == 0 {
-		return 0, ErrNoZeroInBeta
-	}
-	pickBig, err := rand.Int(c.random, big.NewInt(int64(len(zeros))))
-	if err != nil {
-		return 0, fmt.Errorf("core: argmin choice: %w", err)
-	}
-	return zeros[pickBig.Int64()], nil
 }

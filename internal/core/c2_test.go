@@ -71,134 +71,6 @@ func TestHandleRankValidation(t *testing.T) {
 	}
 }
 
-// paperMux returns C2's dispatch mux with the printed protocols' handlers
-// — the paper's one-hot select among them — registered beside the
-// engine's, as internal/reference's key cloud has it.
-func paperMux(t *testing.T) (*mpc.Mux, *paillier.PrivateKey) {
-	t.Helper()
-	sk := testKey()
-	c2 := NewCloudC2(sk, nil)
-	mux := c2.Mux()
-	c2.RegisterPaper(mux)
-	return mux, sk
-}
-
-// selectOnly is an OpMinSelect payload, step 3(c) as printed: [n, β…].
-func selectOnly(betas ...*big.Int) []*big.Int {
-	return append([]*big.Int{big.NewInt(int64(len(betas)))}, betas...)
-}
-
-func TestHandleMinSelectOneHot(t *testing.T) {
-	mux, sk := paperMux(t)
-	// β = [random, 0, random]: U must be one-hot at index 1.
-	payload := selectOnly(encRaw(t, sk, 831), encRaw(t, sk, 0), encRaw(t, sk, 17))
-	resp, err := mux.Handle(&mpc.Message{Op: OpMinSelect, Ints: payload})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Ints) != 3 {
-		t.Fatalf("%d reply elements, want 3", len(resp.Ints))
-	}
-	for i, raw := range resp.Ints {
-		ct, err := sk.FromRaw(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := sk.Decrypt(ct)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := int64(0)
-		if i == 1 {
-			want = 1
-		}
-		if m.Int64() != want {
-			t.Errorf("U[%d] = %v, want %d", i, m, want)
-		}
-	}
-}
-
-func TestHandleMinSelectTiesPickExactlyOne(t *testing.T) {
-	mux, sk := paperMux(t)
-	// Two zeros: exactly one E(1) in the reply, at index 0 or 2.
-	sawIdx := map[int]bool{}
-	for trial := 0; trial < 12; trial++ {
-		payload := selectOnly(encRaw(t, sk, 0), encRaw(t, sk, 44), encRaw(t, sk, 0))
-		resp, err := mux.Handle(&mpc.Message{Op: OpMinSelect, Ints: payload})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ones := 0
-		for i, raw := range resp.Ints {
-			ct, _ := sk.FromRaw(raw)
-			m, _ := sk.Decrypt(ct)
-			if m.Int64() == 1 {
-				ones++
-				sawIdx[i] = true
-			}
-		}
-		if ones != 1 {
-			t.Fatalf("trial %d: %d ones in U, want exactly 1", trial, ones)
-		}
-	}
-	if sawIdx[1] {
-		t.Error("selector chose a nonzero position")
-	}
-	// With 12 trials, both tied indices should essentially always appear;
-	// tolerate the 2^-12 miss by only warning via failure when neither
-	// alternative was ever taken.
-	if !sawIdx[0] && !sawIdx[2] {
-		t.Error("selector never chose any zero position")
-	}
-}
-
-func TestHandleMinSelectNoZero(t *testing.T) {
-	mux, sk := paperMux(t)
-	payload := selectOnly(encRaw(t, sk, 5), encRaw(t, sk, 6))
-	_, err := mux.Handle(&mpc.Message{Op: OpMinSelect, Ints: payload})
-	if !errors.Is(err, ErrNoZeroInBeta) {
-		t.Errorf("no-zero error = %v, want ErrNoZeroInBeta", err)
-	}
-	if _, err := mux.Handle(&mpc.Message{Op: OpMinSelect}); err == nil {
-		t.Error("empty min-select accepted")
-	}
-}
-
-// TestHandleMinSelectValidation drives the select's header and length
-// checks: every malformed frame is refused with its error class before
-// any reply is built, and the frame they vary is accepted.
-func TestHandleMinSelectValidation(t *testing.T) {
-	mux, sk := paperMux(t)
-	zero, five := encRaw(t, sk, 0), encRaw(t, sk, 5)
-	head := func(n int64, betas ...*big.Int) []*big.Int { return append([]*big.Int{big.NewInt(n)}, betas...) }
-	for _, tc := range []struct {
-		name string
-		ints []*big.Int
-		want error
-	}{
-		{"empty", nil, ErrBadFrame},
-		{"header only", head(0), ErrBadFrame},
-		{"nil header", append([]*big.Int{nil}, zero, five), ErrBadFrame},
-		{"huge n", head(1<<40, zero, five), ErrBadFrame},
-		{"n past the frame", head(3, zero, five), ErrBadFrame},
-		{"n short of the frame", head(1, zero, five), ErrBadFrame},
-		{"the engine's old fused header", append(head(2, big.NewInt(1), big.NewInt(2), big.NewInt(8)), zero, five), ErrBadFrame},
-		{"invalid β", head(2, big.NewInt(0), five), paillier.ErrInvalidCiphertext},
-		{"no zero in β", head(2, five, five), ErrNoZeroInBeta},
-	} {
-		if _, err := mux.Handle(&mpc.Message{Op: OpMinSelect, Ints: tc.ints}); !errors.Is(err, tc.want) {
-			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
-		}
-	}
-	resp, err := mux.Handle(&mpc.Message{Op: OpMinSelect, Ints: head(2, five, zero)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Ints) != 2 {
-		t.Errorf("well-formed frame answered %d elements, want 2", len(resp.Ints))
-	}
-}
-
 func TestHandleHelloValidation(t *testing.T) {
 	mux, sk := handlerMux(t)
 	if _, err := mux.Handle(&mpc.Message{Op: OpHello}); err == nil {
@@ -211,6 +83,85 @@ func TestHandleHelloValidation(t *testing.T) {
 	ok := []*big.Int{new(big.Int).Set(sk.N)}
 	if _, err := mux.Handle(&mpc.Message{Op: OpHello, Ints: ok}); err != nil {
 		t.Errorf("matching hello rejected: %v", err)
+	}
+}
+
+// corruptedC2 returns C1's end of a link to a key cloud whose replies to
+// op carry what corrupt makes of the elements the handler built.
+func corruptedC2(t *testing.T, sk *paillier.PrivateKey, op mpc.Op, corrupt func([]*big.Int) []*big.Int) mpc.Conn {
+	inner := NewCloudC2(sk, nil).Mux()
+	h := mpc.HandlerFunc(func(req *mpc.Message) (*mpc.Message, error) {
+		resp, err := inner.Handle(req)
+		if err == nil && req.Op == op {
+			resp.Ints = corrupt(resp.Ints)
+		}
+		return resp, err
+	})
+	c1Side, c2Side := mpc.ChanPipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = mpc.Serve(c2Side, h) // C1 drops a link it refused
+	}()
+	t.Cleanup(func() {
+		c2Side.Close() // ends the serve loop even where C1 never closed its end
+		<-done
+	})
+	return c1Side
+}
+
+// TestC1RefusesMalformedReplies: C1 decodes C2's hello echo and its
+// reveal reply at the boundary. A hello echo that is not one modulus
+// (a nil element among them, which an in-process link can carry) is
+// ErrBadFrame as well as ErrHello; another modulus is ErrHello alone.
+// A revealed value must be a residue mod N: nil, negative or N itself
+// fail the query with ErrBadFrame.
+func TestC1RefusesMalformedReplies(t *testing.T) {
+	sk := testKey()
+	tbl, err := dataset.Generate(3, 4, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encTable, err := EncryptTable(rand.Reader, &sk.PublicKey, tbl.Rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := new(big.Int).Set(sk.N)
+	for _, tc := range []struct {
+		name     string
+		echo     []*big.Int
+		badFrame bool
+	}{
+		{"nil", []*big.Int{nil}, true},
+		{"empty", nil, true},
+		{"two moduli", []*big.Int{n, n}, true},
+		{"another modulus", []*big.Int{big.NewInt(12345)}, false},
+	} {
+		t.Run("hello echo "+tc.name, func(t *testing.T) {
+			echo := func([]*big.Int) []*big.Int { return tc.echo }
+			c1, err := NewCloudC1(encTable, []mpc.Conn{corruptedC2(t, sk, OpHello, echo)}, nil)
+			if err == nil {
+				c1.Close()
+			}
+			if !errors.Is(err, ErrHello) || errors.Is(err, ErrBadFrame) != tc.badFrame {
+				t.Errorf("err = %v, want ErrHello, ErrBadFrame %v", err, tc.badFrame)
+			}
+		})
+	}
+	bob := NewClient(&sk.PublicKey, nil)
+	q, err := bob.EncryptQuery([]uint64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range map[string]*big.Int{"nil": nil, "negative": big.NewInt(-1), "N": n} {
+		t.Run("revealed "+name, func(t *testing.T) {
+			e := newEngine(t, encTable, 1, func() []mpc.Conn {
+				return []mpc.Conn{corruptedC2(t, sk, OpReveal, func(ints []*big.Int) []*big.Int { ints[0] = v; return ints })}
+			})
+			if _, _, err := e.BasicQuery(context.Background(), q, 1); !errors.Is(err, ErrBadFrame) {
+				t.Errorf("err = %v, want ErrBadFrame", err)
+			}
+		})
 	}
 }
 
@@ -255,7 +206,7 @@ func TestCloudC2OpcodeSet(t *testing.T) {
 	c1Side, c2Side := mpc.ChanPipe()
 	done := make(chan error, 1)
 	go func() { done <- c2.Serve(c2Side) }()
-	refused := []mpc.Op{smc.OpSM, smc.OpSBDLsb, smc.OpSBDVerify, smc.OpSMIN, 20, 21, 22, OpMinSelect, 68}
+	refused := []mpc.Op{smc.OpSM, smc.OpSBDLsb, smc.OpSBDVerify, smc.OpSMIN, 20, 21, 22, 66, 68}
 	for _, op := range refused {
 		// The shape of the last frame opcodes 21 and 22 carried: [count, valueBits, group].
 		_, err := mpc.RoundTrip(c1Side, &mpc.Message{Op: op, Ints: []*big.Int{big.NewInt(1), big.NewInt(8), encRaw(t, sk, 3)}})
@@ -350,8 +301,8 @@ func encodeC2Fuzz(ints []*big.Int) []byte {
 // fail as an unknown opcode.
 func FuzzCloudC2Frame(f *testing.F) {
 	sk := testKey()
-	const retiredMinIndex mpc.Op = 68
-	paper := []mpc.Op{smc.OpSM, smc.OpSBDLsb, smc.OpSBDVerify, smc.OpSMIN, OpMinSelect}
+	const minSelect, retiredMinIndex mpc.Op = 66, 68 // internal/reference's one-hot select; the retired cluster argmin
+	paper := []mpc.Op{smc.OpSM, smc.OpSBDLsb, smc.OpSBDVerify, smc.OpSMIN, minSelect}
 	ops := append([]mpc.Op{OpRank, OpReveal, OpHello, retiredMinIndex, smc.OpSBDPackBit}, paper...)
 	sel := func(op mpc.Op) uint8 {
 		for i, o := range ops {
@@ -400,7 +351,7 @@ func FuzzCloudC2Frame(f *testing.F) {
 	// The paper's select, which only the reference's key cloud answers: as
 	// internal/reference sends it, with a tie, and in the engine's old
 	// fused shape.
-	ms := sel(OpMinSelect)
+	ms := sel(minSelect)
 	f.Add(ms, []byte{c2FuzzSmall, 3, c2FuzzCiphertext, 0, c2FuzzCiphertext, 4, c2FuzzCiphertext, 0})
 	f.Add(ms, []byte{c2FuzzSmall, 2, c2FuzzSmall, 1, c2FuzzSmall, 2, c2FuzzSmall, 8,
 		c2FuzzCiphertext, 0, c2FuzzCiphertext, 5, c2FuzzCiphertext, 7, c2FuzzCiphertext, 9})
@@ -418,13 +369,13 @@ func FuzzCloudC2Frame(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, op uint8, data []byte) {
 		// One fixed randomness stream per execution, for the harness's
-		// ciphertexts and C2's nonces and tie-breaks alike: the coverage an
-		// input reaches must repeat.
+		// ciphertexts and C2's nonces alike: the coverage an input reaches
+		// must repeat.
 		random := mrand.New(mrand.NewSource(1))
 		req := &mpc.Message{Op: ops[int(op)%len(ops)], Ints: decodeC2Fuzz(t, sk, random, data)}
 		resp, err := NewCloudC2(sk, random).Mux().Handle(req)
 		switch req.Op {
-		case smc.OpSM, smc.OpSBDLsb, smc.OpSBDVerify, smc.OpSMIN, OpMinSelect, retiredMinIndex:
+		case smc.OpSM, smc.OpSBDLsb, smc.OpSBDVerify, smc.OpSMIN, minSelect, retiredMinIndex:
 			if !errors.Is(err, mpc.ErrUnknownOp) {
 				t.Fatalf("unserved opcode %d answered %v, %v; want %v", req.Op, resp, err, mpc.ErrUnknownOp)
 			}

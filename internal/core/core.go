@@ -34,14 +34,15 @@ import (
 )
 
 // Opcodes 64+ belong to the protocol layer (mpc owns 0–15, smc 16–63).
-// 64–67 travel C1↔C2 (68, the clustered index's plaintext argmin, is
-// retired: the cluster ranking reveals its winner's id through 65); 80+
-// travel coordinator↔shard (shardwire.go) and never reach C2.
+// 64, 65 and 67 travel C1↔C2; 66, the paper's one-hot select, is
+// internal/reference's (OpMinSelect) and no deployed C2 serves it; 68,
+// the clustered index's plaintext argmin, is retired: the cluster
+// ranking reveals its winner's id through 65. 80+ travel
+// coordinator↔shard (shardwire.go) and never reach C2.
 const (
-	OpRank      mpc.Op = 64 // SkNNb: decrypt distances, return top-k index list δ
-	OpReveal    mpc.Op = 65 // both: decrypt masked result attributes γ → γ′; the cluster ranking's masked winner id
-	OpMinSelect mpc.Op = 66 // the paper's step 3(c), reference key cloud only: decrypt blinded β, return one-hot U
-	OpHello     mpc.Op = 67 // session handshake: verify both clouds share one key
+	OpRank   mpc.Op = 64 // SkNNb: decrypt distances, return top-k index list δ
+	OpReveal mpc.Op = 65 // both: decrypt masked result attributes γ → γ′; the cluster ranking's masked winner id
+	OpHello  mpc.Op = 67 // session handshake: verify both clouds share one key
 
 	OpShardHello mpc.Op = 80 // coordinator→shard: partition lineage + table shape
 	OpShardTopK  mpc.Op = 81 // coordinator→shard: scatter one shard-local top-k scan
@@ -52,7 +53,6 @@ var (
 	ErrBadK          = errors.New("core: k must satisfy 1 ≤ k ≤ n")
 	ErrDimension     = errors.New("core: query/record dimension mismatch")
 	ErrKeyMismatch   = errors.New("core: ciphertext under a different public key")
-	ErrNoZeroInBeta  = errors.New("core: no minimum found in blinded distance vector")
 	ErrBadFrame      = mpc.ErrBadFrame // the transport's sentinel: one class for every malformed frame
 	ErrNoConnections = errors.New("core: CloudC1 needs at least one connection")
 	ErrCloudClosed   = errors.New("core: cloud closed")

@@ -62,7 +62,12 @@ func (p *linkPool) handshake(n *big.Int) error {
 		if err != nil {
 			return fmt.Errorf("core: hello on connection %d: %w", i, err)
 		}
-		if len(resp.Ints) != 1 || resp.Ints[0].Cmp(n) != 0 {
+		f := mpc.ReadFields(resp.Ints)
+		echo := f.Big()
+		if err := f.Done(); err != nil {
+			return fmt.Errorf("%w: connection %d: %w", ErrHello, i, err)
+		}
+		if echo.Cmp(n) != 0 {
 			return fmt.Errorf("%w: connection %d", ErrHello, i)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/big"
-	"slices"
 	"sync"
 
 	"sknn/internal/mpc"
@@ -239,8 +238,13 @@ func (s *QuerySession) maskedDecrypt(cts []*paillier.Ciphertext) (masks, masked 
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: reveal round trip: %w", err)
 	}
-	if len(resp.Ints) != len(cts) || slices.Contains(resp.Ints, nil) {
-		return nil, nil, fmt.Errorf("%w: reveal reply of %d ints, want %d", ErrBadFrame, len(resp.Ints), len(cts))
+	f := mpc.ReadFields(resp.Ints)
+	masked = make([]*big.Int, len(cts))
+	for i := range masked {
+		masked[i] = mpc.Read(f, s.pk.Residue)
 	}
-	return masks, resp.Ints, nil
+	if err := f.Done(); err != nil {
+		return nil, nil, fmt.Errorf("core: reveal reply: %w", err)
+	}
+	return masks, masked, nil
 }

@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/big"
@@ -187,18 +186,12 @@ func decodeGateResult(pk *paillier.PublicKey, k, m int, resp *mpc.Message) (*cor
 	f := mpc.ReadFields(resp.Ints)
 	gotK, gotM, idFlag := f.Int(1, k), f.Int(m, m), f.Int(0, 1)
 	layout := core.RowLayout{Cols: f.Int(1, m), Bits: f.Int(math.MinInt, math.MaxInt)}
-	share := func(v *big.Int) (*big.Int, error) {
-		if v == nil || v.Sign() < 0 || v.Cmp(pk.N) >= 0 {
-			return nil, errors.New("share outside [0, N)")
-		}
-		return v, nil
-	}
 	rows := func() [][]*big.Int {
 		out := make([][]*big.Int, gotK)
 		for j := 0; j < gotK && f.Err() == nil; j++ { // no Chunks of a failed header; a short frame allocates no further
 			out[j] = make([]*big.Int, layout.Chunks(m))
 			for h := range out[j] {
-				out[j][h] = mpc.Read(f, share)
+				out[j][h] = mpc.Read(f, pk.Residue)
 			}
 		}
 		return out

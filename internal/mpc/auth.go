@@ -62,15 +62,24 @@ func authMAC(token string, nonce []byte, name string) []byte {
 	return mac.Sum(nil)
 }
 
-// macBytes rebuilds the fixed-width MAC from its wire integer. big.Int
-// drops leading zero bytes, so the comparison must re-pad.
-func macBytes(v *big.Int) []byte {
-	out := make([]byte, sha256.Size)
-	if v == nil || v.Sign() < 0 || v.BitLen() > 8*sha256.Size {
-		return out // cannot match a real MAC; verification fails closed
+// fixedBytes reads an element as a width-byte string — a nonce, a MAC.
+// big.Int drops leading zero bytes, so the read re-pads them.
+func fixedBytes(width int) func(*big.Int) ([]byte, error) {
+	return func(v *big.Int) ([]byte, error) {
+		if v == nil || v.Sign() < 0 || v.BitLen() > 8*width {
+			return nil, fmt.Errorf("not a %d-byte string", width)
+		}
+		return v.FillBytes(make([]byte, width)), nil
 	}
-	v.FillBytes(out)
-	return out
+}
+
+// authName reads a hello's name: a positive integer of at most
+// maxAuthName bytes, so no leading zero byte.
+func authName(v *big.Int) (string, error) {
+	if v == nil || v.Sign() <= 0 || v.BitLen() > 8*maxAuthName {
+		return "", errors.New("not a name")
+	}
+	return string(v.Bytes()), nil
 }
 
 // AuthServer guards one accepted connection: it runs the responder half
@@ -113,14 +122,14 @@ func AuthServerNamed(conn Conn, lookup func(name string) (token string, accept [
 	if hello.Op != OpAuth {
 		return refuse(fmt.Errorf("first frame is op %d, want OpAuth", hello.Op))
 	}
-	var name string
-	switch {
-	case len(hello.Ints) == 0:
-	case len(hello.Ints) == 1 && hello.Ints[0] != nil && hello.Ints[0].Sign() > 0 &&
-		hello.Ints[0].BitLen() <= 8*maxAuthName:
-		name = string(hello.Ints[0].Bytes())
-	default:
+	f := ReadFields(hello.Ints)
+	names := ReadRest(f, authName) // none for an unnamed hello
+	if f.Err() != nil || len(names) > 1 {
 		return refuse(errors.New("malformed hello frame"))
+	}
+	var name string
+	if len(names) == 1 {
+		name = names[0]
 	}
 	nonce := make([]byte, authNonceLen)
 	if _, err := rand.Read(nonce); err != nil {
@@ -134,11 +143,13 @@ func AuthServerNamed(conn Conn, lookup func(name string) (token string, accept [
 	if err != nil {
 		return fmt.Errorf("%w: reading proof: %w", ErrAuth, err)
 	}
-	if proof.Op != OpAuth || len(proof.Ints) != 1 {
+	f = ReadFields(proof.Ints)
+	mac := Read(f, fixedBytes(sha256.Size))
+	if proof.Op != OpAuth || f.Done() != nil {
 		return refuse(errors.New("malformed proof frame"))
 	}
 	token, accept := lookup(name)
-	if token == "" || !hmac.Equal(macBytes(proof.Ints[0]), authMAC(token, nonce, name)) {
+	if token == "" || !hmac.Equal(mac, authMAC(token, nonce, name)) {
 		return refuse(fmt.Errorf("no token proved for name %q", name))
 	}
 	if err := conn.Send(&Message{Op: OpAuth, Tag: proof.Tag, Ints: accept}); err != nil {
@@ -172,12 +183,11 @@ func AuthClientNamed(conn Conn, name, token string) ([]*big.Int, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: requesting challenge: %w", ErrAuth, err)
 	}
-	if len(challenge.Ints) != 1 || challenge.Ints[0] == nil || challenge.Ints[0].Sign() < 0 ||
-		challenge.Ints[0].BitLen() > 8*authNonceLen {
-		return nil, fmt.Errorf("%w: malformed challenge frame", ErrAuth)
+	f := ReadFields(challenge.Ints)
+	nonce := Read(f, fixedBytes(authNonceLen))
+	if err := f.Done(); err != nil {
+		return nil, fmt.Errorf("%w: challenge: %w", ErrAuth, err)
 	}
-	nonce := make([]byte, authNonceLen)
-	challenge.Ints[0].FillBytes(nonce)
 	proof := &Message{Op: OpAuth, Ints: []*big.Int{new(big.Int).SetBytes(authMAC(token, nonce, name))}}
 	accept, err := RoundTrip(conn, proof)
 	if err != nil {

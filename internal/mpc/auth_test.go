@@ -99,24 +99,67 @@ func TestAuthMalformedProofRefused(t *testing.T) {
 	}
 }
 
+// TestAuthMalformedHelloAndChallenge: a hello that is not at most one
+// name, and a challenge that is not one 32-byte nonce, end the handshake
+// with ErrAuth on the side that reads them — nil elements included,
+// which an in-process peer can send — and a refused hello gets the
+// uniform refusal frame.
+func TestAuthMalformedHelloAndChallenge(t *testing.T) {
+	name := new(big.Int).SetBytes([]byte("alpha"))
+	for label, ints := range map[string][]*big.Int{
+		"nil":       {nil},
+		"two names": {name, name},
+		"zero":      {new(big.Int)},
+		"negative":  {big.NewInt(-5)},
+		"long name": {new(big.Int).Lsh(big.NewInt(1), 8*maxAuthName)},
+	} {
+		a, b := ChanPipe()
+		done := make(chan error, 1)
+		go func() { done <- AuthServer(b, "hunter2") }()
+		refusal, err := RoundTrip(a, &Message{Op: OpAuth, Ints: ints})
+		var remote *RemoteError
+		if !errors.As(err, &remote) || refusal != nil {
+			t.Errorf("hello %s: answered %v, %v; want the refusal frame", label, refusal, err)
+		}
+		if err := <-done; !errors.Is(err, ErrAuth) {
+			t.Errorf("hello %s: server = %v, want ErrAuth", label, err)
+		}
+		a.Close()
+		b.Close()
+	}
+	for label, ints := range map[string][]*big.Int{
+		"none":       nil,
+		"nil":        {nil},
+		"negative":   {big.NewInt(-1)},
+		"33 bytes":   {new(big.Int).Lsh(big.NewInt(1), 8*authNonceLen)},
+		"two nonces": {big.NewInt(1), big.NewInt(2)},
+	} {
+		a, b := ChanPipe()
+		go func() {
+			if hello, err := b.Recv(); err == nil {
+				_ = b.Send(&Message{Op: OpAuth, Tag: hello.Tag, Ints: ints})
+			}
+		}()
+		if _, err := AuthClientNamed(a, "", "hunter2"); !errors.Is(err, ErrAuth) || !errors.Is(err, ErrBadFrame) {
+			t.Errorf("challenge %s: client = %v, want ErrAuth and ErrBadFrame", label, err)
+		}
+		a.Close()
+		b.Close()
+	}
+}
+
 func TestAuthMACPadding(t *testing.T) {
 	// A MAC with leading zero bytes shrinks on the wire (big.Int drops
-	// them); macBytes must re-pad so verification still matches.
+	// them); fixedBytes must re-pad so verification still matches.
+	read := fixedBytes(32)
 	short := new(big.Int).SetBytes([]byte{0x05})
-	got := macBytes(short)
-	if len(got) != 32 || got[31] != 0x05 || got[0] != 0 {
-		t.Errorf("macBytes = %x, want 31 zero bytes then 05", got)
+	got, err := read(short)
+	if err != nil || len(got) != 32 || got[31] != 0x05 || got[0] != 0 {
+		t.Errorf("fixedBytes = %x, %v; want 31 zero bytes then 05", got, err)
 	}
 	for _, bad := range []*big.Int{nil, big.NewInt(-1), new(big.Int).Lsh(big.NewInt(1), 257)} {
-		out := macBytes(bad)
-		if len(out) != 32 {
-			t.Errorf("macBytes(%v) length = %d, want 32", bad, len(out))
-		}
-		for _, b := range out {
-			if b != 0 {
-				t.Errorf("macBytes(%v) = %x, want all-zero fail-closed value", bad, out)
-				break
-			}
+		if out, err := read(bad); err == nil {
+			t.Errorf("fixedBytes(%v) = %x, want a refusal", bad, out)
 		}
 	}
 }

@@ -76,15 +76,19 @@ func (f *Fields) Uint64() uint64 {
 	})
 }
 
-// Rest reads every element left, nil ones included, for the caller's
-// codec to take apart: none once the reader has failed.
-func (f *Fields) Rest() []*big.Int {
+// ReadRest reads every element left, in order, as valid accepts it:
+// none once the reader has failed, and none if one of them fails.
+func ReadRest[T any](f *Fields, valid func(*big.Int) (T, error)) []T {
 	if f.err != nil {
 		return nil
 	}
-	rest := f.ints[f.next:]
-	f.next = len(f.ints)
-	return rest
+	out := make([]T, len(f.ints)-f.next)
+	for i := range out {
+		if out[i] = Read(f, valid); f.err != nil {
+			return nil
+		}
+	}
+	return out
 }
 
 // Err returns the first failure, nil while every read has succeeded.

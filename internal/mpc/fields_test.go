@@ -38,8 +38,8 @@ func TestFieldsFirstFailureSticks(t *testing.T) {
 	if got := Read(f, func(v *big.Int) (int, error) { t.Error("validator called after the failure"); return 1, nil }); got != 0 {
 		t.Errorf("Read after the failure = %d, want 0", got)
 	}
-	if rest := f.Rest(); len(rest) != 0 {
-		t.Errorf("Rest after the failure = %d elements, want none", len(rest))
+	if rest := ReadRest(f, func(v *big.Int) (*big.Int, error) { t.Error("validator called after the failure"); return v, nil }); len(rest) != 0 {
+		t.Errorf("ReadRest after the failure = %d elements, want none", len(rest))
 	}
 	if f.Err() != first || f.Done() != first {
 		t.Errorf("Err = %v, Done = %v; want the first failure %v", f.Err(), f.Done(), first)
@@ -79,10 +79,23 @@ func TestFieldsNilMissingTrailing(t *testing.T) {
 	if err := f.Done(); !errors.Is(err, ErrBadFrame) || !strings.Contains(err.Error(), "2 trailing elements from element 1") {
 		t.Errorf("Done with two elements unread = %v", err)
 	}
+	asIs := func(v *big.Int) (*big.Int, error) { return v, nil }
 	f = ReadFields([]*big.Int{big.NewInt(1), nil, big.NewInt(3)})
 	f.Int(0, 5)
-	if rest := f.Rest(); len(rest) != 2 || rest[0] != nil || f.Done() != nil {
-		t.Errorf("Rest = %v, then Done = %v; want the two elements left, then nil", rest, f.Done())
+	if rest := ReadRest(f, asIs); len(rest) != 2 || rest[0] != nil || f.Done() != nil {
+		t.Errorf("ReadRest = %v, then Done = %v; want the two elements left, then nil", rest, f.Done())
+	}
+	// One refused element refuses the rest, with its index.
+	f = ReadFields([]*big.Int{big.NewInt(1), big.NewInt(2), nil, big.NewInt(4)})
+	f.Int(0, 5)
+	nonNil := func(v *big.Int) (*big.Int, error) {
+		if v == nil {
+			return nil, errors.New("nil")
+		}
+		return v, nil
+	}
+	if rest := ReadRest(f, nonNil); rest != nil || !refused(f.Done(), 2) {
+		t.Errorf("ReadRest over a nil element = %v, Done = %v; want none and a refusal of element 2", rest, f.Done())
 	}
 	if err := ReadFields(nil).Done(); err != nil {
 		t.Errorf("Done of an empty frame = %v", err)
@@ -164,13 +177,19 @@ func FuzzFields(f *testing.F) {
 	// Payload bytes: 0 nil, 1 a small signed integer, 2 and 3 a positive
 	// and a negative integer of up to 255 magnitude bytes. Reads: 0 Big,
 	// 1 Int over a small range, 2 Int64 over int64, 3 Uint64, 4 Read with
-	// a validator refusing odd values, 5 Rest.
+	// a validator refusing nil and odd values, 5 ReadRest through it.
 	f.Add([]byte{1, 5, 1, 0x80, 0, 2, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{1, 0, 10, 1, 0x80, 0x7f, 0, 2})
 	f.Add([]byte{1, 2, 3, 1, 7}, []byte{4, 3, 5})
 	f.Add([]byte{3, 8, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, []byte{2, 3})
 	f.Add([]byte{}, []byte{0})
 	f.Add([]byte{0, 0}, []byte{4, 4})
 	errOdd := errors.New("odd")
+	even := func(w *big.Int) (*big.Int, error) {
+		if w == nil || w.Bit(0) == 1 {
+			return w, errOdd
+		}
+		return w, nil
+	}
 	f.Fuzz(func(t *testing.T, payload, ops []byte) {
 		var ints []*big.Int
 		for len(payload) > 0 && len(ints) < 32 {
@@ -243,12 +262,7 @@ func FuzzFields(f *testing.F) {
 			case 4:
 				v, present := next()
 				ok := present && v != nil && v.Bit(0) == 0
-				got := Read(r, func(w *big.Int) (*big.Int, error) {
-					if w == nil || w.Bit(0) == 1 {
-						return w, errOdd
-					}
-					return w, nil
-				})
+				got := Read(r, even)
 				if accept(ok) != (got != nil) || got != nil && got != v {
 					t.Fatalf("Read at %d = %v, model %v", pos, got, v)
 				}
@@ -257,11 +271,22 @@ func FuzzFields(f *testing.F) {
 				}
 			case 5:
 				want := 0
-				if !failed {
-					want, pos = len(ints)-pos, len(ints)
+				for !failed && pos < len(ints) {
+					v, _ := next()
+					accept(v != nil && v.Bit(0) == 0)
+					want++
 				}
-				if got := r.Rest(); len(got) != want {
-					t.Fatalf("Rest = %d elements, model %d", len(got), want)
+				if failed {
+					want = 0
+				}
+				got := ReadRest(r, even)
+				if len(got) != want {
+					t.Fatalf("ReadRest = %d elements, model %d", len(got), want)
+				}
+				for i, v := range got {
+					if v != ints[pos-want+i] {
+						t.Fatalf("ReadRest element %d = %v, model %v", i, v, ints[pos-want+i])
+					}
 				}
 			}
 			if (r.Err() == nil) != !failed {

@@ -61,6 +61,15 @@ func (pk *PublicKey) FromRaw(v *big.Int) (*Ciphertext, error) {
 	return &Ciphertext{c: new(big.Int).Set(v)}, nil
 }
 
+// Residue validates v as a plaintext residue mod N — a decryption C2
+// sends back, a share Bob unmasks — and returns it: non-nil, in [0, N).
+func (pk *PublicKey) Residue(v *big.Int) (*big.Int, error) {
+	if v == nil || v.Sign() < 0 || v.Cmp(pk.N) >= 0 {
+		return nil, fmt.Errorf("%w: residue outside [0, N)", ErrMessageOutOfRange)
+	}
+	return v, nil
+}
+
 // Add returns E(a+b mod N) = E(a)*E(b) mod N².
 func (pk *PublicKey) Add(a, b *Ciphertext) *Ciphertext {
 	c := new(big.Int).Mul(a.c, b.c)

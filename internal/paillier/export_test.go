@@ -89,14 +89,6 @@ func (pk *PublicKey) FixedBasePow(a *big.Int) *big.Int { return pk.fb.pow(a) }
 // plus EncryptWithNonce's test vectors — never an encryption.
 func FullExpRaises() uint64 { return fullExpRaises.Load() }
 
-// WirePublicKey gob-encodes a public key with an arbitrary (possibly
-// hostile) modulus, for UnmarshalBinary's validation tests.
-func WirePublicKey(n *big.Int) ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(wirePublicKey{N: n})
-	return buf.Bytes(), err
-}
-
 // HelpersInFlight reports how many fan-out helper goroutines are alive
 // process-wide: the quantity ForEach's budget bounds.
 func HelpersInFlight() int { return int(helpers.Load()) }

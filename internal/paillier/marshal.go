@@ -7,38 +7,11 @@ import (
 	"math/big"
 )
 
-// wirePublicKey and wirePrivateKey are the stable serialized forms. Only
+// wirePrivateKey is the stable serialized form of a private key. Only
 // the defining values travel; caches and CRT precomputations are rebuilt
 // on load so a corrupted or malicious file cannot desynchronize them.
-type wirePublicKey struct {
-	N *big.Int
-}
-
 type wirePrivateKey struct {
 	P, Q *big.Int
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (pk *PublicKey) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(wirePublicKey{N: pk.N}); err != nil {
-		return nil, fmt.Errorf("paillier: encoding public key: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (pk *PublicKey) UnmarshalBinary(data []byte) error {
-	var w wirePublicKey
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return fmt.Errorf("paillier: decoding public key: %w", err)
-	}
-	key, err := NewPublicKey(w.N)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrMalformedGobRemote, err)
-	}
-	*pk = *key
-	return nil
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler. Only p and q are

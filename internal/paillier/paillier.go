@@ -53,7 +53,7 @@ type PublicKey struct {
 	// (see fixedbase.go), and n2 is N² prepared for limb Montgomery
 	// products (mont.go), which MultiScalarMul runs on. Both are built by
 	// the constructor and immutable — which is why a key comes from
-	// NewPublicKey, GenerateKey or an UnmarshalBinary, never from a
+	// NewPublicKey, GenerateKey or a private key's UnmarshalBinary, never from a
 	// struct literal.
 	fb *pkFixedBase
 	n2 *montMod

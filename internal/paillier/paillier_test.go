@@ -382,24 +382,6 @@ func TestRandomZNBounds(t *testing.T) {
 	}
 }
 
-func TestMarshalPublicKey(t *testing.T) {
-	sk := testKey()
-	data, err := sk.PublicKey.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pk PublicKey
-	if err := pk.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if !pk.Equal(&sk.PublicKey) {
-		t.Error("public key did not survive marshal round trip")
-	}
-	if pk.NSquared.Cmp(sk.NSquared) != 0 {
-		t.Error("NSquared not rebuilt")
-	}
-}
-
 func TestMarshalPrivateKey(t *testing.T) {
 	sk := testKey()
 	data, err := sk.MarshalBinary()
@@ -421,10 +403,6 @@ func TestMarshalPrivateKey(t *testing.T) {
 }
 
 func TestUnmarshalRejectsGarbage(t *testing.T) {
-	var pk PublicKey
-	if err := pk.UnmarshalBinary([]byte("not gob")); err == nil {
-		t.Error("public key accepted garbage")
-	}
 	var sk PrivateKey
 	if err := sk.UnmarshalBinary([]byte("not gob")); err == nil {
 		t.Error("private key accepted garbage")
@@ -455,24 +433,12 @@ func hostileModuli(n *big.Int) map[string]*big.Int {
 }
 
 // TestNewPublicKeyValidates: the one validation every outside modulus
-// passes through, and UnmarshalBinary's mapping of its verdict to
-// ErrMalformedGobRemote.
+// passes through.
 func TestNewPublicKeyValidates(t *testing.T) {
 	sk := testKey()
 	for name, n := range hostileModuli(sk.N) {
-		if _, err := NewPublicKey(n); !errors.Is(err, ErrInvalidModulus) {
-			t.Errorf("NewPublicKey(%s) error = %v, want ErrInvalidModulus", name, err)
-		}
-		data, err := WirePublicKey(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pk := new(PublicKey)
-		if err := pk.UnmarshalBinary(data); !errors.Is(err, ErrMalformedGobRemote) {
-			t.Errorf("UnmarshalBinary(N = %s) error = %v, want ErrMalformedGobRemote", name, err)
-		}
-		if pk.N != nil || pk.fb != nil {
-			t.Errorf("UnmarshalBinary(N = %s) left a half-built key behind", name)
+		if pk, err := NewPublicKey(n); !errors.Is(err, ErrInvalidModulus) || pk != nil {
+			t.Errorf("NewPublicKey(%s) = %v, %v; want no key and ErrInvalidModulus", name, pk, err)
 		}
 	}
 	pk, err := NewPublicKey(sk.N)

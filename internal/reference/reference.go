@@ -80,17 +80,15 @@ func SkNNb(rq *smc.Requester, rows []core.EncryptedRecord, q core.EncryptedQuery
 	if err != nil {
 		return nil, fmt.Errorf("reference: rank: %w", err)
 	}
-	if len(resp.Ints) != k {
-		return nil, fmt.Errorf("%w: rank reply has %d indices, want %d", core.ErrBadFrame, len(resp.Ints), k)
-	}
+	f := mpc.ReadFields(resp.Ints)
 	selected := make([]core.EncryptedRecord, k)
 	delta := make([]uint64, k)
-	for j, i := range resp.Ints {
-		if !i.IsUint64() || i.Uint64() >= uint64(n) {
-			return nil, fmt.Errorf("%w: rank index %v out of range", core.ErrBadFrame, i)
-		}
-		delta[j] = i.Uint64()
+	for j := range delta {
+		delta[j] = uint64(f.Int(0, n-1))
 		selected[j] = rows[delta[j]]
+	}
+	if err := f.Done(); err != nil {
+		return nil, fmt.Errorf("reference: rank reply: %w", err)
 	}
 	return reveal(rq, selected, delta)
 }
@@ -189,18 +187,17 @@ func SkNNm(rq *smc.Requester, rows []core.EncryptedRecord, q core.EncryptedQuery
 
 		// (c) C2 decrypts β and answers U: E(1) at one position where
 		// β′ = 0, E(0) elsewhere. V = π⁻¹(U).
-		resp, err := mpc.RoundTrip(rq.Conn(), &mpc.Message{Op: core.OpMinSelect, Ints: beta})
+		resp, err := mpc.RoundTrip(rq.Conn(), &mpc.Message{Op: OpMinSelect, Ints: beta})
 		if err != nil {
 			return nil, fmt.Errorf("reference: iteration %d min-select: %w", s, err)
 		}
-		if len(resp.Ints) != n {
-			return nil, fmt.Errorf("%w: min-select reply has %d ints, want %d", core.ErrBadFrame, len(resp.Ints), n)
-		}
+		f := mpc.ReadFields(resp.Ints)
 		v := make([]*paillier.Ciphertext, n)
-		for i, u := range resp.Ints {
-			if v[perm[i]], err = pk.FromRaw(u); err != nil {
-				return nil, fmt.Errorf("reference: iteration %d U[%d]: %w", s, i, err)
-			}
+		for i := range v {
+			v[perm[i]] = mpc.Read(f, pk.FromRaw)
+		}
+		if err := f.Done(); err != nil {
+			return nil, fmt.Errorf("reference: iteration %d min-select reply: %w", s, err)
 		}
 
 		// (d) V′ᵢ,ⱼ ← SM(Vᵢ, E(tᵢ,ⱼ)); E(t′ₛ,ⱼ) ← Πᵢ V′ᵢ,ⱼ.
@@ -254,12 +251,16 @@ func reveal(rq *smc.Requester, selected []core.EncryptedRecord, ids []uint64) (*
 	if err != nil {
 		return nil, fmt.Errorf("reference: reveal: %w", err)
 	}
-	if len(resp.Ints) != k*m {
-		return nil, fmt.Errorf("%w: reveal reply has %d ints, want %d", core.ErrBadFrame, len(resp.Ints), k*m)
-	}
+	f := mpc.ReadFields(resp.Ints)
 	masked := make([][]*big.Int, k)
 	for i := range masked {
-		masked[i] = resp.Ints[i*m : (i+1)*m]
+		masked[i] = make([]*big.Int, m)
+		for j := range masked[i] {
+			masked[i][j] = mpc.Read(f, pk.Residue)
+		}
+	}
+	if err := f.Done(); err != nil {
+		return nil, fmt.Errorf("reference: reveal reply: %w", err)
 	}
 	return core.RestoreMaskedResult(pk, k, m, masks, masked, ids)
 }

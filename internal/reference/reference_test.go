@@ -71,7 +71,7 @@ func (kc *keyCloud) requester(pk *paillier.PublicKey) *smc.Requester {
 // (core: TestCloudC2OpcodeSet).
 func TestKeyCloudOpcodeSet(t *testing.T) {
 	sk := testkit.Key(256)
-	want := append(core.NewCloudC2(sk, nil).Mux().Ops(), smc.OpSM, smc.OpSBDLsb, smc.OpSBDVerify, smc.OpSMIN, core.OpMinSelect)
+	want := append(core.NewCloudC2(sk, nil).Mux().Ops(), smc.OpSM, smc.OpSBDLsb, smc.OpSBDVerify, smc.OpSMIN, OpMinSelect)
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 	if got := KeyCloud(sk).Ops(); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("reference key cloud serves opcodes %v, want %v", got, want)

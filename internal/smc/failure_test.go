@@ -102,6 +102,56 @@ func TestRequesterRejectsShortReply(t *testing.T) {
 	}
 }
 
+// TestRequesterRejectsMalformedReply: C1 decodes every reply once, at
+// the boundary. A nil element — which an in-process link carries as it
+// is — in an SM, SBD-verify or SMIN reply, and a verify flag that is 1
+// only in its low 64 bits, are ErrBadFrame: never a panic, and never a
+// decomposition the flag vouches for wrongly.
+func TestRequesterRejectsMalformedReply(t *testing.T) {
+	sk := testKey()
+	flag := new(big.Int).Add(new(big.Int).Lsh(oneBig, 64), oneBig) // 2^64 + 1
+	zero := enc(t, sk, 0).Raw()
+	nilAt := func(op mpc.Op, i int) func(req, resp *mpc.Message) *mpc.Message {
+		return func(req, resp *mpc.Message) *mpc.Message {
+			if req.Op == op {
+				resp.Ints[i] = nil
+			}
+			return resp
+		}
+	}
+	sm := func(rq *Requester) error { _, err := rq.SM(enc(t, sk, 2), enc(t, sk, 3)); return err }
+	sbd := func(rq *Requester) error { _, err := rq.SBD(enc(t, sk, 13), 6); return err }
+	smin := func(rq *Requester) error { _, err := rq.SMIN(encBits(t, sk, 5, 4), encBits(t, sk, 9, 4)); return err }
+	for _, tc := range []struct {
+		name    string
+		corrupt func(req, resp *mpc.Message) *mpc.Message
+		run     func(rq *Requester) error
+	}{
+		{"SM nil product", nilAt(OpSM, 0), sm},
+		{"SBD verify nil flag", nilAt(OpSBDVerify, 0), sbd},
+		{"SMIN nil M′", nilAt(OpSMIN, 0), smin},
+		{"SMIN nil E(α)", nilAt(OpSMIN, 4), smin},
+		{"SBD verify flag 2^64+1 over zero bits", func(req, resp *mpc.Message) *mpc.Message {
+			for i := range resp.Ints {
+				switch req.Op {
+				case OpSBDLsb:
+					resp.Ints[i] = zero
+				case OpSBDVerify:
+					resp.Ints[i] = flag
+				}
+			}
+			return resp
+		}, sbd},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rq, _ := corruptedPair(t, tc.corrupt)
+			if err := tc.run(rq); !errors.Is(err, ErrBadFrame) {
+				t.Errorf("err = %v, want ErrBadFrame", err)
+			}
+		})
+	}
+}
+
 // TestRequesterRejectsInvalidCiphertext covers group-membership checks
 // on replies: out-of-group values are refused at the boundary.
 func TestRequesterRejectsInvalidCiphertext(t *testing.T) {

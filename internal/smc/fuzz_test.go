@@ -1,12 +1,14 @@
 package smc
 
 import (
+	"errors"
 	"io"
 	"math/big"
 	mrand "math/rand"
 	"testing"
 
 	"sknn/internal/mpc"
+	"sknn/internal/paillier"
 )
 
 // The fuzzer's byte string spells a payload element by element: a tag
@@ -141,6 +143,72 @@ func FuzzResponderFrame(f *testing.F) {
 			if v == nil {
 				t.Fatalf("op %d reply element %d is nil", req.Op, i)
 			}
+		}
+	})
+}
+
+// FuzzRequesterReply is FuzzResponderFrame's other half: C1's side of the
+// wire. It drives one requester primitive — SM, SBD, SMIN, the packed
+// SSED scan or the value-domain comparator — against the genuine
+// responder, except that one of its rounds, the fuzzer's pick, is
+// answered with fuzzed integers in place of C2's reply. Whatever the
+// reply, the requester must not panic, and must return either a result
+// or an error that is ErrBadFrame, a refusal C2 sent back to a later
+// round (*mpc.RemoteError), or ErrSBDVerify.
+func FuzzRequesterReply(f *testing.F) {
+	sk := testKey()
+	// The primitives' inputs, built once: the fuzzed reply varies, they do not.
+	a, b := encVec(f, sk, 6, 7), encVec(f, sk, 3, 5)
+	u, v := encBits(f, sk, 5, 3), encBits(f, sk, 2, 3)
+	q := encVec(f, sk, 3, 14, 7)
+	rows := [][]*paillier.Ciphertext{encVec(f, sk, 1, 15, 2), encVec(f, sk, 9, 0, 4)}
+	packed := packRows(f, &sk.PublicKey, 4, rows)
+	pairs := []SMINValuePair{
+		{A: a[0], B: b[0], RecA: encVec(f, sk, 1), RecB: encVec(f, sk, 200)},
+		{A: a[1], B: b[1], RecA: encVec(f, sk, 255), RecB: encVec(f, sk, 0)},
+	}
+	prims := []func(rq *Requester) error{
+		func(rq *Requester) error { _, err := rq.SMBatch(a, b); return err },
+		func(rq *Requester) error { _, err := rq.SBDBatch(a, 4); return err },
+		func(rq *Requester) error { _, err := rq.SMIN(u, v); return err },
+		func(rq *Requester) error { _, err := rq.SSEDManyPacked(q, rows, packed); return err },
+		func(rq *Requester) error { _, _, err := rq.SMINValuePairsBatch(pairs, 4, 8); return err },
+	}
+	for prim := range prims {
+		for round := uint8(0); round < 6; round++ {
+			f.Add(uint8(prim), round, []byte{fuzzCiphertext, 1, fuzzCiphertext, 0, fuzzCiphertext, 5})
+		}
+		f.Add(uint8(prim), uint8(0), []byte{fuzzNil, fuzzCiphertext, 1})
+		f.Add(uint8(prim), uint8(0), []byte{fuzzSmall, 1, fuzzSmall, 0})
+		f.Add(uint8(prim), uint8(1), encodeFuzzInts([]*big.Int{new(big.Int).Lsh(big.NewInt(1), 64), nil}))
+	}
+	f.Fuzz(func(t *testing.T, prim, round uint8, data []byte) {
+		// One fixed randomness stream per execution, for both parties and
+		// the fuzzed ciphertexts alike, so the coverage an input reaches
+		// repeats.
+		random := mrand.New(mrand.NewSource(1))
+		rp := NewResponder(sk, random)
+		reply := decodeFuzzInts(t, rp, random, data)
+		inner, calls := rp.Mux(), 0
+		h := mpc.HandlerFunc(func(req *mpc.Message) (*mpc.Message, error) {
+			calls++
+			if calls-1 == int(round) {
+				return &mpc.Message{Op: req.Op, Ints: reply}, nil
+			}
+			return inner.Handle(req)
+		})
+		c1Side, c2Side := mpc.ChanPipe()
+		done := make(chan error, 1)
+		go func() { done <- mpc.Serve(c2Side, h) }()
+		defer func() {
+			c1Side.Close()
+			c2Side.Close()
+			<-done
+		}()
+		err := prims[int(prim)%len(prims)](NewRequester(&sk.PublicKey, c1Side, random))
+		var remote *mpc.RemoteError
+		if err != nil && !errors.Is(err, ErrBadFrame) && !errors.As(err, &remote) && !errors.Is(err, ErrSBDVerify) {
+			t.Fatalf("primitive %d, round %d fuzzed: %v", int(prim)%len(prims), round, err)
 		}
 	})
 }

@@ -106,16 +106,6 @@ func packRuns(codec *paillier.Packing, cts []*paillier.Ciphertext, per int) ([]*
 	return groups, err
 }
 
-// unpackGroup validates and decrypts one slot group of a packed frame
-// and splits it into count slot values.
-func (rp *Responder) unpackGroup(codec *paillier.Packing, raw *big.Int, count int) ([]*big.Int, error) {
-	ct, err := rp.sk.FromRaw(raw)
-	if err != nil {
-		return nil, err
-	}
-	return codec.UnpackDecrypt(rp.sk, ct, count)
-}
-
 // PackedRows is a reusable slot-packed rendering of encrypted feature
 // rows: Rows[i] holds row i's Groups(m) packed ciphertexts under Codec
 // (see PackRow). Packing existing ciphertexts costs ~Width squarings per
@@ -215,13 +205,9 @@ func (rq *Requester) SSEDManyPacked(q []*paillier.Ciphertext, rows [][]*paillier
 		}
 	}
 
-	reply, err := rq.roundTrip(OpSSEDPack, payload, n)
+	sums, err := rq.exchange(OpSSEDPack, payload, n)
 	if err != nil {
 		return nil, fmt.Errorf("smc: packed SSED round trip: %w", err)
-	}
-	sums, err := rq.rawCiphertexts(reply)
-	if err != nil {
-		return nil, err
 	}
 
 	out := make([]*paillier.Ciphertext, n)
@@ -248,9 +234,9 @@ func (rq *Requester) SSEDManyPacked(q []*paillier.Ciphertext, rows [][]*paillier
 func (rp *Responder) handleSSEDPack(req *mpc.Message) (*mpc.Message, error) {
 	f := mpc.ReadFields(req.Ints)
 	count, m, vb := f.Int(1, smPackMaxCount), f.Int(1, smPackMaxAttrs), f.Int(1, packMaxValueBits)
-	body := f.Rest()
+	body := mpc.ReadRest(f, rp.sk.FromRaw)
 	if err := f.Err(); err != nil {
-		return nil, fmt.Errorf("smc: packed SSED header: %w", err)
+		return nil, fmt.Errorf("smc: packed SSED: %w", err)
 	}
 	codec, err := paillier.NewPacking(&rp.sk.PublicKey, vb)
 	if err != nil {
@@ -258,8 +244,8 @@ func (rp *Responder) handleSSEDPack(req *mpc.Message) (*mpc.Message, error) {
 	}
 	groups := codec.Groups(m)
 	if len(body) != count*groups {
-		return nil, fmt.Errorf("%w: packed SSED payload of %d ints for %d records of %d groups",
-			ErrBadFrame, len(req.Ints), count, groups)
+		return nil, fmt.Errorf("%w: packed SSED payload of %d groups for %d records of %d groups",
+			ErrBadFrame, len(body), count, groups)
 	}
 	nonces, err := rp.Nonces(count)
 	if err != nil {
@@ -270,7 +256,7 @@ func (rp *Responder) handleSSEDPack(req *mpc.Message) (*mpc.Message, error) {
 		total := new(big.Int)
 		for g := 0; g < groups; g++ {
 			cnt := min(codec.Slots, m-g*codec.Slots)
-			vals, err := rp.unpackGroup(codec, body[i*groups+g], cnt)
+			vals, err := codec.UnpackDecrypt(rp.sk, body[i*groups+g], cnt)
 			if err != nil {
 				return fmt.Errorf("smc: packed SSED record %d group %d: %w", i, g, err)
 			}
@@ -388,13 +374,9 @@ func (rq *Requester) msbOncePacked(zs []*paillier.Ciphertext, xs [][]*paillier.C
 			payload = append(payload, operands...)
 			want += n * per
 		}
-		reply, err := rq.roundTrip(OpSBDPackBit, payload, want)
+		raw, err := rq.exchange(OpSBDPackBit, payload, want)
 		if err != nil {
 			return nil, fmt.Errorf("smc: packed MSB round %d: %w", j, err)
-		}
-		raw, err := rq.rawCiphertexts(reply)
-		if err != nil {
-			return nil, err
 		}
 		if output {
 			out := make([]peeled, n)
@@ -451,9 +433,9 @@ func (rp *Responder) handleSBDPackBit(req *mpc.Message) (*mpc.Message, error) {
 	if output {
 		per, ob = f.Int(1, smPackMaxCount/count), f.Int(1, packMaxValueBits)
 	}
-	body := f.Rest()
+	body := mpc.ReadRest(f, rp.sk.FromRaw)
 	if err := f.Err(); err != nil {
-		return nil, fmt.Errorf("smc: packed SBD bit header: %w", err)
+		return nil, fmt.Errorf("smc: packed SBD bit: %w", err)
 	}
 	codec, err := paillier.NewPacking(&rp.sk.PublicKey, vb)
 	if err != nil {
@@ -468,8 +450,8 @@ func (rp *Responder) handleSBDPackBit(req *mpc.Message) (*mpc.Message, error) {
 		opGroups = opCodec.Groups(count * per)
 	}
 	if len(body) != groups+opGroups {
-		return nil, fmt.Errorf("%w: packed SBD bit payload of %d ints for %d values at shift %d",
-			ErrBadFrame, len(req.Ints), count, shift)
+		return nil, fmt.Errorf("%w: packed SBD bit payload of %d groups for %d values at shift %d",
+			ErrBadFrame, len(body), count, shift)
 	}
 	// One decryption per group and one reply encryption per element: the
 	// nonce powers do not wait for the decryptions.
@@ -483,7 +465,7 @@ func (rp *Responder) handleSBDPackBit(req *mpc.Message) (*mpc.Message, error) {
 		if g >= groups {
 			c, cnt = opCodec, count*per-(g-groups)*opCodec.Slots
 		}
-		v, err := rp.unpackGroup(c, body[g], min(c.Slots, cnt))
+		v, err := c.UnpackDecrypt(rp.sk, body[g], min(c.Slots, cnt))
 		if err != nil {
 			return fmt.Errorf("smc: packed SBD bit group %d: %w", g, err)
 		}

@@ -106,13 +106,9 @@ func (rq *Requester) sbdOnce(zs []*paillier.Ciphertext, l int) ([][]*paillier.Ci
 			rs[i] = r
 			payload[i] = rq.pk.AddPlain(rem[i], r).Raw()
 		}
-		reply, err := rq.roundTrip(OpSBDLsb, payload, n)
+		lsbs, err := rq.exchange(OpSBDLsb, payload, n)
 		if err != nil {
 			return nil, fmt.Errorf("smc: SBD round %d: %w", round, err)
-		}
-		lsbs, err := rq.rawCiphertexts(reply)
-		if err != nil {
-			return nil, err
 		}
 		for i := 0; i < n; i++ {
 			var bit *paillier.Ciphertext
@@ -156,20 +152,17 @@ func (rq *Requester) verifySBD(zs []*paillier.Ciphertext, bits [][]*paillier.Cip
 		}
 		payload[i] = rq.pk.ScalarMul(diff, rho).Raw()
 	}
-	reply, err := rq.roundTrip(OpSBDVerify, payload, n)
+	resp, err := mpc.RoundTrip(rq.conn, &mpc.Message{Op: OpSBDVerify, Ints: payload})
 	if err != nil {
 		return nil, fmt.Errorf("smc: SBD verify: %w", err)
 	}
+	f := mpc.ReadFields(resp.Ints)
 	ok := make([]bool, n)
-	for i, v := range reply {
-		switch v.Int64() {
-		case 1:
-			ok[i] = true
-		case 0:
-			ok[i] = false
-		default:
-			return nil, fmt.Errorf("%w: SBD verify flag %v", ErrBadFrame, v)
-		}
+	for i := range ok {
+		ok[i] = f.Int(0, 1) == 1
+	}
+	if err := f.Done(); err != nil {
+		return nil, fmt.Errorf("smc: SBD verify flags: %w", err)
 	}
 	return ok, nil
 }
@@ -192,17 +185,18 @@ func Recompose(pk *paillier.PublicKey, bits []*paillier.Ciphertext) *paillier.Ci
 // and return a fresh encryption of its low bit. The decrypted y is
 // uniform in Z_N.
 func (rp *Responder) handleSBDLsb(req *mpc.Message) (*mpc.Message, error) {
-	if len(req.Ints) == 0 {
-		return nil, fmt.Errorf("%w: empty SBD frame", ErrBadFrame)
+	ys, err := rp.ciphertexts(req, 1)
+	if err != nil {
+		return nil, err
 	}
-	n := len(req.Ints)
+	n := len(ys)
 	nonces, err := rp.Nonces(n)
 	if err != nil {
 		return nil, fmt.Errorf("smc: SBD encrypt lsb: %w", err)
 	}
 	lsbs := make([]*big.Int, n)
 	err = paillier.RaiseAlongside(nonces, n, func(i int) error {
-		y, err := rp.decryptRaw(req.Ints[i])
+		y, err := rp.sk.Decrypt(ys[i])
 		if err != nil {
 			return fmt.Errorf("smc: SBD decrypt Y[%d]: %w", i, err)
 		}
@@ -218,12 +212,13 @@ func (rp *Responder) handleSBDLsb(req *mpc.Message) (*mpc.Message, error) {
 // handleSBDVerify is C2's half of the verification: report, per value,
 // whether the blinded recomposition difference decrypts to zero.
 func (rp *Responder) handleSBDVerify(req *mpc.Message) (*mpc.Message, error) {
-	if len(req.Ints) == 0 {
-		return nil, fmt.Errorf("%w: empty SBD verify frame", ErrBadFrame)
+	diffs, err := rp.ciphertexts(req, 1)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]*big.Int, len(req.Ints))
-	err := paillier.ForEach(len(out), func(i int) error {
-		d, err := rp.decryptRaw(req.Ints[i])
+	out := make([]*big.Int, len(diffs))
+	err = paillier.ForEach(len(out), func(i int) error {
+		d, err := rp.sk.Decrypt(diffs[i])
 		if err != nil {
 			return fmt.Errorf("smc: SBD verify decrypt[%d]: %w", i, err)
 		}

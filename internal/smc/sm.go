@@ -55,13 +55,9 @@ func (rq *Requester) SMBatch(as, bs []*paillier.Ciphertext) ([]*paillier.Ciphert
 		payload = append(payload, aPrime.Raw(), bPrime.Raw())
 	}
 
-	reply, err := rq.roundTrip(OpSM, payload, n)
+	hs, err := rq.exchange(OpSM, payload, n)
 	if err != nil {
 		return nil, fmt.Errorf("smc: SM round trip: %w", err)
-	}
-	hs, err := rq.rawCiphertexts(reply)
-	if err != nil {
-		return nil, err
 	}
 
 	out := make([]*paillier.Ciphertext, n)
@@ -81,21 +77,22 @@ func (rq *Requester) SMBatch(as, bs []*paillier.Ciphertext) ([]*paillier.Ciphert
 // return fresh encryptions. The decrypted values (a+rₐ) and (b+r_b) are
 // uniform in Z_N, so C2 learns nothing.
 func (rp *Responder) handleSM(req *mpc.Message) (*mpc.Message, error) {
-	if len(req.Ints) == 0 || len(req.Ints)%2 != 0 {
-		return nil, fmt.Errorf("%w: SM payload of %d ints", ErrBadFrame, len(req.Ints))
+	cts, err := rp.ciphertexts(req, 2)
+	if err != nil {
+		return nil, err
 	}
-	n := len(req.Ints) / 2
+	n := len(cts) / 2
 	nonces, err := rp.Nonces(n)
 	if err != nil {
 		return nil, fmt.Errorf("smc: SM encrypt: %w", err)
 	}
 	hs := make([]*big.Int, n)
 	err = paillier.RaiseAlongside(nonces, n, func(i int) error {
-		ha, err := rp.decryptRaw(req.Ints[2*i])
+		ha, err := rp.sk.Decrypt(cts[2*i])
 		if err != nil {
 			return fmt.Errorf("smc: SM decrypt a′[%d]: %w", i, err)
 		}
-		hb, err := rp.decryptRaw(req.Ints[2*i+1])
+		hb, err := rp.sk.Decrypt(cts[2*i+1])
 		if err != nil {
 			return fmt.Errorf("smc: SM decrypt b′[%d]: %w", i, err)
 		}

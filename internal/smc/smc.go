@@ -161,31 +161,23 @@ func (rq *Requester) EncryptZero() (*paillier.Ciphertext, error) {
 	return rq.pk.EncryptInt64(rq.rand, 0)
 }
 
-// roundTrip performs one request/response exchange, validating the reply
-// payload length.
-func (rq *Requester) roundTrip(op mpc.Op, payload []*big.Int, wantLen int) ([]*big.Int, error) {
+// exchange sends one request and reads its reply, want ciphertexts
+// under the requester's key: the one place C1 decodes a ciphertext
+// reply from C2.
+func (rq *Requester) exchange(op mpc.Op, payload []*big.Int, want int) ([]*paillier.Ciphertext, error) {
 	resp, err := mpc.RoundTrip(rq.conn, &mpc.Message{Op: op, Ints: payload})
 	if err != nil {
 		return nil, err
 	}
-	if len(resp.Ints) != wantLen {
-		return nil, fmt.Errorf("%w: op %d reply has %d ints, want %d",
-			ErrBadFrame, op, len(resp.Ints), wantLen)
+	f := mpc.ReadFields(resp.Ints)
+	cts := make([]*paillier.Ciphertext, want)
+	for i := range cts {
+		cts[i] = mpc.Read(f, rq.pk.FromRaw)
 	}
-	return resp.Ints, nil
-}
-
-// rawCiphertexts converts a reply payload into validated ciphertexts.
-func (rq *Requester) rawCiphertexts(vals []*big.Int) ([]*paillier.Ciphertext, error) {
-	out := make([]*paillier.Ciphertext, len(vals))
-	for i, v := range vals {
-		ct, err := rq.pk.FromRaw(v)
-		if err != nil {
-			return nil, fmt.Errorf("smc: reply component %d: %w", i, err)
-		}
-		out[i] = ct
+	if err := f.Done(); err != nil {
+		return nil, fmt.Errorf("smc: op %d reply: %w", op, err)
 	}
-	return out, nil
+	return cts, nil
 }
 
 // Responder is C2's execution context: the secret key and the reserve
@@ -248,11 +240,16 @@ func (rp *Responder) encryptReply(nonces []*paillier.Nonce, ms []*big.Int) []*bi
 	return out
 }
 
-// decryptRaw validates and decrypts one payload element.
-func (rp *Responder) decryptRaw(v *big.Int) (*big.Int, error) {
-	ct, err := rp.sk.FromRaw(v)
-	if err != nil {
-		return nil, err
+// ciphertexts reads a request that is nothing but ciphertexts under the
+// responder's key: at least one, and a multiple of per.
+func (rp *Responder) ciphertexts(req *mpc.Message, per int) ([]*paillier.Ciphertext, error) {
+	f := mpc.ReadFields(req.Ints)
+	cts := mpc.ReadRest(f, rp.sk.FromRaw)
+	if err := f.Err(); err != nil {
+		return nil, fmt.Errorf("smc: op %d: %w", req.Op, err)
 	}
-	return rp.sk.Decrypt(ct)
+	if len(cts) == 0 || len(cts)%per != 0 {
+		return nil, fmt.Errorf("%w: op %d payload of %d ciphertexts", ErrBadFrame, req.Op, len(cts))
+	}
+	return cts, nil
 }

@@ -122,18 +122,11 @@ func (rq *Requester) SMIN(u, v []*paillier.Ciphertext) ([]*paillier.Ciphertext, 
 		payload = append(payload, ct.Raw())
 	}
 
-	reply, err := rq.roundTrip(OpSMIN, payload, l+1)
+	reply, err := rq.exchange(OpSMIN, payload, l+1)
 	if err != nil {
 		return nil, fmt.Errorf("smc: SMIN step 2: %w", err)
 	}
-	mPrime, err := rq.rawCiphertexts(reply[:l])
-	if err != nil {
-		return nil, err
-	}
-	encAlpha, err := rq.pk.FromRaw(reply[l])
-	if err != nil {
-		return nil, fmt.Errorf("smc: SMIN E(α): %w", err)
-	}
+	mPrime, encAlpha := reply[:l], reply[l]
 
 	// Step 3: unpermute, unblind, and assemble the minimum's bits.
 	// λᵢ = M̃ᵢ · E(α)^(−r̂ᵢ) = M̃ᵢ · Inv(E(α))^(r̂ᵢ): one inversion shared
@@ -156,21 +149,12 @@ func (rq *Requester) SMIN(u, v []*paillier.Ciphertext) ([]*paillier.Ciphertext, 
 // Γ′ followed by L′ (l each); the reply is M′ (l values) followed by
 // E(α). Both are re-randomized so the reply ciphertexts are fresh.
 func (rp *Responder) handleSMIN(req *mpc.Message) (*mpc.Message, error) {
-	if len(req.Ints) == 0 || len(req.Ints)%2 != 0 {
-		return nil, fmt.Errorf("%w: SMIN payload of %d ints", ErrBadFrame, len(req.Ints))
+	cts, err := rp.ciphertexts(req, 2)
+	if err != nil {
+		return nil, err
 	}
-	l := len(req.Ints) / 2
-	gammaP := req.Ints[:l]
-	lvecP := req.Ints[l:]
-
-	gammas := make([]*paillier.Ciphertext, l)
-	for i, v := range gammaP {
-		ct, err := rp.sk.FromRaw(v)
-		if err != nil {
-			return nil, fmt.Errorf("smc: SMIN Γ′[%d]: %w", i, err)
-		}
-		gammas[i] = ct
-	}
+	l := len(cts) / 2
+	gammas, lvecP := cts[:l], cts[l:]
 	// l re-randomisations and E(α): their nonce powers ride beside the
 	// decryptions of L′.
 	nonces, err := rp.Nonces(l + 1)
@@ -182,7 +166,7 @@ func (rp *Responder) handleSMIN(req *mpc.Message) (*mpc.Message, error) {
 	// the secret position.
 	isOne := make([]bool, l)
 	err = paillier.RaiseAlongside(nonces, l, func(i int) error {
-		m, err := rp.decryptRaw(lvecP[i])
+		m, err := rp.sk.Decrypt(lvecP[i])
 		if err != nil {
 			return fmt.Errorf("smc: SMIN decrypt L′[%d]: %w", i, err)
 		}
