@@ -50,11 +50,11 @@ func (s *QuerySession) BasicQueryMetered(q EncryptedQuery, k int) (*MaskedResult
 
 // revealBasic is steps 4–6 of Algorithm 5 for both SkNNb entry points:
 // the masked reveal of the winners, whose records basicScan left in the
-// layout of the table's attribute width. SkNNb already reveals access
+// session's row layout. SkNNb already reveals access
 // patterns to both clouds, so naming Bob's neighbours by stable id costs
 // nothing extra; SkNNm cannot (ids are what it hides).
 func (s *QuerySession) revealBasic(cands []Candidate) (*MaskedResult, error) {
-	res, err := s.reveal(candidateRecords(cands), rowLayoutFor(s.pk, s.m, s.attrBits))
+	res, err := s.reveal(candidateRecords(cands))
 	if err != nil {
 		return nil, err
 	}
@@ -67,8 +67,8 @@ func (s *QuerySession) revealBasic(cands []Candidate) (*MaskedResult, error) {
 
 // basicScan is the body of Algorithm 5 before the reveal: SSED over the
 // live records (step 2) on the packed kernel, C2's decrypt-and-rank (step
-// 3), and the selection of the winning records — row-packed like the SSED
-// slots by the table's attribute width, and with their encrypted
+// 3), and the selection of the winning records — in the row layout, and
+// with their encrypted
 // distances, so a shard can ship them to a coordinator for a rank merge.
 func (s *QuerySession) basicScan(q EncryptedQuery, k int, metrics *BasicMetrics) ([]Candidate, error) {
 	// Round boundary: a canceled query never starts the scan.
@@ -81,7 +81,7 @@ func (s *QuerySession) basicScan(q EncryptedQuery, k int, metrics *BasicMetrics)
 
 	// Step 2: dᵢ = |Q−tᵢ|² under encryption.
 	phase := time.Now()
-	packed, err := s.tbl.packedFeatureRows(s.attrBits, cands)
+	packed, err := s.tbl.packedFeatureRows(cands)
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +106,7 @@ func (s *QuerySession) basicScan(q EncryptedQuery, k int, metrics *BasicMetrics)
 	for j, i := range order {
 		winners[j] = cands[i]
 	}
-	records, err := s.tbl.recordRows(rowLayoutFor(s.pk, s.m, s.attrBits), winners)
+	records, err := s.tbl.recordRows(winners)
 	if err != nil {
 		return nil, err
 	}

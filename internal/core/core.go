@@ -94,8 +94,10 @@ func ctxErr(ctx context.Context) error {
 // — so a K-bit key carries 1 ≤ l ≤ K − 69 (and l + 1 ≤ 512, the codec's
 // cap). The same bound gives every comparator its operand slots: the
 // peel's output round packs a distance difference or a record chunk's
-// below 2^max(l+1, c·w+1), one to a slot at least, and c·w stays under
-// half the plaintext (rowLayoutFor). A layer of the network is l + 1
+// below 2^max(l+1, c·b+1), one to a slot at least, where c·b — c columns
+// of the table's attribute width b — stays under half the plaintext
+// (rowLayoutFor); l sizes the comparison, b the records, and l ≥ 2b by
+// checkTableDomain. A layer of the network is l + 1
 // round trips, the peel's, whose last also selects. Anything else is
 // ErrDomainBits at every entry point; there is no slower path to drop to.
 func CheckDomainBits(pk *paillier.PublicKey, l int) error {

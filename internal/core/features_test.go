@@ -47,7 +47,8 @@ func TestFeatureColumnsIgnoreLabels(t *testing.T) {
 			res, _, err = c1.BasicQuery(context.Background(), eq, 1)
 		} else {
 			// The attribute domain covers every column, labels included:
-			// SkNNm row-packs whole records into 2^(l/2)-wide slots.
+			// both protocols row-pack whole records into slots of the
+			// table's width, b = 9.
 			l := dataset.DomainBits(9, 2)
 			res, _, err = c1.SecureQuery(context.Background(), eq, 1, l, 0)
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 	"sort"
 	"testing"
 
@@ -16,37 +17,39 @@ import (
 	"sknn/internal/testkit"
 )
 
-// This file pins the row-packed record path of SkNNm: which layout a
-// session chooses, that a query agrees with the plaintext oracle at the
-// boundaries of the value domain and of the chunk capacity (the printed
-// protocol is compared on the same edges in internal/reference, which
-// imports this package), and that Bob rejects shares that do not fit the
-// layout they declare.
+// This file pins the row-packed record path: which layout a session
+// chooses — the table's attribute width's, in both protocols — that a
+// query agrees with the plaintext oracle at the boundaries of the value
+// domain and of the chunk capacity (the printed protocol is compared on
+// the same edges in internal/reference, which imports this package),
+// and that Bob rejects shares that do not fit the layout they declare.
 
 func TestRowLayoutFor(t *testing.T) {
 	cases := []struct {
-		keyBits, m, l int
-		want          RowLayout
-		chunks        int
+		keyBits, m, bits int
+		want             RowLayout
+		chunks           int
 	}{
-		{512, 6, 12, RowLayout{Cols: 6, Bits: 6}, 1},   // bench/secure_scan
-		{512, 2, 14, RowLayout{Cols: 2, Bits: 7}, 1},   // bench/live_mixed
-		{256, 20, 6, RowLayout{Cols: 20, Bits: 3}, 1},  // widest one-chunk record at 61 operand bits
-		{256, 21, 6, RowLayout{Cols: 20, Bits: 3}, 2},  // one column past it
-		{256, 3, 49, RowLayout{Cols: 2, Bits: 24}, 2},  // attrBits = 24
-		{256, 1, 6, RowLayout{Cols: 1, Bits: 3}, 1},    // m = 1
-		{256, 4, 150, RowLayout{Cols: 1, Bits: 75}, 4}, // a column wider than the operand
-		{128, 4, 6, RowLayout{Cols: 1, Bits: 3}, 4},    // key too small to pack two columns
+		{512, 6, 4, RowLayout{Cols: 6, Bits: 4}, 1},   // bench/secure_scan
+		{512, 2, 6, RowLayout{Cols: 2, Bits: 6}, 1},   // bench/live_mixed
+		{256, 30, 2, RowLayout{Cols: 30, Bits: 2}, 1}, // widest one-chunk record at 61 operand bits
+		{256, 31, 2, RowLayout{Cols: 30, Bits: 2}, 2}, // one column past it
+		{256, 20, 3, RowLayout{Cols: 20, Bits: 3}, 1}, // the same edge at b = 3
+		{256, 21, 3, RowLayout{Cols: 20, Bits: 3}, 2},
+		{256, 3, 24, RowLayout{Cols: 2, Bits: 24}, 2}, // attrBits = 24
+		{256, 1, 3, RowLayout{Cols: 1, Bits: 3}, 1},   // m = 1
+		{256, 4, 75, RowLayout{Cols: 1, Bits: 75}, 4}, // a column wider than the operand
+		{128, 4, 3, RowLayout{Cols: 1, Bits: 3}, 4},   // key too small to pack two columns
 	}
 	for _, tc := range cases {
 		pk := &testkit.Key(tc.keyBits).PublicKey
-		got := rowLayoutFor(pk, tc.m, attrPackBits(tc.l))
+		got := rowLayoutFor(pk, tc.m, tc.bits)
 		if got != tc.want || got.Chunks(tc.m) != tc.chunks {
-			t.Errorf("K=%d m=%d l=%d: layout %+v in %d chunks, want %+v in %d",
-				tc.keyBits, tc.m, tc.l, got, got.Chunks(tc.m), tc.want, tc.chunks)
+			t.Errorf("K=%d m=%d b=%d: layout %+v in %d chunks, want %+v in %d",
+				tc.keyBits, tc.m, tc.bits, got, got.Chunks(tc.m), tc.want, tc.chunks)
 		}
 		if got.Cols > 1 && got.Cols*got.Bits > smc.SMPackOperandBits(pk) {
-			t.Errorf("K=%d m=%d l=%d: a %d-bit chunk is wider than SMPackOperandBits", tc.keyBits, tc.m, tc.l, got.Cols*got.Bits)
+			t.Errorf("K=%d m=%d b=%d: a %d-bit chunk is wider than SMPackOperandBits", tc.keyBits, tc.m, tc.bits, got.Cols*got.Bits)
 		}
 	}
 }
@@ -119,12 +122,12 @@ func TestRowPackedBoundaries(t *testing.T) {
 		},
 		{
 			name: "widest record in one chunk", keyBits: 256, attrBits: 2, f: 2,
-			rows: [][]uint64{wide(20, 3), wide(20, 0), wide(20, 1)},
+			rows: [][]uint64{wide(30, 3), wide(30, 0), wide(30, 1)},
 			q:    []uint64{1, 2}, k: 2, chunks: 1,
 		},
 		{
 			name: "one column past one chunk", keyBits: 256, attrBits: 2, f: 2,
-			rows: [][]uint64{wide(21, 3), wide(21, 0), wide(21, 1)},
+			rows: [][]uint64{wide(31, 3), wide(31, 0), wide(31, 1)},
 			q:    []uint64{1, 2}, k: 2, chunks: 2,
 		},
 		{
@@ -157,8 +160,9 @@ func TestRowPackedBoundaries(t *testing.T) {
 				t.Fatal(err)
 			}
 			got, layout := secureRowsWithLayout(t, sk, tc.rows, tc.f, tc.q, tc.k, l)
-			if layout.Chunks(m) != tc.chunks {
-				t.Errorf("revealed %d shares per record (layout %+v), want %d", layout.Chunks(m), layout, tc.chunks)
+			if layout.Bits != tc.attrBits || layout.Chunks(m) != tc.chunks {
+				t.Errorf("revealed %d shares per record (layout %+v), want %d of %d-bit columns",
+					layout.Chunks(m), layout, tc.chunks, tc.attrBits)
 			}
 			ds := distancesOf(t, featurePrefix(got, tc.f), tc.q)
 			if fmt.Sprint(ds) != fmt.Sprint(want) {
@@ -285,10 +289,94 @@ func TestBasicPackedBoundaries(t *testing.T) {
 			packs := encTable.view().packs
 			packs.mu.Lock()
 			defer packs.mu.Unlock()
-			if len(packs.rows[packKey{bits: tc.attrBits}]) == 0 {
+			if len(packs.rows[ssedRendering]) == 0 {
 				t.Error("scan did not ride the packed SSED kernel")
 			}
 		})
+	}
+}
+
+// TestOneRenderingPerRow: SkNNb and SkNNm pack a table's rows at one
+// width, the table's, so after a query in each mode the table's memo
+// holds one SSED rendering and one record rendering, and the second
+// query reuses every row the first one packed. secure_scan's shape
+// (m = 6, b = 4, l = 12) under a key that packs a whole record into one
+// chunk.
+func TestOneRenderingPerRow(t *testing.T) {
+	tbl, err := dataset.Generate(44, 8, 6, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk := testKey()
+	encTable, err := EncryptTable(rand.Reader, &sk.PublicKey, tbl.Rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if layout := rowLayoutFor(&sk.PublicKey, 6, encTable.AttrBits()); layout != (RowLayout{Cols: 6, Bits: 4}) {
+		t.Fatalf("layout %+v, want one chunk of six 4-bit columns", layout)
+	}
+	cloud, bob := newSystemOver(t, sk, encTable, 1)
+	q := []uint64{3, 9, 0, 15, 7, 1}
+	eq, err := bob.EncryptQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packs := encTable.view().packs
+	// packed lists every row the memo holds, rendering by rendering.
+	packed := func() [][]*paillier.Ciphertext {
+		packs.mu.Lock()
+		defer packs.mu.Unlock()
+		var out [][]*paillier.Ciphertext
+		for _, memo := range packs.rows {
+			for _, row := range memo {
+				if row != nil {
+					out = append(out, row)
+				}
+			}
+		}
+		return out
+	}
+	renderings := func() (n int) {
+		packs.mu.Lock()
+		defer packs.mu.Unlock()
+		for _, memo := range packs.rows {
+			if slices.ContainsFunc(memo, func(row []*paillier.Ciphertext) bool { return row != nil }) {
+				n++
+			}
+		}
+		return n
+	}
+
+	if _, _, err := cloud.BasicQuery(context.Background(), eq, 2); err != nil {
+		t.Fatal(err)
+	}
+	afterBasic := packed()
+	res, _, err := cloud.SecureQuery(context.Background(), eq, 2, tbl.DomainBits(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := bob.Unmask(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesOracle(t, tbl, q, 2, rows)
+	if n := renderings(); n != 2 {
+		t.Errorf("the memo holds %d renderings after a query in each mode, want 2 (SSED and record)", n)
+	}
+	// SkNNb packed every row for SSED and its two winners' records; SkNNm
+	// packs the other six records and nothing else.
+	after := packed()
+	if len(afterBasic) != 8+2 || len(after) != 8+8 {
+		t.Errorf("packed rows: %d after SkNNb, %d after SkNNm; want 10 and 16", len(afterBasic), len(after))
+	}
+	kept := make(map[*paillier.Ciphertext]bool)
+	for _, row := range after {
+		kept[row[0]] = true
+	}
+	for i, row := range afterBasic {
+		if !kept[row[0]] {
+			t.Errorf("row %d packed by SkNNb was packed again by SkNNm", i)
+		}
 	}
 }
 
@@ -454,7 +542,7 @@ func TestNoGateRecordsAreRerandomized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored, err := s.tbl.recordRows(s.rowLayout(l), s.tbl.liveIdx)
+	stored, err := s.tbl.recordRows(s.tbl.liveIdx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,17 +154,6 @@ func (s *QuerySession) NearestCluster(q EncryptedQuery, domainBits int) (int, er
 	return r.next()
 }
 
-// attrPackBits is the slot payload width for packed SSED and for
-// row-packed records: half the squared-distance domain, which always
-// covers one attribute value and its query difference (l ≥ 2b by
-// dataset.DomainBits).
-func attrPackBits(domainBits int) int {
-	if b := domainBits / 2; b > 1 {
-		return b
-	}
-	return 1
-}
-
 // rankClusters is the clustered index's query-time phase: the nearest
 // centroids, in rank order, until the chosen clusters hold at least
 // target live records or every cluster is chosen.
@@ -217,7 +206,7 @@ type clusterRanking struct {
 // rankingOf starts a ranking of the session's centroids against q: their
 // packed SSED distances, and their ids encrypted by C1.
 func (s *QuerySession) rankingOf(q EncryptedQuery, domainBits int, metrics *SecureMetrics) (*clusterRanking, error) {
-	packed, err := s.tbl.packedCentroids(attrPackBits(domainBits))
+	packed, err := s.tbl.packedCentroids()
 	if err != nil {
 		return nil, err
 	}
@@ -303,14 +292,14 @@ func (r *clusterRanking) next() (int, error) {
 // clusters' members: SSED (candidateDistances), the records in the
 // session's row layout, and the selection network (selectTopK).
 func (s *QuerySession) scanTopK(q EncryptedQuery, k, domainBits int, idx []int, metrics *SecureMetrics) ([]Candidate, error) {
-	ds, err := s.candidateDistances(q, domainBits, idx, metrics)
+	ds, err := s.candidateDistances(q, idx, metrics)
 	if err != nil {
 		return nil, err
 	}
 	// Rows not yet rendered in the layout (the first query after they
 	// were stored) are packed here, on extraction's account.
 	phase := time.Now()
-	records, err := s.tbl.recordRows(s.rowLayout(domainBits), idx)
+	records, err := s.tbl.recordRows(idx)
 	if err != nil {
 		return nil, err
 	}
@@ -333,14 +322,14 @@ func candidateRecords(cands []Candidate) []EncryptedRecord {
 // bulk a sharded deployment scatters. The paper's step 2b (SBD of every
 // distance) has no counterpart here: the network compares composed
 // values, so no candidate is ever bit-decomposed outside a comparison.
-func (s *QuerySession) candidateDistances(q EncryptedQuery, domainBits int, idx []int, metrics *SecureMetrics) ([]*paillier.Ciphertext, error) {
+func (s *QuerySession) candidateDistances(q EncryptedQuery, idx []int, metrics *SecureMetrics) ([]*paillier.Ciphertext, error) {
 	// Stage boundary: a canceled query stops before SSED rather than
 	// paying for a scan nobody will read.
 	if err := s.ctxErr(); err != nil {
 		return nil, err
 	}
 	phase := time.Now()
-	packed, err := s.tbl.packedFeatureRows(attrPackBits(domainBits), idx)
+	packed, err := s.tbl.packedFeatureRows(idx)
 	if err != nil {
 		return nil, err
 	}
@@ -366,7 +355,7 @@ func (s *QuerySession) candidateDistances(q EncryptedQuery, domainBits int, idx 
 // its record likewise, for free. Every gate of a layer shares one peel,
 // l + 1 round trips, spread across the session's streams. It is
 // deliberately table-agnostic — candidates are (distance, record) pairs,
-// each record in the session's row layout (rowLayout: ⌈m/c⌉ chunks of c
+// each record in the session's row layout (rowLayoutFor: ⌈m/c⌉ chunks of c
 // slot-packed columns, or the m attribute ciphertexts when c = 1) — so
 // the same network selects from a shard's scanned records and, at the
 // coordinator, from the candidates the shards return.
@@ -400,9 +389,8 @@ func (s *QuerySession) selectTopK(records [][]*paillier.Ciphertext, dists []*pai
 			wires[i].Rec = rec
 		}
 	}
-	layout := s.rowLayout(domainBits)
 	// Every chunk is below 2^(Cols·Bits).
-	if err := s.runNetwork(wires, layers, domainBits, layout.Cols*layout.Bits); err != nil {
+	if err := s.runNetwork(wires, layers, domainBits, s.layout.Cols*s.layout.Bits); err != nil {
 		return nil, err
 	}
 	metrics.SMINn += time.Since(phase)
@@ -538,7 +526,7 @@ func (s *QuerySession) TopK(q EncryptedQuery, k, domainBits, target int, secure 
 // Nothing is assumed about the order within a set. k is clamped to the
 // candidates the lists hold.
 func (s *QuerySession) mergeCandidates(lists [][]Candidate, k, domainBits int, metrics *SecureMetrics) ([]Candidate, error) {
-	chunks := s.rowLayout(domainBits).Chunks(s.m)
+	chunks := s.layout.Chunks(s.m)
 	var records [][]*paillier.Ciphertext
 	var ds []*paillier.Ciphertext
 	for _, list := range lists {
@@ -548,7 +536,7 @@ func (s *QuerySession) mergeCandidates(lists [][]Candidate, k, domainBits int, m
 				return nil, fmt.Errorf("%w: merge candidate %d has no distance", ErrBadFrame, i)
 			}
 			// A remote shard's frame is outside input: a record in another row
-			// layout than this table shape, key and domain size produce cannot
+			// layout than this table shape, key and attribute width produce cannot
 			// be merged — reject it here rather than read its chunks as
 			// differently packed columns.
 			if len(cand.Rec) != chunks {

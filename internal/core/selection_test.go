@@ -113,7 +113,7 @@ func TestReplyEncryptionsPerScan(t *testing.T) {
 	assertMatchesOracle(t, tbl, q, k, rows)
 
 	l := tbl.DomainBits()
-	chunks := rowLayoutFor(&sk.PublicKey, m, attrPackBits(l)).Chunks(m)
+	chunks := rowLayoutFor(&sk.PublicKey, m, encTable.AttrBits()).Chunks(m)
 	want := replyEncryptions(n, k, l, chunks)
 	if got := encrypted.Load(); got != int64(want) {
 		t.Errorf("C2 encrypted %d replies, cost model n + G·(l+1+per) says %d", got, want)

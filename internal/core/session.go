@@ -38,7 +38,8 @@ type QuerySession struct {
 	pk       *paillier.PublicKey
 	m        int              // record arity the session operates on
 	featureM int              // distance-relevant prefix
-	attrBits int              // the table's attribute width: sizes SkNNb's slots
+	attrBits int              // the table's attribute width: every column is below 2^attrBits
+	layout   RowLayout        // the row layout records travel in: rowLayoutFor(pk, m, attrBits)
 	tbl      *tableView       // table state observed at session open; nil for merge sessions
 	slots    []int            // leased link indices
 	conns    []mpc.Conn       // logical streams, one per slot
@@ -61,7 +62,8 @@ func openSession(ctx context.Context, pool *linkPool, view *tableView, pk *paill
 	if err != nil {
 		return nil, err
 	}
-	s := &QuerySession{pool: pool, ctx: ctx, pk: pk, m: m, featureM: featureM, attrBits: attrBits, tbl: view, slots: slots}
+	s := &QuerySession{pool: pool, ctx: ctx, pk: pk, m: m, featureM: featureM, attrBits: attrBits,
+		layout: rowLayoutFor(pk, m, attrBits), tbl: view, slots: slots}
 	for _, i := range slots {
 		conn, err := pool.open(ctx, i)
 		if err != nil {
@@ -80,21 +82,17 @@ func openSession(ctx context.Context, pool *linkPool, view *tableView, pk *paill
 func (s *QuerySession) ctxErr() error { return ctxErr(s.ctx) }
 
 // rowLayoutFor is the layout m-column records under pk travel in when
-// every column is below 2^bits — the table's attribute width for SkNNb —
-// as many columns per chunk as smc.SMPackOperandBits allows (SkNNm's
-// comparators carry chunk differences, one operand slot each; SkNNb's
-// reveal keeps the rule); per-attribute when fewer than two columns fit.
+// every column is below 2^bits — the table's attribute width, in both
+// protocols: as many columns per chunk as smc.SMPackOperandBits allows
+// (SkNNm's comparators carry chunk differences, one operand slot each;
+// SkNNb's reveal keeps the rule); per-attribute when fewer than two
+// columns fit. The scan, the shard wire, the merge and the reveal all
+// take it from here.
 func rowLayoutFor(pk *paillier.PublicKey, m, bits int) RowLayout {
 	if c := min(m, smc.SMPackOperandBits(pk)/bits); c > 1 {
 		return RowLayout{Cols: c, Bits: bits}
 	}
 	return RowLayout{Cols: 1, Bits: bits}
-}
-
-// rowLayout is SkNNm's record layout at domain size l: every column held
-// to attrPackBits(l), the bound packed SSED puts on the feature columns.
-func (s *QuerySession) rowLayout(domainBits int) RowLayout {
-	return rowLayoutFor(s.pk, s.m, attrPackBits(domainBits))
 }
 
 // Close ends the session's logical streams and releases its links back
@@ -196,12 +194,13 @@ func (s *QuerySession) distancesOf(q EncryptedQuery, rows [][]*paillier.Cipherte
 
 // reveal performs the masked result delivery shared by both protocols
 // (steps 4–6 of Algorithm 5): C1 masks every ciphertext of each selected
-// record — one per attribute, or one per row-packed chunk of layout —
-// with fresh full-range randomness, C2 decrypts the masked values, and
-// the two shares travel to Bob, who alone can tell the columns apart.
-func (s *QuerySession) reveal(selected []EncryptedRecord, layout RowLayout) (*MaskedResult, error) {
+// record — one per attribute, or one per row-packed chunk of the
+// session's layout — with fresh full-range randomness, C2 decrypts the
+// masked values, and the two shares travel to Bob, who alone can tell
+// the columns apart.
+func (s *QuerySession) reveal(selected []EncryptedRecord) (*MaskedResult, error) {
 	k := len(selected)
-	chunks := layout.Chunks(s.m)
+	chunks := s.layout.Chunks(s.m)
 	cts := make([]*paillier.Ciphertext, 0, k*chunks)
 	for _, rec := range selected {
 		cts = append(cts, rec...)
@@ -213,7 +212,7 @@ func (s *QuerySession) reveal(selected []EncryptedRecord, layout RowLayout) (*Ma
 	if err != nil {
 		return nil, err
 	}
-	res := &MaskedResult{K: k, M: s.m, Layout: layout, n: s.pk.N}
+	res := &MaskedResult{K: k, M: s.m, Layout: s.layout, n: s.pk.N}
 	for j := 0; j < k; j++ {
 		res.Masks = append(res.Masks, masks[j*chunks:(j+1)*chunks])
 		res.Masked = append(res.Masked, masked[j*chunks:(j+1)*chunks])

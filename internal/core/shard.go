@@ -285,7 +285,7 @@ func (c *ShardedC1) gather(ctx context.Context, q EncryptedQuery, k, domainBits,
 	phase := time.Now()
 	var res *MaskedResult
 	if secure {
-		res, err = s.reveal(candidateRecords(selected), s.rowLayout(domainBits))
+		res, err = s.reveal(candidateRecords(selected))
 	} else {
 		res, err = s.revealBasic(selected)
 	}
@@ -379,12 +379,11 @@ func (c *ShardedC1) checkGathered(k, gathered, n int) error {
 // |Q−tᵢ|² must be below 2^l. dataset.DomainBits derives it from the
 // attribute domain and dimension, with one headroom bit more — the
 // all-ones disqualification sentinel of the paper's step 3(e), which
-// internal/reference still drives and the engine no longer needs. Every
-// column of every record, payload columns included, must be below
-// 2^(l/2): packed SSED slots the feature columns that wide and the row
-// layout (rowLayoutFor) every column. A table validated against the
-// attrBits that l was derived from satisfies both. l itself must fit
-// the key (CheckDomainBits: l ≤ K − 69); anything wider is ErrDomainBits.
+// internal/reference still drives and the engine no longer needs. l
+// sizes the comparisons only; the packed slots are as wide as the
+// table's attribute width, as SkNNb's are. l must cover the table's
+// domain and fit the key (checkTableDomain, CheckDomainBits:
+// l ≤ K − 69); anything else is ErrDomainBits.
 //
 // The pruned scan trades a documented leak for its speed: C1 learns
 // which clusters (not which records) a query touches — the SVD-style

@@ -32,10 +32,10 @@ import (
 //	                    basic  → id, E(d), ⌈m/cols⌉ record chunks]
 //
 // cols and bits declare the RowLayout the candidates' records are in.
-// The coordinator accepts only the layout the table shape, the key and
-// the slot width produce — the domain size it asked for on a secure
-// reply, the attribute width of the shard's hello on a basic one —
-// anything else would let chunks be read as differently packed columns.
+// The coordinator accepts only the one layout the shard's hello implies,
+// on a secure reply and a basic one alike — rowLayoutFor of its m, its
+// key and its attribute width — since anything else would let chunks be
+// read as differently packed columns.
 //
 // Basic candidates carry their stable record id (SkNNb reveals access
 // patterns anyway; the id lets the coordinator name the merged results
@@ -174,7 +174,7 @@ func (r *RemoteShard) TopK(ctx context.Context, q EncryptedQuery, k, domainBits,
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: shard %d top-k: %w", info.Index, err)
 	}
-	liveN, cands, metrics, err := decodeTopKReply(r.pk, info.M, resp, k, replyLayout(r.pk, info.M, info.AttrBits, domainBits, secure), secure)
+	liveN, cands, metrics, err := decodeTopKReply(r.pk, info.M, resp, k, rowLayoutFor(r.pk, info.M, info.AttrBits), secure)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -182,16 +182,6 @@ func (r *RemoteShard) TopK(ctx context.Context, q EncryptedQuery, k, domainBits,
 	r.info.N = liveN
 	r.mu.Unlock()
 	return cands, metrics, nil
-}
-
-// replyLayout is the layout a top-k reply's records travel in: SkNNm's at
-// the requested domain size on a secure scan, else the one the shard
-// table's attribute width gives SkNNb.
-func replyLayout(pk *paillier.PublicKey, m, attrBits, domainBits int, secure bool) RowLayout {
-	if secure {
-		return rowLayoutFor(pk, m, attrPackBits(domainBits))
-	}
-	return rowLayoutFor(pk, m, attrBits)
 }
 
 // decodeTopKReply validates and unpacks a shard's top-k reply against
@@ -290,7 +280,7 @@ func (s *ShardServer) handleTopK(req *mpc.Message) (*mpc.Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	return encodeTopKReply(t.N(), replyLayout(t.PK(), t.M(), t.AttrBits(), domainBits, secure), cands, metrics, secure), nil
+	return encodeTopKReply(t.N(), rowLayoutFor(t.PK(), t.M(), t.AttrBits()), cands, metrics, secure), nil
 }
 
 // encodeTopKRequest lays out a top-k request frame.

@@ -109,7 +109,7 @@ func TestDecodeTopKReplyLyingCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	layout := rowLayoutFor(h.pk, h.info.M, 48)
+	layout := rowLayoutFor(h.pk, h.info.M, h.info.AttrBits)
 	head := topKHead(1<<40, layout) // lying count
 	if _, _, _, err := decodeTopKReply(h.pk, h.info.M, &mpc.Message{Op: OpShardTopK, Ints: head}, 2, layout, true); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("lying count: err = %v, want ErrBadFrame", err)
@@ -128,22 +128,21 @@ func TestDecodeTopKReplyLyingCount(t *testing.T) {
 }
 
 // TestDecodeTopKReplyLayout: the declared row layout must be the one the
-// table shape, the key and the slot width produce — the requested domain
-// size's on a secure reply, the hello's attribute width on a basic one —
-// and the payload must hold exactly that many chunks per candidate.
-// Anything else — the per-attribute layout under a key that packs
-// included — is ErrBadFrame, never a candidate whose chunks would be read
-// as differently packed columns.
+// table shape, the key and the hello's attribute width produce — on a
+// secure reply and a basic one alike — and the payload must hold exactly
+// that many chunks per candidate. Anything else — the per-attribute
+// layout under a key that packs, and SkNNm's former ⌊l/2⌋-bit slots,
+// included — is ErrBadFrame, never a candidate whose chunks would be
+// read as differently packed columns.
 func TestDecodeTopKReplyLayout(t *testing.T) {
 	h, err := decodeHello(helloReply(0, 1, 10, 4, 2, 0, 32, 96))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const m, l = 4, 96
-	packed, plain := rowLayoutFor(h.pk, m, l/2), RowLayout{Cols: 1, Bits: l / 2}
-	basic := rowLayoutFor(h.pk, m, h.info.AttrBits)
-	if packed.Cols != m || packed.Bits != l/2 || basic.Cols != m || basic.Bits != 32 {
-		t.Fatalf("layouts under a 1025-bit key: %+v, %+v", packed, basic)
+	const m, b, l = 4, 32, 96
+	packed, plain := rowLayoutFor(h.pk, m, h.info.AttrBits), RowLayout{Cols: 1, Bits: b}
+	if packed.Cols != m || packed.Bits != b {
+		t.Fatalf("layout under a 1025-bit key: %+v", packed)
 	}
 	ct := big.NewInt(7) // a canonical residue mod N²
 	reply := func(layout RowLayout, perCand int, secure bool) *mpc.Message {
@@ -158,46 +157,36 @@ func TestDecodeTopKReplyLayout(t *testing.T) {
 		}
 		return &mpc.Message{Op: OpShardTopK, Ints: ints}
 	}
-	accept := []struct {
-		name   string
-		msg    *mpc.Message
-		secure bool
-		chunks int
-	}{
-		{"packed", reply(packed, 1+1, true), true, 1},
-		{"basic", reply(basic, 1+1, false), false, 1},
-	}
-	for _, tc := range accept {
-		_, cands, _, err := decodeTopKReply(h.pk, m, tc.msg, 2, replyLayout(h.pk, m, h.info.AttrBits, l, tc.secure), tc.secure)
+	for _, secure := range []bool{true, false} {
+		_, cands, _, err := decodeTopKReply(h.pk, m, reply(packed, 1+1, secure), 2, packed, secure)
 		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+			t.Fatalf("secure=%v: %v", secure, err)
 		}
 		for i, c := range cands {
-			if len(c.Rec) != tc.chunks || c.Dist == nil {
-				t.Errorf("%s: candidate %d has %d record ciphertexts, want %d", tc.name, i, len(c.Rec), tc.chunks)
+			if len(c.Rec) != 1 || c.Dist == nil {
+				t.Errorf("secure=%v: candidate %d has %d record ciphertexts, want 1", secure, i, len(c.Rec))
 			}
 		}
-	}
-	reject := []struct {
-		name   string
-		msg    *mpc.Message
-		secure bool
-	}{
-		{"zero cols", reply(RowLayout{Cols: 0, Bits: l / 2}, 2, true), true},
-		{"negative cols", reply(RowLayout{Cols: -1, Bits: l / 2}, 2, true), true},
-		{"cols over m", reply(RowLayout{Cols: m + 1, Bits: l / 2}, 2, true), true},
-		{"cols the key would not choose", reply(RowLayout{Cols: 2, Bits: l / 2}, 3, true), true},
-		{"slot width of another domain", reply(RowLayout{Cols: m, Bits: l/2 - 1}, 2, true), true},
-		{"huge slot width", reply(RowLayout{Cols: m, Bits: math.MaxInt32}, 2, true), true},
-		{"packed header, per-attribute payload", reply(packed, 1+m, true), true},
-		{"per-attribute header, packed payload", reply(plain, 2, true), true},
-		{"per-attribute layout under a key that packs", reply(plain, 1+m, true), true},
-		{"basic reply in the secure layout", reply(packed, 1+1, false), false},
-		{"basic reply per attribute under a key that packs", reply(RowLayout{Cols: 1}, 1+m, false), false},
-	}
-	for _, tc := range reject {
-		if _, _, _, err := decodeTopKReply(h.pk, m, tc.msg, 2, replyLayout(h.pk, m, h.info.AttrBits, l, tc.secure), tc.secure); !errors.Is(err, ErrBadFrame) {
-			t.Errorf("%s: err = %v, want ErrBadFrame", tc.name, err)
+		reject := []struct {
+			name string
+			msg  *mpc.Message
+		}{
+			{"zero cols", reply(RowLayout{Cols: 0, Bits: b}, 2, secure)},
+			{"negative cols", reply(RowLayout{Cols: -1, Bits: b}, 2, secure)},
+			{"cols over m", reply(RowLayout{Cols: m + 1, Bits: b}, 2, secure)},
+			{"cols the key would not choose", reply(RowLayout{Cols: 2, Bits: b}, 3, secure)},
+			{"slot width of another table", reply(RowLayout{Cols: m, Bits: b - 1}, 2, secure)},
+			{"slot width of half the domain", reply(RowLayout{Cols: m, Bits: l / 2}, 2, secure)},
+			{"huge slot width", reply(RowLayout{Cols: m, Bits: math.MaxInt32}, 2, secure)},
+			{"packed header, per-attribute payload", reply(packed, 1+m, secure)},
+			{"per-attribute header, packed payload", reply(plain, 2, secure)},
+			{"per-attribute layout under a key that packs", reply(plain, 1+m, secure)},
+			{"the other mode's frame", reply(packed, 1+1, !secure)},
+		}
+		for _, tc := range reject {
+			if _, _, _, err := decodeTopKReply(h.pk, m, tc.msg, 2, packed, secure); !errors.Is(err, ErrBadFrame) {
+				t.Errorf("secure=%v, %s: err = %v, want ErrBadFrame", secure, tc.name, err)
+			}
 		}
 	}
 }
@@ -292,17 +281,18 @@ func FuzzShardFrame(f *testing.F) {
 		}
 	}
 	// Top-k replies for the fixed shape below: a row-packed candidate, a
-	// per-attribute one (not this key's layout), and headers lying about
-	// the layout.
+	// per-attribute one (not this key's layout), one in ⌊l/2⌋-bit slots
+	// (not this table's width), and headers lying about the layout.
 	fixed, err := decodeHello(helloReply(0, 1, 10, 6, 6, 0, 4, 12))
 	if err != nil {
 		f.Fatal(err)
 	}
 	const fm, fl, fk = 6, 12, 3
-	packed := rowLayoutFor(fixed.pk, fm, fl/2)
+	want := rowLayoutFor(fixed.pk, fm, fixed.info.AttrBits)
 	seven := big.NewInt(7)
-	f.Add(fuzzInts(append(topKHead(1, packed), seven, seven)))
-	f.Add(fuzzInts(append(topKHead(1, RowLayout{Cols: 1, Bits: fl / 2}), seven, seven, seven, seven, seven, seven, seven)))
+	f.Add(fuzzInts(append(topKHead(1, want), seven, seven)))
+	f.Add(fuzzInts(append(topKHead(1, RowLayout{Cols: 1, Bits: want.Bits}), seven, seven, seven, seven, seven, seven, seven)))
+	f.Add(fuzzInts(append(topKHead(1, RowLayout{Cols: fm, Bits: fl / 2}), seven, seven)))
 	f.Add(fuzzInts(append(topKHead(1, RowLayout{Cols: 5, Bits: 6}), seven, seven, seven)))
 	f.Add(fuzzInts(append(topKHead(1, RowLayout{Cols: 6, Bits: 200}), seven, seven)))
 	// Top-k requests against the same shape: well formed, and with the
@@ -346,7 +336,6 @@ func FuzzShardFrame(f *testing.F) {
 		}
 		reply := &mpc.Message{Op: OpShardTopK, Ints: ints}
 		for _, secure := range []bool{true, false} {
-			want := replyLayout(fixed.pk, fm, fixed.info.AttrBits, fl, secure)
 			_, cands, _, err := decodeTopKReply(fixed.pk, fm, reply, fk, want, secure)
 			if err != nil {
 				continue

@@ -33,9 +33,10 @@ type EncryptedRecord []*paillier.Ciphertext
 // Section 2.1 points at classification as a direct application).
 //
 // attrBits is the attribute width b: every column of every record,
-// stored now or inserted later, is below 2^b. It is public (snapshot
-// header, shard hello, every packed SSED frame) and sizes SkNNb's SSED
-// slots and reveal layout; WithAttrBits widens it, nothing narrows it.
+// stored now or inserted later, and every centroid value, is below 2^b.
+// It is public (snapshot header, shard hello, every packed SSED frame)
+// and sizes every packed slot of both protocols — SSED's and the row
+// layout's; WithAttrBits widens it, nothing narrows it.
 type EncryptedTable struct {
 	pk       *paillier.PublicKey
 	m        int
@@ -69,41 +70,45 @@ type clusterIndex struct {
 }
 
 // rowPacks memoizes slot-packed renderings of stored rows (a table's
-// records or an index's centroids), one slice per codec in use, indexed
-// by stored position. The renderings are derived data: built by the
-// first query that needs a row, never persisted. They stay with their
-// row across mutations — between Compacts positions only grow by
-// appends, so the slices are simply extended on demand, and Compact
-// hands the surviving entries to a fresh memo under their new positions
-// — which makes the cost a mutation leaves to the next query O(1)
-// packings rather than a re-pack of the whole table. A view opened
-// before a Compact keeps the memo of the layout it pinned.
+// records or an index's centroids), indexed by stored position: a row's
+// feature prefix under the SSED slot codec, and the whole record in the
+// table's row layout, both at the table's attribute width — the one
+// width every query of either protocol packs at. The renderings are
+// derived data: built by the first query that needs a row, never
+// persisted. They stay with their row across mutations — between
+// Compacts positions only grow by appends, so the slices are simply
+// extended on demand, and Compact hands the surviving entries to a fresh
+// memo under their new positions — which makes the cost a mutation
+// leaves to the next query O(1) packings rather than a re-pack of the
+// whole table. A view opened before a Compact keeps the memo of the
+// layout it pinned.
 type rowPacks struct {
 	mu   sync.Mutex
-	rows map[packKey][][]*paillier.Ciphertext // guarded by mu; position -> packed ciphertexts, nil until packed
+	rows [renderings][][]*paillier.Ciphertext // guarded by mu; position -> packed ciphertexts, nil until packed
 }
 
-// packKey names one rendering: the feature prefix under the SSED slot
-// codec for bits-wide payloads (cols = 0), or the whole record in the
-// headroom-free RowLayout{cols, bits}.
-type packKey struct{ bits, cols int }
+// rendering names one of a row's packed forms in the memo.
+type rendering int
 
-// get returns rendering key of the rows at the distinct positions idx,
+const (
+	ssedRendering   rendering = iota // the feature prefix under the SSED slot codec
+	recordRendering                  // the whole record in the row layout
+	renderings
+)
+
+// get returns rendering r of the rows at the distinct positions idx,
 // calling pack for (and remembering) those not rendered yet. The lock is
 // held across the packing so concurrent sessions never pack a row twice.
-func (p *rowPacks) get(key packKey, idx []int, pack func(pos int) ([]*paillier.Ciphertext, error)) ([][]*paillier.Ciphertext, error) {
+func (p *rowPacks) get(r rendering, idx []int, pack func(pos int) ([]*paillier.Ciphertext, error)) ([][]*paillier.Ciphertext, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.rows == nil {
-		p.rows = make(map[packKey][][]*paillier.Ciphertext)
-	}
-	memo := p.rows[key]
+	memo := p.rows[r]
 	for _, pos := range idx {
 		if pos >= len(memo) {
 			memo = append(memo, make([][]*paillier.Ciphertext, pos+1-len(memo))...)
 		}
 	}
-	p.rows[key] = memo
+	p.rows[r] = memo
 	var missing []int
 	for _, pos := range idx {
 		if memo[pos] == nil {
@@ -135,15 +140,18 @@ func (p *rowPacks) get(key packKey, idx []int, pack func(pos int) ([]*paillier.C
 func (p *rowPacks) remapped(remap []int, n int) *rowPacks {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := &rowPacks{rows: make(map[packKey][][]*paillier.Ciphertext, len(p.rows))}
-	for key, memo := range p.rows {
+	out := &rowPacks{}
+	for r, memo := range p.rows {
+		if memo == nil {
+			continue // a rendering no query has asked for
+		}
 		moved := make([][]*paillier.Ciphertext, n)
 		for old, row := range memo {
 			if remap[old] >= 0 {
 				moved[remap[old]] = row
 			}
 		}
-		out.rows[key] = moved
+		out.rows[r] = moved
 	}
 	return out
 }
@@ -236,11 +244,12 @@ func (t *EncryptedTable) WithAttrBits(bits int) (*EncryptedTable, error) {
 // any index it has: the plaintext centroids (one per cluster, featureM
 // attributes each, as produced by internal/cluster where the data owner
 // holds plaintext) are encrypted under the table's key, and members
-// records the partition of row positions, every cluster non-empty. The
-// owner calls it at outsourcing time and again in Compact-style
-// maintenance. The table must be tombstone-free (Compact first):
-// membership positions are validated against the current physical
-// layout.
+// records the partition of row positions, every cluster non-empty. Every
+// centroid value must be below 2^AttrBits(), like every column: the
+// centroids pack into the same SSED slots. The owner calls it at
+// outsourcing time and again in Compact-style maintenance. The table
+// must be tombstone-free (Compact first): membership positions are
+// validated against the current physical layout.
 func (t *EncryptedTable) SetClusterIndex(random io.Reader, centroids [][]uint64, members [][]int) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -257,6 +266,11 @@ func (t *EncryptedTable) SetClusterIndex(random io.Reader, centroids [][]uint64,
 		if len(centroids[j]) != t.featureM {
 			return fmt.Errorf("core: centroid %d has %d attributes, want %d feature columns",
 				j, len(centroids[j]), t.featureM)
+		}
+		for _, x := range centroids[j] {
+			if bits.Len64(x) > t.attrBits {
+				return fmt.Errorf("core: centroid %d value %d is not below 2^%d, the table's attribute width", j, x, t.attrBits)
+			}
 		}
 	}
 	encCentroids, err := encryptRows(random, t.pk, centroids, t.featureM)
@@ -595,37 +609,36 @@ func (v *tableView) featureRows(idx []int) [][]*paillier.Ciphertext {
 }
 
 // packedFeatureRows returns the slot-packed rendering of the feature
-// prefixes of the records at the given positions, for valueBits-wide
-// slot payloads (rows pack independently — slots combine a row's
-// attributes, never rows).
-func (v *tableView) packedFeatureRows(valueBits int, idx []int) (*smc.PackedRows, error) {
-	return packedRows(v.pk, v.packs, valueBits, idx, func(pos int) []*paillier.Ciphertext {
+// prefixes of the records at the given positions (rows pack
+// independently — slots combine a row's attributes, never rows).
+func (v *tableView) packedFeatureRows(idx []int) (*smc.PackedRows, error) {
+	return v.packedRows(v.packs, idx, func(pos int) []*paillier.Ciphertext {
 		return v.Records[pos][:v.FeatureM]
 	})
 }
 
 // packedCentroids returns the slot-packed rendering of the cluster
 // centroids of a clustered view.
-func (v *tableView) packedCentroids(valueBits int) (*smc.PackedRows, error) {
+func (v *tableView) packedCentroids() (*smc.PackedRows, error) {
 	all := make([]int, len(v.Centroids))
 	for i := range all {
 		all[i] = i
 	}
-	return packedRows(v.pk, v.centPacks, valueBits, all, func(pos int) []*paillier.Ciphertext {
+	return v.packedRows(v.centPacks, all, func(pos int) []*paillier.Ciphertext {
 		return v.Centroids[pos]
 	})
 }
 
 // packedRows renders row(pos) for every position in idx under the SSED
-// slot codec for valueBits-wide payloads, through the memo. A key with no
-// room for one such slot, or a row that fails to pack, fails the query
+// slot codec for the view's attribute width, through the memo. A key with
+// no room for one such slot, or a row that fails to pack, fails the query
 // (sknn.New and store.Read refuse the key already: CheckDomainBits).
-func packedRows(pk *paillier.PublicKey, packs *rowPacks, valueBits int, idx []int, row func(pos int) []*paillier.Ciphertext) (*smc.PackedRows, error) {
-	codec, err := paillier.NewPacking(pk, valueBits)
+func (v *tableView) packedRows(packs *rowPacks, idx []int, row func(pos int) []*paillier.Ciphertext) (*smc.PackedRows, error) {
+	codec, err := paillier.NewPacking(v.pk, v.AttrBits)
 	if err != nil {
 		return nil, fmt.Errorf("core: SSED slot codec: %w", err)
 	}
-	rows, err := packs.get(packKey{bits: valueBits}, idx, func(pos int) ([]*paillier.Ciphertext, error) {
+	rows, err := packs.get(ssedRendering, idx, func(pos int) ([]*paillier.Ciphertext, error) {
 		return smc.PackRow(codec, row(pos))
 	})
 	if err != nil {
@@ -634,14 +647,14 @@ func packedRows(pk *paillier.PublicKey, packs *rowPacks, valueBits int, idx []in
 	return &smc.PackedRows{Codec: codec, Rows: rows}, nil
 }
 
-// recordRows returns the records at the given positions in the given
-// layout: the stored attribute ciphertexts themselves when it is
+// recordRows returns the records at the given positions in the view's
+// row layout: the stored attribute ciphertexts themselves when it is
 // per-attribute, otherwise each record's ⌈m/Cols⌉ row-packed chunks
 // E(t₁‖…‖t_c), built homomorphically from the stored ciphertexts on
 // first use and kept in the memo. Every column — payload columns
-// included — must be below 2^Bits for the slots to hold; see
-// QuerySession.SecureQuery.
-func (v *tableView) recordRows(layout RowLayout, idx []int) ([][]*paillier.Ciphertext, error) {
+// included — is below 2^AttrBits, so the slots hold.
+func (v *tableView) recordRows(idx []int) ([][]*paillier.Ciphertext, error) {
+	layout := rowLayoutFor(v.pk, v.M, v.AttrBits)
 	if layout.Cols == 1 {
 		rows := make([][]*paillier.Ciphertext, len(idx))
 		for i, pos := range idx {
@@ -653,7 +666,7 @@ func (v *tableView) recordRows(layout RowLayout, idx []int) ([][]*paillier.Ciphe
 	if err != nil {
 		return nil, fmt.Errorf("core: row layout: %w", err)
 	}
-	return v.packs.get(packKey{bits: layout.Bits, cols: layout.Cols}, idx, func(pos int) ([]*paillier.Ciphertext, error) {
+	return v.packs.get(recordRendering, idx, func(pos int) ([]*paillier.Ciphertext, error) {
 		return smc.PackRow(codec, v.Records[pos])
 	})
 }

@@ -146,11 +146,12 @@ func TestPackedRowsFailOnUnpackableRow(t *testing.T) {
 		}
 		return row
 	}
-	rows, err := packedRows(pk, packs, 4, []int{0, 1, 2}, broken)
+	v := &tableView{TableSnapshot: &TableSnapshot{AttrBits: 4}, pk: pk}
+	rows, err := v.packedRows(packs, []int{0, 1, 2}, broken)
 	if !errors.Is(err, smc.ErrEmptyInput) || rows != nil {
 		t.Fatalf("a row that does not pack: rows %v, err %v; want smc.ErrEmptyInput", rows, err)
 	}
-	rows, err = packedRows(pk, packs, 4, []int{0, 1, 2}, func(int) []*paillier.Ciphertext { return row })
+	rows, err = v.packedRows(packs, []int{0, 1, 2}, func(int) []*paillier.Ciphertext { return row })
 	if err != nil || rows == nil || len(rows.Rows) != 3 || len(rows.Rows[1]) != 1 {
 		t.Fatalf("packing again after the failure: rows %+v, err %v", rows, err)
 	}
@@ -272,6 +273,44 @@ func TestLiveTableClusteredMutation(t *testing.T) {
 	_ = id
 }
 
+// TestSetClusterIndexRefusesWideCentroid: a centroid packs into the same
+// SSED slots as the records, so every centroid value must be below
+// 2^AttrBits(), like every column. One at 2^b is refused — whichever
+// attribute holds it, and leaving the index the table had — and the same
+// value is accepted once WithAttrBits has widened the table past it.
+func TestSetClusterIndexRefusesWideCentroid(t *testing.T) {
+	sk := testKey()
+	tbl, err := EncryptTable(rand.Reader, &sk.PublicKey, [][]uint64{{1, 2}, {3, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := tbl.AttrBits(); b != 2 {
+		t.Fatalf("AttrBits = %d, want 2", b)
+	}
+	members := [][]int{{0, 1}}
+	if err := tbl.SetClusterIndex(rand.Reader, [][]uint64{{3, 3}}, members); err != nil {
+		t.Fatalf("centroid at the top of the domain: %v", err)
+	}
+	for _, cent := range [][]uint64{{4, 0}, {0, 4}, {1<<64 - 1, 1}} {
+		if err := tbl.SetClusterIndex(rand.Reader, [][]uint64{cent}, members); err == nil {
+			t.Errorf("centroid %v accepted at attribute width 2", cent)
+		}
+	}
+	if tbl.Clusters() != 1 || tbl.index.centroids == nil {
+		t.Error("a refused index replaced the table's index")
+	}
+	wide, err := tbl.WithAttrBits(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wide.SetClusterIndex(rand.Reader, [][]uint64{{4, 7}}, members); err != nil {
+		t.Errorf("centroid {4, 7} at attribute width 3: %v", err)
+	}
+	if err := wide.SetClusterIndex(rand.Reader, [][]uint64{{8, 0}}, members); err == nil {
+		t.Error("centroid {8, 0} accepted at attribute width 3")
+	}
+}
+
 func TestViewMemoization(t *testing.T) {
 	sk := testKey()
 	tbl, err := EncryptTable(rand.Reader, &sk.PublicKey, [][]uint64{{1}, {2}, {3}})
@@ -319,23 +358,21 @@ func TestPackedRenderingsSurviveMutation(t *testing.T) {
 	if err := tbl.SetClusterIndex(rand.Reader, [][]uint64{{1, 1}, {30, 30}}, [][]int{{0, 1}, {2, 3}}); err != nil {
 		t.Fatal(err)
 	}
-	const l = 12
-	layout := rowLayoutFor(pk, 3, attrPackBits(l))
-	if layout.Cols != 3 {
-		t.Fatalf("layout %+v, want one chunk of 3", layout)
+	if layout := rowLayoutFor(pk, 3, tbl.AttrBits()); layout != (RowLayout{Cols: 3, Bits: 5}) {
+		t.Fatalf("layout %+v, want one chunk of three 5-bit columns", layout)
 	}
 	type rendering struct{ feat, rec, cent []*paillier.Ciphertext }
 	render := func(v *tableView, idx []int) rendering {
 		t.Helper()
-		recs, err := v.recordRows(layout, idx)
+		recs, err := v.recordRows(idx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		feats, err := v.packedFeatureRows(attrPackBits(l), idx)
+		feats, err := v.packedFeatureRows(idx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cents, err := v.packedCentroids(attrPackBits(l))
+		cents, err := v.packedCentroids()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -361,7 +398,7 @@ func TestPackedRenderingsSurviveMutation(t *testing.T) {
 	v0 := tbl.view()
 	r0 := render(v0, []int{0, 1, 2, 3})
 	// The packed record decrypts to t₀ ‖ t₁ ‖ t₂, lowest column lowest.
-	if got, err := sk.Decrypt(r0.rec[2]); err != nil || got.Int64() != 30|30<<6|5<<12 {
+	if got, err := sk.Decrypt(r0.rec[2]); err != nil || got.Int64() != 30|30<<5|5<<10 {
 		t.Fatalf("row-packed record 2 decrypts to %v (%v)", got, err)
 	}
 
@@ -420,7 +457,6 @@ func TestPackedRenderingsSurviveMutation(t *testing.T) {
 func TestPackedRenderingsConcurrentMutation(t *testing.T) {
 	sk := testKey()
 	pk := &sk.PublicKey
-	const l = 12 // 6-bit slots
 	value := func(id uint64) uint64 { return id % 64 }
 	row := func(id uint64) EncryptedRecord {
 		rec, err := pk.EncryptUint64Vector(rand.Reader, []uint64{value(id), value(id + 1)})
@@ -435,7 +471,6 @@ func TestPackedRenderingsConcurrentMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	layout := rowLayoutFor(pk, 2, attrPackBits(l))
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {
@@ -449,12 +484,12 @@ func TestPackedRenderingsConcurrentMutation(t *testing.T) {
 				default:
 				}
 				v := tbl.view()
-				recs, err := v.recordRows(layout, v.liveIdx)
+				recs, err := v.recordRows(v.liveIdx)
 				if err != nil {
 					t.Errorf("rendering: %v", err)
 					return
 				}
-				if _, err := v.packedFeatureRows(attrPackBits(l), v.liveIdx); err != nil {
+				if _, err := v.packedFeatureRows(v.liveIdx); err != nil {
 					t.Errorf("rendering: %v", err)
 					return
 				}

@@ -193,16 +193,6 @@ func (pk *PublicKey) Rerandomize(random io.Reader, a *Ciphertext) (*Ciphertext, 
 	return pk.RerandomizeWith(nc, a), nil
 }
 
-// Rerandomize on the private key draws the encryption of zero from the
-// private-key nonce kernel, like (*PrivateKey).Encrypt.
-func (sk *PrivateKey) Rerandomize(random io.Reader, a *Ciphertext) (*Ciphertext, error) {
-	nc, err := sk.drawNonce(random)
-	if err != nil {
-		return nil, err
-	}
-	return sk.RerandomizeWith(nc, a), nil
-}
-
 // RerandomizeWith multiplies nc's nonce power into a: Rerandomize's
 // counterpart of EncryptWith. It consumes the nonce (its storage becomes
 // the result's).

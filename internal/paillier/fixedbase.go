@@ -229,12 +229,6 @@ func (pk *PublicKey) DrawNonces(random io.Reader, count int) ([]*Nonce, error) {
 	return drawNonces(count, random, pk.drawNonce)
 }
 
-// DrawNonces on the private key draws for the private-key randomizer
-// kernel (see drawNonce below), like (*PrivateKey).Encrypt.
-func (sk *PrivateKey) DrawNonces(random io.Reader, count int) ([]*Nonce, error) {
-	return drawNonces(count, random, sk.drawNonce)
-}
-
 func drawNonces(count int, random io.Reader, draw func(io.Reader) (*Nonce, error)) ([]*Nonce, error) {
 	out := make([]*Nonce, count)
 	for i := range out {
@@ -262,12 +256,12 @@ func (pk *PublicKey) drawNonce(random io.Reader) (*Nonce, error) {
 }
 
 // drawNonce on the private key is the randomizer kernel every C2 reply
-// encryption uses: the same two CRT combs, with the half-length
-// exponents drawn independently, a_p ← [0, p−1) and a_q ← [0, q−1),
-// instead of reduced from one a < N. ρ is then uniform over the product
-// of ⟨hN mod p²⟩ and ⟨hN mod q²⟩ — a subgroup of the N-th residues that
-// contains ⟨hN⟩ — so the fixed-generator assumption the public routine
-// rests on covers it.
+// encryption uses, through NonceReserve: the same two CRT combs, with
+// the half-length exponents drawn independently, a_p ← [0, p−1) and
+// a_q ← [0, q−1), instead of reduced from one a < N. ρ is then uniform
+// over the product of ⟨hN mod p²⟩ and ⟨hN mod q²⟩ — a subgroup of the
+// N-th residues that contains ⟨hN⟩ — so the fixed-generator assumption
+// the public routine rests on covers it.
 func (sk *PrivateKey) drawNonce(random io.Reader) (*Nonce, error) {
 	if random == nil {
 		random = rand.Reader

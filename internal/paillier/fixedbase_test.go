@@ -266,11 +266,11 @@ func TestPublicOnlyAndPrivateKeysInteroperate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromPriv, err := sk.Encrypt(rand.Reader, big.NewInt(99))
+	fromPriv, err := privateEncrypt(sk, big.NewInt(99))
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaPriv, err := sk.Rerandomize(rand.Reader, fromPub)
+	viaPriv, err := privateRerandomize(sk, fromPub)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -255,20 +255,6 @@ func (pk *PublicKey) Encrypt(random io.Reader, m *big.Int) (*Ciphertext, error) 
 	return pk.EncryptWith(nc, m), nil
 }
 
-// Encrypt on the private key is the same encryption with the two
-// half-length nonce exponents drawn independently (see
-// (*PrivateKey).drawNonce). It shadows the embedded public method, so a
-// party holding sk — C2 — takes it without asking; the Encrypt*
-// convenience wrappers and EncryptUint64Vector stay on the public
-// routine, which reaches the same combs.
-func (sk *PrivateKey) Encrypt(random io.Reader, m *big.Int) (*Ciphertext, error) {
-	nc, err := sk.drawNonce(random)
-	if err != nil {
-		return nil, err
-	}
-	return sk.EncryptWith(nc, m), nil
-}
-
 // EncryptWith is the message-dependent half of an encryption: it
 // assembles (1+mN)·ρ mod N² around nc's nonce power ρ (raising it first
 // if nobody has), a few multiplications next to the exponentiation Raise
@@ -288,16 +274,6 @@ func (pk *PublicKey) EncryptMany(random io.Reader, ms []*big.Int) ([]*Ciphertext
 		return nil, err
 	}
 	return pk.encryptEach(nonces, ms), nil
-}
-
-// EncryptMany on the private key draws from the private-key nonce
-// kernel, like (*PrivateKey).Encrypt.
-func (sk *PrivateKey) EncryptMany(random io.Reader, ms []*big.Int) ([]*Ciphertext, error) {
-	nonces, err := sk.DrawNonces(random, len(ms))
-	if err != nil {
-		return nil, err
-	}
-	return sk.encryptEach(nonces, ms), nil
 }
 
 func (pk *PublicKey) encryptEach(nonces []*Nonce, ms []*big.Int) []*Ciphertext {

@@ -24,11 +24,30 @@ func privateKeys(t *testing.T) map[string]*PrivateKey {
 	return map[string]*PrivateKey{"generated": testKey(), "primes": fbKey(), "reloaded": reloaded}
 }
 
-// TestPrivateEncryptRoundTrip drives sk.Encrypt and sk.Rerandomize —
-// the private-key nonce kernel — over the plaintexts where a wrong
-// nonce would show: 0 and 1 (the ciphertext is the nonce itself, or
-// nearly), N−1 and −1 (the top of Z_N, reached two ways), and a packed
-// plaintext with every slot full.
+// privateEncrypt encrypts m under a nonce from the private-key kernel,
+// as C2 does with the nonces its NonceReserve hands out.
+func privateEncrypt(sk *PrivateKey, m *big.Int) (*Ciphertext, error) {
+	nc, err := sk.drawNonce(rand.Reader)
+	if err != nil {
+		return nil, err
+	}
+	return sk.EncryptWith(nc, m), nil
+}
+
+// privateRerandomize re-randomizes a under a private-key nonce.
+func privateRerandomize(sk *PrivateKey, a *Ciphertext) (*Ciphertext, error) {
+	nc, err := sk.drawNonce(rand.Reader)
+	if err != nil {
+		return nil, err
+	}
+	return sk.RerandomizeWith(nc, a), nil
+}
+
+// TestPrivateEncryptRoundTrip drives the private-key nonce kernel
+// through encryption and re-randomization over the plaintexts where a
+// wrong nonce would show: 0 and 1 (the ciphertext is the nonce itself,
+// or nearly), N−1 and −1 (the top of Z_N, reached two ways), and a
+// packed plaintext with every slot full.
 func TestPrivateEncryptRoundTrip(t *testing.T) {
 	for name, sk := range privateKeys(t) {
 		codec, err := NewPacking(&sk.PublicKey, 13)
@@ -51,14 +70,14 @@ func TestPrivateEncryptRoundTrip(t *testing.T) {
 			{big.NewInt(-1), nMinus1},
 			{packed, packed},
 		} {
-			ct, err := sk.Encrypt(rand.Reader, tc.m)
+			ct, err := privateEncrypt(sk, tc.m)
 			if err != nil {
 				t.Fatalf("%s: Encrypt(%v): %v", name, tc.m, err)
 			}
 			if got, err := sk.Decrypt(ct); err != nil || got.Cmp(tc.want) != 0 {
 				t.Errorf("%s: Decrypt(Encrypt(%v)) = %v, err %v", name, tc.m, got, err)
 			}
-			rr, err := sk.Rerandomize(rand.Reader, ct)
+			rr, err := privateRerandomize(sk, ct)
 			if err != nil {
 				t.Fatalf("%s: Rerandomize: %v", name, err)
 			}
@@ -104,18 +123,18 @@ func TestPrivateNonceIsNthResidue(t *testing.T) {
 func TestPrivateEncryptCountsOnce(t *testing.T) {
 	for name, sk := range privateKeys(t) {
 		before := EncryptCalls()
-		ct, err := sk.Encrypt(rand.Reader, big.NewInt(5))
+		ct, err := privateEncrypt(sk, big.NewInt(5))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := EncryptCalls() - before; got != 1 {
-			t.Errorf("%s: one sk.Encrypt advanced EncryptCalls by %d", name, got)
+			t.Errorf("%s: one private encryption advanced EncryptCalls by %d", name, got)
 		}
-		if _, err := sk.Rerandomize(rand.Reader, ct); err != nil {
+		if _, err := privateRerandomize(sk, ct); err != nil {
 			t.Fatal(err)
 		}
 		if got := EncryptCalls() - before; got != 1 {
-			t.Errorf("%s: sk.Rerandomize advanced EncryptCalls to %d", name, got)
+			t.Errorf("%s: a private re-randomization advanced EncryptCalls to %d", name, got)
 		}
 	}
 }
@@ -132,12 +151,12 @@ func TestPrivateEncryptConcurrent(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < 16; i++ {
 					want := int64(g*100 + i)
-					ct, err := sk.Encrypt(rand.Reader, big.NewInt(want))
+					ct, err := privateEncrypt(sk, big.NewInt(want))
 					if err != nil {
 						t.Errorf("%s: Encrypt: %v", name, err)
 						return
 					}
-					rr, err := sk.Rerandomize(rand.Reader, ct)
+					rr, err := privateRerandomize(sk, ct)
 					if err != nil {
 						t.Errorf("%s: Rerandomize: %v", name, err)
 						return

@@ -20,10 +20,10 @@ const reserveDepth = 64
 // and the next request travels back.
 //
 // The reserve hands out its reader's nonce stream in order: Take(k₁),
-// Take(k₂), … return exactly the nonces DrawNonces(random, k₁+k₂+…)
-// would, whether or not they were raised yet, so a deterministic reader
-// yields the same ciphertexts with or without a reserve and at any
-// GOMAXPROCS. The reader is read only inside Take, under the reserve's
+// Take(k₂), … return exactly the nonces k₁+k₂+… private-key draws from
+// random would, whether or not they were raised yet, so a deterministic
+// reader yields the same ciphertexts with or without a reserve and at
+// any GOMAXPROCS. The reader is read only inside Take, under the reserve's
 // lock; the raiser reads no randomness.
 //
 // The raiser is one goroutine per reserve, outside ForEach's helper

@@ -62,8 +62,8 @@ func waitRaised(t *testing.T, r *NonceReserve) {
 
 // TestNonceReserveKeepsStreamOrder: under a seeded reader, successive
 // Takes — smaller than the reserve, zero, exactly its depth, larger than
-// it — hand out exactly the nonces one DrawNonces of their sum draws, in
-// order, whatever the raiser had raised by then.
+// it — hand out exactly the nonces as many private-key draws from the
+// same reader produce, in order, whatever the raiser had raised by then.
 func TestNonceReserveKeepsStreamOrder(t *testing.T) {
 	sk := fbKey()
 	r := newTestReserve(t, mrand.New(mrand.NewSource(5)))
@@ -78,14 +78,14 @@ func TestNonceReserveKeepsStreamOrder(t *testing.T) {
 		}
 		got = append(got, nonces...)
 	}
-	want, err := sk.DrawNonces(mrand.New(mrand.NewSource(5)), len(got))
+	want, err := drawNonces(len(got), mrand.New(mrand.NewSource(5)), sk.drawNonce)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g, w := powersOf(got), powersOf(want)
 	for i := range w {
 		if g[i] != w[i] {
-			t.Fatalf("nonce %d of the reserve differs from DrawNonces' nonce %d", i, i)
+			t.Fatalf("nonce %d of the reserve differs from the private draw's nonce %d", i, i)
 		}
 	}
 }
@@ -129,7 +129,7 @@ func TestNonceReserveConcurrentTakes(t *testing.T) {
 			seen[rho] = true
 		}
 	}
-	want, err := sk.DrawNonces(mrand.New(mrand.NewSource(9)), len(seen))
+	want, err := drawNonces(len(seen), mrand.New(mrand.NewSource(9)), sk.drawNonce)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestNonceRaiseRunsOnce(t *testing.T) {
 // nonce the reader could not supply reports the reader's error.
 func TestNonceReserveReaderFailure(t *testing.T) {
 	sk := fbKey()
-	want, err := sk.DrawNonces(mrand.New(mrand.NewSource(3)), 2)
+	want, err := drawNonces(2, mrand.New(mrand.NewSource(3)), sk.drawNonce)
 	if err != nil {
 		t.Fatal(err)
 	}
