@@ -117,13 +117,10 @@ func BenchmarkFig2c_SkNNbVaryK(b *testing.B) {
 
 // --- Figure 2(d): SkNNm vs k and l, K=512 -----------------------------
 
-// benchSecure runs SkNNm with the distance domain forced to exactly l
-// bits by choosing the attribute domain accordingly.
-func benchSecure(b *testing.B, n, m, k, l, keyBits int) {
-	attrBits := 1
-	for dataset.DomainBits(attrBits+1, m) <= l {
-		attrBits++
-	}
+// benchSecure runs SkNNm over m attributes attrBits wide. l is the
+// table's, dataset.DomainBits(attrBits, m): at m = 6, widths 1 and 4 give
+// l = 4 and 12, and no width gives the paper's l = 6.
+func benchSecure(b *testing.B, n, m, k, attrBits, keyBits int) {
 	sys, q := benchSystem(b, n, m, attrBits, keyBits, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -134,10 +131,10 @@ func benchSecure(b *testing.B, n, m, k, l, keyBits int) {
 }
 
 func BenchmarkFig2d_SkNNmVaryKL(b *testing.B) {
-	for _, l := range []int{6, 12} {
+	for _, attrBits := range []int{1, 4} {
 		for _, k := range []int{2, 4} {
-			b.Run(fmt.Sprintf("l=%d/k=%d", l, k), func(b *testing.B) {
-				benchSecure(b, 12, 6, k, l, 512)
+			b.Run(fmt.Sprintf("l=%d/k=%d", dataset.DomainBits(attrBits, 6), k), func(b *testing.B) {
+				benchSecure(b, 12, 6, k, attrBits, 512)
 			})
 		}
 	}
@@ -147,8 +144,8 @@ func BenchmarkFig2d_SkNNmVaryKL(b *testing.B) {
 
 func BenchmarkFig2e_SkNNmKey1024(b *testing.B) {
 	for _, k := range []int{2, 3} {
-		b.Run(fmt.Sprintf("l=6/k=%d", k), func(b *testing.B) {
-			benchSecure(b, 8, 6, k, 6, 1024)
+		b.Run(fmt.Sprintf("l=4/k=%d", k), func(b *testing.B) {
+			benchSecure(b, 8, 6, k, 1, 1024)
 		})
 	}
 }
@@ -156,7 +153,7 @@ func BenchmarkFig2e_SkNNmKey1024(b *testing.B) {
 // --- Figure 2(f): SkNNb vs SkNNm at the same parameters --------------
 
 func BenchmarkFig2f_Compare(b *testing.B) {
-	const n, m, l = 16, 6, 6
+	const n, m = 16, 6
 	for _, k := range []int{2, 4} {
 		b.Run(fmt.Sprintf("SkNNb/k=%d", k), func(b *testing.B) {
 			sys, q := benchSystem(b, n, m, 2, 512, 1)
@@ -168,7 +165,7 @@ func BenchmarkFig2f_Compare(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("SkNNm/k=%d", k), func(b *testing.B) {
-			benchSecure(b, n, m, k, l, 512)
+			benchSecure(b, n, m, k, 1, 512)
 		})
 	}
 }
@@ -195,7 +192,7 @@ func BenchmarkFig3_ParallelVsSerial(b *testing.B) {
 		}
 	}
 	b.Run("SkNNm/n=8/workers=1", func(b *testing.B) {
-		benchSecure(b, 8, 6, 2, 12, 512)
+		benchSecure(b, 8, 6, 2, 4, 512)
 	})
 }
 

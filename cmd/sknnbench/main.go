@@ -45,10 +45,12 @@ type scale struct {
 	basicNs []int
 	basicMs []int
 	basicKs []int
-	// SkNNm sweeps (figures 2d–2f).
-	secureN  int
-	secureKs []int
-	secureLs []int
+	// SkNNm sweeps (figures 2d–2f), one series per attribute width: the
+	// width fixes l, which is the table's (at m = 6, widths 1 and 4 give
+	// l = 4 and 12; no width gives the paper's l = 6).
+	secureN    int
+	secureKs   []int
+	secureBits []int
 	// Figure 3 parallel workers ("6 cores" in the paper).
 	workers int
 }
@@ -58,14 +60,14 @@ var scales = map[string]scale{
 	"small": {
 		name:    "small",
 		basicNs: []int{100, 200, 400}, basicMs: []int{6, 12, 18}, basicKs: []int{5, 10, 15, 20, 25},
-		secureN: 24, secureKs: []int{2, 4, 6, 8}, secureLs: []int{6, 12},
+		secureN: 24, secureKs: []int{2, 4, 6, 8}, secureBits: []int{1, 4},
 		workers: min(6, runtime.NumCPU()),
 	},
 	// medium: tens of minutes; shapes are unambiguous.
 	"medium": {
 		name:    "medium",
 		basicNs: []int{500, 1000, 2000}, basicMs: []int{6, 12, 18}, basicKs: []int{5, 10, 15, 20, 25},
-		secureN: 100, secureKs: []int{5, 10, 15, 20, 25}, secureLs: []int{6, 12},
+		secureN: 100, secureKs: []int{5, 10, 15, 20, 25}, secureBits: []int{1, 4},
 		workers: min(6, runtime.NumCPU()),
 	},
 	// paper: the exact parameters of Section 5. SkNNm points take hours
@@ -74,7 +76,7 @@ var scales = map[string]scale{
 	"paper": {
 		name:    "paper",
 		basicNs: []int{2000, 4000, 6000, 8000, 10000}, basicMs: []int{6, 12, 18}, basicKs: []int{5, 10, 15, 20, 25},
-		secureN: 2000, secureKs: []int{5, 10, 15, 20, 25}, secureLs: []int{6, 12},
+		secureN: 2000, secureKs: []int{5, 10, 15, 20, 25}, secureBits: []int{1, 4},
 		workers: 6,
 	},
 }
@@ -203,25 +205,19 @@ func (b *bench) basicTime(n, m, k, keyBits, workers int) (time.Duration, error) 
 	return res.Metrics.Basic.Total, nil
 }
 
-// secureMetrics runs one SkNNm query with the attribute domain chosen so
-// the distance domain is exactly l bits (the paper sweeps l directly).
-func (b *bench) secureMetrics(n, m, k, l, keyBits int) (*sknn.SecureMetrics, error) {
-	// Pick attrBits so DomainBits(attrBits, m) ≤ l, then run SkNNm with
-	// exactly l decomposition bits (extra headroom is harmless).
-	attrBits := 1
-	for dataset.DomainBits(attrBits+1, m) <= l {
-		attrBits++
-	}
+// secureMetrics runs one SkNNm query over m attributes attrBits wide and
+// returns the l it ran at, the table's.
+func (b *bench) secureMetrics(n, m, k, attrBits, keyBits int) (*sknn.SecureMetrics, int, error) {
 	sys, q, err := b.system(n, m, attrBits, keyBits, 1)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	defer sys.Close()
 	res, err := runQuery(sys, q, k, sknn.ModeSecure)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return res.Metrics.Secure, nil
+	return res.Metrics.Secure, sys.DomainBits(), nil
 }
 
 func (b *bench) fig2a() error { return b.basicNMSweep("Fig 2(a): SkNNb, k=5, K=512", 512) }
@@ -267,13 +263,14 @@ func (b *bench) secureKLSweep(title string, keyBits int) error {
 	fig := benchkit.NewFigure(
 		fmt.Sprintf("%s, n=%d, K=%d [scale=%s]", title, b.sc.secureN, keyBits, b.sc.name),
 		"k", "time (min)")
-	for _, l := range b.sc.secureLs {
-		series := fig.NewSeries(fmt.Sprintf("l=%d", l))
+	for _, attrBits := range b.sc.secureBits {
+		series := fig.NewSeries("")
 		for _, k := range b.sc.secureKs {
-			m, err := b.secureMetrics(b.sc.secureN, 6, k, l, keyBits)
+			m, l, err := b.secureMetrics(b.sc.secureN, 6, k, attrBits, keyBits)
 			if err != nil {
 				return err
 			}
+			series.Name = fmt.Sprintf("l=%d", l)
 			series.Add(float64(k), benchkit.Minutes(m.Total))
 		}
 	}
@@ -281,10 +278,7 @@ func (b *bench) secureKLSweep(title string, keyBits int) error {
 }
 
 func (b *bench) fig2f() error {
-	fig := benchkit.NewFigure(
-		fmt.Sprintf("Fig 2(f): SkNNb vs SkNNm, n=%d, m=6, l=6, K=512 [scale=%s]",
-			b.sc.secureN, b.sc.name),
-		"k", "time (min)")
+	fig := benchkit.NewFigure("", "k", "time (min)")
 	basicSeries := fig.NewSeries("SkNNb")
 	secureSeries := fig.NewSeries("SkNNm")
 	for _, k := range b.sc.secureKs {
@@ -293,11 +287,13 @@ func (b *bench) fig2f() error {
 			return err
 		}
 		basicSeries.Add(float64(k), benchkit.Minutes(bd))
-		sm, err := b.secureMetrics(b.sc.secureN, 6, k, 6, 512)
+		sm, l, err := b.secureMetrics(b.sc.secureN, 6, k, 1, 512)
 		if err != nil {
 			return err
 		}
 		secureSeries.Add(float64(k), benchkit.Minutes(sm.Total))
+		fig.Title = fmt.Sprintf("Fig 2(f): SkNNb vs SkNNm, n=%d, m=6, l=%d, K=512 [scale=%s]",
+			b.sc.secureN, l, b.sc.name)
 	}
 	return fig.Fprint(os.Stdout)
 }
@@ -331,17 +327,16 @@ func (b *bench) fig3() error {
 }
 
 func (b *bench) sminnShare() error {
-	fig := benchkit.NewFigure(
-		fmt.Sprintf("Section 5.2: SMINn share of SkNNm cost, n=%d, m=6, l=6, K=512 [scale=%s]",
-			b.sc.secureN, b.sc.name),
-		"k", "share (%)")
+	fig := benchkit.NewFigure("", "k", "share (%)")
 	series := fig.NewSeries("SMINn")
 	for _, k := range b.sc.secureKs {
-		m, err := b.secureMetrics(b.sc.secureN, 6, k, 6, 512)
+		m, l, err := b.secureMetrics(b.sc.secureN, 6, k, 1, 512)
 		if err != nil {
 			return err
 		}
 		series.Add(float64(k), 100*m.SMINnShare())
+		fig.Title = fmt.Sprintf("Section 5.2: SMINn share of SkNNm cost, n=%d, m=6, l=%d, K=512 [scale=%s]",
+			b.sc.secureN, l, b.sc.name)
 	}
 	if err := fig.Fprint(os.Stdout); err != nil {
 		return err

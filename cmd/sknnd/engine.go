@@ -24,11 +24,10 @@ type engine struct {
 	// coord is the coordinator, with the in-process worker holding the
 	// table when it is local; its CommStats is what this process
 	// exchanges with C2.
-	coord      *core.Engine
-	dials      []io.Closer // the shard workers dialled, closed after coord
-	domainBits int
-	clustered  bool   // some shard carries a cluster index
-	desc       string // one line for the start-up log
+	coord     *core.Engine
+	dials     []io.Closer // the shard workers dialled, closed after coord
+	clustered bool        // some shard carries a cluster index
+	desc      string      // one line for the start-up log
 }
 
 // buildEngine stands an engine up from the topology half of a tenant
@@ -36,8 +35,9 @@ type engine struct {
 // whole-table snapshot served by one worker in this process, or shard
 // workers to dial, and C2 with Workers connections for every link pool
 // this process owns — the local worker's, and the coordinator's for the
-// merge and reveal. Dialled workers must agree on the key and on l; the
-// coordinator checks the rest of the topology.
+// merge and reveal. Dialled workers must agree on the key; the
+// coordinator checks the rest of the topology, and the table shape it
+// agrees on fixes l.
 func buildEngine(spec tenantSpec) (_ *engine, err error) {
 	if (spec.Table == "") == (len(spec.Shards) == 0) {
 		return nil, fmt.Errorf(`exactly one of "table" and "shards" must be set`)
@@ -59,7 +59,7 @@ func buildEngine(spec tenantSpec) (_ *engine, err error) {
 		if err != nil {
 			return nil, err
 		}
-		return &engine{coord: coord, domainBits: snap.DomainBits, clustered: table.Clustered(),
+		return &engine{coord: coord, clustered: table.Clustered(),
 			desc: fmt.Sprintf("local table %s (clustered=%v), C2 at %s, n=%d", spec.Table, table.Clustered(), spec.C2, coord.N())}, nil
 	}
 
@@ -84,13 +84,10 @@ func buildEngine(spec tenantSpec) (_ *engine, err error) {
 		}
 		e.dials = append(e.dials, rs)
 		if i == 0 {
-			pk, e.domainBits = rs.PK(), rs.DomainBits()
+			pk = rs.PK()
 		}
 		if rs.PK().N.Cmp(pk.N) != 0 {
 			return nil, fmt.Errorf("worker %d serves a different public key", i)
-		}
-		if rs.DomainBits() != e.domainBits {
-			return nil, fmt.Errorf("worker %d disagrees on the distance domain (l=%d vs %d)", i, rs.DomainBits(), e.domainBits)
 		}
 		e.clustered = e.clustered || rs.Info().Clustered
 		flat = append(flat, rs)
@@ -187,7 +184,7 @@ func (e *engine) query(base context.Context, bob *core.Client, q []uint64, k int
 	case "basic":
 		res, _, err = e.coord.BasicQuery(ctx, eq, k)
 	case "secure":
-		res, _, err = e.coord.SecureQuery(ctx, eq, k, e.domainBits, target)
+		res, _, err = e.coord.SecureQuery(ctx, eq, k, target)
 	default:
 		return nil, fmt.Errorf("unknown -mode %q", mode)
 	}

@@ -3,8 +3,10 @@ package main
 import (
 	"context"
 	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"net"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -64,10 +66,9 @@ func serveC2(t *testing.T, sk *paillier.PrivateKey) string {
 	})
 }
 
-// serveShard is `sknnd shard -replica replica` over one partition,
-// announcing domain size l. It returns the address to dial and the
-// worker, whose Close stops it answering scans.
-func serveShard(t *testing.T, pk *paillier.PublicKey, part *core.TableSnapshot, c2Addr string, index, count, l int) (string, *core.CloudC1) {
+// serveShard is `sknnd shard` over one partition. It returns the address
+// to dial and the worker, whose Close stops it answering scans.
+func serveShard(t *testing.T, pk *paillier.PublicKey, part *core.TableSnapshot, c2Addr string, index, count int) (string, *core.CloudC1) {
 	t.Helper()
 	table, err := core.RestoreTable(pk, part)
 	if err != nil {
@@ -82,7 +83,7 @@ func serveShard(t *testing.T, pk *paillier.PublicKey, part *core.TableSnapshot, 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c1.Close() })
-	srv, err := core.NewShardServer(c1, index, count, l)
+	srv, err := core.NewShardServer(c1, index, count)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,6 @@ func TestBuildEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := tbl.DomainBits()
 	enc, err := core.EncryptTable(rand.Reader, pk, tbl.Rows)
 	if err != nil {
 		t.Fatal(err)
@@ -117,13 +117,20 @@ func TestBuildEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	snapPath := filepath.Join(t.TempDir(), "table.snap")
-	if err := store.WriteFile(snapPath, pk, enc.Snapshot(), l); err != nil {
+	if err := store.WriteFile(snapPath, pk, enc.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	// The same table with l one bit short, and one shard of it alone: no
-	// C1 may serve either as a whole table.
+	// The same table with its header's l forged one bit short (the u32
+	// after the magic, version, flags, m, featureM and attrBits), and one
+	// shard of it alone: no C1 may serve either as a whole table.
+	understated, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const headerL = 8 + 2 + 2 + 4 + 4 + 4
+	binary.LittleEndian.PutUint32(understated[headerL:], uint32(tbl.DomainBits()-1))
 	understatedPath := filepath.Join(t.TempDir(), "understated.snap")
-	if err := store.WriteFile(understatedPath, pk, enc.Snapshot(), l-1); err != nil {
+	if err := os.WriteFile(understatedPath, understated, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	shardPaths, err := store.SplitFile(snapPath, filepath.Join(t.TempDir(), "table.snap"), 2)
@@ -137,7 +144,7 @@ func TestBuildEngine(t *testing.T) {
 	c2Addr := serveC2(t, sk)
 	shardAddrs := make([]string, len(parts))
 	for i, part := range parts {
-		shardAddrs[i], _ = serveShard(t, pk, part, c2Addr, i, 2, l)
+		shardAddrs[i], _ = serveShard(t, pk, part, c2Addr, i, 2)
 	}
 	// Two more workers per partition, listed replica by replica as an
 	// operator would: buildEngine groups them into two replica sets.
@@ -145,7 +152,7 @@ func TestBuildEngine(t *testing.T) {
 	var preferred *core.CloudC1 // replica 0 of shard 0: the balancer's first pick
 	for r := 0; r < 2; r++ {
 		for i, part := range parts {
-			addr, c1 := serveShard(t, pk, part, c2Addr, i, 2, l)
+			addr, c1 := serveShard(t, pk, part, c2Addr, i, 2)
 			replicaAddrs = append(replicaAddrs, addr)
 			if i == 0 && r == 0 {
 				preferred = c1
@@ -205,8 +212,8 @@ func TestBuildEngine(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer eng.Close()
-			if eng.domainBits != l || eng.clustered || eng.coord.PK().N.Cmp(pk.N) != 0 {
-				t.Errorf("engine reports l=%d clustered=%v, want l=%d unclustered under the table's key", eng.domainBits, eng.clustered, l)
+			if l := eng.coord.DomainBits(); l != tbl.DomainBits() || eng.clustered || eng.coord.PK().N.Cmp(pk.N) != 0 {
+				t.Errorf("engine reports l=%d clustered=%v, want l=%d unclustered under the table's key", l, eng.clustered, tbl.DomainBits())
 			}
 			if eng.coord.Shards() != tc.shards {
 				t.Errorf("coordinator over %d shards, want %d", eng.coord.Shards(), tc.shards)
@@ -224,7 +231,7 @@ func TestBuildEngine(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, sm, err := eng.coord.SecureQuery(context.Background(), eq, k, eng.domainBits, 0)
+				res, sm, err := eng.coord.SecureQuery(context.Background(), eq, k, 0)
 				if err != nil {
 					t.Fatalf("query after stopping a replica: %v", err)
 				}
@@ -285,15 +292,18 @@ func TestBuildEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		foreignShard, _ := serveShard(t, &other.PublicKey, foreignParts[1], serveC2(t, other), 1, 2, l)
-		otherL, _ := serveShard(t, pk, parts[1], c2Addr, 1, 2, l+1)
+		foreignShard, _ := serveShard(t, &other.PublicKey, foreignParts[1], serveC2(t, other), 1, 2)
+		// A worker whose table is one bit wider: another shape, so another l.
+		wider := *parts[1]
+		wider.AttrBits++
+		otherL, _ := serveShard(t, pk, &wider, c2Addr, 1, 2)
 		for _, tc := range []struct {
 			name string
 			spec tenantSpec
 			want string
 		}{
 			{"foreign key", tenantSpec{Shards: []string{shardAddrs[0], foreignShard}, C2: c2Addr}, "worker 1 serves a different public key"},
-			{"different l", tenantSpec{Shards: []string{shardAddrs[0], otherL}, C2: c2Addr}, "worker 1 disagrees on the distance domain"},
+			{"different l", tenantSpec{Shards: []string{shardAddrs[0], otherL}, C2: c2Addr}, "of 5-bit attributes, want 2/2 of 4"},
 			{"half a partition", tenantSpec{Shards: shardAddrs[:1], C2: c2Addr}, core.ErrShardTopology.Error()},
 			{"table and shards", tenantSpec{Table: snapPath, Shards: shardAddrs, C2: c2Addr}, "exactly one of"},
 			{"neither", tenantSpec{C2: c2Addr}, "exactly one of"},

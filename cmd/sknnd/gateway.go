@@ -93,7 +93,6 @@ func cmdGateway(args []string) {
 		cfg := gateway.TenantConfig{
 			Name:        ts.Name,
 			Token:       ts.Token,
-			DomainBits:  eng.domainBits,
 			RateQPS:     ts.RateQPS,
 			Burst:       ts.Burst,
 			MaxInflight: ts.MaxInflight,

@@ -367,7 +367,7 @@ func cmdShard(args []string) {
 		log.Fatal(err)
 	}
 	defer c1.Close()
-	srv, err := core.NewShardServer(c1, snap.ShardIndex, snap.ShardCount, snap.DomainBits)
+	srv, err := core.NewShardServer(c1, snap.ShardIndex, snap.ShardCount)
 	if err != nil {
 		log.Fatal(err)
 	}

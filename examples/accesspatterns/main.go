@@ -104,7 +104,7 @@ func main() {
 	// --- SkNNm ---
 	leakedIndices = nil
 	opCount = map[mpc.Op]int{}
-	if _, _, err := c1.SecureQuery(context.Background(), eq, k, tbl.DomainBits(), 0); err != nil {
+	if _, _, err := c1.SecureQuery(context.Background(), eq, k, 0); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\n=== SkNNm (fully secure protocol) ===")

@@ -103,7 +103,7 @@ func main() {
 	fmt.Printf("\nSkNNb over TCP: %v\n", rows)
 	fmt.Printf("  time %v, traffic %s\n", bm.Total.Round(1e6), bm.Comm)
 
-	res, sm, err := c1.SecureQuery(context.Background(), eq, 2, tbl.DomainBits(), 0)
+	res, sm, err := c1.SecureQuery(context.Background(), eq, 2, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -106,13 +106,13 @@ func (c *CloudC1) BasicQueryMetered(ctx context.Context, q EncryptedQuery, k int
 // clamped to the shard's live record count (a shard smaller than k
 // contributes everything it has). ctx cancels the scan between rounds —
 // the coordinator aborts every shard of a canceled scatter this way.
-func (c *CloudC1) TopK(ctx context.Context, q EncryptedQuery, k, domainBits, target int, secure bool) ([]Candidate, *SecureMetrics, error) {
+func (c *CloudC1) TopK(ctx context.Context, q EncryptedQuery, k, target int, secure bool) ([]Candidate, *SecureMetrics, error) {
 	s, err := c.NewSession(ctx)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer s.Close()
-	return s.TopK(q, k, domainBits, target, secure)
+	return s.TopK(q, k, target, secure)
 }
 
 // CoverageTarget converts a candidate-pool factor into the per-query

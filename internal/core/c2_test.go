@@ -458,7 +458,7 @@ func TestReplyRandomizersNeverRepeat(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			res, _, err := engine.SecureQuery(context.Background(), eq, k, tbl.DomainBits(), 0)
+			res, _, err := engine.SecureQuery(context.Background(), eq, k, 0)
 			if err != nil {
 				t.Error(err)
 				return

@@ -23,14 +23,8 @@ import (
 func newClusteredSystem(t *testing.T, tbl *dataset.Table, c, workers int) (*Engine, *Client) {
 	t.Helper()
 	sk := testKey()
-	if err := tbl.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	encTable := encryptDataset(t, sk, tbl)
 	part, err := cluster.KMeans(tbl.Rows, c, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	encTable, err := EncryptTable(rand.Reader, &sk.PublicKey, tbl.Rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,13 +36,13 @@ func newClusteredSystem(t *testing.T, tbl *dataset.Table, c, workers int) (*Engi
 
 // secureClusteredDistances runs the pruned protocol and returns the
 // sorted squared distances of the returned records plus the metrics.
-func secureClusteredDistances(t *testing.T, c1 *Engine, bob *Client, q []uint64, k, l, target int) ([]uint64, *SecureMetrics) {
+func secureClusteredDistances(t *testing.T, c1 *Engine, bob *Client, q []uint64, k, target int) ([]uint64, *SecureMetrics) {
 	t.Helper()
 	eq, err := bob.EncryptQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, metrics, err := c1.SecureQuery(context.Background(), eq, k, l, target)
+	res, metrics, err := c1.SecureQuery(context.Background(), eq, k, target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,12 +144,12 @@ func TestSecureClusteredRequiresIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	if _, err := sess.NearestCluster(eq, tbl.DomainBits()); !errors.Is(err, ErrNotClustered) {
+	if _, err := sess.NearestCluster(eq); !errors.Is(err, ErrNotClustered) {
 		t.Errorf("error = %v, want ErrNotClustered", err)
 	}
 	// A query has no such need: a candidate-pool target on a table
 	// without an index is a full scan, on one shard as on many.
-	_, metrics, err := c1.SecureQuery(context.Background(), eq, 2, tbl.DomainBits(), 4)
+	_, metrics, err := c1.SecureQuery(context.Background(), eq, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +170,7 @@ func TestSecureClusteredMatchesOracleOnClusteredData(t *testing.T) {
 	c1, bob := newClusteredSystem(t, tbl, 6, 1)
 	q := tbl.Rows[17] // a real row: firmly inside one blob
 	k := 3
-	got, metrics := secureClusteredDistances(t, c1, bob, q, k, tbl.DomainBits(), 4*k)
+	got, metrics := secureClusteredDistances(t, c1, bob, q, k, 4*k)
 	want, err := plainknn.KDistances(tbl.Rows, q, k)
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +209,7 @@ func TestSecureClusteredMatchesOracleOnUniformData(t *testing.T) {
 	k := 2
 	// Coverage target of half the table: enough that the true neighbors'
 	// clusters are certainly probed for this (fixed) instance.
-	got, metrics := secureClusteredDistances(t, c1, bob, q, k, tbl.DomainBits(), 32)
+	got, metrics := secureClusteredDistances(t, c1, bob, q, k, 32)
 	want, err := plainknn.KDistances(tbl.Rows, q, k)
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +234,7 @@ func TestSecureScanCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := 3
-	_, metrics, err := c1.SecureQuery(context.Background(), eq, k, tbl.DomainBits(), 0)
+	_, metrics, err := c1.SecureQuery(context.Background(), eq, k, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +265,7 @@ func TestClusteredSMINReduction(t *testing.T) {
 	}
 	c1, bob := newClusteredSystem(t, tbl, c, 1)
 	q := tbl.Rows[123]
-	got, metrics := secureClusteredDistances(t, c1, bob, q, k, tbl.DomainBits(), 4*k)
+	got, metrics := secureClusteredDistances(t, c1, bob, q, k, 4*k)
 
 	want, err := plainknn.KDistances(tbl.Rows, q, k)
 	if err != nil {
@@ -308,6 +302,10 @@ func rankingSystem(t *testing.T, cents [][]uint64, sizes []int, hollow ...int) (
 	}
 	sk := testKey()
 	enc, err := EncryptTable(rand.Reader, &sk.PublicKey, rows)
+	if err == nil {
+		// A 4-bit domain whatever the centroids: l = DomainBits(4, 2).
+		enc, err = enc.WithAttrBits(4)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +391,7 @@ func TestRankClustersMatchesPlaintextOrder(t *testing.T) {
 			}
 			defer s.Close()
 			metrics := &SecureMetrics{}
-			got, err := s.rankClusters(eq, dataset.DomainBits(4, 2), tc.target, metrics)
+			got, err := s.rankClusters(eq, tc.target, metrics)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -437,7 +435,7 @@ func TestNearestClusterIsOneRound(t *testing.T) {
 			defer s.Close()
 			l := dataset.DomainBits(4, 2)
 			before := s.CommStats()
-			got, err := s.NearestCluster(eq, l)
+			got, err := s.NearestCluster(eq)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -494,7 +492,7 @@ func TestClusteredC2Surface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, metrics, err := c1.SecureQuery(context.Background(), eq, 2, tbl.DomainBits(), 8)
+	res, metrics, err := c1.SecureQuery(context.Background(), eq, 2, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +513,7 @@ func TestClusteredC2Surface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := s.NearestCluster(route, tbl.DomainBits())
+	j, err := s.NearestCluster(route)
 	s.Close()
 	if err != nil {
 		t.Fatal(err)

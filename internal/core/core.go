@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 
-	"sknn/internal/dataset"
 	"sknn/internal/mpc"
 	"sknn/internal/paillier"
 )
@@ -86,7 +85,9 @@ func ctxErr(ctx context.Context) error {
 }
 
 // CheckDomainBits reports whether SkNNm can run at squared-distance
-// domain size l under pk. A comparator of the selection network compares
+// domain size l under pk. l is the table's: dataset.DomainBits of its
+// attribute width and feature columns, derived where a session opens and
+// nowhere taken as input. A comparator of the selection network compares
 // two distances by the top bit of t = 2^l + a − b, peeled inside one slot
 // of the packed codec (smc.SMINValuePairsBatch): l + 1 value bits plus
 // paillier.PackHeadroom = 66 spare ones (σ = 64 of statistical blinding
@@ -97,9 +98,10 @@ func ctxErr(ctx context.Context) error {
 // below 2^max(l+1, c·b+1), one to a slot at least, where c·b — c columns
 // of the table's attribute width b — stays under half the plaintext
 // (rowLayoutFor); l sizes the comparison, b the records, and l ≥ 2b by
-// checkTableDomain. A layer of the network is l + 1
+// derivation. A layer of the network is l + 1
 // round trips, the peel's, whose last also selects. Anything else is
-// ErrDomainBits at every entry point; there is no slower path to drop to.
+// ErrDomainBits at every SkNNm entry point; there is no slower path to
+// drop to.
 func CheckDomainBits(pk *paillier.PublicKey, l int) error {
 	if l < 1 {
 		return fmt.Errorf("%w: l=%d", ErrDomainBits, l)
@@ -109,19 +111,6 @@ func CheckDomainBits(pk *paillier.PublicKey, l int) error {
 			ErrDomainBits, l, pk.Bits())
 	}
 	return nil
-}
-
-// checkTableDomain is CheckDomainBits for a table of featureM feature
-// columns attrBits wide: l must also cover their squared-distance domain,
-// dataset.DomainBits(attrBits, featureM) — the l store.Read admits —
-// below which a comparator's top bit no longer orders two distances and
-// SkNNm would answer wrong. l arrives from outside (a tenant's config,
-// an OpShardTopK frame), so every entry point that takes it checks.
-func checkTableDomain(pk *paillier.PublicKey, l, attrBits, featureM int) error {
-	if least := dataset.DomainBits(attrBits, featureM); l < least {
-		return fmt.Errorf("%w: l=%d is below the table's domain, l=%d", ErrDomainBits, l, least)
-	}
-	return CheckDomainBits(pk, l)
 }
 
 func validateK(k, n int) error {

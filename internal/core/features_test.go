@@ -4,8 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"testing"
-
-	"sknn/internal/dataset"
 )
 
 // newFeatureSystem outsources rows with the first f columns as distance
@@ -49,8 +47,7 @@ func TestFeatureColumnsIgnoreLabels(t *testing.T) {
 			// The attribute domain covers every column, labels included:
 			// both protocols row-pack whole records into slots of the
 			// table's width, b = 9.
-			l := dataset.DomainBits(9, 2)
-			res, _, err = c1.SecureQuery(context.Background(), eq, 1, l, 0)
+			res, _, err = c1.SecureQuery(context.Background(), eq, 1, 0)
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)

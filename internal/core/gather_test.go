@@ -120,7 +120,6 @@ func TestStreamingVsSerialDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := dataset.DomainBits(attrBits, m)
 	whole, bob := newSystem(t, tbl, 2)
 	for _, remote := range []bool{false, true} {
 		coord, _ := newShardedSystem(t, tbl, 3, 2, remote)
@@ -129,7 +128,7 @@ func TestStreamingVsSerialDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, sm, err := coord.SecureQuery(context.Background(), eq, k, l, 0)
+			res, sm, err := coord.SecureQuery(context.Background(), eq, k, 0)
 			if err != nil {
 				t.Fatalf("remote=%v sharded: %v", remote, err)
 			}
@@ -141,7 +140,7 @@ func TestStreamingVsSerialDifferential(t *testing.T) {
 				t.Errorf("sharded metrics missing scatter shape: %+v", sm)
 			}
 			sharded := sortedDistances(t, got, q)
-			serial := sortedDistances(t, runSecure(t, whole, bob, q, k, l), q)
+			serial := sortedDistances(t, runSecure(t, whole, bob, q, k), q)
 			for i := range sharded {
 				if sharded[i] != serial[i] {
 					t.Fatalf("remote=%v q=%v: sharded distances %v, serial %v", remote, q, sharded, serial)
@@ -161,7 +160,6 @@ func TestStreamingDeadShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := dataset.DomainBits(attrBits, m)
 	errDead := errors.New("shard hardware on fire")
 	coord, bob := newWrappedSharded(t, tbl, 3, 1, func(i int, s Shard) Shard {
 		if i == 1 {
@@ -175,7 +173,7 @@ func TestStreamingDeadShard(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := coord.SecureQuery(context.Background(), eq, k, l, 0)
+		_, _, err := coord.SecureQuery(context.Background(), eq, k, 0)
 		done <- err
 	}()
 	select {
@@ -201,7 +199,6 @@ func TestStreamingMidStreamCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := dataset.DomainBits(attrBits, m)
 	first := make(chan struct{})
 	coord, bob := newWrappedSharded(t, tbl, 2, 1, func(i int, s Shard) Shard {
 		if i == 0 {
@@ -217,7 +214,7 @@ func TestStreamingMidStreamCancel(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := coord.SecureQuery(ctx, eq, k, l, 0)
+		_, _, err := coord.SecureQuery(ctx, eq, k, 0)
 		done <- err
 	}()
 	select {
@@ -246,14 +243,13 @@ func TestStreamingSingleShardFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := dataset.DomainBits(attrBits, m)
 	coord, bob := newShardedSystem(t, tbl, 1, 1, false)
 	q := []uint64{8, 2}
 	eq, err := bob.EncryptQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, sm, err := coord.SecureQuery(context.Background(), eq, k, l, 0)
+	res, sm, err := coord.SecureQuery(context.Background(), eq, k, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +278,6 @@ func TestStreamingConcurrentChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := dataset.DomainBits(attrBits, m)
 	coord, bob := newShardedSystem(t, tbl, 2, 2, false)
 	const queries = 4
 	errs := make([]error, queries)
@@ -297,7 +292,7 @@ func TestStreamingConcurrentChurn(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			res, _, err := coord.SecureQuery(context.Background(), eq, k, l, 0)
+			res, _, err := coord.SecureQuery(context.Background(), eq, k, 0)
 			if err != nil {
 				errs[i] = err
 				return

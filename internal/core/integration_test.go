@@ -78,7 +78,7 @@ func TestExample1HeartDiseaseKNNBasic(t *testing.T) {
 func TestExample1HeartDiseaseKNNSecure(t *testing.T) {
 	tbl := dataset.HeartDiseaseFeatures()
 	c1, bob := newSystem(t, tbl, 1)
-	got := runSecure(t, c1, bob, dataset.HeartExampleQuery, 2, tbl.DomainBits())
+	got := runSecure(t, c1, bob, dataset.HeartExampleQuery, 2)
 	assertMatchesOracle(t, tbl, dataset.HeartExampleQuery, 2, got)
 }
 
@@ -101,10 +101,9 @@ func TestSecureMatchesOracleRandom(t *testing.T) {
 		t.Fatal(err)
 	}
 	q, _ := dataset.GenerateQuery(22, 2, 3)
-	l := tbl.DomainBits()
 	c1, bob := newSystem(t, tbl, 1)
 	for _, k := range []int{1, 2, 4} {
-		got := runSecure(t, c1, bob, q, k, l)
+		got := runSecure(t, c1, bob, q, k)
 		assertMatchesOracle(t, tbl, q, k, got)
 	}
 }
@@ -119,7 +118,7 @@ func TestSecureWithDuplicateRecords(t *testing.T) {
 	}
 	q := []uint64{1, 1}
 	c1, bob := newSystem(t, tbl, 1)
-	got := runSecure(t, c1, bob, q, 3, tbl.DomainBits())
+	got := runSecure(t, c1, bob, q, 3)
 	assertMatchesOracle(t, tbl, q, 3, got)
 	// The two zero-distance duplicates must both be returned.
 	zeros := 0
@@ -140,7 +139,7 @@ func TestSecureKEqualsN(t *testing.T) {
 	}
 	q := []uint64{1, 1}
 	c1, bob := newSystem(t, tbl, 1)
-	got := runSecure(t, c1, bob, q, 3, tbl.DomainBits())
+	got := runSecure(t, c1, bob, q, 3)
 	assertMatchesOracle(t, tbl, q, 3, got)
 }
 
@@ -167,7 +166,7 @@ func TestParallelSecureMatchesOracle(t *testing.T) {
 	tbl, _ := dataset.Generate(41, 9, 2, 3)
 	q, _ := dataset.GenerateQuery(42, 2, 3)
 	c1, bob := newSystem(t, tbl, 3)
-	got := runSecure(t, c1, bob, q, 2, tbl.DomainBits())
+	got := runSecure(t, c1, bob, q, 2)
 	assertMatchesOracle(t, tbl, q, 2, got)
 }
 
@@ -196,7 +195,7 @@ func TestSecureMetrics(t *testing.T) {
 	q, _ := dataset.GenerateQuery(62, 2, 3)
 	c1, bob := newSystem(t, tbl, 1)
 	eq, _ := bob.EncryptQuery(q)
-	_, m, err := c1.SecureQuery(context.Background(), eq, 2, tbl.DomainBits(), 0)
+	_, m, err := c1.SecureQuery(context.Background(), eq, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,9 +235,6 @@ func TestQueryValidation(t *testing.T) {
 	}
 	if _, _, err := c1.BasicQuery(context.Background(), eq, 6); err == nil {
 		t.Error("k>n accepted")
-	}
-	if _, _, err := c1.SecureQuery(context.Background(), eq, 2, 0, 0); err == nil {
-		t.Error("l=0 accepted")
 	}
 	short := eq[:2]
 	if _, _, err := c1.BasicQuery(context.Background(), short, 1); err == nil {

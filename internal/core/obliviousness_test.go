@@ -20,7 +20,7 @@ func secureComm(t *testing.T, tbl *dataset.Table, q []uint64, k int) mpc.StatsSn
 		t.Fatal(err)
 	}
 	before := c1.CommStats()
-	if _, _, err := c1.SecureQuery(context.Background(), eq, k, tbl.DomainBits(), 0); err != nil {
+	if _, _, err := c1.SecureQuery(context.Background(), eq, k, 0); err != nil {
 		t.Fatal(err)
 	}
 	return c1.CommStats().Sub(before)
@@ -167,7 +167,7 @@ func TestSkNNmTranscriptShapeIsDataIndependent(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, _, err := coord.SecureQuery(context.Background(), eq, tc.k, tbl.DomainBits(), 0)
+				res, _, err := coord.SecureQuery(context.Background(), eq, tc.k, 0)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -34,7 +34,7 @@ func TestPropertySecureMatchesOracle(t *testing.T) {
 			return false
 		}
 		c1, bob := newSystem(t, tbl, 1)
-		got := runSecure(t, c1, bob, q, k, tbl.DomainBits())
+		got := runSecure(t, c1, bob, q, k)
 		want, err := plainknn.KDistances(tbl.Rows, q, k)
 		if err != nil {
 			return false

@@ -196,7 +196,7 @@ func requeueable(err error) bool {
 // a different replica could do better on and the ctx still wants the
 // answer. Each attempt lands on a replica not yet marked dead, so a
 // query retries at most R−1 times before ErrNoReplicas.
-func (rs *ReplicaSet) TopK(ctx context.Context, q EncryptedQuery, k, domainBits, target int, secure bool) ([]Candidate, *SecureMetrics, error) {
+func (rs *ReplicaSet) TopK(ctx context.Context, q EncryptedQuery, k, _, target int, secure bool) ([]Candidate, *SecureMetrics, error) {
 	for attempt := 0; ; attempt++ {
 		if err := ctxErr(ctx); err != nil {
 			return nil, nil, err
@@ -205,7 +205,7 @@ func (rs *ReplicaSet) TopK(ctx context.Context, q EncryptedQuery, k, domainBits,
 		if err != nil {
 			return nil, nil, err
 		}
-		cands, sm, err := rs.replicas[i].TopK(ctx, q, k, domainBits, target, secure)
+		cands, sm, err := rs.replicas[i].TopK(ctx, q, k, 0, target, secure)
 		rs.release(i)
 		if err == nil {
 			if attempt > 0 {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"sync"
@@ -229,11 +228,7 @@ type replicatedSystem struct {
 func newReplicatedSystem(t *testing.T, tbl *dataset.Table, shards, replicas int, remote bool) *replicatedSystem {
 	t.Helper()
 	sk := testKey()
-	encTable, err := EncryptTable(rand.Reader, &sk.PublicKey, tbl.Rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts, err := encTable.Snapshot().Split(shards)
+	parts, err := encryptDataset(t, sk, tbl).Snapshot().Split(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +259,7 @@ func newReplicatedSystem(t *testing.T, tbl *dataset.Table, shards, replicas int,
 			}
 			c1s = append(c1s, c1)
 			if remote {
-				srv, err := NewShardServer(c1, i, shards, tbl.DomainBits())
+				srv, err := NewShardServer(c1, i, shards)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -337,7 +332,6 @@ func runFailoverMidLoad(t *testing.T, remote bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := dataset.DomainBits(attrBits, m)
 	sys := newReplicatedSystem(t, tbl, shards, replicas, remote)
 
 	queries := [][]uint64{{7, 3}, {1, 14}, {15, 0}, {4, 9}}
@@ -355,7 +349,7 @@ func runFailoverMidLoad(t *testing.T, remote bool) {
 				outs <- outcome{q: q, err: err}
 				return
 			}
-			res, sm, err := sys.coord.SecureQuery(context.Background(), eq, k, l, 0)
+			res, sm, err := sys.coord.SecureQuery(context.Background(), eq, k, 0)
 			if err != nil {
 				outs <- outcome{q: q, err: err}
 				return
@@ -391,7 +385,7 @@ func runFailoverMidLoad(t *testing.T, remote bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, sm, err := sys.coord.SecureQuery(context.Background(), eq, k, l, 0)
+	res, sm, err := sys.coord.SecureQuery(context.Background(), eq, k, 0)
 	if err != nil {
 		t.Fatalf("tail query after kill: %v", err)
 	}

@@ -80,7 +80,7 @@ func secureRowsWithLayout(t *testing.T, sk *paillier.PrivateKey, rows [][]uint64
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := c1.SecureQuery(context.Background(), eq, k, l, 0)
+	res, _, err := c1.SecureQuery(context.Background(), eq, k, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestOneRenderingPerRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	afterBasic := packed()
-	res, _, err := cloud.SecureQuery(context.Background(), eq, 2, tbl.DomainBits(), 0)
+	res, _, err := cloud.SecureQuery(context.Background(), eq, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,13 +489,12 @@ func TestMergeRejectsForeignLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := tbl.DomainBits()
 	c1, bob := newSystem(t, tbl, 1)
 	eq, err := bob.EncryptQuery([]uint64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands, _, err := c1.Workers[0].TopK(context.Background(), eq, 2, l, 0, true)
+	cands, _, err := c1.Workers[0].TopK(context.Background(), eq, 2, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +510,7 @@ func TestMergeRejectsForeignLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := s.mergeCandidates([][]Candidate{cands}, 1, l, &SecureMetrics{}); !errors.Is(err, ErrBadFrame) {
+	if _, err := s.mergeCandidates([][]Candidate{cands}, 1, &SecureMetrics{}); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("merging per-attribute candidates on a packed session: err = %v, want ErrBadFrame", err)
 	}
 }
@@ -537,8 +536,7 @@ func TestNoGateRecordsAreRerandomized(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	l := tbl.DomainBits()
-	cands, _, err := s.TopK(eq, 3, l, 0, true)
+	cands, _, err := s.TopK(eq, 3, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,12 +102,12 @@ func (m *SecureMetrics) add(o *SecureMetrics) {
 // machinery the records get, select nearest clusters until their
 // members hold at least max(k, target) records, and pool those
 // clusters' live members.
-func (s *QuerySession) prunedCandidates(q EncryptedQuery, k, domainBits, target int, metrics *SecureMetrics) ([]int, error) {
+func (s *QuerySession) prunedCandidates(q EncryptedQuery, k, target int, metrics *SecureMetrics) ([]int, error) {
 	if target < k {
 		target = k
 	}
 	phase := time.Now()
-	clusters, err := s.rankClusters(q, domainBits, target, metrics)
+	clusters, err := s.rankClusters(q, target, metrics)
 	if err != nil {
 		return nil, err
 	}
@@ -135,19 +135,19 @@ func (s *QuerySession) prunedCandidates(q EncryptedQuery, k, domainBits, target 
 // attribute values. The plaintext alternative — the owner retains the
 // centroids and assigns locally — leaks nothing at insert time but
 // requires owner-side state; see docs/PROTOCOLS.md.
-func (s *QuerySession) NearestCluster(q EncryptedQuery, domainBits int) (int, error) {
+func (s *QuerySession) NearestCluster(q EncryptedQuery) (int, error) {
 	if !s.tbl.Clustered() {
 		return 0, ErrNotClustered
 	}
 	if err := s.checkQuery(q); err != nil {
 		return 0, err
 	}
-	if err := checkTableDomain(s.pk, domainBits, s.attrBits, s.featureM); err != nil {
+	if err := CheckDomainBits(s.pk, s.l); err != nil {
 		return 0, err
 	}
 	// The nearest centroid is the answer even when deletes have hollowed
 	// its cluster out: one ranking round, whatever its winner still holds.
-	r, err := s.rankingOf(q, domainBits, &SecureMetrics{})
+	r, err := s.rankingOf(q, &SecureMetrics{})
 	if err != nil {
 		return 0, err
 	}
@@ -157,8 +157,8 @@ func (s *QuerySession) NearestCluster(q EncryptedQuery, domainBits int) (int, er
 // rankClusters is the clustered index's query-time phase: the nearest
 // centroids, in rank order, until the chosen clusters hold at least
 // target live records or every cluster is chosen.
-func (s *QuerySession) rankClusters(q EncryptedQuery, domainBits, target int, metrics *SecureMetrics) ([]int, error) {
-	r, err := s.rankingOf(q, domainBits, metrics)
+func (s *QuerySession) rankClusters(q EncryptedQuery, target int, metrics *SecureMetrics) ([]int, error) {
+	r, err := s.rankingOf(q, metrics)
 	if err != nil {
 		return nil, err
 	}
@@ -195,7 +195,6 @@ func (s *QuerySession) rankClusters(q EncryptedQuery, domainBits, target int, me
 // centroids at equal distance the larger id ranks first.
 type clusterRanking struct {
 	s       *QuerySession
-	l       int
 	idBits  int         // every id is below 2^idBits: the record width
 	leaves  []Candidate // (E(dⱼ), E(j)) for every centroid j
 	live    []int       // the clusters not yet chosen
@@ -205,7 +204,7 @@ type clusterRanking struct {
 
 // rankingOf starts a ranking of the session's centroids against q: their
 // packed SSED distances, and their ids encrypted by C1.
-func (s *QuerySession) rankingOf(q EncryptedQuery, domainBits int, metrics *SecureMetrics) (*clusterRanking, error) {
+func (s *QuerySession) rankingOf(q EncryptedQuery, metrics *SecureMetrics) (*clusterRanking, error) {
 	packed, err := s.tbl.packedCentroids()
 	if err != nil {
 		return nil, err
@@ -229,7 +228,7 @@ func (s *QuerySession) rankingOf(q EncryptedQuery, domainBits int, metrics *Secu
 		leaves[j] = Candidate{Dist: ds[j], Rec: EncryptedRecord{encIDs[j]}}
 	}
 	idBits := max(1, bits.Len(uint(c-1)))
-	return &clusterRanking{s: s, l: domainBits, idBits: idBits, leaves: leaves, live: live, metrics: metrics}, nil
+	return &clusterRanking{s: s, idBits: idBits, leaves: leaves, live: live, metrics: metrics}, nil
 }
 
 // next runs one ranking round and returns its winner, the nearest
@@ -248,7 +247,7 @@ func (r *clusterRanking) next() (int, error) {
 	if r.units == nil {
 		wires := append([]Candidate(nil), r.leaves...)
 		first := topKNetwork(len(wires), 1)[0]
-		if err := s.runNetwork(wires, [][]comparator{first}, r.l, r.idBits); err != nil {
+		if err := s.runNetwork(wires, [][]comparator{first}, r.idBits); err != nil {
 			return 0, fmt.Errorf("core: centroid ranking (round 1): %w", err)
 		}
 		for _, g := range first {
@@ -263,7 +262,7 @@ func (r *clusterRanking) next() (int, error) {
 	for i, u := range r.units {
 		wires[i] = u.min
 	}
-	if err := s.runNetwork(wires, topKNetwork(len(wires), 1), r.l, r.idBits); err != nil {
+	if err := s.runNetwork(wires, topKNetwork(len(wires), 1), r.idBits); err != nil {
 		return 0, fmt.Errorf("core: centroid ranking (round %d): %w", round, err)
 	}
 	r.metrics.SMINCount += len(r.live) - 1
@@ -291,7 +290,7 @@ func (r *clusterRanking) next() (int, error) {
 // full scan passes every live record, the pruned path the probed
 // clusters' members: SSED (candidateDistances), the records in the
 // session's row layout, and the selection network (selectTopK).
-func (s *QuerySession) scanTopK(q EncryptedQuery, k, domainBits int, idx []int, metrics *SecureMetrics) ([]Candidate, error) {
+func (s *QuerySession) scanTopK(q EncryptedQuery, k int, idx []int, metrics *SecureMetrics) ([]Candidate, error) {
 	ds, err := s.candidateDistances(q, idx, metrics)
 	if err != nil {
 		return nil, err
@@ -304,7 +303,7 @@ func (s *QuerySession) scanTopK(q EncryptedQuery, k, domainBits int, idx []int, 
 		return nil, err
 	}
 	metrics.Extract += time.Since(phase)
-	return s.selectTopK(records, ds, k, domainBits, metrics)
+	return s.selectTopK(records, ds, k, metrics)
 }
 
 // candidateRecords lists the candidates' records.
@@ -366,7 +365,7 @@ func (s *QuerySession) candidateDistances(q EncryptedQuery, idx []int, metrics *
 // one more network. dists is E(dᵢ) for every candidate (SSED's output, or
 // a gathered Candidate.Dist). With n ≤ k no gate runs, and the records
 // are re-randomized instead, so that none reaches the reveal as stored.
-func (s *QuerySession) selectTopK(records [][]*paillier.Ciphertext, dists []*paillier.Ciphertext, k, domainBits int, metrics *SecureMetrics) ([]Candidate, error) {
+func (s *QuerySession) selectTopK(records [][]*paillier.Ciphertext, dists []*paillier.Ciphertext, k int, metrics *SecureMetrics) ([]Candidate, error) {
 	n := len(records)
 	if len(dists) != n {
 		return nil, fmt.Errorf("core: %d candidate distances, %d records", len(dists), n)
@@ -390,7 +389,7 @@ func (s *QuerySession) selectTopK(records [][]*paillier.Ciphertext, dists []*pai
 		}
 	}
 	// Every chunk is below 2^(Cols·Bits).
-	if err := s.runNetwork(wires, layers, domainBits, s.layout.Cols*s.layout.Bits); err != nil {
+	if err := s.runNetwork(wires, layers, s.layout.Cols*s.layout.Bits); err != nil {
 		return nil, err
 	}
 	metrics.SMINn += time.Since(phase)
@@ -402,14 +401,14 @@ func (s *QuerySession) selectTopK(records [][]*paillier.Ciphertext, dists []*pai
 // every wire's record recBits-wide chunks — the one loop through which
 // the engine compares anything: the scan's and merge's top-k and the
 // cluster ranking's tournaments.
-func (s *QuerySession) runNetwork(wires []Candidate, layers [][]comparator, l, recBits int) error {
+func (s *QuerySession) runNetwork(wires []Candidate, layers [][]comparator, recBits int) error {
 	for d, layer := range layers {
 		// Layer boundary: a canceled query abandons the rest of the network
 		// (the transport also enforces this mid-layer, frame by frame).
 		if err := s.ctxErr(); err != nil {
 			return err
 		}
-		if err := s.compareLayer(wires, layer, l, recBits); err != nil {
+		if err := s.compareLayer(wires, layer, recBits); err != nil {
 			return fmt.Errorf("core: selection layer %d of %d: %w", d+1, len(layers), err)
 		}
 	}
@@ -420,9 +419,9 @@ func (s *QuerySession) runNetwork(wires []Candidate, layers [][]comparator, l, r
 // place: every gate one value-domain comparison
 // (smc.SMINValuePairsBatch, l+1 round trips however many), spread across
 // the session's streams, its minimum, record and all, onto its wire i,
-// and the maximum onto j where the gate keeps both. l must satisfy
-// CheckDomainBits; every entry point does.
-func (s *QuerySession) compareLayer(wires []Candidate, layer []comparator, l, recBits int) error {
+// and the maximum onto j where the gate keeps both. The session's l must
+// satisfy CheckDomainBits; every SkNNm entry point checks it.
+func (s *QuerySession) compareLayer(wires []Candidate, layer []comparator, recBits int) error {
 	pairs := make([]smc.SMINValuePair, len(layer))
 	for p, g := range layer {
 		a, b := wires[g.i], wires[g.j]
@@ -431,7 +430,7 @@ func (s *QuerySession) compareLayer(wires []Candidate, layer []comparator, l, re
 	mins := make([]*paillier.Ciphertext, len(pairs))
 	recs := make([][]*paillier.Ciphertext, len(pairs))
 	err := s.parallelOverRecords(len(pairs), func(rq *smc.Requester, lo, hi int) error {
-		m, r, err := rq.SMINValuePairsBatch(pairs[lo:hi], l, recBits)
+		m, r, err := rq.SMINValuePairsBatch(pairs[lo:hi], s.l, recBits)
 		if err != nil {
 			return err
 		}
@@ -477,7 +476,7 @@ func (s *QuerySession) rerandomized(rec EncryptedRecord) (EncryptedRecord, error
 // for SkNNb E(d) plus the record, nearest first). k is clamped to the shard's
 // live record count: a shard smaller than k contributes everything it
 // has, and an empty shard contributes nothing.
-func (s *QuerySession) TopK(q EncryptedQuery, k, domainBits, target int, secure bool) ([]Candidate, *SecureMetrics, error) {
+func (s *QuerySession) TopK(q EncryptedQuery, k, target int, secure bool) ([]Candidate, *SecureMetrics, error) {
 	if err := s.checkQuery(q); err != nil {
 		return nil, nil, err
 	}
@@ -490,7 +489,7 @@ func (s *QuerySession) TopK(q EncryptedQuery, k, domainBits, target int, secure 
 	if !secure {
 		return s.basicTopK(q, k)
 	}
-	if err := checkTableDomain(s.pk, domainBits, s.attrBits, s.featureM); err != nil {
+	if err := CheckDomainBits(s.pk, s.l); err != nil {
 		return nil, nil, err
 	}
 	metrics := &SecureMetrics{}
@@ -500,7 +499,7 @@ func (s *QuerySession) TopK(q EncryptedQuery, k, domainBits, target int, secure 
 	var idx []int
 	var err error
 	if s.tbl.Clustered() && target > 0 {
-		idx, err = s.prunedCandidates(q, k, domainBits, target, metrics)
+		idx, err = s.prunedCandidates(q, k, target, metrics)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -510,7 +509,7 @@ func (s *QuerySession) TopK(q EncryptedQuery, k, domainBits, target int, secure 
 	}
 	// Shard-local candidates ship their composed E(d) to the coordinator's
 	// merge — every gate of the network produces it for free.
-	cands, err := s.scanTopK(q, k, domainBits, idx, metrics)
+	cands, err := s.scanTopK(q, k, idx, metrics)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -525,7 +524,7 @@ func (s *QuerySession) TopK(q EncryptedQuery, k, domainBits, target int, secure 
 // directly, so no bit decomposition happens at the merge boundary at all.
 // Nothing is assumed about the order within a set. k is clamped to the
 // candidates the lists hold.
-func (s *QuerySession) mergeCandidates(lists [][]Candidate, k, domainBits int, metrics *SecureMetrics) ([]Candidate, error) {
+func (s *QuerySession) mergeCandidates(lists [][]Candidate, k int, metrics *SecureMetrics) ([]Candidate, error) {
 	chunks := s.layout.Chunks(s.m)
 	var records [][]*paillier.Ciphertext
 	var ds []*paillier.Ciphertext
@@ -547,7 +546,7 @@ func (s *QuerySession) mergeCandidates(lists [][]Candidate, k, domainBits int, m
 			ds = append(ds, cand.Dist)
 		}
 	}
-	return s.selectTopK(records, ds, min(k, len(ds)), domainBits, metrics)
+	return s.selectTopK(records, ds, min(k, len(ds)), metrics)
 }
 
 // unit is one gate of the cluster ranking's kept first layer: leaves a

@@ -31,26 +31,28 @@ func networkRounds(n, k, l int) int {
 // TestSelectionCostModel replaces magic round counts with the formula:
 // over a grid of n, k and l, a one-link full scan takes exactly 1 SSED +
 // networkRounds(n, k, l) + 1 reveal round trips and answers like the
-// plaintext oracle.
+// plaintext oracle. l is the table's, so the grid sweeps it through the
+// shape: DomainBits(2, 2) = 6 and DomainBits(5, 2) = 12.
 func TestSelectionCostModel(t *testing.T) {
-	for _, n := range []int{2, 3, 5, 8, 9} {
-		tbl, err := dataset.Generate(int64(700+n), n, 2, 2) // DomainBits(2, 2) = 6
-		if err != nil {
-			t.Fatal(err)
-		}
-		c1, bob := newSystem(t, tbl, 1)
-		q := []uint64{1, 2}
-		eq, err := bob.EncryptQuery(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range []int{1, 2, 3, n} {
-			if k > n || (k == n && k <= 3) {
-				continue
+	for _, attrBits := range []int{2, 5} {
+		for _, n := range []int{2, 3, 5, 8, 9} {
+			tbl, err := dataset.Generate(int64(700+n), n, 2, attrBits)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, l := range []int{6, 12} {
+			c1, bob := newSystem(t, tbl, 1)
+			l := c1.DomainBits()
+			q := []uint64{1, 2}
+			eq, err := bob.EncryptQuery(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []int{1, 2, 3, n} {
+				if k > n || (k == n && k <= 3) {
+					continue
+				}
 				t.Run(fmt.Sprintf("n=%d/k=%d/l=%d", n, k, l), func(t *testing.T) {
-					res, metrics, err := c1.SecureQuery(context.Background(), eq, k, l, 0)
+					res, metrics, err := c1.SecureQuery(context.Background(), eq, k, 0)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -109,7 +111,7 @@ func TestReplyEncryptionsPerScan(t *testing.T) {
 		return []mpc.Conn{pipeServedBy(t, func(c mpc.Conn) error { return mpc.Serve(c, counting) })}
 	})
 	q := []uint64{3, 9, 0, 15, 7, 1}
-	rows := runSecure(t, engine, NewClient(&sk.PublicKey, nil), q, k, tbl.DomainBits())
+	rows := runSecure(t, engine, NewClient(&sk.PublicKey, nil), q, k)
 	assertMatchesOracle(t, tbl, q, k, rows)
 
 	l := tbl.DomainBits()
@@ -126,29 +128,31 @@ func TestReplyEncryptionsPerScan(t *testing.T) {
 // TestMergeCostModel pins the gather at S ∈ {3, 4}: however the shard
 // scans interleave, the coordinator's links carry exactly one network
 // over the S lists of min(k, nᵢ) candidates, concatenated, plus the
-// reveal, and the answer is the plaintext oracle's.
+// reveal, and the answer is the plaintext oracle's. l sweeps through the
+// table's shape, as in TestSelectionCostModel.
 func TestMergeCostModel(t *testing.T) {
-	const attrBits, m, n = 2, 2, 10
-	tbl, err := dataset.Generate(751, n, m, attrBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := []uint64{1, 2}
-	for _, shards := range []int{3, 4} {
-		coord, bob := newShardedSystem(t, tbl, shards, 1, false)
-		eq, err := bob.EncryptQuery(q)
+	const m, n = 2, 10
+	for _, attrBits := range []int{2, 5} {
+		tbl, err := dataset.Generate(751, n, m, attrBits)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range []int{1, 3, 4} {
-			gathered := 0
-			for i := 0; i < shards; i++ {
-				gathered += min(k, coord.Shard(i).Info().N)
+		q := []uint64{1, 2}
+		for _, shards := range []int{3, 4} {
+			coord, bob := newShardedSystem(t, tbl, shards, 1, false)
+			l := coord.DomainBits()
+			eq, err := bob.EncryptQuery(q)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, l := range []int{6, 12} {
+			for _, k := range []int{1, 3, 4} {
+				gathered := 0
+				for i := 0; i < shards; i++ {
+					gathered += min(k, coord.Shard(i).Info().N)
+				}
 				t.Run(fmt.Sprintf("S=%d/k=%d/l=%d", shards, k, l), func(t *testing.T) {
 					before := coord.CommStats()
-					res, _, err := coord.SecureQuery(context.Background(), eq, k, l, 0)
+					res, _, err := coord.SecureQuery(context.Background(), eq, k, 0)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -207,7 +211,7 @@ func TestRankClustersKeepsPairMinima(t *testing.T) {
 	l := tbl.DomainBits()
 	before := s.CommStats()
 	metrics := &SecureMetrics{}
-	chosen, err := s.rankClusters(eq, l, 5, metrics) // 2 + 2 < 5 ≤ 2 + 2 + 2: three clusters
+	chosen, err := s.rankClusters(eq, 5, metrics) // 2 + 2 < 5 ≤ 2 + 2 + 2: three clusters
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"crypto/rand"
+	"fmt"
+	"math/big"
+	"slices"
 	"testing"
 
 	"sknn/internal/dataset"
+	"sknn/internal/mpc"
 )
 
 // TestSecureTinyDomainSentinelCollision is the end-to-end regression for
@@ -29,7 +34,7 @@ func TestSecureTinyDomainSentinelCollision(t *testing.T) {
 	// Repeat: the pre-fix failure depended on C2's uniform tie-break, so
 	// one lucky pass is not evidence. Post-fix the result is deterministic.
 	for trial := 0; trial < 8; trial++ {
-		got := runSecure(t, c1, bob, q, 2, tbl.DomainBits())
+		got := runSecure(t, c1, bob, q, 2)
 		if len(got) != 2 {
 			t.Fatalf("trial %d: got %d records, want 2", trial, len(got))
 		}
@@ -59,7 +64,7 @@ func TestSecureMaxDistanceSingleAttr(t *testing.T) {
 	}
 	c1, bob := newSystem(t, tbl, 1)
 	for trial := 0; trial < 8; trial++ {
-		got := runSecure(t, c1, bob, []uint64{0}, 2, tbl.DomainBits())
+		got := runSecure(t, c1, bob, []uint64{0}, 2)
 		seen := map[uint64]bool{}
 		for _, row := range got {
 			seen[row[0]] = true
@@ -67,5 +72,53 @@ func TestSecureMaxDistanceSingleAttr(t *testing.T) {
 		if !seen[0] || !seen[1] {
 			t.Fatalf("trial %d: rows %v, want both records", trial, got)
 		}
+	}
+}
+
+// TestSecureWideTableExactDomain runs SkNNm over a table 41 bits wide,
+// where m·(2^b−1)² no longer fits a uint64: the engine's l must be the
+// exact 84, not the 65 a wrapped product gives, below which a comparator
+// orders distances by their low bits and the k = 1 answer to {0, 0} came
+// back as the farthest record. The oracle is computed in math/big, since
+// a uint64 squared distance wraps here too. Unsharded and at S = 2.
+func TestSecureWideTableExactDomain(t *testing.T) {
+	rows := [][]uint64{
+		{1 << 40, 0},
+		{0, 0},
+		{1<<40 - 5, 1 << 39},
+		{3, 1 << 40},
+	}
+	q := []uint64{0, 0}
+	dist := func(row []uint64) *big.Int {
+		sum := new(big.Int)
+		for j, v := range row {
+			d := new(big.Int).Sub(new(big.Int).SetUint64(v), new(big.Int).SetUint64(q[j]))
+			sum.Add(sum, d.Mul(d, d))
+		}
+		return sum
+	}
+	nearest := 0
+	for i, row := range rows {
+		if dist(row).Cmp(dist(rows[nearest])) < 0 {
+			nearest = i
+		}
+	}
+	sk := testKey()
+	c2 := NewCloudC2(sk, nil)
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("S=%d", shards), func(t *testing.T) {
+			encTable, err := EncryptTable(rand.Reader, &sk.PublicKey, rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			engine := newEngine(t, encTable, shards, func() []mpc.Conn { return []mpc.Conn{pipeTo(t, c2)} })
+			if engine.AttrBits() != 41 || engine.DomainBits() != 84 {
+				t.Fatalf("table of %d-bit attributes at l = %d, want 41 and 84", engine.AttrBits(), engine.DomainBits())
+			}
+			got := runSecure(t, engine, NewClient(&sk.PublicKey, nil), q, 1)
+			if len(got) != 1 || !slices.Equal(got[0], rows[nearest]) {
+				t.Errorf("nearest to %v = %v, want %v", q, got, rows[nearest])
+			}
+		})
 	}
 }

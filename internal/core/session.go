@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"sync"
 
+	"sknn/internal/dataset"
 	"sknn/internal/mpc"
 	"sknn/internal/paillier"
 	"sknn/internal/smc"
@@ -39,6 +40,7 @@ type QuerySession struct {
 	m        int              // record arity the session operates on
 	featureM int              // distance-relevant prefix
 	attrBits int              // the table's attribute width: every column is below 2^attrBits
+	l        int              // the squared-distance domain SkNNm compares in: dataset.DomainBits(attrBits, featureM)
 	layout   RowLayout        // the row layout records travel in: rowLayoutFor(pk, m, attrBits)
 	tbl      *tableView       // table state observed at session open; nil for merge sessions
 	slots    []int            // leased link indices
@@ -63,7 +65,7 @@ func openSession(ctx context.Context, pool *linkPool, view *tableView, pk *paill
 		return nil, err
 	}
 	s := &QuerySession{pool: pool, ctx: ctx, pk: pk, m: m, featureM: featureM, attrBits: attrBits,
-		layout: rowLayoutFor(pk, m, attrBits), tbl: view, slots: slots}
+		l: dataset.DomainBits(attrBits, featureM), layout: rowLayoutFor(pk, m, attrBits), tbl: view, slots: slots}
 	for _, i := range slots {
 		conn, err := pool.open(ctx, i)
 		if err != nil {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"sknn/internal/dataset"
 	"sknn/internal/mpc"
 	"sknn/internal/paillier"
 )
@@ -54,8 +55,9 @@ type Shard interface {
 	Info() ShardInfo
 	// TopK honors ctx between protocol rounds: the coordinator cancels
 	// every outstanding shard scan the moment one shard fails or the
-	// query's own context is done.
-	TopK(ctx context.Context, q EncryptedQuery, k, domainBits, target int, secure bool) ([]Candidate, *SecureMetrics, error)
+	// query's own context is done. The int after k is ignored (callers
+	// pass 0; l is the table's): bench/taps.go's shardSpy implements it.
+	TopK(ctx context.Context, q EncryptedQuery, k, _, target int, secure bool) ([]Candidate, *SecureMetrics, error)
 }
 
 // LocalShard adapts an in-process CloudC1 worker to the Shard interface.
@@ -81,8 +83,8 @@ func (s *LocalShard) Info() ShardInfo {
 
 // TopK runs the shard-local scan in a session leased from the shard's
 // own link pool, bound to ctx.
-func (s *LocalShard) TopK(ctx context.Context, q EncryptedQuery, k, domainBits, target int, secure bool) ([]Candidate, *SecureMetrics, error) {
-	return s.C1.TopK(ctx, q, k, domainBits, target, secure)
+func (s *LocalShard) TopK(ctx context.Context, q EncryptedQuery, k, _, target int, secure bool) ([]Candidate, *SecureMetrics, error) {
+	return s.C1.TopK(ctx, q, k, target, secure)
 }
 
 // ErrShardTopology is returned when a set of shards does not form one
@@ -119,7 +121,8 @@ type ShardedC1 struct {
 
 // NewShardedC1 wires a coordinator over the given shard workers and its
 // own merge connections to C2. The shards must form one coherent
-// partition: indices 0..S−1 exactly once, all agreeing on table shape;
+// partition: indices 0..S−1 exactly once, all agreeing on table shape —
+// and so on the squared-distance domain l, which the shape determines;
 // the merge links must be served by the same CloudC2 as the shards'.
 func NewShardedC1(shards []Shard, mergeConns []mpc.Conn, pk *paillier.PublicKey, random io.Reader) (*ShardedC1, error) {
 	// Every error path owns the merge connections: close them so the
@@ -196,6 +199,10 @@ func (c *ShardedC1) FeatureM() int { return c.featM }
 // column is below 2^b, and so must every SkNNm query attribute be.
 func (c *ShardedC1) AttrBits() int { return c.attrBits }
 
+// DomainBits reports l, the squared-distance domain SkNNm compares in:
+// dataset.DomainBits of the agreed attribute width and feature columns.
+func (c *ShardedC1) DomainBits() int { return dataset.DomainBits(c.attrBits, c.featM) }
+
 // N sums the live records over every shard.
 func (c *ShardedC1) N() int {
 	n := 0
@@ -234,19 +241,19 @@ func (c *ShardedC1) mergeSession(ctx context.Context) (*QuerySession, error) {
 // Scatter is the wall clock from start until the last shard returned,
 // Merge the rest (merge and reveal); the shards' counters are summed,
 // with the coordinator's merge traffic on top in Comm.
-func (c *ShardedC1) gather(ctx context.Context, q EncryptedQuery, k, domainBits, target int, secure bool) (*MaskedResult, *SecureMetrics, error) {
+func (c *ShardedC1) gather(ctx context.Context, q EncryptedQuery, k, target int, secure bool) (*MaskedResult, *SecureMetrics, error) {
 	n, err := c.checkArgs(q, k)
 	if err != nil {
 		return nil, nil, err
 	}
 	if secure {
-		if err := checkTableDomain(c.pk, domainBits, c.attrBits, c.featM); err != nil {
+		if err := CheckDomainBits(c.pk, c.DomainBits()); err != nil {
 			return nil, nil, err
 		}
 	}
 	metrics := &SecureMetrics{Shards: c.partitions()}
 	start := time.Now()
-	lists, err := c.scatter(ctx, q, k, domainBits, target, secure, metrics)
+	lists, err := c.scatter(ctx, q, k, target, secure, metrics)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -272,7 +279,7 @@ func (c *ShardedC1) gather(ctx context.Context, q EncryptedQuery, k, domainBits,
 	selected := all
 	switch {
 	case secure && len(nonEmpty) > 1:
-		selected, err = s.mergeCandidates(nonEmpty, k, domainBits, metrics)
+		selected, err = s.mergeCandidates(nonEmpty, k, metrics)
 	case !secure && len(c.shards) > 1:
 		phase := time.Now()
 		selected, err = s.rankCandidates(all, k)
@@ -303,7 +310,7 @@ func (c *ShardedC1) gather(ctx context.Context, q EncryptedQuery, k, domainBits,
 // of them, and returns their candidate lists in shard order, adding each
 // shard's counters to metrics. A failed scan cancels the others, and the
 // query reports the first real failure (firstFailure) once all are back.
-func (c *ShardedC1) scatter(ctx context.Context, q EncryptedQuery, k, domainBits, target int, secure bool, metrics *SecureMetrics) ([][]Candidate, error) {
+func (c *ShardedC1) scatter(ctx context.Context, q EncryptedQuery, k, target int, secure bool, metrics *SecureMetrics) ([][]Candidate, error) {
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	lists := make([][]Candidate, len(c.shards))
@@ -314,7 +321,7 @@ func (c *ShardedC1) scatter(ctx context.Context, q EncryptedQuery, k, domainBits
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			lists[i], sms[i], errs[i] = sh.TopK(sctx, q, k, domainBits, target, secure)
+			lists[i], sms[i], errs[i] = sh.TopK(sctx, q, k, 0, target, secure)
 			if errs[i] != nil {
 				cancel()
 			}
@@ -375,15 +382,15 @@ func (c *ShardedC1) checkGathered(k, gathered, n int) error {
 // shards' k-sets, and the coordinator reveals it to Bob via masking, as
 // a set: Bob ranks the rows himself (NearestFirst).
 //
-// domainBits is l, the bit length of the squared-distance domain: all
-// |Q−tᵢ|² must be below 2^l. dataset.DomainBits derives it from the
-// attribute domain and dimension, with one headroom bit more — the
+// The comparisons run in the table's squared-distance domain l
+// (DomainBits): every |Q−tᵢ|² is below 2^l for a query inside the
+// attribute domain. dataset.DomainBits derives it from the attribute
+// width and the feature columns, with one headroom bit more — the
 // all-ones disqualification sentinel of the paper's step 3(e), which
 // internal/reference still drives and the engine no longer needs. l
 // sizes the comparisons only; the packed slots are as wide as the
-// table's attribute width, as SkNNb's are. l must cover the table's
-// domain and fit the key (checkTableDomain, CheckDomainBits:
-// l ≤ K − 69); anything else is ErrDomainBits.
+// table's attribute width, as SkNNb's are. A key that cannot carry l
+// (CheckDomainBits: l ≤ K − 69) is ErrDomainBits.
 //
 // The pruned scan trades a documented leak for its speed: C1 learns
 // which clusters (not which records) a query touches — the SVD-style
@@ -391,8 +398,8 @@ func (c *ShardedC1) checkGathered(k, gathered, n int) error {
 //
 // The metrics aggregate the query (see gather). Canceling ctx cancels
 // every outstanding shard scan and aborts the merge.
-func (c *ShardedC1) SecureQuery(ctx context.Context, q EncryptedQuery, k, domainBits, target int) (*MaskedResult, *SecureMetrics, error) {
-	return c.gather(ctx, q, k, domainBits, target, true)
+func (c *ShardedC1) SecureQuery(ctx context.Context, q EncryptedQuery, k, target int) (*MaskedResult, *SecureMetrics, error) {
+	return c.gather(ctx, q, k, target, true)
 }
 
 // BasicQuery runs SkNNb (Algorithm 5) on the packed kernels: every shard
@@ -417,5 +424,5 @@ func (c *ShardedC1) SecureQuery(ctx context.Context, q EncryptedQuery, k, domain
 // spent ranking, Scatter/Merge the wall-clock split. Canceling ctx
 // cancels every outstanding shard scan and aborts the merge.
 func (c *ShardedC1) BasicQuery(ctx context.Context, q EncryptedQuery, k int) (*MaskedResult, *SecureMetrics, error) {
-	return c.gather(ctx, q, k, 0, 0, false)
+	return c.gather(ctx, q, k, 0, false)
 }

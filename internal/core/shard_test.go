@@ -3,9 +3,7 @@ package core
 import (
 	"context"
 	"crypto/rand"
-	"errors"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 
@@ -23,13 +21,7 @@ import (
 func newShardedSystem(t *testing.T, tbl *dataset.Table, shards, workers int, remote bool) (*ShardedC1, *Client) {
 	t.Helper()
 	sk := testKey()
-	if err := tbl.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	encTable, err := EncryptTable(rand.Reader, &sk.PublicKey, tbl.Rows)
-	if err != nil {
-		t.Fatal(err)
-	}
+	encTable := encryptDataset(t, sk, tbl)
 	c2 := NewCloudC2(sk, nil)
 	links := func() []mpc.Conn {
 		conns := make([]mpc.Conn, workers)
@@ -46,7 +38,7 @@ func newShardedSystem(t *testing.T, tbl *dataset.Table, shards, workers int, rem
 	var wg sync.WaitGroup
 	workersList := make([]Shard, shards)
 	for i, c1 := range local.Workers {
-		srv, err := NewShardServer(c1, i, shards, tbl.DomainBits())
+		srv, err := NewShardServer(c1, i, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +106,6 @@ func TestShardedSecureMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := dataset.DomainBits(attrBits, m)
 	q := []uint64{7, 3}
 	for _, shards := range []int{2, 3} {
 		coord, bob := newShardedSystem(t, tbl, shards, 1, false)
@@ -122,7 +113,7 @@ func TestShardedSecureMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, metrics, err := coord.SecureQuery(context.Background(), eq, k, l, 0)
+		res, metrics, err := coord.SecureQuery(context.Background(), eq, k, 0)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -156,14 +147,13 @@ func TestShardedSecureRemoteWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := dataset.DomainBits(attrBits, m)
 	coord, bob := newShardedSystem(t, tbl, 2, 1, true)
 	for _, q := range [][]uint64{{1, 2}, {14, 0}} {
 		eq, err := bob.EncryptQuery(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := coord.SecureQuery(context.Background(), eq, k, l, 0)
+		res, _, err := coord.SecureQuery(context.Background(), eq, k, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,14 +228,13 @@ func TestShardedSmallShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := dataset.DomainBits(attrBits, m)
 	coord, bob := newShardedSystem(t, tbl, 4, 1, false) // shards of 3,2,2,2
 	q := []uint64{8, 1}
 	eq, err := bob.EncryptQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := coord.SecureQuery(context.Background(), eq, k, l, 0)
+	res, _, err := coord.SecureQuery(context.Background(), eq, k, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +244,7 @@ func TestShardedSmallShards(t *testing.T) {
 	}
 	shardOracleCheck(t, tbl.Rows, rows, q, k)
 	// k above the whole table is still rejected.
-	if _, _, err := coord.SecureQuery(context.Background(), eq, n+1, l, 0); err == nil {
+	if _, _, err := coord.SecureQuery(context.Background(), eq, n+1, 0); err == nil {
 		t.Error("k > n accepted by sharded query")
 	}
 }
@@ -553,48 +542,4 @@ func TestOneShardBasicAddsNoRankRound(t *testing.T) {
 			t.Errorf("rank %d: id %d names row %v, revealed row is %v", j, res.IDs[j], got, rows[j])
 		}
 	}
-}
-
-// TestDomainBelowTableRefused pins l's lower bound. Below the table's
-// squared-distance domain, dataset.DomainBits(AttrBits, FeatureM) — the
-// l store.Read admits — a comparator's top bit no longer orders two
-// distances and SkNNm answers wrong, so every place l arrives from
-// outside refuses it with ErrDomainBits: the coordinator before it
-// scatters, a worker asked directly, in process or in an OpShardTopK
-// frame (whose refusal crosses the wire as text), and NearestCluster.
-func TestDomainBelowTableRefused(t *testing.T) {
-	tbl, err := dataset.Generate(7, 8, 6, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	short := tbl.DomainBits() - 1
-	refused := func(what string, err error, wire bool) {
-		if !errors.Is(err, ErrDomainBits) && !(wire && err != nil && strings.Contains(err.Error(), ErrDomainBits.Error())) {
-			t.Errorf("%s at l=%d: err = %v, want ErrDomainBits", what, short, err)
-		}
-	}
-	ctx, q := context.Background(), make([]uint64, 6)
-	for _, remote := range []bool{false, true} {
-		coord, bob := newShardedSystem(t, tbl, 2, 1, remote)
-		eq, err := bob.EncryptQuery(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, _, err = coord.SecureQuery(ctx, eq, 2, short, 0)
-		refused("coordinator", err, false)
-		_, _, err = coord.Shard(0).TopK(ctx, eq, 2, short, 0, true)
-		refused("worker", err, remote)
-	}
-	c1, bob := newClusteredSystem(t, tbl, 3, 1)
-	eq, err := bob.EncryptQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := c1.Workers[0].NewSession(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	_, err = s.NearestCluster(eq, short)
-	refused("NearestCluster", err, false)
 }

@@ -24,12 +24,15 @@ import (
 //
 //	OpShardHello  req: []
 //	              rep: [N, index, count, n, m, featureM, clustered,
-//	                    attrBits, domainBits]
-//	OpShardTopK   req: [k, l, target, secure, q₁…q_f]   (qᵢ encrypted)
+//	                    attrBits]
+//	OpShardTopK   req: [k, target, secure, q₁…q_f]   (qᵢ encrypted)
 //	              rep: [n, count, sminCount, candidates, clustersProbed,
 //	                    totalNanos, cols, bits, then per candidate:
 //	                    secure → E(d), ⌈m/cols⌉ record chunks
 //	                    basic  → id, E(d), ⌈m/cols⌉ record chunks]
+//
+// No l travels: it is dataset.DomainBits of the shape the hello
+// declares, so agreeing on the shape is agreeing on l.
 //
 // cols and bits declare the RowLayout the candidates' records are in.
 // The coordinator accepts only the one layout the shard's hello implies,
@@ -49,38 +52,35 @@ import (
 // TopK is its own tagged stream on the multiplexed link, so concurrent
 // coordinator queries share the connection without queueing on it.
 type RemoteShard struct {
-	link       *mpc.Multiplexer
-	pk         *paillier.PublicKey
-	domainBits int
+	link *mpc.Multiplexer
+	pk   *paillier.PublicKey
 
 	mu   sync.Mutex
 	info ShardInfo // guarded by mu
 }
 
 // Sanity caps on the shape a shard may declare about itself. The hello
-// reply sizes later allocations — M attributes per candidate record,
-// domainBits ciphertexts per secure candidate — so every field that
+// reply sizes later allocations — M attributes per candidate record —
+// so every field that
 // feeds a make() is bounded here, mirroring internal/store's snapshot
 // caps: a lying peer must fail with ErrBadFrame at the handshake, never
 // reach an allocation.
 const (
-	maxShardN          = 1 << 40 // records per shard (matches store's maxN)
-	maxShardM          = 1 << 12 // attributes per record (matches store's maxM)
-	maxShardCount      = 1 << 16 // shards in a topology
-	maxAttrBits        = 64      // a table's attribute width: columns are uint64
-	maxShardDomainBits = 1 << 10 // squared-distance domain bits
-	maxShardReplicas   = 1 << 8  // replicas of one shard
+	maxShardN        = 1 << 40 // records per shard (matches store's maxN)
+	maxShardM        = 1 << 12 // attributes per record (matches store's maxM)
+	maxShardCount    = 1 << 16 // shards in a topology
+	maxAttrBits      = 64      // a table's attribute width: columns are uint64
+	maxShardReplicas = 1 << 8  // replicas of one shard
 )
 
 // shardHello is the decoded handshake reply.
 type shardHello struct {
-	pk         *paillier.PublicKey
-	info       ShardInfo
-	domainBits int
+	pk   *paillier.PublicKey
+	info ShardInfo
 }
 
 // encodeHello lays out the handshake reply frame.
-func encodeHello(pkN *big.Int, info ShardInfo, domainBits int) *mpc.Message {
+func encodeHello(pkN *big.Int, info ShardInfo) *mpc.Message {
 	clustered := int64(0)
 	if info.Clustered {
 		clustered = 1
@@ -90,7 +90,7 @@ func encodeHello(pkN *big.Int, info ShardInfo, domainBits int) *mpc.Message {
 		big.NewInt(int64(info.Index)), big.NewInt(int64(info.Count)),
 		big.NewInt(int64(info.N)), big.NewInt(int64(info.M)),
 		big.NewInt(int64(info.FeatureM)), big.NewInt(clustered),
-		big.NewInt(int64(info.AttrBits)), big.NewInt(int64(domainBits)),
+		big.NewInt(int64(info.AttrBits)),
 	}}
 }
 
@@ -108,7 +108,7 @@ func decodeHello(resp *mpc.Message) (shardHello, error) {
 	info.FeatureM = f.Int(1, info.M)
 	info.Clustered = f.Int(0, 1) == 1
 	info.AttrBits = f.Int(1, maxAttrBits)
-	h.info, h.domainBits = info, f.Int(0, maxShardDomainBits)
+	h.info = info
 	if err := f.Done(); err != nil {
 		return h, fmt.Errorf("core: shard hello: %w", err)
 	}
@@ -135,15 +135,11 @@ func DialShard(conn mpc.Conn) (*RemoteShard, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RemoteShard{link: mpc.NewMultiplexer(conn), pk: h.pk, info: h.info, domainBits: h.domainBits}, nil
+	return &RemoteShard{link: mpc.NewMultiplexer(conn), pk: h.pk, info: h.info}, nil
 }
 
 // PK returns the public key the shard's table is encrypted under.
 func (r *RemoteShard) PK() *paillier.PublicKey { return r.pk }
-
-// DomainBits reports l, the squared-distance domain the shard's SkNNm
-// scans decompose to.
-func (r *RemoteShard) DomainBits() int { return r.domainBits }
 
 // Info reports the shard's shape (live count as of the last exchange).
 func (r *RemoteShard) Info() ShardInfo {
@@ -163,14 +159,14 @@ func (r *RemoteShard) Close() error { return r.link.Close() }
 // done sends nothing, and one done while the frame is in flight stops
 // the wait at once with ErrCanceled. The worker still finishes its scan
 // (the wire protocol has no abort frame); its late reply is dropped.
-func (r *RemoteShard) TopK(ctx context.Context, q EncryptedQuery, k, domainBits, target int, secure bool) ([]Candidate, *SecureMetrics, error) {
+func (r *RemoteShard) TopK(ctx context.Context, q EncryptedQuery, k, _, target int, secure bool) ([]Candidate, *SecureMetrics, error) {
 	info := r.Info()
 	conn, err := r.link.OpenContext(ctx)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: shard %d top-k: %w", info.Index, err)
 	}
 	defer conn.Close()
-	resp, err := mpc.RoundTrip(conn, encodeTopKRequest(q, k, domainBits, target, secure))
+	resp, err := mpc.RoundTrip(conn, encodeTopKRequest(q, k, target, secure))
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: shard %d top-k: %w", info.Index, err)
 	}
@@ -228,21 +224,19 @@ func decodeTopKReply(pk *paillier.PublicKey, m int, resp *mpc.Message, k int, wa
 
 // ShardServer answers a coordinator's frames for one shard worker.
 type ShardServer struct {
-	c1         *CloudC1
-	index      int
-	count      int
-	domainBits int
+	c1    *CloudC1
+	index int
+	count int
 }
 
 // NewShardServer wraps a shard worker's CloudC1 with its partition
-// lineage (records with id ≡ index mod count live here) and the domain
-// size the coordinator needs to plan SkNNm queries; the attribute width
-// it announces is the table's own.
-func NewShardServer(c1 *CloudC1, index, count, domainBits int) (*ShardServer, error) {
+// lineage (records with id ≡ index mod count live here); the shape it
+// announces is the table's own.
+func NewShardServer(c1 *CloudC1, index, count int) (*ShardServer, error) {
 	if count < 1 || index < 0 || index >= count {
 		return nil, fmt.Errorf("%w: shard %d of %d", ErrShardTopology, index, count)
 	}
-	return &ShardServer{c1: c1, index: index, count: count, domainBits: domainBits}, nil
+	return &ShardServer{c1: c1, index: index, count: count}, nil
 }
 
 // Mux returns the coordinator-facing dispatcher.
@@ -263,12 +257,12 @@ func (s *ShardServer) Serve(conn mpc.Conn) error {
 // shard reports it.
 func (s *ShardServer) handleHello(*mpc.Message) (*mpc.Message, error) {
 	info := (&LocalShard{C1: s.c1, Index: s.index, Count: s.count}).Info()
-	return encodeHello(s.c1.Table().PK().N, info, s.domainBits), nil
+	return encodeHello(s.c1.Table().PK().N, info), nil
 }
 
 func (s *ShardServer) handleTopK(req *mpc.Message) (*mpc.Message, error) {
 	t := s.c1.Table()
-	q, k, domainBits, target, secure, err := decodeTopKRequest(t.PK(), t.FeatureM(), req)
+	q, k, target, secure, err := decodeTopKRequest(t.PK(), t.FeatureM(), req)
 	if err != nil {
 		return nil, err
 	}
@@ -276,7 +270,7 @@ func (s *ShardServer) handleTopK(req *mpc.Message) (*mpc.Message, error) {
 	// to completion once started; cancellation lives on the coordinator
 	// (RemoteShard stops waiting and drops the reply). Background keeps
 	// the worker's session unbound.
-	cands, metrics, err := s.c1.TopK(context.Background(), q, k, domainBits, target, secure)
+	cands, metrics, err := s.c1.TopK(context.Background(), q, k, target, secure)
 	if err != nil {
 		return nil, err
 	}
@@ -284,13 +278,13 @@ func (s *ShardServer) handleTopK(req *mpc.Message) (*mpc.Message, error) {
 }
 
 // encodeTopKRequest lays out a top-k request frame.
-func encodeTopKRequest(q EncryptedQuery, k, domainBits, target int, secure bool) *mpc.Message {
+func encodeTopKRequest(q EncryptedQuery, k, target int, secure bool) *mpc.Message {
 	sec := int64(0)
 	if secure {
 		sec = 1
 	}
-	ints := append(make([]*big.Int, 0, 4+len(q)),
-		big.NewInt(int64(k)), big.NewInt(int64(domainBits)), big.NewInt(int64(target)), big.NewInt(sec))
+	ints := append(make([]*big.Int, 0, 3+len(q)),
+		big.NewInt(int64(k)), big.NewInt(int64(target)), big.NewInt(sec))
 	for _, ct := range q {
 		ints = append(ints, ct.Raw())
 	}
@@ -300,20 +294,20 @@ func encodeTopKRequest(q EncryptedQuery, k, domainBits, target int, secure bool)
 // decodeTopKRequest validates and unpacks a top-k request against the
 // worker's table: k ≥ 1, refused before the rest is read as ErrBadK and
 // ErrBadFrame both, then exactly featureM query ciphertexts under its key.
-func decodeTopKRequest(pk *paillier.PublicKey, featureM int, req *mpc.Message) (q EncryptedQuery, k, domainBits, target int, secure bool, err error) {
+func decodeTopKRequest(pk *paillier.PublicKey, featureM int, req *mpc.Message) (q EncryptedQuery, k, target int, secure bool, err error) {
 	f := mpc.ReadFields(req.Ints)
 	if k = f.Int(math.MinInt, math.MaxInt); f.Err() == nil && k < 1 {
-		return nil, 0, 0, 0, false, fmt.Errorf("%w: %w: k=%d", ErrBadFrame, ErrBadK, k)
+		return nil, 0, 0, false, fmt.Errorf("%w: %w: k=%d", ErrBadFrame, ErrBadK, k)
 	}
-	domainBits, target, secure = f.Int(math.MinInt, math.MaxInt), f.Int(math.MinInt, math.MaxInt), f.Int(0, 1) == 1
+	target, secure = f.Int(math.MinInt, math.MaxInt), f.Int(0, 1) == 1
 	q = make(EncryptedQuery, featureM)
 	for i := range q {
 		q[i] = mpc.Read(f, pk.FromRaw)
 	}
 	if err := f.Done(); err != nil {
-		return nil, 0, 0, 0, false, fmt.Errorf("core: shard top-k request: %w", err)
+		return nil, 0, 0, false, fmt.Errorf("core: shard top-k request: %w", err)
 	}
-	return q, k, domainBits, target, secure, nil
+	return q, k, target, secure, nil
 }
 
 // encodeTopKReply lays out a top-k reply frame: the metrics header, the

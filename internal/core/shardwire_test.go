@@ -17,42 +17,43 @@ import (
 
 // helloReply builds a hello frame with the given shape fields, using a
 // plausible modulus.
-func helloReply(index, count, n, m, featureM, clustered, attrBits, domainBits int64) *mpc.Message {
+func helloReply(index, count, n, m, featureM, clustered, attrBits int64) *mpc.Message {
 	mod := new(big.Int).Lsh(big.NewInt(1), 1024)
 	mod.Add(mod, big.NewInt(1)) // odd, as every p·q is
-	return helloWithModulus(mod, index, count, n, m, featureM, clustered, attrBits, domainBits)
+	return helloWithModulus(mod, index, count, n, m, featureM, clustered, attrBits)
 }
 
-func helloWithModulus(mod *big.Int, index, count, n, m, featureM, clustered, attrBits, domainBits int64) *mpc.Message {
+func helloWithModulus(mod *big.Int, index, count, n, m, featureM, clustered, attrBits int64) *mpc.Message {
 	return &mpc.Message{Op: OpShardHello, Ints: []*big.Int{
 		mod,
 		big.NewInt(index), big.NewInt(count), big.NewInt(n), big.NewInt(m),
 		big.NewInt(featureM), big.NewInt(clustered),
-		big.NewInt(attrBits), big.NewInt(domainBits),
+		big.NewInt(attrBits),
 	}}
 }
 
 // TestDecodeHelloBounds is the regression test for the unbounded hello:
 // shape fields feed candidate allocations, so a reply declaring an
-// absurd M, N, count, or domainBits must fail with ErrBadFrame at the
-// handshake instead of parameterizing a later make().
+// absurd M, N, count, or attribute width must fail with ErrBadFrame at
+// the handshake instead of parameterizing a later make(). So must a hello
+// in an older layout: the 9-int one that still carried l, the 10-int
+// one of the replica era.
 func TestDecodeHelloBounds(t *testing.T) {
 	cases := []struct {
 		name string
 		msg  *mpc.Message
 	}{
-		{"huge M", helloReply(0, 1, 10, maxShardM+1, 2, 0, 32, 96)},
-		{"huge N", helloReply(0, 1, maxShardN+1, 4, 2, 0, 32, 96)},
-		{"huge count", helloReply(0, maxShardCount+1, 10, 4, 2, 0, 32, 96)},
-		{"huge attrBits", helloReply(0, 1, 10, 4, 2, 0, maxAttrBits+1, 96)},
-		{"zero attrBits", helloReply(0, 1, 10, 4, 2, 0, 0, 96)},
-		{"huge domainBits", helloReply(0, 1, 10, 4, 2, 0, 32, maxShardDomainBits+1)},
-		{"negative attrBits", helloReply(0, 1, 10, 4, 2, 0, -1, 96)},
-		{"negative domainBits", helloReply(0, 1, 10, 4, 2, 0, 32, -1)},
-		{"featureM over M", helloReply(0, 1, 10, 4, 5, 0, 32, 96)},
-		{"index out of range", helloReply(3, 2, 10, 4, 2, 0, 32, 96)},
-		{"nil field", &mpc.Message{Op: OpShardHello, Ints: make([]*big.Int, 9)}},
-		{"replica-era 10-int frame", &mpc.Message{Op: OpShardHello, Ints: append(helloReply(0, 1, 10, 4, 2, 0, 32, 96).Ints, big.NewInt(0))}},
+		{"huge M", helloReply(0, 1, 10, maxShardM+1, 2, 0, 32)},
+		{"huge N", helloReply(0, 1, maxShardN+1, 4, 2, 0, 32)},
+		{"huge count", helloReply(0, maxShardCount+1, 10, 4, 2, 0, 32)},
+		{"huge attrBits", helloReply(0, 1, 10, 4, 2, 0, maxAttrBits+1)},
+		{"zero attrBits", helloReply(0, 1, 10, 4, 2, 0, 0)},
+		{"negative attrBits", helloReply(0, 1, 10, 4, 2, 0, -1)},
+		{"featureM over M", helloReply(0, 1, 10, 4, 5, 0, 32)},
+		{"index out of range", helloReply(3, 2, 10, 4, 2, 0, 32)},
+		{"nil field", &mpc.Message{Op: OpShardHello, Ints: make([]*big.Int, 8)}},
+		{"l-era 9-int frame", &mpc.Message{Op: OpShardHello, Ints: append(helloReply(0, 1, 10, 4, 2, 0, 32).Ints, big.NewInt(96))}},
+		{"replica-era 10-int frame", &mpc.Message{Op: OpShardHello, Ints: append(helloReply(0, 1, 10, 4, 2, 0, 32).Ints, big.NewInt(96), big.NewInt(0))}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -68,7 +69,7 @@ func TestDecodeHelloBounds(t *testing.T) {
 // whose arithmetic fails later.
 func TestDecodeHelloHostileModulus(t *testing.T) {
 	for name, mod := range testkit.HostileModuli() {
-		if _, err := decodeHello(helloWithModulus(mod, 0, 1, 10, 4, 2, 0, 32, 96)); !errors.Is(err, ErrBadFrame) {
+		if _, err := decodeHello(helloWithModulus(mod, 0, 1, 10, 4, 2, 0, 32)); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("modulus %s: err = %v, want ErrBadFrame", name, err)
 		}
 	}
@@ -77,13 +78,13 @@ func TestDecodeHelloHostileModulus(t *testing.T) {
 // TestDecodeHelloAccepts pins the valid path so the bounds stay bounds,
 // not rejections of legitimate shards.
 func TestDecodeHelloAccepts(t *testing.T) {
-	h, err := decodeHello(helloReply(1, 3, 1000, 6, 2, 1, 32, 96))
+	h, err := decodeHello(helloReply(1, 3, 1000, 6, 2, 1, 32))
 	if err != nil {
 		t.Fatalf("decodeHello: %v", err)
 	}
 	if h.info.Index != 1 || h.info.Count != 3 || h.info.N != 1000 ||
 		h.info.M != 6 || h.info.FeatureM != 2 || !h.info.Clustered ||
-		h.info.AttrBits != 32 || h.domainBits != 96 {
+		h.info.AttrBits != 32 {
 		t.Fatalf("decodeHello = %+v", h)
 	}
 	if h.pk == nil || h.pk.NSquared.BitLen() < 2048 {
@@ -105,7 +106,7 @@ func topKHead(count int64, layout RowLayout) []*big.Int {
 // the k requested (or a payload length that disagrees with its own
 // count) must fail with ErrBadFrame before any candidate allocation.
 func TestDecodeTopKReplyLyingCount(t *testing.T) {
-	h, err := decodeHello(helloReply(0, 1, 10, 4, 2, 0, 32, 96))
+	h, err := decodeHello(helloReply(0, 1, 10, 4, 2, 0, 32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestDecodeTopKReplyLyingCount(t *testing.T) {
 // included — is ErrBadFrame, never a candidate whose chunks would be
 // read as differently packed columns.
 func TestDecodeTopKReplyLayout(t *testing.T) {
-	h, err := decodeHello(helloReply(0, 1, 10, 4, 2, 0, 32, 96))
+	h, err := decodeHello(helloReply(0, 1, 10, 4, 2, 0, 32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestShardTopKRequestValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng, bob := newSystem(t, tbl, 1)
-	srv, err := NewShardServer(eng.Workers[0], 0, 1, tbl.DomainBits())
+	srv, err := NewShardServer(eng.Workers[0], 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestShardTopKRequestValidation(t *testing.T) {
 	}
 	// request is a well-formed basic top-2 request with edit applied.
 	request := func(edit func([]*big.Int) []*big.Int) *mpc.Message {
-		return &mpc.Message{Op: OpShardTopK, Ints: edit(encodeTopKRequest(q, 2, tbl.DomainBits(), 0, false).Ints)}
+		return &mpc.Message{Op: OpShardTopK, Ints: edit(encodeTopKRequest(q, 2, 0, false).Ints)}
 	}
 	handle := func(msg *mpc.Message) (err error) {
 		defer func() {
@@ -240,7 +241,7 @@ func TestShardTopKRequestValidation(t *testing.T) {
 		{"k zero", set(0, big.NewInt(0)), ErrBadK},
 		{"k negative", set(0, big.NewInt(-3)), ErrBadK},
 	}
-	for i, field := range []string{"k", "domainBits", "target", "secure"} {
+	for i, field := range []string{"k", "target", "secure"} {
 		cases = append(cases,
 			refusal{"nil " + field, set(i, nil), ErrBadFrame},
 			refusal{field + " past int64", set(i, new(big.Int).Lsh(big.NewInt(1), 70)), ErrBadFrame})
@@ -272,27 +273,28 @@ func fuzzInts(ints []*big.Int) []byte {
 // decodeTopKRequest accepts must ask for k ≥ 1 over exactly the
 // table's query attributes.
 func FuzzShardFrame(f *testing.F) {
-	f.Add(fuzzInts(helloReply(1, 3, 1000, 6, 2, 1, 32, 96).Ints))
+	f.Add(fuzzInts(helloReply(1, 3, 1000, 6, 2, 1, 32).Ints))
 	f.Add([]byte{})
 	f.Add([]byte{9, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	for _, mod := range testkit.HostileModuli() {
 		if mod != nil && mod.Sign() >= 0 { // what the byte layout below can carry
-			f.Add(fuzzInts(helloWithModulus(mod, 1, 3, 1000, 6, 2, 1, 32, 96).Ints))
+			f.Add(fuzzInts(helloWithModulus(mod, 1, 3, 1000, 6, 2, 1, 32).Ints))
 		}
 	}
 	// Top-k replies for the fixed shape below: a row-packed candidate, a
-	// per-attribute one (not this key's layout), one in ⌊l/2⌋-bit slots
-	// (not this table's width), and headers lying about the layout.
-	fixed, err := decodeHello(helloReply(0, 1, 10, 6, 6, 0, 4, 12))
+	// per-attribute one (not this key's layout), one in 6-bit slots (⌊l/2⌋
+	// at this shape, not the table's width), and headers lying about the
+	// layout.
+	fixed, err := decodeHello(helloReply(0, 1, 10, 6, 6, 0, 4))
 	if err != nil {
 		f.Fatal(err)
 	}
-	const fm, fl, fk = 6, 12, 3
+	const fm, fk = 6, 3
 	want := rowLayoutFor(fixed.pk, fm, fixed.info.AttrBits)
 	seven := big.NewInt(7)
 	f.Add(fuzzInts(append(topKHead(1, want), seven, seven)))
 	f.Add(fuzzInts(append(topKHead(1, RowLayout{Cols: 1, Bits: want.Bits}), seven, seven, seven, seven, seven, seven, seven)))
-	f.Add(fuzzInts(append(topKHead(1, RowLayout{Cols: fm, Bits: fl / 2}), seven, seven)))
+	f.Add(fuzzInts(append(topKHead(1, RowLayout{Cols: fm, Bits: 6}), seven, seven)))
 	f.Add(fuzzInts(append(topKHead(1, RowLayout{Cols: 5, Bits: 6}), seven, seven, seven)))
 	f.Add(fuzzInts(append(topKHead(1, RowLayout{Cols: 6, Bits: 200}), seven, seven)))
 	// Top-k requests against the same shape: well formed, and with the
@@ -303,10 +305,10 @@ func FuzzShardFrame(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	f.Add(fuzzInts(encodeTopKRequest(sevens, fk, fl, 0, true).Ints))
-	f.Add(fuzzInts(encodeTopKRequest(sevens[:fm-1], fk, fl, 0, false).Ints))
-	f.Add(fuzzInts(encodeTopKRequest(sevens, 0, fl, 0, true).Ints))
-	f.Add(fuzzInts(append(encodeTopKRequest(sevens, fk, fl, 0, true).Ints[:3], big.NewInt(2))))
+	f.Add(fuzzInts(encodeTopKRequest(sevens, fk, 0, true).Ints))
+	f.Add(fuzzInts(encodeTopKRequest(sevens[:fm-1], fk, 0, false).Ints))
+	f.Add(fuzzInts(encodeTopKRequest(sevens, 0, 0, true).Ints))
+	f.Add(fuzzInts(append(encodeTopKRequest(sevens, fk, 0, true).Ints[:2], big.NewInt(2))))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Reassemble data into a length-prefixed []*big.Int payload.
 		var ints []*big.Int
@@ -326,12 +328,12 @@ func FuzzShardFrame(f *testing.F) {
 		msg := &mpc.Message{Op: OpShardHello, Ints: ints}
 		if h, err := decodeHello(msg); err == nil {
 			if h.info.M < 1 || h.info.M > maxShardM || int64(h.info.N) > maxShardN ||
-				h.info.Count > maxShardCount || h.domainBits > maxShardDomainBits ||
+				h.info.Count > maxShardCount || h.info.AttrBits < 1 || h.info.AttrBits > maxAttrBits ||
 				h.pk.N.Bit(0) == 0 || h.pk.N.BitLen() < 64 {
 				t.Fatalf("decodeHello accepted out-of-bounds shape: %+v", h.info)
 			}
 		}
-		if q, k, _, _, _, err := decodeTopKRequest(fixed.pk, fm, &mpc.Message{Op: OpShardTopK, Ints: ints}); err == nil && (k < 1 || len(q) != fm) {
+		if q, k, _, _, err := decodeTopKRequest(fixed.pk, fm, &mpc.Message{Op: OpShardTopK, Ints: ints}); err == nil && (k < 1 || len(q) != fm) {
 			t.Fatalf("decodeTopKRequest accepted k=%d over %d query attributes, want %d", k, len(q), fm)
 		}
 		reply := &mpc.Message{Op: OpShardTopK, Ints: ints}
@@ -360,7 +362,7 @@ func TestRemoteShardTopKHonorsDeadline(t *testing.T) {
 	release := make(chan struct{})
 	worker := mpc.NewMux()
 	worker.Register(OpShardHello, mpc.HandlerFunc(func(*mpc.Message) (*mpc.Message, error) {
-		return encodeHello(pk.N, ShardInfo{Count: 1, N: 4, M: 2, FeatureM: 2, AttrBits: 4}, 12), nil
+		return encodeHello(pk.N, ShardInfo{Count: 1, N: 4, M: 2, FeatureM: 2, AttrBits: 4}), nil
 	}))
 	worker.Register(OpShardTopK, mpc.HandlerFunc(func(*mpc.Message) (*mpc.Message, error) {
 		<-release
@@ -387,7 +389,7 @@ func TestRemoteShardTopKHonorsDeadline(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := rs.TopK(ctx, q, 1, 12, 0, true)
+		_, _, err := rs.TopK(ctx, q, 1, 0, 0, true)
 		done <- err
 	}()
 	select {
@@ -433,7 +435,7 @@ func TestRemoteShardConcurrentTopK(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng, bob := newSystem(t, tbl, 1)
-	srv, err := NewShardServer(eng.Workers[0], 0, 1, tbl.DomainBits())
+	srv, err := NewShardServer(eng.Workers[0], 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +463,7 @@ func TestRemoteShardConcurrentTopK(t *testing.T) {
 	results := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			cands, _, err := rs.TopK(context.Background(), q, 2, tbl.DomainBits(), 0, false)
+			cands, _, err := rs.TopK(context.Background(), q, 2, 0, 0, false)
 			if err == nil && len(cands) != 2 {
 				err = fmt.Errorf("%d candidates, want 2", len(cands))
 			}

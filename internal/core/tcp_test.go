@@ -80,7 +80,7 @@ func TestProtocolsOverTCP(t *testing.T) {
 	assertMatchesOracle(t, tbl, q, 3, rows)
 
 	// SkNNm over the wire.
-	res, _, err = coord.SecureQuery(context.Background(), eq, 2, tbl.DomainBits(), 0)
+	res, _, err = coord.SecureQuery(context.Background(), eq, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

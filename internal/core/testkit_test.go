@@ -23,14 +23,25 @@ func testKey() *paillier.PrivateKey { return testkit.Key(256) }
 func newSystem(t *testing.T, tbl *dataset.Table, workers int) (*Engine, *Client) {
 	t.Helper()
 	sk := testKey()
+	return newSystemOver(t, sk, encryptDataset(t, sk, tbl), workers)
+}
+
+// encryptDataset outsources tbl under sk at its declared attribute
+// width, as sknn.New does, so the table's l is tbl.DomainBits() — the
+// domain its queries are drawn from — whatever its widest value.
+func encryptDataset(t *testing.T, sk *paillier.PrivateKey, tbl *dataset.Table) *EncryptedTable {
+	t.Helper()
 	if err := tbl.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	encTable, err := EncryptTable(rand.Reader, &sk.PublicKey, tbl.Rows)
+	if err == nil {
+		encTable, err = encTable.WithAttrBits(tbl.AttrBits)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newSystemOver(t, sk, encTable, workers)
+	return encTable
 }
 
 // newSystemOver is newSystem for a table already encrypted under sk.
@@ -101,13 +112,13 @@ func runBasic(t *testing.T, c1 *Engine, bob *Client, q []uint64, k int) [][]uint
 }
 
 // runSecure executes SkNNm end-to-end and returns Bob's unmasked records.
-func runSecure(t *testing.T, c1 *Engine, bob *Client, q []uint64, k, l int) [][]uint64 {
+func runSecure(t *testing.T, c1 *Engine, bob *Client, q []uint64, k int) [][]uint64 {
 	t.Helper()
 	eq, err := bob.EncryptQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := c1.SecureQuery(context.Background(), eq, k, l, 0)
+	res, _, err := c1.SecureQuery(context.Background(), eq, k, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,12 +111,22 @@ func (t *Table) DomainBits() int {
 // spuriously re-selected or wrongly excluded. The engine's selection
 // network disqualifies nothing and needs only distances below 2^l; the
 // bit stays because every snapshot records this l.
+// The product is exact (three 64-bit words) for every b ≤ 64 a table
+// admits: a wrapped one would have SkNNm compare in too few bits.
 func DomainBits(attrBits, m int) int {
 	maxAttr := uint64(1)<<attrBits - 1
-	maxSq := maxAttr * maxAttr
-	// bits.Len64 of m*maxSq could overflow uint64 for extreme b; domain
-	// is capped at MaxAttrBits so m up to 2^14 is safe.
-	return bits.Len64(uint64(m)*maxSq) + 1
+	sqHi, sqLo := bits.Mul64(maxAttr, maxAttr)
+	carry, w0 := bits.Mul64(sqLo, uint64(m))
+	w2, w1 := bits.Mul64(sqHi, uint64(m))
+	w1, c := bits.Add64(w1, carry, 0)
+	w2 += c
+	switch {
+	case w2 != 0:
+		return 128 + bits.Len64(w2) + 1
+	case w1 != 0:
+		return 64 + bits.Len64(w1) + 1
+	}
+	return bits.Len64(w0) + 1
 }
 
 // Generate produces a synthetic table with uniform attribute values, the

@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"errors"
+	"math/big"
 	"strings"
 	"testing"
 )
@@ -114,6 +115,24 @@ func TestDomainBits(t *testing.T) {
 	for _, c := range cases {
 		if got := DomainBits(c.attrBits, c.m); got != c.want {
 			t.Errorf("DomainBits(%d,%d) = %d, want %d", c.attrBits, c.m, got, c.want)
+		}
+	}
+}
+
+// TestDomainBitsExact checks DomainBits against bitlen(m·(2^b−1)²) + 1
+// computed in math/big, across every width a core table admits: a
+// product taken in one uint64 wraps above b ≈ 31 (DomainBits(41, 2)
+// came out 65, where the exact l is 84).
+func TestDomainBitsExact(t *testing.T) {
+	for _, b := range []int{1, 2, 24, 25, 31, 32, 41, 63, 64} {
+		for _, m := range []int{1, 2, 6, 4096} {
+			maxAttr := new(big.Int).Lsh(big.NewInt(1), uint(b))
+			maxAttr.Sub(maxAttr, big.NewInt(1))
+			dist := new(big.Int).Mul(maxAttr, maxAttr)
+			dist.Mul(dist, big.NewInt(int64(m)))
+			if got, want := DomainBits(b, m), dist.BitLen()+1; got != want {
+				t.Errorf("DomainBits(%d,%d) = %d, want %d", b, m, got, want)
+			}
 		}
 	}
 }

@@ -16,7 +16,9 @@ import (
 type Backend interface {
 	// SecureQuery runs SkNNm and returns the masked result plus its
 	// metrics (which carry the failover count on replicated backends).
-	SecureQuery(ctx context.Context, q core.EncryptedQuery, k, domainBits, target int) (*core.MaskedResult, *core.SecureMetrics, error)
+	// The int after k is ignored (the gateway passes 0; l is the
+	// table's): bench/taps.go's tenantBackend implements it.
+	SecureQuery(ctx context.Context, q core.EncryptedQuery, k, _, target int) (*core.MaskedResult, *core.SecureMetrics, error)
 	// BasicQuery runs SkNNb.
 	BasicQuery(ctx context.Context, q core.EncryptedQuery, k int) (*core.MaskedResult, error)
 	// N reports the live record count, M the table shape, AttrBits the
@@ -44,8 +46,8 @@ func NewCoordinatorBackend(coord *core.ShardedC1, extra ...io.Closer) Backend {
 	return &coordinatorBackend{coord: coord, also: extra}
 }
 
-func (b *coordinatorBackend) SecureQuery(ctx context.Context, q core.EncryptedQuery, k, domainBits, target int) (*core.MaskedResult, *core.SecureMetrics, error) {
-	return b.coord.SecureQuery(ctx, q, k, domainBits, target)
+func (b *coordinatorBackend) SecureQuery(ctx context.Context, q core.EncryptedQuery, k, _, target int) (*core.MaskedResult, *core.SecureMetrics, error) {
+	return b.coord.SecureQuery(ctx, q, k, target)
 }
 
 func (b *coordinatorBackend) BasicQuery(ctx context.Context, q core.EncryptedQuery, k int) (*core.MaskedResult, error) {

@@ -269,7 +269,7 @@ func (g *Gateway) runQuery(t *tenant, req *mpc.Message) *mpc.Message {
 	if secure {
 		// Target 0: a tenant's query always scans fully, so a clustered
 		// table never shows which clusters a gateway query touched.
-		r, sm, qerr := t.be.SecureQuery(context.Background(), q, k, t.cfg.DomainBits, 0)
+		r, sm, qerr := t.be.SecureQuery(context.Background(), q, k, 0, 0)
 		err = qerr
 		res = r
 		if sm != nil {

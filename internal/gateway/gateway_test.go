@@ -781,8 +781,7 @@ func TestGatewayEndToEndCrypto(t *testing.T) {
 		}
 		err = g.AddTenant(TenantConfig{
 			Name: w.name, Token: w.token,
-			DomainBits: tbl.DomainBits(),
-			RateQPS:    1000, MaxInflight: 2, MaxQueue: 4,
+			RateQPS: 1000, MaxInflight: 2, MaxQueue: 4,
 		}, NewCoordinatorBackend(eng.ShardedC1, eng.Workers[0]))
 		if err != nil {
 			t.Fatal(err)

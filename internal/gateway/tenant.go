@@ -8,17 +8,16 @@ import (
 )
 
 // TenantConfig declares one tenant of the gateway: its name, the token
-// its clients must prove, the query-planning parameters of its table,
-// and its admission quotas. Each tenant runs against its own Backend —
-// its own table, key, and shard set — so tenants are cryptographically
-// isolated; the gateway only multiplexes connections and enforces
-// quotas between them.
+// its clients must prove, and its admission quotas. Each tenant runs
+// against its own Backend — its own table, key, and shard set — so
+// tenants are cryptographically isolated; the gateway only multiplexes
+// connections and enforces quotas between them.
 type TenantConfig struct {
 	Name  string
 	Token string // pre-shared tenant token; must be non-empty
 
-	// DomainBits is l for the tenant's secure queries (the squared-
-	// distance domain; see dataset.DomainBits).
+	// Deprecated: ignored; l is the backend table's. bench/workloads.go
+	// still sets it.
 	DomainBits int
 
 	// RateQPS caps admitted queries per second (token bucket, shed on

@@ -24,7 +24,7 @@ import (
 // which is what makes FuzzFrameDecode possible.
 const (
 	// maxFrameBytes caps a frame payload. The largest legitimate frames
-	// carry O(k·m + domainBits) ciphertexts of ~256 bytes each; 16 MiB is
+	// carry O(k·m + l) ciphertexts of ~256 bytes each; 16 MiB is
 	// two orders of magnitude above that while still denying a liar any
 	// meaningful allocation.
 	maxFrameBytes  = 16 << 20

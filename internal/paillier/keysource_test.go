@@ -78,7 +78,7 @@ func TestEveryKeySourceEncryptsThroughTheComb(t *testing.T) {
 		t.Fatal(err)
 	}
 	var snapshot bytes.Buffer
-	if err := store.Write(&snapshot, &sk.PublicKey, table.Snapshot(), 8); err != nil {
+	if err := store.Write(&snapshot, &sk.PublicKey, table.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := store.Read(&snapshot)
@@ -97,7 +97,7 @@ func TestEveryKeySourceEncryptsThroughTheComb(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shardServer, err := core.NewShardServer(c1, 0, 1, 8)
+	shardServer, err := core.NewShardServer(c1, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestEveryKeySourceEncryptsThroughTheComb(t *testing.T) {
 	// through Query, so the backend keeps what the client encrypted.
 	backend := &captureBackend{pk: &sk.PublicKey}
 	gw := gateway.NewGateway()
-	if err := gw.AddTenant(gateway.TenantConfig{Name: "alice", Token: "token", DomainBits: 8}, backend); err != nil {
+	if err := gw.AddTenant(gateway.TenantConfig{Name: "alice", Token: "token"}, backend); err != nil {
 		t.Fatal(err)
 	}
 	tenantSide, gatewaySide := mpc.ChanPipe()

@@ -225,7 +225,7 @@ func coordinator(t *testing.T, kc *keyCloud, table *core.EncryptedTable, shards 
 	}
 	workers := make([]core.Shard, shards)
 	for i, c1 := range eng.Workers {
-		srv, err := core.NewShardServer(c1, i, shards, 0)
+		srv, err := core.NewShardServer(c1, i, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,9 +254,9 @@ func coordinator(t *testing.T, kc *keyCloud, table *core.EncryptedTable, shards 
 
 // engine runs one production SkNNm query over table, through a
 // coordinator over that many in-process shard workers.
-func engine(t *testing.T, kc *keyCloud, table *core.EncryptedTable, shards int, q core.EncryptedQuery, k, l int) (*core.MaskedResult, error) {
+func engine(t *testing.T, kc *keyCloud, table *core.EncryptedTable, shards int, q core.EncryptedQuery, k int) (*core.MaskedResult, error) {
 	t.Helper()
-	res, _, err := coordinator(t, kc, table, shards, false).SecureQuery(context.Background(), q, k, l, 0)
+	res, _, err := coordinator(t, kc, table, shards, false).SecureQuery(context.Background(), q, k, 0)
 	return res, err
 }
 
@@ -281,7 +281,10 @@ func sortedDistances(t *testing.T, rows [][]uint64, q []uint64) []uint64 {
 // must return the plaintext oracle's k-distance multiset (ties are broken
 // at random on both sides, so rows are compared as distances) made of
 // whole table rows, payload columns included. The rows are the edges of
-// the value domain that cost one line each.
+// the value domain that cost one line each. l is the table's,
+// dataset.DomainBits(attrBits, f), on both sides: the last two rows reach
+// the key's bound through the shape, K = 118 carrying DomainBits(24, 1) =
+// 49 = K − 69 and refusing DomainBits(24, 2) = 50.
 func TestSkNNmDifferential(t *testing.T) {
 	const max24 = 1<<24 - 1
 	cases := []struct {
@@ -292,7 +295,6 @@ func TestSkNNmDifferential(t *testing.T) {
 		rows     [][]uint64
 		q        []uint64
 		k        int
-		l        int   // 0 = dataset.DomainBits(attrBits, f)
 		wantErr  error // of the production engine; the reference is not run
 	}{
 		{name: "plain", keyBits: 256, attrBits: 4, f: 2,
@@ -313,12 +315,12 @@ func TestSkNNmDifferential(t *testing.T) {
 		{name: "payload column intact", keyBits: 256, attrBits: 3, f: 2,
 			rows: [][]uint64{{7, 7, 7, 0}, {0, 0, 0, 7}, {7, 0, 7, 7}, {3, 4, 0, 1}},
 			q:    []uint64{7, 7}, k: 2},
-		{name: "l = K − 69", keyBits: 128, attrBits: 3, f: 2, l: 128 - 69,
-			rows: [][]uint64{{1, 2}, {7, 7}, {4, 0}, {2, 2}},
-			q:    []uint64{2, 3}, k: 2},
-		{name: "l = K − 68", keyBits: 128, attrBits: 3, f: 2, l: 128 - 68,
-			rows: [][]uint64{{1, 2}, {7, 7}, {4, 0}, {2, 2}},
-			q:    []uint64{2, 3}, k: 2, wantErr: core.ErrDomainBits},
+		{name: "l = K − 69", keyBits: 118, attrBits: 24, f: 1,
+			rows: [][]uint64{{max24}, {0}, {9}, {max24 - 1}},
+			q:    []uint64{max24}, k: 2},
+		{name: "l = K − 68", keyBits: 118, attrBits: 24, f: 2,
+			rows: [][]uint64{{max24, 1}, {0, 2}, {9, 3}, {max24 - 1, 4}},
+			q:    []uint64{max24, 0}, k: 2, wantErr: core.ErrDomainBits},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -328,11 +330,11 @@ func TestSkNNmDifferential(t *testing.T) {
 			}
 			sk := testkit.Key(tc.keyBits)
 			pk := &sk.PublicKey
-			l := tc.l
-			if l == 0 {
-				l = dataset.DomainBits(tc.attrBits, tc.f)
-			}
+			l := dataset.DomainBits(tc.attrBits, tc.f)
 			table, err := core.EncryptTable(rand.Reader, pk, tc.rows)
+			if err == nil {
+				table, err = table.WithAttrBits(tc.attrBits)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -379,7 +381,7 @@ func TestSkNNmDifferential(t *testing.T) {
 
 			for _, shards := range []int{1, 2} {
 				who := fmt.Sprintf("engine over %d shards", shards)
-				res, err := engine(t, kc, table, shards, eq, tc.k, l)
+				res, err := engine(t, kc, table, shards, eq, tc.k)
 				if tc.wantErr != nil {
 					if !errors.Is(err, tc.wantErr) {
 						t.Errorf("%s: err = %v, want %v", who, err, tc.wantErr)

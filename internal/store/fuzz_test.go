@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"sknn/internal/core"
+	"sknn/internal/dataset"
 	"sknn/internal/paillier"
 	"sknn/internal/testkit"
 )
@@ -42,7 +43,7 @@ func seedSnapshot(tb testing.TB, clustered, sharded bool) []byte {
 			tb.Fatal(err)
 		}
 	}
-	snap := &Snapshot{PK: &sk.PublicKey, DomainBits: 8, Table: enc.Snapshot()}
+	snap := &Snapshot{PK: &sk.PublicKey, Table: enc.Snapshot()}
 	if sharded {
 		parts, err := Split(snap, 2)
 		if err != nil {
@@ -90,7 +91,7 @@ func FuzzSnapshotRead(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := core.CheckDomainBits(snap.PK, snap.DomainBits); err != nil {
+		if err := core.CheckDomainBits(snap.PK, dataset.DomainBits(snap.Table.AttrBits, snap.Table.FeatureM)); err != nil {
 			t.Fatalf("accepted a snapshot whose key cannot carry its l: %v", err)
 		}
 		// A successful parse must be internally coherent enough to
@@ -120,7 +121,7 @@ func FuzzSnapshotRead(f *testing.F) {
 		}
 		want := tbl.Snapshot()
 		var saved bytes.Buffer
-		if err := Write(&saved, snap.PK, want, snap.DomainBits); err != nil {
+		if err := Write(&saved, snap.PK, want); err != nil {
 			t.Fatalf("saving a restored table: %v", err)
 		}
 		back, err := Read(&saved)
@@ -302,7 +303,7 @@ func TestStoreSplitMerge(t *testing.T) {
 		if p.ShardIndex != i || p.ShardCount != 2 {
 			t.Fatalf("part %d lineage %d/%d", i, p.ShardIndex, p.ShardCount)
 		}
-		if p.Table.AttrBits != snap.Table.AttrBits || p.DomainBits != snap.DomainBits {
+		if p.Table.AttrBits != snap.Table.AttrBits || p.Table.FeatureM != snap.Table.FeatureM {
 			t.Fatalf("part %d domain metadata lost", i)
 		}
 		// Round-trip each shard file.

@@ -86,15 +86,16 @@ const (
 )
 
 // Snapshot is one parsed table file: the public key it is encrypted
-// under, the domain size SkNNm queries need, and the full table state
-// ready for core.RestoreTable — including the attribute width the header
-// records, which lives on Table.AttrBits and nowhere else. A shard
-// snapshot (written by Split) additionally records its partition lineage:
-// this file holds the records with stable id ≡ ShardIndex mod ShardCount.
-// ShardCount 0 means an unsharded (whole-table) snapshot.
+// under and the full table state ready for core.RestoreTable — including
+// the attribute width the header records, which lives on Table.AttrBits
+// and nowhere else. The header's l is no field here: it is
+// dataset.DomainBits(Table.AttrBits, Table.FeatureM), written so and
+// checked so. A shard snapshot (written by Split) additionally records
+// its partition lineage: this file holds the records with stable id ≡
+// ShardIndex mod ShardCount. ShardCount 0 means an unsharded
+// (whole-table) snapshot.
 type Snapshot struct {
 	PK         *paillier.PublicKey
-	DomainBits int // l, the squared-distance domain: SkNNm's comparators hold distances below 2^l
 	ShardIndex int // partition lineage; meaningful when ShardCount > 0
 	ShardCount int // 0 = whole table
 	Table      *core.TableSnapshot
@@ -120,19 +121,19 @@ func (s *Snapshot) VerifyKey(pk *paillier.PublicKey) error {
 }
 
 // Write serializes an unsharded table state to w in snapshot format
-// Version. tbl.AttrBits and domainBits are the dataset metadata a loader
-// needs to validate inserts and run queries without re-deriving them.
-func Write(w io.Writer, pk *paillier.PublicKey, tbl *core.TableSnapshot, domainBits int) error {
-	return WriteSnapshot(w, &Snapshot{PK: pk, DomainBits: domainBits, Table: tbl})
+// Version.
+func Write(w io.Writer, pk *paillier.PublicKey, tbl *core.TableSnapshot) error {
+	return WriteSnapshot(w, &Snapshot{PK: pk, Table: tbl})
 }
 
 // WriteSnapshot serializes snap — including its shard lineage, when it
-// is one shard of a partition — in snapshot format Version.
+// is one shard of a partition — in snapshot format Version. The header's
+// l is derived from the table's attribute width and feature columns.
 func WriteSnapshot(w io.Writer, snap *Snapshot) error {
 	if snap == nil {
 		return fmt.Errorf("%w: nil snapshot", ErrFormat)
 	}
-	pk, tbl, domainBits := snap.PK, snap.Table, snap.DomainBits
+	pk, tbl := snap.PK, snap.Table
 	if pk == nil || tbl == nil {
 		return fmt.Errorf("%w: nil key or table", ErrFormat)
 	}
@@ -165,7 +166,7 @@ func WriteSnapshot(w io.Writer, snap *Snapshot) error {
 	out.u32(uint32(tbl.M))
 	out.u32(uint32(tbl.FeatureM))
 	out.u32(uint32(tbl.AttrBits))
-	out.u32(uint32(domainBits))
+	out.u32(uint32(dataset.DomainBits(tbl.AttrBits, tbl.FeatureM)))
 	out.u64(uint64(n))
 	out.u64(tbl.NextID)
 	if flags&flagSharded != 0 {
@@ -437,8 +438,7 @@ func Read(r io.Reader) (*Snapshot, error) {
 		return nil, ErrChecksum
 	}
 	return &Snapshot{
-		PK: pk, DomainBits: domainBits,
-		ShardIndex: shardIndex, ShardCount: shardCount, Table: tbl,
+		PK: pk, ShardIndex: shardIndex, ShardCount: shardCount, Table: tbl,
 	}, nil
 }
 
@@ -459,8 +459,7 @@ func Split(snap *Snapshot, shards int) ([]*Snapshot, error) {
 	out := make([]*Snapshot, len(parts))
 	for i, p := range parts {
 		out[i] = &Snapshot{
-			PK: snap.PK, DomainBits: snap.DomainBits,
-			ShardIndex: i, ShardCount: shards, Table: p,
+			PK: snap.PK, ShardIndex: i, ShardCount: shards, Table: p,
 		}
 	}
 	return out, nil
@@ -495,12 +494,12 @@ func SplitFile(path, base string, shards int) ([]string, error) {
 
 // WriteFile writes a snapshot to path (0644), fsync-free; callers that
 // need durability order their own syncs.
-func WriteFile(path string, pk *paillier.PublicKey, tbl *core.TableSnapshot, domainBits int) error {
+func WriteFile(path string, pk *paillier.PublicKey, tbl *core.TableSnapshot) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := Write(f, pk, tbl, domainBits); err != nil {
+	if err := Write(f, pk, tbl); err != nil {
 		f.Close()
 		return err
 	}

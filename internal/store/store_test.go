@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/big"
@@ -64,7 +65,7 @@ func buildTable(t *testing.T, clustered, churned bool) *core.EncryptedTable {
 func encode(t *testing.T, tbl *core.EncryptedTable) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := Write(&buf, &testKey().PublicKey, tbl.Snapshot(), 14); err != nil {
+	if err := Write(&buf, &testKey().PublicKey, tbl.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -84,8 +85,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		// 6 bits is what EncryptTable derived from buildTable's widest value, 61.
-		if snap.Table.AttrBits != 6 || snap.DomainBits != 14 {
-			t.Fatalf("meta = %d/%d, want 6/14", snap.Table.AttrBits, snap.DomainBits)
+		if l := binary.LittleEndian.Uint32(data[headerL:]); snap.Table.AttrBits != 6 || l != 14 {
+			t.Fatalf("meta = %d/%d, want 6/14", snap.Table.AttrBits, l)
 		}
 		back, err := core.RestoreTable(snap.PK, snap.Table)
 		if err != nil {
@@ -134,7 +135,7 @@ func TestSnapshotDecryptsToOriginal(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, &sk.PublicKey, tbl.Snapshot(), dataset.DomainBits(tbl.AttrBits(), tbl.M())); err != nil {
+	if err := Write(&buf, &sk.PublicKey, tbl.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := Read(&buf)
@@ -203,34 +204,47 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	})
 }
 
-// TestReadRefusesForeignDomain: Read admits only the domain metadata
-// this engine writes — an l below dataset.DomainBits(attrBits, featureM)
-// would let a real distance reach SkNNm's step 3(e) sentinel, and an
-// attribute domain beyond dataset.MaxAttrBits overflows the plaintext
-// distance bound — and a key too small to carry its own l is refused as
-// core.ErrDomainBits, as sknn.New refuses it. The files are otherwise well
-// formed.
+// headerL is the offset of l in a snapshot header: after the magic, the
+// version, the flags, m, featureM and attrBits.
+const headerL = 8 + 2 + 2 + 4 + 4 + 4
+
+// TestReadRefusesForeignDomain: Write derives the header's l from the
+// table's shape, and Read admits only that domain metadata — a forged l
+// off dataset.DomainBits(attrBits, featureM) would compare distances in
+// the wrong domain, and an attribute domain beyond dataset.MaxAttrBits
+// overflows the plaintext distance bound — and a key too small to carry
+// its own l is refused as core.ErrDomainBits, as sknn.New refuses it. The
+// files are otherwise well formed.
 func TestReadRefusesForeignDomain(t *testing.T) {
 	pk := &testKey().PublicKey
 	snap := buildTable(t, false, false).Snapshot()
 	l := dataset.DomainBits(snap.AttrBits, snap.FeatureM)
-	read := func(pk *paillier.PublicKey, tbl *core.TableSnapshot, domainBits int) error {
+	// read writes tbl under pk, with the header's l moved by dl.
+	read := func(pk *paillier.PublicKey, tbl *core.TableSnapshot, dl int) error {
 		var buf bytes.Buffer
-		if err := Write(&buf, pk, tbl, domainBits); err != nil {
+		if err := Write(&buf, pk, tbl); err != nil {
 			t.Fatal(err)
 		}
-		_, err := Read(&buf)
+		data := buf.Bytes()
+		written := binary.LittleEndian.Uint32(data[headerL:])
+		if want := dataset.DomainBits(tbl.AttrBits, tbl.FeatureM); written != uint32(want) {
+			t.Fatalf("header l = %d, want the table's %d", written, want)
+		}
+		binary.LittleEndian.PutUint32(data[headerL:], uint32(int(written)+dl))
+		_, err := Read(bytes.NewReader(data))
 		return err
 	}
-	if err := read(pk, snap, l); err != nil {
+	if err := read(pk, snap, 0); err != nil {
 		t.Fatalf("consistent header l=%d refused: %v", l, err)
 	}
-	if err := read(pk, snap, l-1); !errors.Is(err, ErrFormat) {
-		t.Errorf("understated l=%d: err = %v, want ErrFormat", l-1, err)
+	for _, dl := range []int{-1, 1} {
+		if err := read(pk, snap, dl); !errors.Is(err, ErrFormat) {
+			t.Errorf("forged l=%d: err = %v, want ErrFormat", l+dl, err)
+		}
 	}
 	wide := *snap
 	wide.AttrBits = 30
-	if err := read(pk, &wide, dataset.DomainBits(30, wide.FeatureM)); !errors.Is(err, ErrFormat) {
+	if err := read(pk, &wide, 0); !errors.Is(err, ErrFormat) {
 		t.Errorf("attrBits=30 > %d: err = %v, want ErrFormat", dataset.MaxAttrBits, err)
 	}
 	small := &testkit.Key(64).PublicKey
@@ -238,9 +252,8 @@ func TestReadRefusesForeignDomain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l = dataset.DomainBits(4, 2)
-	if err := read(small, tiny.Snapshot(), l); !errors.Is(err, core.ErrDomainBits) {
-		t.Errorf("64-bit key, l=%d: err = %v, want core.ErrDomainBits", l, err)
+	if err := read(small, tiny.Snapshot(), 0); !errors.Is(err, core.ErrDomainBits) {
+		t.Errorf("64-bit key, l=%d: err = %v, want core.ErrDomainBits", dataset.DomainBits(4, 2), err)
 	}
 }
 
@@ -307,7 +320,7 @@ func TestKeyRoundTrip(t *testing.T) {
 func TestStreamingWriterFlushes(t *testing.T) {
 	tbl := buildTable(t, true, true)
 	var sink countingWriter
-	if err := Write(&sink, &testKey().PublicKey, tbl.Snapshot(), 14); err != nil {
+	if err := Write(&sink, &testKey().PublicKey, tbl.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if sink.n == 0 {

@@ -96,7 +96,7 @@ func (s *System) Insert(row []uint64) (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
-		clusterID, err = sess.NearestCluster(eq, s.domainBits)
+		clusterID, err = sess.NearestCluster(eq)
 		sess.Close()
 		if err != nil {
 			return 0, fmt.Errorf("sknn: routing insert: %w", err)

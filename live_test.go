@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"math/bits"
 	"reflect"
@@ -337,8 +338,9 @@ func TestLoadTableErrors(t *testing.T) {
 
 	// Metadata the engine's invariants forbid, refused by store.Read on
 	// the way in: attrBits beyond dataset.MaxAttrBits (would overflow the
-	// Insert domain guard) and a domain size l that disagrees with
-	// DomainBits (would re-expose the step 3(e) sentinel collision).
+	// Insert domain guard) and a header l that disagrees with DomainBits
+	// (no writer produces one; it is forged here, in the u32 after the
+	// magic, version, flags, m, featureM and attrBits).
 	snap, err := store.Read(bytes.NewReader(snapshot))
 	if err != nil {
 		t.Fatal(err)
@@ -346,18 +348,17 @@ func TestLoadTableErrors(t *testing.T) {
 	var badBits bytes.Buffer
 	wide := *snap.Table
 	wide.AttrBits = 30
-	if err := store.Write(&badBits, &facadeKey().PublicKey, &wide, snap.DomainBits); err != nil {
+	if err := store.Write(&badBits, &facadeKey().PublicKey, &wide); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadTable(&badBits, facadeKey(), Config{}); err == nil {
 		t.Error("attrBits=30 snapshot accepted (MaxAttrBits is 24)")
 	}
-	var badL bytes.Buffer
-	if err := store.Write(&badL, &facadeKey().PublicKey, snap.Table, snap.DomainBits-1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadTable(&badL, facadeKey(), Config{}); err == nil {
-		t.Error("snapshot with understated domain size l accepted")
+	badL := bytes.Clone(snapshot)
+	const headerL = 8 + 2 + 2 + 4 + 4 + 4
+	binary.LittleEndian.PutUint32(badL[headerL:], binary.LittleEndian.Uint32(badL[headerL:])-1)
+	if _, err := LoadTable(bytes.NewReader(badL), facadeKey(), Config{}); !errors.Is(err, store.ErrFormat) {
+		t.Errorf("snapshot with understated domain size l: err = %v, want store.ErrFormat", err)
 	}
 }
 

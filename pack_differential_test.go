@@ -197,7 +197,7 @@ func TestDifferentialSecureQueryEdges(t *testing.T) {
 				if _, err := New(tc.rows, tc.attrBits, Config{Key: sk}); !errors.Is(err, tc.wantErr) {
 					t.Errorf("New: err = %v, want %v", err, tc.wantErr)
 				}
-				// A snapshot some other writer produced at that l.
+				// A snapshot of that table: its header carries that l.
 				table, err := core.EncryptTable(rand.Reader, &sk.PublicKey, tc.rows)
 				if err != nil {
 					t.Fatal(err)
@@ -206,7 +206,7 @@ func TestDifferentialSecureQueryEdges(t *testing.T) {
 					t.Fatal(err)
 				}
 				var buf bytes.Buffer
-				if err := store.Write(&buf, &sk.PublicKey, table.Snapshot(), dataset.DomainBits(tc.attrBits, m)); err != nil {
+				if err := store.Write(&buf, &sk.PublicKey, table.Snapshot()); err != nil {
 					t.Fatal(err)
 				}
 				if _, err := LoadTable(&buf, sk, Config{}); !errors.Is(err, tc.wantErr) {

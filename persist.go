@@ -29,7 +29,7 @@ func (s *System) SaveTable(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := store.Write(w, &s.sk.PublicKey, snap, s.domainBits); err != nil {
+	if err := store.Write(w, &s.sk.PublicKey, snap); err != nil {
 		return fmt.Errorf("sknn: %w", err)
 	}
 	return nil
@@ -79,5 +79,5 @@ func LoadTable(r io.Reader, sk *paillier.PrivateKey, cfg Config) (*System, error
 	if cfg.Index == IndexClustered && !tbl.Clustered() {
 		return nil, fmt.Errorf("sknn: snapshot has no cluster index (a loaded table cannot be clustered without plaintext)")
 	}
-	return assemble(sk, tbl, snap.DomainBits, cfg)
+	return assemble(sk, tbl, cfg)
 }

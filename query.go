@@ -252,7 +252,7 @@ func (s *System) run(ctx context.Context, q []uint64, o *queryOptions) (*Result,
 	if o.mode == ModeBasic {
 		res, sm, err = s.eng.BasicQuery(ctx, eq, o.k)
 	} else {
-		res, sm, err = s.eng.SecureQuery(ctx, eq, o.k, s.domainBits, target)
+		res, sm, err = s.eng.SecureQuery(ctx, eq, o.k, target)
 	}
 	if err != nil {
 		return nil, err

@@ -326,7 +326,7 @@ func TestShardedSaveLoadEquality(t *testing.T) {
 		t.Fatal(err)
 	}
 	var mergedFile bytes.Buffer
-	if err := store.Write(&mergedFile, snap.PK, merged, snap.DomainBits); err != nil {
+	if err := store.Write(&mergedFile, snap.PK, merged); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadTable(&mergedFile, facadeKey(), Config{Coverage: 8})

@@ -198,7 +198,6 @@ type System struct {
 	sk          *paillier.PrivateKey
 	eng         *core.Engine // the coordinator every query enters through, over Shards workers
 	client      *core.Client
-	domainBits  int
 	attrBits    int // per-attribute domain, bounds Insert values and SkNNm queries
 	index       IndexMode
 	cfgClusters int     // requested cluster count (0 = ⌈√n⌉), reused by Compact rebuilds
@@ -246,8 +245,7 @@ func New(rows [][]uint64, attrBits int, cfg Config) (*System, error) {
 	if cfg.FeatureColumns > 0 {
 		featureM = cfg.FeatureColumns
 	}
-	domainBits := dataset.DomainBits(attrBits, featureM)
-	if err := core.CheckDomainBits(&sk.PublicKey, domainBits); err != nil {
+	if err := core.CheckDomainBits(&sk.PublicKey, dataset.DomainBits(attrBits, featureM)); err != nil {
 		return nil, fmt.Errorf("sknn: %w", err)
 	}
 
@@ -292,7 +290,7 @@ func New(rows [][]uint64, attrBits int, cfg Config) (*System, error) {
 			return nil, fmt.Errorf("sknn: attaching cluster index: %w", err)
 		}
 	}
-	return assemble(sk, encTable, domainBits, cfg)
+	return assemble(sk, encTable, cfg)
 }
 
 // normalizeConfig applies defaults and rejects invalid settings. Shared
@@ -335,7 +333,7 @@ func normalizeConfig(cfg *Config) error {
 // shape — Shards workers and a coordinator over them — and one
 // in-process C2 serves every link of it, shard pools and the
 // coordinator's merge pool alike (its handlers are stateless).
-func assemble(sk *paillier.PrivateKey, encTable *core.EncryptedTable, domainBits int, cfg Config) (*System, error) {
+func assemble(sk *paillier.PrivateKey, encTable *core.EncryptedTable, cfg Config) (*System, error) {
 	index := IndexNone
 	if encTable.Clustered() {
 		index = IndexClustered
@@ -343,7 +341,6 @@ func assemble(sk *paillier.PrivateKey, encTable *core.EncryptedTable, domainBits
 	sys := &System{
 		sk:          sk,
 		client:      core.NewClient(&sk.PublicKey, nil),
-		domainBits:  domainBits,
 		attrBits:    encTable.AttrBits(),
 		index:       index,
 		cfgClusters: cfg.Clusters,
@@ -399,8 +396,9 @@ func (s *System) N() int { return s.eng.N() }
 // M returns the number of attributes.
 func (s *System) M() int { return s.eng.M() }
 
-// DomainBits returns l, the squared-distance domain size SkNNm uses.
-func (s *System) DomainBits() int { return s.domainBits }
+// DomainBits returns l, the squared-distance domain size SkNNm uses:
+// dataset.DomainBits of the table's attribute width and feature columns.
+func (s *System) DomainBits() int { return s.eng.DomainBits() }
 
 // PublicKey exposes the Paillier public key (e.g. for encrypting
 // additional data under the same system).
