@@ -119,7 +119,7 @@ func BenchmarkFig2c_SkNNbVaryK(b *testing.B) {
 
 // benchSecure runs SkNNm over m attributes attrBits wide. l is the
 // table's, dataset.DomainBits(attrBits, m): at m = 6, widths 1 and 4 give
-// l = 4 and 12, and no width gives the paper's l = 6.
+// l = 3 and 11, and width 2 the paper's l = 6.
 func benchSecure(b *testing.B, n, m, k, attrBits, keyBits int) {
 	sys, q := benchSystem(b, n, m, attrBits, keyBits, 1)
 	b.ResetTimer()
@@ -144,19 +144,21 @@ func BenchmarkFig2d_SkNNmVaryKL(b *testing.B) {
 
 func BenchmarkFig2e_SkNNmKey1024(b *testing.B) {
 	for _, k := range []int{2, 3} {
-		b.Run(fmt.Sprintf("l=4/k=%d", k), func(b *testing.B) {
+		b.Run(fmt.Sprintf("l=%d/k=%d", dataset.DomainBits(1, 6), k), func(b *testing.B) {
 			benchSecure(b, 8, 6, k, 1, 1024)
 		})
 	}
 }
 
-// --- Figure 2(f): SkNNb vs SkNNm at the same parameters --------------
+// --- Figure 2(f): SkNNb vs SkNNm over one table ---------------------
 
+// BenchmarkFig2f_Compare runs both protocols over one table shape: m = 6
+// attributes 2 bits wide, whose l is the paper's 6.
 func BenchmarkFig2f_Compare(b *testing.B) {
-	const n, m = 16, 6
+	const n, m, attrBits = 16, 6, 2
 	for _, k := range []int{2, 4} {
 		b.Run(fmt.Sprintf("SkNNb/k=%d", k), func(b *testing.B) {
-			sys, q := benchSystem(b, n, m, 2, 512, 1)
+			sys, q := benchSystem(b, n, m, attrBits, 512, 1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := queryRows(sys, q, k, ModeBasic); err != nil {
@@ -165,7 +167,7 @@ func BenchmarkFig2f_Compare(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("SkNNm/k=%d", k), func(b *testing.B) {
-			benchSecure(b, n, m, k, 1, 512)
+			benchSecure(b, n, m, k, attrBits, 512)
 		})
 	}
 }
@@ -176,7 +178,7 @@ func BenchmarkFig2f_Compare(b *testing.B) {
 // the frames. The SkNNm row holds it at one link, so what
 // `go test -bench Fig3 -cpu 1,2` shows for it is the in-party fan-out
 // alone (paillier.ForEach): the core speed-up the paper's Figure 3
-// plots, at the benchmark's secure_scan shape (n=8, m=6, l=12, k=2).
+// plots, at the benchmark's secure_scan shape (n=8, m=6, l=11, k=2).
 func BenchmarkFig3_ParallelVsSerial(b *testing.B) {
 	for _, n := range []int{64, 128} {
 		for _, workers := range []int{1, 4} {

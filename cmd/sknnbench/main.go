@@ -47,7 +47,7 @@ type scale struct {
 	basicKs []int
 	// SkNNm sweeps (figures 2d–2f), one series per attribute width: the
 	// width fixes l, which is the table's (at m = 6, widths 1 and 4 give
-	// l = 4 and 12; no width gives the paper's l = 6).
+	// l = 3 and 11, and width 2 the paper's l = 6, which Fig 2(f) runs).
 	secureN    int
 	secureKs   []int
 	secureBits []int
@@ -191,9 +191,10 @@ func (b *bench) system(n, m, attrBits, keyBits, workers int) (*sknn.System, []ui
 	return sys, q, nil
 }
 
-// basicTime runs one SkNNb query and returns its wall time.
-func (b *bench) basicTime(n, m, k, keyBits, workers int) (time.Duration, error) {
-	sys, q, err := b.system(n, m, 8, keyBits, workers)
+// basicTime runs one SkNNb query over m attributes attrBits wide and
+// returns its wall time.
+func (b *bench) basicTime(n, m, k, attrBits, keyBits, workers int) (time.Duration, error) {
+	sys, q, err := b.system(n, m, attrBits, keyBits, workers)
 	if err != nil {
 		return 0, err
 	}
@@ -228,7 +229,7 @@ func (b *bench) basicNMSweep(title string, keyBits int) error {
 	for _, m := range b.sc.basicMs {
 		series := fig.NewSeries(fmt.Sprintf("m=%d", m))
 		for _, n := range b.sc.basicNs {
-			d, err := b.basicTime(n, m, 5, keyBits, 1)
+			d, err := b.basicTime(n, m, 5, 8, keyBits, 1)
 			if err != nil {
 				return err
 			}
@@ -246,7 +247,7 @@ func (b *bench) fig2c() error {
 	for _, keyBits := range []int{512, 1024} {
 		series := fig.NewSeries(fmt.Sprintf("K=%d", keyBits))
 		for _, k := range b.sc.basicKs {
-			d, err := b.basicTime(n, 6, k, keyBits, 1)
+			d, err := b.basicTime(n, 6, k, 8, keyBits, 1)
 			if err != nil {
 				return err
 			}
@@ -277,23 +278,27 @@ func (b *bench) secureKLSweep(title string, keyBits int) error {
 	return fig.Fprint(os.Stdout)
 }
 
+// fig2fBits is the attribute width both of Fig 2(f)'s protocols run
+// over: at m = 6 its table's l is the paper's 6.
+const fig2fBits = 2
+
 func (b *bench) fig2f() error {
 	fig := benchkit.NewFigure("", "k", "time (min)")
 	basicSeries := fig.NewSeries("SkNNb")
 	secureSeries := fig.NewSeries("SkNNm")
 	for _, k := range b.sc.secureKs {
-		bd, err := b.basicTime(b.sc.secureN, 6, k, 512, 1)
+		bd, err := b.basicTime(b.sc.secureN, 6, k, fig2fBits, 512, 1)
 		if err != nil {
 			return err
 		}
 		basicSeries.Add(float64(k), benchkit.Minutes(bd))
-		sm, l, err := b.secureMetrics(b.sc.secureN, 6, k, 1, 512)
+		sm, l, err := b.secureMetrics(b.sc.secureN, 6, k, fig2fBits, 512)
 		if err != nil {
 			return err
 		}
 		secureSeries.Add(float64(k), benchkit.Minutes(sm.Total))
-		fig.Title = fmt.Sprintf("Fig 2(f): SkNNb vs SkNNm, n=%d, m=6, l=%d, K=512 [scale=%s]",
-			b.sc.secureN, l, b.sc.name)
+		fig.Title = fmt.Sprintf("Fig 2(f): SkNNb vs SkNNm, n=%d, m=6, b=%d, l=%d, K=512 [scale=%s]",
+			b.sc.secureN, fig2fBits, l, b.sc.name)
 	}
 	return fig.Fprint(os.Stdout)
 }
@@ -307,12 +312,12 @@ func (b *bench) fig3() error {
 	serial := fig.NewSeries("serial")
 	parallel := fig.NewSeries("parallel")
 	for _, n := range b.sc.basicNs {
-		ds, err := b.basicTime(n, 6, 5, 512, 1)
+		ds, err := b.basicTime(n, 6, 5, 8, 512, 1)
 		if err != nil {
 			return err
 		}
 		serial.Add(float64(n), benchkit.Seconds(ds))
-		dp, err := b.basicTime(n, 6, 5, 512, w)
+		dp, err := b.basicTime(n, 6, 5, 8, 512, w)
 		if err != nil {
 			return err
 		}

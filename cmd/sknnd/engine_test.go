@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"net"
 	"os"
 	"path/filepath"
@@ -120,17 +121,20 @@ func TestBuildEngine(t *testing.T) {
 	if err := store.WriteFile(snapPath, pk, enc.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	// The same table with its header's l forged one bit short (the u32
-	// after the magic, version, flags, m, featureM and attrBits), and one
-	// shard of it alone: no C1 may serve either as a whole table.
-	understated, err := os.ReadFile(snapPath)
+	// The same table with its header's attribute width forged past
+	// dataset.MaxAttrBits (the u32 after the magic, version, flags, m and
+	// featureM; the CRC-32C trailer recomputed), and one shard of it
+	// alone: no C1 may serve either as a whole table.
+	tooWide, err := os.ReadFile(snapPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const headerL = 8 + 2 + 2 + 4 + 4 + 4
-	binary.LittleEndian.PutUint32(understated[headerL:], uint32(tbl.DomainBits()-1))
-	understatedPath := filepath.Join(t.TempDir(), "understated.snap")
-	if err := os.WriteFile(understatedPath, understated, 0o644); err != nil {
+	const headerAttrBits = 8 + 2 + 2 + 4 + 4
+	binary.LittleEndian.PutUint32(tooWide[headerAttrBits:], dataset.MaxAttrBits+1)
+	body := tooWide[:len(tooWide)-4]
+	binary.LittleEndian.PutUint32(tooWide[len(body):], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	tooWidePath := filepath.Join(t.TempDir(), "too-wide.snap")
+	if err := os.WriteFile(tooWidePath, tooWide, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	shardPaths, err := store.SplitFile(snapPath, filepath.Join(t.TempDir(), "table.snap"), 2)
@@ -308,7 +312,7 @@ func TestBuildEngine(t *testing.T) {
 			{"table and shards", tenantSpec{Table: snapPath, Shards: shardAddrs, C2: c2Addr}, "exactly one of"},
 			{"neither", tenantSpec{C2: c2Addr}, "exactly one of"},
 			{"no C2", tenantSpec{Table: snapPath}, `missing "c2" address`},
-			{"understated l", tenantSpec{Table: understatedPath, C2: c2Addr}, store.ErrFormat.Error()},
+			{"wider than any table", tenantSpec{Table: tooWidePath, C2: c2Addr}, "attrBits=25 outside [1,24]"},
 			{"shard file as table", tenantSpec{Table: shardPaths[0], C2: c2Addr}, "not a whole table"},
 		} {
 			eng, err := buildEngine(tc.spec)

@@ -20,13 +20,13 @@ func TestEncrypt(t *testing.T) {
 	dir := t.TempDir()
 
 	t.Run("key too small for l", func(t *testing.T) {
-		// m = 4 at 24 bits gives l = 51, above the K − 69 a 118-bit key carries.
-		tbl, err := dataset.Generate(3, 6, 4, 24)
+		// m = 2 at 24 bits gives l = 49, one above the K − 69 a 117-bit key carries.
+		tbl, err := dataset.Generate(3, 6, 2, 24)
 		if err != nil {
 			t.Fatal(err)
 		}
 		out := filepath.Join(dir, "small.snap")
-		if err := encrypt(testkit.Key(118), tbl, out, 0); !errors.Is(err, core.ErrDomainBits) {
+		if err := encrypt(testkit.Key(117), tbl, out, 0); !errors.Is(err, core.ErrDomainBits) {
 			t.Fatalf("err = %v, want core.ErrDomainBits", err)
 		}
 		if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {

@@ -197,7 +197,7 @@ func TestBasicPackedBoundaries(t *testing.T) {
 		}
 		return row
 	}
-	const max64 = 1<<64 - 1
+	const max24 = 1<<dataset.MaxAttrBits - 1
 	cases := []struct {
 		name     string
 		keyBits  int
@@ -217,9 +217,9 @@ func TestBasicPackedBoundaries(t *testing.T) {
 		{name: "b = 1", keyBits: 256, attrBits: 1, f: 3,
 			rows: [][]uint64{{1, 1, 1}, {0, 0, 0}, {1, 0, 1}, {0, 1, 0}},
 			q:    []uint64{1, 1, 0}, k: 3, chunks: 1},
-		{name: "b = 64", keyBits: 512, attrBits: 64, f: 2,
-			rows: [][]uint64{{max64, 5, max64}, {max64 - 3, 9, 0}, {max64 - 100, 5, 7}, {max64 - 2, 2, max64 - 1}},
-			q:    []uint64{max64 - 1, 6}, k: 2, chunks: 2},
+		{name: "b = 24, the widest", keyBits: 256, attrBits: 24, f: 2,
+			rows: [][]uint64{{max24, 5, max24}, {max24 - 3, 9, 0}, {max24 - 100, 5, 7}, {max24 - 2, 2, max24 - 1}},
+			q:    []uint64{max24 - 1, 6}, k: 2, chunks: 2},
 		{name: "widest record in one chunk", keyBits: 256, attrBits: 3, f: 2,
 			rows: [][]uint64{wide(20, 7), wide(20, 0), wide(20, 1)},
 			q:    []uint64{1, 2}, k: 2, chunks: 1},
@@ -300,7 +300,7 @@ func TestBasicPackedBoundaries(t *testing.T) {
 // width, the table's, so after a query in each mode the table's memo
 // holds one SSED rendering and one record rendering, and the second
 // query reuses every row the first one packed. secure_scan's shape
-// (m = 6, b = 4, l = 12) under a key that packs a whole record into one
+// (m = 6, b = 4, l = 11) under a key that packs a whole record into one
 // chunk.
 func TestOneRenderingPerRow(t *testing.T) {
 	tbl, err := dataset.Generate(44, 8, 6, 4)

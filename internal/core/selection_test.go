@@ -32,17 +32,17 @@ func networkRounds(n, k, l int) int {
 // over a grid of n, k and l, a one-link full scan takes exactly 1 SSED +
 // networkRounds(n, k, l) + 1 reveal round trips and answers like the
 // plaintext oracle. l is the table's, so the grid sweeps it through the
-// shape: DomainBits(2, 2) = 6 and DomainBits(5, 2) = 12.
+// shape: DomainBits(2, 4) = 6 and DomainBits(5, 4) = 12.
 func TestSelectionCostModel(t *testing.T) {
 	for _, attrBits := range []int{2, 5} {
 		for _, n := range []int{2, 3, 5, 8, 9} {
-			tbl, err := dataset.Generate(int64(700+n), n, 2, attrBits)
+			tbl, err := dataset.Generate(int64(700+n), n, 4, attrBits)
 			if err != nil {
 				t.Fatal(err)
 			}
 			c1, bob := newSystem(t, tbl, 1)
 			l := c1.DomainBits()
-			q := []uint64{1, 2}
+			q := []uint64{1, 2, 0, 3}
 			eq, err := bob.EncryptQuery(q)
 			if err != nil {
 				t.Fatal(err)
@@ -81,47 +81,68 @@ func replyEncryptions(n, k, l, chunks int) int {
 }
 
 // TestReplyEncryptionsPerScan pins C2's encryption work per SkNNm scan
-// on one link, counted by a handler wrapper at secure_scan's shape
-// (n = 8, m = 6, b = 4, k = 2, so l = 12 and a record is one chunk): one
-// SSED distance per record, then per gate one bit in each of the peel's
-// l + 1 rounds and per = 1 + chunks products in the output round — the
-// gap and the record chunks — so n + G·(l + 1 + per) = 8 + 12·15 = 188.
-// The reveal answers plaintexts.
+// on one link, counted by a handler wrapper: one SSED distance per
+// record, then per gate one bit in each of the peel's l + 1 rounds and
+// per = 1 + chunks products in the output round — the gap and the record
+// chunks — so n + G·(l + 1 + per), with l the session's. The reveal
+// answers plaintexts. At secure_scan's shape (n = 8, m = 6, b = 4, k = 2)
+// l = 11 and a record is one chunk: 8 + 12·14 = 176. At b = 1 the same
+// n and m give l = 3, and at m = 3 l = 2, where the farthest record sits
+// at 2^l − 1.
 func TestReplyEncryptionsPerScan(t *testing.T) {
-	const n, m, attrBits, k = 8, 6, 4, 2
-	tbl, err := dataset.Generate(808, n, m, attrBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sk := testKey()
-	encTable, err := EncryptTable(rand.Reader, &sk.PublicKey, tbl.Rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mux := NewCloudC2(sk, nil).Mux()
-	var encrypted atomic.Int64
-	counting := mpc.HandlerFunc(func(req *mpc.Message) (*mpc.Message, error) {
-		resp, err := mux.Handle(req)
-		if err == nil && (req.Op == smc.OpSSEDPack || req.Op == smc.OpSBDPackBit) {
-			encrypted.Add(int64(len(resp.Ints)))
-		}
-		return resp, err
-	})
-	engine := newEngine(t, encTable, 1, func() []mpc.Conn {
-		return []mpc.Conn{pipeServedBy(t, func(c mpc.Conn) error { return mpc.Serve(c, counting) })}
-	})
-	q := []uint64{3, 9, 0, 15, 7, 1}
-	rows := runSecure(t, engine, NewClient(&sk.PublicKey, nil), q, k)
-	assertMatchesOracle(t, tbl, q, k, rows)
+	const n, k = 8, 2
+	for _, shape := range []struct {
+		m, attrBits int
+		q           []uint64
+		l, want     int // pinned at secure_scan's shape only
+	}{
+		{6, 4, []uint64{3, 9, 0, 15, 7, 1}, 11, 176},
+		{6, 1, []uint64{1, 1, 1, 1, 1, 1}, 0, 0},
+		{3, 1, []uint64{1, 1, 1}, 0, 0},
+	} {
+		m, attrBits := shape.m, shape.attrBits
+		t.Run(fmt.Sprintf("m=%d,b=%d", m, attrBits), func(t *testing.T) {
+			tbl, err := dataset.Generate(808, n, m, attrBits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if attrBits == 1 {
+				tbl.Rows[0] = make([]uint64, m) // the far corner from the all-ones query
+			}
+			sk := testKey()
+			encTable, err := EncryptTable(rand.Reader, &sk.PublicKey, tbl.Rows)
+			if err == nil {
+				encTable, err = encTable.WithAttrBits(attrBits)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			mux := NewCloudC2(sk, nil).Mux()
+			var encrypted atomic.Int64
+			counting := mpc.HandlerFunc(func(req *mpc.Message) (*mpc.Message, error) {
+				resp, err := mux.Handle(req)
+				if err == nil && (req.Op == smc.OpSSEDPack || req.Op == smc.OpSBDPackBit) {
+					encrypted.Add(int64(len(resp.Ints)))
+				}
+				return resp, err
+			})
+			engine := newEngine(t, encTable, 1, func() []mpc.Conn {
+				return []mpc.Conn{pipeServedBy(t, func(c mpc.Conn) error { return mpc.Serve(c, counting) })}
+			})
+			rows := runSecure(t, engine, NewClient(&sk.PublicKey, nil), shape.q, k)
+			assertMatchesOracle(t, tbl, shape.q, k, rows)
 
-	l := tbl.DomainBits()
-	chunks := rowLayoutFor(&sk.PublicKey, m, encTable.AttrBits()).Chunks(m)
-	want := replyEncryptions(n, k, l, chunks)
-	if got := encrypted.Load(); got != int64(want) {
-		t.Errorf("C2 encrypted %d replies, cost model n + G·(l+1+per) says %d", got, want)
-	}
-	if l != 12 || chunks != 1 || want != 188 {
-		t.Errorf("secure_scan's shape: l = %d, %d record chunks, %d reply encryptions; want 12, 1, 188", l, chunks, want)
+			l := engine.DomainBits()
+			chunks := rowLayoutFor(&sk.PublicKey, m, encTable.AttrBits()).Chunks(m)
+			want := replyEncryptions(n, k, l, chunks)
+			if got := encrypted.Load(); got != int64(want) {
+				t.Errorf("C2 encrypted %d replies, cost model n + G·(l+1+per) says %d", got, want)
+			}
+			if shape.want != 0 && (l != shape.l || chunks != 1 || want != shape.want) {
+				t.Errorf("secure_scan's shape: l = %d, %d record chunks, %d reply encryptions; want %d, 1, %d",
+					l, chunks, want, shape.l, shape.want)
+			}
+		})
 	}
 }
 
@@ -131,13 +152,13 @@ func TestReplyEncryptionsPerScan(t *testing.T) {
 // reveal, and the answer is the plaintext oracle's. l sweeps through the
 // table's shape, as in TestSelectionCostModel.
 func TestMergeCostModel(t *testing.T) {
-	const m, n = 2, 10
+	const m, n = 4, 10
 	for _, attrBits := range []int{2, 5} {
 		tbl, err := dataset.Generate(751, n, m, attrBits)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := []uint64{1, 2}
+		q := []uint64{1, 2, 0, 3}
 		for _, shards := range []int{3, 4} {
 			coord, bob := newShardedSystem(t, tbl, shards, 1, false)
 			l := coord.DomainBits()

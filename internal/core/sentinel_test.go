@@ -2,6 +2,7 @@ package core
 
 import (
 	"crypto/rand"
+	"errors"
 	"fmt"
 	"math/big"
 	"slices"
@@ -13,13 +14,12 @@ import (
 
 // TestSecureTinyDomainSentinelCollision is the end-to-end regression for
 // the disqualification-sentinel collision. At attrBits=1, m=3 the
-// largest real squared distance is 3; before DomainBits gained its
-// headroom bit, l was 2 and the step 3(e) sentinel 2^l−1 = 3 was equal
-// to that distance, so after iteration 1 disqualified the nearest
-// record, a real record at distance 3 tied with it and could be
-// silently dropped in favor of re-selecting the disqualified row. With
-// the headroom bit (l=3, sentinel 7) the farthest corner is always
-// distinguishable from a disqualified record.
+// largest real squared distance is 3 = 2^l − 1 at the table's l = 2.
+// The paper's step 3(e) drives a selected record to that all-ones value,
+// so a record at distance 3 could tie with it and be dropped in favour of
+// re-selecting the disqualified row; internal/reference therefore
+// decomposes at l + 1. The engine disqualifies nothing and compares in
+// l + 1 bits, so at l itself the farthest corner must still come back.
 func TestSecureTinyDomainSentinelCollision(t *testing.T) {
 	tbl := &dataset.Table{
 		Rows: [][]uint64{
@@ -75,20 +75,24 @@ func TestSecureMaxDistanceSingleAttr(t *testing.T) {
 	}
 }
 
-// TestSecureWideTableExactDomain runs SkNNm over a table 41 bits wide,
-// where m·(2^b−1)² no longer fits a uint64: the engine's l must be the
-// exact 84, not the 65 a wrapped product gives, below which a comparator
-// orders distances by their low bits and the k = 1 answer to {0, 0} came
-// back as the farthest record. The oracle is computed in math/big, since
-// a uint64 squared distance wraps here too. Unsharded and at S = 2.
+// TestSecureWideTableExactDomain runs SkNNm over the widest table the
+// engine admits, 24 bits at m = 2, against a query at the domain's far
+// corner: one record sits at the largest distance there is,
+// 2·(2^24 − 1)², just below 2^l for the exact l = 49, and the k = 1
+// answer must be the nearest record, not one ordered by low bits. A
+// table wider than dataset.MaxAttrBits — 41 bits, where m·(2^b−1)² no
+// longer fits a uint64 and a wrapped l once answered with the farthest
+// record — is refused where it is built. The oracle is computed in
+// math/big. Unsharded and at S = 2.
 func TestSecureWideTableExactDomain(t *testing.T) {
+	const max24 = 1<<24 - 1
 	rows := [][]uint64{
-		{1 << 40, 0},
 		{0, 0},
-		{1<<40 - 5, 1 << 39},
-		{3, 1 << 40},
+		{max24, 0},
+		{max24 - 5, max24 - 3},
+		{3, max24},
 	}
-	q := []uint64{0, 0}
+	q := []uint64{max24, max24}
 	dist := func(row []uint64) *big.Int {
 		sum := new(big.Int)
 		for j, v := range row {
@@ -104,6 +108,9 @@ func TestSecureWideTableExactDomain(t *testing.T) {
 		}
 	}
 	sk := testKey()
+	if _, err := EncryptTable(rand.Reader, &sk.PublicKey, [][]uint64{{1 << 40, 0}, {0, 0}}); !errors.Is(err, dataset.ErrBadAttrBits) {
+		t.Errorf("EncryptTable of a 41-bit table: err = %v, want dataset.ErrBadAttrBits", err)
+	}
 	c2 := NewCloudC2(sk, nil)
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("S=%d", shards), func(t *testing.T) {
@@ -112,8 +119,8 @@ func TestSecureWideTableExactDomain(t *testing.T) {
 				t.Fatal(err)
 			}
 			engine := newEngine(t, encTable, shards, func() []mpc.Conn { return []mpc.Conn{pipeTo(t, c2)} })
-			if engine.AttrBits() != 41 || engine.DomainBits() != 84 {
-				t.Fatalf("table of %d-bit attributes at l = %d, want 41 and 84", engine.AttrBits(), engine.DomainBits())
+			if engine.AttrBits() != 24 || engine.DomainBits() != 49 {
+				t.Fatalf("table of %d-bit attributes at l = %d, want 24 and 49", engine.AttrBits(), engine.DomainBits())
 			}
 			got := runSecure(t, engine, NewClient(&sk.PublicKey, nil), q, 1)
 			if len(got) != 1 || !slices.Equal(got[0], rows[nearest]) {

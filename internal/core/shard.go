@@ -385,10 +385,10 @@ func (c *ShardedC1) checkGathered(k, gathered, n int) error {
 // The comparisons run in the table's squared-distance domain l
 // (DomainBits): every |Q−tᵢ|² is below 2^l for a query inside the
 // attribute domain. dataset.DomainBits derives it from the attribute
-// width and the feature columns, with one headroom bit more — the
-// all-ones disqualification sentinel of the paper's step 3(e), which
-// internal/reference still drives and the engine no longer needs. l
-// sizes the comparisons only; the packed slots are as wide as the
+// width and the feature columns, exactly: a comparison peels the l + 1
+// bits of 2^l + a − b, so l needs no headroom bit (only
+// internal/reference, whose step 3(e) sentinel must sit above every
+// distance, decomposes at l + 1). l sizes the comparisons only; the packed slots are as wide as the
 // table's attribute width, as SkNNb's are. A key that cannot carry l
 // (CheckDomainBits: l ≤ K − 69) is ErrDomainBits.
 //

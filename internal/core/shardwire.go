@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"sknn/internal/dataset"
 	"sknn/internal/mpc"
 	"sknn/internal/paillier"
 )
@@ -69,7 +70,6 @@ const (
 	maxShardN        = 1 << 40 // records per shard (matches store's maxN)
 	maxShardM        = 1 << 12 // attributes per record (matches store's maxM)
 	maxShardCount    = 1 << 16 // shards in a topology
-	maxAttrBits      = 64      // a table's attribute width: columns are uint64
 	maxShardReplicas = 1 << 8  // replicas of one shard
 )
 
@@ -107,7 +107,7 @@ func decodeHello(resp *mpc.Message) (shardHello, error) {
 	info.M = f.Int(1, maxShardM)
 	info.FeatureM = f.Int(1, info.M)
 	info.Clustered = f.Int(0, 1) == 1
-	info.AttrBits = f.Int(1, maxAttrBits)
+	info.AttrBits = f.Int(1, dataset.MaxAttrBits)
 	h.info = info
 	if err := f.Done(); err != nil {
 		return h, fmt.Errorf("core: shard hello: %w", err)

@@ -43,17 +43,17 @@ func TestDecodeHelloBounds(t *testing.T) {
 		name string
 		msg  *mpc.Message
 	}{
-		{"huge M", helloReply(0, 1, 10, maxShardM+1, 2, 0, 32)},
-		{"huge N", helloReply(0, 1, maxShardN+1, 4, 2, 0, 32)},
-		{"huge count", helloReply(0, maxShardCount+1, 10, 4, 2, 0, 32)},
-		{"huge attrBits", helloReply(0, 1, 10, 4, 2, 0, maxAttrBits+1)},
+		{"huge M", helloReply(0, 1, 10, maxShardM+1, 2, 0, 24)},
+		{"huge N", helloReply(0, 1, maxShardN+1, 4, 2, 0, 24)},
+		{"huge count", helloReply(0, maxShardCount+1, 10, 4, 2, 0, 24)},
+		{"huge attrBits", helloReply(0, 1, 10, 4, 2, 0, dataset.MaxAttrBits+1)},
 		{"zero attrBits", helloReply(0, 1, 10, 4, 2, 0, 0)},
 		{"negative attrBits", helloReply(0, 1, 10, 4, 2, 0, -1)},
-		{"featureM over M", helloReply(0, 1, 10, 4, 5, 0, 32)},
-		{"index out of range", helloReply(3, 2, 10, 4, 2, 0, 32)},
+		{"featureM over M", helloReply(0, 1, 10, 4, 5, 0, 24)},
+		{"index out of range", helloReply(3, 2, 10, 4, 2, 0, 24)},
 		{"nil field", &mpc.Message{Op: OpShardHello, Ints: make([]*big.Int, 8)}},
-		{"l-era 9-int frame", &mpc.Message{Op: OpShardHello, Ints: append(helloReply(0, 1, 10, 4, 2, 0, 32).Ints, big.NewInt(96))}},
-		{"replica-era 10-int frame", &mpc.Message{Op: OpShardHello, Ints: append(helloReply(0, 1, 10, 4, 2, 0, 32).Ints, big.NewInt(96), big.NewInt(0))}},
+		{"l-era 9-int frame", &mpc.Message{Op: OpShardHello, Ints: append(helloReply(0, 1, 10, 4, 2, 0, 24).Ints, big.NewInt(96))}},
+		{"replica-era 10-int frame", &mpc.Message{Op: OpShardHello, Ints: append(helloReply(0, 1, 10, 4, 2, 0, 24).Ints, big.NewInt(96), big.NewInt(0))}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -69,7 +69,7 @@ func TestDecodeHelloBounds(t *testing.T) {
 // whose arithmetic fails later.
 func TestDecodeHelloHostileModulus(t *testing.T) {
 	for name, mod := range testkit.HostileModuli() {
-		if _, err := decodeHello(helloWithModulus(mod, 0, 1, 10, 4, 2, 0, 32)); !errors.Is(err, ErrBadFrame) {
+		if _, err := decodeHello(helloWithModulus(mod, 0, 1, 10, 4, 2, 0, 24)); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("modulus %s: err = %v, want ErrBadFrame", name, err)
 		}
 	}
@@ -78,13 +78,13 @@ func TestDecodeHelloHostileModulus(t *testing.T) {
 // TestDecodeHelloAccepts pins the valid path so the bounds stay bounds,
 // not rejections of legitimate shards.
 func TestDecodeHelloAccepts(t *testing.T) {
-	h, err := decodeHello(helloReply(1, 3, 1000, 6, 2, 1, 32))
+	h, err := decodeHello(helloReply(1, 3, 1000, 6, 2, 1, 24))
 	if err != nil {
 		t.Fatalf("decodeHello: %v", err)
 	}
 	if h.info.Index != 1 || h.info.Count != 3 || h.info.N != 1000 ||
 		h.info.M != 6 || h.info.FeatureM != 2 || !h.info.Clustered ||
-		h.info.AttrBits != 32 {
+		h.info.AttrBits != 24 {
 		t.Fatalf("decodeHello = %+v", h)
 	}
 	if h.pk == nil || h.pk.NSquared.BitLen() < 2048 {
@@ -106,7 +106,7 @@ func topKHead(count int64, layout RowLayout) []*big.Int {
 // the k requested (or a payload length that disagrees with its own
 // count) must fail with ErrBadFrame before any candidate allocation.
 func TestDecodeTopKReplyLyingCount(t *testing.T) {
-	h, err := decodeHello(helloReply(0, 1, 10, 4, 2, 0, 32))
+	h, err := decodeHello(helloReply(0, 1, 10, 4, 2, 0, 24))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +136,12 @@ func TestDecodeTopKReplyLyingCount(t *testing.T) {
 // included — is ErrBadFrame, never a candidate whose chunks would be
 // read as differently packed columns.
 func TestDecodeTopKReplyLayout(t *testing.T) {
-	h, err := decodeHello(helloReply(0, 1, 10, 4, 2, 0, 32))
+	h, err := decodeHello(helloReply(0, 1, 10, 4, 2, 0, 24))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const m, b, l = 4, 32, 96
+	const m, b = 4, 24
+	l := dataset.DomainBits(b, m)
 	packed, plain := rowLayoutFor(h.pk, m, h.info.AttrBits), RowLayout{Cols: 1, Bits: b}
 	if packed.Cols != m || packed.Bits != b {
 		t.Fatalf("layout under a 1025-bit key: %+v", packed)
@@ -273,12 +274,12 @@ func fuzzInts(ints []*big.Int) []byte {
 // decodeTopKRequest accepts must ask for k ≥ 1 over exactly the
 // table's query attributes.
 func FuzzShardFrame(f *testing.F) {
-	f.Add(fuzzInts(helloReply(1, 3, 1000, 6, 2, 1, 32).Ints))
+	f.Add(fuzzInts(helloReply(1, 3, 1000, 6, 2, 1, 24).Ints))
 	f.Add([]byte{})
 	f.Add([]byte{9, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	for _, mod := range testkit.HostileModuli() {
 		if mod != nil && mod.Sign() >= 0 { // what the byte layout below can carry
-			f.Add(fuzzInts(helloWithModulus(mod, 1, 3, 1000, 6, 2, 1, 32).Ints))
+			f.Add(fuzzInts(helloWithModulus(mod, 1, 3, 1000, 6, 2, 1, 24).Ints))
 		}
 	}
 	// Top-k replies for the fixed shape below: a row-packed candidate, a
@@ -328,7 +329,7 @@ func FuzzShardFrame(f *testing.F) {
 		msg := &mpc.Message{Op: OpShardHello, Ints: ints}
 		if h, err := decodeHello(msg); err == nil {
 			if h.info.M < 1 || h.info.M > maxShardM || int64(h.info.N) > maxShardN ||
-				h.info.Count > maxShardCount || h.info.AttrBits < 1 || h.info.AttrBits > maxAttrBits ||
+				h.info.Count > maxShardCount || h.info.AttrBits < 1 || h.info.AttrBits > dataset.MaxAttrBits ||
 				h.pk.N.Bit(0) == 0 || h.pk.N.BitLen() < 64 {
 				t.Fatalf("decodeHello accepted out-of-bounds shape: %+v", h.info)
 			}

@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"sync"
 
+	"sknn/internal/dataset"
 	"sknn/internal/paillier"
 	"sknn/internal/smc"
 )
@@ -232,8 +233,8 @@ func (t *EncryptedTable) WithFeatureColumns(f int) (*EncryptedTable, error) {
 // domain, no narrower than what the table already holds. Like
 // WithFeatureColumns the copy shares only the ciphertexts.
 func (t *EncryptedTable) WithAttrBits(bits int) (*EncryptedTable, error) {
-	if bits < t.attrBits || bits > maxAttrBits {
-		return nil, fmt.Errorf("core: attribute width %d out of range [%d,%d]", bits, t.attrBits, maxAttrBits)
+	if bits < t.attrBits || bits > dataset.MaxAttrBits {
+		return nil, fmt.Errorf("%w: %d outside [%d,%d]", dataset.ErrBadAttrBits, bits, t.attrBits, dataset.MaxAttrBits)
 	}
 	s := t.Snapshot()
 	s.AttrBits = bits
@@ -734,8 +735,8 @@ func RestoreTable(pk *paillier.PublicKey, snap *TableSnapshot) (*EncryptedTable,
 	if snap.M < 1 || snap.FeatureM < 1 || snap.FeatureM > snap.M {
 		return nil, fmt.Errorf("core: snapshot feature columns %d of %d", snap.FeatureM, snap.M)
 	}
-	if snap.AttrBits < 1 || snap.AttrBits > maxAttrBits {
-		return nil, fmt.Errorf("core: snapshot attribute width %d out of range [1,%d]", snap.AttrBits, maxAttrBits)
+	if snap.AttrBits < 1 || snap.AttrBits > dataset.MaxAttrBits {
+		return nil, fmt.Errorf("%w: %d outside [1,%d]", dataset.ErrBadAttrBits, snap.AttrBits, dataset.MaxAttrBits)
 	}
 	t := &EncryptedTable{
 		pk:       pk,

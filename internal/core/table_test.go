@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"sknn/internal/dataset"
 	"sknn/internal/paillier"
 	"sknn/internal/smc"
 )
@@ -54,7 +55,7 @@ func TestAttrBitsTravels(t *testing.T) {
 		{[][]uint64{{1, 0}, {0, 1}}, 1},
 		{[][]uint64{{3, 4}, {2, 1}}, 3},
 		{[][]uint64{{3, 1}, {2, 255}}, 8}, // a payload column counts
-		{[][]uint64{{1<<64 - 1}}, 64},
+		{[][]uint64{{1<<24 - 1}}, 24},     // the widest a table admits
 	} {
 		tbl, err := EncryptTable(rand.Reader, pk, tc.rows)
 		if err != nil {
@@ -69,7 +70,7 @@ func TestAttrBitsTravels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, bits := range []int{2, 0, -1, maxAttrBits + 1} {
+	for _, bits := range []int{2, 0, -1, dataset.MaxAttrBits + 1} {
 		if _, err := tbl.WithAttrBits(bits); err == nil {
 			t.Errorf("a 3-bit table declared %d bits wide", bits)
 		}
@@ -121,12 +122,48 @@ func TestAttrBitsTravels(t *testing.T) {
 	if _, err := MergeTableSnapshots(parts); !errors.Is(err, ErrShardTopology) {
 		t.Errorf("merging shards of different widths: err = %v, want ErrShardTopology", err)
 	}
-	for _, bits := range []int{0, -3, maxAttrBits + 1} {
+	for _, bits := range []int{0, -3, dataset.MaxAttrBits + 1} {
 		bad := tbl.Snapshot()
 		bad.AttrBits = bits
 		if _, err := RestoreTable(pk, bad); err == nil {
 			t.Errorf("restored a snapshot declaring %d-bit attributes", bits)
 		}
+	}
+}
+
+// TestTableWidthBound: dataset.MaxAttrBits is the one attribute-width
+// bound, and every way a table is built stops there — EncryptTable on a
+// value's width, WithAttrBits on a declared one, RestoreTable on a
+// snapshot's (the store's reader and writer and the shard hello check the
+// same constant) — so no table reaches a snapshot that cannot be read
+// back. 24 bits is admitted; 25 and 64 are dataset.ErrBadAttrBits.
+func TestTableWidthBound(t *testing.T) {
+	pk := &testKey().PublicKey
+	for _, bits := range []int{24, 25, 64} {
+		admitted := bits <= dataset.MaxAttrBits
+		check := func(what string, err error) {
+			t.Helper()
+			if admitted && err != nil {
+				t.Errorf("%s at %d bits: %v", what, bits, err)
+			}
+			if !admitted && !errors.Is(err, dataset.ErrBadAttrBits) {
+				t.Errorf("%s at %d bits: err = %v, want dataset.ErrBadAttrBits", what, bits, err)
+			}
+		}
+		widest := uint64(1)<<(bits-1) | 1 // bits.Len64 = bits
+		_, err := EncryptTable(rand.Reader, pk, [][]uint64{{widest, 0}, {1, 2}})
+		check("EncryptTable", err)
+
+		narrow, err := EncryptTable(rand.Reader, pk, [][]uint64{{3, 0}, {1, 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = narrow.WithAttrBits(bits)
+		check("WithAttrBits", err)
+		snap := narrow.Snapshot()
+		snap.AttrBits = bits
+		_, err = RestoreTable(pk, snap)
+		check("RestoreTable", err)
 	}
 }
 

@@ -16,7 +16,9 @@ import (
 
 // MaxAttrBits bounds per-attribute domains so squared Euclidean
 // distances stay well inside uint64 for the plaintext oracle
-// (m·2^(2b) < 2^63 comfortably for realistic m).
+// (m·2^(2b) < 2^63 comfortably for realistic m). It is the one width
+// bound of every table: core's table constructors refuse a wider one,
+// so the facade, the snapshot writer and its reader all stop here.
 const MaxAttrBits = 24
 
 // Errors returned by this package.
@@ -91,28 +93,25 @@ func CheckQuery(q []uint64, attrBits int) error {
 	return nil
 }
 
-// DomainBits returns l for the table: one more than the bit length of
-// the largest possible squared Euclidean distance, m·(2^b−1)², which is
-// what SkNNm's bit decomposition must accommodate.
+// DomainBits returns l for the table: the bit length of the largest
+// possible squared Euclidean distance, m·(2^b−1)², which is what SkNNm's
+// comparisons must accommodate.
 func (t *Table) DomainBits() int {
 	return DomainBits(t.AttrBits, t.M())
 }
 
-// DomainBits computes l = bitlen(m · (2^b − 1)²) + 1 for attribute
-// domain b and dimension m.
+// DomainBits computes l = bitlen(m · (2^b − 1)²) for attribute domain b
+// and dimension m: every squared distance between two in-domain vectors
+// is below 2^l, and l is the least such width.
 //
-// The extra bit is load-bearing for SkNNm as the paper prints it
-// (internal/reference): step 3(e) disqualifies an already-selected record
-// by SBOR-ing its distance bits to all-ones, i.e. to the sentinel value
-// 2^l − 1. Every real distance must therefore be *strictly below* the
-// sentinel, not merely representable in l bits — at l = bitlen(max
-// distance) a record whose distance is exactly 2^l − 1 (reachable at
-// attrBits=1, or m=3·b=1) collides with the sentinel and can be
-// spuriously re-selected or wrongly excluded. The engine's selection
-// network disqualifies nothing and needs only distances below 2^l; the
-// bit stays because every snapshot records this l.
-// The product is exact (three 64-bit words) for every b ≤ 64 a table
-// admits: a wrapped one would have SkNNm compare in too few bits.
+// The engine compares two distances a, b < 2^l by the top bit of
+// t = 2^l + a − b, an (l+1)-bit value, so l needs no headroom: a
+// distance may equal 2^l − 1 (b = 1, m = 3 reaches it). The paper's
+// printed SkNNm does need one more bit — its step 3(e) drives a selected
+// record's distance to the all-ones sentinel, which a real distance must
+// stay below — and internal/reference adds it there, not here.
+// The product is exact (three 64-bit words) for every b ≤ 64: a wrapped
+// one would compare in too few bits.
 func DomainBits(attrBits, m int) int {
 	maxAttr := uint64(1)<<attrBits - 1
 	sqHi, sqLo := bits.Mul64(maxAttr, maxAttr)
@@ -122,11 +121,11 @@ func DomainBits(attrBits, m int) int {
 	w2 += c
 	switch {
 	case w2 != 0:
-		return 128 + bits.Len64(w2) + 1
+		return 128 + bits.Len64(w2)
 	case w1 != 0:
-		return 64 + bits.Len64(w1) + 1
+		return 64 + bits.Len64(w1)
 	}
-	return bits.Len64(w0) + 1
+	return bits.Len64(w0)
 }
 
 // Generate produces a synthetic table with uniform attribute values, the

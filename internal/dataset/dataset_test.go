@@ -98,31 +98,42 @@ func TestValidateCatchesRaggedAndOverflow(t *testing.T) {
 }
 
 func TestDomainBits(t *testing.T) {
-	// Expected values are bitlen(max distance) + 1: the headroom bit
-	// keeps every real distance strictly below the 2^l−1 disqualification
-	// sentinel (see TestDomainBitsSentinelHeadroom).
+	// Expected values are bitlen(max distance): every distance fits l
+	// bits, and the engine's comparison reads one bit more.
 	cases := []struct {
 		attrBits, m, want int
 	}{
-		// m=1, b=1: max diff 1, squared 1 -> 1 bit + headroom.
-		{1, 1, 2},
-		// b=3 (max 7): 49 per dim; m=2 -> 98 -> 7 bits + headroom.
-		{3, 2, 8},
+		// m=1, b=1: max diff 1, squared 1 -> 1 bit.
+		{1, 1, 1},
+		// m=3, b=1: max distance 3 = 2^2 − 1 -> 2 bits, no headroom.
+		{1, 3, 2},
+		// m=6, b=1: max distance 6 -> 3 bits.
+		{1, 6, 3},
+		// b=3 (max 7): 49 per dim; m=2 -> 98 -> 7 bits.
+		{3, 2, 7},
+		// bench/'s secure shape: b=4, m=6 -> 6·225 = 1350 -> 11 bits.
+		{4, 6, 11},
 		// Paper-style: b=9 (heart data, max 511), m=10:
-		// 10*511² = 2612121 -> 22 bits + headroom.
-		{9, 10, 23},
+		// 10*511² = 2612121 -> 22 bits.
+		{9, 10, 22},
 	}
 	for _, c := range cases {
 		if got := DomainBits(c.attrBits, c.m); got != c.want {
 			t.Errorf("DomainBits(%d,%d) = %d, want %d", c.attrBits, c.m, got, c.want)
 		}
 	}
+	for _, c := range []struct{ attrBits, m int }{{1, 3}, {1, 7}, {2, 7}} {
+		maxAttr := uint64(1)<<c.attrBits - 1
+		if l := DomainBits(c.attrBits, c.m); uint64(c.m)*maxAttr*maxAttr != 1<<l-1 {
+			t.Errorf("DomainBits(%d,%d) = %d: the largest distance is not 2^l − 1", c.attrBits, c.m, l)
+		}
+	}
 }
 
-// TestDomainBitsExact checks DomainBits against bitlen(m·(2^b−1)²) + 1
-// computed in math/big, across every width a core table admits: a
-// product taken in one uint64 wraps above b ≈ 31 (DomainBits(41, 2)
-// came out 65, where the exact l is 84).
+// TestDomainBitsExact checks DomainBits against bitlen(m·(2^b−1)²)
+// computed in math/big, up to 64-bit widths, past MaxAttrBits: a product
+// taken in one uint64 wraps above b ≈ 31 (DomainBits(41, 2) came out 64,
+// where the exact l is 83).
 func TestDomainBitsExact(t *testing.T) {
 	for _, b := range []int{1, 2, 24, 25, 31, 32, 41, 63, 64} {
 		for _, m := range []int{1, 2, 6, 4096} {
@@ -130,29 +141,33 @@ func TestDomainBitsExact(t *testing.T) {
 			maxAttr.Sub(maxAttr, big.NewInt(1))
 			dist := new(big.Int).Mul(maxAttr, maxAttr)
 			dist.Mul(dist, big.NewInt(int64(m)))
-			if got, want := DomainBits(b, m), dist.BitLen()+1; got != want {
+			if got, want := DomainBits(b, m), dist.BitLen(); got != want {
 				t.Errorf("DomainBits(%d,%d) = %d, want %d", b, m, got, want)
 			}
 		}
 	}
 }
 
-// TestDomainBitsSentinelHeadroom is the regression test for the
-// disqualification-sentinel collision: at every small domain — including
-// the ones that used to collide, attrBits=1 (any m where m·1 = 2^j−1)
-// and m=3·b=1 — the largest reachable squared distance m·(2^b−1)² must
-// be strictly below 2^l − 1, the all-ones value SkNNm's step 3(e) drives
-// disqualified records to.
+// TestDomainBitsSentinelHeadroom pins where the disqualification
+// sentinel's headroom lives: not in l. At every small domain the largest
+// reachable squared distance m·(2^b−1)² fits l bits and needs all of
+// them; at some — b = 1 with m = 2^j − 1, b = 2 with m = 7 — it is
+// exactly 2^l − 1, the all-ones value the
+// paper's step 3(e) drives a selected record to. That is why the
+// printed protocol (internal/reference) runs at l + 1, where every
+// distance sits strictly below its sentinel, and why the engine, which
+// disqualifies nothing, runs at l.
 func TestDomainBitsSentinelHeadroom(t *testing.T) {
 	for attrBits := 1; attrBits <= 10; attrBits++ {
 		for m := 1; m <= 16; m++ {
 			l := DomainBits(attrBits, m)
 			maxAttr := uint64(1)<<attrBits - 1
 			maxDist := uint64(m) * maxAttr * maxAttr
-			sentinel := uint64(1)<<l - 1
-			if maxDist >= sentinel {
-				t.Errorf("DomainBits(%d,%d)=%d: max distance %d not below sentinel %d",
-					attrBits, m, l, maxDist, sentinel)
+			if maxDist >= uint64(1)<<l || maxDist < uint64(1)<<(l-1) {
+				t.Errorf("DomainBits(%d,%d)=%d: max distance %d is not an l-bit value", attrBits, m, l, maxDist)
+			}
+			if maxDist >= uint64(1)<<(l+1)-1 {
+				t.Errorf("DomainBits(%d,%d)=%d: max distance %d not below the sentinel 2^(l+1)−1", attrBits, m, l, maxDist)
 			}
 		}
 	}
@@ -186,11 +201,10 @@ func TestGenerateClustered(t *testing.T) {
 }
 
 func TestDomainBitsIsSufficient(t *testing.T) {
-	// Any pair of in-domain vectors must have squared distance strictly
-	// below the disqualification sentinel 2^l − 1, not merely below 2^l:
-	// a distance equal to the sentinel would be indistinguishable from a
-	// disqualified record. Checked over several generated tables,
-	// including the tiny domains that used to collide.
+	// Any pair of in-domain vectors must have a squared distance below
+	// 2^l, the range the engine's comparisons order exactly. Checked over
+	// several generated tables, including the tiny domains where a
+	// distance reaches 2^l − 1.
 	for _, p := range []struct{ n, m, attrBits int }{
 		{50, 5, 8}, {40, 3, 1}, {40, 1, 1}, {30, 7, 2},
 	} {
@@ -199,7 +213,6 @@ func TestDomainBitsIsSufficient(t *testing.T) {
 			t.Fatal(err)
 		}
 		l := tbl.DomainBits()
-		sentinel := uint64(1)<<l - 1
 		for i := 0; i < tbl.N(); i++ {
 			for x := i + 1; x < tbl.N(); x++ {
 				var sum uint64
@@ -207,8 +220,8 @@ func TestDomainBitsIsSufficient(t *testing.T) {
 					d := int64(tbl.Rows[i][j]) - int64(tbl.Rows[x][j])
 					sum += uint64(d * d)
 				}
-				if sum >= sentinel {
-					t.Fatalf("m=%d b=%d: distance %d not below sentinel 2^%d−1",
+				if sum >= 1<<l {
+					t.Fatalf("m=%d b=%d: distance %d not below 2^%d",
 						p.m, p.attrBits, sum, l)
 				}
 			}

@@ -1,20 +1,8 @@
 package paillier
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math/big"
 )
-
-// wireEncoder builds raw serialized private keys (including invalid ones)
-// so tests can exercise UnmarshalBinary's validation.
-type wireEncoder struct{ p, q *big.Int }
-
-func (w *wireEncoder) encode() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(wirePrivateKey{P: w.p, Q: w.q})
-	return buf.Bytes(), err
-}
 
 // Test-only accessors for unexported functionality.
 
@@ -36,11 +24,6 @@ func NewPrivateKeyFromPrimes(p, q *big.Int) *PrivateKey {
 		panic(err)
 	}
 	return sk
-}
-
-// Factors returns the prime factors for test assertions.
-func (sk *PrivateKey) Factors() (p, q *big.Int) {
-	return new(big.Int).Set(sk.p), new(big.Int).Set(sk.q)
 }
 
 // Comb wraps the unexported fixed-base comb so property and fuzz tests

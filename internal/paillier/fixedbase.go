@@ -175,7 +175,7 @@ func (pk *PublicKey) fixedBaseGenerator() (*big.Int, error) {
 
 // EnableFixedBase does nothing: every key is born with its nonce kernel.
 // Kept only because bench/micro.go, which a product change may not edit,
-// still calls it (ROADMAP item 1's shim list).
+// still calls it (ROADMAP item 4(b)'s shim list).
 func (sk *PrivateKey) EnableFixedBase(io.Reader) error { return nil }
 
 // Nonce is the message-independent half of one encryption or

@@ -33,13 +33,13 @@ var (
 
 // Common errors returned by this package.
 var (
-	ErrKeyTooSmall        = errors.New("paillier: key size must be at least 64 bits")
-	ErrMessageOutOfRange  = errors.New("paillier: message out of range")
-	ErrInvalidCiphertext  = errors.New("paillier: invalid ciphertext")
-	ErrNilCiphertext      = errors.New("paillier: nil ciphertext")
-	ErrRandomnessExhaust  = errors.New("paillier: could not sample suitable randomness")
-	ErrMalformedGobRemote = errors.New("paillier: malformed serialized key")
-	ErrInvalidModulus     = errors.New("paillier: modulus must be odd and between 64 and 8192 bits")
+	ErrKeyTooSmall       = errors.New("paillier: key size must be at least 64 bits")
+	ErrMessageOutOfRange = errors.New("paillier: message out of range")
+	ErrInvalidCiphertext = errors.New("paillier: invalid ciphertext")
+	ErrNilCiphertext     = errors.New("paillier: nil ciphertext")
+	ErrRandomnessExhaust = errors.New("paillier: could not sample suitable randomness")
+	ErrMalformedKey      = errors.New("paillier: malformed private key factors")
+	ErrInvalidModulus    = errors.New("paillier: modulus must be odd and between 64 and 8192 bits")
 )
 
 // PublicKey holds the public parameters (N, g) with g fixed to N+1.
@@ -53,7 +53,7 @@ type PublicKey struct {
 	// (see fixedbase.go), and n2 is N² prepared for limb Montgomery
 	// products (mont.go), which MultiScalarMul runs on. Both are built by
 	// the constructor and immutable — which is why a key comes from
-	// NewPublicKey, GenerateKey or a private key's UnmarshalBinary, never from a
+	// NewPublicKey, GenerateKey or NewPrivateKey, never from a
 	// struct literal.
 	fb *pkFixedBase
 	n2 *montMod

@@ -382,14 +382,12 @@ func TestRandomZNBounds(t *testing.T) {
 	}
 }
 
+// TestMarshalPrivateKey: a key rebuilt from its factors — all a key file
+// stores — decrypts what the original encrypted.
 func TestMarshalPrivateKey(t *testing.T) {
 	sk := testKey()
-	data, err := sk.MarshalBinary()
+	sk2, err := NewPrivateKey(sk.Factors())
 	if err != nil {
-		t.Fatal(err)
-	}
-	var sk2 PrivateKey
-	if err := sk2.UnmarshalBinary(data); err != nil {
 		t.Fatal(err)
 	}
 	ct, _ := sk.Encrypt(rand.Reader, big.NewInt(321))
@@ -397,22 +395,26 @@ func TestMarshalPrivateKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Int64() != 321 {
+	if m.Int64() != 321 || sk2.N.Cmp(sk.N) != 0 {
 		t.Errorf("restored key decrypts to %v, want 321", m)
 	}
 }
 
+// TestUnmarshalRejectsGarbage: factors that are absent, non-positive,
+// equal or composite are no key.
 func TestUnmarshalRejectsGarbage(t *testing.T) {
-	var sk PrivateKey
-	if err := sk.UnmarshalBinary([]byte("not gob")); err == nil {
-		t.Error("private key accepted garbage")
-	}
-	// Composite "primes" must be rejected.
-	bad := NewPrivateKeyFromPrimes(big.NewInt(13), big.NewInt(17))
-	_ = bad
-	data, _ := (&wireEncoder{p: big.NewInt(15), q: big.NewInt(17)}).encode()
-	if err := sk.UnmarshalBinary(data); err == nil {
-		t.Error("private key accepted composite factor")
+	p, q := testKey().Factors()
+	for name, f := range map[string][2]*big.Int{
+		"nil p":     {nil, q},
+		"nil q":     {p, nil},
+		"zero":      {new(big.Int), q},
+		"negative":  {new(big.Int).Neg(p), q},
+		"equal":     {p, p},
+		"composite": {big.NewInt(15), big.NewInt(17)},
+	} {
+		if sk, err := NewPrivateKey(f[0], f[1]); !errors.Is(err, ErrMalformedKey) || sk != nil {
+			t.Errorf("%s: NewPrivateKey = %v, %v; want no key and ErrMalformedKey", name, sk, err)
+		}
 	}
 }
 
@@ -449,12 +451,8 @@ func TestNewPublicKeyValidates(t *testing.T) {
 		t.Error("NewPublicKey(N) is not the key of modulus N")
 	}
 	// 2 is prime: a factor pair with it gives an even N.
-	data, err := (&wireEncoder{p: big.NewInt(2), q: big.NewInt(13)}).encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := new(PrivateKey).UnmarshalBinary(data); !errors.Is(err, ErrMalformedGobRemote) {
-		t.Errorf("UnmarshalBinary(p = 2) error = %v, want ErrMalformedGobRemote", err)
+	if _, err := NewPrivateKey(big.NewInt(2), big.NewInt(13)); !errors.Is(err, ErrMalformedKey) {
+		t.Errorf("NewPrivateKey(p = 2) error = %v, want ErrMalformedKey", err)
 	}
 }
 

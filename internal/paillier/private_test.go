@@ -9,16 +9,12 @@ import (
 )
 
 // privateKeys returns a key from each way a C2 can come by one: freshly
-// generated, assembled from fixed primes, and rebuilt from its
-// serialized form (what a daemon reads from a key file).
+// generated, assembled from fixed primes, and rebuilt from its factors
+// (what a daemon reads from a key file).
 func privateKeys(t *testing.T) map[string]*PrivateKey {
 	t.Helper()
-	data, err := fuzzPackKey().MarshalBinary()
+	reloaded, err := NewPrivateKey(fuzzPackKey().Factors())
 	if err != nil {
-		t.Fatal(err)
-	}
-	reloaded := new(PrivateKey)
-	if err := reloaded.UnmarshalBinary(data); err != nil {
 		t.Fatal(err)
 	}
 	return map[string]*PrivateKey{"generated": testKey(), "primes": fbKey(), "reloaded": reloaded}
@@ -202,14 +198,9 @@ func TestUnmarshalRejectsSharedFactorWithTotient(t *testing.T) {
 	if !p.ProbablyPrime(20) || !q.ProbablyPrime(20) {
 		t.Fatal("test vector is not a safe-prime pair")
 	}
-	for _, w := range []wireEncoder{{p: p, q: q}, {p: q, q: p}} {
-		data, err := w.encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sk PrivateKey
-		if err := sk.UnmarshalBinary(data); !errors.Is(err, ErrMalformedGobRemote) {
-			t.Errorf("UnmarshalBinary(p=2q+1) error = %v, want ErrMalformedGobRemote", err)
+	for _, f := range [][2]*big.Int{{p, q}, {q, p}} {
+		if sk, err := NewPrivateKey(f[0], f[1]); !errors.Is(err, ErrMalformedKey) || sk != nil {
+			t.Errorf("NewPrivateKey(p=2q+1) = %v, %v; want no key and ErrMalformedKey", sk, err)
 		}
 	}
 }

@@ -17,8 +17,8 @@
 //
 // Cost is the paper's, not the engine's: n SSEDs of m secure
 // multiplications each and, for SkNNm, n SBDs and per selected neighbour
-// n−1 SMINs, n·m secure multiplications and n·l SBORs, each its own round
-// trip. Keep n, k and l small.
+// n−1 SMINs, n·m secure multiplications and n·(l+1) SBORs, each its own
+// round trip. Keep n, k and l small.
 package reference
 
 import (
@@ -130,10 +130,14 @@ func SMINn(rq *smc.Requester, ds [][]*paillier.Ciphertext) ([]*paillier.Cipherte
 // SkNNm is Algorithm 6 as printed. rows is Alice's attribute-wise
 // encrypted table E(T), q is Bob's E(Q) — it ranks on the first len(q)
 // columns of every record, the rest ride along as payload — k the number
-// of neighbours and l the bit length of the squared-distance domain
-// (every |Q−tᵢ|² strictly below 2^l − 1, as dataset.DomainBits
-// guarantees). The result is the pair of shares of steps 4–6 of
-// Algorithm 5, which Bob unmasks with core.Client.Unmask.
+// of neighbours and l the bit length of the squared-distance domain, the
+// table's dataset.DomainBits that the engine compares in: every squared
+// distance is below 2^l. Step 3(e) drives a selected record's distance to
+// the all-ones sentinel, which every real distance must stay strictly
+// below, and at the table's l one may equal 2^l − 1 (b = 1, m = 3). So
+// the protocol decomposes into L = l + 1 bits, here and nowhere else.
+// The result is the pair of shares of steps 4–6 of Algorithm 5, which
+// Bob unmasks with core.Client.Unmask.
 func SkNNm(rq *smc.Requester, rows []core.EncryptedRecord, q core.EncryptedQuery, k, l int) (*core.MaskedResult, error) {
 	pk := rq.PK()
 	n := len(rows)
@@ -144,6 +148,7 @@ func SkNNm(rq *smc.Requester, rows []core.EncryptedRecord, q core.EncryptedQuery
 	if l < 1 {
 		return nil, fmt.Errorf("%w: l=%d", core.ErrDomainBits, l)
 	}
+	L := l + 1 // the sentinel 2^L − 1 sits above every distance
 
 	// Step 2: E(dᵢ) ← SSED(E(Q), E(tᵢ)) and [dᵢ] ← SBD(E(dᵢ)), record by
 	// record.
@@ -153,7 +158,7 @@ func SkNNm(rq *smc.Requester, rows []core.EncryptedRecord, q core.EncryptedQuery
 		if err != nil {
 			return nil, fmt.Errorf("reference: SSED of record %d: %w", i, err)
 		}
-		if bits[i], err = rq.SBD(d, l); err != nil {
+		if bits[i], err = rq.SBD(d, L); err != nil {
 			return nil, fmt.Errorf("reference: SBD of record %d: %w", i, err)
 		}
 	}
@@ -214,7 +219,7 @@ func SkNNm(rq *smc.Requester, rows []core.EncryptedRecord, q core.EncryptedQuery
 		selected = append(selected, record)
 
 		// (e) E(dᵢ,γ) ← SBOR(Vᵢ, E(dᵢ,γ)): the winner's distance becomes
-		// 2^l − 1, every other one is unchanged.
+		// 2^L − 1, every other one is unchanged.
 		for i := range bits {
 			for g := range bits[i] {
 				if bits[i][g], err = rq.SBOR(v[i], bits[i][g]); err != nil {

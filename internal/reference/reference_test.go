@@ -282,9 +282,12 @@ func sortedDistances(t *testing.T, rows [][]uint64, q []uint64) []uint64 {
 // at random on both sides, so rows are compared as distances) made of
 // whole table rows, payload columns included. The rows are the edges of
 // the value domain that cost one line each. l is the table's,
-// dataset.DomainBits(attrBits, f), on both sides: the last two rows reach
-// the key's bound through the shape, K = 118 carrying DomainBits(24, 1) =
-// 49 = K − 69 and refusing DomainBits(24, 2) = 50.
+// dataset.DomainBits(attrBits, f), on both sides (the reference adds its
+// sentinel's bit itself): the last two rows reach the key's bound through
+// the shape, K = 117 carrying DomainBits(24, 1) = 48 = K − 69 and refusing
+// DomainBits(24, 2) = 49. The b = 1, m = 3 row puts a record at distance
+// 3 = 2^l − 1, the value the paper's step 3(e) sentinel takes at the
+// table's l.
 func TestSkNNmDifferential(t *testing.T) {
 	const max24 = 1<<24 - 1
 	cases := []struct {
@@ -315,10 +318,13 @@ func TestSkNNmDifferential(t *testing.T) {
 		{name: "payload column intact", keyBits: 256, attrBits: 3, f: 2,
 			rows: [][]uint64{{7, 7, 7, 0}, {0, 0, 0, 7}, {7, 0, 7, 7}, {3, 4, 0, 1}},
 			q:    []uint64{7, 7}, k: 2},
-		{name: "l = K − 69", keyBits: 118, attrBits: 24, f: 1,
+		{name: "b = 1, m = 3: a distance of 2^l − 1", keyBits: 256, attrBits: 1, f: 3,
+			rows: [][]uint64{{0, 0, 0}, {1, 1, 1}, {1, 0, 1}, {1, 1, 0}},
+			q:    []uint64{0, 0, 0}, k: 3},
+		{name: "l = K − 69", keyBits: 117, attrBits: 24, f: 1,
 			rows: [][]uint64{{max24}, {0}, {9}, {max24 - 1}},
 			q:    []uint64{max24}, k: 2},
-		{name: "l = K − 68", keyBits: 118, attrBits: 24, f: 2,
+		{name: "l = K − 68", keyBits: 117, attrBits: 24, f: 2,
 			rows: [][]uint64{{max24, 1}, {0, 2}, {9, 3}, {max24 - 1, 4}},
 			q:    []uint64{max24, 0}, k: 2, wantErr: core.ErrDomainBits},
 	}
@@ -402,6 +408,45 @@ func TestSkNNmDifferential(t *testing.T) {
 			}
 			check("reference", res)
 		})
+	}
+}
+
+// TestSkNNmSentinelHeadroom: at b = 1, m = 3 the table's l is 2 and the
+// far corner {1,1,1} lies at 3 = 2^l − 1 from the query. Step 3(e) drives
+// the first selected record, {0,0,0}, to the all-ones sentinel; SkNNm
+// decomposes at l + 1, where that sentinel is 7, so the second round
+// picks the far corner. At l itself the two would tie and C2's uniform
+// pick would re-select the first record half the time, hence the trials.
+func TestSkNNmSentinelHeadroom(t *testing.T) {
+	sk := testkit.Key(256)
+	pk := &sk.PublicKey
+	rows := [][]uint64{{0, 0, 0}, {1, 1, 1}}
+	table, err := core.EncryptTable(rand.Reader, pk, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := dataset.DomainBits(table.AttrBits(), 3)
+	if l != 2 {
+		t.Fatalf("l = %d, want 2", l)
+	}
+	bob := core.NewClient(pk, nil)
+	eq, err := bob.EncryptQuery([]uint64{0, 0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kc := newKeyCloud(t, sk)
+	for trial := 0; trial < 8; trial++ {
+		res, err := SkNNm(kc.requester(pk), table.Snapshot().Records, eq, 2, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := bob.Unmask(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ds := sortedDistances(t, got, []uint64{0, 0, 0}); fmt.Sprint(ds) != "[0 3]" {
+			t.Fatalf("trial %d: distances %v, want [0 3]", trial, ds)
+		}
 	}
 }
 

@@ -158,12 +158,12 @@ func BenchmarkSBORBatch(b *testing.B) {
 // L rounds, the last carrying one select operand per value, against a
 // C2 whose key has its nonce comb (every key does) and whose reply
 // nonces come from its reserve, raised between rounds as a daemon's are
-// — at the benchmark's shape: K = 512, L = 13 (l = 12 distance bits),
+// — at the benchmark's shape: K = 512, L = 12 (l = 11 distance bits),
 // and the pair counts of a 32-record tournament's third and first
 // levels. Most of a peel's wall clock is C2's handler, so this is the
 // layer number behind C2's off-path nonce raising.
 func BenchmarkMSBOncePacked(b *testing.B) {
-	const L = 13
+	const L = 12
 	sk := testkit.Key(512)
 	for _, pairs := range []int{4, 16} {
 		b.Run(fmt.Sprintf("pairs=%d", pairs), func(b *testing.B) {

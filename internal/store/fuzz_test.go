@@ -145,6 +145,7 @@ func FuzzKeyRead(f *testing.F) {
 	valid := buf.Bytes()
 	f.Add(valid)
 	f.Add(valid[:10])
+	f.Add(legacyKeyFile(f, fuzzKey(), 2))
 	flip := bytes.Clone(valid)
 	flip[len(flip)/2] ^= 1
 	f.Add(flip)
@@ -183,8 +184,8 @@ func TestFuzzSeedsParse(t *testing.T) {
 // ErrTruncated quickly instead of committing gigabytes.
 func TestReadHugeHeaderClaim(t *testing.T) {
 	data := bytes.Clone(seedSnapshot(t, false, false))
-	// n is the u64 at offset 8(magic)+2(version)+2(flags)+4*4(u32s) = 28.
-	binary.LittleEndian.PutUint64(data[28:], 1<<39)
+	// n is the u64 at offset 8(magic)+2(version)+2(flags)+3*4(u32s) = 24.
+	binary.LittleEndian.PutUint64(data[24:], 1<<39)
 	// Fix the trailer CRC so only the decoder body, not the checksum,
 	// decides the outcome... except the CRC is computed over the whole
 	// stream during reading, so a truncation error must surface first.
@@ -199,20 +200,20 @@ func TestReadHugeHeaderClaim(t *testing.T) {
 // "makeslice: len out of range"; it must fail with ErrTruncated.
 func TestReadTruncatedModulusLength(t *testing.T) {
 	data := seedSnapshot(t, false, false)
-	// Header through nextID is 8+2+2+4*4+8+8 = 44 bytes; append one
+	// Header through nextID is 8+2+2+3*4+8+8 = 40 bytes; append one
 	// continuation byte (high bit set) of a uvarint that never ends.
-	cut := append(bytes.Clone(data[:44]), 0xff)
+	cut := append(bytes.Clone(data[:40]), 0xff)
 	if _, err := Read(bytes.NewReader(cut)); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("truncated modulus length: err = %v, want ErrTruncated", err)
 	}
-	// Same shape for the key decoder's blob length.
+	// Same shape for the key decoder's length of p.
 	var kb bytes.Buffer
 	if err := WriteKey(&kb, fuzzKey()); err != nil {
 		t.Fatal(err)
 	}
 	kcut := append(bytes.Clone(kb.Bytes()[:10]), 0xff)
 	if _, err := ReadKey(bytes.NewReader(kcut)); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("truncated key blob length: err = %v, want ErrTruncated", err)
+		t.Fatalf("truncated key factor length: err = %v, want ErrTruncated", err)
 	}
 }
 
@@ -220,7 +221,7 @@ func TestReadTruncatedModulusLength(t *testing.T) {
 // length, modulus, and the fingerprint that must match it — leaving the
 // rest of the stream as it was.
 func withModulus(data, modulus []byte) []byte {
-	const header = 44 // through nextID, see TestReadTruncatedModulusLength
+	const header = 40 // through nextID, see TestReadTruncatedModulusLength
 	oldLen, w := binary.Uvarint(data[header:])
 	out := binary.AppendUvarint(bytes.Clone(data[:header]), uint64(len(modulus)))
 	out = append(out, modulus...)
@@ -259,13 +260,9 @@ func TestReadHostileModulus(t *testing.T) {
 }
 
 // TestReadV1Compat: a v1 file (no shard lineage, flags never carry
-// flagSharded) still reads under the v2 decoder.
+// flagSharded, l in the header) still reads under this decoder.
 func TestReadV1Compat(t *testing.T) {
-	data := bytes.Clone(seedSnapshot(t, true, false))
-	// Rewrite the version field to 1 and recompute the CRC trailer.
-	binary.LittleEndian.PutUint16(data[8:], 1)
-	crc := crc32.Checksum(data[:len(data)-4], crcTable)
-	binary.LittleEndian.PutUint32(data[len(data)-4:], crc)
+	data := olderVersion(seedSnapshot(t, true, false), 1, 0)
 	snap, err := Read(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("v1 file rejected: %v", err)
@@ -278,7 +275,7 @@ func TestReadV1Compat(t *testing.T) {
 	}
 	// An unknown future version is still rejected.
 	binary.LittleEndian.PutUint16(data[8:], 9)
-	crc = crc32.Checksum(data[:len(data)-4], crcTable)
+	crc := crc32.Checksum(data[:len(data)-4], crcTable)
 	binary.LittleEndian.PutUint32(data[len(data)-4:], crc)
 	if _, err := Read(bytes.NewReader(data)); !errors.Is(err, ErrVersion) {
 		t.Fatalf("v9 file: err = %v, want ErrVersion", err)

@@ -1,9 +1,9 @@
 // Package store is the persistence layer for outsourced tables: a
 // versioned binary snapshot format that serializes a core.EncryptedTable
 // — ciphertext matrix, attached cluster index (encrypted centroids +
-// membership lists), tombstones and stable record ids, domain-bit
-// metadata, and the public key (with its SHA-256 fingerprint as the
-// wrong-key check value) — plus the private-key file the data owner and
+// membership lists), tombstones and stable record ids, the attribute
+// width and feature columns that l derives from, and the public key
+// (with its SHA-256 fingerprint as the wrong-key check value) — plus the private-key file the data owner and
 // C2 keep beside it.
 //
 // The format is streaming on both sides: the writer emits one ciphertext
@@ -38,16 +38,20 @@ import (
 	"sknn/internal/paillier"
 )
 
-// Version is the current snapshot format version. Readers reject files
-// from a newer format instead of guessing. v2 added the shard-lineage
-// header fields (present only when flagSharded is set), so v1 files —
-// which never carry the flag — read under the same decoder. (The v2
-// decoder also tightened the sanity caps on claimed attribute count
-// and modulus size to 2^12 attributes / 2^13 modulus bytes; files this
-// engine actually writes sit orders of magnitude below both, but a v1
-// file hand-crafted beyond them now fails ErrFormat instead of
-// parsing.)
-const Version = 2
+// Version is the current format version of snapshots and key files.
+// Readers reject files from a newer format instead of guessing. v2 added
+// the shard-lineage header fields (present only when flagSharded is
+// set), so v1 files — which never carry the flag — read under the same
+// decoder. (The v2 decoder also tightened the sanity caps on claimed
+// attribute count and modulus size to 2^12 attributes / 2^13 modulus
+// bytes; files this engine actually writes sit orders of magnitude below
+// both, but a v1 file hand-crafted beyond them now fails ErrFormat
+// instead of parsing.) v3 writes no l in the snapshot header, since
+// dataset.DomainBits derives it from the shape; a v1 or v2 header's l is
+// checked against the formula those versions wrote, one bit more. A v3
+// key file stores p and q as length-prefixed integers where v1 and v2
+// stored a gob blob, which still reads.
+const Version = 3
 
 // minVersion is the oldest format this build still reads.
 const minVersion = 1
@@ -88,9 +92,9 @@ const (
 // Snapshot is one parsed table file: the public key it is encrypted
 // under and the full table state ready for core.RestoreTable — including
 // the attribute width the header records, which lives on Table.AttrBits
-// and nowhere else. The header's l is no field here: it is
-// dataset.DomainBits(Table.AttrBits, Table.FeatureM), written so and
-// checked so. A shard snapshot (written by Split) additionally records
+// and nowhere else. l is no field here, and a v3 header carries none: it
+// is dataset.DomainBits(Table.AttrBits, Table.FeatureM). A shard
+// snapshot (written by Split) additionally records
 // its partition lineage: this file holds the records with stable id ≡
 // ShardIndex mod ShardCount. ShardCount 0 means an unsharded
 // (whole-table) snapshot.
@@ -127,8 +131,9 @@ func Write(w io.Writer, pk *paillier.PublicKey, tbl *core.TableSnapshot) error {
 }
 
 // WriteSnapshot serializes snap — including its shard lineage, when it
-// is one shard of a partition — in snapshot format Version. The header's
-// l is derived from the table's attribute width and feature columns.
+// is one shard of a partition — in snapshot format Version. Its attribute
+// width must be one a table admits, at most dataset.MaxAttrBits, so that
+// Read takes back whatever WriteSnapshot writes.
 func WriteSnapshot(w io.Writer, snap *Snapshot) error {
 	if snap == nil {
 		return fmt.Errorf("%w: nil snapshot", ErrFormat)
@@ -146,8 +151,8 @@ func WriteSnapshot(w io.Writer, snap *Snapshot) error {
 		return fmt.Errorf("%w: inconsistent table snapshot (%d records, %d ids, %d dead)",
 			ErrFormat, n, len(tbl.IDs), len(tbl.Dead))
 	}
-	if tbl.AttrBits < 1 || tbl.AttrBits > 64 {
-		return fmt.Errorf("%w: attrBits=%d", ErrFormat, tbl.AttrBits)
+	if tbl.AttrBits < 1 || tbl.AttrBits > dataset.MaxAttrBits {
+		return fmt.Errorf("%w: attrBits=%d outside [1,%d]", ErrFormat, tbl.AttrBits, dataset.MaxAttrBits)
 	}
 	bw := bufio.NewWriterSize(w, 1<<16)
 	h := crc32.New(crcTable)
@@ -166,7 +171,6 @@ func WriteSnapshot(w io.Writer, snap *Snapshot) error {
 	out.u32(uint32(tbl.M))
 	out.u32(uint32(tbl.FeatureM))
 	out.u32(uint32(tbl.AttrBits))
-	out.u32(uint32(dataset.DomainBits(tbl.AttrBits, tbl.FeatureM)))
 	out.u64(uint64(n))
 	out.u64(tbl.NextID)
 	if flags&flagSharded != 0 {
@@ -237,9 +241,10 @@ func WriteSnapshot(w io.Writer, snap *Snapshot) error {
 	return bw.Flush()
 }
 
-// Read parses one snapshot, validating the magic, version, checksum,
-// structural invariants, the header's domain metadata, and that its key
-// carries its l (core.ErrDomainBits). The caller still owes a VerifyKey
+// Read parses one snapshot of any version from minVersion to Version,
+// validating the magic, version, checksum, structural invariants, the
+// header's domain metadata, and that its key carries its l
+// (core.ErrDomainBits). The caller still owes a VerifyKey
 // against the key it intends to use and a core.RestoreTable (which
 // re-validates the cluster partition) before querying.
 func Read(r io.Reader) (*Snapshot, error) {
@@ -260,7 +265,10 @@ func Read(r io.Reader) (*Snapshot, error) {
 	m := int(in.u32())
 	featureM := int(in.u32())
 	attrBits := int(in.u32())
-	domainBits := int(in.u32())
+	headerL := 0
+	if version < 3 {
+		headerL = int(in.u32())
+	}
 	n64 := in.u64()
 	nextID := in.u64()
 	shardIndex, shardCount := 0, 0
@@ -278,17 +286,18 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if m < 1 || m > maxM || featureM < 1 || featureM > m {
 		return nil, fmt.Errorf("%w: %d attributes, %d feature columns", ErrFormat, m, featureM)
 	}
-	// The engine's own header invariants: a wider attribute domain would
-	// overflow the Insert domain guard and the plaintext oracle, and an
-	// understated l would re-expose the step 3(e) sentinel collision the
-	// headroom bit of dataset.DomainBits exists to prevent. A file that
+	// The engine's own header invariants: no table is wider than
+	// dataset.MaxAttrBits, and a v1 or v2 header's l is what those
+	// versions derived from the shape — the engine's l plus the headroom
+	// bit they kept for the paper's step 3(e) sentinel. A file that
 	// breaks either was not written by this engine.
 	if attrBits < 1 || attrBits > dataset.MaxAttrBits {
 		return nil, fmt.Errorf("%w: attrBits=%d outside [1,%d]", ErrFormat, attrBits, dataset.MaxAttrBits)
 	}
-	if want := dataset.DomainBits(attrBits, featureM); domainBits != want {
-		return nil, fmt.Errorf("%w: domain size l=%d inconsistent with attrBits=%d, featureM=%d (want %d)",
-			ErrFormat, domainBits, attrBits, featureM, want)
+	l := dataset.DomainBits(attrBits, featureM)
+	if version < 3 && headerL != l+1 {
+		return nil, fmt.Errorf("%w: v%d domain size l=%d inconsistent with attrBits=%d, featureM=%d (want %d)",
+			ErrFormat, version, headerL, attrBits, featureM, l+1)
 	}
 	if n64 < 1 || n64 > maxN {
 		return nil, fmt.Errorf("%w: %d records", ErrFormat, n64)
@@ -324,7 +333,7 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: implausible public modulus: %v", ErrFormat, err)
 	}
-	if err := core.CheckDomainBits(pk, domainBits); err != nil {
+	if err := core.CheckDomainBits(pk, l); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	// Each ciphertext lives in (0, N²): cap the length prefix we will
@@ -531,30 +540,35 @@ func ReadFile(path string) (*Snapshot, error) {
 
 // WriteKey serializes a private key with the same magic/version/CRC
 // armor as table snapshots, so a truncated or swapped key file fails
-// loudly instead of producing a key that cannot decrypt.
+// loudly instead of producing a key that cannot decrypt. Only p and q are
+// stored, each as a length-prefixed big-endian integer; everything else
+// is derived on load.
 func WriteKey(w io.Writer, sk *paillier.PrivateKey) error {
-	blob, err := sk.MarshalBinary()
-	if err != nil {
-		return err
-	}
+	p, q := sk.Factors()
 	var buf bytes.Buffer
 	h := crc32.New(crcTable)
 	out := &sectionWriter{w: io.MultiWriter(&buf, h)}
 	out.bytes(keyMagic[:])
 	out.u16(Version)
-	out.uvarint(uint64(len(blob)))
-	out.bytes(blob)
+	out.bigInt(p)
+	out.bigInt(q)
 	if out.err != nil {
 		return out.err
 	}
 	var crc [4]byte
 	binary.LittleEndian.PutUint32(crc[:], h.Sum32())
 	buf.Write(crc[:])
-	_, err = w.Write(buf.Bytes())
+	_, err := w.Write(buf.Bytes())
 	return err
 }
 
-// ReadKey parses a private-key file written by WriteKey.
+// maxFactorBytes caps a key file's p and q at half of snapshot's
+// 2^13-byte modulus cap, plus one.
+const maxFactorBytes = 1<<12 + 1
+
+// ReadKey parses a private-key file written by WriteKey, of this version
+// or a v1/v2 one, whose factors are in a gob blob (gobKeyFactors). The
+// factors pass paillier.NewPrivateKey's checks or the file is ErrFormat.
 func ReadKey(r io.Reader) (*paillier.PrivateKey, error) {
 	br := bufio.NewReader(r)
 	h := crc32.New(crcTable)
@@ -568,17 +582,26 @@ func ReadKey(r io.Reader) (*paillier.PrivateKey, error) {
 	if in.err == nil && (version < minVersion || version > Version) {
 		return nil, fmt.Errorf("%w: key file is v%d", ErrVersion, version)
 	}
-	blobLen := in.uvarint()
-	if in.err != nil {
-		return nil, in.fail("key blob")
-	}
-	if blobLen > 1<<20 {
-		return nil, fmt.Errorf("%w: key blob of %d bytes", ErrFormat, blobLen)
-	}
-	blob := make([]byte, blobLen)
-	in.bytes(blob)
-	if in.err != nil {
-		return nil, in.fail("key blob")
+	var p, q *big.Int
+	var blob []byte // v1/v2: the gob blob, parsed once the checksum holds
+	if version < 3 {
+		blobLen := in.uvarint()
+		if in.err != nil {
+			return nil, in.fail("key blob")
+		}
+		if blobLen > 1<<20 {
+			return nil, fmt.Errorf("%w: key blob of %d bytes", ErrFormat, blobLen)
+		}
+		blob = make([]byte, blobLen)
+		in.bytes(blob)
+		if in.err != nil {
+			return nil, in.fail("key blob")
+		}
+	} else {
+		p, q = in.bigInt(maxFactorBytes), in.bigInt(maxFactorBytes)
+		if in.err != nil {
+			return nil, in.fail("key factors")
+		}
 	}
 	want := h.Sum32()
 	var crc [4]byte
@@ -588,8 +611,14 @@ func ReadKey(r io.Reader) (*paillier.PrivateKey, error) {
 	if binary.LittleEndian.Uint32(crc[:]) != want {
 		return nil, ErrChecksum
 	}
-	sk := new(paillier.PrivateKey)
-	if err := sk.UnmarshalBinary(blob); err != nil {
+	if version < 3 {
+		var err error
+		if p, q, err = gobKeyFactors(blob); err != nil {
+			return nil, err
+		}
+	}
+	sk, err := paillier.NewPrivateKey(p, q)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}
 	return sk, nil
@@ -706,6 +735,21 @@ func (s *sectionReader) uvarint() uint64 {
 		s.err = err
 	}
 	return v
+}
+
+// bigInt reads one length-prefixed non-negative integer of at most
+// maxLen bytes, sectionWriter.bigInt's encoding.
+func (s *sectionReader) bigInt(maxLen int) *big.Int {
+	l := s.uvarint()
+	if s.err == nil && l > uint64(maxLen) {
+		s.err = fmt.Errorf("%w: integer of %d bytes", ErrFormat, l)
+	}
+	if s.err != nil {
+		return nil
+	}
+	b := make([]byte, l)
+	s.bytes(b)
+	return new(big.Int).SetBytes(b)
 }
 
 // ciphertext reads one length-prefixed ciphertext, validating it against

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"crypto/rand"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math/big"
 	"sync"
@@ -85,8 +87,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		// 6 bits is what EncryptTable derived from buildTable's widest value, 61.
-		if l := binary.LittleEndian.Uint32(data[headerL:]); snap.Table.AttrBits != 6 || l != 14 {
-			t.Fatalf("meta = %d/%d, want 6/14", snap.Table.AttrBits, l)
+		if snap.Table.AttrBits != 6 || snap.Table.FeatureM != 2 {
+			t.Fatalf("meta = %d/%d, want 6/2", snap.Table.AttrBits, snap.Table.FeatureM)
 		}
 		back, err := core.RestoreTable(snap.PK, snap.Table)
 		if err != nil {
@@ -204,56 +206,94 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	})
 }
 
-// headerL is the offset of l in a snapshot header: after the magic, the
-// version, the flags, m, featureM and attrBits.
+// headerL is the offset at which a v1 or v2 header carried l: after the
+// magic, the version, the flags, m, featureM and attrBits.
 const headerL = 8 + 2 + 2 + 4 + 4 + 4
 
-// TestReadRefusesForeignDomain: Write derives the header's l from the
-// table's shape, and Read admits only that domain metadata — a forged l
-// off dataset.DomainBits(attrBits, featureM) would compare distances in
-// the wrong domain, and an attribute domain beyond dataset.MaxAttrBits
-// overflows the plaintext distance bound — and a key too small to carry
-// its own l is refused as core.ErrDomainBits, as sknn.New refuses it. The
-// files are otherwise well formed.
+// olderVersion rewrites a snapshot this version wrote into the byte
+// layout of version v < 3: the version field, the u32 l v1 and v2 wrote
+// after attrBits — their formula, dataset.DomainBits + 1, moved by dl —
+// and the CRC trailer over the result.
+func olderVersion(data []byte, v uint16, dl int) []byte {
+	out := bytes.Clone(data[:headerL])
+	binary.LittleEndian.PutUint16(out[8:], v)
+	featureM := int(binary.LittleEndian.Uint32(data[16:]))
+	attrBits := int(binary.LittleEndian.Uint32(data[20:]))
+	out = binary.LittleEndian.AppendUint32(out, uint32(dataset.DomainBits(attrBits, featureM)+1+dl))
+	out = append(out, data[headerL:len(data)-4]...)
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crcTable))
+}
+
+// TestReadRefusesForeignDomain: Read admits only the domain metadata this
+// engine writes. A v1 or v2 header's l must be what those versions
+// derived, dataset.DomainBits(attrBits, featureM) + 1 — a forged one
+// would compare distances in the wrong domain — and an attribute domain
+// beyond dataset.MaxAttrBits, the one width bound, is refused at 25 and
+// 64 bits and taken at 24. A key too small to carry the table's l is
+// refused as core.ErrDomainBits, as sknn.New refuses it, at exactly the
+// bound: a 117-bit key carries l = K − 69 = 48 = DomainBits(24, 1) and
+// not DomainBits(24, 2) = 49. The files are otherwise well formed.
 func TestReadRefusesForeignDomain(t *testing.T) {
 	pk := &testKey().PublicKey
 	snap := buildTable(t, false, false).Snapshot()
-	l := dataset.DomainBits(snap.AttrBits, snap.FeatureM)
-	// read writes tbl under pk, with the header's l moved by dl.
-	read := func(pk *paillier.PublicKey, tbl *core.TableSnapshot, dl int) error {
+	write := func(pk *paillier.PublicKey, tbl *core.TableSnapshot) []byte {
 		var buf bytes.Buffer
 		if err := Write(&buf, pk, tbl); err != nil {
 			t.Fatal(err)
 		}
-		data := buf.Bytes()
-		written := binary.LittleEndian.Uint32(data[headerL:])
-		if want := dataset.DomainBits(tbl.AttrBits, tbl.FeatureM); written != uint32(want) {
-			t.Fatalf("header l = %d, want the table's %d", written, want)
+		return buf.Bytes()
+	}
+	data := write(pk, snap)
+	for _, v := range []uint16{1, 2} {
+		if _, err := Read(bytes.NewReader(olderVersion(data, v, 0))); err != nil {
+			t.Fatalf("v%d header with its own l refused: %v", v, err)
 		}
-		binary.LittleEndian.PutUint32(data[headerL:], uint32(int(written)+dl))
-		_, err := Read(bytes.NewReader(data))
-		return err
-	}
-	if err := read(pk, snap, 0); err != nil {
-		t.Fatalf("consistent header l=%d refused: %v", l, err)
-	}
-	for _, dl := range []int{-1, 1} {
-		if err := read(pk, snap, dl); !errors.Is(err, ErrFormat) {
-			t.Errorf("forged l=%d: err = %v, want ErrFormat", l+dl, err)
+		for _, dl := range []int{-1, 1} {
+			if _, err := Read(bytes.NewReader(olderVersion(data, v, dl))); !errors.Is(err, ErrFormat) {
+				t.Errorf("v%d header with l moved by %d: err = %v, want ErrFormat", v, dl, err)
+			}
 		}
 	}
-	wide := *snap
-	wide.AttrBits = 30
-	if err := read(pk, &wide, 0); !errors.Is(err, ErrFormat) {
-		t.Errorf("attrBits=30 > %d: err = %v, want ErrFormat", dataset.MaxAttrBits, err)
+
+	for _, bits := range []int{24, 25, 64} {
+		wide := *snap
+		wide.AttrBits = bits
+		var buf bytes.Buffer
+		err := Write(&buf, pk, &wide)
+		if bits <= dataset.MaxAttrBits {
+			if err != nil {
+				t.Fatalf("writing attrBits=%d: %v", bits, err)
+			}
+			if _, err := Read(&buf); err != nil {
+				t.Errorf("reading attrBits=%d: %v", bits, err)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrFormat) {
+			t.Errorf("writing attrBits=%d > %d: err = %v, want ErrFormat", bits, dataset.MaxAttrBits, err)
+		}
+		// The same header forged into a file the writer would have made.
+		forged := bytes.Clone(data)
+		binary.LittleEndian.PutUint32(forged[20:], uint32(bits))
+		binary.LittleEndian.PutUint32(forged[len(forged)-4:], crc32.Checksum(forged[:len(forged)-4], crcTable))
+		if _, err := Read(bytes.NewReader(forged)); !errors.Is(err, ErrFormat) {
+			t.Errorf("reading attrBits=%d > %d: err = %v, want ErrFormat", bits, dataset.MaxAttrBits, err)
+		}
 	}
-	small := &testkit.Key(64).PublicKey
-	tiny, err := core.EncryptTable(rand.Reader, small, [][]uint64{{1, 2}, {15, 0}, {4, 9}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := read(small, tiny.Snapshot(), 0); !errors.Is(err, core.ErrDomainBits) {
-		t.Errorf("64-bit key, l=%d: err = %v, want core.ErrDomainBits", dataset.DomainBits(4, 2), err)
+
+	small := &testkit.Key(117).PublicKey
+	const max24 = 1<<24 - 1
+	for f, want := range map[int]error{1: nil, 2: core.ErrDomainBits} {
+		tbl, err := core.EncryptTable(rand.Reader, small, [][]uint64{{max24, 2}, {15, 0}, {4, 9}})
+		if err == nil {
+			tbl, err = tbl.WithFeatureColumns(f)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Read(bytes.NewReader(write(small, tbl.Snapshot()))); !errors.Is(err, want) {
+			t.Errorf("117-bit key, l = %d: err = %v, want %v", dataset.DomainBits(24, f), err, want)
+		}
 	}
 }
 
@@ -311,6 +351,102 @@ func TestKeyRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadKey(bytes.NewReader([]byte("not a key"))); !errors.Is(err, ErrMagic) {
 		t.Fatal("garbage key file accepted")
+	}
+}
+
+// legacyKeyFile is sk as a key file of version v < 3 wrote it: the gob
+// stream of struct{ P, Q *big.Int } as a length-prefixed blob.
+func legacyKeyFile(tb testing.TB, sk *paillier.PrivateKey, v uint16) []byte {
+	tb.Helper()
+	p, q := sk.Factors()
+	var blob bytes.Buffer
+	if err := gob.NewEncoder(&blob).Encode(struct{ P, Q *big.Int }{p, q}); err != nil {
+		tb.Fatal(err)
+	}
+	return legacyKeyFrame(v, blob.Bytes())
+}
+
+// legacyKeyFrame arms a v1/v2 key blob: magic, version, length, CRC.
+func legacyKeyFrame(v uint16, blob []byte) []byte {
+	out := binary.LittleEndian.AppendUint16(bytes.Clone(keyMagic[:]), v)
+	out = binary.AppendUvarint(out, uint64(len(blob)))
+	out = append(out, blob...)
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crcTable))
+}
+
+// TestKeyFileCompat: a v3 key file holds p and q as the store's own
+// length-prefixed integers and nothing gob; v1 and v2 files — the
+// committed bench/testdata/k512.key among them — still load, through
+// the same checks; a corrupted one fails its checksum before its blob is
+// parsed, and a v2 blob off the one gob shape those versions wrote, or
+// holding factors no key has, is ErrFormat.
+func TestKeyFileCompat(t *testing.T) {
+	sk := testKey()
+	var buf bytes.Buffer
+	if err := WriteKey(&buf, sk); err != nil {
+		t.Fatal(err)
+	}
+	p, q := sk.Factors()
+	want := binary.LittleEndian.AppendUint16(bytes.Clone(keyMagic[:]), Version)
+	for _, x := range []*big.Int{p, q} {
+		want = binary.AppendUvarint(want, uint64(len(x.Bytes())))
+		want = append(want, x.Bytes()...)
+	}
+	if got := buf.Bytes(); !bytes.Equal(got[:len(got)-4], want) {
+		t.Errorf("v3 key file body = %x, want %x", got[:len(got)-4], want)
+	}
+
+	old, err := ReadKeyFile("../../bench/testdata/k512.key")
+	if err != nil {
+		t.Fatalf("bench/testdata/k512.key: %v", err)
+	}
+	if old.N.BitLen() != 512 {
+		t.Errorf("k512.key holds a %d-bit key", old.N.BitLen())
+	}
+	for _, v := range []uint16{1, 2} {
+		back, err := ReadKey(bytes.NewReader(legacyKeyFile(t, sk, v)))
+		if err != nil {
+			t.Fatalf("v%d key file: %v", v, err)
+		}
+		if back.N.Cmp(sk.N) != 0 {
+			t.Errorf("v%d key file read as another key", v)
+		}
+	}
+
+	flipped := legacyKeyFile(t, sk, 2)
+	flipped[len(flipped)/2] ^= 0x10 // inside the blob: the checksum, not the gob reader, refuses it
+	if _, err := ReadKey(bytes.NewReader(flipped)); !errors.Is(err, ErrChecksum) {
+		t.Errorf("v2 key file with a flipped bit: err = %v, want ErrChecksum", err)
+	}
+
+	var blob bytes.Buffer
+	if err := gob.NewEncoder(&blob).Encode(struct{ P, Q *big.Int }{p, q}); err != nil {
+		t.Fatal(err)
+	}
+	good := blob.Bytes()
+	safe, _ := new(big.Int).SetString("1000000000000000000000000000000000009271", 10)
+	unsafe := new(big.Int).Lsh(safe, 1)
+	unsafe.Add(unsafe, big.NewInt(1)) // 2q+1: prime, yet shares q with the totient
+	var shared bytes.Buffer
+	if err := gob.NewEncoder(&shared).Encode(struct{ P, Q *big.Int }{unsafe, safe}); err != nil {
+		t.Fatal(err)
+	}
+	var onlyP bytes.Buffer
+	if err := gob.NewEncoder(&onlyP).Encode(struct{ P *big.Int }{p}); err != nil {
+		t.Fatal(err)
+	}
+	for name, blob := range map[string][]byte{
+		"empty":             nil,
+		"not gob":           []byte("not gob"),
+		"truncated":         good[:len(good)-5],
+		"trailing byte":     append(bytes.Clone(good), 0),
+		"one factor":        onlyP.Bytes(),
+		"p = 2q+1":          shared.Bytes(),
+		"type section only": good[:good[0]+1],
+	} {
+		if _, err := ReadKey(bytes.NewReader(legacyKeyFrame(2, blob))); !errors.Is(err, ErrFormat) {
+			t.Errorf("v2 blob %s: err = %v, want ErrFormat", name, err)
+		}
 	}
 }
 

@@ -6,6 +6,9 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
 	"math/bits"
 	"reflect"
 	"sort"
@@ -338,27 +341,86 @@ func TestLoadTableErrors(t *testing.T) {
 
 	// Metadata the engine's invariants forbid, refused by store.Read on
 	// the way in: attrBits beyond dataset.MaxAttrBits (would overflow the
-	// Insert domain guard) and a header l that disagrees with DomainBits
-	// (no writer produces one; it is forged here, in the u32 after the
-	// magic, version, flags, m, featureM and attrBits).
+	// Insert domain guard), which store.Write refuses too and is forged
+	// here in the u32 after the magic, version, flags, m and featureM; and
+	// a v2 header l that disagrees with that version's DomainBits + 1.
 	snap, err := store.Read(bytes.NewReader(snapshot))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var badBits bytes.Buffer
 	wide := *snap.Table
 	wide.AttrBits = 30
-	if err := store.Write(&badBits, &facadeKey().PublicKey, &wide); err != nil {
+	if err := store.Write(io.Discard, &facadeKey().PublicKey, &wide); !errors.Is(err, store.ErrFormat) {
+		t.Errorf("writing attrBits=30: err = %v, want store.ErrFormat", err)
+	}
+	badBits := bytes.Clone(snapshot)
+	binary.LittleEndian.PutUint32(badBits[20:], 30)
+	binary.LittleEndian.PutUint32(badBits[len(badBits)-4:], crc32.Checksum(badBits[:len(badBits)-4], castagnoli))
+	if _, err := LoadTable(bytes.NewReader(badBits), facadeKey(), Config{}); !errors.Is(err, store.ErrFormat) {
+		t.Errorf("attrBits=30 snapshot: err = %v, want store.ErrFormat (MaxAttrBits is 24)", err)
+	}
+	if _, err := LoadTable(bytes.NewReader(snapshotV2(snapshot, -1)), facadeKey(), Config{}); !errors.Is(err, store.ErrFormat) {
+		t.Errorf("v2 snapshot with understated domain size l: err = %v, want store.ErrFormat", err)
+	}
+}
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// snapshotV2 rewrites a snapshot SaveTable wrote into the layout of
+// store version 2: the version field, the u32 l v2 wrote after attrBits —
+// its formula, dataset.DomainBits(attrBits, featureM) + 1, moved by dl —
+// and the CRC-32C trailer over the result.
+func snapshotV2(data []byte, dl int) []byte {
+	const headerL = 8 + 2 + 2 + 4 + 4 + 4 // magic, version, flags, m, featureM, attrBits
+	out := bytes.Clone(data[:headerL])
+	binary.LittleEndian.PutUint16(out[8:], 2)
+	featureM := int(binary.LittleEndian.Uint32(data[16:]))
+	attrBits := int(binary.LittleEndian.Uint32(data[20:]))
+	out = binary.LittleEndian.AppendUint32(out, uint32(dataset.DomainBits(attrBits, featureM)+1+dl))
+	out = append(out, data[headerL:len(data)-4]...)
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, castagnoli))
+}
+
+// TestLoadTableV2Snapshot: a snapshot in the store's version-2 layout —
+// l in the header, one bit above the engine's — loads under this build,
+// clustered and unclustered, and answers both protocols like the
+// plaintext oracle at the engine's l.
+func TestLoadTableV2Snapshot(t *testing.T) {
+	tbl, err := dataset.GenerateClustered(61, 16, 3, 5, 3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadTable(&badBits, facadeKey(), Config{}); err == nil {
-		t.Error("attrBits=30 snapshot accepted (MaxAttrBits is 24)")
-	}
-	badL := bytes.Clone(snapshot)
-	const headerL = 8 + 2 + 2 + 4 + 4 + 4
-	binary.LittleEndian.PutUint32(badL[headerL:], binary.LittleEndian.Uint32(badL[headerL:])-1)
-	if _, err := LoadTable(bytes.NewReader(badL), facadeKey(), Config{}); !errors.Is(err, store.ErrFormat) {
-		t.Errorf("snapshot with understated domain size l: err = %v, want store.ErrFormat", err)
+	q := []uint64{4, 20, 9}
+	for _, index := range []IndexMode{IndexNone, IndexClustered} {
+		t.Run(fmt.Sprint(index), func(t *testing.T) {
+			sys, err := New(tbl.Rows, tbl.AttrBits, Config{Key: facadeKey(), Index: index, Clusters: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			var buf bytes.Buffer
+			if err := sys.SaveTable(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if binary.LittleEndian.Uint16(buf.Bytes()[8:]) != store.Version {
+				t.Fatalf("SaveTable wrote v%d", binary.LittleEndian.Uint16(buf.Bytes()[8:]))
+			}
+			loaded, err := LoadTable(bytes.NewReader(snapshotV2(buf.Bytes(), 0)), facadeKey(), Config{Coverage: 8})
+			if err != nil {
+				t.Fatalf("v2 snapshot: %v", err)
+			}
+			defer loaded.Close()
+			if loaded.DomainBits() != dataset.DomainBits(5, 3) {
+				t.Errorf("loaded at l = %d, want the engine's %d", loaded.DomainBits(), dataset.DomainBits(5, 3))
+			}
+			for _, mode := range []Mode{ModeBasic, ModeSecure} {
+				got, err := queryRows(loaded, q, 3, mode)
+				if err != nil {
+					t.Fatalf("%v: %v", mode, err)
+				}
+				oracleCheck(t, tbl.Rows, got, q, 3)
+			}
+		})
 	}
 }
 

@@ -182,10 +182,10 @@ func TestDifferentialSecureQueryEdges(t *testing.T) {
 			rows: [][]uint64{{3, 1}, {0, 2}, {7, 7}, {1, 1}, {2, 6}, {5, 5}}, q: []uint64{1, 1}, k: 4, deletes: []uint64{1, 4}},
 		{name: "K = 128", keyBits: 128, attrBits: 3,
 			rows: [][]uint64{{3, 1}, {0, 2}, {7, 7}, {1, 1}, {2, 6}}, q: []uint64{1, 1}, k: 3},
-		// DomainBits(24, 1) = 49 = 118 − 69; DomainBits(24, 2) = 50.
-		{name: "l = K − 69", keyBits: 118, attrBits: 24,
+		// DomainBits(24, 1) = 48 = 117 − 69; DomainBits(24, 2) = 49.
+		{name: "l = K − 69", keyBits: 117, attrBits: 24,
 			rows: [][]uint64{{max24}, {0}, {9}, {max24 - 1}}, q: []uint64{max24}, k: 2},
-		{name: "l = K − 68", keyBits: 118, attrBits: 24,
+		{name: "l = K − 68", keyBits: 117, attrBits: 24,
 			rows: [][]uint64{{max24, 1}, {0, 2}, {9, 3}, {max24 - 1, 4}}, q: []uint64{max24, 0}, k: 2,
 			wantErr: core.ErrDomainBits},
 	}
@@ -197,7 +197,7 @@ func TestDifferentialSecureQueryEdges(t *testing.T) {
 				if _, err := New(tc.rows, tc.attrBits, Config{Key: sk}); !errors.Is(err, tc.wantErr) {
 					t.Errorf("New: err = %v, want %v", err, tc.wantErr)
 				}
-				// A snapshot of that table: its header carries that l.
+				// A snapshot of that table: its shape derives that l.
 				table, err := core.EncryptTable(rand.Reader, &sk.PublicKey, tc.rows)
 				if err != nil {
 					t.Fatal(err)
@@ -271,82 +271,148 @@ func TestDifferentialSecureQueryEdges(t *testing.T) {
 	}
 }
 
-// benchShapeSystem builds bench/'s secure shape (n=8, m=6, attrBits=4,
-// one link per pool, a 512-bit key) on the given shard count and returns
-// it with the workload's k=2 query, which checks its answer against the
-// oracle.
-func benchShapeSystem(t *testing.T, shards int) (*System, func() *Result) {
+// costShape is one table and query the secure cost tests run: bench/'s
+// secure shape (n = 8, m = 6, attrBits = 4, k = 2, its seeds) and two
+// one-bit tables, one of them every corner of the unit cube, so a record
+// lies at 3 = 2^l − 1 from the query.
+type costShape struct {
+	name     string
+	rows     [][]uint64
+	attrBits int
+	q        []uint64
+	k        int
+	l        int // the table's, dataset.DomainBits(attrBits, m)
+}
+
+func costShapes(t *testing.T) []costShape {
 	t.Helper()
-	const n, m, attrBits, k = 8, 6, 4, 2
-	tbl, err := dataset.Generate(1, n, m, attrBits)
-	if err != nil {
-		t.Fatal(err)
+	generated := func(m, attrBits, l int) costShape {
+		tbl, err := dataset.Generate(1, 8, m, attrBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := dataset.GenerateQuery(2, m, attrBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return costShape{fmt.Sprintf("n=8,m=%d,b=%d", m, attrBits), tbl.Rows, attrBits, q, 2, l}
 	}
-	sys, err := New(tbl.Rows, attrBits, Config{Key: testkit.Key(512), Workers: 1, Shards: shards})
+	var cube [][]uint64
+	for c := uint64(0); c < 8; c++ {
+		cube = append(cube, []uint64{c & 1, c >> 1 & 1, c >> 2})
+	}
+	return []costShape{
+		generated(6, 4, 11), // bench/'s
+		generated(6, 1, 3),
+		{"n=8,m=3,b=1", cube, 1, []uint64{1, 1, 1}, 2, 2},
+	}
+}
+
+// costSystem builds sh on the given shard count, one link per pool and a
+// 512-bit key, as bench/ does, and returns it with sh's query, which
+// checks its answer against the oracle.
+func costSystem(t *testing.T, sh costShape, shards int) (*System, func() *Result) {
+	t.Helper()
+	sys, err := New(sh.rows, sh.attrBits, Config{Key: testkit.Key(512), Workers: 1, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sys.Close() })
-	q, err := dataset.GenerateQuery(2, m, attrBits)
-	if err != nil {
-		t.Fatal(err)
-	}
 	return sys, func() *Result {
 		t.Helper()
-		res, err := sys.Query(context.Background(), q, WithK(k), WithMode(ModeSecure))
+		res, err := sys.Query(context.Background(), sh.q, WithK(sh.k), WithMode(ModeSecure))
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracleCheck(t, tbl.Rows, res.Rows, q, k)
+		oracleCheck(t, sh.rows, res.Rows, sh.q, sh.k)
 		return res
 	}
 }
 
 // TestSecureScanCostAtBenchShape guards bench/'s two secure_scan
-// counters in tier-1: at that workload's shape a query takes exactly 54
-// C1↔C2 round trips — the engine's cost model, 1 SSED + D(8, 2) = 4
-// layers of the selection network · 13 + 1 reveal: a layer is the peel's
-// 13 rounds, its last also selecting every gate's minimum and moving its
+// counters in tier-1, and the engine's cost model beside them: a query
+// takes 1 SSED + D(n, k) layers of the selection network · (l + 1) + 1
+// reveal C1↔C2 round trips, D counted off the network itself
+// (core.NetworkDepth) and l the table's. A layer is the peel's l + 1
+// rounds, its last also selecting every gate's minimum and moving its
 // record (internal/core TestSelectionCostModel has the formula over a
-// grid) — and moves the 36269 bytes the benchmark reports as
-// c2_bytes_per_query. The byte count is the integers on the wire at their
-// minimal lengths, so a query falls a few bytes short of its nominal size
-// — one for every ciphertext or masked value that happens to start with a
-// zero byte, a handful in some three hundred — hence the window: one
-// ciphertext more or fewer is 130 bytes and lands outside it.
+// grid). At secure_scan's shape l = 11 and D(8, 2) = 4, so 50 round
+// trips, and the query moves the 33985 bytes the benchmark reports as
+// c2_bytes_per_query. The byte count is the integers on the wire at
+// their minimal lengths, so a query falls a few bytes short of its
+// nominal size — one for every ciphertext or masked value that happens to
+// start with a zero byte, a handful in some three hundred — hence the
+// window: one ciphertext more or fewer is 130 bytes and lands outside it.
+// At b = 1, m = 6, l = 3 and a layer is 4 round trips; at b = 1, m = 3,
+// l = 2 and a record sits at 2^l − 1.
 func TestSecureScanCostAtBenchShape(t *testing.T) {
-	_, query := benchShapeSystem(t, 0)
-	comm := query().Metrics.Secure.Comm
-	if comm.Rounds != 54 {
-		t.Errorf("query took %d round trips, want 54", comm.Rounds)
-	}
-	if moved := comm.BytesSent + comm.BytesReceived; moved < 36269-32 || moved > 36269+32 {
-		t.Errorf("query moved %d bytes between the clouds, want 36269 give or take leading zero bytes", moved)
+	for i, sh := range costShapes(t) {
+		t.Run(sh.name, func(t *testing.T) {
+			sys, query := costSystem(t, sh, 0)
+			l := sys.DomainBits()
+			if l != sh.l {
+				t.Errorf("the table's l = %d, want %d", l, sh.l)
+			}
+			want := 1 + core.NetworkDepth(len(sh.rows), sh.k)*(l+1) + 1
+			comm := query().Metrics.Secure.Comm
+			if comm.Rounds != int64(want) {
+				t.Errorf("query took %d round trips at l = %d, cost model says %d", comm.Rounds, l, want)
+			}
+			if i > 0 {
+				return
+			}
+			if want != 50 {
+				t.Errorf("secure_scan's shape: l = %d, %d round trips; want 11, 50", l, want)
+			}
+			if moved := comm.BytesSent + comm.BytesReceived; moved < 33985-32 || moved > 33985+32 {
+				t.Errorf("query moved %d bytes between the clouds, want 33985 give or take leading zero bytes", moved)
+			}
+		})
 	}
 }
 
 // TestShardedScanCostAtBenchShape is the same guard for bench/'s
-// gateway_sharded rounds: the shape split over two shards takes 81
-// round trips. Each 4-record shard scans in 27 (1 SSED + D(4, 2) = 2
-// layers · 13), and the merge of their two 2-candidate sets in 27 more:
-// the same two-layer network over the four, and the reveal.
+// gateway_sharded rounds, derived the same way: each shard of nᵢ records
+// scans in 1 SSED + D(nᵢ, k)·(l + 1), and the merge of their
+// min(k, nᵢ)-candidate sets in D(Σ, k)·(l + 1) + 1 reveal. At bench/'s
+// shape split over two shards that is 25 per shard (1 + D(4, 2) = 2
+// layers · 12) and 25 for the merge — the same two-layer network over the
+// four candidates, and the reveal — so 75.
 func TestShardedScanCostAtBenchShape(t *testing.T) {
-	sys, query := benchShapeSystem(t, 2)
-	shards := make([]mpc.StatsSnapshot, len(sys.eng.Workers))
-	for i, sh := range sys.eng.Workers {
-		shards[i] = sh.CommStats()
-	}
-	merge := sys.eng.ShardedC1.CommStats()
-	if got := query().Metrics.Secure.Comm.Rounds; got != 81 {
-		t.Errorf("query took %d round trips, want 81", got)
-	}
-	for i, sh := range sys.eng.Workers {
-		if got := sh.CommStats().Sub(shards[i]).Rounds; got != 27 {
-			t.Errorf("shard %d scanned in %d round trips, want 27", i, got)
-		}
-	}
-	if got := sys.eng.ShardedC1.CommStats().Sub(merge).Rounds; got != 27 {
-		t.Errorf("the merge and reveal took %d round trips, want 27", got)
+	for i, sh := range costShapes(t) {
+		t.Run(sh.name, func(t *testing.T) {
+			sys, query := costSystem(t, sh, 2)
+			l := sys.DomainBits()
+			shards := make([]mpc.StatsSnapshot, len(sys.eng.Workers))
+			wantShard := make([]int, len(sys.eng.Workers))
+			gathered := 0
+			for j, w := range sys.eng.Workers {
+				shards[j] = w.CommStats()
+				n := w.Table().N()
+				wantShard[j] = 1 + core.NetworkDepth(n, sh.k)*(l+1)
+				gathered += min(sh.k, n)
+			}
+			wantMerge := core.NetworkDepth(gathered, sh.k)*(l+1) + 1
+			want := wantMerge
+			for _, w := range wantShard {
+				want += w
+			}
+			merge := sys.eng.ShardedC1.CommStats()
+			if got := query().Metrics.Secure.Comm.Rounds; got != int64(want) {
+				t.Errorf("query took %d round trips, cost model says %d", got, want)
+			}
+			for j, w := range sys.eng.Workers {
+				if got := w.CommStats().Sub(shards[j]).Rounds; got != int64(wantShard[j]) {
+					t.Errorf("shard %d scanned in %d round trips, cost model says %d", j, got, wantShard[j])
+				}
+			}
+			if got := sys.eng.ShardedC1.CommStats().Sub(merge).Rounds; got != int64(wantMerge) {
+				t.Errorf("the merge and reveal took %d round trips, cost model says %d", got, wantMerge)
+			}
+			if i == 0 && (want != 75 || wantMerge != 25 || wantShard[0] != 25 || wantShard[1] != 25) {
+				t.Errorf("gateway_sharded's shape: %d = %v + %d round trips; want 75 = [25 25] + 25", want, wantShard, wantMerge)
+			}
+		})
 	}
 }
 
