@@ -12,6 +12,7 @@ import (
 	"sknn/internal/mpc"
 	"sknn/internal/paillier"
 	"sknn/internal/smc"
+	"sknn/internal/testkit"
 )
 
 // ceilLog2 is ⌈log₂ x⌉ for x ≥ 1: the levels of a tournament over x.
@@ -144,6 +145,89 @@ func TestReplyEncryptionsPerScan(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestOnePrimeDecryptionsPerScan pins how C2 decrypts one SkNNm query
+// at K = 512, counted from the frames it receives: each slot group of a
+// packed frame and each element of the reveal is one decryption, and a
+// group whose declared width count·Width is at most bitlen(s) − 65, s
+// the smaller prime factor, decrypts under s alone; paillier.DecryptCalls
+// must agree by path. At secure_scan's shape (n = 8, m = 6, b = 4, k = 2)
+// the 8 SSED groups (6 × 70 bits), the peel's full groups and the 2
+// reveals take the CRT; 24 of 64 take one prime. Over two shards,
+// gateway_sharded's topology, the shard and merge networks are narrower:
+// 72 of 88.
+func TestOnePrimeDecryptionsPerScan(t *testing.T) {
+	const n, m, attrBits, k = 8, 6, 4, 2
+	sk := testkit.Key(512)
+	tbl, err := dataset.Generate(808, n, m, attrBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := []uint64{3, 9, 0, 15, 7, 1}
+	for _, shape := range []struct{ shards, onePrime, total int }{{1, 24, 64}, {2, 72, 88}} {
+		t.Run(fmt.Sprintf("shards=%d", shape.shards), func(t *testing.T) {
+			mux := NewCloudC2(sk, nil).Mux()
+			var total, onePrime atomic.Int64
+			counting := mpc.HandlerFunc(func(req *mpc.Message) (*mpc.Message, error) {
+				d, o := frameDecryptions(t, sk, req)
+				total.Add(int64(d))
+				onePrime.Add(int64(o))
+				return mux.Handle(req)
+			})
+			engine := newEngine(t, encryptDataset(t, sk, tbl), shape.shards, func() []mpc.Conn {
+				return []mpc.Conn{pipeServedBy(t, func(c mpc.Conn) error { return mpc.Serve(c, counting) })}
+			})
+			onePrime0, crt0 := paillier.DecryptCalls()
+			rows := runSecure(t, engine, NewClient(&sk.PublicKey, nil), q, k)
+			onePrime1, crt1 := paillier.DecryptCalls()
+			assertMatchesOracle(t, tbl, q, k, rows)
+			d, o := total.Load(), onePrime.Load()
+			if d != int64(shape.total) || o != int64(shape.onePrime) {
+				t.Errorf("C2's frames ask for %d decryptions, %d of them one-prime; want %d, %d", d, o, shape.total, shape.onePrime)
+			}
+			if gotO, gotC := onePrime1-onePrime0, crt1-crt0; gotO != uint64(o) || gotC != uint64(d-o) {
+				t.Errorf("C2 decrypted %d under one prime and %d through the CRT; its frames say %d and %d", gotO, gotC, o, d-o)
+			}
+		})
+	}
+}
+
+// frameDecryptions reads a C2 request as its handler does and returns
+// how many decryptions it asks for — a packed SSED or peel frame's slot
+// groups, a reveal's elements — and how many of those are groups that fit
+// below the smaller prime factor with 65 bits to spare.
+func frameDecryptions(t *testing.T, sk *paillier.PrivateKey, req *mpc.Message) (total, onePrime int) {
+	p, q := sk.Factors()
+	bound := min(p.BitLen(), q.BitLen()) - 65
+	field := func(i int) int { return int(req.Ints[i].Int64()) }
+	add := func(values, valueBits int) {
+		codec, err := paillier.NewPacking(&sk.PublicKey, valueBits)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for rest := values; rest > 0; rest -= codec.Slots {
+			total++
+			if min(rest, codec.Slots)*codec.Width <= bound {
+				onePrime++
+			}
+		}
+	}
+	switch req.Op {
+	case smc.OpSSEDPack: // [count, m, valueBits, …]: m values per record
+		for range field(0) {
+			add(field(1), field(2))
+		}
+	case smc.OpSBDPackBit: // [count, valueBits, shift, …], [… per, opBits, …] in the output round
+		add(field(0), field(1))
+		if field(2) == field(1)-1 {
+			add(field(0)*field(3), field(4))
+		}
+	case OpReveal: // full-range masks: every element through the CRT
+		total = len(req.Ints)
+	}
+	return total, onePrime
 }
 
 // TestMergeCostModel pins the gather at S ∈ {3, 4}: however the shard

@@ -43,21 +43,30 @@ func BenchmarkEncrypt(b *testing.B) {
 	}
 }
 
+// BenchmarkDecrypt prices C2's two decryption paths: "crt" is Decrypt,
+// both halves recombined, and "oneprime" the largest plaintext the
+// smaller factor's half decrypts alone (decryptBelow), one
+// exponentiation mod s² — a short packed group's cost.
 func BenchmarkDecrypt(b *testing.B) {
-	for _, bits := range []int{512, 1024} {
-		b.Run(fmt.Sprintf("K=%d", bits), func(b *testing.B) {
-			sk := benchKey(b, bits)
-			ct, err := sk.Encrypt(rand.Reader, big.NewInt(987654))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sk.Decrypt(ct); err != nil {
-					b.Fatal(err)
+	for _, bits := range []int{512, 1024, 2048} {
+		sk := benchKey(b, bits)
+		bound := sk.short.prime.BitLen() - onePrimeSlack
+		ct, err := sk.Encrypt(rand.Reader, new(big.Int).Lsh(one, uint(bound-1)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, path := range []struct {
+			name string
+			bits int
+		}{{"crt", bits}, {"oneprime", bound}} {
+			b.Run(fmt.Sprintf("K=%d/%s", bits, path.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := sk.decryptBelow(ct, path.bits); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -92,7 +101,7 @@ func BenchmarkAblationCRTDecrypt(b *testing.B) {
 // latter.
 func BenchmarkMontMul(b *testing.B) {
 	sk := benchKey(b, 512)
-	for _, mod := range []*big.Int{sk.pSquared, sk.NSquared} {
+	for _, mod := range []*big.Int{sk.p.square, sk.NSquared} {
 		mm := newMontMod(mod)
 		n := len(mm.m)
 		b.Run(fmt.Sprintf("%dlimbs", n), func(b *testing.B) {

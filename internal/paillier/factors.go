@@ -31,5 +31,5 @@ func NewPrivateKey(p, q *big.Int) (*PrivateKey, error) {
 // Factors returns copies of the key's prime factors p and q, what
 // NewPrivateKey rebuilds it from.
 func (sk *PrivateKey) Factors() (p, q *big.Int) {
-	return new(big.Int).Set(sk.p), new(big.Int).Set(sk.q)
+	return new(big.Int).Set(sk.p.prime), new(big.Int).Set(sk.q.prime)
 }

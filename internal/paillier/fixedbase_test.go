@@ -199,7 +199,7 @@ func TestFixedBasePowCRTMatchesDirect(t *testing.T) {
 	sk := fbKey()
 	hN := sk.FixedBasePow(one)
 	exps := []*big.Int{big.NewInt(0), big.NewInt(1), new(big.Int).Sub(sk.N, big.NewInt(1))}
-	for _, edge := range []*big.Int{sk.pMinus1, sk.qMinus1} {
+	for _, edge := range []*big.Int{sk.p.minus1, sk.q.minus1} {
 		exps = append(exps, new(big.Int).Sub(edge, one), edge, new(big.Int).Add(edge, one))
 	}
 	rng := mrand.New(mrand.NewSource(3))

@@ -141,9 +141,11 @@ func (p *Packing) PackEncrypt(random io.Reader, vals []*big.Int) (*Ciphertext, e
 }
 
 // UnpackDecrypt decrypts one group ciphertext and splits it into count
-// slot values.
+// slot values. The group's plaintext has at most count·Width bits, so a
+// short group decrypts under the smaller prime factor alone
+// (decryptBelow), and Unpack's range check refuses a forged one.
 func (p *Packing) UnpackDecrypt(sk *PrivateKey, ct *Ciphertext, count int) ([]*big.Int, error) {
-	m, err := sk.Decrypt(ct)
+	m, err := sk.decryptBelow(ct, count*p.Width)
 	if err != nil {
 		return nil, err
 	}

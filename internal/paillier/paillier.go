@@ -4,8 +4,10 @@
 //
 // The implementation uses the standard g = N+1 simplification, so
 // encryption needs one modular exponentiation (r^N mod N²) and decryption
-// uses the Chinese Remainder Theorem for a ~4x speedup. Ciphertexts are
-// values in Z*_{N²}; plaintexts live in Z_N.
+// uses the Chinese Remainder Theorem for a ~4x speedup — or, for a
+// plaintext known to sit well below the smaller prime factor, that
+// factor's half of the CRT alone. Ciphertexts are values in Z*_{N²};
+// plaintexts live in Z_N.
 //
 // Homomorphic properties used throughout the repository:
 //
@@ -88,14 +90,36 @@ func NewPublicKey(n *big.Int) (*PublicKey, error) {
 type PrivateKey struct {
 	PublicKey
 
-	p, q     *big.Int // prime factors of N
-	pSquared *big.Int // p²
-	qSquared *big.Int // q²
-	pMinus1  *big.Int // p-1
-	qMinus1  *big.Int // q-1
-	hp       *big.Int // ( L_p(g^{p-1} mod p²) )⁻¹ mod p
-	hq       *big.Int // ( L_q(g^{q-1} mod q²) )⁻¹ mod q
-	qInvP    *big.Int // q⁻¹ mod p, for CRT recombination
+	p, q  crtHalf  // one half of the CRT per prime factor
+	qInvP *big.Int // q⁻¹ mod p, for CRT recombination
+	short *crtHalf // the half of the smaller factor: the one-prime path's
+}
+
+// crtHalf is one prime factor r's share of a decryption: m mod r =
+// L_r(c^(r−1) mod r²)·h mod r. Decrypt recombines the two halves; a
+// plaintext known to lie below the smaller factor needs only that half.
+type crtHalf struct {
+	prime  *big.Int // r
+	square *big.Int // r²
+	minus1 *big.Int // r − 1
+	h      *big.Int // ( L_r(g^(r−1) mod r²) )⁻¹ mod r
+}
+
+func newCRTHalf(r, g *big.Int) crtHalf {
+	h := crtHalf{
+		prime:  new(big.Int).Set(r),
+		square: new(big.Int).Mul(r, r),
+		minus1: new(big.Int).Sub(r, one),
+	}
+	h.h = new(big.Int).ModInverse(lFunc(new(big.Int).Exp(g, h.minus1, h.square), r), r)
+	return h
+}
+
+// decrypt returns c's plaintext mod r: one exponentiation mod r².
+func (h *crtHalf) decrypt(c *big.Int) *big.Int {
+	m := lFunc(new(big.Int).Exp(c, h.minus1, h.square), h.prime)
+	m.Mul(m, h.h)
+	return m.Mod(m, h.prime)
 }
 
 // Bits reports the bit length of the modulus N.
@@ -154,34 +178,28 @@ func coprimeToTotient(p, q *big.Int) bool {
 func newPrivateKey(p, q *big.Int) (*PrivateKey, error) {
 	n := new(big.Int).Mul(p, q)
 	nSquared := new(big.Int).Mul(n, n)
+	g := new(big.Int).Add(n, one) // g = N+1
 	priv := &PrivateKey{
 		PublicKey: PublicKey{N: n, NSquared: nSquared, n2: newMontMod(nSquared)},
-		p:         new(big.Int).Set(p),
-		q:         new(big.Int).Set(q),
-		pSquared:  new(big.Int).Mul(p, p),
-		qSquared:  new(big.Int).Mul(q, q),
-		pMinus1:   new(big.Int).Sub(p, one),
-		qMinus1:   new(big.Int).Sub(q, one),
+		p:         newCRTHalf(p, g),
+		q:         newCRTHalf(q, g),
+		qInvP:     new(big.Int).ModInverse(q, p),
 	}
-	g := new(big.Int).Add(n, one) // g = N+1
-
-	// hp = ( L_p(g^{p-1} mod p²) )⁻¹ mod p, and symmetrically hq.
-	gp := new(big.Int).Exp(g, priv.pMinus1, priv.pSquared)
-	priv.hp = new(big.Int).ModInverse(lFunc(gp, p), p)
-	gq := new(big.Int).Exp(g, priv.qMinus1, priv.qSquared)
-	priv.hq = new(big.Int).ModInverse(lFunc(gq, q), q)
-	priv.qInvP = new(big.Int).ModInverse(q, p)
+	priv.short = &priv.p
+	if q.Cmp(p) < 0 {
+		priv.short = &priv.q
+	}
 
 	hN, err := priv.fixedBaseGenerator()
 	if err != nil {
 		return nil, err
 	}
 	priv.fb = &pkFixedBase{crt: &crtCombs{
-		p:       newComb(hN, newMontMod(priv.pSquared), priv.pMinus1.BitLen()),
-		q:       newComb(hN, newMontMod(priv.qSquared), priv.qMinus1.BitLen()),
-		pMinus1: priv.pMinus1,
-		qMinus1: priv.qMinus1,
-		q2InvP2: new(big.Int).ModInverse(priv.qSquared, priv.pSquared),
+		p:       newComb(hN, newMontMod(priv.p.square), priv.p.minus1.BitLen()),
+		q:       newComb(hN, newMontMod(priv.q.square), priv.q.minus1.BitLen()),
+		pMinus1: priv.p.minus1,
+		qMinus1: priv.q.minus1,
+		q2InvP2: new(big.Int).ModInverse(priv.q.square, priv.p.square),
 	}}
 	return priv, nil
 }
@@ -342,29 +360,53 @@ func (pk *PublicKey) encryptWithNoncePower(m, rn *big.Int) *Ciphertext {
 
 // Decrypt recovers the plaintext in [0, N) using CRT.
 func (sk *PrivateKey) Decrypt(ct *Ciphertext) (*big.Int, error) {
+	return sk.decryptBelow(ct, sk.N.BitLen())
+}
+
+// onePrimeSlack is how far below the smaller factor s a plaintext bound
+// must sit for decryptBelow to skip the other CRT half: σ = 64 bits plus
+// one. An honest plaintext below 2^(bitlen(s)−65) is below s, so m mod s
+// is m; a forged one reduces mod s to something below the bound with
+// probability at most 2^(bitlen(s)−65) / 2^(bitlen(s)−1) = 2^−64, so a
+// caller's range check still refuses it.
+const onePrimeSlack = 65
+
+// decryptBelow decrypts a ciphertext whose honest plaintext has at most
+// bits bits. Where bits ≤ bitlen(s) − onePrimeSlack, s the smaller
+// factor, it returns m mod s from that factor's half alone — m itself
+// for an honest ciphertext; otherwise it recombines both halves into m
+// mod N. The caller range-checks the result against its bound.
+func (sk *PrivateKey) decryptBelow(ct *Ciphertext, bits int) (*big.Int, error) {
 	if ct == nil || ct.c == nil {
 		return nil, ErrNilCiphertext
 	}
 	if ct.c.Sign() <= 0 || ct.c.Cmp(sk.NSquared) >= 0 {
 		return nil, ErrInvalidCiphertext
 	}
-	// mp = L_p(c^{p-1} mod p²) * hp mod p
-	cp := new(big.Int).Exp(ct.c, sk.pMinus1, sk.pSquared)
-	mp := lFunc(cp, sk.p)
-	mp.Mul(mp, sk.hp)
-	mp.Mod(mp, sk.p)
-	// mq = L_q(c^{q-1} mod q²) * hq mod q
-	cq := new(big.Int).Exp(ct.c, sk.qMinus1, sk.qSquared)
-	mq := lFunc(cq, sk.q)
-	mq.Mul(mq, sk.hq)
-	mq.Mod(mq, sk.q)
+	if bits <= sk.short.prime.BitLen()-onePrimeSlack {
+		onePrimeDecrypts.Add(1)
+		return sk.short.decrypt(ct.c), nil
+	}
+	crtDecrypts.Add(1)
+	mp, mq := sk.p.decrypt(ct.c), sk.q.decrypt(ct.c)
 	// CRT: m = mq + q * ((mp - mq) * qInvP mod p)
-	m := new(big.Int).Sub(mp, mq)
+	m := mp.Sub(mp, mq)
 	m.Mul(m, sk.qInvP)
-	m.Mod(m, sk.p)
-	m.Mul(m, sk.q)
-	m.Add(m, mq)
-	return m, nil
+	m.Mod(m, sk.p.prime)
+	m.Mul(m, sk.q.prime)
+	return m.Add(m, mq), nil
+}
+
+// onePrimeDecrypts and crtDecrypts count decryptions by the path they
+// took, process-wide, for DecryptCalls.
+var onePrimeDecrypts, crtDecrypts atomic.Uint64
+
+// DecryptCalls reports how many decryptions this process has performed
+// by path: onePrime under the smaller factor alone (a short packed group,
+// Packing.UnpackDecrypt), crt through both halves (every Decrypt and the
+// wider groups). Monotonic; compare deltas around an operation.
+func DecryptCalls() (onePrime, crt uint64) {
+	return onePrimeDecrypts.Load(), crtDecrypts.Load()
 }
 
 // DecryptSigned decrypts and maps the result from [0,N) to the symmetric
@@ -388,8 +430,8 @@ func (sk *PrivateKey) decryptNoCRT(ct *Ciphertext) (*big.Int, error) {
 	if ct == nil || ct.c == nil {
 		return nil, ErrNilCiphertext
 	}
-	lambda := new(big.Int).Mul(sk.pMinus1, sk.qMinus1)
-	lambda.Div(lambda, new(big.Int).GCD(nil, nil, sk.pMinus1, sk.qMinus1))
+	lambda := new(big.Int).Mul(sk.p.minus1, sk.q.minus1)
+	lambda.Div(lambda, new(big.Int).GCD(nil, nil, sk.p.minus1, sk.q.minus1))
 	u := new(big.Int).Exp(ct.c, lambda, sk.NSquared)
 	l := lFunc(u, sk.N)
 	mu := new(big.Int).ModInverse(new(big.Int).Mod(lambda, sk.N), sk.N)

@@ -93,7 +93,7 @@ func TestPrivateEncryptRoundTrip(t *testing.T) {
 // way r^N does.
 func TestPrivateNonceIsNthResidue(t *testing.T) {
 	for name, sk := range privateKeys(t) {
-		phi := new(big.Int).Mul(sk.pMinus1, sk.qMinus1)
+		phi := new(big.Int).Mul(sk.p.minus1, sk.q.minus1)
 		for i := 0; i < 32; i++ {
 			nc, err := sk.drawNonce(rand.Reader)
 			if err != nil {

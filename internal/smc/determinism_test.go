@@ -8,6 +8,7 @@ import (
 
 	"sknn/internal/mpc"
 	"sknn/internal/paillier"
+	"sknn/internal/testkit"
 )
 
 // TestFramesDeterministicAcrossGOMAXPROCS: the in-party fan-out
@@ -18,9 +19,28 @@ import (
 // four cores. Batches are sized past one slot group so the fan-out has
 // something to share out.
 func TestFramesDeterministicAcrossGOMAXPROCS(t *testing.T) {
-	sk := testKey()
+	// Several slot groups at a 256-bit key, the last one short; five
+	// attributes per record.
+	checkFramesDeterministic(t, testKey(), 11, 5)
+}
+
+// TestFramesDeterministicOnePrime is the same check at K = 512, sized so
+// that C2 decrypts some groups under one 256-bit prime factor — the
+// peel's last group of one 78-bit slot, every record's two 70-bit SSED
+// slots — and the rest through the CRT.
+func TestFramesDeterministicOnePrime(t *testing.T) {
+	onePrime, _ := paillier.DecryptCalls()
+	checkFramesDeterministic(t, testkit.Key(512), 13, 2)
+	if after, _ := paillier.DecryptCalls(); after == onePrime {
+		t.Fatal("no group was decrypted under one prime")
+	}
+}
+
+// checkFramesDeterministic runs each kernel over n value pairs and rows
+// of m ≤ 5 attributes at GOMAXPROCS 1 and 4 and compares the
+// transcripts.
+func checkFramesDeterministic(t *testing.T, sk *paillier.PrivateKey, n, m int) {
 	const l = 12
-	const n = 11 // several slot groups at a 256-bit key, last one short
 	as := make([]*paillier.Ciphertext, n)
 	bs := make([]*paillier.Ciphertext, n)
 	pairs := make([]SMINValuePair, n)
@@ -31,10 +51,10 @@ func TestFramesDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		pairs[i] = SMINValuePair{A: as[i], B: bs[i],
 			RecA: encVec(t, sk, int64(i), 255), RecB: encVec(t, sk, 255-int64(i), 0)}
 	}
-	q := encVec(t, sk, 3, 14, 7, 0, 9)
+	q := encVec(t, sk, []int64{3, 14, 7, 0, 9}[:m]...)
 	rows := make([][]*paillier.Ciphertext, 6)
 	for i := range rows {
-		rows[i] = encVec(t, sk, int64(i), 15, int64(2*i), 1, int64(15-i))
+		rows[i] = encVec(t, sk, []int64{int64(i), 15, int64(2 * i), 1, int64(15 - i)}[:m]...)
 	}
 	packed := packRows(t, &sk.PublicKey, 4, rows)
 

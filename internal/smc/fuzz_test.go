@@ -9,6 +9,7 @@ import (
 
 	"sknn/internal/mpc"
 	"sknn/internal/paillier"
+	"sknn/internal/testkit"
 )
 
 // The fuzzer's byte string spells a payload element by element: a tag
@@ -81,35 +82,45 @@ func encodeFuzzInts(ints []*big.Int) []byte {
 // frame decoder in the repository that holds the secret key: whatever
 // the opcode, tag and payload, Handle must not panic, and must return
 // either an error or a reply to the same opcode whose length the request
-// alone determines and whose elements are all present.
+// alone determines and whose elements are all present. k512 serves the
+// frame under a 512-bit key, where short slot groups decrypt under one
+// prime factor.
 func FuzzResponderFrame(f *testing.F) {
 	for _, tc := range malformedFrames {
-		f.Add(uint16(tc.msg.Op), uint64(0), encodeFuzzInts(tc.msg.Ints))
+		f.Add(uint16(tc.msg.Op), uint64(0), false, encodeFuzzInts(tc.msg.Ints))
 	}
-	f.Add(uint16(OpSM), uint64(7), []byte{fuzzCiphertext, 6, fuzzCiphertext, 7})
-	f.Add(uint16(OpSMIN), uint64(0), []byte{fuzzCiphertext, 1, fuzzNil})
-	f.Add(uint16(OpSSEDPack), uint64(0), []byte{fuzzSmall, 1, fuzzSmall, 2, fuzzSmall, 8, fuzzCiphertext, 5})
-	f.Add(uint16(OpSSEDPack), uint64(0), []byte{fuzzBig, 9, 1, 0, 0, 0, 0, 0, 0, 0, 0, fuzzSmall, 2, fuzzSmall, 8})
-	f.Add(uint16(OpSBDPackBit), uint64(1), []byte{fuzzSmall, 1, fuzzSmall, 9, fuzzSmall, 3, fuzzCiphertext, 200})
-	f.Add(uint16(OpSBDPackBit), uint64(1), []byte{fuzzSmall, 1, fuzzSmall, 9, fuzzNil, fuzzCiphertext, 200})
+	f.Add(uint16(OpSM), uint64(7), false, []byte{fuzzCiphertext, 6, fuzzCiphertext, 7})
+	f.Add(uint16(OpSMIN), uint64(0), false, []byte{fuzzCiphertext, 1, fuzzNil})
+	f.Add(uint16(OpSSEDPack), uint64(0), false, []byte{fuzzSmall, 1, fuzzSmall, 2, fuzzSmall, 8, fuzzCiphertext, 5})
+	f.Add(uint16(OpSSEDPack), uint64(0), false, []byte{fuzzBig, 9, 1, 0, 0, 0, 0, 0, 0, 0, 0, fuzzSmall, 2, fuzzSmall, 8})
+	f.Add(uint16(OpSBDPackBit), uint64(1), false, []byte{fuzzSmall, 1, fuzzSmall, 9, fuzzSmall, 3, fuzzCiphertext, 200})
+	f.Add(uint16(OpSBDPackBit), uint64(1), false, []byte{fuzzSmall, 1, fuzzSmall, 9, fuzzNil, fuzzCiphertext, 200})
 	// The output round: [count, valueBits, shift, per, opBits], the
 	// remainder group, the operand groups — well formed, then with per and
 	// opBits lying.
-	f.Add(uint16(OpSBDPackBit), uint64(1), []byte{fuzzSmall, 1, fuzzSmall, 9, fuzzSmall, 8, fuzzSmall, 1, fuzzSmall, 9, fuzzCiphertext, 200, fuzzCiphertext, 9})
-	f.Add(uint16(OpSBDPackBit), uint64(1), []byte{fuzzSmall, 2, fuzzSmall, 9, fuzzSmall, 8, fuzzSmall, 2, fuzzSmall, 37, fuzzCiphertext, 200, fuzzCiphertext, 9, fuzzCiphertext, 4})
-	f.Add(uint16(OpSBDPackBit), uint64(1), []byte{fuzzSmall, 1, fuzzSmall, 9, fuzzSmall, 8, fuzzSmall, 5, fuzzSmall, 9, fuzzCiphertext, 200, fuzzCiphertext, 9})
-	f.Add(uint16(OpSBDPackBit), uint64(1), []byte{fuzzSmall, 1, fuzzSmall, 9, fuzzSmall, 8, fuzzSmall, 1, fuzzSmall, 120, fuzzCiphertext, 200, fuzzCiphertext, 9})
-	f.Add(uint16(OpSBDPackBit), uint64(1), []byte{fuzzSmall, 1, fuzzSmall, 9, fuzzSmall, 8, fuzzSmall, 0xff, fuzzSmall, 9, fuzzCiphertext, 200, fuzzCiphertext, 9})
-	f.Add(uint16(OpSBDPackBit), uint64(1), []byte{fuzzSmall, 1, fuzzSmall, 9, fuzzSmall, 8, fuzzBig, 4, 0x7f, 0xff, 0xff, 0xff, fuzzSmall, 9, fuzzCiphertext, 200})
-	f.Add(uint16(OpSBDPackBit), uint64(1), []byte{fuzzSmall, 1, fuzzSmall, 9, fuzzSmall, 8, fuzzCiphertext, 200, fuzzCiphertext, 9})
-	f.Add(uint16(22), uint64(0), []byte{fuzzSmall, 1, fuzzSmall, 8, fuzzCiphertext, 3})       // retired opcode
-	f.Add(uint16(OpSMPack), uint64(0), []byte{fuzzSmall, 1, fuzzSmall, 8, fuzzCiphertext, 3}) // retired opcode
-	f.Fuzz(func(t *testing.T, op uint16, tag uint64, data []byte) {
+	f.Add(uint16(OpSBDPackBit), uint64(1), false, []byte{fuzzSmall, 1, fuzzSmall, 9, fuzzSmall, 8, fuzzSmall, 1, fuzzSmall, 9, fuzzCiphertext, 200, fuzzCiphertext, 9})
+	f.Add(uint16(OpSBDPackBit), uint64(1), false, []byte{fuzzSmall, 2, fuzzSmall, 9, fuzzSmall, 8, fuzzSmall, 2, fuzzSmall, 37, fuzzCiphertext, 200, fuzzCiphertext, 9, fuzzCiphertext, 4})
+	f.Add(uint16(OpSBDPackBit), uint64(1), false, []byte{fuzzSmall, 1, fuzzSmall, 9, fuzzSmall, 8, fuzzSmall, 5, fuzzSmall, 9, fuzzCiphertext, 200, fuzzCiphertext, 9})
+	f.Add(uint16(OpSBDPackBit), uint64(1), false, []byte{fuzzSmall, 1, fuzzSmall, 9, fuzzSmall, 8, fuzzSmall, 1, fuzzSmall, 120, fuzzCiphertext, 200, fuzzCiphertext, 9})
+	f.Add(uint16(OpSBDPackBit), uint64(1), false, []byte{fuzzSmall, 1, fuzzSmall, 9, fuzzSmall, 8, fuzzSmall, 0xff, fuzzSmall, 9, fuzzCiphertext, 200, fuzzCiphertext, 9})
+	f.Add(uint16(OpSBDPackBit), uint64(1), false, []byte{fuzzSmall, 1, fuzzSmall, 9, fuzzSmall, 8, fuzzBig, 4, 0x7f, 0xff, 0xff, 0xff, fuzzSmall, 9, fuzzCiphertext, 200})
+	f.Add(uint16(OpSBDPackBit), uint64(1), false, []byte{fuzzSmall, 1, fuzzSmall, 9, fuzzSmall, 8, fuzzCiphertext, 200, fuzzCiphertext, 9})
+	f.Add(uint16(22), uint64(0), false, []byte{fuzzSmall, 1, fuzzSmall, 8, fuzzCiphertext, 3})       // retired opcode
+	f.Add(uint16(OpSMPack), uint64(0), false, []byte{fuzzSmall, 1, fuzzSmall, 8, fuzzCiphertext, 3}) // retired opcode
+	// Short groups under a 512-bit key, whose 256-bit factors decrypt them
+	// alone: two 78-bit peel slots, and one record's two 72-bit SSED slots.
+	f.Add(uint16(OpSBDPackBit), uint64(1), true, []byte{fuzzSmall, 2, fuzzSmall, 12, fuzzSmall, 3, fuzzCiphertext, 200})
+	f.Add(uint16(OpSSEDPack), uint64(0), true, []byte{fuzzSmall, 1, fuzzSmall, 2, fuzzSmall, 6, fuzzCiphertext, 5})
+	f.Fuzz(func(t *testing.T, op uint16, tag uint64, k512 bool, data []byte) {
 		// One fixed randomness stream per execution, for the harness's
 		// ciphertexts and C2's nonces alike: the coverage an input reaches
 		// must repeat, or the fuzzer spends its time minimizing flukes.
 		random := mrand.New(mrand.NewSource(1))
-		rp := NewResponder(testKey(), random)
+		sk := testKey()
+		if k512 {
+			sk = testkit.Key(512)
+		}
+		rp := NewResponder(sk, random)
 		req := &mpc.Message{Op: mpc.Op(op), Tag: tag, Ints: decodeFuzzInts(t, rp, random, data)}
 		resp, err := rp.Mux().Handle(req)
 		if err != nil {

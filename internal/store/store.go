@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"math/big"
 	"os"
 
@@ -299,7 +300,9 @@ func Read(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: v%d domain size l=%d inconsistent with attrBits=%d, featureM=%d (want %d)",
 			ErrFormat, version, headerL, attrBits, featureM, l+1)
 	}
-	if n64 < 1 || n64 > maxN {
+	// maxN exceeds a 32-bit int: there the cap is math.MaxInt, so the
+	// conversion below never wraps.
+	if n64 < 1 || n64 > min(maxN, math.MaxInt) {
 		return nil, fmt.Errorf("%w: %d records", ErrFormat, n64)
 	}
 	n := int(n64)
