@@ -115,8 +115,7 @@
 // See README.md for the module layout and concurrency architecture,
 // docs/ARCHITECTURE.md and docs/PROTOCOLS.md for the deep dives,
 // docs/INVARIANTS.md for the invariant rules the in-tree sknnlint
-// analyzer suite enforces over this codebase (randomness, big.Int
-// aliasing, wire-protocol totality, the party boundary, lock discipline,
-// and wire-error flow), and cmd/sknnbench for the reproduction of the
-// paper's evaluation.
+// analyzer suite enforces over this codebase (randomness, the party
+// boundary, lock discipline, and wire-error flow), and cmd/sknnbench for
+// the reproduction of the paper's evaluation.
 package sknn

@@ -219,6 +219,8 @@ func TestStreamingMidStreamCancel(t *testing.T) {
 	}()
 	select {
 	case <-first:
+	case err := <-done: // a failing scan aborts the query before any delivery
+		t.Fatalf("query ended before the first shard delivered: %v", err)
 	case <-time.After(2 * time.Minute):
 		t.Fatal("first shard never delivered")
 	}

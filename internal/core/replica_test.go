@@ -233,7 +233,13 @@ func newReplicatedSystem(t *testing.T, tbl *dataset.Table, shards, replicas int,
 		t.Fatal(err)
 	}
 	c2 := NewCloudC2(sk, nil)
+	// Each close is registered as soon as its resource exists, so a
+	// setup step that fails ends the test instead of leaving a serve loop
+	// for a later cleanup to wait on. Killed replicas have severed links;
+	// Close errors are expected there and irrelevant — the pools'
+	// teardown paths are pinned by the unreplicated suites.
 	var wg sync.WaitGroup
+	t.Cleanup(wg.Wait)
 	newConns := func(n int) []mpc.Conn {
 		conns := make([]mpc.Conn, n)
 		for i := range conns {
@@ -242,7 +248,6 @@ func newReplicatedSystem(t *testing.T, tbl *dataset.Table, shards, replicas int,
 		return conns
 	}
 	sys := &replicatedSystem{bob: NewClient(&sk.PublicKey, nil)}
-	var c1s []*CloudC1
 	workersList := make([]Shard, 0, shards)
 	for i, part := range parts {
 		shardTable, err := RestoreTable(&sk.PublicKey, part)
@@ -255,9 +260,10 @@ func newReplicatedSystem(t *testing.T, tbl *dataset.Table, shards, replicas int,
 			conns := newConns(1)
 			c1, err := NewCloudC1(shardTable, conns, nil)
 			if err != nil {
+				conns[0].Close()
 				t.Fatalf("shard %d replica %d: %v", i, r, err)
 			}
-			c1s = append(c1s, c1)
+			t.Cleanup(func() { c1.Close() })
 			if remote {
 				srv, err := NewShardServer(c1, i, shards)
 				if err != nil {
@@ -271,10 +277,12 @@ func newReplicatedSystem(t *testing.T, tbl *dataset.Table, shards, replicas int,
 						t.Errorf("shard serve loop: %v", err)
 					}
 				}(shardSide)
+				t.Cleanup(func() { coordSide.Close() })
 				rsh, err := DialShard(coordSide)
 				if err != nil {
 					t.Fatal(err)
 				}
+				t.Cleanup(func() { rsh.Close() })
 				group[r] = rsh
 				kills[r] = func() { coordSide.Close() }
 			} else {
@@ -303,21 +311,6 @@ func newReplicatedSystem(t *testing.T, tbl *dataset.Table, shards, replicas int,
 		if err := coord.Close(); err != nil {
 			t.Errorf("closing coordinator: %v", err)
 		}
-		for _, w := range workersList {
-			rs := w.(*ReplicaSet)
-			for r := 0; r < rs.Replicas(); r++ {
-				if remote {
-					rs.Replica(r).(*RemoteShard).Close()
-				}
-			}
-		}
-		// Killed replicas have severed links; Close errors are expected
-		// there and irrelevant — the pools' teardown paths are pinned by
-		// the unreplicated suites.
-		for _, c1 := range c1s {
-			c1.Close()
-		}
-		wg.Wait()
 	})
 	return sys
 }

@@ -35,7 +35,10 @@ func newShardedSystem(t *testing.T, tbl *dataset.Table, shards, workers int, rem
 	if !remote {
 		return local.ShardedC1, bob
 	}
+	// Each close is registered as soon as its resource exists, so a
+	// failing setup step ends the test with nothing left serving.
 	var wg sync.WaitGroup
+	t.Cleanup(wg.Wait)
 	workersList := make([]Shard, shards)
 	for i, c1 := range local.Workers {
 		srv, err := NewShardServer(c1, i, shards)
@@ -50,9 +53,13 @@ func newShardedSystem(t *testing.T, tbl *dataset.Table, shards, workers int, rem
 				t.Errorf("shard serve loop: %v", err)
 			}
 		}(shardSide)
-		if workersList[i], err = DialShard(coordSide); err != nil {
+		t.Cleanup(func() { coordSide.Close() })
+		rsh, err := DialShard(coordSide)
+		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { rsh.Close() })
+		workersList[i] = rsh
 	}
 	coord, err := NewShardedC1(workersList, links(), &sk.PublicKey, nil)
 	if err != nil {
@@ -62,10 +69,6 @@ func newShardedSystem(t *testing.T, tbl *dataset.Table, shards, workers int, rem
 		if err := coord.Close(); err != nil {
 			t.Errorf("closing coordinator: %v", err)
 		}
-		for _, w := range workersList {
-			w.(*RemoteShard).Close()
-		}
-		wg.Wait()
 	})
 	return coord, bob
 }

@@ -254,6 +254,85 @@ func TestShardTopKRequestValidation(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRefusesMalformedTopKReply drives a lying worker's reply
+// through RemoteShard.TopK inside a coordinator's query: a real shard
+// server whose top-k replies are edited on their way out — more
+// candidates than k, another row layout, a distance outside the group.
+// SecureQuery must fail with ErrBadFrame and no result, and the shard's
+// cached live count must stay what the hello declared.
+func TestCoordinatorRefusesMalformedTopKReply(t *testing.T) {
+	tbl, err := dataset.Generate(5, 6, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, bob := newSystem(t, tbl, 1)
+	srv, err := NewShardServer(eng.Workers[0], 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eq, err := bob.EncryptQuery([]uint64{3, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2 := NewCloudC2(testKey(), nil)
+	const k = 2
+	set := func(i int, v *big.Int) func([]*big.Int) []*big.Int {
+		return func(ints []*big.Int) []*big.Int { ints[i] = v; return ints }
+	}
+	cases := []struct {
+		name string
+		edit func([]*big.Int) []*big.Int
+	}{
+		{"more candidates than k", set(1, big.NewInt(k+1))},
+		{"another row layout", func(ints []*big.Int) []*big.Int {
+			ints[7] = new(big.Int).Add(ints[7], big.NewInt(1))
+			return ints
+		}},
+		{"distance outside the group", set(8, new(big.Int).Set(testKey().NSquared))},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			honest := srv.Mux()
+			worker := mpc.NewMux()
+			worker.Register(OpShardHello, honest)
+			worker.Register(OpShardTopK, mpc.HandlerFunc(func(req *mpc.Message) (*mpc.Message, error) {
+				resp, err := honest.Handle(req)
+				if err != nil {
+					return nil, err
+				}
+				resp.Ints = tc.edit(resp.Ints)
+				return resp, nil
+			}))
+			coordSide, shardSide := mpc.ChanPipe()
+			served := make(chan error, 1)
+			go func() { served <- mpc.Serve(shardSide, worker) }()
+			t.Cleanup(func() {
+				coordSide.Close()
+				if err := <-served; err != nil {
+					t.Errorf("worker serve loop: %v", err)
+				}
+			})
+			rs, err := DialShard(coordSide)
+			if err != nil {
+				t.Fatal(err)
+			}
+			liveN := rs.Info().N
+			coord, err := NewShardedC1([]Shard{rs}, []mpc.Conn{pipeTo(t, c2)}, &testKey().PublicKey, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { coord.Close() })
+			res, _, err := coord.SecureQuery(context.Background(), eq, k, 0)
+			if !errors.Is(err, ErrBadFrame) || res != nil {
+				t.Fatalf("SecureQuery = %v, %v; want no result and ErrBadFrame", res, err)
+			}
+			if n := rs.Info().N; n != liveN {
+				t.Fatalf("live count %d after the refused reply, want the hello's %d", n, liveN)
+			}
+		})
+	}
+}
+
 // fuzzInts flattens a frame payload into the length-prefixed bytes
 // FuzzShardFrame reassembles.
 func fuzzInts(ints []*big.Int) []byte {

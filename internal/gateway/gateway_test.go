@@ -385,6 +385,60 @@ func TestGatewayNonHelloFirstFrameRefused(t *testing.T) {
 	}
 }
 
+// TestGatewayMalformedQueryAfterAuth: on an authenticated connection, a
+// query frame with k out of range, the wrong number of ciphertexts or a
+// ciphertext outside the group is answered with an OpError carrying
+// ErrBadFrame, never run against the backend (which would answer with
+// its own failure here). Each counts as one failed query for the
+// tenant, and the connection still serves the next well-formed query.
+func TestGatewayMalformedQueryAfterAuth(t *testing.T) {
+	g, backends, pk := newStubGateway(t, TenantConfig{Name: "alpha", Token: "s3cret"})
+	backends[0].fail = errors.New("stub: the backend ran a malformed query")
+	tc, _ := dialStub(t, g, "alpha", "s3cret")
+	defer tc.Close()
+	eq, err := tc.client.EncryptQuery([]uint64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// query is a well-formed secure top-2 frame with edit applied.
+	query := func(edit func([]*big.Int) []*big.Int) *mpc.Message {
+		return &mpc.Message{Op: OpGateQuery, Ints: edit(encodeGateQuery(2, true, eq).Ints)}
+	}
+	set := func(i int, v *big.Int) func([]*big.Int) []*big.Int {
+		return func(ints []*big.Int) []*big.Int { ints[i] = v; return ints }
+	}
+	cases := []struct {
+		name string
+		edit func([]*big.Int) []*big.Int
+	}{
+		{"k zero", set(0, big.NewInt(0))},
+		{"k over the cap", set(0, big.NewInt(maxGateK+1))},
+		{"ciphertext missing", func(ints []*big.Int) []*big.Int { return ints[:len(ints)-1] }},
+		{"ciphertext trailing", func(ints []*big.Int) []*big.Int { return append(ints, ints[len(ints)-1]) }},
+		{"ciphertext outside the group", set(2, new(big.Int).Set(pk.NSquared))},
+	}
+	for i, bad := range cases {
+		conn, err := tc.link.OpenContext(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = mpc.RoundTrip(conn, query(bad.edit))
+		conn.Close()
+		var remote *mpc.RemoteError
+		if !errors.As(err, &remote) || !strings.Contains(remote.Msg, mpc.ErrBadFrame.Error()) {
+			t.Errorf("%s: err = %v, want an OpError carrying %q", bad.name, err, mpc.ErrBadFrame)
+		}
+		if snap := g.Metrics().TenantSnapshot("alpha"); snap.QueriesErr != i+1 || snap.QueriesOK != 0 || snap.Inflight != 0 {
+			t.Errorf("%s: snapshot = %+v, want %d failed queries and none in flight", bad.name, snap, i+1)
+		}
+	}
+	backends[0].fail = nil
+	rows, _, err := tc.Query(context.Background(), []uint64{1, 2}, 2, true)
+	if err != nil || len(rows) != 2 {
+		t.Fatalf("well-formed query after the refusals: rows %v, err %v", rows, err)
+	}
+}
+
 // tappedDial dials the gateway as name/token over a tapped pipe and
 // returns the frames the client side saw, as "send op/ints" and
 // "recv op/ints", with the dial's outcome.
@@ -751,7 +805,12 @@ func TestGatewayEndToEndCrypto(t *testing.T) {
 		{name: "alpha", token: "alpha-secret"},
 		{name: "beta", token: "beta-secret"},
 	}
+	// Closing the gateway closes every tenant's engine, which ends the C2
+	// serve loops wg waits for; both are registered before anything can
+	// fail, so a failing query ends the test instead of hanging it.
 	var wg sync.WaitGroup
+	t.Cleanup(wg.Wait)
+	t.Cleanup(func() { g.Close() })
 	for i := range worlds {
 		w := &worlds[i]
 		sk := testkit.Key(256)
@@ -784,10 +843,10 @@ func TestGatewayEndToEndCrypto(t *testing.T) {
 			RateQPS: 1000, MaxInflight: 2, MaxQueue: 4,
 		}, NewCoordinatorBackend(eng.ShardedC1, eng.Workers[0]))
 		if err != nil {
+			eng.Close()
 			t.Fatal(err)
 		}
 	}
-	t.Cleanup(wg.Wait)
 
 	type outcome struct {
 		world int

@@ -24,12 +24,10 @@ const Prefix = "//sknnlint:allow"
 
 // KnownRules is the set of annotatable analyzer names.
 var KnownRules = map[string]bool{
-	"cryptorand":  true,
-	"bigintalias": true,
-	"wireop":      true,
-	"partyflow":   true,
-	"lockguard":   true,
-	"errwire":     true,
+	"cryptorand": true,
+	"partyflow":  true,
+	"lockguard":  true,
+	"errwire":    true,
 }
 
 // Allowance is one parsed annotation.

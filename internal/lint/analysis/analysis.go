@@ -85,7 +85,7 @@ func TypeName(t types.Type) string {
 
 // LocalTypeName is TypeName without the package qualifier — the form
 // analyzers match on when an invariant is about a type shape
-// ("Ciphertext", "Message") rather than one import path, which also
+// (partyflow's "Message") rather than one import path, which also
 // keeps them testable on self-contained fixtures.
 func LocalTypeName(t types.Type) string {
 	full := TypeName(t)

@@ -11,24 +11,20 @@ import (
 
 	"sknn/internal/lint/analysis"
 	"sknn/internal/lint/annotation"
-	"sknn/internal/lint/bigintalias"
 	"sknn/internal/lint/cryptorand"
 	"sknn/internal/lint/errwire"
 	"sknn/internal/lint/loader"
 	"sknn/internal/lint/lockguard"
 	"sknn/internal/lint/partyflow"
-	"sknn/internal/lint/wireop"
 )
 
 // Analyzers is the full suite, in reporting order.
 var Analyzers = []*analysis.Analyzer{
 	annotation.Analyzer,
-	bigintalias.Analyzer,
 	cryptorand.Analyzer,
 	errwire.Analyzer,
 	lockguard.Analyzer,
 	partyflow.Analyzer,
-	wireop.Analyzer,
 }
 
 // Diagnostic is one finding, positioned and attributed to its analyzer.

@@ -1,10 +1,13 @@
 package sknnlint_test
 
 import (
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"sknn/internal/lint/allow"
+	"sknn/internal/lint/annotation"
 	"sknn/internal/lint/loader"
 	"sknn/internal/lint/sknnlint"
 )
@@ -18,17 +21,6 @@ var scratchModule = map[string]string{
 
 //sknnlint:allow nosuchrule -- testing the unknown-rule report
 func F() {}
-`,
-
-	"alias/alias.go": `package alias
-
-import "math/big"
-
-type Ciphertext struct{ c *big.Int }
-
-func Mutate(ct *Ciphertext, x *big.Int) {
-	ct.c.Add(ct.c, x)
-}
 `,
 
 	"randsrc/randsrc.go": `package randsrc
@@ -80,25 +72,27 @@ func GrabsKey(k *PrivateKey, c int) int {
 	return c
 }
 `,
-
-	"ops/ops.go": `package ops
-
-type Op uint16
-
-const (
-	OpUsed   Op = 1
-	OpOrphan Op = 2
-)
-
-func Dispatch(op Op) bool { return op == OpUsed }
-`,
 }
 
 // TestSuiteFiresEachRule runs the registered suite over scratchModule
 // and requires every analyzer to report exactly once. TestRepoClean
 // passes whenever the tree has zero findings; this is what shows each
 // registered rule still runs. A new analyzer needs a violation here.
+//
+// It also requires allow.KnownRules to be exactly the registered
+// analyzers bar annotation (which no annotation can waive): a retired
+// rule's name left in the set would let an annotation naming it pass
+// the annotation analyzer while it waives nothing.
 func TestSuiteFiresEachRule(t *testing.T) {
+	registered := make(map[string]bool)
+	for _, a := range sknnlint.Analyzers {
+		if a.Name != annotation.Analyzer.Name {
+			registered[a.Name] = true
+		}
+	}
+	if !maps.Equal(registered, allow.KnownRules) {
+		t.Errorf("allow.KnownRules = %v, want the registered analyzers bar annotation: %v", allow.KnownRules, registered)
+	}
 	if testing.Short() {
 		t.Skip("loads and type-checks the scratch module's dependency closure")
 	}

@@ -43,8 +43,11 @@ type Message struct {
 	// must echo the request's tag in the reply so the requester side can
 	// route interleaved replies back to their sessions.
 	Tag uint64
-	// Ints is the payload. Receivers must treat elements as read-only;
-	// transports may share the backing values with the sender.
+	// Ints is the payload. Every transport hands the receiver values of
+	// its own — the socket decodes fresh ones, ChanPipe deep-copies on
+	// Send (TestChanPipeDeepCopies) — so a sender may reuse its values
+	// once Send returns. A reply may carry request elements on (the ping
+	// echoes them), so receivers treat elements as read-only.
 	Ints []*big.Int
 	// Err carries an error string when Op == OpError.
 	Err string

@@ -12,6 +12,8 @@ import (
 //
 // Ciphertexts are immutable: every operation allocates a fresh value, so
 // sharing a *Ciphertext across goroutines is safe.
+// TestOperationsLeaveOperandsUnchanged holds every method of PublicKey,
+// PrivateKey and Packing that takes a ciphertext to this.
 type Ciphertext struct {
 	c *big.Int
 }

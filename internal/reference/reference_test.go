@@ -237,6 +237,9 @@ func coordinator(t *testing.T, kc *keyCloud, table *core.EncryptedTable, shards 
 				t.Errorf("shard serve loop: %v", err)
 			}
 		}()
+		// Closed at cleanup even if the hello fails, or kc's cleanup
+		// would wait on this serve loop for good.
+		t.Cleanup(func() { coordSide.Close() })
 		rs, err := core.DialShard(coordSide)
 		if err != nil {
 			t.Fatal(err)
@@ -244,8 +247,10 @@ func coordinator(t *testing.T, kc *keyCloud, table *core.EncryptedTable, shards 
 		t.Cleanup(func() { rs.Close() })
 		workers[i] = rs
 	}
-	coord, err := core.NewShardedC1(workers, kc.conns(1), table.PK(), nil)
+	links := kc.conns(1)
+	coord, err := core.NewShardedC1(workers, links, table.PK(), nil)
 	if err != nil {
+		links[0].Close()
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { coord.Close() })
