@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"sknn/internal/core"
-	"sknn/internal/dataset"
 	"sknn/internal/mpc"
 	"sknn/internal/paillier"
 	"sknn/internal/plainknn"
@@ -159,19 +158,21 @@ func (e *engine) Close() error {
 	return first
 }
 
-// query answers one query, playing Bob around the engine: encrypt,
-// run the protocol mode names, unmask — and for SkNNm, whose answer is a
-// set, rank the rows nearest first. An SkNNm query with an attribute
-// outside the table's domain is refused before encryption
-// (dataset.ErrValueTooLarge). A positive target selects the
-// pruned scan on clustered shards; a positive timeout bounds the whole
-// scatter and merge — expiry cancels every outstanding shard scan within
-// one protocol round.
+// query answers one query, playing Bob around the engine: admit q
+// against the table shape, encrypt, run the protocol mode names, and
+// finish — unmask, and for SkNNm, whose answer is a set, rank the rows
+// nearest first. An SkNNm query with an attribute outside the table's
+// domain is refused before encryption (dataset.ErrValueTooLarge). A
+// positive target selects the pruned scan on clustered shards; a
+// positive timeout bounds the whole scatter and merge — expiry cancels
+// every outstanding shard scan within one protocol round.
 func (e *engine) query(base context.Context, bob *core.Client, q []uint64, k int, mode string, target int, timeout time.Duration) ([][]uint64, error) {
-	if mode == "secure" {
-		if err := dataset.CheckQuery(q, e.coord.AttrBits()); err != nil {
-			return nil, err
-		}
+	secure := mode == "secure"
+	if !secure && mode != "basic" {
+		return nil, fmt.Errorf("unknown -mode %q", mode)
+	}
+	if err := e.coord.Shape().CheckQuery(q, secure); err != nil {
+		return nil, err
 	}
 	eq, err := bob.EncryptQuery(q)
 	if err != nil {
@@ -180,25 +181,15 @@ func (e *engine) query(base context.Context, bob *core.Client, q []uint64, k int
 	ctx, cancel := queryContext(base, timeout)
 	defer cancel()
 	var res *core.MaskedResult
-	switch mode {
-	case "basic":
-		res, _, err = e.coord.BasicQuery(ctx, eq, k)
-	case "secure":
+	if secure {
 		res, _, err = e.coord.SecureQuery(ctx, eq, k, target)
-	default:
-		return nil, fmt.Errorf("unknown -mode %q", mode)
+	} else {
+		res, _, err = e.coord.BasicQuery(ctx, eq, k)
 	}
 	if err != nil {
 		return nil, err
 	}
-	rows, err := bob.Unmask(res)
-	if err != nil {
-		return nil, err
-	}
-	if mode == "secure" {
-		core.NearestFirst(q, rows)
-	}
-	return rows, nil
+	return bob.Finish(q, res, secure)
 }
 
 // runQueries is the batch subcommands' query loop: every query answered

@@ -216,7 +216,7 @@ func TestBuildEngine(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer eng.Close()
-			if l := eng.coord.DomainBits(); l != tbl.DomainBits() || eng.clustered || eng.coord.PK().N.Cmp(pk.N) != 0 {
+			if l := eng.coord.Shape().DomainBits(); l != tbl.DomainBits() || eng.clustered || eng.coord.PK().N.Cmp(pk.N) != 0 {
 				t.Errorf("engine reports l=%d clustered=%v, want l=%d unclustered under the table's key", l, eng.clustered, tbl.DomainBits())
 			}
 			if eng.coord.Shards() != tc.shards {
@@ -299,7 +299,7 @@ func TestBuildEngine(t *testing.T) {
 		foreignShard, _ := serveShard(t, &other.PublicKey, foreignParts[1], serveC2(t, other), 1, 2)
 		// A worker whose table is one bit wider: another shape, so another l.
 		wider := *parts[1]
-		wider.AttrBits++
+		wider.Shape.AttrBits++
 		otherL, _ := serveShard(t, pk, &wider, c2Addr, 1, 2)
 		for _, tc := range []struct {
 			name string
@@ -307,12 +307,12 @@ func TestBuildEngine(t *testing.T) {
 			want string
 		}{
 			{"foreign key", tenantSpec{Shards: []string{shardAddrs[0], foreignShard}, C2: c2Addr}, "worker 1 serves a different public key"},
-			{"different l", tenantSpec{Shards: []string{shardAddrs[0], otherL}, C2: c2Addr}, "of 5-bit attributes, want 2/2 of 4"},
+			{"different l", tenantSpec{Shards: []string{shardAddrs[0], otherL}, C2: c2Addr}, "2/2 columns of 5-bit attributes, want 2/2 columns of 4-bit"},
 			{"half a partition", tenantSpec{Shards: shardAddrs[:1], C2: c2Addr}, core.ErrShardTopology.Error()},
 			{"table and shards", tenantSpec{Table: snapPath, Shards: shardAddrs, C2: c2Addr}, "exactly one of"},
 			{"neither", tenantSpec{C2: c2Addr}, "exactly one of"},
 			{"no C2", tenantSpec{Table: snapPath}, `missing "c2" address`},
-			{"wider than any table", tenantSpec{Table: tooWidePath, C2: c2Addr}, "attrBits=25 outside [1,24]"},
+			{"wider than any table", tenantSpec{Table: tooWidePath, C2: c2Addr}, "25 outside [1,24]"},
 			{"shard file as table", tenantSpec{Table: shardPaths[0], C2: c2Addr}, "not a whole table"},
 		} {
 			eng, err := buildEngine(tc.spec)

@@ -85,7 +85,12 @@ func main() {
 	}
 	defer c1.Close()
 
-	// Bob queries through the wire.
+	// Bob queries through the wire: he admits q against the table's
+	// shape, encrypts it, and finishes each answer himself — unmasking,
+	// and ranking SkNNm's set nearest first.
+	if err := c1.Shape().CheckQuery(q, true); err != nil {
+		log.Fatal(err)
+	}
 	bob := core.NewClient(&sk.PublicKey, nil)
 	eq, err := bob.EncryptQuery(q)
 	if err != nil {
@@ -96,7 +101,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rows, err := bob.Unmask(res)
+	rows, err := bob.Finish(q, res, false)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -107,12 +112,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rows, err = bob.Unmask(res)
-	if err != nil {
+	if rows, err = bob.Finish(q, res, true); err != nil {
 		log.Fatal(err)
 	}
-	// SkNNm returns its k nearest as a set: Bob ranks them himself.
-	core.NearestFirst(q, rows)
 	fmt.Printf("\nSkNNm over TCP: %v\n", rows)
 	fmt.Printf("  time %v, traffic %s (SMINn share %.0f%%)\n",
 		sm.Total.Round(1e6), sm.Comm, 100*sm.SMINnShare())

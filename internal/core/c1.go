@@ -66,7 +66,7 @@ func (c *CloudC1) NewSession(ctx context.Context) (*QuerySession, error) {
 	// table's own read lock); the session pins this state for its whole
 	// lifetime.
 	v := c.table.view()
-	return openSession(ctx, c.pool, v, v.pk, v.M, v.FeatureM, v.AttrBits)
+	return openSession(ctx, c.pool, v, v.pk, v.Shape)
 }
 
 // Close drains every in-flight session, then tears the link pool down.
@@ -75,9 +75,9 @@ func (c *CloudC1) Close() error { return c.pool.Close() }
 
 // checkQuery validates Bob's query against the session's feature columns.
 func (s *QuerySession) checkQuery(q EncryptedQuery) error {
-	if len(q) != s.featureM {
+	if len(q) != s.shape.FeatureM {
 		return fmt.Errorf("%w: query has %d attributes, table has %d feature columns",
-			ErrDimension, len(q), s.featureM)
+			ErrDimension, len(q), s.shape.FeatureM)
 	}
 	return nil
 }

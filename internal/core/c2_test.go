@@ -474,7 +474,7 @@ func TestReplyRandomizersNeverRepeat(t *testing.T) {
 	wg.Wait()
 
 	l := tbl.DomainBits()
-	chunks := rowLayoutFor(&sk.PublicKey, m, encTable.AttrBits()).Chunks(m)
+	chunks := rowLayoutFor(&sk.PublicKey, dataset.Shape{M: m, AttrBits: encTable.Shape().AttrBits}).Chunks(m)
 	mu.Lock()
 	defer mu.Unlock()
 	if want := len(queries) * replyEncryptions(n, k, l, chunks); len(replies) != want {

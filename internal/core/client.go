@@ -167,6 +167,20 @@ func (c *Client) Unmask(res *MaskedResult) ([][]uint64, error) {
 	return out, nil
 }
 
+// Finish is Bob's last step of either protocol: unmask res and, for
+// SkNNm (secure), whose answer is a set, rank the rows nearest to q first
+// (NearestFirst). SkNNb's rows arrive ranked by C2 and keep their order.
+func (c *Client) Finish(q []uint64, res *MaskedResult, secure bool) ([][]uint64, error) {
+	rows, err := c.Unmask(res)
+	if err != nil {
+		return nil, err
+	}
+	if secure {
+		NearestFirst(q, rows)
+	}
+	return rows, nil
+}
+
 // NearestFirst orders Bob's unmasked SkNNm rows nearest first, in place:
 // by squared distance to q over each row's first len(q) columns, equal
 // distances by the rows themselves, column by column, so rows at equal

@@ -7,9 +7,9 @@
 //   - Alice, the data owner: EncryptTable. She encrypts attribute-wise,
 //     outsources, and never participates again.
 //   - Bob, the authorized user: Client. He encrypts a query
-//     (EncryptQuery) and unmasks the k result records (Unmask); that is
-//     all the computation he ever does, which is the paper's
-//     "lightweight end-user" property.
+//     (EncryptQuery) and unmasks the k result records (Finish, which
+//     also ranks SkNNm's set); that is all the computation he ever
+//     does, which is the paper's "lightweight end-user" property.
 //   - C1, the data cloud: CloudC1. Holds E(T) and the public key,
 //     orchestrates every protocol phase through smc primitives.
 //   - C2, the key cloud: CloudC2. Holds the secret key and answers C1's
@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 
+	"sknn/internal/dataset"
 	"sknn/internal/mpc"
 	"sknn/internal/paillier"
 )
@@ -50,7 +51,7 @@ const (
 // Errors returned by the protocols.
 var (
 	ErrBadK          = errors.New("core: k must satisfy 1 ≤ k ≤ n")
-	ErrDimension     = errors.New("core: query/record dimension mismatch")
+	ErrDimension     = dataset.ErrDimension // Bob's admission (Shape.CheckQuery) and C1's check share it
 	ErrKeyMismatch   = errors.New("core: ciphertext under a different public key")
 	ErrBadFrame      = mpc.ErrBadFrame // the transport's sentinel: one class for every malformed frame
 	ErrNoConnections = errors.New("core: CloudC1 needs at least one connection")

@@ -91,10 +91,10 @@ func TestWithFeatureColumnsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if view.FeatureM() != 1 || view.M() != 2 {
-		t.Errorf("view dims = %d/%d", view.FeatureM(), view.M())
+	if view.Shape().FeatureM != 1 || view.Shape().M != 2 {
+		t.Errorf("view dims = %d/%d", view.Shape().FeatureM, view.Shape().M)
 	}
-	if tbl.FeatureM() != 2 {
+	if tbl.Shape().FeatureM != 2 {
 		t.Error("WithFeatureColumns mutated the original table")
 	}
 }

@@ -83,11 +83,9 @@ func newReplicaSet(replicas []Shard) (*ReplicaSet, error) {
 	for i, r := range replicas[1:] {
 		info := r.Info()
 		if info.Index != first.Index || info.Count != first.Count ||
-			info.M != first.M || info.FeatureM != first.FeatureM || info.AttrBits != first.AttrBits ||
-			info.Clustered != first.Clustered {
-			return nil, fmt.Errorf("%w: replica %d serves shard %d/%d table %d/%d/%d, replica 0 serves %d/%d table %d/%d/%d",
-				ErrShardTopology, i+1, info.Index, info.Count, info.M, info.FeatureM, info.AttrBits,
-				first.Index, first.Count, first.M, first.FeatureM, first.AttrBits)
+			info.Shape != first.Shape || info.Clustered != first.Clustered {
+			return nil, fmt.Errorf("%w: replica %d serves shard %d/%d table %v, replica 0 serves %d/%d table %v",
+				ErrShardTopology, i+1, info.Index, info.Count, info.Shape, first.Index, first.Count, first.Shape)
 		}
 	}
 	return &ReplicaSet{
@@ -100,9 +98,6 @@ func newReplicaSet(replicas []Shard) (*ReplicaSet, error) {
 
 // Replicas reports the configured replica count.
 func (rs *ReplicaSet) Replicas() int { return len(rs.replicas) }
-
-// Replica returns worker i of the set.
-func (rs *ReplicaSet) Replica(i int) Shard { return rs.replicas[i] }
 
 // Stats snapshots the set's failover state.
 func (rs *ReplicaSet) Stats() ReplicaStats {

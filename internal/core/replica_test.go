@@ -38,7 +38,7 @@ func (s *stubShard) TopK(ctx context.Context, q EncryptedQuery, k, domainBits, t
 func stubReplicas(n int) []Shard {
 	out := make([]Shard, n)
 	for i := range out {
-		out[i] = &stubShard{info: ShardInfo{Index: 2, Count: 5, N: 10, M: 3, FeatureM: 2}}
+		out[i] = &stubShard{info: ShardInfo{Index: 2, Count: 5, N: 10, Shape: dataset.Shape{M: 3, FeatureM: 2}}}
 	}
 	return out
 }
@@ -161,12 +161,12 @@ func TestNewReplicaSetValidation(t *testing.T) {
 		t.Errorf("empty set: err = %v", err)
 	}
 	mismatch := stubReplicas(2)
-	mismatch[1] = &stubShard{info: ShardInfo{Index: 3, Count: 5, N: 10, M: 3, FeatureM: 2}}
+	mismatch[1] = &stubShard{info: ShardInfo{Index: 3, Count: 5, N: 10, Shape: dataset.Shape{M: 3, FeatureM: 2}}}
 	if _, err := newReplicaSet(mismatch); !errors.Is(err, ErrShardTopology) {
 		t.Errorf("index mismatch: err = %v", err)
 	}
 	mismatch = stubReplicas(2)
-	mismatch[1].(*stubShard).info.M = 4
+	mismatch[1].(*stubShard).info.Shape.M = 4
 	if _, err := newReplicaSet(mismatch); !errors.Is(err, ErrShardTopology) {
 		t.Errorf("shape mismatch: err = %v", err)
 	}
@@ -174,7 +174,7 @@ func TestNewReplicaSetValidation(t *testing.T) {
 
 func TestGroupReplicas(t *testing.T) {
 	mk := func(index, count int) Shard {
-		return &stubShard{info: ShardInfo{Index: index, Count: count, N: 10, M: 3, FeatureM: 2}}
+		return &stubShard{info: ShardInfo{Index: index, Count: count, N: 10, Shape: dataset.Shape{M: 3, FeatureM: 2}}}
 	}
 	grouped, err := GroupReplicas([]Shard{mk(0, 2), mk(1, 2), mk(0, 2), mk(1, 2), mk(1, 2)})
 	if err != nil {
@@ -201,7 +201,7 @@ func TestGroupReplicas(t *testing.T) {
 	}
 	// Conflicting shapes inside one group fail.
 	bad := mk(0, 2)
-	bad.(*stubShard).info.M = 9
+	bad.(*stubShard).info.Shape.M = 9
 	if _, err := GroupReplicas([]Shard{mk(0, 2), bad}); !errors.Is(err, ErrShardTopology) {
 		t.Errorf("conflicting group: err = %v", err)
 	}

@@ -525,7 +525,7 @@ func (s *QuerySession) TopK(q EncryptedQuery, k, target int, secure bool) ([]Can
 // Nothing is assumed about the order within a set. k is clamped to the
 // candidates the lists hold.
 func (s *QuerySession) mergeCandidates(lists [][]Candidate, k int, metrics *SecureMetrics) ([]Candidate, error) {
-	chunks := s.layout.Chunks(s.m)
+	chunks := s.layout.Chunks(s.shape.M)
 	var records [][]*paillier.Ciphertext
 	var ds []*paillier.Ciphertext
 	for _, list := range lists {

@@ -42,7 +42,7 @@ func TestSelectionCostModel(t *testing.T) {
 				t.Fatal(err)
 			}
 			c1, bob := newSystem(t, tbl, 1)
-			l := c1.DomainBits()
+			l := c1.Shape().DomainBits()
 			q := []uint64{1, 2, 0, 3}
 			eq, err := bob.EncryptQuery(q)
 			if err != nil {
@@ -133,8 +133,8 @@ func TestReplyEncryptionsPerScan(t *testing.T) {
 			rows := runSecure(t, engine, NewClient(&sk.PublicKey, nil), shape.q, k)
 			assertMatchesOracle(t, tbl, shape.q, k, rows)
 
-			l := engine.DomainBits()
-			chunks := rowLayoutFor(&sk.PublicKey, m, encTable.AttrBits()).Chunks(m)
+			l := engine.Shape().DomainBits()
+			chunks := rowLayoutFor(&sk.PublicKey, dataset.Shape{M: m, AttrBits: encTable.Shape().AttrBits}).Chunks(m)
 			want := replyEncryptions(n, k, l, chunks)
 			if got := encrypted.Load(); got != int64(want) {
 				t.Errorf("C2 encrypted %d replies, cost model n + G·(l+1+per) says %d", got, want)
@@ -245,7 +245,7 @@ func TestMergeCostModel(t *testing.T) {
 		q := []uint64{1, 2, 0, 3}
 		for _, shards := range []int{3, 4} {
 			coord, bob := newShardedSystem(t, tbl, shards, 1, false)
-			l := coord.DomainBits()
+			l := coord.Shape().DomainBits()
 			eq, err := bob.EncryptQuery(q)
 			if err != nil {
 				t.Fatal(err)

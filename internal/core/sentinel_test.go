@@ -119,8 +119,8 @@ func TestSecureWideTableExactDomain(t *testing.T) {
 				t.Fatal(err)
 			}
 			engine := newEngine(t, encTable, shards, func() []mpc.Conn { return []mpc.Conn{pipeTo(t, c2)} })
-			if engine.AttrBits() != 24 || engine.DomainBits() != 49 {
-				t.Fatalf("table of %d-bit attributes at l = %d, want 24 and 49", engine.AttrBits(), engine.DomainBits())
+			if engine.Shape().AttrBits != 24 || engine.Shape().DomainBits() != 49 {
+				t.Fatalf("table of %d-bit attributes at l = %d, want 24 and 49", engine.Shape().AttrBits, engine.Shape().DomainBits())
 			}
 			got := runSecure(t, engine, NewClient(&sk.PublicKey, nil), q, 1)
 			if len(got) != 1 || !slices.Equal(got[0], rows[nearest]) {

@@ -34,18 +34,16 @@ import (
 // between rounds, and enforced by the transport on every frame, so
 // canceling the context aborts the query within one protocol round.
 type QuerySession struct {
-	pool     *linkPool
-	ctx      context.Context // the query's context; never nil
-	pk       *paillier.PublicKey
-	m        int              // record arity the session operates on
-	featureM int              // distance-relevant prefix
-	attrBits int              // the table's attribute width: every column is below 2^attrBits
-	l        int              // the squared-distance domain SkNNm compares in: dataset.DomainBits(attrBits, featureM)
-	layout   RowLayout        // the row layout records travel in: rowLayoutFor(pk, m, attrBits)
-	tbl      *tableView       // table state observed at session open; nil for merge sessions
-	slots    []int            // leased link indices
-	conns    []mpc.Conn       // logical streams, one per slot
-	rqs      []*smc.Requester // primitive drivers, one per stream
+	pool   *linkPool
+	ctx    context.Context // the query's context; never nil
+	pk     *paillier.PublicKey
+	shape  dataset.Shape    // the table shape the session operates on
+	l      int              // the squared-distance domain SkNNm compares in: shape.DomainBits()
+	layout RowLayout        // the row layout records travel in: rowLayoutFor(pk, shape)
+	tbl    *tableView       // table state observed at session open; nil for merge sessions
+	slots  []int            // leased link indices
+	conns  []mpc.Conn       // logical streams, one per slot
+	rqs    []*smc.Requester // primitive drivers, one per stream
 
 	once sync.Once
 }
@@ -56,7 +54,7 @@ type QuerySession struct {
 // lease the slots, open one tagged stream per slot — each bound to ctx —
 // and attach a requester to each. view may be nil — the selection engine
 // then runs on caller-supplied candidates only.
-func openSession(ctx context.Context, pool *linkPool, view *tableView, pk *paillier.PublicKey, m, featureM, attrBits int) (*QuerySession, error) {
+func openSession(ctx context.Context, pool *linkPool, view *tableView, pk *paillier.PublicKey, shape dataset.Shape) (*QuerySession, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -64,8 +62,8 @@ func openSession(ctx context.Context, pool *linkPool, view *tableView, pk *paill
 	if err != nil {
 		return nil, err
 	}
-	s := &QuerySession{pool: pool, ctx: ctx, pk: pk, m: m, featureM: featureM, attrBits: attrBits,
-		l: dataset.DomainBits(attrBits, featureM), layout: rowLayoutFor(pk, m, attrBits), tbl: view, slots: slots}
+	s := &QuerySession{pool: pool, ctx: ctx, pk: pk, shape: shape,
+		l: shape.DomainBits(), layout: rowLayoutFor(pk, shape), tbl: view, slots: slots}
 	for _, i := range slots {
 		conn, err := pool.open(ctx, i)
 		if err != nil {
@@ -83,18 +81,17 @@ func openSession(ctx context.Context, pool *linkPool, view *tableView, pk *paill
 // new work instead of finishing the scan it started.
 func (s *QuerySession) ctxErr() error { return ctxErr(s.ctx) }
 
-// rowLayoutFor is the layout m-column records under pk travel in when
-// every column is below 2^bits — the table's attribute width, in both
-// protocols: as many columns per chunk as smc.SMPackOperandBits allows
+// rowLayoutFor is the layout records of the table shape under pk travel
+// in, every column below 2^AttrBits — in both protocols: as many columns per chunk as smc.SMPackOperandBits allows
 // (SkNNm's comparators carry chunk differences, one operand slot each;
 // SkNNb's reveal keeps the rule); per-attribute when fewer than two
 // columns fit. The scan, the shard wire, the merge and the reveal all
 // take it from here.
-func rowLayoutFor(pk *paillier.PublicKey, m, bits int) RowLayout {
-	if c := min(m, smc.SMPackOperandBits(pk)/bits); c > 1 {
-		return RowLayout{Cols: c, Bits: bits}
+func rowLayoutFor(pk *paillier.PublicKey, shape dataset.Shape) RowLayout {
+	if c := min(shape.M, smc.SMPackOperandBits(pk)/shape.AttrBits); c > 1 {
+		return RowLayout{Cols: c, Bits: shape.AttrBits}
 	}
-	return RowLayout{Cols: 1, Bits: bits}
+	return RowLayout{Cols: 1, Bits: shape.AttrBits}
 }
 
 // Close ends the session's logical streams and releases its links back
@@ -202,7 +199,7 @@ func (s *QuerySession) distancesOf(q EncryptedQuery, rows [][]*paillier.Cipherte
 // the columns apart.
 func (s *QuerySession) reveal(selected []EncryptedRecord) (*MaskedResult, error) {
 	k := len(selected)
-	chunks := s.layout.Chunks(s.m)
+	chunks := s.layout.Chunks(s.shape.M)
 	cts := make([]*paillier.Ciphertext, 0, k*chunks)
 	for _, rec := range selected {
 		cts = append(cts, rec...)
@@ -214,7 +211,7 @@ func (s *QuerySession) reveal(selected []EncryptedRecord) (*MaskedResult, error)
 	if err != nil {
 		return nil, err
 	}
-	res := &MaskedResult{K: k, M: s.m, Layout: s.layout, n: s.pk.N}
+	res := &MaskedResult{K: k, M: s.shape.M, Layout: s.layout, n: s.pk.N}
 	for j := 0; j < k; j++ {
 		res.Masks = append(res.Masks, masks[j*chunks:(j+1)*chunks])
 		res.Masked = append(res.Masked, masked[j*chunks:(j+1)*chunks])

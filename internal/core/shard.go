@@ -39,9 +39,7 @@ type ShardInfo struct {
 	Index     int // shard index in [0, Count)
 	Count     int // total shards in the partition
 	N         int // live records on this shard
-	M         int
-	FeatureM  int
-	AttrBits  int // the table's attribute width
+	Shape     dataset.Shape
 	Clustered bool
 }
 
@@ -74,9 +72,7 @@ func (s *LocalShard) Info() ShardInfo {
 		Index:     s.Index,
 		Count:     s.Count,
 		N:         t.N(),
-		M:         t.M(),
-		FeatureM:  t.FeatureM(),
-		AttrBits:  t.AttrBits(),
+		Shape:     t.Shape(),
 		Clustered: t.Clustered(),
 	}
 }
@@ -111,12 +107,10 @@ var ErrShardTopology = fmt.Errorf("core: inconsistent shard topology")
 // clusters were probed. Nothing record-level is revealed; see
 // docs/PROTOCOLS.md.
 type ShardedC1 struct {
-	shards   []Shard
-	pool     *linkPool
-	pk       *paillier.PublicKey
-	m        int
-	featM    int
-	attrBits int
+	shards []Shard
+	pool   *linkPool
+	pk     *paillier.PublicKey
+	shape  dataset.Shape
 }
 
 // NewShardedC1 wires a coordinator over the given shard workers and its
@@ -137,7 +131,7 @@ func NewShardedC1(shards []Shard, mergeConns []mpc.Conn, pk *paillier.PublicKey,
 		return fail(fmt.Errorf("%w: no shards", ErrShardTopology))
 	}
 	seen := make([]bool, len(shards))
-	var m, featM, attrBits int
+	shape := shards[0].Info().Shape
 	for i, sh := range shards {
 		info := sh.Info()
 		if info.Count != len(shards) {
@@ -148,11 +142,8 @@ func NewShardedC1(shards []Shard, mergeConns []mpc.Conn, pk *paillier.PublicKey,
 			return fail(fmt.Errorf("%w: shard index %d duplicated or out of range", ErrShardTopology, info.Index))
 		}
 		seen[info.Index] = true
-		if i == 0 {
-			m, featM, attrBits = info.M, info.FeatureM, info.AttrBits
-		} else if info.M != m || info.FeatureM != featM || info.AttrBits != attrBits {
-			return fail(fmt.Errorf("%w: shard %d table shape %d/%d of %d-bit attributes, want %d/%d of %d",
-				ErrShardTopology, i, info.M, info.FeatureM, info.AttrBits, m, featM, attrBits))
+		if info.Shape != shape {
+			return fail(fmt.Errorf("%w: shard %d table shape %v, want %v", ErrShardTopology, i, info.Shape, shape))
 		}
 	}
 	// Order the workers by shard index so shards[i] owns ids ≡ i mod S.
@@ -164,7 +155,7 @@ func NewShardedC1(shards []Shard, mergeConns []mpc.Conn, pk *paillier.PublicKey,
 	if err != nil {
 		return fail(err)
 	}
-	c := &ShardedC1{shards: ordered, pool: pool, pk: pk, m: m, featM: featM, attrBits: attrBits}
+	c := &ShardedC1{shards: ordered, pool: pool, pk: pk, shape: shape}
 	if err := pool.handshake(pk.N); err != nil {
 		for _, link := range pool.links {
 			link.Close()
@@ -189,19 +180,11 @@ func (c *ShardedC1) partitions() int {
 // Shard returns worker i (owning record ids ≡ i mod S).
 func (c *ShardedC1) Shard(i int) Shard { return c.shards[i] }
 
-// M reports the record arity every shard agreed on.
-func (c *ShardedC1) M() int { return c.m }
-
-// FeatureM reports the feature-column count every shard agreed on.
-func (c *ShardedC1) FeatureM() int { return c.featM }
-
-// AttrBits reports the attribute width b every shard agreed on: every
-// column is below 2^b, and so must every SkNNm query attribute be.
-func (c *ShardedC1) AttrBits() int { return c.attrBits }
-
-// DomainBits reports l, the squared-distance domain SkNNm compares in:
-// dataset.DomainBits of the agreed attribute width and feature columns.
-func (c *ShardedC1) DomainBits() int { return dataset.DomainBits(c.attrBits, c.featM) }
+// Shape reports the table shape every shard agreed on: the record arity,
+// the feature columns a query must have, and the attribute width b every
+// SkNNm query attribute must stay below. Its DomainBits is l, the
+// squared-distance domain SkNNm compares in.
+func (c *ShardedC1) Shape() dataset.Shape { return c.shape }
 
 // N sums the live records over every shard.
 func (c *ShardedC1) N() int {
@@ -224,7 +207,7 @@ func (c *ShardedC1) Close() error { return c.pool.Close() }
 // the selection engine (selectTopK / rankCandidates / reveal) runs on
 // gathered candidates, needing only the key and the table shape.
 func (c *ShardedC1) mergeSession(ctx context.Context) (*QuerySession, error) {
-	return openSession(ctx, c.pool, nil, c.pk, c.m, c.featM, c.attrBits)
+	return openSession(ctx, c.pool, nil, c.pk, c.shape)
 }
 
 // gather is every query's path through the coordinator, SkNNm's and
@@ -247,7 +230,7 @@ func (c *ShardedC1) gather(ctx context.Context, q EncryptedQuery, k, target int,
 		return nil, nil, err
 	}
 	if secure {
-		if err := CheckDomainBits(c.pk, c.DomainBits()); err != nil {
+		if err := CheckDomainBits(c.pk, c.shape.DomainBits()); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -354,9 +337,9 @@ func firstFailure(first, err error) error {
 // shard is contacted. It returns the live record count it validated k
 // against — read once per query, since every shard is asked for it.
 func (c *ShardedC1) checkArgs(q EncryptedQuery, k int) (n int, err error) {
-	if len(q) != c.featM {
+	if len(q) != c.shape.FeatureM {
 		return 0, fmt.Errorf("%w: query has %d attributes, table has %d feature columns",
-			ErrDimension, len(q), c.featM)
+			ErrDimension, len(q), c.shape.FeatureM)
 	}
 	n = c.N()
 	return n, validateK(k, n)
@@ -383,7 +366,7 @@ func (c *ShardedC1) checkGathered(k, gathered, n int) error {
 // a set: Bob ranks the rows himself (NearestFirst).
 //
 // The comparisons run in the table's squared-distance domain l
-// (DomainBits): every |Q−tᵢ|² is below 2^l for a query inside the
+// (Shape().DomainBits()): every |Q−tᵢ|² is below 2^l for a query inside the
 // attribute domain. dataset.DomainBits derives it from the attribute
 // width and the feature columns, exactly: a comparison peels the l + 1
 // bits of 2^l + a − b, so l needs no headroom bit (only

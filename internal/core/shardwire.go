@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"sknn/internal/dataset"
 	"sknn/internal/mpc"
 	"sknn/internal/paillier"
 )
@@ -60,15 +59,13 @@ type RemoteShard struct {
 	info ShardInfo // guarded by mu
 }
 
-// Sanity caps on the shape a shard may declare about itself. The hello
+// Sanity caps on the topology a shard may declare about itself. The hello
 // reply sizes later allocations — M attributes per candidate record —
-// so every field that
-// feeds a make() is bounded here, mirroring internal/store's snapshot
-// caps: a lying peer must fail with ErrBadFrame at the handshake, never
-// reach an allocation.
+// so every field that feeds a make() is bounded here, the table shape by
+// dataset.Shape.Check as internal/store bounds a snapshot's: a lying peer
+// must fail with ErrBadFrame at the handshake, never reach an allocation.
 const (
 	maxShardN        = 1 << 40 // records per shard (matches store's maxN)
-	maxShardM        = 1 << 12 // attributes per record (matches store's maxM)
 	maxShardCount    = 1 << 16 // shards in a topology
 	maxShardReplicas = 1 << 8  // replicas of one shard
 )
@@ -88,9 +85,9 @@ func encodeHello(pkN *big.Int, info ShardInfo) *mpc.Message {
 	return &mpc.Message{Op: OpShardHello, Ints: []*big.Int{
 		new(big.Int).Set(pkN),
 		big.NewInt(int64(info.Index)), big.NewInt(int64(info.Count)),
-		big.NewInt(int64(info.N)), big.NewInt(int64(info.M)),
-		big.NewInt(int64(info.FeatureM)), big.NewInt(clustered),
-		big.NewInt(int64(info.AttrBits)),
+		big.NewInt(int64(info.N)), big.NewInt(int64(info.Shape.M)),
+		big.NewInt(int64(info.Shape.FeatureM)), big.NewInt(clustered),
+		big.NewInt(int64(info.Shape.AttrBits)),
 	}}
 }
 
@@ -104,13 +101,16 @@ func decodeHello(resp *mpc.Message) (shardHello, error) {
 	info := ShardInfo{Index: f.Int(0, maxShardCount-1)}
 	info.Count = f.Int(info.Index+1, maxShardCount)
 	info.N = f.Int(0, min(maxShardN, math.MaxInt))
-	info.M = f.Int(1, maxShardM)
-	info.FeatureM = f.Int(1, info.M)
+	info.Shape.M = f.Int(math.MinInt, math.MaxInt)
+	info.Shape.FeatureM = f.Int(math.MinInt, math.MaxInt)
 	info.Clustered = f.Int(0, 1) == 1
-	info.AttrBits = f.Int(1, dataset.MaxAttrBits)
+	info.Shape.AttrBits = f.Int(math.MinInt, math.MaxInt)
 	h.info = info
 	if err := f.Done(); err != nil {
 		return h, fmt.Errorf("core: shard hello: %w", err)
+	}
+	if err := info.Shape.Check(); err != nil {
+		return h, fmt.Errorf("%w: shard hello: %w", ErrBadFrame, err)
 	}
 	// Last, once the cheap fields hold: the key's nonce kernel costs an
 	// exponentiation.
@@ -170,7 +170,7 @@ func (r *RemoteShard) TopK(ctx context.Context, q EncryptedQuery, k, _, target i
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: shard %d top-k: %w", info.Index, err)
 	}
-	liveN, cands, metrics, err := decodeTopKReply(r.pk, info.M, resp, k, rowLayoutFor(r.pk, info.M, info.AttrBits), secure)
+	liveN, cands, metrics, err := decodeTopKReply(r.pk, info.Shape.M, resp, k, rowLayoutFor(r.pk, info.Shape), secure)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -262,7 +262,7 @@ func (s *ShardServer) handleHello(*mpc.Message) (*mpc.Message, error) {
 
 func (s *ShardServer) handleTopK(req *mpc.Message) (*mpc.Message, error) {
 	t := s.c1.Table()
-	q, k, target, secure, err := decodeTopKRequest(t.PK(), t.FeatureM(), req)
+	q, k, target, secure, err := decodeTopKRequest(t.PK(), t.Shape().FeatureM, req)
 	if err != nil {
 		return nil, err
 	}
@@ -274,7 +274,7 @@ func (s *ShardServer) handleTopK(req *mpc.Message) (*mpc.Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	return encodeTopKReply(t.N(), rowLayoutFor(t.PK(), t.M(), t.AttrBits()), cands, metrics, secure), nil
+	return encodeTopKReply(t.N(), rowLayoutFor(t.PK(), t.Shape()), cands, metrics, secure), nil
 }
 
 // encodeTopKRequest lays out a top-k request frame.

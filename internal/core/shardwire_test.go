@@ -43,7 +43,7 @@ func TestDecodeHelloBounds(t *testing.T) {
 		name string
 		msg  *mpc.Message
 	}{
-		{"huge M", helloReply(0, 1, 10, maxShardM+1, 2, 0, 24)},
+		{"huge M", helloReply(0, 1, 10, dataset.MaxColumns+1, 2, 0, 24)},
 		{"huge N", helloReply(0, 1, maxShardN+1, 4, 2, 0, 24)},
 		{"huge count", helloReply(0, maxShardCount+1, 10, 4, 2, 0, 24)},
 		{"huge attrBits", helloReply(0, 1, 10, 4, 2, 0, dataset.MaxAttrBits+1)},
@@ -83,8 +83,8 @@ func TestDecodeHelloAccepts(t *testing.T) {
 		t.Fatalf("decodeHello: %v", err)
 	}
 	if h.info.Index != 1 || h.info.Count != 3 || h.info.N != 1000 ||
-		h.info.M != 6 || h.info.FeatureM != 2 || !h.info.Clustered ||
-		h.info.AttrBits != 24 {
+		h.info.Shape.M != 6 || h.info.Shape.FeatureM != 2 || !h.info.Clustered ||
+		h.info.Shape.AttrBits != 24 {
 		t.Fatalf("decodeHello = %+v", h)
 	}
 	if h.pk == nil || h.pk.NSquared.BitLen() < 2048 {
@@ -110,19 +110,19 @@ func TestDecodeTopKReplyLyingCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	layout := rowLayoutFor(h.pk, h.info.M, h.info.AttrBits)
+	layout := rowLayoutFor(h.pk, h.info.Shape)
 	head := topKHead(1<<40, layout) // lying count
-	if _, _, _, err := decodeTopKReply(h.pk, h.info.M, &mpc.Message{Op: OpShardTopK, Ints: head}, 2, layout, true); !errors.Is(err, ErrBadFrame) {
+	if _, _, _, err := decodeTopKReply(h.pk, h.info.Shape.M, &mpc.Message{Op: OpShardTopK, Ints: head}, 2, layout, true); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("lying count: err = %v, want ErrBadFrame", err)
 	}
 	// Count within k but payload missing.
 	head[1] = big.NewInt(2)
-	if _, _, _, err := decodeTopKReply(h.pk, h.info.M, &mpc.Message{Op: OpShardTopK, Ints: head}, 2, layout, true); !errors.Is(err, ErrBadFrame) {
+	if _, _, _, err := decodeTopKReply(h.pk, h.info.Shape.M, &mpc.Message{Op: OpShardTopK, Ints: head}, 2, layout, true); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("short payload: err = %v, want ErrBadFrame", err)
 	}
 	// Truncated header (the pre-layout 6-field one included).
 	for _, n := range []int{3, 6} {
-		if _, _, _, err := decodeTopKReply(h.pk, h.info.M, &mpc.Message{Op: OpShardTopK, Ints: head[:n]}, 2, layout, true); !errors.Is(err, ErrBadFrame) {
+		if _, _, _, err := decodeTopKReply(h.pk, h.info.Shape.M, &mpc.Message{Op: OpShardTopK, Ints: head[:n]}, 2, layout, true); !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("%d-field header: err = %v, want ErrBadFrame", n, err)
 		}
 	}
@@ -142,7 +142,7 @@ func TestDecodeTopKReplyLayout(t *testing.T) {
 	}
 	const m, b = 4, 24
 	l := dataset.DomainBits(b, m)
-	packed, plain := rowLayoutFor(h.pk, m, h.info.AttrBits), RowLayout{Cols: 1, Bits: b}
+	packed, plain := rowLayoutFor(h.pk, dataset.Shape{M: m, AttrBits: h.info.Shape.AttrBits}), RowLayout{Cols: 1, Bits: b}
 	if packed.Cols != m || packed.Bits != b {
 		t.Fatalf("layout under a 1025-bit key: %+v", packed)
 	}
@@ -370,7 +370,7 @@ func FuzzShardFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	const fm, fk = 6, 3
-	want := rowLayoutFor(fixed.pk, fm, fixed.info.AttrBits)
+	want := rowLayoutFor(fixed.pk, dataset.Shape{M: fm, AttrBits: fixed.info.Shape.AttrBits})
 	seven := big.NewInt(7)
 	f.Add(fuzzInts(append(topKHead(1, want), seven, seven)))
 	f.Add(fuzzInts(append(topKHead(1, RowLayout{Cols: 1, Bits: want.Bits}), seven, seven, seven, seven, seven, seven, seven)))
@@ -407,8 +407,8 @@ func FuzzShardFrame(f *testing.F) {
 		}
 		msg := &mpc.Message{Op: OpShardHello, Ints: ints}
 		if h, err := decodeHello(msg); err == nil {
-			if h.info.M < 1 || h.info.M > maxShardM || int64(h.info.N) > maxShardN ||
-				h.info.Count > maxShardCount || h.info.AttrBits < 1 || h.info.AttrBits > dataset.MaxAttrBits ||
+			if h.info.Shape.M < 1 || h.info.Shape.M > dataset.MaxColumns || int64(h.info.N) > maxShardN ||
+				h.info.Count > maxShardCount || h.info.Shape.AttrBits < 1 || h.info.Shape.AttrBits > dataset.MaxAttrBits ||
 				h.pk.N.Bit(0) == 0 || h.pk.N.BitLen() < 64 {
 				t.Fatalf("decodeHello accepted out-of-bounds shape: %+v", h.info)
 			}
@@ -442,7 +442,7 @@ func TestRemoteShardTopKHonorsDeadline(t *testing.T) {
 	release := make(chan struct{})
 	worker := mpc.NewMux()
 	worker.Register(OpShardHello, mpc.HandlerFunc(func(*mpc.Message) (*mpc.Message, error) {
-		return encodeHello(pk.N, ShardInfo{Count: 1, N: 4, M: 2, FeatureM: 2, AttrBits: 4}), nil
+		return encodeHello(pk.N, ShardInfo{Count: 1, N: 4, Shape: dataset.Shape{M: 2, FeatureM: 2, AttrBits: 4}}), nil
 	}))
 	worker.Register(OpShardTopK, mpc.HandlerFunc(func(*mpc.Message) (*mpc.Message, error) {
 		<-release

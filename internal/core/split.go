@@ -40,7 +40,7 @@ func (s *TableSnapshot) Split(shards int) ([]*TableSnapshot, error) {
 	}
 	parts := make([]*TableSnapshot, shards)
 	for i := range parts {
-		parts[i] = &TableSnapshot{M: s.M, FeatureM: s.FeatureM, AttrBits: s.AttrBits, NextID: s.NextID}
+		parts[i] = &TableSnapshot{Shape: s.Shape, NextID: s.NextID}
 	}
 	// posMap[old position] = position within its shard.
 	posMap := make([]int, n)
@@ -105,14 +105,13 @@ func MergeTableSnapshots(parts []*TableSnapshot) (*TableSnapshot, error) {
 	}
 	total := 0
 	clustered := len(parts[0].Centroids) > 0
-	out := &TableSnapshot{M: parts[0].M, FeatureM: parts[0].FeatureM, AttrBits: parts[0].AttrBits}
+	out := &TableSnapshot{Shape: parts[0].Shape}
 	for w, p := range parts {
 		if p == nil {
 			return nil, fmt.Errorf("%w: missing shard %d", ErrShardTopology, w)
 		}
-		if p.M != out.M || p.FeatureM != out.FeatureM || p.AttrBits != out.AttrBits {
-			return nil, fmt.Errorf("%w: shard %d table shape %d/%d of %d-bit attributes, want %d/%d of %d",
-				ErrShardTopology, w, p.M, p.FeatureM, p.AttrBits, out.M, out.FeatureM, out.AttrBits)
+		if p.Shape != out.Shape {
+			return nil, fmt.Errorf("%w: shard %d table shape %v, want %v", ErrShardTopology, w, p.Shape, out.Shape)
 		}
 		if (len(p.Centroids) > 0) != clustered {
 			return nil, fmt.Errorf("%w: shard %d index presence disagrees", ErrShardTopology, w)

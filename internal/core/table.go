@@ -27,11 +27,12 @@ type EncryptedRecord []*paillier.Ciphertext
 // construction get ids 0..n−1 in row order, and each Insert returns the
 // next id. Ids survive Compact (which renumbers positions, not ids).
 //
-// featureM ≤ m marks how many leading attributes participate in
-// distance computation; trailing columns (e.g. a class label) ride
-// along encrypted and are returned to Bob but never influence ranking.
-// This is the layout secure kNN *classification* needs (the paper's
-// Section 2.1 points at classification as a direct application).
+// Its shape (dataset.Shape) is fixed per table. featureM ≤ m marks how
+// many leading attributes participate in distance computation; trailing
+// columns (e.g. a class label) ride along encrypted and are returned to
+// Bob but never influence ranking. This is the layout secure kNN
+// *classification* needs (the paper's Section 2.1 points at
+// classification as a direct application).
 //
 // attrBits is the attribute width b: every column of every record,
 // stored now or inserted later, and every centroid value, is below 2^b.
@@ -39,10 +40,8 @@ type EncryptedRecord []*paillier.Ciphertext
 // and sizes every packed slot of both protocols — SSED's and the row
 // layout's; WithAttrBits widens it, nothing narrows it.
 type EncryptedTable struct {
-	pk       *paillier.PublicKey
-	m        int
-	featureM int
-	attrBits int
+	pk    *paillier.PublicKey
+	shape dataset.Shape
 
 	mu       sync.RWMutex
 	records  []EncryptedRecord // guarded by mu
@@ -186,8 +185,8 @@ func EncryptTable(random io.Reader, pk *paillier.PublicKey, rows [][]uint64) (*E
 	for i := range ids {
 		ids[i] = uint64(i)
 	}
-	return RestoreTable(pk, &TableSnapshot{M: m, FeatureM: m, AttrBits: width, NextID: uint64(len(rows)),
-		Records: records, IDs: ids, Dead: make([]bool, len(rows))})
+	return RestoreTable(pk, &TableSnapshot{Shape: dataset.Shape{M: m, FeatureM: m, AttrBits: width},
+		NextID: uint64(len(rows)), Records: records, IDs: ids, Dead: make([]bool, len(rows))})
 }
 
 // encryptRows encrypts rows of m attributes each, attribute-wise, with
@@ -220,11 +219,8 @@ func encryptRows(random io.Reader, pk *paillier.PublicKey, rows [][]uint64, m in
 // dropped (its centroids are sized to the feature prefix): attach the
 // index after choosing feature columns.
 func (t *EncryptedTable) WithFeatureColumns(f int) (*EncryptedTable, error) {
-	if f < 1 || f > t.m {
-		return nil, fmt.Errorf("core: feature columns %d out of range [1,%d]", f, t.m)
-	}
 	s := t.Snapshot()
-	s.FeatureM, s.Centroids, s.Members = f, nil, nil
+	s.Shape.FeatureM, s.Centroids, s.Members = f, nil, nil
 	return RestoreTable(t.pk, s)
 }
 
@@ -233,11 +229,11 @@ func (t *EncryptedTable) WithFeatureColumns(f int) (*EncryptedTable, error) {
 // domain, no narrower than what the table already holds. Like
 // WithFeatureColumns the copy shares only the ciphertexts.
 func (t *EncryptedTable) WithAttrBits(bits int) (*EncryptedTable, error) {
-	if bits < t.attrBits || bits > dataset.MaxAttrBits {
-		return nil, fmt.Errorf("%w: %d outside [%d,%d]", dataset.ErrBadAttrBits, bits, t.attrBits, dataset.MaxAttrBits)
+	if bits < t.shape.AttrBits {
+		return nil, fmt.Errorf("%w: %d narrower than the table's %d", dataset.ErrBadAttrBits, bits, t.shape.AttrBits)
 	}
 	s := t.Snapshot()
-	s.AttrBits = bits
+	s.Shape.AttrBits = bits
 	return RestoreTable(t.pk, s)
 }
 
@@ -246,7 +242,7 @@ func (t *EncryptedTable) WithAttrBits(bits int) (*EncryptedTable, error) {
 // attributes each, as produced by internal/cluster where the data owner
 // holds plaintext) are encrypted under the table's key, and members
 // records the partition of row positions, every cluster non-empty. Every
-// centroid value must be below 2^AttrBits(), like every column: the
+// centroid value must be below 2^Shape().AttrBits, like every column: the
 // centroids pack into the same SSED slots. The owner calls it at
 // outsourcing time and again in Compact-style maintenance. The table
 // must be tombstone-free (Compact first): membership positions are
@@ -264,17 +260,17 @@ func (t *EncryptedTable) SetClusterIndex(random io.Reader, centroids [][]uint64,
 		if len(mem) == 0 {
 			return fmt.Errorf("core: cluster %d is empty", j)
 		}
-		if len(centroids[j]) != t.featureM {
+		if len(centroids[j]) != t.shape.FeatureM {
 			return fmt.Errorf("core: centroid %d has %d attributes, want %d feature columns",
-				j, len(centroids[j]), t.featureM)
+				j, len(centroids[j]), t.shape.FeatureM)
 		}
 		for _, x := range centroids[j] {
-			if bits.Len64(x) > t.attrBits {
-				return fmt.Errorf("core: centroid %d value %d is not below 2^%d, the table's attribute width", j, x, t.attrBits)
+			if bits.Len64(x) > t.shape.AttrBits {
+				return fmt.Errorf("core: centroid %d value %d is not below 2^%d, the table's attribute width", j, x, t.shape.AttrBits)
 			}
 		}
 	}
-	encCentroids, err := encryptRows(random, t.pk, centroids, t.featureM)
+	encCentroids, err := encryptRows(random, t.pk, centroids, t.shape.FeatureM)
 	if err != nil {
 		return fmt.Errorf("core: encrypting centroids: %w", err)
 	}
@@ -349,7 +345,7 @@ var (
 // owner of the id sequence routes each record to shard id mod S, and a
 // lone table takes NextID. The id must be at or above the table's
 // high-water mark, so ids are never reused; the mark advances to id+1.
-// Every attribute encrypted into the record must be below 2^AttrBits() —
+// Every attribute encrypted into the record must be below 2^Shape().AttrBits —
 // the table cannot check, and a wider one corrupts the packed slots it
 // lands in. For a clustered table the caller must route the record to a
 // cluster first — either obliviously via QuerySession.NearestCluster or
@@ -368,7 +364,7 @@ func (t *EncryptedTable) InsertWithID(id uint64, rec EncryptedRecord, cluster in
 // insertLocked appends one record under the write lock, advancing the
 // id high-water mark past id.
 func (t *EncryptedTable) insertLocked(id uint64, rec EncryptedRecord, cluster int) error {
-	if err := checkRecord(rec, t.m); err != nil {
+	if err := checkRecord(rec, t.shape.M); err != nil {
 		return fmt.Errorf("core: inserted record: %w", err)
 	}
 	if t.index != nil {
@@ -504,14 +500,9 @@ func (t *EncryptedTable) NextID() uint64 {
 	return t.nextID
 }
 
-// M returns the number of attributes.
-func (t *EncryptedTable) M() int { return t.m }
-
-// FeatureM returns the number of leading attributes used for distance.
-func (t *EncryptedTable) FeatureM() int { return t.featureM }
-
-// AttrBits returns the attribute width b: every column is below 2^b.
-func (t *EncryptedTable) AttrBits() int { return t.attrBits }
+// Shape returns the table's shape: its attributes, feature columns and
+// attribute width b (every column is below 2^b).
+func (t *EncryptedTable) Shape() dataset.Shape { return t.shape }
 
 // PK returns the public key the table is encrypted under.
 func (t *EncryptedTable) PK() *paillier.PublicKey { return t.pk }
@@ -604,7 +595,7 @@ func (v *tableView) centroids2D() [][]*paillier.Ciphertext {
 func (v *tableView) featureRows(idx []int) [][]*paillier.Ciphertext {
 	out := make([][]*paillier.Ciphertext, len(idx))
 	for i, id := range idx {
-		out[i] = v.Records[id][:v.FeatureM]
+		out[i] = v.Records[id][:v.Shape.FeatureM]
 	}
 	return out
 }
@@ -614,7 +605,7 @@ func (v *tableView) featureRows(idx []int) [][]*paillier.Ciphertext {
 // independently — slots combine a row's attributes, never rows).
 func (v *tableView) packedFeatureRows(idx []int) (*smc.PackedRows, error) {
 	return v.packedRows(v.packs, idx, func(pos int) []*paillier.Ciphertext {
-		return v.Records[pos][:v.FeatureM]
+		return v.Records[pos][:v.Shape.FeatureM]
 	})
 }
 
@@ -635,7 +626,7 @@ func (v *tableView) packedCentroids() (*smc.PackedRows, error) {
 // no room for one such slot, or a row that fails to pack, fails the query
 // (sknn.New and store.Read refuse the key already: CheckDomainBits).
 func (v *tableView) packedRows(packs *rowPacks, idx []int, row func(pos int) []*paillier.Ciphertext) (*smc.PackedRows, error) {
-	codec, err := paillier.NewPacking(v.pk, v.AttrBits)
+	codec, err := paillier.NewPacking(v.pk, v.Shape.AttrBits)
 	if err != nil {
 		return nil, fmt.Errorf("core: SSED slot codec: %w", err)
 	}
@@ -655,7 +646,7 @@ func (v *tableView) packedRows(packs *rowPacks, idx []int, row func(pos int) []*
 // first use and kept in the memo. Every column — payload columns
 // included — is below 2^AttrBits, so the slots hold.
 func (v *tableView) recordRows(idx []int) ([][]*paillier.Ciphertext, error) {
-	layout := rowLayoutFor(v.pk, v.M, v.AttrBits)
+	layout := rowLayoutFor(v.pk, v.Shape)
 	if layout.Cols == 1 {
 		rows := make([][]*paillier.Ciphertext, len(idx))
 		for i, pos := range idx {
@@ -678,14 +669,13 @@ func (v *tableView) recordRows(idx []int) ([][]*paillier.Ciphertext, error) {
 // run parallel to Records; Centroids/Members are nil/empty when no
 // cluster index is attached.
 type TableSnapshot struct {
-	M, FeatureM int
-	AttrBits    int // attribute width: every column is below 2^AttrBits
-	NextID      uint64
-	Records     []EncryptedRecord
-	IDs         []uint64
-	Dead        []bool
-	Centroids   []EncryptedRecord
-	Members     [][]int
+	Shape     dataset.Shape
+	NextID    uint64
+	Records   []EncryptedRecord
+	IDs       []uint64
+	Dead      []bool
+	Centroids []EncryptedRecord
+	Members   [][]int
 }
 
 // Snapshot captures the table's full state under the read lock. The
@@ -702,13 +692,11 @@ func (t *EncryptedTable) Snapshot() *TableSnapshot {
 // Caller holds t.mu.
 func (t *EncryptedTable) snapshotLocked() *TableSnapshot {
 	s := &TableSnapshot{
-		M:        t.m,
-		FeatureM: t.featureM,
-		AttrBits: t.attrBits,
-		NextID:   t.nextID,
-		Records:  append([]EncryptedRecord(nil), t.records...),
-		IDs:      append([]uint64(nil), t.ids...),
-		Dead:     append([]bool(nil), t.dead...),
+		Shape:   t.shape,
+		NextID:  t.nextID,
+		Records: append([]EncryptedRecord(nil), t.records...),
+		IDs:     append([]uint64(nil), t.ids...),
+		Dead:    append([]bool(nil), t.dead...),
 	}
 	if t.index != nil {
 		s.Centroids = append([]EncryptedRecord(nil), t.index.centroids...)
@@ -732,26 +720,21 @@ func RestoreTable(pk *paillier.PublicKey, snap *TableSnapshot) (*EncryptedTable,
 		return nil, fmt.Errorf("core: snapshot ids/dead length %d/%d, want %d",
 			len(snap.IDs), len(snap.Dead), n)
 	}
-	if snap.M < 1 || snap.FeatureM < 1 || snap.FeatureM > snap.M {
-		return nil, fmt.Errorf("core: snapshot feature columns %d of %d", snap.FeatureM, snap.M)
-	}
-	if snap.AttrBits < 1 || snap.AttrBits > dataset.MaxAttrBits {
-		return nil, fmt.Errorf("%w: %d outside [1,%d]", dataset.ErrBadAttrBits, snap.AttrBits, dataset.MaxAttrBits)
+	if err := snap.Shape.Check(); err != nil {
+		return nil, fmt.Errorf("core: snapshot: %w", err)
 	}
 	t := &EncryptedTable{
-		pk:       pk,
-		m:        snap.M,
-		featureM: snap.FeatureM,
-		attrBits: snap.AttrBits,
-		records:  snap.Records,
-		ids:      snap.IDs,
-		byID:     make(map[uint64]int, n),
-		nextID:   snap.NextID,
-		dead:     snap.Dead,
-		packs:    &rowPacks{},
+		pk:      pk,
+		shape:   snap.Shape,
+		records: snap.Records,
+		ids:     snap.IDs,
+		byID:    make(map[uint64]int, n),
+		nextID:  snap.NextID,
+		dead:    snap.Dead,
+		packs:   &rowPacks{},
 	}
 	for i, rec := range snap.Records {
-		if err := checkRecord(rec, snap.M); err != nil {
+		if err := checkRecord(rec, snap.Shape.M); err != nil {
 			return nil, fmt.Errorf("core: snapshot record %d: %w", i, err)
 		}
 		id := snap.IDs[i]
@@ -774,7 +757,7 @@ func RestoreTable(pk *paillier.PublicKey, snap *TableSnapshot) (*EncryptedTable,
 			return nil, fmt.Errorf("core: snapshot index: %w", err)
 		}
 		for j, cent := range snap.Centroids {
-			if err := checkRecord(cent, snap.FeatureM); err != nil {
+			if err := checkRecord(cent, snap.Shape.FeatureM); err != nil {
 				return nil, fmt.Errorf("core: snapshot centroid %d: %w", j, err)
 			}
 		}

@@ -19,8 +19,8 @@ func TestEncryptTableShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.N() != 2 || tbl.M() != 3 {
-		t.Fatalf("shape = %dx%d", tbl.N(), tbl.M())
+	if tbl.N() != 2 || tbl.Shape().M != 3 {
+		t.Fatalf("shape = %dx%d", tbl.N(), tbl.Shape().M)
 	}
 	// Decrypting a cell recovers the plaintext.
 	m, err := sk.Decrypt(tbl.records[1][2])
@@ -61,8 +61,8 @@ func TestAttrBitsTravels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tbl.AttrBits() != tc.want {
-			t.Errorf("EncryptTable(%v) is %d bits wide, want %d", tc.rows, tbl.AttrBits(), tc.want)
+		if tbl.Shape().AttrBits != tc.want {
+			t.Errorf("EncryptTable(%v) is %d bits wide, want %d", tc.rows, tbl.Shape().AttrBits, tc.want)
 		}
 	}
 
@@ -75,15 +75,15 @@ func TestAttrBitsTravels(t *testing.T) {
 			t.Errorf("a 3-bit table declared %d bits wide", bits)
 		}
 	}
-	if same, err := tbl.WithAttrBits(3); err != nil || same.AttrBits() != 3 {
+	if same, err := tbl.WithAttrBits(3); err != nil || same.Shape().AttrBits != 3 {
 		t.Errorf("declaring the derived width: %v", err)
 	}
 	wide, err := tbl.WithAttrBits(12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.AttrBits() != 3 || wide.AttrBits() != 12 {
-		t.Fatalf("widths %d and %d, want 3 and 12", tbl.AttrBits(), wide.AttrBits())
+	if tbl.Shape().AttrBits != 3 || wide.Shape().AttrBits != 12 {
+		t.Fatalf("widths %d and %d, want 3 and 12", tbl.Shape().AttrBits, wide.Shape().AttrBits)
 	}
 	if _, err := wide.WithAttrBits(11); err == nil {
 		t.Error("a declared width narrowed")
@@ -109,22 +109,22 @@ func TestAttrBitsTravels(t *testing.T) {
 		t.Fatal(err)
 	}
 	for what, got := range map[string]int{
-		"clustered feature view": feat.AttrBits(), "its session view": feat.view().AttrBits,
-		"snapshot": snap.AttrBits, "restored table": restored.AttrBits(),
-		"shard 0": parts[0].AttrBits, "shard 1": parts[1].AttrBits, "merged snapshot": merged.AttrBits,
+		"clustered feature view": feat.Shape().AttrBits, "its session view": feat.view().Shape.AttrBits,
+		"snapshot": snap.Shape.AttrBits, "restored table": restored.Shape().AttrBits,
+		"shard 0": parts[0].Shape.AttrBits, "shard 1": parts[1].Shape.AttrBits, "merged snapshot": merged.Shape.AttrBits,
 	} {
 		if got != 12 {
 			t.Errorf("%s is %d bits wide, want 12", what, got)
 		}
 	}
 
-	parts[1].AttrBits = 11
+	parts[1].Shape.AttrBits = 11
 	if _, err := MergeTableSnapshots(parts); !errors.Is(err, ErrShardTopology) {
 		t.Errorf("merging shards of different widths: err = %v, want ErrShardTopology", err)
 	}
 	for _, bits := range []int{0, -3, dataset.MaxAttrBits + 1} {
 		bad := tbl.Snapshot()
-		bad.AttrBits = bits
+		bad.Shape.AttrBits = bits
 		if _, err := RestoreTable(pk, bad); err == nil {
 			t.Errorf("restored a snapshot declaring %d-bit attributes", bits)
 		}
@@ -161,7 +161,7 @@ func TestTableWidthBound(t *testing.T) {
 		_, err = narrow.WithAttrBits(bits)
 		check("WithAttrBits", err)
 		snap := narrow.Snapshot()
-		snap.AttrBits = bits
+		snap.Shape.AttrBits = bits
 		_, err = RestoreTable(pk, snap)
 		check("RestoreTable", err)
 	}
@@ -183,7 +183,7 @@ func TestPackedRowsFailOnUnpackableRow(t *testing.T) {
 		}
 		return row
 	}
-	v := &tableView{TableSnapshot: &TableSnapshot{AttrBits: 4}, pk: pk}
+	v := &tableView{TableSnapshot: &TableSnapshot{Shape: dataset.Shape{AttrBits: 4}}, pk: pk}
 	rows, err := v.packedRows(packs, []int{0, 1, 2}, broken)
 	if !errors.Is(err, smc.ErrEmptyInput) || rows != nil {
 		t.Fatalf("a row that does not pack: rows %v, err %v; want smc.ErrEmptyInput", rows, err)
@@ -312,7 +312,7 @@ func TestLiveTableClusteredMutation(t *testing.T) {
 
 // TestSetClusterIndexRefusesWideCentroid: a centroid packs into the same
 // SSED slots as the records, so every centroid value must be below
-// 2^AttrBits(), like every column. One at 2^b is refused — whichever
+// 2^Shape().AttrBits, like every column. One at 2^b is refused — whichever
 // attribute holds it, and leaving the index the table had — and the same
 // value is accepted once WithAttrBits has widened the table past it.
 func TestSetClusterIndexRefusesWideCentroid(t *testing.T) {
@@ -321,7 +321,7 @@ func TestSetClusterIndexRefusesWideCentroid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b := tbl.AttrBits(); b != 2 {
+	if b := tbl.Shape().AttrBits; b != 2 {
 		t.Fatalf("AttrBits = %d, want 2", b)
 	}
 	members := [][]int{{0, 1}}
@@ -395,7 +395,7 @@ func TestPackedRenderingsSurviveMutation(t *testing.T) {
 	if err := tbl.SetClusterIndex(rand.Reader, [][]uint64{{1, 1}, {30, 30}}, [][]int{{0, 1}, {2, 3}}); err != nil {
 		t.Fatal(err)
 	}
-	if layout := rowLayoutFor(pk, 3, tbl.AttrBits()); layout != (RowLayout{Cols: 3, Bits: 5}) {
+	if layout := rowLayoutFor(pk, dataset.Shape{M: 3, AttrBits: tbl.Shape().AttrBits}); layout != (RowLayout{Cols: 3, Bits: 5}) {
 		t.Fatalf("layout %+v, want one chunk of three 5-bit columns", layout)
 	}
 	type rendering struct{ feat, rec, cent []*paillier.Ciphertext }
@@ -502,7 +502,7 @@ func TestPackedRenderingsConcurrentMutation(t *testing.T) {
 		}
 		return rec
 	}
-	tbl, err := RestoreTable(pk, &TableSnapshot{M: 2, FeatureM: 2, AttrBits: 6, NextID: 4,
+	tbl, err := RestoreTable(pk, &TableSnapshot{Shape: dataset.Shape{M: 2, FeatureM: 2, AttrBits: 6}, NextID: 4,
 		Records: []EncryptedRecord{row(0), row(1), row(2), row(3)},
 		IDs:     []uint64{0, 1, 2, 3}, Dead: make([]bool, 4)})
 	if err != nil {

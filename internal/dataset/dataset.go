@@ -17,9 +17,14 @@ import (
 // MaxAttrBits bounds per-attribute domains so squared Euclidean
 // distances stay well inside uint64 for the plaintext oracle
 // (m·2^(2b) < 2^63 comfortably for realistic m). It is the one width
-// bound of every table: core's table constructors refuse a wider one,
-// so the facade, the snapshot writer and its reader all stop here.
+// bound of every table (Shape.Check).
 const MaxAttrBits = 24
+
+// MaxColumns is the one bound on a table's attribute count m (Shape.Check):
+// the shape sizes every per-record allocation a snapshot reader, a shard
+// coordinator, a tenant client and C2's packed SSED handler make, so each
+// of them refuses a wider one before allocating.
+const MaxColumns = 1 << 12
 
 // Errors returned by this package.
 var (
@@ -27,7 +32,66 @@ var (
 	ErrRagged        = errors.New("dataset: rows have differing attribute counts")
 	ErrValueTooLarge = errors.New("dataset: attribute exceeds declared domain")
 	ErrBadAttrBits   = errors.New("dataset: attribute domain bits out of range")
+	ErrBadShape      = errors.New("dataset: table columns out of range")
+	ErrDimension     = errors.New("dataset: query/record dimension mismatch")
 )
+
+// Shape is the public shape of an outsourced table, the one value every
+// layer carries it in: M attributes per record, the first FeatureM of
+// which distances run over (the rest ride along as payload), every
+// column below 2^AttrBits. It fixes SkNNm's distance domain l
+// (DomainBits), the packed slots of both protocols, and what a query
+// must look like (CheckQuery).
+type Shape struct {
+	M        int // attributes per record
+	FeatureM int // leading attributes that take part in distances
+	AttrBits int // attribute width b: every column is below 2^b
+}
+
+// Check admits a shape made or read anywhere: 1 ≤ FeatureM ≤ M ≤
+// MaxColumns (ErrBadShape) and 1 ≤ AttrBits ≤ MaxAttrBits
+// (ErrBadAttrBits). Every table constructor, the snapshot writer and
+// reader, the shard hello, the tenant welcome and C2's packed SSED
+// handler call it, so a shape one of them would refuse is refused where
+// it is made.
+func (s Shape) Check() error {
+	if s.M < 1 || s.M > MaxColumns || s.FeatureM < 1 || s.FeatureM > s.M {
+		return fmt.Errorf("%w: %d feature columns of %d, want 1 ≤ featureM ≤ m ≤ %d",
+			ErrBadShape, s.FeatureM, s.M, MaxColumns)
+	}
+	if s.AttrBits < 1 || s.AttrBits > MaxAttrBits {
+		return fmt.Errorf("%w: %d outside [1,%d]", ErrBadAttrBits, s.AttrBits, MaxAttrBits)
+	}
+	return nil
+}
+
+// String renders the shape as "featureM/m columns of b-bit attributes".
+func (s Shape) String() string {
+	return fmt.Sprintf("%d/%d columns of %d-bit attributes", s.FeatureM, s.M, s.AttrBits)
+}
+
+// DomainBits is the table's l: DomainBits(AttrBits, FeatureM).
+func (s Shape) DomainBits() int { return DomainBits(s.AttrBits, s.FeatureM) }
+
+// CheckQuery admits Bob's query point before it is encrypted: FeatureM
+// attributes (ErrDimension), and for SkNNm (secure) every attribute
+// below 2^AttrBits (ErrValueTooLarge) — its comparators hold a squared
+// distance below 2^l only inside the domain. SkNNb decrypts its
+// distances and takes any uint64.
+func (s Shape) CheckQuery(q []uint64, secure bool) error {
+	if len(q) != s.FeatureM {
+		return fmt.Errorf("%w: query has %d attributes, table has %d feature columns",
+			ErrDimension, len(q), s.FeatureM)
+	}
+	if secure {
+		for j, v := range q {
+			if bits.Len64(v) > s.AttrBits {
+				return fmt.Errorf("%w: query attribute %d value %d ≥ 2^%d", ErrValueTooLarge, j, v, s.AttrBits)
+			}
+		}
+	}
+	return nil
+}
 
 // Table is a plaintext relational table: n rows of m uint64 attributes,
 // each attribute in [0, 2^AttrBits).
@@ -71,23 +135,6 @@ func (t *Table) Validate() error {
 				return fmt.Errorf("%w: row %d attr %d value %d ≥ 2^%d",
 					ErrValueTooLarge, i, j, v, t.AttrBits)
 			}
-		}
-	}
-	return nil
-}
-
-// CheckQuery reports the first attribute of q at or above 2^attrBits as
-// ErrValueTooLarge. SkNNm needs every query attribute inside the table's
-// domain: its comparators hold a squared distance below 2^l only there.
-// SkNNb decrypts its distances and takes any uint64.
-func CheckQuery(q []uint64, attrBits int) error {
-	if attrBits >= 64 {
-		return nil
-	}
-	limit := uint64(1) << attrBits
-	for j, v := range q {
-		if v >= limit {
-			return fmt.Errorf("%w: query attribute %d value %d ≥ 2^%d", ErrValueTooLarge, j, v, attrBits)
 		}
 	}
 	return nil

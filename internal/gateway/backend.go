@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"sknn/internal/core"
+	"sknn/internal/dataset"
 	"sknn/internal/paillier"
 )
 
@@ -21,11 +22,9 @@ type Backend interface {
 	SecureQuery(ctx context.Context, q core.EncryptedQuery, k, _, target int) (*core.MaskedResult, *core.SecureMetrics, error)
 	// BasicQuery runs SkNNb.
 	BasicQuery(ctx context.Context, q core.EncryptedQuery, k int) (*core.MaskedResult, error)
-	// N reports the live record count, M the table shape, AttrBits the
-	// attribute width b (every column is below 2^b).
+	// N reports the live record count, Shape the table shape.
 	N() int
-	M() (m, featureM int)
-	AttrBits() int
+	Shape() dataset.Shape
 	// PK is the public key the tenant's table is encrypted under.
 	PK() *paillier.PublicKey
 	// Close releases the backend's resources (link pools, shard dials).
@@ -56,8 +55,7 @@ func (b *coordinatorBackend) BasicQuery(ctx context.Context, q core.EncryptedQue
 }
 
 func (b *coordinatorBackend) N() int                  { return b.coord.N() }
-func (b *coordinatorBackend) M() (int, int)           { return b.coord.M(), b.coord.FeatureM() }
-func (b *coordinatorBackend) AttrBits() int           { return b.coord.AttrBits() }
+func (b *coordinatorBackend) Shape() dataset.Shape    { return b.coord.Shape() }
 func (b *coordinatorBackend) PK() *paillier.PublicKey { return b.coord.PK() }
 
 func (b *coordinatorBackend) Close() error {

@@ -50,8 +50,8 @@ func tenantHandshake(conn mpc.Conn, name, token string) (gateWelcome, error) {
 // N reports the tenant table's record count as declared by the gateway.
 func (c *TenantClient) N() int { return c.n }
 
-// M reports the tenant table's total and feature attribute counts.
-func (c *TenantClient) M() (m, featureM int) { return c.m, c.featureM }
+// Shape reports the tenant table's shape.
+func (c *TenantClient) Shape() dataset.Shape { return c.shape }
 
 // Query runs one k-NN query: encrypt locally, one round trip to the
 // gateway, unmask locally. secure selects SkNNm (oblivious) over SkNNb.
@@ -66,17 +66,11 @@ func (c *TenantClient) Query(ctx context.Context, q []uint64, k int, secure bool
 		return nil, nil, fmt.Errorf("gateway: query: %w", err)
 	}
 	defer conn.Close()
-	if len(q) != c.featureM {
-		return nil, nil, fmt.Errorf("%w: query has %d attributes, table has %d",
-			core.ErrDimension, len(q), c.featureM)
+	if err := c.shape.CheckQuery(q, secure); err != nil {
+		return nil, nil, err
 	}
 	if k < 1 || k > maxGateK {
 		return nil, nil, fmt.Errorf("%w: k=%d (cap %d)", core.ErrBadK, k, maxGateK)
-	}
-	if secure {
-		if err := dataset.CheckQuery(q, c.attrBits); err != nil {
-			return nil, nil, err
-		}
 	}
 	eq, err := c.client.EncryptQuery(q)
 	if err != nil {
@@ -86,16 +80,13 @@ func (c *TenantClient) Query(ctx context.Context, q []uint64, k int, secure bool
 	if err != nil {
 		return nil, nil, fmt.Errorf("gateway: query round trip: %w", err)
 	}
-	res, err := decodeGateResult(c.pk, k, c.m, resp)
+	res, err := decodeGateResult(c.pk, k, c.shape.M, resp)
 	if err != nil {
 		return nil, nil, err
 	}
-	rows, err := c.client.Unmask(res)
+	rows, err := c.client.Finish(q, res, secure)
 	if err != nil {
 		return nil, nil, err
-	}
-	if secure {
-		core.NearestFirst(q, rows)
 	}
 	return rows, res.IDs, nil
 }

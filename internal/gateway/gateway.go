@@ -170,8 +170,7 @@ func (g *Gateway) authenticate(conn mpc.Conn) (*tenant, error) {
 		if t == nil {
 			return "", nil
 		}
-		m, featureM := t.be.M()
-		return t.cfg.Token, encodeGateWelcome(t.be.PK().N, t.be.N(), m, featureM, t.be.AttrBits())
+		return t.cfg.Token, encodeGateWelcome(t.be.PK().N, t.be.N(), t.be.Shape())
 	})
 	if err != nil {
 		g.metrics.authFailure()
@@ -254,8 +253,7 @@ func (g *Gateway) runQuery(t *tenant, req *mpc.Message) *mpc.Message {
 	}
 	defer t.releaseSlot()
 
-	_, featureM := t.be.M()
-	k, secure, q, err := decodeGateQuery(t.be.PK(), featureM, req)
+	k, secure, q, err := decodeGateQuery(t.be.PK(), t.be.Shape().FeatureM, req)
 	if err != nil {
 		g.metrics.queryStarted(name)
 		g.metrics.queryDone(name, 0, 0, err)

@@ -164,7 +164,7 @@ type stubBackend struct {
 }
 
 func (b *stubBackend) result(k int) (*core.MaskedResult, error) {
-	m, _ := b.M()
+	m := b.Shape().M
 	if k > len(b.rows) {
 		k = len(b.rows)
 	}
@@ -210,14 +210,12 @@ func (b *stubBackend) BasicQuery(_ context.Context, _ core.EncryptedQuery, k int
 
 func (b *stubBackend) N() int { return len(b.rows) }
 
-func (b *stubBackend) M() (int, int) {
+func (b *stubBackend) Shape() dataset.Shape {
 	if len(b.rows) == 0 {
-		return 2, 2
+		return dataset.Shape{M: 2, FeatureM: 2, AttrBits: 8}
 	}
-	return len(b.rows[0]), len(b.rows[0])
+	return dataset.Shape{M: len(b.rows[0]), FeatureM: len(b.rows[0]), AttrBits: 8}
 }
-
-func (b *stubBackend) AttrBits() int { return 8 }
 
 func (b *stubBackend) PK() *paillier.PublicKey { return b.pk }
 
@@ -274,8 +272,8 @@ func TestGatewayQueryRoundTrip(t *testing.T) {
 	if n := tc.N(); n != 3 {
 		t.Fatalf("welcome declared n=%d, want 3", n)
 	}
-	if m, f := tc.M(); m != 2 || f != 2 {
-		t.Fatalf("welcome declared table %d/%d, want 2/2", m, f)
+	if s := tc.Shape(); s.M != 2 || s.FeatureM != 2 || s.AttrBits != 8 {
+		t.Fatalf("welcome declared table %+v, want 2/2 of 8-bit attributes", s)
 	}
 
 	rows, ids, err := tc.Query(context.Background(), []uint64{1, 2}, 2, true)

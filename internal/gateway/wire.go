@@ -6,6 +6,7 @@ import (
 	"math/big"
 
 	"sknn/internal/core"
+	"sknn/internal/dataset"
 	"sknn/internal/mpc"
 	"sknn/internal/paillier"
 )
@@ -35,12 +36,10 @@ import (
 const OpGateQuery mpc.Op = 98 // one k-NN query under the authenticated tenant
 
 // Bounds on what a frame may declare before it parameterizes an
-// allocation.
+// allocation; the welcome's table shape is bounded by dataset.Shape.Check.
 const (
-	maxTenantName = 64      // bytes of tenant name
-	maxGateK      = 4096    // neighbors per query
-	maxGateM      = 1 << 12 // attributes per record (mirrors core's shard cap)
-	maxGateBits   = 64      // attribute width: columns are uint64
+	maxTenantName = 64   // bytes of tenant name
+	maxGateK      = 4096 // neighbors per query
 )
 
 // ErrGateAuth reports a failed tenant handshake. The refusal frame
@@ -67,35 +66,36 @@ func ValidTenantName(name string) bool {
 // encodeGateWelcome lays out the handshake's accept payload: the
 // tenant's public key and table shape, everything Bob's edge needs to
 // encrypt and bound queries and unmask results.
-func encodeGateWelcome(pkN *big.Int, n, m, featureM, attrBits int) []*big.Int {
+func encodeGateWelcome(pkN *big.Int, n int, shape dataset.Shape) []*big.Int {
 	return []*big.Int{
-		new(big.Int).Set(pkN),
-		big.NewInt(int64(n)), big.NewInt(int64(m)), big.NewInt(int64(featureM)), big.NewInt(int64(attrBits)),
+		new(big.Int).Set(pkN), big.NewInt(int64(n)),
+		big.NewInt(int64(shape.M)), big.NewInt(int64(shape.FeatureM)), big.NewInt(int64(shape.AttrBits)),
 	}
 }
 
 // gateWelcome is the decoded accept payload.
 type gateWelcome struct {
-	pk       *paillier.PublicKey
-	n        int
-	m        int
-	featureM int
-	attrBits int
+	pk    *paillier.PublicKey
+	n     int
+	shape dataset.Shape
 }
 
 // decodeGateWelcome validates and unpacks an accept payload. The shape
-// fields size the client's encrypt/unmask work, so they are bounded
-// like a shard hello's.
+// sizes the client's encrypt/unmask work, so it is checked as a shard
+// hello's is.
 func decodeGateWelcome(ints []*big.Int) (gateWelcome, error) {
 	var w gateWelcome
 	f := mpc.ReadFields(ints)
 	modulus := f.Big()
 	w.n = f.Int(0, math.MaxInt)
-	w.m = f.Int(1, maxGateM)
-	w.featureM = f.Int(1, w.m)
-	w.attrBits = f.Int(1, maxGateBits)
+	w.shape.M = f.Int(math.MinInt, math.MaxInt)
+	w.shape.FeatureM = f.Int(math.MinInt, math.MaxInt)
+	w.shape.AttrBits = f.Int(math.MinInt, math.MaxInt)
 	if err := f.Done(); err != nil {
 		return w, fmt.Errorf("gateway: welcome: %w", err)
+	}
+	if err := w.shape.Check(); err != nil {
+		return w, fmt.Errorf("%w: welcome: %w", core.ErrBadFrame, err)
 	}
 	// Last, once the cheap fields hold: the key's nonce kernel costs an
 	// exponentiation.

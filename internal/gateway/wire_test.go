@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sknn/internal/core"
+	"sknn/internal/dataset"
 	"sknn/internal/mpc"
 	"sknn/internal/testkit"
 )
@@ -83,27 +84,33 @@ func TestGateResultLayouts(t *testing.T) {
 
 // TestGateWelcomeModulus: a welcome round-trips the tenant's key and
 // table shape, and an otherwise valid one carrying a modulus no Paillier
-// key has, or an attribute width no table has, is ErrBadFrame at the
-// handshake.
+// key has, or a shape no table has — an attribute width past
+// dataset.MaxAttrBits, more columns than dataset.MaxColumns — is
+// ErrBadFrame at the handshake.
 func TestGateWelcomeModulus(t *testing.T) {
 	pk := &testkit.Key(256).PublicKey
-	w, err := decodeGateWelcome(encodeGateWelcome(pk.N, 10, 5, 3, 4))
+	shape := dataset.Shape{M: 5, FeatureM: 3, AttrBits: 4}
+	w, err := decodeGateWelcome(encodeGateWelcome(pk.N, 10, shape))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !w.pk.Equal(pk) || w.n != 10 || w.m != 5 || w.featureM != 3 || w.attrBits != 4 {
+	if !w.pk.Equal(pk) || w.n != 10 || w.shape != shape {
 		t.Fatalf("welcome = %+v", w)
 	}
 	for name, mod := range testkit.HostileModuli() {
-		ints := encodeGateWelcome(pk.N, 10, 5, 3, 4)
+		ints := encodeGateWelcome(pk.N, 10, shape)
 		ints[0] = mod
 		if _, err := decodeGateWelcome(ints); !errors.Is(err, core.ErrBadFrame) {
 			t.Errorf("modulus %s: err = %v, want ErrBadFrame", name, err)
 		}
 	}
-	for _, bits := range []int{0, -1, maxGateBits + 1} {
-		if _, err := decodeGateWelcome(encodeGateWelcome(pk.N, 10, 5, 3, bits)); !errors.Is(err, core.ErrBadFrame) {
-			t.Errorf("attribute width %d: err = %v, want ErrBadFrame", bits, err)
+	for _, bad := range []dataset.Shape{
+		{M: 5, FeatureM: 3, AttrBits: 0}, {M: 5, FeatureM: 3, AttrBits: -1},
+		{M: 5, FeatureM: 3, AttrBits: dataset.MaxAttrBits + 1}, {M: 5, FeatureM: 3, AttrBits: 64},
+		{M: dataset.MaxColumns + 1, FeatureM: 3, AttrBits: 4}, {M: 5, FeatureM: 6, AttrBits: 4}, {M: 5, FeatureM: 0, AttrBits: 4},
+	} {
+		if _, err := decodeGateWelcome(encodeGateWelcome(pk.N, 10, bad)); !errors.Is(err, core.ErrBadFrame) {
+			t.Errorf("shape %+v: err = %v, want ErrBadFrame", bad, err)
 		}
 	}
 }
@@ -131,10 +138,11 @@ func FuzzGateResult(f *testing.F) {
 	f.Add(flat(gateResult(1, m, core.RowLayout{Cols: 1}, 0, 0, 0, 0, 0, 15, 0, 9, 1, 15)))
 	f.Add(flat(gateResult(1, m, core.RowLayout{Cols: 4, Bits: 200}, 0, 0, 1, 1)))
 	f.Add([]byte{})
-	f.Add(flat(&mpc.Message{Ints: encodeGateWelcome(pk.N, 10, m, 3, 4)}))
+	shape := dataset.Shape{M: m, FeatureM: 3, AttrBits: 4}
+	f.Add(flat(&mpc.Message{Ints: encodeGateWelcome(pk.N, 10, shape)}))
 	for _, mod := range testkit.HostileModuli() {
 		if mod != nil && mod.Sign() >= 0 { // what the byte layout below can carry
-			f.Add(flat(&mpc.Message{Ints: encodeGateWelcome(mod, 10, m, 3, 4)}))
+			f.Add(flat(&mpc.Message{Ints: encodeGateWelcome(mod, 10, shape)}))
 		}
 	}
 	// Query requests over the tenant's three query attributes: well
@@ -163,10 +171,10 @@ func FuzzGateResult(f *testing.F) {
 			ints = append(ints, v)
 		}
 		if w, err := decodeGateWelcome(ints); err == nil {
-			if w.pk.N.Bit(0) == 0 || w.pk.N.BitLen() < 64 || w.m < 1 || w.m > maxGateM || w.featureM > w.m ||
-				w.attrBits < 1 || w.attrBits > maxGateBits {
-				t.Fatalf("decodeGateWelcome accepted N of %d bits, table %d/%d of %d-bit attributes",
-					w.pk.N.BitLen(), w.m, w.featureM, w.attrBits)
+			s := w.shape
+			if w.pk.N.Bit(0) == 0 || w.pk.N.BitLen() < 64 || s.M < 1 || s.M > dataset.MaxColumns ||
+				s.FeatureM < 1 || s.FeatureM > s.M || s.AttrBits < 1 || s.AttrBits > dataset.MaxAttrBits {
+				t.Fatalf("decodeGateWelcome accepted N of %d bits, table %+v", w.pk.N.BitLen(), s)
 			}
 		}
 		if gotK, _, gotQ, err := decodeGateQuery(pk, featureM, &mpc.Message{Op: OpGateQuery, Ints: ints}); err == nil &&

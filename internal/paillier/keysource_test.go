@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"sknn/internal/core"
+	"sknn/internal/dataset"
 	"sknn/internal/gateway"
 	"sknn/internal/mpc"
 	"sknn/internal/paillier"
@@ -33,8 +34,7 @@ func (b *captureBackend) BasicQuery(_ context.Context, q core.EncryptedQuery, _ 
 	return nil, errCaptured
 }
 func (b *captureBackend) N() int                  { return 4 }
-func (b *captureBackend) M() (int, int)           { return 2, 2 }
-func (b *captureBackend) AttrBits() int           { return 8 }
+func (b *captureBackend) Shape() dataset.Shape    { return dataset.Shape{M: 2, FeatureM: 2, AttrBits: 8} }
 func (b *captureBackend) PK() *paillier.PublicKey { return b.pk }
 func (b *captureBackend) Close() error            { return nil }
 

@@ -430,7 +430,7 @@ func TestSkNNmSentinelHeadroom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := dataset.DomainBits(table.AttrBits(), 3)
+	l := dataset.DomainBits(table.Shape().AttrBits, 3)
 	if l != 2 {
 		t.Fatalf("l = %d, want 2", l)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"sknn/internal/dataset"
 	"sknn/internal/mpc"
 	"sknn/internal/paillier"
 )
@@ -325,6 +326,40 @@ func TestConcurrentRequestersShareOneResponder(t *testing.T) {
 	for w, err := range errs {
 		if err != nil {
 			t.Errorf("worker %d: %v", w, err)
+		}
+	}
+}
+
+// TestSSEDPackShapeBound: C2's packed SSED handler admits the rows of
+// any table shape — up to dataset.MaxColumns feature columns, the bound
+// every other layer keeps — and refuses one past it, or past
+// dataset.MaxAttrBits, as ErrBadFrame before decrypting anything.
+func TestSSEDPackShapeBound(t *testing.T) {
+	sk := testKey()
+	mux := NewResponder(sk, nil).Mux()
+	frame := func(m, vb int) *mpc.Message {
+		codec, err := paillier.NewPacking(&sk.PublicKey, min(vb, dataset.MaxAttrBits))
+		if err != nil {
+			t.Fatal(err)
+		}
+		group, err := codec.PackEncrypt(rand.Reader, []*big.Int{big.NewInt(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ints := []*big.Int{big.NewInt(1), big.NewInt(int64(m)), big.NewInt(int64(vb))}
+		for g := 0; g < codec.Groups(m); g++ {
+			ints = append(ints, group.Raw())
+		}
+		return &mpc.Message{Op: OpSSEDPack, Ints: ints}
+	}
+	for _, m := range []int{1100, dataset.MaxColumns} {
+		if resp, err := mux.Handle(frame(m, 1)); err != nil || len(resp.Ints) != 1 {
+			t.Errorf("%d columns of 1-bit attributes: err = %v, want one distance", m, err)
+		}
+	}
+	for _, c := range []struct{ m, vb int }{{dataset.MaxColumns + 1, 1}, {2, dataset.MaxAttrBits + 1}, {0, 1}} {
+		if _, err := mux.Handle(frame(c.m, c.vb)); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%d columns of %d-bit attributes: err = %v, want ErrBadFrame", c.m, c.vb, err)
 		}
 	}
 }

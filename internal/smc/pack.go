@@ -2,8 +2,10 @@ package smc
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 
+	"sknn/internal/dataset"
 	"sknn/internal/mpc"
 	"sknn/internal/paillier"
 )
@@ -24,10 +26,6 @@ import (
 // enough for any real batch, small enough that a hostile header cannot
 // drive allocation.
 const smPackMaxCount = 1 << 22
-
-// smPackMaxAttrs bounds the record arity in a packed SSED frame,
-// matching the shard-hello attribute cap.
-const smPackMaxAttrs = 1 << 10
 
 // packMaxValueBits mirrors the codec's own bound for header validation
 // before NewPacking runs.
@@ -231,12 +229,17 @@ func (rq *Requester) SSEDManyPacked(q []*paillier.Ciphertext, rows [][]*paillier
 // handleSSEDPack is C2's half of the packed SSED: decrypt each record's
 // slot groups, square and sum the blinded slot values, reply with one
 // encryption per record. Frame: [count, m, valueBits, count·groups cts].
+// The records are a table's feature rows at its attribute width, so m and
+// valueBits must make a shape a table admits (dataset.Shape.Check).
 func (rp *Responder) handleSSEDPack(req *mpc.Message) (*mpc.Message, error) {
 	f := mpc.ReadFields(req.Ints)
-	count, m, vb := f.Int(1, smPackMaxCount), f.Int(1, smPackMaxAttrs), f.Int(1, packMaxValueBits)
+	count, m, vb := f.Int(1, smPackMaxCount), f.Int(math.MinInt, math.MaxInt), f.Int(math.MinInt, math.MaxInt)
 	body := mpc.ReadRest(f, rp.sk.FromRaw)
 	if err := f.Err(); err != nil {
 		return nil, fmt.Errorf("smc: packed SSED: %w", err)
+	}
+	if err := (dataset.Shape{M: m, FeatureM: m, AttrBits: vb}).Check(); err != nil {
+		return nil, fmt.Errorf("%w: packed SSED: %w", ErrBadFrame, err)
 	}
 	codec, err := paillier.NewPacking(&rp.sk.PublicKey, vb)
 	if err != nil {

@@ -91,7 +91,7 @@ func FuzzSnapshotRead(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := core.CheckDomainBits(snap.PK, dataset.DomainBits(snap.Table.AttrBits, snap.Table.FeatureM)); err != nil {
+		if err := core.CheckDomainBits(snap.PK, dataset.DomainBits(snap.Table.Shape.AttrBits, snap.Table.Shape.FeatureM)); err != nil {
 			t.Fatalf("accepted a snapshot whose key cannot carry its l: %v", err)
 		}
 		// A successful parse must be internally coherent enough to
@@ -300,7 +300,7 @@ func TestStoreSplitMerge(t *testing.T) {
 		if p.ShardIndex != i || p.ShardCount != 2 {
 			t.Fatalf("part %d lineage %d/%d", i, p.ShardIndex, p.ShardCount)
 		}
-		if p.Table.AttrBits != snap.Table.AttrBits || p.Table.FeatureM != snap.Table.FeatureM {
+		if p.Table.Shape.AttrBits != snap.Table.Shape.AttrBits || p.Table.Shape.FeatureM != snap.Table.Shape.FeatureM {
 			t.Fatalf("part %d domain metadata lost", i)
 		}
 		// Round-trip each shard file.

@@ -77,13 +77,6 @@ var (
 // amd64 and arm64.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // flag bits of the header.
 const (
 	flagClustered = 1 << 0
@@ -92,9 +85,9 @@ const (
 
 // Snapshot is one parsed table file: the public key it is encrypted
 // under and the full table state ready for core.RestoreTable — including
-// the attribute width the header records, which lives on Table.AttrBits
-// and nowhere else. l is no field here, and a v3 header carries none: it
-// is dataset.DomainBits(Table.AttrBits, Table.FeatureM). A shard
+// the table shape the header records, which lives on Table.Shape and
+// nowhere else. l is no field here, and a v3 header carries none: it is
+// Table.Shape.DomainBits(). A shard
 // snapshot (written by Split) additionally records
 // its partition lineage: this file holds the records with stable id ≡
 // ShardIndex mod ShardCount. ShardCount 0 means an unsharded
@@ -132,9 +125,9 @@ func Write(w io.Writer, pk *paillier.PublicKey, tbl *core.TableSnapshot) error {
 }
 
 // WriteSnapshot serializes snap — including its shard lineage, when it
-// is one shard of a partition — in snapshot format Version. Its attribute
-// width must be one a table admits, at most dataset.MaxAttrBits, so that
-// Read takes back whatever WriteSnapshot writes.
+// is one shard of a partition — in snapshot format Version. Its shape
+// must be one a table admits (dataset.Shape.Check), so that Read takes
+// back whatever WriteSnapshot writes.
 func WriteSnapshot(w io.Writer, snap *Snapshot) error {
 	if snap == nil {
 		return fmt.Errorf("%w: nil snapshot", ErrFormat)
@@ -152,8 +145,9 @@ func WriteSnapshot(w io.Writer, snap *Snapshot) error {
 		return fmt.Errorf("%w: inconsistent table snapshot (%d records, %d ids, %d dead)",
 			ErrFormat, n, len(tbl.IDs), len(tbl.Dead))
 	}
-	if tbl.AttrBits < 1 || tbl.AttrBits > dataset.MaxAttrBits {
-		return fmt.Errorf("%w: attrBits=%d outside [1,%d]", ErrFormat, tbl.AttrBits, dataset.MaxAttrBits)
+	shape := tbl.Shape
+	if err := shape.Check(); err != nil {
+		return fmt.Errorf("%w: %w", ErrFormat, err)
 	}
 	bw := bufio.NewWriterSize(w, 1<<16)
 	h := crc32.New(crcTable)
@@ -169,9 +163,9 @@ func WriteSnapshot(w io.Writer, snap *Snapshot) error {
 		flags |= flagSharded
 	}
 	out.u16(flags)
-	out.u32(uint32(tbl.M))
-	out.u32(uint32(tbl.FeatureM))
-	out.u32(uint32(tbl.AttrBits))
+	out.u32(uint32(shape.M))
+	out.u32(uint32(shape.FeatureM))
+	out.u32(uint32(shape.AttrBits))
 	out.u64(uint64(n))
 	out.u64(tbl.NextID)
 	if flags&flagSharded != 0 {
@@ -196,8 +190,8 @@ func WriteSnapshot(w io.Writer, snap *Snapshot) error {
 		out.uvarint(id)
 	}
 	for i, rec := range tbl.Records {
-		if len(rec) != tbl.M {
-			return fmt.Errorf("%w: record %d has %d attributes, want %d", ErrFormat, i, len(rec), tbl.M)
+		if len(rec) != shape.M {
+			return fmt.Errorf("%w: record %d has %d attributes, want %d", ErrFormat, i, len(rec), shape.M)
 		}
 		for _, ct := range rec {
 			out.bigInt(ct.Raw())
@@ -210,9 +204,9 @@ func WriteSnapshot(w io.Writer, snap *Snapshot) error {
 		}
 		out.u32(uint32(len(tbl.Centroids)))
 		for j, cent := range tbl.Centroids {
-			if len(cent) != tbl.FeatureM {
+			if len(cent) != shape.FeatureM {
 				return fmt.Errorf("%w: centroid %d has %d attributes, want %d",
-					ErrFormat, j, len(cent), tbl.FeatureM)
+					ErrFormat, j, len(cent), shape.FeatureM)
 			}
 			for _, ct := range cent {
 				out.bigInt(ct.Raw())
@@ -263,9 +257,7 @@ func Read(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: file is v%d, this build reads v%d–v%d", ErrVersion, version, minVersion, Version)
 	}
 	flags := in.u16()
-	m := int(in.u32())
-	featureM := int(in.u32())
-	attrBits := int(in.u32())
+	shape := dataset.Shape{M: int(in.u32()), FeatureM: int(in.u32()), AttrBits: int(in.u32())}
 	headerL := 0
 	if version < 3 {
 		headerL = int(in.u32())
@@ -283,25 +275,22 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if flags&flagSharded != 0 && (shardCount < 1 || shardIndex < 0 || shardIndex >= shardCount) {
 		return nil, fmt.Errorf("%w: shard %d of %d", ErrFormat, shardIndex, shardCount)
 	}
-	const maxN, maxM = 1 << 40, 1 << 12
-	if m < 1 || m > maxM || featureM < 1 || featureM > m {
-		return nil, fmt.Errorf("%w: %d attributes, %d feature columns", ErrFormat, m, featureM)
+	// The engine's own header invariants: the shape is one a table
+	// admits, and a v1 or v2 header's l is what those versions derived
+	// from the shape — the engine's l plus the headroom bit they kept for
+	// the paper's step 3(e) sentinel. A file that breaks either was not
+	// written by this engine.
+	if err := shape.Check(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrFormat, err)
 	}
-	// The engine's own header invariants: no table is wider than
-	// dataset.MaxAttrBits, and a v1 or v2 header's l is what those
-	// versions derived from the shape — the engine's l plus the headroom
-	// bit they kept for the paper's step 3(e) sentinel. A file that
-	// breaks either was not written by this engine.
-	if attrBits < 1 || attrBits > dataset.MaxAttrBits {
-		return nil, fmt.Errorf("%w: attrBits=%d outside [1,%d]", ErrFormat, attrBits, dataset.MaxAttrBits)
-	}
-	l := dataset.DomainBits(attrBits, featureM)
+	l := shape.DomainBits()
 	if version < 3 && headerL != l+1 {
-		return nil, fmt.Errorf("%w: v%d domain size l=%d inconsistent with attrBits=%d, featureM=%d (want %d)",
-			ErrFormat, version, headerL, attrBits, featureM, l+1)
+		return nil, fmt.Errorf("%w: v%d domain size l=%d inconsistent with shape %v (want %d)",
+			ErrFormat, version, headerL, shape, l+1)
 	}
 	// maxN exceeds a 32-bit int: there the cap is math.MaxInt, so the
 	// conversion below never wraps.
+	const maxN = 1 << 40
 	if n64 < 1 || n64 > min(maxN, math.MaxInt) {
 		return nil, fmt.Errorf("%w: %d records", ErrFormat, n64)
 	}
@@ -349,19 +338,17 @@ func Read(r io.Reader) (*Snapshot, error) {
 	// kilobytes, not commit terabytes. preallocN caps every
 	// n-proportional make; record/centroid rows append as ciphertexts
 	// actually arrive.
-	preallocN := minInt(n, 1<<12)
+	preallocN := min(n, 1<<12)
 	tbl := &core.TableSnapshot{
-		M:        m,
-		FeatureM: featureM,
-		AttrBits: attrBits,
-		NextID:   nextID,
-		IDs:      make([]uint64, 0, preallocN),
-		Dead:     make([]bool, 0, preallocN),
+		Shape:  shape,
+		NextID: nextID,
+		IDs:    make([]uint64, 0, preallocN),
+		Dead:   make([]bool, 0, preallocN),
 	}
 	bitmapLen := (n + 7) / 8
-	bitmap := make([]byte, 0, minInt(bitmapLen, 1<<12))
+	bitmap := make([]byte, 0, min(bitmapLen, 1<<12))
 	for read := 0; read < bitmapLen; {
-		chunk := minInt(bitmapLen-read, 1<<12)
+		chunk := min(bitmapLen-read, 1<<12)
 		bitmap = append(bitmap, make([]byte, chunk)...)
 		in.bytes(bitmap[read : read+chunk])
 		if in.err != nil {
@@ -380,8 +367,8 @@ func Read(r io.Reader) (*Snapshot, error) {
 	}
 	tbl.Records = make([]core.EncryptedRecord, 0, preallocN)
 	for i := 0; i < n; i++ {
-		rec := make(core.EncryptedRecord, 0, minInt(m, 64))
-		for j := 0; j < m; j++ {
+		rec := make(core.EncryptedRecord, 0, min(shape.M, 64))
+		for j := 0; j < shape.M; j++ {
 			ct, err := in.ciphertext(pk, maxCT)
 			if err != nil {
 				return nil, fmt.Errorf("record %d attribute %d: %w", i, j, err)
@@ -398,11 +385,11 @@ func Read(r io.Reader) (*Snapshot, error) {
 		if c < 1 || c > n {
 			return nil, fmt.Errorf("%w: %d clusters over %d records", ErrFormat, c, n)
 		}
-		preallocC := minInt(c, 1<<12)
+		preallocC := min(c, 1<<12)
 		tbl.Centroids = make([]core.EncryptedRecord, 0, preallocC)
 		for j := 0; j < c; j++ {
-			cent := make(core.EncryptedRecord, 0, minInt(featureM, 64))
-			for hh := 0; hh < featureM; hh++ {
+			cent := make(core.EncryptedRecord, 0, min(shape.FeatureM, 64))
+			for hh := 0; hh < shape.FeatureM; hh++ {
 				ct, err := in.ciphertext(pk, maxCT)
 				if err != nil {
 					return nil, fmt.Errorf("centroid %d attribute %d: %w", j, hh, err)
@@ -420,7 +407,7 @@ func Read(r io.Reader) (*Snapshot, error) {
 			if count > uint64(n) {
 				return nil, fmt.Errorf("%w: cluster %d claims %d members of %d records", ErrFormat, j, count, n)
 			}
-			mem := make([]int, 0, minInt(int(count), 1<<12))
+			mem := make([]int, 0, min(int(count), 1<<12))
 			pos := -1
 			for i := 0; i < int(count); i++ {
 				delta := in.uvarint()

@@ -87,8 +87,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		// 6 bits is what EncryptTable derived from buildTable's widest value, 61.
-		if snap.Table.AttrBits != 6 || snap.Table.FeatureM != 2 {
-			t.Fatalf("meta = %d/%d, want 6/2", snap.Table.AttrBits, snap.Table.FeatureM)
+		if snap.Table.Shape.AttrBits != 6 || snap.Table.Shape.FeatureM != 2 {
+			t.Fatalf("meta = %d/%d, want 6/2", snap.Table.Shape.AttrBits, snap.Table.Shape.FeatureM)
 		}
 		back, err := core.RestoreTable(snap.PK, snap.Table)
 		if err != nil {
@@ -257,7 +257,7 @@ func TestReadRefusesForeignDomain(t *testing.T) {
 
 	for _, bits := range []int{24, 25, 64} {
 		wide := *snap
-		wide.AttrBits = bits
+		wide.Shape.AttrBits = bits
 		var buf bytes.Buffer
 		err := Write(&buf, pk, &wide)
 		if bits <= dataset.MaxAttrBits {
@@ -294,6 +294,44 @@ func TestReadRefusesForeignDomain(t *testing.T) {
 		if _, err := Read(bytes.NewReader(write(small, tbl.Snapshot()))); !errors.Is(err, want) {
 			t.Errorf("117-bit key, l = %d: err = %v, want %v", dataset.DomainBits(24, f), err, want)
 		}
+	}
+}
+
+// TestSnapshotColumnBound: the snapshot writer and reader keep the one
+// column bound, dataset.MaxColumns: a table that wide round-trips, one
+// column wider is refused by WriteSnapshot as ErrFormat — not written
+// into a file Read then refuses — and a header forged to declare it is
+// refused by Read.
+func TestSnapshotColumnBound(t *testing.T) {
+	pk := &testKey().PublicKey
+	ct, err := pk.Encrypt(rand.Reader, big.NewInt(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapOf := func(m int) *core.TableSnapshot {
+		rec := make(core.EncryptedRecord, m)
+		for j := range rec {
+			rec[j] = ct
+		}
+		return &core.TableSnapshot{Shape: dataset.Shape{M: m, FeatureM: 2, AttrBits: 1}, NextID: 1,
+			Records: []core.EncryptedRecord{rec}, IDs: []uint64{0}, Dead: []bool{false}}
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, pk, snapOf(dataset.MaxColumns)); err != nil {
+		t.Fatalf("writing %d columns: %v", dataset.MaxColumns, err)
+	}
+	if snap, err := Read(&buf); err != nil || snap.Table.Shape.M != dataset.MaxColumns {
+		t.Fatalf("reading %d columns: err = %v", dataset.MaxColumns, err)
+	}
+	buf.Reset()
+	if err := Write(&buf, pk, snapOf(dataset.MaxColumns+1)); !errors.Is(err, ErrFormat) || buf.Len() != 0 {
+		t.Errorf("writing %d columns: err = %v after %d bytes, want ErrFormat before any", dataset.MaxColumns+1, err, buf.Len())
+	}
+	forged := encode(t, buildTable(t, false, false))
+	binary.LittleEndian.PutUint32(forged[12:], dataset.MaxColumns+1)
+	binary.LittleEndian.PutUint32(forged[len(forged)-4:], crc32.Checksum(forged[:len(forged)-4], crcTable))
+	if _, err := Read(bytes.NewReader(forged)); !errors.Is(err, ErrFormat) {
+		t.Errorf("reading a header of %d columns: err = %v, want ErrFormat", dataset.MaxColumns+1, err)
 	}
 }
 

@@ -59,13 +59,14 @@ func (s *System) Insert(row []uint64) (uint64, error) {
 		return 0, err
 	}
 	defer s.end()
-	if len(row) != s.M() {
-		return 0, fmt.Errorf("sknn: inserting row with %d attributes, table has %d", len(row), s.M())
+	shape := s.eng.Shape()
+	if len(row) != shape.M {
+		return 0, fmt.Errorf("sknn: inserting row with %d attributes, table has %d", len(row), shape.M)
 	}
-	limit := uint64(1) << s.attrBits
+	limit := uint64(1) << shape.AttrBits
 	for j, v := range row {
 		if v >= limit {
-			return 0, fmt.Errorf("sknn: inserted attribute %d value %d ≥ 2^%d", j, v, s.attrBits)
+			return 0, fmt.Errorf("sknn: inserted attribute %d value %d ≥ 2^%d", j, v, shape.AttrBits)
 		}
 	}
 	// Owner-side encryption: the only party seeing plaintext is the one
@@ -85,8 +86,7 @@ func (s *System) Insert(row []uint64) (uint64, error) {
 	tbl := owner.Table()
 	clusterID := -1
 	if tbl.Clustered() {
-		featureM := tbl.FeatureM()
-		eq, err := s.client.EncryptQuery(row[:featureM])
+		eq, err := s.client.EncryptQuery(row[:shape.FeatureM])
 		if err != nil {
 			return 0, fmt.Errorf("sknn: encrypting insert routing query: %w", err)
 		}
@@ -203,7 +203,7 @@ func (s *System) compactShardLocked(owner *core.CloudC1) error {
 	if !tbl.Clustered() {
 		return nil
 	}
-	rows, err := decryptSnapshotRows(s.sk, tbl.Snapshot(), tbl.FeatureM())
+	rows, err := decryptSnapshotRows(s.sk, tbl.Snapshot(), tbl.Shape().FeatureM)
 	if err != nil {
 		return fmt.Errorf("sknn: compact: %w", err)
 	}

@@ -349,7 +349,7 @@ func TestLoadTableErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	wide := *snap.Table
-	wide.AttrBits = 30
+	wide.Shape.AttrBits = 30
 	if err := store.Write(io.Discard, &facadeKey().PublicKey, &wide); !errors.Is(err, store.ErrFormat) {
 		t.Errorf("writing attrBits=30: err = %v, want store.ErrFormat", err)
 	}

@@ -454,8 +454,8 @@ func TestBasicScanCostAtBenchShape(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if table.AttrBits() != attrBits {
-				t.Fatalf("table derived %d-bit attributes from the rows, want %d", table.AttrBits(), attrBits)
+			if table.Shape().AttrBits != attrBits {
+				t.Fatalf("table derived %d-bit attributes from the rows, want %d", table.Shape().AttrBits, attrBits)
 			}
 			ssedCodec, err := paillier.NewPacking(pk, attrBits)
 			if err != nil {
@@ -583,8 +583,8 @@ func TestDeclaredWidthSizesTheSlots(t *testing.T) {
 			check := func(sys *System, step string) {
 				t.Helper()
 				for _, tb := range sys.tables() {
-					if tb.AttrBits() != attrBits {
-						t.Fatalf("%s: a table is %d bits wide, want the declared %d", step, tb.AttrBits(), attrBits)
+					if tb.Shape().AttrBits != attrBits {
+						t.Fatalf("%s: a table is %d bits wide, want the declared %d", step, tb.Shape().AttrBits, attrBits)
 					}
 				}
 				for _, mode := range []Mode{ModeBasic, ModeSecure} {

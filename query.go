@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"sknn/internal/core"
-	"sknn/internal/dataset"
 )
 
 // This file is the v2 query surface: one context-aware, options-based
@@ -19,9 +18,9 @@ import (
 var (
 	// ErrBadQuery marks a request rejected by validation — unknown
 	// mode, k out of [1, N], a query whose dimension does not match the
-	// table's feature columns, an SkNNm query with an attribute outside
-	// the table's domain (it also wraps dataset.ErrValueTooLarge), or a
-	// malformed option value. Validation runs before any Paillier work,
+	// table's feature columns (it also wraps core.ErrDimension), an SkNNm
+	// query with an attribute outside the table's domain (it also wraps
+	// dataset.ErrValueTooLarge), or a malformed option value. Validation runs before any Paillier work,
 	// so a bad request costs nothing.
 	ErrBadQuery = errors.New("sknn: invalid query")
 
@@ -104,17 +103,11 @@ func (s *System) validateQuery(q []uint64, o *queryOptions) error {
 	if n := s.N(); o.k > n {
 		return fmt.Errorf("%w: k=%d exceeds the %d live records", ErrBadQuery, o.k, n)
 	}
-	if len(q) != s.FeatureM() {
-		return fmt.Errorf("%w: query has %d attributes, table has %d feature columns",
-			ErrBadQuery, len(q), s.FeatureM())
-	}
 	if !(o.coverage >= 0) {
 		return fmt.Errorf("%w: coverage factor %g, want ≥ 0", ErrBadQuery, o.coverage)
 	}
-	if o.mode == ModeSecure {
-		if err := dataset.CheckQuery(q, s.attrBits); err != nil {
-			return fmt.Errorf("%w: %w", ErrBadQuery, err)
-		}
+	if err := s.eng.Shape().CheckQuery(q, o.mode == ModeSecure); err != nil {
+		return fmt.Errorf("%w: %w", ErrBadQuery, err)
 	}
 	return nil
 }
@@ -261,12 +254,9 @@ func (s *System) run(ctx context.Context, q []uint64, o *queryOptions) (*Result,
 	if o.mode == ModeBasic {
 		qm.Basic = &BasicMetrics{Total: sm.Total, Distance: sm.Distance, Rank: sm.Select, Reveal: sm.Reveal, Comm: sm.Comm}
 	}
-	rows, err := s.client.Unmask(res)
+	rows, err := s.client.Finish(q, res, o.mode == ModeSecure)
 	if err != nil {
 		return nil, err
-	}
-	if o.mode == ModeSecure {
-		core.NearestFirst(q, rows)
 	}
 	return &Result{Rows: rows, IDs: res.IDs, Metrics: qm}, nil
 }

@@ -198,7 +198,6 @@ type System struct {
 	sk          *paillier.PrivateKey
 	eng         *core.Engine // the coordinator every query enters through, over Shards workers
 	client      *core.Client
-	attrBits    int // per-attribute domain, bounds Insert values and SkNNm queries
 	index       IndexMode
 	cfgClusters int     // requested cluster count (0 = ⌈√n⌉), reused by Compact rebuilds
 	coverage    float64 // candidate-pool factor when index == IndexClustered
@@ -226,10 +225,17 @@ func New(rows [][]uint64, attrBits int, cfg Config) (*System, error) {
 	if err := tbl.Validate(); err != nil {
 		return nil, fmt.Errorf("sknn: %w", err)
 	}
-	// Reject bad configuration before the expensive key generation and
-	// table encryption below.
+	// Reject bad configuration, and a shape no table admits, before the
+	// expensive key generation and table encryption below.
 	if err := normalizeConfig(&cfg); err != nil {
 		return nil, err
+	}
+	shape := dataset.Shape{M: tbl.M(), FeatureM: tbl.M(), AttrBits: attrBits}
+	if cfg.FeatureColumns > 0 {
+		shape.FeatureM = cfg.FeatureColumns
+	}
+	if err := shape.Check(); err != nil {
+		return nil, fmt.Errorf("sknn: %w", err)
 	}
 	sk := cfg.Key
 	if sk == nil {
@@ -241,11 +247,7 @@ func New(rows [][]uint64, attrBits int, cfg Config) (*System, error) {
 	}
 
 	// Refuse a domain the key cannot carry before paying for the table.
-	featureM := tbl.M()
-	if cfg.FeatureColumns > 0 {
-		featureM = cfg.FeatureColumns
-	}
-	if err := core.CheckDomainBits(&sk.PublicKey, dataset.DomainBits(attrBits, featureM)); err != nil {
+	if err := core.CheckDomainBits(&sk.PublicKey, shape.DomainBits()); err != nil {
 		return nil, fmt.Errorf("sknn: %w", err)
 	}
 
@@ -253,16 +255,12 @@ func New(rows [][]uint64, attrBits int, cfg Config) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sknn: outsourcing table: %w", err)
 	}
-	// The declared domain, not the widest initial value, bounds what
-	// Insert may add later — and so sizes the table's packed slots.
-	if encTable, err = encTable.WithAttrBits(attrBits); err != nil {
+	// The declared shape — its domain, not the widest initial value,
+	// bounds what Insert may add later, and so sizes the packed slots.
+	snap := encTable.Snapshot()
+	snap.Shape = shape
+	if encTable, err = core.RestoreTable(&sk.PublicKey, snap); err != nil {
 		return nil, fmt.Errorf("sknn: %w", err)
-	}
-	if cfg.FeatureColumns > 0 {
-		encTable, err = encTable.WithFeatureColumns(cfg.FeatureColumns)
-		if err != nil {
-			return nil, fmt.Errorf("sknn: %w", err)
-		}
 	}
 	if cfg.Index == IndexClustered {
 		// Alice-side partitioning: she still holds the plaintext here, so
@@ -271,10 +269,10 @@ func New(rows [][]uint64, attrBits int, cfg Config) (*System, error) {
 		// distance information). Deterministic seed: a re-outsourced
 		// table gets the same layout.
 		featureRows := tbl.Rows
-		if featureM < tbl.M() {
+		if shape.FeatureM < shape.M {
 			featureRows = make([][]uint64, len(tbl.Rows))
 			for i, row := range tbl.Rows {
-				featureRows[i] = row[:featureM]
+				featureRows[i] = row[:shape.FeatureM]
 			}
 		}
 		c := cfg.Clusters
@@ -341,7 +339,6 @@ func assemble(sk *paillier.PrivateKey, encTable *core.EncryptedTable, cfg Config
 	sys := &System{
 		sk:          sk,
 		client:      core.NewClient(&sk.PublicKey, nil),
-		attrBits:    encTable.AttrBits(),
 		index:       index,
 		cfgClusters: cfg.Clusters,
 		coverage:    cfg.Coverage,
@@ -394,11 +391,11 @@ func (s *System) shardFor(id uint64) *core.CloudC1 {
 func (s *System) N() int { return s.eng.N() }
 
 // M returns the number of attributes.
-func (s *System) M() int { return s.eng.M() }
+func (s *System) M() int { return s.eng.Shape().M }
 
 // DomainBits returns l, the squared-distance domain size SkNNm uses:
 // dataset.DomainBits of the table's attribute width and feature columns.
-func (s *System) DomainBits() int { return s.eng.DomainBits() }
+func (s *System) DomainBits() int { return s.eng.Shape().DomainBits() }
 
 // PublicKey exposes the Paillier public key (e.g. for encrypting
 // additional data under the same system).
@@ -427,7 +424,7 @@ func (s *System) Clusters() int {
 // FeatureM returns how many leading attributes participate in distance
 // computation — the dimension a query vector must have (equal to M
 // unless Config.FeatureColumns narrowed it).
-func (s *System) FeatureM() int { return s.eng.FeatureM() }
+func (s *System) FeatureM() int { return s.eng.Shape().FeatureM }
 
 // CommStats reports cumulative C1↔C2 traffic over every link pool
 // (shard workers and coordinator included).
