@@ -68,6 +68,7 @@ fuzz-smoke:
 	go test -fuzz=FuzzDecodeCandidates -fuzztime=15s ./internal/svdknn
 	go test -fuzz=FuzzFixedBaseExp -fuzztime=20s ./internal/paillier
 	go test -fuzz=FuzzMultiScalarMul -fuzztime=20s ./internal/paillier
+	go test -fuzz=FuzzMontMul -fuzztime=20s ./internal/paillier
 
 # bench-smoke runs all four of the benchmark's workloads for 5 s each:
 # secure_scan (the facade), gateway_sharded (every link TCP, the parties

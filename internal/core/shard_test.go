@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"crypto/rand"
+	"errors"
 	"sort"
 	"sync"
 	"testing"
@@ -397,6 +398,17 @@ func TestSplitErrors(t *testing.T) {
 	}
 	if _, err := MergeTableSnapshots([]*TableSnapshot{parts[0], parts[0]}); err == nil {
 		t.Error("merge of a duplicated shard accepted")
+	}
+}
+
+// TestMergeRefusesMissingShard: a nil part is a topology error wherever
+// it sits, the first part and a lone one included.
+func TestMergeRefusesMissingShard(t *testing.T) {
+	parts := []*TableSnapshot{{}, {}}
+	for _, bad := range [][]*TableSnapshot{{nil}, {nil, parts[1]}, {parts[0], nil}, {nil, nil, parts[0]}} {
+		if got, err := MergeTableSnapshots(bad); !errors.Is(err, ErrShardTopology) {
+			t.Errorf("merge of %d parts with a nil one: %v, %v; want ErrShardTopology", len(bad), got, err)
+		}
 	}
 }
 

@@ -100,6 +100,11 @@ func MergeTableSnapshots(parts []*TableSnapshot) (*TableSnapshot, error) {
 	if shards == 0 {
 		return nil, fmt.Errorf("core: merging zero shards")
 	}
+	for w, p := range parts {
+		if p == nil {
+			return nil, fmt.Errorf("%w: missing shard %d", ErrShardTopology, w)
+		}
+	}
 	if shards == 1 {
 		return parts[0], nil
 	}
@@ -107,9 +112,6 @@ func MergeTableSnapshots(parts []*TableSnapshot) (*TableSnapshot, error) {
 	clustered := len(parts[0].Centroids) > 0
 	out := &TableSnapshot{Shape: parts[0].Shape}
 	for w, p := range parts {
-		if p == nil {
-			return nil, fmt.Errorf("%w: missing shard %d", ErrShardTopology, w)
-		}
 		if p.Shape != out.Shape {
 			return nil, fmt.Errorf("%w: shard %d table shape %v, want %v", ErrShardTopology, w, p.Shape, out.Shape)
 		}

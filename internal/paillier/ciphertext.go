@@ -97,24 +97,19 @@ func (pk *PublicKey) AddPlain(a *Ciphertext, m *big.Int) *Ciphertext {
 // a different group element than E(a)^{N-|k|} but encrypts the same
 // plaintext, which is all any protocol step relies on.
 //
-// ScalarMul stays on big.Int.Exp, whose assembly product is cheaper than
-// the pure-Go limb product of mont.go: with one base MultiScalarMul only
-// breaks even at a 70-bit exponent and is ≈ 1.4× slower at a full-width
-// one (K = 512, BenchmarkMultiScalarMul and a 512-bit exponent). It wins
-// on several bases, by sharing their squarings — use it for a product of
-// powers.
+// The power is the sliding-window exponentiation of multiexp.go on the
+// key's N² context, whose windows follow the exponent's bits: a short
+// exponent pays for its own length. For a product of powers, use
+// MultiScalarMul, which shares one squaring chain among the bases.
 func (pk *PublicKey) ScalarMul(a *Ciphertext, k *big.Int) *Ciphertext {
 	if k.Sign() < 0 {
 		abs := new(big.Int).Neg(k)
 		abs.Mod(abs, pk.N)
 		if abs.BitLen()+64 < pk.N.BitLen() {
-			c := new(big.Int).Exp(pk.Inv(a).c, abs, pk.NSquared)
-			return &Ciphertext{c: c}
+			return &Ciphertext{c: pk.n2.exp(pk.Inv(a).c, abs)}
 		}
 	}
-	e := pk.reduceMessage(k)
-	c := new(big.Int).Exp(a.c, e, pk.NSquared)
-	return &Ciphertext{c: c}
+	return &Ciphertext{c: pk.n2.exp(a.c, pk.reduceMessage(k))}
 }
 
 // ScalarMulInt64 is ScalarMul with a small exponent.

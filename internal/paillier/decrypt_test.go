@@ -43,6 +43,27 @@ func checkDecryptBelow(t *testing.T, sk *PrivateKey, m *big.Int, bits int, wantO
 	if full, err := sk.Decrypt(ct); err != nil || full.Cmp(got) != 0 {
 		t.Fatalf("Decrypt = %v, %v; decryptBelow = %v", full, err, got)
 	}
+	checkHalvesMatchExp(t, sk, ct)
+}
+
+// checkHalvesMatchExp holds each CRT half's exponentiation c^(r−1) mod
+// r² to big.Int.Exp, and Decrypt to the textbook decryption, which runs
+// on big.Int.Exp alone.
+func checkHalvesMatchExp(t *testing.T, sk *PrivateKey, ct *Ciphertext) {
+	t.Helper()
+	for _, h := range []*crtHalf{&sk.p, &sk.q} {
+		want := new(big.Int).Exp(ct.c, h.minus1, h.square.big)
+		if got := h.square.exp(ct.c, h.minus1); got.Cmp(want) != 0 {
+			t.Fatalf("c^(r−1) mod r² = %v, want %v (c = %v, r = %v)", got, want, ct.c, h.prime)
+		}
+	}
+	full, err := sk.Decrypt(ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slow, err := sk.DecryptNoCRT(ct); err != nil || slow.Cmp(full) != 0 {
+		t.Fatalf("Decrypt = %v, textbook = %v, %v (c = %v)", full, slow, err, ct.c)
+	}
 }
 
 // TestOnePrimeMatchesDecrypt: below the bound bitlen(s) − 65 and at it,

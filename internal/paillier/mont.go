@@ -6,17 +6,28 @@ import (
 	"math/bits"
 )
 
-// Limb-level Montgomery arithmetic: the one product two kernels multiply
-// with — the nonce kernel (fixedbase.go) and the multi-exponentiation
-// (multiexp.go). A residue is n little-endian 64-bit limbs below the
-// modulus, in Montgomery form x·R mod m with R = 2^(64n). Plain
-// math/bits — no assembly, no unsafe, no dependence on the width of
-// big.Word: values cross to and from big.Int as big-endian bytes.
+// Limb-level Montgomery arithmetic: the one product every hot
+// exponentiation of this package multiplies with — the nonce combs
+// (fixedbase.go) and the sliding-window exponentiation (multiexp.go)
+// that decryption, ScalarMul, MultiScalarMul and PackCiphertexts run on.
+// A residue is n little-endian 64-bit limbs below the modulus, in
+// Montgomery form x·R mod m with R = 2^(64n). Values cross to and from
+// big.Int as big-endian bytes, so nothing depends on the width of
+// big.Word.
+//
+// The product has two bodies. On amd64 with BMI2 and ADX, a modulus of
+// a multiple of 8 limbs — N² and p², q² at K = 512, 1024 and 2048 —
+// multiplies in mont_amd64.s (MULX with two carry chains on ADCX and
+// ADOX); every other modulus, and every other CPU and architecture,
+// runs the math/bits body below, which the tests hold the assembly to.
+// The choice is made once per modulus, by newMontMod, from CPUID (read
+// at package init) and the limb count.
 //
 // A key's constructor (NewPublicKey, newPrivateKey) prepares its moduli
-// once: N² for every key — the public comb and MultiScalarMul share it —
-// and p², q² for the private combs. Preparing one is the only division;
-// a value enters Montgomery form by one product with R² mod m.
+// once: N² for every key — the public comb and the exponentiations on
+// ciphertexts share it — and p², q² for the private key's decryption
+// halves and CRT combs. Preparing one is the only division; a value
+// enters Montgomery form by one product with R² mod m.
 
 // montMod is an odd modulus prepared for Montgomery products. Immutable
 // after newMontMod; safe for concurrent use.
@@ -25,6 +36,7 @@ type montMod struct {
 	m   []uint64 // m as limbs
 	inv uint64   // −m⁻¹ mod 2^64
 	rr  []uint64 // R² mod m: a product with it puts a value into Montgomery form
+	adx bool     // mul runs montMulADX: the CPU has it and len(m) is a multiple of 8
 }
 
 // newMontMod prepares an odd modulus > 1. The moduli of this package
@@ -34,7 +46,7 @@ func newMontMod(mod *big.Int) *montMod {
 		panic("paillier: Montgomery modulus must be odd and above 1")
 	}
 	n := (mod.BitLen() + 63) / 64
-	mm := &montMod{big: mod, m: toLimbs(mod, n)}
+	mm := &montMod{big: mod, m: toLimbs(mod, n), adx: mulxAdx && n%8 == 0}
 	// Newton's iteration doubles the correct low bits of m⁻¹ each round;
 	// an odd m is its own inverse mod 8.
 	inv := mm.m[0]
@@ -75,14 +87,19 @@ func fromLimbs(x []uint64) *big.Int {
 	return new(big.Int).SetBytes(buf)
 }
 
-// mul sets z = x·y·R⁻¹ mod m, the Montgomery product, by finely
-// integrated operand scanning: one pass per limb of y adds x·y[i] and
-// the multiple u·m that clears the low limb, and stores the sum one limb
-// down. x, y < m hold n limbs each; t is scratch of n+1 limbs; z may
-// alias x or y, t may alias nothing.
+// mul sets z = x·y·R⁻¹ mod m, the Montgomery product. x, y < m hold n
+// limbs each; t is scratch of n+1 limbs; z may alias x or y, t may alias
+// nothing. Allocates nothing. Where mm.adx is set the product runs in
+// mont_amd64.s; the math/bits body is finely integrated operand
+// scanning: one pass per limb of y adds x·y[i] and the multiple u·m that
+// clears the low limb, and stores the sum one limb down.
 func (mm *montMod) mul(z, x, y, t []uint64) {
 	m, n := mm.m, len(mm.m)
 	x, y, z, t = x[:n], y[:n], z[:n], t[:n+1]
+	if mm.adx {
+		montMulADX(&z[0], &x[0], &y[0], &m[0], &t[0], n, mm.inv)
+		return
+	}
 	for i := range t {
 		t[i] = 0
 	}

@@ -2,28 +2,32 @@ package paillier
 
 import "math/big"
 
-// This file is the multi-exponentiation kernel: Π bⱼ^eⱼ mod N² for many
-// bases at once, the product C1 forms when it strips the blinds of a
-// packed SSED record, one short exponent per attribute. Exponentiating
-// each base on its own (ScalarMul) repeats the whole squaring chain per
-// base; Straus's simultaneous exponentiation (1964) interleaves them —
-// one chain of squarings serves every base, and each base only adds its
-// window products. Each exponent is cut into sliding windows of at most
-// multiExpWindow bits with an odd value d; base j tabulates its odd
-// powers bⱼ^1, bⱼ^3, …, bⱼ^(2^w − 1), and the window of value d whose
-// lowest bit sits at position p multiplies in bⱼ^d when the chain
-// reaches p. For m bases and B-bit exponents that is B squarings plus
-// about m·(B/(w+1) + 2^(w−1) + 1) products, against m·(B + B/(w+1) +
-// 2^(w−1)) for m separate exponentiations.
+// This file is the exponentiation kernel: Π bⱼ^eⱼ mod m for one base
+// or many, on a prepared modulus (mont.go) — the one routine every hot
+// exponentiation of this package runs: decryption's c^(r−1) mod r²
+// (crtHalf.decrypt), ScalarMul's single power, MultiScalarMul's product
+// of powers (C1 stripping the blinds of a packed SSED record, one short
+// exponent per attribute), and PackCiphertexts' Horner fold.
+// Exponentiating each base on its own repeats the whole squaring chain
+// per base; Straus's simultaneous exponentiation (1964) interleaves them
+// — one chain of squarings serves every base, and each base only adds
+// its window products. Each exponent is cut into sliding windows of at
+// most multiExpWindow bits with an odd value d; base j tabulates its odd
+// powers bⱼ^1, bⱼ^3, …, up to the largest d its windows use, and the
+// window of value d whose lowest bit sits at position p multiplies in
+// bⱼ^d when the chain reaches p. For m bases and B-bit exponents that is
+// B squarings plus about m·(B/(w+1) + 2^(w−1) + 1) products, against
+// m·(B + B/(w+1) + 2^(w−1)) for m separate exponentiations. A power of
+// two has one window of value 1 and tabulates nothing, so the Horner
+// fold Π cⱼ^(2^(j·W)) costs W squarings and one product per slot.
 //
-// Everything runs on the key's N² Montgomery context (mont.go), built by
-// the constructor: a base enters Montgomery form by one product with R²,
-// and nothing divides unless an exponent lies outside [0, N).
+// A base enters Montgomery form by one product with R², and nothing
+// divides unless a base is at or above m.
 
-// multiExpWindow is the sliding-window width w: 2^(w−1) table entries
-// per base. Picked on BenchmarkMultiScalarMul at K = 512, m = 6 and
-// 70-bit exponents (2-vCPU Xeon, median of three): w = 4 took 181 µs,
-// w = 3 191 µs and w = 5 213 µs.
+// multiExpWindow is the sliding-window width w: at most 2^(w−1) table
+// entries per base. Picked on BenchmarkMultiScalarMul at K = 512, m = 6
+// and 70-bit exponents (2-vCPU Xeon, median of three): w = 4 took
+// 181 µs, w = 3 191 µs and w = 5 213 µs.
 const multiExpWindow = 4
 
 // expWindow is one sliding window of an exponent: the odd value d
@@ -66,9 +70,27 @@ func (pk *PublicKey) MultiScalarMul(bases []*Ciphertext, exps []*big.Int) *Ciphe
 	if len(bases) != len(exps) {
 		panic("paillier: MultiScalarMul of mismatched lengths")
 	}
-	mm := pk.n2
+	bs, es := make([]*big.Int, len(bases)), make([]*big.Int, len(exps))
+	for j, b := range bases {
+		e := exps[j]
+		if e.Sign() < 0 || e.Cmp(pk.N) >= 0 {
+			e = new(big.Int).Mod(e, pk.N)
+		}
+		bs[j], es[j] = b.c, e
+	}
+	return &Ciphertext{c: pk.n2.multiExp(bs, es)}
+}
+
+// exp returns b^e mod m for e ≥ 0: multiExp of one base.
+func (mm *montMod) exp(b, e *big.Int) *big.Int {
+	return mm.multiExp([]*big.Int{b}, []*big.Int{e})
+}
+
+// multiExp returns Π bases[j]^exps[j] mod m for bases ≥ 0 and exponents
+// ≥ 0, 1 for an empty product; the caller passes slices of one length.
+// Neither slice's values are modified.
+func (mm *montMod) multiExp(bases, exps []*big.Int) *big.Int {
 	n := len(mm.m)
-	const entries = 1 << (multiExpWindow - 1)
 	t, sq := make([]uint64, n+1), make([]uint64, n)
 	type operand struct {
 		tab  []uint64 // bⱼ^(2i+1) in Montgomery form at [i·n, (i+1)·n)
@@ -78,15 +100,22 @@ func (pk *PublicKey) MultiScalarMul(bases []*Ciphertext, exps []*big.Int) *Ciphe
 	top := 0
 	for j, b := range bases {
 		e := exps[j]
-		if e.Sign() < 0 || e.Cmp(pk.N) >= 0 {
-			e = new(big.Int).Mod(e, pk.N)
-		}
 		if e.Sign() == 0 {
 			continue
 		}
-		op := operand{tab: make([]uint64, entries*n), wins: slidingWindows(e)}
-		copy(op.tab, mm.toMont(b.c, t))
-		mm.mul(sq, op.tab[:n], op.tab[:n], t)
+		if b.Cmp(mm.big) >= 0 {
+			b = new(big.Int).Mod(b, mm.big)
+		}
+		op := operand{wins: slidingWindows(e)}
+		entries := 1
+		for _, w := range op.wins {
+			entries = max(entries, w.d/2+1)
+		}
+		op.tab = make([]uint64, entries*n)
+		copy(op.tab, mm.toMont(b, t))
+		if entries > 1 {
+			mm.mul(sq, op.tab[:n], op.tab[:n], t)
+		}
 		for i := 1; i < entries; i++ {
 			mm.mul(op.tab[i*n:(i+1)*n], op.tab[(i-1)*n:i*n], sq, t)
 		}
@@ -116,10 +145,10 @@ func (pk *PublicKey) MultiScalarMul(bases []*Ciphertext, exps []*big.Int) *Ciphe
 		}
 	}
 	if !started {
-		return &Ciphertext{c: big.NewInt(1)}
+		return big.NewInt(1)
 	}
 	unit := make([]uint64, n)
 	unit[0] = 1 // a product with the plain 1 leaves Montgomery form
 	mm.mul(acc, acc, unit, t)
-	return &Ciphertext{c: fromLimbs(acc)}
+	return fromLimbs(acc)
 }

@@ -18,6 +18,19 @@ func productOfScalarMuls(pk *PublicKey, bases []*Ciphertext, exps []*big.Int) *C
 	return acc
 }
 
+// scalarMulByExp is ScalarMul's specification on big.Int.Exp: a^(k mod
+// N) mod N², or (a⁻¹)^|k| for a negative k whose magnitude mod N is 64
+// bits shorter than N.
+func scalarMulByExp(pk *PublicKey, a *Ciphertext, k *big.Int) *big.Int {
+	if k.Sign() < 0 {
+		abs := new(big.Int).Mod(new(big.Int).Neg(k), pk.N)
+		if abs.BitLen()+64 < pk.N.BitLen() {
+			return new(big.Int).Exp(new(big.Int).ModInverse(a.c, pk.NSquared), abs, pk.NSquared)
+		}
+	}
+	return new(big.Int).Exp(a.c, new(big.Int).Mod(k, pk.N), pk.NSquared)
+}
+
 // multiExpEdges returns the exponents where a sliding-window walk goes
 // wrong first: 0, 1, a full window 2^w − 1 and the first two-window
 // value 2^w, 70-bit values (SSED's unblinding width) and random values
@@ -41,10 +54,12 @@ func multiExpEdges(rng *mrand.Rand, n *big.Int) []*big.Int {
 // TestMultiScalarMulMatchesScalarMuls pins the kernel against a product
 // of ScalarMul calls — the same group element, not just the same
 // plaintext — at key sizes on either side of a limb boundary of N², for
-// 1 … 8 bases whose exponents are drawn from the edge set. The bases
-// include 1 and N² − 1, and one ciphertext often comes twice; every call
-// runs on &sk.PublicKey and on a NewPublicKey copy of it, which must
-// agree.
+// 1 … 8 bases whose exponents are drawn from the edge set, and every
+// ScalarMul on the edge set (0, 1, N − 1, negative k short and long)
+// against big.Int.Exp. The bases include 1 and N² − 1, and one
+// ciphertext often comes twice; every call runs on &sk.PublicKey and on
+// a NewPublicKey copy of it, which must agree. N² has 2, 8 and 16 limbs
+// here: the math/bits body and, where the CPU has it, the assembly.
 func TestMultiScalarMulMatchesScalarMuls(t *testing.T) {
 	for _, keyBits := range []int{64, 256, 512, 1024} {
 		t.Run(fmt.Sprintf("K=%d", keyBits), func(t *testing.T) {
@@ -75,6 +90,16 @@ func TestMultiScalarMulMatchesScalarMuls(t *testing.T) {
 					t.Fatal(err)
 				}
 				pool = append(pool, x)
+			}
+			for _, b := range pool {
+				for _, e := range edges {
+					want := scalarMulByExp(&sk.PublicKey, b, e)
+					for _, pk := range []*PublicKey{&sk.PublicKey, pub} {
+						if got := pk.ScalarMul(b, e); got.c.Cmp(want) != 0 {
+							t.Fatalf("ScalarMul(%v, %v) = %v, want %v", b, e, got, want)
+						}
+					}
+				}
 			}
 			for m := 1; m <= 8; m++ {
 				for round := 0; round < 12; round++ {

@@ -153,27 +153,23 @@ func (p *Packing) UnpackDecrypt(sk *PrivateKey, ct *Ciphertext, count int) ([]*b
 }
 
 // PackCiphertexts folds up to Slots individual ciphertexts into one
-// packed ciphertext by Horner's rule: E(Σ xⱼ·2^(j·Width)) =
-// ((E(x_{s−1})^(2^W)·E(x_{s−2}))^(2^W)·…)·E(x₀). Cost is
-// (len−1)·Width squarings, so callers pack where the result is reused
-// (cached table rows, the bit peel's remainders living across its
-// rounds). Slot values must be below 2^Width for the layout to hold —
-// the caller's invariant, untestable under encryption.
+// packed ciphertext: E(Σ xⱼ·2^(j·Width)) = Π E(xⱼ)^(2^(j·Width)), the
+// Horner fold ((E(x_{s−1})^(2^W)·E(x_{s−2}))^(2^W)·…)·E(x₀) as one
+// multi-exponentiation (multiexp.go) whose power-of-two exponents share
+// a single squaring chain. Cost is (len−1)·Width squarings and a product
+// per slot, so callers pack where the result is reused (cached table
+// rows, the bit peel's remainders living across its rounds). Slot
+// values must be below 2^Width for the layout to hold — the caller's
+// invariant, untestable under encryption.
 func (p *Packing) PackCiphertexts(cts []*Ciphertext) (*Ciphertext, error) {
 	if len(cts) < 1 || len(cts) > p.Slots {
 		return nil, fmt.Errorf("%w: %d ciphertexts into %d slots", ErrPackCount, len(cts), p.Slots)
 	}
-	shift := new(big.Int).Lsh(one, uint(p.Width))
-	acc := cts[len(cts)-1].c
-	for j := len(cts) - 2; j >= 0; j-- {
-		next := new(big.Int).Exp(acc, shift, p.pk.NSquared)
-		next.Mul(next, cts[j].c)
-		acc = next.Mod(next, p.pk.NSquared)
+	bases, exps := make([]*big.Int, len(cts)), make([]*big.Int, len(cts))
+	for j, ct := range cts {
+		bases[j], exps[j] = ct.c, new(big.Int).Lsh(one, uint(j*p.Width))
 	}
-	if acc == cts[len(cts)-1].c {
-		acc = new(big.Int).Set(acc)
-	}
-	return &Ciphertext{c: acc}, nil
+	return &Ciphertext{c: p.pk.n2.multiExp(bases, exps)}, nil
 }
 
 // AddPacked adds the plaintext group vals (slotwise) into the packed

@@ -123,9 +123,34 @@ func TestUnpackRejectsGarbage(t *testing.T) {
 
 // TestPackCiphertextsMatchesPackEncrypt: the Horner fold over individual
 // ciphertexts must land on the same plaintext layout as packing first
-// and encrypting once.
+// and encrypting once, and be the group element a Horner fold on
+// big.Int.Exp gives, for 1 to Slots slots — at K = 256 (N² of 8 limbs)
+// and at K = 512 (16), a row codec of 64 one-bit slots included.
 func TestPackCiphertextsMatchesPackEncrypt(t *testing.T) {
 	codec, sk := packCodec(t, 8)
+	sk512, err := GenerateKey(rand.Reader, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := NewPacking(&sk512.PublicKey, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, err := NewRowPacking(&sk512.PublicKey, 1, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		codec *Packing
+		sk    *PrivateKey
+	}{{codec, sk}, {wide, sk512}, {row, sk512}} {
+		for count := 1; count <= c.codec.Slots; count++ {
+			checkPackCiphertexts(t, c.codec, c.sk, count)
+		}
+	}
+	if _, err := codec.PackCiphertexts(make([]*Ciphertext, codec.Slots+1)); !errors.Is(err, ErrPackCount) {
+		t.Errorf("overfull fold error = %v, want ErrPackCount", err)
+	}
 	vals := []*big.Int{big.NewInt(200), big.NewInt(0), big.NewInt(255)}
 	cts := make([]*Ciphertext, len(vals))
 	for j, v := range vals {
@@ -228,4 +253,45 @@ func fuzzPackKey() *PrivateKey {
 	p, _ := new(big.Int).SetString("322675563644637075347871266145154846919", 10)
 	q, _ := new(big.Int).SetString("323776987140864129127030639610541904247", 10)
 	return NewPrivateKeyFromPrimes(p, q)
+}
+
+// checkPackCiphertexts folds count encryptions of values at the slot's
+// edges (0, 1, the largest payload) under codec, and fails unless the
+// result is the Horner fold on big.Int.Exp bit for bit and decrypts to
+// the values, slot by slot.
+func checkPackCiphertexts(t *testing.T, codec *Packing, sk *PrivateKey, count int) {
+	t.Helper()
+	pk := codec.pk
+	top := new(big.Int).Sub(new(big.Int).Lsh(one, uint(codec.ValueBits)), one)
+	vals := make([]*big.Int, count)
+	cts := make([]*Ciphertext, count)
+	for j := range vals {
+		vals[j] = []*big.Int{new(big.Int), big.NewInt(1), top}[j%3]
+		ct, err := pk.Encrypt(rand.Reader, vals[j])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cts[j] = ct
+	}
+	shift := new(big.Int).Lsh(one, uint(codec.Width))
+	want := new(big.Int).Set(cts[count-1].c)
+	for j := count - 2; j >= 0; j-- {
+		want.Exp(want, shift, pk.NSquared).Mul(want, cts[j].c).Mod(want, pk.NSquared)
+	}
+	folded, err := codec.PackCiphertexts(cts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if folded.c.Cmp(want) != 0 {
+		t.Fatalf("%d of %d %d-bit slots: fold = %v, want %v", count, codec.Slots, codec.Width, folded, want)
+	}
+	got, err := codec.UnpackDecrypt(sk, folded, count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range vals {
+		if got[j].Cmp(vals[j]) != 0 {
+			t.Fatalf("%d of %d slots: slot %d = %v, want %v", count, codec.Slots, j, got[j], vals[j])
+		}
+	}
 }

@@ -53,7 +53,8 @@ type PublicKey struct {
 
 	// fb is the nonce kernel every encryption under this key draws from
 	// (see fixedbase.go), and n2 is N² prepared for limb Montgomery
-	// products (mont.go), which MultiScalarMul runs on. Both are built by
+	// products (mont.go), which ScalarMul, MultiScalarMul and
+	// PackCiphertexts exponentiate on. Both are built by
 	// the constructor and immutable — which is why a key comes from
 	// NewPublicKey, GenerateKey or NewPrivateKey, never from a
 	// struct literal.
@@ -100,24 +101,24 @@ type PrivateKey struct {
 // plaintext known to lie below the smaller factor needs only that half.
 type crtHalf struct {
 	prime  *big.Int // r
-	square *big.Int // r²
 	minus1 *big.Int // r − 1
 	h      *big.Int // ( L_r(g^(r−1) mod r²) )⁻¹ mod r
+	square *montMod // r², prepared once: this half's exponentiation and the nonce comb mod r² share it
 }
 
 func newCRTHalf(r, g *big.Int) crtHalf {
 	h := crtHalf{
 		prime:  new(big.Int).Set(r),
-		square: new(big.Int).Mul(r, r),
 		minus1: new(big.Int).Sub(r, one),
+		square: newMontMod(new(big.Int).Mul(r, r)),
 	}
-	h.h = new(big.Int).ModInverse(lFunc(new(big.Int).Exp(g, h.minus1, h.square), r), r)
+	h.h = new(big.Int).ModInverse(lFunc(new(big.Int).Exp(g, h.minus1, h.square.big), r), r)
 	return h
 }
 
 // decrypt returns c's plaintext mod r: one exponentiation mod r².
 func (h *crtHalf) decrypt(c *big.Int) *big.Int {
-	m := lFunc(new(big.Int).Exp(c, h.minus1, h.square), h.prime)
+	m := lFunc(h.square.exp(c, h.minus1), h.prime)
 	m.Mul(m, h.h)
 	return m.Mod(m, h.prime)
 }
@@ -172,9 +173,10 @@ func coprimeToTotient(p, q *big.Int) bool {
 
 // newPrivateKey assembles a private key (and its embedded public key) from
 // the prime factors, precomputing everything decryption needs, the two
-// CRT combs every encryption under it draws from, and the same N²
-// Montgomery context a public-only key has: MultiScalarMul never uses
-// the factorisation.
+// CRT combs every encryption under it draws from — on the p² and q²
+// Montgomery contexts its decryption halves prepared, one per modulus —
+// and the same N² context a public-only key has: the exponentiations on
+// ciphertexts never use the factorisation.
 func newPrivateKey(p, q *big.Int) (*PrivateKey, error) {
 	n := new(big.Int).Mul(p, q)
 	nSquared := new(big.Int).Mul(n, n)
@@ -195,11 +197,11 @@ func newPrivateKey(p, q *big.Int) (*PrivateKey, error) {
 		return nil, err
 	}
 	priv.fb = &pkFixedBase{crt: &crtCombs{
-		p:       newComb(hN, newMontMod(priv.p.square), priv.p.minus1.BitLen()),
-		q:       newComb(hN, newMontMod(priv.q.square), priv.q.minus1.BitLen()),
+		p:       newComb(hN, priv.p.square, priv.p.minus1.BitLen()),
+		q:       newComb(hN, priv.q.square, priv.q.minus1.BitLen()),
 		pMinus1: priv.p.minus1,
 		qMinus1: priv.q.minus1,
-		q2InvP2: new(big.Int).ModInverse(priv.q.square, priv.p.square),
+		q2InvP2: new(big.Int).ModInverse(priv.q.square.big, priv.p.square.big),
 	}}
 	return priv, nil
 }

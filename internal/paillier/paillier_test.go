@@ -304,20 +304,27 @@ func TestDecryptRejectsBadCiphertext(t *testing.T) {
 	}
 }
 
+// TestCRTMatchesTextbookDecryption: Decrypt equals the textbook
+// decryption, and each CRT half's c^(r−1) mod r² equals big.Int.Exp, at
+// K = 256 (p² of 4 limbs: the math/bits product) and K = 512 (8 limbs:
+// the assembly where the CPU has it), on encryptions of edge plaintexts
+// and on the group's edge elements 1 and N² − 1.
 func TestCRTMatchesTextbookDecryption(t *testing.T) {
-	sk := testKey()
-	for _, v := range []int64{0, 1, 55, 58, 1 << 40} {
-		ct, _ := sk.Encrypt(rand.Reader, big.NewInt(v))
-		fast, err := sk.Decrypt(ct)
-		if err != nil {
-			t.Fatal(err)
+	sk512, err := GenerateKey(rand.Reader, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sk := range []*PrivateKey{testKey(), sk512} {
+		cts := []*Ciphertext{{c: big.NewInt(1)}, {c: new(big.Int).Sub(sk.NSquared, one)}}
+		for _, v := range []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(55), big.NewInt(58), big.NewInt(1 << 40), new(big.Int).Sub(sk.N, one)} {
+			ct, err := sk.Encrypt(rand.Reader, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cts = append(cts, ct)
 		}
-		slow, err := sk.DecryptNoCRT(ct)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fast.Cmp(slow) != 0 {
-			t.Errorf("CRT=%v textbook=%v for plaintext %d", fast, slow, v)
+		for _, ct := range cts {
+			checkHalvesMatchExp(t, sk, ct)
 		}
 	}
 }
