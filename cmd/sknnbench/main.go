@@ -28,12 +28,15 @@ import (
 	"log"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"sknn"
 	"sknn/internal/benchkit"
+	"sknn/internal/core"
 	"sknn/internal/dataset"
 	"sknn/internal/paillier"
+	"sknn/internal/reference"
 
 	"crypto/rand"
 )
@@ -350,11 +353,19 @@ func (b *bench) sminnShare() error {
 	return nil
 }
 
+// bobCost times Bob's one computation before a query: encrypting it
+// attribute-wise under the key Bob holds, a public key built from the
+// modulus alone (paillier.NewPublicKey), whose nonces take the public
+// comb rather than the private key's CRT one.
 func (b *bench) bobCost() error {
 	fig := benchkit.NewFigure("Section 5.2: Bob's query-encryption cost, m=6", "K (bits)", "time (ms)")
 	series := fig.NewSeries("encrypt query")
 	for _, keyBits := range []int{512, 1024} {
-		sys, q, err := b.system(4, 6, 8, keyBits, 1)
+		pk, err := paillier.NewPublicKey(b.key(keyBits).N)
+		if err != nil {
+			return err
+		}
+		q, err := dataset.GenerateQuery(1, 6, 8)
 		if err != nil {
 			return err
 		}
@@ -362,22 +373,11 @@ func (b *bench) bobCost() error {
 		const reps = 10
 		start := time.Now()
 		for i := 0; i < reps; i++ {
-			if _, err := runQuery(sys, q, 1, sknn.ModeBasic); err != nil {
-				sys.Close()
+			if _, err := pk.EncryptUint64Vector(rand.Reader, q); err != nil {
 				return err
 			}
 		}
-		_ = time.Since(start) // full-query time not reported; encryption below
-		encStart := time.Now()
-		for i := 0; i < reps; i++ {
-			if _, err := sys.PublicKey().EncryptUint64Vector(rand.Reader, q); err != nil {
-				sys.Close()
-				return err
-			}
-		}
-		perEncrypt := time.Since(encStart) / reps
-		sys.Close()
-		series.Add(float64(keyBits), float64(perEncrypt.Microseconds())/1000)
+		series.Add(float64(keyBits), float64((time.Since(start)/reps).Microseconds())/1000)
 	}
 	if err := fig.Fprint(os.Stdout); err != nil {
 		return err
@@ -386,28 +386,58 @@ func (b *bench) bobCost() error {
 	return nil
 }
 
-// comm is an extension beyond the paper: communication complexity of the
-// two protocols side by side.
+// comm is an extension beyond the paper: what one query of each protocol
+// costs between the clouds — round trips and C2's decryptions by path
+// (C2 runs in this process, so paillier.DecryptCalls counts them) —
+// beside the engine's cost model, core.PredictCost, and the round trips
+// the paper's printed protocols take at the same shape,
+// reference.PaperCost. An engine count the model does not predict is an
+// error.
 func (b *bench) comm() error {
-	n, m, k := b.sc.secureN, 6, 4
-	if k > n {
-		k = n
-	}
-	sys, q, err := b.system(n, m, 4, 512, 1)
+	n, m, k := b.sc.secureN, 6, min(4, b.sc.secureN)
+	const attrBits, keyBits = 4, 512
+	sys, q, err := b.system(n, m, attrBits, keyBits, 1)
 	if err != nil {
 		return err
 	}
 	defer sys.Close()
-	basic, err := runQuery(sys, q, k, sknn.ModeBasic)
+	shape := dataset.Shape{M: sys.M(), FeatureM: sys.FeatureM(), AttrBits: attrBits}
+	model, err := core.PredictCost(shape, keyBits, n, k, sys.Shards(), sys.Workers())
 	if err != nil {
 		return err
 	}
-	secure, err := runQuery(sys, q, k, sknn.ModeSecure)
-	if err != nil {
-		return err
+	paperSecure, paperBasic := reference.PaperCost(n, shape.M, shape.FeatureM, k, sys.DomainBits())
+	fmt.Printf("Communication (extension): n=%d, m=%d, k=%d, b=%d, l=%d, K=%d\n", n, m, k, attrBits, sys.DomainBits(), keyBits)
+	fmt.Printf("  %-6s %14s %14s %14s %12s\n", "", "rounds", "one-prime", "CRT", "paper rounds")
+	var differ []string
+	for _, p := range []struct {
+		name  string
+		mode  sknn.Mode
+		model core.Cost
+		paper reference.Cost
+	}{
+		{"SkNNb", sknn.ModeBasic, model.Basic, paperBasic},
+		{"SkNNm", sknn.ModeSecure, model.Secure, paperSecure},
+	} {
+		onePrime0, crt0 := paillier.DecryptCalls()
+		res, err := runQuery(sys, q, k, p.mode)
+		if err != nil {
+			return err
+		}
+		onePrime1, crt1 := paillier.DecryptCalls()
+		comm := res.Metrics.Secure.Comm
+		got := [3]int{int(comm.Rounds), int(onePrime1 - onePrime0), int(crt1 - crt0)}
+		want := [3]int{p.model.Rounds, p.model.OnePrime, p.model.CRT}
+		cell := func(i int) string { return fmt.Sprintf("%d / %d", got[i], want[i]) }
+		fmt.Printf("  %-6s %14s %14s %14s %12d\n", p.name, cell(0), cell(1), cell(2), p.paper.Rounds)
+		fmt.Printf("  %-6s %s\n", "", comm)
+		if got != want {
+			differ = append(differ, fmt.Sprintf("%s counted %v, model %v", p.name, got, want))
+		}
 	}
-	fmt.Printf("Communication (extension): n=%d, m=%d, k=%d, K=512\n", n, m, k)
-	fmt.Printf("  SkNNb: %s\n", basic.Metrics.Basic.Comm)
-	fmt.Printf("  SkNNm: %s\n", secure.Metrics.Secure.Comm)
+	fmt.Println("(measured / core.PredictCost; paper rounds: reference.PaperCost, the printed protocols at this shape)")
+	if len(differ) > 0 {
+		return fmt.Errorf("engine counts differ from the cost model: %s", strings.Join(differ, "; "))
+	}
 	return nil
 }

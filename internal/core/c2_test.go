@@ -473,11 +473,10 @@ func TestReplyRandomizersNeverRepeat(t *testing.T) {
 	}
 	wg.Wait()
 
-	l := tbl.DomainBits()
-	chunks := rowLayoutFor(&sk.PublicKey, dataset.Shape{M: m, AttrBits: encTable.Shape().AttrBits}).Chunks(m)
+	perQuery := predict(t, engine.Shape(), sk.Bits(), n, k, 1, 1).Secure.Encrypts
 	mu.Lock()
 	defer mu.Unlock()
-	if want := len(queries) * replyEncryptions(n, k, l, chunks); len(replies) != want {
+	if want := len(queries) * perQuery; len(replies) != want {
 		t.Fatalf("tapped %d reply ciphertexts, want %d", len(replies), want)
 	}
 	seen := make(map[string]int, len(replies))

@@ -225,7 +225,8 @@ func TestSecureClusteredMatchesOracleOnUniformData(t *testing.T) {
 }
 
 // TestSecureScanCounters validates the SMIN accounting the pruning
-// claims rest on: a full scan spends exactly k·(n−1) SMIN invocations.
+// claims rest on: a full scan spends the cost model's k·(n−1) SMIN
+// invocations.
 func TestSecureScanCounters(t *testing.T) {
 	tbl, _ := dataset.Generate(61, 12, 2, 4)
 	c1, bob := newSystem(t, tbl, 1)
@@ -238,7 +239,7 @@ func TestSecureScanCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := k * (tbl.N() - 1); metrics.SMINCount != want {
+	if want := predict(t, c1.Shape(), testKey().Bits(), tbl.N(), k, 1, 1).Secure.SMINCount; metrics.SMINCount != want {
 		t.Errorf("full-scan SMINCount = %d, want %d", metrics.SMINCount, want)
 	}
 	if metrics.Candidates != tbl.N() {
@@ -276,7 +277,7 @@ func TestClusteredSMINReduction(t *testing.T) {
 			t.Fatalf("distances = %v, want %v", got, want)
 		}
 	}
-	fullScan := k * (n - 1)
+	fullScan := predict(t, c1.Shape(), testKey().Bits(), n, k, 1, 1).Secure.SMINCount
 	if metrics.SMINCount*5 > fullScan {
 		t.Errorf("pruned SMINCount = %d, full scan %d: reduction %.1fx < 5x",
 			metrics.SMINCount, fullScan, float64(fullScan)/float64(metrics.SMINCount))

@@ -103,13 +103,16 @@ func ctxErr(ctx context.Context) error {
 // round trips, the peel's, whose last also selects. Anything else is
 // ErrDomainBits at every SkNNm entry point; there is no slower path to
 // drop to.
-func CheckDomainBits(pk *paillier.PublicKey, l int) error {
+func CheckDomainBits(pk *paillier.PublicKey, l int) error { return checkDomainBits(pk.Bits(), l) }
+
+// checkDomainBits is CheckDomainBits for a key of keyBits bits.
+func checkDomainBits(keyBits, l int) error {
 	if l < 1 {
 		return fmt.Errorf("%w: l=%d", ErrDomainBits, l)
 	}
-	if _, err := paillier.NewPacking(pk, l+1); err != nil {
+	if _, err := paillier.LayoutFor(keyBits, l+1); err != nil {
 		return fmt.Errorf("%w: l=%d does not fit a %d-bit key (l ≤ K−69, at most 511)",
-			ErrDomainBits, l, pk.Bits())
+			ErrDomainBits, l, keyBits)
 	}
 	return nil
 }

@@ -255,8 +255,8 @@ func TestStreamingSingleShardFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := k * (n - 1); sm.SMINCount != want {
-		t.Errorf("SMINCount = %d, want the shard scan's k·(n−1) = %d and no merge on top", sm.SMINCount, want)
+	if want := predict(t, coord.Shape(), testKey().Bits(), n, k, 1, 1).Secure.SMINCount; sm.SMINCount != want {
+		t.Errorf("SMINCount = %d, want the shard scan's %d and no merge on top", sm.SMINCount, want)
 	}
 	if rounds := coord.CommStats().Rounds; rounds != 2 {
 		t.Errorf("coordinator links carried %d rounds, want 2 (hello and reveal)", rounds)

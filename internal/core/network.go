@@ -102,9 +102,3 @@ func topKNetwork(n, k int) [][]comparator {
 	}
 	return layers
 }
-
-// NetworkDepth is D(n, k), the layers of the network that selects the k
-// nearest of n candidates: an SkNNm scan or merge spends l + 1 round
-// trips on each, so with its SSED and its reveal a one-link scan costs
-// 1 + D(n, k)·(l + 1) + 1.
-func NetworkDepth(n, k int) int { return len(topKNetwork(n, k)) }

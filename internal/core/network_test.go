@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// ceilLog2 is ⌈log₂ x⌉ for x ≥ 1: the levels of a tournament over x.
+func ceilLog2(x int) int { return bits.Len(uint(x - 1)) }
+
 // networkDepth is D(n, k), the layer count topKNetwork promises for n > k.
 func networkDepth(n, k int) int {
 	lk := ceilLog2(k) // log₂ k′
@@ -107,7 +110,8 @@ func gateCount(n, k int) int {
 
 // TestTopKNetworkGateCount pins G at the paper's SkNNm point and at the
 // benchmark's two scan shapes: secure_scan's n = 8 and a gateway
-// shard's n = 4, both at k = 2.
+// shard's n = 4, both at k = 2. TestCostAtPaperPoint checks that the
+// cost model's Gates agree with these counts.
 func TestTopKNetworkGateCount(t *testing.T) {
 	for _, tc := range []struct{ n, k, want int }{
 		{2000, 25, 21920},

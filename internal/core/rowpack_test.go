@@ -43,12 +43,12 @@ func TestRowLayoutFor(t *testing.T) {
 	}
 	for _, tc := range cases {
 		pk := &testkit.Key(tc.keyBits).PublicKey
-		got := rowLayoutFor(pk, dataset.Shape{M: tc.m, AttrBits: tc.bits})
+		got := rowLayoutFor(pk.Bits(), dataset.Shape{M: tc.m, AttrBits: tc.bits})
 		if got != tc.want || got.Chunks(tc.m) != tc.chunks {
 			t.Errorf("K=%d m=%d b=%d: layout %+v in %d chunks, want %+v in %d",
 				tc.keyBits, tc.m, tc.bits, got, got.Chunks(tc.m), tc.want, tc.chunks)
 		}
-		if got.Cols > 1 && got.Cols*got.Bits > smc.SMPackOperandBits(pk) {
+		if got.Cols > 1 && got.Cols*got.Bits > smc.SMPackOperandBits(pk.Bits()) {
 			t.Errorf("K=%d m=%d b=%d: a %d-bit chunk is wider than SMPackOperandBits", tc.keyBits, tc.m, tc.bits, got.Cols*got.Bits)
 		}
 	}
@@ -312,7 +312,7 @@ func TestOneRenderingPerRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if layout := rowLayoutFor(&sk.PublicKey, dataset.Shape{M: 6, AttrBits: encTable.Shape().AttrBits}); layout != (RowLayout{Cols: 6, Bits: 4}) {
+	if layout := rowLayoutFor(sk.Bits(), dataset.Shape{M: 6, AttrBits: encTable.Shape().AttrBits}); layout != (RowLayout{Cols: 6, Bits: 4}) {
 		t.Fatalf("layout %+v, want one chunk of six 4-bit columns", layout)
 	}
 	cloud, bob := newSystemOver(t, sk, encTable, 1)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"fmt"
-	"math/bits"
 	"sync/atomic"
 	"testing"
 
@@ -15,25 +14,11 @@ import (
 	"sknn/internal/testkit"
 )
 
-// ceilLog2 is ⌈log₂ x⌉ for x ≥ 1: the levels of a tournament over x.
-func ceilLog2(x int) int { return bits.Len(uint(x - 1)) }
-
-// networkRounds is what the selection network costs over n candidates
-// on one link: D(n, k) layers of l+1 round trips each — the peel's
-// rounds, the last of which also selects every gate's minimum and moves
-// its records — and none at all when n ≤ k.
-func networkRounds(n, k, l int) int {
-	if n <= k {
-		return 0
-	}
-	return networkDepth(n, k) * (l + 1)
-}
-
-// TestSelectionCostModel replaces magic round counts with the formula:
-// over a grid of n, k and l, a one-link full scan takes exactly 1 SSED +
-// networkRounds(n, k, l) + 1 reveal round trips and answers like the
-// plaintext oracle. l is the table's, so the grid sweeps it through the
-// shape: DomainBits(2, 4) = 6 and DomainBits(5, 4) = 12.
+// TestSelectionCostModel holds a one-link full scan to the cost model
+// over a grid of n, k and l: the round trips and SMINCount PredictCost
+// gives, and the plaintext oracle's answer. l is the table's, so the
+// grid sweeps it through the shape: DomainBits(2, 4) = 6 and
+// DomainBits(5, 4) = 12.
 func TestSelectionCostModel(t *testing.T) {
 	for _, attrBits := range []int{2, 5} {
 		for _, n := range []int{2, 3, 5, 8, 9} {
@@ -43,6 +28,7 @@ func TestSelectionCostModel(t *testing.T) {
 			}
 			c1, bob := newSystem(t, tbl, 1)
 			l := c1.Shape().DomainBits()
+			keyBits := testKey().Bits()
 			q := []uint64{1, 2, 0, 3}
 			eq, err := bob.EncryptQuery(q)
 			if err != nil {
@@ -62,11 +48,12 @@ func TestSelectionCostModel(t *testing.T) {
 						t.Fatal(err)
 					}
 					assertMatchesOracle(t, tbl, q, k, rows)
-					if want := int64(1 + networkRounds(n, k, l) + 1); metrics.Comm.Rounds != want {
-						t.Errorf("%d round trips, cost model says %d", metrics.Comm.Rounds, want)
+					want := predict(t, c1.Shape(), keyBits, n, k, 1, 1).Secure
+					if metrics.Comm.Rounds != int64(want.Rounds) {
+						t.Errorf("%d round trips, cost model says %d", metrics.Comm.Rounds, want.Rounds)
 					}
-					if want := k * (n - 1); metrics.SMINCount != want {
-						t.Errorf("SMINCount = %d, want Algorithm 6's k·(n−1) = %d", metrics.SMINCount, want)
+					if metrics.SMINCount != want.SMINCount {
+						t.Errorf("SMINCount = %d, cost model says %d", metrics.SMINCount, want.SMINCount)
 					}
 				})
 			}
@@ -74,22 +61,14 @@ func TestSelectionCostModel(t *testing.T) {
 	}
 }
 
-// replyEncryptions is C2's counted cost of one SkNNm scan on one link:
-// n SSED distances, and per gate of the network l + 1 peel bits plus
-// per = 1 + chunks output-round products.
-func replyEncryptions(n, k, l, chunks int) int {
-	return n + gateCount(n, k)*(l+1+1+chunks)
-}
-
-// TestReplyEncryptionsPerScan pins C2's encryption work per SkNNm scan
-// on one link, counted by a handler wrapper: one SSED distance per
-// record, then per gate one bit in each of the peel's l + 1 rounds and
-// per = 1 + chunks products in the output round — the gap and the record
-// chunks — so n + G·(l + 1 + per), with l the session's. The reveal
-// answers plaintexts. At secure_scan's shape (n = 8, m = 6, b = 4, k = 2)
-// l = 11 and a record is one chunk: 8 + 12·14 = 176. At b = 1 the same
-// n and m give l = 3, and at m = 3 l = 2, where the farthest record sits
-// at 2^l − 1.
+// TestReplyEncryptionsPerScan holds C2's encryption work per SkNNm scan
+// on one link, counted by a handler wrapper, to the cost model: one SSED
+// distance per record, then per gate one bit in each of the peel's l + 1
+// rounds and per = 1 + chunks products in the output round — the gap and
+// the record chunks. The reveal answers plaintexts. At secure_scan's
+// shape (n = 8, m = 6, b = 4, k = 2) l = 11 and a record is one chunk:
+// 8 + 12·14 = 176. At b = 1 the same n and m give l = 3, and at m = 3
+// l = 2, where the farthest record sits at 2^l − 1.
 func TestReplyEncryptionsPerScan(t *testing.T) {
 	const n, k = 8, 2
 	for _, shape := range []struct {
@@ -134,14 +113,12 @@ func TestReplyEncryptionsPerScan(t *testing.T) {
 			assertMatchesOracle(t, tbl, shape.q, k, rows)
 
 			l := engine.Shape().DomainBits()
-			chunks := rowLayoutFor(&sk.PublicKey, dataset.Shape{M: m, AttrBits: encTable.Shape().AttrBits}).Chunks(m)
-			want := replyEncryptions(n, k, l, chunks)
+			want := predict(t, engine.Shape(), sk.Bits(), n, k, 1, 1).Secure.Encrypts
 			if got := encrypted.Load(); got != int64(want) {
-				t.Errorf("C2 encrypted %d replies, cost model n + G·(l+1+per) says %d", got, want)
+				t.Errorf("C2 encrypted %d replies, cost model says %d", got, want)
 			}
-			if shape.want != 0 && (l != shape.l || chunks != 1 || want != shape.want) {
-				t.Errorf("secure_scan's shape: l = %d, %d record chunks, %d reply encryptions; want %d, 1, %d",
-					l, chunks, want, shape.l, shape.want)
+			if shape.want != 0 && (l != shape.l || want != shape.want) {
+				t.Errorf("secure_scan's shape: l = %d, %d reply encryptions; want %d, %d", l, want, shape.l, shape.want)
 			}
 		})
 	}
@@ -152,11 +129,11 @@ func TestReplyEncryptionsPerScan(t *testing.T) {
 // packed frame and each element of the reveal is one decryption, and a
 // group whose declared width count·Width is at most bitlen(s) − 65, s
 // the smaller prime factor, decrypts under s alone; paillier.DecryptCalls
-// must agree by path. At secure_scan's shape (n = 8, m = 6, b = 4, k = 2)
-// the 8 SSED groups (6 × 70 bits), the peel's full groups and the 2
-// reveals take the CRT; 24 of 64 take one prime. Over two shards,
-// gateway_sharded's topology, the shard and merge networks are narrower:
-// 72 of 88.
+// and the cost model must agree by path. At secure_scan's shape (n = 8,
+// m = 6, b = 4, k = 2) the 8 SSED groups (6 × 70 bits), the peel's full
+// groups and the 2 reveals take the CRT; 24 of 64 take one prime. Over
+// two shards, gateway_sharded's topology, the shard and merge networks
+// are narrower: 72 of 88.
 func TestOnePrimeDecryptionsPerScan(t *testing.T) {
 	const n, m, attrBits, k = 8, 6, 4, 2
 	sk := testkit.Key(512)
@@ -188,6 +165,11 @@ func TestOnePrimeDecryptionsPerScan(t *testing.T) {
 			}
 			if gotO, gotC := onePrime1-onePrime0, crt1-crt0; gotO != uint64(o) || gotC != uint64(d-o) {
 				t.Errorf("C2 decrypted %d under one prime and %d through the CRT; its frames say %d and %d", gotO, gotC, o, d-o)
+			}
+			want := predict(t, engine.Shape(), sk.Bits(), n, k, shape.shards, 1).Secure
+			if int64(want.OnePrime) != o || int64(want.OnePrime+want.CRT) != d {
+				t.Errorf("the cost model says %d decryptions, %d of them one-prime; C2's frames ask for %d, %d",
+					want.OnePrime+want.CRT, want.OnePrime, d, o)
 			}
 		})
 	}
@@ -230,11 +212,12 @@ func frameDecryptions(t *testing.T, sk *paillier.PrivateKey, req *mpc.Message) (
 	return total, onePrime
 }
 
-// TestMergeCostModel pins the gather at S ∈ {3, 4}: however the shard
-// scans interleave, the coordinator's links carry exactly one network
-// over the S lists of min(k, nᵢ) candidates, concatenated, plus the
-// reveal, and the answer is the plaintext oracle's. l sweeps through the
-// table's shape, as in TestSelectionCostModel.
+// TestMergeCostModel holds the gather at S ∈ {3, 4} to the cost model:
+// however the shard scans interleave, the coordinator's links carry
+// exactly the merge and reveal rounds PredictCost gives — one network
+// over the S lists of min(k, nᵢ) candidates, concatenated, and the
+// reveal — and the answer is the plaintext oracle's. l sweeps through
+// the table's shape, as in TestSelectionCostModel.
 func TestMergeCostModel(t *testing.T) {
 	const m, n = 4, 10
 	for _, attrBits := range []int{2, 5} {
@@ -251,10 +234,6 @@ func TestMergeCostModel(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, k := range []int{1, 3, 4} {
-				gathered := 0
-				for i := 0; i < shards; i++ {
-					gathered += min(k, coord.Shard(i).Info().N)
-				}
 				t.Run(fmt.Sprintf("S=%d/k=%d/l=%d", shards, k, l), func(t *testing.T) {
 					before := coord.CommStats()
 					res, _, err := coord.SecureQuery(context.Background(), eq, k, 0)
@@ -266,9 +245,9 @@ func TestMergeCostModel(t *testing.T) {
 						t.Fatal(err)
 					}
 					assertMatchesOracle(t, tbl, q, k, rows)
-					want := int64(networkRounds(gathered, k, l) + 1)
-					if got := coord.CommStats().Sub(before).Rounds; got != want {
-						t.Errorf("coordinator ran %d round trips, cost model says %d (merge over %d candidates, reveal)", got, want, gathered)
+					want := predict(t, coord.Shape(), testKey().Bits(), n, k, shards, 1).Secure.MergeRounds
+					if got := coord.CommStats().Sub(before).Rounds; got != int64(want) {
+						t.Errorf("coordinator ran %d round trips, cost model says %d (merge, reveal)", got, want)
 					}
 				})
 			}

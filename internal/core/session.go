@@ -39,7 +39,7 @@ type QuerySession struct {
 	pk     *paillier.PublicKey
 	shape  dataset.Shape    // the table shape the session operates on
 	l      int              // the squared-distance domain SkNNm compares in: shape.DomainBits()
-	layout RowLayout        // the row layout records travel in: rowLayoutFor(pk, shape)
+	layout RowLayout        // the row layout records travel in: rowLayoutFor(pk.Bits(), shape)
 	tbl    *tableView       // table state observed at session open; nil for merge sessions
 	slots  []int            // leased link indices
 	conns  []mpc.Conn       // logical streams, one per slot
@@ -63,7 +63,7 @@ func openSession(ctx context.Context, pool *linkPool, view *tableView, pk *paill
 		return nil, err
 	}
 	s := &QuerySession{pool: pool, ctx: ctx, pk: pk, shape: shape,
-		l: shape.DomainBits(), layout: rowLayoutFor(pk, shape), tbl: view, slots: slots}
+		l: shape.DomainBits(), layout: rowLayoutFor(pk.Bits(), shape), tbl: view, slots: slots}
 	for _, i := range slots {
 		conn, err := pool.open(ctx, i)
 		if err != nil {
@@ -81,14 +81,15 @@ func openSession(ctx context.Context, pool *linkPool, view *tableView, pk *paill
 // new work instead of finishing the scan it started.
 func (s *QuerySession) ctxErr() error { return ctxErr(s.ctx) }
 
-// rowLayoutFor is the layout records of the table shape under pk travel
-// in, every column below 2^AttrBits — in both protocols: as many columns per chunk as smc.SMPackOperandBits allows
+// rowLayoutFor is the layout records of the table shape under a
+// keyBits-bit key travel in, every column below 2^AttrBits — in both
+// protocols: as many columns per chunk as smc.SMPackOperandBits allows
 // (SkNNm's comparators carry chunk differences, one operand slot each;
 // SkNNb's reveal keeps the rule); per-attribute when fewer than two
-// columns fit. The scan, the shard wire, the merge and the reveal all
-// take it from here.
-func rowLayoutFor(pk *paillier.PublicKey, shape dataset.Shape) RowLayout {
-	if c := min(shape.M, smc.SMPackOperandBits(pk)/shape.AttrBits); c > 1 {
+// columns fit. The scan, the shard wire, the merge, the reveal and the
+// cost model (PredictCost) all take it from here.
+func rowLayoutFor(keyBits int, shape dataset.Shape) RowLayout {
+	if c := min(shape.M, smc.SMPackOperandBits(keyBits)/shape.AttrBits); c > 1 {
 		return RowLayout{Cols: c, Bits: shape.AttrBits}
 	}
 	return RowLayout{Cols: 1, Bits: shape.AttrBits}
@@ -126,13 +127,11 @@ func (s *QuerySession) primary() *smc.Requester { return s.rqs[0] }
 // chunk describes a contiguous slice of records assigned to one worker.
 type chunk struct{ lo, hi, worker int }
 
-// chunks splits [0,n) evenly across the session's workers. Workers with
-// empty ranges are dropped.
-func (s *QuerySession) chunks(n int) []chunk {
-	w := len(s.rqs)
-	if w > n {
-		w = n
-	}
+// splitChunks splits [0,n) evenly across w workers — a session's records
+// or a layer's gates over its links, as the session runs them and as
+// PredictCost counts them. Workers with empty ranges are dropped.
+func splitChunks(n, w int) []chunk {
+	w = min(w, n)
 	out := make([]chunk, 0, w)
 	for i := 0; i < w; i++ {
 		lo := i * n / w
@@ -147,7 +146,7 @@ func (s *QuerySession) chunks(n int) []chunk {
 // parallelOverRecords runs fn once per chunk, each chunk on its own
 // worker's requester, and returns the first error.
 func (s *QuerySession) parallelOverRecords(n int, fn func(rq *smc.Requester, lo, hi int) error) error {
-	cks := s.chunks(n)
+	cks := splitChunks(n, len(s.rqs))
 	if len(cks) == 1 {
 		return fn(s.rqs[cks[0].worker], cks[0].lo, cks[0].hi)
 	}

@@ -170,7 +170,7 @@ func (r *RemoteShard) TopK(ctx context.Context, q EncryptedQuery, k, _, target i
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: shard %d top-k: %w", info.Index, err)
 	}
-	liveN, cands, metrics, err := decodeTopKReply(r.pk, info.Shape.M, resp, k, rowLayoutFor(r.pk, info.Shape), secure)
+	liveN, cands, metrics, err := decodeTopKReply(r.pk, info.Shape.M, resp, k, rowLayoutFor(r.pk.Bits(), info.Shape), secure)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -274,7 +274,7 @@ func (s *ShardServer) handleTopK(req *mpc.Message) (*mpc.Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	return encodeTopKReply(t.N(), rowLayoutFor(t.PK(), t.Shape()), cands, metrics, secure), nil
+	return encodeTopKReply(t.N(), rowLayoutFor(t.PK().Bits(), t.Shape()), cands, metrics, secure), nil
 }
 
 // encodeTopKRequest lays out a top-k request frame.

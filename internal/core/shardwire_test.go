@@ -110,7 +110,7 @@ func TestDecodeTopKReplyLyingCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	layout := rowLayoutFor(h.pk, h.info.Shape)
+	layout := rowLayoutFor(h.pk.Bits(), h.info.Shape)
 	head := topKHead(1<<40, layout) // lying count
 	if _, _, _, err := decodeTopKReply(h.pk, h.info.Shape.M, &mpc.Message{Op: OpShardTopK, Ints: head}, 2, layout, true); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("lying count: err = %v, want ErrBadFrame", err)
@@ -142,7 +142,7 @@ func TestDecodeTopKReplyLayout(t *testing.T) {
 	}
 	const m, b = 4, 24
 	l := dataset.DomainBits(b, m)
-	packed, plain := rowLayoutFor(h.pk, dataset.Shape{M: m, AttrBits: h.info.Shape.AttrBits}), RowLayout{Cols: 1, Bits: b}
+	packed, plain := rowLayoutFor(h.pk.Bits(), dataset.Shape{M: m, AttrBits: h.info.Shape.AttrBits}), RowLayout{Cols: 1, Bits: b}
 	if packed.Cols != m || packed.Bits != b {
 		t.Fatalf("layout under a 1025-bit key: %+v", packed)
 	}
@@ -370,7 +370,7 @@ func FuzzShardFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	const fm, fk = 6, 3
-	want := rowLayoutFor(fixed.pk, dataset.Shape{M: fm, AttrBits: fixed.info.Shape.AttrBits})
+	want := rowLayoutFor(fixed.pk.Bits(), dataset.Shape{M: fm, AttrBits: fixed.info.Shape.AttrBits})
 	seven := big.NewInt(7)
 	f.Add(fuzzInts(append(topKHead(1, want), seven, seven)))
 	f.Add(fuzzInts(append(topKHead(1, RowLayout{Cols: 1, Bits: want.Bits}), seven, seven, seven, seven, seven, seven, seven)))

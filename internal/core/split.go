@@ -17,6 +17,9 @@ import (
 // mutation router, and a from-disk reload all derive a record's owner
 // from its id alone — and keeps shards balanced as ids grow.
 
+// shardOf is the shard of shards that owns record id: id mod shards.
+func shardOf(id uint64, shards int) int { return int(id % uint64(shards)) }
+
 // ErrEmptyShard is returned by Split when a shard would receive no live
 // records; reshard with fewer shards (or Compact first, if tombstones
 // hollowed out a residue class).
@@ -45,7 +48,7 @@ func (s *TableSnapshot) Split(shards int) ([]*TableSnapshot, error) {
 	// posMap[old position] = position within its shard.
 	posMap := make([]int, n)
 	for pos, id := range s.IDs {
-		w := int(id % uint64(shards))
+		w := shardOf(id, shards)
 		p := parts[w]
 		posMap[pos] = len(p.Records)
 		p.Records = append(p.Records, s.Records[pos])
@@ -75,7 +78,7 @@ func (s *TableSnapshot) Split(shards int) ([]*TableSnapshot, error) {
 				if pos < 0 || pos >= n {
 					return nil, fmt.Errorf("core: cluster %d member %d out of range [0,%d)", j, pos, n)
 				}
-				w := int(s.IDs[pos] % uint64(shards))
+				w := shardOf(s.IDs[pos], shards)
 				byShard[w] = append(byShard[w], posMap[pos])
 			}
 			for w, local := range byShard {
@@ -122,9 +125,9 @@ func MergeTableSnapshots(parts []*TableSnapshot) (*TableSnapshot, error) {
 			return nil, fmt.Errorf("core: shard %d inconsistent snapshot", w)
 		}
 		for _, id := range p.IDs {
-			if int(id%uint64(shards)) != w {
+			if owner := shardOf(id, shards); owner != w {
 				return nil, fmt.Errorf("%w: record id %d on shard %d, owner is %d",
-					ErrShardTopology, id, w, id%uint64(shards))
+					ErrShardTopology, id, w, owner)
 			}
 		}
 		if p.NextID > out.NextID {

@@ -646,7 +646,7 @@ func (v *tableView) packedRows(packs *rowPacks, idx []int, row func(pos int) []*
 // first use and kept in the memo. Every column — payload columns
 // included — is below 2^AttrBits, so the slots hold.
 func (v *tableView) recordRows(idx []int) ([][]*paillier.Ciphertext, error) {
-	layout := rowLayoutFor(v.pk, v.Shape)
+	layout := rowLayoutFor(v.pk.Bits(), v.Shape)
 	if layout.Cols == 1 {
 		rows := make([][]*paillier.Ciphertext, len(idx))
 		for i, pos := range idx {

@@ -395,7 +395,7 @@ func TestPackedRenderingsSurviveMutation(t *testing.T) {
 	if err := tbl.SetClusterIndex(rand.Reader, [][]uint64{{1, 1}, {30, 30}}, [][]int{{0, 1}, {2, 3}}); err != nil {
 		t.Fatal(err)
 	}
-	if layout := rowLayoutFor(pk, dataset.Shape{M: 3, AttrBits: tbl.Shape().AttrBits}); layout != (RowLayout{Cols: 3, Bits: 5}) {
+	if layout := rowLayoutFor(pk.Bits(), dataset.Shape{M: 3, AttrBits: tbl.Shape().AttrBits}); layout != (RowLayout{Cols: 3, Bits: 5}) {
 		t.Fatalf("layout %+v, want one chunk of three 5-bit columns", layout)
 	}
 	type rendering struct{ feat, rec, cent []*paillier.Ciphertext }

@@ -58,6 +58,7 @@ var Manifest = map[string]string{
 	"sknn/internal/core/c2.go":        RoleC2,
 	"sknn/internal/core/client.go":    RoleClient,
 	"sknn/internal/core/core.go":      RoleC1,
+	"sknn/internal/core/cost.go":      RoleC1,
 	"sknn/internal/core/engine.go":    RoleC1,
 	"sknn/internal/core/network.go":   RoleC1,
 	"sknn/internal/core/pool.go":      RoleC1,
@@ -81,7 +82,9 @@ var Manifest = map[string]string{
 
 	// The paper's printed SkNNm plays C1: like the engine it is the oracle
 	// for, it sees ciphertexts and blinded values only. Its key cloud is
-	// the deployed C2 plus the handlers of Algorithms 1–3.
+	// the deployed C2 plus the handlers of Algorithms 1–3. Its cost model
+	// counts and touches nothing secret, as the engine's (core/cost.go).
+	"sknn/internal/reference/cost.go":      RoleC1,
 	"sknn/internal/reference/keycloud.go":  RoleC2,
 	"sknn/internal/reference/reference.go": RoleC1,
 }

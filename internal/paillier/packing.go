@@ -27,6 +27,15 @@ import (
 // A Packing is immutable and safe for concurrent use.
 type Packing struct {
 	pk *PublicKey
+	SlotLayout
+
+	mask *big.Int // 2^Width − 1
+}
+
+// SlotLayout is a codec's geometry, which the key's size alone decides:
+// what NewPacking packs under a key and what a cost model counts without
+// one (LayoutFor).
+type SlotLayout struct {
 	// ValueBits is the maximum payload width of one slot.
 	ValueBits int
 	// Width is the slot stride: ValueBits + Headroom (ValueBits alone
@@ -35,9 +44,10 @@ type Packing struct {
 	// Slots is how many slots one plaintext carries: (Bits(N)−2) / Width,
 	// or the row length a NewRowPacking codec was built for.
 	Slots int
-
-	mask *big.Int // 2^Width − 1
 }
+
+// Groups reports how many packed plaintexts carry n values.
+func (s SlotLayout) Groups(n int) int { return (n + s.Slots - 1) / s.Slots }
 
 // PackHeadroom is the per-slot spare capacity: σ = 64 bits of statistical
 // blinding plus 2 carry bits for the sums the protocols form in a slot.
@@ -56,18 +66,29 @@ var (
 const maxPackValueBits = 512
 
 // NewPacking builds the codec for payloads of at most valueBits bits
-// under pk. Fails when even one slot does not fit the plaintext space
-// (tiny test keys); callers fall back to the unpacked path.
+// under pk: LayoutFor(pk.Bits(), valueBits). Fails when even one slot
+// does not fit the plaintext space (tiny test keys); callers fall back to
+// the unpacked path.
 func NewPacking(pk *PublicKey, valueBits int) (*Packing, error) {
+	layout, err := LayoutFor(pk.Bits(), valueBits)
+	if err != nil {
+		return nil, err
+	}
+	return newPacking(pk, layout), nil
+}
+
+// LayoutFor is the geometry NewPacking gives payloads of at most
+// valueBits bits under a keyBits-bit key.
+func LayoutFor(keyBits, valueBits int) (SlotLayout, error) {
 	if valueBits < 1 || valueBits > maxPackValueBits {
-		return nil, fmt.Errorf("%w: %d value bits", ErrPackWidth, valueBits)
+		return SlotLayout{}, fmt.Errorf("%w: %d value bits", ErrPackWidth, valueBits)
 	}
 	width := valueBits + PackHeadroom
-	slots := (pk.Bits() - 2) / width
+	slots := (keyBits - 2) / width
 	if slots < 1 {
-		return nil, fmt.Errorf("%w: %d-bit slots in a %d-bit plaintext", ErrPackWidth, width, pk.Bits())
+		return SlotLayout{}, fmt.Errorf("%w: %d-bit slots in a %d-bit plaintext", ErrPackWidth, width, keyBits)
 	}
-	return newPacking(pk, valueBits, width, slots), nil
+	return SlotLayout{ValueBits: valueBits, Width: width, Slots: slots}, nil
 }
 
 // NewRowPacking builds a headroom-free codec of exactly slots slots,
@@ -82,17 +103,14 @@ func NewRowPacking(pk *PublicKey, valueBits, slots int) (*Packing, error) {
 		return nil, fmt.Errorf("%w: %d slots of %d bits in a %d-bit plaintext",
 			ErrPackWidth, slots, valueBits, pk.Bits())
 	}
-	return newPacking(pk, valueBits, valueBits, slots), nil
+	return newPacking(pk, SlotLayout{ValueBits: valueBits, Width: valueBits, Slots: slots}), nil
 }
 
-func newPacking(pk *PublicKey, valueBits, width, slots int) *Packing {
-	mask := new(big.Int).Lsh(one, uint(width))
+func newPacking(pk *PublicKey, layout SlotLayout) *Packing {
+	mask := new(big.Int).Lsh(one, uint(layout.Width))
 	mask.Sub(mask, one)
-	return &Packing{pk: pk, ValueBits: valueBits, Width: width, Slots: slots, mask: mask}
+	return &Packing{pk: pk, SlotLayout: layout, mask: mask}
 }
-
-// Groups reports how many packed plaintexts carry n values.
-func (p *Packing) Groups(n int) int { return (n + p.Slots - 1) / p.Slots }
 
 // Pack lays up to Slots values into one plaintext. Each value must be in
 // [0, 2^Width) — payloads plus whatever blind/offset the caller already

@@ -373,6 +373,12 @@ func (sk *PrivateKey) Decrypt(ct *Ciphertext) (*big.Int, error) {
 // caller's range check still refuses it.
 const onePrimeSlack = 65
 
+// OnePrimeBits is the widest declared plaintext a keyBits-bit key of
+// GenerateKey's balanced factors, the smaller one keyBits/2 bits long,
+// decrypts under that factor alone: a packed group of count slots takes
+// the one-prime path where count·Width ≤ OnePrimeBits(keyBits).
+func OnePrimeBits(keyBits int) int { return keyBits/2 - onePrimeSlack }
+
 // decryptBelow decrypts a ciphertext whose honest plaintext has at most
 // bits bits. Where bits ≤ bitlen(s) − onePrimeSlack, s the smaller
 // factor, it returns m mod s from that factor's half alone — m itself

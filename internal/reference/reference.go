@@ -18,7 +18,7 @@
 // Cost is the paper's, not the engine's: n SSEDs of m secure
 // multiplications each and, for SkNNm, n SBDs and per selected neighbour
 // n−1 SMINs, n·m secure multiplications and n·(l+1) SBORs, each its own
-// round trip. Keep n, k and l small.
+// round trip — PaperCost counts it. Keep n, k and l small.
 package reference
 
 import (

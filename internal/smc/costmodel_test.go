@@ -1,4 +1,4 @@
-package smc
+package smc_test
 
 import (
 	"fmt"
@@ -6,6 +6,8 @@ import (
 
 	"sknn/internal/mpc"
 	"sknn/internal/paillier"
+	"sknn/internal/reference"
+	"sknn/internal/smc"
 )
 
 // costCounter is C2's side of the paper's cost model, counted where it
@@ -37,63 +39,54 @@ func (c *costCounter) Handle(req *mpc.Message) (*mpc.Message, error) {
 // L′ half of an SMIN frame (Γ′ is exponentiated by α and re-randomized,
 // never opened).
 func (c *costCounter) decrypts() int {
-	return c.received[OpSM] + c.received[OpSBDLsb] + c.received[OpSBDVerify] + c.received[OpSMIN]/2
+	return c.received[smc.OpSM] + c.received[smc.OpSBDLsb] + c.received[smc.OpSBDVerify] + c.received[smc.OpSMIN]/2
 }
 
 // rerandomizes is how many ciphertexts C2 returned re-randomized rather
 // than freshly encrypted (EncryptCalls does not see those): M′, every
 // element of an SMIN reply but its last, E(α).
 func (c *costCounter) rerandomizes() int {
-	return max(0, c.replied[OpSMIN]-1)
+	return max(0, c.replied[smc.OpSMIN]-1)
 }
 
-// TestPaperCostModel pins the paper primitives to the operation counts
+// TestPaperCostModel holds the paper primitives to the operation counts
 // of the paper's own analysis — Algorithms 1–3 and the SBD of [21] — as
-// functions of the dimension m and the bit length l: rounds off the
+// functions of the dimension m and the bit length l, which the
+// reference's cost model (reference.PaperCost) composes: rounds off the
 // link's mpc.Stats, C2's decryptions, fresh encryptions and
-// re-randomizations off costCounter.
-// These are the counts docs/PROTOCOLS.md tabulates and the reference
-// SkNNm multiplies up; a primitive that drifts from its printed form
-// (a packed uplink, a dropped verification round) fails here.
+// re-randomizations off costCounter. A primitive that drifts from its
+// printed form (a packed uplink, a dropped verification round) fails
+// here.
 func TestPaperCostModel(t *testing.T) {
-	sk := testKey()
-	counter := &costCounter{inner: NewResponder(sk, nil).Mux()}
-	rq := servedBy(t, sk, counter)
+	sk := smc.TestKey()
+	counter := &costCounter{inner: smc.NewResponder(sk, nil).Mux()}
+	rq := smc.ServedBy(t, sk, counter)
 
-	type cost struct{ rounds, decrypts, encrypts, rerandomizes int }
 	type costCase struct {
 		name string
 		run  func() error
-		want cost
+		want reference.Cost
 	}
 	cases := []costCase{
-		{"SM", func() error { _, err := rq.SM(enc(t, sk, 6), enc(t, sk, 7)); return err },
-			cost{rounds: 1, decrypts: 2, encrypts: 1}},
-		{"SBOR", func() error { _, err := rq.SBOR(enc(t, sk, 0), enc(t, sk, 1)); return err },
-			cost{rounds: 1, decrypts: 2, encrypts: 1}},
+		{"SM", func() error { _, err := rq.SM(smc.Enc(t, sk, 6), smc.Enc(t, sk, 7)); return err }, reference.SMCost()},
+		{"SBOR", func() error { _, err := rq.SBOR(smc.Enc(t, sk, 0), smc.Enc(t, sk, 1)); return err }, reference.SBORCost()},
 	}
 	for _, m := range []int{2, 6} {
 		x, y := make([]int64, m), make([]int64, m)
 		for j := range x {
 			x[j], y[j] = int64(3+j), int64(11-j)
 		}
-		// One batched SM of the m differences: 2m blinded operands in, m
-		// products out.
 		cases = append(cases, costCase{fmt.Sprintf("SSED(m=%d)", m),
-			func() error { _, err := rq.SSED(encVec(t, sk, x...), encVec(t, sk, y...)); return err },
-			cost{rounds: 1, decrypts: 2 * m, encrypts: m}})
+			func() error { _, err := rq.SSED(smc.EncVec(t, sk, x...), smc.EncVec(t, sk, y...)); return err },
+			reference.SSEDCost(m)})
 	}
 	for _, l := range []int{6, 12} {
-		// l LSB rounds of one decryption and one encrypted bit each, then
-		// the verification's one decryption (its reply is a plain flag).
 		cases = append(cases, costCase{fmt.Sprintf("SBD(l=%d)", l),
-			func() error { _, err := rq.SBD(enc(t, sk, 45), l); return err },
-			cost{rounds: l + 1, decrypts: l + 1, encrypts: l}})
-		// Round one is the SM batch of the l bit products (2l in, l out);
-		// round two opens L′ (l), returns M′ re-randomized (l) and E(α).
+			func() error { _, err := rq.SBD(smc.Enc(t, sk, 45), l); return err },
+			reference.SBDCost(l)})
 		cases = append(cases, costCase{fmt.Sprintf("SMIN(l=%d)", l),
-			func() error { _, err := rq.SMIN(encBits(t, sk, 45, l), encBits(t, sk, 58, l)); return err },
-			cost{rounds: 2, decrypts: 3 * l, encrypts: l + 1, rerandomizes: l}})
+			func() error { _, err := rq.SMIN(smc.EncBits(t, sk, 45, l), smc.EncBits(t, sk, 58, l)); return err },
+			reference.SMINCost(l)})
 	}
 
 	for _, tc := range cases {
@@ -102,17 +95,17 @@ func TestPaperCostModel(t *testing.T) {
 		if err := tc.run(); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		got := cost{
-			rounds:       int(rq.Conn().Stats().Rounds() - rounds0),
-			decrypts:     counter.decrypts(),
-			encrypts:     int(counter.encrypts),
-			rerandomizes: counter.rerandomizes(),
+		got := reference.Cost{
+			Rounds:       int(rq.Conn().Stats().Rounds() - rounds0),
+			Decrypts:     counter.decrypts(),
+			Encrypts:     int(counter.encrypts),
+			Rerandomizes: counter.rerandomizes(),
 		}
 		if got != tc.want {
 			t.Errorf("%s cost %+v, want %+v", tc.name, got, tc.want)
 		}
 		for op := range counter.received {
-			if op != OpSM && op != OpSBDLsb && op != OpSBDVerify && op != OpSMIN {
+			if op != smc.OpSM && op != smc.OpSBDLsb && op != smc.OpSBDVerify && op != smc.OpSMIN {
 				t.Errorf("%s sent opcode %d, not one of the paper's four", tc.name, op)
 			}
 		}

@@ -155,7 +155,7 @@ func TestDifferentialSMINValuePairs(t *testing.T) {
 func TestDifferentialSMINValuePairsWithRecords(t *testing.T) {
 	rq, sk := pair(t)
 	const l, chunks = 8, 3
-	recBits := SMPackOperandBits(rq.PK())
+	recBits := SMPackOperandBits(rq.PK().Bits())
 	top := new(big.Int).Lsh(big.NewInt(1), uint(recBits))
 	top.Sub(top, big.NewInt(1)) // an all-max chunk
 	rng := rand.New(rand.NewSource(14))

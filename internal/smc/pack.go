@@ -32,14 +32,14 @@ const smPackMaxCount = 1 << 22
 const packMaxValueBits = 512
 
 // SMPackOperandBits is the widest row chunk core.RowLayout packs under
-// pk: two slots of that width plus headroom share one plaintext. It was
+// a keyBits-bit key: two slots of that width plus headroom share one plaintext. It was
 // the operand bound of the packed SM pair that extraction once rode, and
 // it still sizes the layout — SkNNb's reveal and the shard wire keep
 // theirs; the peel's output round carries a chunk difference, one bit
 // wider, in a single slot, so every chunk this wide fits. Not positive
 // when the key is too small to pack a pair at all.
-func SMPackOperandBits(pk *paillier.PublicKey) int {
-	return (pk.Bits()-2)/2 - paillier.PackHeadroom
+func SMPackOperandBits(keyBits int) int {
+	return (keyBits-2)/2 - paillier.PackHeadroom
 }
 
 // PackBlinded is the uplink of a frame in which C2 multiplies values by

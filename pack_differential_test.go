@@ -309,16 +309,21 @@ func costShapes(t *testing.T) []costShape {
 }
 
 // costSystem builds sh on the given shard count, one link per pool and a
-// 512-bit key, as bench/ does, and returns it with sh's query, which
-// checks its answer against the oracle.
-func costSystem(t *testing.T, sh costShape, shards int) (*System, func() *Result) {
+// 512-bit key, as bench/ does, and returns it with the engine's cost
+// model for the query and sh's query, which checks its answer against
+// the oracle.
+func costSystem(t *testing.T, sh costShape, shards int) (*System, core.Cost, func() *Result) {
 	t.Helper()
 	sys, err := New(sh.rows, sh.attrBits, Config{Key: testkit.Key(512), Workers: 1, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sys.Close() })
-	return sys, func() *Result {
+	want, err := core.PredictCost(sys.eng.Shape(), 512, len(sh.rows), sh.k, sys.Shards(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys, want.Secure, func() *Result {
 		t.Helper()
 		res, err := sys.Query(context.Background(), sh.q, WithK(sh.k), WithMode(ModeSecure))
 		if err != nil {
@@ -330,13 +335,10 @@ func costSystem(t *testing.T, sh costShape, shards int) (*System, func() *Result
 }
 
 // TestSecureScanCostAtBenchShape guards bench/'s two secure_scan
-// counters in tier-1, and the engine's cost model beside them: a query
-// takes 1 SSED + D(n, k) layers of the selection network · (l + 1) + 1
-// reveal C1↔C2 round trips, D counted off the network itself
-// (core.NetworkDepth) and l the table's. A layer is the peel's l + 1
-// rounds, its last also selecting every gate's minimum and moving its
-// record (internal/core TestSelectionCostModel has the formula over a
-// grid). At secure_scan's shape l = 11 and D(8, 2) = 4, so 50 round
+// counters in tier-1, and the engine's cost model (core.PredictCost)
+// beside them: a query takes 1 SSED round trip, the peel's l + 1 for each
+// layer of the selection network, and 1 reveal. At secure_scan's shape
+// l = 11 and the network over n = 8, k = 2 is 4 layers deep, so 50 round
 // trips, and the query moves the 33985 bytes the benchmark reports as
 // c2_bytes_per_query. The byte count is the integers on the wire at
 // their minimal lengths, so a query falls a few bytes short of its
@@ -348,21 +350,20 @@ func costSystem(t *testing.T, sh costShape, shards int) (*System, func() *Result
 func TestSecureScanCostAtBenchShape(t *testing.T) {
 	for i, sh := range costShapes(t) {
 		t.Run(sh.name, func(t *testing.T) {
-			sys, query := costSystem(t, sh, 0)
+			sys, want, query := costSystem(t, sh, 0)
 			l := sys.DomainBits()
 			if l != sh.l {
 				t.Errorf("the table's l = %d, want %d", l, sh.l)
 			}
-			want := 1 + core.NetworkDepth(len(sh.rows), sh.k)*(l+1) + 1
 			comm := query().Metrics.Secure.Comm
-			if comm.Rounds != int64(want) {
-				t.Errorf("query took %d round trips at l = %d, cost model says %d", comm.Rounds, l, want)
+			if comm.Rounds != int64(want.Rounds) {
+				t.Errorf("query took %d round trips at l = %d, cost model says %d", comm.Rounds, l, want.Rounds)
 			}
 			if i > 0 {
 				return
 			}
-			if want != 50 {
-				t.Errorf("secure_scan's shape: l = %d, %d round trips; want 11, 50", l, want)
+			if want.Rounds != 50 {
+				t.Errorf("secure_scan's shape: l = %d, %d round trips; want 11, 50", l, want.Rounds)
 			}
 			if moved := comm.BytesSent + comm.BytesReceived; moved < 33985-32 || moved > 33985+32 {
 				t.Errorf("query moved %d bytes between the clouds, want 33985 give or take leading zero bytes", moved)
@@ -372,63 +373,51 @@ func TestSecureScanCostAtBenchShape(t *testing.T) {
 }
 
 // TestShardedScanCostAtBenchShape is the same guard for bench/'s
-// gateway_sharded rounds, derived the same way: each shard of nᵢ records
-// scans in 1 SSED + D(nᵢ, k)·(l + 1), and the merge of their
-// min(k, nᵢ)-candidate sets in D(Σ, k)·(l + 1) + 1 reveal. At bench/'s
-// shape split over two shards that is 25 per shard (1 + D(4, 2) = 2
-// layers · 12) and 25 for the merge — the same two-layer network over the
-// four candidates, and the reveal — so 75.
+// gateway_sharded rounds, each pool's held to the cost model: each shard
+// of nᵢ records scans in 1 SSED and its network, and the coordinator
+// merges their min(k, nᵢ)-candidate sets with one more and reveals. At
+// bench/'s shape split over two shards that is 25 per shard (1 + 2 layers
+// of 12) and 25 for the merge — the same two-layer network over the four
+// candidates, and the reveal — so 75.
 func TestShardedScanCostAtBenchShape(t *testing.T) {
 	for i, sh := range costShapes(t) {
 		t.Run(sh.name, func(t *testing.T) {
-			sys, query := costSystem(t, sh, 2)
-			l := sys.DomainBits()
+			sys, want, query := costSystem(t, sh, 2)
 			shards := make([]mpc.StatsSnapshot, len(sys.eng.Workers))
-			wantShard := make([]int, len(sys.eng.Workers))
-			gathered := 0
 			for j, w := range sys.eng.Workers {
 				shards[j] = w.CommStats()
-				n := w.Table().N()
-				wantShard[j] = 1 + core.NetworkDepth(n, sh.k)*(l+1)
-				gathered += min(sh.k, n)
-			}
-			wantMerge := core.NetworkDepth(gathered, sh.k)*(l+1) + 1
-			want := wantMerge
-			for _, w := range wantShard {
-				want += w
 			}
 			merge := sys.eng.ShardedC1.CommStats()
-			if got := query().Metrics.Secure.Comm.Rounds; got != int64(want) {
-				t.Errorf("query took %d round trips, cost model says %d", got, want)
+			if got := query().Metrics.Secure.Comm.Rounds; got != int64(want.Rounds) {
+				t.Errorf("query took %d round trips, cost model says %d", got, want.Rounds)
 			}
 			for j, w := range sys.eng.Workers {
-				if got := w.CommStats().Sub(shards[j]).Rounds; got != int64(wantShard[j]) {
-					t.Errorf("shard %d scanned in %d round trips, cost model says %d", j, got, wantShard[j])
+				if got := w.CommStats().Sub(shards[j]).Rounds; got != int64(want.ShardRounds[j]) {
+					t.Errorf("shard %d scanned in %d round trips, cost model says %d", j, got, want.ShardRounds[j])
 				}
 			}
-			if got := sys.eng.ShardedC1.CommStats().Sub(merge).Rounds; got != int64(wantMerge) {
-				t.Errorf("the merge and reveal took %d round trips, cost model says %d", got, wantMerge)
+			if got := sys.eng.ShardedC1.CommStats().Sub(merge).Rounds; got != int64(want.MergeRounds) {
+				t.Errorf("the merge and reveal took %d round trips, cost model says %d", got, want.MergeRounds)
 			}
-			if i == 0 && (want != 75 || wantMerge != 25 || wantShard[0] != 25 || wantShard[1] != 25) {
-				t.Errorf("gateway_sharded's shape: %d = %v + %d round trips; want 75 = [25 25] + 25", want, wantShard, wantMerge)
+			if got := fmt.Sprint(want.Rounds, want.ShardRounds, want.MergeRounds); i == 0 && got != "75 [25 25] 25" {
+				t.Errorf("gateway_sharded's shape: %s round trips; want 75 = [25 25] + 25", got)
 			}
 		})
 	}
 }
 
 // TestBasicScanCostAtBenchShape is the same guard for bench/'s basic_tcp
-// counters, and SkNNb's counted cost as a formula: at bench/'s shape
-// (n=32, m=6, attrBits=8, k=5) and two others, over two links and a
+// counters, and SkNNb's counted cost held to the cost model: at bench/'s
+// shape (n=32, m=6, attrBits=8, k=5) and two others, over two links and a
 // 512-bit key, SkNNb takes 4 round trips — the scan's two halves on the
 // two links, the rank, the reveal — and at the bench shape moves the
 // 13843 bytes the benchmark reports as c2_bytes_per_query. C2 decrypts
-// n·⌈m/s⌉ + n + k·⌈m/c⌉ values: one SSED slot group of s attributes per
-// group of a record, the n distances it ranks and one row-packed share
-// of c columns per chunk of a neighbour. It encrypts one SSED reply per
-// record, and C1 encrypts nothing at all. Each opcode's uplink is pinned
-// by its integer count, frame headers included. C1's own arithmetic —
-// how it strips the SSED blinds — is not in these counts, which is why
-// they must not move when it changes.
+// one SSED slot group per group of a record, the n distances it ranks and
+// one row-packed share per chunk of a neighbour, and encrypts one SSED
+// reply per record; C1 encrypts nothing at all. Each opcode's uplink is
+// held to its frames and integer count, headers included. C1's own
+// arithmetic — how it strips the SSED blinds — is not in these counts,
+// which is why they must not move when it changes.
 func TestBasicScanCostAtBenchShape(t *testing.T) {
 	for _, shape := range []struct {
 		n, m, attrBits, k int
@@ -457,11 +446,11 @@ func TestBasicScanCostAtBenchShape(t *testing.T) {
 			if table.Shape().AttrBits != attrBits {
 				t.Fatalf("table derived %d-bit attributes from the rows, want %d", table.Shape().AttrBits, attrBits)
 			}
-			ssedCodec, err := paillier.NewPacking(pk, attrBits)
+			predicted, err := core.PredictCost(table.Shape(), pk.Bits(), n, k, 1, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			groups := ssedCodec.Groups(m) // ⌈m/s⌉
+			want := predicted.Basic
 
 			// Every ciphertext C1 hands C2, by opcode, headers included.
 			var mu sync.Mutex
@@ -520,8 +509,8 @@ func TestBasicScanCostAtBenchShape(t *testing.T) {
 			}
 			oracleCheck(t, tbl.Rows, rows, q, k)
 
-			if metrics.Comm.Rounds != 4 {
-				t.Errorf("query took %d round trips, want 4", metrics.Comm.Rounds)
+			if metrics.Comm.Rounds != int64(want.Rounds) || want.Rounds != 4 {
+				t.Errorf("query took %d round trips, cost model says %d; want 4", metrics.Comm.Rounds, want.Rounds)
 			}
 			if want := shape.bytes; want != 0 {
 				if moved := metrics.Comm.BytesSent + metrics.Comm.BytesReceived; moved < want-32 || moved > want+32 {
@@ -530,28 +519,22 @@ func TestBasicScanCostAtBenchShape(t *testing.T) {
 			}
 			mu.Lock()
 			defer mu.Unlock()
-			chunks := res.Layout.Chunks(m) // ⌈m/c⌉
 			// An OpSSEDPack frame is [count, m, valueBits, groups per
 			// record]; the OpRank frame is [k, n distances]; the OpReveal
-			// frame is the k·⌈m/c⌉ masked shares.
-			if got, want := sent[smc.OpSSEDPack], 3*2+n*groups; frames[smc.OpSSEDPack] != 2 || got != want {
-				t.Errorf("SSED uplink of %d ints off %d frames, want %d off 2", got, frames[smc.OpSSEDPack], want)
+			// frame is the k masked shares of each record's chunks.
+			uplink := map[mpc.Op]core.Traffic{}
+			for op, f := range frames {
+				uplink[op] = core.Traffic{Frames: f, Ints: sent[op]}
 			}
-			if got := sent[core.OpRank]; frames[core.OpRank] != 1 || got != 1+n {
-				t.Errorf("rank uplink of %d ints off %d frames, want %d off 1", got, frames[core.OpRank], 1+n)
-			}
-			if got := sent[core.OpReveal]; frames[core.OpReveal] != 1 || got != k*chunks {
-				t.Errorf("reveal uplink of %d ints off %d frames, want %d off 1", got, frames[core.OpReveal], k*chunks)
-			}
-			if len(frames) != 3 {
-				t.Errorf("C1 sent C2 requests %v, want only SSEDPack, Rank and Reveal", frames)
+			if fmt.Sprint(uplink) != fmt.Sprint(want.Uplink) {
+				t.Errorf("C1 sent C2 %v (frames, ints by opcode), cost model says %v", uplink, want.Uplink)
 			}
 			decrypts := (sent[smc.OpSSEDPack] - 3*frames[smc.OpSSEDPack]) + (sent[core.OpRank] - 1) + sent[core.OpReveal]
-			if want := n*groups + n + k*chunks; decrypts != want {
-				t.Errorf("C2 decrypted %d values, want n·⌈m/s⌉ + n + k·⌈m/c⌉ = %d", decrypts, want)
+			if decrypts != want.OnePrime+want.CRT {
+				t.Errorf("C2 decrypted %d values, cost model says %d", decrypts, want.OnePrime+want.CRT)
 			}
-			if encrypts != uint64(n) {
-				t.Errorf("%d encryptions during the query, want %d: one SSED reply per record on C2, none on C1", encrypts, n)
+			if encrypts != uint64(want.Encrypts) || want.Encrypts != n {
+				t.Errorf("%d encryptions during the query, cost model says %d: one SSED reply per record on C2, none on C1", encrypts, want.Encrypts)
 			}
 		})
 	}
