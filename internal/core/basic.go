@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/big"
 	"time"
 
 	"sknn/internal/mpc"
@@ -143,16 +142,10 @@ func (s *QuerySession) basicTopK(q EncryptedQuery, k int) ([]Candidate, *SecureM
 // rank is step 3 of Algorithm 5: C2 decrypts the distances ds and names
 // the k smallest, returned as distinct positions in ds, nearest first.
 func (s *QuerySession) rank(ds []*paillier.Ciphertext, k int) ([]int, error) {
-	payload := make([]*big.Int, 0, len(ds)+1)
-	payload = append(payload, big.NewInt(int64(k)))
-	for _, d := range ds {
-		payload = append(payload, d.Raw())
-	}
-	resp, err := mpc.RoundTrip(s.primary().Conn(), &mpc.Message{Op: OpRank, Ints: payload})
+	f, err := s.primary().RoundTrip(OpRank, []int{k}, ds)
 	if err != nil {
 		return nil, fmt.Errorf("core: rank round trip: %w", err)
 	}
-	f := mpc.ReadFields(resp.Ints)
 	order := make([]int, k)
 	named := make(map[int]bool, k)
 	for j := range order {

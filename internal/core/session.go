@@ -224,18 +224,17 @@ func (s *QuerySession) reveal(selected []EncryptedRecord) (*MaskedResult, error)
 // of the masks, Bob or, for a cluster id, C1, can unmask.
 func (s *QuerySession) maskedDecrypt(cts []*paillier.Ciphertext) (masks, masked []*big.Int, err error) {
 	masks = make([]*big.Int, len(cts))
-	payload := make([]*big.Int, len(cts))
+	payload := make([]*paillier.Ciphertext, len(cts))
 	for i, ct := range cts {
 		if masks[i], err = s.pk.RandomZN(s.primary().Rand()); err != nil {
 			return nil, nil, fmt.Errorf("core: reveal mask: %w", err)
 		}
-		payload[i] = s.pk.AddPlain(ct, masks[i]).Raw()
+		payload[i] = s.pk.AddPlain(ct, masks[i])
 	}
-	resp, err := mpc.RoundTrip(s.primary().Conn(), &mpc.Message{Op: OpReveal, Ints: payload})
+	f, err := s.primary().RoundTrip(OpReveal, nil, payload)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: reveal round trip: %w", err)
 	}
-	f := mpc.ReadFields(resp.Ints)
 	masked = make([]*big.Int, len(cts))
 	for i := range masked {
 		masked[i] = mpc.Read(f, s.pk.Residue)

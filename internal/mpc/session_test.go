@@ -273,7 +273,11 @@ func TestMultiplexerCloseFreesStuckSend(t *testing.T) {
 // TestFloodedSessionFailsInsteadOfHanging sends more unsolicited frames
 // for one tag than the session buffer holds: the flooded session must
 // surface ErrConnClosed (not hang on a silently dropped reply) while a
-// sibling session keeps working.
+// sibling session keeps working. The flooded session reads only once a
+// marker sent on the sibling's tag after the flood has arrived: the
+// demultiplexer routes in order, so by then the whole flood has been
+// routed and the buffer has overflowed — a reader draining it while the
+// flood is still being routed would keep it from ever overflowing.
 func TestFloodedSessionFailsInsteadOfHanging(t *testing.T) {
 	a, b := ChanPipe()
 	mux := NewMultiplexer(a)
@@ -291,6 +295,12 @@ func TestFloodedSessionFailsInsteadOfHanging(t *testing.T) {
 		if err := b.Send(&Message{Op: OpPing, Tag: 1}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := b.Send(&Message{Op: OpPing, Tag: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sibling.Recv(); err != nil {
+		t.Fatalf("sibling marker: %v", err)
 	}
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- Serve(b, NewMux()) }()

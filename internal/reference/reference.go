@@ -64,23 +64,21 @@ func SkNNb(rq *smc.Requester, rows []core.EncryptedRecord, q core.EncryptedQuery
 
 	// Step 2: E(dᵢ) ← SSED(E(Q), E(tᵢ)), record by record; C1 sends
 	// ⟨i, E(dᵢ)⟩ for every i to C2.
-	ranking := make([]*big.Int, 1, 1+n)
-	ranking[0] = big.NewInt(int64(k))
+	ds := make([]*paillier.Ciphertext, n)
 	for i, row := range rows {
 		d, err := rq.SSED(q, row[:len(q)])
 		if err != nil {
 			return nil, fmt.Errorf("reference: SSED of record %d: %w", i, err)
 		}
-		ranking = append(ranking, d.Raw())
+		ds[i] = d
 	}
 
 	// Step 3: C2 decrypts the distances and answers δ = ⟨i₁,…,i_k⟩, the
 	// indices of the k smallest.
-	resp, err := mpc.RoundTrip(rq.Conn(), &mpc.Message{Op: core.OpRank, Ints: ranking})
+	f, err := rq.RoundTrip(core.OpRank, []int{k}, ds)
 	if err != nil {
 		return nil, fmt.Errorf("reference: rank: %w", err)
 	}
-	f := mpc.ReadFields(resp.Ints)
 	selected := make([]core.EncryptedRecord, k)
 	delta := make([]uint64, k)
 	for j := range delta {
@@ -179,24 +177,22 @@ func SkNNm(rq *smc.Requester, rows []core.EncryptedRecord, q core.EncryptedQuery
 		if err != nil {
 			return nil, fmt.Errorf("reference: iteration %d permutation: %w", s, err)
 		}
-		beta := make([]*big.Int, 1, 1+n)
-		beta[0] = big.NewInt(int64(n))
-		for i := 0; i < n; i++ {
+		beta := make([]*paillier.Ciphertext, n)
+		for i := range beta {
 			tau := pk.Sub(encMin, smc.Recompose(pk, bits[perm[i]]))
 			r, err := pk.RandomNonzeroZN(rq.Rand())
 			if err != nil {
 				return nil, fmt.Errorf("reference: iteration %d blind: %w", s, err)
 			}
-			beta = append(beta, pk.ScalarMul(tau, r).Raw())
+			beta[i] = pk.ScalarMul(tau, r)
 		}
 
 		// (c) C2 decrypts β and answers U: E(1) at one position where
 		// β′ = 0, E(0) elsewhere. V = π⁻¹(U).
-		resp, err := mpc.RoundTrip(rq.Conn(), &mpc.Message{Op: OpMinSelect, Ints: beta})
+		f, err := rq.RoundTrip(OpMinSelect, []int{n}, beta)
 		if err != nil {
 			return nil, fmt.Errorf("reference: iteration %d min-select: %w", s, err)
 		}
-		f := mpc.ReadFields(resp.Ints)
 		v := make([]*paillier.Ciphertext, n)
 		for i := range v {
 			v[perm[i]] = mpc.Read(f, pk.FromRaw)
@@ -240,7 +236,7 @@ func reveal(rq *smc.Requester, selected []core.EncryptedRecord, ids []uint64) (*
 	pk := rq.PK()
 	k, m := len(selected), len(selected[0])
 	masks := make([][]*big.Int, k)
-	gamma := make([]*big.Int, 0, k*m)
+	gamma := make([]*paillier.Ciphertext, 0, k*m)
 	for i, record := range selected {
 		masks[i] = make([]*big.Int, m)
 		for j, ct := range record {
@@ -249,14 +245,13 @@ func reveal(rq *smc.Requester, selected []core.EncryptedRecord, ids []uint64) (*
 				return nil, fmt.Errorf("reference: reveal mask: %w", err)
 			}
 			masks[i][j] = r
-			gamma = append(gamma, pk.AddPlain(ct, r).Raw())
+			gamma = append(gamma, pk.AddPlain(ct, r))
 		}
 	}
-	resp, err := mpc.RoundTrip(rq.Conn(), &mpc.Message{Op: core.OpReveal, Ints: gamma})
+	f, err := rq.RoundTrip(core.OpReveal, nil, gamma)
 	if err != nil {
 		return nil, fmt.Errorf("reference: reveal: %w", err)
 	}
-	f := mpc.ReadFields(resp.Ints)
 	masked := make([][]*big.Int, k)
 	for i := range masked {
 		masked[i] = make([]*big.Int, m)

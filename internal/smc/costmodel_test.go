@@ -91,12 +91,12 @@ func TestPaperCostModel(t *testing.T) {
 
 	for _, tc := range cases {
 		counter.received, counter.replied, counter.encrypts = map[mpc.Op]int{}, map[mpc.Op]int{}, 0
-		rounds0 := rq.Conn().Stats().Rounds()
+		rounds0 := smc.Rounds(rq)
 		if err := tc.run(); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		got := reference.Cost{
-			Rounds:       int(rq.Conn().Stats().Rounds() - rounds0),
+			Rounds:       int(smc.Rounds(rq) - rounds0),
 			Decrypts:     counter.decrypts(),
 			Encrypts:     int(counter.encrypts),
 			Rerandomizes: counter.rerandomizes(),

@@ -8,3 +8,6 @@ var (
 	EncVec   = encVec
 	EncBits  = encBits
 )
+
+// Rounds is the requester link's count of completed round trips.
+func Rounds(rq *Requester) int64 { return rq.conn.Stats().Rounds() }

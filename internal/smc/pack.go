@@ -50,9 +50,9 @@ func SMPackOperandBits(keyBits int) int {
 // nonce: C2 can recover a ciphertext's nonce with the factorisation, and
 // a group folded from stored record ciphertexts would otherwise carry the
 // same nonce in every round and query, naming its record behind any
-// permutation. It returns the groups as frame elements and the blinds,
-// which the caller strips from C2's products as ρᵢ·E(selector).
-func (rq *Requester) PackBlinded(xs []*paillier.Ciphertext, valueBits int) ([]*big.Int, []*big.Int, error) {
+// permutation. It returns the groups and the blinds, which the caller
+// strips from C2's products as ρᵢ·E(selector).
+func (rq *Requester) PackBlinded(xs []*paillier.Ciphertext, valueBits int) ([]*paillier.Ciphertext, []*big.Int, error) {
 	codec, err := rq.packCodec(valueBits)
 	if err != nil {
 		return nil, nil, fmt.Errorf("smc: blinded operands: %w", err)
@@ -71,14 +71,14 @@ func (rq *Requester) PackBlinded(xs []*paillier.Ciphertext, valueBits int) ([]*b
 	if err != nil {
 		return nil, nil, fmt.Errorf("smc: blinded operands: %w", err)
 	}
-	groups := make([]*big.Int, len(nonces))
+	groups := make([]*paillier.Ciphertext, len(nonces))
 	err = paillier.ForEach(len(groups), func(g int) error {
 		lo := g * codec.Slots
 		ct, err := codec.PackCiphertexts(blinded[lo:min(len(blinded), lo+codec.Slots)])
 		if err != nil {
 			return fmt.Errorf("smc: blinded operands, group %d: %w", g, err)
 		}
-		groups[g] = rq.pk.RerandomizeWith(nonces[g], ct).Raw()
+		groups[g] = rq.pk.RerandomizeWith(nonces[g], ct)
 		return nil
 	})
 	if err != nil {
@@ -177,8 +177,7 @@ func (rq *Requester) SSEDManyPacked(q []*paillier.Ciphertext, rows [][]*paillier
 
 	offset := new(big.Int).Lsh(oneBig, uint(B))
 	cs := make([][]*big.Int, n) // per record, per attribute: cⱼ = 2^B + rⱼ
-	payload := make([]*big.Int, 0, 3+n*groups)
-	payload = append(payload, big.NewInt(int64(n)), big.NewInt(int64(m)), big.NewInt(int64(B)))
+	payload := make([]*paillier.Ciphertext, 0, n*groups)
 	for i := 0; i < n; i++ {
 		cs[i] = make([]*big.Int, m)
 		for g := 0; g < groups; g++ {
@@ -199,11 +198,11 @@ func (rq *Requester) SSEDManyPacked(q []*paillier.Ciphertext, rows [][]*paillier
 				return nil, fmt.Errorf("smc: packed SSED offsets: %w", err)
 			}
 			diff := rq.pk.AddPlain(rq.pk.Add(packedQ[g], invT[i*groups+g]), packedC)
-			payload = append(payload, diff.Raw())
+			payload = append(payload, diff)
 		}
 	}
 
-	sums, err := rq.exchange(OpSSEDPack, payload, n)
+	sums, err := rq.exchange(OpSSEDPack, []int{n, m, B}, payload, n)
 	if err != nil {
 		return nil, fmt.Errorf("smc: packed SSED round trip: %w", err)
 	}
@@ -344,11 +343,11 @@ func (rq *Requester) msbOncePacked(zs []*paillier.Ciphertext, xs [][]*paillier.C
 	rs := make([]*big.Int, n)
 	for j := 0; j < L; j++ {
 		output := j == L-1
-		payload := make([]*big.Int, 0, 5+2*groups)
-		payload = append(payload, big.NewInt(int64(n)), big.NewInt(int64(L)), big.NewInt(int64(j)))
+		header := []int{n, L, j}
 		if output {
-			payload = append(payload, big.NewInt(int64(per)), big.NewInt(int64(opBits)))
+			header = append(header, per, opBits)
 		}
+		payload := make([]*paillier.Ciphertext, 0, 2*groups)
 		for g := 0; g < groups; g++ {
 			lo := g * codec.Slots
 			hi := min(n, lo+codec.Slots)
@@ -365,19 +364,19 @@ func (rq *Requester) msbOncePacked(zs []*paillier.Ciphertext, xs [][]*paillier.C
 			if err != nil {
 				return nil, fmt.Errorf("smc: MSB packed blind: %w", err)
 			}
-			payload = append(payload, ct.Raw())
+			payload = append(payload, ct)
 		}
 		want := n
 		var rhos []*big.Int
 		if output {
-			var operands []*big.Int
+			var operands []*paillier.Ciphertext
 			if operands, rhos, err = rq.PackBlinded(flat, opBits); err != nil {
 				return nil, err
 			}
 			payload = append(payload, operands...)
 			want += n * per
 		}
-		raw, err := rq.exchange(OpSBDPackBit, payload, want)
+		raw, err := rq.exchange(OpSBDPackBit, header, payload, want)
 		if err != nil {
 			return nil, fmt.Errorf("smc: packed MSB round %d: %w", j, err)
 		}

@@ -97,16 +97,16 @@ func (rq *Requester) sbdOnce(zs []*paillier.Ciphertext, l int) ([][]*paillier.Ci
 
 	rs := make([]*big.Int, n)
 	for round := 0; round < l; round++ {
-		payload := make([]*big.Int, n)
+		payload := make([]*paillier.Ciphertext, n)
 		for i := 0; i < n; i++ {
 			r, err := rq.pk.RandomZN(rq.rand)
 			if err != nil {
 				return nil, fmt.Errorf("smc: SBD blind: %w", err)
 			}
 			rs[i] = r
-			payload[i] = rq.pk.AddPlain(rem[i], r).Raw()
+			payload[i] = rq.pk.AddPlain(rem[i], r)
 		}
-		lsbs, err := rq.exchange(OpSBDLsb, payload, n)
+		lsbs, err := rq.exchange(OpSBDLsb, nil, payload, n)
 		if err != nil {
 			return nil, fmt.Errorf("smc: SBD round %d: %w", round, err)
 		}
@@ -142,7 +142,7 @@ func (rq *Requester) sbdOnce(zs []*paillier.Ciphertext, l int) ([][]*paillier.Ci
 // simulatable.
 func (rq *Requester) verifySBD(zs []*paillier.Ciphertext, bits [][]*paillier.Ciphertext, l int) ([]bool, error) {
 	n := len(zs)
-	payload := make([]*big.Int, n)
+	payload := make([]*paillier.Ciphertext, n)
 	for i := 0; i < n; i++ {
 		rec := Recompose(rq.pk, bits[i])
 		diff := rq.pk.Sub(rec, zs[i])
@@ -150,13 +150,12 @@ func (rq *Requester) verifySBD(zs []*paillier.Ciphertext, bits [][]*paillier.Cip
 		if err != nil {
 			return nil, fmt.Errorf("smc: SBD verify blind: %w", err)
 		}
-		payload[i] = rq.pk.ScalarMul(diff, rho).Raw()
+		payload[i] = rq.pk.ScalarMul(diff, rho)
 	}
-	resp, err := mpc.RoundTrip(rq.conn, &mpc.Message{Op: OpSBDVerify, Ints: payload})
+	f, err := rq.RoundTrip(OpSBDVerify, nil, payload)
 	if err != nil {
 		return nil, fmt.Errorf("smc: SBD verify: %w", err)
 	}
-	f := mpc.ReadFields(resp.Ints)
 	ok := make([]bool, n)
 	for i := range ok {
 		ok[i] = f.Int(0, 1) == 1

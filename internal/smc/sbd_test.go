@@ -50,13 +50,13 @@ func TestSBDBatch(t *testing.T) {
 	rq, sk := pair(t)
 	zs := []int64{0, 7, 55, 58, 63}
 	cts := encVec(t, sk, zs...)
-	rounds0 := rq.Conn().Stats().Rounds()
+	rounds0 := rq.conn.Stats().Rounds()
 	out, err := rq.SBDBatch(cts, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// l LSB rounds + 1 verification round.
-	if r := rq.Conn().Stats().Rounds() - rounds0; r != 7 {
+	if r := rq.conn.Stats().Rounds() - rounds0; r != 7 {
 		t.Errorf("SBDBatch used %d rounds, want 7", r)
 	}
 	for i, z := range zs {

@@ -24,12 +24,12 @@ func TestSBORBatchOneRound(t *testing.T) {
 	rq, sk := pair(t)
 	a := encVec(t, sk, 0, 0, 1, 1)
 	b := encVec(t, sk, 0, 1, 0, 1)
-	rounds0 := rq.Conn().Stats().Rounds()
+	rounds0 := rq.conn.Stats().Rounds()
 	got, err := rq.SBORBatch(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := rq.Conn().Stats().Rounds() - rounds0; r != 1 {
+	if r := rq.conn.Stats().Rounds() - rounds0; r != 1 {
 		t.Errorf("SBORBatch used %d rounds, want 1", r)
 	}
 	want := []int64{0, 1, 1, 1}

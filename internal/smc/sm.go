@@ -38,7 +38,7 @@ func (rq *Requester) SMBatch(as, bs []*paillier.Ciphertext) ([]*paillier.Ciphert
 	n := len(as)
 	ras := make([]*big.Int, n)
 	rbs := make([]*big.Int, n)
-	payload := make([]*big.Int, 0, 2*n)
+	payload := make([]*paillier.Ciphertext, 0, 2*n)
 	for i := 0; i < n; i++ {
 		ra, err := rq.pk.RandomZN(rq.rand)
 		if err != nil {
@@ -52,10 +52,10 @@ func (rq *Requester) SMBatch(as, bs []*paillier.Ciphertext) ([]*paillier.Ciphert
 		// a′ = E(a)·E(rₐ) = E(a+rₐ); AddPlain saves the encryption.
 		aPrime := rq.pk.AddPlain(as[i], ra)
 		bPrime := rq.pk.AddPlain(bs[i], rb)
-		payload = append(payload, aPrime.Raw(), bPrime.Raw())
+		payload = append(payload, aPrime, bPrime)
 	}
 
-	hs, err := rq.exchange(OpSM, payload, n)
+	hs, err := rq.exchange(OpSM, nil, payload, n)
 	if err != nil {
 		return nil, fmt.Errorf("smc: SM round trip: %w", err)
 	}

@@ -57,12 +57,12 @@ func TestSMBatch(t *testing.T) {
 	rq, sk := pair(t)
 	as := encVec(t, sk, 2, 3, 4, 5)
 	bs := encVec(t, sk, 10, 20, 30, 40)
-	rounds0 := rq.Conn().Stats().Rounds()
+	rounds0 := rq.conn.Stats().Rounds()
 	got, err := rq.SMBatch(as, bs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := rq.Conn().Stats().Rounds() - rounds0; r != 1 {
+	if r := rq.conn.Stats().Rounds() - rounds0; r != 1 {
 		t.Errorf("SMBatch used %d rounds, want 1", r)
 	}
 	want := []int64{20, 60, 120, 200}

@@ -150,9 +150,6 @@ func (rq *Requester) shortBlind(bits int) (*big.Int, error) {
 // PK returns the public key the requester encrypts under.
 func (rq *Requester) PK() *paillier.PublicKey { return rq.pk }
 
-// Conn returns the underlying connection (for stats and shutdown).
-func (rq *Requester) Conn() mpc.Conn { return rq.conn }
-
 // Rand returns the requester's randomness source.
 func (rq *Requester) Rand() io.Reader { return rq.rand }
 
@@ -161,15 +158,34 @@ func (rq *Requester) EncryptZero() (*paillier.Ciphertext, error) {
 	return rq.pk.EncryptInt64(rq.rand, 0)
 }
 
-// exchange sends one request and reads its reply, want ciphertexts
-// under the requester's key: the one place C1 decodes a ciphertext
-// reply from C2.
-func (rq *Requester) exchange(op mpc.Op, payload []*big.Int, want int) ([]*paillier.Ciphertext, error) {
-	resp, err := mpc.RoundTrip(rq.conn, &mpc.Message{Op: op, Ints: payload})
+// RoundTrip sends C2 one frame — the header integers, then the raw
+// values of the uplink ciphertexts — and returns the reply's fields for
+// the caller to read and finish with Done. It is the one door by which a
+// ciphertext of C1's reaches C2: every frame the primitives here,
+// internal/core's rank and reveal and internal/reference's protocols
+// send the key cloud leaves through it.
+func (rq *Requester) RoundTrip(op mpc.Op, header []int, uplink []*paillier.Ciphertext) (*mpc.Fields, error) {
+	ints := make([]*big.Int, 0, len(header)+len(uplink))
+	for _, h := range header {
+		ints = append(ints, big.NewInt(int64(h)))
+	}
+	for _, ct := range uplink {
+		ints = append(ints, ct.Raw())
+	}
+	resp, err := mpc.RoundTrip(rq.conn, &mpc.Message{Op: op, Ints: ints})
 	if err != nil {
 		return nil, err
 	}
-	f := mpc.ReadFields(resp.Ints)
+	return mpc.ReadFields(resp.Ints), nil
+}
+
+// exchange is RoundTrip for a reply of want ciphertexts under the
+// requester's key: the one place C1 decodes a ciphertext reply from C2.
+func (rq *Requester) exchange(op mpc.Op, header []int, uplink []*paillier.Ciphertext, want int) ([]*paillier.Ciphertext, error) {
+	f, err := rq.RoundTrip(op, header, uplink)
+	if err != nil {
+		return nil, err
+	}
 	cts := make([]*paillier.Ciphertext, want)
 	for i := range cts {
 		cts[i] = mpc.Read(f, rq.pk.FromRaw)

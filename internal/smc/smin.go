@@ -114,15 +114,7 @@ func (rq *Requester) SMIN(u, v []*paillier.Ciphertext) ([]*paillier.Ciphertext, 
 	}
 	gammaP := applyPerm(pi1, gamma)
 	lvecP := applyPerm(pi2, lvec)
-	payload := make([]*big.Int, 0, 2*l)
-	for _, ct := range gammaP {
-		payload = append(payload, ct.Raw())
-	}
-	for _, ct := range lvecP {
-		payload = append(payload, ct.Raw())
-	}
-
-	reply, err := rq.exchange(OpSMIN, payload, l+1)
+	reply, err := rq.exchange(OpSMIN, nil, append(gammaP, lvecP...), l+1)
 	if err != nil {
 		return nil, fmt.Errorf("smc: SMIN step 2: %w", err)
 	}
