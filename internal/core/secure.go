@@ -441,15 +441,25 @@ func (s *QuerySession) compareLayer(wires []Candidate, layer []comparator, recBi
 	if err != nil {
 		return err
 	}
+	// The maxima a + b − min, record chunk by chunk, of every gate that
+	// keeps both: one batch inversion for the layer.
 	pk := s.pk
+	var negs []*paillier.Ciphertext
+	for p, g := range layer {
+		if g.both {
+			negs = append(append(negs, mins[p]), recs[p]...)
+		}
+	}
+	negs = pk.InvMany(negs)
 	for p, g := range layer {
 		pr := pairs[p]
 		if g.both {
 			maxRec := make(EncryptedRecord, len(recs[p]))
 			for c := range maxRec {
-				maxRec[c] = pk.Sub(pk.Add(pr.RecA[c], pr.RecB[c]), recs[p][c])
+				maxRec[c] = pk.Add(pk.Add(pr.RecA[c], pr.RecB[c]), negs[1+c])
 			}
-			wires[g.j] = Candidate{Dist: pk.Sub(pk.Add(pr.A, pr.B), mins[p]), Rec: maxRec}
+			wires[g.j] = Candidate{Dist: pk.Add(pk.Add(pr.A, pr.B), negs[0]), Rec: maxRec}
+			negs = negs[1+len(recs[p]):]
 		}
 		wires[g.i] = Candidate{Dist: mins[p], Rec: recs[p]}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/rand"
 	"fmt"
+	"math/big"
 	"sync/atomic"
 	"testing"
 
@@ -170,6 +171,46 @@ func TestOnePrimeDecryptionsPerScan(t *testing.T) {
 			if int64(want.OnePrime) != o || int64(want.OnePrime+want.CRT) != d {
 				t.Errorf("the cost model says %d decryptions, %d of them one-prime; C2's frames ask for %d, %d",
 					want.OnePrime+want.CRT, want.OnePrime, d, o)
+			}
+		})
+	}
+}
+
+// TestInversionsPerScan pins C1's group inversions mod N² per SkNNm
+// query at secure_scan's shape (n = 8, m = 6, b = 4, k = 2, K = 512),
+// over one and two shards: per comparator batch one InvMany for its
+// subtractions and one for its select, per layer one for the maxima,
+// and per peeling round one Inv for each slot group that holds an
+// even-blind slot — which is why every link draws from a seeded stream
+// (the golden transcript's engine and key): the count depends on the
+// blinds' parities. Subtracting ciphertext by ciphertext, one Inv each,
+// the same queries took 92 and 110.
+func TestInversionsPerScan(t *testing.T) {
+	p, _ := new(big.Int).SetString(goldenP, 16)
+	q, _ := new(big.Int).SetString(goldenQ, 16)
+	sk, err := paillier.NewPrivateKey(p, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, m, attrBits, k = 8, 6, 4, 2
+	data, err := dataset.Generate(1, n, m, attrBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	query, err := dataset.GenerateQuery(2, m, attrBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shape := range []struct{ shards, want int }{{1, 50}, {2, 71}} {
+		t.Run(fmt.Sprintf("shards=%d", shape.shards), func(t *testing.T) {
+			e, _ := goldenEngine(t, sk, goldenTable(t, sk, data.Rows, attrBits), shape.shards)
+			bob := NewClient(&sk.PublicKey, nil)
+			before := paillier.InverseCalls()
+			rows := goldenQuery(t, e, bob, query, k, 0, true)
+			got := paillier.InverseCalls() - before
+			assertMatchesOracle(t, data, query, k, rows[:k])
+			if got != uint64(shape.want) {
+				t.Errorf("%d inversions per query, want %d", got, shape.want)
 			}
 		})
 	}

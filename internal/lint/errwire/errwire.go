@@ -1,8 +1,9 @@
 // Package errwire tracks errors born from wire operations — Send,
-// Recv, RoundTrip, and the encode*/decode* codec family — and reports
-// the ways they escape handling: discarded outright (bare call
-// statement or assigned to _), overwritten by a later assignment
-// before any check, or still pending on a path that reaches a return.
+// Recv, RoundTrip, smc's exchange (a Requester round trip whose reply
+// it decodes), and the encode*/decode* codec family — and reports the
+// ways they escape handling: discarded outright (bare call statement
+// or assigned to _), overwritten by a later assignment before any
+// check, or still pending on a path that reaches a return.
 //
 // The protocol stack's failure model depends on this: a lost Send
 // error means C1 keeps driving rounds against a dead link and the
@@ -36,7 +37,7 @@ import (
 // errors.
 var Analyzer = &analysis.Analyzer{
 	Name: "errwire",
-	Doc:  "errors from Send/Recv/RoundTrip and encode*/decode* calls must be checked, not discarded, shadowed, or dropped on a return path",
+	Doc:  "errors from Send/Recv/RoundTrip/exchange and encode*/decode* calls must be checked, not discarded, shadowed, or dropped on a return path",
 	Run:  run,
 }
 
@@ -47,6 +48,7 @@ var wireNames = map[string]bool{
 	"Recv":      true,
 	"RoundTrip": true,
 	"roundTrip": true,
+	"exchange":  true,
 }
 
 func isWireCallee(name string) bool {

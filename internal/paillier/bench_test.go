@@ -262,6 +262,36 @@ func BenchmarkPackCiphertexts(b *testing.B) {
 	}
 }
 
+// BenchmarkInverse prices a group inversion mod N² two ways: "inv" is
+// one Inv, a ModInverse; "invmany" is one InvMany batch of 12 — the
+// subtrahends of secure_scan's first comparator layer, 4 pairs × (B, A,
+// one record chunk) — reported per element (ns/elem): one ModInverse
+// shared by the batch plus three products mod N² each.
+func BenchmarkInverse(b *testing.B) {
+	const batch = 12
+	for _, bits := range []int{512, 1024, 2048} {
+		sk := benchKey(b, bits)
+		cts := make([]*Ciphertext, batch)
+		for j := range cts {
+			var err error
+			if cts[j], err = sk.Encrypt(rand.Reader, big.NewInt(int64(j))); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run(fmt.Sprintf("K=%d/inv", bits), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sk.Inv(cts[i%batch])
+			}
+		})
+		b.Run(fmt.Sprintf("K=%d/invmany", bits), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sk.InvMany(cts)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/elem")
+		})
+	}
+}
+
 // benchExponent returns a random exponent of exactly bits bits.
 func benchExponent(b *testing.B, bits int) *big.Int {
 	e, err := rand.Int(rand.Reader, new(big.Int).Lsh(one, uint(bits)))

@@ -123,6 +123,7 @@ func (pk *PublicKey) ScalarMulInt64(a *Ciphertext, k int64) *Ciphertext {
 // ciphertexts, reachable only through FromRaw on adversarial values —
 // fall back to the exponentiation, which is total.
 func (pk *PublicKey) Inv(a *Ciphertext) *Ciphertext {
+	inverseCalls.Add(1)
 	if inv := new(big.Int).ModInverse(a.c, pk.NSquared); inv != nil {
 		return &Ciphertext{c: inv}
 	}
@@ -141,6 +142,7 @@ func (pk *PublicKey) InvMany(cts []*Ciphertext) []*Ciphertext {
 	if n == 0 {
 		return out
 	}
+	inverseCalls.Add(1)
 	// prefix[i] = c₀·…·c_i mod N².
 	prefix := make([]*big.Int, n)
 	acc := new(big.Int).Set(cts[0].c)

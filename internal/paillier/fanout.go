@@ -16,10 +16,13 @@ import (
 // link count (sknn.Config.Workers), which spreads a query over more
 // frames: here nothing about the wire changes.
 //
-// One goroutine runs outside this budget: a NonceReserve's raiser
-// (reserve.go), at most one per key cloud, which raises reply nonces
-// between requests. It takes no helper token on purpose — the tokens are
+// Two goroutines run outside this budget. A NonceReserve's raiser
+// (reserve.go), at most one per key cloud, draws and raises reply nonces
+// between requests; it takes no helper token on purpose — the tokens are
 // busy exactly when C2 is, which is when the raiser has nothing to do.
+// And smc's bit peel folds its output round's operands on a goroutine of
+// its own, one per peel, while C1 waits on the peeling rounds' replies —
+// serially, leaving the tokens to C2's handler.
 
 // helpers counts the fan-out helper goroutines alive in this process,
 // across every concurrent ForEach: the budget all callers share.

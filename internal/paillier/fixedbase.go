@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/big"
 	"sync"
+	"sync/atomic"
 )
 
 // This file is the nonce kernel: the one modular exponentiation an
@@ -191,15 +192,19 @@ func (sk *PrivateKey) EnableFixedBase(io.Reader) error { return nil }
 // several goroutines at once — the reserve's raiser and the handler that
 // took the nonce — and computes the power once.
 type Nonce struct {
-	once  sync.Once
-	raise func() *big.Int // the pending exponentiation; reads no randomness
-	rho   *big.Int        // its result, once raised
+	once   sync.Once
+	raise  func() *big.Int // the pending exponentiation; reads no randomness
+	rho    *big.Int        // its result, once raised
+	raised atomic.Bool     // rho is set: Raise has nothing left to do
 }
 
 // Raise computes the nonce power. A call that finds another one under
 // way waits for its result; once raised, Raise is a no-op.
 func (nc *Nonce) Raise() {
-	nc.once.Do(func() { nc.rho, nc.raise = nc.raise(), nil })
+	nc.once.Do(func() {
+		nc.rho, nc.raise = nc.raise(), nil
+		nc.raised.Store(true)
+	})
 }
 
 // power returns the raised nonce power, raising it now if nobody has.
@@ -208,18 +213,32 @@ func (nc *Nonce) power() *big.Int {
 	return nc.rho
 }
 
-// RaiseAlongside runs fn(0), …, fn(n−1) and raises every nonce as one
-// ForEach task list: the shape of a C2 handler, whose n request
-// decryptions and len(nonces) reply nonce powers are independent of one
-// another. Errors and panics as ForEach.
+// RaiseAlongside runs fn(0), …, fn(n−1) and raises every nonce not yet
+// raised as one ForEach task list: the shape of a C2 handler, whose n
+// request decryptions and reply nonce powers are independent of one
+// another. A nonce the reserve's raiser has already raised gets no task;
+// one it is still raising gets one, which waits for its result. Errors
+// and panics as ForEach.
 func RaiseAlongside(nonces []*Nonce, n int, fn func(i int) error) error {
-	return ForEach(n+len(nonces), func(t int) error {
+	pending := unraised(nonces)
+	return ForEach(n+len(pending), func(t int) error {
 		if t < n {
 			return fn(t)
 		}
-		nonces[t-n].Raise()
+		pending[t-n].Raise()
 		return nil
 	})
+}
+
+// unraised returns the nonces whose power is not computed yet, in order.
+func unraised(nonces []*Nonce) []*Nonce {
+	var out []*Nonce
+	for _, nc := range nonces {
+		if !nc.raised.Load() {
+			out = append(out, nc)
+		}
+	}
+	return out
 }
 
 // DrawNonces draws the randomness of count encryptions from random,

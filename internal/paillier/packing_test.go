@@ -178,6 +178,69 @@ func TestPackCiphertextsMatchesPackEncrypt(t *testing.T) {
 	}
 }
 
+// TestAddPackedMatchesBlindedFold: blinding a fold slotwise is the fold
+// of the blinded values, bit for bit — AddPacked(PackCiphertexts(xs), ρs)
+// is PackCiphertexts of the AddPlain(xᵢ, ρᵢ), since (1 + aN)^k ≡ 1 + kaN
+// mod N² — at K = 256 and 512, for every slot count, with every blind at
+// the σ bound (2^(ValueBits+64) − 1, the largest a short blind takes) on
+// values at the slot's edges. C1's peel folds its output round's
+// operands before it draws their blinds on this identity.
+func TestAddPackedMatchesBlindedFold(t *testing.T) {
+	sk512, err := GenerateKey(rand.Reader, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sk := range []*PrivateKey{testKey(), sk512} {
+		pk := &sk.PublicKey
+		for _, vb := range []int{12, 25} {
+			codec, err := NewPacking(pk, vb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			top := new(big.Int).Sub(new(big.Int).Lsh(one, uint(vb)), one)
+			rho := new(big.Int).Sub(new(big.Int).Lsh(one, uint(vb+64)), one)
+			for count := 1; count <= codec.Slots; count++ {
+				xs := make([]*big.Int, count)
+				cts := make([]*Ciphertext, count)
+				blinded := make([]*Ciphertext, count)
+				rhos := make([]*big.Int, count)
+				for j := range xs {
+					xs[j] = []*big.Int{top, new(big.Int), big.NewInt(1)}[j%3]
+					if cts[j], err = pk.Encrypt(rand.Reader, xs[j]); err != nil {
+						t.Fatal(err)
+					}
+					rhos[j] = rho
+					blinded[j] = pk.AddPlain(cts[j], rho)
+				}
+				folded, err := codec.PackCiphertexts(cts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := codec.AddPacked(folded, rhos)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := codec.PackCiphertexts(blinded)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.Equal(want) {
+					t.Fatalf("K = %d, %d of %d %d-bit slots: the blinded fold differs from the fold of the blinded values", sk.Bits(), count, codec.Slots, vb)
+				}
+				slots, err := codec.UnpackDecrypt(sk, got, count)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j, v := range slots {
+					if w := new(big.Int).Add(xs[j], rho); v.Cmp(w) != 0 {
+						t.Fatalf("K = %d, %d slots: slot %d = %v, want %v", sk.Bits(), count, j, v, w)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSlotwiseHomomorphicOps covers AddPacked staying inside its slots
 // when the caller honors the width contract.
 func TestSlotwiseHomomorphicOps(t *testing.T) {

@@ -417,6 +417,17 @@ func DecryptCalls() (onePrime, crt uint64) {
 	return onePrimeDecrypts.Load(), crtDecrypts.Load()
 }
 
+// inverseCalls counts modular inversions mod N², process-wide, for
+// InverseCalls.
+var inverseCalls atomic.Uint64
+
+// InverseCalls reports how many group inversions mod N² this process has
+// started: one per Inv (Neg, Sub and a short negative ScalarMul go
+// through it) and one per non-empty InvMany batch, whatever its length:
+// each is one ModInverse (docs/KERNELS.md prices both). Monotonic;
+// compare deltas around an operation.
+func InverseCalls() uint64 { return inverseCalls.Load() }
+
 // DecryptSigned decrypts and maps the result from [0,N) to the symmetric
 // range (-N/2, N/2], which recovers negative protocol values encoded as
 // N - |x|.

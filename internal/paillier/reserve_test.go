@@ -165,6 +165,126 @@ func TestNonceReserveRaiserExits(t *testing.T) {
 	}
 }
 
+// goroutineID names the calling goroutine, read off its stack header
+// ("goroutine 18 [running]:").
+func goroutineID() string {
+	buf := make([]byte, 64)
+	return string(bytes.Fields(buf[:runtime.Stack(buf, false)])[1])
+}
+
+// readLedger is a reader that counts the bytes each goroutine reads from
+// the stream it wraps.
+type readLedger struct {
+	src io.Reader
+	mu  sync.Mutex
+	by  map[string]int // guarded by mu; bytes read, by goroutine
+}
+
+func (l *readLedger) Read(p []byte) (int, error) {
+	n, err := l.src.Read(p)
+	id := goroutineID()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.by[id] += n
+	return n, err
+}
+
+// readBy returns the bytes the goroutine id has read so far.
+func (l *readLedger) readBy(id string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.by[id]
+}
+
+// total returns the bytes read so far, by every goroutine.
+func (l *readLedger) total() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	all := 0
+	for _, n := range l.by {
+		all += n
+	}
+	return all
+}
+
+// TestNonceReserveDrawsAheadOnTheRaiser: Take(k) on an empty reserve
+// reads exactly the randomness of the k nonces it hands out, on the
+// caller's goroutine; the draw-ahead is the raiser's, which fills the
+// queue to reserveDepth, raises all of it in stream order and exits.
+func TestNonceReserveDrawsAheadOnTheRaiser(t *testing.T) {
+	sk := fbKey()
+	for _, k := range []int{1, 5, reserveDepth + 3} {
+		// What k and then reserveDepth more private draws read of the
+		// stream.
+		want := &readLedger{src: mrand.New(mrand.NewSource(11)), by: map[string]int{}}
+		if _, err := drawNonces(k, want, sk.drawNonce); err != nil {
+			t.Fatal(err)
+		}
+		kBytes := want.total()
+		if _, err := drawNonces(reserveDepth, want, sk.drawNonce); err != nil {
+			t.Fatal(err)
+		}
+		fullBytes := want.total()
+
+		before := runtime.NumGoroutine()
+		random := &readLedger{src: mrand.New(mrand.NewSource(11)), by: map[string]int{}}
+		r := NewNonceReserve(sk, random)
+		caller := goroutineID()
+		if _, err := r.Take(k); err != nil {
+			t.Fatal(err)
+		}
+		if got := random.readBy(caller); got != kBytes {
+			t.Errorf("Take(%d) read %d bytes on its caller's goroutine, its %d nonces take %d", k, got, k, kBytes)
+		}
+		waitRaised(t, r)
+		waitForGoroutines(t, before)
+		if byCaller, all := random.readBy(caller), random.total(); byCaller != kBytes || all != fullBytes {
+			t.Errorf("after the raiser: %d bytes on the caller, %d in all; want %d and %d", byCaller, all, kBytes, fullBytes)
+		}
+		r.mu.Lock()
+		if r.raising || len(r.queue) != reserveDepth || r.next != len(r.queue) {
+			t.Errorf("idle reserve: raising %v, %d queued, %d started", r.raising, len(r.queue), r.next)
+		}
+		for i, nc := range r.queue {
+			if !nc.raised.Load() {
+				t.Errorf("queued nonce %d was left unraised", i)
+			}
+		}
+		r.mu.Unlock()
+	}
+}
+
+// TestRaiseAlongsideSkipsRaisedNonces: a nonce the raiser has already
+// raised gets no task — a handler whose nonces are all raised runs just
+// its n tasks, so a single one runs inline with no fan-out helper — and
+// every other nonce comes out raised.
+func TestRaiseAlongsideSkipsRaisedNonces(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	nonces, err := drawNonces(4, mrand.New(mrand.NewSource(13)), fbKey().drawNonce)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonces[0].Raise()
+	nonces[2].Raise()
+	if got := unraised(nonces); len(got) != 2 || got[0] != nonces[1] || got[1] != nonces[3] {
+		t.Fatalf("unraised = %v, want nonces 1 and 3", got)
+	}
+	var ran atomic.Int32
+	if err := RaiseAlongside(nonces, 2, func(int) error { ran.Add(1); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if ran.Load() != 2 || len(unraised(nonces)) != 0 {
+		t.Fatalf("%d tasks of 2 ran, %d nonces left unraised", ran.Load(), len(unraised(nonces)))
+	}
+	helpers := -1
+	if err := RaiseAlongside(nonces, 1, func(int) error { helpers = HelpersInFlight(); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if helpers != 0 {
+		t.Fatalf("a handler with every nonce raised ran beside %d fan-out helpers", helpers)
+	}
+}
+
 // TestNonceRaiseRunsOnce: a second Raise that arrives while the first is
 // computing waits for that result instead of computing it again — a
 // handler reaching a nonce the raiser is working on.

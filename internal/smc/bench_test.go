@@ -188,6 +188,31 @@ func BenchmarkMSBOncePacked(b *testing.B) {
 	}
 }
 
+// BenchmarkSMINValuePairsBatch times one comparator layer the way the
+// engine runs it — the subtractions' batch inversion, the l + 1 peel
+// rounds with the output round's operand fold beside them, and the
+// select — at secure_scan's first layer: 4 pairs, each riding one
+// 24-bit record chunk (6 columns of 4 bits), K = 512, l = 11. Beside
+// BenchmarkMSBOncePacked it prices what C1 adds around the peel.
+func BenchmarkSMINValuePairsBatch(b *testing.B) {
+	const l, recBits, pairs = 11, 24, 4
+	sk := testkit.Key(512)
+	rq := pairOn(b, sk)
+	batch := make([]SMINValuePair, pairs)
+	for i := range batch {
+		batch[i] = SMINValuePair{
+			A: enc(b, sk, int64(300+97*i)), B: enc(b, sk, int64(1500-211*i)),
+			RecA: encVec(b, sk, int64(0xabcdef-i)), RecB: encVec(b, sk, int64(0x123456+i)),
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := rq.SMINValuePairsBatch(batch, l, recBits); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSSEDManyPacked times one packed SSED scan — the uplink, C2's
 // decryptions and reply encryptions, and C1's unblinding, one
 // multi-exponentiation per record — against an in-process C2 at the

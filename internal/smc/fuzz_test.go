@@ -194,11 +194,11 @@ func FuzzRequesterReply(f *testing.F) {
 		f.Add(uint8(prim), uint8(1), encodeFuzzInts([]*big.Int{new(big.Int).Lsh(big.NewInt(1), 64), nil}))
 	}
 	f.Fuzz(func(t *testing.T, prim, round uint8, data []byte) {
-		// One fixed randomness stream per execution, for both parties and
-		// the fuzzed ciphertexts alike, so the coverage an input reaches
-		// repeats.
+		// Fixed randomness streams per execution, so the coverage an input
+		// reaches repeats: one for C1 and the fuzzed ciphertexts, one for
+		// C2, whose reserve draws ahead on its raiser while C1 computes.
 		random := mrand.New(mrand.NewSource(1))
-		rp := NewResponder(sk, random)
+		rp := NewResponder(sk, mrand.New(mrand.NewSource(2)))
 		reply := decodeFuzzInts(t, rp, random, data)
 		inner, calls := rp.Mux(), 0
 		h := mpc.HandlerFunc(func(req *mpc.Message) (*mpc.Message, error) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"sync/atomic"
 
 	"sknn/internal/dataset"
 	"sknn/internal/mpc"
@@ -43,38 +44,40 @@ func SMPackOperandBits(keyBits int) int {
 }
 
 // PackBlinded is the uplink of a frame in which C2 multiplies values by
-// a selector it already knows in the clear: every E(xᵢ), xᵢ < 2^valueBits,
-// gains a fresh short blind ρᵢ — C2 decrypts xᵢ + ρᵢ, σ-statistically
-// hidden — and the blinded values are packed in order, codec.Slots to a
-// group, one slot each. Every group is then re-randomized under a fresh
-// nonce: C2 can recover a ciphertext's nonce with the factorisation, and
-// a group folded from stored record ciphertexts would otherwise carry the
-// same nonce in every round and query, naming its record behind any
-// permutation. It returns the groups and the blinds, which the caller
-// strips from C2's products as ρᵢ·E(selector).
-func (rq *Requester) PackBlinded(xs []*paillier.Ciphertext, valueBits int) ([]*paillier.Ciphertext, []*big.Int, error) {
-	codec, err := rq.packCodec(valueBits)
-	if err != nil {
-		return nil, nil, fmt.Errorf("smc: blinded operands: %w", err)
+// a selector it already knows in the clear. It takes count values
+// E(xᵢ), xᵢ < 2^codec.ValueBits, already folded into groups in order,
+// codec.Slots to a group by PackCiphertexts — a fold that reads no
+// randomness, so it can run before the frame is due. Every value gains
+// a fresh short blind ρᵢ — C2 decrypts xᵢ + ρᵢ, σ-statistically hidden
+// — added to its slot with one AddPacked per group: the same group
+// element as folding the blinded E(xᵢ + ρᵢ), since (1 + aN)^k ≡ 1 + kaN
+// mod N². Every group is then re-randomized under a fresh nonce: C2 can
+// recover a ciphertext's nonce with the factorisation, and a group
+// folded from stored record ciphertexts would otherwise carry the same
+// nonce in every round and query, naming its record behind any
+// permutation. The blinds are drawn first, value by value, then the
+// nonces. It returns the groups and the blinds, which the caller strips
+// from C2's products as ρᵢ·E(selector).
+func (rq *Requester) PackBlinded(folded []*paillier.Ciphertext, count int, codec *paillier.Packing) ([]*paillier.Ciphertext, []*big.Int, error) {
+	if count < 1 || codec.Groups(count) != len(folded) {
+		return nil, nil, fmt.Errorf("%w: %d values in %d groups of %d", ErrLengthMismatch, count, len(folded), codec.Slots)
 	}
-	rhos := make([]*big.Int, len(xs))
-	blinded := make([]*paillier.Ciphertext, len(xs))
-	for i, x := range xs {
-		r, err := rq.shortBlind(valueBits)
+	rhos := make([]*big.Int, count)
+	for i := range rhos {
+		r, err := rq.shortBlind(codec.ValueBits)
 		if err != nil {
 			return nil, nil, err
 		}
 		rhos[i] = r
-		blinded[i] = rq.pk.AddPlain(x, r)
 	}
-	nonces, err := rq.pk.DrawNonces(rq.rand, codec.Groups(len(xs)))
+	nonces, err := rq.pk.DrawNonces(rq.rand, len(folded))
 	if err != nil {
 		return nil, nil, fmt.Errorf("smc: blinded operands: %w", err)
 	}
-	groups := make([]*paillier.Ciphertext, len(nonces))
+	groups := make([]*paillier.Ciphertext, len(folded))
 	err = paillier.ForEach(len(groups), func(g int) error {
 		lo := g * codec.Slots
-		ct, err := codec.PackCiphertexts(blinded[lo:min(len(blinded), lo+codec.Slots)])
+		ct, err := codec.AddPacked(folded[g], rhos[lo:min(count, lo+codec.Slots)])
 		if err != nil {
 			return fmt.Errorf("smc: blinded operands, group %d: %w", g, err)
 		}
@@ -306,7 +309,9 @@ type peeled struct {
 // a handful of modular products, one inversion and one closed-form
 // (1+mN) factor per group. The output round j = L−1 also carries the
 // operands xs[i] of every value — as many per value, each below
-// 2^opBits — blinded and packed by PackBlinded: C2 already reads yᵢ
+// 2^opBits — folded into slot groups on a goroutine of their own while
+// the peeling rounds run, then blinded and re-randomized by PackBlinded
+// when the output round is due: C2 already reads yᵢ
 // there, so it returns E(yᵢ) and E(yᵢ·(x + ρ)) for each operand x, and
 // the caller turns them into E(msbᵢ·x) with one short exponentiation
 // apiece — the products that would otherwise cost a round of their own.
@@ -340,6 +345,32 @@ func (rq *Requester) msbOncePacked(zs []*paillier.Ciphertext, xs [][]*paillier.C
 	}
 	groups := len(packedRem)
 
+	// The output round's operands are fixed already and their fold reads
+	// no randomness, so it runs on its own goroutine while the peeling
+	// rounds wait on C2, joined on every way out of here.
+	opCodec, err := rq.packCodec(opBits)
+	if err != nil {
+		return nil, fmt.Errorf("smc: MSB operand codec: %w", err)
+	}
+	var (
+		folded   []*paillier.Ciphertext
+		foldErr  error
+		foldDone = make(chan struct{})
+		stop     atomic.Bool
+	)
+	go func() {
+		defer close(foldDone)
+		for lo := 0; lo < len(flat) && foldErr == nil && !stop.Load(); lo += opCodec.Slots {
+			var g *paillier.Ciphertext
+			g, foldErr = opCodec.PackCiphertexts(flat[lo:min(len(flat), lo+opCodec.Slots)])
+			folded = append(folded, g)
+		}
+	}()
+	defer func() {
+		stop.Store(true)
+		<-foldDone
+	}()
+
 	rs := make([]*big.Int, n)
 	for j := 0; j < L; j++ {
 		output := j == L-1
@@ -369,8 +400,12 @@ func (rq *Requester) msbOncePacked(zs []*paillier.Ciphertext, xs [][]*paillier.C
 		want := n
 		var rhos []*big.Int
 		if output {
+			<-foldDone
+			if foldErr != nil {
+				return nil, fmt.Errorf("smc: MSB operand packing: %w", foldErr)
+			}
 			var operands []*paillier.Ciphertext
-			if operands, rhos, err = rq.PackBlinded(flat, opBits); err != nil {
+			if operands, rhos, err = rq.PackBlinded(folded, len(flat), opCodec); err != nil {
 				return nil, err
 			}
 			payload = append(payload, operands...)

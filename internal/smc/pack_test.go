@@ -1,13 +1,17 @@
 package smc
 
 import (
+	"context"
 	"crypto/rand"
 	"errors"
 	"fmt"
 	"io"
 	"math/big"
 	mrand "math/rand"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"sknn/internal/mpc"
 	"sknn/internal/paillier"
@@ -267,7 +271,11 @@ func TestPackBlindedRerandomizesEveryGroup(t *testing.T) {
 	for i := range xs {
 		xs[i] = enc(t, sk, int64(1<<vb-1-i))
 	}
-	groups, rhos, err := rq.PackBlinded(xs, vb)
+	folded, err := packRuns(codec, xs, codec.Slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups, rhos, err := rq.PackBlinded(folded, n, codec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,6 +303,86 @@ func TestPackBlindedRerandomizesEveryGroup(t *testing.T) {
 		if fold.Raw().Cmp(ct.Raw()) == 0 {
 			t.Errorf("group %d went out as the bare fold of its values", g)
 		}
+	}
+}
+
+// TestPeelFoldNeverOutlivesTheCall: the output round's operand fold runs
+// on a goroutine of its own beside the peeling rounds, and it is joined
+// on every way out — when C2 fails the output round, and when the
+// query's context is canceled mid-peel while the fold (here 96 pairs of
+// two record chunks: 144 slot groups) is still running. Right after the
+// call returns no goroutine is folding, and once the link is torn down
+// the goroutine count is back to its baseline.
+func TestPeelFoldNeverOutlivesTheCall(t *testing.T) {
+	const l, recBits, pairs = 8, 20, 96
+	sk := testKey()
+	c2 := NewResponder(sk, nil).Mux()
+	batch := make([]SMINValuePair, pairs)
+	for i := range batch {
+		batch[i] = SMINValuePair{A: enc(t, sk, int64(i)), B: enc(t, sk, int64(pairs-i)),
+			RecA: encVec(t, sk, 1, 2), RecB: encVec(t, sk, 3, 4)}
+	}
+	for _, tc := range []struct {
+		name     string
+		cancelAt int // the peeling round whose request cancels the query; −1: C2 fails the output round
+	}{{"C2 fails the output round", -1}, {"canceled mid-peel", 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			release := make(chan struct{}) // holds the canceled round's reply back until the call has returned
+			handler := mpc.HandlerFunc(func(req *mpc.Message) (*mpc.Message, error) {
+				if req.Op == OpSBDPackBit {
+					vb, shift := req.Ints[1].Int64(), int(req.Ints[2].Int64())
+					if tc.cancelAt < 0 && shift == int(vb)-1 {
+						return nil, errors.New("C2 refuses the output round")
+					}
+					if shift == tc.cancelAt {
+						cancel()
+						<-release
+					}
+				}
+				return c2.Handle(req)
+			})
+			c1Conn, c2Conn := mpc.ChanPipe()
+			served := make(chan error, 1)
+			go func() { served <- mpc.Serve(c2Conn, handler) }()
+			mux := mpc.NewMultiplexer(c1Conn)
+			stream, err := mux.OpenContext(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = NewRequester(&sk.PublicKey, stream, nil).SMINValuePairsBatch(batch, l, recBits)
+			if err == nil {
+				t.Fatal("the comparator batch succeeded")
+			}
+			if tc.cancelAt >= 0 && !errors.Is(err, mpc.ErrCanceled) {
+				t.Fatalf("canceled mid-peel: err = %v, want ErrCanceled", err)
+			}
+			// A joined fold may still be leaving its goroutine, past the
+			// signal the call waited for, but none may still be folding.
+			stacks := make([]byte, 1<<20)
+			for _, st := range strings.Split(string(stacks[:runtime.Stack(stacks, true)]), "\n\n") {
+				if strings.Contains(st, "msbOncePacked") && strings.Contains(st, "PackCiphertexts") {
+					t.Fatalf("the peel's operand fold outlived the call:\n%s", st)
+				}
+			}
+			close(release)
+			stream.Close()
+			if err := mpc.SendClose(mux.Conn()); err != nil {
+				t.Fatal(err)
+			}
+			if err := mux.Close(); err != nil {
+				t.Fatal(err)
+			}
+			<-served
+			// C2's nonce raiser exits on its own a moment later.
+			for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines before the call, %d after", before, runtime.NumGoroutine())
+				}
+			}
+		})
 	}
 }
 

@@ -206,7 +206,8 @@ type Responder struct {
 }
 
 // NewResponder builds C2's context, its reply nonces drawn from random
-// (crypto/rand.Reader if nil) in stream order.
+// (crypto/rand.Reader if nil) in stream order. The responder's reserve
+// reads random between requests too, so it must be C2's own.
 func NewResponder(sk *paillier.PrivateKey, random io.Reader) *Responder {
 	return &Responder{sk: sk, nonces: paillier.NewNonceReserve(sk, random)}
 }

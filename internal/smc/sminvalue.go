@@ -91,20 +91,31 @@ func (rq *Requester) SMINValuePairsBatch(pairs []SMINValuePair, l, recBits int) 
 	}
 
 	// t = 2^l + a − b, and the select operands b − a + 2^l, both in
-	// [1, 2^(l+1)), and rec_b − rec_a + 2^recBits per chunk.
-	ts := make([]*paillier.Ciphertext, n)
-	ops := make([][]*paillier.Ciphertext, n)
+	// [1, 2^(l+1)), and rec_b − rec_a + 2^recBits per chunk. Every
+	// subtrahend is known before any round trip: one batch inversion for
+	// all the pairs, B, A and RecA's chunks pair by pair.
+	per := 2 + chunks
+	negs := make([]*paillier.Ciphertext, 0, n*per)
 	for i, p := range pairs {
 		if p.A == nil || p.B == nil || len(p.RecA) != chunks || len(p.RecB) != chunks {
 			return nil, nil, fmt.Errorf("%w: value SMIN pair %d", ErrEmptyInput, i)
 		}
-		ts[i] = rq.pk.AddPlain(rq.pk.Sub(p.A, p.B), pow)
-		ops[i] = append(make([]*paillier.Ciphertext, 0, 1+chunks), rq.pk.AddPlain(rq.pk.Sub(p.B, p.A), pow))
 		for g, a := range p.RecA {
 			if a == nil || p.RecB[g] == nil {
 				return nil, nil, fmt.Errorf("%w: value SMIN pair %d record chunk %d", ErrEmptyInput, i, g)
 			}
-			ops[i] = append(ops[i], rq.pk.AddPlain(rq.pk.Sub(p.RecB[g], a), recPow))
+		}
+		negs = append(append(negs, p.B, p.A), p.RecA...)
+	}
+	negs = rq.pk.InvMany(negs)
+	ts := make([]*paillier.Ciphertext, n)
+	ops := make([][]*paillier.Ciphertext, n)
+	for i, p := range pairs {
+		neg := negs[i*per : (i+1)*per]
+		ts[i] = rq.pk.AddPlain(rq.pk.Add(p.A, neg[0]), pow)
+		ops[i] = append(make([]*paillier.Ciphertext, 0, 1+chunks), rq.pk.AddPlain(rq.pk.Add(p.B, neg[1]), pow))
+		for g, b := range p.RecB {
+			ops[i] = append(ops[i], rq.pk.AddPlain(rq.pk.Add(b, neg[2+g]), recPow))
 		}
 	}
 
