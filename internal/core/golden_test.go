@@ -50,18 +50,18 @@ func TestGoldenTranscript(t *testing.T) {
 		hashes []string // one per link in engine order (workers, then the coordinator), then Bob's answer
 	}{
 		{"secure_scan", goldenScan(8, 6, 4, 2, 1, true), []string{
-			"4527d15cca0c060145791764d09d1a276ecff5475cd2dc48b0641cc2bc58e905",
+			"43716105f8ea68bbce8158714db9893dd457799ec5d155af983b4ffb84e4bc8e",
 			"2b05a3ad8d4220c01f59243cf013f4ef49c4a20644adb1b8d62e2c3eb7040357",
 			"511bedf29ae316fe631e33231cf497194efa5c8f6c77b8d5a0f8481edf0155b3",
 		}},
 		{"secure_two_shards", goldenScan(8, 6, 4, 2, 2, true), []string{
-			"6181c02f623c2b423d0f7c1064366f04eb6279a55f3e95c0ef69003e25ba386a",
-			"2867a9d3e0edc896887fabf3e7282cf86b94b3ac2961aca50c444dabf5d7159c",
-			"443c0e791a44a8b29c05434874c561ef4e30fb0a6d7b0b6dd203c973b55f5d97",
+			"01553eddec9c3576bb85aa275505f723305ea62382ab4e5fb8259324b43ff039",
+			"9da0fac22f59f15bbd43d13f24e411590afda184a99cabcfe3385bbbc67cb077",
+			"55be74e7c18406f4f5cdbdc253ade8cd842b86a994d8f8c23a227fddd24dc85a",
 			"dd7666870ba11078e8ba0964c758966fcbeb2d9148bf5f1b5b6630f0e2fde7bf",
 		}},
 		{"secure_clustered_live", goldenLive, []string{
-			"8260940417b9f8e8cdc8a8dd163ecb8433a2251b22f5e33a392827c52f277ae8",
+			"4e6b7165276d007044fab0af24545528ad50983b1f54c1c8e0e5fb6e8532f191",
 			"8e83bc8e74eb41e8004c12cee3f6f8e08d7d83e297645b27086a26ebc0299010",
 			"68db8c37405bd05176cd66b72a54a3abb998b473e0e1ce8eb6f59ee7095213af",
 		}},

@@ -178,13 +178,13 @@ func TestOnePrimeDecryptionsPerScan(t *testing.T) {
 
 // TestInversionsPerScan pins C1's group inversions mod N² per SkNNm
 // query at secure_scan's shape (n = 8, m = 6, b = 4, k = 2, K = 512),
-// over one and two shards: per comparator batch one InvMany for its
-// subtractions and one for its select, per layer one for the maxima,
-// and per peeling round one Inv for each slot group that holds an
-// even-blind slot — which is why every link draws from a seeded stream
-// (the golden transcript's engine and key): the count depends on the
-// blinds' parities. Subtracting ciphertext by ciphertext, one Inv each,
-// the same queries took 92 and 110.
+// over one and two shards, on the golden transcript's engine and key.
+// The bit peel inverts nothing — each peeled bit stays C2's own reply
+// bit — so what remains is InvMany batches: per comparator batch one
+// for its subtractions and one for its select, per layer one for the
+// maxima. Clearing every peeled bit to zero, one Inv per peeling round
+// for each slot group holding an even-blind slot, the same queries took
+// 50 and 71; subtracting ciphertext by ciphertext besides, 92 and 110.
 func TestInversionsPerScan(t *testing.T) {
 	p, _ := new(big.Int).SetString(goldenP, 16)
 	q, _ := new(big.Int).SetString(goldenQ, 16)
@@ -201,7 +201,7 @@ func TestInversionsPerScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shape := range []struct{ shards, want int }{{1, 50}, {2, 71}} {
+	for _, shape := range []struct{ shards, want int }{{1, 12}, {2, 19}} {
 		t.Run(fmt.Sprintf("shards=%d", shape.shards), func(t *testing.T) {
 			e, _ := goldenEngine(t, sk, goldenTable(t, sk, data.Rows, attrBits), shape.shards)
 			bob := NewClient(&sk.PublicKey, nil)

@@ -177,6 +177,51 @@ func TestNegAndSub(t *testing.T) {
 	}
 }
 
+// TestInvManyMatchesInv: every output of a batch inversion is the group
+// element Inv gives for its input, in order, at K = 256 and K = 512, for
+// batches of 1, 2 and 12 (a comparator layer's subtrahends at
+// secure_scan's first layer) — and for a batch holding the
+// non-invertible N, where InvMany falls back to Inv element by element.
+func TestInvManyMatchesInv(t *testing.T) {
+	sk512, err := GenerateKey(rand.Reader, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sk := range []*PrivateKey{testKey(), sk512} {
+		batch := make([]*Ciphertext, 12)
+		for i := range batch {
+			v := big.NewInt(int64(i * 1000003))
+			if i == 1 {
+				v.Sub(sk.N, one)
+			}
+			if batch[i], err = sk.Encrypt(rand.Reader, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		nonUnit, err := sk.FromRaw(sk.N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, cts := range map[string][]*Ciphertext{
+			"1":         batch[:1],
+			"2":         batch[:2],
+			"12":        batch,
+			"holding N": {batch[0], nonUnit, batch[2]},
+			"N alone":   {nonUnit},
+		} {
+			got := sk.InvMany(cts)
+			if len(got) != len(cts) {
+				t.Fatalf("K = %d, batch %s: %d outputs for %d inputs", sk.Bits(), name, len(got), len(cts))
+			}
+			for i, ct := range cts {
+				if want := sk.Inv(ct); !got[i].Equal(want) {
+					t.Errorf("K = %d, batch %s: element %d = %v, Inv gives %v", sk.Bits(), name, i, got[i], want)
+				}
+			}
+		}
+	}
+}
+
 func TestAddPlainMatchesAdd(t *testing.T) {
 	sk := testKey()
 	a, _ := sk.Encrypt(rand.Reader, big.NewInt(1000))

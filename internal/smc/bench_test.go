@@ -161,7 +161,9 @@ func BenchmarkSBORBatch(b *testing.B) {
 // — at the benchmark's shape: K = 512, L = 12 (l = 11 distance bits),
 // and the pair counts of a 32-record tournament's third and first
 // levels. Most of a peel's wall clock is C2's handler, so this is the
-// layer number behind C2's off-path nonce raising.
+// layer number behind C2's off-path nonce raising. It reports C1's group
+// inversions per peel (paillier.InverseCalls), which must read 0: each
+// peeled bit stays C2's reply bit, so no round inverts.
 func BenchmarkMSBOncePacked(b *testing.B) {
 	const L = 12
 	sk := testkit.Key(512)
@@ -179,11 +181,13 @@ func BenchmarkMSBOncePacked(b *testing.B) {
 				xs[i] = zs[i : i+1]
 			}
 			b.ResetTimer()
+			before := paillier.InverseCalls()
 			for i := 0; i < b.N; i++ {
 				if _, err := rq.msbOncePacked(zs, xs, L, L, codec); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(paillier.InverseCalls()-before)/float64(b.N), "inversions/op")
 		})
 	}
 }

@@ -293,21 +293,25 @@ type peeled struct {
 // the only bit the value-domain SMIN consumes — without ever halving the
 // remainders and without an exponentiation on C1's side of the peeling
 // rounds. The remainder keeps its scale and round j blinds bit j in
-// place: the uplink adds rᵢ·2^j with rᵢ ← shortBlind(L−j), so the slot's
-// low j bits (already peeled to zero) stay zero and bit j of the
-// decrypted slot is yᵢ = βᵢ XOR lsb(rᵢ), βᵢ the remainder's bit j. The
-// shifted blind still fits a slot: rᵢ·2^j < 2^(L+σ) < 2^Width.
+// place: the uplink adds rᵢ·2^j with rᵢ ← shortBlind(L−j), which is zero
+// below bit j, so no carry enters the window and bit j of the decrypted
+// slot is yᵢ = βᵢ XOR lsb(rᵢ), βᵢ the remainder's bit j. The shifted
+// blind still fits a slot: rᵢ·2^j < 2^(L+σ) < 2^Width.
 //
-// In the peeling rounds j < L−1 C1 wants the bits only to clear them,
-// so C2 returns each where it belongs — Zᵢ = E(yᵢ·2^(s·Width+j)) for the
-// value in slot s of its group, the same single encryption as E(yᵢ) —
-// and C1 subtracts βᵢ·2^(s·Width+j), which is Zᵢ's plaintext where rᵢ
-// is even and 2^(s·Width+j) minus it where rᵢ is odd:
+// In the peeling rounds j < L−1 C1 wants the bits only to take them out
+// of C2's later windows, so C2 returns each where it belongs — Zᵢ =
+// E(yᵢ·2^(s·Width+j)) for the value in slot s of its group, the same
+// single encryption as E(yᵢ) — and C1 leaves bit j of the remainder
+// equal to yᵢ, C2's own reply bit: where rᵢ is even yᵢ = βᵢ already, and
+// where rᵢ is odd yᵢ = 1 − βᵢ, so C1 adds (2yᵢ − 1)·2^(s·Width+j):
 //
-//	rem ← rem · Π_{rᵢ odd} Zᵢ · (Π_{rᵢ even} Zᵢ)⁻¹ · E(−Σ_{rᵢ odd} 2^(s·Width+j))
+//	rem ← rem · (Π_{rᵢ odd} Zᵢ)² · E(−Σ_{rᵢ odd} 2^(s·Width+j))
 //
-// a handful of modular products, one inversion and one closed-form
-// (1+mN) factor per group. The output round j = L−1 also carries the
+// a handful of modular products and one closed-form (1+mN) factor per
+// group, and nothing at all for a group of even blinds. The bits above
+// j are untouched, so the value's bit L−1 is still its msb.
+//
+// The output round j = L−1 also carries the
 // operands xs[i] of every value — as many per value, each below
 // 2^opBits — folded into slot groups on a goroutine of their own while
 // the peeling rounds run, then blinded and re-randomized by PackBlinded
@@ -318,9 +322,10 @@ type peeled struct {
 // C2 tells the rounds apart by the header it already receives
 // (valueBits = L and shift = j), which is why L must be the codec's
 // ValueBits; the output round's header adds the operand count per value
-// and opBits. C2's view is slotwise short-blinded remainder windows and
-// operands, the public round index, and in the output round the
-// coin-masked bit yᵢ, as in Algorithm 3; C1 sees nothing but fresh
+// and opBits. C2's view is slotwise short-blinded remainder windows
+// whose bits below j are the bits y₀…y_(j−1) it returned for that slot
+// itself, the operands, the public round index, and in the output round
+// the coin-masked bit yᵢ, as in Algorithm 3; C1 sees nothing but fresh
 // ciphertexts, and — unlike SBD's full-range blinds, which wrap mod N
 // with probability ≈ 2^l/N — no slot ever wraps, so the pass is exact
 // against an honest C2 and needs no verification round.
@@ -426,24 +431,18 @@ func (rq *Requester) msbOncePacked(zs []*paillier.Ciphertext, xs [][]*paillier.C
 		for g := 0; g < groups; g++ {
 			lo := g * codec.Slots
 			hi := min(n, lo+codec.Slots)
-			var odd, even []*paillier.Ciphertext
+			var odd []*paillier.Ciphertext
 			oddPlaces := new(big.Int) // Σ over odd-blind slots of 2^(s·Width+j)
 			for i := lo; i < hi; i++ {
 				if rs[i].Bit(0) == 1 {
 					odd = append(odd, raw[i])
 					oddPlaces.SetBit(oddPlaces, (i-lo)*codec.Width+j, 1)
-				} else {
-					even = append(even, raw[i])
 				}
 			}
-			rem := packedRem[g]
 			if len(odd) > 0 {
-				rem = rq.pk.AddPlain(rq.pk.Add(rem, rq.pk.Product(odd)), oddPlaces.Neg(oddPlaces))
+				z := rq.pk.Product(odd)
+				packedRem[g] = rq.pk.AddPlain(rq.pk.Add(packedRem[g], rq.pk.Add(z, z)), oddPlaces.Neg(oddPlaces))
 			}
-			if len(even) > 0 {
-				rem = rq.pk.Add(rem, rq.pk.Inv(rq.pk.Product(even)))
-			}
-			packedRem[g] = rem
 		}
 	}
 	return nil, fmt.Errorf("smc: MSB extraction of %d bits", L)

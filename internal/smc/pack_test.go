@@ -64,9 +64,9 @@ func (r parityReader) Read(p []byte) (int, error) {
 
 // TestMSBOncePackedMatchesPlaintext drives the bit peel directly on the
 // t = 2^l + a − b values the value-domain SMIN feeds it, against the
-// plaintext MSB [a ≥ b]: with every blind even (the reply bits are
-// cleared by inversion only), every blind odd (by product and constant
-// only) and mixed, at pair counts on both sides of each group boundary,
+// plaintext MSB [a ≥ b]: with every blind even (the reply bits stay in
+// the remainder as they are), every blind odd (each squared in, with a
+// constant) and mixed, at pair counts on both sides of each group boundary,
 // over the corner pairs of the domain. The output round's operand must
 // come back as E(y·(x + ρ)) for the bit y C2 read, so msb·x is one
 // exponentiation away.
@@ -132,6 +132,127 @@ func TestMSBOncePackedMatchesPlaintext(t *testing.T) {
 				if w.Mul(w, big.NewInt(y)); yw.Cmp(w) != 0 {
 					t.Errorf("%s blinds, %d values: y·w[%d] = %v, want %v", bl.name, n, i, yw, w)
 				}
+			}
+		}
+	}
+}
+
+// alternatingReader is parityReader with the forced parity flipping on
+// every read, so consecutive short blinds alternate even and odd and
+// every slot group of two or more holds both.
+type alternatingReader struct {
+	src   *mrand.Rand
+	reads int
+}
+
+func (r *alternatingReader) Read(p []byte) (int, error) {
+	r.src.Read(p)
+	if len(p) > 0 {
+		p[len(p)-1] = p[len(p)-1]&^1 | byte(r.reads&1)
+	}
+	r.reads++
+	return len(p), nil
+}
+
+// TestPeelLeavesC2ItsOwnBits pins what C2 decrypts in the bit peel: in
+// every round j ≥ 1, output round included, each slot's low j bits are
+// the bits C2 itself returned for that value in rounds 0…j−1 — C1
+// leaves each peeled bit as C2's reply bit rather than the value's own
+// bit or zero, so C2's view below the window is its own earlier view.
+// An observer holding the key wraps the genuine responder, with every
+// blind even, every one odd and alternating, at value counts across a
+// group boundary.
+func TestPeelLeavesC2ItsOwnBits(t *testing.T) {
+	const L = 9
+	sk := testKey()
+	c2 := NewResponder(sk, nil).Mux()
+	var (
+		replied [][]uint // replied[i][j]: the bit C2 returned for value i in round j
+		checked int      // slots whose low bits were compared
+	)
+	observer := mpc.HandlerFunc(func(req *mpc.Message) (*mpc.Message, error) {
+		count, vb, shift := int(req.Ints[0].Int64()), int(req.Ints[1].Int64()), int(req.Ints[2].Int64())
+		codec, err := paillier.NewPacking(&sk.PublicKey, vb)
+		if err != nil {
+			return nil, err
+		}
+		if shift == 0 {
+			replied = make([][]uint, count)
+		}
+		groups := req.Ints[3:]
+		if shift == vb-1 {
+			groups = req.Ints[5:] // [per, opBits] precede the groups
+		}
+		for g := 0; g < codec.Groups(count); g++ {
+			ct, err := sk.FromRaw(groups[g])
+			if err != nil {
+				return nil, err
+			}
+			slots, err := codec.UnpackDecrypt(sk, ct, min(codec.Slots, count-g*codec.Slots))
+			if err != nil {
+				return nil, err
+			}
+			for s, v := range slots {
+				i := g*codec.Slots + s
+				for b := 0; b < shift; b++ {
+					if v.Bit(b) != replied[i][b] {
+						t.Errorf("round %d, value %d: C2 decrypts bit %d = %d, but returned %d for it",
+							shift, i, b, v.Bit(b), replied[i][b])
+					}
+				}
+				if shift > 0 {
+					checked++
+				}
+			}
+		}
+		resp, err := c2.Handle(req)
+		if err != nil || shift == vb-1 {
+			return resp, err
+		}
+		for i, raw := range resp.Ints {
+			z, err := sk.FromRaw(raw)
+			if err != nil {
+				return nil, err
+			}
+			bit, err := sk.Decrypt(z)
+			if err != nil {
+				return nil, err
+			}
+			replied[i] = append(replied[i], bit.Bit((i%codec.Slots)*codec.Width+shift))
+		}
+		return resp, nil
+	})
+	rq := servedBy(t, sk, observer)
+	codec, err := rq.packCodec(L)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := codec.Slots
+	if s < 2 {
+		t.Fatalf("test key packs %d slots; a group boundary needs 2", s)
+	}
+	for _, bl := range []struct {
+		name string
+		r    io.Reader
+	}{
+		{"even", parityReader{mrand.New(mrand.NewSource(6)), 0}},
+		{"odd", parityReader{mrand.New(mrand.NewSource(7)), 1}},
+		{"alternating", &alternatingReader{src: mrand.New(mrand.NewSource(8))}},
+	} {
+		rq.rand = bl.r
+		for _, n := range []int{s + 1, 2*s + 1} {
+			zs := make([]*paillier.Ciphertext, n)
+			xs := make([][]*paillier.Ciphertext, n)
+			for i := range zs {
+				zs[i] = enc(t, sk, int64(0x1b5*(i+1))%(1<<L))
+				xs[i] = encVec(t, sk, int64(i))
+			}
+			checked = 0
+			if _, err := rq.msbOncePacked(zs, xs, L, L, codec); err != nil {
+				t.Fatalf("%s blinds, %d values: %v", bl.name, n, err)
+			}
+			if checked != n*(L-1) {
+				t.Errorf("%s blinds, %d values: %d slots checked, want %d", bl.name, n, checked, n*(L-1))
 			}
 		}
 	}
