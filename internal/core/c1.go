@@ -27,7 +27,8 @@ type CloudC1 struct {
 
 // NewCloudC1 wires the data cloud to C2 over the given connections.
 // Every connection must be served by the same CloudC2 (its handlers are
-// stateless, so any number of serve loops can share one CloudC2).
+// stateless, so any number of serve loops can share one CloudC2). Every
+// link's requesters read random (nil: crypto/rand).
 func NewCloudC1(table *EncryptedTable, conns []mpc.Conn, random io.Reader) (*CloudC1, error) {
 	pool, err := newLinkPool(conns, random)
 	if err != nil {

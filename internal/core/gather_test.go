@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"sort"
@@ -15,43 +14,25 @@ import (
 	"sknn/internal/plainknn"
 )
 
-// newWrappedSharded builds a local sharded system like newShardedSystem
-// but passes every shard worker through wrap before wiring the
-// coordinator, so tests can inject delays, failures, and completion
-// signals into the gather.
-func newWrappedSharded(t *testing.T, tbl *dataset.Table, shards, workers int, wrap func(int, Shard) Shard) (*ShardedC1, *Client) {
+// newWrappedSharded is newShardedSystem with every worker passed
+// through wrap and fronted by a coordinator of its own, so tests can
+// inject delays, failures, completion signals or the shard wire into
+// the gather. A nil wrap keeps the engine's coordinator.
+func newWrappedSharded(t *testing.T, tbl *dataset.Table, shards, workers int, wrap func(*LocalShard) Shard) (*ShardedC1, *Client) {
 	t.Helper()
 	sk := testKey()
-	encTable, err := EncryptTable(rand.Reader, &sk.PublicKey, tbl.Rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts, err := encTable.Snapshot().Split(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
 	c2 := NewCloudC2(sk, nil)
-	newConns := func(n int) []mpc.Conn {
-		conns := make([]mpc.Conn, n)
-		for i := range conns {
-			conns[i] = pipeTo(t, c2)
-		}
-		return conns
+	links := func() []mpc.Conn { return pipesTo(t, c2, workers) }
+	e := newEngine(t, encryptDataset(t, sk, tbl), shards, links)
+	bob := NewClient(&sk.PublicKey, nil)
+	if wrap == nil {
+		return e.ShardedC1, bob
 	}
-	c1s := make([]*CloudC1, shards)
-	workersList := make([]Shard, shards)
-	for i, part := range parts {
-		shardTable, err := RestoreTable(&sk.PublicKey, part)
-		if err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		c1s[i], err = NewCloudC1(shardTable, newConns(workers), nil)
-		if err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		workersList[i] = wrap(i, &LocalShard{C1: c1s[i], Index: i, Count: shards})
+	wrapped := make([]Shard, shards)
+	for i, w := range e.Workers {
+		wrapped[i] = wrap(&LocalShard{C1: w, Index: i, Count: shards})
 	}
-	coord, err := NewShardedC1(workersList, newConns(workers), &sk.PublicKey, nil)
+	coord, err := NewShardedC1(wrapped, links(), &sk.PublicKey, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,13 +40,8 @@ func newWrappedSharded(t *testing.T, tbl *dataset.Table, shards, workers int, wr
 		if err := coord.Close(); err != nil {
 			t.Errorf("closing coordinator: %v", err)
 		}
-		for _, c1 := range c1s {
-			if err := c1.Close(); err != nil {
-				t.Errorf("closing shard: %v", err)
-			}
-		}
 	})
-	return coord, NewClient(&sk.PublicKey, nil)
+	return coord, bob
 }
 
 // gateShard wraps a Shard with test hooks: an injected failure, a block
@@ -161,8 +137,8 @@ func TestStreamingDeadShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	errDead := errors.New("shard hardware on fire")
-	coord, bob := newWrappedSharded(t, tbl, 3, 1, func(i int, s Shard) Shard {
-		if i == 1 {
+	coord, bob := newWrappedSharded(t, tbl, 3, 1, func(s *LocalShard) Shard {
+		if s.Index == 1 {
 			return &gateShard{Shard: s, fail: errDead}
 		}
 		return s
@@ -200,8 +176,8 @@ func TestStreamingMidStreamCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := make(chan struct{})
-	coord, bob := newWrappedSharded(t, tbl, 2, 1, func(i int, s Shard) Shard {
-		if i == 0 {
+	coord, bob := newWrappedSharded(t, tbl, 2, 1, func(s *LocalShard) Shard {
+		if s.Index == 0 {
 			return &gateShard{Shard: s, done: first}
 		}
 		return &gateShard{Shard: s, blockCtx: true}

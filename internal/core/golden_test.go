@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash"
 	"math/big"
-	mrand "math/rand"
 	"sync"
 	"testing"
 
@@ -33,10 +32,10 @@ const (
 // element count, then for each element Dec_sk(x) where x parses as a
 // ciphertext under the golden key and x itself where it does not. So it
 // depends on C1's blinds, masks, permutations and packing layout — every
-// one drawn from the seeded stream each link pool gets — and on no
+// one drawn from the seeded stream each link gets — and on no
 // encryption nonce of any party, and a refactor of how frames are built
-// must leave every hash as it is. Each pool holds one link: a session
-// over several draws from one stream on several goroutines.
+// must leave every hash as it is. The two_links cases pin sessions that
+// span several links, each link reading its own stream.
 func TestGoldenTranscript(t *testing.T) {
 	p, _ := new(big.Int).SetString(goldenP, 16)
 	q, _ := new(big.Int).SetString(goldenQ, 16)
@@ -47,14 +46,14 @@ func TestGoldenTranscript(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		run    func(t *testing.T, sk *paillier.PrivateKey) ([]*transcript, [][]uint64)
-		hashes []string // one per link in engine order (workers, then the coordinator), then Bob's answer
+		hashes []string // one per link in engine order (seedLinks), then Bob's answer
 	}{
-		{"secure_scan", goldenScan(8, 6, 4, 2, 1, true), []string{
+		{"secure_scan", goldenScan(8, 6, 4, 2, 1, 1, true), []string{
 			"43716105f8ea68bbce8158714db9893dd457799ec5d155af983b4ffb84e4bc8e",
 			"2b05a3ad8d4220c01f59243cf013f4ef49c4a20644adb1b8d62e2c3eb7040357",
 			"511bedf29ae316fe631e33231cf497194efa5c8f6c77b8d5a0f8481edf0155b3",
 		}},
-		{"secure_two_shards", goldenScan(8, 6, 4, 2, 2, true), []string{
+		{"secure_two_shards", goldenScan(8, 6, 4, 2, 2, 1, true), []string{
 			"01553eddec9c3576bb85aa275505f723305ea62382ab4e5fb8259324b43ff039",
 			"9da0fac22f59f15bbd43d13f24e411590afda184a99cabcfe3385bbbc67cb077",
 			"55be74e7c18406f4f5cdbdc253ade8cd842b86a994d8f8c23a227fddd24dc85a",
@@ -65,15 +64,33 @@ func TestGoldenTranscript(t *testing.T) {
 			"8e83bc8e74eb41e8004c12cee3f6f8e08d7d83e297645b27086a26ebc0299010",
 			"68db8c37405bd05176cd66b72a54a3abb998b473e0e1ce8eb6f59ee7095213af",
 		}},
-		{"basic", goldenScan(16, 6, 8, 3, 1, false), []string{
+		{"basic", goldenScan(16, 6, 8, 3, 1, 1, false), []string{
 			"113a1e15980c2191fd4dda43ae0ef368687a28926fd951bdbee0a2a10a49b799",
 			"877d39ffb7fa4100bb6b9b137c4cc9f8f99fad00aee8ed6c1c0665a81a39f488",
 			"573916d76db5127e004350a1ef8da9ac8e443c7d47d743d202c97255e4ef08d8",
 		}},
-		{"basic_two_shards", goldenScan(16, 6, 8, 3, 2, false), []string{
+		{"basic_two_shards", goldenScan(16, 6, 8, 3, 2, 1, false), []string{
 			"a566cf55026c3bff7c42205ef3334a3748ab9be01fa0216fe2190c1aa257a897",
 			"7008e8887269b73a291e099852c49af61eae76d0d59fc98372cf7f1397f2d6df",
 			"5b6b42746e8b552a56d1531b288e64a52f1497419d7f2139f370fc1a68028f04",
+			"573916d76db5127e004350a1ef8da9ac8e443c7d47d743d202c97255e4ef08d8",
+		}},
+		{"secure_two_shards_two_links", goldenScan(8, 6, 4, 2, 2, 2, true), []string{
+			"05403be69ca7330150e3f92cab3759b22e8bd70c64eb96c6285bf4dff32ff03f",
+			"04a959ce05c68720ba367a6c16a585c59325fab8376ec43fe03ca3b999213dbd",
+			"a7064038819fc1937670ee25456cddabe04c70434fb8db1f33eccd284b4686e0",
+			"7c0a47525fdd3717e0913baea4d01c8542154c108a532a483e8845821884c5cf",
+			"4170dc263afecb0d3868fafd92f1e343a98bac14ca89a43fdd47c2914618c496",
+			"bd9f0ef56da685c4f714027c119a2de24d4cc6dcf0ee3095dd4ec13a454c92ec",
+			"dd7666870ba11078e8ba0964c758966fcbeb2d9148bf5f1b5b6630f0e2fde7bf",
+		}},
+		{"basic_two_shards_two_links", goldenScan(16, 6, 8, 3, 2, 2, false), []string{
+			"fa9f9f901725f97af39772bc28489c1885488219293487d6d097f1f900b5c923",
+			"06153e0f8a12ed28556de3d86c3f3191b421dc2a39f1d45746a5ea45de8197c0",
+			"e230b963469ce1d2bf3c08758e84a5a54de0b084f4fa609bd96c05cc471ac629",
+			"6ca71d16099d5472b4ad5fabda0b66bfb7cbc7cefce6a2cfa9f98c0bc14f1170",
+			"b4941989868b0a9c57da18d4d08bb8bf6df6dd3e0c9aa2fb5a2b29d21512e38d",
+			"d8c163e574632c793ec137d9c9a3eab5aa8f0cc819e0b456795e5a60aaf39b8d",
 			"573916d76db5127e004350a1ef8da9ac8e443c7d47d743d202c97255e4ef08d8",
 		}},
 	} {
@@ -119,58 +136,24 @@ func (tr *transcript) sum() string {
 	return hex.EncodeToString(tr.h.Sum(nil))
 }
 
-// goldenEngine is NewEngine with one tapped link per pool and every
-// pool's randomness from its own seeded stream: worker i's from seed i,
-// the coordinator's from seed shards.
-func goldenEngine(t *testing.T, sk *paillier.PrivateKey, table *EncryptedTable, shards int) (*Engine, []*transcript) {
+// goldenEngine is newEngine over shards workers with links tapped,
+// seeded links per pool (seedLinks), and the transcript of every link
+// in engine order.
+func goldenEngine(t *testing.T, sk *paillier.PrivateKey, table *EncryptedTable, shards, links int) (*Engine, []*transcript) {
 	t.Helper()
 	c2 := NewCloudC2(sk, nil)
-	var links []*transcript
-	link := func() []mpc.Conn {
-		tr := &transcript{sk: sk, h: sha256.New()}
-		links = append(links, tr)
-		return []mpc.Conn{mpc.Tap(pipeTo(t, c2), tr.observe)}
-	}
-	stream := func(seed int) *mrand.Rand { return mrand.New(mrand.NewSource(int64(seed))) }
-	tables := []*EncryptedTable{table}
-	if shards > 1 {
-		parts, err := table.Snapshot().Split(shards)
-		if err != nil {
-			t.Fatal(err)
+	var taps []*transcript
+	e := newEngine(t, table, shards, func() []mpc.Conn {
+		conns := pipesTo(t, c2, links)
+		for i, conn := range conns {
+			tr := &transcript{sk: sk, h: sha256.New()}
+			taps = append(taps, tr)
+			conns[i] = mpc.Tap(conn, tr.observe)
 		}
-		tables = make([]*EncryptedTable, shards)
-		for i, part := range parts {
-			if tables[i], err = RestoreTable(&sk.PublicKey, part); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	e := &Engine{}
-	local := make([]Shard, shards)
-	for i, tbl := range tables {
-		w, err := NewCloudC1(tbl, link(), stream(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() {
-			if err := w.Close(); err != nil {
-				t.Errorf("closing worker: %v", err)
-			}
-		})
-		e.Workers = append(e.Workers, w)
-		local[i] = &LocalShard{C1: w, Index: i, Count: shards}
-	}
-	coord, err := NewShardedC1(local, link(), &sk.PublicKey, stream(shards))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if err := coord.Close(); err != nil {
-			t.Errorf("closing coordinator: %v", err)
-		}
+		return conns
 	})
-	e.ShardedC1 = coord
-	return e, links
+	seedLinks(e)
+	return e, taps
 }
 
 // goldenTable encrypts rows under sk at attrBits; its nonces are
@@ -212,8 +195,8 @@ func goldenQuery(t *testing.T, e *Engine, bob *Client, q []uint64, k, target int
 }
 
 // goldenScan is one full-scan query of a seeded n×m table of
-// attrBits-bit values over shards shards.
-func goldenScan(n, m, attrBits, k, shards int, secure bool) func(*testing.T, *paillier.PrivateKey) ([]*transcript, [][]uint64) {
+// attrBits-bit values over shards shards, links links per pool.
+func goldenScan(n, m, attrBits, k, shards, links int, secure bool) func(*testing.T, *paillier.PrivateKey) ([]*transcript, [][]uint64) {
 	return func(t *testing.T, sk *paillier.PrivateKey) ([]*transcript, [][]uint64) {
 		data, err := dataset.Generate(1, n, m, attrBits)
 		if err != nil {
@@ -223,8 +206,8 @@ func goldenScan(n, m, attrBits, k, shards int, secure bool) func(*testing.T, *pa
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, links := goldenEngine(t, sk, goldenTable(t, sk, data.Rows, attrBits), shards)
-		return links, goldenQuery(t, e, NewClient(&sk.PublicKey, nil), q, k, 0, secure)
+		e, taps := goldenEngine(t, sk, goldenTable(t, sk, data.Rows, attrBits), shards, links)
+		return taps, goldenQuery(t, e, NewClient(&sk.PublicKey, nil), q, k, 0, secure)
 	}
 }
 
@@ -245,7 +228,7 @@ func goldenLive(t *testing.T, sk *paillier.PrivateKey) ([]*transcript, [][]uint6
 	if err := tbl.SetClusterIndex(rand.Reader, part.Centroids, part.Members); err != nil {
 		t.Fatal(err)
 	}
-	e, links := goldenEngine(t, sk, tbl, 1)
+	e, links := goldenEngine(t, sk, tbl, 1, 1)
 	bob := NewClient(&sk.PublicKey, nil)
 	q := data.Rows[5]
 	answer := goldenQuery(t, e, bob, q, k, target, true)

@@ -19,7 +19,7 @@ import (
 // their pool, which is what lets the shard-local scan and the
 // coordinator's merge run on the identical protocol engine.
 type linkPool struct {
-	random io.Reader
+	randoms []io.Reader // randoms[i] feeds link i's requesters; each starts as newLinkPool's random, tests seed them link by link
 
 	mu        sync.Mutex
 	links     []*mpc.Multiplexer
@@ -37,13 +37,14 @@ func newLinkPool(conns []mpc.Conn, random io.Reader) (*linkPool, error) {
 		return nil, ErrNoConnections
 	}
 	p := &linkPool{
-		random:    random,
+		randoms:   make([]io.Reader, len(conns)),
 		links:     make([]*mpc.Multiplexer, len(conns)),
 		load:      make([]int, len(conns)),
 		closeDone: make(chan struct{}),
 	}
 	for i, conn := range conns {
 		p.links[i] = mpc.NewMultiplexer(conn)
+		p.randoms[i] = random
 	}
 	return p, nil
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"sknn/internal/dataset"
-	"sknn/internal/mpc"
 )
 
 // stubShard is a scriptable Shard for replica-set unit tests.
@@ -238,15 +237,6 @@ func newReplicatedSystem(t *testing.T, tbl *dataset.Table, shards, replicas int,
 	// for a later cleanup to wait on. Killed replicas have severed links;
 	// Close errors are expected there and irrelevant — the pools'
 	// teardown paths are pinned by the unreplicated suites.
-	var wg sync.WaitGroup
-	t.Cleanup(wg.Wait)
-	newConns := func(n int) []mpc.Conn {
-		conns := make([]mpc.Conn, n)
-		for i := range conns {
-			conns[i] = pipeTo(t, c2)
-		}
-		return conns
-	}
 	sys := &replicatedSystem{bob: NewClient(&sk.PublicKey, nil)}
 	workersList := make([]Shard, 0, shards)
 	for i, part := range parts {
@@ -257,7 +247,7 @@ func newReplicatedSystem(t *testing.T, tbl *dataset.Table, shards, replicas int,
 		group := make([]Shard, replicas)
 		kills := make([]func(), replicas)
 		for r := 0; r < replicas; r++ {
-			conns := newConns(1)
+			conns := pipesTo(t, c2, 1)
 			c1, err := NewCloudC1(shardTable, conns, nil)
 			if err != nil {
 				conns[0].Close()
@@ -265,24 +255,7 @@ func newReplicatedSystem(t *testing.T, tbl *dataset.Table, shards, replicas int,
 			}
 			t.Cleanup(func() { c1.Close() })
 			if remote {
-				srv, err := NewShardServer(c1, i, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				coordSide, shardSide := mpc.ChanPipe()
-				wg.Add(1)
-				go func(conn mpc.Conn) {
-					defer wg.Done()
-					if err := srv.Serve(conn); err != nil {
-						t.Errorf("shard serve loop: %v", err)
-					}
-				}(shardSide)
-				t.Cleanup(func() { coordSide.Close() })
-				rsh, err := DialShard(coordSide)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { rsh.Close() })
+				rsh, coordSide := dialShardPipe(t, c1, i, shards)
 				group[r] = rsh
 				kills[r] = func() { coordSide.Close() }
 			} else {
@@ -302,7 +275,7 @@ func newReplicatedSystem(t *testing.T, tbl *dataset.Table, shards, replicas int,
 		sys.sets = append(sys.sets, rs)
 		sys.kill = append(sys.kill, kills)
 	}
-	coord, err := NewShardedC1(workersList, newConns(2), &sk.PublicKey, nil)
+	coord, err := NewShardedC1(workersList, pipesTo(t, c2, 2), &sk.PublicKey, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

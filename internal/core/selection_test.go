@@ -203,7 +203,7 @@ func TestInversionsPerScan(t *testing.T) {
 	}
 	for _, shape := range []struct{ shards, want int }{{1, 12}, {2, 19}} {
 		t.Run(fmt.Sprintf("shards=%d", shape.shards), func(t *testing.T) {
-			e, _ := goldenEngine(t, sk, goldenTable(t, sk, data.Rows, attrBits), shape.shards)
+			e, _ := goldenEngine(t, sk, goldenTable(t, sk, data.Rows, attrBits), shape.shards, 1)
 			bob := NewClient(&sk.PublicKey, nil)
 			before := paillier.InverseCalls()
 			rows := goldenQuery(t, e, bob, query, k, 0, true)

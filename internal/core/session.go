@@ -71,7 +71,7 @@ func openSession(ctx context.Context, pool *linkPool, view *tableView, pk *paill
 			return nil, fmt.Errorf("core: opening session stream: %w", err)
 		}
 		s.conns = append(s.conns, conn)
-		s.rqs = append(s.rqs, smc.NewRequester(pk, conn, pool.random))
+		s.rqs = append(s.rqs, smc.NewRequester(pk, conn, pool.randoms[i]))
 	}
 	return s, nil
 }

@@ -117,7 +117,8 @@ type ShardedC1 struct {
 // own merge connections to C2. The shards must form one coherent
 // partition: indices 0..S−1 exactly once, all agreeing on table shape —
 // and so on the squared-distance domain l, which the shape determines;
-// the merge links must be served by the same CloudC2 as the shards'.
+// the merge links must be served by the same CloudC2 as the shards',
+// and every merge link's requesters read random (nil: crypto/rand).
 func NewShardedC1(shards []Shard, mergeConns []mpc.Conn, pk *paillier.PublicKey, random io.Reader) (*ShardedC1, error) {
 	// Every error path owns the merge connections: close them so the
 	// peer's serve loops terminate instead of leaking.

@@ -13,65 +13,21 @@ import (
 	"sknn/internal/plainknn"
 )
 
-// newShardedSystem encrypts tbl, splits it into shards partitions, and
-// wires S shard workers plus a coordinator to one shared C2 — the
-// in-process mirror of the S×sknnd-shard topology. remote puts a
-// coordinator of its own in front of the same workers, reaching every
+// newShardedSystem encrypts tbl and serves it from shards workers and
+// the engine's coordinator, workers links per pool, all to one shared
+// C2 — the in-process mirror of the S×sknnd-shard topology. remote puts
+// a coordinator of its own in front of the same workers, reaching every
 // shard over the coordinator↔shard wire protocol on channel pipes
 // instead of direct LocalShard calls.
 func newShardedSystem(t *testing.T, tbl *dataset.Table, shards, workers int, remote bool) (*ShardedC1, *Client) {
 	t.Helper()
-	sk := testKey()
-	encTable := encryptDataset(t, sk, tbl)
-	c2 := NewCloudC2(sk, nil)
-	links := func() []mpc.Conn {
-		conns := make([]mpc.Conn, workers)
-		for i := range conns {
-			conns[i] = pipeTo(t, c2)
-		}
-		return conns
-	}
-	local := newEngine(t, encTable, shards, links)
-	bob := NewClient(&sk.PublicKey, nil)
 	if !remote {
-		return local.ShardedC1, bob
+		return newWrappedSharded(t, tbl, shards, workers, nil)
 	}
-	// Each close is registered as soon as its resource exists, so a
-	// failing setup step ends the test with nothing left serving.
-	var wg sync.WaitGroup
-	t.Cleanup(wg.Wait)
-	workersList := make([]Shard, shards)
-	for i, c1 := range local.Workers {
-		srv, err := NewShardServer(c1, i, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		coordSide, shardSide := mpc.ChanPipe()
-		wg.Add(1)
-		go func(conn mpc.Conn) {
-			defer wg.Done()
-			if err := srv.Serve(conn); err != nil {
-				t.Errorf("shard serve loop: %v", err)
-			}
-		}(shardSide)
-		t.Cleanup(func() { coordSide.Close() })
-		rsh, err := DialShard(coordSide)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { rsh.Close() })
-		workersList[i] = rsh
-	}
-	coord, err := NewShardedC1(workersList, links(), &sk.PublicKey, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if err := coord.Close(); err != nil {
-			t.Errorf("closing coordinator: %v", err)
-		}
+	return newWrappedSharded(t, tbl, shards, workers, func(s *LocalShard) Shard {
+		rsh, _ := dialShardPipe(t, s.C1, s.Index, s.Count)
+		return rsh
 	})
-	return coord, bob
 }
 
 // shardOracleCheck compares result rows against the plaintext oracle by

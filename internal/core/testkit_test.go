@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"crypto/rand"
+	mrand "math/rand"
 	"testing"
 
 	"sknn/internal/dataset"
@@ -48,13 +49,7 @@ func encryptDataset(t *testing.T, sk *paillier.PrivateKey, tbl *dataset.Table) *
 func newSystemOver(t *testing.T, sk *paillier.PrivateKey, encTable *EncryptedTable, workers int) (*Engine, *Client) {
 	t.Helper()
 	c2 := NewCloudC2(sk, nil)
-	return newEngine(t, encTable, 1, func() []mpc.Conn {
-		conns := make([]mpc.Conn, workers)
-		for i := range conns {
-			conns[i] = pipeTo(t, c2)
-		}
-		return conns
-	}), NewClient(&sk.PublicKey, nil)
+	return newEngine(t, encTable, 1, func() []mpc.Conn { return pipesTo(t, c2, workers) }), NewClient(&sk.PublicKey, nil)
 }
 
 // newEngine is NewEngine with every link pool from links, closed via
@@ -73,24 +68,72 @@ func newEngine(t *testing.T, encTable *EncryptedTable, shards int, links func() 
 	return e
 }
 
+// seedLinks gives every link of e a seeded stream of its own, seeds
+// 0, 1, … in engine order: each worker's links in shard order, then the
+// coordinator's. With one link per pool, worker i reads seed i and the
+// coordinator seed S. NewEngine's hellos carry only N and read no
+// randomness, so a session's every draw is a function of the seeds.
+func seedLinks(e *Engine) {
+	pools := []*linkPool{}
+	for _, w := range e.Workers {
+		pools = append(pools, w.pool)
+	}
+	var seed int64
+	for _, p := range append(pools, e.ShardedC1.pool) {
+		for i := range p.randoms {
+			p.randoms[i] = mrand.New(mrand.NewSource(seed))
+			seed++
+		}
+	}
+}
+
 // pipeTo returns C1's end of a fresh in-process link to c2. The test
 // fails if c2's serve loop ends in an error, and ends only once it has
 // returned.
 func pipeTo(t *testing.T, c2 *CloudC2) mpc.Conn { return pipeServedBy(t, c2.Serve) }
 
-// pipeServedBy is pipeTo with the caller's serve loop on C2's end: a
-// wrapped handler, a tapped conn, a concurrent loop.
+// pipesTo is n fresh links to c2, one link pool's worth.
+func pipesTo(t *testing.T, c2 *CloudC2, n int) []mpc.Conn {
+	conns := make([]mpc.Conn, n)
+	for i := range conns {
+		conns[i] = pipeTo(t, c2)
+	}
+	return conns
+}
+
+// pipeServedBy is pipeTo with the caller's serve loop on the far end: a
+// wrapped C2 handler, a tapped conn, a concurrent loop, a shard server.
 func pipeServedBy(t *testing.T, serve func(mpc.Conn) error) mpc.Conn {
-	c1Side, c2Side := mpc.ChanPipe()
+	near, far := mpc.ChanPipe()
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
-		if err := serve(c2Side); err != nil {
-			t.Errorf("C2 serve loop: %v", err)
+		if err := serve(far); err != nil {
+			t.Errorf("serve loop: %v", err)
 		}
 	}()
 	t.Cleanup(func() { <-served })
-	return c1Side
+	return near
+}
+
+// dialShardPipe serves c1 as shard index of count on a fresh in-process
+// link and dials it: the coordinator's RemoteShard and its end of the
+// link, which a test closes to sever the shard. Both close via
+// t.Cleanup, and the test ends only once the shard's serve loop has.
+func dialShardPipe(t *testing.T, c1 *CloudC1, index, count int) (*RemoteShard, mpc.Conn) {
+	t.Helper()
+	srv, err := NewShardServer(c1, index, count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := pipeServedBy(t, srv.Serve)
+	t.Cleanup(func() { conn.Close() })
+	rsh, err := DialShard(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rsh.Close() })
+	return rsh, conn
 }
 
 // runBasic executes SkNNb end-to-end and returns Bob's unmasked records.
