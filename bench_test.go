@@ -3,7 +3,7 @@ package sknn
 // This file is the benchmark harness for the paper's evaluation: one
 // testing.B benchmark per figure (Figure 2(a)–(f), Figure 3) plus the
 // quantities reported in the text of Section 5.2 (SMINn share, Bob's
-// cost) and the ablations called out in DESIGN.md §5.
+// cost) and one ablation, SMINn's share of an SkNNm query.
 //
 // Scale note: the paper's exact parameters (n=2000, K∈{512,1024},
 // k≤25) take minutes-to-hours PER QUERY — in the authors' own C

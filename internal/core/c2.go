@@ -16,11 +16,13 @@ import (
 // (packed SSED, the bit peel) and adds the protocol-level services of
 // Algorithms 5 and 6. It serves exactly the frames the engine sends: the
 // paper's SM, SBD and SMIN handlers and Algorithm 6's one-hot select are
-// internal/reference's key cloud's alone. It keeps no protocol state
-// between requests — only its responder's reserve of reply nonces, its
-// own randomness raised ahead of the requests — so one CloudC2 can serve
-// any number of connections concurrently (the parallel variants rely on
-// this).
+// internal/reference's key cloud's alone. Rank and reveal decrypt
+// through the responder's one door (smc.Responder.Decrypt), as the
+// kernels do, asking it for no reply nonces: their replies are
+// plaintext. It keeps no protocol state between requests — only its
+// responder's reserve of reply nonces, its own randomness raised ahead
+// of the requests — so one CloudC2 can serve any number of connections
+// concurrently (the parallel variants rely on this).
 type CloudC2 struct {
 	resp *smc.Responder
 	sk   *paillier.PrivateKey
@@ -85,21 +87,17 @@ func (c *CloudC2) handleRank(req *mpc.Message) (*mpc.Message, error) {
 	if err := validateK(k, n); err != nil {
 		return nil, err
 	}
+	ms, _, err := c.resp.Decrypt(dists, nil, 0)
+	if err != nil {
+		return nil, fmt.Errorf("core: rank distances: %w", err)
+	}
 	type distIdx struct {
 		d   *big.Int
 		idx int
 	}
 	ds := make([]distIdx, n)
-	err := paillier.ForEach(n, func(i int) error {
-		d, err := c.sk.Decrypt(dists[i])
-		if err != nil {
-			return fmt.Errorf("core: rank distance %d: %w", i, err)
-		}
+	for i, d := range ms {
 		ds[i] = distIdx{d: d, idx: i}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	// Stable sort keeps ties in record order, matching the sequential
 	// scan a plaintext kNN oracle performs.
@@ -129,17 +127,9 @@ func (c *CloudC2) handleReveal(req *mpc.Message) (*mpc.Message, error) {
 	if len(gammas) == 0 {
 		return nil, fmt.Errorf("%w: empty reveal payload", ErrBadFrame)
 	}
-	out := make([]*big.Int, len(gammas))
-	err := paillier.ForEach(len(out), func(i int) error {
-		m, err := c.sk.Decrypt(gammas[i])
-		if err != nil {
-			return fmt.Errorf("core: reveal γ[%d]: %w", i, err)
-		}
-		out[i] = m
-		return nil
-	})
+	out, _, err := c.resp.Decrypt(gammas, nil, 0)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: reveal γ: %w", err)
 	}
 	//sknnlint:allow partyflow -- Algorithm 5 step 5: each revealed γ′ is uniformly random in ℤ_N because C1 added a one-time full-range mask r_{j,g} to the attribute or row-packed record chunk before sending; only Bob, who receives γ′ and the masks, can unmask the value and split a chunk into its columns. The cluster ranking's reveal is the same frame over one masked cluster id, which C1 unmasks: the clustered index's documented leakage to C1 (docs/INVARIANTS.md), a uniform value to C2
 	return &mpc.Message{Op: OpReveal, Ints: out}, nil

@@ -63,6 +63,8 @@ const RolePragma = "//sknnlint:role"
 var pragmaRE = regexp.MustCompile(`^//sknnlint:role\s+(\S+)\s*$`)
 
 // decryptNames are the calls whose results are decrypted plaintext.
+// Decrypt also names C2's one door, smc.Responder.Decrypt, through which
+// every key-cloud handler opens its request.
 var decryptNames = map[string]bool{
 	"Decrypt":       true,
 	"DecryptSigned": true,

@@ -12,7 +12,7 @@ import (
 // Benchmarks for the cryptosystem substrate. The Encrypt/Decrypt pair at
 // 512 vs 1024 bits underlies the paper's "×~7 when K doubles"
 // observation; BenchmarkAblationCRTDecrypt quantifies the CRT design
-// choice from DESIGN.md §5.
+// choice (docs/KERNELS.md has both decryption paths' numbers).
 
 var benchKeys sync.Map // bits -> *PrivateKey
 
@@ -46,7 +46,7 @@ func BenchmarkEncrypt(b *testing.B) {
 // BenchmarkDecrypt prices C2's two decryption paths on each body of the
 // product: "crt" is Decrypt, both halves recombined, and "oneprime" the
 // largest plaintext the smaller factor's half decrypts alone
-// (decryptBelow), one exponentiation mod s² — a short packed group's
+// (DecryptBelow), one exponentiation mod s² — a short packed group's
 // cost.
 func BenchmarkDecrypt(b *testing.B) {
 	for _, bits := range []int{512, 1024, 2048} {
@@ -63,7 +63,7 @@ func BenchmarkDecrypt(b *testing.B) {
 			for _, body := range benchBodies(b, bits) {
 				b.Run(fmt.Sprintf("K=%d/%s/%s", bits, path.name, body.name), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						if _, err := body.sk.decryptBelow(ct, path.bits); err != nil {
+						if _, err := body.sk.DecryptBelow(ct, path.bits); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -74,8 +74,8 @@ func BenchmarkDecrypt(b *testing.B) {
 }
 
 // BenchmarkAblationCRTDecrypt compares CRT decryption against the
-// textbook path (DESIGN.md §5: C2 decrypts constantly, so this is the
-// single most profitable micro-optimization).
+// textbook path (C2 decrypts constantly, so this is the single most
+// profitable micro-optimization).
 func BenchmarkAblationCRTDecrypt(b *testing.B) {
 	sk := benchKey(b, 512)
 	ct, err := sk.Encrypt(rand.Reader, big.NewInt(55))

@@ -26,12 +26,12 @@ func checkDecryptBelow(t *testing.T, sk *PrivateKey, m *big.Int, bits int, wantO
 		t.Fatal(err)
 	}
 	var got *big.Int
-	onePrime, crt := decryptPaths(func() { got, err = sk.decryptBelow(ct, bits) })
+	onePrime, crt := decryptPaths(func() { got, err = sk.DecryptBelow(ct, bits) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Cmp(m) != 0 {
-		t.Fatalf("decryptBelow(E(%v), %d) = %v", m, bits, got)
+		t.Fatalf("DecryptBelow(E(%v), %d) = %v", m, bits, got)
 	}
 	want := [2]uint64{0, 1}
 	if wantOnePrime {
@@ -41,7 +41,7 @@ func checkDecryptBelow(t *testing.T, sk *PrivateKey, m *big.Int, bits int, wantO
 		t.Fatalf("%d-bit bound: %d one-prime and %d CRT decryptions, want %v", bits, onePrime, crt, want)
 	}
 	if full, err := sk.Decrypt(ct); err != nil || full.Cmp(got) != 0 {
-		t.Fatalf("Decrypt = %v, %v; decryptBelow = %v", full, err, got)
+		t.Fatalf("Decrypt = %v, %v; DecryptBelow = %v", full, err, got)
 	}
 	checkHalvesMatchExp(t, sk, ct)
 }
@@ -67,7 +67,7 @@ func checkHalvesMatchExp(t *testing.T, sk *PrivateKey, ct *Ciphertext) {
 }
 
 // TestOnePrimeMatchesDecrypt: below the bound bitlen(s) − 65 and at it,
-// decryptBelow takes the smaller factor's half alone and returns what
+// DecryptBelow takes the smaller factor's half alone and returns what
 // Decrypt does; one bit past it, it recombines both halves.
 func TestOnePrimeMatchesDecrypt(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(47))
@@ -120,7 +120,7 @@ func TestOnePrimeUsesSmallerFactor(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := sk.decryptBelow(ct, bound)
+			got, err := sk.DecryptBelow(ct, bound)
 			if err != nil {
 				t.Fatal(err)
 			}

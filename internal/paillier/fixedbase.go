@@ -186,9 +186,9 @@ func (sk *PrivateKey) EnableFixedBase(io.Reader) error { return nil }
 // draw serially, so the reader is never shared, and pay the
 // exponentiation (all but a few multiplications of an encryption)
 // wherever a core is free: C2's NonceReserve raises its reply nonces
-// before the request arrives, and a handler raises whatever is left in
-// the same ForEach task list as the request's decryptions
-// (RaiseAlongside). A Nonce encrypts one message; Raise may run on
+// before the request arrives, and C2's one door (smc.Responder.Decrypt)
+// raises whatever is left in the same ForEach task list as the request's
+// decryptions (RaiseAlongside). A Nonce encrypts one message; Raise may run on
 // several goroutines at once — the reserve's raiser and the handler that
 // took the nonce — and computes the power once.
 type Nonce struct {
@@ -214,9 +214,9 @@ func (nc *Nonce) power() *big.Int {
 }
 
 // RaiseAlongside runs fn(0), …, fn(n−1) and raises every nonce not yet
-// raised as one ForEach task list: the shape of a C2 handler, whose n
-// request decryptions and reply nonce powers are independent of one
-// another. A nonce the reserve's raiser has already raised gets no task;
+// raised as one ForEach task list: the shape of every C2 request, whose
+// n decryptions and reply nonce powers are independent of one another,
+// and its one caller is C2's door, smc.Responder.Decrypt. A nonce the reserve's raiser has already raised gets no task;
 // one it is still raising gets one, which waits for its result. Errors
 // and panics as ForEach.
 func RaiseAlongside(nonces []*Nonce, n int, fn func(i int) error) error {

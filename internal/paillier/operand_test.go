@@ -38,9 +38,27 @@ func rowPacking(t *testing.T, sk *PrivateKey) *Packing {
 // unpackOn decrypts cts[0] as a group of count slots and requires the
 // wanted decryption path, so each row pins the path it claims.
 func unpackOn(count int, onePrime bool) func(t *testing.T, sk *PrivateKey, cts []*Ciphertext) {
+	return onPath(onePrime, func(t *testing.T, sk *PrivateKey, ct *Ciphertext) error {
+		_, err := rowPacking(t, sk).UnpackDecrypt(sk, ct, count)
+		return err
+	})
+}
+
+// decryptBelowOn decrypts cts[0] declared at bits bits and requires the
+// wanted decryption path.
+func decryptBelowOn(bits int, onePrime bool) func(t *testing.T, sk *PrivateKey, cts []*Ciphertext) {
+	return onPath(onePrime, func(t *testing.T, sk *PrivateKey, ct *Ciphertext) error {
+		_, err := sk.DecryptBelow(ct, bits)
+		return err
+	})
+}
+
+// onPath runs decrypt on cts[0] and requires exactly one decryption, on
+// the wanted path.
+func onPath(onePrime bool, decrypt func(t *testing.T, sk *PrivateKey, ct *Ciphertext) error) func(t *testing.T, sk *PrivateKey, cts []*Ciphertext) {
 	return func(t *testing.T, sk *PrivateKey, cts []*Ciphertext) {
 		var err error
-		o, c := decryptPaths(func() { _, err = rowPacking(t, sk).UnpackDecrypt(sk, cts[0], count) })
+		o, c := decryptPaths(func() { err = decrypt(t, sk, cts[0]) })
 		mustNil(t, err)
 		if (o == 1) != onePrime || o+c != 1 {
 			t.Fatalf("%d one-prime and %d CRT decryptions, want one-prime = %v", o, c, onePrime)
@@ -86,6 +104,8 @@ var operandCases = []operandCase{
 		_, err := sk.Decrypt(cts[0])
 		mustNil(t, err)
 	}},
+	{"PrivateKey.DecryptBelow", "one prime", 1, decryptBelowOn(20, true)},
+	{"PrivateKey.DecryptBelow", "crt", 1, decryptBelowOn(256, false)},
 	{"PrivateKey.DecryptSigned", "", 1, func(t *testing.T, sk *PrivateKey, cts []*Ciphertext) {
 		_, err := sk.DecryptSigned(cts[0])
 		mustNil(t, err)

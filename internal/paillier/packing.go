@@ -161,9 +161,12 @@ func (p *Packing) PackEncrypt(random io.Reader, vals []*big.Int) (*Ciphertext, e
 // UnpackDecrypt decrypts one group ciphertext and splits it into count
 // slot values. The group's plaintext has at most count·Width bits, so a
 // short group decrypts under the smaller prime factor alone
-// (decryptBelow), and Unpack's range check refuses a forged one.
+// (DecryptBelow), and Unpack's range check refuses a forged one. C2's
+// handlers do the same in two steps, DecryptBelow through their
+// responder's one door (smc.Responder.Decrypt) and Unpack after it;
+// this one-call form serves the tests and benchmarks.
 func (p *Packing) UnpackDecrypt(sk *PrivateKey, ct *Ciphertext, count int) ([]*big.Int, error) {
-	m, err := sk.decryptBelow(ct, count*p.Width)
+	m, err := sk.DecryptBelow(ct, count*p.Width)
 	if err != nil {
 		return nil, err
 	}

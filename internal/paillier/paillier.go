@@ -362,11 +362,11 @@ func (pk *PublicKey) encryptWithNoncePower(m, rn *big.Int) *Ciphertext {
 
 // Decrypt recovers the plaintext in [0, N) using CRT.
 func (sk *PrivateKey) Decrypt(ct *Ciphertext) (*big.Int, error) {
-	return sk.decryptBelow(ct, sk.N.BitLen())
+	return sk.DecryptBelow(ct, sk.N.BitLen())
 }
 
 // onePrimeSlack is how far below the smaller factor s a plaintext bound
-// must sit for decryptBelow to skip the other CRT half: σ = 64 bits plus
+// must sit for DecryptBelow to skip the other CRT half: σ = 64 bits plus
 // one. An honest plaintext below 2^(bitlen(s)−65) is below s, so m mod s
 // is m; a forged one reduces mod s to something below the bound with
 // probability at most 2^(bitlen(s)−65) / 2^(bitlen(s)−1) = 2^−64, so a
@@ -379,12 +379,14 @@ const onePrimeSlack = 65
 // the one-prime path where count·Width ≤ OnePrimeBits(keyBits).
 func OnePrimeBits(keyBits int) int { return keyBits/2 - onePrimeSlack }
 
-// decryptBelow decrypts a ciphertext whose honest plaintext has at most
+// DecryptBelow decrypts a ciphertext whose honest plaintext has at most
 // bits bits. Where bits ≤ bitlen(s) − onePrimeSlack, s the smaller
 // factor, it returns m mod s from that factor's half alone — m itself
 // for an honest ciphertext; otherwise it recombines both halves into m
-// mod N. The caller range-checks the result against its bound.
-func (sk *PrivateKey) decryptBelow(ct *Ciphertext, bits int) (*big.Int, error) {
+// mod N. The caller range-checks the result against its bound. C2's
+// one caller is smc.Responder.Decrypt, which passes a short packed
+// group's count·Width and K elsewhere.
+func (sk *PrivateKey) DecryptBelow(ct *Ciphertext, bits int) (*big.Int, error) {
 	if ct == nil || ct.c == nil {
 		return nil, ErrNilCiphertext
 	}
@@ -410,9 +412,9 @@ func (sk *PrivateKey) decryptBelow(ct *Ciphertext, bits int) (*big.Int, error) {
 var onePrimeDecrypts, crtDecrypts atomic.Uint64
 
 // DecryptCalls reports how many decryptions this process has performed
-// by path: onePrime under the smaller factor alone (a short packed group,
-// Packing.UnpackDecrypt), crt through both halves (every Decrypt and the
-// wider groups). Monotonic; compare deltas around an operation.
+// by path: onePrime under the smaller factor alone (a short packed group),
+// crt through both halves (every Decrypt and the wider groups).
+// Monotonic; compare deltas around an operation.
 func DecryptCalls() (onePrime, crt uint64) {
 	return onePrimeDecrypts.Load(), crtDecrypts.Load()
 }

@@ -60,13 +60,13 @@ func (s *minSelect) handle(req *mpc.Message) (*mpc.Message, error) {
 	if len(betas) != n { // the header restates β's length
 		return nil, fmt.Errorf("%w: min-select header names %d of %d β", core.ErrBadFrame, n, len(betas))
 	}
-	w, err := s.argminOfBlinded(betas)
+	ms, nonces, err := s.resp.Decrypt(betas, nil, n)
+	if err != nil {
+		return nil, fmt.Errorf("reference: min-select β: %w", err)
+	}
+	w, err := argminOfBlinded(ms)
 	if err != nil {
 		return nil, err
-	}
-	nonces, err := s.resp.Nonces(n)
-	if err != nil {
-		return nil, fmt.Errorf("reference: min-select encrypt: %w", err)
 	}
 	out := make([]*big.Int, n)
 	for j := range out {
@@ -79,25 +79,13 @@ func (s *minSelect) handle(req *mpc.Message) (*mpc.Message, error) {
 	return &mpc.Message{Op: OpMinSelect, Ints: out}, nil
 }
 
-// argminOfBlinded decrypts a blinded-difference vector β (βᵢ =
-// rᵢ·(dmin−dᵢ), so exactly the minima decrypt to zero) and returns one of
-// its zero positions, chosen uniformly at random among them.
-func (s *minSelect) argminOfBlinded(betas []*paillier.Ciphertext) (int, error) {
-	isZero := make([]bool, len(betas))
-	err := paillier.ForEach(len(betas), func(i int) error {
-		m, err := s.sk.Decrypt(betas[i])
-		if err != nil {
-			return fmt.Errorf("reference: β[%d]: %w", i, err)
-		}
-		isZero[i] = m.Sign() == 0
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
+// argminOfBlinded returns one of the zero positions of a decrypted
+// blinded-difference vector β (βᵢ = rᵢ·(dmin−dᵢ), so exactly the minima
+// decrypt to zero), chosen uniformly at random among them.
+func argminOfBlinded(betas []*big.Int) (int, error) {
 	var zeros []int
-	for i, z := range isZero {
-		if z {
+	for i, b := range betas {
+		if b.Sign() == 0 {
 			zeros = append(zeros, i)
 		}
 	}

@@ -8,9 +8,9 @@ import (
 	"sknn/internal/testkit"
 )
 
-// Benchmarks for the primitive layer, including two DESIGN.md §5
-// ablations: message batching (one frame per round vs one frame per
-// element) and the SBD verification pass.
+// Benchmarks for the primitive layer, including two ablations: message
+// batching (one frame per round vs one frame per element) and the SBD
+// verification pass.
 
 // benchPair wires a requester/responder for benchmarks (same shape as
 // pair(t), reusing the TB-generic helpers from testkit_test.go).

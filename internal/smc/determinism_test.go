@@ -17,7 +17,9 @@ import (
 // parties a kernel puts byte-identical frames on the wire — uplink and
 // downlink — whether it runs inline (GOMAXPROCS=1, no helper) or across
 // four cores. Batches are sized past one slot group so the fan-out has
-// something to share out.
+// something to share out. The kernels between them reach every smc
+// handler behind C2's door (Responder.Decrypt): packed SSED, the bit
+// peel, and the paper's SM, SBD's two rounds and SMIN.
 func TestFramesDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	// Several slot groups at a 256-bit key, the last one short; five
 	// attributes per record.
@@ -57,6 +59,13 @@ func checkFramesDeterministic(t *testing.T, sk *paillier.PrivateKey, n, m int) {
 		rows[i] = encVec(t, sk, []int64{int64(i), 15, int64(2 * i), 1, int64(15 - i)}[:m]...)
 	}
 	packed := packRows(t, &sk.PublicKey, 4, rows)
+	// The paper's primitives: two l-bit vectors for SMIN, n bit pairs
+	// for SBOR.
+	u, v := encBits(t, sk, 0xa5c, l), encBits(t, sk, 0x5a3, l)
+	o1s, o2s := make([]*paillier.Ciphertext, n), make([]*paillier.Ciphertext, n)
+	for i := range o1s {
+		o1s[i], o2s[i] = enc(t, sk, int64(i%2)), enc(t, sk, int64(i/2%2))
+	}
 
 	kernels := []struct {
 		name string
@@ -71,6 +80,23 @@ func checkFramesDeterministic(t *testing.T, sk *paillier.PrivateKey, n, m int) {
 				mins = append(mins, rec...)
 			}
 			return mins, err
+		}},
+		{"SMBatch", func(rq *Requester) ([]*paillier.Ciphertext, error) {
+			return rq.SMBatch(as, bs)
+		}},
+		{"SBDBatch", func(rq *Requester) ([]*paillier.Ciphertext, error) {
+			bits, err := rq.SBDBatch(as, l)
+			var out []*paillier.Ciphertext
+			for _, b := range bits {
+				out = append(out, b...)
+			}
+			return out, err
+		}},
+		{"SMIN", func(rq *Requester) ([]*paillier.Ciphertext, error) {
+			return rq.SMIN(u, v)
+		}},
+		{"SBORBatch", func(rq *Requester) ([]*paillier.Ciphertext, error) {
+			return rq.SBORBatch(o1s, o2s)
 		}},
 	}
 	for _, k := range kernels {

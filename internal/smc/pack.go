@@ -252,28 +252,29 @@ func (rp *Responder) handleSSEDPack(req *mpc.Message) (*mpc.Message, error) {
 		return nil, fmt.Errorf("%w: packed SSED payload of %d groups for %d records of %d groups",
 			ErrBadFrame, len(body), count, groups)
 	}
-	nonces, err := rp.Nonces(count)
+	// Group g of a record holds slots(g) attributes.
+	slots := func(g int) int { return min(codec.Slots, m-g*codec.Slots) }
+	bits := make([]int, len(body))
+	for j := range bits {
+		bits[j] = slots(j%groups) * codec.Width
+	}
+	ms, nonces, err := rp.Decrypt(body, bits, count)
 	if err != nil {
-		return nil, fmt.Errorf("smc: packed SSED encrypt: %w", err)
+		return nil, fmt.Errorf("smc: packed SSED: %w", err)
 	}
 	totals := make([]*big.Int, count)
-	err = paillier.RaiseAlongside(nonces, count, func(i int) error {
+	for i := range totals {
 		total := new(big.Int)
 		for g := 0; g < groups; g++ {
-			cnt := min(codec.Slots, m-g*codec.Slots)
-			vals, err := codec.UnpackDecrypt(rp.sk, body[i*groups+g], cnt)
+			vals, err := codec.Unpack(ms[i*groups+g], slots(g))
 			if err != nil {
-				return fmt.Errorf("smc: packed SSED record %d group %d: %w", i, g, err)
+				return nil, fmt.Errorf("smc: packed SSED record %d group %d: %w", i, g, err)
 			}
 			for _, y := range vals {
 				total.Add(total, new(big.Int).Mul(y, y))
 			}
 		}
 		totals[i] = total.Mod(total, rp.sk.N)
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return &mpc.Message{Op: OpSSEDPack, Ints: rp.encryptReply(nonces, totals)}, nil
 }
@@ -489,27 +490,29 @@ func (rp *Responder) handleSBDPackBit(req *mpc.Message) (*mpc.Message, error) {
 		return nil, fmt.Errorf("%w: packed SBD bit payload of %d groups for %d values at shift %d",
 			ErrBadFrame, len(body), count, shift)
 	}
-	// One decryption per group and one reply encryption per element: the
-	// nonce powers do not wait for the decryptions.
-	nonces, err := rp.Nonces(count * (1 + per))
-	if err != nil {
-		return nil, fmt.Errorf("smc: packed SBD bit encrypt: %w", err)
+	// Group g's codec and slot count: the remainders', then the operands'.
+	group := func(g int) (*paillier.Packing, int) {
+		if g < groups {
+			return codec, min(codec.Slots, count-g*codec.Slots)
+		}
+		return opCodec, min(opCodec.Slots, count*per-(g-groups)*opCodec.Slots)
 	}
-	vals := make([][]*big.Int, groups+opGroups)
-	err = paillier.RaiseAlongside(nonces, len(vals), func(g int) error {
-		c, cnt := codec, count-g*codec.Slots
-		if g >= groups {
-			c, cnt = opCodec, count*per-(g-groups)*opCodec.Slots
-		}
-		v, err := c.UnpackDecrypt(rp.sk, body[g], min(c.Slots, cnt))
-		if err != nil {
-			return fmt.Errorf("smc: packed SBD bit group %d: %w", g, err)
-		}
-		vals[g] = v
-		return nil
-	})
+	bits := make([]int, len(body))
+	for g := range bits {
+		c, cnt := group(g)
+		bits[g] = cnt * c.Width
+	}
+	// One decryption per group and one reply encryption per element.
+	plain, nonces, err := rp.Decrypt(body, bits, count*(1+per))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("smc: packed SBD bit: %w", err)
+	}
+	vals := make([][]*big.Int, len(body))
+	for g := range vals {
+		c, cnt := group(g)
+		if vals[g], err = c.Unpack(plain[g], cnt); err != nil {
+			return nil, fmt.Errorf("smc: packed SBD bit group %d: %w", g, err)
+		}
 	}
 	ms := make([]*big.Int, len(nonces))
 	for i := 0; i < count; i++ {

@@ -94,6 +94,8 @@ func (rq *Requester) sbdOnce(zs []*paillier.Ciphertext, l int) ([][]*paillier.Ci
 	for i := range lsbFirst {
 		lsbFirst[i] = make([]*paillier.Ciphertext, 0, l)
 	}
+	// 2⁻¹ mod N for the halving: N is odd, so 2·(N+1)/2 = N+1 ≡ 1.
+	invTwo := new(big.Int).Rsh(new(big.Int).Add(rq.pk.N, oneBig), 1)
 
 	rs := make([]*big.Int, n)
 	for round := 0; round < l; round++ {
@@ -120,7 +122,7 @@ func (rq *Requester) sbdOnce(zs []*paillier.Ciphertext, l int) ([][]*paillier.Ci
 			}
 			lsbFirst[i] = append(lsbFirst[i], bit)
 			// rem = (rem − bit) / 2 (mod N); the numerator is even.
-			half := rq.pk.ScalarMul(rq.pk.Sub(rem[i], bit), rq.invTwo)
+			half := rq.pk.ScalarMul(rq.pk.Sub(rem[i], bit), invTwo)
 			rem[i] = half
 		}
 	}
@@ -188,22 +190,13 @@ func (rp *Responder) handleSBDLsb(req *mpc.Message) (*mpc.Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := len(ys)
-	nonces, err := rp.Nonces(n)
+	ms, nonces, err := rp.Decrypt(ys, nil, len(ys))
 	if err != nil {
-		return nil, fmt.Errorf("smc: SBD encrypt lsb: %w", err)
+		return nil, fmt.Errorf("smc: SBD lsb: %w", err)
 	}
-	lsbs := make([]*big.Int, n)
-	err = paillier.RaiseAlongside(nonces, n, func(i int) error {
-		y, err := rp.sk.Decrypt(ys[i])
-		if err != nil {
-			return fmt.Errorf("smc: SBD decrypt Y[%d]: %w", i, err)
-		}
+	lsbs := make([]*big.Int, len(ms))
+	for i, y := range ms {
 		lsbs[i] = new(big.Int).SetUint64(uint64(y.Bit(0)))
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return &mpc.Message{Op: OpSBDLsb, Ints: rp.encryptReply(nonces, lsbs)}, nil
 }
@@ -215,21 +208,17 @@ func (rp *Responder) handleSBDVerify(req *mpc.Message) (*mpc.Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*big.Int, len(diffs))
-	err = paillier.ForEach(len(out), func(i int) error {
-		d, err := rp.sk.Decrypt(diffs[i])
-		if err != nil {
-			return fmt.Errorf("smc: SBD verify decrypt[%d]: %w", i, err)
-		}
+	ms, _, err := rp.Decrypt(diffs, nil, 0)
+	if err != nil {
+		return nil, fmt.Errorf("smc: SBD verify: %w", err)
+	}
+	out := make([]*big.Int, len(ms))
+	for i, d := range ms {
 		if d.Sign() == 0 {
 			out[i] = big.NewInt(1)
 		} else {
 			out[i] = big.NewInt(0)
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return &mpc.Message{Op: OpSBDVerify, Ints: out}, nil
 }

@@ -82,26 +82,14 @@ func (rp *Responder) handleSM(req *mpc.Message) (*mpc.Message, error) {
 		return nil, err
 	}
 	n := len(cts) / 2
-	nonces, err := rp.Nonces(n)
+	ms, nonces, err := rp.Decrypt(cts, nil, n)
 	if err != nil {
-		return nil, fmt.Errorf("smc: SM encrypt: %w", err)
+		return nil, fmt.Errorf("smc: SM: %w", err)
 	}
 	hs := make([]*big.Int, n)
-	err = paillier.RaiseAlongside(nonces, n, func(i int) error {
-		ha, err := rp.sk.Decrypt(cts[2*i])
-		if err != nil {
-			return fmt.Errorf("smc: SM decrypt a′[%d]: %w", i, err)
-		}
-		hb, err := rp.sk.Decrypt(cts[2*i+1])
-		if err != nil {
-			return fmt.Errorf("smc: SM decrypt b′[%d]: %w", i, err)
-		}
-		h := ha.Mul(ha, hb)
+	for i := range hs {
+		h := ms[2*i].Mul(ms[2*i], ms[2*i+1])
 		hs[i] = h.Mod(h, rp.sk.N)
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return &mpc.Message{Op: OpSM, Ints: rp.encryptReply(nonces, hs)}, nil
 }

@@ -26,9 +26,13 @@
 // C1's side of each protocol is a method on Requester; C2's side is a
 // handler registered on an mpc.Mux by Responder, one registration per
 // family: the deployed key cloud serves the kernels alone,
-// internal/reference's serves both. The handlers keep no protocol state
-// between requests; their reply nonces come from the Responder's one
-// reserve (paillier.NonceReserve), raised before the request arrives.
+// internal/reference's serves both. Every handler, core's and the
+// reference's included, opens its request through one door,
+// Responder.Decrypt: it decrypts the request's ciphertexts and takes the
+// reply's nonces from the Responder's one reserve
+// (paillier.NonceReserve), raised before the request arrives. A handler
+// keeps only its frame's parsing and its plaintext function, and no
+// protocol state between requests.
 //
 // Bit-vector convention: as in the paper, [z] = ⟨E(z₁),…,E(z_l)⟩ with
 // index 0 holding the MOST significant bit.
@@ -94,9 +98,6 @@ type Requester struct {
 	conn mpc.Conn
 	rand io.Reader
 
-	// invTwo caches 2⁻¹ mod N for SBD's halving step.
-	invTwo *big.Int
-
 	// codecs caches the slot codec per value-bit width so the packed
 	// kernels called once per network layer or tournament level
 	// (SMINValuePairsBatch, PackBlinded) don't rebuild it each call. A
@@ -128,12 +129,7 @@ func NewRequester(pk *paillier.PublicKey, conn mpc.Conn, random io.Reader) *Requ
 	if random == nil {
 		random = rand.Reader
 	}
-	return &Requester{
-		pk:     pk,
-		conn:   conn,
-		rand:   random,
-		invTwo: new(big.Int).ModInverse(big.NewInt(2), pk.N),
-	}
+	return &Requester{pk: pk, conn: conn, rand: random}
 }
 
 // shortBlind samples a statistical blind in [0, 2^(bits+σ)) for a
@@ -212,11 +208,43 @@ func NewResponder(sk *paillier.PrivateKey, random io.Reader) *Responder {
 	return &Responder{sk: sk, nonces: paillier.NewNonceReserve(sk, random)}
 }
 
-// Nonces hands out the next count reply nonces from the responder's
-// reserve, raised or still to be raised: the one draw behind every reply
-// encryption C2 makes, core's handlers included.
-func (rp *Responder) Nonces(count int) ([]*paillier.Nonce, error) {
-	return rp.nonces.Take(count)
+// Decrypt is C2's one door out of its key: every plaintext a key-cloud
+// handler reads, and every nonce its reply encrypts under, comes from
+// here — smc's handlers, core.CloudC2's rank and reveal and
+// internal/reference's min-select alike. It takes the next replies
+// nonces from the reserve (none, and no raiser started, when replies is
+// 0) and decrypts each cts[i] as a plaintext of at most bits[i] bits
+// (paillier.DecryptBelow: a short packed group's count·Width takes the
+// smaller prime alone), or at full width when bits is nil, raising the
+// nonces the reserve has not in the same task list
+// (paillier.RaiseAlongside). An error is the lowest failing index's; no
+// goroutine of the fan-out outlives the call.
+func (rp *Responder) Decrypt(cts []*paillier.Ciphertext, bits []int, replies int) ([]*big.Int, []*paillier.Nonce, error) {
+	var nonces []*paillier.Nonce
+	if replies > 0 {
+		var err error
+		if nonces, err = rp.nonces.Take(replies); err != nil {
+			return nil, nil, fmt.Errorf("smc: reply nonces: %w", err)
+		}
+	}
+	full := rp.sk.N.BitLen()
+	ms := make([]*big.Int, len(cts))
+	err := paillier.RaiseAlongside(nonces, len(cts), func(i int) error {
+		b := full
+		if bits != nil {
+			b = bits[i]
+		}
+		m, err := rp.sk.DecryptBelow(cts[i], b)
+		if err != nil {
+			return fmt.Errorf("smc: decrypt [%d]: %w", i, err)
+		}
+		ms[i] = m
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return ms, nonces, nil
 }
 
 // RegisterPaper installs the handlers of the paper's primitives as
@@ -246,9 +274,8 @@ func (rp *Responder) Mux() *mpc.Mux {
 }
 
 // encryptReply assembles a reply of fresh encryptions, ms[i] under
-// nonces[i]: the cheap half left once the reserve's raiser, or the
-// handler's fan-out beside its decryptions (paillier.RaiseAlongside), has
-// raised the nonces.
+// nonces[i] from Decrypt: the cheap half left once the reserve's raiser,
+// or the door's fan-out beside the decryptions, has raised the nonces.
 func (rp *Responder) encryptReply(nonces []*paillier.Nonce, ms []*big.Int) []*big.Int {
 	out := make([]*big.Int, len(ms))
 	for i, m := range ms {

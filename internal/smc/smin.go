@@ -31,9 +31,8 @@ import (
 // C2's view is a shuffled vector containing at most one 1 among random
 // values. C2 sets α := 1 iff some decrypted Lᵢ is 1 — i.e. α is the
 // truth value of the coin-masked comparison F — and returns M′ᵢ = Γ′ᵢ^α
-// and E(α), both freshly re-randomized (see the fidelity note in
-// DESIGN.md §6: without re-randomization C1 could read α off the wire by
-// comparing group elements).
+// and E(α), both freshly re-randomized: without re-randomization C1
+// could read α off the wire by comparing M′ with the Γ′ it sent.
 //
 // Finally C1 computes E(min(u,v)ᵢ) = E(uᵢ)·λᵢ (for F: u>v), where
 // λᵢ = M̃ᵢ·E(α)^{−r̂ᵢ} = E(α·(vᵢ−uᵢ)); i.e. min = u + α(v−u).
@@ -147,30 +146,17 @@ func (rp *Responder) handleSMIN(req *mpc.Message) (*mpc.Message, error) {
 	}
 	l := len(cts) / 2
 	gammas, lvecP := cts[:l], cts[l:]
-	// l re-randomisations and E(α): their nonce powers ride beside the
-	// decryptions of L′.
-	nonces, err := rp.Nonces(l + 1)
-	if err != nil {
-		return nil, fmt.Errorf("smc: SMIN reply nonces: %w", err)
-	}
 	// α ← 1 iff some decrypted L′ᵢ equals 1. Every L′ᵢ is decrypted:
 	// short-circuiting would make the responder's running time depend on
-	// the secret position.
-	isOne := make([]bool, l)
-	err = paillier.RaiseAlongside(nonces, l, func(i int) error {
-		m, err := rp.sk.Decrypt(lvecP[i])
-		if err != nil {
-			return fmt.Errorf("smc: SMIN decrypt L′[%d]: %w", i, err)
-		}
-		isOne[i] = m.Cmp(oneBig) == 0
-		return nil
-	})
+	// the secret position. The l re-randomisations and E(α) take their
+	// nonces from the same call.
+	ms, nonces, err := rp.Decrypt(lvecP, nil, l+1)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("smc: SMIN L′: %w", err)
 	}
 	alpha := uint64(0)
-	for _, one := range isOne {
-		if one {
+	for _, m := range ms {
+		if m.Cmp(oneBig) == 0 {
 			alpha = 1
 		}
 	}
